@@ -16,7 +16,7 @@ from typing import Dict, Generator, List, Optional
 
 from repro.core.protocol import CoordinatedCheckpoint
 from repro.core.strategy import DeployedInstance, Deployment, GlobalCheckpoint
-from repro.util.bytesource import ByteSource, SyntheticBytes
+from repro.util.bytesource import ByteSource, SyntheticBytes, content_equal
 from repro.util.errors import CheckpointError
 
 #: guest path template of the application-level checkpoint file; one file per
@@ -141,10 +141,10 @@ class SyntheticBenchmark:
             if data.size != expected.size:
                 return False
             window = min(sample_bytes, data.size)
-            if data.read(0, window) != expected.read(0, window):
-                return False
-            if data.read(data.size - window, window) != expected.read(
-                expected.size - window, window
+            tail = data.size - window
+            if not (
+                content_equal(data.slice(0, window), expected.slice(0, window))
+                and content_equal(data.slice(tail, window), expected.slice(tail, window))
             ):
                 return False
         return True

@@ -331,18 +331,15 @@ class BlobClient:
         """Overlay several windows of one stripe onto its existing contents."""
         stripe_start = stripe * chunk_size
         existing_len = max(0, min(chunk_size, base_size - stripe_start))
+        new_len = max(existing_len, max(start + payload.size for start, payload in windows.items()))
+        buffer = memoryview(bytearray(new_len))  # gaps between windows stay zero
         if existing_len > 0:
             base = self._read_version(blob_id, base_version, stripe_start, existing_len)
-            buffer = bytearray(base.to_bytes())
-        else:
-            buffer = bytearray()
+            base.readinto(0, buffer[:existing_len])
         for start in sorted(windows):
             payload = windows[start]
-            end = start + payload.size
-            if len(buffer) < end:
-                buffer.extend(b"\x00" * (end - len(buffer)))
-            buffer[start:end] = payload.to_bytes()
-        return LiteralBytes(bytes(buffer))
+            payload.readinto(0, buffer[start : start + payload.size])
+        return LiteralBytes(buffer)
 
     def _merge_partial_stripe(
         self,

@@ -20,13 +20,15 @@ to the simulation environment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
-from repro.blobseer.provider import ChunkKey
 from repro.dedup.codec import StorageCodec, make_codec
 from repro.dedup.fingerprint import content_digest, is_zero_content
 from repro.dedup.index import CanonicalChunk, ChunkIndex
 from repro.util.bytesource import ByteSource
+
+if TYPE_CHECKING:  # blobseer.client imports this module: a runtime import would be a cycle
+    from repro.blobseer.provider import ChunkKey
 
 
 @dataclass(frozen=True)

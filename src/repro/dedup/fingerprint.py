@@ -5,8 +5,9 @@ payload is represented: a :class:`LiteralBytes`, a :class:`SyntheticBytes`
 window or a :class:`ZeroBytes` run with the same bytes must all map to the same
 digest.  ``ByteSource.fingerprint()`` is deliberately representation-sensitive
 (it exists for cheap equality hints), so the dedup engine uses its own digest
-computed by streaming the materialised content through BLAKE2b in bounded
-windows -- no payload is ever materialised in one piece.
+computed by streaming the content through BLAKE2b: each window is written by
+``readinto`` into one reusable buffer and hashed in place -- no payload is
+ever materialised in one piece.
 
 Digests embed the payload size so that a (vanishingly unlikely) hash collision
 between payloads of different lengths can never alias them.
@@ -55,11 +56,9 @@ def is_zero_content(digest: str, size: int) -> bool:
 
 def _hash_stream(data: ByteSource) -> str:
     hasher = hashlib.blake2b(digest_size=16)
-    offset = 0
-    remaining = data.size
-    while remaining > 0:
-        take = min(_WINDOW, remaining)
-        hasher.update(data.read(offset, take))
-        offset += take
-        remaining -= take
+    window = memoryview(bytearray(min(_WINDOW, data.size)))
+    for offset in range(0, data.size, _WINDOW):
+        view = window[: data.size - offset]  # clamps: only the last window is shorter
+        data.readinto(offset, view)
+        hasher.update(view)
     return f"{data.size}:{hasher.hexdigest()}"

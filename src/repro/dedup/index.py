@@ -10,10 +10,12 @@ to zero (the garbage collector drives :meth:`release`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.blobseer.provider import ChunkKey
 from repro.util.errors import StorageError
+
+if TYPE_CHECKING:  # blobseer.client imports repro.dedup: a runtime import would be a cycle
+    from repro.blobseer.provider import ChunkKey
 
 
 @dataclass

@@ -33,7 +33,7 @@ from repro.scenarios.results import ExperimentResult
 from repro.runner.cells import Cell, CellResult, run_cells_inline
 from repro.scenarios.engine import register_scenario
 from repro.scenarios.spec import Axis, ScenarioSpec
-from repro.util.bytesource import ByteSource, SyntheticBytes
+from repro.util.bytesource import ByteSource, SyntheticBytes, content_equal
 from repro.util.config import GRAPHENE, ClusterSpec, DedupSpec
 from repro.util.units import MB
 
@@ -124,7 +124,7 @@ def _run_mode(
         data = repository.client.read(blob_id, 0, nblocks * block_size, version=version)
         for block, epoch in contents.items():
             expected = _block_payload(block, epoch, block_size)
-            if data.read(block * block_size, block_size) != expected.read():
+            if not content_equal(data.slice(block * block_size, block_size), expected):
                 outcome.restored_ok = False
                 break
         if not outcome.restored_ok:

@@ -10,9 +10,13 @@ wasteful and slow for a timing-oriented simulation.
 checksummable description of a byte string.  Small payloads use
 :class:`LiteralBytes` (real data, exact round-trips); large payloads use
 :class:`SyntheticBytes` (deterministic pseudo-random content generated on
-demand from a seed) or :class:`ZeroBytes`.  All variants support
-``read(offset, length)`` which *does* materialise the requested window, so
-any code path can be exercised with real bytes at test scale.
+demand from a seed) or :class:`ZeroBytes`.  All variants materialise a
+window through one primitive, ``readinto(offset, buffer)``, which writes the
+bytes straight into a caller-owned buffer; ``read(offset, length)`` is the
+same window returned as ``bytes``.  Consumers that only *look* at content
+(hashing, verification) stream through ``readinto`` with one reusable window
+buffer, so any code path can be exercised with real bytes at test scale
+without ever holding a payload twice.
 
 Equality compares content identity cheaply via ``fingerprint()`` (size plus a
 content hash computed without materialising synthetic payloads).
@@ -23,6 +27,7 @@ from __future__ import annotations
 import hashlib
 from abc import ABC, abstractmethod
 from bisect import bisect_right
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,6 +35,15 @@ import numpy as np
 from repro.util.rng import stable_hash
 
 _MATERIALISE_LIMIT = 64 * 1024 * 1024  # refuse accidental >64 MiB materialisation
+
+#: synthetic content is defined block by block so that any window can be
+#: produced without generating everything before it
+_BLOCK = 65536
+#: generated blocks kept for an immediate re-read of the same window (1 MiB)
+_CACHED_BLOCKS = 16
+#: comparison window: one block short of the cache, so a window that straddles
+#: block boundaries still fits and the second side's read of it is all hits
+_COMPARE_WINDOW = (_CACHED_BLOCKS - 1) * _BLOCK
 
 
 class ByteSource(ABC):
@@ -49,6 +63,11 @@ class ByteSource(ABC):
         """Materialise ``length`` bytes starting at ``offset``."""
 
     @abstractmethod
+    def _fill(self, offset: int, view: memoryview) -> None:
+        """Write ``[offset, offset + len(view))`` into ``view`` (a flat byte
+        view over a non-empty window that :meth:`readinto` already checked)."""
+
+    @abstractmethod
     def slice(self, offset: int, length: int) -> "ByteSource":
         """Return a view of ``[offset, offset + length)`` as a new source."""
 
@@ -62,14 +81,31 @@ class ByteSource(ABC):
 
     # -- shared behaviour ----------------------------------------------------
 
+    def readinto(self, offset: int, buffer: bytearray | memoryview) -> int:
+        """Fill the writable ``buffer`` with the bytes starting at ``offset``.
+
+        The window is the whole buffer (any writable C-contiguous buffer
+        object) and must lie inside the source.  This is the materialisation
+        primitive: ``read`` and every streaming consumer are built on it.
+        Returns the number of bytes written.
+        """
+        view = memoryview(buffer).cast("B")
+        offset, length = self._check_materialise(offset, len(view))
+        if length:
+            self._fill(offset, view)
+        return length
+
     def to_bytes(self) -> bytes:
         """Materialise the whole payload (guarded against huge sources)."""
-        if self.size > _MATERIALISE_LIMIT:
-            raise ValueError(
-                f"refusing to materialise {self.size} bytes; "
-                f"limit is {_MATERIALISE_LIMIT}"
-            )
         return self.read(0, self.size)
+
+    def _read_filled(self, offset: int, length: int | None) -> bytes:
+        """``read`` for sources whose content only exists through ``_fill``."""
+        offset, length = self._check_materialise(offset, length)
+        out = bytearray(length)
+        if length:
+            self._fill(offset, memoryview(out))
+        return bytes(out)
 
     def _check_window(self, offset: int, length: int | None) -> tuple[int, int]:
         if length is None:
@@ -80,22 +116,35 @@ class ByteSource(ABC):
             )
         return offset, length
 
+    def _check_materialise(self, offset: int, length: int | None) -> tuple[int, int]:
+        """Window check of every path that produces real bytes."""
+        offset, length = self._check_window(offset, length)
+        if length > _MATERIALISE_LIMIT:
+            raise ValueError(
+                f"refusing to materialise {length} bytes; limit is {_MATERIALISE_LIMIT}"
+            )
+        return offset, length
+
     def __len__(self) -> int:  # pragma: no cover - trivial
         return self.size
 
     def __eq__(self, other: object) -> bool:
+        """Content equality.
+
+        Equal fingerprints settle it without touching content.  Fingerprints
+        are representation-sensitive (a concatenation of two literals hashes
+        differently from one literal with the same bytes), so sources of up to
+        ``_MATERIALISE_LIMIT`` bytes fall back to :func:`content_equal`.
+        Above that the comparison is fingerprint-only: two larger sources
+        with equal content but different representations compare unequal.
+        """
         if not isinstance(other, ByteSource):
             return NotImplemented
         if self.size != other.size:
             return False
         if self.fingerprint() == other.fingerprint():
             return True
-        # Fingerprints are representation-sensitive (a concatenation of two
-        # literals hashes differently from one literal with the same bytes),
-        # so fall back to content comparison when it is cheap to do so.
-        if self.size <= 1024 * 1024:
-            return self.read() == other.read()
-        return False
+        return self.size <= _MATERIALISE_LIMIT and content_equal(self, other)
 
     def __hash__(self) -> int:
         return hash(self.size)
@@ -117,8 +166,11 @@ class LiteralBytes(ByteSource):
         return len(self._data)
 
     def read(self, offset: int = 0, length: int | None = None) -> bytes:
-        offset, length = self._check_window(offset, length)
+        offset, length = self._check_materialise(offset, length)
         return self._data[offset : offset + length]
+
+    def _fill(self, offset: int, view: memoryview) -> None:
+        view[:] = memoryview(self._data)[offset : offset + len(view)]
 
     def slice(self, offset: int, length: int) -> ByteSource:
         if offset == 0 and length == len(self._data):
@@ -145,8 +197,11 @@ class ZeroBytes(ByteSource):
         return self._size
 
     def read(self, offset: int = 0, length: int | None = None) -> bytes:
-        offset, length = self._check_window(offset, length)
-        return b"\x00" * length
+        offset, length = self._check_materialise(offset, length)
+        return bytes(length)
+
+    def _fill(self, offset: int, view: memoryview) -> None:
+        view[:] = bytes(len(view))
 
     def slice(self, offset: int, length: int) -> ByteSource:
         if offset == 0 and length == self._size:
@@ -158,11 +213,26 @@ class ZeroBytes(ByteSource):
         return f"zero:{self._size}"
 
 
+@lru_cache(maxsize=_CACHED_BLOCKS)
+def _block(seed: int, index: int) -> bytes:
+    """Block ``index`` of the synthetic stream of ``seed``.
+
+    Raw PCG64 words are covered by numpy's strict bit-generator stream
+    guarantee, and the explicit ``"<u8"`` keeps the bytes the same on
+    big-endian hosts.  The small LRU turns the immediate re-read of a window
+    (verification reads the stored and the expected side back to back) into
+    a copy; entries are immutable, so sharing them is safe.
+    """
+    words = np.random.PCG64(np.random.SeedSequence((seed, index))).random_raw(_BLOCK // 8)
+    return words.astype("<u8", copy=False).tobytes()
+
+
 class SyntheticBytes(ByteSource):
     """Deterministic pseudo-random payload generated from ``(seed, size)``.
 
-    Content is defined as the byte stream produced by a PCG64 generator
-    seeded with ``seed``; ``offset`` slicing is honoured exactly, so
+    Content is defined in 64 KiB blocks: block ``i`` is the raw 64-bit output
+    of a PCG64 bit generator seeded with ``(seed, i)``, laid out little-endian
+    (see :func:`_block`).  ``offset`` slicing is honoured exactly, so
     ``s.slice(a, n).read() == s.read(a, n)`` holds for all windows.
     """
 
@@ -183,26 +253,19 @@ class SyntheticBytes(ByteSource):
     def seed(self) -> int:
         return self._seed
 
-    def _generate(self, absolute_offset: int, length: int) -> bytes:
-        if length == 0:
-            return b""
-        if length > _MATERIALISE_LIMIT:
-            raise ValueError(f"refusing to materialise {length} synthetic bytes")
-        # The stream is generated in fixed 64 KiB blocks so that any window
-        # can be reproduced without generating everything before it.
-        block = 65536
-        first = absolute_offset // block
-        last = (absolute_offset + length - 1) // block
-        out = bytearray()
-        for idx in range(first, last + 1):
-            rng = np.random.default_rng((self._seed, idx))
-            out += rng.integers(0, 256, size=block, dtype=np.uint8).tobytes()
-        start = absolute_offset - first * block
-        return bytes(out[start : start + length])
-
     def read(self, offset: int = 0, length: int | None = None) -> bytes:
-        offset, length = self._check_window(offset, length)
-        return self._generate(self._origin + offset, length)
+        return self._read_filled(offset, length)
+
+    def _fill(self, offset: int, view: memoryview) -> None:
+        seed = self._seed
+        position = self._origin + offset
+        written = 0
+        while written < len(view):
+            index, start = divmod(position, _BLOCK)
+            take = min(_BLOCK - start, len(view) - written)
+            view[written : written + take] = memoryview(_block(seed, index))[start : start + take]
+            written += take
+            position += take
 
     def slice(self, offset: int, length: int) -> ByteSource:
         if offset == 0 and length == self._size:
@@ -242,22 +305,20 @@ class _ConcatBytes(ByteSource):
         return bisect_right(self._offsets, cursor) - 1 if cursor else 0
 
     def read(self, offset: int = 0, length: int | None = None) -> bytes:
-        offset, length = self._check_window(offset, length)
-        out = bytearray()
-        remaining = length
-        cursor = offset
+        return self._read_filled(offset, length)
+
+    def _fill(self, offset: int, view: memoryview) -> None:
         parts = self._parts
         offsets = self._offsets
-        i = self._first_part(cursor)
-        while remaining and i < len(parts):
+        i = self._first_part(offset)
+        written = 0
+        while written < len(view):
             part = parts[i]
-            local_off = cursor - offsets[i]
-            take = min(part.size - local_off, remaining)
-            out += part.read(local_off, take)
-            cursor += take
-            remaining -= take
+            local_off = offset + written - offsets[i]
+            take = min(part.size - local_off, len(view) - written)
+            part._fill(local_off, view[written : written + take])
+            written += take
             i += 1
-        return bytes(out)
 
     def slice(self, offset: int, length: int) -> ByteSource:
         if offset == 0 and length == self._size:
@@ -292,3 +353,23 @@ def concat(parts: Iterable[ByteSource]) -> ByteSource:
     if len(flat) == 1:
         return flat[0]
     return _ConcatBytes(flat)
+
+
+def content_equal(a: ByteSource, b: ByteSource) -> bool:
+    """Compare two sources byte for byte, whatever their representations.
+
+    Streams both sides through two reusable window buffers and stops at the
+    first window that differs, so neither side is ever held in one piece.
+    """
+    if a.size != b.size:
+        return False
+    left = right = bytearray()
+    for offset in range(0, a.size, _COMPARE_WINDOW):
+        take = min(_COMPARE_WINDOW, a.size - offset)
+        if take != len(left):  # the first window, and a shorter last one
+            left, right = bytearray(take), bytearray(take)
+        a.readinto(offset, left)
+        b.readinto(offset, right)
+        if left != right:  # bytearray comparison is one memcmp; memoryview's is per element
+            return False
+    return True

@@ -1,11 +1,16 @@
 """Unit tests for the ByteSource payload abstraction."""
 
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dedup.fingerprint import content_digest
 from repro.util import LiteralBytes, SyntheticBytes, ZeroBytes, concat
-from repro.util.bytesource import ByteSource
+from repro.util import bytesource
+from repro.util.bytesource import ByteSource, content_equal
 
 
 class TestLiteralBytes:
@@ -163,3 +168,244 @@ def test_property_synthetic_slice_window(size, offset, length):
 def test_bytesource_is_abstract():
     with pytest.raises(TypeError):
         ByteSource()  # type: ignore[abstract]
+
+
+# -- the synthetic stream is pinned ---------------------------------------------------
+
+
+def _blake2b16(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+class TestGoldenStream:
+    """Vectors taken from the original ``default_rng(...).integers`` generator:
+    stored checkpoints, digests and baseline cells all depend on these bytes."""
+
+    def test_first_bytes(self):
+        s = SyntheticBytes("golden", 1 << 20)
+        assert s.read(0, 16).hex() == "1a4763ac63a7a2c6d063418ad9c4e7d6"
+
+    def test_block_boundary_straddle(self):
+        s = SyntheticBytes("golden", 1 << 20)
+        assert s.read(65530, 12).hex() == "21aae683d38629be09cd5bd4"
+
+    def test_whole_payload_and_unaligned_window(self):
+        s = SyntheticBytes("golden", 1 << 20)
+        assert _blake2b16(s.read()) == "0b720d5cbb18dcd6f71b098c9460e75a"
+        assert _blake2b16(s.read(100_001, 300_007)) == "980061f2fd016e0928a7baa9cd02abdb"
+
+    def test_content_digest_of_a_fig7_block(self):
+        digest = content_digest(SyntheticBytes(("fig7", 3, 2), 262144))
+        assert digest == "262144:cba0222cbee2c2e5cc3d7ad725c6f600"
+
+
+# -- readinto: the materialisation primitive ------------------------------------------
+
+
+@st.composite
+def _leaf(draw):
+    kind = draw(st.sampled_from(["literal", "zero", "synthetic"]))
+    if kind == "literal":
+        return LiteralBytes(draw(st.binary(min_size=0, max_size=3000)))
+    if kind == "zero":
+        return ZeroBytes(draw(st.integers(0, 100_000)))
+    # up to three 64 KiB generator blocks, so windows straddle block boundaries
+    return SyntheticBytes(draw(st.integers(0, 5)), draw(st.integers(0, 200_000)))
+
+
+@st.composite
+def _windowed(draw, source):
+    """A slice of ``source`` -- over all of it half of the time."""
+    src = draw(source)
+    if draw(st.booleans()):
+        return src
+    offset = draw(st.integers(0, src.size))
+    return src.slice(offset, draw(st.integers(0, src.size - offset)))
+
+
+#: every source class, slices of them, and concatenations nested two deep
+_sources = st.recursive(
+    _windowed(_leaf()),
+    lambda inner: _windowed(st.lists(inner, min_size=0, max_size=4).map(concat)),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _source_and_window(draw):
+    src = draw(_sources)
+    offset = draw(st.integers(0, src.size))
+    return src, offset, draw(st.integers(0, src.size - offset))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_source_and_window())
+def test_property_readinto_equals_read(case):
+    src, offset, length = case
+    buffer = bytearray(b"\xaa" * (length + 2))
+    assert src.readinto(offset, memoryview(buffer)[1 : 1 + length]) == length
+    assert bytes(buffer[1 : 1 + length]) == src.read(offset, length)
+    assert buffer[0] == buffer[-1] == 0xAA  # nothing outside the window is touched
+
+
+@settings(max_examples=100, deadline=None)
+@given(src=_sources, cuts=st.lists(st.integers(0, 1 << 20), max_size=8))
+def test_property_window_partition_reassembles_the_whole(src, cuts):
+    """Any partition of the payload into windows, read window by window (as
+    chunks are read back from providers), reassembles to the whole."""
+    bounds = sorted({0, src.size, *(cut % (src.size + 1) for cut in cuts)})
+    whole = src.read()
+    via_read = b"".join(src.read(a, b - a) for a, b in zip(bounds, bounds[1:]))
+    via_readinto = bytearray(src.size)
+    for a, b in zip(bounds, bounds[1:]):
+        src.readinto(a, memoryview(via_readinto)[a:b])
+    assert via_read == whole
+    assert bytes(via_readinto) == whole
+    assert content_equal(src, LiteralBytes(whole))
+
+
+@settings(max_examples=60, deadline=None)
+@given(src=_sources, data=st.data())
+def test_property_zero_length_window_writes_nothing(src, data):
+    offset = data.draw(st.integers(0, src.size))  # offset == size is a valid empty window
+    guard = bytearray(b"\xaa" * 8)
+    assert src.readinto(offset, memoryview(guard)[4:4]) == 0
+    assert src.readinto(offset, bytearray()) == 0
+    assert guard == b"\xaa" * 8
+    assert src.read(offset, 0) == b""
+
+
+@settings(max_examples=60, deadline=None)
+@given(src=_sources, beyond=st.integers(1, 64), data=st.data())
+def test_property_out_of_range_window_raises_and_writes_nothing(src, beyond, data):
+    offset = data.draw(st.integers(0, src.size))
+    buffer = bytearray(b"\xaa" * (src.size - offset + beyond))
+    with pytest.raises(ValueError):
+        src.readinto(offset, buffer)
+    with pytest.raises(ValueError):
+        src.readinto(-1, bytearray(1))
+    with pytest.raises(ValueError):
+        src.read(offset, len(buffer))
+    assert buffer == b"\xaa" * len(buffer)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    windows=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 40 * 65536 - 1), st.integers(1, 300_000)),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_property_content_is_independent_of_block_cache_state(windows):
+    """Cold cache, warm cache and seeds interleaved until blocks are evicted
+    (40 blocks per seed against a 16-block cache) all give the same bytes."""
+    sources = [SyntheticBytes(("cache", seed), 40 * 65536) for seed in range(4)]
+    windows = [(seed, off, min(length, 40 * 65536 - off)) for seed, off, length in windows]
+
+    def read_all():
+        return [sources[seed].read(off, length) for seed, off, length in windows]
+
+    bytesource._block.cache_clear()
+    cold = read_all()
+    warm = read_all()
+    isolated = []
+    for seed, off, length in windows:
+        bytesource._block.cache_clear()
+        isolated.append(sources[seed].read(off, length))
+    assert cold == warm == isolated
+
+
+def test_block_cache_is_bounded_to_one_mebibyte():
+    bytesource._block.cache_clear()
+    SyntheticBytes("bound", 4 << 20).read()
+    info = bytesource._block.cache_info()
+    assert info.currsize == info.maxsize
+    assert info.maxsize * bytesource._BLOCK <= 1 << 20
+
+
+def test_reread_of_a_window_is_served_from_the_block_cache():
+    """The verification pattern: stored side, then expected side, same window."""
+    stored = SyntheticBytes("reread", 8 << 20)
+    expected = SyntheticBytes("reread", 8 << 20)
+    bytesource._block.cache_clear()
+    assert content_equal(stored.slice(12_345, 3 << 20), expected.slice(12_345, 3 << 20))
+    touched = (12_345 + (3 << 20) - 1) // 65536 - 12_345 // 65536 + 1
+    assert bytesource._block.cache_info().misses == touched  # no block generated twice
+
+
+def test_readinto_accepts_any_contiguous_writable_buffer():
+    src = SyntheticBytes("buffers", 1000)
+    array = np.zeros(125, dtype=np.uint64)
+    assert src.readinto(0, memoryview(array)) == 1000
+    assert array.tobytes() == src.read()
+    with pytest.raises(TypeError):
+        src.readinto(0, bytes(10))  # read-only
+    with pytest.raises(TypeError):
+        src.readinto(0, memoryview(bytearray(20))[::2])  # not contiguous
+
+
+# -- regressions ------------------------------------------------------------------------
+
+
+class TestContentEquality:
+    def test_eq_compares_content_above_one_mebibyte(self):
+        """The fallback used to be capped at 1 MiB and answered False above it."""
+        s = SyntheticBytes("eq", 2 << 20)
+        halves = concat([s.slice(0, 1 << 20), s.slice(1 << 20, 1 << 20)])
+        assert halves.fingerprint() != s.fingerprint()
+        assert halves.read() == s.read()
+        assert halves == s
+        assert s == halves
+
+    def test_eq_sees_a_difference_in_the_last_window(self):
+        size = (2 << 20) + 17
+        data = SyntheticBytes("eq-tail", size).read()
+        flipped = data[:-1] + bytes([data[-1] ^ 1])
+        assert LiteralBytes(data) != concat(
+            [LiteralBytes(flipped[:1000]), LiteralBytes(flipped[1000:])]
+        )
+        assert not content_equal(LiteralBytes(data), LiteralBytes(flipped))
+        assert content_equal(SyntheticBytes("eq-tail", size), LiteralBytes(data))
+
+    def test_eq_is_fingerprint_only_above_the_materialise_limit(self):
+        big = bytesource._MATERIALISE_LIMIT + 65536
+        assert ZeroBytes(big) == ZeroBytes(big)
+        # same bytes, other representation: documented as unequal at this size
+        assert concat([ZeroBytes(65536), ZeroBytes(big - 65536)]) != ZeroBytes(big)
+
+    def test_content_equal_sizes_and_empty(self):
+        assert content_equal(LiteralBytes(b""), ZeroBytes(0))
+        assert not content_equal(ZeroBytes(3), ZeroBytes(4))
+
+
+class TestMaterialisationGuard:
+    """Every class refuses an oversized window, naming its size, before allocating."""
+
+    LIMIT = bytesource._MATERIALISE_LIMIT
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ZeroBytes(10 * 1024**3),
+            SyntheticBytes("guard", 10 * 1024**3),
+            concat([ZeroBytes(5 * 1024**3), SyntheticBytes("guard", 5 * 1024**3)]),
+        ],
+        ids=["zero", "synthetic", "concat"],
+    )
+    def test_oversized_window_is_refused(self, source):
+        oversized = (
+            source.read,
+            source.to_bytes,
+            lambda: source.read(1024, self.LIMIT + 1),
+            lambda: source.readinto(1024, bytearray(self.LIMIT + 1)),
+        )
+        for call in oversized:
+            with pytest.raises(ValueError, match=r"refusing to materialise \d+ bytes"):
+                call()
+        # a window inside the limit is still served, and slicing stays lazy
+        assert source.read(3 * 1024**3, 64) == source.slice(3 * 1024**3, 64).read()
+        assert source.slice(0, source.size // 2).size == source.size // 2
+
+    def test_window_of_exactly_the_limit_is_allowed(self):
+        assert len(ZeroBytes(self.LIMIT + 1).read(1, self.LIMIT)) == self.LIMIT
