@@ -114,19 +114,6 @@ def _add_selection_arguments(parser: argparse.ArgumentParser, names: List[str], 
         "reference solver (slow; shorthand for --override cluster.solver.verify=true)",
     )
     parser.add_argument(
-        "--solver-no-batch",
-        action="store_true",
-        help="disable same-instant replan batching and run the legacy scalar "
-        "solver (A/B baseline; shorthand for --override cluster.solver.batching=false)",
-    )
-    parser.add_argument(
-        "--solver-no-persist",
-        action="store_true",
-        help="disable persistent component/array maintenance across events and "
-        "rediscover every component per recomputation (A/B baseline; shorthand "
-        "for --override cluster.solver.persistence=false)",
-    )
-    parser.add_argument(
         "--no-progress",
         action="store_true",
         help="suppress the per-cell progress lines on stderr",
@@ -187,17 +174,15 @@ def resolve_run_inputs(
     paper_scale: bool = False,
     seed: Optional[int] = None,
     solver_verify: bool = False,
-    solver_no_batch: bool = False,
-    solver_no_persist: bool = False,
 ) -> Tuple[List[str], List[CellSelector], RunConfig]:
     """Validate experiments/selectors/overrides and fold them into a RunConfig.
 
     The one selection pipeline behind ``blobcr-repro run``/``profile``/
-    ``trace`` *and* out-of-process harnesses (``tools/bench_solver_ab.py``):
-    anything accepted here is accepted identically everywhere, by
-    construction.  Raises :class:`~repro.util.errors.ConfigurationError` on
-    unknown experiments, foreign selectors or misdirected overrides; the CLI
-    wrapper converts that into ``parser.error``.
+    ``trace`` *and* out-of-process harnesses: anything accepted here is
+    accepted identically everywhere, by construction.  Raises
+    :class:`~repro.util.errors.ConfigurationError` on unknown experiments,
+    foreign selectors or misdirected overrides; the CLI wrapper converts
+    that into ``parser.error``.
     """
     unknown = [e for e in experiments if e not in names]
     if unknown:
@@ -236,15 +221,11 @@ def resolve_run_inputs(
             f"--cells selector(s) outside the requested experiments: {', '.join(outside)}"
         )
 
-    # The solver switches are folded into the override stream (rather than
+    # The solver switch is folded into the override stream (rather than
     # into the spec directly) so every artifact records exactly which solver
     # configuration produced it.
     if solver_verify:
         overrides.append("cluster.solver.verify=true")
-    if solver_no_batch:
-        overrides.append("cluster.solver.batching=false")
-    if solver_no_persist:
-        overrides.append("cluster.solver.persistence=false")
 
     # One shared pipeline with repro.api: validate every override (the
     # misdirected ones would be silently inert yet recorded in the
@@ -278,8 +259,6 @@ def _resolve_run_inputs(
             paper_scale=args.paper_scale,
             seed=args.seed,
             solver_verify=getattr(args, "solver_verify", False),
-            solver_no_batch=getattr(args, "solver_no_batch", False),
-            solver_no_persist=getattr(args, "solver_no_persist", False),
         )
     except ConfigurationError as exc:
         parser.error(str(exc))

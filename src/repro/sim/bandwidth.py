@@ -16,92 +16,75 @@ so transfers are modelled as *fluid flows*:
 
 The model is deterministic and exact for piecewise-constant rates.
 
-Incremental solving
--------------------
+One engine
+----------
 
 Max-min fairness decomposes exactly over the *connected components* of the
 flow/channel sharing graph: two flows that share no channel (directly or
 transitively) cannot influence each other's rate, so progressive filling
 over one component yields the same rates as a global recomputation would.
-The engine exploits this on every flow start/finish/abort:
+Every flow start, finish and abort therefore settles and re-allocates only
+the component it touches -- flows in other components keep both their rate
+*and* their settle point, so an event on one node's disk never touches the
+transfers of 4 095 other instances.  The engine is built from five parts:
 
-* only the component reachable from the changed flow (BFS over shared
-  channels) is settled and re-allocated -- flows in other components keep
-  both their rate *and* their settle point, so an event on one node's disk
-  never touches the transfers of 4 095 other instances;
-* instead of scanning every flow for the next completion, each allocation
-  pushes the *earliest* absolute completion deadline of its component into
-  a **horizon heap**; superseded entries are invalidated lazily when
-  popped.  One timer is armed per event at the earliest valid deadline
-  (scheduled at the *absolute* deadline, so firing times carry no extra
-  rounding).  One entry per allocation suffices: when the timer fires the
+* **Components** live in an incremental union-find over channels: every
+  busy channel points at its :class:`_Component`, whose ``flows`` list is
+  always exact and sorted by flow index.  A flow attach unions the
+  components of its channels (the smaller sides are relabelled), so finding
+  the component of a flow is one pointer read.  Union-find cannot split: a
+  replan that detached flows re-discovers the surviving groups
+  (:meth:`BandwidthSystem._live_groups`) and, on a real disconnection,
+  re-homes the split-off groups into fresh, lazily rebuilt components.
+
+* **Horizon heap.**  Instead of scanning every flow for the next
+  completion, each allocation pushes the *earliest* absolute completion
+  deadline of its connected group into a heap; superseded entries are
+  invalidated lazily when popped.  One timer is armed at the earliest valid
+  deadline (scheduled at the *absolute* deadline, so firing times carry no
+  extra rounding).  One entry per group suffices: when the timer fires the
   whole component is settled and re-planned, which detects *every* finished
   flow by its byte count and pushes a fresh earliest deadline.
 
-Batched same-instant replans
-----------------------------
+* **Same-instant flush.**  ``transfer()`` only attaches the new flow to its
+  channels and component and parks it at rate 0; an end-of-instant flush
+  hook (see :meth:`~repro.sim.core.Environment.add_flush_hook`) then settles
+  and re-plans each touched component exactly once, however many flows
+  started at that instant.  This is exact, not approximate: max-min rates
+  depend only on component membership and capacities -- never on remaining
+  byte counts -- and flows parked within one instant carry zero elapsed
+  time, so the end-of-instant state is identical to re-planning after every
+  start.
 
-Flow *starts* are additionally coalesced per simulated instant: with
-:class:`~repro.util.config.SolverConfig` ``batching`` on (the default),
-``transfer()`` only attaches the new flow to its channels and parks it on a
-pending list; an end-of-instant flush hook (see
-:meth:`~repro.sim.core.Environment.add_flush_hook`) then settles and
-re-plans each touched component exactly once, however many flows started at
-that instant.  This is exact, not approximate: max-min rates depend only on
-component membership and capacities -- never on remaining byte counts -- and
-flows parked within one instant carry zero elapsed time, so the end-of-instant
-state is identical to re-planning after every start.
+* **Persistent arrays.**  Components of at least ``_VECTOR_MIN_FLOWS`` flows
+  run progressive filling over flat numpy arrays (per-edge channel slots,
+  per-flow channel counts, per-slot capacities and encounter keys) that
+  survive between recomputations and are updated by deltas: row/slot
+  appends on attach, one boolean-mask compaction per detaching replan;
+  merges and splits mark them stale (epoch-tagged, so a stale slot
+  assignment can never be read) and the next allocation rebuilds them.  The
+  arrays replay the reference solver's exact operation order.  Its dict
+  insertion order -- the *encounter order* that decides bottleneck ties --
+  is reproduced by giving each channel a lazy min-heap of ``(flow index,
+  tuple position)`` keys of its attached flows, so the component always
+  knows every channel's first-encounter key even as earlier flows leave;
+  ``argmin`` over shares laid out in that key order picks the same
+  first-occurrence bottleneck as the reference's first-strict-minimum scan,
+  and capacity decrements are applied in the same sequence -- so every
+  allocation decision is bit-identical to the reference.  Smaller
+  components (the size is observed per allocation, never configured) are
+  solved by :func:`reference_allocation` itself: numpy's fixed per-call
+  overhead loses to a handful of dict operations.
 
-Vectorized progressive filling
-------------------------------
-
-For components above a small threshold, progressive filling runs over numpy
-arrays mirroring the object registry (per-flow channel-index arrays plus a
-capacity array indexed by channel creation order), in the exact operation
-order of the scalar solver: encounter-ordered channel ids reproduce the
-reference solver's dict insertion order, ``np.argmin`` picks the same
-first-occurrence bottleneck as the scalar first-strict-minimum scan, and
-``np.subtract.at`` applies capacity decrements in the same sequence -- so
-every allocation decision is bit-identical to the scalar path (mirroring
-what PR 5 did for ``ProviderManager.place``).
-
-Persistent solver state
------------------------
-
-With :class:`~repro.util.config.SolverConfig` ``persistence`` on (the
-default, effective only together with ``batching``), component structure and
-the vectorised solver's arrays survive *across* events instead of being
-rediscovered per recomputation:
-
-* **connectivity** lives in an incremental union-find over channels: every
-  busy channel points at its :class:`_Component`; a flow attach unions the
-  components of its channels (the smaller side is relabelled); a detach that
-  disconnects the graph is recovered through the same post-detach
-  ``_live_groups`` discovery the heap bookkeeping already needed -- union-find
-  cannot split, so the split-off groups become fresh, lazily rebuilt
-  components (epoch-tagged so stale slot assignments can never be read);
-* **solver arrays** (per-edge channel slots, per-flow channel counts,
-  per-slot capacities and encounter keys) are kept per component and updated
-  by deltas: row/slot appends on attach, one boolean-mask compaction per
-  detaching replan.  A replan over a clean component is just the
-  water-filling rounds over already-materialised arrays -- no BFS, no
-  per-flow Python assembly;
-* the *encounter order* that decides bottleneck ties is reproduced exactly:
-  each channel carries a lazy min-heap of ``(flow index, tuple position)``
-  keys of its attached flows, so the component always knows every channel's
-  first-encounter key even as earlier flows leave; sorting the slot keys per
-  allocation yields precisely the reference solver's dict insertion order.
-
-Rates stay bit-identical to the per-event BFS path and to
-:func:`reference_allocation` -- ``verify=True`` additionally re-checks the
-persistent connectivity and encounter order against a fresh BFS on every
-replan.  ``--solver-no-persist`` (``cluster.solver.persistence=false``) pins
-the PR 7 engine, which the CI three-way A/B gate runs against.
-
-:func:`reference_allocation` retains the global water-filling solver as an
-executable specification; ``BandwidthSystem(verify=True)`` cross-checks every
-incremental step against it (rates must match *exactly*, not approximately),
-and the equivalence test suite drives randomised topologies through both.
+* **Oracle.**  :func:`reference_allocation` is the global water-filling
+  solver, retained as the executable specification.
+  :class:`~repro.util.config.SolverConfig` ``verify=True`` re-derives every
+  flow's rate through it after each replan (rates must match *exactly*, not
+  approximately) and re-checks the maintained connectivity, encounter keys
+  and arrays against a from-scratch BFS (:meth:`BandwidthSystem._component`,
+  which the engine itself never calls); the equivalence test suite drives
+  randomised topologies through both, with the vector threshold forced down
+  to 1 so the array path is checked on every component shape.
 """
 
 from __future__ import annotations
@@ -121,9 +104,10 @@ from repro.util.errors import SimulationError
 
 _EPSILON_BYTES = 1e-6
 _EPSILON_TIME = 1e-12
-#: components below this size use the scalar solver -- numpy's fixed
-#: per-call overhead loses to a handful of dict operations (both paths are
-#: bit-identical, so the threshold is purely a performance knob)
+#: components below this size are solved by ``reference_allocation`` itself --
+#: numpy's fixed per-call overhead loses to a handful of dict operations
+#: (both solvers are bit-identical, so the threshold only decides speed; the
+#: equivalence suite forces it to 1 to check the array path on every shape)
 _VECTOR_MIN_FLOWS = 16
 #: encounter keys encode (flow index, channel-tuple position) as
 #: ``index << _ENC_SHIFT | position`` -- a single int64 whose natural order
@@ -136,9 +120,9 @@ _DEAD_KEY = np.iinfo(np.int64).max
 
 #: process-global wall-clock seconds spent inside the solver's entry points
 #: (planning a started flow, end-of-instant flushes, horizon timers, failure
-#: aborts).  Unlike the deterministic COUNTERS this is real time -- it exists
-#: so ``tools/bench_solver_ab.py`` can A/B the batched vs legacy solver paths
-#: without the surrounding application model diluting the comparison.
+#: aborts).  Unlike the deterministic COUNTERS this is real time -- it lets a
+#: benchmark report the solver's share of a run without the surrounding
+#: application model diluting it.
 _SOLVER_WALL = {"seconds": 0.0}
 
 
@@ -175,16 +159,15 @@ class FairShareChannel:
         self.system = system
         self.capacity = float(capacity)
         #: creation order; gives components a deterministic iteration order
-        #: and doubles as the channel's row in the solver's capacity mirror
-        self.index = system._register_channel(self)
+        self.index = system._next_channel_index()
         self.name = name or f"channel-{self.index}"
         self.flows: set[Flow] = set()
         #: exact bytes delivered by flows that already left this channel
         self._carried_completed: float = 0.0
-        #: persistent-solver state (see the module docstring): owning
-        #: component while busy, slot in its arrays (valid only while
-        #: ``_slot_epoch`` matches the component's epoch), current
-        #: first-encounter key entry and the lazy min-heap backing it
+        #: solver state (see the module docstring): owning component while
+        #: busy, slot in its arrays (valid only while ``_slot_epoch`` matches
+        #: the component's epoch), current first-encounter key entry and the
+        #: lazy min-heap backing it
         self.comp: Optional["_Component"] = None
         self._slot = -1
         self._slot_epoch = -1
@@ -224,9 +207,9 @@ class Flow:
     ``deadline`` is the absolute completion time backing the horizon heap;
     a heap entry is valid only while it still equals the flow's deadline.
     ``pending`` marks a flow that started at the current instant and has not
-    been planned yet (same-instant batching); it is attached to its channels
-    (so component discovery and failure injection see it) but carries rate 0
-    until the end-of-instant flush.
+    been planned yet; it is attached to its channels and component (so
+    failure injection sees it) but carries rate 0 until the end-of-instant
+    flush.
     """
 
     __slots__ = (
@@ -241,7 +224,6 @@ class Flow:
         "index",
         "label",
         "pending",
-        "_chan_arr",
     )
 
     def __init__(self, size: float, channels: Sequence[FairShareChannel], done: Event, label: str):
@@ -256,12 +238,6 @@ class Flow:
         self.index = 0
         self.label = label
         self.pending = False
-        #: channel indices as an int array -- the flow's row of the solver's
-        #: incidence mirror, built once so vectorized allocation never walks
-        #: the channel objects
-        self._chan_arr = np.fromiter(
-            (chan.index for chan in self.channels), np.int64, len(self.channels)
-        )
 
     @property
     def finished(self) -> bool:
@@ -284,7 +260,7 @@ def reference_allocation(flows: Iterable["Flow"]) -> Dict["Flow", float]:
     incremental engine runs the very same procedure restricted to one
     connected component; because a freeze only mutates state inside its own
     component, the restriction is *exactly* equivalent -- which
-    ``BandwidthSystem(verify=True)`` and the equivalence test suite assert
+    ``SolverConfig(verify=True)`` and the equivalence test suite assert
     bit-for-bit on every recomputation.
 
     Flows are processed in creation order (:attr:`Flow.index`) so the
@@ -331,13 +307,13 @@ def reference_allocation(flows: Iterable["Flow"]) -> Dict["Flow", float]:
 class _Component:
     """One live connected component of the flow/channel sharing graph.
 
-    Exists only under ``SolverConfig.persistence``: the union-find cell that
-    every busy channel points at, plus the flat solver arrays that survive
-    between recomputations.  ``flows`` is always exact and sorted by flow
-    index; the arrays mirror it only while ``dirty`` is false (merges and
-    splits mark them stale, and the next vector allocation rebuilds them --
-    ``epoch`` is a globally unique tag so a channel's ``_slot`` can never be
-    read against arrays it was not assigned for).
+    The union-find cell that every busy channel points at, plus the flat
+    solver arrays that survive between recomputations.  ``flows`` is always
+    exact and sorted by flow index; the arrays mirror it only while ``dirty``
+    is false (merges and splits mark them stale, and the next vector
+    allocation rebuilds them -- ``epoch`` is a globally unique tag so a
+    channel's ``_slot`` can never be read against arrays it was not assigned
+    for).
 
     Array layout (lengths ``n_rows`` / ``n_edges`` / ``n_slots``; the
     buffers over-allocate and double on growth):
@@ -393,7 +369,7 @@ def _fill_rounds(
     cstart: List[int],
     n: int,
 ) -> List[float]:
-    """The water-filling round loop shared by both vectorised assemblies.
+    """The water-filling round loop over the assembled component arrays.
 
     ``shares`` is the per-channel fair share in encounter order (a numpy
     array, mutated in place); the Python-side mirrors carry residual
@@ -401,8 +377,7 @@ def _fill_rounds(
     ``fstart``) and the edges grouped by channel (``by_chan`` delimited by
     ``cstart``, flows in index order within each group).  The loop replays
     the reference solver's operation sequence exactly -- first-occurrence
-    ``argmin`` bottleneck, per-flow decrements with an immediate clamp --
-    so its output bits never depend on which assembly produced the inputs.
+    ``argmin`` bottleneck, per-flow decrements with an immediate clamp.
 
     The loop is hybrid on purpose: numpy picks the bottleneck over all k
     channels in one ``argmin``, then plain-Python scalar updates touch only
@@ -417,7 +392,7 @@ def _fill_rounds(
         bottleneck = int(shares.argmin())
         share = float(shares[bottleneck])
         if share == inf:
-            # Remaining flows cross no constrained channel (the scalar
+            # Remaining flows cross no constrained channel (the reference
             # solver's bottleneck-is-None branch); rates pre-filled inf.
             break
         for f in by_chan[cstart[bottleneck] : cstart[bottleneck + 1]]:
@@ -441,33 +416,21 @@ class BandwidthSystem:
     """Owner of all channels and flows of one simulation environment.
 
     Behaviour is governed by :class:`~repro.util.config.SolverConfig`
-    (``config``): reference verification, same-instant batching and the
-    instrumentation level.  ``verify`` overrides ``config.verify`` when
-    given (the historical keyword the equivalence tests use).
+    (``config``): reference verification and the instrumentation level.
 
-    ``verify=True`` re-derives every flow's rate through
+    ``config.verify`` re-derives every flow's rate through
     :func:`reference_allocation` over the *whole* system after each
     incremental recomputation and raises on any mismatch -- slow, but it
     turns the component-decomposition argument into a runtime assertion
     (used by the equivalence tests; harmless to enable on small models).
     """
 
-    def __init__(
-        self,
-        env: Environment,
-        config: Optional[SolverConfig] = None,
-        verify: Optional[bool] = None,
-    ):
+    def __init__(self, env: Environment, config: Optional[SolverConfig] = None):
         config = config or SolverConfig()
         config.validate()
         self.env = env
         self.config = config
-        self.verify = config.verify if verify is None else verify
-        self.batching = config.batching
-        #: persistent component maintenance (union-find + delta-updated
-        #: arrays); only effective together with batching -- the legacy
-        #: scalar engine is kept untouched as the executable oracle
-        self.persist = config.batching and config.persistence
+        self.verify = config.verify
         #: globally unique epoch source for component array generations
         self._comp_epoch = 0
         self._comp_ident = 0
@@ -480,21 +443,12 @@ class BandwidthSystem:
         self._flows: Dict[Flow, None] = {}
         self._flow_index = 0
         self._channel_index = 0
-        #: channels currently carrying at least one flow (kept in lockstep
-        #: with attach/detach so the full-cover component fast path can
-        #: report the exact channel count the BFS would have seen)
-        self._busy_channels = 0
         #: flows started at the current instant, awaiting the flush hook
         self._pending: List[Flow] = []
         #: number of live flows still carrying pending=True; reference
         #: verification only makes sense when this is zero (a parked flow's
         #: rate is 0 by construction, not by the reference solver)
         self._unplanned = 0
-        #: capacity mirror indexed by channel index (slot 0 unused); the
-        #: numpy view is rebuilt lazily after channel creation
-        self._cap_list: List[float] = []
-        self._cap_arr: Optional[np.ndarray] = None
-        self._lid_lookup: Optional[np.ndarray] = None
         #: completion-horizon heap of (deadline, push sequence, flow);
         #: entries are invalidated lazily (see _arm_timer / _on_timer)
         self._heap: List[Tuple[float, int, Flow]] = []
@@ -503,8 +457,7 @@ class BandwidthSystem:
         self.completed_flows = 0
         #: exact total bytes delivered by completed flows
         self.bytes_delivered = 0.0
-        if self.batching:
-            env.add_flush_hook(self._flush_pending)
+        env.add_flush_hook(self._flush_pending)
 
     # -- public API -------------------------------------------------------------
 
@@ -551,42 +504,20 @@ class BandwidthSystem:
             return done
         if self._count:
             COUNTERS.bw_flows_started += 1
-        if self.batching:
-            # Park the flow until the end of the instant: attach it (so
-            # component discovery and failure injection see it) but keep it
-            # at rate 0 -- the flush hook settles and re-plans each touched
-            # component exactly once per instant.  Indices are assigned in
-            # call order, exactly as the scalar path would.
-            self._flow_index += 1
-            flow.index = self._flow_index
-            self._flows[flow] = None
-            for chan in channel_list:
-                if not chan.flows:
-                    self._busy_channels += 1
-                chan.flows.add(flow)
-            flow.pending = True
-            self._unplanned += 1
-            self._pending.append(flow)
-            if self.persist:
-                t0 = perf_counter()
-                self._p_attach(flow)
-                _SOLVER_WALL["seconds"] += perf_counter() - t0
-            return done
-        # Starting a flow can merge components: settle everything reachable
-        # from any of its channels before the rates change.
-        t0 = perf_counter()
-        component = self._component(channel_list)
-        self._settle(component)
+        # Park the flow until the end of the instant: attach it (so failure
+        # injection sees it) but keep it at rate 0 -- the flush hook settles
+        # and re-plans each touched component exactly once per instant.
+        # Indices are assigned in call order.
         self._flow_index += 1
         flow.index = self._flow_index
-        flow.settled_at = self.env.now
         self._flows[flow] = None
         for chan in channel_list:
-            if not chan.flows:
-                self._busy_channels += 1
             chan.flows.add(flow)
-        component.append(flow)  # highest index: the sort order is preserved
-        self._replan(component)
+        flow.pending = True
+        self._unplanned += 1
+        self._pending.append(flow)
+        t0 = perf_counter()
+        self._p_attach(flow)
         _SOLVER_WALL["seconds"] += perf_counter() - t0
         return done
 
@@ -600,29 +531,23 @@ class BandwidthSystem:
         if not channel.flows:
             return 0
         t0 = perf_counter()
-        comp = None
-        if self.persist:
-            comp = channel.comp
-            component = comp.flows
-            self._count_component_persist(comp)
-        else:
-            component = self._component([channel])
+        comp = channel.comp
+        component = comp.flows
+        self._count_component(comp)
         self._settle(component)
         victims = sorted(channel.flows, key=lambda f: f.index)
-        keep = [channel not in f.channels for f in component] if comp is not None else None
+        keep = [channel not in f.channels for f in component]
         for flow in victims:
             # Aborted flows contribute what they actually delivered.
             self._detach(flow, flow.size - flow.remaining)
             if not flow.done.triggered:
                 flow.done.fail(exception)
-        survivors = [f for f in component if channel not in f.channels]
-        if comp is not None:
-            if not comp.dirty:
-                self._p_remove_rows(comp, keep)
-            comp.flows = survivors
+        if not comp.dirty:
+            self._p_remove_rows(comp, keep)
+        comp.flows = [f for f, kept in zip(component, keep) if kept]
         # Removing the failed channel's flows can leave the survivors in
         # several disconnected groups even though nobody *finished*.
-        self._replan(survivors, may_split=True, comp=comp)
+        self._replan(comp, may_split=True)
         _SOLVER_WALL["seconds"] += perf_counter() - t0
         return len(victims)
 
@@ -632,30 +557,20 @@ class BandwidthSystem:
 
     # -- internals ----------------------------------------------------------------
 
-    def _register_channel(self, channel: FairShareChannel) -> int:
+    def _next_channel_index(self) -> int:
         self._channel_index += 1
-        self._cap_list.append(channel.capacity)
-        self._cap_arr = None  # mirror grows lazily on next vector allocation
         return self._channel_index
-
-    def _capacity_mirror(self) -> np.ndarray:
-        if self._cap_arr is None:
-            # Slot 0 is unused: channel indices are 1-based creation order.
-            self._cap_arr = np.empty(len(self._cap_list) + 1, dtype=np.float64)
-            self._cap_arr[0] = math.nan
-            self._cap_arr[1:] = self._cap_list
-            self._lid_lookup = np.zeros(len(self._cap_list) + 1, dtype=np.int64)
-        return self._cap_arr
 
     def _flush_pending(self) -> None:
         """End-of-instant hook: plan every flow that started at this instant.
 
-        Each still-unplanned pending flow seeds one component discovery;
-        flows whose component was already re-planned mid-instant (a timer or
-        a channel failure landed on the same timestamp) or that were aborted
-        are skipped.  Components are processed separately, never as one
-        merged union, so the work counters keep reflecting the true
-        partitioning.
+        Each still-unplanned pending flow seeds the replan of its component
+        (an O(1) lookup: the attach already unioned the flow's channels into
+        one component); flows whose component was already re-planned
+        mid-instant (a timer or a channel failure landed on the same
+        timestamp) or that were aborted are skipped.  Components are
+        processed separately, never as one merged union, so the work
+        counters keep reflecting the true partitioning.
         """
         pending = self._pending
         if not pending:
@@ -669,83 +584,38 @@ class BandwidthSystem:
                 COUNTERS.bw_max_batch_flows = len(pending)
         if self._gauges and TRACER.enabled:
             TRACER.observe("bw.batch_flows", len(pending))
-        if self.persist:
-            for flow in pending:
-                if not flow.pending or flow not in self._flows:
-                    continue
-                # O(1) component lookup: the attach already unioned this
-                # flow's channels into one persistent component.
-                comp = flow.channels[0].comp
-                self._count_component_persist(comp)
-                component = comp.flows
-                self._settle(component)
-                self._replan(component, comp=comp)
-        else:
-            for flow in pending:
-                if not flow.pending or flow not in self._flows:
-                    continue
-                component = self._component(flow.channels)
-                self._settle(component)
-                self._replan(component)
+        for flow in pending:
+            if not flow.pending or flow not in self._flows:
+                continue
+            comp = flow.channels[0].comp
+            self._count_component(comp)
+            self._settle(comp.flows)
+            self._replan(comp)
         _SOLVER_WALL["seconds"] += perf_counter() - t0
 
     def _component(self, channels: Iterable[FairShareChannel]) -> List[Flow]:
         """Flows transitively sharing a channel with any of ``channels``.
 
-        BFS over the bipartite flow/channel graph; the result is sorted by
-        flow creation order so settling and progressive filling iterate
-        deterministically (never in set order).
-
-        Fast path: when some seed channel is crossed by *every* live flow
-        (at scale that is the shared switch), the component is the whole
-        system and its channel set is every busy channel plus any seed
-        channels nobody crosses yet -- the BFS result is known without
-        walking the graph.
+        The connectivity oracle: a from-scratch BFS over the bipartite
+        flow/channel graph, sorted by flow creation order.  The engine never
+        calls it -- verify mode and the equivalence suite compare the
+        maintained union-find components against it, so it moves no work
+        counter and takes no shortcut.
         """
-        seen_channels: Set[FairShareChannel] = set()
-        stack: List[FairShareChannel] = []
-        total = len(self._flows)
-        full_cover = False
-        empty_seeds = 0
-        for chan in channels:
-            if chan not in seen_channels:
-                seen_channels.add(chan)
-                stack.append(chan)
-                count = len(chan.flows)
-                if count == total and total:
-                    full_cover = True
-                elif count == 0:
-                    empty_seeds += 1
-        if full_cover:
-            flows = list(self._flows)  # insertion order == index order
-            if self._count:
-                COUNTERS.bw_components += 1
-                COUNTERS.bw_component_flows += total
-                COUNTERS.bw_component_channels += self._busy_channels + empty_seeds
-                if total > COUNTERS.bw_max_component_flows:
-                    COUNTERS.bw_max_component_flows = total
-            return flows
+        seen_channels: Set[FairShareChannel] = set(channels)
+        stack: List[FairShareChannel] = list(seen_channels)
         seen_flows: Set[Flow] = set()
-        flows: List[Flow] = []
         while stack:
             chan = stack.pop()
             for flow in chan.flows:
                 if flow in seen_flows:
                     continue
                 seen_flows.add(flow)
-                flows.append(flow)
                 for other in flow.channels:
                     if other not in seen_channels:
                         seen_channels.add(other)
                         stack.append(other)
-        flows.sort(key=lambda f: f.index)
-        if self._count:
-            COUNTERS.bw_components += 1
-            COUNTERS.bw_component_flows += len(flows)
-            COUNTERS.bw_component_channels += len(seen_channels)
-            if len(flows) > COUNTERS.bw_max_component_flows:
-                COUNTERS.bw_max_component_flows = len(flows)
-        return flows
+        return sorted(seen_flows, key=lambda f: f.index)
 
     def _live_groups(self, flows: List[Flow]) -> List[List[Flow]]:
         """Partition surviving flows into their connected groups.
@@ -813,58 +683,48 @@ class BandwidthSystem:
         if flow.pending:  # aborted before its instant was flushed
             flow.pending = False
             self._unplanned -= 1
-        persist = self.persist
         for chan in flow.channels:
             flows = chan.flows
             if flow in flows:
                 flows.discard(flow)
+                comp = chan.comp
                 if not flows:
-                    self._busy_channels -= 1
-                if persist:
-                    comp = chan.comp
-                    if not flows:
-                        # Last flow gone: the channel leaves its component
-                        # (an empty channel is an isolated vertex).
-                        if not comp.dirty and chan._slot_epoch == comp.epoch:
-                            comp.keys[chan._slot] = _DEAD_KEY
-                            comp.dead_slots += 1
-                        chan.comp = None
-                        chan._enc_entry = None
-                        chan._key_heap.clear()
-                    elif chan._enc_entry[1] is flow:
-                        # The first-encounterer left: pop lazily until the
-                        # heap top belongs to a still-attached flow.  Stale
-                        # entries below the top always carry larger keys, so
-                        # the top *is* the channel's current encounter key.
-                        heap = chan._key_heap
+                    # Last flow gone: the channel leaves its component
+                    # (an empty channel is an isolated vertex).
+                    if not comp.dirty and chan._slot_epoch == comp.epoch:
+                        comp.keys[chan._slot] = _DEAD_KEY
+                        comp.dead_slots += 1
+                    chan.comp = None
+                    chan._enc_entry = None
+                    chan._key_heap.clear()
+                elif chan._enc_entry[1] is flow:
+                    # The first-encounterer left: pop lazily until the
+                    # heap top belongs to a still-attached flow.  Stale
+                    # entries below the top always carry larger keys, so
+                    # the top *is* the channel's current encounter key.
+                    heap = chan._key_heap
+                    heapq.heappop(heap)
+                    while heap[0][1] not in flows:
                         heapq.heappop(heap)
-                        while heap[0][1] not in flows:
-                            heapq.heappop(heap)
-                        entry = heap[0]
-                        chan._enc_entry = entry
-                        if not comp.dirty and chan._slot_epoch == comp.epoch:
-                            comp.keys[chan._slot] = entry[0]
+                    entry = heap[0]
+                    chan._enc_entry = entry
+                    if not comp.dirty and chan._slot_epoch == comp.epoch:
+                        comp.keys[chan._slot] = entry[0]
             chan._carried_completed += delivered
 
-    def _replan(
-        self,
-        component: List[Flow],
-        may_split: bool = False,
-        comp: Optional[_Component] = None,
-    ) -> None:
+    def _replan(self, comp: _Component, may_split: bool = False) -> None:
         """Complete finished flows, re-allocate the rest, re-arm the timer.
 
-        ``component`` must already be settled and sorted by flow index.
-        ``may_split`` marks callers (channel failure) whose ``component`` may
-        already span several connected groups even without a completion.
-        Under persistence ``comp`` is the owning persistent component and
-        ``component`` must equal ``comp.flows``; completions are applied to
-        its arrays as one mask compaction, and an actual disconnection
-        re-homes the surviving groups into fresh components.
+        ``comp.flows`` must already be settled.  ``may_split`` marks callers
+        (channel failure) whose component may already span several connected
+        groups even without a completion.  Completions are applied to the
+        component's arrays as one mask compaction, and an actual
+        disconnection re-homes the surviving groups into fresh components.
         """
+        component = comp.flows
         live: List[Flow] = []
         detached = may_split
-        keep: Optional[List[bool]] = [] if comp is not None else None
+        keep: List[bool] = []
         for flow in component:
             if flow.remaining <= _EPSILON_BYTES:  # .finished, inlined (hot)
                 self._detach(flow, flow.size)
@@ -876,32 +736,27 @@ class BandwidthSystem:
                 if TRACER.enabled and self._gauges:
                     TRACER.observe("flow.bytes", flow.size)
                     TRACER.observe("flow.latency_s", self.env.now - flow.started_at)
-                if keep is not None:
-                    keep.append(False)
+                keep.append(False)
                 if not flow.done.triggered:
                     flow.done.succeed(flow)
             else:
                 if flow.pending:
                     flow.pending = False
                     self._unplanned -= 1
-                if keep is not None:
-                    keep.append(True)
+                keep.append(True)
                 live.append(flow)
-        if comp is not None:
-            if len(live) != len(component) and not comp.dirty:
-                self._p_remove_rows(comp, keep)
-            comp.flows = live
+        if len(live) != len(component) and not comp.dirty:
+            self._p_remove_rows(comp, keep)
+        comp.flows = live
         if live:
-            self._allocate(live, comp)
-            if detached and self.batching:
+            self._allocate(comp)
+            if detached:
                 # A detached flow may have been the bridge holding the
-                # component together (or ``component`` was already a union
-                # of fabrics with coinciding deadlines): each surviving
-                # connected group needs its own min-entry in the horizon
-                # heap, or a split-off group would never be woken again.
-                # The legacy path pushes per flow, so it never orphans.
+                # component together: each surviving connected group needs
+                # its own min-entry in the horizon heap, or a split-off
+                # group would never be woken again.
                 groups = self._live_groups(live)
-                if comp is not None and len(groups) > 1:
+                if len(groups) > 1:
                     self._p_split(comp, groups)
                 for group in groups:
                     self._push_deadlines(group)
@@ -913,31 +768,25 @@ class BandwidthSystem:
             # planned (the flush hook re-plans every pending component
             # before the clock advances).
             self._verify_against_reference()
-            if self.persist:
-                self._verify_persistent_components()
+            self._verify_persistent_components()
         self._arm_timer()
 
-    def _allocate(self, flows: List[Flow], comp: Optional[_Component] = None) -> None:
+    def _allocate(self, comp: _Component) -> None:
         """Progressive filling restricted to one (settled) component.
 
-        Small components run the scalar reference procedure directly; larger
-        ones run the vectorized mirror of it (bit-identical, see
-        :meth:`_allocate_vector`), over the persistent component arrays when
-        ``comp`` is given (see :meth:`_allocate_vector_persist`).
-        ``batching=False`` pins the scalar procedure unconditionally: that
-        is the legacy solver the ``--solver-no-batch`` escape hatch and the
-        CI A/B gate run against.
+        Small components run the reference procedure directly; larger ones
+        run its bit-identical mirror over the persistent component arrays
+        (see :meth:`_allocate_vector`).
         """
+        flows = comp.flows
         if self._count:
             COUNTERS.bw_allocations += 1
             COUNTERS.bw_flows_allocated += len(flows)
-        if not self.batching or len(flows) < _VECTOR_MIN_FLOWS:
+        if len(flows) < _VECTOR_MIN_FLOWS:
             for flow, rate in reference_allocation(flows).items():
                 flow.rate = rate
-        elif comp is not None:
-            self._allocate_vector_persist(comp)
         else:
-            self._allocate_vector(flows)
+            self._allocate_vector(comp)
         if TRACER.enabled and self._gauges:
             # Channels collected and summed in creation-index order: a set
             # iteration here would make float summation order (and thus the
@@ -949,70 +798,15 @@ class BandwidthSystem:
                 used = sum(f.rate for f in sorted(chan.flows, key=lambda f: f.index))
                 TRACER.gauge("utilization", chan.name, now, used / chan.capacity)
 
-    def _allocate_vector(self, flows: List[Flow]) -> None:
-        """Progressive filling over array mirrors, bit-identical to the scalar.
-
-        The assembly replays the reference solver's exact operation sequence:
-
-        * channels get local ids in *encounter order* (first occurrence over
-          flows in index order, channel-tuple order) -- the reference
-          solver's dict insertion order, which decides bottleneck ties;
-        * ``shares.argmin()`` returns the first occurrence of the minimum,
-          exactly like the scalar first-strict-minimum scan over that order,
-          and every stored share is the same single IEEE division over the
-          same operands (a share is recomputed only when its channel's
-          residual or user count changed, so unchanged entries hold the very
-          bits a full recomputation would produce);
-        * capacity decrements run per flow in index order with an immediate
-          ``max(0, .)`` clamp -- literally the scalar inner loop.
-
-        The round loop itself is :func:`_fill_rounds`, shared bit-for-bit
-        with the persistent-array assembly.
-        """
-        n = len(flows)
-        counts = np.fromiter((len(f.channels) for f in flows), np.int64, n)
-        ch_idx = np.concatenate([f._chan_arr for f in flows])
-        fl_ptr = np.repeat(np.arange(n, dtype=np.int64), counts)
-        uniq, first = np.unique(ch_idx, return_index=True)
-        enc = uniq[np.argsort(first, kind="stable")]
-        k = enc.size
-        capacities = self._capacity_mirror()
-        lookup = self._lid_lookup
-        lookup[enc] = np.arange(k, dtype=np.int64)
-        lid = lookup[ch_idx]
-        users_arr = np.bincount(lid, minlength=k)
-        shares = capacities[enc] / users_arr  # every encountered channel has >= 1 user
-        # Python-side mirrors for the scalar round loop.
-        cap_left = capacities[enc].tolist()
-        users = users_arr.tolist()
-        lid_list = lid.tolist()
-        fstart = [0] * (n + 1)
-        acc = 0
-        for i, c in enumerate(counts.tolist()):
-            acc += c
-            fstart[i + 1] = acc
-        # Edges grouped by channel; stable sort keeps flows in index order
-        # within each channel (fl_ptr is non-decreasing), which is the order
-        # the scalar solver freezes them in.
-        by_chan = fl_ptr[np.argsort(lid, kind="stable")].tolist()
-        cstart = [0] * (k + 1)
-        acc = 0
-        for c, u in enumerate(users):
-            acc += u
-            cstart[c + 1] = acc
-        rates = _fill_rounds(shares, cap_left, users, lid_list, fstart, by_chan, cstart, n)
-        for flow, rate in zip(flows, rates):
-            flow.rate = rate
-
-    # -- persistent component maintenance (SolverConfig.persistence) --------------
+    # -- component and array maintenance -------------------------------------------
 
     def _new_component(self) -> _Component:
         self._comp_ident += 1
         self._comp_epoch += 1
         return _Component(self._comp_ident, self._comp_epoch)
 
-    def _count_component_persist(self, comp: _Component) -> None:
-        """The component-discovery counters, for a persistent O(1) lookup."""
+    def _count_component(self, comp: _Component) -> None:
+        """The component work counters, for the component about to replan."""
         if not self._count:
             return
         n = len(comp.flows)
@@ -1096,8 +890,7 @@ class BandwidthSystem:
         Union-find cannot split, but ``_live_groups`` just recovered the
         true partition: the largest group keeps the original component (its
         rows survive as one mask compaction), every other group moves to a
-        fresh, lazily rebuilt component -- the "epoch-tagged lazy rebuild of
-        only the touched component" half of the persistence design.
+        fresh, lazily rebuilt component.
         """
         big = groups[0]
         for group in groups[1:]:
@@ -1185,7 +978,7 @@ class BandwidthSystem:
 
         Runs lazily: after a merge or a split-off, on the component's next
         vector allocation (small components may stay dirty forever -- the
-        scalar solver never reads the arrays), or when dead slots pile up.
+        reference solver never reads the arrays), or when dead slots pile up.
         """
         flows = comp.flows
         n = len(flows)
@@ -1220,18 +1013,31 @@ class BandwidthSystem:
         if self._count:
             COUNTERS.bw_array_full_rebuilds += 1
 
-    def _allocate_vector_persist(self, comp: _Component) -> None:
+    def _allocate_vector(self, comp: _Component) -> None:
         """Progressive filling over the persistent component arrays.
 
-        Output bits are identical to :meth:`_allocate_vector`: the per-slot
-        encounter keys sort to exactly the legacy encounter order (keys are
-        unique ``(flow index, position)`` pairs, so the order is total and
-        independent of slot numbering), capacities and user counts are the
-        same operand values, and the round loop is the shared
-        :func:`_fill_rounds`.  What persistence buys is the assembly: no
-        BFS, no per-flow Python iteration, no ``np.concatenate`` and no
-        ``np.unique`` -- one key sort over k slots plus C-speed gathers over
-        arrays maintained by deltas.
+        The assembly replays the reference solver's exact operation sequence,
+        so the output bits are identical to :func:`reference_allocation`:
+
+        * channels are ranked in *encounter order* (first occurrence over
+          flows in index order, channel-tuple order) -- the reference
+          solver's dict insertion order, which decides bottleneck ties.  The
+          per-slot encounter keys are unique ``(flow index, position)``
+          pairs, so sorting them yields that order totally and independently
+          of slot numbering;
+        * ``shares.argmin()`` returns the first occurrence of the minimum,
+          exactly like the reference's first-strict-minimum scan over that
+          order, and every stored share is the same single IEEE division
+          over the same operands (a share is recomputed only when its
+          channel's residual or user count changed, so unchanged entries
+          hold the very bits a full recomputation would produce);
+        * capacity decrements run per flow in index order with an immediate
+          ``max(0, .)`` clamp -- literally the reference's inner loop
+          (:func:`_fill_rounds`).
+
+        The assembly itself needs no BFS and no per-flow Python iteration:
+        one key sort over k slots plus C-speed gathers over arrays
+        maintained by deltas.
         """
         if comp.dirty or comp.dead_slots * 2 > comp.n_slots:
             self._p_rebuild(comp)
@@ -1259,6 +1065,9 @@ class BandwidthSystem:
         fstart[0] = 0
         np.cumsum(counts, out=fstart[1:])
         fstart = fstart.tolist()
+        # Edges grouped by channel; the stable sort keeps flows in index
+        # order within each channel (fl_ptr is non-decreasing), which is the
+        # order the reference solver freezes them in.
         by_chan = fl_ptr[np.argsort(lid, kind="stable")].tolist()
         cstart = np.empty(k + 1, dtype=np.int64)
         cstart[0] = 0
@@ -1271,7 +1080,7 @@ class BandwidthSystem:
     def _verify_persistent_components(self) -> None:
         """Verify-mode cross-check of the maintained structure itself.
 
-        Re-derives, from scratch, what persistence maintains incrementally:
+        Re-derives, from scratch, what the engine maintains incrementally:
         every flow's component must equal the BFS component of its channels,
         every channel's encounter key must be its true first-encounter key,
         and a clean component's arrays must mirror its flow list edge for
@@ -1340,21 +1149,19 @@ class BandwidthSystem:
     def _push_deadlines(self, flows: List[Flow]) -> None:
         """Recompute the absolute completion deadline of each flow.
 
-        In batched mode only the *earliest* deadline of the group enters the
-        horizon heap: rates are frozen until the next event touching this
-        group, and that next event is at most this minimum away -- when its
-        timer fires the whole component is settled and re-planned, every
-        finished flow is detected by its byte count (never by heap
-        membership), and a fresh minimum is pushed.  One entry per connected
+        Only the *earliest* deadline of the group enters the horizon heap:
+        rates are frozen until the next event touching this group, and that
+        next event is at most this minimum away -- when its timer fires the
+        whole component is settled and re-planned, every finished flow is
+        detected by its byte count (never by heap membership), and a fresh
+        minimum is pushed.  One entry per connected
         group instead of one per flow keeps the heap's size (and the
         lazy-invalidation churn) proportional to the number of
-        recomputations, not to flows x recomputations.  The legacy path
-        (``batching=False``) pushes one entry per flow, as it always did.
+        recomputations, not to flows x recomputations.
         """
         now = self.env.now
         best_deadline = math.inf
         best_flow = None
-        legacy = not self.batching
         for flow in flows:
             rate = flow.rate
             if rate <= 0.0:
@@ -1374,10 +1181,7 @@ class BandwidthSystem:
                 horizon = _EPSILON_TIME * 10
             deadline = now + horizon
             flow.deadline = deadline
-            if legacy:
-                self._heap_seq += 1
-                heapq.heappush(self._heap, (deadline, self._heap_seq, flow))
-            elif deadline < best_deadline:
+            if deadline < best_deadline:
                 best_deadline = deadline
                 best_flow = flow
         if best_flow is not None:
@@ -1435,42 +1239,27 @@ class BandwidthSystem:
             self._arm_timer()
             _SOLVER_WALL["seconds"] += perf_counter() - t0
             return
-        if self.persist:
-            # Deadlines can coincide across components; each seed's
-            # component is settled and re-planned separately (allocation
-            # over a union of disjoint components equals allocating each
-            # separately, so this is bit-identical to the merged BFS below).
-            # A replan can complete or re-home later seeds -- ``handled``
-            # carries every flow already covered by an earlier component.
-            # Each replan ends by re-arming the timer, which must still see
-            # the horizons of seeds in components not replanned *yet* (their
-            # entries were popped above) -- push them back; an entry goes
-            # stale the moment its component replans (new deadline) or the
-            # flow completes (dropped from the active set).
-            for flow in seeds:
-                self._heap_seq += 1
-                heapq.heappush(heap, (flow.deadline, self._heap_seq, flow))
-            handled: Set[Flow] = set()
-            for flow in seeds:
-                if flow in handled or flow not in self._flows:
-                    continue
-                comp = flow.channels[0].comp
-                component = comp.flows
-                handled.update(component)
-                self._count_component_persist(comp)
-                self._settle(component)
-                self._replan(component, comp=comp)
-            _SOLVER_WALL["seconds"] += perf_counter() - t0
-            return
-        channels: List[FairShareChannel] = []
+        # Deadlines can coincide across components; each seed's component
+        # is settled and re-planned separately.  A replan can complete or
+        # re-home later seeds -- ``handled`` carries every flow already
+        # covered by an earlier component.  Each replan ends by re-arming
+        # the timer, which must still see the horizons of seeds in
+        # components not replanned *yet* (their entries were popped above)
+        # -- push them back; an entry goes stale the moment its component
+        # replans (new deadline) or the flow completes (dropped from the
+        # active set).
         for flow in seeds:
-            channels.extend(flow.channels)
-        # Deadlines can coincide across components; one merged BFS settles
-        # every affected component (allocation over a union of disjoint
-        # components equals allocating each separately).
-        component = self._component(channels)
-        self._settle(component)
-        self._replan(component)
+            self._heap_seq += 1
+            heapq.heappush(heap, (flow.deadline, self._heap_seq, flow))
+        handled: Set[Flow] = set()
+        for flow in seeds:
+            if flow in handled or flow not in self._flows:
+                continue
+            comp = flow.channels[0].comp
+            handled.update(comp.flows)
+            self._count_component(comp)
+            self._settle(comp.flows)
+            self._replan(comp)
         _SOLVER_WALL["seconds"] += perf_counter() - t0
 
     def _verify_against_reference(self) -> None:

@@ -417,10 +417,9 @@ class Environment:
         ever observing a half-finished instant.
 
         The bandwidth solver is the canonical client: its flush hook replans
-        each same-instant admission batch once, and (with
-        ``SolverConfig.persistence``) the persistent per-component state it
-        maintains between flushes stays coherent precisely because no hook
-        ever sees a half-finished instant.
+        each same-instant admission batch once, and the per-component state
+        it maintains between flushes stays coherent precisely because no
+        hook ever sees a half-finished instant.
         """
         self._flush_hooks.append(hook)
 

@@ -188,38 +188,24 @@ class PVFSSpec:
 class SolverConfig:
     """Configuration of the max-min fair bandwidth solver.
 
-    The solver has four independently addressable behaviours, all of which
-    used to be constructor arguments threaded by hand:
+    There is one solver engine (see :mod:`repro.sim.bandwidth`); what can be
+    configured is how it is checked and observed, never what it computes:
 
     * ``verify`` -- re-derive every rate through the global reference solver
-      after each recomputation and raise on any mismatch (slow; the safety
-      net of the equivalence test suite),
-    * ``batching`` -- coalesce all flow starts that occur at one simulated
-      instant into a single end-of-instant recomputation per connected
-      component instead of one settle+replan per ``transfer()`` call.  Off
-      reproduces the purely scalar incremental engine event for event;
-      both paths produce bit-identical rows,
-    * ``persistence`` -- keep connected components and the vectorised
-      solver's flat arrays alive *across* events (incremental union-find on
-      flow attach, delta updates on detach, lazy epoch-tagged rebuilds on
-      merge/split) instead of rediscovering the component by BFS and
-      rebuilding its arrays at every recomputation.  Only meaningful with
-      ``batching`` on (the legacy scalar engine is kept byte-for-byte as an
-      oracle); rows are bit-identical either way,
+      after each recomputation, re-check the maintained component structure
+      against a from-scratch discovery, and raise on any mismatch (slow; the
+      safety net of the equivalence test suite),
     * ``instrumentation`` -- ``"full"`` (work counters + tracer gauges, the
       default), ``"counters"`` (suppress the solver's per-allocation tracer
       gauges) or ``"off"`` (also suppress the solver's work counters).
 
     Reaching the solver from a scenario or the CLI needs no code edits:
-    ``--override cluster.solver.verify=true`` (or the ``--solver-verify`` /
-    ``--solver-no-batch`` / ``--solver-no-persist`` convenience flags)
-    follow the same dotted-path override machinery as every other
-    :class:`ClusterSpec` field.
+    ``--override cluster.solver.verify=true`` (or the ``--solver-verify``
+    convenience flag) follows the same dotted-path override machinery as
+    every other :class:`ClusterSpec` field.
     """
 
     verify: bool = False
-    batching: bool = True
-    persistence: bool = True
     instrumentation: str = "full"
 
     def validate(self) -> None:
@@ -270,8 +256,8 @@ class ClusterSpec:
     blobseer: BlobSeerSpec = field(default_factory=BlobSeerSpec)
     pvfs: PVFSSpec = field(default_factory=PVFSSpec)
     checkpoint: CheckpointSpec = field(default_factory=CheckpointSpec)
-    #: bandwidth-solver behaviour (verification, same-instant batching,
-    #: instrumentation level); never changes any result row
+    #: bandwidth-solver behaviour (verification, instrumentation level);
+    #: never changes any result row
     solver: SolverConfig = field(default_factory=SolverConfig)
     #: execution-time jitter between "identical" VMs, as a fraction of the
     #: nominal duration of each activity (drives adaptive prefetching).

@@ -236,6 +236,16 @@ class TestSessionValidation:
         with pytest.raises(ConfigurationError, match="not selected"):
             Session().run_scenario("fig2", overrides={"ft.mtbf": 300})
 
+    @pytest.mark.parametrize("field", ["batching", "persistence"])
+    def test_removed_solver_override_fields_rejected(self, field):
+        with pytest.raises(
+            ConfigurationError,
+            match=f"unknown cluster override field cluster.solver.{field}",
+        ):
+            Session().run_scenario(
+                "fig2", overrides={f"cluster.solver.{field}": False}
+            )
+
     def test_foreign_cell_selector_rejected(self):
         with pytest.raises(ConfigurationError, match="outside scenario"):
             Session().run_scenario("fig2", cells=["fig4:BlobCR-app:50MB"])

@@ -149,34 +149,39 @@ class TestOverridesAndSeed:
         assert document["environment"]["overrides"] == []
 
     def test_solver_flags_fold_into_recorded_overrides(self, tmp_path, capsys):
-        """--solver-verify / --solver-no-batch are shorthand for the
-        cluster.solver.* overrides, so the artifact records them."""
+        """--solver-verify is shorthand for the cluster.solver.verify
+        override, so the artifact records it."""
         artifact = tmp_path / "artifact.json"
         argv = [
             "--cells",
             "fig2:BlobCR-app:4:50MB",
             "--no-progress",
             "--solver-verify",
-            "--solver-no-batch",
             "--artifact",
             str(artifact),
         ]
         assert main(argv) == 0
         capsys.readouterr()
         document = load_artifact(str(artifact))
-        assert document["environment"]["overrides"] == [
-            "cluster.solver.verify=true",
-            "cluster.solver.batching=false",
-        ]
+        assert document["environment"]["overrides"] == ["cluster.solver.verify=true"]
 
-    def test_solver_no_batch_rows_match_default(self, capsys):
-        argv = ["--cells", "fig2:BlobCR-app:4:50MB", "--no-progress", "--json", "-"]
-        assert main(argv) == 0
-        default_out = capsys.readouterr().out
-        assert main(argv + ["--solver-no-batch"]) == 0
-        scalar_out = capsys.readouterr().out
-        rows = lambda out: json.loads(out[out.index("{"):])["fig2"]["rows"]  # noqa: E731
-        assert rows(default_out) == rows(scalar_out)
+    @pytest.mark.parametrize("flag", ["--solver-no-batch", "--solver-no-persist"])
+    def test_removed_solver_flags_are_argparse_errors(self, flag, capsys):
+        """The A/B engines are gone; their flags must fail, not be ignored."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--cells", "fig2:BlobCR-app:4:50MB", "--no-progress", flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["batching", "persistence"])
+    def test_removed_solver_override_fields_rejected(self, field, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig2", "--no-progress", "--override", f"cluster.solver.{field}=false"])
+        assert excinfo.value.code == 2
+        assert (
+            f"unknown cluster override field cluster.solver.{field}"
+            in capsys.readouterr().err
+        )
 
     def test_cluster_override_applies(self, capsys):
         argv = [

@@ -6,23 +6,26 @@ retained :func:`~repro.sim.bandwidth.reference_allocation` water-filling
 solver computes global max-min fair rates from scratch.  These tests assert
 the two agree *exactly* (float equality, not approximately):
 
-* ``BandwidthSystem(verify=True)`` re-derives every flow's rate globally
+* ``SolverConfig(verify=True)`` re-derives every flow's rate globally
   after each incremental recomputation and raises on any mismatch -- the
   property tests drive randomised multi-channel topologies and start/finish
-  schedules through it;
+  schedules through it, both at the default vector threshold (small
+  components solved by the reference procedure itself) and with
+  ``_VECTOR_MIN_FLOWS`` forced to 1 (every component, down to a single
+  flow, solved over the persistent arrays);
 * component discovery must never cross disjoint fabrics, and a fabric's
   completion times must be bit-identical whether or not unrelated fabrics
   are busy (the strongest observable form of component independence).
 """
 
-import json
 import math
+from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim import BandwidthSystem, Environment
+from repro.sim import BandwidthSystem, Environment, bandwidth
 from repro.sim.bandwidth import reference_allocation
 from repro.util.config import SolverConfig
 from repro.util.errors import SimulationError
@@ -30,7 +33,26 @@ from repro.util.errors import SimulationError
 
 def build_system(verify=True):
     env = Environment()
-    return env, BandwidthSystem(env, verify=verify)
+    return env, BandwidthSystem(env, config=SolverConfig(verify=verify))
+
+
+#: the two sides of the engine's one size-based choice: 1 sends every
+#: component through the array path, the default leaves components under
+#: the threshold to ``reference_allocation``
+vector_thresholds = st.sampled_from((1, bandwidth._VECTOR_MIN_FLOWS))
+
+
+@contextmanager
+def vector_threshold(min_flows):
+    """Run the engine with ``_VECTOR_MIN_FLOWS`` patched to ``min_flows``.
+
+    A context manager rather than the ``monkeypatch`` fixture: hypothesis
+    draws the threshold per example, and function-scoped fixtures are not
+    reset between examples.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bandwidth, "_VECTOR_MIN_FLOWS", min_flows)
+        yield
 
 
 # -- randomised schedules through the runtime cross-check -----------------------------
@@ -56,9 +78,9 @@ def topologies(draw):
     return capacities, flows
 
 
-@settings(max_examples=60, deadline=None)
-@given(topology=topologies())
-def test_incremental_rates_match_reference_exactly(topology):
+@settings(max_examples=120, deadline=None)
+@given(topology=topologies(), min_flows=vector_thresholds)
+def test_incremental_rates_match_reference_exactly(topology, min_flows):
     """Every recomputation along a random schedule matches the global solver.
 
     verify=True makes the engine raise SimulationError at the *first* event
@@ -77,18 +99,19 @@ def test_incremental_rates_match_reference_exactly(topology):
 
     for i, (crossed, size, start) in enumerate(flow_specs):
         env.process(mover(i, crossed, size, start))
-    env.run()
+    with vector_threshold(min_flows):
+        env.run()
     assert len(done_times) == len(flow_specs)
     assert bw.active_flows == 0
 
 
 def test_coinciding_deadlines_across_disjoint_components():
     """Regression: two disjoint fabrics whose flows complete at the same
-    float instant.  The timer pops *both* heap entries as seeds; under
-    persistence each component is replanned separately, and the first
-    replan's re-armed timer must still account for the not-yet-replanned
-    second component (its entry was already popped) instead of raising
-    "active flows but no finite completion horizon".
+    float instant.  The timer pops *both* heap entries as seeds; each
+    component is replanned separately, and the first replan's re-armed timer
+    must still account for the not-yet-replanned second component (its entry
+    was already popped) instead of raising "active flows but no finite
+    completion horizon".
 
     The sizes are tuned so both deadlines round to the identical double:
     4.0/3.0 == 1.0 + 1.0/3.0 in IEEE-754.
@@ -109,9 +132,16 @@ def test_coinciding_deadlines_across_disjoint_components():
     assert bw.active_flows == 0
 
 
-@settings(max_examples=40, deadline=None)
-@given(topology=topologies(), fail_at=st.floats(0.5, 20.0), victim=st.integers(0, 5))
-def test_incremental_rates_match_reference_under_channel_failure(topology, fail_at, victim):
+@settings(max_examples=80, deadline=None)
+@given(
+    topology=topologies(),
+    fail_at=st.floats(0.5, 20.0),
+    victim=st.integers(0, 5),
+    min_flows=vector_thresholds,
+)
+def test_incremental_rates_match_reference_under_channel_failure(
+    topology, fail_at, victim, min_flows
+):
     """Aborting flows mid-flight (fail-stop) must keep rates reference-exact."""
     capacities, flow_specs = topology
     env, bw = build_system(verify=True)
@@ -133,17 +163,18 @@ def test_incremental_rates_match_reference_under_channel_failure(topology, fail_
     for i, (crossed, size, start) in enumerate(flow_specs):
         env.process(mover(i, crossed, size, start))
     env.process(killer())
-    env.run()
+    with vector_threshold(min_flows):
+        env.run()
     assert len(outcomes) == len(flow_specs)
 
 
-# -- same-instant bursts: batched vs scalar vs reference -------------------------------
+# -- same-instant bursts vs the reference ----------------------------------------------
 
 
 @st.composite
 def burst_topologies(draw):
     """A fabric plus a schedule where whole groups of flows start at the
-    same simulated instant (the case the batched end-of-instant flush
+    same simulated instant (the case the end-of-instant flush
     coalesces into one recomputation per connected component).
 
     Both the burst sizes ``k`` and the component shapes (which channels each
@@ -172,13 +203,10 @@ def burst_topologies(draw):
     return capacities, flows
 
 
-def run_schedule(capacities, flow_specs, *, batching, verify=False, persistence=True):
+def run_schedule(capacities, flow_specs, verify=False):
     """Drive a schedule to completion; returns {flow index: completion time}."""
     env = Environment()
-    bw = BandwidthSystem(
-        env,
-        config=SolverConfig(verify=verify, batching=batching, persistence=persistence),
-    )
+    bw = BandwidthSystem(env, config=SolverConfig(verify=verify))
     channels = [bw.channel(cap, f"ch{i}") for i, cap in enumerate(capacities)]
     done = {}
 
@@ -200,18 +228,8 @@ class TestSameInstantBursts:
         """verify=True re-derives every batched allocation through the global
         reference solver and raises at the first mismatching float."""
         capacities, flow_specs = topology
-        done = run_schedule(capacities, flow_specs, batching=True, verify=True)
+        done = run_schedule(capacities, flow_specs, verify=True)
         assert len(done) == len(flow_specs)
-
-    @settings(max_examples=50, deadline=None)
-    @given(topology=burst_topologies())
-    def test_batched_and_scalar_paths_bit_identical(self, topology):
-        """The batched flush and the per-event scalar engine must agree on
-        every completion time exactly -- not approximately."""
-        capacities, flow_specs = topology
-        batched = run_schedule(capacities, flow_specs, batching=True)
-        scalar = run_schedule(capacities, flow_specs, batching=False)
-        assert batched == scalar  # exact float equality
 
     def test_burst_coalesces_into_one_batch(self):
         from repro.sim.instrumentation import counters_reset, counters_snapshot
@@ -250,37 +268,7 @@ class TestSameInstantBursts:
         assert after.bw_max_component_flows == 1
 
 
-class TestBatchingRowParity:
-    def test_solver_no_batch_rows_byte_identical_on_reduced_suite(self):
-        """``--solver-no-batch`` (cluster.solver.batching=false) must yield
-        rows byte-identical to the default batched engine across the whole
-        reduced scale suite."""
-        from repro.api.session import Session
-
-        batched = Session().run_scenario("scale")
-        scalar = Session().run_scenario(
-            "scale", overrides={"cluster.solver.batching": False}
-        )
-        assert json.dumps(batched.rows, sort_keys=True) == json.dumps(
-            scalar.rows, sort_keys=True
-        )
-
-    def test_solver_no_persist_rows_byte_identical_on_reduced_suite(self):
-        """``--solver-no-persist`` (cluster.solver.persistence=false) must
-        yield rows byte-identical to the default persistent engine across
-        the whole reduced scale suite."""
-        from repro.api.session import Session
-
-        persistent = Session().run_scenario("scale")
-        fresh = Session().run_scenario(
-            "scale", overrides={"cluster.solver.persistence": False}
-        )
-        assert json.dumps(persistent.rows, sort_keys=True) == json.dumps(
-            fresh.rows, sort_keys=True
-        )
-
-
-# -- persistent component / array state vs the BFS + rebuild oracles -------------------
+# -- persistent component / array state vs the BFS oracle ------------------------------
 
 
 def assert_persistent_components_match_bfs(bw):
@@ -297,10 +285,12 @@ def assert_persistent_components_match_bfs(bw):
             assert channel.comp is comp
 
 
-def drive_stepwise_checking_components(capacities, flow_specs, fail_at=None, victim=0):
-    """Run a schedule one event at a time under the persistent engine,
-    re-validating the union-find component structure against the BFS oracle
-    after *every* event (not just at replans)."""
+def drive_stepwise_checking_components(
+    capacities, flow_specs, min_flows, fail_at=None, victim=0
+):
+    """Run a schedule one event at a time, re-validating the union-find
+    component structure against the BFS oracle after *every* event (not just
+    at replans)."""
     env = Environment()
     bw = BandwidthSystem(env, config=SolverConfig(verify=True))
     channels = [bw.channel(cap, f"ch{i}") for i, cap in enumerate(capacities)]
@@ -324,14 +314,15 @@ def drive_stepwise_checking_components(capacities, flow_specs, fail_at=None, vic
         env.process(killer())
     # The same drain loop as Environment.run(None), with the oracle check
     # inserted after every popped event and every end-of-instant flush.
-    while True:
-        while env._queue:
-            env.step()
+    with vector_threshold(min_flows):
+        while True:
+            while env._queue:
+                env.step()
+                assert_persistent_components_match_bfs(bw)
+            env._flush_instant()
             assert_persistent_components_match_bfs(bw)
-        env._flush_instant()
-        assert_persistent_components_match_bfs(bw)
-        if not env._queue:
-            break
+            if not env._queue:
+                break
     assert len(outcomes) == len(flow_specs)
     assert bw.active_flows == 0
 
@@ -345,47 +336,36 @@ class TestPersistentStateOracle:
     and float-by-float (rates), including under mid-flight channel failures.
     """
 
-    @settings(max_examples=40, deadline=None)
-    @given(topology=topologies())
-    def test_union_find_component_equals_bfs_at_every_step(self, topology):
+    @settings(max_examples=80, deadline=None)
+    @given(topology=topologies(), min_flows=vector_thresholds)
+    def test_union_find_component_equals_bfs_at_every_step(self, topology, min_flows):
         capacities, flow_specs = topology
-        drive_stepwise_checking_components(capacities, flow_specs)
+        drive_stepwise_checking_components(capacities, flow_specs, min_flows)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         topology=topologies(),
+        min_flows=vector_thresholds,
         fail_at=st.floats(0.5, 20.0),
         victim=st.integers(0, 5),
     )
     def test_union_find_component_equals_bfs_under_failures(
-        self, topology, fail_at, victim
+        self, topology, min_flows, fail_at, victim
     ):
         capacities, flow_specs = topology
         drive_stepwise_checking_components(
-            capacities, flow_specs, fail_at=fail_at, victim=victim
+            capacities, flow_specs, min_flows, fail_at=fail_at, victim=victim
         )
 
-    @settings(max_examples=50, deadline=None)
-    @given(topology=burst_topologies())
-    def test_persistent_rates_equal_fresh_rebuild_exactly(self, topology):
-        """Completion times under delta-maintained arrays must equal the
-        fresh-rebuild engine's exactly -- not approximately."""
+    @settings(max_examples=60, deadline=None)
+    @given(topology=burst_topologies(), min_flows=vector_thresholds)
+    def test_persistent_replans_are_reference_exact(self, topology, min_flows):
+        """verify=True re-derives every replan through the global reference
+        solver *and* re-validates the persistent component/array state
+        against a fresh discovery; running to completion is the assertion."""
         capacities, flow_specs = topology
-        persistent = run_schedule(capacities, flow_specs, batching=True)
-        fresh = run_schedule(
-            capacities, flow_specs, batching=True, persistence=False
-        )
-        assert persistent == fresh  # exact float equality
-
-    @settings(max_examples=30, deadline=None)
-    @given(topology=burst_topologies())
-    def test_persistent_replans_are_reference_exact(self, topology):
-        """verify=True under the persistent engine re-derives every replan
-        through the global reference solver *and* re-validates the
-        persistent component/array state against a fresh discovery; running
-        to completion is the assertion."""
-        capacities, flow_specs = topology
-        done = run_schedule(capacities, flow_specs, batching=True, verify=True)
+        with vector_threshold(min_flows):
+            done = run_schedule(capacities, flow_specs, verify=True)
         assert len(done) == len(flow_specs)
 
     def test_union_and_split_counters(self):
@@ -429,29 +409,6 @@ class TestPersistentStateOracle:
         assert after.bw_flows_completed == 24
         assert after.bw_array_full_rebuilds >= 1
         assert after.bw_array_delta_updates >= 1
-
-    def test_persistence_off_keeps_counters_zero(self):
-        """With persistence disabled nothing maintains cross-event state, so
-        none of the persistence counters may move."""
-        from repro.sim.instrumentation import counters_reset, counters_snapshot
-
-        counters_reset()
-        env = Environment()
-        bw = BandwidthSystem(env, config=SolverConfig(persistence=False))
-        a = bw.channel(50.0, "a")
-        b = bw.channel(50.0, "b")
-        bw.transfer(1000.0, [a], label="fa")
-        bw.transfer(2000.0, [b], label="fb")
-        bw.transfer(10.0, [a, b], label="bridge")
-        for i in range(24):
-            bw.transfer(1000.0 + 10.0 * i, [a], label=f"f{i}")
-        env.run()
-        after = counters_snapshot()
-        assert after.bw_flows_completed == 27
-        assert after.bw_cc_unions == 0
-        assert after.bw_cc_rebuilds == 0
-        assert after.bw_array_delta_updates == 0
-        assert after.bw_array_full_rebuilds == 0
 
 
 # -- the reference solver itself -------------------------------------------------------
@@ -588,3 +545,26 @@ class TestSolverCounters:
         # flow, no matter how many disks are busy at once.
         assert after.bw_max_component_flows == 1
         assert after.bw_allocations >= 4
+
+    @settings(max_examples=25, deadline=None)
+    @given(topology=burst_topologies())
+    # Two live components bridged by a third flow: merge, then split.
+    @example(
+        topology=(
+            [50.0, 50.0],
+            [([0], 1000.0, 0.0), ([1], 2000.0, 0.0), ([0, 1], 10.0, 0.0)],
+        )
+    )
+    def test_verify_mode_moves_no_counter(self, topology):
+        """Nothing in the model depends on how it is observed: the oracle
+        checks of verify mode must leave every work counter where a plain
+        run puts it."""
+        from repro.sim.instrumentation import counters_reset, counters_snapshot
+
+        capacities, flow_specs = topology
+        snapshots = []
+        for verify in (False, True):
+            counters_reset()
+            run_schedule(capacities, flow_specs, verify=verify)
+            snapshots.append(counters_snapshot())
+        assert snapshots[0] == snapshots[1]
