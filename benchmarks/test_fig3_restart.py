@@ -2,15 +2,12 @@
 
 from conftest import attach_rows
 
-from repro.experiments import run_fig3
-from repro.scenarios.workloads import BENCH_SCALE_POINTS, PAPER_SCALE_POINTS
+from repro.api import Session
 
 
 def test_fig3_restart_time(benchmark, paper_scale):
-    scale = PAPER_SCALE_POINTS if paper_scale else BENCH_SCALE_POINTS
-
     def run():
-        return run_fig3(scale_points=scale)
+        return Session().run_scenario("fig3", paper_scale=paper_scale)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     attach_rows(benchmark, result)

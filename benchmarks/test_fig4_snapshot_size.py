@@ -2,11 +2,11 @@
 
 from conftest import attach_rows
 
-from repro.experiments import run_fig4
+from repro.api import Session
 
 
 def test_fig4_snapshot_size(benchmark):
-    result = benchmark.pedantic(lambda: run_fig4(), rounds=1, iterations=1)
+    result = benchmark.pedantic(lambda: Session().run_scenario("fig4"), rounds=1, iterations=1)
     attach_rows(benchmark, result)
     print()
     print(result.to_table())

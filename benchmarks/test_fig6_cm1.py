@@ -2,15 +2,12 @@
 
 from conftest import attach_rows
 
-from repro.experiments import run_fig6
-from repro.experiments.fig6_cm1 import BENCH_CM1_PROCESSES, PAPER_CM1_PROCESSES
+from repro.api import Session
 
 
 def test_fig6_cm1_checkpoint_time(benchmark, paper_scale):
-    counts = PAPER_CM1_PROCESSES if paper_scale else BENCH_CM1_PROCESSES
-
     def run():
-        return run_fig6(process_counts=counts)
+        return Session().run_scenario("fig6", paper_scale=paper_scale)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     attach_rows(benchmark, result)

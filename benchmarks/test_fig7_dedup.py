@@ -2,11 +2,11 @@
 
 from conftest import attach_rows
 
-from repro.experiments import run_fig7
+from repro.api import Session
 
 
 def test_fig7_dedup_ablation(benchmark):
-    result = benchmark.pedantic(lambda: run_fig7(checkpoints=5), rounds=1, iterations=1)
+    result = benchmark.pedantic(lambda: Session().run_scenario("fig7"), rounds=1, iterations=1)
     attach_rows(benchmark, result)
     print()
     print(result.to_table())

@@ -8,12 +8,11 @@ restore) on top of the perf shapes.
 
 from conftest import attach_rows
 
-from repro.scenarios.contention import run_contention
-from repro.scenarios.fault_tolerance import run_ft
+from repro.api import Session
 
 
 def test_ft_fault_tolerance_sweep(benchmark):
-    result = benchmark.pedantic(lambda: run_ft(), rounds=1, iterations=1)
+    result = benchmark.pedantic(lambda: Session().run_scenario("ft"), rounds=1, iterations=1)
     attach_rows(benchmark, result)
     print()
     print(result.to_table())
@@ -33,7 +32,9 @@ def test_ft_fault_tolerance_sweep(benchmark):
 
 
 def test_contention_checkpoint_degradation(benchmark):
-    result = benchmark.pedantic(lambda: run_contention(), rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: Session().run_scenario("contention"), rounds=1, iterations=1
+    )
     attach_rows(benchmark, result)
     print()
     print(result.to_table())

@@ -9,11 +9,11 @@ enough that queue waits actually appear.
 
 from conftest import attach_rows
 
-from repro.scenarios.service import run_mtc
+from repro.api import Session
 
 
 def test_mtc_service_sweep(benchmark):
-    result = benchmark.pedantic(lambda: run_mtc(), rounds=1, iterations=1)
+    result = benchmark.pedantic(lambda: Session().run_scenario("mtc"), rounds=1, iterations=1)
     attach_rows(benchmark, result)
     print()
     print(result.to_table())

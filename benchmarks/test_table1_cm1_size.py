@@ -2,11 +2,11 @@
 
 from conftest import attach_rows
 
-from repro.experiments import run_table1
+from repro.api import Session
 
 
 def test_table1_cm1_snapshot_size(benchmark):
-    result = benchmark.pedantic(lambda: run_table1(processes=16), rounds=1, iterations=1)
+    result = benchmark.pedantic(lambda: Session().run_scenario("table1"), rounds=1, iterations=1)
     attach_rows(benchmark, result)
     print()
     print(result.to_table())

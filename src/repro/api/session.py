@@ -26,7 +26,8 @@ third-party example); this docstring and that page are kept in lockstep.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable, List, Mapping, Optional, Union
+from fnmatch import fnmatchcase
+from typing import Any, Callable, Generator, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.api.results import (
     CheckpointResult,
@@ -40,7 +41,7 @@ from repro.api.results import (
 from repro.cluster.cloud import Cloud
 from repro.core.backends import BackendInfo, backend_names, create_backend, get_backend
 from repro.core.strategy import DeployedInstance, Deployment
-from repro.runner import ParallelRunner, RunConfig, load_all, parse_selectors
+from repro.runner import CellSelector, ParallelRunner, RunConfig, load_all, parse_selectors
 from repro.scenarios.overrides import resolve_cluster_spec
 from repro.util.bytesource import ByteSource, LiteralBytes
 from repro.util.config import GRAPHENE, ClusterSpec
@@ -388,6 +389,35 @@ class Session:
 
     # -- scenarios ---------------------------------------------------------------------
 
+    def _scenario_inputs(
+        self,
+        name: str,
+        overrides: Overrides,
+        cells: Iterable[str],
+        paper_scale: bool,
+        seed: Optional[int],
+    ) -> Tuple[List[CellSelector], RunConfig]:
+        """Validate one scenario call and fold it into selectors + RunConfig.
+
+        The same validation/folding pipeline the CLI runs (override
+        validation, cluster-spec folding, wildcard-aware selector matching)
+        -- sharing it is what keeps API rows byte-identical to CLI rows by
+        construction.
+        """
+        names = load_all()
+        if name not in names:
+            raise ConfigurationError(f"unknown scenario {name!r} (known: {', '.join(names)})")
+        raw = _normalise_overrides(overrides)
+        spec = resolve_cluster_spec(raw, names, [name], base_spec=self._spec, seed=seed)
+        selectors = parse_selectors(list(cells))
+        foreign = sorted({s.text for s in selectors if not fnmatchcase(name, s.experiment)})
+        if foreign:
+            raise ConfigurationError(
+                f"cell selector(s) outside scenario {name!r}: {', '.join(foreign)}"
+            )
+        config = RunConfig(paper_scale=paper_scale, spec=spec, overrides=tuple(raw), seed=seed)
+        return selectors, config
+
     def run_scenario(
         self,
         name: str,
@@ -413,20 +443,7 @@ class Session:
         cell.  Raises :class:`~repro.util.errors.ConfigurationError` for
         unknown scenarios, misdirected overrides or foreign selectors.
         """
-        names = load_all()
-        if name not in names:
-            raise ConfigurationError(f"unknown scenario {name!r} (known: {', '.join(names)})")
-        raw = _normalise_overrides(overrides)
-        # The same validation/folding pipeline the CLI runs -- sharing it is
-        # what keeps API rows byte-identical to CLI rows by construction.
-        spec = resolve_cluster_spec(raw, names, [name], base_spec=self._spec, seed=seed)
-        selectors = parse_selectors(list(cells))
-        foreign = sorted({s.text for s in selectors if s.experiment != name})
-        if foreign:
-            raise ConfigurationError(
-                f"cell selector(s) outside scenario {name!r}: {', '.join(foreign)}"
-            )
-        config = RunConfig(paper_scale=paper_scale, spec=spec, overrides=tuple(raw), seed=seed)
+        selectors, config = self._scenario_inputs(name, overrides, cells, paper_scale, seed)
         runner = ParallelRunner(workers=workers, progress=progress)
         report = runner.run([name], config, selectors)
         merged = report.results[0]
@@ -464,18 +481,7 @@ class Session:
         from repro.obs import TRACER, merge_rollups, span_rollups
         from repro.runner import build_trace_artifact, execute_cell, validate_trace_artifact
 
-        names = load_all()
-        if name not in names:
-            raise ConfigurationError(f"unknown scenario {name!r} (known: {', '.join(names)})")
-        raw = _normalise_overrides(overrides)
-        spec = resolve_cluster_spec(raw, names, [name], base_spec=self._spec, seed=seed)
-        selectors = parse_selectors(list(cells))
-        foreign = sorted({s.text for s in selectors if s.experiment != name})
-        if foreign:
-            raise ConfigurationError(
-                f"cell selector(s) outside scenario {name!r}: {', '.join(foreign)}"
-            )
-        config = RunConfig(paper_scale=paper_scale, spec=spec, overrides=tuple(raw), seed=seed)
+        selectors, config = self._scenario_inputs(name, overrides, cells, paper_scale, seed)
         runner = ParallelRunner(workers=1)
         cell_records: List[dict] = []
         for cell in runner.enumerate([name], config, selectors):
@@ -500,7 +506,7 @@ class Session:
                 experiments=[name],
                 cells=cell_records,
                 paper_scale=paper_scale,
-                overrides=raw,
+                overrides=list(config.overrides),
                 seed=seed,
             )
         )

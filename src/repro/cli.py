@@ -223,7 +223,8 @@ def resolve_run_inputs(
 
     # The solver switch is folded into the override stream (rather than
     # into the spec directly) so every artifact records exactly which solver
-    # configuration produced it.
+    # configuration produced it -- on a copy: the caller's list is not ours.
+    overrides = list(overrides)
     if solver_verify:
         overrides.append("cluster.solver.verify=true")
 
@@ -453,7 +454,7 @@ def profile_main(argv: List[str], raw_argv: Optional[List[str]] = None) -> int:
         hotspots=hotspots,
         wall_time_s=wall,
         paper_scale=args.paper_scale,
-        overrides=list(args.override),
+        overrides=list(config.overrides),
         seed=args.seed,
         argv=raw_argv if raw_argv is not None else ["profile"] + list(argv),
     )
@@ -568,7 +569,7 @@ def trace_main(argv: List[str], raw_argv: Optional[List[str]] = None) -> int:
         experiments=experiments,
         cells=cell_records,
         paper_scale=args.paper_scale,
-        overrides=list(args.override),
+        overrides=list(config.overrides),
         seed=args.seed,
         argv=raw_argv if raw_argv is not None else ["trace"] + list(argv),
     )

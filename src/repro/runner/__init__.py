@@ -5,8 +5,9 @@ The evaluation of the paper is embarrassingly parallel: every
 deploy/checkpoint/restart simulation.  This package turns that structure into
 a subsystem:
 
-* :mod:`repro.runner.registry` -- experiments register an
-  :class:`~repro.runner.registry.ExperimentSpec` (cell enumeration + merge),
+* :mod:`repro.runner.registry` -- the one registry of
+  :class:`~repro.scenarios.spec.ScenarioSpec` objects (cell enumeration +
+  merge) the runner looks scenarios up in,
 * :mod:`repro.runner.cells` -- the :class:`~repro.runner.cells.Cell` work
   unit with deterministic per-cell seeding,
 * :mod:`repro.runner.parallel` -- the
@@ -39,14 +40,7 @@ from repro.runner.artifact import (
 )
 from repro.runner.cells import Cell, CellResult, execute_cell, run_cells_inline
 from repro.runner.parallel import ParallelRunner, ProgressMeter, RunReport
-from repro.runner.registry import (
-    ExperimentSpec,
-    RunConfig,
-    experiment_names,
-    get_experiment,
-    load_all,
-    register,
-)
+from repro.runner.registry import RunConfig, load_all
 from repro.runner.select import CellSelector, filter_cells, parse_selectors
 
 __all__ = [
@@ -58,7 +52,6 @@ __all__ = [
     "Cell",
     "CellResult",
     "CellSelector",
-    "ExperimentSpec",
     "ParallelRunner",
     "ProgressMeter",
     "RunConfig",
@@ -69,15 +62,12 @@ __all__ = [
     "build_profile_artifact",
     "build_trace_artifact",
     "execute_cell",
-    "experiment_names",
     "filter_cells",
-    "get_experiment",
     "load_all",
     "load_artifact",
     "load_profile_artifact",
     "load_trace_artifact",
     "parse_selectors",
-    "register",
     "run_cells_inline",
     "validate_artifact",
     "validate_profile_artifact",

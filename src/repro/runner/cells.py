@@ -94,7 +94,8 @@ def execute_cell(cell: Cell) -> CellResult:
 def run_cells_inline(cells: List[Cell]) -> List[CellResult]:
     """Execute cells sequentially in this process, in the given order.
 
-    This is the ``--workers 1`` path and the engine behind the thin
-    ``run_figN`` compatibility wrappers.
+    This is the ``--workers 1`` path, and how a caller holding cells from
+    :meth:`ScenarioSpec.build_cells <repro.scenarios.spec.ScenarioSpec.build_cells>`
+    executes them without a runner.
     """
     return [execute_cell(cell) for cell in cells]

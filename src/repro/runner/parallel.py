@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, TextIO
 
 from repro.runner.cells import Cell, CellResult, execute_cell, run_cells_inline
-from repro.runner.registry import ExperimentSpec, RunConfig, get_experiment
+from repro.runner.registry import RunConfig, get_scenario
 from repro.runner.select import CellSelector, filter_cells
 from repro.scenarios.results import ExperimentResult
 from repro.util.errors import ConfigurationError
@@ -118,7 +118,7 @@ class ParallelRunner:
         config = config or RunConfig()
         cells: List[Cell] = []
         for name in experiments:
-            cells.extend(get_experiment(name).enumerate_cells(config))
+            cells.extend(get_scenario(name).enumerate_cells(config))
         return filter_cells(cells, selectors)
 
     def run(
@@ -129,7 +129,7 @@ class ParallelRunner:
     ) -> RunReport:
         """Run the requested experiments and merge their results."""
         config = config or RunConfig()
-        specs: List[ExperimentSpec] = [get_experiment(name) for name in experiments]
+        specs = [get_scenario(name) for name in experiments]
         cells = self.enumerate(experiments, config, selectors)
         t0 = time.perf_counter()
         cell_results = self._execute(cells)

@@ -1,23 +1,24 @@
-"""Registry of experiment specifications.
+"""The scenario registry.
 
-Each figure/table module registers itself as an :class:`ExperimentSpec` at
-import time: how to enumerate its independent cells for a given
-:class:`RunConfig`, and how to merge executed cell results back into the
-canonical :class:`~repro.scenarios.results.ExperimentResult` rows.  The
-registry preserves registration order, which is the canonical experiment
-order of the CLI (fig2 ... table1).
+Each scenario module registers its validated
+:class:`~repro.scenarios.spec.ScenarioSpec` here at import time
+(:func:`register_scenario`); the :class:`~repro.runner.parallel.ParallelRunner`
+looks specs up by name to enumerate their independent cells for a given
+:class:`RunConfig` and to merge executed cells back into the canonical
+:class:`~repro.scenarios.results.ExperimentResult` rows, and the CLI and the
+override parser introspect the same objects for axes and parameters.
+:func:`scenario_names` pins the canonical order of the CLI (fig2 ... mig).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.util.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.runner.cells import Cell, CellResult
-    from repro.scenarios.results import ExperimentResult
+    from repro.scenarios.spec import ScenarioSpec
     from repro.util.config import ClusterSpec
 
 
@@ -36,24 +37,11 @@ class RunConfig:
     seed: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One registered experiment: cell enumeration + result merging."""
+_REGISTRY: Dict[str, "ScenarioSpec"] = {}
 
-    name: str
-    description: str
-    #: enumerate the experiment's cells, in canonical (sequential) order
-    enumerate_cells: Callable[[RunConfig], List["Cell"]]
-    #: merge executed cells (in enumeration order, possibly a subset when
-    #: ``--cells`` selected one) back into canonical rows
-    merge: Callable[[List["CellResult"]], "ExperimentResult"]
-
-
-_REGISTRY: Dict[str, ExperimentSpec] = {}
-
-#: canonical ordering of the built-in experiments.  Registration order would
+#: canonical ordering of the built-in scenarios.  Registration order would
 #: otherwise depend on which module happened to be imported first (e.g. by a
-#: test file); pinning it keeps the CLI and artifacts stable.  Experiments
+#: test file); pinning it keeps the CLI and artifacts stable.  Scenarios
 #: not listed here (ad-hoc registrations) append in registration order.
 _CANONICAL_ORDER = (
     "fig2",
@@ -72,41 +60,47 @@ _CANONICAL_ORDER = (
 )
 
 
-def register(spec: ExperimentSpec) -> ExperimentSpec:
-    """Register one experiment; re-registration under the same name replaces
-    the previous spec (so modules stay reload-safe)."""
-    _REGISTRY[spec.name] = spec
-    return spec
+def register_scenario(scenario: "ScenarioSpec") -> None:
+    """Validate and register one scenario; re-registration under the same
+    name replaces the previous spec (so modules stay reload-safe)."""
+    scenario.validate()
+    _REGISTRY[scenario.name] = scenario
 
 
-def get_experiment(name: str) -> ExperimentSpec:
+def get_scenario(name: str) -> "ScenarioSpec":
     try:
         return _REGISTRY[name]
     except KeyError:
         raise ConfigurationError(
-            f"unknown experiment {name!r} (known: {', '.join(_REGISTRY) or 'none'})"
+            f"unknown scenario {name!r} (known: {', '.join(scenario_names()) or 'none'})"
         ) from None
 
 
-def experiment_names() -> List[str]:
-    """Names of all registered experiments, in canonical order."""
+def scenario_names() -> List[str]:
+    """Names of all registered scenarios, in canonical order."""
     known = [name for name in _CANONICAL_ORDER if name in _REGISTRY]
     extra = [name for name in _REGISTRY if name not in _CANONICAL_ORDER]
     return known + extra
 
 
 def load_all() -> List[str]:
-    """Import every experiment module so the registry is fully populated.
+    """Import every scenario module so the registry is fully populated.
 
-    The paper's figures register first (canonical order fig2 ... table1),
-    followed by the beyond-paper scenarios (ft, scale, contention, mtc,
-    evac, mig).
+    The paper's figures (fig2 ... table1) and the beyond-paper scenarios
+    (ft, scale, contention, mtc, evac, mig) all live in
+    :mod:`repro.scenarios`; importing a module registers its spec(s).
     """
-    import repro.experiments  # noqa: F401  (imports register the specs)
+    import repro.scenarios.fig2_checkpoint  # noqa: F401  (imports register the specs)
+    import repro.scenarios.fig3_restart  # noqa: F401
+    import repro.scenarios.fig4_snapshot_size  # noqa: F401
+    import repro.scenarios.fig5_successive  # noqa: F401
+    import repro.scenarios.fig6_cm1  # noqa: F401
+    import repro.scenarios.fig7_dedup  # noqa: F401
+    import repro.scenarios.table1_cm1_size  # noqa: F401
     import repro.scenarios.fault_tolerance  # noqa: F401
     import repro.scenarios.scale  # noqa: F401
     import repro.scenarios.contention  # noqa: F401
     import repro.scenarios.service  # noqa: F401
     import repro.scenarios.migration  # noqa: F401
 
-    return experiment_names()
+    return scenario_names()

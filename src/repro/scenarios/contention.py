@@ -18,10 +18,10 @@ dictates.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from repro.apps.synthetic import SyntheticBenchmark
-from repro.scenarios.engine import register_scenario
+from repro.runner.registry import register_scenario
 from repro.scenarios.results import ExperimentResult
 from repro.scenarios.spec import Axis, ScenarioSpec
 from repro.scenarios.workloads import make_deployment, split_approach
@@ -142,18 +142,4 @@ SCENARIO = ScenarioSpec(
     cluster=oversubscribed_fabric,
 )
 
-SPEC = register_scenario(SCENARIO)
-
-
-def run_contention(
-    flow_counts: Sequence[int] = (0, 8, 32),
-    approaches: Sequence[str] = CONTENTION_APPROACHES,
-    spec: Optional[ClusterSpec] = None,
-) -> ExperimentResult:
-    """Regenerate the contention sweep, sequentially."""
-    from repro.runner.cells import run_cells_inline
-
-    cells = SCENARIO.with_axis_values(
-        flows=flow_counts, approach=approaches
-    ).build_cells(cluster_spec=spec)
-    return merge_contention(run_cells_inline(cells))
+register_scenario(SCENARIO)

@@ -36,7 +36,7 @@ from typing import Any, Dict, Optional
 from repro.apps.synthetic import SyntheticBenchmark
 from repro.cluster.failures import FailureInjector
 from repro.core.strategy import Deployment
-from repro.scenarios.engine import register_scenario
+from repro.runner.registry import register_scenario
 from repro.scenarios.results import ExperimentResult
 from repro.scenarios.spec import Axis, FailurePlan, ScenarioSpec
 from repro.scenarios.workloads import make_deployment, split_approach
@@ -313,19 +313,4 @@ SCENARIO = ScenarioSpec(
     cluster=fault_tolerant_cluster,
 )
 
-SPEC = register_scenario(SCENARIO)
-
-
-def run_ft(
-    mtbfs=(0.0, 150.0, 600.0),
-    approaches=FT_APPROACHES,
-    instances: int = 8,
-    spec: Optional[ClusterSpec] = None,
-) -> ExperimentResult:
-    """Regenerate the fault-tolerance sweep, sequentially."""
-    from repro.runner.cells import run_cells_inline
-
-    cells = SCENARIO.with_axis_values(
-        mtbf=mtbfs, approach=approaches, instances=(instances,)
-    ).build_cells(cluster_spec=spec)
-    return merge_ft(run_cells_inline(cells))
+register_scenario(SCENARIO)

@@ -6,15 +6,11 @@ moment the global checkpoint is requested until every snapshot is persisted.
 
 Each (approach, scale-point, buffer-size) triple is one independent runner
 cell (``fig2:<approach>:<processes>:<buffer>MB``), declared as a
-:class:`~repro.scenarios.spec.ScenarioSpec` sweep; :func:`run_fig2` remains
-as a thin sequential wrapper over the same cells.
+:class:`~repro.scenarios.spec.ScenarioSpec` sweep.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
-from repro.scenarios.results import ExperimentResult
 from repro.scenarios.workloads import (
     APPROACHES,
     BENCH_SCALE_POINTS,
@@ -23,10 +19,8 @@ from repro.scenarios.workloads import (
     format_mb,
     run_synthetic_cell,
 )
-from repro.runner.cells import Cell, run_cells_inline
-from repro.scenarios.engine import register_scenario
+from repro.runner.registry import register_scenario
 from repro.scenarios.spec import Axis, ScenarioSpec, approach_matrix
-from repro.util.config import ClusterSpec
 
 _DESCRIPTION = "checkpoint completion time vs number of processes (s)"
 
@@ -58,28 +52,4 @@ SCENARIO = ScenarioSpec(
     merge=merge_fig2,
 )
 
-SPEC = register_scenario(SCENARIO)
-
-
-def fig2_cells(
-    scale_points: Sequence[int] = BENCH_SCALE_POINTS,
-    buffer_sizes: Sequence[int] = PAPER_BUFFER_SIZES,
-    approaches: Sequence[str] = APPROACHES,
-    spec: Optional[ClusterSpec] = None,
-) -> List[Cell]:
-    """Enumerate the independent cells of Figure 2 in canonical order."""
-    return SCENARIO.with_axis_values(
-        buffer_bytes=buffer_sizes, instances=scale_points, approach=approaches
-    ).build_cells(cluster_spec=spec)
-
-
-def run_fig2(
-    scale_points: Sequence[int] = BENCH_SCALE_POINTS,
-    buffer_sizes: Sequence[int] = PAPER_BUFFER_SIZES,
-    approaches: Sequence[str] = APPROACHES,
-    spec: Optional[ClusterSpec] = None,
-) -> ExperimentResult:
-    """Regenerate the series of Figure 2 (a and b), sequentially."""
-    return merge_fig2(
-        run_cells_inline(fig2_cells(scale_points, buffer_sizes, approaches, spec))
-    )
+register_scenario(SCENARIO)

@@ -8,15 +8,11 @@ successful state restoration.
 
 Each (approach, scale-point, buffer-size) triple is one independent runner
 cell (``fig3:<approach>:<hosts>:<buffer>MB``), declared as a
-:class:`~repro.scenarios.spec.ScenarioSpec` sweep; :func:`run_fig3` remains
-as a thin sequential wrapper over the same cells.
+:class:`~repro.scenarios.spec.ScenarioSpec` sweep.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
-from repro.scenarios.results import ExperimentResult
 from repro.scenarios.workloads import (
     APPROACHES,
     BENCH_SCALE_POINTS,
@@ -25,10 +21,8 @@ from repro.scenarios.workloads import (
     format_mb,
     run_synthetic_cell,
 )
-from repro.runner.cells import Cell, run_cells_inline
-from repro.scenarios.engine import register_scenario
+from repro.runner.registry import register_scenario
 from repro.scenarios.spec import Axis, ScenarioSpec, approach_matrix
-from repro.util.config import ClusterSpec
 
 _DESCRIPTION = "restart completion time vs number of hosts (s)"
 
@@ -59,28 +53,4 @@ SCENARIO = ScenarioSpec(
     merge=merge_fig3,
 )
 
-SPEC = register_scenario(SCENARIO)
-
-
-def fig3_cells(
-    scale_points: Sequence[int] = BENCH_SCALE_POINTS,
-    buffer_sizes: Sequence[int] = PAPER_BUFFER_SIZES,
-    approaches: Sequence[str] = APPROACHES,
-    spec: Optional[ClusterSpec] = None,
-) -> List[Cell]:
-    """Enumerate the independent cells of Figure 3 in canonical order."""
-    return SCENARIO.with_axis_values(
-        buffer_bytes=buffer_sizes, instances=scale_points, approach=approaches
-    ).build_cells(cluster_spec=spec)
-
-
-def run_fig3(
-    scale_points: Sequence[int] = BENCH_SCALE_POINTS,
-    buffer_sizes: Sequence[int] = PAPER_BUFFER_SIZES,
-    approaches: Sequence[str] = APPROACHES,
-    spec: Optional[ClusterSpec] = None,
-) -> ExperimentResult:
-    """Regenerate the series of Figure 3 (a and b), sequentially."""
-    return merge_fig3(
-        run_cells_inline(fig3_cells(scale_points, buffer_sizes, approaches, spec))
-    )
+register_scenario(SCENARIO)

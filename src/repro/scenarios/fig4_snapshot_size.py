@@ -8,25 +8,19 @@ are measured from the storage layer, not assumed.
 
 Each (approach, buffer-size) pair is one independent runner cell
 (``fig4:<approach>:<buffer>MB``), declared as a
-:class:`~repro.scenarios.spec.ScenarioSpec` sweep; :func:`run_fig4` remains
-as a thin sequential wrapper over the same cells.
+:class:`~repro.scenarios.spec.ScenarioSpec` sweep.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
-from repro.scenarios.results import ExperimentResult
 from repro.scenarios.workloads import (
     APPROACHES,
     PAPER_BUFFER_SIZES,
     format_mb,
     run_synthetic_cell,
 )
-from repro.runner.cells import Cell, run_cells_inline
-from repro.scenarios.engine import register_scenario
+from repro.runner.registry import register_scenario
 from repro.scenarios.spec import Axis, ScenarioSpec, approach_matrix
-from repro.util.config import ClusterSpec
 
 _DESCRIPTION = "checkpoint space utilisation per VM instance (MB)"
 
@@ -44,7 +38,7 @@ SCENARIO = ScenarioSpec(
     axes=(
         Axis("buffer_bytes", PAPER_BUFFER_SIZES, fmt=format_mb),
         Axis("approach", APPROACHES),
-        # Fixed parameter modelled as a single-value axis so wrappers and a
+        # Fixed parameter modelled as a single-value axis so callers and a
         # single-value ``--override fig4.instances=N`` can still change it.
         Axis("instances", (2,)),
     ),
@@ -59,28 +53,4 @@ SCENARIO = ScenarioSpec(
     merge=merge_fig4,
 )
 
-SPEC = register_scenario(SCENARIO)
-
-
-def fig4_cells(
-    buffer_sizes: Sequence[int] = PAPER_BUFFER_SIZES,
-    approaches: Sequence[str] = APPROACHES,
-    instances: int = 2,
-    spec: Optional[ClusterSpec] = None,
-) -> List[Cell]:
-    """Enumerate the independent cells of Figure 4 in canonical order."""
-    return SCENARIO.with_axis_values(
-        buffer_bytes=buffer_sizes, approach=approaches, instances=(instances,)
-    ).build_cells(cluster_spec=spec)
-
-
-def run_fig4(
-    buffer_sizes: Sequence[int] = PAPER_BUFFER_SIZES,
-    approaches: Sequence[str] = APPROACHES,
-    instances: int = 2,
-    spec: Optional[ClusterSpec] = None,
-) -> ExperimentResult:
-    """Regenerate the bars of Figure 4 (snapshot size per VM instance, MB)."""
-    return merge_fig4(
-        run_cells_inline(fig4_cells(buffer_sizes, approaches, instances, spec))
-    )
+register_scenario(SCENARIO)

@@ -17,14 +17,13 @@ sequential, but the approaches are independent of each other.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from repro.scenarios.results import ExperimentResult
 from repro.scenarios.workloads import APPROACHES, run_synthetic_cell
-from repro.runner.cells import Cell, CellResult, run_cells_inline
-from repro.scenarios.engine import register_scenario
+from repro.runner.cells import CellResult
+from repro.runner.registry import register_scenario
 from repro.scenarios.spec import Axis, ScenarioSpec
-from repro.util.config import ClusterSpec
 from repro.util.units import MB
 
 _DESCRIPTION = "successive checkpoints of one VM: completion time (s) and storage (MB)"
@@ -69,28 +68,4 @@ SCENARIO = ScenarioSpec(
     merge=merge_fig5,
 )
 
-SPEC = register_scenario(SCENARIO)
-
-
-def fig5_cells(
-    checkpoints: int = 4,
-    buffer_bytes: int = 200 * MB,
-    approaches: Sequence[str] = APPROACHES,
-    spec: Optional[ClusterSpec] = None,
-) -> List[Cell]:
-    """Enumerate the independent cells of Figure 5 (one per approach)."""
-    return SCENARIO.with_axis_values(
-        approach=approaches, checkpoints=(checkpoints,), buffer_bytes=(buffer_bytes,)
-    ).build_cells(cluster_spec=spec)
-
-
-def run_fig5(
-    checkpoints: int = 4,
-    buffer_bytes: int = 200 * MB,
-    approaches: Sequence[str] = APPROACHES,
-    spec: Optional[ClusterSpec] = None,
-) -> ExperimentResult:
-    """Regenerate the series of Figure 5 (a: time, b: storage), sequentially."""
-    return merge_fig5(
-        run_cells_inline(fig5_cells(checkpoints, buffer_bytes, approaches, spec))
-    )
+register_scenario(SCENARIO)

@@ -7,19 +7,16 @@ checkpoint is taken after a period of execution.  The paper omits
 
 Each (approach, process-count) pair is one independent runner cell
 (``fig6:<approach>:<processes>``), declared as a
-:class:`~repro.scenarios.spec.ScenarioSpec` sweep; :func:`run_fig6` remains
-as a thin sequential wrapper over the same cells.
+:class:`~repro.scenarios.spec.ScenarioSpec` sweep.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.apps.cm1 import CM1Application, CM1Config
-from repro.scenarios.results import ExperimentResult
 from repro.scenarios.workloads import CM1_APPROACHES, make_deployment, split_approach
-from repro.runner.cells import Cell, run_cells_inline
-from repro.scenarios.engine import register_scenario
+from repro.runner.registry import register_scenario
 from repro.scenarios.spec import Axis, ScenarioSpec, approach_matrix
 from repro.util.config import GRAPHENE, ClusterSpec
 
@@ -122,28 +119,4 @@ SCENARIO = ScenarioSpec(
     merge=merge_fig6,
 )
 
-SPEC = register_scenario(SCENARIO)
-
-
-def fig6_cells(
-    process_counts: Sequence[int] = BENCH_CM1_PROCESSES,
-    approaches: Sequence[str] = CM1_APPROACHES,
-    spec: Optional[ClusterSpec] = None,
-    config: Optional[CM1Config] = None,
-) -> List[Cell]:
-    """Enumerate the independent cells of Figure 6 in canonical order."""
-    return SCENARIO.with_axis_values(
-        processes=process_counts, approach=approaches
-    ).build_cells(cluster_spec=spec, params_override={"config": config} if config else None)
-
-
-def run_fig6(
-    process_counts: Sequence[int] = BENCH_CM1_PROCESSES,
-    approaches: Sequence[str] = CM1_APPROACHES,
-    spec: Optional[ClusterSpec] = None,
-    config: Optional[CM1Config] = None,
-) -> ExperimentResult:
-    """Regenerate the series of Figure 6, sequentially."""
-    return merge_fig6(
-        run_cells_inline(fig6_cells(process_counts, approaches, spec, config))
-    )
+register_scenario(SCENARIO)

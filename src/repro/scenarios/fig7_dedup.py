@@ -30,8 +30,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.cluster.cloud import Cloud
 from repro.core.repository import CheckpointRepository
 from repro.scenarios.results import ExperimentResult
-from repro.runner.cells import Cell, CellResult, run_cells_inline
-from repro.scenarios.engine import register_scenario
+from repro.runner.cells import CellResult
+from repro.runner.registry import register_scenario
 from repro.scenarios.spec import Axis, ScenarioSpec
 from repro.util.bytesource import ByteSource, SyntheticBytes, content_equal
 from repro.util.config import GRAPHENE, ClusterSpec, DedupSpec
@@ -155,22 +155,6 @@ def run_fig7_cell(
     }
 
 
-def fig7_cells(
-    checkpoints: int = 5,
-    state_bytes: int = 16 * MB,
-    changed_fraction: float = 0.25,
-    modes: Sequence[str] = ("off", "dedup", "zlib"),
-    spec: Optional[ClusterSpec] = None,
-) -> List[Cell]:
-    """Enumerate the independent cells of the ablation (one per mode)."""
-    return SCENARIO.with_axis_values(
-        mode=modes,
-        checkpoints=(checkpoints,),
-        state_bytes=(state_bytes,),
-        changed_fraction=(changed_fraction,),
-    ).build_cells(cluster_spec=spec)
-
-
 def merge_fig7(results: Sequence[CellResult]) -> ExperimentResult:
     """Merge executed fig7 cells back into the per-checkpoint row layout."""
     result = ExperimentResult(experiment="fig7", description=_DESCRIPTION)
@@ -215,18 +199,4 @@ SCENARIO = ScenarioSpec(
     merge=merge_fig7,
 )
 
-
-SPEC = register_scenario(SCENARIO)
-
-
-def run_fig7(
-    checkpoints: int = 5,
-    state_bytes: int = 16 * MB,
-    changed_fraction: float = 0.25,
-    modes: Sequence[str] = ("off", "dedup", "zlib"),
-    spec: Optional[ClusterSpec] = None,
-) -> ExperimentResult:
-    """Regenerate the dedup/compression ablation (time + storage series)."""
-    return merge_fig7(
-        run_cells_inline(fig7_cells(checkpoints, state_bytes, changed_fraction, modes, spec))
-    )
+register_scenario(SCENARIO)

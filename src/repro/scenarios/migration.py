@@ -32,12 +32,12 @@ before switchover) and post-copy (bandwidth after switchover) degrade.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from repro.apps.synthetic import STATE_PATH_TEMPLATE, SyntheticBenchmark
 from repro.cluster.failures import FailureInjector
 from repro.scenarios.contention import oversubscribed_fabric
-from repro.scenarios.engine import register_scenario
+from repro.runner.registry import register_scenario
 from repro.scenarios.fault_tolerance import fault_tolerant_cluster
 from repro.scenarios.results import ExperimentResult
 from repro.scenarios.spec import Axis, ScenarioSpec
@@ -279,7 +279,7 @@ EVAC_SCENARIO = ScenarioSpec(
     cluster=evacuation_cluster,
 )
 
-SPEC_EVAC = register_scenario(EVAC_SCENARIO)
+register_scenario(EVAC_SCENARIO)
 
 
 # -- migration under contention (``mig``) ----------------------------------------------
@@ -392,32 +392,4 @@ MIG_SCENARIO = ScenarioSpec(
     cluster=oversubscribed_fabric,
 )
 
-SPEC_MIG = register_scenario(MIG_SCENARIO)
-
-
-def run_evac(
-    policies: Sequence[str] = EVAC_POLICIES,
-    lead: float = 45.0,
-    spec: Optional[ClusterSpec] = None,
-) -> ExperimentResult:
-    """Regenerate the evacuation sweep, sequentially."""
-    from repro.runner.cells import run_cells_inline
-
-    cells = EVAC_SCENARIO.with_axis_values(
-        policy=tuple(policies), lead=(lead,)
-    ).build_cells(cluster_spec=spec)
-    return merge_evac(run_cells_inline(cells))
-
-
-def run_mig(
-    modes: Sequence[str] = ("pre-copy", "post-copy"),
-    flow_counts: Sequence[int] = (0, 8, 32),
-    spec: Optional[ClusterSpec] = None,
-) -> ExperimentResult:
-    """Regenerate the migration-contention sweep, sequentially."""
-    from repro.runner.cells import run_cells_inline
-
-    cells = MIG_SCENARIO.with_axis_values(
-        mode=tuple(modes), flows=tuple(flow_counts)
-    ).build_cells(cluster_spec=spec)
-    return merge_mig(run_cells_inline(cells))
+register_scenario(MIG_SCENARIO)

@@ -50,7 +50,7 @@ def split_overrides(
 
     Cluster overrides come back as ``(dotted-path, value)`` pairs with the
     ``cluster.`` prefix stripped; scenario overrides stay as raw strings for
-    :func:`axis_overrides_for` to apply at enumeration time.
+    :func:`scenario_overrides_for` to apply at enumeration time.
     """
     cluster: List[Tuple[str, str]] = []
     scenario: List[str] = []
@@ -209,14 +209,3 @@ def scenario_overrides_for(
                 f"(valid: {', '.join(valid)})"
             )
     return axis_values, param_values
-
-
-def axis_overrides_for(
-    scenario: "ScenarioSpec", overrides: Sequence[str]
-) -> Dict[str, Tuple[Any, ...]]:
-    """Extract only the axis overrides addressed to ``scenario``.
-
-    Thin historical wrapper over :func:`scenario_overrides_for` (parameter
-    overrides are validated but dropped).
-    """
-    return scenario_overrides_for(scenario, overrides)[0]

@@ -3,8 +3,8 @@
 :class:`ExperimentResult` is the canonical row container every scenario
 produces (and the CLI renders); :func:`merge_approach_cells` is the shared
 one-column-per-approach merge of Figures 2/3/4/6 and the beyond-paper
-sweeps.  This module sits below both the experiments and the runner so all
-layers can share it without import cycles.
+sweeps.  This module sits below both the scenario modules and the runner so
+all layers can share it without import cycles.
 """
 
 from __future__ import annotations

@@ -20,13 +20,12 @@ comparable.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict
 
-from repro.scenarios.engine import register_scenario
+from repro.runner.registry import register_scenario
 from repro.scenarios.results import ExperimentResult
 from repro.scenarios.spec import Axis, ScenarioSpec
 from repro.scenarios.workloads import run_synthetic_cell
-from repro.util.config import ClusterSpec
 from repro.util.units import MB
 
 #: the scale study contrasts the two disk-snapshot approaches
@@ -80,18 +79,4 @@ SCENARIO = ScenarioSpec(
     merge=merge_scale,
 )
 
-SPEC = register_scenario(SCENARIO)
-
-
-def run_scale(
-    instance_counts: Sequence[int] = (16, 32, 64),
-    approaches: Sequence[str] = SCALE_APPROACHES,
-    spec: Optional[ClusterSpec] = None,
-) -> ExperimentResult:
-    """Regenerate the scale sweep, sequentially."""
-    from repro.runner.cells import run_cells_inline
-
-    cells = SCENARIO.with_axis_values(
-        instances=instance_counts, approach=approaches
-    ).build_cells(cluster_spec=spec)
-    return merge_scale(run_cells_inline(cells))
+register_scenario(SCENARIO)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.scenarios.engine import register_scenario
+from repro.runner.registry import register_scenario
 from repro.scenarios.results import ExperimentResult
 from repro.scenarios.spec import Axis, ScenarioSpec
 from repro.service.admission import AdmissionConfig
@@ -120,21 +120,6 @@ def run_mtc_cell(
     return row
 
 
-def run_mtc(
-    tenants=(8, 100),
-    rates=(1.0,),
-    policies=("fifo", "fair"),
-    spec: Optional[ClusterSpec] = None,
-) -> ExperimentResult:
-    """Regenerate the multi-tenant service sweep, sequentially."""
-    from repro.runner.cells import run_cells_inline
-
-    cells = SCENARIO.with_axis_values(
-        tenants=tenants, rate=rates, policy=policies
-    ).build_cells(cluster_spec=spec)
-    return merge_mtc(run_cells_inline(cells))
-
-
 def merge_mtc(results) -> ExperimentResult:
     """One SLO row per cell, in canonical sweep order."""
     result = ExperimentResult(experiment="mtc", description=_DESCRIPTION)
@@ -184,4 +169,4 @@ SCENARIO = ScenarioSpec(
     },
 )
 
-SPEC = register_scenario(SCENARIO)
+register_scenario(SCENARIO)

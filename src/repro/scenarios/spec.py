@@ -5,9 +5,9 @@ experiment: the sweep axes (with separate reduced and paper-scale values),
 how axis points map onto runner cell keys and cell-function parameters, an
 optional cluster plan transforming the simulated :class:`ClusterSpec`, an
 optional :class:`FailurePlan`, and how executed cells merge back into result
-rows.  The engine (:mod:`repro.scenarios.engine`) registers a spec with the
-parallel runner; the paper's figures and the beyond-paper scenarios are all
-instantiations of this one layer.
+rows.  :func:`repro.runner.registry.register_scenario` stores a spec in the
+registry the parallel runner executes from; the paper's figures and the
+beyond-paper scenarios are all instantiations of this one layer.
 
 Determinism contract: a cell's identity is ``(scenario name, key parts)``
 and nothing else -- the per-cell RNG seed derives from it (see
@@ -39,7 +39,7 @@ class Axis:
     given) replace them under ``--paper-scale``.  ``fmt`` renders a value
     into the cell-key part used for ``--cells`` selectors and per-cell
     seeding; axes that should not appear in the key (fixed parameters that
-    wrappers may still override) are simply left out of the spec's
+    callers may still override) are simply left out of the spec's
     ``key_axes``.
     """
 
@@ -222,8 +222,9 @@ class ScenarioSpec:
         cluster.*`` / ``--seed``); the scenario's own cluster plan is applied
         on top of it (or on the default calibration when no override is
         given).  ``params_override`` force-replaces cell parameters after
-        ``cell_params`` -- the escape hatch of the historical ``run_figN``
-        wrappers.
+        ``cell_params`` -- how ``--override <scenario>.<param>=v`` reaches
+        the cells, and how a caller passes a non-axis object such as a
+        :class:`~repro.apps.cm1.CM1Config`.
         """
         self.validate()
         if self.cluster is None:

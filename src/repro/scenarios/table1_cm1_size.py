@@ -18,26 +18,23 @@ larger because every byte the processes allocated -- scratch arrays included
 -- ends up in the context files.
 
 Each approach is one independent runner cell (``table1:<approach>``),
-declared as a :class:`~repro.scenarios.spec.ScenarioSpec` sweep;
-:func:`run_table1` remains as a thin sequential wrapper over the same cells.
+declared as a :class:`~repro.scenarios.spec.ScenarioSpec` sweep.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
-from repro.apps.cm1 import CM1Config
-from repro.experiments.fig6_cm1 import (
+from repro.scenarios.fig6_cm1 import (
     BENCH_CM1_PROCESSES,
     PAPER_CM1_PROCESSES,
     run_cm1_cell,
 )
 from repro.scenarios.results import ExperimentResult
 from repro.scenarios.workloads import CM1_APPROACHES
-from repro.runner.cells import Cell, CellResult, run_cells_inline
-from repro.scenarios.engine import register_scenario
+from repro.runner.cells import CellResult
+from repro.runner.registry import register_scenario
 from repro.scenarios.spec import Axis, ScenarioSpec
-from repro.util.config import ClusterSpec
 
 _DESCRIPTION = "CM1 per disk-snapshot size (MB per VM instance)"
 
@@ -75,28 +72,4 @@ SCENARIO = ScenarioSpec(
     merge=merge_table1,
 )
 
-SPEC = register_scenario(SCENARIO)
-
-
-def table1_cells(
-    processes: int = 16,
-    approaches: Sequence[str] = CM1_APPROACHES,
-    spec: Optional[ClusterSpec] = None,
-    config: Optional[CM1Config] = None,
-) -> List[Cell]:
-    """Enumerate the independent cells of Table 1 (one per approach)."""
-    return SCENARIO.with_axis_values(
-        approach=approaches, processes=(processes,)
-    ).build_cells(cluster_spec=spec, params_override={"config": config} if config else None)
-
-
-def run_table1(
-    processes: int = 16,
-    approaches: Sequence[str] = CM1_APPROACHES,
-    spec: Optional[ClusterSpec] = None,
-    config: Optional[CM1Config] = None,
-) -> ExperimentResult:
-    """Regenerate Table 1 (per disk-snapshot size, MB per VM instance)."""
-    return merge_table1(
-        run_cells_inline(table1_cells(processes, approaches, spec, config))
-    )
+register_scenario(SCENARIO)

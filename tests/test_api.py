@@ -282,6 +282,17 @@ class TestScenarioParity:
         )
         assert report.cell_keys == ("ft:qcow2-full:150",)
 
+    def test_wildcard_selector_matches_cli_semantics(self, capsys):
+        # `blobcr-repro fig4 --cells 'fig*:...'` runs the cell; so must the
+        # Session -- through run_scenario and trace, which share the check.
+        selector, key = "fig*:BlobCR-app:50MB", "fig4:BlobCR-app:50MB"
+        assert main(["fig4", "--cells", selector, "--list-cells"]) == 0
+        assert capsys.readouterr().out.split() == [key]
+        assert Session().run_scenario("fig4", cells=[selector]).cell_keys == (key,)
+        assert Session().trace("fig4", cells=[selector]).cell_keys == (key,)
+        with pytest.raises(ConfigurationError, match="outside scenario"):
+            Session().run_scenario("fig4", cells=["fig[23]:BlobCR-app"])
+
     def test_session_spec_flows_into_scenarios(self):
         default = Session().run_scenario("fig2", cells=[self.CELL])
         scaled = Session.from_spec(GRAPHENE.scaled(seed=99)).run_scenario(
@@ -298,6 +309,18 @@ class TestHarnessRetirement:
         sys.modules.pop("repro.experiments.harness", None)
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.experiments.harness")
+
+    def test_experiments_package_is_gone(self):
+        # 0.6.0 folded the figure modules into repro.scenarios and deleted
+        # the package together with the second (ExperimentSpec) registry.
+        sys.modules.pop("repro.experiments", None)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.experiments")
+        import repro.runner
+
+        for gone in ("ExperimentSpec", "register", "get_experiment", "experiment_names"):
+            assert not hasattr(repro.runner, gone)
+            assert not hasattr(repro.runner.registry, gone)
 
     def test_scenario_layer_is_the_supported_surface(self):
         from repro.scenarios.results import ExperimentResult  # noqa: F401

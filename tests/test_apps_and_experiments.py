@@ -8,7 +8,9 @@ from repro.apps.synthetic import SyntheticBenchmark
 from repro.baselines import Qcow2DiskDeployment, Qcow2FullDeployment
 from repro.cluster import Cloud
 from repro.core import BlobCRDeployment
-from repro.experiments import run_fig4, run_table1
+from repro.runner.cells import run_cells_inline
+from repro.scenarios.fig4_snapshot_size import SCENARIO as FIG4
+from repro.scenarios.table1_cm1_size import SCENARIO as TABLE1
 from repro.scenarios.workloads import (
     APPROACHES,
     make_deployment,
@@ -180,7 +182,8 @@ class TestExperimentHarness:
         assert outcome.restored_ok
 
     def test_fig4_rows_have_all_approaches(self):
-        result = run_fig4(buffer_sizes=(2 * MB,), instances=2, spec=SMALL)
+        cells = FIG4.with_axis_values(buffer_bytes=(2 * MB,)).build_cells(cluster_spec=SMALL)
+        result = FIG4.merge(run_cells_inline(cells))
         assert len(result.rows) == 1
         for approach in APPROACHES:
             assert approach in result.rows[0]
@@ -188,6 +191,10 @@ class TestExperimentHarness:
         assert "fig4" in result.to_table()
 
     def test_table1_shape(self):
-        result = run_table1(processes=8, spec=SMALL, config=CM1Config(nx=10, ny=10, nz=6, fields=3))
+        cells = TABLE1.with_axis_values(processes=(8,)).build_cells(
+            cluster_spec=SMALL,
+            params_override={"config": CM1Config(nx=10, ny=10, nz=6, fields=3)},
+        )
+        result = TABLE1.merge(run_cells_inline(cells))
         sizes = {row["approach"]: row["snapshot_MB"] for row in result.rows}
         assert sizes["BlobCR-blcr"] >= sizes["BlobCR-app"]

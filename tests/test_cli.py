@@ -4,10 +4,12 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.api import Session
+from repro.cli import main, resolve_run_inputs
 from repro.scenarios.results import ExperimentResult
-from repro.runner import load_artifact, load_profile_artifact
-from repro.runner.registry import _REGISTRY, ExperimentSpec, register
+from repro.runner import load_all, load_artifact, load_profile_artifact, load_trace_artifact
+from repro.runner.registry import _REGISTRY
+from repro.scenarios import Axis, ScenarioSpec, approach_matrix, register_scenario
 
 
 class TestArgumentErrors:
@@ -165,6 +167,29 @@ class TestOverridesAndSeed:
         document = load_artifact(str(artifact))
         assert document["environment"]["overrides"] == ["cluster.solver.verify=true"]
 
+    @pytest.mark.parametrize("subcommand", ["profile", "trace"])
+    def test_solver_flag_recorded_by_profile_and_trace(self, subcommand, tmp_path, capsys):
+        artifact = tmp_path / f"{subcommand}.json"
+        argv = [subcommand, "--cells", "fig7:off", "--no-progress", "--solver-verify"]
+        argv += [f"--{subcommand}-artifact", str(artifact)]
+        if subcommand == "trace":
+            argv += ["--chrome", str(tmp_path / "chrome.json")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        load = load_profile_artifact if subcommand == "profile" else load_trace_artifact
+        assert load(str(artifact))["environment"]["overrides"] == ["cluster.solver.verify=true"]
+
+    def test_solver_flag_leaves_the_callers_overrides_alone(self):
+        """resolve_run_inputs is also called by out-of-process harnesses with
+        a list they own: folding the flag must not append to that list, or a
+        second call records the override twice."""
+        names = load_all()
+        overrides = ["cluster.seed=3"]
+        for _ in range(2):
+            _, _, config = resolve_run_inputs(names, ["fig7"], [], overrides, solver_verify=True)
+            assert config.overrides == ("cluster.seed=3", "cluster.solver.verify=true")
+        assert overrides == ["cluster.seed=3"]
+
     @pytest.mark.parametrize("flag", ["--solver-no-batch", "--solver-no-persist"])
     def test_removed_solver_flags_are_argparse_errors(self, flag, capsys):
         """The A/B engines are gone; their flags must fail, not be ignored."""
@@ -199,30 +224,68 @@ class TestOverridesAndSeed:
         assert rows  # the overridden cluster still produces the ablation rows
 
 
-class TestZeroRowResilience:
+def _adhoc_cell(n, spec=None):
+    return {"approach": "twice", "n": n, "value": 2 * n, "sim_time_s": 0.0}
+
+
+class TestAdHocScenario:
+    """The README "Authoring scenarios" path: one ``register_scenario`` call
+    makes a spec runnable through the CLI and the Session facade."""
+
+    NAME = "adhoctest"
+
     @pytest.fixture()
-    def empty_experiment(self):
-        """Temporarily register an experiment that yields no cells/rows."""
-        name = "emptytest"
-        register(
-            ExperimentSpec(
-                name=name,
-                description="an experiment with no cells",
-                enumerate_cells=lambda config: [],
-                merge=lambda results: ExperimentResult(
-                    experiment=name, description="an experiment with no cells"
+    def adhoc(self):
+        description = "an ad-hoc two-cell scenario"
+        load_all()
+        register_scenario(
+            ScenarioSpec(
+                name=self.NAME,
+                description=description,
+                axes=(Axis("n", (1, 2)),),
+                key_axes=("n",),
+                cell_func=_adhoc_cell,
+                cell_params=lambda point: {"n": point["n"]},
+                merge=approach_matrix(
+                    self.NAME,
+                    description,
+                    row_key=lambda p: {"n": p["n"]},
+                    value=lambda p: p["value"],
                 ),
             )
         )
-        yield name
-        _REGISTRY.pop(name, None)
+        yield self.NAME
+        _REGISTRY.pop(self.NAME, None)
 
-    def test_empty_result_renders_and_serialises(self, empty_experiment, capsys):
-        assert main([empty_experiment, "--json", "-", "--no-progress"]) == 0
+    def test_lands_after_the_canonical_names(self, adhoc):
+        names = load_all()
+        assert len(names) == 14 and names[-2:] == ["mig", adhoc]
+
+    def test_runs_through_the_cli(self, adhoc, capsys):
+        assert main([adhoc, "--json", "-", "--no-progress"]) == 0
+        out = capsys.readouterr().out
+        rows = json.loads(out[out.index("{") :])[adhoc]["rows"]
+        assert rows == [{"n": 1, "twice": 2}, {"n": 2, "twice": 4}]
+
+    def test_list_cells(self, adhoc, capsys):
+        assert main([adhoc, "--list-cells"]) == 0
+        assert capsys.readouterr().out.split() == [f"{adhoc}:1", f"{adhoc}:2"]
+
+    def test_runs_through_the_session(self, adhoc):
+        report = Session().run_scenario(adhoc, cells=[f"{adhoc}:2"])
+        assert report.cell_keys == (f"{adhoc}:2",)
+        assert report.rows == [{"n": 2, "twice": 4}]
+
+
+class TestZeroRowResilience:
+    def test_empty_result_renders_and_serialises(self, capsys):
+        # fig4 is requested but every selector addresses fig7: it merges
+        # zero cells and must still render and serialise.
+        assert main(["fig4", "fig7", "--cells", "fig7:off", "--json", "-", "--no-progress"]) == 0
         out = capsys.readouterr().out
         assert "(no rows)" in out
         payload = json.loads(out[out.index("{") :])
-        assert payload[empty_experiment]["rows"] == []
+        assert payload["fig4"]["rows"] == []
 
     def test_empty_to_table_includes_description(self):
         result = ExperimentResult(experiment="figX", description="nothing to see")

@@ -4,7 +4,6 @@ import copy
 
 import pytest
 
-from repro.experiments.fig2_checkpoint import fig2_cells
 from repro.scenarios.workloads import run_synthetic_scenario
 from repro.runner import (
     ArtifactError,
@@ -12,8 +11,6 @@ from repro.runner import (
     RunConfig,
     build_artifact,
     build_profile_artifact,
-    experiment_names,
-    get_experiment,
     load_all,
     load_artifact,
     load_profile_artifact,
@@ -31,11 +28,15 @@ from repro.runner.regression import (
     speedup,
 )
 from repro.runner.select import filter_cells
+from repro.scenarios import get_scenario, scenario_names
+from repro.scenarios.fig2_checkpoint import SCENARIO as FIG2
 from repro.util.config import GRAPHENE
 from repro.util.errors import ConfigurationError
 from repro.util.units import MB
 
 SMALL = GRAPHENE.scaled(compute_nodes=6, service_nodes=3)
+#: fig2 narrowed to one scale point and one (tiny) buffer: five fast cells
+FIG2_TINY = FIG2.with_axis_values(instances=(4,), buffer_bytes=(2 * MB,))
 
 CANONICAL = [
     "fig2",
@@ -69,17 +70,17 @@ def fig7_artifact(fig7_report):
 class TestRegistry:
     def test_load_all_registers_canonical_order(self):
         assert load_all() == CANONICAL
-        assert experiment_names() == CANONICAL
+        assert scenario_names() == CANONICAL
 
     def test_unknown_experiment_raises(self):
         load_all()
-        with pytest.raises(ConfigurationError, match="unknown experiment"):
-            get_experiment("fig99")
+        with pytest.raises(ConfigurationError, match="unknown scenario"):
+            get_scenario("fig99")
 
     def test_paper_scale_changes_enumeration(self):
         load_all()
-        reduced = get_experiment("fig2").enumerate_cells(RunConfig(paper_scale=False))
-        paper = get_experiment("fig2").enumerate_cells(RunConfig(paper_scale=True))
+        reduced = get_scenario("fig2").enumerate_cells(RunConfig(paper_scale=False))
+        paper = get_scenario("fig2").enumerate_cells(RunConfig(paper_scale=True))
         assert len(paper) > len(reduced)
         # 2 buffers x 3 scale points x 5 approaches at the reduced scale
         assert len(reduced) == 30
@@ -87,7 +88,7 @@ class TestRegistry:
 
 class TestCellsAndSelectors:
     def test_cell_keys_and_seeds_are_stable(self):
-        cells = fig2_cells(scale_points=(4,), buffer_sizes=(2 * MB,), spec=SMALL)
+        cells = FIG2_TINY.build_cells(cluster_spec=SMALL)
         assert [c.key for c in cells] == [
             "fig2:BlobCR-app:4:2MB",
             "fig2:qcow2-disk-app:4:2MB",
@@ -97,7 +98,7 @@ class TestCellsAndSelectors:
         ]
         seeds = [c.seed for c in cells]
         assert len(set(seeds)) == len(seeds)
-        assert seeds == [c.seed for c in fig2_cells(scale_points=(4,), buffer_sizes=(2 * MB,))]
+        assert seeds == [c.seed for c in FIG2_TINY.build_cells()]
 
     def test_parse_selectors_commas_and_repeats(self):
         selectors = parse_selectors(["fig2:BlobCR-app,fig7", "fig6:BlobCR-app:16"])
@@ -106,14 +107,15 @@ class TestCellsAndSelectors:
         assert selectors[0].parts == ("BlobCR-app",)
 
     def test_filter_cells_prefix_matching(self):
-        cells = fig2_cells(scale_points=(4, 12), buffer_sizes=(2 * MB, 4 * MB), spec=SMALL)
+        sweep = FIG2.with_axis_values(instances=(4, 12), buffer_bytes=(2 * MB, 4 * MB))
+        cells = sweep.build_cells(cluster_spec=SMALL)
         kept = filter_cells(cells, parse_selectors(["fig2:BlobCR-app:12"]))
         assert [c.key for c in kept] == ["fig2:BlobCR-app:12:2MB", "fig2:BlobCR-app:12:4MB"]
         # no selectors = keep everything
         assert filter_cells(cells, []) == list(cells)
 
     def test_unknown_cell_selector_raises(self):
-        cells = fig2_cells(scale_points=(4,), buffer_sizes=(2 * MB,), spec=SMALL)
+        cells = FIG2_TINY.build_cells(cluster_spec=SMALL)
         with pytest.raises(ConfigurationError, match="unknown cell selector"):
             filter_cells(cells, parse_selectors(["fig2:BlobCR-app:999"]))
 
@@ -156,9 +158,9 @@ class TestDeterminism:
         assert sorted(seen) == [(1, 2), (2, 2)]
 
     def test_merged_subset_keeps_canonical_columns(self):
-        cells = fig2_cells(scale_points=(4,), buffer_sizes=(2 * MB,), spec=SMALL)
+        cells = FIG2_TINY.build_cells(cluster_spec=SMALL)
         subset = filter_cells(cells, parse_selectors(["fig2:BlobCR-app"]))
-        result = get_experiment("fig2").merge(run_cells_inline(subset))
+        result = get_scenario("fig2").merge(run_cells_inline(subset))
         assert result.rows == [
             {
                 "buffer_MB": 2,

@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.experiments.fig2_checkpoint import SCENARIO as FIG2
-from repro.experiments.fig2_checkpoint import fig2_cells
 from repro.runner import RunConfig, load_all
 from repro.runner.cells import run_cells_inline
 from repro.scenarios import (
@@ -11,18 +9,18 @@ from repro.scenarios import (
     FailurePlan,
     ScenarioSpec,
     apply_cluster_overrides,
-    axis_overrides_for,
     get_scenario,
     scenario_names,
     split_overrides,
 )
-from repro.scenarios.contention import run_contention
+from repro.scenarios.contention import SCENARIO as CONTENTION
 from repro.scenarios.fault_tolerance import SCENARIO as FT
 from repro.scenarios.fault_tolerance import merge_ft
+from repro.scenarios.fig2_checkpoint import SCENARIO as FIG2
+from repro.scenarios.overrides import scenario_overrides_for
 from repro.scenarios.scale import SCENARIO as SCALE
 from repro.util.config import GRAPHENE
 from repro.util.errors import ConfigurationError
-from repro.util.units import MB
 
 SMALL = GRAPHENE.scaled(compute_nodes=6, service_nodes=3)
 
@@ -87,15 +85,6 @@ class TestScenarioSpec:
     def test_with_axis_values_unknown_axis(self):
         with pytest.raises(ConfigurationError, match="no axis"):
             FIG2.with_axis_values(nonsense=(1,))
-
-    def test_declarative_enumeration_matches_legacy_wrapper(self):
-        cells_a = fig2_cells(scale_points=(4,), buffer_sizes=(2 * MB,), spec=SMALL)
-        cells_b = FIG2.with_axis_values(
-            instances=(4,), buffer_bytes=(2 * MB,)
-        ).build_cells(cluster_spec=SMALL)
-        assert [c.key for c in cells_a] == [c.key for c in cells_b]
-        assert [c.seed for c in cells_a] == [c.seed for c in cells_b]
-        assert [c.params for c in cells_a] == [c.params for c in cells_b]
 
     def test_paper_scale_switches_axis_values(self):
         reduced = FIG2.enumerate_cells(RunConfig(paper_scale=False))
@@ -164,7 +153,7 @@ class TestOverrides:
 
     def test_axis_overrides_reject_unknown_axis(self):
         with pytest.raises(ConfigurationError, match="no axis"):
-            axis_overrides_for(FT, ("ft.bogus=1",))
+            scenario_overrides_for(FT, ("ft.bogus=1",))
 
     def test_multi_value_sweep_of_non_key_axis_rejected(self):
         # Two instance counts would collapse onto one cell key (same RNG
@@ -178,7 +167,7 @@ class TestOverrides:
         assert all(c.params["instances"] == 4 for c in cells)
 
     def test_foreign_and_cluster_overrides_are_ignored(self):
-        assert axis_overrides_for(FT, ("fig2.instances=4", "cluster.seed=1")) == {}
+        assert scenario_overrides_for(FT, ("fig2.instances=4", "cluster.seed=1"))[0] == {}
 
 
 class TestScenarioRegistry:
@@ -193,7 +182,8 @@ class TestScenarioRegistry:
 
 class TestBeyondPaperScenarios:
     def test_contention_slows_checkpoints(self):
-        result = run_contention(flow_counts=(0, 32), approaches=("BlobCR-app",))
+        sweep = CONTENTION.with_axis_values(flows=(0, 32), approach=("BlobCR-app",))
+        result = CONTENTION.merge(run_cells_inline(sweep.build_cells()))
         by_flows = {row["flows"]: row["BlobCR-app"] for row in result.rows}
         assert by_flows[32] > by_flows[0] * 1.2
 
