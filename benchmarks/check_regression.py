@@ -1,18 +1,21 @@
 #!/usr/bin/env python
-"""CI benchmark gate: compare a perf artifact against the committed baseline.
+"""CI benchmark gate: compare run artifacts for exact model equality.
 
 Thin command-line shim over :mod:`repro.runner.regression`.  Typical CI use::
 
     python benchmarks/check_regression.py \
         --baseline benchmarks/baseline.json \
+        --artifact bench-sequential.json
+    python benchmarks/check_regression.py \
         --artifact bench-parallel.json \
         --sequential bench-sequential.json \
-        --max-regression 0.20
+        --min-speedup 1.05
 
-Exits non-zero when any shared experiment's wall time regressed by more than
-the threshold (after normalising for machine speed via the embedded
-calibration), or when the two artifacts' rows differ (the simulated results
-must never depend on the worker count).
+Exits non-zero when ``--artifact`` differs from ``--baseline`` or from
+``--sequential`` anywhere outside the ``host`` section (cell keys, payloads,
+per-cell work counters, rows: all properties of the model, so the comparison
+is exact -- an intended change is announced by committing a regenerated
+baseline), or when the parallel run missed ``--min-speedup``.
 """
 
 from __future__ import annotations
@@ -21,14 +24,7 @@ import argparse
 import sys
 
 from repro.runner.artifact import ArtifactError, load_artifact
-from repro.runner.regression import (
-    DEFAULT_MAX_REGRESSION,
-    DEFAULT_SLACK_SECONDS,
-    check_determinism,
-    check_regression,
-    check_speedup,
-    speedup_summary,
-)
+from repro.runner.regression import check_determinism, check_speedup, speedup_summary
 
 
 def main(argv=None) -> int:
@@ -36,33 +32,15 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--baseline",
         default=None,
-        help="committed baseline artifact (omit to skip the regression gate "
-        "and only check determinism/speedup)",
+        help="committed baseline artifact: --artifact must equal it outside 'host' "
+        "(omit to only check --sequential determinism/speedup)",
     )
     parser.add_argument("--artifact", required=True, help="freshly recorded artifact to gate")
     parser.add_argument(
         "--sequential",
         default=None,
-        help="optional single-worker artifact: checked row-identical to --artifact "
-        "and used for the speedup summary",
-    )
-    parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=DEFAULT_MAX_REGRESSION,
-        help="relative wall-time regression threshold (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--slack-seconds",
-        type=float,
-        default=DEFAULT_SLACK_SECONDS,
-        help="absolute slack added on top of the threshold (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--allow-new-experiments",
-        action="store_true",
-        help="report (instead of fail on) artifact experiments that have no "
-        "committed baseline yet",
+        help="optional single-worker artifact: --artifact must equal it outside "
+        "'host'; also used for the speedup summary",
     )
     parser.add_argument(
         "--min-speedup",
@@ -77,26 +55,22 @@ def main(argv=None) -> int:
         baseline = load_artifact(args.baseline) if args.baseline else None
         artifact = load_artifact(args.artifact)
         sequential = load_artifact(args.sequential) if args.sequential else None
+        if sequential is not None and not ("host" in artifact and "host" in sequential):
+            raise ArtifactError("the speedup comparison needs artifacts with a 'host' section")
     except ArtifactError as exc:
         print(f"FAIL  {exc}", file=sys.stderr)
         return 1
 
     failed = False
     if baseline is not None:
-        gate = check_regression(
-            baseline,
-            artifact,
-            max_regression=args.max_regression,
-            slack_seconds=args.slack_seconds,
-            allow_new=args.allow_new_experiments,
-        )
-        print("== wall-time regression vs baseline ==")
+        gate = check_determinism(baseline, artifact)
+        print("== model equality vs baseline ==")
         print("\n".join(gate.lines))
         failed |= not gate.ok
 
     if sequential is not None:
         determinism = check_determinism(sequential, artifact)
-        print("== determinism (sequential vs parallel rows) ==")
+        print("== determinism (sequential vs parallel) ==")
         print("\n".join(determinism.lines))
         failed |= not determinism.ok
         print("== speedup ==")

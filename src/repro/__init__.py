@@ -8,6 +8,6 @@ The package ships a ``py.typed`` marker: its inline annotations are part of
 the API contract.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = ["__version__"]

@@ -132,13 +132,13 @@ class RunReport:
 class TraceReport:
     """Outcome of ``session.trace(name, ...)``: one deterministic trace.
 
-    ``artifact`` is the full ``blobcr-repro/trace-artifact`` v1 document
-    (validated; byte-identical across runs of the same cells once
-    serialised), ``rollups`` the per-span-name sim-time totals merged over
-    all traced cells.
+    ``artifact`` is the ``blobcr-repro/artifact`` v2 document of the traced
+    run without its ``host`` section (validated; byte-identical across runs
+    of the same cells and across worker counts once serialised), ``rollups``
+    the per-span-name sim-time totals merged over all traced cells.
     """
 
-    #: the validated trace-artifact document
+    #: the validated artifact document (body only)
     artifact: Dict[str, Any] = field(repr=False)
     #: merged span rollups: name -> {count, total_sim_s, max_sim_s}
     rollups: Dict[str, Dict[str, Any]]
@@ -147,7 +147,7 @@ class TraceReport:
 
     @property
     def cells(self) -> List[Dict[str, Any]]:
-        """The per-cell records (key, experiment, sim_time_s, trace, rollups)."""
+        """The per-cell records (key, payload, counters, trace, rollups, ...)."""
         return self.artifact["cells"]
 
     def chrome(self) -> Dict[str, Any]:

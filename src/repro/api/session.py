@@ -41,7 +41,9 @@ from repro.api.results import (
 from repro.cluster.cloud import Cloud
 from repro.core.backends import BackendInfo, backend_names, create_backend, get_backend
 from repro.core.strategy import DeployedInstance, Deployment
+from repro.obs import merge_rollups
 from repro.runner import CellSelector, ParallelRunner, RunConfig, load_all, parse_selectors
+from repro.runner.artifact import build_artifact, validate_artifact
 from repro.scenarios.overrides import resolve_cluster_spec
 from repro.util.bytesource import ByteSource, LiteralBytes
 from repro.util.config import GRAPHENE, ClusterSpec
@@ -465,55 +467,27 @@ class Session:
         cells: Iterable[str] = (),
         paper_scale: bool = False,
         seed: Optional[int] = None,
+        workers: int = 1,
     ) -> TraceReport:
         """Trace one registered scenario through the sim-time tracer.
 
-        The programmatic twin of ``blobcr-repro trace``: runs the selected
-        cells in-process (the tracer is process-global, so there is no
-        ``workers`` knob) with the tracer enabled around each, and returns a
-        :class:`~repro.api.results.TraceReport` wrapping the validated
-        ``blobcr-repro/trace-artifact`` document.  Tracing never changes
+        The programmatic twin of ``blobcr-repro trace``: :meth:`run_scenario`'s
+        runner call with the tracer enabled around each cell (in whatever
+        worker it lands), returned as a
+        :class:`~repro.api.results.TraceReport` wrapping the validated run
+        artifact without its ``host`` section.  Tracing never changes
         results: the rows the cells produce are byte-identical to an
         untraced run, and the artifact is byte-identical across repeated
-        calls with the same arguments (``docs/observability.md`` spells out
-        the determinism contract).
+        calls with the same arguments at any ``workers``
+        (``docs/observability.md`` spells out the determinism contract).
         """
-        from repro.obs import TRACER, merge_rollups, span_rollups
-        from repro.runner import build_trace_artifact, execute_cell, validate_trace_artifact
-
         selectors, config = self._scenario_inputs(name, overrides, cells, paper_scale, seed)
-        runner = ParallelRunner(workers=1)
-        cell_records: List[dict] = []
-        for cell in runner.enumerate([name], config, selectors):
-            TRACER.reset()
-            TRACER.enable()
-            try:
-                result = execute_cell(cell)
-            finally:
-                TRACER.disable()
-            trace = TRACER.collect()
-            cell_records.append(
-                {
-                    "key": result.key,
-                    "experiment": result.experiment,
-                    "sim_time_s": result.sim_time_s,
-                    "trace": trace,
-                    "rollups": span_rollups(trace),
-                }
-            )
-        document = validate_trace_artifact(
-            build_trace_artifact(
-                experiments=[name],
-                cells=cell_records,
-                paper_scale=paper_scale,
-                overrides=list(config.overrides),
-                seed=seed,
-            )
-        )
+        report = ParallelRunner(workers=workers).run([name], config, selectors, trace=True)
+        document = validate_artifact(build_artifact(report, host=False))
         return TraceReport(
             artifact=document,
-            rollups=merge_rollups([record["rollups"] for record in cell_records]),
-            cell_keys=tuple(record["key"] for record in cell_records),
+            rollups=merge_rollups([cell["rollups"] for cell in document["cells"]]),
+            cell_keys=tuple(cell["key"] for cell in document["cells"]),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

@@ -3,7 +3,7 @@
 A process-global :data:`~repro.obs.tracer.TRACER` records spans, instant
 events, gauges and histograms on the *simulated* clock; exports render the
 recording as Chrome trace-event JSON (Perfetto-loadable) or fold it into
-span rollups for the profile report.  Disabled by default with zero
+the span rollups ``blobcr-repro trace`` prints.  Disabled by default with zero
 overhead; see ``docs/observability.md`` for the design and the determinism
 contract.
 """

@@ -15,8 +15,8 @@ The Chrome trace-event mapping (loadable in Perfetto or ``chrome://tracing``):
 
 Everything here consumes the plain-dict trace fragment produced by
 :meth:`repro.obs.tracer.Tracer.collect` (or the ``trace`` section of a cell
-inside a trace artifact), so exports work on loaded artifacts without a live
-tracer.
+inside a traced run artifact), so exports work on loaded artifacts without a
+live tracer.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def chrome_trace(cells: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
 
     ``cells`` is an iterable of dicts with at least ``key`` and ``trace``
     (a :meth:`~repro.obs.tracer.Tracer.collect` fragment) -- exactly the
-    shape of a trace artifact's ``cells`` list.
+    shape of a traced run artifact's ``cells`` list.
     """
     events: List[Dict[str, Any]] = []
     tids = _TidAllocator(events)
@@ -138,7 +138,7 @@ def span_rollups(trace: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
 
     Only closed spans contribute; each entry reports how many spans carried
     the name and the total/max simulated seconds they covered.  This is the
-    block the ``profile`` subcommand folds into its counter report.
+    ``rollups`` block of a traced cell in a run artifact.
     """
     totals: Dict[str, Dict[str, Any]] = {}
     for span in trace.get("spans", ()):

@@ -57,11 +57,14 @@ __all__ = ["HISTOGRAM_QUANTILES", "TRACER", "Tracer", "exact_quantile", "tracing
 class Tracer:
     """Recorder of sim-time spans, instants, gauges and histograms.
 
-    One process-global instance (:data:`TRACER`) exists; the trace
-    subcommand, ``Session.trace`` and the profile harness reset and enable
-    it around each cell.  ``begin``/``end`` return/consume integer span
-    handles so open spans survive generator suspension (a ``with`` block is
-    unnecessary and explicit handles keep the hot path allocation-free).
+    One process-global instance (:data:`TRACER`) exists.  A process runs one
+    cell at a time, so :func:`repro.runner.cells.execute_cell` -- in whatever
+    worker the cell landed -- is the one place under ``src/`` that scopes it
+    (:func:`tracing` around the cell when the run asks for a trace); the
+    fragment travels back on ``CellResult.trace``.  ``begin``/``end``
+    return/consume integer span handles so open spans survive generator
+    suspension (a ``with`` block is unnecessary and explicit handles keep
+    the hot path allocation-free).
     """
 
     __slots__ = ("enabled", "_spans", "_instants", "_series", "_hists", "_groups", "_group")
@@ -90,7 +93,7 @@ class Tracer:
         self.enabled = False
 
     def reset(self) -> None:
-        """Drop all recorded data (the per-cell hook); keeps the enabled flag."""
+        """Drop all recorded data; keeps the enabled flag."""
         self._clear()
 
     def begin_group(self, label: str) -> int:

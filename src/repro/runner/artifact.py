@@ -1,20 +1,25 @@
-"""Structured performance artifacts of a runner invocation.
+"""The one schema-versioned JSON document a runner invocation emits.
 
-Every run can emit one schema-versioned JSON document carrying, per cell, the
-host wall-clock time and the simulated time plus the full measurement
-payload, alongside the merged experiment rows and enough environment context
-(Python, platform, CPU count, a CPU-speed calibration) to compare artifacts
-recorded on different machines.  The CI benchmark gate consumes these
-documents: it checks row-level determinism between worker counts and flags
-wall-time regressions against a committed baseline after normalising by the
-calibration.
+``run --artifact``, ``trace`` and ``Session.trace`` all write the same
+envelope (:data:`SCHEMA`), in two parts:
 
-``blobcr-repro profile`` emits a sibling document, the **profile artifact**
-(:data:`PROFILE_SCHEMA`): per-cell simulator work counters (events popped,
-bandwidth-solver recomputations, flows settled, component sizes -- exact,
-machine-independent integers, see :mod:`repro.sim.instrumentation`) plus the
-cProfile hotspot table (host-dependent, for humans).  ``docs/performance.md``
-documents how to read both.
+* the **body** -- ``run`` (what was asked for: experiments, scale, overrides,
+  seed), ``cells`` (per cell: key, simulated time, the full measurement
+  payload, the cell's own simulator work counters -- exact,
+  machine-independent integers, see :mod:`repro.sim.instrumentation` -- and,
+  for a traced run, the tracer fragment plus its span rollups), ``counters``
+  (the aggregate of the per-cell blocks) and ``experiments`` (the merged
+  rows).  Every value is a property of the model, so the body is
+  byte-identical across runs, machines and worker counts: any difference
+  between two bodies is a model change, never noise.
+* the optional **host** section -- everything that varies between runs
+  (Python, platform, CPU count, worker count, argv, elapsed wall, per-cell
+  and per-experiment wall).  ``run --artifact`` records it; traces leave it
+  out, which is what keeps them diffable regression evidence.
+
+The CI benchmark gate (:mod:`repro.runner.regression`) compares bodies for
+equality and reads ``host`` for the parallel speedup; ``docs/performance.md``
+documents how to read both parts.
 """
 
 from __future__ import annotations
@@ -23,42 +28,30 @@ import json
 import os
 import platform
 import sys
-import time
 from typing import Any, Dict, List, Optional
 
+from repro.obs import span_rollups
+from repro.runner.cells import CellResult
 from repro.runner.parallel import RunReport
+from repro.runner.registry import RunConfig
+from repro.sim.instrumentation import aggregate_counters
 from repro.util.errors import ConfigurationError
 
-SCHEMA = "blobcr-repro/bench-artifact"
-SCHEMA_VERSION = 1
+SCHEMA = "blobcr-repro/artifact"
+SCHEMA_VERSION = 2
 
-PROFILE_SCHEMA = "blobcr-repro/profile-artifact"
-PROFILE_SCHEMA_VERSION = 1
-
-TRACE_SCHEMA = "blobcr-repro/trace-artifact"
-TRACE_SCHEMA_VERSION = 1
+#: what a ``Tracer.collect()`` fragment must carry
+_TRACE_SECTIONS = (
+    ("groups", list),
+    ("spans", list),
+    ("instants", list),
+    ("counters", list),
+    ("histograms", dict),
+)
 
 
 class ArtifactError(ConfigurationError):
     """An artifact document is missing, malformed or incompatible."""
-
-
-def calibration_spin(iterations: int = 1_500_000, repeats: int = 3) -> float:
-    """Measure a fixed pure-Python workload (seconds, best of ``repeats``).
-
-    The loop is deliberately interpreter-bound -- the same kind of work the
-    simulator does -- so the ratio of two machines' spin times approximates
-    the ratio of their single-core runner throughput.  Regression checks use
-    it to compare wall times recorded on different hardware.
-    """
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        acc = 0
-        for i in range(iterations):
-            acc += i * i
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def environment_info() -> Dict[str, Any]:
@@ -71,56 +64,114 @@ def environment_info() -> Dict[str, Any]:
     }
 
 
+def _cell_record(result: CellResult) -> Dict[str, Any]:
+    record: Dict[str, Any] = {
+        "key": result.key,
+        "experiment": result.experiment,
+        "sim_time_s": result.sim_time_s,
+        "payload": result.payload,
+        "counters": result.counters,
+    }
+    if result.trace is not None:
+        record["trace"] = result.trace
+        record["rollups"] = span_rollups(result.trace)
+    return record
+
+
 def build_artifact(
     report: RunReport,
     argv: Optional[List[str]] = None,
-    calibrate: bool = True,
+    host: bool = True,
 ) -> Dict[str, Any]:
-    """Build the JSON-serialisable artifact document for one run."""
-    environment = environment_info()
-    if report.config is not None:
-        # Record every --override / --seed so a recorded run is reproducible
-        # from the artifact alone.
-        environment["overrides"] = list(report.config.overrides)
-        environment["seed"] = report.config.seed
-    return {
+    """Build the JSON-serialisable artifact document for one run.
+
+    ``host=False`` builds the body alone (what ``trace`` writes): nothing in
+    it depends on the machine, the worker count or the command line.
+    """
+    config = report.config or RunConfig()
+    document: Dict[str, Any] = {
         "schema": SCHEMA,
         "schema_version": SCHEMA_VERSION,
         "run": {
             "experiments": list(report.experiments),
-            "workers": report.workers,
             "paper_scale": report.paper_scale,
+            # Every --override / --seed, so a recorded run is reproducible
+            # from the artifact alone.
+            "overrides": list(config.overrides),
+            "seed": config.seed,
             "cells": len(report.cell_results),
-            "wall_time_s": report.wall_time_s,
-            "cell_wall_time_s": report.total_cell_wall_time_s,
             "sim_time_s": report.total_sim_time_s,
-            "argv": list(argv) if argv is not None else None,
         },
-        "environment": environment,
-        "calibration": {"spin_time_s": calibration_spin() if calibrate else None},
-        "cells": [
-            {
-                "key": r.key,
-                "experiment": r.experiment,
-                "wall_time_s": r.wall_time_s,
-                "sim_time_s": r.sim_time_s,
-                "payload": r.payload,
-            }
-            for r in report.cell_results
-        ],
+        "cells": [_cell_record(r) for r in report.cell_results],
+        "counters": {"aggregate": aggregate_counters([r.counters for r in report.cell_results])},
         "experiments": {
-            result.experiment: {
-                "description": result.description,
-                "rows": result.rows,
-                "wall_time_s": sum(
-                    r.wall_time_s
-                    for r in report.cell_results
-                    if r.experiment == result.experiment
-                ),
-            }
+            result.experiment: {"description": result.description, "rows": result.rows}
             for result in report.results
         },
     }
+    if host:
+        document["host"] = {
+            **environment_info(),
+            "workers": report.workers,
+            "argv": list(argv) if argv is not None else None,
+            "wall_time_s": report.wall_time_s,
+            "cell_wall_time_s": {r.key: r.wall_time_s for r in report.cell_results},
+            "experiment_wall_time_s": {
+                result.experiment: sum(
+                    r.wall_time_s for r in report.cell_results if r.experiment == result.experiment
+                )
+                for result in report.results
+            },
+        }
+    return document
+
+
+def _validate_cell(cell: Any) -> None:
+    if not isinstance(cell, dict):
+        raise ArtifactError(f"artifact cell must be an object, got {type(cell).__name__}")
+    for key in ("key", "experiment", "sim_time_s", "payload", "counters"):
+        if key not in cell:
+            raise ArtifactError(f"artifact cell is missing {key!r}: {cell.get('key')}")
+    name = cell["key"]
+    if not isinstance(cell["counters"], dict):
+        raise ArtifactError(f"artifact cell {name!r} counters must be an object")
+    for counter, value in cell["counters"].items():
+        if not isinstance(value, int):
+            raise ArtifactError(
+                f"artifact cell {name!r} counter {counter!r} must be an integer, got {value!r}"
+            )
+    if "trace" not in cell and "rollups" not in cell:
+        return
+    for key in ("trace", "rollups"):
+        if key not in cell:
+            raise ArtifactError(f"artifact cell is missing {key!r}: {name}")
+    trace = cell["trace"]
+    if not isinstance(trace, dict):
+        raise ArtifactError(f"artifact cell {name!r} trace must be an object")
+    for key, kind in _TRACE_SECTIONS:
+        if not isinstance(trace.get(key), kind):
+            raise ArtifactError(f"artifact cell {name!r} trace.{key} must be a {kind.__name__}")
+    for span in trace["spans"]:
+        if not isinstance(span, dict) or "name" not in span or "t0_s" not in span:
+            raise ArtifactError(f"artifact cell {name!r} has a malformed span: {span!r}")
+
+
+def _validate_host(document: Dict[str, Any]) -> None:
+    host = document["host"]
+    if not isinstance(host, dict):
+        raise ArtifactError("artifact 'host' must be a dict")
+    if not isinstance(host.get("wall_time_s"), (int, float)):
+        raise ArtifactError("artifact host.wall_time_s must be a number")
+    for section, names in (
+        ("cell_wall_time_s", [cell["key"] for cell in document["cells"]]),
+        ("experiment_wall_time_s", list(document["experiments"])),
+    ):
+        walls = host.get(section)
+        if not isinstance(walls, dict):
+            raise ArtifactError(f"artifact host.{section} must be an object")
+        for name in names:
+            if not isinstance(walls.get(name), (int, float)):
+                raise ArtifactError(f"artifact host.{section}[{name!r}] must be a number")
 
 
 def validate_artifact(document: Any) -> Dict[str, Any]:
@@ -130,265 +181,43 @@ def validate_artifact(document: Any) -> Dict[str, Any]:
     if document.get("schema") != SCHEMA:
         raise ArtifactError(f"not a {SCHEMA} document: schema={document.get('schema')!r}")
     version = document.get("schema_version")
-    if not isinstance(version, int) or version > SCHEMA_VERSION or version < 1:
+    if not isinstance(version, int) or version != SCHEMA_VERSION:
         raise ArtifactError(
-            f"unsupported schema_version {version!r} (this reader handles <= {SCHEMA_VERSION})"
+            f"unsupported schema_version {version!r} (this reader handles {SCHEMA_VERSION})"
         )
     for section, kind in (
         ("run", dict),
-        ("environment", dict),
-        ("calibration", dict),
         ("cells", list),
+        ("counters", dict),
         ("experiments", dict),
     ):
         if section not in document:
             raise ArtifactError(f"artifact is missing the {section!r} section")
         if not isinstance(document[section], kind):
             raise ArtifactError(f"artifact {section!r} must be a {kind.__name__}")
-    if not isinstance(document["run"].get("wall_time_s"), (int, float)):
-        raise ArtifactError("artifact run.wall_time_s must be a number")
     for cell in document["cells"]:
-        if not isinstance(cell, dict):
-            raise ArtifactError(f"artifact cell must be an object, got {type(cell).__name__}")
-        for key in ("key", "experiment", "wall_time_s", "sim_time_s", "payload"):
-            if key not in cell:
-                raise ArtifactError(f"artifact cell is missing {key!r}: {cell.get('key')}")
+        _validate_cell(cell)
+    if not isinstance(document["counters"].get("aggregate"), dict):
+        raise ArtifactError("artifact counters.aggregate must be an object")
     for name, experiment in document["experiments"].items():
         if not isinstance(experiment, dict):
             raise ArtifactError(f"artifact experiment {name!r} must be an object")
-        for key in ("rows", "wall_time_s"):
-            if key not in experiment:
-                raise ArtifactError(f"artifact experiment {name!r} is missing {key!r}")
-        if not isinstance(experiment["rows"], list):
+        if not isinstance(experiment.get("rows"), list):
             raise ArtifactError(f"artifact experiment {name!r} rows must be a list")
-        if not isinstance(experiment["wall_time_s"], (int, float)):
-            raise ArtifactError(f"artifact experiment {name!r} wall_time_s must be a number")
+    if "host" in document:
+        _validate_host(document)
     return document
 
 
-def build_profile_artifact(
-    experiments: List[str],
-    cells: List[Dict[str, Any]],
-    hotspots: List[Dict[str, Any]],
-    wall_time_s: float,
-    paper_scale: bool = False,
-    overrides: Optional[List[str]] = None,
-    seed: Optional[int] = None,
-    argv: Optional[List[str]] = None,
-    calibrate: bool = True,
-) -> Dict[str, Any]:
-    """Build the JSON-serialisable profile-artifact document.
-
-    ``cells`` carry per-cell counter blocks (``{"key", "experiment",
-    "wall_time_s", "sim_time_s", "counters": {...}}``); the aggregate block
-    is folded here so every consumer reads one canonical total.
-    """
-    from repro.sim.instrumentation import aggregate_counters
-
-    environment = environment_info()
-    environment["overrides"] = list(overrides or [])
-    environment["seed"] = seed
-    return {
-        "schema": PROFILE_SCHEMA,
-        "schema_version": PROFILE_SCHEMA_VERSION,
-        "run": {
-            "experiments": list(experiments),
-            "paper_scale": paper_scale,
-            "cells": len(cells),
-            "wall_time_s": wall_time_s,
-            "argv": list(argv) if argv is not None else None,
-        },
-        "environment": environment,
-        "calibration": {"spin_time_s": calibration_spin() if calibrate else None},
-        "counters": {
-            "aggregate": aggregate_counters([cell["counters"] for cell in cells]),
-            "per_cell": cells,
-        },
-        "hotspots": hotspots,
-    }
-
-
-def validate_profile_artifact(document: Any) -> Dict[str, Any]:
-    """Check a profile-artifact document against the schema."""
-    if not isinstance(document, dict):
-        raise ArtifactError(f"artifact must be a JSON object, got {type(document).__name__}")
-    if document.get("schema") != PROFILE_SCHEMA:
-        raise ArtifactError(
-            f"not a {PROFILE_SCHEMA} document: schema={document.get('schema')!r}"
-        )
-    version = document.get("schema_version")
-    if not isinstance(version, int) or version > PROFILE_SCHEMA_VERSION or version < 1:
-        raise ArtifactError(
-            f"unsupported schema_version {version!r} "
-            f"(this reader handles <= {PROFILE_SCHEMA_VERSION})"
-        )
-    for section, kind in (
-        ("run", dict),
-        ("environment", dict),
-        ("calibration", dict),
-        ("counters", dict),
-        ("hotspots", list),
-    ):
-        if section not in document:
-            raise ArtifactError(f"artifact is missing the {section!r} section")
-        if not isinstance(document[section], kind):
-            raise ArtifactError(f"artifact {section!r} must be a {kind.__name__}")
-    counters = document["counters"]
-    if not isinstance(counters.get("aggregate"), dict):
-        raise ArtifactError("artifact counters.aggregate must be an object")
-    if not isinstance(counters.get("per_cell"), list):
-        raise ArtifactError("artifact counters.per_cell must be a list")
-    for cell in counters["per_cell"]:
-        if not isinstance(cell, dict):
-            raise ArtifactError(f"artifact cell must be an object, got {type(cell).__name__}")
-        for key in ("key", "experiment", "wall_time_s", "sim_time_s", "counters"):
-            if key not in cell:
-                raise ArtifactError(f"artifact cell is missing {key!r}: {cell.get('key')}")
-        if not isinstance(cell["counters"], dict):
-            raise ArtifactError(f"artifact cell {cell['key']!r} counters must be an object")
-    for entry in document["hotspots"]:
-        if not isinstance(entry, dict):
-            raise ArtifactError("artifact hotspot entries must be objects")
-        for key in ("function", "ncalls", "tottime_s", "cumtime_s"):
-            if key not in entry:
-                raise ArtifactError(f"artifact hotspot entry is missing {key!r}")
-    return document
-
-
-def build_trace_artifact(
-    experiments: List[str],
-    cells: List[Dict[str, Any]],
-    paper_scale: bool = False,
-    overrides: Optional[List[str]] = None,
-    seed: Optional[int] = None,
-    argv: Optional[List[str]] = None,
-) -> Dict[str, Any]:
-    """Build the JSON-serialisable trace-artifact document.
-
-    ``cells`` carry per-cell trace fragments (``{"key", "experiment",
-    "sim_time_s", "trace": Tracer.collect(), "rollups": {...}}``).
-
-    Unlike the bench and profile artifacts, this document is **byte-identical
-    across runs of the same cells**: every recorded value is sim-time, so no
-    wall-clock times, no calibration spin and no host platform details are
-    included (they would break the diffability that makes traces regression
-    evidence).  Only the run identity (experiments, overrides, seed, argv)
-    and the Python version are recorded.
-    """
-    return {
-        "schema": TRACE_SCHEMA,
-        "schema_version": TRACE_SCHEMA_VERSION,
-        "run": {
-            "experiments": list(experiments),
-            "paper_scale": paper_scale,
-            "cells": len(cells),
-            "argv": list(argv) if argv is not None else None,
-        },
-        "environment": {
-            "python": platform.python_version(),
-            "overrides": list(overrides or []),
-            "seed": seed,
-        },
-        "cells": cells,
-    }
-
-
-def validate_trace_artifact(document: Any) -> Dict[str, Any]:
-    """Check a trace-artifact document against the schema."""
-    if not isinstance(document, dict):
-        raise ArtifactError(f"artifact must be a JSON object, got {type(document).__name__}")
-    if document.get("schema") != TRACE_SCHEMA:
-        raise ArtifactError(
-            f"not a {TRACE_SCHEMA} document: schema={document.get('schema')!r}"
-        )
-    version = document.get("schema_version")
-    if not isinstance(version, int) or version > TRACE_SCHEMA_VERSION or version < 1:
-        raise ArtifactError(
-            f"unsupported schema_version {version!r} "
-            f"(this reader handles <= {TRACE_SCHEMA_VERSION})"
-        )
-    for section, kind in (("run", dict), ("environment", dict), ("cells", list)):
-        if section not in document:
-            raise ArtifactError(f"artifact is missing the {section!r} section")
-        if not isinstance(document[section], kind):
-            raise ArtifactError(f"artifact {section!r} must be a {kind.__name__}")
-    for cell in document["cells"]:
-        if not isinstance(cell, dict):
-            raise ArtifactError(f"artifact cell must be an object, got {type(cell).__name__}")
-        for key in ("key", "experiment", "sim_time_s", "trace", "rollups"):
-            if key not in cell:
-                raise ArtifactError(f"artifact cell is missing {key!r}: {cell.get('key')}")
-        trace = cell["trace"]
-        if not isinstance(trace, dict):
-            raise ArtifactError(f"artifact cell {cell['key']!r} trace must be an object")
-        for key, kind in (
-            ("groups", list),
-            ("spans", list),
-            ("instants", list),
-            ("counters", list),
-            ("histograms", dict),
-        ):
-            if not isinstance(trace.get(key), kind):
-                raise ArtifactError(
-                    f"artifact cell {cell['key']!r} trace.{key} must be a {kind.__name__}"
-                )
-        for span in trace["spans"]:
-            if not isinstance(span, dict) or "name" not in span or "t0_s" not in span:
-                raise ArtifactError(
-                    f"artifact cell {cell['key']!r} has a malformed span: {span!r}"
-                )
-    return document
-
-
-def _write_json(path: str, document: Dict[str, Any]) -> None:
+def write_artifact(path: str, document: Dict[str, Any]) -> None:
+    """Validate and write one artifact document (``-`` for stdout)."""
+    validate_artifact(document)
     payload = json.dumps(document, indent=2, sort_keys=False, default=str)
     if path == "-":
         sys.stdout.write(payload + "\n")
         return
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(payload + "\n")
-
-
-def write_artifact(path: str, document: Dict[str, Any]) -> None:
-    """Validate and write one bench artifact document (``-`` for stdout)."""
-    validate_artifact(document)
-    _write_json(path, document)
-
-
-def write_profile_artifact(path: str, document: Dict[str, Any]) -> None:
-    """Validate and write one profile artifact document (``-`` for stdout)."""
-    validate_profile_artifact(document)
-    _write_json(path, document)
-
-
-def write_trace_artifact(path: str, document: Dict[str, Any]) -> None:
-    """Validate and write one trace artifact document (``-`` for stdout)."""
-    validate_trace_artifact(document)
-    _write_json(path, document)
-
-
-def load_trace_artifact(path: str) -> Dict[str, Any]:
-    """Read and validate one trace artifact document from ``path``."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        raise ArtifactError(f"cannot read artifact {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"artifact {path} is not valid JSON: {exc}") from exc
-    return validate_trace_artifact(document)
-
-
-def load_profile_artifact(path: str) -> Dict[str, Any]:
-    """Read and validate one profile artifact document from ``path``."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        raise ArtifactError(f"cannot read artifact {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"artifact {path} is not valid JSON: {exc}") from exc
-    return validate_profile_artifact(document)
 
 
 def load_artifact(path: str) -> Dict[str, Any]:

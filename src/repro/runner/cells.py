@@ -15,9 +15,14 @@ from __future__ import annotations
 
 import random
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.obs import TRACER, tracing
+from repro.sim.instrumentation import counting
 from repro.util.rng import stable_seed
 
 #: payloads are plain dicts of JSON-serialisable values
@@ -61,26 +66,34 @@ class CellResult:
     wall_time_s: float
     #: simulated time covered by the cell (as reported by the payload)
     sim_time_s: float
+    #: the cell's own simulator work counters (exact, machine-independent)
+    counters: Dict[str, int] = field(default_factory=dict)
+    #: the cell's ``Tracer.collect()`` fragment, when the run asked for a trace
+    trace: Optional[Dict[str, Any]] = None
 
 
-def execute_cell(cell: Cell) -> CellResult:
+def execute_cell(cell: Cell, trace: bool = False) -> CellResult:
     """Execute one cell (in whatever process the runner placed it).
 
     The global RNGs are re-seeded from the cell identity first: all outcome
     math flows through per-configuration ``make_rng`` generators already, but
     this pins down any incidental global-RNG use so a cell's behaviour can
     never depend on which worker ran it or on what ran before it.
+
+    This is the one place instrumentation is scoped: a process runs one cell
+    at a time, so scoping the process-global sinks here makes them per-cell
+    in every worker.  The work counters always come back on
+    :attr:`CellResult.counters`; with ``trace`` the cell also runs under the
+    sim-time tracer and its fragment comes back on :attr:`CellResult.trace`.
+    Both sinks are write-only, so neither changes the payload, and
+    ``wall_time_s`` times ``cell.func`` alone.
     """
     random.seed(cell.seed)
-    try:
-        import numpy as np
-
-        np.random.seed(cell.seed & 0xFFFFFFFF)
-    except ImportError:  # pragma: no cover - numpy is a hard dep elsewhere
-        pass
-    t0 = time.perf_counter()
-    payload = cell.func(**cell.params)
-    wall = time.perf_counter() - t0
+    np.random.seed(cell.seed & 0xFFFFFFFF)
+    with counting() as counters, tracing() if trace else nullcontext():
+        t0 = time.perf_counter()
+        payload = cell.func(**cell.params)
+        wall = time.perf_counter() - t0
     return CellResult(
         key=cell.key,
         experiment=cell.experiment,
@@ -88,6 +101,8 @@ def execute_cell(cell: Cell) -> CellResult:
         payload=payload,
         wall_time_s=wall,
         sim_time_s=float(payload.get("sim_time_s", 0.0)),
+        counters=counters,
+        trace=TRACER.collect() if trace else None,
     )
 
 

@@ -22,7 +22,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, TextIO
 
-from repro.runner.cells import Cell, CellResult, execute_cell, run_cells_inline
+from repro.runner.cells import Cell, CellResult, execute_cell
 from repro.runner.registry import RunConfig, get_scenario
 from repro.runner.select import CellSelector, filter_cells
 from repro.scenarios.results import ExperimentResult
@@ -93,11 +93,6 @@ class RunReport:
     def total_sim_time_s(self) -> float:
         return sum(r.sim_time_s for r in self.cell_results)
 
-    @property
-    def total_cell_wall_time_s(self) -> float:
-        """Sum of per-cell wall times (the sequential-equivalent cost)."""
-        return sum(r.wall_time_s for r in self.cell_results)
-
 
 class ParallelRunner:
     """Execute experiment cells, optionally over a worker-process pool."""
@@ -126,13 +121,19 @@ class ParallelRunner:
         experiments: Sequence[str],
         config: Optional[RunConfig] = None,
         selectors: Sequence[CellSelector] = (),
+        trace: bool = False,
     ) -> RunReport:
-        """Run the requested experiments and merge their results."""
+        """Run the requested experiments and merge their results.
+
+        With ``trace`` every cell runs under the sim-time tracer in whatever
+        worker it lands (see :func:`~repro.runner.cells.execute_cell`); the
+        fragments come back in canonical cell order like everything else.
+        """
         config = config or RunConfig()
         specs = [get_scenario(name) for name in experiments]
         cells = self.enumerate(experiments, config, selectors)
         t0 = time.perf_counter()
-        cell_results = self._execute(cells)
+        cell_results = self._execute(cells, trace)
         wall = time.perf_counter() - t0
         report = RunReport(
             cell_results=cell_results,
@@ -147,23 +148,22 @@ class ParallelRunner:
             report.results.append(spec.merge(mine))
         return report
 
-    def _execute(self, cells: List[Cell]) -> List[CellResult]:
+    def _execute(self, cells: List[Cell], trace: bool) -> List[CellResult]:
         if self.workers == 1 or len(cells) <= 1:
-            if self.progress is None:
-                return run_cells_inline(cells)
             results = []
             for index, cell in enumerate(cells):
-                result = execute_cell(cell)
+                result = execute_cell(cell, trace)
                 results.append(result)
-                self.progress(index + 1, len(cells), result)
+                if self.progress is not None:
+                    self.progress(index + 1, len(cells), result)
             return results
-        return self._execute_pool(cells)
+        return self._execute_pool(cells, trace)
 
-    def _execute_pool(self, cells: List[Cell]) -> List[CellResult]:
+    def _execute_pool(self, cells: List[Cell], trace: bool) -> List[CellResult]:
         results: List[Optional[CellResult]] = [None] * len(cells)
         done = 0
         with ProcessPoolExecutor(max_workers=min(self.workers, len(cells))) as pool:
-            pending = {pool.submit(execute_cell, cell): i for i, cell in enumerate(cells)}
+            pending = {pool.submit(execute_cell, cell, trace): i for i, cell in enumerate(cells)}
             while pending:
                 finished, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for future in finished:

@@ -1,31 +1,30 @@
-"""Benchmark-gate logic: compare perf artifacts against a committed baseline.
+"""Benchmark-gate logic: compare two run artifacts.
 
-Wall-clock times measured on different machines are not directly comparable,
-so every artifact embeds a CPU-speed calibration
-(:func:`repro.runner.artifact.calibration_spin`).  The gate rescales the
-baseline's wall times by the ratio of the two calibrations before applying
-the regression threshold, and additionally grants a small absolute slack so
-that sub-second experiments cannot trip the relative threshold on noise.
+An artifact's body (everything outside ``host``, see
+:mod:`repro.runner.artifact`) holds only properties of the model, so the gate
+on it is **exact equality**, with no threshold and no noise:
 
-The gate also checks *determinism*: two artifacts of the same experiments
-(e.g. ``--workers 1`` vs ``--workers 4``) must contain identical rows --
-simulated results may never depend on the worker count.
+* a fresh sequential run against the committed ``benchmarks/baseline.json``
+  -- same cells, payloads, work counters and rows; an intended model change
+  is announced by committing a regenerated baseline;
+* a ``--workers 4`` run against the sequential one -- simulated results may
+  never depend on the worker count.
+
+Wall-clock time lives in ``host`` (which ``run --artifact`` always records)
+and is only ever used for the parallel speedup check; tracking host
+performance over time is ``perfbench``'s job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
-
-#: default threshold: fail on > 20% calibrated wall-time regression
-DEFAULT_MAX_REGRESSION = 0.20
-#: absolute slack (seconds) added on top of the relative threshold
-DEFAULT_SLACK_SECONDS = 2.0
+from itertools import zip_longest
+from typing import Any, Dict, List, Optional
 
 
 @dataclass
 class GateReport:
-    """Outcome of one regression/determinism check."""
+    """Outcome of one determinism/speedup check."""
 
     failures: List[str] = field(default_factory=list)
     lines: List[str] = field(default_factory=list)
@@ -42,136 +41,96 @@ class GateReport:
         self.lines.append(f"      {message}")
 
 
-def calibration_scale(baseline: Dict[str, Any], artifact: Dict[str, Any]) -> float:
-    """Expected slowdown of the current machine relative to the baseline's."""
-    base_spin = (baseline.get("calibration") or {}).get("spin_time_s")
-    this_spin = (artifact.get("calibration") or {}).get("spin_time_s")
-    if not base_spin or not this_spin:
-        return 1.0
-    return this_spin / base_spin
-
-
-def check_regression(
-    baseline: Dict[str, Any],
-    artifact: Dict[str, Any],
-    max_regression: float = DEFAULT_MAX_REGRESSION,
-    slack_seconds: float = DEFAULT_SLACK_SECONDS,
-    allow_new: bool = False,
-) -> GateReport:
-    """Fail if any shared experiment's wall time regressed past the threshold.
-
-    Coverage is explicit, never silent: experiments present in only one of
-    the two documents are listed, and an experiment recorded in the artifact
-    but absent from the baseline *fails* the gate unless ``allow_new`` is
-    set -- new scenarios must enter gating with a committed baseline.
-    """
-    report = GateReport()
-    scale = calibration_scale(baseline, artifact)
-    report.note(f"calibration scale (this machine vs baseline): {scale:.3f}x")
-    shared = [
-        name for name in baseline.get("experiments", {}) if name in artifact["experiments"]
-    ]
-    baseline_only = [
-        name for name in baseline.get("experiments", {})
-        if name not in artifact["experiments"]
-    ]
-    artifact_only = [
-        name for name in artifact["experiments"]
-        if name not in baseline.get("experiments", {})
-    ]
-    if baseline_only:
-        report.note(
-            "not exercised by this artifact (baseline-only): " + ", ".join(baseline_only)
-        )
-    if artifact_only:
-        if allow_new:
-            report.note(
-                "no baseline yet (ungated, --allow-new-experiments): "
-                + ", ".join(artifact_only)
-            )
-        else:
-            report.fail(
-                "experiment(s) without a committed baseline: "
-                + ", ".join(artifact_only)
-                + " -- record a new baseline or pass --allow-new-experiments"
-            )
-    if not shared:
-        if allow_new and artifact_only:
-            # Every artifact experiment is new and explicitly ungated -- the
-            # documented path for recording a brand-new scenario on its own.
-            report.note("no shared experiments; the whole artifact is new and ungated")
-            return report
-        report.fail("baseline and artifact share no experiments to compare")
-        return report
-    total_base = 0.0
-    total_now = 0.0
-    for name in shared:
-        base_wall = float(baseline["experiments"][name]["wall_time_s"])
-        now_wall = float(artifact["experiments"][name]["wall_time_s"])
-        allowed = base_wall * scale * (1.0 + max_regression) + slack_seconds
-        total_base += base_wall
-        total_now += now_wall
-        status = "ok" if now_wall <= allowed else "REGRESSED"
-        report.note(
-            f"{name}: {now_wall:.2f}s vs baseline {base_wall:.2f}s "
-            f"(allowed {allowed:.2f}s) {status}"
-        )
-        if now_wall > allowed:
-            report.fail(
-                f"{name}: wall time {now_wall:.2f}s exceeds calibrated allowance "
-                f"{allowed:.2f}s (baseline {base_wall:.2f}s, threshold "
-                f"{max_regression:.0%} + {slack_seconds:.1f}s slack)"
-            )
-    allowed_total = total_base * scale * (1.0 + max_regression) + slack_seconds
-    report.note(
-        f"total: {total_now:.2f}s vs baseline {total_base:.2f}s (allowed {allowed_total:.2f}s)"
-    )
-    if total_now > allowed_total:
-        report.fail(
-            f"total wall time {total_now:.2f}s exceeds calibrated allowance "
-            f"{allowed_total:.2f}s"
-        )
-    return report
+def _first_difference(first: Dict[str, Any], second: Dict[str, Any]) -> Optional[str]:
+    """The first key (in ``first``'s order, then ``second``'s) whose values differ."""
+    for key in list(first) + [k for k in second if k not in first]:
+        if key not in first or key not in second or first[key] != second[key]:
+            return key
+    return None
 
 
 def check_determinism(first: Dict[str, Any], second: Dict[str, Any]) -> GateReport:
-    """Fail unless both artifacts contain identical rows for shared experiments."""
+    """Fail unless the two documents are equal outside ``host``.
+
+    Compared: the run identity, the cell keys in order, every cell's
+    simulated time, payload, counters (and trace, when recorded), the
+    aggregate counters and every experiment's rows.  A cell or an experiment
+    present on one side only fails; each failure names the first differing
+    cell key / experiment / counter.
+    """
     report = GateReport()
-    shared = [
-        name for name in first.get("experiments", {}) if name in second.get("experiments", {})
-    ]
-    if not shared:
-        report.fail("artifacts share no experiments to compare for determinism")
-        return report
-    for name in shared:
-        rows_a = first["experiments"][name]["rows"]
-        rows_b = second["experiments"][name]["rows"]
+    field_name = _first_difference(first["run"], second["run"])
+    if field_name is not None:
+        report.fail(
+            f"run.{field_name} differs: {first['run'].get(field_name)!r} "
+            f"vs {second['run'].get(field_name)!r}"
+        )
+
+    keys_a = [cell["key"] for cell in first["cells"]]
+    keys_b = [cell["key"] for cell in second["cells"]]
+    for index, (key_a, key_b) in enumerate(zip_longest(keys_a, keys_b)):
+        if key_a != key_b:
+            report.fail(
+                f"cell keys differ at position {index}: {key_a!r} vs {key_b!r} "
+                f"({len(keys_a)} vs {len(keys_b)} cells)"
+            )
+            break
+    by_key = {cell["key"]: cell for cell in second["cells"]}
+    identical = 0
+    for cell in first["cells"]:
+        other = by_key.get(cell["key"])
+        if other is None:
+            continue
+        field_name = _first_difference(cell, other)
+        if field_name == "counters":
+            counter = _first_difference(cell["counters"], other["counters"])
+            report.fail(
+                f"cell {cell['key']!r}: counter {counter} differs: "
+                f"{cell['counters'].get(counter)!r} vs {other['counters'].get(counter)!r}"
+            )
+        elif field_name is not None:
+            report.fail(f"cell {cell['key']!r}: {field_name} differs between artifacts")
+        else:
+            identical += 1
+    report.note(f"{identical} of {len(keys_a)} cells identical (payload, counters, sim time)")
+
+    counter = _first_difference(first["counters"]["aggregate"], second["counters"]["aggregate"])
+    if counter is not None:
+        report.fail(f"aggregate counter {counter} differs between artifacts")
+
+    experiments_a, experiments_b = first["experiments"], second["experiments"]
+    for name in sorted(set(experiments_a) ^ set(experiments_b)):
+        report.fail(f"experiment {name!r} is present in only one artifact")
+    for name, entry in experiments_a.items():
+        if name not in experiments_b:
+            continue
+        rows_a, rows_b = entry["rows"], experiments_b[name]["rows"]
         if rows_a == rows_b:
             report.note(f"{name}: {len(rows_a)} rows identical")
         else:
             report.fail(
                 f"{name}: rows differ between artifacts "
                 f"({len(rows_a)} vs {len(rows_b)} rows) -- results must not "
-                f"depend on the worker count"
+                f"depend on the machine or the worker count"
             )
     return report
 
 
 def speedup(sequential: Dict[str, Any], parallel: Dict[str, Any]) -> float:
     """Elapsed-wall speedup of the parallel run over the sequential one."""
-    seq_wall = float(sequential["run"]["wall_time_s"])
-    par_wall = float(parallel["run"]["wall_time_s"])
+    seq_wall = float(sequential["host"]["wall_time_s"])
+    par_wall = float(parallel["host"]["wall_time_s"])
     return seq_wall / par_wall if par_wall > 0 else float("inf")
 
 
 def speedup_summary(sequential: Dict[str, Any], parallel: Dict[str, Any]) -> List[str]:
     """Human-readable wall-time comparison of a sequential vs parallel run."""
-    seq_run = sequential["run"]
-    par_run = parallel["run"]
+    seq_host = sequential["host"]
+    par_host = parallel["host"]
     return [
-        f"sequential ({seq_run['workers']} worker): {float(seq_run['wall_time_s']):.2f}s wall",
-        f"parallel ({par_run['workers']} workers): {float(par_run['wall_time_s']):.2f}s wall",
-        f"speedup: {speedup(sequential, parallel):.2f}x over {int(par_run['cells'])} cells",
+        f"sequential ({seq_host['workers']} worker): {float(seq_host['wall_time_s']):.2f}s wall",
+        f"parallel ({par_host['workers']} workers): {float(par_host['wall_time_s']):.2f}s wall",
+        f"speedup: {speedup(sequential, parallel):.2f}x over {int(parallel['run']['cells'])} cells",
     ]
 
 
@@ -190,14 +149,10 @@ def check_speedup(
     ratio = speedup(sequential, parallel)
     for line in speedup_summary(sequential, parallel):
         report.note(line)
-    cpu_count = (parallel.get("environment") or {}).get("cpu_count")
+    cpu_count = parallel["host"].get("cpu_count")
     if isinstance(cpu_count, int) and cpu_count < 2:
-        report.note(
-            f"single-core environment (cpu_count={cpu_count}): speedup gate skipped"
-        )
+        report.note(f"single-core environment (cpu_count={cpu_count}): speedup gate skipped")
         return report
     if ratio < min_speedup:
-        report.fail(
-            f"parallel speedup {ratio:.2f}x is below the required {min_speedup:.2f}x"
-        )
+        report.fail(f"parallel speedup {ratio:.2f}x is below the required {min_speedup:.2f}x")
     return report

@@ -12,8 +12,8 @@ Two override namespaces exist:
   Values are coerced to the axis's value type; ``|`` separates sweep
   points.
 
-Both kinds are recorded verbatim in the perf artifact's environment block so
-a recorded run is reproducible from its artifact alone.
+Both kinds are recorded verbatim in the run artifact's ``run`` block so a
+recorded run is reproducible from its artifact alone.
 """
 
 from __future__ import annotations

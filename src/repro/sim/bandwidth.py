@@ -122,17 +122,13 @@ _DEAD_KEY = np.iinfo(np.int64).max
 #: (planning a started flow, end-of-instant flushes, horizon timers, failure
 #: aborts).  Unlike the deterministic COUNTERS this is real time -- it lets a
 #: benchmark report the solver's share of a run without the surrounding
-#: application model diluting it.
+#: application model diluting it.  Cumulative over the process: nothing
+#: resets it, a reader takes the difference of two readings.
 _SOLVER_WALL = {"seconds": 0.0}
 
 
-def solver_wall_reset() -> None:
-    """Zero the process-global solver wall-clock accumulator."""
-    _SOLVER_WALL["seconds"] = 0.0
-
-
 def solver_wall_seconds() -> float:
-    """Wall-clock seconds spent in solver entry points since the last reset."""
+    """Wall-clock seconds this process has spent in solver entry points."""
     return _SOLVER_WALL["seconds"]
 
 

@@ -1,25 +1,29 @@
-"""Process-global simulation counters feeding ``blobcr-repro profile``.
+"""Process-global simulation work counters (``cells[].counters`` of an artifact).
 
 The simulator is deterministic, so every counter here is a *property of the
 model*, not of the host: two runs of the same cell produce identical counts
-on any machine.  That makes the counters the stable half of a profile
-artifact -- wall-clock hotspots vary with hardware, the counter block does
-not -- and lets a regression in algorithmic work (e.g. the bandwidth solver
+on any machine.  That makes the counters the stable part of a run artifact
+-- wall-clock times vary with hardware, the counter block does not -- and
+lets a regression in algorithmic work (e.g. the bandwidth solver
 recomputing more components than it should) show up as an exact integer
 diff instead of a noisy timing.
 
 The counters are process-global on purpose: one experiment cell builds its
 own :class:`~repro.sim.core.Environment` (often several, one per approach),
-and the profiler wants the total work of the cell, not of one environment.
-The profile runner resets the counters around each cell
-(:func:`counters_reset` / :func:`counters_snapshot`); nothing in the
-simulation ever *reads* them, so they cannot affect results.
+and the artifact wants the total work of the cell, not of one environment.
+A process runs one cell at a time, so the block is per-cell as long as the
+one function that runs a cell scopes it: :func:`repro.runner.cells.execute_cell`
+wraps every cell in :func:`counting`, and nothing else in ``src/`` resets the
+block.  Outside a cell the block is cumulative over the process (what
+:func:`counters_snapshot` reads).  Nothing in the simulation ever *reads*
+the counters, so they cannot affect results.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Dict, List
+from typing import Dict, Iterator, List
 
 
 def max_field(doc: str = "") -> int:
@@ -114,7 +118,7 @@ def counters_snapshot() -> SimCounters:
 
 
 def counters_reset() -> None:
-    """Zero the process-global counters (the profile runner's per-cell hook)."""
+    """Zero the process-global counters."""
     COUNTERS.reset()
 
 
@@ -135,3 +139,25 @@ def aggregate_counters(per_cell: List[Dict[str, int]]) -> Dict[str, int]:
             else:
                 total[key] = total[key] + value
     return total
+
+
+@contextmanager
+def counting() -> Iterator[Dict[str, int]]:
+    """Scope :data:`COUNTERS` to a ``with`` block (the twin of ``obs.tracing``).
+
+    The yielded dict is filled on exit with the work done inside the block
+    alone.  The process block is zeroed on entry and, on exit, restored to
+    what it would hold without the scoping (the block saved on entry folded
+    with the block's own work through :func:`aggregate_counters`, so a
+    larger watermark from before the block survives it): the cumulative
+    :func:`counters_snapshot` keeps its meaning.
+    """
+    saved = COUNTERS.as_dict()
+    COUNTERS.reset()
+    own: Dict[str, int] = {}
+    try:
+        yield own
+    finally:
+        own.update(COUNTERS.as_dict())
+        for name, value in aggregate_counters([saved, own]).items():
+            setattr(COUNTERS, name, value)

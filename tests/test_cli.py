@@ -7,7 +7,8 @@ import pytest
 from repro.api import Session
 from repro.cli import main, resolve_run_inputs
 from repro.scenarios.results import ExperimentResult
-from repro.runner import load_all, load_artifact, load_profile_artifact, load_trace_artifact
+from repro.runner import load_all, load_artifact
+from repro.sim.instrumentation import aggregate_counters
 from repro.runner.registry import _REGISTRY
 from repro.scenarios import Axis, ScenarioSpec, approach_matrix, register_scenario
 
@@ -85,10 +86,26 @@ class TestRuns:
         assert main(argv) == 0
         capsys.readouterr()
         document = load_artifact(str(path))
-        assert document["run"]["argv"] == argv
-        assert document["run"]["workers"] == 1
+        assert document["host"]["argv"] == argv
+        assert document["host"]["workers"] == 1
         assert [c["key"] for c in document["cells"]] == ["fig7:off"]
         assert document["experiments"]["fig7"]["rows"]
+
+    def test_workers_do_not_change_the_artifact_outside_host(self, tmp_path, capsys):
+        documents = []
+        for workers in ("1", "2"):
+            path = tmp_path / f"workers-{workers}.json"
+            argv = ["--cells", "fig7:off,fig7:zlib", "--artifact", str(path), "--no-progress"]
+            assert main(argv + ["--workers", workers]) == 0
+            documents.append(load_artifact(str(path)))
+        capsys.readouterr()
+        sequential, parallel = documents
+        assert [sequential["host"]["workers"], parallel["host"]["workers"]] == [1, 2]
+        assert [c["counters"] for c in sequential["cells"]] == [
+            c["counters"] for c in parallel["cells"]
+        ]
+        assert sequential.pop("host") != parallel.pop("host")
+        assert sequential == parallel
 
 
 class TestOverridesAndSeed:
@@ -147,8 +164,8 @@ class TestOverridesAndSeed:
         # Different base seed, different jitter draws, different timings.
         assert rows_a != rows_b
         document = load_artifact(str(tmp_path / "artifact.json"))
-        assert document["environment"]["seed"] == 7
-        assert document["environment"]["overrides"] == []
+        assert document["run"]["seed"] == 7
+        assert document["run"]["overrides"] == []
 
     def test_solver_flags_fold_into_recorded_overrides(self, tmp_path, capsys):
         """--solver-verify is shorthand for the cluster.solver.verify
@@ -165,19 +182,18 @@ class TestOverridesAndSeed:
         assert main(argv) == 0
         capsys.readouterr()
         document = load_artifact(str(artifact))
-        assert document["environment"]["overrides"] == ["cluster.solver.verify=true"]
+        assert document["run"]["overrides"] == ["cluster.solver.verify=true"]
 
-    @pytest.mark.parametrize("subcommand", ["profile", "trace"])
+    # the "profile" case left with its subcommand; the id of this one is kept
+    @pytest.mark.parametrize("subcommand", ["trace"])
     def test_solver_flag_recorded_by_profile_and_trace(self, subcommand, tmp_path, capsys):
         artifact = tmp_path / f"{subcommand}.json"
         argv = [subcommand, "--cells", "fig7:off", "--no-progress", "--solver-verify"]
         argv += [f"--{subcommand}-artifact", str(artifact)]
-        if subcommand == "trace":
-            argv += ["--chrome", str(tmp_path / "chrome.json")]
+        argv += ["--chrome", str(tmp_path / "chrome.json")]
         assert main(argv) == 0
         capsys.readouterr()
-        load = load_profile_artifact if subcommand == "profile" else load_trace_artifact
-        assert load(str(artifact))["environment"]["overrides"] == ["cluster.solver.verify=true"]
+        assert load_artifact(str(artifact))["run"]["overrides"] == ["cluster.solver.verify=true"]
 
     def test_solver_flag_leaves_the_callers_overrides_alone(self):
         """resolve_run_inputs is also called by out-of-process harnesses with
@@ -298,27 +314,19 @@ class TestZeroRowResilience:
 
 
 class TestProfileSubcommand:
+    """What ``blobcr-repro profile`` guaranteed, held on the path that took it
+    over: the subcommand is gone and every ``--artifact`` carries the
+    per-cell work counters (the test names are kept so the history lines up)."""
+
     def test_profile_writes_counters_and_artifact(self, tmp_path, capsys):
-        path = tmp_path / "profile.json"
-        argv = [
-            "profile",
-            "--cells",
-            "fig7:off",
-            "--profile-artifact",
-            str(path),
-            "--no-progress",
-            "--top",
-            "5",
-        ]
+        path = tmp_path / "artifact.json"
+        argv = ["--cells", "fig7:off", "--artifact", str(path), "--no-progress"]
         assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "simulator work counters" in out
-        assert "events_popped" in out
-        document = load_profile_artifact(str(path))
-        assert document["run"]["argv"] == argv
+        capsys.readouterr()
+        document = load_artifact(str(path))
+        assert document["host"]["argv"] == argv
         assert document["run"]["cells"] == 1
-        assert len(document["hotspots"]) == 5
-        (cell,) = document["counters"]["per_cell"]
+        (cell,) = document["cells"]
         assert cell["key"] == "fig7:off"
         counters = cell["counters"]
         assert counters["events_popped"] > 0
@@ -326,19 +334,22 @@ class TestProfileSubcommand:
         assert counters["bw_flows_started"] == counters["bw_flows_completed"]
         aggregate = document["counters"]["aggregate"]
         assert aggregate["events_popped"] == counters["events_popped"]
+        assert aggregate == aggregate_counters([counters])
 
     def test_profile_counters_are_deterministic(self, tmp_path, capsys):
         documents = []
         for name in ("a.json", "b.json"):
             path = tmp_path / name
-            argv = ["profile", "--cells", "fig7:off", "--profile-artifact", str(path)]
+            argv = ["--cells", "fig7:off", "--artifact", str(path), "--no-progress"]
             assert main(argv) == 0
             capsys.readouterr()
-            documents.append(load_profile_artifact(str(path)))
+            documents.append(load_artifact(str(path)))
         first, second = (d["counters"]["aggregate"] for d in documents)
         assert first == second  # exact: counters are properties of the model
+        assert documents[0]["cells"] == documents[1]["cells"]
 
     def test_profile_shares_run_validation(self, capsys):
+        # `profile` is no subcommand any more: it is read as an experiment name
         with pytest.raises(SystemExit):
-            main(["profile", "nosuch"])
-        assert "unknown experiment" in capsys.readouterr().err
+            main(["profile"])
+        assert "unknown experiment(s): profile" in capsys.readouterr().err

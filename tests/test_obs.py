@@ -1,10 +1,11 @@
 """Tests for the sim-time tracing subsystem (``repro.obs``).
 
 Covers the tracer itself, the Chrome trace-event export, span rollups, the
-trace-artifact schema validator, counter aggregation (MAX_FIELDS vs.
+artifact validator on traced cells, counter aggregation (MAX_FIELDS vs.
 additive), the progress meter, and the two determinism contracts:
 
-* the same cell traced twice produces a byte-identical artifact, and
+* the same cell traced twice -- or over two workers -- produces a
+  byte-identical artifact, and
 * tracing disabled leaves experiment rows byte-identical to an untraced run.
 """
 
@@ -25,13 +26,7 @@ from repro.obs import (
     span_rollups,
     tracing,
 )
-from repro.runner import (
-    ProgressMeter,
-    build_trace_artifact,
-    load_trace_artifact,
-    validate_trace_artifact,
-)
-from repro.runner.artifact import ArtifactError
+from repro.runner import ArtifactError, ProgressMeter, load_artifact, validate_artifact
 from repro.sim.instrumentation import MAX_FIELDS, SimCounters, aggregate_counters
 
 
@@ -230,6 +225,8 @@ class TestRollups:
 
 
 class TestTraceArtifactValidation:
+    """The one artifact validator, fed documents with a traced cell."""
+
     @staticmethod
     def _document(**cell_overrides):
         trace = {
@@ -243,63 +240,78 @@ class TestTraceArtifactValidation:
             "key": "fig7:off",
             "experiment": "fig7",
             "sim_time_s": 1.0,
+            "payload": {"sim_time_s": 1.0},
+            "counters": {"events_popped": 3},
             "trace": trace,
             "rollups": {},
         }
         cell.update(cell_overrides)
-        return build_trace_artifact(experiments=["fig7"], cells=[cell])
+        return {
+            "schema": "blobcr-repro/artifact",
+            "schema_version": 2,
+            "run": {"experiments": ["fig7"], "cells": 1},
+            "cells": [cell],
+            "counters": {"aggregate": {"events_popped": 3}},
+            "experiments": {"fig7": {"description": "", "rows": []}},
+        }
 
     def test_valid_document_passes(self):
         document = self._document()
-        assert validate_trace_artifact(document) is document
+        assert validate_artifact(document) is document
 
     def test_wrong_schema_rejected(self):
         document = self._document()
-        document["schema"] = "blobcr-repro/bench-artifact"
-        with pytest.raises(ArtifactError, match="not a blobcr-repro/trace-artifact"):
-            validate_trace_artifact(document)
+        document["schema"] = "blobcr-repro/trace-artifact"
+        with pytest.raises(ArtifactError, match="not a blobcr-repro/artifact"):
+            validate_artifact(document)
 
-    @pytest.mark.parametrize("version", [0, 2, "1", None])
+    @pytest.mark.parametrize("version", [0, 1, 3, "2", None])
     def test_unknown_version_rejected(self, version):
         document = self._document()
         document["schema_version"] = version
         with pytest.raises(ArtifactError, match="schema_version"):
-            validate_trace_artifact(document)
+            validate_artifact(document)
 
-    @pytest.mark.parametrize("section", ["run", "environment", "cells"])
+    @pytest.mark.parametrize("section", ["run", "cells", "counters", "experiments"])
     def test_missing_section_rejected(self, section):
         document = self._document()
         del document[section]
         with pytest.raises(ArtifactError, match=section):
-            validate_trace_artifact(document)
+            validate_artifact(document)
 
     def test_cell_missing_trace_rejected(self):
         document = self._document()
         del document["cells"][0]["trace"]
         with pytest.raises(ArtifactError, match="'trace'"):
-            validate_trace_artifact(document)
+            validate_artifact(document)
+
+    def test_cell_missing_rollups_rejected(self):
+        document = self._document()
+        del document["cells"][0]["rollups"]
+        with pytest.raises(ArtifactError, match="'rollups'"):
+            validate_artifact(document)
 
     def test_trace_missing_spans_rejected(self):
         document = self._document()
         del document["cells"][0]["trace"]["spans"]
         with pytest.raises(ArtifactError, match="trace.spans"):
-            validate_trace_artifact(document)
+            validate_artifact(document)
 
     def test_malformed_span_rejected(self):
         document = self._document()
         document["cells"][0]["trace"]["spans"].append({"name": "ckpt"})  # no t0_s
         with pytest.raises(ArtifactError, match="malformed span"):
-            validate_trace_artifact(document)
+            validate_artifact(document)
 
     def test_not_an_object_rejected(self):
         with pytest.raises(ArtifactError, match="JSON object"):
-            validate_trace_artifact([1, 2, 3])
+            validate_artifact([1, 2, 3])
 
     def test_load_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ArtifactError, match="not valid JSON"):
-            load_trace_artifact(str(path))
+            load_artifact(str(path))
 
 
 class TestAggregateCounters:
@@ -395,6 +407,23 @@ class TestTraceDeterminism:
         capsys.readouterr()
         assert first == second
 
+    def test_workers_do_not_change_a_byte(self, tmp_path, capsys):
+        """Instrumentation is scoped where the cell runs, so a traced cell
+        comes back the same from a pool worker as from this process."""
+        files = []
+        for workers in ("1", "2"):
+            artifact = tmp_path / f"artifact-{workers}.json"
+            chrome = tmp_path / f"chrome-{workers}.json"
+            argv = ["trace", "mtc:8", "--no-progress", "--workers", workers]
+            argv += ["--trace-artifact", str(artifact), "--chrome", str(chrome)]
+            assert main(argv) == 0
+            files.append((artifact.read_bytes(), chrome.read_bytes()))
+        capsys.readouterr()
+        assert files[0] == files[1]
+        document = load_artifact(str(tmp_path / "artifact-2.json"))
+        assert [cell["key"] for cell in document["cells"]] == ["mtc:8:1:fifo", "mtc:8:1:fair"]
+        assert "host" not in document
+
     def test_artifact_is_valid_and_carries_spans(self, tmp_path, capsys):
         artifact = tmp_path / "artifact.json"
         chrome = tmp_path / "chrome.json"
@@ -412,7 +441,7 @@ class TestTraceDeterminism:
         out = capsys.readouterr().out
         assert "traced 1 cell(s)" in out
         assert "sim-time span rollups" in out
-        document = load_trace_artifact(str(artifact))
+        document = load_artifact(str(artifact))
         (cell,) = document["cells"]
         assert cell["key"] == CELL
         names = {span["name"] for span in cell["trace"]["spans"]}
@@ -454,9 +483,21 @@ class TestSessionTrace:
         report = Session().trace("fig7", cells=["fig7:off"])
         assert isinstance(report, TraceReport)
         assert report.cell_keys == ("fig7:off",)
-        assert report.artifact["schema"] == "blobcr-repro/trace-artifact"
+        assert report.artifact["schema"] == "blobcr-repro/artifact"
+        assert "host" not in report.artifact
+        assert report.cells[0]["counters"]["events_popped"] > 0
         assert report.rollups
         assert report.chrome()["traceEvents"]
+
+    def test_workers_do_not_change_the_artifact(self):
+        from repro.api import Session
+
+        cells = ["fig7:off", "fig7:zlib"]
+        sequential = Session().trace("fig7", cells=cells)
+        parallel = Session().trace("fig7", cells=cells, workers=2)
+        assert parallel.cell_keys == sequential.cell_keys == tuple(cells)
+        assert parallel.artifact == sequential.artifact
+        assert parallel.rollups == sequential.rollups
 
     def test_unknown_scenario_rejected(self):
         from repro.api import Session

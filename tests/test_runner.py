@@ -5,28 +5,21 @@ import copy
 import pytest
 
 from repro.scenarios.workloads import run_synthetic_scenario
+from repro.api import Session
 from repro.runner import (
     ArtifactError,
     ParallelRunner,
     RunConfig,
     build_artifact,
-    build_profile_artifact,
     load_all,
     load_artifact,
-    load_profile_artifact,
     parse_selectors,
     validate_artifact,
-    validate_profile_artifact,
     write_artifact,
-    write_profile_artifact,
 )
 from repro.runner.cells import run_cells_inline
-from repro.runner.regression import (
-    check_determinism,
-    check_regression,
-    check_speedup,
-    speedup,
-)
+from repro.runner.regression import check_determinism, check_speedup, speedup
+from repro.sim.instrumentation import COUNTERS, aggregate_counters, counters_snapshot
 from repro.runner.select import filter_cells
 from repro.scenarios import get_scenario, scenario_names
 from repro.scenarios.fig2_checkpoint import SCENARIO as FIG2
@@ -171,18 +164,46 @@ class TestDeterminism:
         assert result.rows[0]["BlobCR-app"] > 0
 
 
+_DELETE = object()
+
+
+def _break(document, path, value):
+    """A deep copy of ``document`` with ``path`` set to ``value`` (or ``_DELETE``d)."""
+    broken = copy.deepcopy(document)
+    holder = broken
+    for step in path[:-1]:
+        holder = holder[step]
+    if value is _DELETE:
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = value
+    return broken
+
+
 class TestArtifact:
     def test_round_trip(self, tmp_path, fig7_report, fig7_artifact):
         path = tmp_path / "artifact.json"
         write_artifact(str(path), fig7_artifact)
         loaded = load_artifact(str(path))
         assert loaded == validate_artifact(loaded)
-        assert loaded["run"]["workers"] == 1
+        assert loaded["host"]["workers"] == 1
         assert loaded["run"]["cells"] == 3
         assert [c["key"] for c in loaded["cells"]] == ["fig7:off", "fig7:dedup", "fig7:zlib"]
         assert loaded["experiments"]["fig7"]["rows"] == fig7_report.results[0].rows
-        assert loaded["calibration"]["spin_time_s"] > 0
-        assert all(c["wall_time_s"] >= 0 for c in loaded["cells"])
+        assert set(loaded["host"]["cell_wall_time_s"]) == {"fig7:off", "fig7:dedup", "fig7:zlib"}
+        assert all(wall >= 0 for wall in loaded["host"]["cell_wall_time_s"].values())
+        assert loaded["host"]["experiment_wall_time_s"]["fig7"] >= 0
+
+    def test_body_only_document_has_no_host_and_is_repeatable(self, fig7_report):
+        body = build_artifact(fig7_report, argv=["ignored"], host=False)
+        assert "host" not in validate_artifact(body)
+        again = ParallelRunner(workers=1).run(["fig7"], RunConfig())
+        assert build_artifact(again, host=False) == body
+
+    def test_counters_ride_in_every_cell_and_fold_into_the_aggregate(self, fig7_artifact):
+        per_cell = [cell["counters"] for cell in fig7_artifact["cells"]]
+        assert all(counters["events_popped"] > 0 for counters in per_cell)
+        assert fig7_artifact["counters"]["aggregate"] == aggregate_counters(per_cell)
 
     def test_validate_rejects_foreign_documents(self, fig7_artifact):
         with pytest.raises(ArtifactError, match="schema"):
@@ -194,8 +215,8 @@ class TestArtifact:
         with pytest.raises(ArtifactError, match="schema_version"):
             validate_artifact(broken)
         missing = copy.deepcopy(fig7_artifact)
-        del missing["calibration"]
-        with pytest.raises(ArtifactError, match="calibration"):
+        del missing["counters"]
+        with pytest.raises(ArtifactError, match="counters"):
             validate_artifact(missing)
 
     def test_load_rejects_missing_or_invalid_files(self, tmp_path):
@@ -206,110 +227,55 @@ class TestArtifact:
         with pytest.raises(ArtifactError, match="not valid JSON"):
             load_artifact(str(bad))
 
-
-class TestProfileArtifact:
-    @pytest.fixture()
-    def profile_document(self):
-        return build_profile_artifact(
-            experiments=["fig7"],
-            cells=[
-                {
-                    "key": "fig7:off",
-                    "experiment": "fig7",
-                    "wall_time_s": 0.5,
-                    "sim_time_s": 12.0,
-                    "counters": {"events_popped": 100, "bw_max_component_flows": 3},
-                },
-                {
-                    "key": "fig7:zlib",
-                    "experiment": "fig7",
-                    "wall_time_s": 0.7,
-                    "sim_time_s": 13.0,
-                    "counters": {"events_popped": 50, "bw_max_component_flows": 7},
-                },
-            ],
-            hotspots=[
-                {"function": "repro/x.py:1(f)", "ncalls": 10, "tottime_s": 0.1, "cumtime_s": 0.2}
-            ],
-            wall_time_s=1.25,
-            argv=["profile", "fig7"],
-            calibrate=False,
-        )
-
-    def test_round_trip_and_aggregation(self, tmp_path, profile_document):
-        path = tmp_path / "profile.json"
-        write_profile_artifact(str(path), profile_document)
-        loaded = load_profile_artifact(str(path))
-        assert loaded == validate_profile_artifact(loaded)
-        aggregate = loaded["counters"]["aggregate"]
-        assert aggregate["events_popped"] == 150  # additive
-        assert aggregate["bw_max_component_flows"] == 7  # max, not sum
-        assert loaded["run"]["cells"] == 2
-        assert loaded["run"]["wall_time_s"] == 1.25
-
-    def test_validator_rejects_malformed_documents(self, profile_document):
-        with pytest.raises(ArtifactError, match="schema"):
-            validate_profile_artifact({"schema": "blobcr-repro/bench-artifact"})
-        broken = copy.deepcopy(profile_document)
-        broken["counters"]["per_cell"][0].pop("counters")
-        with pytest.raises(ArtifactError, match="missing 'counters'"):
-            validate_profile_artifact(broken)
-        broken = copy.deepcopy(profile_document)
-        broken["hotspots"] = [{"function": "f"}]
-        with pytest.raises(ArtifactError, match="hotspot"):
-            validate_profile_artifact(broken)
-        broken = copy.deepcopy(profile_document)
-        broken["schema_version"] = 99
-        with pytest.raises(ArtifactError, match="schema_version"):
-            validate_profile_artifact(broken)
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("schema",), "blobcr-repro/bench-artifact", "not a blobcr-repro/artifact"),
+            (("schema",), "blobcr-repro/trace-artifact", "not a blobcr-repro/artifact"),
+            (("schema_version",), 1, "schema_version 1"),
+            (("schema_version",), 3, "schema_version 3"),
+            (("schema_version",), "2", "schema_version '2'"),
+            (("schema_version",), _DELETE, "schema_version None"),
+            (("run",), _DELETE, "missing the 'run' section"),
+            (("run",), [], "'run' must be a dict"),
+            (("cells",), _DELETE, "missing the 'cells' section"),
+            (("cells",), {}, "'cells' must be a list"),
+            (("counters",), _DELETE, "missing the 'counters' section"),
+            (("counters",), [], "'counters' must be a dict"),
+            (("counters", "aggregate"), _DELETE, "counters.aggregate"),
+            (("experiments",), _DELETE, "missing the 'experiments' section"),
+            (("experiments",), [], "'experiments' must be a dict"),
+            (("experiments", "fig7"), [], "experiment 'fig7' must be an object"),
+            (("experiments", "fig7", "rows"), _DELETE, "experiment 'fig7' rows"),
+            (("experiments", "fig7", "rows"), {}, "experiment 'fig7' rows"),
+            (("cells", 0), "fig7:off", "cell must be an object"),
+            (("cells", 0, "key"), _DELETE, "missing 'key'"),
+            (("cells", 1, "experiment"), _DELETE, "missing 'experiment': fig7:dedup"),
+            (("cells", 1, "sim_time_s"), _DELETE, "missing 'sim_time_s': fig7:dedup"),
+            (("cells", 1, "payload"), _DELETE, "missing 'payload': fig7:dedup"),
+            (("cells", 1, "counters"), _DELETE, "missing 'counters': fig7:dedup"),
+            (("cells", 1, "counters"), [], "'fig7:dedup' counters must be an object"),
+            (
+                ("cells", 2, "counters", "bw_settles"),
+                1.5,
+                "'fig7:zlib' counter 'bw_settles' must be an integer",
+            ),
+            (("host",), [], "'host' must be a dict"),
+            (("host", "wall_time_s"), "fast", "host.wall_time_s"),
+            (("host", "cell_wall_time_s"), _DELETE, "host.cell_wall_time_s"),
+            (("host", "cell_wall_time_s", "fig7:zlib"), _DELETE, r"\['fig7:zlib'\]"),
+            (("host", "experiment_wall_time_s", "fig7"), None, r"\['fig7'\]"),
+        ],
+    )
+    def test_one_validator_names_the_offending_part(self, fig7_artifact, path, value, message):
+        with pytest.raises(ArtifactError, match=message):
+            validate_artifact(_break(fig7_artifact, path, value))
 
 
 class TestRegressionGate:
     def test_identical_artifacts_pass(self, fig7_artifact):
-        report = check_regression(fig7_artifact, fig7_artifact)
+        report = check_determinism(fig7_artifact, fig7_artifact)
         assert report.ok, report.failures
-
-    def test_large_regression_fails(self, fig7_artifact):
-        slow = copy.deepcopy(fig7_artifact)
-        for experiment in slow["experiments"].values():
-            experiment["wall_time_s"] = experiment["wall_time_s"] * 10 + 100
-        report = check_regression(fig7_artifact, slow)
-        assert not report.ok
-        assert any("exceeds calibrated allowance" in f for f in report.failures)
-
-    def test_calibration_scales_the_allowance(self, fig7_artifact):
-        # Twice-slower machine: the same 10x slowdown passes once the
-        # baseline spin time says the hardware itself is 20x slower.
-        slow = copy.deepcopy(fig7_artifact)
-        for experiment in slow["experiments"].values():
-            experiment["wall_time_s"] *= 10
-        slow["calibration"]["spin_time_s"] = fig7_artifact["calibration"]["spin_time_s"] * 20
-        report = check_regression(fig7_artifact, slow)
-        assert report.ok, report.failures
-
-    def test_new_experiments_need_an_explicit_baseline(self, fig7_artifact):
-        extended = copy.deepcopy(fig7_artifact)
-        extended["experiments"]["ft"] = {"rows": [], "wall_time_s": 1.0}
-        report = check_regression(fig7_artifact, extended)
-        assert not report.ok
-        assert any("without a committed baseline" in f for f in report.failures)
-        allowed = check_regression(fig7_artifact, extended, allow_new=True)
-        assert allowed.ok, allowed.failures
-        assert any("ungated" in line for line in allowed.lines)
-        # Baseline-only experiments are reported, not silently skipped.
-        report = check_regression(extended, fig7_artifact)
-        assert report.ok, report.failures
-        assert any("baseline-only" in line for line in report.lines)
-
-    def test_allow_new_covers_an_all_new_artifact(self, fig7_artifact):
-        # Recording a brand-new scenario alone: nothing shared with the
-        # baseline, but --allow-new-experiments accounts for all of it.
-        novel = copy.deepcopy(fig7_artifact)
-        novel["experiments"] = {"newscenario": {"rows": [], "wall_time_s": 1.0}}
-        assert not check_regression(fig7_artifact, novel).ok
-        report = check_regression(fig7_artifact, novel, allow_new=True)
-        assert report.ok, report.failures
-        assert any("ungated" in line for line in report.lines)
 
     def test_determinism_gate(self, fig7_artifact):
         assert check_determinism(fig7_artifact, fig7_artifact).ok
@@ -319,18 +285,95 @@ class TestRegressionGate:
         assert not report.ok
         assert "fig7" in report.failures[0]
 
+    def test_host_values_are_not_compared(self, fig7_artifact):
+        other = copy.deepcopy(fig7_artifact)
+        other["host"].update(workers=4, wall_time_s=1e9, python="0.0", argv=["elsewhere"])
+        other["host"]["cell_wall_time_s"] = {
+            key: wall * 50 for key, wall in other["host"]["cell_wall_time_s"].items()
+        }
+        assert check_determinism(fig7_artifact, other).ok
+        del other["host"]
+        assert check_determinism(fig7_artifact, other).ok
+
+    def test_new_experiments_need_an_explicit_baseline(self, fig7_artifact):
+        """Coverage is explicit in both directions: an experiment recorded
+        without a committed baseline fails, and so does one the baseline has
+        and the artifact dropped (at the parent the determinism gate compared
+        only experiments present on *both* sides, so that passed)."""
+        extended = copy.deepcopy(fig7_artifact)
+        extended["experiments"]["ft"] = {"description": "", "rows": []}
+        for first, second in ((fig7_artifact, extended), (extended, fig7_artifact)):
+            report = check_determinism(first, second)
+            assert not report.ok
+            assert any("experiment 'ft' is present in only one" in f for f in report.failures)
+
+    def test_missing_cell_fails(self, fig7_artifact):
+        dropped = copy.deepcopy(fig7_artifact)
+        del dropped["cells"][1]
+        for first, second in ((fig7_artifact, dropped), (dropped, fig7_artifact)):
+            report = check_determinism(first, second)
+            assert not report.ok
+            assert "fig7:dedup" in report.failures[0]
+
+    def test_changed_counter_fails_naming_cell_and_counter(self, fig7_artifact):
+        counters = fig7_artifact["cells"][2]["counters"]
+        changed = _break(
+            fig7_artifact, ("cells", 2, "counters", "bw_settles"), counters["bw_settles"] + 1
+        )
+        report = check_determinism(fig7_artifact, changed)
+        assert not report.ok
+        assert "fig7:zlib" in report.failures[0] and "bw_settles" in report.failures[0]
+
+    def test_changed_payload_fails_naming_the_cell(self, fig7_artifact):
+        changed = _break(fig7_artifact, ("cells", 0, "payload", "sim_time_s"), -1.0)
+        report = check_determinism(fig7_artifact, changed)
+        assert not report.ok
+        assert "fig7:off" in report.failures[0] and "payload" in report.failures[0]
+
     def test_speedup_gate(self, fig7_artifact):
         fast = copy.deepcopy(fig7_artifact)
-        fast["run"]["wall_time_s"] = fig7_artifact["run"]["wall_time_s"] / 2
-        fast["environment"]["cpu_count"] = 4
+        fast["host"]["wall_time_s"] = fig7_artifact["host"]["wall_time_s"] / 2
+        fast["host"]["cpu_count"] = 4
         assert speedup(fig7_artifact, fast) == pytest.approx(2.0)
         assert check_speedup(fig7_artifact, fast, min_speedup=1.5).ok
         assert not check_speedup(fig7_artifact, fast, min_speedup=2.5).ok
 
     def test_speedup_gate_skips_on_single_core(self, fig7_artifact):
         slow = copy.deepcopy(fig7_artifact)
-        slow["run"]["wall_time_s"] = fig7_artifact["run"]["wall_time_s"] * 2
-        slow["environment"]["cpu_count"] = 1
+        slow["host"]["wall_time_s"] = fig7_artifact["host"]["wall_time_s"] * 2
+        slow["host"]["cpu_count"] = 1
         report = check_speedup(fig7_artifact, slow, min_speedup=1.05)
         assert report.ok
         assert any("skipped" in line for line in report.lines)
+
+
+class TestCellScopedCounters:
+    """``execute_cell`` scopes the process-global counter block per cell yet
+    leaves the cumulative block exactly what it was without the scoping --
+    which is what ``perfbench/worker.py`` reads after ``run_scenario``."""
+
+    def test_cumulative_block_is_the_fold_of_the_per_cell_blocks(self):
+        per_cell = []
+        before = counters_snapshot().as_dict()
+        Session().run_scenario(
+            "fig7",
+            cells=["fig7:off", "fig7:zlib"],
+            progress=lambda done, total, result: per_cell.append(result.counters),
+        )
+        after = counters_snapshot().as_dict()
+        assert len(per_cell) == 2 and per_cell[0] != per_cell[1]
+        fold = aggregate_counters(per_cell)
+        for name in ("events_popped", "bw_flows_started", "bw_settles", "bw_allocations"):
+            assert fold[name] > 0
+            assert after[name] - before[name] == fold[name]
+
+    def test_a_larger_watermark_from_before_the_cell_survives_it(self, monkeypatch):
+        monkeypatch.setattr(COUNTERS, "bw_max_component_flows", 10**6)
+        seen = []
+        Session().run_scenario(
+            "fig7",
+            cells=["fig7:off"],
+            progress=lambda done, total, result: seen.append(result.counters),
+        )
+        assert 0 < seen[0]["bw_max_component_flows"] < 10**6
+        assert COUNTERS.bw_max_component_flows == 10**6
