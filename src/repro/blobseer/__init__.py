@@ -25,11 +25,11 @@ Public API
 * :class:`~repro.blobseer.version_manager.VersionManager`
 * :class:`~repro.blobseer.provider.DataProvider`, :class:`ProviderManager`
 * :class:`~repro.blobseer.metadata.MetadataStore` -- segment-tree metadata
-  with shadowing
+  with shadowing, over :class:`~repro.blobseer.metadata.StripeRun` records
 """
 
 from repro.blobseer.provider import Chunk, ChunkKey, DataProvider, ProviderManager
-from repro.blobseer.metadata import ChunkDescriptor, MetadataStore, SegmentNode
+from repro.blobseer.metadata import ChunkDescriptor, MetadataStore, SegmentNode, StripeRun
 from repro.blobseer.version_manager import BlobInfo, VersionManager, VersionRecord
 from repro.blobseer.client import BlobClient, WriteResult
 
@@ -41,6 +41,7 @@ __all__ = [
     "ChunkDescriptor",
     "MetadataStore",
     "SegmentNode",
+    "StripeRun",
     "BlobInfo",
     "VersionManager",
     "VersionRecord",

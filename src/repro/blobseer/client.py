@@ -27,11 +27,10 @@ network and disk time without re-implementing the storage logic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
-from repro.blobseer.metadata import ChunkDescriptor, MetadataStore
+from repro.blobseer.metadata import ChunkDescriptor, MetadataStore, StripeRun
 from repro.blobseer.provider import Chunk, ChunkKey, ProviderManager
 from repro.blobseer.version_manager import VersionManager, VersionRecord
 from repro.dedup.engine import DedupEngine
@@ -45,10 +44,13 @@ class WriteResult:
 
     blob_id: int
     record: VersionRecord
-    #: chunks physically stored by this operation: (key, stored size, provider
-    #: ids).  Stripes absorbed by the dedup layer do not appear here -- no
-    #: data was shipped for them.
-    chunks: List[Tuple[ChunkKey, int, Tuple[str, ...]]] = field(default_factory=list)
+    #: runs of stripes physically stored by this operation.  Stripes absorbed
+    #: by the dedup layer do not appear here -- no data was shipped for them.
+    runs: List[StripeRun] = field(default_factory=list)
+    #: chunks those runs hold
+    chunk_count: int = 0
+    #: physical bytes shipped to providers by this operation (one replica)
+    bytes_written: int = 0
     #: segment-tree nodes allocated by the metadata update
     metadata_nodes: int = 0
     #: total payload bytes of the write before dedup / compression
@@ -65,9 +67,13 @@ class WriteResult:
         return self.record.version
 
     @property
-    def bytes_written(self) -> int:
-        """Physical bytes shipped to providers by this operation (one replica)."""
-        return sum(size for _key, size, _prov in self.chunks)
+    def chunks(self) -> List[Tuple[ChunkKey, int, Tuple[str, ...]]]:
+        """Every stored chunk as (key, stored size, provider ids)."""
+        return [
+            (desc.key, desc.stored_bytes, desc.providers)
+            for run in self.runs
+            for desc in map(run.descriptor, range(run.first_stripe, run.last_stripe + 1))
+        ]
 
     @property
     def provider_bytes(self) -> Dict[str, int]:
@@ -111,7 +117,7 @@ class BlobClient:
         self.providers = providers or ProviderManager()
         self.default_chunk_size = default_chunk_size
         self.dedup = dedup
-        self._chunk_ids = itertools.count(1)
+        self._next_chunk_id = 1
         # Reads address chunks by their logical key; the provider manager
         # resolves dedup aliases through the metadata store transparently.
         self.providers.alias_resolver = self.metadata.resolve_chunk
@@ -176,6 +182,11 @@ class BlobClient:
         dirtied since the previous snapshot become a single incremental
         snapshot of the checkpoint image.  Later pieces overwrite earlier ones
         where they overlap.
+
+        Consecutive stripes are placed, stored and indexed as one *run*
+        (:class:`~repro.blobseer.metadata.StripeRun`).  With the dedup layer
+        on every stripe is a run of its own, so each one is fingerprinted,
+        placed, stored and registered before the next is looked at.
         """
         for offset, _data in pieces:
             if offset < 0:
@@ -188,93 +199,109 @@ class BlobClient:
         base_record = self.version_manager.record(blob_id, base)
         new_version = info.versions[-1].version + 1
 
-        # Split every piece into per-stripe windows; later pieces win.
-        stripe_windows: Dict[int, Dict[int, ByteSource]] = {}
+        # Cut the pieces at stripe boundaries.  A window that covers its
+        # stripe stands for it as it is (the shape of every COMMIT: aligned
+        # whole blocks) and supersedes what came before; the others are kept
+        # in write order to be overlaid on the stripe's contents.
+        whole: Dict[int, ByteSource] = {}
+        partial: Dict[int, List[Tuple[int, ByteSource]]] = {}
+        new_size = base_record.size
         for offset, data in pieces:
-            if data.size == 0:
+            size = data.size
+            if size == 0:
                 continue
-            first_stripe = offset // chunk_size
-            last_stripe = (offset + data.size - 1) // chunk_size
-            for stripe in range(first_stripe, last_stripe + 1):
-                stripe_start = stripe * chunk_size
-                stripe_end = stripe_start + chunk_size
-                win_start = max(offset, stripe_start)
-                win_end = min(offset + data.size, stripe_end)
-                payload = data.slice(win_start - offset, win_end - win_start)
-                stripe_windows.setdefault(stripe, {})[win_start - stripe_start] = payload
+            new_size = max(new_size, offset + size)
+            stripe, start = divmod(offset, chunk_size)
+            cursor = 0
+            while cursor < size:
+                take = min(chunk_size - start, size - cursor)
+                window = data.slice(cursor, take)
+                if take == chunk_size:
+                    whole[stripe] = window
+                    partial.pop(stripe, None)
+                else:
+                    partial.setdefault(stripe, []).append((start, window))
+                cursor += take
+                stripe += 1
+                start = 0
 
-        updates: Dict[int, ChunkDescriptor] = {}
-        chunks: List[Tuple[ChunkKey, int, Tuple[str, ...]]] = []
+        # The one stripe loop: settle each stripe's payload and group
+        # consecutive full stripes into runs.
+        runs: List[Tuple[int, List[ByteSource]]] = []
         logical_bytes = 0
+        next_stripe = -1
+        for stripe in sorted(whole.keys() | partial.keys()):
+            payload = whole.get(stripe)
+            if stripe in partial:
+                payload = self._merge_windows(
+                    blob_id, base, base_record.size, stripe, chunk_size, payload, partial[stripe]
+                )
+            size = payload.size
+            logical_bytes += size
+            if stripe != next_stripe:
+                runs.append((stripe, []))
+            runs[-1][1].append(payload)
+            # a short stripe ends its run; under dedup every stripe does
+            next_stripe = stripe + 1 if size == chunk_size and self.dedup is None else -1
+
+        updates: List[StripeRun] = []  # every run of the new version
+        stored: List[StripeRun] = []  # those among them whose chunks were shipped
         dedup_hits = 0
         dedup_saved = 0
         cpu_seconds = 0.0
         #: aliases recorded by this (not yet published) batch, undone together
-        #: with the stored chunks if a later stripe fails -- otherwise the
+        #: with the stored chunks if a later run fails -- otherwise the
         #: leaked refcounts would keep canonical chunks unreclaimable forever
         batch_aliases: List[ChunkKey] = []
         try:
-            for stripe in sorted(stripe_windows):
-                windows = stripe_windows[stripe]
-                if len(windows) == 1:
-                    ((start, payload),) = windows.items()
-                    full_cover = start == 0 and payload.size == chunk_size
-                    if not full_cover:
-                        payload = self._merge_partial_stripe(
-                            blob_id, base, base_record.size, stripe, chunk_size,
-                            payload, start
-                        )
-                else:
-                    payload = self._merge_windows(
-                        blob_id, base, base_record.size, stripe, chunk_size, windows
-                    )
-                key = ChunkKey(blob_id=blob_id, chunk_id=next(self._chunk_ids))
-                logical_bytes += payload.size
-                stored_size: Optional[int] = None
+            for first_stripe, payloads in runs:
+                first_chunk_id = self._next_chunk_id
+                self._next_chunk_id += len(payloads)
+                last_length = payloads[-1].size
+                ingest = None
                 if self.dedup is not None:
-                    ingest = self.dedup.ingest(payload)
+                    ingest = self.dedup.ingest(payloads[0])
                     cpu_seconds += ingest.cpu_seconds
-                    if ingest.duplicate:
-                        # Identical content is already stored: record a logical
-                        # -> canonical alias instead of shipping the chunk.
-                        self.metadata.register_chunk_alias(key, ingest.canonical_key)
-                        batch_aliases.append(key)
-                        updates[stripe] = ChunkDescriptor(
-                            stripe_index=stripe,
-                            length=payload.size,
-                            key=key,
-                            providers=ingest.canonical_providers,
-                            created_by=(blob_id, new_version),
-                            physical_length=0,
+                duplicate = ingest is not None and ingest.duplicate
+                if duplicate:
+                    # Identical content is already stored: record a logical
+                    # -> canonical alias instead of shipping the chunk.
+                    key = ChunkKey(blob_id, first_chunk_id)
+                    self.metadata.register_chunk_alias(key, ingest.canonical_key)
+                    batch_aliases.append(key)
+                    providers = (ingest.canonical_providers,)
+                    stored_size: Optional[int] = 0
+                    dedup_hits += 1
+                    dedup_saved += last_length
+                else:
+                    stored_size = None if ingest is None else ingest.stored_size
+                    chunks = [
+                        Chunk(ChunkKey(blob_id, chunk_id), payload, stored_size)
+                        for chunk_id, payload in enumerate(payloads, first_chunk_id)
+                    ]
+                    providers = self.providers.store_many(chunks)
+                    if ingest is not None:
+                        self.dedup.register_canonical(
+                            ingest, chunks[0].key, last_length, providers[0]
                         )
-                        dedup_hits += 1
-                        dedup_saved += payload.size
-                        continue
-                    stored_size = ingest.stored_size
-                chunk = Chunk(key=key, data=payload, stored_size=stored_size)
-                decision = self.providers.store_replicated(chunk)
-                if self.dedup is not None:
-                    self.dedup.register_canonical(
-                        ingest, key, payload.size, tuple(decision.providers)
-                    )
-                descriptor = ChunkDescriptor(
-                    stripe_index=stripe,
-                    length=payload.size,
-                    key=key,
-                    providers=tuple(decision.providers),
+                run = StripeRun(
+                    first_stripe=first_stripe,
+                    blob_id=blob_id,
+                    first_chunk_id=first_chunk_id,
+                    providers=providers,
+                    stripe_length=chunk_size,
+                    last_length=last_length,
                     created_by=(blob_id, new_version),
                     physical_length=stored_size,
                 )
-                updates[stripe] = descriptor
-                chunks.append((key, chunk.footprint, tuple(decision.providers)))
+                updates.append(run)
+                if not duplicate:
+                    stored.append(run)
         except Exception:
-            self._rollback_batch(chunks, batch_aliases)
+            self._rollback_batch(stored, batch_aliases)
             raise
 
         nodes = self.metadata.derive_version(blob_id, base, new_version, updates)
-        new_size = base_record.size
-        for offset, data in pieces:
-            new_size = max(new_size, offset + data.size)
         record = self.version_manager.publish(
             blob_id,
             size=new_size,
@@ -288,36 +315,44 @@ class BlobClient:
                 f"expected v{new_version}, got v{record.version}"
             )
         return WriteResult(
-            blob_id=blob_id, record=record, chunks=chunks, metadata_nodes=nodes,
-            logical_bytes=logical_bytes, dedup_hits=dedup_hits,
-            dedup_saved_bytes=dedup_saved, compression_cpu_seconds=cpu_seconds,
+            blob_id=blob_id,
+            record=record,
+            runs=stored,
+            chunk_count=sum(len(run.providers) for run in stored),
+            bytes_written=sum(
+                run.span_bytes(run.first_stripe, run.last_stripe, physical=True) for run in stored
+            ),
+            metadata_nodes=nodes,
+            logical_bytes=logical_bytes,
+            dedup_hits=dedup_hits,
+            dedup_saved_bytes=dedup_saved,
+            compression_cpu_seconds=cpu_seconds,
         )
 
-    def _rollback_batch(
-        self,
-        chunks: List[Tuple[ChunkKey, int, Tuple[str, ...]]],
-        batch_aliases: List[ChunkKey],
-    ) -> None:
+    def _rollback_batch(self, stored: List[StripeRun], batch_aliases: List[ChunkKey]) -> None:
         """Undo the side effects of a failed (unpublished) ``write_batch``.
 
         Aliases are dropped first so their refcounts return to the canonical
         chunks; chunks stored by the batch are then released and physically
-        deleted once nothing references them.
+        deleted, from the providers they were placed on, once nothing
+        references them.
         """
         for alias in batch_aliases:
             canonical = self.metadata.resolve_chunk(alias)
             self.metadata.drop_chunk_alias(alias)
             if self.dedup is not None:
                 self.dedup.release(canonical)
-        for key, _size, _providers in chunks:
-            if self.dedup is not None:
-                entry = self.dedup.release(key)
-                if entry is not None and entry.refcount > 0:
-                    # An earlier batch (published) already aliased to this
-                    # chunk -- impossible for a fresh key, kept for safety.
-                    continue  # pragma: no cover - defensive
-            for provider in self.providers.providers:
-                provider.delete(key)
+        for run in stored:
+            keys = run.keys(run.first_stripe, run.last_stripe)
+            for key, providers in zip(keys, run.providers):
+                if self.dedup is not None:
+                    entry = self.dedup.release(key)
+                    if entry is not None and entry.refcount > 0:
+                        # An earlier batch (published) already aliased to this
+                        # chunk -- impossible for a fresh key, kept for safety.
+                        continue  # pragma: no cover - defensive
+                for provider_id in providers:
+                    self.providers.get(provider_id).delete(key)
 
     def _merge_windows(
         self,
@@ -326,53 +361,61 @@ class BlobClient:
         base_size: int,
         stripe: int,
         chunk_size: int,
-        windows: Dict[int, ByteSource],
+        covered: Optional[ByteSource],
+        windows: List[Tuple[int, ByteSource]],
     ) -> ByteSource:
-        """Overlay several windows of one stripe onto its existing contents."""
+        """Overlay ``windows``, in order, onto the contents of one stripe:
+        ``covered`` if the batch already replaced the stripe whole, else what
+        the base version holds there."""
         stripe_start = stripe * chunk_size
-        existing_len = max(0, min(chunk_size, base_size - stripe_start))
-        new_len = max(existing_len, max(start + payload.size for start, payload in windows.items()))
+        if covered is not None:
+            old = covered
+        elif stripe_start < base_size:
+            old = self._read_version(
+                blob_id, base_version, stripe_start, min(chunk_size, base_size - stripe_start)
+            )
+        else:
+            old = LiteralBytes(b"")
+        new_len = max(old.size, max(start + payload.size for start, payload in windows))
+        if len(windows) == 1:
+            # One window (an unaligned write): splice without materialising.
+            ((start, payload),) = windows
+            pieces: List[ByteSource] = []
+            if start > 0:
+                if old.size >= start:
+                    pieces.append(old.slice(0, start))
+                else:
+                    pieces.append(old)
+                    pieces.append(ZeroBytes(start - old.size))
+            pieces.append(payload)
+            tail_start = start + payload.size
+            if tail_start < new_len:
+                pieces.append(old.slice(tail_start, new_len - tail_start))
+            return concat(pieces)
         buffer = memoryview(bytearray(new_len))  # gaps between windows stay zero
-        if existing_len > 0:
-            base = self._read_version(blob_id, base_version, stripe_start, existing_len)
-            base.readinto(0, buffer[:existing_len])
-        for start in sorted(windows):
-            payload = windows[start]
+        old.readinto(0, buffer[: old.size])
+        for start, payload in windows:
             payload.readinto(0, buffer[start : start + payload.size])
         return LiteralBytes(buffer)
 
-    def _merge_partial_stripe(
-        self,
-        blob_id: int,
-        base_version: int,
-        base_size: int,
-        stripe: int,
-        chunk_size: int,
-        payload: ByteSource,
-        offset_in_stripe: int,
-    ) -> ByteSource:
-        """Overlay ``payload`` onto the existing contents of a stripe."""
-        stripe_start = stripe * chunk_size
-        existing_len = max(0, min(chunk_size, base_size - stripe_start))
-        new_len = max(existing_len, offset_in_stripe + payload.size)
-        if existing_len > 0:
-            old = self._read_version(blob_id, base_version, stripe_start, existing_len)
-        else:
-            old = LiteralBytes(b"")
-        pieces: List[ByteSource] = []
-        if offset_in_stripe > 0:
-            if old.size >= offset_in_stripe:
-                pieces.append(old.slice(0, offset_in_stripe))
-            else:
-                pieces.append(old)
-                pieces.append(ZeroBytes(offset_in_stripe - old.size))
-        pieces.append(payload)
-        tail_start = offset_in_stripe + payload.size
-        if tail_start < new_len:
-            pieces.append(old.slice(tail_start, new_len - tail_start))
-        return concat(pieces)
-
     # -- read path -----------------------------------------------------------------------
+
+    def _window(
+        self, blob_id: int, offset: int, size: Optional[int], version: Optional[int]
+    ) -> Tuple[int, int]:
+        """Resolve a read window's defaults and check it: ``(version, size)``."""
+        record = (
+            self.version_manager.latest(blob_id)
+            if version is None
+            else self.version_manager.record(blob_id, version)
+        )
+        if size is None:
+            size = max(0, record.size - offset)
+        if offset < 0 or size < 0 or offset + size > record.size:
+            raise StorageError(
+                f"read window [{offset}, {offset + size}) outside blob of size {record.size}"
+            )
+        return record.version, size
 
     def read_plan(
         self,
@@ -382,30 +425,16 @@ class BlobClient:
         version: Optional[int] = None,
     ) -> List[ReadSegment]:
         """Describe where each piece of the requested window lives."""
-        record = (
-            self.version_manager.latest(blob_id)
-            if version is None
-            else self.version_manager.record(blob_id, version)
-        )
-        blob_size = record.size
-        if size is None:
-            size = max(0, blob_size - offset)
-        if offset < 0 or size < 0 or offset + size > blob_size:
-            raise StorageError(
-                f"read window [{offset}, {offset + size}) outside blob of size {blob_size}"
-            )
+        version, size = self._window(blob_id, offset, size, version)
         if size == 0:
             return []
         chunk_size = self.version_manager.get(blob_id).chunk_size
         first_stripe = offset // chunk_size
         last_stripe = (offset + size - 1) // chunk_size
-        # One ranged tree collection instead of a root-to-leaf walk per
-        # stripe: restores plan whole images, so the window often spans
-        # hundreds of stripes.
         by_stripe = {
             desc.stripe_index: desc
             for desc in self.metadata.descriptors_in_range(
-                blob_id, record.version, first_stripe, last_stripe
+                blob_id, version, first_stripe, last_stripe
             )
         }
         segments: List[ReadSegment] = []
@@ -424,21 +453,58 @@ class BlobClient:
             )
         return segments
 
+    def chunk_keys(
+        self,
+        blob_id: int,
+        offset: int = 0,
+        size: Optional[int] = None,
+        version: Optional[int] = None,
+    ) -> Set[ChunkKey]:
+        """Keys of the chunks mapped to the stripes the requested window touches."""
+        version, size = self._window(blob_id, offset, size, version)
+        if size == 0:
+            return set()
+        chunk_size = self.version_manager.get(blob_id).chunk_size
+        keys: Set[ChunkKey] = set()
+        for run, first, last in self.metadata.extents_in_range(
+            blob_id, version, offset // chunk_size, (offset + size - 1) // chunk_size
+        ):
+            keys.update(run.keys(first, last))
+        return keys
+
     def _read_version(self, blob_id: int, version: int, offset: int, size: int) -> ByteSource:
+        """The (already checked) window ``[offset, offset + size)`` of a version.
+
+        Walks the runs the window crosses: each run's chunks come back from
+        one bulk fetch, and whatever no chunk covers -- holes, and the tail of
+        a stripe whose chunk is short -- reads as zeros.
+        """
+        if size == 0:
+            return LiteralBytes(b"")
+        end = offset + size
+        chunk_size = self.version_manager.get(blob_id).chunk_size
         pieces: List[ByteSource] = []
-        for segment in self.read_plan(blob_id, offset, size, version):
-            if segment.descriptor is None:
-                pieces.append(ZeroBytes(segment.length))
-                continue
-            chunk = self.providers.fetch_any(
-                segment.descriptor.key, preferred=segment.descriptor.providers
+        cursor = offset  # everything below it is in ``pieces``
+        for run, first, last in self.metadata.extents_in_range(
+            blob_id, version, offset // chunk_size, (end - 1) // chunk_size
+        ):
+            index = first - run.first_stripe
+            chunks = self.providers.fetch_many(
+                run.keys(first, last), run.providers[index : index + last - first + 1]
             )
-            available = chunk.data.size - segment.chunk_offset
-            take = min(segment.length, max(0, available))
-            if take > 0:
-                pieces.append(chunk.data.slice(segment.chunk_offset, take))
-            if take < segment.length:
-                pieces.append(ZeroBytes(segment.length - take))
+            stripe_start = first * chunk_size
+            for chunk in chunks:
+                data = chunk.data
+                lo = max(cursor, stripe_start)
+                hi = min(end, stripe_start + data.size)
+                if lo < hi:
+                    if cursor < lo:
+                        pieces.append(ZeroBytes(lo - cursor))
+                    pieces.append(data.slice(lo - stripe_start, hi - lo))
+                    cursor = hi
+                stripe_start += chunk_size
+        if cursor < end:
+            pieces.append(ZeroBytes(end - cursor))
         return concat(pieces)
 
     def read(
@@ -449,14 +515,8 @@ class BlobClient:
         version: Optional[int] = None,
     ) -> ByteSource:
         """Read a byte range of a published version (latest by default)."""
-        record = (
-            self.version_manager.latest(blob_id)
-            if version is None
-            else self.version_manager.record(blob_id, version)
-        )
-        if size is None:
-            size = max(0, record.size - offset)
-        return self._read_version(blob_id, record.version, offset, size)
+        version, size = self._window(blob_id, offset, size, version)
+        return self._read_version(blob_id, version, offset, size)
 
     # -- clone / snapshot ---------------------------------------------------------------
 

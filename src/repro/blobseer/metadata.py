@@ -9,16 +9,21 @@ mechanism implements *cloning*: a clone simply starts from the root of the
 origin version.
 
 The implementation below is a persistent (immutable, structure-sharing)
-binary segment tree over stripe indices.  It tracks how many tree nodes each
-update allocates, which the deployment layer uses to charge metadata-provider
-I/O, and exposes range queries used by the read path.
+binary segment tree over stripe indices.  What it stores is the *run*: a
+maximal sequence of consecutive stripes written by one version
+(:class:`StripeRun`).  A subtree whose whole span lies inside one run is a
+single leaf pointing at it, so committing 800 consecutive stripes builds
+O(log n) nodes, not 1 599; per-stripe :class:`ChunkDescriptor` views are
+materialised on demand.  The store still *counts* one node per stripe-level
+tree node an update allocates, which the deployment layer uses to charge
+metadata-provider I/O, and exposes the range queries used by the read path.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.blobseer.provider import ChunkKey
 from repro.util.errors import StorageError, VersionNotFoundError
@@ -51,14 +56,86 @@ class ChunkDescriptor:
         return self.length if self.physical_length is None else self.physical_length
 
 
+@dataclass(slots=True, eq=False)
+class StripeRun:
+    """Consecutive stripes written by one version: what the metadata stores.
+
+    Chunk ids are arithmetic (stripe ``first_stripe + i`` is held by chunk
+    ``first_chunk_id + i``) and every stripe but the last is
+    ``stripe_length`` bytes long.  A lone partial or deduplicated stripe is a
+    run of one.
+    """
+
+    first_stripe: int
+    blob_id: int
+    first_chunk_id: int
+    #: per stripe, the provider ids that were asked to store the replicas
+    providers: Sequence[Tuple[str, ...]]
+    stripe_length: int
+    last_length: int
+    #: ``(blob_id, version)`` that wrote the run
+    created_by: Tuple[int, int]
+    #: see :attr:`ChunkDescriptor.physical_length`; holds for every stripe
+    physical_length: Optional[int] = None
+
+    @classmethod
+    def of(cls, descriptor: ChunkDescriptor) -> "StripeRun":
+        """The run of one stripe that ``descriptor`` describes."""
+        return cls(
+            first_stripe=descriptor.stripe_index,
+            blob_id=descriptor.key.blob_id,
+            first_chunk_id=descriptor.key.chunk_id,
+            providers=(descriptor.providers,),
+            stripe_length=descriptor.length,
+            last_length=descriptor.length,
+            created_by=descriptor.created_by,
+            physical_length=descriptor.physical_length,
+        )
+
+    @property
+    def last_stripe(self) -> int:
+        return self.first_stripe + len(self.providers) - 1
+
+    def keys(self, first: int, last: int) -> List[ChunkKey]:
+        """Keys of the chunks holding stripes ``first..last``."""
+        blob_id = self.blob_id
+        shift = self.first_chunk_id - self.first_stripe
+        return [ChunkKey(blob_id, stripe + shift) for stripe in range(first, last + 1)]
+
+    def descriptor(self, stripe: int) -> ChunkDescriptor:
+        index = stripe - self.first_stripe
+        return ChunkDescriptor(
+            stripe_index=stripe,
+            length=self.last_length if stripe == self.last_stripe else self.stripe_length,
+            key=ChunkKey(self.blob_id, self.first_chunk_id + index),
+            providers=self.providers[index],
+            created_by=self.created_by,
+            physical_length=self.physical_length,
+        )
+
+    def span_bytes(self, first: int, last: int, *, physical: bool = False) -> int:
+        """Logical (or stored) bytes of stripes ``first..last``."""
+        count = last - first + 1
+        if physical and self.physical_length is not None:
+            return count * self.physical_length
+        total = count * self.stripe_length
+        if last == self.last_stripe:
+            total += self.last_length - self.stripe_length
+        return total
+
+
+#: a piece of a run as a tree query reports it: (run, first stripe, last stripe)
+Extent = Tuple[StripeRun, int, int]
+
+
 class SegmentNode:
     """A node of the persistent segment tree.
 
-    Leaves cover exactly one stripe and carry an optional descriptor; inner
-    nodes cover ``[lo, hi)`` with two children of half the span.
+    A leaf covers ``[lo, hi)`` inside one ``run``; an inner node covers it
+    with two children of half the span (``None`` where nothing is mapped).
     """
 
-    __slots__ = ("lo", "hi", "left", "right", "descriptor")
+    __slots__ = ("lo", "hi", "left", "right", "run")
 
     def __init__(
         self,
@@ -66,17 +143,17 @@ class SegmentNode:
         hi: int,
         left: Optional["SegmentNode"] = None,
         right: Optional["SegmentNode"] = None,
-        descriptor: Optional[ChunkDescriptor] = None,
+        run: Optional[StripeRun] = None,
     ):
         self.lo = lo
         self.hi = hi
         self.left = left
         self.right = right
-        self.descriptor = descriptor
+        self.run = run
 
     @property
     def is_leaf(self) -> bool:
-        return self.hi - self.lo == 1
+        return self.run is not None
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<SegmentNode [{self.lo},{self.hi}) leaf={self.is_leaf}>"
@@ -90,29 +167,38 @@ def _next_power_of_two(n: int) -> int:
 
 
 class _TreeBuilder:
-    """Builds a shadowed tree for one update batch, counting new nodes."""
+    """Builds a shadowed tree for the runs of one version, counting new nodes.
 
-    def __init__(self, updates: Dict[int, Optional[ChunkDescriptor]]):
-        self.updates = updates
-        self._sorted_keys = sorted(updates)
+    ``new_nodes`` is what a tree with one leaf per stripe would allocate:
+    a span a run covers whole collapses to one leaf here but counts the
+    ``2 * span - 1`` nodes of the subtree it stands for.
+    """
+
+    def __init__(self, runs: Sequence[StripeRun]):
+        self._runs = runs
+        self._starts = [run.first_stripe for run in runs]
+        self._ends = [run.last_stripe + 1 for run in runs]
         self.new_nodes = 0
 
-    def _touched(self, lo: int, hi: int) -> bool:
-        """True if any update index falls in ``[lo, hi)`` (binary search)."""
-        pos = bisect.bisect_left(self._sorted_keys, lo)
-        return pos < len(self._sorted_keys) and self._sorted_keys[pos] < hi
-
     def build(self, node: Optional[SegmentNode], lo: int, hi: int) -> Optional[SegmentNode]:
-        if not self._touched(lo, hi):
+        """The new subtree over ``[lo, hi)``.  ``node`` is the base version's
+        subtree there -- or a leaf of it that spans more, whose halves only
+        come into being where a sibling is overwritten."""
+        pos = bisect_right(self._ends, lo)  # the first run ending beyond lo
+        if pos == len(self._runs) or self._starts[pos] >= hi:
+            if node is not None and node.hi - node.lo > hi - lo:
+                return SegmentNode(lo, hi, run=node.run)
             return node
+        if self._starts[pos] <= lo and hi <= self._ends[pos]:
+            self.new_nodes += 2 * (hi - lo) - 1
+            return SegmentNode(lo, hi, run=self._runs[pos])
         self.new_nodes += 1
-        if hi - lo == 1:
-            descriptor = self.updates.get(lo, node.descriptor if node else None)
-            return SegmentNode(lo, hi, descriptor=descriptor)
         mid = (lo + hi) // 2
-        left = self.build(node.left if node else None, lo, mid)
-        right = self.build(node.right if node else None, mid, hi)
-        return SegmentNode(lo, hi, left=left, right=right)
+        if node is None or node.run is not None:
+            left = right = node
+        else:
+            left, right = node.left, node.right
+        return SegmentNode(lo, hi, self.build(left, lo, mid), self.build(right, mid, hi))
 
 
 class MetadataStore:
@@ -159,20 +245,27 @@ class MetadataStore:
         blob_id: int,
         base_version: int,
         new_version: int,
-        updates: Dict[int, Optional[ChunkDescriptor]],
+        updates: Union[Sequence[StripeRun], Mapping[int, ChunkDescriptor]],
         *,
         base_blob_id: Optional[int] = None,
     ) -> int:
         """Publish ``new_version`` of ``blob_id`` derived from ``base_version``.
 
-        ``updates`` maps stripe indices to their new descriptors (``None``
-        removes a mapping, used only by tests).  ``base_blob_id`` lets a clone
-        derive its first version from another BLOB's tree.  Returns the number
-        of tree nodes the shadowed update allocated.
+        ``updates`` holds the runs the version wrote (disjoint, any order); a
+        mapping of stripe indices to descriptors is read as one run per
+        stripe.  ``base_blob_id`` lets a clone derive its first version from
+        another BLOB's tree.  Returns the number of tree nodes the shadowed
+        update allocated, counted per stripe (see :class:`_TreeBuilder`).
         """
+        if isinstance(updates, Mapping):
+            updates = [StripeRun.of(descriptor) for descriptor in updates.values()]
+        runs = sorted(updates, key=lambda run: run.first_stripe)
+        for before, after in zip(runs, runs[1:]):
+            if after.first_stripe <= before.last_stripe:
+                raise StorageError(f"runs {before} and {after} of one version overlap")
         source_blob = blob_id if base_blob_id is None else base_blob_id
         root, capacity = self._root(source_blob, base_version)
-        max_stripe = max(updates.keys(), default=-1)
+        max_stripe = runs[-1].last_stripe if runs else -1
         while capacity <= max_stripe:
             # Grow the addressable range: the old root becomes the left child
             # of a taller tree (a standard persistent-tree growth trick).
@@ -181,7 +274,7 @@ class MetadataStore:
                 self.nodes_allocated += 1
                 root = grown
             capacity *= 2
-        builder = _TreeBuilder(updates)
+        builder = _TreeBuilder(runs)
         new_root = builder.build(root, 0, capacity)
         self.nodes_allocated += builder.new_nodes
         key = (blob_id, new_version)
@@ -243,43 +336,52 @@ class MetadataStore:
             return None
         node = root
         while node is not None:
-            lo = node.lo
-            hi = node.hi
-            if hi - lo == 1:  # leaf test inlined: this walk is read-path hot
-                return node.descriptor
-            node = node.left if stripe_index < (lo + hi) // 2 else node.right
+            if node.run is not None:
+                return node.run.descriptor(stripe_index)
+            node = node.left if stripe_index < (node.lo + node.hi) // 2 else node.right
         return None
+
+    def extents_in_range(
+        self, blob_id: int, version: int, first_stripe: int, last_stripe: int
+    ) -> List[Extent]:
+        """The mapped part of stripes ``first_stripe..last_stripe``, in stripe
+        order, as ``(run, first, last)`` pieces -- one per run crossed."""
+        root, _capacity = self._root(blob_id, version)
+        out: List[Extent] = []
+        self._collect(root, first_stripe, last_stripe, out)
+        return out
 
     def descriptors_in_range(
         self, blob_id: int, version: int, first_stripe: int, last_stripe: int
     ) -> List[ChunkDescriptor]:
         """All descriptors with ``first_stripe <= stripe_index <= last_stripe``."""
-        root, _capacity = self._root(blob_id, version)
-        out: List[ChunkDescriptor] = []
-        self._collect(root, first_stripe, last_stripe, out)
-        return out
+        return [
+            run.descriptor(stripe)
+            for run, first, last in self.extents_in_range(
+                blob_id, version, first_stripe, last_stripe
+            )
+            for stripe in range(first, last + 1)
+        ]
 
     def iter_descriptors(self, blob_id: int, version: int) -> Iterator[ChunkDescriptor]:
-        root, capacity = self._root(blob_id, version)
-        out: List[ChunkDescriptor] = []
-        self._collect(root, 0, capacity - 1, out)
-        return iter(out)
+        _root, capacity = self._root(blob_id, version)
+        return iter(self.descriptors_in_range(blob_id, version, 0, capacity - 1))
 
     def _collect(
-        self,
-        node: Optional[SegmentNode],
-        first: int,
-        last: int,
-        out: List[ChunkDescriptor],
+        self, node: Optional[SegmentNode], first: int, last: int, out: List[Extent]
     ) -> None:
         if node is None or last < node.lo or first > node.hi - 1:
             return
-        if node.hi - node.lo == 1:
-            if node.descriptor is not None:
-                out.append(node.descriptor)
+        run = node.run
+        if run is None:
+            self._collect(node.left, first, last, out)
+            self._collect(node.right, first, last, out)
             return
-        self._collect(node.left, first, last, out)
-        self._collect(node.right, first, last, out)
+        lo = max(node.lo, first)
+        hi = min(node.hi - 1, last)
+        if out and out[-1][0] is run and out[-1][2] == lo - 1:
+            lo = out.pop()[1]  # the next leaf of the run the previous one was cut from
+        out.append((run, lo, hi))
 
     # -- statistics ------------------------------------------------------------------
 
@@ -300,8 +402,9 @@ class MetadataStore:
         providers' disks: 0 for deduplicated stripes, the compressed size for
         compressed ones.
         """
-        total = 0
-        for desc in self.iter_descriptors(blob_id, version):
-            if desc.created_by == (blob_id, version):
-                total += desc.stored_bytes if physical else desc.length
-        return total
+        _root, capacity = self._root(blob_id, version)
+        return sum(
+            run.span_bytes(first, last, physical=physical)
+            for run, first, last in self.extents_in_range(blob_id, version, 0, capacity - 1)
+            if run.created_by == (blob_id, version)
+        )

@@ -9,7 +9,7 @@ prefetcher) can charge / exploit them.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Optional
 
 from repro.blobseer import BlobClient
 from repro.util.bytesource import ByteSource, ZeroBytes, concat
@@ -38,8 +38,6 @@ class RemoteBlobDevice(BlockDevice):
         self.name = name or f"blob-{blob_id}@{self.version}"
         #: bytes fetched from the repository (lazy-transfer accounting)
         self.remote_bytes_fetched = 0
-        #: distinct chunk-aligned stripes touched (prefetch planning)
-        self.stripes_touched: Set[int] = set()
 
     @property
     def size(self) -> int:
@@ -55,10 +53,6 @@ class RemoteBlobDevice(BlockDevice):
         if inside > 0:
             pieces.append(self._client.read(self.blob_id, offset, inside, version=self.version))
             self.remote_bytes_fetched += inside
-            chunk = self._client.version_manager.get(self.blob_id).chunk_size
-            first = offset // chunk
-            last = (offset + inside - 1) // chunk
-            self.stripes_touched.update(range(first, last + 1))
         if inside < length:
             pieces.append(ZeroBytes(length - inside))
         return concat(pieces)

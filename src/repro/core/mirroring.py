@@ -117,10 +117,9 @@ class MirroringModule(BlockDevice):
 
     def hot_chunk_keys(self, offset: int, length: int) -> Set:
         """Chunk keys backing a byte range of the base snapshot (prefetch planning)."""
-        plan = self.repository.client.read_plan(
+        return self.repository.client.chunk_keys(
             self.base_blob_id, offset, length, version=self.remote.version
         )
-        return {seg.descriptor.key for seg in plan if seg.descriptor is not None}
 
     # -- ioctls ------------------------------------------------------------------------------
 

@@ -144,7 +144,7 @@ class CheckpointRepository:
             if TRACER.enabled:
                 inner = TRACER.begin("metadata-commit", client_node, env.now)
             yield env.timeout(
-                self._metadata_time(len(result.chunks) + result.dedup_hits, result.metadata_nodes)
+                self._metadata_time(result.chunk_count + result.dedup_hits, result.metadata_nodes)
             )
             if inner is not None:
                 TRACER.end(inner, env.now)
@@ -176,11 +176,6 @@ class CheckpointRepository:
 
         Returns the :class:`~repro.blobseer.client.WriteResult` of the commit.
         """
-        if block_size != self.spec.chunk_size:
-            # Allowed, but commits are most efficient when the mirroring
-            # module's COW granularity matches the stripe size (the paper
-            # fixes both at 256 KB).
-            pass
         pieces = [(index * block_size, payload) for index, payload in sorted(blocks.items())]
         result = self.client.write_batch(blob_id, pieces, tag=tag or "commit")
         env = self.cloud.env
@@ -208,10 +203,10 @@ class CheckpointRepository:
         inner = None
         if TRACER.enabled:
             inner = TRACER.begin(
-                "metadata-commit", client_node, env.now, args={"chunks": len(result.chunks)}
+                "metadata-commit", client_node, env.now, args={"chunks": result.chunk_count}
             )
         yield env.timeout(self._metadata_time(
-            len(result.chunks) + result.dedup_hits, result.metadata_nodes))
+            result.chunk_count + result.dedup_hits, result.metadata_nodes))
         if inner is not None:
             TRACER.end(inner, env.now)
         self.bytes_committed += result.bytes_written

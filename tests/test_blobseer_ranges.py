@@ -180,7 +180,8 @@ def stored_chunks(client, blob, version=None):
     """(descriptor, stored payload bytes) of every stripe, in stripe order."""
     version = client.latest_version(blob) if version is None else version
     out = []
-    for desc in sorted(client.metadata.iter_descriptors(blob, version), key=lambda d: d.stripe_index):
+    descriptors = client.metadata.iter_descriptors(blob, version)
+    for desc in sorted(descriptors, key=lambda d: d.stripe_index):
         chunk = client.providers.fetch_any(desc.key, preferred=desc.providers)
         out.append((desc, chunk.data.read()))
     return out

@@ -1,0 +1,473 @@
+"""The run plane of BlobSeer against per-chunk / per-stripe oracles.
+
+``ProviderManager.place_many`` is held to the ranking its docstring states,
+evaluated from scratch for every chunk; ``MetadataStore``'s run leaves are
+held to a segment tree with one leaf per stripe (the implementation they
+replaced, kept here as the reference).
+"""
+
+import bisect
+import zlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.blobseer import (
+    BlobClient,
+    Chunk,
+    ChunkKey,
+    DataProvider,
+    MetadataStore,
+    ProviderManager,
+    StripeRun,
+)
+from repro.blobseer.metadata import ChunkDescriptor
+from repro.util import LiteralBytes
+from repro.util.errors import StorageError
+
+# -- placement ----------------------------------------------------------------------------------
+
+
+class PlacementModel:
+    """Providers as plain records, ranked from scratch for every chunk."""
+
+    def __init__(self, replication):
+        self.replication = replication
+        self.providers = []  # registration order: [id, capacity, used, alive]
+        self.tie = 0
+
+    def register(self, provider_id, capacity):
+        self.providers.append([provider_id, capacity, 0, True])
+
+    def used(self):
+        return [used for _id, _capacity, used, _alive in self.providers]
+
+    def place(self, size):
+        """``sorted(live_with_room, key=(used, (crc + tie) % n, slot))[:replication]``."""
+        room = [(slot, p) for slot, p in enumerate(self.providers) if p[3] and p[1] - p[2] >= size]
+        if not room:
+            return None
+        n = len(room)
+        room.sort(key=lambda sp: (sp[1][2], (zlib.crc32(sp[1][0].encode()) + self.tie) % n, sp[0]))
+        self.tie += 1
+        return [p for _slot, p in room[: self.replication]]
+
+    def store(self, size):
+        chosen = self.place(size)
+        if chosen is None:
+            return None
+        for provider in chosen:
+            provider[2] += size
+        return tuple(p[0] for p in chosen)
+
+
+def sized_chunk(chunk_id, size):
+    """A chunk whose footprint is ``size`` without ``size`` bytes of payload."""
+    return Chunk(ChunkKey(1, chunk_id), LiteralBytes(b""), stored_size=size)
+
+
+CAPACITIES = st.sampled_from([40, 150, 10**9])
+OPERATIONS = st.one_of(
+    st.tuples(st.just("store"), st.lists(st.integers(0, 60), min_size=1, max_size=30)),
+    st.tuples(st.just("place"), st.integers(0, 60)),
+    st.tuples(st.just("delete"), st.integers(0, 10**6)),
+    st.tuples(st.just("fail"), st.integers(0, 10**6)),
+    st.tuples(st.just("register"), CAPACITIES),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    capacities=st.lists(CAPACITIES, min_size=1, max_size=40),
+    replication=st.integers(1, 3),
+    operations=st.lists(OPERATIONS, min_size=1, max_size=25),
+)
+def test_place_many_matches_the_ranking_oracle(capacities, replication, operations):
+    manager = ProviderManager(replication=replication)
+    model = PlacementModel(replication)
+    for index, capacity in enumerate(capacities):
+        manager.register(DataProvider(f"node-{index}", capacity=capacity))
+        model.register(f"node-{index}", capacity)
+    stored = {}  # key -> (size, provider ids)
+    next_id = 0
+    for name, arg in operations:
+        if name == "store":
+            chunks = [sized_chunk(next_id + i, size) for i, size in enumerate(arg)]
+            next_id += len(arg)
+            before = [list(p) for p in model.providers]
+            expected = []
+            for size in arg:
+                placed = model.store(size)
+                if placed is None:
+                    break
+                expected.append(placed)
+            if len(expected) < len(arg):
+                # No room for one of them: nothing of the batch is stored, and the
+                # tie stream stands where the last successful placement left it.
+                model.providers = before
+                with pytest.raises(StorageError):
+                    manager.store_many(chunks)
+            else:
+                assert manager.store_many(chunks) == expected
+                for chunk, providers in zip(chunks, expected):
+                    stored[chunk.key] = (chunk.footprint, providers)
+        elif name == "place":
+            expected = model.place(arg)
+            if expected is None:
+                with pytest.raises(StorageError):
+                    manager.place(ChunkKey(1, 0), arg)
+            else:
+                decision = manager.place(ChunkKey(1, 0), arg)
+                assert decision.providers == [p[0] for p in expected]
+        elif name == "delete" and stored:
+            key = sorted(stored)[arg % len(stored)]
+            size, providers = stored.pop(key)
+            for provider_id in providers:
+                record = next(p for p in model.providers if p[0] == provider_id)
+                if manager.get(provider_id).delete(key):
+                    record[2] -= size
+        elif name == "fail":
+            record = model.providers[arg % len(model.providers)]
+            manager.get(record[0]).fail()
+            record[2], record[3] = 0, False
+        elif name == "register":
+            provider_id = f"node-{len(model.providers)}"
+            manager.register(DataProvider(provider_id, capacity=arg))
+            model.register(provider_id, arg)
+        assert [p.used_bytes for p in manager.providers] == model.used()
+        assert manager._rr == model.tie
+
+
+def test_one_chunk_wrappers_follow_the_same_sequence():
+    """``place``/``store_replicated`` are ``place_many``/``store_many`` of one chunk."""
+    bulk, single = ProviderManager(replication=2), ProviderManager(replication=2)
+    for manager in (bulk, single):
+        for index in range(7):
+            manager.register(DataProvider(f"p{index}"))
+    sizes = [10, 10, 3, 10, 0, 25, 10, 10, 10, 4]
+    chunks = [sized_chunk(i, size) for i, size in enumerate(sizes)]
+    placements = bulk.store_many(chunks)
+    assert [tuple(single.store_replicated(c).providers) for c in chunks] == placements
+    assert [p.used_bytes for p in single.providers] == [p.used_bytes for p in bulk.providers]
+    # a decision alone reserves nothing: asking twice moves only the tie-break
+    first = single.place(ChunkKey(9, 1), 10).providers
+    assert bulk.place_many([10]) == [tuple(first)]
+    assert [p.used_bytes for p in single.providers] == [p.used_bytes for p in bulk.providers]
+
+
+def test_no_room_mid_batch_rolls_back_everything():
+    """A COMMIT that overflows the providers stores nothing and burns no tie."""
+    manager = ProviderManager(replication=1)
+    for index in range(3):
+        manager.register(DataProvider(f"p{index}", capacity=64))
+    client = BlobClient(providers=manager, default_chunk_size=16)
+    blob = client.create_blob()
+    client.write(blob, 0, LiteralBytes(b"a" * 48))  # 3 chunks, one per provider
+    used = [p.used_bytes for p in manager.providers]
+    chunks = [p.chunk_count for p in manager.providers]
+    tie = manager._rr
+    # two runs: stripes 8..10 fit (3 x 16), stripes 20..30 need 11 x 16 = 176 > 96 left
+    pieces = [(8 * 16, LiteralBytes(b"b" * 48)), (20 * 16, LiteralBytes(b"c" * 176))]
+    with pytest.raises(StorageError):
+        client.write_batch(blob, pieces)
+    assert [p.used_bytes for p in manager.providers] == used
+    assert [p.chunk_count for p in manager.providers] == chunks
+    # 3 placements of the first run + the 6 of the second that still found room
+    assert manager._rr == tie + 3 + 6
+    assert client.latest_version(blob) == 1
+    # the index forgot the reservations: the same bytes fit afterwards
+    client.write(blob, 8 * 16, LiteralBytes(b"d" * 144))
+    assert sum(p.used_bytes for p in manager.providers) == 192
+
+
+# -- metadata: run leaves against one leaf per stripe -----------------------------------------
+
+
+class _OracleNode:
+    __slots__ = ("lo", "hi", "left", "right", "descriptor")
+
+    def __init__(self, lo, hi, left=None, right=None, descriptor=None):
+        self.lo, self.hi, self.left, self.right, self.descriptor = lo, hi, left, right, descriptor
+
+
+class _OracleBuilder:
+    """The per-stripe shadowing builder the run leaves replaced."""
+
+    def __init__(self, updates):
+        self.updates = updates
+        self._sorted_keys = sorted(updates)
+        self.new_nodes = 0
+
+    def _touched(self, lo, hi):
+        pos = bisect.bisect_left(self._sorted_keys, lo)
+        return pos < len(self._sorted_keys) and self._sorted_keys[pos] < hi
+
+    def build(self, node, lo, hi):
+        if not self._touched(lo, hi):
+            return node
+        self.new_nodes += 1
+        if hi - lo == 1:
+            return _OracleNode(lo, hi, descriptor=self.updates[lo])
+        mid = (lo + hi) // 2
+        left = self.build(node.left if node else None, lo, mid)
+        right = self.build(node.right if node else None, mid, hi)
+        return _OracleNode(lo, hi, left=left, right=right)
+
+
+class OracleStore:
+    """``MetadataStore`` with one leaf and one descriptor object per stripe."""
+
+    def __init__(self):
+        self.roots = {}
+        self.capacity = {}
+        self.nodes_allocated = 0
+
+    def create_empty(self, blob_id):
+        self.roots[(blob_id, 0)] = None
+        self.capacity[(blob_id, 0)] = 1
+
+    def derive_version(self, blob_id, base_version, new_version, updates):
+        root, capacity = self.roots[(blob_id, base_version)], self.capacity[(blob_id, base_version)]
+        while capacity <= max(updates, default=-1):
+            if root is not None:
+                root = _OracleNode(0, capacity * 2, left=root)
+                self.nodes_allocated += 1
+            capacity *= 2
+        builder = _OracleBuilder(updates)
+        self.roots[(blob_id, new_version)] = builder.build(root, 0, capacity)
+        self.capacity[(blob_id, new_version)] = capacity
+        self.nodes_allocated += builder.new_nodes
+        return builder.new_nodes
+
+    def clone_version(self, src_blob, src_version, dst_blob):
+        self.roots[(dst_blob, 0)] = self.roots[(src_blob, src_version)]
+        self.capacity[(dst_blob, 0)] = self.capacity[(src_blob, src_version)]
+
+    def descriptors_in_range(self, blob_id, version, first, last):
+        out = []
+
+        def collect(node):
+            if node is None or last < node.lo or first > node.hi - 1:
+                return
+            if node.hi - node.lo == 1:
+                out.append(node.descriptor)
+                return
+            collect(node.left)
+            collect(node.right)
+
+        collect(self.roots[(blob_id, version)])
+        return out
+
+    def iter_descriptors(self, blob_id, version):
+        return self.descriptors_in_range(blob_id, version, 0, self.capacity[(blob_id, version)] - 1)
+
+    def lookup(self, blob_id, version, stripe):
+        found = self.descriptors_in_range(blob_id, version, stripe, stripe)
+        return found[0] if found else None
+
+    def version_footprint(self, blob_id, version):
+        by_key = {d.key: d.length for d in self.iter_descriptors(blob_id, version)}
+        return sum(by_key.values())
+
+    def incremental_footprint(self, blob_id, version, physical):
+        return sum(
+            d.stored_bytes if physical else d.length
+            for d in self.iter_descriptors(blob_id, version)
+            if d.created_by == (blob_id, version)
+        )
+
+
+STRIPE_LENGTH = 8
+#: (first stripe, stripes, length of the last one, physical length of a lone stripe)
+RUNS = st.tuples(
+    st.integers(0, 44),
+    st.integers(1, 20),
+    st.integers(1, STRIPE_LENGTH),
+    st.sampled_from([None, None, 0, 3]),
+)
+STEPS = st.one_of(
+    st.tuples(st.just("write"), st.integers(0, 10**6), st.lists(RUNS, min_size=0, max_size=4)),
+    st.tuples(st.just("clone"), st.integers(0, 10**6), st.just([])),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(steps=st.lists(STEPS, min_size=1, max_size=10))
+def test_run_leaves_match_the_per_stripe_tree(steps):
+    """Overwrite head / middle / tail / all of earlier runs, span two of them,
+    grow the tree past them, clone and diverge: every query agrees."""
+    store, oracle = MetadataStore(), OracleStore()
+    store.create_empty(1, 0)
+    oracle.create_empty(1)
+    latest = {1: 0}  # blob -> latest version
+    next_chunk = 1
+    for name, pick, specs in steps:
+        blob = sorted(latest)[pick % len(latest)]
+        if name == "clone":
+            clone = max(latest) + 1
+            store.clone_version(blob, latest[blob], clone)
+            oracle.clone_version(blob, latest[blob], clone)
+            latest[clone] = 0
+            continue
+        version = latest[blob] + 1
+        runs, updates, taken = [], {}, set()
+        for first, count, last_length, physical in specs:
+            if taken & set(range(first, first + count)):
+                continue  # runs of one version never overlap
+            taken |= set(range(first, first + count))
+            if count > 1:
+                physical = None
+            providers = [(f"p{(first + i) % 5}", f"p{i % 3}") for i in range(count)]
+            runs.append(
+                StripeRun(
+                    first_stripe=first,
+                    blob_id=blob,
+                    first_chunk_id=next_chunk,
+                    providers=providers,
+                    stripe_length=STRIPE_LENGTH,
+                    last_length=last_length,
+                    created_by=(blob, version),
+                    physical_length=physical,
+                )
+            )
+            for i in range(count):
+                updates[first + i] = ChunkDescriptor(
+                    stripe_index=first + i,
+                    length=last_length if i == count - 1 else STRIPE_LENGTH,
+                    key=ChunkKey(blob, next_chunk + i),
+                    providers=providers[i],
+                    created_by=(blob, version),
+                    physical_length=physical,
+                )
+            next_chunk += count
+        assert store.derive_version(blob, latest[blob], version, runs) == oracle.derive_version(
+            blob, latest[blob], version, updates
+        )
+        latest[blob] = version
+    assert store.nodes_allocated == oracle.nodes_allocated
+    for blob, newest in latest.items():
+        for version in range(newest + 1):
+            capacity = oracle.capacity[(blob, version)]
+            expected = oracle.iter_descriptors(blob, version)
+            assert list(store.iter_descriptors(blob, version)) == expected
+            for stripe in range(capacity + 2):
+                assert store.lookup(blob, version, stripe) == oracle.lookup(blob, version, stripe)
+            for first, last in ((0, capacity), (3, 11), (17, 17), (capacity // 2, capacity - 1)):
+                assert store.descriptors_in_range(
+                    blob, version, first, last
+                ) == oracle.descriptors_in_range(blob, version, first, last)
+            assert store.version_footprint(blob, version) == oracle.version_footprint(blob, version)
+            for physical in (False, True):
+                assert store.incremental_footprint(
+                    blob, version, physical=physical
+                ) == oracle.incremental_footprint(blob, version, physical)
+
+
+def test_descriptor_mapping_is_read_as_one_run_per_stripe():
+    store, oracle = MetadataStore(), OracleStore()
+    store.create_empty(1, 0)
+    oracle.create_empty(1)
+    updates = {
+        stripe: ChunkDescriptor(stripe, 4, ChunkKey(1, 100 + stripe), ("p0",), (1, 1))
+        for stripe in (0, 1, 2, 9)
+    }
+    assert store.derive_version(1, 0, 1, updates) == oracle.derive_version(1, 0, 1, updates)
+    assert list(store.iter_descriptors(1, 1)) == oracle.iter_descriptors(1, 1)
+
+
+def test_overlapping_runs_of_one_version_are_rejected():
+    store = MetadataStore()
+    store.create_empty(1, 0)
+    runs = [
+        StripeRun(0, 1, 1, [("p0",)] * 4, stripe_length=8, last_length=8, created_by=(1, 1)),
+        StripeRun(3, 1, 5, [("p0",)] * 2, stripe_length=8, last_length=8, created_by=(1, 1)),
+    ]
+    with pytest.raises(StorageError):
+        store.derive_version(1, 0, 1, runs)
+
+
+def _tree_nodes(node):
+    return 0 if node is None else 1 + _tree_nodes(node.left) + _tree_nodes(node.right)
+
+
+def test_aligned_commit_builds_log_n_nodes_and_one_run():
+    """800 consecutive stripes: one run record, O(log n) tree nodes, and the
+    per-stripe node count still reported (it feeds simulated metadata time)."""
+    manager = ProviderManager()
+    for index in range(8):
+        manager.register(DataProvider(f"p{index}"))
+    client = BlobClient(providers=manager, default_chunk_size=4)
+    blob = client.create_blob()
+    stripes = 800
+    result = client.write_batch(
+        blob, [(s * 4, LiteralBytes(s.to_bytes(4, "big"))) for s in range(stripes)]
+    )
+    assert len(result.runs) == 1 and result.chunk_count == stripes
+    oracle = OracleStore()
+    oracle.create_empty(blob)
+    per_stripe = oracle.derive_version(blob, 0, 1, dict.fromkeys(range(stripes)))
+    # three whole subtrees (512 + 256 + 32 stripes: 2n - 1 nodes each) and the 5 nodes above them
+    assert result.metadata_nodes == per_stripe == 1023 + 511 + 63 + 5
+    root = client.metadata._roots[(blob, result.version)]
+    # 800 = 512 + 256 + 32: three leaves and the inner nodes leading to them
+    assert _tree_nodes(root) <= 2 * stripes.bit_length()
+    extents = client.metadata.extents_in_range(blob, result.version, 0, stripes - 1)
+    assert extents == [(result.runs[0], 0, stripes - 1)]
+    # overwriting the middle splits the leaves, not the run record
+    second = client.write_batch(blob, [(s * 4, LiteralBytes(b"....")) for s in range(300, 310)])
+    assert second.metadata_nodes == oracle.derive_version(
+        blob, 1, 2, dict.fromkeys(range(300, 310))
+    )
+    extents = client.metadata.extents_in_range(blob, second.version, 0, stripes - 1)
+    assert [(first, last) for _run, first, last in extents] == [(0, 299), (300, 309), (310, 799)]
+    assert _tree_nodes(client.metadata._roots[(blob, second.version)]) <= 60
+    assert client.read(blob, 299 * 4, 12).read() == (299).to_bytes(4, "big") + b"........"
+
+
+# -- write_batch regressions --------------------------------------------------------------------
+
+
+def make_client(chunk_size=8):
+    manager = ProviderManager()
+    for index in range(4):
+        manager.register(DataProvider(f"p{index}"))
+    return BlobClient(providers=manager, default_chunk_size=chunk_size)
+
+
+def test_empty_piece_past_eof_does_not_grow_the_blob():
+    client = make_client()
+    blob = client.create_blob()
+    client.write(blob, 0, LiteralBytes(b"abc"))
+    result = client.write(blob, 1000, LiteralBytes(b""))
+    assert client.size(blob) == 3
+    assert result.record.size == 3 and result.chunk_count == 0
+    result = client.write_batch(blob, [(1000, LiteralBytes(b"")), (1, LiteralBytes(b"Z"))])
+    assert client.size(blob) == 3
+    assert client.read(blob).read() == b"aZc"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batches=st.lists(
+        st.lists(
+            st.tuples(st.integers(0, 90), st.binary(min_size=0, max_size=40)),
+            min_size=1,
+            max_size=6,
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_later_pieces_of_a_batch_win(batches):
+    """Overlapping pieces of one batch land in write order, like on a bytearray."""
+    client = make_client()
+    blob = client.create_blob()
+    model = bytearray()
+    for pieces in batches:
+        for offset, data in pieces:
+            if data:
+                model.extend(bytes(max(0, offset + len(data) - len(model))))
+                model[offset : offset + len(data)] = data
+        client.write_batch(blob, [(offset, LiteralBytes(data)) for offset, data in pieces])
+        assert client.read(blob).read() == bytes(model)
