@@ -1,0 +1,458 @@
+"""Safety net of the vdisk block plane: content, accounting, background reads.
+
+Operation sequences over :class:`SparseDevice` and :class:`QcowImage` are held
+to two references at once: a plain ``bytearray`` for content, and
+:class:`BlockOracle` -- the dict-per-block algorithm the devices started from,
+reduced to its accounting -- for which blocks are stored, how many clusters
+were allocated and written, and which windows are requested from the base or
+backing device.  On top of that: a :class:`GuestFileSystem` round trip over
+every device, and guest writes through :class:`MirroringModule` committed and
+read back by a fresh module, with the ``WriteResult`` numbers pinned.
+"""
+
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster import Cloud
+from repro.core import CheckpointRepository, MirroringModule
+from repro.guest import GuestFileSystem
+from repro.guest.filesystem import METADATA_REGION
+from repro.util import LiteralBytes, SyntheticBytes, ZeroBytes
+from repro.util.bytesource import concat
+from repro.util.config import GRAPHENE
+from repro.util.errors import StorageError
+from repro.vdisk import QcowImage, RawImage, SparseDevice
+from repro.vdisk.blockdev import BlockDevice
+
+BS = 16  # block / cluster size of the devices under test
+SIZE = 10 * BS + 5  # ends inside block 10
+NBLOCKS = 11
+
+
+class Recording(BlockDevice):
+    """A read-only device that logs every window requested from it."""
+
+    def __init__(self, inner, log):
+        self.inner = inner
+        self.log = log
+
+    @property
+    def size(self):
+        return self.inner.size
+
+    def read(self, offset, length):
+        self.log.append((offset, length))
+        return self.inner.read(offset, length)
+
+    def write(self, offset, data):
+        raise StorageError("read-only")
+
+
+def make_base(seed, size, log):
+    """A raw image (other granularity, one hole) and its content."""
+    image = RawImage(size, block_size=24)
+    content = bytearray(SyntheticBytes(("base", seed), size).read())
+    content[40:70] = bytes(30)
+    image.write(0, LiteralBytes(bytes(content[:40])))
+    image.write(70, LiteralBytes(bytes(content[70:])))
+    return Recording(image, log), bytes(content)
+
+
+class BlockOracle:
+    """One entry per block: what is stored, allocated, written and fetched."""
+
+    def __init__(self, base_size, requests):
+        self.base_size = base_size
+        self.requests = requests  # windows expected at the base, shared between clones
+        self.blocks = set()
+        self.shared = set()
+        self.allocated = 0
+        self.written = 0
+
+    def clone(self):
+        twin = BlockOracle(self.base_size, self.requests)
+        twin.blocks, twin.shared = set(self.blocks), set(self.shared)
+        twin.allocated = self.allocated  # ``written`` counts writes through one image object
+        return twin
+
+    def _background(self, lo, hi):
+        if lo < self.base_size:
+            self.requests.append((lo, min(hi, self.base_size) - lo))
+
+    def _window(self, offset, length):
+        for index in range(offset // BS, (offset + length - 1) // BS + 1):
+            yield index, max(offset, index * BS), min(offset + length, (index + 1) * BS)
+
+    def read(self, offset, length):
+        hole = None  # one request per maximal run of missing blocks
+        for index, lo, hi in self._window(offset, length):
+            if index in self.blocks:
+                if hole:
+                    self._background(*hole)
+                hole = None
+            else:
+                hole = (hole[0] if hole else lo, hi)
+        if hole:
+            self._background(*hole)
+
+    def write(self, offset, length):
+        for index, lo, hi in self._window(offset, length):
+            if hi - lo < BS and index not in self.blocks:
+                self._background(index * BS, (index + 1) * BS)  # read-modify-write
+            if index not in self.blocks or index in self.shared:
+                self.allocated += 1
+            self.blocks.add(index)
+            self.shared.discard(index)
+            self.written += 1
+
+    def snapshot(self):
+        self.shared |= self.blocks
+        return frozenset(self.blocks)
+
+    def revert(self, blocks):
+        self.blocks, self.shared = set(blocks), set(blocks)
+
+
+def window(kind, a, b, c):
+    """The four window shapes: inside one block, whole blocks, arbitrary, up to the end."""
+    if kind == "sub":
+        block = a % NBLOCKS
+        room = min(BS, SIZE - block * BS)
+        start = b % room
+        return block * BS + start, 1 + c % (room - start)
+    if kind == "aligned":
+        first = a % (NBLOCKS - 1)
+        return first * BS, (1 + b % (NBLOCKS - 1 - first)) * BS
+    if kind == "straddle":
+        offset = a % SIZE
+        return offset, min(SIZE - offset, 1 + b % (4 * BS))
+    length = 1 + a % (3 * BS)
+    return SIZE - length, length
+
+
+def payload(kind, seed, length):
+    literal = LiteralBytes(SyntheticBytes(("lit", seed), length).read())
+    if kind == "literal" or (kind == "concat" and length == 1):
+        return literal
+    if kind == "synthetic":
+        return SyntheticBytes(("syn", seed), length + 7).slice(3, length)
+    if kind == "zero":
+        return ZeroBytes(length)
+    cut = 1 + seed % (length - 1)
+    return concat([literal.slice(0, cut), SyntheticBytes(("cat", seed), length - cut)])
+
+
+_INT = st.integers(0, 10**6)
+WINDOWS = st.tuples(st.sampled_from(["sub", "aligned", "straddle", "tail"]), _INT, _INT, _INT)
+PAYLOADS = st.tuples(st.sampled_from(["literal", "synthetic", "zero", "concat"]), _INT)
+
+
+def stored_blocks(device):
+    return [i for i in range(NBLOCKS) if device.block_payload(i) is not None]
+
+
+def windows_equal(log, requests, coalesced):
+    if coalesced:
+        return log == requests
+    return sum(n for _o, n in log) == sum(n for _o, n in requests)
+
+
+# -- SparseDevice -----------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    with_base=st.booleans(),
+    ops=st.lists(st.tuples(st.booleans(), WINDOWS, PAYLOADS), min_size=1, max_size=25),
+)
+def test_sparse_device_matches_block_oracle(with_base, ops):
+    log, requests = [], []
+    base, content = make_base(1, SIZE - 2 * BS - 3, log) if with_base else (None, b"")
+    device = SparseDevice(SIZE, block_size=BS, base=base)
+    model = bytearray(content.ljust(SIZE, b"\0"))
+    oracle = BlockOracle(len(content), requests)
+    for is_write, shape, (kind, seed) in ops:
+        offset, length = window(*shape)
+        if is_write:
+            data = payload(kind, seed, length)
+            device.write(offset, data)
+            model[offset : offset + length] = data.read()
+            oracle.write(offset, length)
+        else:
+            assert device.read(offset, length).read() == bytes(model[offset : offset + length])
+            oracle.read(offset, length)
+        assert log == requests
+        assert stored_blocks(device) == sorted(oracle.blocks)
+        assert device.allocated_bytes == len(oracle.blocks) * BS
+    assert device.read(0, SIZE).read() == bytes(model)
+    oracle.read(0, SIZE)
+    assert log == requests
+    for index in oracle.blocks:
+        block = device.block_payload(index)
+        assert block.read() == bytes(model[index * BS : (index + 1) * BS]).ljust(BS, b"\0")
+
+
+# -- QcowImage --------------------------------------------------------------------------------
+
+
+class _Image:
+    """A qcow2 image under test with its references."""
+
+    def __init__(self, image, model, oracle, backing_bytes, snapshots):
+        self.image = image
+        self.model = model
+        self.oracle = oracle
+        self.backing_bytes = backing_bytes
+        self.snapshots = snapshots  # name -> (blocks, content then, vm state size)
+
+    def clone(self):
+        return _Image(
+            self.image.clone_file(),
+            bytearray(self.model),
+            self.oracle.clone(),
+            self.backing_bytes,
+            dict(self.snapshots),
+        )
+
+    def check(self, log, requests, coalesced):
+        image, oracle = self.image, self.oracle
+        assert windows_equal(log, requests, coalesced)
+        assert image.allocated_clusters == oracle.allocated
+        assert image.clusters_written == oracle.written
+        assert image.guest_visible_bytes == len(oracle.blocks) * BS
+        tables = -(-10 * oracle.allocated // BS) * BS  # 8 B L2 entry + 2 B refcount, in clusters
+        vm_state = sum(size for _b, _c, size in self.snapshots.values())
+        assert image.file_size == 65536 + tables + oracle.allocated * BS + vm_state
+        assert [s.name for s in image.internal_snapshots] == list(self.snapshots)
+
+    def check_content(self):
+        assert self.image.read(0, SIZE).read() == bytes(self.model)
+        self.oracle.read(0, SIZE)
+
+
+QCOW_OPS = st.one_of(
+    st.tuples(st.just("write"), WINDOWS, PAYLOADS),
+    st.tuples(st.just("write"), WINDOWS, PAYLOADS),
+    st.tuples(st.just("read"), WINDOWS),
+    st.tuples(st.just("snapshot"), _INT),
+    st.tuples(st.just("revert"), _INT),
+    st.tuples(st.just("clone"), st.booleans()),
+    st.tuples(st.just("rebase"), st.integers(0, 2)),
+)
+
+#: whether a hole is one request to the backing device (else one per cluster)
+QCOW_COALESCED = False
+
+
+@settings(max_examples=200, deadline=None)
+@given(backed=st.booleans(), ops=st.lists(QCOW_OPS, min_size=1, max_size=30))
+def test_qcow_image_matches_block_oracle(backed, ops):
+    log, requests = [], []
+    backings = [(None, b""), make_base(2, SIZE - 3 * BS - 7, log), make_base(3, SIZE, log)]
+    backing, content = backings[1] if backed else backings[0]
+    current = _Image(
+        QcowImage(SIZE, cluster_size=BS, backing=backing),
+        bytearray(content.ljust(SIZE, b"\0")),
+        BlockOracle(len(content), requests),
+        content.ljust(SIZE, b"\0"),
+        {},
+    )
+    aside = []
+    for op in ops:
+        image, model, oracle = current.image, current.model, current.oracle
+        if op[0] == "write":
+            offset, length = window(*op[1])
+            data = payload(*op[2], length)
+            image.write(offset, data)
+            model[offset : offset + length] = data.read()
+            oracle.write(offset, length)
+        elif op[0] == "read":
+            offset, length = window(*op[1])
+            assert image.read(offset, length).read() == bytes(model[offset : offset + length])
+            oracle.read(offset, length)
+        elif op[0] == "snapshot":
+            name = f"s{len(current.snapshots)}"
+            image.create_internal_snapshot(name, vm_state_size=op[1] % 1000)
+            current.snapshots[name] = (oracle.snapshot(), bytes(model), op[1] % 1000)
+        elif op[0] == "revert":
+            if not current.snapshots:
+                continue
+            name = sorted(current.snapshots)[op[1] % len(current.snapshots)]
+            image.revert_to_internal_snapshot(name)
+            blocks, then, _vm = current.snapshots[name]
+            oracle.revert(blocks)
+            # frozen clusters over whatever the backing device holds *now*
+            model[:] = current.backing_bytes
+            for index in blocks:
+                model[index * BS : (index + 1) * BS] = then[index * BS : (index + 1) * BS]
+        elif op[0] == "clone":
+            twin = current.clone()
+            if op[1]:  # go on with the copy, the original must stay as it is
+                current, twin = twin, current
+            aside.append(twin)
+        else:
+            backing, content = backings[op[1]]
+            image.rebase(backing)
+            oracle.base_size = len(content)
+            current.backing_bytes = content.ljust(SIZE, b"\0")
+            for index in set(range(NBLOCKS)) - oracle.blocks:
+                span = slice(index * BS, min((index + 1) * BS, SIZE))
+                model[span] = current.backing_bytes[span]
+        current.check(log, requests, QCOW_COALESCED)
+    for each in aside + [current]:
+        each.check_content()
+        each.check(log, requests, QCOW_COALESCED)
+
+
+def test_qcow_copy_up_reads_the_backing_cluster_once():
+    log = []
+    backing, content = make_base(4, SIZE, log)
+    image = QcowImage(SIZE, cluster_size=BS, backing=backing)
+    image.write(BS + 3, LiteralBytes(b"xy"))
+    assert log == [(BS, BS)]
+    image.write(BS + 9, LiteralBytes(b"z"))  # the cluster is local now
+    assert log == [(BS, BS)]
+    expected = bytearray(content[BS : 2 * BS])
+    expected[3:5], expected[9:10] = b"xy", b"z"
+    assert image.read(BS, BS).read() == bytes(expected)
+
+
+# -- GuestFileSystem over every device ----------------------------------------------------------
+
+FS_SIZE = 2 * METADATA_REGION + 123
+
+
+def _formatted_base():
+    base = RawImage(FS_SIZE, block_size=8192)
+    fs = GuestFileSystem.format(base)
+    fs.write_file("/os/kernel", SyntheticBytes("kernel", 30_000))
+    fs.sync()
+    return base
+
+
+FS_DEVICES = {
+    "sparse": lambda: SparseDevice(FS_SIZE, block_size=10_000),
+    "raw": lambda: RawImage(FS_SIZE, block_size=8192),
+    "qcow": lambda: QcowImage(FS_SIZE, cluster_size=12_288),
+    "sparse-over-raw": lambda: SparseDevice(FS_SIZE, block_size=10_000, base=_formatted_base()),
+    "qcow-over-raw": lambda: QcowImage(FS_SIZE, cluster_size=12_288, backing=_formatted_base()),
+}
+
+FS_OPS = st.one_of(
+    st.tuples(
+        st.sampled_from(["write", "append"]), st.integers(0, 3), _INT, st.integers(1, 40_000)
+    ),
+    st.tuples(st.sampled_from(["sync", "mount"])),
+)
+
+
+@pytest.mark.parametrize("kind", sorted(FS_DEVICES))
+@settings(max_examples=12, deadline=None)
+@given(ops=st.lists(FS_OPS, min_size=1, max_size=12))
+def test_guest_filesystem_round_trip(kind, ops):
+    device = FS_DEVICES[kind]()
+    durable = {}
+    if "over" in kind:
+        durable["/os/kernel"] = SyntheticBytes("kernel", 30_000).read()
+        fs = GuestFileSystem.mount(device)
+    else:
+        fs = GuestFileSystem.format(device)
+    cached = {}
+    for op in ops + [("sync",), ("mount",)]:
+        if op[0] in ("write", "append"):
+            _code, index, seed, length = op
+            path = f"/data/file-{index}"
+            data = SyntheticBytes(("fs", seed), length).read()
+            fs.write_file(path, data, append=op[0] == "append")
+            before = cached.get(path, durable.get(path, b"")) if op[0] == "append" else b""
+            cached[path] = before + data
+        elif op[0] == "sync":
+            fs.sync()
+            durable.update(cached)
+            cached = {}
+        else:
+            fs = GuestFileSystem.mount(device)  # what a crash keeps: synced data only
+            cached = {}
+        visible = {**durable, **cached}
+        assert fs.listdir("/") == sorted(visible)
+        for path, expected in visible.items():
+            assert fs.read_file(path).read() == expected
+
+
+# -- MirroringModule: guest writes -> COMMIT -> a fresh module reads them back -----------------
+
+CHUNK = 1024
+DISK = 64 * CHUNK
+
+#: per epoch ``(chunk_count, bytes_written, logical_bytes, metadata_nodes)``
+PINNED_COMMITS = {
+    CHUNK // 2: [(23, 23_552, 23_552, 57), (13, 13_312, 13_312, 34)],
+    CHUNK: [(23, 23_552, 23_552, 57), (13, 13_312, 13_312, 34)],
+    2 * CHUNK: [(26, 26_624, 26_624, 60), (14, 14_336, 14_336, 35)],
+}
+
+
+def _epochs(cow):
+    """Guest writes per epoch as ``(offset, payload)``."""
+    first = [
+        (3 * cow + 5, LiteralBytes(b"inside one block")),
+        (8 * CHUNK, SyntheticBytes("run", 16 * CHUNK)),  # aligned, many blocks
+        (30 * CHUNK - 100, SyntheticBytes("straddle", 3 * CHUNK + 250)),
+        (DISK - 700, concat([ZeroBytes(300), SyntheticBytes("tail", 400)])),
+    ]
+    second = [
+        (12 * CHUNK, SyntheticBytes("middle", 6 * CHUNK)),  # inside the first epoch's run
+        (9 * CHUNK + 1, LiteralBytes(b"?")),
+        (40 * CHUNK + cow // 2, SyntheticBytes("fresh", 5 * CHUNK)),
+    ]
+    return [first, second]
+
+
+@pytest.mark.parametrize("cow", sorted(PINNED_COMMITS))
+def test_mirroring_commit_round_trip(cow):
+    spec = GRAPHENE.scaled(
+        compute_nodes=4,
+        service_nodes=3,
+        vm=replace(GRAPHENE.vm, disk_size=DISK),
+        blobseer=replace(GRAPHENE.blobseer, chunk_size=CHUNK),
+        checkpoint=replace(GRAPHENE.checkpoint, cow_block_size=cow),
+    )
+    cloud = Cloud(spec)
+    repo = CheckpointRepository(cloud)
+    base = RawImage(DISK, block_size=cow)
+    base.write(0, SyntheticBytes("os", 20 * CHUNK + 77))
+    base.write(50 * CHUNK + 9, SyntheticBytes("more-os", 3 * CHUNK))
+    model = bytearray(base.read(0, DISK).read())
+    out = {}
+
+    def run(process):
+        def body():
+            out["value"] = yield from process
+
+        cloud.run(cloud.process(body()))
+        return out["value"]
+
+    blob = run(repo.upload_base_image("node-000", base))
+    module = MirroringModule(repo, "node-001", "vm", blob)
+    assert module.read(0, DISK).read() == bytes(model)
+    run(module.clone())
+    for writes, pinned in zip(_epochs(cow), PINNED_COMMITS[cow]):
+        for offset, data in writes:
+            module.write(offset, data)
+            model[offset : offset + data.size] = data.read()
+        result = run(module.commit())
+        assert (
+            result.chunk_count,
+            result.bytes_written,
+            result.logical_bytes,
+            result.metadata_nodes,
+        ) == pinned
+        assert module.dirty_bytes == 0
+        fresh = MirroringModule(
+            repo, "node-002", "vm-restored", module.checkpoint_blob_id, base_version=result.version
+        )
+        assert fresh.read(0, DISK).read() == bytes(model)
+        assert module.read(0, DISK).read() == bytes(model)
