@@ -29,7 +29,7 @@ from repro.util.bytesource import ByteSource
 from repro.util.config import CheckpointSpec
 from repro.util.errors import SnapshotError
 from repro.vdisk.blockdev import BlockDevice, SparseDevice
-from repro.vdisk.dirty import DirtyTracker
+from repro.vdisk.dirty import DirtyTracker, block_ranges
 
 
 class MirroringModule(BlockDevice):
@@ -142,15 +142,16 @@ class MirroringModule(BlockDevice):
             raise SnapshotError(
                 f"COMMIT before CLONE on instance {self.instance_id}"
             )
-        dirty_blocks = self.dirty.close_epoch()
+        # One entry per stored run inside each range of consecutive dirty
+        # blocks: a file flushed in one piece is committed in one piece.
+        block_size = self.spec.cow_block_size
         blocks: Dict[int, ByteSource] = {}
-        for index in sorted(dirty_blocks):
-            payload = self._local.block_payload(index)
-            if payload is not None and payload.size > 0:
-                blocks[index] = payload
+        for first, count in block_ranges(self.dirty.close_epoch()):
+            for offset, payload in self._local.stored_runs(first * block_size, count * block_size):
+                blocks[offset // block_size] = payload
         result: WriteResult = yield from self.repository.commit_blocks(
             self.node_name, self.checkpoint_blob_id, blocks,
-            block_size=self.spec.cow_block_size,
+            block_size=block_size,
             tag=tag or f"commit:{self.instance_id}",
         )
         self.committed_versions.append(result.version)

@@ -111,11 +111,7 @@ class CheckpointRepository:
         size is the full virtual disk size so clones expose a complete disk.
         """
         blob_id = self.client.create_blob(self.spec.chunk_size, tag=tag)
-        pieces: List[Tuple[int, ByteSource]] = []
-        for index in image.local_block_indices():
-            payload = image.block_payload(index)
-            if payload is not None and payload.size > 0:
-                pieces.append((index * image.block_size, payload))
+        pieces: List[Tuple[int, ByteSource]] = list(image.stored_runs())
         result = self.client.write_batch(blob_id, pieces, tag=tag) if pieces else None
         nbytes = result.bytes_written if result else 0
         env = self.cloud.env
@@ -174,7 +170,9 @@ class CheckpointRepository:
     ) -> Generator:
         """Simulation process: COMMIT -- publish dirty blocks as one incremental snapshot.
 
-        Returns the :class:`~repro.blobseer.client.WriteResult` of the commit.
+        ``blocks`` maps a block index to the content starting there: one
+        block, or a run of consecutive whole blocks in one payload.  Returns
+        the :class:`~repro.blobseer.client.WriteResult` of the commit.
         """
         pieces = [(index * block_size, payload) for index, payload in sorted(blocks.items())]
         result = self.client.write_batch(blob_id, pieces, tag=tag or "commit")

@@ -93,8 +93,7 @@ class GuestFileSystem:
     def mount(cls, device: BlockDevice) -> "GuestFileSystem":
         """Mount an existing file system from ``device``."""
         fs = cls(device)
-        raw = device.read(0, METADATA_REGION).read(0, 8)
-        length = int.from_bytes(raw, "little")
+        length = int.from_bytes(device.read(0, 8).read(), "little")
         if length <= 0 or length > METADATA_REGION - 8:
             raise FileSystemError("no valid file system found on the device")
         payload = device.read(8, length).to_bytes()

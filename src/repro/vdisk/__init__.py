@@ -6,13 +6,20 @@ qcow2-over-PVFS baselines operate on:
 * :class:`~repro.vdisk.blockdev.BlockDevice` -- the abstract guest-visible
   block device interface (byte-addressable ``read`` / ``write``),
 * :class:`~repro.vdisk.blockdev.SparseDevice` -- an in-memory sparse device
-  used for raw images and as scratch space,
+  used for raw images and as the mirroring module's local overlay,
 * :class:`~repro.vdisk.raw.RawImage` -- a raw disk image file,
 * :class:`~repro.vdisk.qcow2.QcowImage` -- a qcow2-like copy-on-write format
   with backing files, cluster allocation, *internal* snapshots (``savevm``)
   and accurate file-size accounting,
 * :class:`~repro.vdisk.dirty.DirtyTracker` -- block-granular modification
   tracking used by the mirroring module to build incremental snapshots.
+
+Granularity (COW block, qcow2 cluster) decides what is allocated, copied up,
+dirtied and shipped; it is not the stored unit.  Both sparse devices keep
+their content in one :class:`~repro.vdisk.blockdev.RunMap`: the whole blocks
+a write covers are stored as one *run* backed by one slice of the written
+payload, only a partially covered first or last block is read-modify-written,
+and reads, COMMIT and the base-image upload move one piece per run.
 """
 
 from repro.vdisk.blockdev import BlockDevice, SparseDevice

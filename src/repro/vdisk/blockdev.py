@@ -4,13 +4,16 @@ A :class:`BlockDevice` is what the guest file system and the hypervisor see:
 a byte-addressable array of ``size`` bytes supporting reads and writes of
 arbitrary windows.  The concrete implementations store data sparsely at a
 fixed internal block granularity so that a 2 GB image with a few hundred MB
-of content costs only what was actually written.
+of content costs only what was actually written, and keep it as *runs* of
+consecutive whole blocks (:class:`RunMap`) so that a 200 MB file written in
+one piece is one entry rather than 800.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Iterator, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.util.bytesource import ByteSource, LiteralBytes, ZeroBytes, concat
 from repro.util.errors import StorageError
@@ -48,108 +51,178 @@ class BlockDevice(ABC):
         self.write(offset, LiteralBytes(data))
 
 
-class _BlockMap:
-    """Sparse fixed-granularity block storage shared by device implementations."""
+#: ``background(offset, length)``: what a device shows where nothing was written
+Background = Callable[[int, int], ByteSource]
 
-    __slots__ = ("block_size", "blocks")
+
+def read_through(base: Optional[BlockDevice], offset: int, length: int) -> ByteSource:
+    """The unwritten window of an overlay: ``base`` content, zeros beyond it."""
+    if base is not None and offset < base.size:
+        span = min(length, base.size - offset)
+        piece = base.read(offset, span)
+        if span < length:
+            piece = concat([piece, ZeroBytes(length - span)])
+        return piece
+    return ZeroBytes(length)
+
+
+class RunMap:
+    """Sparse fixed-granularity block storage shared by device implementations.
+
+    The stored unit is the *run*: ``count`` consecutive whole blocks backed by
+    one :class:`ByteSource` of ``count * block_size`` bytes.  ``starts`` holds
+    the first block of every run in ascending order (``bisect`` finds a block)
+    and ``runs`` the matching ``(count, payload, shared)``.  Runs never
+    overlap and are never merged.  ``shared`` marks content that an internal
+    snapshot references too (qcow2): overwriting it allocates a new cluster
+    instead of rewriting one in place, and both remnants of a split run keep
+    the flag.
+    """
+
+    __slots__ = ("block_size", "starts", "runs")
 
     def __init__(self, block_size: int):
         if block_size <= 0:
             raise StorageError(f"block size must be positive: {block_size}")
         self.block_size = block_size
-        self.blocks: Dict[int, ByteSource] = {}
+        self.starts: List[int] = []
+        self.runs: List[Tuple[int, ByteSource, bool]] = []
 
-    def window_blocks(self, offset: int, length: int) -> Iterator[Tuple[int, int, int]]:
-        """Yield ``(block_index, start_in_block, length_in_block)`` for a window."""
-        if length <= 0:
-            return
-        first = offset // self.block_size
-        last = (offset + length - 1) // self.block_size
-        for index in range(first, last + 1):
-            block_start = index * self.block_size
-            lo = max(offset, block_start)
-            hi = min(offset + length, block_start + self.block_size)
-            yield index, lo - block_start, hi - lo
+    def copy(self) -> "RunMap":
+        """An independent map over the same (immutable) payloads."""
+        twin = RunMap(self.block_size)
+        twin.starts = list(self.starts)
+        twin.runs = list(self.runs)
+        return twin
 
-    def read(self, offset: int, length: int, background) -> ByteSource:
-        """Read a window, falling back to ``background(offset, length)`` for holes.
+    def share_all(self) -> None:
+        """Flag every stored block as referenced by a snapshot."""
+        self.runs = [(count, payload, True) for count, payload, _shared in self.runs]
 
-        Runs of consecutive missing blocks issue a *single* ranged background
-        read: the fallback's content and accounting are both additive over
-        contiguous windows, and one call per hole instead of one per block is
-        what keeps restoring a mostly-remote image from paying a full
-        plan/fetch round-trip per 256 KB block.
+    def block_count(self) -> int:
+        return sum(run[0] for run in self.runs)
+
+    def block(self, index: int) -> Optional[ByteSource]:
+        """The content of one stored block, ``None`` for a hole."""
+        i = bisect_right(self.starts, index) - 1
+        if i < 0 or index >= self.starts[i] + self.runs[i][0]:
+            return None
+        return self.runs[i][1].slice((index - self.starts[i]) * self.block_size, self.block_size)
+
+    def put(self, first: int, count: int, payload: ByteSource) -> int:
+        """Store ``payload`` as the run of blocks ``[first, first + count)``.
+
+        Runs it overlaps are cut back to what lies outside the range.  Returns
+        how many of the blocks were not rewritten in place: absent before, or
+        shared with a snapshot.
+        """
+        block_size = self.block_size
+        if payload.size != count * block_size:
+            raise StorageError(
+                f"run of {count} blocks of {block_size} bytes given {payload.size} bytes"
+            )
+        end = first + count
+        starts, runs = self.starts, self.runs
+        lo = bisect_right(starts, first) - 1
+        if lo < 0 or starts[lo] + runs[lo][0] <= first:
+            lo += 1
+        hi = bisect_left(starts, end, lo)
+        new_starts, new_runs = [first], [(count, payload, False)]
+        in_place = 0
+        for i in range(lo, hi):
+            start = starts[i]
+            held, old, shared = runs[i]
+            if not shared:
+                in_place += min(start + held, end) - max(start, first)
+            if start < first:
+                keep = first - start
+                new_starts.insert(0, start)
+                new_runs.insert(0, (keep, old.slice(0, keep * block_size), shared))
+            if start + held > end:
+                keep = start + held - end
+                new_starts.append(end)
+                new_runs.append(
+                    (keep, old.slice((held - keep) * block_size, keep * block_size), shared)
+                )
+        starts[lo:hi] = new_starts
+        runs[lo:hi] = new_runs
+        return count - in_place
+
+    def stored(self, offset: int, length: int) -> Iterator[Tuple[int, ByteSource]]:
+        """Yield ``(offset, content)`` for each run's part of a byte window, ascending."""
+        block_size = self.block_size
+        end = offset + length
+        starts, runs = self.starts, self.runs
+        for i in range(max(bisect_right(starts, offset // block_size) - 1, 0), len(starts)):
+            run_start = starts[i] * block_size
+            if run_start >= end:
+                break
+            payload = runs[i][1]
+            lo = max(run_start, offset)
+            hi = min(run_start + payload.size, end)
+            if lo < hi:
+                yield lo, payload.slice(lo - run_start, hi - lo)
+
+    def read(self, offset: int, length: int, background: Background) -> ByteSource:
+        """Read a window: one slice per run, ``background`` for the holes.
+
+        Each maximal hole issues a *single* ranged background read: the
+        fallback's content and accounting are both additive over contiguous
+        windows, and one call per hole instead of one per block is what keeps
+        restoring a mostly-remote image from paying a full plan/fetch
+        round-trip per 256 KB block.
         """
         pieces: List[ByteSource] = []
-        hole_start = 0
-        hole_len = 0
-        for index, start, span in self.window_blocks(offset, length):
-            block = self.blocks.get(index)
-            if block is None:
-                begin = index * self.block_size + start
-                if hole_len and hole_start + hole_len == begin:
-                    hole_len += span
-                else:
-                    if hole_len:
-                        pieces.append(background(hole_start, hole_len))
-                    hole_start = begin
-                    hole_len = span
-                continue
-            if hole_len:
-                pieces.append(background(hole_start, hole_len))
-                hole_len = 0
-            pieces.append(self._window_of_block(block, start, span, index, background))
-        if hole_len:
-            pieces.append(background(hole_start, hole_len))
-        return concat(pieces) if pieces else LiteralBytes(b"")
-
-    def _window_of_block(
-        self, block: ByteSource, start: int, span: int, index: int, background
-    ) -> ByteSource:
-        if start + span <= block.size:
-            return block.slice(start, span)
-        pieces: List[ByteSource] = []
-        if start < block.size:
-            pieces.append(block.slice(start, block.size - start))
-        missing = span - max(0, block.size - start)
-        pieces.append(background(index * self.block_size + max(start, block.size), missing))
+        cursor = offset
+        for start, piece in self.stored(offset, length):
+            if start > cursor:
+                pieces.append(background(cursor, start - cursor))
+            pieces.append(piece)
+            cursor = start + piece.size
+        if cursor < offset + length:
+            pieces.append(background(cursor, offset + length - cursor))
         return concat(pieces)
 
-    def write(self, offset: int, data: ByteSource, background) -> List[int]:
-        """Write a window, returning the list of touched block indices.
+    def write(self, offset: int, data: ByteSource, background: Background) -> int:
+        """Write a window; returns :meth:`put`'s count over the touched blocks.
 
-        Partially covered blocks are read-modify-written against the current
-        block content (or ``background`` where nothing was written yet).
+        The whole blocks of the window become one run backed by one slice of
+        ``data``.  A partially covered first or last block is read-modify-
+        written against the block's current content (or ``background`` where
+        nothing was written yet).
         """
-        touched: List[int] = []
+        block_size = self.block_size
+        first, head = divmod(offset, block_size)
+        last, tail = divmod(offset + data.size, block_size)
+        if first == last:
+            return self._merge(first, head, data, background)
+        fresh = 0
         cursor = 0
-        for index, start, span in self.window_blocks(offset, data.size):
-            payload = data.slice(cursor, span)
+        if head:
+            cursor = block_size - head
+            fresh += self._merge(first, head, data.slice(0, cursor), background)
+            first += 1
+        if first < last:
+            span = (last - first) * block_size
+            fresh += self.put(first, last - first, data.slice(cursor, span))
             cursor += span
-            existing = self.blocks.get(index)
-            if start == 0 and span == self.block_size:
-                self.blocks[index] = payload
-            else:
-                base: ByteSource
-                if existing is not None:
-                    base = existing
-                    if base.size < self.block_size:
-                        base = concat([base, ZeroBytes(self.block_size - base.size)])
-                else:
-                    base = background(index * self.block_size, self.block_size)
-                pieces = []
-                if start > 0:
-                    pieces.append(base.slice(0, start))
-                pieces.append(payload)
-                tail = start + span
-                if tail < self.block_size:
-                    pieces.append(base.slice(tail, self.block_size - tail))
-                self.blocks[index] = concat(pieces)
-            touched.append(index)
-        return touched
+        if tail:
+            fresh += self._merge(last, 0, data.slice(cursor, tail), background)
+        return fresh
 
-    def allocated_bytes(self) -> int:
-        return sum(b.size for b in self.blocks.values())
+    def _merge(self, index: int, start: int, piece: ByteSource, background: Background) -> int:
+        """Overlay ``piece`` at ``start`` inside block ``index``."""
+        block_size = self.block_size
+        base = self.block(index)
+        if base is None:
+            base = background(index * block_size, block_size)
+        pieces = [piece]
+        if start:
+            pieces.insert(0, base.slice(0, start))
+        tail = start + piece.size
+        if tail < block_size:
+            pieces.append(base.slice(tail, block_size - tail))
+        return self.put(index, 1, concat(pieces))
 
 
 class SparseDevice(BlockDevice):
@@ -172,12 +245,9 @@ class SparseDevice(BlockDevice):
         if base is not None and base.size > size:
             raise StorageError("base device larger than the overlay device")
         self._size = size
-        self._map = _BlockMap(block_size)
+        self._map = RunMap(block_size)
         self._base = base
         self.name = name or "sparse-device"
-        #: indices of blocks written since creation (never reset); the
-        #: DirtyTracker offers finer-grained epochs on top of this.
-        self.written_blocks: set[int] = set()
 
     @property
     def size(self) -> int:
@@ -188,13 +258,7 @@ class SparseDevice(BlockDevice):
         return self._map.block_size
 
     def _background(self, offset: int, length: int) -> ByteSource:
-        if self._base is not None and offset < self._base.size:
-            span = min(length, self._base.size - offset)
-            piece = self._base.read(offset, span)
-            if span < length:
-                piece = concat([piece, ZeroBytes(length - span)])
-            return piece
-        return ZeroBytes(length)
+        return read_through(self._base, offset, length)
 
     def read(self, offset: int, length: int) -> ByteSource:
         self._check_window(offset, length)
@@ -206,18 +270,23 @@ class SparseDevice(BlockDevice):
         self._check_window(offset, data.size)
         if data.size == 0:
             return
-        touched = self._map.write(offset, data, self._background)
-        self.written_blocks.update(touched)
+        self._map.write(offset, data, self._background)
 
     # -- introspection -------------------------------------------------------------
 
     @property
     def allocated_bytes(self) -> int:
         """Bytes of locally materialised (written) block content."""
-        return self._map.allocated_bytes()
+        return self._map.block_count() * self._map.block_size
 
-    def local_block_indices(self) -> List[int]:
-        return sorted(self._map.blocks.keys())
+    def stored_runs(
+        self, offset: int = 0, length: Optional[int] = None
+    ) -> Iterator[Tuple[int, ByteSource]]:
+        """``(offset, content)`` of the locally stored runs inside a byte window
+        (default: the whole device), ascending.  Runs are clipped to the window
+        and to the device: the padding of a last, partial block is not content."""
+        end = self._size if length is None else min(offset + length, self._size)
+        return self._map.stored(offset, end - offset)
 
     def block_payload(self, index: int) -> Optional[ByteSource]:
-        return self._map.blocks.get(index)
+        return self._map.block(index)

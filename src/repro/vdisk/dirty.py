@@ -8,7 +8,19 @@ per *epoch*; taking a snapshot closes the current epoch and starts a new one.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable, List, Set, Tuple
+
+
+def block_ranges(indices: Iterable[int]) -> List[Tuple[int, int]]:
+    """The maximal ranges of consecutive block indices, as ``(first, count)``."""
+    ordered = sorted(indices)
+    ranges: List[Tuple[int, int]] = []
+    start = 0
+    for i in range(1, len(ordered) + 1):
+        if i == len(ordered) or ordered[i] != ordered[i - 1] + 1:
+            ranges.append((ordered[start], i - start))
+            start = i
+    return ranges
 
 
 class DirtyTracker:

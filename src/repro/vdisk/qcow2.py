@@ -7,7 +7,9 @@ rely on:
   starts empty and serves reads of unallocated clusters from the (read-only)
   base image; guest writes allocate clusters inside the qcow2 file;
 * **cluster allocation**: data is allocated in whole clusters (64 KiB by
-  default), with copy-up of partially written clusters; the *file size*
+  default), with copy-up of partially written clusters (the mapping is a
+  :class:`~repro.vdisk.blockdev.RunMap`: consecutive clusters written
+  together are one entry); the *file size*
   accounts for the header, the L1/L2 mapping tables, the refcount blocks and
   every allocated cluster -- this is the quantity the ``qcow2-disk`` baseline
   copies to PVFS on every checkpoint;
@@ -25,12 +27,12 @@ hard-coded.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.util.bytesource import ByteSource, LiteralBytes, ZeroBytes, concat
+from repro.util.bytesource import ByteSource, LiteralBytes
 from repro.util.errors import SnapshotError, StorageError
-from repro.vdisk.blockdev import BlockDevice
+from repro.vdisk.blockdev import BlockDevice, RunMap, read_through
 
 
 @dataclass
@@ -38,8 +40,8 @@ class InternalSnapshot:
     """A ``savevm``-style snapshot stored inside the qcow2 file."""
 
     name: str
-    #: cluster index -> payload at snapshot time (shared with the image)
-    cluster_table: Dict[int, ByteSource] = field(default_factory=dict)
+    #: the cluster mapping at snapshot time (payloads shared with the image)
+    cluster_table: RunMap
     #: bytes of saved VM state (RAM, device state); 0 for disk-only snapshots
     vm_state_size: int = 0
     #: sequence number, for deterministic ordering
@@ -60,18 +62,15 @@ class QcowImage(BlockDevice):
     ):
         if size <= 0:
             raise StorageError(f"image size must be positive: {size}")
-        if cluster_size <= 0:
-            raise StorageError(f"cluster size must be positive: {cluster_size}")
         if backing is not None and backing.size > size:
             raise StorageError("backing image larger than the overlay image")
         self._size = size
         self.cluster_size = cluster_size
         self.backing = backing
         self.name = name
-        #: active cluster mapping (guest-visible state)
-        self._clusters: Dict[int, ByteSource] = {}
-        #: cluster indices whose active payload is shared with a snapshot
-        self._shared: set[int] = set()
+        #: active cluster mapping (guest-visible state); a run flagged shared
+        #: is referenced by a snapshot too
+        self._map = RunMap(cluster_size)
         #: number of clusters ever allocated in the file (never shrinks)
         self._allocated_clusters = 0
         self._snapshots: Dict[str, InternalSnapshot] = {}
@@ -86,73 +85,23 @@ class QcowImage(BlockDevice):
         return self._size
 
     def _background(self, offset: int, length: int) -> ByteSource:
-        if self.backing is not None and offset < self.backing.size:
-            span = min(length, self.backing.size - offset)
-            piece = self.backing.read(offset, span)
-            if span < length:
-                piece = concat([piece, ZeroBytes(length - span)])
-            return piece
-        return ZeroBytes(length)
+        return read_through(self.backing, offset, length)
 
     def read(self, offset: int, length: int) -> ByteSource:
         self._check_window(offset, length)
         if length == 0:
             return LiteralBytes(b"")
-        pieces: List[ByteSource] = []
-        first = offset // self.cluster_size
-        last = (offset + length - 1) // self.cluster_size
-        for index in range(first, last + 1):
-            cluster_start = index * self.cluster_size
-            lo = max(offset, cluster_start)
-            hi = min(offset + length, cluster_start + self.cluster_size)
-            payload = self._clusters.get(index)
-            if payload is None:
-                pieces.append(self._background(lo, hi - lo))
-            else:
-                pieces.append(payload.slice(lo - cluster_start, hi - lo))
-        return concat(pieces)
+        return self._map.read(offset, length, self._background)
 
     def write(self, offset: int, data: ByteSource) -> None:
+        """Partially covered clusters are copied up; a cluster that was absent
+        or is shared with a snapshot is newly allocated in the file."""
         self._check_window(offset, data.size)
         if data.size == 0:
             return
-        cursor = 0
-        first = offset // self.cluster_size
+        self._allocated_clusters += self._map.write(offset, data, self._background)
         last = (offset + data.size - 1) // self.cluster_size
-        for index in range(first, last + 1):
-            cluster_start = index * self.cluster_size
-            lo = max(offset, cluster_start)
-            hi = min(offset + data.size, cluster_start + self.cluster_size)
-            piece = data.slice(cursor, hi - lo)
-            cursor += hi - lo
-            self._write_cluster(index, lo - cluster_start, piece)
-
-    def _write_cluster(self, index: int, start: int, piece: ByteSource) -> None:
-        existing = self._clusters.get(index)
-        newly_allocated = existing is None or index in self._shared
-        if start == 0 and piece.size == self.cluster_size:
-            payload = piece
-        else:
-            # Copy-up: merge with the current guest-visible cluster contents.
-            base = self.read(
-                index * self.cluster_size,
-                min(self.cluster_size, self._size - index * self.cluster_size),
-            )
-            if base.size < self.cluster_size:
-                base = concat([base, ZeroBytes(self.cluster_size - base.size)])
-            pieces: List[ByteSource] = []
-            if start > 0:
-                pieces.append(base.slice(0, start))
-            pieces.append(piece)
-            tail = start + piece.size
-            if tail < self.cluster_size:
-                pieces.append(base.slice(tail, self.cluster_size - tail))
-            payload = concat(pieces)
-        self._clusters[index] = payload
-        self._shared.discard(index)
-        if newly_allocated:
-            self._allocated_clusters += 1
-        self.clusters_written += 1
+        self.clusters_written += last - offset // self.cluster_size + 1
 
     # -- file size accounting -----------------------------------------------------
 
@@ -180,7 +129,7 @@ class QcowImage(BlockDevice):
     @property
     def guest_visible_bytes(self) -> int:
         """Bytes of guest data currently mapped by the active table."""
-        return len(self._clusters) * self.cluster_size
+        return self._map.block_count() * self.cluster_size
 
     # -- internal snapshots (savevm) ---------------------------------------------------
 
@@ -188,16 +137,16 @@ class QcowImage(BlockDevice):
         """Freeze the current state inside the image (``savevm``)."""
         if name in self._snapshots:
             raise SnapshotError(f"internal snapshot {name!r} already exists in {self.name}")
+        # Every active cluster is now referenced by the snapshot: subsequent
+        # writes must allocate fresh clusters instead of overwriting in place.
+        self._map.share_all()
         snapshot = InternalSnapshot(
             name=name,
-            cluster_table=dict(self._clusters),
+            cluster_table=self._map.copy(),
             vm_state_size=vm_state_size,
             sequence=next(self._sequence),
         )
         self._snapshots[name] = snapshot
-        # Every active cluster is now referenced by the snapshot: subsequent
-        # writes must allocate fresh clusters instead of overwriting in place.
-        self._shared.update(self._clusters.keys())
         return snapshot
 
     def revert_to_internal_snapshot(self, name: str) -> InternalSnapshot:
@@ -206,8 +155,7 @@ class QcowImage(BlockDevice):
             snapshot = self._snapshots[name]
         except KeyError:
             raise SnapshotError(f"no internal snapshot {name!r} in {self.name}") from None
-        self._clusters = dict(snapshot.cluster_table)
-        self._shared = set(snapshot.cluster_table.keys())
+        self._map = snapshot.cluster_table.copy()  # frozen with every run flagged shared
         return snapshot
 
     def delete_internal_snapshot(self, name: str) -> None:
@@ -229,19 +177,19 @@ class QcowImage(BlockDevice):
         copy = QcowImage(
             self._size, self.cluster_size, backing=self.backing, name=name or f"{self.name}-copy"
         )
-        copy._clusters = dict(self._clusters)
-        copy._shared = set(self._shared)
+        copy._map = self._map.copy()
         copy._allocated_clusters = self._allocated_clusters
         copy._snapshots = {
             n: InternalSnapshot(
                 name=s.name,
-                cluster_table=dict(s.cluster_table),
+                cluster_table=s.cluster_table.copy(),
                 vm_state_size=s.vm_state_size,
                 sequence=s.sequence,
             )
             for n, s in self._snapshots.items()
         }
-        copy._sequence = itertools.count(len(copy._snapshots) + 1)
+        latest = max((s.sequence for s in self._snapshots.values()), default=0)
+        copy._sequence = itertools.count(latest + 1)
         return copy
 
     def rebase(self, backing: Optional[BlockDevice]) -> None:
@@ -252,6 +200,6 @@ class QcowImage(BlockDevice):
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
-            f"<QcowImage {self.name} size={self._size} clusters={len(self._clusters)} "
+            f"<QcowImage {self.name} size={self._size} clusters={self._map.block_count()} "
             f"file={self.file_size} snapshots={len(self._snapshots)}>"
         )

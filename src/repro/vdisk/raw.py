@@ -9,7 +9,7 @@ as a qcow2 backing file) start from the same :class:`RawImage`.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional, Tuple
 
 from repro.util.bytesource import ByteSource
 from repro.vdisk.blockdev import BlockDevice, SparseDevice
@@ -49,8 +49,9 @@ class RawImage(BlockDevice):
         """Size of the raw image as a file: always the full virtual size."""
         return self.size
 
-    def local_block_indices(self):
-        return self._device.local_block_indices()
+    def stored_runs(self) -> Iterator[Tuple[int, ByteSource]]:
+        """``(offset, content)`` of every stored run, ascending: what an upload ships."""
+        return self._device.stored_runs()
 
     def block_payload(self, index: int) -> Optional[ByteSource]:
         return self._device.block_payload(index)

@@ -73,6 +73,17 @@ class TestGuestFileSystem:
         remounted = GuestFileSystem.mount(dev)
         assert remounted.read_file("/ckpt/rank0.dat") == SyntheticBytes("state", 100_000)
 
+    def test_mount_reads_only_the_header_and_the_table(self):
+        """On a lazily fetched device every byte read at mount is a remote fetch."""
+        fs, dev = make_fs()
+        fs.write_file("/ckpt/rank0.dat", SyntheticBytes("state", 100_000))
+        table_bytes = fs.sync() - 100_000 - 8
+        reads = []
+        read = dev.read
+        dev.read = lambda offset, length: reads.append((offset, length)) or read(offset, length)
+        GuestFileSystem.mount(dev)
+        assert reads == [(0, 8), (8, table_bytes)]
+
     def test_unsynced_data_lost_on_remount(self):
         fs, dev = make_fs()
         fs.write_file("/ckpt/synced.dat", b"synced")

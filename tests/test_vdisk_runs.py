@@ -154,10 +154,13 @@ def stored_blocks(device):
     return [i for i in range(NBLOCKS) if device.block_payload(i) is not None]
 
 
-def windows_equal(log, requests, coalesced):
-    if coalesced:
-        return log == requests
-    return sum(n for _o, n in log) == sum(n for _o, n in requests)
+def check_runs(run_map):
+    """Runs are whole blocks, in ascending order, and never overlap."""
+    end = 0
+    for start, (count, content, _shared) in zip(run_map.starts, run_map.runs, strict=True):
+        assert start >= end and count > 0
+        assert content.size == count * run_map.block_size
+        end = start + count
 
 
 # -- SparseDevice -----------------------------------------------------------------------------
@@ -187,6 +190,7 @@ def test_sparse_device_matches_block_oracle(with_base, ops):
         assert log == requests
         assert stored_blocks(device) == sorted(oracle.blocks)
         assert device.allocated_bytes == len(oracle.blocks) * BS
+        check_runs(device._map)
     assert device.read(0, SIZE).read() == bytes(model)
     oracle.read(0, SIZE)
     assert log == requests
@@ -217,9 +221,10 @@ class _Image:
             dict(self.snapshots),
         )
 
-    def check(self, log, requests, coalesced):
+    def check(self, log, requests):
         image, oracle = self.image, self.oracle
-        assert windows_equal(log, requests, coalesced)
+        assert log == requests  # a hole is one request to the backing device
+        check_runs(image._map)
         assert image.allocated_clusters == oracle.allocated
         assert image.clusters_written == oracle.written
         assert image.guest_visible_bytes == len(oracle.blocks) * BS
@@ -242,9 +247,6 @@ QCOW_OPS = st.one_of(
     st.tuples(st.just("clone"), st.booleans()),
     st.tuples(st.just("rebase"), st.integers(0, 2)),
 )
-
-#: whether a hole is one request to the backing device (else one per cluster)
-QCOW_COALESCED = False
 
 
 @settings(max_examples=200, deadline=None)
@@ -301,10 +303,10 @@ def test_qcow_image_matches_block_oracle(backed, ops):
             for index in set(range(NBLOCKS)) - oracle.blocks:
                 span = slice(index * BS, min((index + 1) * BS, SIZE))
                 model[span] = current.backing_bytes[span]
-        current.check(log, requests, QCOW_COALESCED)
+        current.check(log, requests)
     for each in aside + [current]:
         each.check_content()
-        each.check(log, requests, QCOW_COALESCED)
+        each.check(log, requests)
 
 
 def test_qcow_copy_up_reads_the_backing_cluster_once():
@@ -318,6 +320,68 @@ def test_qcow_copy_up_reads_the_backing_cluster_once():
     expected = bytearray(content[BS : 2 * BS])
     expected[3:5], expected[9:10] = b"xy", b"z"
     assert image.read(BS, BS).read() == bytes(expected)
+
+
+def test_clone_file_continues_the_snapshot_sequence():
+    image = QcowImage(SIZE, cluster_size=BS)
+    image.create_internal_snapshot("s1")
+    image.create_internal_snapshot("s2")
+    image.delete_internal_snapshot("s1")
+    copy = image.clone_file()
+    copy.create_internal_snapshot("s3")
+    assert [(s.name, s.sequence) for s in copy.internal_snapshots] == [("s2", 2), ("s3", 3)]
+
+
+# -- the stored unit is the run ---------------------------------------------------------------
+
+
+def test_one_aligned_write_is_one_run_and_reads_back_as_one_slice():
+    device = SparseDevice(1000 * BS, block_size=BS)
+    data = SyntheticBytes("file", 800 * BS)
+    device.write(3 * BS, data)
+    assert list(device.stored_runs()) == [(3 * BS, data)]
+    window = device.read(5 * BS + 1, 700 * BS)
+    assert isinstance(window, SyntheticBytes)  # a slice of the run, not a concatenation
+    assert window == data.slice(2 * BS + 1, 700 * BS)
+    patch = SyntheticBytes("patch", 10 * BS)
+    device.write(400 * BS, patch)
+    assert [(offset, run.size) for offset, run in device.stored_runs()] == [
+        (3 * BS, 397 * BS),
+        (400 * BS, 10 * BS),
+        (410 * BS, 393 * BS),
+    ]
+    assert device.allocated_bytes == 800 * BS
+    assert device.block_payload(410) == data.slice(407 * BS, BS)
+    assert list(device.stored_runs(399 * BS + 1, 2 * BS)) == [
+        (399 * BS + 1, data.slice(396 * BS + 1, BS - 1)),
+        (400 * BS, patch.slice(0, BS + 1)),
+    ]
+
+
+def test_overwriting_snapshotted_clusters_allocates_and_leaves_the_remnants_shared():
+    image = QcowImage(1000 * BS, cluster_size=BS)
+    image.write(0, SyntheticBytes("disk", 800 * BS))
+    image.create_internal_snapshot("s")
+    assert image.allocated_clusters == 800
+    image.write(100 * BS, SyntheticBytes("new", 10 * BS))
+    assert image.allocated_clusters == 810
+    assert image._map.starts == [0, 100, 110]
+    assert [(count, shared) for count, _p, shared in image._map.runs] == [
+        (100, True),
+        (10, False),
+        (690, True),
+    ]
+    image.write(100 * BS, SyntheticBytes("again", 10 * BS))  # in place now
+    image.write(50 * BS + 1, LiteralBytes(b"!"))  # copy-up of a shared cluster allocates
+    assert image.allocated_clusters == 811
+    assert image.clusters_written == 821
+    assert image.guest_visible_bytes == 800 * BS
+
+
+def test_a_run_must_be_whole_blocks():
+    run_map = SparseDevice(10 * BS, block_size=BS)._map
+    with pytest.raises(StorageError):
+        run_map.put(0, 2, ZeroBytes(2 * BS - 1))
 
 
 # -- GuestFileSystem over every device ----------------------------------------------------------
@@ -411,21 +475,16 @@ def _epochs(cow):
     return [first, second]
 
 
-@pytest.mark.parametrize("cow", sorted(PINNED_COMMITS))
-def test_mirroring_commit_round_trip(cow):
+def _small_cloud(cow, disk):
+    """A repository on a four-node cloud and a runner for its simulation processes."""
     spec = GRAPHENE.scaled(
         compute_nodes=4,
         service_nodes=3,
-        vm=replace(GRAPHENE.vm, disk_size=DISK),
+        vm=replace(GRAPHENE.vm, disk_size=disk),
         blobseer=replace(GRAPHENE.blobseer, chunk_size=CHUNK),
         checkpoint=replace(GRAPHENE.checkpoint, cow_block_size=cow),
     )
     cloud = Cloud(spec)
-    repo = CheckpointRepository(cloud)
-    base = RawImage(DISK, block_size=cow)
-    base.write(0, SyntheticBytes("os", 20 * CHUNK + 77))
-    base.write(50 * CHUNK + 9, SyntheticBytes("more-os", 3 * CHUNK))
-    model = bytearray(base.read(0, DISK).read())
     out = {}
 
     def run(process):
@@ -435,6 +494,16 @@ def test_mirroring_commit_round_trip(cow):
         cloud.run(cloud.process(body()))
         return out["value"]
 
+    return CheckpointRepository(cloud), run
+
+
+@pytest.mark.parametrize("cow", sorted(PINNED_COMMITS))
+def test_mirroring_commit_round_trip(cow):
+    repo, run = _small_cloud(cow, DISK)
+    base = RawImage(DISK, block_size=cow)
+    base.write(0, SyntheticBytes("os", 20 * CHUNK + 77))
+    base.write(50 * CHUNK + 9, SyntheticBytes("more-os", 3 * CHUNK))
+    model = bytearray(base.read(0, DISK).read())
     blob = run(repo.upload_base_image("node-000", base))
     module = MirroringModule(repo, "node-001", "vm", blob)
     assert module.read(0, DISK).read() == bytes(model)
@@ -456,3 +525,22 @@ def test_mirroring_commit_round_trip(cow):
         )
         assert fresh.read(0, DISK).read() == bytes(model)
         assert module.read(0, DISK).read() == bytes(model)
+
+
+def test_upload_and_commit_ship_nothing_beyond_a_disk_that_ends_inside_a_block():
+    """The zero padding of the last, partial block must not grow the BLOB past the disk."""
+    disk = 16 * CHUNK + 300
+    repo, run = _small_cloud(CHUNK, disk)
+    base = RawImage(disk, block_size=CHUNK)
+    base.write(disk - 10, LiteralBytes(b"base-tail!"))
+    blob = run(repo.upload_base_image("node-000", base))
+    assert repo.client.size(blob) == disk
+    module = MirroringModule(repo, "node-001", "vm", blob)
+    module.write(disk - 4, LiteralBytes(b"tail"))
+    run(module.clone())
+    result = run(module.commit())
+    assert repo.client.size(module.checkpoint_blob_id, result.version) == disk
+    fresh = MirroringModule(
+        repo, "node-002", "vm-restored", module.checkpoint_blob_id, base_version=result.version
+    )
+    assert fresh.read(disk - 10, 10).read() == b"base-ttail"
