@@ -28,14 +28,16 @@ network and disk time without re-implementing the storage logic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from itertools import chain
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.blobseer.metadata import ChunkDescriptor, MetadataStore, StripeRun
-from repro.blobseer.provider import Chunk, ChunkKey, ProviderManager
+from repro.blobseer.provider import ChunkKey, ProviderManager
 from repro.blobseer.version_manager import VersionManager, VersionRecord
 from repro.dedup.engine import DedupEngine
 from repro.util.bytesource import ByteSource, LiteralBytes, ZeroBytes, concat
 from repro.util.errors import StorageError
+from repro.util.runmap import RunMap
 
 
 @dataclass
@@ -124,9 +126,7 @@ class BlobClient:
         if self.dedup is not None:
             # A dedup hit is only valid while a live provider still holds the
             # canonical chunk; provider failures invalidate stale entries.
-            self.dedup.availability = (
-                lambda key: len(self.providers.locations(key)) > 0
-            )
+            self.dedup.availability = self.providers.holds
 
     # -- BLOB lifecycle ----------------------------------------------------------------
 
@@ -199,13 +199,27 @@ class BlobClient:
         base_record = self.version_manager.record(blob_id, base)
         new_version = info.versions[-1].version + 1
 
-        # Cut the pieces at stripe boundaries.  A window that covers its
-        # stripe stands for it as it is (the shape of every COMMIT: aligned
-        # whole blocks) and supersedes what came before; the others are kept
-        # in write order to be overlaid on the stripe's contents.
-        whole: Dict[int, ByteSource] = {}
+        # Cut the pieces at stripe boundaries.  The whole stripes a piece
+        # covers stay together as one span over one slice of it (the shape of
+        # every COMMIT: aligned whole blocks), which supersedes what came
+        # before; a window that covers less than its stripe is overlaid at
+        # once where a span already holds the stripe, and is otherwise kept,
+        # in write order, to be overlaid on the base version's contents.
+        spans = RunMap(chunk_size)
         partial: Dict[int, List[Tuple[int, ByteSource]]] = {}
-        new_size = base_record.size
+        base_size = base_record.size
+
+        def overlay(stripe: int, start: int, window: ByteSource) -> None:
+            covered = spans.block(stripe)
+            if covered is None:
+                partial.setdefault(stripe, []).append((start, window))
+            else:
+                merged = self._merge_windows(
+                    blob_id, base, base_size, stripe, chunk_size, covered, [(start, window)]
+                )
+                spans.put(stripe, 1, merged)
+
+        new_size = base_size
         for offset, data in pieces:
             size = data.size
             if size == 0:
@@ -213,36 +227,50 @@ class BlobClient:
             new_size = max(new_size, offset + size)
             stripe, start = divmod(offset, chunk_size)
             cursor = 0
-            while cursor < size:
-                take = min(chunk_size - start, size - cursor)
-                window = data.slice(cursor, take)
-                if take == chunk_size:
-                    whole[stripe] = window
-                    partial.pop(stripe, None)
-                else:
-                    partial.setdefault(stripe, []).append((start, window))
-                cursor += take
+            if start or size < chunk_size:
+                cursor = min(chunk_size - start, size)
+                overlay(stripe, start, data.slice(0, cursor))
                 stripe += 1
-                start = 0
+            whole = (size - cursor) // chunk_size
+            if whole:
+                spans.put(stripe, whole, data.slice(cursor, whole * chunk_size))
+                cursor += whole * chunk_size
+                stripe += whole
+            if cursor < size:
+                overlay(stripe, 0, data.slice(cursor, size - cursor))
+        #: merged stripes that end short of a stripe boundary (past the end
+        #: of the base version): spans of one that the map, which holds whole
+        #: stripes, does not take
+        short: List[Tuple[int, Tuple[int, ByteSource, bool]]] = []
+        for stripe, windows in partial.items():
+            if spans.block(stripe) is None:  # else a later span superseded them
+                merged = self._merge_windows(
+                    blob_id, base, base_size, stripe, chunk_size, None, windows
+                )
+                if merged.size == chunk_size:
+                    spans.put(stripe, 1, merged)
+                else:
+                    short.append((stripe, (1, merged, False)))
 
-        # The one stripe loop: settle each stripe's payload and group
-        # consecutive full stripes into runs.
+        # Group the spans that touch into runs: (first stripe, payload parts).
+        # A short stripe ends its run; under dedup every stripe is a run.
         runs: List[Tuple[int, List[ByteSource]]] = []
         logical_bytes = 0
         next_stripe = -1
-        for stripe in sorted(whole.keys() | partial.keys()):
-            payload = whole.get(stripe)
-            if stripe in partial:
-                payload = self._merge_windows(
-                    blob_id, base, base_record.size, stripe, chunk_size, payload, partial[stripe]
-                )
-            size = payload.size
-            logical_bytes += size
+        for stripe, (count, payload, _shared) in sorted(
+            chain(zip(spans.starts, spans.runs), short)
+        ):
+            logical_bytes += payload.size
+            if self.dedup is not None and count > 1:
+                runs += [
+                    (stripe + i, [payload.slice(i * chunk_size, chunk_size)]) for i in range(count)
+                ]
+                continue
             if stripe != next_stripe:
                 runs.append((stripe, []))
             runs[-1][1].append(payload)
-            # a short stripe ends its run; under dedup every stripe does
-            next_stripe = stripe + 1 if size == chunk_size and self.dedup is None else -1
+            full = payload.size == count * chunk_size and self.dedup is None
+            next_stripe = stripe + count if full else -1
 
         updates: List[StripeRun] = []  # every run of the new version
         stored: List[StripeRun] = []  # those among them whose chunks were shipped
@@ -254,35 +282,36 @@ class BlobClient:
         #: leaked refcounts would keep canonical chunks unreclaimable forever
         batch_aliases: List[ChunkKey] = []
         try:
-            for first_stripe, payloads in runs:
+            for first_stripe, parts in runs:
+                payload = concat(parts)
+                count = -(-payload.size // chunk_size)
                 first_chunk_id = self._next_chunk_id
-                self._next_chunk_id += len(payloads)
-                last_length = payloads[-1].size
+                self._next_chunk_id += count
+                last_length = payload.size - (count - 1) * chunk_size
                 ingest = None
                 if self.dedup is not None:
-                    ingest = self.dedup.ingest(payloads[0])
+                    ingest = self.dedup.ingest(payload)
                     cpu_seconds += ingest.cpu_seconds
-                duplicate = ingest is not None and ingest.duplicate
-                if duplicate:
+                held = None
+                if ingest is not None and ingest.duplicate:
                     # Identical content is already stored: record a logical
                     # -> canonical alias instead of shipping the chunk.
                     key = ChunkKey(blob_id, first_chunk_id)
                     self.metadata.register_chunk_alias(key, ingest.canonical_key)
                     batch_aliases.append(key)
-                    providers = (ingest.canonical_providers,)
+                    providers: Sequence[Tuple[str, ...]] = (ingest.canonical_providers,)
                     stored_size: Optional[int] = 0
                     dedup_hits += 1
                     dedup_saved += last_length
                 else:
                     stored_size = None if ingest is None else ingest.stored_size
-                    chunks = [
-                        Chunk(ChunkKey(blob_id, chunk_id), payload, stored_size)
-                        for chunk_id, payload in enumerate(payloads, first_chunk_id)
-                    ]
-                    providers = self.providers.store_many(chunks)
+                    held = self.providers.store_run(
+                        blob_id, first_chunk_id, payload, chunk_size, stored_size
+                    )
+                    providers = held.placements
                     if ingest is not None:
                         self.dedup.register_canonical(
-                            ingest, chunks[0].key, last_length, providers[0]
+                            ingest, ChunkKey(blob_id, first_chunk_id), last_length, providers[0]
                         )
                 run = StripeRun(
                     first_stripe=first_stripe,
@@ -293,9 +322,10 @@ class BlobClient:
                     last_length=last_length,
                     created_by=(blob_id, new_version),
                     physical_length=stored_size,
+                    stored=held,
                 )
                 updates.append(run)
-                if not duplicate:
+                if held is not None:
                     stored.append(run)
         except Exception:
             self._rollback_batch(stored, batch_aliases)
@@ -475,34 +505,46 @@ class BlobClient:
     def _read_version(self, blob_id: int, version: int, offset: int, size: int) -> ByteSource:
         """The (already checked) window ``[offset, offset + size)`` of a version.
 
-        Walks the runs the window crosses: each run's chunks come back from
-        one bulk fetch, and whatever no chunk covers -- holes, and the tail of
-        a stripe whose chunk is short -- reads as zeros.
+        Walks the runs the window crosses.  The stripes of a run that are
+        still where they were placed come back as one slice of the run's
+        stored payload; a stripe that is not (its providers failed, or it
+        aliases a canonical chunk) is looked for on every provider.  Whatever
+        no chunk covers -- holes, and the tail of a stripe whose chunk is
+        short -- reads as zeros.
         """
         if size == 0:
             return LiteralBytes(b"")
         end = offset + size
         chunk_size = self.version_manager.get(blob_id).chunk_size
+        providers = self.providers
         pieces: List[ByteSource] = []
         cursor = offset  # everything below it is in ``pieces``
         for run, first, last in self.metadata.extents_in_range(
             blob_id, version, offset // chunk_size, (end - 1) // chunk_size
         ):
+            held = run.stored
             index = first - run.first_stripe
-            chunks = self.providers.fetch_many(
-                run.keys(first, last), run.providers[index : index + last - first + 1]
-            )
-            stripe_start = first * chunk_size
-            for chunk in chunks:
-                data = chunk.data
+            stop = last - run.first_stripe + 1
+            while index < stop:
+                live = index if held is None else providers.live_prefix(held, index, stop)
+                if live > index:
+                    source, at, count = held, index, live - index
+                else:
+                    source, at = providers.locate(
+                        ChunkKey(run.blob_id, run.first_chunk_id + index), run.providers[index]
+                    )
+                    count = 1
+                stripe_start = (run.first_stripe + index) * chunk_size
                 lo = max(cursor, stripe_start)
-                hi = min(end, stripe_start + data.size)
+                hi = min(end, stripe_start + source.span_bytes(at, count))
                 if lo < hi:
                     if cursor < lo:
                         pieces.append(ZeroBytes(lo - cursor))
-                    pieces.append(data.slice(lo - stripe_start, hi - lo))
+                    pieces.append(
+                        source.payload.slice(at * source.stripe_length + lo - stripe_start, hi - lo)
+                    )
                     cursor = hi
-                stripe_start += chunk_size
+                index += count
         if cursor < end:
             pieces.append(ZeroBytes(end - cursor))
         return concat(pieces)

@@ -25,7 +25,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.blobseer.provider import ChunkKey
+from repro.blobseer.provider import ChunkKey, StoredRun
 from repro.util.errors import StorageError, VersionNotFoundError
 
 
@@ -77,6 +77,10 @@ class StripeRun:
     created_by: Tuple[int, int]
     #: see :attr:`ChunkDescriptor.physical_length`; holds for every stripe
     physical_length: Optional[int] = None
+    #: the stored run the providers were handed for these stripes (same chunk
+    #: ids, same ``providers`` list); ``None`` for a dedup alias and for a
+    #: run described by hand, whose chunks are looked up by key
+    stored: Optional[StoredRun] = None
 
     @classmethod
     def of(cls, descriptor: ChunkDescriptor) -> "StripeRun":

@@ -7,19 +7,36 @@ placement decisions (which providers should store the replicas of a new
 chunk) using a least-loaded policy with deterministic tie-breaking, which is
 what gives the checkpoint repository its even load distribution.
 
-A COMMIT ships the chunks of a whole run of stripes at once, so the unit of
-both layers is the batch: :meth:`ProviderManager.place_many` decides a
-sequence of placements over one incrementally maintained index,
-:meth:`ProviderManager.store_many` / :meth:`fetch_many` move the chunks with
-one bulk call per provider, and the one-chunk entry points are wrappers.
+A COMMIT ships a whole run of consecutive stripes at once, and the run is
+what both layers store.  :meth:`ProviderManager.store_run` places it with one
+:meth:`~ProviderManager.place_many` over an incrementally maintained index,
+wraps its payload in one :class:`StoredRun` and hands every chosen provider
+its share as two numbers, a chunk count and a byte count.  A provider keeps
+the runs it was handed, not their chunks, in one table: *it holds exactly the
+chunks the run's placement puts on it*, minus those a ``delete`` took away,
+which the run records in an exception set that does not exist until then; a
+run none of whose chunks is left here leaves the table, and the payload goes
+when the run has left the last one.  A read asks whether the chunks it wants
+are still where they were placed (:meth:`ProviderManager.live_prefix`: per
+chunk a provider lookup, its ``alive`` flag and its run table, nothing
+allocated) and slices the payload once.
+
+:class:`Chunk`, :class:`ChunkKey` and the one-chunk operations (a provider's
+``store``/``fetch``/``has``/``delete``/``keys``, the manager's ``place``/
+``store_many``/``store_replicated``/``fetch_many``/``fetch_any``/``locations``)
+are views: a chunk stored alone is a run of one, which the table finds with
+one probe (under dedup every chunk is one), and a chunk of a longer run is
+looked for run by run and cut out of the payload on demand.
 """
 
 from __future__ import annotations
 
 import zlib
 from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.obs.tracer import TRACER
 from repro.util.bytesource import ByteSource
@@ -54,6 +71,57 @@ class Chunk:
         return self.data.size if self.stored_size is None else self.stored_size
 
 
+@dataclass(slots=True, eq=False)
+class StoredRun:
+    """Consecutive chunks of one BLOB stored by one call: the unit providers keep.
+
+    Chunk ``first_chunk_id + i`` is bytes ``[i * stripe_length, ...)`` of
+    ``payload``; every chunk but the last is ``stripe_length`` bytes long.
+    One object is shared by all the providers ``placements`` names: provider
+    ``p`` holds chunk ``i`` iff the run is in ``p``'s table, ``p`` is in
+    ``placements[i]`` and ``(i, p)`` is not in ``dropped``.
+    """
+
+    blob_id: int
+    first_chunk_id: int
+    #: per chunk, the ids of the providers it was stored on: the
+    #: ``place_many`` result, which the metadata's ``StripeRun`` shares
+    placements: Sequence[Tuple[str, ...]]
+    #: ``None`` once the run has left the last provider's table
+    payload: Optional[ByteSource]
+    stripe_length: int
+    last_length: int
+    #: see :attr:`Chunk.stored_size`; holds for every chunk of the run
+    stored_size: Optional[int] = None
+    #: ``(index, provider id)`` of the chunks deleted from providers that
+    #: still hold others of the run; ``None`` until the first one
+    dropped: Optional[Set[Tuple[int, str]]] = None
+    #: how many providers have the run in their table
+    holders: int = 0
+    #: what those tables file it under: ``(blob id, first chunk id, chunks)``,
+    #: one tuple for all of them.  The count is part of it so that a chunk
+    #: stored alone never collides with a longer run that starts at its id.
+    table_key: Tuple[int, int, int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.table_key = (self.blob_id, self.first_chunk_id, len(self.placements))
+
+    def span_bytes(self, first: int, count: int) -> int:
+        """Bytes of content chunks ``first .. first + count - 1`` hold."""
+        total = count * self.stripe_length
+        if first + count == len(self.placements):
+            total += self.last_length - self.stripe_length
+        return total
+
+    def chunk(self, index: int) -> Chunk:
+        """Chunk ``index`` on its own, cut out of the payload."""
+        return Chunk(
+            ChunkKey(self.blob_id, self.first_chunk_id + index),
+            self.payload.slice(index * self.stripe_length, self.span_bytes(index, 1)),
+            self.stored_size,
+        )
+
+
 class DataProvider:
     """Chunk storage backed by one node's local disk."""
 
@@ -70,8 +138,15 @@ class DataProvider:
         #: never has to walk the providers.
         self._manager: Optional["ProviderManager"] = None
         self._slot = -1
-        self._chunks: Dict[ChunkKey, Chunk] = {}
+        #: the run table, by :attr:`StoredRun.table_key`: every run this
+        #: provider holds a chunk of (which chunks is what the run says)
+        self._runs: Dict[Tuple[int, int, int], StoredRun] = {}
+        #: how many of them are longer than one chunk: only those need a look
+        #: beyond the probe, and under dedup, or through the one-chunk calls
+        #: alone, there are none
+        self._long = 0
         self._used = 0
+        self._count = 0
         self.alive = True
 
     # -- capacity -----------------------------------------------------------
@@ -86,64 +161,115 @@ class DataProvider:
 
     @property
     def chunk_count(self) -> int:
-        return len(self._chunks)
+        return self._count
 
     # -- chunk operations -----------------------------------------------------
 
-    def store(self, chunk: Chunk) -> None:
-        self.store_many((chunk,))
-
-    def store_many(self, chunks: Iterable[Chunk]) -> None:
-        """Store several chunks; liveness is checked once, room and identity per chunk."""
+    def _accept(self, run: StoredRun, chunks: int, nbytes: int) -> None:
+        """Take this provider's share of a run: the ``chunks`` chunks (of
+        ``nbytes`` stored bytes in all) that ``run.placements`` puts here,
+        none of which it holds yet."""
         if not self.alive:
             raise StorageError(f"provider {self.provider_id} is not alive")
-        stored = self._chunks
+        if nbytes > self.capacity - self._used:
+            raise StorageError(
+                f"provider {self.provider_id} is full ({nbytes} needed, {self.free_bytes} free)"
+            )
+        self._runs[run.table_key] = run
+        self._long += len(run.placements) > 1
+        run.holders += 1
+        self._used += nbytes
+        self._count += chunks
+
+    def _forget(self, run: StoredRun) -> None:
+        """Take a run this provider holds nothing of any more out of the
+        table; what the run keeps goes with the last table."""
+        del self._runs[run.table_key]
+        self._long -= len(run.placements) > 1
+        run.holders -= 1
+        if not run.holders:
+            run.payload = run.dropped = None
+
+    def _find(self, key: ChunkKey) -> Optional[StoredRun]:
+        """The run this provider holds chunk ``key`` in: one probe for a run
+        of one, else a look at every run of the table (tests, GC, rollback)."""
+        blob_id, chunk_id = key
+        run = self._runs.get((blob_id, chunk_id, 1))
+        if run is not None or not self._long:
+            return run  # a run of one leaves the table with its chunk
+        me = self.provider_id
+        for (blob, first, count), run in self._runs.items():
+            if blob == blob_id and first <= chunk_id < first + count:
+                index = chunk_id - first
+                if me in run.placements[index] and (index, me) not in (run.dropped or ()):
+                    return run
+        return None
+
+    def store(self, chunk: Chunk) -> None:
+        """Store one chunk, as a run of one.  Chunks are immutable: a key
+        that is already held keeps the chunk it has."""
         try:
-            for chunk in chunks:
-                if chunk.key in stored:
-                    # Chunks are immutable; re-storing the same key is idempotent.
-                    continue
-                footprint = chunk.footprint
-                if footprint > self.capacity - self._used:
-                    raise StorageError(
-                        f"provider {self.provider_id} is full "
-                        f"({footprint} needed, {self.free_bytes} free)"
-                    )
-                stored[chunk.key] = chunk
-                self._used += footprint
+            if self.has(chunk.key):
+                return
+            blob_id, chunk_id = chunk.key
+            placements = ((self.provider_id,),)
+            run = StoredRun(
+                blob_id, chunk_id, placements, chunk.data, chunk.size, chunk.size, chunk.stored_size
+            )
+            self._accept(run, 1, chunk.footprint)
         finally:
-            self._usage_changed()
+            self._usage_changed()  # the placement index may count a chunk that did not arrive
 
     def has(self, key: ChunkKey) -> bool:
-        return self.alive and key in self._chunks
+        return self.alive and self._find(key) is not None
 
     def fetch(self, key: ChunkKey) -> Chunk:
         if not self.alive:
             raise ChunkNotFoundError(f"provider {self.provider_id} is not alive")
-        try:
-            return self._chunks[key]
-        except KeyError:
-            raise ChunkNotFoundError(
-                f"chunk {key} not stored on provider {self.provider_id}"
-            ) from None
+        run = self._find(key)
+        if run is None:
+            raise ChunkNotFoundError(f"chunk {key} not stored on provider {self.provider_id}")
+        return run.chunk(key.chunk_id - run.first_chunk_id)
 
-    def delete(self, key: ChunkKey) -> bool:
-        """Remove a chunk (used by garbage collection). Returns True if present."""
-        chunk = self._chunks.pop(key, None)
-        if chunk is None:
-            return False
-        self._used -= chunk.footprint
+    def delete(self, key: ChunkKey) -> Optional[int]:
+        """Remove a chunk (garbage collection, rollback): the bytes it freed,
+        ``None`` if it was not here."""
+        run = self._find(key)
+        if run is None:
+            return None
+        index = key.chunk_id - run.first_chunk_id
+        me = self.provider_id
+        freed = run.span_bytes(index, 1) if run.stored_size is None else run.stored_size
+        gone = run.dropped or ()
+        if any(
+            me in placed and i != index and (i, me) not in gone
+            for i, placed in enumerate(run.placements)
+        ):
+            if run.dropped is None:
+                run.dropped = set()
+            run.dropped.add((index, me))
+        else:
+            self._forget(run)
+        self._used -= freed
+        self._count -= 1
         self._usage_changed()
-        return True
+        return freed
 
     def keys(self) -> Iterable[ChunkKey]:
-        return self._chunks.keys()
+        me = self.provider_id
+        for run in self._runs.values():
+            dropped = run.dropped
+            for index, placed in enumerate(run.placements):
+                if me in placed and (dropped is None or (index, me) not in dropped):
+                    yield ChunkKey(run.blob_id, run.first_chunk_id + index)
 
     def fail(self) -> None:
         """Simulate a fail-stop crash: all locally stored chunks are lost."""
         self.alive = False
-        self._chunks.clear()
+        for run in list(self._runs.values()):
+            self._forget(run)
         self._used = 0
+        self._count = 0
         if self._manager is not None:
             self._manager._index_stale = True
 
@@ -153,7 +279,7 @@ class DataProvider:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
-            f"<DataProvider {self.provider_id} chunks={len(self._chunks)} "
+            f"<DataProvider {self.provider_id} chunks={self._count} "
             f"used={self._used}B alive={self.alive}>"
         )
 
@@ -372,41 +498,112 @@ class ProviderManager:
 
     # -- chunk transfer ------------------------------------------------------------
 
-    def store_many(self, chunks: Sequence[Chunk]) -> List[Tuple[str, ...]]:
-        """Place and store ``chunks`` in order; returns the provider ids of each.
+    def store_run(
+        self,
+        blob_id: int,
+        first_chunk_id: int,
+        payload: ByteSource,
+        stripe_length: int,
+        stored_size: Optional[int] = None,
+    ) -> StoredRun:
+        """Place and store ``payload`` as one run of new consecutive chunks,
+        ``stripe_length`` bytes each (the last one what is left).
 
-        Capacity is consumed at the stored (possibly compressed) footprint,
-        so placement sizes against that, not the logical size.  Each provider
-        receives its share in one bulk store.
+        The chunk ids are fresh (their client allocated them), so no provider
+        holds any of them yet.  Capacity is consumed at the stored (possibly
+        compressed) footprint, so placement sizes against that, not the
+        logical size.  Each provider the placement names is handed the run
+        and what its share of it adds up to.
         """
-        sizes = [chunk.footprint for chunk in chunks]
+        if payload.size == 0:
+            raise StorageError("a stored run holds at least one byte")
+        count = -(-payload.size // stripe_length)
+        last_length = payload.size - (count - 1) * stripe_length
+        if stored_size is None:
+            size, last = stripe_length, last_length
+        else:
+            size = last = stored_size
+        sizes = [size] * (count - 1) + [last]
         placements = self.place_many(sizes)
-        shares: Dict[str, List[Chunk]] = {}
-        for chunk, providers in zip(chunks, placements):
-            for provider_id in providers:
-                shares.setdefault(provider_id, []).append(chunk)
+        run = StoredRun(
+            blob_id, first_chunk_id, placements, payload, stripe_length, last_length, stored_size
+        )
         try:
-            for provider_id, share in shares.items():
-                self._providers[provider_id].store_many(share)
+            for provider_id, chunks in Counter(chain.from_iterable(placements)).items():
+                nbytes = chunks * size + (last - size if provider_id in placements[-1] else 0)
+                self._providers[provider_id]._accept(run, chunks, nbytes)
         except BaseException:
             self._index_stale = True  # it counts chunks that never arrived
             raise
+        self._observe(sizes, placements)
+        return run
+
+    def store_many(self, chunks: Sequence[Chunk]) -> List[Tuple[str, ...]]:
+        """Place and store ``chunks`` in order, each on its own; returns the
+        provider ids of each."""
+        sizes = [chunk.footprint for chunk in chunks]
+        placements = self.place_many(sizes)
+        try:
+            for chunk, providers in zip(chunks, placements):
+                for provider_id in providers:
+                    self._providers[provider_id].store(chunk)
+        except BaseException:
+            self._index_stale = True  # it counts chunks that never arrived
+            raise
+        self._observe(sizes, placements)
+        return placements
+
+    @staticmethod
+    def _observe(sizes: Sequence[int], placements: Sequence[Tuple[str, ...]]) -> None:
         if TRACER.enabled:
             for size, providers in zip(sizes, placements):
                 TRACER.observe("chunk.stored_bytes", size)
                 TRACER.observe("chunk.replicas", len(providers))
-        return placements
 
     def store_replicated(self, chunk: Chunk) -> PlacementDecision:
         """Place and store one chunk."""
         (providers,) = self.store_many((chunk,))
         return PlacementDecision(key=chunk.key, providers=list(providers))
 
-    def fetch_many(
-        self, keys: Iterable[ChunkKey], preferred: Iterable[Sequence[str]]
-    ) -> List[Chunk]:
-        """Fetch each chunk from the first live provider that still has it,
-        trying its ``preferred`` providers (where it was placed) first.
+    def live_prefix(self, run: StoredRun, first: int, stop: int) -> int:
+        """How far chunks ``first .. stop - 1`` of ``run`` can be read from
+        where they were placed: the index of the first one that no live
+        provider of its placement holds any more (``stop`` if none)."""
+        providers = self._providers
+        placements = run.placements
+        dropped = run.dropped
+        table_key = run.table_key
+        for index in range(first, stop):
+            for provider_id in placements[index]:
+                provider = providers.get(provider_id)
+                if (
+                    provider is not None
+                    and provider.alive
+                    and provider._runs.get(table_key) is run
+                    and (dropped is None or (index, provider_id) not in dropped)
+                ):
+                    break
+            else:
+                return index
+        return stop
+
+    def _holder(self, key: ChunkKey, preferred: Iterable[str]) -> Optional[StoredRun]:
+        """The run ``key`` is part of on the first live provider that holds
+        it: its ``preferred`` providers (where it was placed), then everyone."""
+        providers = self._providers
+        for provider in chain(map(providers.get, preferred), providers.values()):
+            if provider is not None and provider.alive:
+                run = provider._find(key)
+                if run is not None:
+                    return run
+        return None
+
+    def holds(self, key: ChunkKey, preferred: Iterable[str] = ()) -> bool:
+        """Whether some live provider holds ``key`` (the dedup layer's probe)."""
+        return self._holder(key, preferred) is not None
+
+    def locate(self, key: ChunkKey, preferred: Iterable[str] = ()) -> Tuple[StoredRun, int]:
+        """The stored run that holds chunk ``key`` and the chunk's index in it.
 
         When a dedup layer is active, a key may be a logical alias of a
         canonical chunk that holds the identical content; the alias is
@@ -414,32 +611,28 @@ class ProviderManager:
         transparently.
         """
         if self.alias_resolver is not None:
-            keys = map(self.alias_resolver, keys)
-        providers = self._providers
-        chunks: List[Chunk] = []
-        for key, hint in zip(keys, preferred):
-            chunk = None
-            for provider_id in hint:
-                provider = providers.get(provider_id)
-                if provider is not None and provider.alive:
-                    chunk = provider._chunks.get(key)
-                    if chunk is not None:
-                        break
-            if chunk is None:  # lost or never stored where it was placed: ask everyone
-                for provider in providers.values():
-                    if provider.alive:
-                        chunk = provider._chunks.get(key)
-                        if chunk is not None:
-                            break
-            if chunk is None:
-                raise ChunkNotFoundError(f"chunk {key} is not stored on any live provider")
-            chunks.append(chunk)
-        return chunks
+            key = self.alias_resolver(key)
+        run = self._holder(key, preferred)
+        if run is None:
+            raise ChunkNotFoundError(f"chunk {key} is not stored on any live provider")
+        return run, key.chunk_id - run.first_chunk_id
+
+    def fetch_many(
+        self, keys: Iterable[ChunkKey], preferred: Iterable[Sequence[str]]
+    ) -> List[Chunk]:
+        """Fetch each chunk (see :meth:`locate`) with its own ``preferred`` hint."""
+        keys, preferred = list(keys), list(preferred)
+        if len(keys) != len(preferred):
+            raise StorageError(
+                f"fetch_many needs one provider hint per key: {len(keys)} keys, "
+                f"{len(preferred)} hints"
+            )
+        return [run.chunk(index) for run, index in map(self.locate, keys, preferred)]
 
     def fetch_any(self, key: ChunkKey, preferred: Iterable[str] = ()) -> Chunk:
-        """Fetch one chunk (see :meth:`fetch_many`)."""
-        (chunk,) = self.fetch_many((key,), (tuple(preferred),))
-        return chunk
+        """Fetch one chunk (see :meth:`locate`)."""
+        run, index = self.locate(key, preferred)
+        return run.chunk(index)
 
     def locations(self, key: ChunkKey) -> List[str]:
         return [p.provider_id for p in self._providers.values() if p.has(key)]

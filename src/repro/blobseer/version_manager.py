@@ -11,7 +11,9 @@ deals in small records, which is why it scales to many concurrent writers.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.util.errors import StorageError, VersionNotFoundError
@@ -33,6 +35,9 @@ class VersionRecord:
     tag: str = ""
 
 
+_version_of = attrgetter("version")
+
+
 @dataclass
 class BlobInfo:
     """Registry entry of one BLOB."""
@@ -50,9 +55,10 @@ class BlobInfo:
         return self.versions[-1].version
 
     def record(self, version: int) -> VersionRecord:
-        for rec in self.versions:
-            if rec.version == version:
-                return rec
+        # ``versions`` is ascending, also after garbage collection pruned it
+        index = bisect_left(self.versions, version, key=_version_of)
+        if index < len(self.versions) and self.versions[index].version == version:
+            return self.versions[index]
         raise VersionNotFoundError(f"blob {self.blob_id} has no version {version}")
 
 

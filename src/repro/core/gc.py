@@ -51,18 +51,19 @@ class SnapshotGarbageCollector:
         client = self.repository.client
         keys: Set[ChunkKey] = set()
         for version in versions:
-            for desc in client.metadata.iter_descriptors(blob_id, version):
-                keys.add(desc.key)
+            keys |= client.chunk_keys(blob_id, version=version)
         return keys
 
-    def _delete_physical(self, key: ChunkKey, report: GCReport) -> None:
-        """Remove every replica of a chunk, accounting the freed disk bytes."""
+    def _delete_physical(self, keys: Set[ChunkKey], report: GCReport) -> None:
+        """Remove every replica of the chunks, accounting the freed disk bytes.
+
+        Provider by provider: which of ``keys`` a provider holds is one walk
+        of what it holds, where asking it about each key is a walk per key.
+        """
         for provider in self.repository.client.providers.providers:
-            if provider.has(key):
-                chunk = provider.fetch(key)
-                provider.delete(key)
+            for key in keys.intersection(provider.keys()):
                 report.deleted_chunks += 1
-                report.reclaimed_bytes += chunk.footprint
+                report.reclaimed_bytes += provider.delete(key)
 
     def collect(
         self,
@@ -111,6 +112,7 @@ class SnapshotGarbageCollector:
 
         engine = client.dedup
         metadata = client.metadata
+        doomed: Set[ChunkKey] = set()
         for key in drop_keys:
             canonical = metadata.resolve_chunk(key)
             if metadata.drop_chunk_alias(key):
@@ -121,7 +123,8 @@ class SnapshotGarbageCollector:
                     # Other descriptors still reference this content.
                     report.retained_canonical_chunks += 1
                     continue
-            self._delete_physical(canonical, report)
+            doomed.add(canonical)
+        self._delete_physical(doomed, report)
 
         # Phase 4: forget the dropped versions' metadata and records.
         for blob_id, (keep, drop) in plans.items():

@@ -60,7 +60,7 @@ class DedupEngine:
         #: canonical replica; after a fail-stop loss the stale entry must be
         #: dropped so the content is stored afresh instead of aliased to a
         #: ghost chunk
-        self.availability: Optional[Callable[[ChunkKey], bool]] = None
+        self.availability: Optional[Callable[[ChunkKey, Tuple[str, ...]], bool]] = None
         self.invalidated_chunks = 0
         #: counters (logical = pre-dedup, pre-compression)
         self.logical_bytes_ingested = 0
@@ -85,7 +85,7 @@ class DedupEngine:
         if (
             entry is not None
             and self.availability is not None
-            and not self.availability(entry.key)
+            and not self.availability(entry.key, entry.providers)
         ):
             self.index.discard(entry.key)
             self.invalidated_chunks += 1

@@ -12,6 +12,11 @@ Contents
     The :class:`~repro.util.bytesource.ByteSource` abstraction used to
     represent payload data either literally (small, fully materialised) or
     synthetically (large, deterministic, never materialised at full size).
+``runmap``
+    :class:`~repro.util.runmap.RunMap`, sparse storage of fixed-size blocks
+    as sorted runs of consecutive whole blocks: what the virtual-disk devices
+    keep their content in and what a BlobSeer ``write_batch`` settles
+    overlapping pieces in.
 ``rng``
     Deterministic random-number helpers built on ``numpy.random.Generator``.
 ``stats``

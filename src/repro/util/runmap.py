@@ -1,0 +1,177 @@
+"""Sparse storage of fixed-size blocks as runs of consecutive whole blocks.
+
+:class:`RunMap` is the one sorted-runs map of the library.  The virtual-disk
+layer keeps device and image content in it (a block is a device block or a
+qcow2 cluster), and a BlobSeer ``write_batch`` settles in it which piece of a
+batch wins each stripe (a block is a stripe).
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+from typing import Callable, Iterator, List, Optional, Tuple
+
+from repro.util.bytesource import ByteSource, concat
+from repro.util.errors import StorageError
+
+#: ``background(offset, length)``: what a device shows where nothing was written
+Background = Callable[[int, int], ByteSource]
+
+
+class RunMap:
+    """Sparse fixed-granularity block storage: sorted runs of whole blocks.
+
+    The stored unit is the *run*: ``count`` consecutive whole blocks backed by
+    one :class:`ByteSource` of ``count * block_size`` bytes.  ``starts`` holds
+    the first block of every run in ascending order (``bisect`` finds a block)
+    and ``runs`` the matching ``(count, payload, shared)``.  Runs never
+    overlap and are never merged.  ``shared`` marks content that an internal
+    snapshot references too (qcow2): overwriting it allocates a new cluster
+    instead of rewriting one in place, and both remnants of a split run keep
+    the flag.
+    """
+
+    __slots__ = ("block_size", "starts", "runs")
+
+    def __init__(self, block_size: int):
+        if block_size <= 0:
+            raise StorageError(f"block size must be positive: {block_size}")
+        self.block_size = block_size
+        self.starts: List[int] = []
+        self.runs: List[Tuple[int, ByteSource, bool]] = []
+
+    def copy(self) -> "RunMap":
+        """An independent map over the same (immutable) payloads."""
+        twin = RunMap(self.block_size)
+        twin.starts = list(self.starts)
+        twin.runs = list(self.runs)
+        return twin
+
+    def share_all(self) -> None:
+        """Flag every stored block as referenced by a snapshot."""
+        self.runs = [(count, payload, True) for count, payload, _shared in self.runs]
+
+    def block_count(self) -> int:
+        return sum(run[0] for run in self.runs)
+
+    def block(self, index: int) -> Optional[ByteSource]:
+        """The content of one stored block, ``None`` for a hole."""
+        i = bisect_right(self.starts, index) - 1
+        if i < 0 or index >= self.starts[i] + self.runs[i][0]:
+            return None
+        return self.runs[i][1].slice((index - self.starts[i]) * self.block_size, self.block_size)
+
+    def put(self, first: int, count: int, payload: ByteSource) -> int:
+        """Store ``payload`` as the run of blocks ``[first, first + count)``.
+
+        Runs it overlaps are cut back to what lies outside the range.  Returns
+        how many of the blocks were not rewritten in place: absent before, or
+        shared with a snapshot.
+        """
+        block_size = self.block_size
+        if payload.size != count * block_size:
+            raise StorageError(
+                f"run of {count} blocks of {block_size} bytes given {payload.size} bytes"
+            )
+        end = first + count
+        starts, runs = self.starts, self.runs
+        lo = bisect_right(starts, first) - 1
+        if lo < 0 or starts[lo] + runs[lo][0] <= first:
+            lo += 1
+        hi = bisect_left(starts, end, lo)
+        new_starts, new_runs = [first], [(count, payload, False)]
+        in_place = 0
+        for i in range(lo, hi):
+            start = starts[i]
+            held, old, shared = runs[i]
+            if not shared:
+                in_place += min(start + held, end) - max(start, first)
+            if start < first:
+                keep = first - start
+                new_starts.insert(0, start)
+                new_runs.insert(0, (keep, old.slice(0, keep * block_size), shared))
+            if start + held > end:
+                keep = start + held - end
+                new_starts.append(end)
+                new_runs.append(
+                    (keep, old.slice((held - keep) * block_size, keep * block_size), shared)
+                )
+        starts[lo:hi] = new_starts
+        runs[lo:hi] = new_runs
+        return count - in_place
+
+    def stored(self, offset: int, length: int) -> Iterator[Tuple[int, ByteSource]]:
+        """Yield ``(offset, content)`` for each run's part of a byte window, ascending."""
+        block_size = self.block_size
+        end = offset + length
+        starts, runs = self.starts, self.runs
+        for i in range(max(bisect_right(starts, offset // block_size) - 1, 0), len(starts)):
+            run_start = starts[i] * block_size
+            if run_start >= end:
+                break
+            payload = runs[i][1]
+            lo = max(run_start, offset)
+            hi = min(run_start + payload.size, end)
+            if lo < hi:
+                yield lo, payload.slice(lo - run_start, hi - lo)
+
+    def read(self, offset: int, length: int, background: Background) -> ByteSource:
+        """Read a window: one slice per run, ``background`` for the holes.
+
+        Each maximal hole issues a *single* ranged background read: the
+        fallback's content and accounting are both additive over contiguous
+        windows, and one call per hole instead of one per block is what keeps
+        restoring a mostly-remote image from paying a full plan/fetch
+        round-trip per 256 KB block.
+        """
+        pieces: List[ByteSource] = []
+        cursor = offset
+        for start, piece in self.stored(offset, length):
+            if start > cursor:
+                pieces.append(background(cursor, start - cursor))
+            pieces.append(piece)
+            cursor = start + piece.size
+        if cursor < offset + length:
+            pieces.append(background(cursor, offset + length - cursor))
+        return concat(pieces)
+
+    def write(self, offset: int, data: ByteSource, background: Background) -> int:
+        """Write a window; returns :meth:`put`'s count over the touched blocks.
+
+        The whole blocks of the window become one run backed by one slice of
+        ``data``.  A partially covered first or last block is read-modify-
+        written against the block's current content (or ``background`` where
+        nothing was written yet).
+        """
+        block_size = self.block_size
+        first, head = divmod(offset, block_size)
+        last, tail = divmod(offset + data.size, block_size)
+        if first == last:
+            return self._merge(first, head, data, background)
+        fresh = 0
+        cursor = 0
+        if head:
+            cursor = block_size - head
+            fresh += self._merge(first, head, data.slice(0, cursor), background)
+            first += 1
+        if first < last:
+            span = (last - first) * block_size
+            fresh += self.put(first, last - first, data.slice(cursor, span))
+            cursor += span
+        if tail:
+            fresh += self._merge(last, 0, data.slice(cursor, tail), background)
+        return fresh
+
+    def _merge(self, index: int, start: int, piece: ByteSource, background: Background) -> int:
+        """Overlay ``piece`` at ``start`` inside block ``index``."""
+        block_size = self.block_size
+        base = self.block(index)
+        if base is None:
+            base = background(index * block_size, block_size)
+        pieces = [piece]
+        if start:
+            pieces.insert(0, base.slice(0, start))
+        tail = start + piece.size
+        if tail < block_size:
+            pieces.append(base.slice(tail, block_size - tail))
+        return self.put(index, 1, concat(pieces))

@@ -16,7 +16,7 @@ qcow2-over-PVFS baselines operate on:
 
 Granularity (COW block, qcow2 cluster) decides what is allocated, copied up,
 dirtied and shipped; it is not the stored unit.  Both sparse devices keep
-their content in one :class:`~repro.vdisk.blockdev.RunMap`: the whole blocks
+their content in one :class:`~repro.util.runmap.RunMap`: the whole blocks
 a write covers are stored as one *run* backed by one slice of the written
 payload, only a partially covered first or last block is read-modify-written,
 and reads, COMMIT and the base-image upload move one piece per run.

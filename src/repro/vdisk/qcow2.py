@@ -8,7 +8,7 @@ rely on:
   base image; guest writes allocate clusters inside the qcow2 file;
 * **cluster allocation**: data is allocated in whole clusters (64 KiB by
   default), with copy-up of partially written clusters (the mapping is a
-  :class:`~repro.vdisk.blockdev.RunMap`: consecutive clusters written
+  :class:`~repro.util.runmap.RunMap`: consecutive clusters written
   together are one entry); the *file size*
   accounts for the header, the L1/L2 mapping tables, the refcount blocks and
   every allocated cluster -- this is the quantity the ``qcow2-disk`` baseline
@@ -32,7 +32,8 @@ from typing import Dict, List, Optional
 
 from repro.util.bytesource import ByteSource, LiteralBytes
 from repro.util.errors import SnapshotError, StorageError
-from repro.vdisk.blockdev import BlockDevice, RunMap, read_through
+from repro.util.runmap import RunMap
+from repro.vdisk.blockdev import BlockDevice, read_through
 
 
 @dataclass

@@ -58,9 +58,9 @@ class TestDataProvider:
     def test_delete_frees_space(self):
         provider = DataProvider("p0")
         provider.store(Chunk(ChunkKey(1, 1), LiteralBytes(b"abcd")))
-        assert provider.delete(ChunkKey(1, 1)) is True
+        assert provider.delete(ChunkKey(1, 1)) == 4  # the bytes it freed
         assert provider.used_bytes == 0
-        assert provider.delete(ChunkKey(1, 1)) is False
+        assert provider.delete(ChunkKey(1, 1)) is None
 
     def test_fail_loses_data(self):
         provider = DataProvider("p0")
@@ -236,6 +236,21 @@ class TestVersionManager:
     def test_invalid_chunk_size(self):
         with pytest.raises(StorageError):
             VersionManager().create_blob(0)
+
+    def test_record_after_pruning(self):
+        """Garbage collection leaves gaps in ``versions``; lookups still resolve."""
+        vm = VersionManager()
+        blob = vm.create_blob(1024)
+        for size in range(8):
+            vm.publish(blob, size=size, incremental_bytes=0, parent=None)
+        info = vm.get(blob)
+        info.versions = [rec for rec in info.versions if rec.version in (0, 3, 6, 7)]
+        for version in (0, 3, 6, 7):
+            assert vm.record(blob, version).size == version
+        for version in (-1, 1, 2, 4, 5, 8):
+            with pytest.raises(VersionNotFoundError):
+                vm.record(blob, version)
+        assert vm.size_of(blob) == 7 and vm.size_of(blob, 3) == 3
 
 
 class TestBlobClient:

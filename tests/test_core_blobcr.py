@@ -90,6 +90,19 @@ class TestMirroringModule:
         base_head = repo.client.read(module.base_blob_id, 0, 1024).read()
         assert module.read(0, 1024).read() == base_head
 
+    def test_snapshot_device_reads_its_size_once(self, monkeypatch):
+        """A published version is immutable: no version lookup per read."""
+        from repro.core.device import RemoteBlobDevice
+
+        cloud, repo, module = self._module()
+        client = repo.client
+        device = RemoteBlobDevice(client, module.base_blob_id, size=SMALL.vm.disk_size)
+        expected = client.read(module.base_blob_id, 4096, 1024).read()
+        client.write(module.base_blob_id, 0, LiteralBytes(b"a later version"))
+        monkeypatch.setattr(client, "size", None)  # any call would raise
+        assert device.read(4096, 1024).read() == expected
+        assert device.read(SMALL.vm.disk_size - 8, 8).read() == bytes(8)
+
     def test_writes_stay_local_and_dirty(self):
         cloud, repo, module = self._module()
         module.write(1_000_000, LiteralBytes(b"local-change"))

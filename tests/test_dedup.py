@@ -226,6 +226,11 @@ class TestProviderFailureInvalidation:
         assert client.dedup.invalidated_chunks == 1
         assert client.read(blob, 1024, 1024).read() == payload.read()
 
+    def test_liveness_probe_is_the_managers_own_method(self):
+        """Not a lambda over the client: that closed a client -> engine -> client cycle."""
+        client = make_client(dedup=DedupEngine())
+        assert client.dedup.availability == client.providers.holds
+
     def test_surviving_replica_keeps_dedup_hit_valid(self):
         client = make_client(num_providers=3, replication=2, dedup=DedupEngine())
         blob = client.create_blob(1024)

@@ -1,0 +1,80 @@
+#!/usr/bin/env python
+"""What Python's cyclic collector costs a cell, and what the cell gives it to walk.
+
+Runs the selected cell(s) in-process through :class:`repro.api.Session` and
+prints the wall time, the time spent inside garbage collections and their
+number per generation (``gc.callbacks``), and a census by type of the
+GC-tracked objects each cell leaves behind: a finished cell's ``Cloud`` is one
+cyclic graph, so everything it built is still there until the next full
+collection walks it (ROADMAP item 7).  Typical use::
+
+    python tools/gc_census.py fig3:BlobCR-app:120:200MB --paper-scale
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import time
+from collections import Counter
+
+from repro.api import Session
+
+
+def census() -> Counter:
+    return Counter(type(obj).__name__ for obj in gc.get_objects())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("selector", help="cell selector, e.g. fig2:BlobCR-app:24")
+    parser.add_argument("--paper-scale", action="store_true")
+    args = parser.parse_args(argv)
+
+    pauses, collections = [0.0] * 3, [0] * 3
+    left: Counter = Counter()
+    clock = {"gc": 0.0, "census": 0.0}  # a collection's start; seconds spent counting
+
+    def on_gc(phase, info):
+        if phase == "start":
+            clock["gc"] = time.perf_counter()
+        else:
+            pauses[info["generation"]] += time.perf_counter() - clock["gc"]
+            collections[info["generation"]] += 1
+
+    def after_cell(_done, _total, _result):  # not the cell's time, nor its collections
+        begin = time.perf_counter()
+        gc.callbacks.remove(on_gc)
+        left.update(census() - before)
+        gc.collect()
+        gc.callbacks.append(on_gc)
+        clock["census"] += time.perf_counter() - begin
+
+    gc.collect()
+    before = census()
+    gc.callbacks.append(on_gc)
+    begin = time.perf_counter()
+    try:
+        report = Session().run_scenario(
+            args.selector.split(":")[0],
+            cells=[args.selector],
+            paper_scale=args.paper_scale,
+            progress=after_cell,
+        )
+    finally:
+        gc.callbacks.remove(on_gc)
+    wall = time.perf_counter() - begin - clock["census"]
+
+    print(f"cells        {' '.join(report.cell_keys)}")
+    print(f"wall_s       {wall:.2f}")
+    print(f"gc_s         {sum(pauses):.2f}  ({sum(pauses) / wall:.0%} of wall)")
+    for generation, (count, seconds) in enumerate(zip(collections, pauses)):
+        print(f"  gen {generation}      {count:5d} collections  {seconds:.2f} s")
+    print(f"left alive   {sum(left.values())} GC-tracked objects")
+    for name, count in left.most_common(12):
+        print(f"  {count:9d}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
