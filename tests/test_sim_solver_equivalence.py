@@ -168,6 +168,122 @@ def test_incremental_rates_match_reference_under_channel_failure(
     assert len(outcomes) == len(flow_specs)
 
 
+# -- hub fabrics: exact ties, components on both sides of the threshold ---------------
+
+#: shares tie as a rule with these (128/2 == 64/1), which random float
+#: capacities never produce
+HUB_CAPACITIES = (64.0, 128.0, 256.0)
+
+
+@st.composite
+def hub_topologies(draw):
+    """A switch-like fabric: one hub channel crossed by (nearly) every flow.
+
+    Leaves draw their capacity from ``HUB_CAPACITIES``; 1-40 flows cross the
+    hub and at most one leaf (either first, so the hub's place in the
+    encounter order varies), up to three more cross a leaf that hub flows
+    also use and stay off the hub (the ``scale:qcow2-disk-app:512`` shape).
+    The hub's capacity is set against the tightest leaf share of the full
+    population: half of it (the hub is the unique minimum), equal to it (a
+    tie, exact whenever the quotient is representable) or twice it (some
+    leaf is).  Flows start in a few bursts; optionally one channel, hub or
+    leaf, fails mid-run.  Channel 0 is the hub.
+    """
+    leaf_caps = draw(st.lists(st.sampled_from(HUB_CAPACITIES), min_size=1, max_size=6))
+    n_leaves = len(leaf_caps)
+    n_hub = draw(st.integers(1, 40))
+    instants = [0.0] + draw(st.lists(st.floats(0.0, 20.0), max_size=2))
+    sizes = st.one_of(st.sampled_from((512.0, 1024.0, 4096.0)), st.floats(1.0, 1e4))
+    starts = st.sampled_from(instants)
+    flows = []
+    leaf_users = [0] * n_leaves
+    for _ in range(n_hub):
+        leaf = draw(st.integers(0, n_leaves))  # n_leaves: the hub alone
+        if leaf == n_leaves:
+            crossed = [0]
+        else:
+            leaf_users[leaf] += 1
+            crossed = draw(st.permutations([0, 1 + leaf]))
+        flows.append((crossed, draw(sizes), draw(starts)))
+    shared = [leaf for leaf in range(n_leaves) if leaf_users[leaf]]
+    if shared:
+        for _ in range(draw(st.integers(0, 3))):
+            leaf = draw(st.sampled_from(shared))
+            leaf_users[leaf] += 1
+            position = draw(st.integers(0, len(flows)))
+            flows.insert(position, ([1 + leaf], draw(sizes), draw(starts)))
+        tightest = min(leaf_caps[leaf] / leaf_users[leaf] for leaf in shared)
+    else:
+        tightest = min(leaf_caps)
+    hub_cap = tightest * n_hub * draw(st.sampled_from((0.5, 1.0, 2.0)))
+    failure = draw(
+        st.none() | st.tuples(st.floats(0.5, 20.0), st.integers(0, n_leaves))
+    )
+    return [hub_cap] + leaf_caps, flows, failure
+
+
+def run_hub_schedule(spec, verify):
+    """Drive a hub schedule; returns {flow: ("done" | "failed", time)}."""
+    capacities, flow_specs, failure = spec
+    env, bw = build_system(verify=verify)
+    channels = [bw.channel(cap, f"ch{i}") for i, cap in enumerate(capacities)]
+    outcomes = {}
+
+    def mover(i, crossed, size, start):
+        yield env.timeout(start)
+        try:
+            yield bw.transfer(size, [channels[c] for c in crossed], label=f"f{i}")
+            outcomes[i] = ("done", env.now)
+        except RuntimeError:
+            outcomes[i] = ("failed", env.now)
+
+    def killer(fail_at, victim):
+        yield env.timeout(fail_at)
+        bw.fail_channel(channels[victim], RuntimeError("fabric died"))
+
+    for i, (crossed, size, start) in enumerate(flow_specs):
+        env.process(mover(i, crossed, size, start))
+    if failure is not None:
+        env.process(killer(*failure))
+    env.run()
+    assert len(outcomes) == len(flow_specs)
+    assert bw.active_flows == 0
+    return outcomes
+
+
+def hub_spec(n_hub, hub_cap, off_hub=0, failure=None):
+    """``n_hub`` flows over hub + own 64 B/s leaf pair, ``off_hub`` leaf-only."""
+    flows = [([1 + i % 2, 0], 1024.0 + i, 0.0) for i in range(n_hub)]
+    flows += [([1], 700.0, 0.0)] * off_hub
+    return [hub_cap, 64.0, 64.0], flows, failure
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=hub_topologies(), min_flows=vector_thresholds)
+# Above the unpatched threshold: a tight hub decides everything in one round ...
+@example(spec=hub_spec(24, 48.0), min_flows=bandwidth._VECTOR_MIN_FLOWS)
+# ... all but one flow on the hub needs a second round ...
+@example(spec=hub_spec(24, 48.0, off_hub=1), min_flows=bandwidth._VECTOR_MIN_FLOWS)
+# ... the hub ties with both leaves (128 / 24 == 64 / 12) ...
+@example(spec=hub_spec(24, 128.0), min_flows=bandwidth._VECTOR_MIN_FLOWS)
+# ... and the hub, then a leaf, fails mid-run.
+@example(spec=hub_spec(24, 48.0, off_hub=2, failure=(3.0, 0)), min_flows=1)
+@example(spec=hub_spec(24, 128.0, off_hub=2, failure=(3.0, 1)), min_flows=1)
+def test_hub_fabrics_match_reference_exactly(spec, min_flows):
+    """Hub fabrics with tied shares agree with the reference, bit for bit.
+
+    Twice over: verify=True re-derives every replan through the global
+    solver, and the completion times must equal those of a run whose vector
+    threshold sits above the flow count, so that every component is solved
+    by ``reference_allocation`` itself.
+    """
+    with vector_threshold(min_flows):
+        outcomes = run_hub_schedule(spec, verify=True)
+    with vector_threshold(len(spec[1]) + 1):
+        expected = run_hub_schedule(spec, verify=False)
+    assert outcomes == expected
+
+
 # -- same-instant bursts vs the reference ----------------------------------------------
 
 
