@@ -71,10 +71,18 @@ transfers of 4 095 other instances.  The engine is built from five parts:
   ``argmin`` over shares laid out in that key order picks the same
   first-occurrence bottleneck as the reference's first-strict-minimum scan,
   and capacity decrements are applied in the same sequence -- so every
-  allocation decision is bit-identical to the reference.  Smaller
-  components (the size is observed per allocation, never configured) are
-  solved by :func:`reference_allocation` itself: numpy's fixed per-call
-  overhead loses to a handful of dict operations.
+  allocation decision is bit-identical to the reference.  An allocation
+  stops where its outcome is decided, in two places that follow from the
+  reference procedure itself.  When one slot holds the unique minimum of
+  ``caps / users`` and has as many edges as the component has flows (the
+  switch, at scale), the reference's first round freezes every flow at that
+  quotient and ends, whatever the encounter order: the rate is set from the
+  slot arrays and nothing is assembled.  And the round that freezes the last
+  flow writes no residual capacity, user count or share, since no later
+  round reads them.  Smaller components (the size is observed per
+  allocation, never configured) are solved by :func:`reference_allocation`
+  itself: numpy's fixed per-call overhead loses to a handful of dict
+  operations.
 
 * **Oracle.**  :func:`reference_allocation` is the global water-filling
   solver, retained as the executable specification.
@@ -114,8 +122,8 @@ _VECTOR_MIN_FLOWS = 16
 #: is the lexicographic order of the pair
 _ENC_SHIFT = 20
 #: slot-key sentinel for a channel that left its component (its edges are
-#: compacted away with its last flow, so a dead slot never reaches the
-#: allocation -- the sentinel only keeps it out of the encounter order)
+#: compacted away with its last flow, so a dead slot has no user and no
+#: share -- the sentinel only keeps it out of the encounter order)
 _DEAD_KEY = np.iinfo(np.int64).max
 
 #: process-global wall-clock seconds spent inside the solver's entry points
@@ -150,8 +158,10 @@ class FairShareChannel:
     )
 
     def __init__(self, system: "BandwidthSystem", capacity: float, name: str = ""):
-        if capacity <= 0:
-            raise SimulationError(f"channel capacity must be positive, got {capacity}")
+        if not capacity > 0:  # also rejects NaN; inf is the unlimited channel
+            raise SimulationError(
+                f"channel {name or '<unnamed>'}: capacity must be positive, got {capacity}"
+            )
         self.system = system
         self.capacity = float(capacity)
         #: creation order; gives components a deterministic iteration order
@@ -379,6 +389,16 @@ def _fill_rounds(
     channels in one ``argmin``, then plain-Python scalar updates touch only
     the few flows/channels the freeze changed (the all-array variant spent
     more time on per-round numpy dispatch than on the data).
+
+    A round first collects its batch -- the bottleneck's still-unfrozen
+    flows, in index order -- and assigns their rate; the round that freezes
+    the last flow stops there.  Its per-channel decrements would only feed
+    the next round's ``argmin``, and there is none, so the returned rates
+    are the very values the full loop returns (``cap_left``, ``users`` and
+    ``shares`` are scratch: the caller reads none of them back).  Every
+    earlier round decrements over its batch in the order the reference does.
+    A flow lists a channel once (``transfer()`` rejects a repeat), so no
+    flow is in a batch twice.
     """
     rates = [math.inf] * n
     unfrozen = [True] * n
@@ -391,12 +411,16 @@ def _fill_rounds(
             # Remaining flows cross no constrained channel (the reference
             # solver's bottleneck-is-None branch); rates pre-filled inf.
             break
-        for f in by_chan[cstart[bottleneck] : cstart[bottleneck + 1]]:
-            if not unfrozen[f]:
-                continue
-            unfrozen[f] = False
-            remaining -= 1
+        batch = [f for f in by_chan[cstart[bottleneck] : cstart[bottleneck + 1]] if unfrozen[f]]
+        for f in batch:
             rates[f] = share
+        remaining -= len(batch)
+        if not remaining:
+            # The last round: no later round reads a residual, a user count
+            # or a share, so the decrements below would be dead stores.
+            break
+        for f in batch:
+            unfrozen[f] = False
             for c in lid_list[fstart[f] : fstart[f + 1]]:
                 v = cap_left[c] - share
                 if v < 0.0:
@@ -474,12 +498,20 @@ class BandwidthSystem:
         ``latency`` models propagation / fixed software overhead and is not
         subject to sharing.
         """
-        if nbytes < 0:
-            raise SimulationError(f"cannot transfer a negative byte count: {nbytes}")
+        if not 0 <= nbytes < math.inf:  # also rejects NaN
+            raise SimulationError(
+                f"flow {label!r}: byte count must be finite and non-negative, got {nbytes}"
+            )
         channel_list = [c for c in channels if c is not None]
         for chan in channel_list:
             if chan.system is not self:
                 raise SimulationError("flow crosses a channel from another BandwidthSystem")
+        if len(set(channel_list)) != len(channel_list):
+            # The solver would count two users where ``chan.flows`` holds one
+            # flow, and the single-round exit of _allocate_vector reads "as
+            # many edges as flows" as "every flow crosses this channel".
+            names = "+".join(chan.name for chan in channel_list)
+            raise SimulationError(f"flow {label!r} lists a channel twice: {names}")
         done = self.env.event(f"flow:{label}")
         completion = done
         if latency > 0:
@@ -1034,11 +1066,31 @@ class BandwidthSystem:
         The assembly itself needs no BFS and no per-flow Python iteration:
         one key sort over k slots plus C-speed gathers over arrays
         maintained by deltas.
+
+        Before any of it, one shared bottleneck is resolved in slot space.
+        The reference's first round divides each channel's full capacity by
+        its user count -- ``caps / users`` per slot, the same operands in
+        any order.  If exactly one slot attains the minimum, encounter order
+        (which only breaks ties) cannot change the pick; if that slot has as
+        many edges as the component has flows, every flow crosses it (a flow
+        lists a channel once), so the first round freezes every flow at that
+        quotient and the loop ends.  A tie of any kind, a flow off that
+        channel or a second round takes the assembled path.
         """
         if comp.dirty or comp.dead_slots * 2 > comp.n_slots:
             self._p_rebuild(comp)
         flows = comp.flows
         n = comp.n_rows  # == len(flows): the arrays mirror the flow list
+        slot_users = np.bincount(comp.e_slot[: comp.n_edges], minlength=comp.n_slots)
+        # A dead slot has no edge left (they went with its last flow).
+        slot_shares = np.full(comp.n_slots, math.inf)
+        np.divide(comp.caps[: comp.n_slots], slot_users, out=slot_shares, where=slot_users > 0)
+        hub = int(slot_shares.argmin())
+        if slot_users[hub] == n and np.count_nonzero(slot_shares == slot_shares[hub]) == 1:
+            rate = float(slot_shares[hub])
+            for flow in flows:
+                flow.rate = rate
+            return
         counts = comp.counts[:n]
         keys = comp.keys[: comp.n_slots]
         if comp.dead_slots:
@@ -1050,9 +1102,9 @@ class BandwidthSystem:
         rank = np.empty(comp.n_slots, dtype=np.int64)
         rank[order] = np.arange(k, dtype=np.int64)
         lid = rank[comp.e_slot[: comp.n_edges]]
-        users_arr = np.bincount(lid, minlength=k)
+        users_arr = slot_users[order]
         enc_caps = comp.caps[order]
-        shares = enc_caps / users_arr  # every live channel has >= 1 user
+        shares = slot_shares[order]
         cap_left = enc_caps.tolist()
         users = users_arr.tolist()
         lid_list = lid.tolist()

@@ -1,10 +1,13 @@
 """Unit and property tests for the max-min fair bandwidth model."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import BandwidthSystem, Environment
+from repro.util.config import SolverConfig
 from repro.util.errors import FailureInjected, SimulationError
 
 
@@ -71,6 +74,48 @@ class TestSingleChannel:
         env.process(mover())
         env.run()
         assert done["t"] == pytest.approx(10.5)
+
+
+class TestInputChecks:
+    """Bad inputs fail where they enter, naming the value and its owner."""
+
+    def test_nan_capacity_rejected(self):
+        bw = BandwidthSystem(Environment())
+        with pytest.raises(SimulationError, match=r"uplink.*nan"):
+            bw.channel(float("nan"), "uplink")
+        with pytest.raises(SimulationError, match=r"<unnamed>.*-1"):
+            bw.channel(-1)
+
+    @pytest.mark.parametrize("n_flows", [1, 20])  # reference solver / array path
+    def test_infinite_capacity_is_the_unlimited_channel(self, n_flows):
+        env = Environment()
+        bw = BandwidthSystem(env, config=SolverConfig(verify=True))
+        free = bw.channel(math.inf, "free")
+        nic = bw.channel(10.0, "nic")
+        done = [bw.transfer(100.0, [free], label=f"f{i}") for i in range(n_flows)]
+        done.append(bw.transfer(100.0, [free, nic], label="capped"))
+        env.run()
+        assert all(event.processed for event in done)
+        # Only the flow that also crosses the NIC takes simulated time.
+        assert env.now == pytest.approx(10.0)
+
+    @pytest.mark.parametrize("nbytes", [float("nan"), math.inf, -math.inf])
+    def test_non_finite_byte_count_rejected(self, nbytes):
+        bw = BandwidthSystem(Environment())
+        link = bw.channel(10.0)
+        with pytest.raises(SimulationError, match=rf"'upload'.*{nbytes}"):
+            bw.transfer(nbytes, [link], label="upload")
+        assert bw.active_flows == 0
+
+    def test_repeated_channel_rejected(self):
+        """``[a, a]`` would count two users of ``a`` for one attached flow
+        (half the rate) and book the delivered bytes on ``a`` twice."""
+        bw = BandwidthSystem(Environment())
+        a = bw.channel(10.0, "a")
+        b = bw.channel(10.0, "b")
+        with pytest.raises(SimulationError, match=r"'twice'.*a\+b\+a"):
+            bw.transfer(100.0, [a, b, a], label="twice")
+        assert bw.active_flows == 0 and not a.flows and not b.flows
 
 
 class TestMultiChannel:

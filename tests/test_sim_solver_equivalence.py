@@ -19,8 +19,10 @@ the two agree *exactly* (float equality, not approximately):
 """
 
 import math
+import warnings
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -216,9 +218,7 @@ def hub_topologies(draw):
     else:
         tightest = min(leaf_caps)
     hub_cap = tightest * n_hub * draw(st.sampled_from((0.5, 1.0, 2.0)))
-    failure = draw(
-        st.none() | st.tuples(st.floats(0.5, 20.0), st.integers(0, n_leaves))
-    )
+    failure = draw(st.none() | st.tuples(st.floats(0.5, 20.0), st.integers(0, n_leaves)))
     return [hub_cap] + leaf_caps, flows, failure
 
 
@@ -282,6 +282,120 @@ def test_hub_fabrics_match_reference_exactly(spec, min_flows):
     with vector_threshold(len(spec[1]) + 1):
         expected = run_hub_schedule(spec, verify=False)
     assert outcomes == expected
+
+
+class TestDecidedAllocations:
+    """An allocation stops where its outcome is decided.
+
+    One shared bottleneck is resolved before any array is assembled; the
+    round that freezes the last flow leaves the residuals alone.  Every run
+    here is under verify=True, so the rates are also the reference's.
+    """
+
+    @staticmethod
+    def spy_on_array_path(monkeypatch):
+        """Count calls of ``_fill_rounds`` and ``np.argsort`` and record, per
+        ``_allocate_vector`` call, the component's ``(dirty, dead_slots)``."""
+        seen = {"fill_rounds": 0, "argsort": 0, "entries": []}
+        allocate_vector = BandwidthSystem._allocate_vector
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                seen[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        def recording(self, comp):
+            seen["entries"].append((comp.dirty, comp.dead_slots))
+            return allocate_vector(self, comp)
+
+        monkeypatch.setattr(
+            bandwidth, "_fill_rounds", counting("fill_rounds", bandwidth._fill_rounds)
+        )
+        monkeypatch.setattr(np, "argsort", counting("argsort", np.argsort))
+        monkeypatch.setattr(BandwidthSystem, "_allocate_vector", recording)
+        return seen
+
+    @staticmethod
+    def run_hub(n_hub, off_hub=0):
+        """``n_hub`` flows over own 100 B/s NIC + 640 B/s hub, completing one
+        by one; ``off_hub`` more on the last NIC alone."""
+        env, bw = build_system(verify=True)
+        hub = bw.channel(640.0, "hub")
+        nics = [bw.channel(100.0, f"nic{i}") for i in range(n_hub)]
+        done = [
+            bw.transfer(1000.0 + 10.0 * i, [nic, hub], label=f"f{i}")
+            for i, nic in enumerate(nics)
+        ]
+        done += [bw.transfer(5000.0, [nics[-1]], label=f"off{i}") for i in range(off_hub)]
+        env.run()
+        assert all(event.processed for event in done)
+
+    def test_tight_hub_is_resolved_without_assembly(self, monkeypatch):
+        seen = self.spy_on_array_path(monkeypatch)
+        # 640 / n < 100 down to n = 16, where the reference solver takes over.
+        self.run_hub(64)
+        assert len(seen["entries"]) >= 64 - bandwidth._VECTOR_MIN_FLOWS
+        assert seen["fill_rounds"] == 0
+        assert seen["argsort"] == 0
+
+    def test_one_flow_off_the_hub_takes_the_assembled_path(self, monkeypatch):
+        seen = self.spy_on_array_path(monkeypatch)
+        self.run_hub(64, off_hub=1)
+        assert seen["fill_rounds"] > 0
+        assert seen["argsort"] > 0
+
+    def test_tied_hub_takes_the_assembled_path(self, monkeypatch):
+        """Two channels crossed by every flow at the same share: which one
+        the reference picks is a matter of encounter order, so no exit."""
+        seen = self.spy_on_array_path(monkeypatch)
+        env, bw = build_system(verify=True)
+        hubs = [bw.channel(640.0, "hub-a"), bw.channel(640.0, "hub-b")]
+        for i in range(20):
+            bw.transfer(1000.0 + 10.0 * i, hubs, label=f"f{i}")
+        env.run()
+        assert seen["fill_rounds"] > 0
+
+    def test_dead_slots_divide_nothing_by_zero(self, monkeypatch):
+        """A completed flow's NIC leaves a dead slot (no users) in the clean
+        arrays; the slot-space shares must skip it, not divide by it."""
+        seen = self.spy_on_array_path(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.run_hub(20)
+        assert any(not dirty and dead > 0 for dirty, dead in seen["entries"])
+        assert seen["fill_rounds"] == 0
+
+    def test_last_round_leaves_the_residuals_alone(self):
+        """f0 over A, f1 over A+B, f2 over B; A = 10 B/s, B = 100 B/s.
+
+        Round 1 freezes f0 and f1 at A's 10 / 2 and pays the decrements
+        (A: 10 - 5 - 5, B: 100 - 5); round 2 freezes f2 at B's 95 / 1 and,
+        being the last, writes nothing back.
+        """
+        shares = np.array([5.0, 50.0])
+        cap_left, users = [10.0, 100.0], [2, 2]
+        rates = bandwidth._fill_rounds(
+            shares,
+            cap_left,
+            users,
+            [0, 0, 1, 1],  # per-edge channel ids, rows f0 | f1 | f2
+            [0, 1, 3, 4],
+            [0, 1, 1, 2],  # flows grouped by channel, A | B
+            [0, 2, 4],
+            3,
+        )
+        assert rates == [5.0, 5.0, 95.0]
+        assert cap_left == [0.0, 95.0]  # the full loop would leave B at 0.0
+        assert users == [0, 1]
+        assert shares.tolist() == [math.inf, 95.0]
+
+        env, bw = build_system(verify=False)
+        a, b = bw.channel(10.0, "A"), bw.channel(100.0, "B")
+        for crossed in ([a], [a, b], [b]):
+            bw.transfer(1000.0, crossed)
+        assert list(reference_allocation(bw._flows).values()) == rates
 
 
 # -- same-instant bursts vs the reference ----------------------------------------------
