@@ -64,16 +64,17 @@ def make_base(seed, size, log):
 class BlockOracle:
     """One entry per block: what is stored, allocated, written and fetched."""
 
-    def __init__(self, base_size, requests):
+    def __init__(self, base_size, requests, block_size=BS):
         self.base_size = base_size
         self.requests = requests  # windows expected at the base, shared between clones
+        self.block_size = block_size
         self.blocks = set()
         self.shared = set()
         self.allocated = 0
         self.written = 0
 
     def clone(self):
-        twin = BlockOracle(self.base_size, self.requests)
+        twin = BlockOracle(self.base_size, self.requests, self.block_size)
         twin.blocks, twin.shared = set(self.blocks), set(self.shared)
         twin.allocated = self.allocated  # ``written`` counts writes through one image object
         return twin
@@ -83,8 +84,9 @@ class BlockOracle:
             self.requests.append((lo, min(hi, self.base_size) - lo))
 
     def _window(self, offset, length):
-        for index in range(offset // BS, (offset + length - 1) // BS + 1):
-            yield index, max(offset, index * BS), min(offset + length, (index + 1) * BS)
+        size = self.block_size
+        for index in range(offset // size, (offset + length - 1) // size + 1):
+            yield index, max(offset, index * size), min(offset + length, (index + 1) * size)
 
     def read(self, offset, length):
         hole = None  # one request per maximal run of missing blocks
@@ -100,8 +102,9 @@ class BlockOracle:
 
     def write(self, offset, length):
         for index, lo, hi in self._window(offset, length):
-            if hi - lo < BS and index not in self.blocks:
-                self._background(index * BS, (index + 1) * BS)  # read-modify-write
+            if hi - lo < self.block_size and index not in self.blocks:
+                # read-modify-write
+                self._background(index * self.block_size, (index + 1) * self.block_size)
             if index not in self.blocks or index in self.shared:
                 self.allocated += 1
             self.blocks.add(index)
@@ -475,13 +478,13 @@ def _epochs(cow):
     return [first, second]
 
 
-def _small_cloud(cow, disk):
+def _small_cloud(cow, disk, chunk=CHUNK):
     """A repository on a four-node cloud and a runner for its simulation processes."""
     spec = GRAPHENE.scaled(
         compute_nodes=4,
         service_nodes=3,
         vm=replace(GRAPHENE.vm, disk_size=disk),
-        blobseer=replace(GRAPHENE.blobseer, chunk_size=CHUNK),
+        blobseer=replace(GRAPHENE.blobseer, chunk_size=chunk),
         checkpoint=replace(GRAPHENE.checkpoint, cow_block_size=cow),
     )
     cloud = Cloud(spec)
