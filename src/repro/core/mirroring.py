@@ -20,7 +20,7 @@ the checkpoint repository and
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Set
+from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from repro.blobseer.client import WriteResult
 from repro.core.device import RemoteBlobDevice
@@ -81,8 +81,12 @@ class MirroringModule(BlockDevice):
         return self._local.read(offset, length)
 
     def write(self, offset: int, data: ByteSource) -> None:
-        self._local.write(offset, data)
-        self.dirty.mark_window(offset, data.size)
+        self.writev([(offset, data)])
+
+    def writev(self, pieces: Sequence[Tuple[int, ByteSource]]) -> None:
+        self._local.writev(pieces)
+        for offset, data in pieces:
+            self.dirty.mark_window(offset, data.size)
 
     # -- introspection ----------------------------------------------------------------------
 

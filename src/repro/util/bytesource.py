@@ -346,8 +346,14 @@ class _ConcatBytes(ByteSource):
 
 
 def concat(parts: Iterable[ByteSource]) -> ByteSource:
-    """Concatenate byte sources, flattening trivial cases."""
-    flat = [p for p in parts if p.size > 0]
+    """Concatenate byte sources into at most one level: empty parts are
+    dropped and the parts of a concatenation are spliced in, not nested."""
+    flat: list[ByteSource] = []
+    for part in parts:
+        if type(part) is _ConcatBytes:
+            flat.extend(part._parts)
+        elif part.size > 0:
+            flat.append(part)
     if not flat:
         return LiteralBytes(b"")
     if len(flat) == 1:

@@ -9,7 +9,7 @@ batch wins each stripe (a block is a stripe).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.util.bytesource import ByteSource, concat
 from repro.util.errors import StorageError
@@ -135,43 +135,67 @@ class RunMap:
             pieces.append(background(cursor, offset + length - cursor))
         return concat(pieces)
 
-    def write(self, offset: int, data: ByteSource, background: Background) -> int:
-        """Write a window; returns :meth:`put`'s count over the touched blocks.
+    def writev(self, pieces: Sequence[Tuple[int, ByteSource]], background: Background) -> int:
+        """Write ``(offset, data)`` windows in order; returns the sum of
+        :meth:`put`'s counts over the touched blocks.
 
-        The whole blocks of the window become one run backed by one slice of
+        The whole blocks of a window become one run backed by one slice of its
         ``data``.  A partially covered first or last block is read-modify-
         written against the block's current content (or ``background`` where
-        nothing was written yet).
+        nothing was written yet), and partial windows that follow each other
+        into one block at ascending, disjoint positions are overlaid together.
+        The open block is stored before anything else is touched, so the
+        blocks, the counts and the ``background`` calls are those of writing
+        the windows one by one.  Empty windows touch nothing.
         """
         block_size = self.block_size
-        first, head = divmod(offset, block_size)
-        last, tail = divmod(offset + data.size, block_size)
-        if first == last:
-            return self._merge(first, head, data, background)
         fresh = 0
-        cursor = 0
-        if head:
-            cursor = block_size - head
-            fresh += self._merge(first, head, data.slice(0, cursor), background)
-            first += 1
-        if first < last:
-            span = (last - first) * block_size
-            fresh += self.put(first, last - first, data.slice(cursor, span))
-            cursor += span
-        if tail:
-            fresh += self._merge(last, 0, data.slice(cursor, tail), background)
-        return fresh
+        index, end = -1, 0  # the open block and where its last window ends
+        windows: List[Tuple[int, ByteSource]] = []
+        for offset, data in pieces:
+            size = data.size
+            if size == 0:
+                continue
+            first, head = divmod(offset, block_size)
+            last, tail = divmod(offset + size, block_size)
+            cursor = 0
+            if head or first == last:
+                cursor = min(block_size - head, size)
+                if first != index or head < end:
+                    fresh += self._overlay(index, windows, background)
+                    index, windows = first, []
+                windows.append((head, data if cursor == size else data.slice(0, cursor)))
+                end = head + cursor
+                first += 1
+            if cursor < size:
+                fresh += self._overlay(index, windows, background)
+                index, windows = -1, []
+                if first < last:
+                    span = (last - first) * block_size
+                    fresh += self.put(first, last - first, data.slice(cursor, span))
+                    cursor += span
+                if tail:
+                    index, end, windows = last, tail, [(0, data.slice(cursor, tail))]
+        return fresh + self._overlay(index, windows, background)
 
-    def _merge(self, index: int, start: int, piece: ByteSource, background: Background) -> int:
-        """Overlay ``piece`` at ``start`` inside block ``index``."""
+    def _overlay(
+        self, index: int, windows: List[Tuple[int, ByteSource]], background: Background
+    ) -> int:
+        """Store block ``index`` as its content under the ascending, disjoint
+        ``(start, piece)`` windows: one read of the block, one :meth:`put`."""
+        if not windows:
+            return 0
         block_size = self.block_size
         base = self.block(index)
         if base is None:
             base = background(index * block_size, block_size)
-        pieces = [piece]
-        if start:
-            pieces.insert(0, base.slice(0, start))
-        tail = start + piece.size
-        if tail < block_size:
-            pieces.append(base.slice(tail, block_size - tail))
-        return self.put(index, 1, concat(pieces))
+        parts: List[ByteSource] = []
+        cursor = 0
+        for start, piece in windows:
+            if start > cursor:
+                parts.append(base.slice(cursor, start - cursor))
+            parts.append(piece)
+            cursor = start + piece.size
+        if cursor < block_size:
+            parts.append(base.slice(cursor, block_size - cursor))
+        return self.put(index, 1, concat(parts))

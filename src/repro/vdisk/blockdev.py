@@ -12,7 +12,7 @@ file written in one piece is one entry rather than 800.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.util.bytesource import ByteSource, LiteralBytes, ZeroBytes, concat
 from repro.util.errors import StorageError
@@ -33,7 +33,17 @@ class BlockDevice(ABC):
 
     @abstractmethod
     def write(self, offset: int, data: ByteSource) -> None:
-        """Write ``data`` starting at ``offset``."""
+        """Write ``data`` starting at ``offset``: the one-piece :meth:`writev`."""
+
+    def writev(self, pieces: Sequence[Tuple[int, ByteSource]]) -> None:
+        """Write the ``(offset, data)`` pieces in order, as one request.
+
+        The writable devices check every window before the first piece is
+        applied, and leave content and accounting as the same writes issued
+        one by one would.
+        """
+        for offset, data in pieces:
+            self.write(offset, data)
 
     # -- helpers shared by implementations ---------------------------------------
 
@@ -104,10 +114,12 @@ class SparseDevice(BlockDevice):
         return self._map.read(offset, length, self._background)
 
     def write(self, offset: int, data: ByteSource) -> None:
-        self._check_window(offset, data.size)
-        if data.size == 0:
-            return
-        self._map.write(offset, data, self._background)
+        self.writev([(offset, data)])
+
+    def writev(self, pieces: Sequence[Tuple[int, ByteSource]]) -> None:
+        for offset, data in pieces:
+            self._check_window(offset, data.size)
+        self._map.writev(pieces, self._background)
 
     # -- introspection -------------------------------------------------------------
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.util.bytesource import ByteSource, LiteralBytes
 from repro.util.errors import SnapshotError, StorageError
@@ -95,14 +95,19 @@ class QcowImage(BlockDevice):
         return self._map.read(offset, length, self._background)
 
     def write(self, offset: int, data: ByteSource) -> None:
+        self.writev([(offset, data)])
+
+    def writev(self, pieces: Sequence[Tuple[int, ByteSource]]) -> None:
         """Partially covered clusters are copied up; a cluster that was absent
         or is shared with a snapshot is newly allocated in the file."""
-        self._check_window(offset, data.size)
-        if data.size == 0:
-            return
-        self._allocated_clusters += self._map.write(offset, data, self._background)
-        last = (offset + data.size - 1) // self.cluster_size
-        self.clusters_written += last - offset // self.cluster_size + 1
+        cluster_size = self.cluster_size
+        written = 0
+        for offset, data in pieces:
+            self._check_window(offset, data.size)
+            if data.size:
+                written += (offset + data.size - 1) // cluster_size - offset // cluster_size + 1
+        self._allocated_clusters += self._map.writev(pieces, self._background)
+        self.clusters_written += written
 
     # -- file size accounting -----------------------------------------------------
 

@@ -9,7 +9,7 @@ as a qcow2 backing file) start from the same :class:`RawImage`.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.util.bytesource import ByteSource
 from repro.vdisk.blockdev import BlockDevice, SparseDevice
@@ -34,7 +34,10 @@ class RawImage(BlockDevice):
         return self._device.read(offset, length)
 
     def write(self, offset: int, data: ByteSource) -> None:
-        self._device.write(offset, data)
+        self.writev([(offset, data)])
+
+    def writev(self, pieces: Sequence[Tuple[int, ByteSource]]) -> None:
+        self._device.writev(pieces)
 
     # -- image-level helpers -------------------------------------------------------
 

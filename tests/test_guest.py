@@ -19,10 +19,10 @@ from repro.guest import (
     write_boot_noise,
     write_runtime_noise,
 )
-from repro.guest.filesystem import FS_BLOCK, METADATA_REGION
+from repro.guest.filesystem import FS_BLOCK, METADATA_REGION, _json_key
 from repro.util import LiteralBytes, SyntheticBytes
 from repro.util.config import CheckpointSpec, VMSpec
-from repro.util.errors import FileSystemError, GuestError, ProcessError
+from repro.util.errors import FileSystemError, GuestError, ProcessError, StorageError
 from repro.vdisk import QcowImage, RawImage, SparseDevice
 
 DEVICE_SIZE = 64 * 1024 * 1024
@@ -88,6 +88,22 @@ class TestGuestFileSystem:
         dev.read = lambda offset, length: reads.append((offset, length)) or read(offset, length)
         GuestFileSystem.mount(dev)
         assert reads == [(0, 8), (8, table_bytes)]
+
+    def test_mount_and_sync_encode_a_path_once(self):
+        """The inode table is joined from per-file lines; the JSON text of a path
+        is shared by every guest that has the file, so a mount encodes nothing new."""
+        fs, dev = make_fs()
+        paths = [f'/once/"{i}"/\u00e9' for i in range(40)]
+        for path in paths:
+            fs.write_file(path, b"x")
+        before = _json_key.cache_info().misses
+        fs.sync()
+        assert _json_key.cache_info().misses == before + len(paths)
+        remounted = GuestFileSystem.mount(dev)
+        remounted.write_file(paths[0], b"rewritten")
+        remounted.sync()
+        assert _json_key.cache_info().misses == before + len(paths)
+        assert GuestFileSystem.mount(dev).read_file(paths[0]).read() == b"rewritten"
 
     def test_unsynced_data_lost_on_remount(self):
         fs, dev = make_fs()
@@ -168,6 +184,11 @@ class TestGuestFileSystem:
         assert crashed.listdir("/") == ["/one", "/two"]
         assert crashed.read_file("/one").read() == b"I" * 10 + b"1" * (FS_BLOCK - 10)
         assert crashed.used_bytes == 2 * FS_BLOCK
+        # The allocator refuses before the device has to: a vectored write checks every
+        # window of the batch before it applies one, so no sync can half-land on a bad one.
+        with pytest.raises(StorageError):
+            device.writev([(0, LiteralBytes(b"not applied")), (device.size, LiteralBytes(b"!"))])
+        assert GuestFileSystem.mount(device).listdir("/") == ["/one", "/two"]
 
     def test_oversized_inode_table_keeps_the_flushed_files(self):
         fs, dev = make_fs()
@@ -400,7 +421,9 @@ def test_sync_matches_a_model_of_the_file_system_and_the_block_oracle(kind, ops)
         oracle.read(0, NET_SIZE)
         assert log == requests
         if kind == "sparse":
-            stored = [i for i in range(-(-NET_SIZE // block)) if device.block_payload(i)]
+            stored = [
+                i for i in range(-(-NET_SIZE // block)) if device.block_payload(i) is not None
+            ]
             assert stored == sorted(oracle.blocks)
             assert device.allocated_bytes == len(oracle.blocks) * block
         elif kind == "qcow":

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.dedup.fingerprint import content_digest
 from repro.util import LiteralBytes, SyntheticBytes, ZeroBytes, concat
 from repro.util import bytesource
-from repro.util.bytesource import ByteSource, content_equal
+from repro.util.bytesource import ByteSource, _ConcatBytes, content_equal
 
 
 class TestLiteralBytes:
@@ -223,12 +223,24 @@ def _windowed(draw, source):
     return src.slice(offset, draw(st.integers(0, src.size - offset)))
 
 
-#: every source class, slices of them, and concatenations nested two deep
+#: every source class, slices of them, and concatenations of concatenations
 _sources = st.recursive(
     _windowed(_leaf()),
     lambda inner: _windowed(st.lists(inner, min_size=0, max_size=4).map(concat)),
     max_leaves=8,
 )
+
+
+@settings(max_examples=100, deadline=None)
+@given(parts=st.lists(_sources, max_size=4))
+def test_property_a_concatenation_stays_one_level_deep(parts):
+    """``concat`` splices the parts of a concatenation in, whatever it is built from."""
+    joined = concat(parts)
+    assert joined.read() == b"".join(part.read() for part in parts)
+    for source in (joined, joined.slice(joined.size // 3, joined.size // 2)):
+        if isinstance(source, _ConcatBytes):
+            assert len(source._parts) > 1
+            assert all(p.size and not isinstance(p, _ConcatBytes) for p in source._parts)
 
 
 @st.composite

@@ -21,9 +21,10 @@ from repro.core import CheckpointRepository, MirroringModule
 from repro.guest import GuestFileSystem
 from repro.guest.filesystem import METADATA_REGION
 from repro.util import LiteralBytes, SyntheticBytes, ZeroBytes
-from repro.util.bytesource import concat
+from repro.util.bytesource import _ConcatBytes, concat
 from repro.util.config import GRAPHENE
 from repro.util.errors import StorageError
+from repro.util.runmap import RunMap
 from repro.vdisk import QcowImage, RawImage, SparseDevice
 from repro.vdisk.blockdev import BlockDevice
 
@@ -151,6 +152,39 @@ def payload(kind, seed, length):
 _INT = st.integers(0, 10**6)
 WINDOWS = st.tuples(st.sampled_from(["sub", "aligned", "straddle", "tail"]), _INT, _INT, _INT)
 PAYLOADS = st.tuples(st.sampled_from(["literal", "synthetic", "zero", "concat"]), _INT)
+#: one vectored write: 1-8 windows, each one of the shapes above or ``(start, length)`` inside
+#: the batch's own block -- so windows follow each other into one block in ascending order,
+#: in descending order, overlapping, or empty
+BATCHES = st.tuples(
+    st.just("writev"),
+    _INT,
+    st.lists(
+        st.tuples(
+            st.one_of(WINDOWS, st.tuples(st.integers(0, BS - 1), st.integers(0, BS))), PAYLOADS
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+
+
+def writev(device, model, oracle, block, windows):
+    """One ``writev``; the references are fed its pieces one by one."""
+    block %= NBLOCKS
+    room = min(BS, SIZE - block * BS)
+    pieces = []
+    for shape, (kind, seed) in windows:
+        if len(shape) == 2:
+            start = shape[0] % room
+            offset, length = block * BS + start, min(shape[1], room - start)
+        else:
+            offset, length = window(*shape)
+        pieces.append((offset, payload(kind, seed, length) if length else ZeroBytes(0)))
+    device.writev(pieces)
+    for offset, data in pieces:
+        if data.size:  # an empty window touches nothing
+            model[offset : offset + data.size] = data.read()
+            oracle.write(offset, data.size)
 
 
 def stored_blocks(device):
@@ -172,7 +206,15 @@ def check_runs(run_map):
 @settings(max_examples=150, deadline=None)
 @given(
     with_base=st.booleans(),
-    ops=st.lists(st.tuples(st.booleans(), WINDOWS, PAYLOADS), min_size=1, max_size=25),
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("write"), WINDOWS, PAYLOADS),
+            st.tuples(st.just("read"), WINDOWS),
+            BATCHES,
+        ),
+        min_size=1,
+        max_size=25,
+    ),
 )
 def test_sparse_device_matches_block_oracle(with_base, ops):
     log, requests = [], []
@@ -180,10 +222,13 @@ def test_sparse_device_matches_block_oracle(with_base, ops):
     device = SparseDevice(SIZE, block_size=BS, base=base)
     model = bytearray(content.ljust(SIZE, b"\0"))
     oracle = BlockOracle(len(content), requests)
-    for is_write, shape, (kind, seed) in ops:
-        offset, length = window(*shape)
-        if is_write:
-            data = payload(kind, seed, length)
+    for op in ops:
+        if op[0] == "writev":
+            writev(device, model, oracle, *op[1:])
+            continue
+        offset, length = window(*op[1])
+        if op[0] == "write":
+            data = payload(*op[2], length)
             device.write(offset, data)
             model[offset : offset + length] = data.read()
             oracle.write(offset, length)
@@ -243,7 +288,7 @@ class _Image:
 
 QCOW_OPS = st.one_of(
     st.tuples(st.just("write"), WINDOWS, PAYLOADS),
-    st.tuples(st.just("write"), WINDOWS, PAYLOADS),
+    BATCHES,
     st.tuples(st.just("read"), WINDOWS),
     st.tuples(st.just("snapshot"), _INT),
     st.tuples(st.just("revert"), _INT),
@@ -274,6 +319,8 @@ def test_qcow_image_matches_block_oracle(backed, ops):
             image.write(offset, data)
             model[offset : offset + length] = data.read()
             oracle.write(offset, length)
+        elif op[0] == "writev":
+            writev(image, model, oracle, *op[1:])
         elif op[0] == "read":
             offset, length = window(*op[1])
             assert image.read(offset, length).read() == bytes(model[offset : offset + length])
@@ -379,6 +426,54 @@ def test_overwriting_snapshotted_clusters_allocates_and_leaves_the_remnants_shar
     assert image.allocated_clusters == 811
     assert image.clusters_written == 821
     assert image.guest_visible_bytes == 800 * BS
+
+
+def test_windows_that_follow_each_other_into_a_block_are_overlaid_once(monkeypatch):
+    log = []
+    base, content = make_base(5, SIZE, log)
+    device = SparseDevice(SIZE, block_size=BS, base=base)
+    puts = []
+    put = RunMap.put
+    monkeypatch.setattr(
+        RunMap, "put", lambda self, first, *run: puts.append(first) or put(self, first, *run)
+    )
+    device.writev(
+        [
+            (BS + 1, LiteralBytes(b"ab")),
+            (BS + 3, ZeroBytes(0)),
+            (BS + 5, LiteralBytes(b"c")),
+            (BS + 6, SyntheticBytes("straddle", 2 * BS)),  # head, one whole block, tail
+            (3 * BS + 9, LiteralBytes(b"d")),  # follows the tail into block 3
+            (3 * BS + 2, LiteralBytes(b"e")),  # steps back: block 3 is stored first
+        ]
+    )
+    assert log == [(BS, BS), (3 * BS, BS)]
+    assert puts == [1, 2, 3, 3]
+    expected = bytearray(content)
+    expected[BS + 1 : BS + 3], expected[BS + 5 : BS + 6] = b"ab", b"c"
+    expected[BS + 6 : 3 * BS + 6] = SyntheticBytes("straddle", 2 * BS).read()
+    expected[3 * BS + 9 : 3 * BS + 10], expected[3 * BS + 2 : 3 * BS + 3] = b"d", b"e"
+    assert device.read(0, SIZE).read() == bytes(expected)
+    # however many windows went into it, a block is one flat list of pieces
+    assert all(not isinstance(part, _ConcatBytes) for part in device.block_payload(1)._parts)
+
+
+def test_an_empty_window_touches_nothing():
+    run_map = RunMap(BS)
+    asked = []
+    fresh = run_map.writev(
+        [(3, ZeroBytes(0)), (BS, LiteralBytes(b""))],
+        lambda offset, length: asked.append((offset, length)) or ZeroBytes(length),
+    )
+    assert (fresh, run_map.starts, asked) == (0, [], [])
+
+
+def test_a_vectored_write_checks_every_window_before_it_applies_one():
+    for device in (SparseDevice(SIZE, block_size=BS), QcowImage(SIZE, cluster_size=BS)):
+        with pytest.raises(StorageError):
+            device.writev([(0, LiteralBytes(b"kept out")), (SIZE, LiteralBytes(b"!"))])
+        assert device._map.starts == []
+    assert device.clusters_written == 0
 
 
 def test_a_run_must_be_whole_blocks():

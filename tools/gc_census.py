@@ -6,9 +6,15 @@ prints the wall time, the time spent inside garbage collections and their
 number per generation (``gc.callbacks``), and a census by type of the
 GC-tracked objects each cell leaves behind: a finished cell's ``Cloud`` is one
 cyclic graph, so everything it built is still there until the next full
-collection walks it (ROADMAP item 7).  Typical use::
+collection walks it (ROADMAP item 5).  Typical use::
 
     python tools/gc_census.py fig3:BlobCR-app:120:200MB --paper-scale
+
+``--override KEY=VALUE`` (repeatable) is forwarded to ``run_scenario``, so a
+cell can be counted exactly as a perfbench workload runs it; ``service_mtc_256``::
+
+    python tools/gc_census.py mtc:256:2:fair --paper-scale --override mtc.max_queue=1024 \\
+        --override mtc.boot_slots=16 --override mtc.checkpoints=4 --override mtc.instances=2
 """
 
 from __future__ import annotations
@@ -29,6 +35,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("selector", help="cell selector, e.g. fig2:BlobCR-app:24")
     parser.add_argument("--paper-scale", action="store_true")
+    parser.add_argument(
+        "--override",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="forwarded to run_scenario(overrides=...); repeatable",
+    )
     args = parser.parse_args(argv)
 
     pauses, collections = [0.0] * 3, [0] * 3
@@ -58,6 +71,7 @@ def main(argv=None) -> int:
         report = Session().run_scenario(
             args.selector.split(":")[0],
             cells=[args.selector],
+            overrides=args.override,
             paper_scale=args.paper_scale,
             progress=after_cell,
         )
