@@ -1,0 +1,175 @@
+"""What every registered deployment backend owes its callers.
+
+Parametrised over ``Session.backends()``, so a backend that registers itself
+is held to the same contract as the built-in ones, through the public
+:class:`~repro.api.Session` surface only:
+
+* **round trip** -- bytes written into a guest survive checkpoint -> kill ->
+  restart and read back unchanged;
+* **hosting ledger** -- after every step each compute node's
+  ``hosted_instances`` is exactly the running instances whose ``vm.host`` it
+  is, and no instance is listed on two nodes;
+* **live migration** (backends advertising it) -- every migration mode is
+  either carried out, keeping the guest's bytes (those written after the last
+  checkpoint included) and the ledger, or rejected before anything moved;
+* **rollback** -- when the source dies mid-migration the migration completes
+  (the source was no longer needed), or the instance comes back on the target
+  from what was durable (``rolled_back``), or the failure propagates and a
+  plain ``restart`` from the last checkpoint recovers it.
+"""
+
+import pytest
+
+from repro.api import Session
+from repro.cluster.failures import FailureInjector
+from repro.core.migration import MIGRATION_MODES
+from repro.scenarios.fault_tolerance import fault_tolerant_cluster
+from repro.util.bytesource import SyntheticBytes
+from repro.util.config import GRAPHENE
+from repro.util.errors import FailureInjected, MigrationError
+
+#: two replicas, so the provider that dies with a migration source holds no
+#: only copy of a chunk
+SPEC = fault_tolerant_cluster(GRAPHENE.scaled(compute_nodes=6, service_nodes=3))
+
+BACKENDS = [info.name for info in Session.backends()]
+MIGRATING = [info.name for info in Session.backends() if info.capabilities.live_migration]
+
+#: a checkpoint file (read back by the restart path itself) and a plain data
+#: file; both straddle a 256 KiB copy-on-write block
+SAVED = "/ckpt/contract.dat"
+LATER = "/data/after-checkpoint.dat"
+
+
+def content(instance_id: str, path: str) -> bytes:
+    return SyntheticBytes(("contract", instance_id, path), 300_000).read()
+
+
+def assert_hosting_ledger(session: Session) -> None:
+    instances = session.deployment.instances
+    listed = []
+    for node in session.cloud.compute_nodes:
+        running_here = sorted(
+            inst.instance_id
+            for inst in instances
+            if inst.vm.is_running and inst.vm.host == node.name
+        )
+        assert sorted(node.hosted_instances) == running_here, node.name
+        listed.extend(node.hosted_instances)
+    assert len(listed) == len(set(listed)), "an instance is listed on two nodes"
+
+
+def deployed_and_checkpointed(backend: str) -> Session:
+    """Two instances, ``SAVED`` written and checkpointed, ``LATER`` written after."""
+    session = Session.from_spec(SPEC)
+    session.deploy(backend, n=2)
+    assert_hosting_ledger(session)
+    for instance_id in session.instance_ids:
+        session.guest_write(instance_id, SAVED, content(instance_id, SAVED))
+    session.checkpoint()
+    assert_hosting_ledger(session)
+    for instance_id in session.instance_ids:
+        session.guest_write(instance_id, LATER, content(instance_id, LATER))
+    return session
+
+
+def assert_reads_back(session: Session, paths) -> None:
+    for instance_id in session.instance_ids:
+        for path in paths:
+            assert session.guest_read(instance_id, path) == content(instance_id, path), (
+                instance_id,
+                path,
+            )
+
+
+def assert_survives_a_restart(session: Session, paths) -> None:
+    session.checkpoint()
+    assert_hosting_ledger(session)
+    session.kill()
+    assert_hosting_ledger(session)
+    assert not any(inst.vm.is_running for inst in session.deployment.instances)
+    session.restart()
+    assert_hosting_ledger(session)
+    assert all(inst.vm.is_running for inst in session.deployment.instances)
+    assert_reads_back(session, paths)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_written_bytes_survive_checkpoint_kill_restart(backend):
+    session = Session.from_spec(SPEC)
+    session.deploy(backend, n=2)
+    assert_hosting_ledger(session)
+    for instance_id in session.instance_ids:
+        session.guest_write(instance_id, SAVED, content(instance_id, SAVED))
+        assert_hosting_ledger(session)
+    assert_survives_a_restart(session, [SAVED])
+
+
+@pytest.mark.parametrize("backend", MIGRATING)
+def test_every_migration_mode_moves_the_guest_or_is_rejected_cleanly(backend):
+    supported = []
+    for mode in MIGRATION_MODES:
+        session = deployed_and_checkpointed(backend)
+        migrant = session.deployment.instances[0]
+        source = migrant.vm.host
+        try:
+            result = session.migrate(migrant.instance_id, mode=mode, demand_paths=(LATER,))
+        except MigrationError:
+            # An unsupported mode is turned away before anything moved.
+            assert migrant.vm.is_running and migrant.vm.host == source
+        else:
+            supported.append(mode)
+            assert not result.rolled_back
+            assert result.source_node == source
+            assert migrant.vm.is_running and migrant.vm.host == result.target_node != source
+        assert_hosting_ledger(session)
+        assert_reads_back(session, [SAVED, LATER])
+        assert_survives_a_restart(session, [SAVED, LATER])
+    assert supported, f"{backend} advertises live migration but supports no mode"
+
+
+def _about_to_lose_its_source(backend: str, after_s):
+    """A checkpointed deployment whose instance 0 loses its host in ``after_s`` s."""
+    session = deployed_and_checkpointed(backend)
+    migrant = session.deployment.instances[0]
+    if after_s is not None:
+        FailureInjector(session.cloud, seed="contract").fail_at(
+            session.now + after_s, migrant.vm.host
+        )
+    return session, migrant
+
+
+@pytest.mark.parametrize("backend", MIGRATING)
+def test_source_failure_mid_migration_rolls_back_to_durable_state(backend):
+    exercised = 0
+    for mode in MIGRATION_MODES:
+        # The deterministic timeline of a clean run says where "mid" is.
+        session, migrant = _about_to_lose_its_source(backend, None)
+        try:
+            clean = session.migrate(migrant.instance_id, mode=mode)
+        except MigrationError:
+            continue
+        exercised += 1
+        # early (a copy round / the suspend), the handover, the very end
+        # (post-copy's drain)
+        for fraction in (0.002, 0.5, 0.998):
+            session, migrant = _about_to_lose_its_source(backend, clean.total_s * fraction)
+            try:
+                result = session.migrate(migrant.instance_id, mode=mode)
+            except FailureInjected:
+                # Nothing of this migration was durable: recover the way any
+                # fail-stop crash is recovered, from the last global checkpoint.
+                session.restart()
+            else:
+                assert migrant.vm.host == result.target_node
+                # Rolled back, a copy round that completed before the crash is
+                # durable too; not rolled back, the source was no longer
+                # needed and nothing may be missing.
+                if not result.rolled_back or migrant.vm.filesystem.exists(LATER):
+                    assert session.guest_read(migrant.instance_id, LATER) == content(
+                        migrant.instance_id, LATER
+                    )
+            assert all(inst.vm.is_running for inst in session.deployment.instances)
+            assert_hosting_ledger(session)
+            assert_reads_back(session, [SAVED])
+    assert exercised
