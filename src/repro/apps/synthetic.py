@@ -6,18 +6,23 @@ processes synchronise, each dumps its buffer into a file in the guest file
 system, and then asks the checkpointing proxy to snapshot the disk.  For a
 **process-level** checkpoint the modified MPI library / BLCR does the
 dumping instead.  On restart, each process reads the saved file back into
-its buffer.
+its buffer.  With a **full** VM snapshot (``qcow2-full``) there is no stage 1
+at all: the buffer stays in RAM and ``savevm`` captures it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional
 
 from repro.core.protocol import CoordinatedCheckpoint
 from repro.core.strategy import DeployedInstance, Deployment, GlobalCheckpoint
+from repro.guest.blcr import blcr_restore
+from repro.guest.filesystem import GuestFileSystem
 from repro.util.bytesource import ByteSource, SyntheticBytes, content_equal
 from repro.util.errors import CheckpointError
+
+#: who performs stage 1 of a checkpoint: the application, BLCR, or nobody
+CHECKPOINT_LEVELS = ("app", "blcr", "full")
 
 #: guest path template of the application-level checkpoint file; one file per
 #: checkpoint epoch, with the previous epoch's file removed once the new one
@@ -25,26 +30,28 @@ from repro.util.errors import CheckpointError
 STATE_PATH_TEMPLATE = "/ckpt/app-state-{epoch:04d}.dat"
 
 
-@dataclass
-class SyntheticResult:
-    """Timing record of one benchmark phase."""
-
-    phase: str
-    duration: float
-    bytes_involved: int
-
-
 class SyntheticBenchmark:
     """Driver of the synthetic benchmark over any deployment strategy."""
 
-    def __init__(self, deployment: Deployment, buffer_bytes: int, seed: object = "synthetic"):
+    def __init__(
+        self,
+        deployment: Deployment,
+        buffer_bytes: int,
+        seed: object = "synthetic",
+        level: str = "app",
+    ):
         if buffer_bytes <= 0:
             raise CheckpointError(f"buffer size must be positive, got {buffer_bytes}")
+        if level not in CHECKPOINT_LEVELS:
+            raise CheckpointError(
+                f"unknown checkpoint level {level!r} (expected one of {CHECKPOINT_LEVELS})"
+            )
         self.deployment = deployment
         self.cloud = deployment.cloud
         self.buffer_bytes = buffer_bytes
         self.seed = seed
-        self.results: List[SyntheticResult] = []
+        #: the level :meth:`checkpoint` takes and :meth:`verify_restored_state` checks
+        self.level = level
         self._fill_epoch = 0
 
     # -- workload ------------------------------------------------------------------------------
@@ -61,7 +68,17 @@ class SyntheticBenchmark:
                 process.allocate("data_buffer", self._buffer_for(instance.instance_id))
                 process.iteration = self._fill_epoch
 
-    # -- application-level checkpointing --------------------------------------------------------
+    # -- checkpointing ---------------------------------------------------------------------------
+
+    def checkpoint(self) -> Generator:
+        """Simulation process: the global checkpoint at this benchmark's level."""
+        if self.level == "app":
+            checkpoint = yield from self.checkpoint_app_level()
+        elif self.level == "blcr":
+            checkpoint = yield from self.checkpoint_process_level()
+        else:  # full: the buffer stays in RAM and savevm captures it
+            checkpoint = yield from self.deployment.checkpoint_all(tag="full")
+        return checkpoint
 
     def _dump_instance(self, instance: DeployedInstance) -> Generator:
         data = self._buffer_for(instance.instance_id)
@@ -80,7 +97,6 @@ class SyntheticBenchmark:
         dump their buffers, and each instance then requests a disk snapshot.
         Returns the :class:`GlobalCheckpoint`.
         """
-        started = self.cloud.now
         dumps = [
             self.cloud.process(self._dump_instance(inst), name=f"dump:{inst.instance_id}")
             for inst in self.deployment.instances
@@ -89,23 +105,12 @@ class SyntheticBenchmark:
         # sibling dumps running into a subsequent rollback.
         yield from self.deployment.await_all(dumps)
         checkpoint = yield from self.deployment.checkpoint_all(tag="app")
-        self.results.append(SyntheticResult(
-            phase="checkpoint-app", duration=self.cloud.now - started,
-            bytes_involved=checkpoint.total_snapshot_bytes,
-        ))
         return checkpoint
-
-    # -- process-level checkpointing ---------------------------------------------------------------
 
     def checkpoint_process_level(self) -> Generator:
         """Simulation process: the global process-level (BLCR) checkpoint."""
-        started = self.cloud.now
         protocol = CoordinatedCheckpoint(self.deployment)
         checkpoint = yield from protocol.global_checkpoint(tag="blcr")
-        self.results.append(SyntheticResult(
-            phase="checkpoint-blcr", duration=self.cloud.now - started,
-            bytes_involved=checkpoint.total_snapshot_bytes,
-        ))
         return checkpoint
 
     # -- restart -----------------------------------------------------------------------------------
@@ -114,37 +119,52 @@ class SyntheticBenchmark:
         self, checkpoint: GlobalCheckpoint, target_nodes: Optional[Dict[str, str]] = None
     ) -> Generator:
         """Simulation process: kill everything, restart, read the state back."""
-        started = self.cloud.now
         report = yield from self.deployment.restart_all(checkpoint, target_nodes=target_nodes)
-        self.results.append(SyntheticResult(
-            phase="restart", duration=self.cloud.now - started,
-            bytes_involved=report.bytes_restored,
-        ))
         return report
 
+    def _saved_buffers(self, fs: GuestFileSystem, epoch: int) -> List[ByteSource]:
+        """The data buffers this benchmark's level left under ``/ckpt`` at ``epoch``:
+        the application's state file, or the ``data_buffer`` segment of every
+        BLCR context file."""
+        if self.level == "app":
+            path = STATE_PATH_TEMPLATE.format(epoch=epoch)
+            return [fs.read_file(path)] if fs.exists(path) else []
+        return [
+            blcr_restore(fs.read_file(path)).segments["data_buffer"]
+            for path in fs.listdir("/ckpt")
+            if path.startswith("/ckpt/blcr-") and path.endswith(f"-{epoch:04d}.ctx")
+        ]
+
     def verify_restored_state(self, sample_bytes: int = 65536, epoch: Optional[int] = None) -> bool:
-        """Check (functionally) that restored state files match the buffers.
+        """Check (functionally) that what a restart restored matches the buffers.
 
         ``epoch`` selects which fill epoch to verify against; the default is
         the most recent one.  After a rollback the restored guest holds the
         state of the last durable checkpoint, so recovery paths verify
         against that checkpoint's epoch rather than the fills that were lost
-        with the crash.
+        with the crash.  Every instance with a mounted file system must hold
+        its buffer: a restart that restored nothing does not verify.  At level
+        ``full`` there is nothing on disk to verify (processes resume from the
+        RAM the snapshot captured).
         """
+        if self.level == "full":
+            return True
         epoch = self._fill_epoch if epoch is None else epoch
-        path = STATE_PATH_TEMPLATE.format(epoch=epoch)
         for instance in self.deployment.instances:
-            if instance.vm.fs is None or not instance.vm.filesystem.exists(path):
+            if instance.vm.fs is None:
                 continue
-            data = instance.vm.filesystem.read_file(path)
             expected = self._buffer_for(instance.instance_id, epoch=epoch)
-            if data.size != expected.size:
+            saved = self._saved_buffers(instance.vm.filesystem, epoch)
+            if not saved:
                 return False
-            window = min(sample_bytes, data.size)
-            tail = data.size - window
-            if not (
-                content_equal(data.slice(0, window), expected.slice(0, window))
-                and content_equal(data.slice(tail, window), expected.slice(tail, window))
-            ):
-                return False
+            for data in saved:
+                if data.size != expected.size:
+                    return False
+                window = min(sample_bytes, data.size)
+                tail = data.size - window
+                if not (
+                    content_equal(data.slice(0, window), expected.slice(0, window))
+                    and content_equal(data.slice(tail, window), expected.slice(tail, window))
+                ):
+                    return False
         return True

@@ -9,8 +9,6 @@ from repro.cluster.hypervisor import DEFAULT_BOOT_READ_BYTES
 from repro.cluster.pvfs import PVFSDeployment
 from repro.core.baseimage import build_base_image
 from repro.core.strategy import DeployedInstance, Deployment
-from repro.guest.osnoise import write_boot_noise
-from repro.guest.vm import VMInstance
 from repro.util.errors import RestartError
 from repro.vdisk.qcow2 import QcowImage
 from repro.vdisk.raw import RawImage
@@ -20,7 +18,7 @@ BASE_IMAGE_FILE = "images/base.raw"
 
 
 class QcowPVFSDeployment(Deployment):
-    """Common deploy / boot logic for the qcow2-over-PVFS baselines.
+    """What the qcow2-over-PVFS baselines share: where their disks live.
 
     The base raw image lives in PVFS and is accessible on every compute node
     through a local mount point; each instance gets a local qcow2 overlay
@@ -37,31 +35,30 @@ class QcowPVFSDeployment(Deployment):
         boot_read_bytes: float = DEFAULT_BOOT_READ_BYTES,
         instance_prefix: str = "vm",
     ):
-        super().__init__(cloud, instance_prefix=instance_prefix)
+        super().__init__(cloud, instance_prefix=instance_prefix, boot_read_bytes=boot_read_bytes)
         self.pvfs = pvfs or PVFSDeployment(cloud)
         self._base_image = base_image
-        self.boot_read_bytes = boot_read_bytes
         self._base_uploaded = False
 
     # -- infrastructure helpers -----------------------------------------------------------
 
-    def ensure_base_image(self, uploader_node: Optional[str] = None) -> Generator:
+    def ensure_base_image(self) -> Generator:
         """Simulation process: store the base raw image in PVFS once."""
         if self._base_uploaded:
             return self._base_image
         if self._base_image is None:
             self._base_image = build_base_image(self.cloud.spec)
-        uploader = uploader_node or self.cloud.compute_nodes[0].name
         # The raw file is sparse; only its allocated content crosses the wire.
         yield from self.pvfs.write_file(
-            uploader, BASE_IMAGE_FILE, self._base_image.allocated_bytes,
-            payload=self._base_image,
+            self.cloud.compute_nodes[0].name, BASE_IMAGE_FILE,
+            self._base_image.allocated_bytes, payload=self._base_image,
         )
         self._base_uploaded = True
         return self._base_image
 
-    def _pvfs_boot_reader(self, instance_id: str, node_name: str):
+    def _image_reader(self, instance: DeployedInstance):
         """Boot-time hot content is read from the base image through PVFS."""
+        instance_id, node_name = instance.instance_id, instance.node_name
 
         def reader(nbytes: float, label: str):
             def _fetch():
@@ -72,53 +69,14 @@ class QcowPVFSDeployment(Deployment):
 
         return reader
 
-    def _new_overlay(self, instance_id: str) -> QcowImage:
+    def _new_disk(self, instance_id: str, node_name: str) -> QcowImage:
+        """A local qcow2 overlay (``qemu-img create -b base.raw``)."""
         return QcowImage(
             self.cloud.spec.vm.disk_size,
             cluster_size=self.cloud.spec.checkpoint.qcow2_cluster_size,
             backing=self._base_image,
             name=f"{instance_id}.qcow2",
         )
-
-    # -- deployment --------------------------------------------------------------------------
-
-    def _deploy(self, count: int, processes_per_instance: int = 1) -> Generator:
-        yield from self.ensure_base_image()
-        node_names = self._place_instances(count)
-        boots = []
-        for i, node_name in enumerate(node_names):
-            instance_id = self._instance_id(i)
-            vm = VMInstance(instance_id, self.cloud.spec.vm)
-            overlay = self._new_overlay(instance_id)
-            instance = DeployedInstance(
-                instance_id=instance_id, vm=vm, node_name=node_name,
-                hypervisor=self.hypervisors.get(node_name), backend=overlay,
-            )
-            self.instances.append(instance)
-            boots.append(self.cloud.process(
-                self._boot_instance(instance, processes_per_instance),
-                name=f"deploy:{instance_id}",
-            ))
-        yield self.cloud.env.all_of(boots)
-        return list(self.instances)
-
-    def _boot_instance(self, instance: DeployedInstance, processes_per_instance: int) -> Generator:
-        overlay: QcowImage = instance.backend
-        hypervisor = self.hypervisors.get(instance.node_name)
-        yield from hypervisor.boot(
-            instance.vm, overlay,
-            image_reader=self._pvfs_boot_reader(instance.instance_id, instance.node_name),
-            boot_read_bytes=self.boot_read_bytes,
-        )
-        noise = write_boot_noise(
-            instance.vm.filesystem, self.cloud.spec.checkpoint, instance.instance_id
-        )
-        yield self.cloud.node(instance.node_name).disk.write(
-            noise, label=f"boot-noise:{instance.instance_id}"
-        )
-        for p in range(processes_per_instance):
-            instance.vm.spawn_process(f"rank-{instance.instance_id}-{p}")
-        return instance
 
     # -- shared snapshot helpers ----------------------------------------------------------------
 

@@ -43,15 +43,12 @@ class Qcow2DiskDeployment(QcowPVFSDeployment):
         file_name = self._snapshot_file_name(instance)
         size = yield from self._copy_image_to_pvfs(instance, overlay, file_name)
         yield from hypervisor.resume(instance.vm)
-        restore_paths = (
-            list(instance.vm.filesystem.listdir("/ckpt")) if instance.vm.fs is not None else []
-        )
         return CheckpointRecord(
             instance_id=instance.instance_id,
             snapshot_ref=file_name,
             snapshot_bytes=size,
             duration=self.cloud.now - started,
-            restore_paths=restore_paths,
+            restore_paths=self._restore_paths(instance),
         )
 
     def restart_instance(
@@ -67,18 +64,7 @@ class Qcow2DiskDeployment(QcowPVFSDeployment):
         overlay = yield from self._fetch_snapshot_image(
             target_node, file_name, lazy_bytes=metadata_bytes
         )
-        instance.backend = overlay
-        instance.node_name = target_node
-        hypervisor = self.hypervisors.get(target_node)
-        yield from hypervisor.boot(
-            instance.vm, overlay,
-            image_reader=self._pvfs_boot_reader(instance.instance_id, target_node),
-            boot_read_bytes=self.boot_read_bytes,
-        )
-        restored = 0
-        for path in record.restore_paths:
-            data = instance.vm.filesystem.read_file(path)
-            restored += data.size
+        restored = yield from self._reboot_and_read_back(instance, overlay, target_node, record)
         if restored:
             yield from self.pvfs.read_file(target_node, file_name, size=restored)
             yield self.cloud.node(target_node).disk.write(

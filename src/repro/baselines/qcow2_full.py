@@ -17,8 +17,6 @@ from repro.baselines.common import QcowPVFSDeployment
 from repro.core.backends import BackendCapabilities, register_backend
 from repro.core.migration import MigrationResult
 from repro.core.strategy import CheckpointRecord, DeployedInstance
-from repro.guest.filesystem import GuestFileSystem
-from repro.util.errors import MigrationError, RestartError
 from repro.vdisk.qcow2 import QcowImage
 
 
@@ -63,14 +61,10 @@ class Qcow2FullDeployment(QcowPVFSDeployment):
         # read back before the VM can resume; this is what cancels the
         # benefit of skipping the reboot (Section 4.3.1).
         overlay = yield from self._fetch_snapshot_image(target_node, file_name, lazy_bytes=None)
-        if not isinstance(overlay, QcowImage):  # pragma: no cover - defensive
-            raise RestartError(f"{file_name} is not a qcow2 image")
         snapshot = overlay.revert_to_internal_snapshot(snapshot_name)
         instance.backend = overlay
         instance.node_name = target_node
-        hypervisor = self.hypervisors.get(target_node)
-        fs = GuestFileSystem.mount(overlay)
-        yield from hypervisor.resume_from_snapshot(instance.vm, overlay, fs=fs)
+        yield from self.hypervisors.get(target_node).resume_from_snapshot(instance.vm, overlay)
         # RAM and device state are restored in place; report the volume that
         # had to be transferred to bring the process state back.
         return snapshot.vm_state_size
@@ -93,32 +87,13 @@ class Qcow2FullDeployment(QcowPVFSDeployment):
         Failures mid-copy propagate: with a single monolithic transfer there
         is no durable intermediate round to roll back to.
         """
-        if mode != "stop-and-copy":
-            raise MigrationError(
-                f"{self.name} only supports stop-and-copy migration, not {mode!r} "
-                "(savevm snapshots are monolithic)"
-            )
-        if not instance.vm.is_running:
-            raise MigrationError(
-                f"cannot migrate {instance.instance_id}: the instance is not running"
-            )
-        source_node = instance.vm.host or instance.node_name
-        if target_node == source_node:
-            raise MigrationError(
-                f"cannot migrate {instance.instance_id} onto its own host {source_node}"
-            )
-        self.cloud.node(target_node).check_alive()
-        self.cloud.claim_nodes([target_node], owner=self)
+        source_node = self._begin_migration(instance, target_node, mode, ("stop-and-copy",))
         overlay: QcowImage = instance.backend
         started = self.cloud.now
         # Suspend for the whole transfer; flush the page cache so the copied
         # image holds the current file contents.
         yield from self.hypervisors.get(source_node).suspend(instance.vm)
-        synced = instance.vm.filesystem.sync()
-        if synced > 0:
-            yield self.cloud.node(source_node).disk.write(
-                synced, label=f"migrate-flush:{instance.instance_id}"
-            )
+        yield from self._flush_suspended_guest(instance)
         state_bytes = instance.vm.runtime_state_bytes
         snapshot_name = f"migrate-{len(overlay.internal_snapshots):04d}"
         overlay.create_internal_snapshot(snapshot_name, vm_state_size=state_bytes)
@@ -130,33 +105,18 @@ class Qcow2FullDeployment(QcowPVFSDeployment):
         new_overlay = yield from self._fetch_snapshot_image(
             target_node, file_name, lazy_bytes=None
         )
-        if not isinstance(new_overlay, QcowImage):  # pragma: no cover - defensive
-            raise RestartError(f"{file_name} is not a qcow2 image")
         new_overlay.revert_to_internal_snapshot(snapshot_name)
-        source = self.cloud.node(source_node)
-        if instance.vm.instance_id in source.hosted_instances:
-            source.hosted_instances.remove(instance.vm.instance_id)
-        instance.backend = new_overlay
-        instance.node_name = target_node
-        fs = GuestFileSystem.mount(new_overlay)
-        yield from self.hypervisors.get(target_node).migrate_in(
-            instance.vm, new_overlay, fs=fs
-        )
+        yield from self._hand_over(instance, new_overlay, target_node)
         result = MigrationResult(
             instance_id=instance.instance_id,
-            mode="stop-and-copy",
+            mode=mode,
             source_node=source_node,
             target_node=target_node,
             started_at=started,
             finished_at=self.cloud.now,
             downtime_s=self.cloud.now - started,
-            rounds=(),
             residue_bytes=size,
             state_bytes=state_bytes,
-            remote_faults=0,
-            remote_fault_bytes=0,
-            prefetched_blocks=0,
-            prefetched_bytes=0,
         )
         self.migrations.append(result)
         return result

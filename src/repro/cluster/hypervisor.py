@@ -107,11 +107,8 @@ class Hypervisor:
         """
         self.node.check_alive()
         vm.attach_disk(disk)
-        vm.host = self.node.name
-        if vm.instance_id not in self.node.hosted_instances:
-            self.node.hosted_instances.append(vm.instance_id)
         vm.mark_booting()
-        yield self.env.timeout(self._jitter(self.vm_spec.define_time, ("define", vm.instance_id)))
+        yield from self._adopt(vm)
         if boot_read_bytes > 0:
             if image_reader is not None:
                 yield image_reader(boot_read_bytes, f"boot:{vm.instance_id}")
@@ -137,9 +134,7 @@ class Hypervisor:
         yield self.env.timeout(self._jitter(self.vm_spec.resume_time, ("resume", vm.instance_id)))
         vm.resume()
 
-    def resume_from_snapshot(
-        self, vm: VMInstance, disk: BlockDevice, fs: Optional[GuestFileSystem] = None
-    ) -> Generator:
+    def resume_from_snapshot(self, vm: VMInstance, disk: BlockDevice) -> Generator:
         """Simulation process: resume a VM directly from a full snapshot.
 
         Used by ``qcow2-full`` restarts: the guest is *not* rebooted, but its
@@ -147,18 +142,13 @@ class Hypervisor:
         """
         self.node.check_alive()
         vm.attach_disk(disk)
-        vm.host = self.node.name
-        if vm.instance_id not in self.node.hosted_instances:
-            self.node.hosted_instances.append(vm.instance_id)
         vm.mark_booting()
-        yield self.env.timeout(self._jitter(self.vm_spec.define_time, ("define", vm.instance_id)))
+        yield from self._adopt(vm)
         yield self.env.timeout(self._jitter(self.vm_spec.resume_time, ("loadvm", vm.instance_id)))
-        vm.mark_running(fs if fs is not None else GuestFileSystem.mount(disk))
+        vm.mark_running(GuestFileSystem.mount(disk))
         return vm
 
-    def migrate_in(
-        self, vm: VMInstance, disk: BlockDevice, fs: Optional[GuestFileSystem] = None
-    ) -> Generator:
+    def migrate_in(self, vm: VMInstance, disk: BlockDevice) -> Generator:
         """Simulation process: adopt a suspended VM migrated from another node.
 
         The guest is *not* rebooted -- its processes keep their pids and
@@ -167,11 +157,8 @@ class Hypervisor:
         resume (loadvm-style) latency, then resumes the guest.
         """
         self.node.check_alive()
-        vm.relocate(disk, fs if fs is not None else GuestFileSystem.mount(disk))
-        vm.host = self.node.name
-        if vm.instance_id not in self.node.hosted_instances:
-            self.node.hosted_instances.append(vm.instance_id)
-        yield self.env.timeout(self._jitter(self.vm_spec.define_time, ("define", vm.instance_id)))
+        vm.relocate(disk, GuestFileSystem.mount(disk))
+        yield from self._adopt(vm)
         yield self.env.timeout(self._jitter(self.vm_spec.resume_time, ("loadvm", vm.instance_id)))
         self.node.check_alive()
         vm.resume()
@@ -201,10 +188,14 @@ class Hypervisor:
         vm.resume()
         return snapshot
 
-    def terminate(self, vm: VMInstance) -> None:
-        vm.terminate()
-        if vm.instance_id in self.node.hosted_instances:
-            self.node.hosted_instances.remove(vm.instance_id)
+    def _adopt(self, vm: VMInstance) -> Generator:
+        """Simulation process: this node becomes the host of ``vm`` (whose disk
+        the caller has attached) and pays the define latency -- the step a
+        boot, a resume from a full snapshot and an incoming migration share."""
+        vm.host = self.node.name
+        if vm.instance_id not in self.node.hosted_instances:
+            self.node.hosted_instances.append(vm.instance_id)
+        yield self.env.timeout(self._jitter(self.vm_spec.define_time, ("define", vm.instance_id)))
 
     def _check_hosted(self, vm: VMInstance) -> None:
         self.node.check_alive()

@@ -29,8 +29,6 @@ from repro.core.mirroring import MirroringModule
 from repro.core.proxy import CheckpointProxy
 from repro.core.repository import CheckpointRepository
 from repro.core.strategy import CheckpointRecord, DeployedInstance, Deployment
-from repro.guest.osnoise import write_boot_noise
-from repro.guest.vm import VMInstance
 from repro.obs.tracer import TRACER
 from repro.util.errors import CheckpointError, RestartError
 from repro.vdisk.raw import RawImage
@@ -55,12 +53,11 @@ class BlobCRDeployment(Deployment):
         boot_read_bytes: float = DEFAULT_BOOT_READ_BYTES,
         instance_prefix: str = "vm",
     ):
-        super().__init__(cloud, instance_prefix=instance_prefix)
+        super().__init__(cloud, instance_prefix=instance_prefix, boot_read_bytes=boot_read_bytes)
         self.repository = repository or CheckpointRepository(cloud)
         self._base_image = base_image
         self.base_blob_id: Optional[int] = None
         self.adaptive_prefetch = adaptive_prefetch
-        self.boot_read_bytes = boot_read_bytes
         self._proxies: Dict[str, CheckpointProxy] = {}
         #: chunk keys already pulled close to the compute nodes; later boots
         #: of the same content hit this cache (adaptive prefetching, [25])
@@ -75,20 +72,40 @@ class BlobCRDeployment(Deployment):
             self._proxies[node_name] = proxy
         return self._proxies[node_name]
 
-    def ensure_base_image(self, uploader_node: Optional[str] = None) -> Generator:
+    def ensure_base_image(self) -> Generator:
         """Simulation process: upload the base image into the repository once."""
         if self.base_blob_id is not None:
             return self.base_blob_id
         if self._base_image is None:
             self._base_image = build_base_image(self.cloud.spec)
-        uploader = uploader_node or self.cloud.compute_nodes[0].name
         self.base_blob_id = yield from self.repository.upload_base_image(
-            uploader, self._base_image, tag="base-image"
+            self.cloud.compute_nodes[0].name, self._base_image, tag="base-image"
         )
         return self.base_blob_id
 
-    def _image_reader(self, instance_id: str, mirroring: MirroringModule):
-        """Build the lazy-transfer boot reader for one instance."""
+    def _mirror(
+        self,
+        instance_id: str,
+        node_name: str,
+        blob_id: int,
+        version: Optional[int] = None,
+        checkpoint_blob_id: Optional[int] = None,
+    ) -> MirroringModule:
+        """A mirroring module on ``node_name`` over ``version`` of ``blob_id``;
+        ``checkpoint_blob_id`` is the checkpoint image its COMMITs continue."""
+        return MirroringModule(
+            self.repository, node_name, instance_id, blob_id,
+            base_version=version, disk_size=self.cloud.spec.vm.disk_size,
+            spec=self.cloud.spec.checkpoint, checkpoint_blob_id=checkpoint_blob_id,
+        )
+
+    def _new_disk(self, instance_id: str, node_name: str) -> MirroringModule:
+        return self._mirror(instance_id, node_name, self.base_blob_id)
+
+    def _image_reader(self, instance: DeployedInstance):
+        """The lazy-transfer boot reader of one instance."""
+        instance_id = instance.instance_id
+        mirroring: MirroringModule = instance.backend
 
         def reader(nbytes: float, label: str):
             def _fetch():
@@ -120,48 +137,6 @@ class BlobCRDeployment(Deployment):
 
     # -- Deployment interface ----------------------------------------------------------------------
 
-    def _deploy(self, count: int, processes_per_instance: int = 1) -> Generator:
-        """Simulation process: multi-deploy ``count`` instances from the base image."""
-        yield from self.ensure_base_image()
-        node_names = self._place_instances(count)
-        boots = []
-        for i, node_name in enumerate(node_names):
-            instance_id = self._instance_id(i)
-            vm = VMInstance(instance_id, self.cloud.spec.vm)
-            mirroring = MirroringModule(
-                self.repository, node_name, instance_id, self.base_blob_id,
-                disk_size=self.cloud.spec.vm.disk_size, spec=self.cloud.spec.checkpoint,
-            )
-            instance = DeployedInstance(
-                instance_id=instance_id, vm=vm, node_name=node_name,
-                hypervisor=self.hypervisors.get(node_name), backend=mirroring,
-            )
-            self.instances.append(instance)
-            boots.append(self.cloud.process(
-                self._boot_instance(instance, processes_per_instance),
-                name=f"deploy:{instance_id}",
-            ))
-        yield self.cloud.env.all_of(boots)
-        return list(self.instances)
-
-    def _boot_instance(self, instance: DeployedInstance, processes_per_instance: int) -> Generator:
-        mirroring: MirroringModule = instance.backend
-        hypervisor = self.hypervisors.get(instance.node_name)
-        yield from hypervisor.boot(
-            instance.vm, mirroring,
-            image_reader=self._image_reader(instance.instance_id, mirroring),
-            boot_read_bytes=self.boot_read_bytes,
-        )
-        noise = write_boot_noise(
-            instance.vm.filesystem, self.cloud.spec.checkpoint, instance.instance_id
-        )
-        yield self.cloud.node(instance.node_name).disk.write(
-            noise, label=f"boot-noise:{instance.instance_id}"
-        )
-        for p in range(processes_per_instance):
-            instance.vm.spawn_process(f"rank-{instance.instance_id}-{p}")
-        return instance
-
     def checkpoint_instance(self, instance: DeployedInstance, tag: str = "") -> Generator:
         mirroring: MirroringModule = instance.backend
         proxy = self._proxy(instance.vm.host or instance.node_name)
@@ -169,15 +144,12 @@ class BlobCRDeployment(Deployment):
         reply = yield from proxy.handle_request(instance.vm, mirroring, tag=tag)
         if not reply.ok:
             raise CheckpointError(f"snapshot of {instance.instance_id} failed")
-        restore_paths = [
-            p for p in instance.vm.filesystem.listdir("/ckpt")
-        ] if instance.vm.fs is not None else []
         return CheckpointRecord(
             instance_id=instance.instance_id,
             snapshot_ref=(reply.checkpoint_blob_id, reply.snapshot_version),
             snapshot_bytes=reply.snapshot_bytes,
             duration=self.cloud.now - started,
-            restore_paths=restore_paths,
+            restore_paths=self._restore_paths(instance),
         )
 
     def restart_instance(
@@ -186,25 +158,12 @@ class BlobCRDeployment(Deployment):
         blob_id, version = record.snapshot_ref
         if blob_id is None:
             raise RestartError(f"no checkpoint image recorded for {instance.instance_id}")
-        mirroring = MirroringModule(
-            self.repository, target_node, instance.instance_id, blob_id,
-            base_version=version, disk_size=self.cloud.spec.vm.disk_size,
-            spec=self.cloud.spec.checkpoint, checkpoint_blob_id=blob_id,
+        mirroring = self._mirror(
+            instance.instance_id, target_node, blob_id, version, checkpoint_blob_id=blob_id
         )
-        instance.backend = mirroring
-        instance.node_name = target_node
-        hypervisor = self.hypervisors.get(target_node)
-        yield from hypervisor.boot(
-            instance.vm, mirroring,
-            image_reader=self._image_reader(instance.instance_id, mirroring),
-            boot_read_bytes=self.boot_read_bytes,
-        )
-        # Restore process state: read the checkpoint files back (lazy fetch of
-        # exactly the snapshot content that is actually needed).
-        restored = 0
-        for path in record.restore_paths:
-            data = instance.vm.filesystem.read_file(path)
-            restored += data.size
+        # Restoring process state reads the checkpoint files back: a lazy
+        # fetch of exactly the snapshot content that is actually needed.
+        restored = yield from self._reboot_and_read_back(instance, mirroring, target_node, record)
         if restored:
             span = None
             if TRACER.enabled:

@@ -28,7 +28,7 @@ fail-stop crash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.cluster.cloud import Cloud
@@ -79,20 +79,20 @@ class MigrationResult:
     #: seconds the guest was unavailable (suspend to resume)
     downtime_s: float
     #: the iterative copy rounds, in order
-    rounds: Tuple[MigrationRound, ...]
+    rounds: Tuple[MigrationRound, ...] = ()
     #: bytes of the final stop-and-copy residue COMMIT (pre-copy), or of the
     #: monolithic image copy (stop-and-copy); 0 for post-copy
-    residue_bytes: int
+    residue_bytes: int = 0
     #: runtime state (RAM + device state) shipped during the switchover;
     #: for post-copy this includes the file-system metadata blocks the
     #: destination must hold before it can mount the guest file system
-    state_bytes: int
+    state_bytes: int = 0
     #: post-copy blocks served on demand from the source, and their bytes
-    remote_faults: int
-    remote_fault_bytes: int
+    remote_faults: int = 0
+    remote_fault_bytes: int = 0
     #: post-copy blocks drained by the background prefetch sweep
-    prefetched_blocks: int
-    prefetched_bytes: int
+    prefetched_blocks: int = 0
+    prefetched_bytes: int = 0
     #: the source died mid-migration and the instance was restarted from
     #: the last durable snapshot instead of completing the live handover
     rolled_back: bool = False
@@ -252,6 +252,35 @@ class PostCopyPump:
             yield from self._deliver(run, "prefetch")
 
 
+@dataclass
+class _Migration:
+    """One ``migrate_instance`` call in flight (migrations run concurrently)."""
+
+    instance: DeployedInstance
+    #: the source-side mirroring module
+    mirroring: MirroringModule
+    mode: str
+    source_node: str
+    target_node: str
+    started_at: float
+    rounds: List[MigrationRound] = field(default_factory=list)
+    #: when the guest was suspended, once it is (rollback accounting)
+    suspended_at: Optional[float] = None
+
+    def result(self, finished_at: float, downtime_s: float, **measured) -> MigrationResult:
+        return MigrationResult(
+            instance_id=self.instance.instance_id,
+            mode=self.mode,
+            source_node=self.source_node,
+            target_node=self.target_node,
+            started_at=self.started_at,
+            finished_at=finished_at,
+            downtime_s=downtime_s,
+            rounds=tuple(self.rounds),
+            **measured,
+        )
+
+
 @register_backend(
     "blobcr-migrate",
     capabilities=BackendCapabilities(incremental=True, dedup_capable=True, live_migration=True),
@@ -291,9 +320,6 @@ class BlobCRMigrateDeployment(BlobCRDeployment):
         #: the most recently drained pump, kept for inspection (the serve log
         #: is how the exactly-once contract is audited)
         self.last_pump: Optional[PostCopyPump] = None
-        #: per-instance suspension start while a migration has that guest
-        #: suspended (rollback accounting; migrations run concurrently)
-        self._suspend_started: Dict[str, float] = {}
 
     # -- helpers -----------------------------------------------------------------------------
 
@@ -313,36 +339,12 @@ class BlobCRMigrateDeployment(BlobCRDeployment):
         else:
             blob_id = mirroring.base_blob_id
             version = mirroring.remote.version
-        return MirroringModule(
-            self.repository, target_node, instance.instance_id,
-            blob_id, base_version=version,
-            disk_size=self.cloud.spec.vm.disk_size, spec=self.cloud.spec.checkpoint,
+        return self._mirror(
+            instance.instance_id, target_node, blob_id, version,
             checkpoint_blob_id=mirroring.checkpoint_blob_id,
         )
 
-    def _guest_flush(self, instance: DeployedInstance) -> Generator:
-        """Simulation process: flush the (suspended) guest's page cache."""
-        synced = instance.vm.filesystem.sync()
-        if synced > 0:
-            node = instance.vm.host or instance.node_name
-            yield self.cloud.node(node).disk.write(
-                synced, label=f"migrate-flush:{instance.instance_id}"
-            )
-        return synced
-
-    def _detach_from(self, instance: DeployedInstance, node_name: str) -> None:
-        node = self.cloud.node(node_name)
-        if instance.vm.instance_id in node.hosted_instances:
-            node.hosted_instances.remove(instance.vm.instance_id)
-
-    def _rollback(
-        self,
-        instance: DeployedInstance,
-        target_node: str,
-        version: Optional[int],
-        restore_paths: List[str],
-        source_node: str,
-    ) -> Generator:
+    def _rollback(self, call: _Migration, restore_paths: List[str]) -> Generator:
         """Simulation process: reboot the instance from the last durable snapshot.
 
         The live handover failed (the source died mid-migration); what
@@ -350,26 +352,24 @@ class BlobCRMigrateDeployment(BlobCRDeployment):
         durable version there is nothing to roll back to and the failure
         propagates to the caller like any other fail-stop crash.
         """
-        if version is None:
+        instance, mirroring = call.instance, call.mirroring
+        if not mirroring.committed_versions:
             raise FailureInjected(
                 f"source of {instance.instance_id} died before any migration "
                 "round became durable",
-                node=source_node,
+                node=call.source_node,
             )
-        mirroring: MirroringModule = instance.backend
-        blob_id = mirroring.checkpoint_blob_id
-        self._detach_from(instance, source_node)
-        self._detach_from(instance, target_node)
+        self._detach(instance, call.source_node)
+        self._detach(instance, call.target_node)
         instance.vm.terminate()
         record = CheckpointRecord(
             instance_id=instance.instance_id,
-            snapshot_ref=(blob_id, version),
+            snapshot_ref=(mirroring.checkpoint_blob_id, mirroring.committed_versions[-1]),
             snapshot_bytes=0,
             duration=0.0,
             restore_paths=restore_paths,
         )
-        restored = yield from self.restart_instance(instance, record, target_node)
-        return restored
+        yield from self.restart_instance(instance, record, call.target_node)
 
     # -- the migration engine ----------------------------------------------------------------
 
@@ -387,74 +387,32 @@ class BlobCRMigrateDeployment(BlobCRDeployment):
         demand faults from the source ahead of the background prefetch
         sweep.  Returns a :class:`MigrationResult`.
         """
-        if mode not in ("pre-copy", "post-copy"):
-            raise MigrationError(
-                f"unknown migration mode {mode!r} for {self.name} "
-                "(supported: pre-copy, post-copy)"
-            )
-        if not instance.vm.is_running:
-            raise MigrationError(
-                f"cannot migrate {instance.instance_id}: the instance is not running"
-            )
-        source_node = instance.vm.host or instance.node_name
-        if target_node == source_node:
-            raise MigrationError(
-                f"cannot migrate {instance.instance_id} onto its own host {source_node}"
-            )
-        self.cloud.node(target_node).check_alive()
-        self.cloud.claim_nodes([target_node], owner=self)
-        mirroring: MirroringModule = instance.backend
-        restore_paths = (
-            list(instance.vm.filesystem.listdir("/ckpt")) if instance.vm.fs is not None else []
+        source_node = self._begin_migration(
+            instance, target_node, mode, ("pre-copy", "post-copy")
         )
-        started = self.cloud.now
-        rounds: List[MigrationRound] = []
+        restore_paths = self._restore_paths(instance)
+        call = _Migration(
+            instance, instance.backend, mode, source_node, target_node, self.cloud.now
+        )
         try:
             if mode == "pre-copy":
-                result = yield from self._migrate_precopy(
-                    instance, mirroring, source_node, target_node, started, rounds
-                )
+                result = yield from self._migrate_precopy(call)
             else:
-                result = yield from self._migrate_postcopy(
-                    instance, mirroring, source_node, target_node, started, rounds,
-                    demand_paths,
-                )
+                result = yield from self._migrate_postcopy(call, demand_paths)
         except FailureInjected:
-            failed_at = self.cloud.now
-            down_since = self._suspend_started.get(instance.instance_id, failed_at)
-            durable = mirroring.committed_versions[-1] if mirroring.committed_versions else None
-            yield from self._rollback(
-                instance, target_node, durable, restore_paths, source_node
-            )
-            result = MigrationResult(
-                instance_id=instance.instance_id,
-                mode=mode,
-                source_node=source_node,
-                target_node=target_node,
-                started_at=started,
-                finished_at=self.cloud.now,
-                downtime_s=self.cloud.now - down_since,
-                rounds=tuple(rounds),
-                residue_bytes=0,
-                state_bytes=0,
-                remote_faults=0,
-                remote_fault_bytes=0,
-                prefetched_blocks=0,
-                prefetched_bytes=0,
-                rolled_back=True,
-            )
+            down_since = self.cloud.now if call.suspended_at is None else call.suspended_at
+            yield from self._rollback(call, restore_paths)
+            result = call.result(self.cloud.now, self.cloud.now - down_since, rolled_back=True)
         finally:
             self._postcopy.pop(instance.instance_id, None)
-            self._suspend_started.pop(instance.instance_id, None)
         self.migrations.append(result)
         return result
 
-    def _run_round(
-        self, instance: DeployedInstance, mirroring: MirroringModule, index: int, tag: str
-    ) -> Generator:
+    def _run_round(self, call: _Migration, index: int, name: str) -> Generator:
         """Simulation process: one COMMIT round; returns a MigrationRound."""
+        instance, mirroring = call.instance, call.mirroring
         t0 = self.cloud.now
-        dirty = len(mirroring.dirty.dirty_blocks)
+        dirty = mirroring.dirty_bytes // mirroring.block_size
         span = None
         if TRACER.enabled:
             span = TRACER.begin(
@@ -462,7 +420,7 @@ class BlobCRMigrateDeployment(BlobCRDeployment):
                 args={"round": index, "dirty_blocks": dirty},
             )
         if dirty:
-            commit = yield from mirroring.commit(tag=tag)
+            commit = yield from mirroring.commit(tag=f"migrate:{instance.instance_id}:{name}")
             moved = commit.bytes_written
         else:
             # An empty COMMIT would publish a pointless empty version; close
@@ -476,133 +434,78 @@ class BlobCRMigrateDeployment(BlobCRDeployment):
             duration_s=self.cloud.now - t0,
         )
 
-    def _switchover(
-        self,
-        instance: DeployedInstance,
-        source_node: str,
-        target_node: str,
-        destination: MirroringModule,
-        fs: Optional[GuestFileSystem] = None,
-    ) -> Generator:
-        """Simulation process: ship runtime state and resume on the target."""
-        state_bytes = instance.vm.runtime_state_bytes
-        yield self.cloud.network.transfer(
-            source_node, target_node, state_bytes,
-            label=f"migrate-state:{instance.instance_id}",
-        )
-        self._detach_from(instance, source_node)
-        instance.backend = destination
-        instance.node_name = target_node
-        yield from self.hypervisors.get(target_node).migrate_in(
-            instance.vm, destination, fs=fs
-        )
-        return state_bytes
+    def _handover(self, call: _Migration) -> Generator:
+        """Simulation process: the one suspension of a live migration.
 
-    def _migrate_precopy(
-        self,
-        instance: DeployedInstance,
-        mirroring: MirroringModule,
-        source_node: str,
-        target_node: str,
-        started: float,
-        rounds: List[MigrationRound],
-    ) -> Generator:
-        yield from mirroring.clone()
-        index = 0
-        while True:
-            index += 1
-            round_ = yield from self._run_round(
-                instance, mirroring, index,
-                tag=f"migrate:{instance.instance_id}:round-{index}",
-            )
-            rounds.append(round_)
-            if mirroring.dirty_bytes <= self.precopy_threshold_bytes:
-                break
-            if index >= self.precopy_max_rounds:
-                break
-        # Stop-and-copy: one short suspension covers the residue COMMIT, the
-        # runtime-state transfer and the resume on the destination.
-        hypervisor = self.hypervisors.get(source_node)
-        suspended_at = self._suspend_started[instance.instance_id] = self.cloud.now
+        Suspend, flush the page cache, move what the destination must not
+        find stale, ship the runtime state, resume on the target.  What must
+        not be stale is where the modes differ: pre-copy COMMITs the residue,
+        so the destination mounts a version that holds everything; post-copy
+        ships only the file-system metadata blocks -- the destination mounts
+        the guest file system before the guest resumes, so a stale inode table
+        is not an option -- and leaves the rest of the open epoch on the
+        source, behind the returned pump.  Returns ``(downtime, runtime-state
+        bytes, residue bytes, pump)``.
+        """
+        instance, mirroring = call.instance, call.mirroring
+        call.suspended_at = self.cloud.now
         span = None
         if TRACER.enabled:
             span = TRACER.begin(
                 "migrate-switchover", instance.instance_id, self.cloud.now,
-                args={"mode": "pre-copy"},
+                args={"mode": call.mode},
             )
-        yield from hypervisor.suspend(instance.vm)
-        yield from self._guest_flush(instance)
-        residue = yield from self._run_round(
-            instance, mirroring, len(rounds) + 1,
-            tag=f"migrate:{instance.instance_id}:residue",
+        yield from self.hypervisors.get(call.source_node).suspend(instance.vm)
+        yield from self._flush_suspended_guest(instance)
+        residue_bytes, pump = 0, None
+        if call.mode == "pre-copy":
+            residue = yield from self._run_round(call, len(call.rounds) + 1, "residue")
+            residue_bytes = residue.bytes_moved
+            destination = self._destination_module(instance, call.target_node)
+        else:
+            destination = self._destination_module(instance, call.target_node)
+            pump = PostCopyPump(
+                self.cloud, call.source_node, call.target_node, destination,
+                mirroring.residue_payloads(), instance.instance_id,
+            )
+            yield from pump.fault_range(0, METADATA_REGION, channel="state")
+        state_bytes = instance.vm.runtime_state_bytes
+        yield self.cloud.network.transfer(
+            call.source_node, call.target_node, state_bytes,
+            label=f"migrate-state:{instance.instance_id}",
         )
-        destination = self._destination_module(instance, target_node)
-        state_bytes = yield from self._switchover(
-            instance, source_node, target_node, destination
-        )
-        downtime = self.cloud.now - suspended_at
+        yield from self._hand_over(instance, destination, call.target_node)
+        downtime = self.cloud.now - call.suspended_at
         if span is not None:
             TRACER.end(span, self.cloud.now, args={"downtime_s": downtime})
-        return MigrationResult(
-            instance_id=instance.instance_id,
-            mode="pre-copy",
-            source_node=source_node,
-            target_node=target_node,
-            started_at=started,
-            finished_at=self.cloud.now,
-            downtime_s=downtime,
-            rounds=tuple(rounds),
-            residue_bytes=residue.bytes_moved,
-            state_bytes=state_bytes,
-            remote_faults=0,
-            remote_fault_bytes=0,
-            prefetched_blocks=0,
-            prefetched_bytes=0,
+        return downtime, state_bytes, residue_bytes, pump
+
+    def _migrate_precopy(self, call: _Migration) -> Generator:
+        yield from call.mirroring.clone()
+        index = 0
+        while True:
+            index += 1
+            round_ = yield from self._run_round(call, index, f"round-{index}")
+            call.rounds.append(round_)
+            if (
+                call.mirroring.dirty_bytes <= self.precopy_threshold_bytes
+                or index >= self.precopy_max_rounds
+            ):
+                break
+        # Stop-and-copy: one short suspension covers the residue COMMIT, the
+        # runtime-state transfer and the resume on the destination.
+        downtime, state_bytes, residue_bytes, _pump = yield from self._handover(call)
+        return call.result(
+            self.cloud.now, downtime, residue_bytes=residue_bytes, state_bytes=state_bytes
         )
 
-    def _migrate_postcopy(
-        self,
-        instance: DeployedInstance,
-        mirroring: MirroringModule,
-        source_node: str,
-        target_node: str,
-        started: float,
-        rounds: List[MigrationRound],
-        demand_paths: Sequence[str],
-    ) -> Generator:
+    def _migrate_postcopy(self, call: _Migration, demand_paths: Sequence[str]) -> Generator:
         # No copy phase before the handover: the destination mounts the last
         # *durable* version straight from the repository and every block the
         # guest wrote since (the open epoch) stays on the source, to be
         # served over the demand/prefetch channels after the switchover.
-        hypervisor = self.hypervisors.get(source_node)
-        suspended_at = self._suspend_started[instance.instance_id] = self.cloud.now
-        span = None
-        if TRACER.enabled:
-            span = TRACER.begin(
-                "migrate-switchover", instance.instance_id, self.cloud.now,
-                args={"mode": "post-copy"},
-            )
-        yield from hypervisor.suspend(instance.vm)
-        yield from self._guest_flush(instance)
-        destination = self._destination_module(instance, target_node)
-        pump = PostCopyPump(
-            self.cloud, source_node, target_node, destination,
-            mirroring.residue_payloads(), instance.instance_id,
-        )
-        # The file-system metadata blocks are part of the mandatory
-        # switchover state: the destination mounts the guest file system
-        # before the guest resumes, so a stale inode table is not an option.
-        metadata_bytes = yield from pump.fault_range(0, METADATA_REGION, channel="state")
-        fs = GuestFileSystem.mount(destination)
-        state_bytes = yield from self._switchover(
-            instance, source_node, target_node, destination, fs=fs
-        )
-        downtime = self.cloud.now - suspended_at
-        if span is not None:
-            TRACER.end(span, self.cloud.now, args={"downtime_s": downtime})
-        # Metadata blocks count as switchover state, not as demand faults:
-        # the guest never waited on them after resuming.
-        state_bytes += metadata_bytes
+        instance = call.instance
+        downtime, state_bytes, _residue, pump = yield from self._handover(call)
         self._postcopy[instance.instance_id] = pump
         # Demand phase: blocks of the files the workload touches right away
         # are served as remote faults, ahead of the background sweep.
@@ -617,19 +520,13 @@ class BlobCRMigrateDeployment(BlobCRDeployment):
         yield from pump.prefetch_sweep()
         if sweep_span is not None:
             TRACER.end(sweep_span, self.cloud.now)
-        del self._postcopy[instance.instance_id]
         self.last_pump = pump
-        return MigrationResult(
-            instance_id=instance.instance_id,
-            mode="post-copy",
-            source_node=source_node,
-            target_node=target_node,
-            started_at=started,
-            finished_at=self.cloud.now,
-            downtime_s=downtime,
-            rounds=tuple(rounds),
-            residue_bytes=0,
-            state_bytes=state_bytes,
+        # Metadata blocks count as switchover state, not as demand faults:
+        # the guest never waited on them after resuming.
+        return call.result(
+            self.cloud.now,
+            downtime,
+            state_bytes=state_bytes + pump.state_bytes,
             remote_faults=pump.remote_faults,
             remote_fault_bytes=pump.remote_fault_bytes,
             prefetched_blocks=pump.prefetched_blocks,

@@ -12,6 +12,15 @@ layer and the benchmarks can drive them interchangeably:
   on a different node from its snapshot, remounting the guest file system and
   charging the reads needed to restore process state.
 
+The strategies differ only in *where the virtual disk lives and how a
+snapshot of it is taken*, and that is all a strategy supplies (the abstract
+methods of :class:`Deployment`): its base-image staging, the virtual disk of
+a fresh instance, its boot-image reader, its snapshot, and how a stored
+snapshot becomes a disk on another node.  The fixed part of every phase --
+place, build the VM, boot, OS noise, spawn the ranks; the restore-path
+listing and read-back; taking an instance off its host; the preconditions
+and the handover of a migration -- is written once, here.
+
 Every method that advances simulated time is a generator meant to be wrapped
 in ``cloud.process(...)`` (or driven by ``yield from`` inside another
 process).
@@ -21,14 +30,16 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from repro.cluster.cloud import Cloud
-from repro.cluster.hypervisor import Hypervisor, HypervisorCache
+from repro.cluster.hypervisor import DEFAULT_BOOT_READ_BYTES, HypervisorCache, ImageReader
 from repro.guest.filesystem import GuestFileSystem
+from repro.guest.osnoise import write_boot_noise
 from repro.guest.vm import VMInstance
 from repro.util.bytesource import ByteSource
-from repro.util.errors import CheckpointError, RestartError
+from repro.util.errors import CheckpointError, MigrationError, RestartError
+from repro.vdisk.blockdev import BlockDevice
 
 
 @dataclass
@@ -76,8 +87,7 @@ class DeployedInstance:
     instance_id: str
     vm: VMInstance
     node_name: str
-    hypervisor: Hypervisor
-    #: strategy-specific backend (mirroring module, local qcow2 image, ...)
+    #: the instance's virtual disk (mirroring module, local qcow2 image, ...)
     backend: Any = None
 
     @property
@@ -105,12 +115,19 @@ class Deployment(abc.ABC):
     #: label used by the scenario layer ("BlobCR", "qcow2-disk", "qcow2-full")
     name: str = "abstract"
 
-    def __init__(self, cloud: Cloud, instance_prefix: str = "vm"):
+    def __init__(
+        self,
+        cloud: Cloud,
+        instance_prefix: str = "vm",
+        boot_read_bytes: float = DEFAULT_BOOT_READ_BYTES,
+    ):
         self.cloud = cloud
         #: instance-id prefix (``vm`` -> ``vm-000``); the service layer gives
         #: every tenant deployment its own prefix so ids stay unique on a
         #: shared cloud
         self.instance_prefix = instance_prefix
+        #: bytes of the image a booting guest touches (see the hypervisor)
+        self.boot_read_bytes = boot_read_bytes
         self.instances: List[DeployedInstance] = []
         self.checkpoints: List[GlobalCheckpoint] = []
         #: completed live migrations, in completion order (populated by the
@@ -122,22 +139,17 @@ class Deployment(abc.ABC):
 
     # -- to be provided by each strategy ------------------------------------------------------
 
-    def deploy(self, count: int, processes_per_instance: int = 1) -> Generator:
-        """Simulation process: deploy ``count`` instances from the base image.
-
-        Validates the count once for every strategy -- eagerly, before any
-        base-image bootstrap side effects -- then delegates to the
-        strategy's :meth:`_deploy`.
-        """
-        if count <= 0:
-            raise ValueError(
-                f"cannot deploy {count} instances: the instance count must be positive"
-            )
-        return self._deploy(count, processes_per_instance)
+    @abc.abstractmethod
+    def ensure_base_image(self) -> Generator:
+        """Simulation process: stage the base image in the strategy's storage, once."""
 
     @abc.abstractmethod
-    def _deploy(self, count: int, processes_per_instance: int = 1) -> Generator:
-        """Simulation process: the strategy-specific multi-deployment."""
+    def _new_disk(self, instance_id: str, node_name: str) -> BlockDevice:
+        """The virtual disk of a fresh instance on ``node_name``, over the base image."""
+
+    @abc.abstractmethod
+    def _image_reader(self, instance: DeployedInstance) -> ImageReader:
+        """Where ``instance`` (disk and node already set) reads its boot working set from."""
 
     @abc.abstractmethod
     def checkpoint_instance(self, instance: DeployedInstance, tag: str = "") -> Generator:
@@ -152,6 +164,59 @@ class Deployment(abc.ABC):
     @abc.abstractmethod
     def storage_used_bytes(self) -> int:
         """Persistent storage currently consumed by base images + snapshots."""
+
+    # -- deployment ----------------------------------------------------------------------------
+
+    def deploy(self, count: int, processes_per_instance: int = 1) -> Generator:
+        """Simulation process: deploy ``count`` instances from the base image.
+
+        The count is validated eagerly, before any base-image bootstrap side
+        effect.
+        """
+        if count <= 0:
+            raise ValueError(
+                f"cannot deploy {count} instances: the instance count must be positive"
+            )
+        return self._deploy(count, processes_per_instance)
+
+    def _deploy(self, count: int, processes_per_instance: int) -> Generator:
+        yield from self.ensure_base_image()
+        boots = []
+        for i, node_name in enumerate(self._place_instances(count)):
+            instance_id = self._instance_id(i)
+            instance = DeployedInstance(
+                instance_id=instance_id,
+                vm=VMInstance(instance_id, self.cloud.spec.vm),
+                node_name=node_name,
+                backend=self._new_disk(instance_id, node_name),
+            )
+            self.instances.append(instance)
+            boots.append(self.cloud.process(
+                self._first_boot(instance, processes_per_instance),
+                name=f"deploy:{instance_id}",
+            ))
+        yield self.cloud.env.all_of(boots)
+        return list(self.instances)
+
+    def _first_boot(self, instance: DeployedInstance, processes_per_instance: int) -> Generator:
+        yield from self._boot(instance)
+        noise = write_boot_noise(
+            instance.vm.filesystem, self.cloud.spec.checkpoint, instance.instance_id
+        )
+        yield self.cloud.node(instance.node_name).disk.write(
+            noise, label=f"boot-noise:{instance.instance_id}"
+        )
+        for p in range(processes_per_instance):
+            instance.vm.spawn_process(f"rank-{instance.instance_id}-{p}")
+        return instance
+
+    def _boot(self, instance: DeployedInstance) -> Generator:
+        """Simulation process: boot ``instance`` from its disk on its node."""
+        yield from self.hypervisors.get(instance.node_name).boot(
+            instance.vm, instance.backend,
+            image_reader=self._image_reader(instance),
+            boot_read_bytes=self.boot_read_bytes,
+        )
 
     # -- generic orchestration -----------------------------------------------------------------
 
@@ -191,12 +256,16 @@ class Deployment(abc.ABC):
         self.checkpoints.append(checkpoint)
         return checkpoint
 
+    def _detach(self, instance: DeployedInstance, node_name: str) -> None:
+        """Take ``instance`` off ``node_name``'s hosting ledger, if it is on it."""
+        node = self.cloud.node(node_name)
+        if instance.instance_id in node.hosted_instances:
+            node.hosted_instances.remove(instance.instance_id)
+
     def kill_all(self) -> None:
         """Terminate every instance (simulating the loss of all VM state)."""
         for instance in self.instances:
-            node = self.cloud.node(instance.node_name)
-            if instance.vm.instance_id in node.hosted_instances:
-                node.hosted_instances.remove(instance.vm.instance_id)
+            self._detach(instance, instance.node_name)
             instance.vm.terminate()
         self.cloud.release_owned(self)
 
@@ -255,7 +324,79 @@ class Deployment(abc.ABC):
         report.instances = [i.instance_id for i in self.instances]
         return report
 
-    # -- common helpers for subclasses ------------------------------------------------------------
+    def _restore_paths(self, instance: DeployedInstance) -> List[str]:
+        """The files a restart must read back to restore process state."""
+        return list(instance.vm.filesystem.listdir("/ckpt")) if instance.vm.fs is not None else []
+
+    def _reboot_and_read_back(
+        self,
+        instance: DeployedInstance,
+        disk: BlockDevice,
+        target_node: str,
+        record: CheckpointRecord,
+    ) -> Generator:
+        """Simulation process: reboot ``instance`` on ``target_node`` over ``disk``
+        (a stored snapshot made usable there) and read its checkpoint files back.
+
+        Returns the bytes read; which storage they were faulted in from, and
+        at what cost, is the strategy's to charge.
+        """
+        instance.backend = disk
+        instance.node_name = target_node
+        yield from self._boot(instance)
+        restored = 0
+        for path in record.restore_paths:
+            restored += instance.vm.filesystem.read_file(path).size
+        return restored
+
+    # -- live migration: the part every migrating backend shares ---------------------------------
+
+    def _begin_migration(
+        self, instance: DeployedInstance, target_node: str, mode: str, supported: Sequence[str]
+    ) -> str:
+        """Check that ``instance`` can move to ``target_node`` in ``mode`` and claim
+        the target; returns the source node."""
+        if mode not in supported:
+            raise MigrationError(
+                f"{self.name} does not support migration mode {mode!r} "
+                f"(supported: {', '.join(supported)})"
+            )
+        if not instance.vm.is_running:
+            raise MigrationError(
+                f"cannot migrate {instance.instance_id}: the instance is not running"
+            )
+        source_node = instance.vm.host or instance.node_name
+        if target_node == source_node:
+            raise MigrationError(
+                f"cannot migrate {instance.instance_id} onto its own host {source_node}"
+            )
+        self.cloud.node(target_node).check_alive()
+        self.cloud.claim_nodes([target_node], owner=self)
+        return source_node
+
+    def _flush_suspended_guest(self, instance: DeployedInstance) -> Generator:
+        """Simulation process: flush the page cache of a suspended guest.
+
+        :meth:`guest_sync` without the system call's overhead: the frozen
+        guest runs nothing, its dirty pages are written out for it.
+        """
+        synced = instance.vm.filesystem.sync()
+        if synced > 0:
+            yield self.cloud.node(instance.vm.host or instance.node_name).disk.write(
+                synced, label=f"migrate-flush:{instance.instance_id}"
+            )
+
+    def _hand_over(
+        self, instance: DeployedInstance, disk: BlockDevice, target_node: str
+    ) -> Generator:
+        """Simulation process: move the suspended ``instance`` off its host and
+        resume it on ``target_node`` over ``disk``, without a reboot."""
+        self._detach(instance, instance.vm.host or instance.node_name)
+        instance.backend = disk
+        instance.node_name = target_node
+        yield from self.hypervisors.get(target_node).migrate_in(instance.vm, disk)
+
+    # -- common helpers ---------------------------------------------------------------------------
 
     def await_all(self, procs) -> Generator:
         """Simulation process: wait for all ``procs``; on failure, interrupt

@@ -67,8 +67,7 @@ def run_contention_cell(
     deployment = make_deployment(approach, spec)
     cloud = deployment.cloud
     _backend, level = split_approach(approach)
-    bench = SyntheticBenchmark(deployment, buffer_bytes)
-    out: Dict[str, Any] = {}
+    bench = SyntheticBenchmark(deployment, buffer_bytes, level=level)
 
     def scenario():
         yield from deployment.deploy(instances, processes_per_instance=1)
@@ -82,26 +81,21 @@ def run_contention_cell(
                 name=f"tenant-{i}",
             )
         t0 = cloud.now
-        if level == "app":
-            checkpoint = yield from bench.checkpoint_app_level()
-        elif level == "blcr":
-            checkpoint = yield from bench.checkpoint_process_level()
-        else:
-            checkpoint = yield from deployment.checkpoint_all(tag="contention")
+        checkpoint = yield from bench.checkpoint()
         stop["done"] = True
-        out["checkpoint_time"] = cloud.now - t0
-        out["snapshot_bytes_per_instance"] = checkpoint.max_snapshot_bytes
-        return out
+        return cloud.now - t0, checkpoint
 
-    cloud.run(cloud.process(scenario(), name=f"contention:{approach}"))
+    checkpoint_time, checkpoint = cloud.run(
+        cloud.process(scenario(), name=f"contention:{approach}")
+    )
     return {
         "approach": approach,
         "flows": flows,
         "instances": instances,
         "buffer_bytes": buffer_bytes,
-        "checkpoint_time": out["checkpoint_time"],
-        "snapshot_bytes_per_instance": out["snapshot_bytes_per_instance"],
-        "sim_time_s": out["checkpoint_time"],
+        "checkpoint_time": checkpoint_time,
+        "snapshot_bytes_per_instance": checkpoint.max_snapshot_bytes,
+        "sim_time_s": checkpoint_time,
     }
 
 

@@ -86,12 +86,11 @@ class FaultToleranceDriver:
         plan.validate()
         self.deployment = deployment
         self.cloud = deployment.cloud
-        self.bench = SyntheticBenchmark(deployment, buffer_bytes)
+        self.bench = SyntheticBenchmark(deployment, buffer_bytes, level=level)
         self.plan = plan
         self.instances = instances
         self.periods = periods
         self.period_s = period_s
-        self.level = level
         self.injector = FailureInjector(self.cloud, seed=injector_seed)
         self.stats: Dict[str, Any] = {}
 
@@ -124,15 +123,6 @@ class FaultToleranceDriver:
                 f"instance host(s) died: {', '.join(dead)}", node=dead[0]
             )
 
-    def _checkpoint(self):
-        if self.level == "app":
-            checkpoint = yield from self.bench.checkpoint_app_level()
-        elif self.level == "blcr":
-            checkpoint = yield from self.bench.checkpoint_process_level()
-        else:  # full: the buffer stays in RAM and savevm captures it
-            checkpoint = yield from self.deployment.checkpoint_all(tag="ft-full")
-        return checkpoint
-
     def _scenario(self):
         cloud = self.cloud
         out = self.stats
@@ -151,7 +141,7 @@ class FaultToleranceDriver:
         # once steady-state periodic checkpointing is underway (the plan's
         # clock starts here).
         self.bench.fill_buffers()
-        durable = yield from self._checkpoint()
+        durable = yield from self.bench.checkpoint()
         out["steady_state_at"] = cloud.now
         self._schedule_failures()
         durable_epoch = self.bench._fill_epoch
@@ -173,10 +163,9 @@ class FaultToleranceDriver:
                     t0 = cloud.now
                     yield from self.bench.restart(durable)
                     out["rollback_time_s"] += cloud.now - t0
-                    if self.level != "full":
-                        out["restored_ok"] = out["restored_ok"] and (
-                            self.bench.verify_restored_state(epoch=durable_epoch)
-                        )
+                    out["restored_ok"] = out["restored_ok"] and (
+                        self.bench.verify_restored_state(epoch=durable_epoch)
+                    )
                     pending_restart = False
                     completed = durable_completed
                     anchor = cloud.now
@@ -184,7 +173,7 @@ class FaultToleranceDriver:
                 yield cloud.env.timeout(self.period_s)
                 self._check_hosts_alive()
                 self.bench.fill_buffers()
-                checkpoint = yield from self._checkpoint()
+                checkpoint = yield from self.bench.checkpoint()
                 self._check_hosts_alive()
                 completed += 1
                 durable = checkpoint

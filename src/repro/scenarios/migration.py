@@ -73,11 +73,6 @@ _MIG_DESCRIPTION = (
 )
 
 
-def evacuation_cluster(spec: ClusterSpec) -> ClusterSpec:
-    """Cluster plan: the ``ft`` scenario's (survive the loss of a provider)."""
-    return fault_tolerant_cluster(spec)
-
-
 def _dirty_writer(deployment, instance, period_s, write_bytes, stop, seed):
     """Simulation process: keep mutating guest state while the guest runs.
 
@@ -125,14 +120,14 @@ def run_evac_cell(
     the whole deployment back.
     """
     approach = _POLICY_APPROACH[policy]
-    spec = evacuation_cluster(spec or GRAPHENE)
+    spec = fault_tolerant_cluster(spec or GRAPHENE)
     # instance hosts + migration target + headroom for the repository layer
     if instances + 3 > spec.compute_nodes:
         spec = spec.scaled(compute_nodes=instances + 3)
     deployment = make_deployment(approach, spec)
     cloud = deployment.cloud
     _backend, level = split_approach(approach)
-    bench = SyntheticBenchmark(deployment, buffer_bytes)
+    bench = SyntheticBenchmark(deployment, buffer_bytes, level=level)
     # Keyed by the sweep point, NOT the policy: every policy faces the same
     # predicted failure.
     injector = FailureInjector(
@@ -140,17 +135,10 @@ def run_evac_cell(
     )
     out: Dict[str, Any] = {}
 
-    def _anchor_checkpoint():
-        if level == "full":
-            checkpoint = yield from deployment.checkpoint_all(tag="evac")
-        else:
-            checkpoint = yield from bench.checkpoint_app_level()
-        return checkpoint
-
     def scenario():
         yield from deployment.deploy(instances, processes_per_instance=1)
         bench.fill_buffers()
-        durable = yield from _anchor_checkpoint()
+        durable = yield from bench.checkpoint()
         durable_epoch = bench._fill_epoch
         stop = {"done": False}
         for inst in deployment.instances:
@@ -174,7 +162,7 @@ def run_evac_cell(
         if policy == "ckpt-restart":
             # React to the warning with a fresh checkpoint, then take the
             # crash and roll back -- the paper's machinery, used proactively.
-            durable = yield from _anchor_checkpoint()
+            durable = yield from bench.checkpoint()
             durable_epoch = bench._fill_epoch
             remaining = fails_at - cloud.now
             if remaining > 0:
@@ -217,11 +205,7 @@ def run_evac_cell(
             if not cloud.node(inst.node_name).alive
         ]
         out["survivors_ok"] = not dead
-        out["verified"] = (
-            bench.verify_restored_state(epoch=durable_epoch)
-            if level != "full"
-            else True
-        )
+        out["verified"] = bench.verify_restored_state(epoch=durable_epoch)
         return out
 
     cloud.run(cloud.process(scenario(), name=f"evac:{policy}"))
@@ -276,7 +260,7 @@ EVAC_SCENARIO = ScenarioSpec(
         "buffer_bytes": point["buffer_bytes"],
     },
     merge=merge_evac,
-    cluster=evacuation_cluster,
+    cluster=fault_tolerant_cluster,
 )
 
 register_scenario(EVAC_SCENARIO)
@@ -307,12 +291,11 @@ def run_mig_cell(
     deployment = make_deployment("blobcr-migrate-app", spec)
     cloud = deployment.cloud
     bench = SyntheticBenchmark(deployment, buffer_bytes)
-    out: Dict[str, Any] = {}
 
     def scenario():
         yield from deployment.deploy(instances, processes_per_instance=1)
         bench.fill_buffers()
-        yield from bench.checkpoint_app_level()
+        yield from bench.checkpoint()
         migrant = deployment.instances[0]
         # Dirty some state after the checkpoint so both modes have local
         # residue to move (pre-copy in rounds, post-copy on demand).
@@ -331,25 +314,19 @@ def run_mig_cell(
             migrant, target, mode=mode, demand_paths=("/data/hot.dat",)
         )
         stop["done"] = True
-        out.update(
-            downtime_s=result.downtime_s,
-            total_s=result.total_migration_s,
-            bytes_moved=result.total_bytes_moved,
-            remote_faults=result.remote_faults,
-        )
-        return out
+        return result
 
-    cloud.run(cloud.process(scenario(), name=f"mig:{mode}"))
+    result = cloud.run(cloud.process(scenario(), name=f"mig:{mode}"))
     return {
         "mode": mode,
         "flows": flows,
         "instances": instances,
         "buffer_bytes": buffer_bytes,
-        "downtime_s": out["downtime_s"],
-        "total_s": out["total_s"],
-        "bytes_moved": out["bytes_moved"],
-        "remote_faults": out["remote_faults"],
-        "sim_time_s": out["total_s"],
+        "downtime_s": result.downtime_s,
+        "total_s": result.total_migration_s,
+        "bytes_moved": result.total_bytes_moved,
+        "remote_faults": result.remote_faults,
+        "sim_time_s": result.total_migration_s,
     }
 
 

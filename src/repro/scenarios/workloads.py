@@ -21,7 +21,7 @@ the beyond-paper sweeps share it without layering cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.apps.synthetic import SyntheticBenchmark
@@ -60,13 +60,17 @@ class ScenarioOutcome:
     instances: int
     buffer_bytes: int
     deploy_time: float
+    #: completion time of the last checkpoint
     checkpoint_time: float
     restart_time: float
     #: per-instance size of the persisted snapshot (max across instances)
     snapshot_bytes_per_instance: int
-    #: total persistent storage used after the checkpoint
+    #: total persistent storage used after the last checkpoint
     storage_after_checkpoint: int
     restored_ok: bool
+    #: per successive checkpoint (Figure 5): completion time, storage used after it
+    checkpoint_times: List[float]
+    storage_trajectory: List[int]
 
 
 def split_approach(approach: str) -> tuple[str, str]:
@@ -123,60 +127,43 @@ def run_synthetic_scenario(
         spec = spec.scaled(compute_nodes=instances)
     deployment = make_deployment(approach, spec)
     cloud = deployment.cloud
-    backend, level = split_approach(approach)
-    bench = SyntheticBenchmark(deployment, buffer_bytes)
-    measurements: Dict[str, Any] = {}
+    _backend, level = split_approach(approach)
+    bench = SyntheticBenchmark(deployment, buffer_bytes, level=level)
 
     def scenario():
         start = cloud.now
         yield from deployment.deploy(instances, processes_per_instance=1)
-        measurements["deploy_time"] = cloud.now - start
+        deploy_time = cloud.now - start
         checkpoint = None
         checkpoint_times: List[float] = []
-        storage_after: List[int] = []
+        storage_trajectory: List[int] = []
         for _ in range(checkpoints):
             bench.fill_buffers()
             t0 = cloud.now
-            if level == "app":
-                checkpoint = yield from bench.checkpoint_app_level()
-            elif level == "blcr":
-                checkpoint = yield from bench.checkpoint_process_level()
-            else:  # qcow2-full: the buffer stays in RAM and savevm captures it
-                checkpoint = yield from deployment.checkpoint_all(tag="full")
+            checkpoint = yield from bench.checkpoint()
             checkpoint_times.append(cloud.now - t0)
-            storage_after.append(deployment.storage_used_bytes())
-        measurements["checkpoint_times"] = checkpoint_times
-        measurements["storage_trajectory"] = storage_after
-        measurements["checkpoint"] = checkpoint
-        measurements["snapshot_bytes"] = checkpoint.max_snapshot_bytes
+            storage_trajectory.append(deployment.storage_used_bytes())
+        restart_time, restored_ok = 0.0, True
         if include_restart:
             t0 = cloud.now
             yield from bench.restart(checkpoint)
-            measurements["restart_time"] = cloud.now - t0
-            measurements["restored_ok"] = (
-                True if level == "full" else bench.verify_restored_state()
-            )
-        else:
-            measurements["restart_time"] = 0.0
-            measurements["restored_ok"] = True
-        return measurements
+            restart_time = cloud.now - t0
+            restored_ok = bench.verify_restored_state()
+        return ScenarioOutcome(
+            approach=approach,
+            instances=instances,
+            buffer_bytes=buffer_bytes,
+            deploy_time=deploy_time,
+            checkpoint_time=checkpoint_times[-1],
+            restart_time=restart_time,
+            snapshot_bytes_per_instance=checkpoint.max_snapshot_bytes,
+            storage_after_checkpoint=storage_trajectory[-1],
+            restored_ok=restored_ok,
+            checkpoint_times=checkpoint_times,
+            storage_trajectory=storage_trajectory,
+        )
 
-    cloud.run(cloud.process(scenario(), name=f"scenario:{approach}"))
-    outcome = ScenarioOutcome(
-        approach=approach,
-        instances=instances,
-        buffer_bytes=buffer_bytes,
-        deploy_time=measurements["deploy_time"],
-        checkpoint_time=measurements["checkpoint_times"][-1],
-        restart_time=measurements["restart_time"],
-        snapshot_bytes_per_instance=measurements["snapshot_bytes"],
-        storage_after_checkpoint=measurements["storage_trajectory"][-1],
-        restored_ok=measurements["restored_ok"],
-    )
-    # Stash the full trajectories for Figure 5 without widening the dataclass.
-    outcome.checkpoint_times = measurements["checkpoint_times"]  # type: ignore[attr-defined]
-    outcome.storage_trajectory = measurements["storage_trajectory"]  # type: ignore[attr-defined]
-    return outcome
+    return cloud.run(cloud.process(scenario(), name=f"scenario:{approach}"))
 
 
 def run_synthetic_cell(
@@ -201,19 +188,7 @@ def run_synthetic_cell(
         include_restart=include_restart,
         checkpoints=checkpoints,
     )
-    checkpoint_times = list(outcome.checkpoint_times)  # type: ignore[attr-defined]
-    storage_trajectory = list(outcome.storage_trajectory)  # type: ignore[attr-defined]
     return {
-        "approach": approach,
-        "instances": instances,
-        "buffer_bytes": buffer_bytes,
-        "deploy_time": outcome.deploy_time,
-        "checkpoint_time": outcome.checkpoint_time,
-        "restart_time": outcome.restart_time,
-        "snapshot_bytes_per_instance": outcome.snapshot_bytes_per_instance,
-        "storage_after_checkpoint": outcome.storage_after_checkpoint,
-        "restored_ok": outcome.restored_ok,
-        "checkpoint_times": checkpoint_times,
-        "storage_trajectory": storage_trajectory,
-        "sim_time_s": outcome.deploy_time + sum(checkpoint_times) + outcome.restart_time,
+        **asdict(outcome),
+        "sim_time_s": outcome.deploy_time + sum(outcome.checkpoint_times) + outcome.restart_time,
     }

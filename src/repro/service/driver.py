@@ -29,7 +29,7 @@ across processes, worker counts and repetitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.apps.synthetic import SyntheticBenchmark
@@ -39,6 +39,7 @@ from repro.core.backends import create_backend
 from repro.core.baseimage import build_base_image
 from repro.core.repository import CheckpointRepository
 from repro.core.strategy import Deployment
+from repro.scenarios.fault_tolerance import fault_tolerant_cluster
 from repro.scenarios.workloads import split_approach
 from repro.service.admission import GRANTED, AdmissionConfig, AdmissionQueue
 from repro.service.slo import ServiceReport, TenantStats
@@ -294,7 +295,10 @@ class ServiceDriver:
                 return
             tenant.deployment = deployment
             tenant.bench = SyntheticBenchmark(
-                deployment, self.config.buffer_bytes, seed=("service", tenant.stats.name)
+                deployment,
+                self.config.buffer_bytes,
+                seed=("service", tenant.stats.name),
+                level=self.level,
             )
             tenant.stats.deploy_latencies.append(self.cloud.now - started)
             tenant.stats.completed += 1
@@ -311,13 +315,7 @@ class ServiceDriver:
         try:
             tenant.bench.fill_buffers()
             started = self.cloud.now
-            if self.level == "app":
-                checkpoint = yield from tenant.bench.checkpoint_app_level()
-            elif self.level == "blcr":
-                checkpoint = yield from tenant.bench.checkpoint_process_level()
-            else:
-                checkpoint = yield from tenant.deployment.checkpoint_all(tag="service")
-            tenant.last_checkpoint = checkpoint
+            tenant.last_checkpoint = yield from tenant.bench.checkpoint()
             tenant.stats.checkpoint_latencies.append(self.cloud.now - started)
             tenant.stats.completed += 1
         finally:
@@ -387,18 +385,15 @@ def sized_spec(
     Restarts need spare nodes (the paper restarts every instance on a
     *different* node), so the pool carries ~25% headroom over the tenant
     hosts, and every background flow needs its own reserved node pair.
-    With failure injection on, chunk replication is raised to 2 -- exactly
-    as the fault-tolerance scenario does -- so a single crashed provider
-    does not take the only copy of a chunk with it.
+    With failure injection on, the cluster is the fault-tolerance scenario's
+    (a single crashed provider does not take the only copy of a chunk with it).
     """
     spec = spec or GRAPHENE
     hosts = tenants * instances_per_tenant
     needed = hosts + max(4, hosts // 4) + 2 * background_flows
     if needed > spec.compute_nodes:
         spec = spec.scaled(compute_nodes=needed)
-    if mtbf_s > 0 and spec.blobseer.replication < 2:
-        spec = spec.scaled(blobseer=replace(spec.blobseer, replication=2))
-    return spec
+    return fault_tolerant_cluster(spec) if mtbf_s > 0 else spec
 
 
 def run_service(

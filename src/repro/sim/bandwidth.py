@@ -435,10 +435,8 @@ def _fill_rounds(
 class BandwidthSystem:
     """Owner of all channels and flows of one simulation environment.
 
-    Behaviour is governed by :class:`~repro.util.config.SolverConfig`
-    (``config``): reference verification and the instrumentation level.
-
-    ``config.verify`` re-derives every flow's rate through
+    :class:`~repro.util.config.SolverConfig` (``config``) decides how the
+    engine is checked: ``config.verify`` re-derives every flow's rate through
     :func:`reference_allocation` over the *whole* system after each
     incremental recomputation and raises on any mismatch -- slow, but it
     turns the component-decomposition argument into a runtime assertion
@@ -447,17 +445,12 @@ class BandwidthSystem:
 
     def __init__(self, env: Environment, config: Optional[SolverConfig] = None):
         config = config or SolverConfig()
-        config.validate()
         self.env = env
         self.config = config
         self.verify = config.verify
         #: globally unique epoch source for component array generations
         self._comp_epoch = 0
         self._comp_ident = 0
-        #: instrumentation gates derived from the config level; results are
-        #: independent of both (counters/gauges are never read by the model)
-        self._count = config.instrumentation != "off"
-        self._gauges = config.instrumentation == "full"
         # Insertion-ordered (dict): flows are registered in index order, so
         # iterating never needs a sort to recover creation order.
         self._flows: Dict[Flow, None] = {}
@@ -530,8 +523,7 @@ class BandwidthSystem:
         if nbytes <= _EPSILON_BYTES or not channel_list:
             completion.succeed(flow)
             return done
-        if self._count:
-            COUNTERS.bw_flows_started += 1
+        COUNTERS.bw_flows_started += 1
         # Park the flow until the end of the instant: attach it (so failure
         # injection sees it) but keep it at rate 0 -- the flush hook settles
         # and re-plans each touched component exactly once per instant.
@@ -605,12 +597,11 @@ class BandwidthSystem:
             return
         t0 = perf_counter()
         self._pending = []
-        if self._count:
-            COUNTERS.bw_batches += 1
-            COUNTERS.bw_batch_flows += len(pending)
-            if len(pending) > COUNTERS.bw_max_batch_flows:
-                COUNTERS.bw_max_batch_flows = len(pending)
-        if self._gauges and TRACER.enabled:
+        COUNTERS.bw_batches += 1
+        COUNTERS.bw_batch_flows += len(pending)
+        if len(pending) > COUNTERS.bw_max_batch_flows:
+            COUNTERS.bw_max_batch_flows = len(pending)
+        if TRACER.enabled:
             TRACER.observe("bw.batch_flows", len(pending))
         for flow in pending:
             if not flow.pending or flow not in self._flows:
@@ -694,9 +685,8 @@ class BandwidthSystem:
     def _settle(self, flows: List[Flow]) -> None:
         """Advance the given flows to the current time at their last rates."""
         now = self.env.now
-        if self._count:
-            COUNTERS.bw_settles += 1
-            COUNTERS.bw_flows_settled += len(flows)
+        COUNTERS.bw_settles += 1
+        COUNTERS.bw_flows_settled += len(flows)
         for flow in flows:
             elapsed = now - flow.settled_at
             flow.settled_at = now
@@ -759,9 +749,8 @@ class BandwidthSystem:
                 detached = True
                 self.completed_flows += 1
                 self.bytes_delivered += flow.size
-                if self._count:
-                    COUNTERS.bw_flows_completed += 1
-                if TRACER.enabled and self._gauges:
+                COUNTERS.bw_flows_completed += 1
+                if TRACER.enabled:
                     TRACER.observe("flow.bytes", flow.size)
                     TRACER.observe("flow.latency_s", self.env.now - flow.started_at)
                 keep.append(False)
@@ -807,15 +796,14 @@ class BandwidthSystem:
         (see :meth:`_allocate_vector`).
         """
         flows = comp.flows
-        if self._count:
-            COUNTERS.bw_allocations += 1
-            COUNTERS.bw_flows_allocated += len(flows)
+        COUNTERS.bw_allocations += 1
+        COUNTERS.bw_flows_allocated += len(flows)
         if len(flows) < _VECTOR_MIN_FLOWS:
             for flow, rate in reference_allocation(flows).items():
                 flow.rate = rate
         else:
             self._allocate_vector(comp)
-        if TRACER.enabled and self._gauges:
+        if TRACER.enabled:
             # Channels collected and summed in creation-index order: a set
             # iteration here would make float summation order (and thus the
             # trace bytes) depend on object hashes.
@@ -835,8 +823,6 @@ class BandwidthSystem:
 
     def _count_component(self, comp: _Component) -> None:
         """The component work counters, for the component about to replan."""
-        if not self._count:
-            return
         n = len(comp.flows)
         COUNTERS.bw_components += 1
         COUNTERS.bw_component_flows += n
@@ -909,8 +895,7 @@ class BandwidthSystem:
         # Two runs already sorted by flow index: timsort merges in O(n).
         target.flows = sorted(target.flows + other.flows, key=lambda f: f.index)
         target.dirty = True
-        if self._count:
-            COUNTERS.bw_cc_unions += 1
+        COUNTERS.bw_cc_unions += 1
 
     def _p_split(self, comp: _Component, groups: List[List[Flow]]) -> None:
         """Re-home the surviving groups after a real disconnection.
@@ -936,8 +921,7 @@ class BandwidthSystem:
                             comp.keys[chan._slot] = _DEAD_KEY
                             comp.dead_slots += 1
                         chan.comp = new
-            if self._count:
-                COUNTERS.bw_cc_rebuilds += 1
+            COUNTERS.bw_cc_rebuilds += 1
         if not comp.dirty:
             in_big = set(big)
             self._p_remove_rows(comp, [f in in_big for f in comp.flows])
@@ -984,8 +968,7 @@ class BandwidthSystem:
             comp.counts = counts = grown
         counts[row] = k
         comp.n_rows = row + 1
-        if self._count:
-            COUNTERS.bw_array_delta_updates += 1
+        COUNTERS.bw_array_delta_updates += 1
 
     def _p_remove_rows(self, comp: _Component, keep: List[bool]) -> None:
         """Delta update: drop the rows of detached flows by one boolean mask."""
@@ -998,8 +981,7 @@ class BandwidthSystem:
         comp.n_edges = int(kept_edges.size)
         comp.counts[: kept_counts.size] = kept_counts
         comp.n_rows = int(kept_counts.size)
-        if self._count:
-            COUNTERS.bw_array_delta_updates += 1
+        COUNTERS.bw_array_delta_updates += 1
 
     def _p_rebuild(self, comp: _Component) -> None:
         """Full array rebuild from the (exact) flow list, under a new epoch.
@@ -1038,8 +1020,7 @@ class BandwidthSystem:
         comp.n_slots = n_slots
         comp.dead_slots = 0
         comp.dirty = False
-        if self._count:
-            COUNTERS.bw_array_full_rebuilds += 1
+        COUNTERS.bw_array_full_rebuilds += 1
 
     def _allocate_vector(self, comp: _Component) -> None:
         """Progressive filling over the persistent component arrays.
@@ -1244,9 +1225,8 @@ class BandwidthSystem:
             if flow in self._flows and flow.deadline == when:
                 break
             heapq.heappop(heap)
-            if self._count:
-                COUNTERS.bw_stale_deadlines += 1
-        if TRACER.enabled and self._gauges:
+            COUNTERS.bw_stale_deadlines += 1
+        if TRACER.enabled:
             TRACER.gauge("horizon-heap", "bandwidth", self.env.now, len(heap))
         if not self._flows:
             return
@@ -1277,8 +1257,7 @@ class BandwidthSystem:
         while heap and heap[0][0] <= now:
             when, _seq, flow = heapq.heappop(heap)
             if flow not in self._flows or flow.deadline != when:
-                if self._count:
-                    COUNTERS.bw_stale_deadlines += 1
+                COUNTERS.bw_stale_deadlines += 1
                 continue
             if flow not in seen:
                 seen.add(flow)

@@ -189,15 +189,12 @@ class SolverConfig:
     """Configuration of the max-min fair bandwidth solver.
 
     There is one solver engine (see :mod:`repro.sim.bandwidth`); what can be
-    configured is how it is checked and observed, never what it computes:
+    configured is how it is checked, never what it computes:
 
     * ``verify`` -- re-derive every rate through the global reference solver
       after each recomputation, re-check the maintained component structure
       against a from-scratch discovery, and raise on any mismatch (slow; the
-      safety net of the equivalence test suite),
-    * ``instrumentation`` -- ``"full"`` (work counters + tracer gauges, the
-      default), ``"counters"`` (suppress the solver's per-allocation tracer
-      gauges) or ``"off"`` (also suppress the solver's work counters).
+      safety net of the equivalence test suite).
 
     Reaching the solver from a scenario or the CLI needs no code edits:
     ``--override cluster.solver.verify=true`` (or the ``--solver-verify``
@@ -206,14 +203,6 @@ class SolverConfig:
     """
 
     verify: bool = False
-    instrumentation: str = "full"
-
-    def validate(self) -> None:
-        if self.instrumentation not in ("off", "counters", "full"):
-            raise ConfigurationError(
-                f"unknown solver instrumentation level {self.instrumentation!r} "
-                "(expected 'off', 'counters' or 'full')"
-            )
 
 
 @dataclass(frozen=True)
@@ -256,8 +245,7 @@ class ClusterSpec:
     blobseer: BlobSeerSpec = field(default_factory=BlobSeerSpec)
     pvfs: PVFSSpec = field(default_factory=PVFSSpec)
     checkpoint: CheckpointSpec = field(default_factory=CheckpointSpec)
-    #: bandwidth-solver behaviour (verification, instrumentation level);
-    #: never changes any result row
+    #: bandwidth-solver verification; never changes any result row
     solver: SolverConfig = field(default_factory=SolverConfig)
     #: execution-time jitter between "identical" VMs, as a fraction of the
     #: nominal duration of each activity (drives adaptive prefetching).
@@ -273,7 +261,6 @@ class ClusterSpec:
         self.blobseer.validate()
         self.pvfs.validate()
         self.checkpoint.validate()
-        self.solver.validate()
         if not (0.0 <= self.jitter < 1.0):
             raise ConfigurationError(f"invalid jitter: {self.jitter}")
 

@@ -236,7 +236,7 @@ class TestSessionValidation:
         with pytest.raises(ConfigurationError, match="not selected"):
             Session().run_scenario("fig2", overrides={"ft.mtbf": 300})
 
-    @pytest.mark.parametrize("field", ["batching", "persistence"])
+    @pytest.mark.parametrize("field", ["batching", "persistence", "instrumentation"])
     def test_removed_solver_override_fields_rejected(self, field):
         with pytest.raises(
             ConfigurationError,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.apps.synthetic as synthetic
 from repro.apps.cm1 import CM1Application, CM1Config
 from repro.apps.synthetic import SyntheticBenchmark
 from repro.baselines import Qcow2DiskDeployment, Qcow2FullDeployment
@@ -14,6 +15,7 @@ from repro.scenarios.table1_cm1_size import SCENARIO as TABLE1
 from repro.scenarios.workloads import (
     APPROACHES,
     make_deployment,
+    run_synthetic_cell,
     run_synthetic_scenario,
     split_approach,
 )
@@ -74,6 +76,63 @@ class TestBaselines:
         cloud.run(cloud.process(scenario()))
         # resume-from-snapshot must not pay the 20 s guest boot time
         assert out["restart"] < cloud.spec.vm.boot_time
+
+
+class TestRestoredStateVerification:
+    """``verify_restored_state`` reads what the level wrote, on every instance."""
+
+    def _restart(self, cls, level, from_empty_snapshot=False):
+        cloud = Cloud(SMALL)
+        deployment = cls(cloud)
+        bench = SyntheticBenchmark(deployment, 2 * MB, level=level)
+
+        def scenario():
+            yield from deployment.deploy(2, processes_per_instance=1)
+            empty = yield from deployment.checkpoint_all()  # nothing dumped yet
+            bench.fill_buffers()
+            saved = yield from bench.checkpoint()
+            yield from bench.restart(empty if from_empty_snapshot else saved)
+
+        cloud.run(cloud.process(scenario()))
+        return deployment, bench
+
+    @pytest.mark.parametrize("cls", [BlobCRDeployment, Qcow2DiskDeployment])
+    @pytest.mark.parametrize("level", ["app", "blcr"])
+    def test_restart_verifies_until_a_state_file_is_deleted(self, cls, level):
+        deployment, bench = self._restart(cls, level)
+        assert bench.verify_restored_state()
+        fs = deployment.instances[1].vm.filesystem
+        for path in fs.listdir("/ckpt"):
+            fs.delete(path)
+        assert not bench.verify_restored_state()
+
+    @pytest.mark.parametrize("cls", [BlobCRDeployment, Qcow2DiskDeployment])
+    @pytest.mark.parametrize("level", ["app", "blcr"])
+    def test_restart_from_an_empty_snapshot_does_not_verify(self, cls, level):
+        deployment, bench = self._restart(cls, level, from_empty_snapshot=True)
+        assert all(inst.vm.is_running for inst in deployment.instances)
+        assert not bench.verify_restored_state()
+
+    def test_a_wrong_epoch_does_not_verify(self):
+        _deployment, bench = self._restart(BlobCRDeployment, "blcr")
+        assert not bench.verify_restored_state(epoch=2)
+
+    def test_full_level_has_nothing_on_disk_to_verify(self):
+        _deployment, bench = self._restart(Qcow2FullDeployment, "full")
+        assert bench.verify_restored_state()
+
+    def test_fig3_blcr_cell_compares_every_instance_it_restarted(self, monkeypatch):
+        compared = []
+        blcr_restore = synthetic.blcr_restore
+
+        def spy(dump):
+            compared.append(dump.size)
+            return blcr_restore(dump)
+
+        monkeypatch.setattr(synthetic, "blcr_restore", spy)
+        payload = run_synthetic_cell("BlobCR-blcr", 4, 50 * MB)  # fig3:BlobCR-blcr:4:50MB
+        assert payload["restored_ok"] is True
+        assert len(compared) == payload["instances"] == 4
 
 
 class TestMPIRuntime:

@@ -214,7 +214,7 @@ class TestOverridesAndSeed:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["batching", "persistence"])
+    @pytest.mark.parametrize("field", ["batching", "persistence", "instrumentation"])
     def test_removed_solver_override_fields_rejected(self, field, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["fig2", "--no-progress", "--override", f"cluster.solver.{field}=false"])

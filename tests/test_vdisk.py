@@ -217,25 +217,15 @@ class TestDirtyTracker:
 
     def test_epochs(self):
         tracker = DirtyTracker(block_size=10)
-        tracker.mark(1)
+        tracker.mark_window(10, 10)
         first = tracker.close_epoch()
-        tracker.mark(2)
+        tracker.mark_window(20, 10)
         assert first == {1}
         assert tracker.dirty_blocks == {2}
-        assert tracker.blocks_dirty_since(0) == {1, 2}
-        assert tracker.blocks_dirty_since(1) == {2}
+        assert tracker.close_epoch() == {2}
+        assert tracker.dirty_blocks == set()
 
     def test_zero_length_window(self):
         tracker = DirtyTracker(block_size=10)
         tracker.mark_window(5, 0)
         assert tracker.dirty_blocks == set()
-
-    def test_stats(self):
-        tracker = DirtyTracker(block_size=10)
-        tracker.mark(0)
-        tracker.close_epoch()
-        tracker.mark(1)
-        stats = tracker.stats()
-        assert stats["epochs"] == 1
-        assert stats["current_dirty_blocks"] == 1
-        assert stats["total_dirty_blocks"] == 2
