@@ -5,15 +5,22 @@ so these tests drive the checkpoint repository's client directly instead of
 deploying full VMs.
 """
 
-from dataclasses import replace
+from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.blobseer import BlobClient, DataProvider, ProviderManager
 from repro.cluster import Cloud
 from repro.core import CheckpointRepository, SnapshotGarbageCollector
-from repro.util import SyntheticBytes
+from repro.core.gc import GCReport
+from repro.dedup.codec import make_codec
+from repro.dedup.engine import DedupEngine
+from repro.util import LiteralBytes, SyntheticBytes
 from repro.util.config import GRAPHENE, DedupSpec
-from repro.util.errors import VersionNotFoundError
+from repro.util.errors import ChunkNotFoundError, StorageError, VersionNotFoundError
 
 CHUNK = 1024
 
@@ -137,3 +144,264 @@ class TestRefcountedDedupCollection:
         assert client.read(blob, 0, CHUNK, version=v3).read() == content.read()
         # Only the "other" chunk was reclaimable.
         assert report.reclaimed_bytes == CHUNK
+
+
+# -- the collector against the by-key collector it replaced ---------------------------------
+#
+# Twin stores are taken through one version history; one is collected by
+# ``SnapshotGarbageCollector``, the other by ``reference_collect`` -- the
+# by-key collector, kept here: it materialises the chunk keys of every version,
+# asks every provider about every doomed key through the one-chunk view
+# (``has``) and deletes key by key.  Whatever can be observed afterwards must
+# be equal.
+
+#: stripe length: long enough for the zlib codec's model to store a whole stripe
+#: in fewer bytes than it holds (16 of header + 1 / 2.6 of the content)
+SMALL = 64
+
+
+def reference_collect(client, keep_latest, blob_ids=None, pinned=None):
+    pinned = {k: set(v) for k, v in (pinned or {}).items()}
+    report = GCReport()
+    blobs = client.version_manager.blobs()
+    targets = set(blob_ids) if blob_ids is not None else {info.blob_id for info in blobs}
+
+    plans = {}
+    for info in blobs:
+        all_versions = [rec.version for rec in info.versions]
+        if info.blob_id not in targets or len(all_versions) <= keep_latest:
+            plans[info.blob_id] = (all_versions, [])
+            continue
+        keep_set = set(all_versions[-keep_latest:]) | pinned.get(info.blob_id, set())
+        keep = [v for v in all_versions if v in keep_set]
+        drop = [v for v in all_versions if v not in keep_set]
+        plans[info.blob_id] = (keep, drop)
+        report.examined_blobs += 1
+
+    def referenced(which):
+        keys = set()
+        for blob_id, plan in plans.items():
+            for version in plan[which]:
+                keys |= client.chunk_keys(blob_id, version=version)
+        return keys
+
+    drop_keys = referenced(1) - referenced(0)
+    doomed = set()
+    for key in drop_keys:
+        canonical = client.metadata.resolve_chunk(key)
+        if client.metadata.drop_chunk_alias(key):
+            report.released_aliases += 1
+        if client.dedup is not None:
+            entry = client.dedup.release(canonical)
+            if entry is not None and entry.refcount > 0:
+                report.retained_canonical_chunks += 1
+                continue
+        doomed.add(canonical)
+    for provider in client.providers.providers:
+        for key in doomed:
+            if provider.has(key):
+                report.deleted_chunks += 1
+                report.reclaimed_bytes += provider.delete(key)
+
+    for blob_id, (keep, drop) in plans.items():
+        if not drop:
+            continue
+        info = client.version_manager.get(blob_id)
+        for version in drop:
+            client.metadata.drop_version(blob_id, version)
+            report.dropped_versions.append((blob_id, version))
+        info.versions = [rec for rec in info.versions if rec.version in set(keep)]
+    return report
+
+
+def small_store(providers, replication, codec, capacity=10**18):
+    manager = ProviderManager(replication=replication)
+    for index in range(providers):
+        manager.register(DataProvider(f"node-{index}", capacity=capacity))
+    dedup = None if codec is None else DedupEngine(make_codec(codec))
+    return BlobClient(providers=manager, default_chunk_size=SMALL, dedup=dedup)
+
+
+def piece_source(seed, length, synthetic):
+    if synthetic:
+        return SyntheticBytes(("gc", seed), length)
+    # a handful of constant fills: whole stripes repeat, so the dedup layer aliases
+    return LiteralBytes(bytes([seed % 4 + 1]) * length)
+
+
+def apply_history(client, blobs, ops, model):
+    """Replay ``ops`` on ``client``; ``model`` maps (blob, version) to its bytes."""
+    ids = []
+    for _ in range(blobs):
+        ids.append(client.create_blob())
+        model[(ids[-1], 0)] = b""
+    for op in ops:
+        if op[0] == "clone":
+            _kind, blob_pick, version_pick = op
+            blob = ids[blob_pick % len(ids)]
+            version = version_pick % (client.latest_version(blob) + 1)
+            ids.append(client.clone(blob, version=version))
+            model[(ids[-1], 0)] = model[(blob, version)]
+        else:
+            _kind, blob_pick, pieces = op
+            blob = ids[blob_pick % len(ids)]
+            content = bytearray(model[(blob, client.latest_version(blob))])
+            batch = []
+            for offset, length, seed, synthetic in pieces:
+                source = piece_source(seed, length, synthetic)
+                batch.append((offset, source))
+                if length:
+                    content.extend(bytes(max(0, offset + length - len(content))))
+                    content[offset : offset + length] = source.read()
+            model[(blob, client.write_batch(blob, batch).version)] = bytes(content)
+    return ids
+
+
+def read_outcome(client, blob, version):
+    try:
+        return client.read(blob, version=version).read()
+    except (ChunkNotFoundError, VersionNotFoundError) as error:
+        return type(error), str(error)
+
+
+def observable_state(client, versions):
+    manager = client.providers
+    index = client.dedup.index if client.dedup is not None else None
+    return {
+        "used": [p.used_bytes for p in manager.providers],
+        "chunks": [p.chunk_count for p in manager.providers],
+        "total": manager.total_used_bytes,
+        "aliases": client.metadata.chunk_alias_count,
+        "refcounts": None
+        if index is None
+        else {key: entry.refcount for key, entry in index._by_key.items()},
+        "published": [
+            (info.blob_id, [rec.version for rec in info.versions])
+            for info in client.version_manager.blobs()
+        ],
+        "reads": {key: read_outcome(client, *key) for key in versions},
+    }
+
+
+PICK = st.integers(0, 10**6)
+GC_PIECE = st.one_of(
+    # whole stripes, aligned: overwrites whole runs or parts of runs
+    st.tuples(
+        st.integers(0, 6).map(lambda s: s * SMALL),
+        st.integers(1, 8).map(lambda n: n * SMALL),
+        PICK,
+        st.booleans(),
+    ),
+    # an unaligned window
+    st.tuples(st.integers(0, 7 * SMALL), st.integers(1, 4 * SMALL), PICK, st.booleans()),
+    # aligned, ending short of a stripe boundary
+    st.tuples(
+        st.integers(0, 6).map(lambda s: s * SMALL),
+        st.integers(1, 5 * SMALL).filter(lambda n: n % SMALL),
+        PICK,
+        st.booleans(),
+    ),
+)
+GC_OP = st.one_of(
+    st.tuples(st.just("write"), PICK, st.lists(GC_PIECE, min_size=1, max_size=3)),
+    st.tuples(st.just("write"), PICK, st.lists(GC_PIECE, min_size=1, max_size=3)),
+    st.tuples(st.just("write"), PICK, st.lists(GC_PIECE, min_size=1, max_size=3)),
+    st.tuples(st.just("clone"), PICK, PICK),
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    providers=st.integers(1, 5),
+    replication=st.integers(1, 3),
+    codec=st.sampled_from([None, "identity", "zlib"]),
+    blobs=st.integers(1, 3),
+    ops=st.lists(GC_OP, min_size=3, max_size=12),
+    keep_latest=st.sampled_from([1, 1, 2, 3]),
+    pins=st.lists(st.tuples(PICK, PICK), max_size=3),
+    subset=st.one_of(st.none(), st.lists(PICK, min_size=1, max_size=3)),
+    failed=st.one_of(st.none(), PICK),
+)
+def test_collection_matches_the_by_key_collector(
+    providers, replication, codec, blobs, ops, keep_latest, pins, subset, failed
+):
+    model = {}
+    twins = [small_store(providers, replication, codec) for _ in range(2)]
+    (ids, _same) = [apply_history(client, blobs, ops, model) for client in twins]
+    for client in twins:
+        for (blob, version), data in model.items():
+            assert client.read(blob, version=version).read() == data
+    latest = {blob: twins[0].latest_version(blob) for blob in ids}
+    pinned = {}
+    for blob_pick, version_pick in pins:
+        blob = ids[blob_pick % len(ids)]
+        pinned.setdefault(blob, []).append(version_pick % (latest[blob] + 1))
+    blob_ids = None if subset is None else [ids[pick % len(ids)] for pick in subset]
+    if failed is not None:
+        for client in twins:
+            client.providers.providers[failed % providers].fail()
+    assert observable_state(twins[0], model) == observable_state(twins[1], model)
+
+    collector = SnapshotGarbageCollector(SimpleNamespace(client=twins[0]), keep_latest)
+    report = collector.collect(blob_ids=blob_ids, pinned=pinned)
+    expected = reference_collect(twins[1], keep_latest, blob_ids=blob_ids, pinned=pinned)
+    assert asdict(report) == asdict(expected)
+    state = observable_state(twins[0], model)
+    assert state == observable_state(twins[1], model)
+
+    dropped = set(report.dropped_versions)
+    for key, data in model.items():
+        if key in dropped:
+            assert state["reads"][key][0] is VersionNotFoundError
+        elif failed is None:
+            assert state["reads"][key] == data
+    for blob in ids:
+        if blob_ids is None or blob in blob_ids:
+            kept = [version for b, version in model if b == blob and (b, version) not in dropped]
+            must = set(range(latest[blob] + 1)[-keep_latest:]) | set(pinned.get(blob, ()))
+            assert set(kept) == must
+
+    again = collector.collect(blob_ids=blob_ids, pinned=pinned)
+    assert (again.dropped_versions, again.deleted_chunks, again.reclaimed_bytes) == ([], 0, 0)
+    assert (again.released_aliases, again.retained_canonical_chunks) == (0, 0)
+    assert observable_state(twins[0], model) == state
+
+
+@pytest.mark.parametrize("codec", [None, "identity"])
+@pytest.mark.parametrize("replication", [1, 2])
+def test_a_batch_that_fails_on_its_last_run_leaves_the_store_as_it_was(replication, codec):
+    client = small_store(3, replication, codec, capacity=12 * SMALL)
+    manager = client.providers
+    blob = client.create_blob()
+    fills = [LiteralBytes(bytes([fill]) * SMALL) for fill in (1, 2, 3, 4)]
+    client.write_batch(blob, [(index * SMALL, fill) for index, fill in enumerate(fills)])
+
+    def snapshot():
+        index = client.dedup.index if client.dedup is not None else None
+        tables = [dict(provider._runs) for provider in manager.providers]
+        return {
+            "tables": tables,
+            "exceptions": [(run, run.dropped) for table in tables for run in table.values()],
+            "used": [(p.used_bytes, p.chunk_count) for p in manager.providers],
+            "aliases": client.metadata.chunk_alias_count,
+            "refcounts": index and {key: entry.refcount for key, entry in index._by_key.items()},
+            "latest": client.latest_version(blob),
+            "content": client.read(blob).read(),
+        }
+
+    before = snapshot()
+    room = sum(p.free_bytes for p in manager.providers) // (replication * SMALL)
+    # stripe 0 repeats stored content (an alias under dedup), a first run of fresh
+    # stripes fits, and the run after the gap is a stripe more than is left
+    batch = [
+        (0, fills[2]),
+        (SMALL, SyntheticBytes("fits", 2 * SMALL)),
+        (6 * SMALL, SyntheticBytes("overflows", (room - 1) * SMALL)),
+    ]
+    with pytest.raises(StorageError, match="no live data provider has room"):
+        client.write_batch(blob, batch)
+    assert snapshot() == before
+    assert all(run.payload is not None for table in before["tables"] for run in table.values())
+    # and the store still takes what does fit
+    client.write_batch(blob, batch[:2])
+    assert client.read(blob, 0, SMALL).read() == fills[2].read()
