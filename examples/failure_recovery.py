@@ -16,7 +16,6 @@ Run with:  python examples/failure_recovery.py
 
 from repro.api import GRAPHENE, Session
 from repro.apps.synthetic import SyntheticBenchmark
-from repro.core import SnapshotGarbageCollector
 from repro.util import format_bytes, format_duration
 from repro.util.units import MB
 
@@ -43,8 +42,7 @@ def main() -> None:
 
     # Reclaim the space of the two obsoleted checkpoints.
     before = session.deployment.storage_used_bytes()
-    collector = SnapshotGarbageCollector(session.deployment.repository, keep_latest=1)
-    gc_report = collector.collect()
+    gc_report = session.collect(keep_latest=1)
     after = session.deployment.storage_used_bytes()
 
     print("Crash recovery with BlobCR (periodic checkpoints + rollback + GC)")

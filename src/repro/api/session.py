@@ -40,6 +40,7 @@ from repro.api.results import (
 )
 from repro.cluster.cloud import Cloud
 from repro.core.backends import BackendInfo, backend_names, create_backend, get_backend
+from repro.core.gc import GCReport, SnapshotGarbageCollector
 from repro.core.strategy import DeployedInstance, Deployment
 from repro.obs import merge_rollups
 from repro.runner import CellSelector, ParallelRunner, RunConfig, load_all, parse_selectors
@@ -47,7 +48,7 @@ from repro.runner.artifact import build_artifact, validate_artifact
 from repro.scenarios.overrides import resolve_cluster_spec
 from repro.util.bytesource import ByteSource, LiteralBytes
 from repro.util.config import GRAPHENE, ClusterSpec
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, RestartError
 
 if False:  # pragma: no cover - typing-only imports (service layer is lazy)
     from repro.service.driver import ServiceConfig
@@ -126,7 +127,8 @@ class Session:
 
     @property
     def checkpoints(self) -> tuple:
-        """Every checkpoint taken through this session, oldest first."""
+        """Every checkpoint taken through this session that can still be
+        restarted from (see :meth:`collect`), oldest first."""
         return tuple(self._checkpoints)
 
     @staticmethod
@@ -239,16 +241,24 @@ class Session:
         """Kill everything and restart from ``checkpoint`` on different nodes.
 
         Defaults to the most recent checkpoint taken through this session
-        (``ValueError`` if none was taken).  The restarted instances fault
-        their disk state in on demand (lazy restore); the returned
-        :class:`~repro.api.results.RestartResult` reports the wall-clock
-        duration on the simulated clock and the bytes actually restored.
+        (``ValueError`` if none was taken).  A checkpoint whose snapshots
+        :meth:`collect` reclaimed raises
+        :class:`~repro.util.errors.RestartError` before anything is killed.
+        The restarted instances fault their disk state in on demand (lazy
+        restore); the returned :class:`~repro.api.results.RestartResult`
+        reports the wall-clock duration on the simulated clock and the bytes
+        actually restored.
         """
         deployment = self.deployment
         if checkpoint is None:
             if not self._checkpoints:
                 raise ValueError("no checkpoint to restart from; call checkpoint() first")
             checkpoint = self._checkpoints[-1]
+        elif checkpoint not in self._checkpoints:
+            raise RestartError(
+                f"checkpoint {checkpoint.index} can no longer be restarted from: its "
+                "snapshots were collected (Session.collect)"
+            )
         started = self.now
         report = self.drive(deployment.restart_all(checkpoint.handle), name="api-restart")
         return RestartResult(
@@ -256,6 +266,46 @@ class Session:
             bytes_restored=report.bytes_restored,
             instance_ids=tuple(report.instances),
         )
+
+    def collect(
+        self, keep_latest: int = 1, pinned: Iterable[CheckpointResult] = ()
+    ) -> GCReport:
+        """Reclaim the storage of obsoleted snapshots (the paper's future work).
+
+        Keeps the latest ``keep_latest`` versions of every image in the
+        repository, every snapshot of the ``pinned`` checkpoints and, always,
+        the snapshots a running instance's disk stands on (the one it reads
+        through and its last commit), so collecting never breaks a live
+        instance.  Checkpoints that lost a snapshot leave :attr:`checkpoints`.
+        Only backends that keep a BlobSeer repository can collect; the others
+        raise :class:`~repro.util.errors.ConfigurationError`.  Returns the
+        :class:`~repro.core.gc.GCReport` of the pass.
+        """
+        deployment = self.deployment
+        repository = getattr(deployment, "repository", None)
+        if repository is None:
+            raise ConfigurationError(
+                f"backend {self.backend!r} keeps no BlobSeer repository to collect"
+            )
+        snapshots = [
+            record.snapshot_ref
+            for checkpoint in pinned
+            for record in checkpoint.handle.records.values()
+        ]
+        for instance in deployment.instances:
+            if instance.vm.is_running:
+                snapshots += instance.backend.standing_on()
+        keep: dict = {}
+        for blob_id, version in snapshots:
+            keep.setdefault(blob_id, set()).add(version)
+        report = SnapshotGarbageCollector(repository, keep_latest).collect(pinned=keep)
+        dropped = set(report.dropped_versions)
+        self._checkpoints = [
+            checkpoint
+            for checkpoint in self._checkpoints
+            if dropped.isdisjoint(r.snapshot_ref for r in checkpoint.handle.records.values())
+        ]
+        return report
 
     def migrate(
         self,

@@ -95,10 +95,6 @@ class CM1Application:
 
     # -- setup -----------------------------------------------------------------------------------
 
-    @property
-    def total_processes(self) -> int:
-        return len(self.deployment.instances) * self.processes_per_instance
-
     def build_communicator(self) -> MPICommunicator:
         placements: List[MPIRank] = []
         rank = 0

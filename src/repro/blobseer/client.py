@@ -363,9 +363,8 @@ class BlobClient:
         """Undo the side effects of a failed (unpublished) ``write_batch``.
 
         Aliases are dropped first so their refcounts return to the canonical
-        chunks; chunks stored by the batch are then released and physically
-        deleted, from the providers they were placed on, once nothing
-        references them.
+        chunks; each run the batch stored (a fresh chunk of its own under
+        dedup, which nothing else references yet) is then released whole.
         """
         for alias in batch_aliases:
             canonical = self.metadata.resolve_chunk(alias)
@@ -373,16 +372,9 @@ class BlobClient:
             if self.dedup is not None:
                 self.dedup.release(canonical)
         for run in stored:
-            keys = run.keys(run.first_stripe, run.last_stripe)
-            for key, providers in zip(keys, run.providers):
-                if self.dedup is not None:
-                    entry = self.dedup.release(key)
-                    if entry is not None and entry.refcount > 0:
-                        # An earlier batch (published) already aliased to this
-                        # chunk -- impossible for a fresh key, kept for safety.
-                        continue  # pragma: no cover - defensive
-                for provider_id in providers:
-                    self.providers.get(provider_id).delete(key)
+            if self.dedup is not None:
+                self.dedup.release(ChunkKey(run.blob_id, run.first_chunk_id))
+            self.providers.release(run.stored, 0, len(run.providers))
 
     def _merge_windows(
         self,

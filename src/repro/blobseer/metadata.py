@@ -232,9 +232,6 @@ class MetadataStore:
         self._roots[key] = None
         self._capacity[key] = _next_power_of_two(max(1, stripes_hint))
 
-    def has_version(self, blob_id: int, version: int) -> bool:
-        return (blob_id, version) in self._roots
-
     def _root(self, blob_id: int, version: int) -> Tuple[Optional[SegmentNode], int]:
         key = (blob_id, version)
         try:
@@ -250,16 +247,13 @@ class MetadataStore:
         base_version: int,
         new_version: int,
         updates: Union[Sequence[StripeRun], Mapping[int, ChunkDescriptor]],
-        *,
-        base_blob_id: Optional[int] = None,
     ) -> int:
         """Publish ``new_version`` of ``blob_id`` derived from ``base_version``.
 
         ``updates`` holds the runs the version wrote (disjoint, any order); a
         mapping of stripe indices to descriptors is read as one run per
-        stripe.  ``base_blob_id`` lets a clone derive its first version from
-        another BLOB's tree.  Returns the number of tree nodes the shadowed
-        update allocated, counted per stripe (see :class:`_TreeBuilder`).
+        stripe.  Returns the number of tree nodes the shadowed update
+        allocated, counted per stripe (see :class:`_TreeBuilder`).
         """
         if isinstance(updates, Mapping):
             updates = [StripeRun.of(descriptor) for descriptor in updates.values()]
@@ -267,8 +261,7 @@ class MetadataStore:
         for before, after in zip(runs, runs[1:]):
             if after.first_stripe <= before.last_stripe:
                 raise StorageError(f"runs {before} and {after} of one version overlap")
-        source_blob = blob_id if base_blob_id is None else base_blob_id
-        root, capacity = self._root(source_blob, base_version)
+        root, capacity = self._root(blob_id, base_version)
         max_stripe = runs[-1].last_stripe if runs else -1
         while capacity <= max_stripe:
             # Grow the addressable range: the old root becomes the left child

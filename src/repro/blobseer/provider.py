@@ -13,20 +13,26 @@ what both layers store.  :meth:`ProviderManager.store_run` places it with one
 wraps its payload in one :class:`StoredRun` and hands every chosen provider
 its share as two numbers, a chunk count and a byte count.  A provider keeps
 the runs it was handed, not their chunks, in one table: *it holds exactly the
-chunks the run's placement puts on it*, minus those a ``delete`` took away,
-which the run records in an exception set that does not exist until then; a
-run none of whose chunks is left here leaves the table, and the payload goes
-when the run has left the last one.  A read asks whether the chunks it wants
-are still where they were placed (:meth:`ProviderManager.live_prefix`: per
-chunk a provider lookup, its ``alive`` flag and its run table, nothing
-allocated) and slices the payload once.
+chunks the run's placement puts on it*, minus those that were released, which
+the run records in an exception set that does not exist until then.  A read
+asks whether the chunks it wants are still where they were placed
+(:meth:`ProviderManager.live_prefix`: per chunk a provider lookup, its
+``alive`` flag and its run table, nothing allocated) and slices the payload
+once.
+
+Content leaves a live provider one way: :meth:`ProviderManager.release` drops
+a range of a run's chunks from every provider that still holds them (snapshot
+collection, the rollback of a failed write).  The run counts the chunks each
+provider still holds of it, so a run none of whose chunks is left on a
+provider leaves that table without a look at its placement, and the payload
+goes when the run has left the last one.
 
 :class:`Chunk`, :class:`ChunkKey` and the one-chunk operations (a provider's
-``store``/``fetch``/``has``/``delete``/``keys``, the manager's ``place``/
-``store_many``/``store_replicated``/``fetch_many``/``fetch_any``/``locations``)
-are views: a chunk stored alone is a run of one, which the table finds with
-one probe (under dedup every chunk is one), and a chunk of a longer run is
-looked for run by run and cut out of the payload on demand.
+``store``/``fetch``/``has``/``delete``, the manager's ``place``/``store_many``/
+``store_replicated``/``fetch_many``/``fetch_any``/``locations``) are views: a
+chunk stored alone is a run of one, which the table finds with one probe
+(under dedup every chunk is one), and a chunk of a longer run is looked for
+run by run and cut out of the payload on demand.
 """
 
 from __future__ import annotations
@@ -93,11 +99,12 @@ class StoredRun:
     last_length: int
     #: see :attr:`Chunk.stored_size`; holds for every chunk of the run
     stored_size: Optional[int] = None
-    #: ``(index, provider id)`` of the chunks deleted from providers that
+    #: ``(index, provider id)`` of the chunks released from providers that
     #: still hold others of the run; ``None`` until the first one
     dropped: Optional[Set[Tuple[int, str]]] = None
-    #: how many providers have the run in their table
-    holders: int = 0
+    #: per provider that has the run in its table, how many of its chunks
+    #: that provider still holds
+    held: Dict[str, int] = field(default_factory=dict)
     #: what those tables file it under: ``(blob id, first chunk id, chunks)``,
     #: one tuple for all of them.  The count is part of it so that a chunk
     #: stored alone never collides with a longer run that starts at its id.
@@ -177,7 +184,7 @@ class DataProvider:
             )
         self._runs[run.table_key] = run
         self._long += len(run.placements) > 1
-        run.holders += 1
+        run.held[self.provider_id] = chunks
         self._used += nbytes
         self._count += chunks
 
@@ -186,13 +193,36 @@ class DataProvider:
         table; what the run keeps goes with the last table."""
         del self._runs[run.table_key]
         self._long -= len(run.placements) > 1
-        run.holders -= 1
-        if not run.holders:
+        del run.held[self.provider_id]
+        if not run.held:
             run.payload = run.dropped = None
+
+    def _release(self, run: StoredRun, indices: Sequence[int]) -> int:
+        """Let go of the chunks of ``run`` at ``indices`` (ascending), all of
+        which this provider holds: the bytes that frees."""
+        me = self.provider_id
+        left = run.held[me] - len(indices)
+        if left:
+            run.held[me] = left
+            if run.dropped is None:
+                run.dropped = set()
+            run.dropped.update((index, me) for index in indices)
+        else:
+            self._forget(run)
+        if run.stored_size is not None:
+            freed = len(indices) * run.stored_size
+        else:
+            freed = len(indices) * run.stripe_length
+            if indices[-1] == len(run.placements) - 1:
+                freed += run.last_length - run.stripe_length
+        self._used -= freed
+        self._count -= len(indices)
+        self._usage_changed()
+        return freed
 
     def _find(self, key: ChunkKey) -> Optional[StoredRun]:
         """The run this provider holds chunk ``key`` in: one probe for a run
-        of one, else a look at every run of the table (tests, GC, rollback)."""
+        of one, else a look at every run of the table (tests, the one-chunk views)."""
         blob_id, chunk_id = key
         run = self._runs.get((blob_id, chunk_id, 1))
         if run is not None or not self._long:
@@ -232,36 +262,12 @@ class DataProvider:
         return run.chunk(key.chunk_id - run.first_chunk_id)
 
     def delete(self, key: ChunkKey) -> Optional[int]:
-        """Remove a chunk (garbage collection, rollback): the bytes it freed,
+        """Remove this provider's replica of one chunk: the bytes it freed,
         ``None`` if it was not here."""
         run = self._find(key)
         if run is None:
             return None
-        index = key.chunk_id - run.first_chunk_id
-        me = self.provider_id
-        freed = run.span_bytes(index, 1) if run.stored_size is None else run.stored_size
-        gone = run.dropped or ()
-        if any(
-            me in placed and i != index and (i, me) not in gone
-            for i, placed in enumerate(run.placements)
-        ):
-            if run.dropped is None:
-                run.dropped = set()
-            run.dropped.add((index, me))
-        else:
-            self._forget(run)
-        self._used -= freed
-        self._count -= 1
-        self._usage_changed()
-        return freed
-
-    def keys(self) -> Iterable[ChunkKey]:
-        me = self.provider_id
-        for run in self._runs.values():
-            dropped = run.dropped
-            for index, placed in enumerate(run.placements):
-                if me in placed and (dropped is None or (index, me) not in dropped):
-                    yield ChunkKey(run.blob_id, run.first_chunk_id + index)
+        return self._release(run, (key.chunk_id - run.first_chunk_id,))
 
     def fail(self) -> None:
         """Simulate a fail-stop crash: all locally stored chunks are lost."""
@@ -353,10 +359,6 @@ class ProviderManager:
     @property
     def providers(self) -> List[DataProvider]:
         return list(self._providers.values())
-
-    @property
-    def live_providers(self) -> List[DataProvider]:
-        return [p for p in self._providers.values() if p.alive]
 
     @property
     def total_used_bytes(self) -> int:
@@ -586,6 +588,32 @@ class ProviderManager:
             else:
                 return index
         return stop
+
+    def release(self, run: StoredRun, first: int, stop: int) -> Tuple[int, int]:
+        """Drop chunks ``first .. stop - 1`` of ``run`` from every provider
+        that still holds them (see :meth:`live_prefix`): how many replicas
+        that dropped and the stored bytes it freed.  A chunk that is gone
+        already is passed over, so releasing twice is releasing once."""
+        providers = self._providers
+        shares: Dict[str, List[int]] = {}  # per holder, the chunks of the range it holds
+        for provider_id in run.held:
+            provider = providers.get(provider_id)
+            if provider is not None and provider.alive and provider._runs.get(run.table_key) is run:
+                shares[provider_id] = []
+        dropped = run.dropped
+        placements = run.placements
+        for index in range(first, stop):
+            for provider_id in placements[index]:
+                if provider_id in shares and (
+                    dropped is None or (index, provider_id) not in dropped
+                ):
+                    shares[provider_id].append(index)
+        chunks = nbytes = 0
+        for provider_id, indices in shares.items():
+            if indices:
+                chunks += len(indices)
+                nbytes += providers[provider_id]._release(run, indices)
+        return chunks, nbytes
 
     def _holder(self, key: ChunkKey, preferred: Iterable[str]) -> Optional[StoredRun]:
         """The run ``key`` is part of on the first live provider that holds

@@ -68,8 +68,6 @@ class VersionManager:
     def __init__(self) -> None:
         self._blobs: Dict[int, BlobInfo] = {}
         self._ids = itertools.count(1)
-        #: number of publish operations, for RPC accounting by the deployment
-        self.publish_count = 0
 
     # -- BLOB lifecycle ------------------------------------------------------------
 
@@ -90,9 +88,6 @@ class VersionManager:
 
     def blobs(self) -> List[BlobInfo]:
         return list(self._blobs.values())
-
-    def delete_blob(self, blob_id: int) -> None:
-        self._blobs.pop(blob_id, None)
 
     # -- version publishing ------------------------------------------------------------
 
@@ -117,7 +112,6 @@ class VersionManager:
             tag=tag,
         )
         info.versions.append(record)
-        self.publish_count += 1
         return record
 
     def latest(self, blob_id: int) -> VersionRecord:

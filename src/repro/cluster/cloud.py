@@ -148,9 +148,6 @@ class Cloud:
     def local_write(self, node: str, nbytes: float, label: str = "") -> Event:
         return self.node(node).disk.write(nbytes, label=label)
 
-    def local_read(self, node: str, nbytes: float, label: str = "") -> Event:
-        return self.node(node).disk.read(nbytes, label=label)
-
     # -- jitter -----------------------------------------------------------------------------
 
     def jittered(self, nominal: float, key: object = None) -> float:

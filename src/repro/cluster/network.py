@@ -47,9 +47,6 @@ class Network:
             self.spec.nic_bandwidth, f"{node_name}.rx"
         )
 
-    def is_attached(self, node_name: str) -> bool:
-        return node_name in self._nic_tx
-
     def nic_tx(self, node_name: str) -> FairShareChannel:
         return self._require(node_name, self._nic_tx)
 
@@ -119,26 +116,3 @@ class Network:
             latency=self.spec.latency + self.spec.message_overhead,
             label=label or f"msg:{src}->{dst}",
         )
-
-    def rpc(
-        self,
-        src: str,
-        dst: str,
-        request_bytes: float = 1024,
-        response_bytes: float = 1024,
-        service_time: float = 0.0,
-        label: str = "",
-    ):
-        """Round trip: request, fixed service time at the server, response.
-
-        Returns a generator to be wrapped in ``env.process`` or yielded from
-        inside another process via ``yield from``.
-        """
-
-        def _call():
-            yield self.message(src, dst, request_bytes, label=f"{label}-req")
-            if service_time > 0:
-                yield self.env.timeout(service_time)
-            yield self.message(dst, src, response_bytes, label=f"{label}-resp")
-
-        return _call()

@@ -186,11 +186,6 @@ class BlobCRDeployment(Deployment):
 
     # -- additional BlobCR-specific facilities -----------------------------------------------------
 
-    def snapshot_size(self, record: CheckpointRecord) -> int:
-        """Incremental size of one snapshot (what Figure 4 / Table 1 report)."""
-        blob_id, version = record.snapshot_ref
-        return self.repository.snapshot_incremental_size(blob_id, version)
-
     def download_checkpoint_image(self, client_node: str, record: CheckpointRecord) -> Generator:
         """Simulation process: download a checkpoint snapshot as a standalone image.
 

@@ -4,22 +4,36 @@ The paper's conclusion lists this as future work: reclaim the space used by
 disk snapshots that newer checkpoints have obsoleted.  The collector keeps
 the most recent ``keep_latest`` versions of every checkpoint image (plus any
 version explicitly pinned, e.g. because a restart may still roll back to it)
-and deletes the chunks that only those discarded versions reference.
+and releases what only the discarded versions reference.
 
-Chunks shared with retained versions -- or with the base image through
-cloning -- are never touched, which the tests verify.  When the dedup layer
-is active, collection is reference-counted: a dropped descriptor releases one
-reference on the canonical chunk holding its content, and the physical chunk
-is reclaimed only when the last referencing alias is gone.
+It is a mark and sweep over what the metadata tree hands out, pieces of runs.
+Mark: every retained version of every BLOB -- the base image and sibling
+clones included -- marks the index ranges of each stored run it references.
+Sweep: the ranges the dropped versions reference, minus the marks, are
+released (:meth:`~repro.blobseer.provider.ProviderManager.release`): a run no
+retained version references leaves whole, and no stripe is looked at on its
+own unless its run is partially retained.
+
+When the dedup layer is active every stripe is a run of one and collection
+is reference-counted per chunk: a dropped descriptor releases one reference
+on the canonical chunk holding its content, and the physical chunk is
+released only when the last referencing alias is gone.  A stripe described
+by hand, without the run that was stored for it, is collected by key too.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.blobseer.provider import ChunkKey
+from repro.blobseer.provider import ChunkKey, StoredRun
 from repro.core.repository import CheckpointRepository
+from repro.util.errors import ChunkNotFoundError
+
+#: half-open chunk-index ranges of one stored run
+Ranges = List[Tuple[int, int]]
 
 
 @dataclass
@@ -38,6 +52,28 @@ class GCReport:
     retained_canonical_chunks: int = 0
 
 
+def _uncovered(spans: Ranges, marks: Ranges) -> Iterator[Tuple[int, int]]:
+    """The parts of ``spans`` that no range of ``marks`` covers, ascending
+    and disjoint (both lists in any order, overlaps allowed)."""
+    events = [
+        (edge, which, step)
+        for which, ranges in enumerate((spans, marks))
+        for first, stop in ranges
+        for edge, step in ((first, 1), (stop, -1))
+    ]
+    depth = [0, 0]
+    start = None
+    for edge, which, step in sorted(events):
+        depth[which] += step
+        if depth[0] and not depth[1]:
+            if start is None:
+                start = edge
+        elif start is not None:
+            if edge > start:
+                yield start, edge
+            start = None
+
+
 class SnapshotGarbageCollector:
     """Reclaims storage held by obsoleted incremental snapshots."""
 
@@ -46,24 +82,6 @@ class SnapshotGarbageCollector:
             raise ValueError("keep_latest must be >= 1")
         self.repository = repository
         self.keep_latest = keep_latest
-
-    def _referenced_keys(self, blob_id: int, versions: Iterable[int]) -> Set[ChunkKey]:
-        client = self.repository.client
-        keys: Set[ChunkKey] = set()
-        for version in versions:
-            keys |= client.chunk_keys(blob_id, version=version)
-        return keys
-
-    def _delete_physical(self, keys: Set[ChunkKey], report: GCReport) -> None:
-        """Remove every replica of the chunks, accounting the freed disk bytes.
-
-        Provider by provider: which of ``keys`` a provider holds is one walk
-        of what it holds, where asking it about each key is a walk per key.
-        """
-        for provider in self.repository.client.providers.providers:
-            for key in keys.intersection(provider.keys()):
-                report.deleted_chunks += 1
-                report.reclaimed_bytes += provider.delete(key)
 
     def collect(
         self,
@@ -95,36 +113,57 @@ class SnapshotGarbageCollector:
             plans[info.blob_id] = (keep, drop)
             report.examined_blobs += 1
 
-        # Phase 2: chunks referenced by any retained version of any blob
-        # (including the base image and sibling clones) are protected.
-        retained_keys: Set[ChunkKey] = set()
-        for blob_id, (keep, _drop) in plans.items():
-            retained_keys |= self._referenced_keys(blob_id, keep)
-
-        # Phase 3: chunks referenced only by dropped versions can go.  With
-        # the dedup layer, a dropped descriptor holds one *reference* on a
-        # canonical chunk: the physical chunk dies only when its last alias
-        # is dropped (refcount-aware collection).
-        drop_keys: Set[ChunkKey] = set()
-        for blob_id, (_keep, drop) in plans.items():
-            drop_keys |= self._referenced_keys(blob_id, drop)
-        drop_keys -= retained_keys
-
+        # Phase 2, mark: per stored run, the index ranges that retained
+        # versions of any blob (the base image and sibling clones included)
+        # reference, and those that dropped versions do.  By key where each
+        # stripe is a run of one (dedup) or its stored run is not known.
         engine = client.dedup
         metadata = client.metadata
-        doomed: Set[ChunkKey] = set()
-        for key in drop_keys:
+        marks: Dict[StoredRun, Ranges] = {}
+        sweep: Dict[StoredRun, Ranges] = {}
+        kept_keys: Set[ChunkKey] = set()
+        drop_keys: Set[ChunkKey] = set()
+        for blob_id, (keep, drop) in plans.items():
+            for versions, by_run, by_key in ((keep, marks, kept_keys), (drop, sweep, drop_keys)):
+                extents = chain.from_iterable(
+                    metadata.extents_in_range(blob_id, version, 0, sys.maxsize)  # every stripe
+                    for version in versions
+                )
+                for run, first, last in extents:
+                    if engine is None and run.stored is not None:
+                        by_run.setdefault(run.stored, []).append(
+                            (first - run.first_stripe, last - run.first_stripe + 1)
+                        )
+                    else:
+                        by_key.update(run.keys(first, last))
+
+        # Phase 3, sweep: what only dropped versions reference is released.
+        doomed = [
+            (run, first, stop)
+            for run, spans in sweep.items()
+            for first, stop in _uncovered(spans, marks.get(run, ()))
+        ]
+        # With the dedup layer, a dropped descriptor holds one *reference* on
+        # a canonical chunk: the physical chunk dies only when its last alias
+        # is dropped (refcount-aware collection).
+        for key in drop_keys - kept_keys:
             canonical = metadata.resolve_chunk(key)
             if metadata.drop_chunk_alias(key):
                 report.released_aliases += 1
-            if engine is not None:
-                entry = engine.release(canonical)
-                if entry is not None and entry.refcount > 0:
-                    # Other descriptors still reference this content.
-                    report.retained_canonical_chunks += 1
-                    continue
-            doomed.add(canonical)
-        self._delete_physical(doomed, report)
+            entry = engine.release(canonical) if engine is not None else None
+            if entry is not None and entry.refcount > 0:
+                # Other descriptors still reference this content.
+                report.retained_canonical_chunks += 1
+                continue
+            try:
+                run, index = client.providers.locate(canonical, entry.providers if entry else ())
+            except ChunkNotFoundError:
+                continue  # lost with the providers that held it
+            doomed.append((run, index, index + 1))
+        for run, first, stop in doomed:
+            chunks, nbytes = client.providers.release(run, first, stop)
+            report.deleted_chunks += chunks
+            report.reclaimed_bytes += nbytes
 
         # Phase 4: forget the dropped versions' metadata and records.
         for blob_id, (keep, drop) in plans.items():
@@ -132,7 +171,7 @@ class SnapshotGarbageCollector:
                 continue
             info = client.version_manager.get(blob_id)
             for version in drop:
-                client.metadata.drop_version(blob_id, version)
+                metadata.drop_version(blob_id, version)
                 report.dropped_versions.append((blob_id, version))
             keep_set = set(keep)
             info.versions = [rec for rec in info.versions if rec.version in keep_set]

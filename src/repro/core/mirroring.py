@@ -119,6 +119,15 @@ class MirroringModule(BlockDevice):
                 payloads[index] = payload
         return payloads
 
+    def standing_on(self) -> List[Tuple[int, int]]:
+        """The ``(blob id, version)`` snapshots this disk depends on: the one
+        it reads through, then its last COMMIT if it made one.  The last entry
+        is what the next COMMIT derives from."""
+        snapshots = [(self.base_blob_id, self.remote.version)]
+        if self.committed_versions:
+            snapshots.append((self.checkpoint_blob_id, self.committed_versions[-1]))
+        return snapshots
+
     def hot_chunk_keys(self, offset: int, length: int) -> Set:
         """Chunk keys backing a byte range of the base snapshot (prefetch planning)."""
         return self.repository.client.chunk_keys(
@@ -153,9 +162,14 @@ class MirroringModule(BlockDevice):
         for first, count in block_ranges(self.dirty.close_epoch()):
             for offset, payload in self._local.stored_runs(first * block_size, count * block_size):
                 blocks[offset // block_size] = payload
+        # The snapshot derives from the version this disk stands on, which a
+        # rollback makes older than the checkpoint image's latest; a disk
+        # still on the base image commits into a fresh clone's one version.
+        blob_id, version = self.standing_on()[-1]
+        base_version = version if blob_id == self.checkpoint_blob_id else None
         result: WriteResult = yield from self.repository.commit_blocks(
             self.node_name, self.checkpoint_blob_id, blocks,
-            block_size=block_size,
+            block_size=block_size, base_version=base_version,
             tag=tag or f"commit:{self.instance_id}",
         )
         self.committed_versions.append(result.version)

@@ -40,8 +40,6 @@ class CheckpointProxy:
         self.hypervisor = hypervisor
         self.node = hypervisor.node
         self.spec = spec or CheckpointSpec()
-        self.requests_handled = 0
-        self.requests_failed = 0
 
     def authenticate(self, vm: VMInstance) -> None:
         """Only instances hosted on this node may use this proxy."""
@@ -82,9 +80,7 @@ class CheckpointProxy:
                 snapshot_version=result.version,
                 snapshot_bytes=result.bytes_written,
             )
-            self.requests_handled += 1
         except Exception as exc:  # resume the VM no matter what
-            self.requests_failed += 1
             reply = SnapshotReply(ok=False, instance_id=vm.instance_id, error=str(exc))
         if span is not None:
             TRACER.end(span, env.now, args={"bytes": reply.snapshot_bytes, "ok": reply.ok})

@@ -43,12 +43,10 @@ class CheckpointRepository:
         self.client = BlobClient(
             providers=providers, default_chunk_size=self.spec.chunk_size, dedup=self.dedup
         )
-        # Service placement: version manager and provider manager on the
-        # first two service nodes, metadata providers on the rest.
+        # Service placement: the version manager, the one service operations
+        # send messages to, runs on the first service node.
         service_names = [n.name for n in cloud.service_nodes] or [cloud.compute_nodes[0].name]
         self.version_manager_node = service_names[0]
-        self.provider_manager_node = service_names[min(1, len(service_names) - 1)]
-        self.metadata_nodes = service_names[2:] or service_names
         # Aggregate data-path capacity of the provider pool.
         disk_bw = cloud.spec.disk.bandwidth
         n_providers = len(cloud.compute_nodes)
@@ -62,8 +60,6 @@ class CheckpointRepository:
         #: counters
         self.bytes_committed = 0
         self.logical_bytes_committed = 0
-        self.bytes_served = 0
-        self.commit_count = 0
 
     # -- timing helpers -------------------------------------------------------------------
 
@@ -167,15 +163,19 @@ class CheckpointRepository:
         blocks: Dict[int, ByteSource],
         block_size: int,
         tag: str = "",
+        base_version: Optional[int] = None,
     ) -> Generator:
         """Simulation process: COMMIT -- publish dirty blocks as one incremental snapshot.
 
         ``blocks`` maps a block index to the content starting there: one
-        block, or a run of consecutive whole blocks in one payload.  Returns
-        the :class:`~repro.blobseer.client.WriteResult` of the commit.
+        block, or a run of consecutive whole blocks in one payload.  The
+        snapshot derives from ``base_version`` (the latest by default).
+        Returns the :class:`~repro.blobseer.client.WriteResult` of the commit.
         """
         pieces = [(index * block_size, payload) for index, payload in sorted(blocks.items())]
-        result = self.client.write_batch(blob_id, pieces, tag=tag or "commit")
+        result = self.client.write_batch(
+            blob_id, pieces, base_version=base_version, tag=tag or "commit"
+        )
         env = self.cloud.env
         span = None
         if TRACER.enabled:
@@ -209,7 +209,6 @@ class CheckpointRepository:
             TRACER.end(inner, env.now)
         self.bytes_committed += result.bytes_written
         self.logical_bytes_committed += result.logical_bytes
-        self.commit_count += 1
         if span is not None:
             TRACER.end(span, env.now, args={"bytes": result.bytes_written})
         return result
@@ -245,7 +244,6 @@ class CheckpointRepository:
                 cpu = self.dedup.codec.decompress_seconds(inflatable)
                 if cpu > 0:
                     yield self.cloud.env.timeout(cpu)
-        self.bytes_served += size
         if span is not None:
             TRACER.end(span, self.cloud.env.now)
         return data
@@ -287,7 +285,6 @@ class CheckpointRepository:
                     "hot-fetch", client_node, self.cloud.env.now, args={"bytes": int(nbytes)}
                 )
             yield self._data_read(client_node, nbytes, label=label or "lazy-fetch")
-            self.bytes_served += int(nbytes)
             if span is not None:
                 TRACER.end(span, self.cloud.env.now)
         else:  # pragma: no cover - degenerate
@@ -306,20 +303,7 @@ class CheckpointRepository:
         """
         return self.client.incremental_footprint(blob_id, version, physical=physical)
 
-    def snapshot_full_size(
-        self, blob_id: int, version: Optional[int] = None, *, physical: bool = False
-    ) -> int:
-        """Bytes of unique data referenced by one snapshot."""
-        return self.client.version_footprint(blob_id, version, physical=physical)
-
     @property
     def total_stored_bytes(self) -> int:
         """Physical bytes across all providers (Figure 5b accounting)."""
         return self.client.storage_footprint()
-
-    def provider_usage(self) -> Dict[str, int]:
-        return {p.provider_id: p.used_bytes for p in self.client.providers.providers}
-
-    def dedup_report(self) -> Optional[Dict]:
-        """Dedup / compression statistics, or ``None`` when the layer is off."""
-        return self.dedup.stats() if self.dedup is not None else None

@@ -62,12 +62,8 @@ class DedupEngine:
         #: ghost chunk
         self.availability: Optional[Callable[[ChunkKey, Tuple[str, ...]], bool]] = None
         self.invalidated_chunks = 0
-        #: counters (logical = pre-dedup, pre-compression)
-        self.logical_bytes_ingested = 0
+        #: bytes the chunks registered as canonical occupy after compression
         self.physical_bytes_stored = 0
-        self.dedup_hits = 0
-        self.dedup_saved_bytes = 0
-        self.cpu_seconds_total = 0.0
 
     # -- write path -----------------------------------------------------------------
 
@@ -80,7 +76,6 @@ class DedupEngine:
         """Fingerprint ``payload`` and decide between aliasing and storing."""
         digest = content_digest(payload)
         cpu = self._fingerprint_cost(payload.size)
-        self.logical_bytes_ingested += payload.size
         entry = self.index.lookup(digest)
         if (
             entry is not None
@@ -92,9 +87,6 @@ class DedupEngine:
             entry = None
         if entry is not None and entry.logical_size == payload.size:
             self.index.acquire(digest)
-            self.dedup_hits += 1
-            self.dedup_saved_bytes += payload.size
-            self.cpu_seconds_total += cpu
             return IngestDecision(
                 digest=digest, duplicate=True, canonical_key=entry.key,
                 canonical_providers=entry.providers, cpu_seconds=cpu,
@@ -103,7 +95,6 @@ class DedupEngine:
             payload.size, is_zero=is_zero_content(digest, payload.size)
         )
         cpu += self.codec.compress_seconds(payload.size)
-        self.cpu_seconds_total += cpu
         return IngestDecision(
             digest=digest, duplicate=False, stored_size=stored, cpu_seconds=cpu,
         )
@@ -131,28 +122,6 @@ class DedupEngine:
         indexed (stored before/without dedup).
         """
         return self.index.release(key)
-
-    # -- reporting -----------------------------------------------------------------
-
-    @property
-    def dedup_ratio(self) -> float:
-        """Logical bytes ingested per physical byte stored (>= 1 with dedup wins)."""
-        if self.physical_bytes_stored == 0:
-            return 1.0 if self.logical_bytes_ingested == 0 else float("inf")
-        return self.logical_bytes_ingested / self.physical_bytes_stored
-
-    def stats(self) -> dict:
-        return {
-            "codec": self.codec.name,
-            "logical_bytes_ingested": self.logical_bytes_ingested,
-            "physical_bytes_stored": self.physical_bytes_stored,
-            "dedup_hits": self.dedup_hits,
-            "dedup_saved_bytes": self.dedup_saved_bytes,
-            "dedup_ratio": self.dedup_ratio,
-            "indexed_chunks": len(self.index),
-            "invalidated_chunks": self.invalidated_chunks,
-            "cpu_seconds_total": self.cpu_seconds_total,
-        }
 
 
 def build_engine(spec) -> Optional[DedupEngine]:

@@ -127,17 +127,6 @@ class VMInstance:
         self._processes[process.pid] = process
         return process
 
-    def adopt_process(self, process: GuestProcess) -> None:
-        """Register a process restored from a BLCR context file."""
-        self._require_running()
-        self._processes[process.pid] = process
-
-    def kill_process(self, pid: int) -> None:
-        process = self._processes.pop(pid, None)
-        if process is None:
-            raise GuestError(f"no process {pid} in instance {self.instance_id}")
-        process.kill()
-
     @property
     def processes(self) -> Dict[int, GuestProcess]:
         return dict(self._processes)

@@ -63,9 +63,6 @@ class MPICommunicator:
         except KeyError:
             raise MPIError(f"no rank {rank} in a communicator of size {self.size}") from None
 
-    def ranks_on_instance(self, instance_id: str) -> List[int]:
-        return [r for r, info in self._ranks.items() if info.instance_id == instance_id]
-
     # -- point to point ---------------------------------------------------------------------
 
     def send(self, src: int, dst: int, nbytes: int, payload: Any = None, tag: int = 0) -> Generator:
@@ -88,9 +85,6 @@ class MPICommunicator:
         """Simulation process: blocking receive; returns ``(src, tag, nbytes, payload)``."""
         message = yield self._mailboxes[dst].get()
         return message
-
-    def pending_messages(self, rank: int) -> int:
-        return len(self._mailboxes[rank])
 
     # -- collectives --------------------------------------------------------------------------
 

@@ -401,10 +401,6 @@ class Environment:
         heapq.heappush(self._queue, (max(when, self._now), priority, self._sequence, event))
         event._scheduled = True
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if the queue is empty."""
-        return self._queue[0][0] if self._queue else float("inf")
-
     def add_flush_hook(self, hook: Callable[[], None]) -> None:
         """Register an end-of-instant hook.
 

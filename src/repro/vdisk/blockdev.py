@@ -57,9 +57,6 @@ class BlockDevice(ABC):
         """Convenience wrapper materialising a small read."""
         return self.read(offset, length).to_bytes()
 
-    def write_bytes(self, offset: int, data: bytes) -> None:
-        self.write(offset, LiteralBytes(data))
-
 
 def read_through(base: Optional[BlockDevice], offset: int, length: int) -> ByteSource:
     """The unwritten window of an overlay: ``base`` content, zeros beyond it."""

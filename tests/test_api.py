@@ -22,7 +22,7 @@ from repro.cluster import Cloud
 from repro.core import BlobCRDeployment
 from repro.core.backends import _BACKENDS, BackendCapabilities
 from repro.util.config import GRAPHENE
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, RestartError
 
 SMALL = GRAPHENE.scaled(compute_nodes=6, service_nodes=3)
 
@@ -160,6 +160,62 @@ class TestSessionLifecycle:
         session.deploy("blobcr", n=1)
         before = session.now
         assert session.advance(12.5) == pytest.approx(before + 12.5)
+
+
+class TestSessionCollect:
+    """``Session.collect``: the public route to the snapshot collector."""
+
+    @staticmethod
+    def three_checkpoints(backend="blobcr"):
+        session = Session.from_spec(SMALL)
+        session.deploy(backend, n=2)
+        checkpoints = []
+        for fill in (1, 2, 3):
+            for instance_id in session.instance_ids:
+                session.guest_write(instance_id, "/ckpt/state.dat", bytes([fill]) * 300_000)
+            checkpoints.append(session.checkpoint())
+        return session, checkpoints
+
+    @pytest.mark.parametrize("backend", ["blobcr", "blobcr-migrate"])
+    def test_collect_under_an_instance_rolled_back_to_an_older_checkpoint(self, backend):
+        session, checkpoints = self.three_checkpoints(backend)
+        session.restart(checkpoints[0])
+        before = session.deployment.storage_used_bytes()
+        report = session.collect(keep_latest=1)
+        # the disks stand on the first checkpoint: it survives, the second goes
+        assert session.checkpoints == (checkpoints[0], checkpoints[2])
+        assert report.reclaimed_bytes > 0
+        assert session.deployment.storage_used_bytes() == before - report.reclaimed_bytes
+        for instance_id in session.instance_ids:
+            assert session.guest_read(instance_id, "/ckpt/state.dat") == bytes([1]) * 300_000
+            session.guest_write(instance_id, "/ckpt/more.dat", b"more" * 1000)
+        session.restart(session.checkpoint())
+        for instance_id in session.instance_ids:
+            assert session.guest_read(instance_id, "/ckpt/state.dat") == bytes([1]) * 300_000
+            assert session.guest_read(instance_id, "/ckpt/more.dat") == b"more" * 1000
+
+    def test_restart_from_a_collected_checkpoint_is_refused_before_anything_is_killed(self):
+        session, checkpoints = self.three_checkpoints()
+        session.collect(keep_latest=1, pinned=[checkpoints[0]])
+        assert session.checkpoints == (checkpoints[0], checkpoints[2])
+        with pytest.raises(RestartError, match="checkpoint 2 .*collected"):
+            session.restart(checkpoints[1])
+        assert all(instance.vm.is_running for instance in session.deployment.instances)
+        session.restart(checkpoints[0])  # the pinned one is still there
+        assert session.guest_read("vm-000", "/ckpt/state.dat") == bytes([1]) * 300_000
+
+    def test_a_second_pass_finds_nothing(self):
+        session, _checkpoints = self.three_checkpoints()
+        assert session.collect().dropped_versions
+        again = session.collect()
+        assert (again.dropped_versions, again.deleted_chunks, again.reclaimed_bytes) == ([], 0, 0)
+
+    @pytest.mark.parametrize("backend", ["qcow2-disk", "qcow2-full"])
+    def test_a_backend_without_a_repository_is_named(self, backend):
+        session = Session.from_spec(SMALL)
+        session.deploy(backend, n=1)
+        with pytest.raises(ConfigurationError, match=f"{backend!r} keeps no BlobSeer repository"):
+            session.collect()
 
 
 class TestSessionValidation:

@@ -173,3 +173,26 @@ def test_source_failure_mid_migration_rolls_back_to_durable_state(backend):
             assert_hosting_ledger(session)
             assert_reads_back(session, [SAVED])
     assert exercised
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_checkpoint_after_rolling_back_snapshots_the_rolled_back_disk(backend):
+    """The snapshot of a restarted instance derives from the version it runs
+    on, not from whatever was committed last before the rollback."""
+    session = Session.from_spec(SPEC)
+    session.deploy(backend, n=2)
+    checkpoints = []
+    for fill in (1, 2, 3):
+        for instance_id in session.instance_ids:
+            session.guest_write(instance_id, SAVED, bytes([fill]) * 300_000)
+        checkpoints.append(session.checkpoint())
+    session.restart(checkpoints[0])
+    assert_hosting_ledger(session)
+    for instance_id in session.instance_ids:
+        assert session.guest_read(instance_id, SAVED) == bytes([1]) * 300_000
+        session.guest_write(instance_id, LATER, content(instance_id, LATER))
+    session.restart(session.checkpoint())
+    assert_hosting_ledger(session)
+    for instance_id in session.instance_ids:
+        assert session.guest_read(instance_id, SAVED) == bytes([1]) * 300_000
+        assert session.guest_read(instance_id, LATER) == content(instance_id, LATER)

@@ -405,3 +405,52 @@ def test_a_batch_that_fails_on_its_last_run_leaves_the_store_as_it_was(replicati
     # and the store still takes what does fit
     client.write_batch(blob, batch[:2])
     assert client.read(blob, 0, SMALL).read() == fills[2].read()
+
+
+def test_collecting_whole_runs_never_looks_a_chunk_up(monkeypatch):
+    """Whole-image overwrites without dedup: every obsoleted run leaves whole,
+    by identity -- no by-key question is asked of any provider."""
+    client = small_store(24, 1, None)
+    blobs = [client.create_blob() for _ in range(24)]
+    obsoleted = []
+    for version in range(3):
+        for blob in blobs:
+            result = client.write(blob, 0, SyntheticBytes((blob, version), 800 * SMALL))
+            if version < 2:
+                obsoleted += [run.stored for run in result.runs]
+    assert len(obsoleted) == 24 * 2 and all(len(run.held) == 24 for run in obsoleted)
+
+    lookups = []
+    find = DataProvider._find
+
+    def spy(self, key):
+        lookups.append(key)
+        return find(self, key)
+
+    monkeypatch.setattr(DataProvider, "_find", spy)
+    report = SnapshotGarbageCollector(SimpleNamespace(client=client), keep_latest=1).collect()
+    monkeypatch.undo()
+    assert lookups == []
+    assert report.deleted_chunks == 24 * 2 * 800
+    assert report.reclaimed_bytes == 24 * 2 * 800 * SMALL
+    assert len(report.dropped_versions) == 24 * 3
+    for run in obsoleted:
+        assert len(run.held) == 0 and run.payload is None and run.dropped is None
+        assert all(run not in provider._runs.values() for provider in client.providers.providers)
+    assert client.providers.total_used_bytes == 24 * 800 * SMALL
+    for blob in blobs:
+        latest = SyntheticBytes((blob, 2), 800 * SMALL)
+        assert client.read(blob).fingerprint() == latest.fingerprint()
+
+
+def test_compressed_chunks_are_reclaimed_at_their_stored_size():
+    client = small_store(3, 2, "zlib")
+    blob = client.create_blob()
+    old = client.write(blob, 0, SyntheticBytes("old", 4 * SMALL))
+    client.write(blob, 0, SyntheticBytes("new", 4 * SMALL))
+    assert 0 < old.bytes_written < 4 * SMALL  # what one replica of the four chunks occupies
+    before = client.providers.total_used_bytes
+    report = SnapshotGarbageCollector(SimpleNamespace(client=client), keep_latest=1).collect()
+    assert report.deleted_chunks == 2 * 4
+    assert report.reclaimed_bytes == 2 * old.bytes_written
+    assert client.providers.total_used_bytes == before - report.reclaimed_bytes
