@@ -11,8 +11,8 @@ def test_fig7_dedup_ablation(benchmark):
     print()
     print(result.to_table())
     first, last = result.rows[0], result.rows[-1]
-    # Every snapshot of every mode restores byte-identical content through
-    # the alias-resolving read path.
+    # Every snapshot of every mode restores byte-identical content, shared
+    # chunks included.
     assert all(row["restored_ok"] for row in result.rows)
     # With dedup enabled, physical storage after N overlapping checkpoints is
     # strictly below the dedup-off run, i.e. the dedup ratio exceeds 1.

@@ -29,6 +29,9 @@ CHECKPOINT_LEVELS = ("app", "blcr", "full")
 #: is safely written (the usual rotation scheme of application-level CR)
 STATE_PATH_TEMPLATE = "/ckpt/app-state-{epoch:04d}.dat"
 
+#: bytes compared at the head and at the tail of every restored buffer
+_VERIFY_WINDOW = 65536
+
 
 class SyntheticBenchmark:
     """Driver of the synthetic benchmark over any deployment strategy."""
@@ -135,7 +138,7 @@ class SyntheticBenchmark:
             if path.startswith("/ckpt/blcr-") and path.endswith(f"-{epoch:04d}.ctx")
         ]
 
-    def verify_restored_state(self, sample_bytes: int = 65536, epoch: Optional[int] = None) -> bool:
+    def verify_restored_state(self, epoch: Optional[int] = None) -> bool:
         """Check (functionally) that what a restart restored matches the buffers.
 
         ``epoch`` selects which fill epoch to verify against; the default is
@@ -160,7 +163,7 @@ class SyntheticBenchmark:
             for data in saved:
                 if data.size != expected.size:
                     return False
-                window = min(sample_bytes, data.size)
+                window = min(_VERIFY_WINDOW, data.size)
                 tail = data.size - window
                 if not (
                     content_equal(data.slice(0, window), expected.slice(0, window))

@@ -27,12 +27,13 @@ network and disk time without re-implementing the storage logic.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.blobseer.metadata import ChunkDescriptor, MetadataStore, StripeRun
-from repro.blobseer.provider import ChunkKey, ProviderManager
+from repro.blobseer.provider import ChunkKey, ProviderManager, StoredRun
 from repro.blobseer.version_manager import VersionManager, VersionRecord
 from repro.dedup.engine import DedupEngine
 from repro.util.bytesource import ByteSource, LiteralBytes, ZeroBytes, concat
@@ -57,7 +58,7 @@ class WriteResult:
     metadata_nodes: int = 0
     #: total payload bytes of the write before dedup / compression
     logical_bytes: int = 0
-    #: stripes whose content was already stored (aliased, not shipped)
+    #: stripes whose content was already stored (shared, not shipped)
     dedup_hits: int = 0
     #: logical bytes those stripes would have shipped without dedup
     dedup_saved_bytes: int = 0
@@ -120,13 +121,6 @@ class BlobClient:
         self.default_chunk_size = default_chunk_size
         self.dedup = dedup
         self._next_chunk_id = 1
-        # Reads address chunks by their logical key; the provider manager
-        # resolves dedup aliases through the metadata store transparently.
-        self.providers.alias_resolver = self.metadata.resolve_chunk
-        if self.dedup is not None:
-            # A dedup hit is only valid while a live provider still holds the
-            # canonical chunk; provider failures invalidate stale entries.
-            self.dedup.availability = self.providers.holds
 
     # -- BLOB lifecycle ----------------------------------------------------------------
 
@@ -186,7 +180,8 @@ class BlobClient:
         Consecutive stripes are placed, stored and indexed as one *run*
         (:class:`~repro.blobseer.metadata.StripeRun`).  With the dedup layer
         on every stripe is a run of its own, so each one is fingerprinted,
-        placed, stored and registered before the next is looked at.
+        placed, stored and registered before the next is looked at; a stripe
+        whose content is already stored references the run that holds it.
         """
         for offset, _data in pieces:
             if offset < 0:
@@ -277,10 +272,6 @@ class BlobClient:
         dedup_hits = 0
         dedup_saved = 0
         cpu_seconds = 0.0
-        #: aliases recorded by this (not yet published) batch, undone together
-        #: with the stored chunks if a later run fails -- otherwise the
-        #: leaked refcounts would keep canonical chunks unreclaimable forever
-        batch_aliases: List[ChunkKey] = []
         try:
             for first_stripe, parts in runs:
                 payload = concat(parts)
@@ -288,36 +279,27 @@ class BlobClient:
                 first_chunk_id = self._next_chunk_id
                 self._next_chunk_id += count
                 last_length = payload.size - (count - 1) * chunk_size
-                ingest = None
+                held = stored_size = None
                 if self.dedup is not None:
-                    ingest = self.dedup.ingest(payload)
+                    ingest = self.dedup.ingest(payload, self.providers)
                     cpu_seconds += ingest.cpu_seconds
-                held = None
-                if ingest is not None and ingest.duplicate:
-                    # Identical content is already stored: record a logical
-                    # -> canonical alias instead of shipping the chunk.
-                    key = ChunkKey(blob_id, first_chunk_id)
-                    self.metadata.register_chunk_alias(key, ingest.canonical_key)
-                    batch_aliases.append(key)
-                    providers: Sequence[Tuple[str, ...]] = (ingest.canonical_providers,)
-                    stored_size: Optional[int] = 0
-                    dedup_hits += 1
-                    dedup_saved += last_length
-                else:
-                    stored_size = None if ingest is None else ingest.stored_size
+                    held, stored_size = ingest.run, ingest.stored_size
+                shipped = held is None
+                if shipped:
                     held = self.providers.store_run(
                         blob_id, first_chunk_id, payload, chunk_size, stored_size
                     )
-                    providers = held.placements
-                    if ingest is not None:
-                        self.dedup.register_canonical(
-                            ingest, ChunkKey(blob_id, first_chunk_id), last_length, providers[0]
-                        )
+                    if self.dedup is not None:
+                        self.dedup.register_canonical(ingest, held)
+                else:
+                    # Identical content is already stored: share its run.
+                    dedup_hits += 1
+                    dedup_saved += last_length
                 run = StripeRun(
                     first_stripe=first_stripe,
                     blob_id=blob_id,
                     first_chunk_id=first_chunk_id,
-                    providers=providers,
+                    providers=held.placements,
                     stripe_length=chunk_size,
                     last_length=last_length,
                     created_by=(blob_id, new_version),
@@ -325,10 +307,10 @@ class BlobClient:
                     stored=held,
                 )
                 updates.append(run)
-                if held is not None:
+                if shipped:
                     stored.append(run)
         except Exception:
-            self._rollback_batch(stored, batch_aliases)
+            self._rollback_batch(stored)
             raise
 
         nodes = self.metadata.derive_version(blob_id, base, new_version, updates)
@@ -359,22 +341,23 @@ class BlobClient:
             compression_cpu_seconds=cpu_seconds,
         )
 
-    def _rollback_batch(self, stored: List[StripeRun], batch_aliases: List[ChunkKey]) -> None:
-        """Undo the side effects of a failed (unpublished) ``write_batch``.
-
-        Aliases are dropped first so their refcounts return to the canonical
-        chunks; each run the batch stored (a fresh chunk of its own under
-        dedup, which nothing else references yet) is then released whole.
-        """
-        for alias in batch_aliases:
-            canonical = self.metadata.resolve_chunk(alias)
-            self.metadata.drop_chunk_alias(alias)
-            if self.dedup is not None:
-                self.dedup.release(canonical)
+    def _rollback_batch(self, stored: List[StripeRun]) -> None:
+        """Undo the side effects of a failed (unpublished) ``write_batch``:
+        each run it shipped is released whole.  The stripes that shared a run
+        which was already stored go with the version that is never published."""
         for run in stored:
-            if self.dedup is not None:
-                self.dedup.release(ChunkKey(run.blob_id, run.first_chunk_id))
-            self.providers.release(run.stored, 0, len(run.providers))
+            self.release(run.stored, 0, len(run.providers))
+
+    def release(self, run: StoredRun, first: int, stop: int) -> Tuple[int, int]:
+        """Drop chunks ``first .. stop - 1`` of ``run`` from the providers
+        (:meth:`~repro.blobseer.provider.ProviderManager.release`; snapshot
+        collection and the rollback above come through here): a run that
+        thereby leaves the store is no longer offered to later writes of the
+        same content."""
+        freed = self.providers.release(run, first, stop)
+        if self.dedup is not None and not run.held:
+            self.dedup.index.forget(run)
+        return freed
 
     def _merge_windows(
         self,
@@ -498,11 +481,12 @@ class BlobClient:
         """The (already checked) window ``[offset, offset + size)`` of a version.
 
         Walks the runs the window crosses.  The stripes of a run that are
-        still where they were placed come back as one slice of the run's
-        stored payload; a stripe that is not (its providers failed, or it
-        aliases a canonical chunk) is looked for on every provider.  Whatever
-        no chunk covers -- holes, and the tail of a stripe whose chunk is
-        short -- reads as zeros.
+        still where they were placed come back as one slice of the stored
+        run's payload (their own, or the one they share with the stripe that
+        first shipped their content); a stripe that is not -- its providers
+        failed -- is looked for on every provider.  Whatever no chunk covers
+        -- holes, and the tail of a stripe whose chunk is short -- reads as
+        zeros.
         """
         if size == 0:
             return LiteralBytes(b"")
@@ -522,8 +506,9 @@ class BlobClient:
                 if live > index:
                     source, at, count = held, index, live - index
                 else:
+                    owner = held or run  # the ids the chunk was shipped under
                     source, at = providers.locate(
-                        ChunkKey(run.blob_id, run.first_chunk_id + index), run.providers[index]
+                        ChunkKey(owner.blob_id, owner.first_chunk_id + index), run.providers[index]
                     )
                     count = 1
                 stripe_start = (run.first_stripe + index) * chunk_size
@@ -587,8 +572,8 @@ class BlobClient:
         """Bytes of unique chunk data referenced by one version.
 
         ``physical=True`` reports the bytes the version's content actually
-        occupies in the store: aliases resolve to their canonical chunk
-        (counted once) and compressed chunks count their compressed size.
+        occupies in the store: a chunk several stripes share counts once and
+        compressed chunks count their compressed size.
         """
         record = (
             self.version_manager.latest(blob_id)
@@ -599,13 +584,18 @@ class BlobClient:
             return self.metadata.version_footprint(blob_id, record.version)
         seen: set = set()
         total = 0
-        for desc in self.metadata.iter_descriptors(blob_id, record.version):
-            key = self.metadata.resolve_chunk(desc.key)
-            if key in seen:
-                continue
-            seen.add(key)
-            entry = self.dedup.index.entry_for_key(key) if self.dedup else None
-            total += entry.stored_size if entry is not None else desc.stored_bytes
+        for run, first, last in self.metadata.extents_in_range(
+            blob_id, record.version, 0, sys.maxsize
+        ):
+            held = run.stored
+            for stripe in range(first, last + 1):
+                chunk = (held or run, stripe - run.first_stripe)
+                if chunk not in seen:
+                    seen.add(chunk)
+                    if held is None or held.stored_size is None:
+                        total += run.span_bytes(stripe, stripe, physical=True)
+                    else:
+                        total += held.stored_size
         return total
 
     def incremental_footprint(self, blob_id: int, version: int, *, physical: bool = False) -> int:

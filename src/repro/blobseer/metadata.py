@@ -77,9 +77,11 @@ class StripeRun:
     created_by: Tuple[int, int]
     #: see :attr:`ChunkDescriptor.physical_length`; holds for every stripe
     physical_length: Optional[int] = None
-    #: the stored run the providers were handed for these stripes (same chunk
-    #: ids, same ``providers`` list); ``None`` for a dedup alias and for a
-    #: run described by hand, whose chunks are looked up by key
+    #: the stored run that holds these stripes, sharing its ``placements`` as
+    #: ``providers``: the one the providers were handed for them or, for a
+    #: stripe whose content was already stored (a dedup hit: a run of one,
+    #: ``physical_length`` 0), the one that content was shipped as.  ``None``
+    #: for a run described by hand, whose chunks are looked up by key
     stored: Optional[StoredRun] = None
 
     @classmethod
@@ -218,9 +220,6 @@ class MetadataStore:
         self._capacity: Dict[Tuple[int, int], int] = {}
         #: total segment-tree nodes ever allocated (metadata I/O accounting)
         self.nodes_allocated = 0
-        #: logical chunk key -> canonical chunk key holding identical content
-        #: (recorded by the dedup write path, resolved by the read path)
-        self._chunk_aliases: Dict[ChunkKey, ChunkKey] = {}
 
     # -- version management ------------------------------------------------------
 
@@ -295,33 +294,11 @@ class MetadataStore:
         self._roots.pop((blob_id, version), None)
         self._capacity.pop((blob_id, version), None)
 
-    # -- chunk aliases (dedup) --------------------------------------------------------
-
-    def register_chunk_alias(self, logical: ChunkKey, canonical: ChunkKey) -> None:
-        """Record that ``logical`` is backed by the stored chunk ``canonical``."""
-        if logical == canonical:
-            raise StorageError(f"chunk {logical} cannot alias itself")
-        # Never create alias chains: resolve the target first so every alias
-        # points directly at a physically stored chunk.
-        canonical = self._chunk_aliases.get(canonical, canonical)
-        if logical in self._chunk_aliases:
-            raise StorageError(f"chunk {logical} already has an alias")
-        self._chunk_aliases[logical] = canonical
-
     def resolve_chunk(self, key: ChunkKey) -> ChunkKey:
-        """Map a logical chunk key to the key it is physically stored under."""
-        return self._chunk_aliases.get(key, key)
-
-    def drop_chunk_alias(self, logical: ChunkKey) -> bool:
-        """Forget an alias (the referencing descriptor was garbage collected)."""
-        return self._chunk_aliases.pop(logical, None) is not None
-
-    def is_chunk_alias(self, key: ChunkKey) -> bool:
-        return key in self._chunk_aliases
-
-    @property
-    def chunk_alias_count(self) -> int:
-        return len(self._chunk_aliases)
+        """``key`` itself: a dedup hit shares the stored run, there is no alias
+        table to resolve.  Named by the benchmark's boundary table; leaves
+        with that row."""
+        return key
 
     # -- queries ---------------------------------------------------------------------
 

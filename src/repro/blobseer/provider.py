@@ -33,6 +33,11 @@ goes when the run has left the last one.
 chunk stored alone is a run of one, which the table finds with one probe
 (under dedup every chunk is one), and a chunk of a longer run is looked for
 run by run and cut out of the payload on demand.
+
+The dedup layer adds nothing here: a stripe whose content is already stored
+references the :class:`StoredRun` that holds it, so one run may be reached
+from many stripes of many versions, and it is released when none of those
+that are retained reaches it any more.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.obs.tracer import TRACER
 from repro.util.bytesource import ByteSource
@@ -330,10 +335,6 @@ class ProviderManager:
         #: a lower bound on the free bytes of every live provider, so the
         #: room filter is skipped for chunks that everyone can take
         self._min_free = 0
-        #: maps a requested chunk key to the key it is physically stored under
-        #: (logical -> canonical alias resolution of the dedup layer); set by
-        #: :class:`~repro.blobseer.client.BlobClient`
-        self.alias_resolver: Optional[Callable[[ChunkKey], ChunkKey]] = None
 
     # -- registry -------------------------------------------------------------
 
@@ -615,35 +616,17 @@ class ProviderManager:
                 nbytes += providers[provider_id]._release(run, indices)
         return chunks, nbytes
 
-    def _holder(self, key: ChunkKey, preferred: Iterable[str]) -> Optional[StoredRun]:
-        """The run ``key`` is part of on the first live provider that holds
-        it: its ``preferred`` providers (where it was placed), then everyone."""
+    def locate(self, key: ChunkKey, preferred: Iterable[str] = ()) -> Tuple[StoredRun, int]:
+        """The stored run that holds chunk ``key``, on the first live provider
+        that has it -- its ``preferred`` providers (where it was placed), then
+        everyone -- and the chunk's index in it."""
         providers = self._providers
         for provider in chain(map(providers.get, preferred), providers.values()):
             if provider is not None and provider.alive:
                 run = provider._find(key)
                 if run is not None:
-                    return run
-        return None
-
-    def holds(self, key: ChunkKey, preferred: Iterable[str] = ()) -> bool:
-        """Whether some live provider holds ``key`` (the dedup layer's probe)."""
-        return self._holder(key, preferred) is not None
-
-    def locate(self, key: ChunkKey, preferred: Iterable[str] = ()) -> Tuple[StoredRun, int]:
-        """The stored run that holds chunk ``key`` and the chunk's index in it.
-
-        When a dedup layer is active, a key may be a logical alias of a
-        canonical chunk that holds the identical content; the alias is
-        resolved here so every read path sees the deduplicated store
-        transparently.
-        """
-        if self.alias_resolver is not None:
-            key = self.alias_resolver(key)
-        run = self._holder(key, preferred)
-        if run is None:
-            raise ChunkNotFoundError(f"chunk {key} is not stored on any live provider")
-        return run, key.chunk_id - run.first_chunk_id
+                    return run, key.chunk_id - run.first_chunk_id
+        raise ChunkNotFoundError(f"chunk {key} is not stored on any live provider")
 
     def fetch_many(
         self, keys: Iterable[ChunkKey], preferred: Iterable[Sequence[str]]

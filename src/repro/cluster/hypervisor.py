@@ -95,15 +95,12 @@ class Hypervisor:
         disk: BlockDevice,
         image_reader: Optional[ImageReader] = None,
         boot_read_bytes: float = DEFAULT_BOOT_READ_BYTES,
-        format_fs: bool = False,
     ) -> Generator:
         """Simulation process: define and boot ``vm`` on this node.
 
         ``image_reader`` charges the time to fetch the boot-time working set
         of the image; when omitted, the bytes are read from the node's local
-        disk.  ``format_fs`` creates a fresh guest file system instead of
-        mounting the one found on the disk (used only to prepare base
-        images).
+        disk.  The guest file system found on the disk is mounted.
         """
         self.node.check_alive()
         vm.attach_disk(disk)
@@ -116,11 +113,7 @@ class Hypervisor:
                 yield self.node.disk.read(boot_read_bytes, label=f"boot:{vm.instance_id}")
         yield self.env.timeout(self._jitter(self.vm_spec.boot_time, ("boot", vm.instance_id)))
         self.node.check_alive()
-        if format_fs:
-            fs = GuestFileSystem.format(disk)
-        else:
-            fs = GuestFileSystem.mount(disk)
-        vm.mark_running(fs)
+        vm.mark_running(GuestFileSystem.mount(disk))
         return vm
 
     def suspend(self, vm: VMInstance) -> Generator:

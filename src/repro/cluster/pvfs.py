@@ -88,14 +88,11 @@ class PVFSDeployment:
 
     # -- data path -----------------------------------------------------------------------
 
-    def write_file(
-        self, client: str, name: str, size: int, payload: Any = None, overwrite: bool = True
-    ) -> Generator:
-        """Simulation process: store a file of ``size`` bytes from ``client``."""
+    def write_file(self, client: str, name: str, size: int, payload: Any = None) -> Generator:
+        """Simulation process: store a file of ``size`` bytes from ``client``
+        (replacing one of the same name)."""
         if size < 0:
             raise StorageError(f"negative file size: {size}")
-        if not overwrite and name in self._files:
-            raise FileSystemError(f"PVFS file {name!r} already exists")
         # create + layout + close on the metadata server
         yield from self._metadata_op(client, count=2)
         stripes = max(1, min(len(self.server_nodes), size // max(1, self.spec.stripe_size)))

@@ -14,11 +14,11 @@ released (:meth:`~repro.blobseer.provider.ProviderManager.release`): a run no
 retained version references leaves whole, and no stripe is looked at on its
 own unless its run is partially retained.
 
-When the dedup layer is active every stripe is a run of one and collection
-is reference-counted per chunk: a dropped descriptor releases one reference
-on the canonical chunk holding its content, and the physical chunk is
-released only when the last referencing alias is gone.  A stripe described
-by hand, without the run that was stored for it, is collected by key too.
+The dedup layer changes nothing here: a stripe whose content was already
+stored references the stored run that holds it, so that run is marked by
+every retained stripe that shares it and swept once none does.  Only a stripe
+described by hand, without the run that was stored for it, is deleted by key,
+provider by provider.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.blobseer.provider import ChunkKey, StoredRun
 from repro.core.repository import CheckpointRepository
-from repro.util.errors import ChunkNotFoundError
 
 #: half-open chunk-index ranges of one stored run
 Ranges = List[Tuple[int, int]]
@@ -46,10 +45,6 @@ class GCReport:
     deleted_chunks: int = 0
     #: physical bytes freed on provider disks (replicas included)
     reclaimed_bytes: int = 0
-    #: dedup aliases dropped with their referencing descriptors
-    released_aliases: int = 0
-    #: canonical chunks kept alive because other aliases still reference them
-    retained_canonical_chunks: int = 0
 
 
 def _uncovered(spans: Ranges, marks: Ranges) -> Iterator[Tuple[int, int]]:
@@ -115,9 +110,8 @@ class SnapshotGarbageCollector:
 
         # Phase 2, mark: per stored run, the index ranges that retained
         # versions of any blob (the base image and sibling clones included)
-        # reference, and those that dropped versions do.  By key where each
-        # stripe is a run of one (dedup) or its stored run is not known.
-        engine = client.dedup
+        # reference, and those that dropped versions do.  By key where a
+        # stripe's stored run is not known.
         metadata = client.metadata
         marks: Dict[StoredRun, Ranges] = {}
         sweep: Dict[StoredRun, Ranges] = {}
@@ -130,7 +124,7 @@ class SnapshotGarbageCollector:
                     for version in versions
                 )
                 for run, first, last in extents:
-                    if engine is None and run.stored is not None:
+                    if run.stored is not None:
                         by_run.setdefault(run.stored, []).append(
                             (first - run.first_stripe, last - run.first_stripe + 1)
                         )
@@ -138,32 +132,18 @@ class SnapshotGarbageCollector:
                         by_key.update(run.keys(first, last))
 
         # Phase 3, sweep: what only dropped versions reference is released.
-        doomed = [
-            (run, first, stop)
-            for run, spans in sweep.items()
-            for first, stop in _uncovered(spans, marks.get(run, ()))
-        ]
-        # With the dedup layer, a dropped descriptor holds one *reference* on
-        # a canonical chunk: the physical chunk dies only when its last alias
-        # is dropped (refcount-aware collection).
+        for run, spans in sweep.items():
+            for first, stop in _uncovered(spans, marks.get(run, ())):
+                chunks, nbytes = client.release(run, first, stop)
+                report.deleted_chunks += chunks
+                report.reclaimed_bytes += nbytes
         for key in drop_keys - kept_keys:
-            canonical = metadata.resolve_chunk(key)
-            if metadata.drop_chunk_alias(key):
-                report.released_aliases += 1
-            entry = engine.release(canonical) if engine is not None else None
-            if entry is not None and entry.refcount > 0:
-                # Other descriptors still reference this content.
-                report.retained_canonical_chunks += 1
-                continue
-            try:
-                run, index = client.providers.locate(canonical, entry.providers if entry else ())
-            except ChunkNotFoundError:
-                continue  # lost with the providers that held it
-            doomed.append((run, index, index + 1))
-        for run, first, stop in doomed:
-            chunks, nbytes = client.providers.release(run, first, stop)
-            report.deleted_chunks += chunks
-            report.reclaimed_bytes += nbytes
+            # a chunk that was stored on its own is one run per replica
+            for provider in client.providers.providers:
+                nbytes = provider.delete(key)
+                if nbytes is not None:
+                    report.deleted_chunks += 1
+                    report.reclaimed_bytes += nbytes
 
         # Phase 4: forget the dropped versions' metadata and records.
         for blob_id, (keep, drop) in plans.items():

@@ -130,8 +130,8 @@ class CheckpointRepository:
             if inner is not None:
                 TRACER.end(inner, env.now)
         if result:
-            # Dedup-hit stripes still publish a descriptor + alias record, so
-            # they count toward the metadata RPCs even though no data shipped.
+            # Dedup-hit stripes still publish a descriptor, so they count
+            # toward the metadata RPCs even though no data shipped.
             inner = None
             if TRACER.enabled:
                 inner = TRACER.begin("metadata-commit", client_node, env.now)
@@ -254,22 +254,27 @@ class CheckpointRepository:
         """(physical bytes to transfer, logical bytes to inflate) for a read.
 
         Only meaningful with the dedup layer on: stored chunks are shipped at
-        their compressed footprint (aliases resolve to their canonical chunk)
-        and only content that was actually compressed charges decompression
-        CPU.  Holes transfer nothing.
+        their compressed footprint (a stripe that shares a stored chunk ships
+        that chunk) and only content that was actually compressed charges
+        decompression CPU.  Holes transfer nothing.
         """
+        client = self.client
+        if version is None:
+            version = client.latest_version(blob_id)
+        chunk_size = client.version_manager.get(blob_id).chunk_size
+        end = offset + size
         physical = 0.0
         inflatable = 0
-        for segment in self.client.read_plan(blob_id, offset, size, version):
-            descriptor = segment.descriptor
-            if descriptor is None or descriptor.length == 0:
-                continue
-            canonical = self.client.metadata.resolve_chunk(descriptor.key)
-            entry = self.dedup.index.entry_for_key(canonical)
-            stored = entry.stored_size if entry is not None else descriptor.length
-            physical += stored * (segment.length / descriptor.length)
-            if stored > HEADER_BYTES:
-                inflatable += segment.length
+        for run, first, last in client.metadata.extents_in_range(
+            blob_id, version, offset // chunk_size, (end - 1) // chunk_size
+        ):
+            stored = run.stored.stored_size
+            for stripe in range(first, last + 1):
+                length = run.last_length if stripe == run.last_stripe else run.stripe_length
+                window = min(end, (stripe + 1) * chunk_size) - max(offset, stripe * chunk_size)
+                physical += stored * (window / length)
+                if stored > HEADER_BYTES:
+                    inflatable += window
         return physical, inflatable
 
     def fetch_hot_content(self, client_node: str, nbytes: float, label: str = "") -> Generator:

@@ -289,7 +289,9 @@ class Deployment(abc.ABC):
     def restart_all(
         self, checkpoint: GlobalCheckpoint, target_nodes: Optional[Dict[str, str]] = None
     ) -> Generator:
-        """Simulation process: kill everything and restart from ``checkpoint``.
+        """Simulation process: kill everything and restart from ``checkpoint``,
+        which must hold a snapshot of every instance (``RestartError``, with
+        every instance left running, if it does not).
 
         Completion time spans from the beginning of re-deployment until every
         instance has rebooted (or resumed) and restored its process state --
@@ -300,17 +302,18 @@ class Deployment(abc.ABC):
                 f"cannot restart from checkpoint {checkpoint.index}: it records no "
                 "instance snapshots (was it taken before any instance was deployed?)"
             )
+        for instance in self.instances:
+            if instance.instance_id not in checkpoint.records:
+                raise RestartError(
+                    f"checkpoint {checkpoint.index} has no snapshot of {instance.instance_id}"
+                )
         self.kill_all()
         mapping = target_nodes or self.restart_targets()
         self.cloud.claim_nodes(sorted(set(mapping.values())), owner=self)
         started = self.cloud.now
         procs = []
         for instance in self.instances:
-            record = checkpoint.records.get(instance.instance_id)
-            if record is None:
-                raise RestartError(
-                    f"checkpoint {checkpoint.index} has no snapshot of {instance.instance_id}"
-                )
+            record = checkpoint.records[instance.instance_id]
             target = mapping[instance.instance_id]
             procs.append(self.cloud.process(
                 self.restart_instance(instance, record, target),

@@ -10,8 +10,7 @@ fix -- a content-addressed store -- as an opt-in layer under BlobSeer:
   :class:`~repro.util.bytesource.ByteSource` payloads;
 * :mod:`repro.dedup.codec` -- pluggable storage codecs (identity, simulated
   zlib / LZ4) that model compressed size and CPU cost;
-* :mod:`repro.dedup.index` -- digest -> canonical chunk map with reference
-  counting;
+* :mod:`repro.dedup.index` -- digest -> stored run map;
 * :mod:`repro.dedup.engine` -- the write-path policy object owned by
   :class:`~repro.blobseer.client.BlobClient`.
 
@@ -28,7 +27,7 @@ from repro.dedup.codec import (
 )
 from repro.dedup.engine import DedupEngine, IngestDecision, build_engine
 from repro.dedup.fingerprint import content_digest, is_zero_content, zero_digest
-from repro.dedup.index import CanonicalChunk, ChunkIndex
+from repro.dedup.index import ChunkIndex
 
 __all__ = [
     "HEADER_BYTES",
@@ -42,6 +41,5 @@ __all__ = [
     "content_digest",
     "is_zero_content",
     "zero_digest",
-    "CanonicalChunk",
     "ChunkIndex",
 ]

@@ -4,13 +4,13 @@ The engine is owned by :class:`~repro.blobseer.client.BlobClient` and consulted
 on the write path for every stripe payload:
 
 * :meth:`ingest` fingerprints the payload and answers "is this content already
-  stored?".  On a *hit* it bumps the canonical chunk's refcount and returns the
-  canonical key (the client records a logical->canonical alias instead of
-  shipping the chunk).  On a *miss* it returns the physical size the codec will
-  store and the CPU cost; the client stores the chunk and completes the
-  handshake with :meth:`register_canonical`.
-* :meth:`release` is driven by the garbage collector when a chunk descriptor
-  is dropped; it reports whether the physical chunk may now be reclaimed.
+  stored?".  On a *hit* it returns the stored run that holds it, which the
+  new stripe then references instead of shipping a copy.  On a *miss* it
+  returns the physical size the codec will store and the CPU cost; the client
+  stores the chunk and completes the handshake with :meth:`register_canonical`.
+* A run that leaves the store (snapshot collection, the rollback of a failed
+  write) is taken out of :attr:`DedupEngine.index` by the client; one that was
+  lost with its providers is found out by the next ``ingest`` that meets it.
 
 All CPU costs (fingerprinting and compression) are *returned*, not slept --
 the functional storage core has no clock; the deployment layer charges them
@@ -20,15 +20,15 @@ to the simulation environment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 from repro.dedup.codec import StorageCodec, make_codec
 from repro.dedup.fingerprint import content_digest, is_zero_content
-from repro.dedup.index import CanonicalChunk, ChunkIndex
+from repro.dedup.index import ChunkIndex
 from repro.util.bytesource import ByteSource
 
 if TYPE_CHECKING:  # blobseer.client imports this module: a runtime import would be a cycle
-    from repro.blobseer.provider import ChunkKey
+    from repro.blobseer.provider import ProviderManager, StoredRun
 
 
 @dataclass(frozen=True)
@@ -36,15 +36,17 @@ class IngestDecision:
     """Outcome of fingerprinting one stripe payload on the write path."""
 
     digest: str
-    #: True when identical content is already stored
-    duplicate: bool
-    #: canonical key / providers to alias to (hits only)
-    canonical_key: Optional[ChunkKey] = None
-    canonical_providers: Tuple[str, ...] = ()
+    #: the stored run that already holds identical content (hits only)
+    run: Optional[StoredRun] = None
     #: physical bytes the codec will store (misses only; 0 for hits)
     stored_size: int = 0
     #: fingerprint + compression CPU to charge to the simulation clock
     cpu_seconds: float = 0.0
+
+    @property
+    def duplicate(self) -> bool:
+        """True when identical content is already stored."""
+        return self.run is not None
 
 
 class DedupEngine:
@@ -55,12 +57,7 @@ class DedupEngine:
         #: bytes/s of BLAKE2b hashing charged as CPU time (0 disables charging)
         self.fingerprint_bandwidth = fingerprint_bandwidth
         self.index = ChunkIndex()
-        #: liveness probe for canonical chunks (wired by the BlobClient): a
-        #: dedup hit is only valid while some live provider still holds the
-        #: canonical replica; after a fail-stop loss the stale entry must be
-        #: dropped so the content is stored afresh instead of aliased to a
-        #: ghost chunk
-        self.availability: Optional[Callable[[ChunkKey, Tuple[str, ...]], bool]] = None
+        #: indexed runs found lost with their providers and stored afresh
         self.invalidated_chunks = 0
         #: bytes the chunks registered as canonical occupy after compression
         self.physical_bytes_stored = 0
@@ -72,56 +69,31 @@ class DedupEngine:
             return 0.0
         return nbytes / self.fingerprint_bandwidth
 
-    def ingest(self, payload: ByteSource) -> IngestDecision:
-        """Fingerprint ``payload`` and decide between aliasing and storing."""
+    def ingest(self, payload: ByteSource, providers: ProviderManager) -> IngestDecision:
+        """Fingerprint ``payload`` and decide between sharing and storing.
+
+        A hit is only valid while a live provider of ``providers`` still holds
+        the run; after a fail-stop loss the stale entry is dropped so the
+        content is stored afresh instead of shared with a ghost.
+        """
         digest = content_digest(payload)
         cpu = self._fingerprint_cost(payload.size)
-        entry = self.index.lookup(digest)
-        if (
-            entry is not None
-            and self.availability is not None
-            and not self.availability(entry.key, entry.providers)
-        ):
-            self.index.discard(entry.key)
+        run = self.index.lookup(digest)
+        if run is not None:
+            if providers.live_prefix(run, 0, 1):
+                return IngestDecision(digest=digest, run=run, cpu_seconds=cpu)
+            self.index.forget(run)
             self.invalidated_chunks += 1
-            entry = None
-        if entry is not None and entry.logical_size == payload.size:
-            self.index.acquire(digest)
-            return IngestDecision(
-                digest=digest, duplicate=True, canonical_key=entry.key,
-                canonical_providers=entry.providers, cpu_seconds=cpu,
-            )
         stored = self.codec.stored_size(
             payload.size, is_zero=is_zero_content(digest, payload.size)
         )
         cpu += self.codec.compress_seconds(payload.size)
-        return IngestDecision(
-            digest=digest, duplicate=False, stored_size=stored, cpu_seconds=cpu,
-        )
+        return IngestDecision(digest=digest, stored_size=stored, cpu_seconds=cpu)
 
-    def register_canonical(
-        self,
-        decision: IngestDecision,
-        key: ChunkKey,
-        logical_size: int,
-        providers: Tuple[str, ...],
-    ) -> CanonicalChunk:
-        """Complete a miss: record the chunk just stored as canonical."""
+    def register_canonical(self, decision: IngestDecision, run: StoredRun) -> None:
+        """Complete a miss: offer the run just stored to later writes."""
         self.physical_bytes_stored += decision.stored_size
-        return self.index.add(
-            decision.digest, key, logical_size, decision.stored_size, providers
-        )
-
-    # -- reclamation ---------------------------------------------------------------
-
-    def release(self, key: ChunkKey) -> Optional[CanonicalChunk]:
-        """Drop one descriptor reference on the canonical chunk ``key``.
-
-        Returns the index entry (refcount already decremented; reclaim the
-        physical chunk iff it reached 0) or ``None`` when the key was never
-        indexed (stored before/without dedup).
-        """
-        return self.index.release(key)
+        self.index.add(decision.digest, run)
 
 
 def build_engine(spec) -> Optional[DedupEngine]:

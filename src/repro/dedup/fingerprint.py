@@ -10,7 +10,7 @@ computed by streaming the content through BLAKE2b: each window is written by
 ever materialised in one piece.
 
 Digests embed the payload size so that a (vanishingly unlikely) hash collision
-between payloads of different lengths can never alias them.
+between payloads of different lengths can never confuse them.
 """
 
 from __future__ import annotations

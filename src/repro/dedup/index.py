@@ -1,130 +1,61 @@
-"""Content-addressed chunk index with reference counting.
+"""Content-addressed index of the stored runs.
 
-The :class:`ChunkIndex` maps content digests to the *canonical* stored chunk
-holding that content.  Every chunk descriptor that references the content --
-the canonical chunk's own descriptor plus every deduplicated alias -- holds
-one reference; the physical chunk may only be reclaimed when the count drops
-to zero (the garbage collector drives :meth:`release`).
+The :class:`ChunkIndex` maps a content digest to the stored run that holds
+that content.  A stripe whose content is already stored references that run
+instead of shipping a copy; whether a run is still needed is decided by what
+the retained versions reach (the garbage collector's mark and sweep), not
+counted here.  The index only has to *forget* a run that left the store.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.util.errors import StorageError
 
 if TYPE_CHECKING:  # blobseer.client imports repro.dedup: a runtime import would be a cycle
-    from repro.blobseer.provider import ChunkKey
-
-
-@dataclass
-class CanonicalChunk:
-    """Index entry for one physically stored chunk."""
-
-    digest: str
-    #: key the chunk is physically stored under
-    key: ChunkKey
-    logical_size: int
-    #: bytes actually occupying provider disks (post-compression)
-    stored_size: int
-    #: providers holding the replicas (read-path preference for aliases)
-    providers: Tuple[str, ...]
-    #: number of chunk descriptors (canonical + aliases) referencing this content
-    refcount: int = 1
+    from repro.blobseer.provider import StoredRun
 
 
 class ChunkIndex:
-    """Digest -> canonical chunk map with per-chunk reference counts."""
+    """Digest -> stored run map (every run in it is a run of one chunk)."""
 
     def __init__(self) -> None:
-        self._by_digest: Dict[str, CanonicalChunk] = {}
-        self._by_key: Dict[ChunkKey, CanonicalChunk] = {}
+        self._by_digest: Dict[str, StoredRun] = {}
+        self._digests: Dict[StoredRun, str] = {}
 
     def __len__(self) -> int:
         return len(self._by_digest)
 
     @property
     def stored_bytes(self) -> int:
-        """Physical bytes of all indexed canonical chunks (one replica each)."""
-        return sum(entry.stored_size for entry in self._by_digest.values())
+        """Physical bytes of all indexed runs (one replica each)."""
+        return sum(run.stored_size for run in self._digests)
 
     @property
     def logical_bytes(self) -> int:
-        return sum(entry.logical_size for entry in self._by_digest.values())
+        return sum(run.last_length for run in self._digests)
 
-    # -- lookups -----------------------------------------------------------------
-
-    def lookup(self, digest: str) -> Optional[CanonicalChunk]:
+    def lookup(self, digest: str) -> Optional[StoredRun]:
         return self._by_digest.get(digest)
 
-    def entry_for_key(self, key: ChunkKey) -> Optional[CanonicalChunk]:
-        return self._by_key.get(key)
-
-    def refcount(self, key: ChunkKey) -> int:
-        entry = self._by_key.get(key)
-        return entry.refcount if entry is not None else 0
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def add(
-        self,
-        digest: str,
-        key: ChunkKey,
-        logical_size: int,
-        stored_size: int,
-        providers: Tuple[str, ...],
-    ) -> CanonicalChunk:
-        """Register a newly stored canonical chunk (initial refcount 1)."""
+    def add(self, digest: str, run: StoredRun) -> None:
+        """Offer the newly stored ``run`` to later writes of the same content."""
         if digest in self._by_digest:
-            raise StorageError(f"digest {digest} already has a canonical chunk")
-        if key in self._by_key:
-            raise StorageError(f"chunk {key} is already indexed")
-        entry = CanonicalChunk(
-            digest=digest, key=key, logical_size=logical_size,
-            stored_size=stored_size, providers=providers,
-        )
-        self._by_digest[digest] = entry
-        self._by_key[key] = entry
-        return entry
+            raise StorageError(f"digest {digest} already has a stored run")
+        if run in self._digests:
+            raise StorageError(f"chunk ({run.blob_id}, {run.first_chunk_id}) is already indexed")
+        self._by_digest[digest] = run
+        self._digests[run] = digest
 
-    def acquire(self, digest: str) -> CanonicalChunk:
-        """Add one reference (a new alias) to the canonical chunk of ``digest``."""
-        try:
-            entry = self._by_digest[digest]
-        except KeyError:
-            raise StorageError(f"no canonical chunk for digest {digest}") from None
-        entry.refcount += 1
-        return entry
+    def forget(self, run: StoredRun) -> None:
+        """Stop offering ``run`` (it left the store, or was lost with its
+        providers); a run the index does not know is passed over.
 
-    def release(self, key: ChunkKey) -> Optional[CanonicalChunk]:
-        """Drop one reference on the canonical chunk stored under ``key``.
-
-        Returns the entry (so the caller can inspect ``refcount``); when the
-        count reaches zero the entry is removed from the index and the caller
-        must delete the physical chunk.  Returns ``None`` for keys the index
-        does not know about (chunks stored without dedup).
+        Stripes that share a lost run stay lost -- exactly the data loss an
+        unreplicated provider failure already implies -- but *future* writes
+        of the same content store a fresh run instead of sharing a ghost.
         """
-        entry = self._by_key.get(key)
-        if entry is None:
-            return None
-        if entry.refcount <= 0:  # pragma: no cover - internal invariant
-            raise StorageError(f"refcount underflow on canonical chunk {key}")
-        entry.refcount -= 1
-        if entry.refcount == 0:
-            del self._by_digest[entry.digest]
-            del self._by_key[entry.key]
-        return entry
-
-    def discard(self, key: ChunkKey) -> Optional[CanonicalChunk]:
-        """Forget an entry regardless of refcount (its physical chunk was lost).
-
-        Existing aliases keep pointing at the lost content -- exactly the data
-        loss an unreplicated provider failure already implies -- but *future*
-        writes of the same content will store a fresh canonical chunk instead
-        of aliasing a ghost.
-        """
-        entry = self._by_key.pop(key, None)
-        if entry is not None:
-            del self._by_digest[entry.digest]
-        return entry
+        digest = self._digests.pop(run, None)
+        if digest is not None:
+            del self._by_digest[digest]

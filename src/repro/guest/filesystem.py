@@ -22,7 +22,7 @@ the paper depends on:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -50,10 +50,9 @@ class FileStat:
 _json_key = lru_cache(maxsize=4096)(json.dumps)
 
 
-def _table_line(path: str, size: int, extents: List[Tuple[int, int]]) -> str:
+def _table_line(path: str, size: int, offset: int, length: int) -> str:
     """One file's line of the inode table, as ``json.dumps`` writes it with ``sort_keys``."""
-    spans = ", ".join([f"[{offset}, {length}]" for offset, length in extents])
-    return f'{_json_key(path)}: {{"extents": [{spans}], "size": {size}}}'
+    return f'{_json_key(path)}: {{"extents": [[{offset}, {length}]], "size": {size}}}'
 
 
 @dataclass(slots=True)
@@ -64,17 +63,15 @@ class _FileNode:
     size: int = 0
     #: size of the data actually flushed to the device (what a crash keeps)
     flushed_size: int = 0
-    #: contiguous on-disk extents as (device offset, length)
-    extents: List[Tuple[int, int]] = field(default_factory=list)
+    #: the file's one on-disk extent: device offset and allocated length
+    #: (0 until the first flush allocates it)
+    offset: int = 0
+    on_disk_size: int = 0
     #: cached content (always present for dirty files)
     cached: Optional[ByteSource] = None
     dirty: bool = False
-    #: :func:`_table_line` of ``flushed_size`` and ``extents``, set where they change
+    #: :func:`_table_line` of ``flushed_size`` and the extent, set where they change
     line: str = ""
-
-    @property
-    def on_disk_size(self) -> int:
-        return sum(length for _off, length in self.extents)
 
 
 class GuestFileSystem:
@@ -118,10 +115,16 @@ class GuestFileSystem:
         fs._next_free = int(table["next_free"])
         for path, entry in table["files"].items():
             size = int(entry["size"])
-            extents = [(int(o), int(l)) for o, l in entry["extents"]]
-            line = _table_line(path, size, extents)
+            try:
+                ((offset, length),) = entry["extents"]
+            except ValueError:
+                raise FileSystemError(
+                    f"corrupted file-system metadata: {path} does not have exactly one extent"
+                ) from None
+            offset, length = int(offset), int(length)
+            line = _table_line(path, size, offset, length)
             # by position: keywords cost a mount half a microsecond per inode
-            fs._files[path] = _FileNode(path, size, size, extents, None, False, line)
+            fs._files[path] = _FileNode(path, size, size, offset, length, None, False, line)
         fs._mounted = True
         return fs
 
@@ -178,15 +181,11 @@ class GuestFileSystem:
         if node.cached is not None:
             return node.cached
         pieces: List[ByteSource] = []
-        remaining = node.flushed_size
-        for offset, length in node.extents:
-            take = min(length, remaining)
-            if take <= 0:
-                break
-            pieces.append(self.device.read(offset, take))
-            remaining -= take
-        if remaining > 0:
-            pieces.append(ZeroBytes(remaining))
+        take = min(node.on_disk_size, node.flushed_size)
+        if take > 0:
+            pieces.append(self.device.read(node.offset, take))
+        if node.flushed_size > take:
+            pieces.append(ZeroBytes(node.flushed_size - take))
         return concat(pieces) if pieces else LiteralBytes(b"")
 
     def delete(self, path: str) -> None:
@@ -226,7 +225,7 @@ class GuestFileSystem:
         node = self._files.get(path)
         if node is None:
             raise FileSystemError(f"no such file: {path}")
-        return list(node.extents)
+        return [(node.offset, node.on_disk_size)] if node.on_disk_size else []
 
     def stat(self, path: str) -> FileStat:
         self._require_mounted()
@@ -291,14 +290,14 @@ class GuestFileSystem:
     def _flush_node(self, node: _FileNode, pieces: List[Tuple[int, ByteSource]]) -> int:
         content = node.cached if node.cached is not None else self._content_of(node)
         size = content.size
-        fresh = size > node.on_disk_size or not node.extents
+        fresh = size > node.on_disk_size or not node.on_disk_size
         if fresh:
-            # Allocate a fresh contiguous extent for the whole file (old
-            # extents are abandoned, log-structured style).
-            node.extents = [self._allocate(max(size, 1))]
-        pieces.append((node.extents[0][0], content))
+            # Allocate a fresh contiguous extent for the whole file (the old
+            # one is abandoned, log-structured style).
+            node.offset, node.on_disk_size = self._allocate(max(size, 1))
+        pieces.append((node.offset, content))
         if fresh or size != node.flushed_size:
-            node.line = _table_line(node.path, size, node.extents)
+            node.line = _table_line(node.path, size, node.offset, node.on_disk_size)
         node.size = node.flushed_size = size
         node.dirty = False
         node.cached = None
@@ -307,7 +306,7 @@ class GuestFileSystem:
 
     def _write_metadata(self, pieces: List[Tuple[int, ByteSource]]) -> int:
         lines = ", ".join(
-            [node.line for _path, node in sorted(self._files.items()) if node.extents]
+            [node.line for _path, node in sorted(self._files.items()) if node.on_disk_size]
         )
         payload = f'{{"files": {{{lines}}}, "next_free": {self._next_free}}}'.encode("utf-8")
         if len(payload) + 8 > METADATA_REGION:

@@ -99,11 +99,7 @@ class FaultToleranceDriver:
     def _schedule_failures(self) -> None:
         if not self.plan.enabled:
             return
-        candidates = (
-            [inst.node_name for inst in self.deployment.instances]
-            if self.plan.target_hosts_only
-            else None
-        )
+        candidates = [inst.node_name for inst in self.deployment.instances]
         if self.plan.at_times:
             for offset in self.plan.at_times:
                 self.injector.fail_random_at(self.cloud.now + offset, candidates)

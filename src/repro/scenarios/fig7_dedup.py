@@ -6,8 +6,8 @@ under BlobSeer can fold away.  The workload models the common failure mode of
 COW-granularity incremental snapshots: an application that rewrites its whole
 state file on every checkpoint epoch dirties **every** block, even though only
 a fraction of the blocks actually changed content.  Plain BlobCR must then
-re-store the full file per checkpoint; with dedup, unchanged blocks collapse
-into aliases of the chunks already stored, and a codec squeezes what remains.
+re-store the full file per checkpoint; with dedup, unchanged blocks share
+the chunks already stored, and a codec squeezes what remains.
 
 Three repository configurations are compared over N successive checkpoints:
 
@@ -17,9 +17,9 @@ Three repository configurations are compared over N successive checkpoints:
 
 For each configuration the experiment records per checkpoint: the commit
 completion time, the cumulative physical bytes on the providers and the dedup
-ratio (logical/physical).  Every snapshot version is then read back through
-the alias-resolving read path and verified byte-for-byte against the expected
-content, which is what makes the ablation trustworthy.
+ratio (logical/physical).  Every snapshot version is then read back (shared
+chunks included) and verified byte-for-byte against the expected content,
+which is what makes the ablation trustworthy.
 """
 
 from __future__ import annotations
@@ -117,8 +117,7 @@ def _run_mode(
 
     cloud.run(cloud.process(scenario(), name=f"fig7:{dedup.codec}"))
 
-    # Verify every snapshot restores byte-identical content through the
-    # (alias-resolving) read path.
+    # Verify every snapshot restores byte-identical content, shared chunks included.
     blob_id = repository.client.version_manager.blobs()[0].blob_id
     for version, contents in outcome.snapshots:
         data = repository.client.read(blob_id, 0, nblocks * block_size, version=version)

@@ -81,8 +81,8 @@ class FailurePlan:
       start), used by the integration tests to hit precise phases;
     * neither -- no failures (the paper's fault-free runs).
 
-    ``target_hosts_only`` draws victims from the nodes hosting VM instances
-    when the plan is scheduled.  The whole schedule (times and victims) is
+    Victims are drawn from the nodes hosting VM instances when the plan is
+    scheduled.  The whole schedule (times and victims) is
     fixed up front so every approach faces an identical fault trace; after a
     rollback relocates instances onto spare nodes, a later failure from the
     trace may hit a node that no longer hosts an instance -- it still counts
@@ -93,7 +93,6 @@ class FailurePlan:
     mtbf_s: float = 0.0
     at_times: Tuple[float, ...] = ()
     horizon_s: float = 0.0
-    target_hosts_only: bool = True
 
     @property
     def enabled(self) -> bool:
@@ -134,8 +133,6 @@ class ScenarioSpec:
     #: passes the runner's spec through untouched, preserving the paper
     #: figures' historical behaviour)
     cluster: Optional[Callable[[ClusterSpec], ClusterSpec]] = None
-    #: declarative failure plan (consumed by the scenario's cell function)
-    failures: FailurePlan = field(default_factory=FailurePlan)
     #: scenario *parameters*: named cell-function arguments that are not
     #: sweep axes (duration caps, trace paths, queue depths, ...).  Their
     #: defaults seed every cell's parameters; ``--override
@@ -165,7 +162,6 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"scenario {self.name!r} parameter(s) {clashes} collide with sweep axes"
             )
-        self.failures.validate()
 
     # -- composition -------------------------------------------------------------------
 

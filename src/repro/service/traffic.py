@@ -27,17 +27,16 @@ def start_tenant_flows(
     chunk_bytes: int,
     stop: Dict[str, bool],
     seed: object = "traffic",
-    spread: float = 0.5,
 ) -> None:
     """Start one endless background flow per ``(src, dst)`` pair.
 
     Each flow's chunk size is drawn once from ``make_rng`` keyed by the pair
-    index (uniform in ``[1 - spread, 1 + spread]`` times ``chunk_bytes``), so
+    index (uniform in ``[0.5, 1.5]`` times ``chunk_bytes``), so
     per-tenant traffic is heterogeneous yet a pure function of the seed.
     """
     for index, (src, dst) in enumerate(pairs):
         rng = make_rng("service-traffic", seed, index)
-        factor = 1.0 + float(rng.uniform(-spread, spread)) if spread > 0 else 1.0
+        factor = 1.0 + float(rng.uniform(-0.5, 0.5))
         chunk = max(1, int(chunk_bytes * factor))
         cloud.process(
             background_flow(cloud, src, dst, chunk, stop),

@@ -339,8 +339,8 @@ class AnyOf(Condition):
 class Environment:
     """Simulated clock plus event loop."""
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: list[tuple[float, int, int, Event]] = []
         self._sequence = 0
         self._active_process: Optional[Process] = None

@@ -3,6 +3,7 @@
 import importlib
 import json
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.cli import main
 from repro.cluster import Cloud
 from repro.core import BlobCRDeployment
 from repro.core.backends import _BACKENDS, BackendCapabilities
-from repro.util.config import GRAPHENE
+from repro.util.config import GRAPHENE, DedupSpec
 from repro.util.errors import ConfigurationError, RestartError
 
 SMALL = GRAPHENE.scaled(compute_nodes=6, service_nodes=3)
@@ -209,6 +210,46 @@ class TestSessionCollect:
         assert session.collect().dropped_versions
         again = session.collect()
         assert (again.dropped_versions, again.deleted_chunks, again.reclaimed_bytes) == ([], 0, 0)
+
+    @pytest.mark.parametrize("codec", ["identity", "zlib"])
+    def test_collect_with_the_dedup_layer_on(self, codec):
+        """Repeating content is stored once, by whoever wrote it first; it stays
+        while a retained checkpoint of any instance shares it."""
+        dedup = DedupSpec(enabled=True, codec=codec)
+        session = Session.from_spec(replace(SMALL, blobseer=replace(SMALL.blobseer, dedup=dedup)))
+        session.deploy("blobcr", n=3)
+
+        def state(epoch):  # a part every instance rewrites alike, a part that never changes
+            return bytes([epoch]) * 600_000 + b"\x07" * 1_500_000
+
+        checkpoints, used = [], []
+        for epoch in (1, 2, 3):
+            for instance_id in session.instance_ids:
+                session.guest_write(instance_id, "/ckpt/state.dat", state(epoch))
+            checkpoints.append(session.checkpoint())
+            used.append(session.deployment.storage_used_bytes())
+        # three instances rewrote their state twice: that took less room than one's did
+        assert used[2] - used[0] < 2 * len(state(1))
+        repository = session.deployment.repository
+        before = used[2]
+        indexed = len(repository.dedup.index)
+
+        report = session.collect(keep_latest=1)
+        assert session.checkpoints == (checkpoints[2],)
+        assert report.reclaimed_bytes > 0
+        assert session.deployment.storage_used_bytes() == before - report.reclaimed_bytes < before
+        assert 0 < len(repository.dedup.index) < indexed
+        again = session.collect(keep_latest=1)
+        assert (again.dropped_versions, again.deleted_chunks, again.reclaimed_bytes) == ([], 0, 0)
+
+        with pytest.raises(RestartError, match="checkpoint 1 .*collected"):
+            session.restart(checkpoints[0])
+        assert all(instance.vm.is_running for instance in session.deployment.instances)
+        for instance_id in session.instance_ids:  # what the crash must not take with it
+            session.guest_write(instance_id, "/ckpt/state.dat", b"lost with the crash")
+        session.restart(checkpoints[2])
+        for instance_id in session.instance_ids:
+            assert session.guest_read(instance_id, "/ckpt/state.dat") == state(3)
 
     @pytest.mark.parametrize("backend", ["qcow2-disk", "qcow2-full"])
     def test_a_backend_without_a_repository_is_named(self, backend):

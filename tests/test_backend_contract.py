@@ -26,7 +26,7 @@ from repro.core.migration import MIGRATION_MODES
 from repro.scenarios.fault_tolerance import fault_tolerant_cluster
 from repro.util.bytesource import SyntheticBytes
 from repro.util.config import GRAPHENE
-from repro.util.errors import FailureInjected, MigrationError
+from repro.util.errors import FailureInjected, MigrationError, RestartError
 
 #: two replicas, so the provider that dies with a migration source holds no
 #: only copy of a chunk
@@ -196,3 +196,21 @@ def test_a_checkpoint_after_rolling_back_snapshots_the_rolled_back_disk(backend)
     for instance_id in session.instance_ids:
         assert session.guest_read(instance_id, SAVED) == bytes([1]) * 300_000
         assert session.guest_read(instance_id, LATER) == content(instance_id, LATER)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_checkpoint_that_misses_an_instance_is_refused_with_everything_running(backend):
+    """``restart_all`` used to kill every instance before it found the record missing."""
+    session = deployed_and_checkpointed(backend)
+    deployment = session.deployment
+    partial = session.drive(
+        deployment.checkpoint_all(instances=deployment.instances[:1]), name="partial-checkpoint"
+    )
+    assert list(partial.records) == [deployment.instances[0].instance_id]
+    with pytest.raises(RestartError, match=f"no snapshot of {deployment.instances[1].instance_id}"):
+        session.drive(deployment.restart_all(partial), name="refused-restart")
+    assert all(inst.vm.is_running for inst in deployment.instances)
+    assert_hosting_ledger(session)
+    assert_reads_back(session, [SAVED, LATER])
+    # and the deployment is none the worse for it
+    assert_survives_a_restart(session, [SAVED, LATER])

@@ -624,6 +624,7 @@ def test_fetch_many_refuses_a_hint_list_of_another_length():
 
 
 def test_holds_asks_the_placed_providers_first():
+    """``locate`` finds who holds a chunk: the providers it was placed on, then everyone."""
     manager = ProviderManager()
     for index in range(4):
         manager.register(DataProvider(f"p{index}"))
@@ -633,11 +634,14 @@ def test_holds_asks_the_placed_providers_first():
     asked = []
     for other in others:
         other._find = asked.append  # finds nothing (``None``), records the question
-    assert manager.holds(chunk.key, placed) and asked == []  # the hint sufficed
+    run, index = manager.locate(chunk.key, placed)
+    assert run.chunk(index).data.read() == b"canonical" and asked == []  # the hint sufficed
     for other in others:
         del other._find
-    assert manager.holds(chunk.key)
+    assert manager.locate(chunk.key) == (run, 0)
     manager.get(placed[0]).fail()
-    assert not manager.holds(chunk.key, placed)
+    with pytest.raises(ChunkNotFoundError, match="not stored on any live provider"):
+        manager.locate(chunk.key, placed)
     others[0].store(chunk)
-    assert manager.holds(chunk.key, placed)  # found by asking everyone
+    found, _index = manager.locate(chunk.key, placed)  # found by asking everyone
+    assert found is not run and found.payload.read() == b"canonical"

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blobseer import BlobClient, ChunkKey, DataProvider, ProviderManager
+from repro.blobseer import BlobClient, Chunk, ChunkKey, DataProvider, ProviderManager
+from repro.blobseer.metadata import ChunkDescriptor
 from repro.cluster import Cloud
 from repro.core import CheckpointRepository, SnapshotGarbageCollector
 from repro.core.gc import GCReport
@@ -105,7 +106,7 @@ class TestRefcountedDedupCollection:
         blob_a = client.create_blob(CHUNK)
         blob_b = client.create_blob(CHUNK)
         client.write(blob_a, 0, shared)           # canonical chunks
-        b_version = client.write(blob_b, 0, shared).version  # aliases, 0 shipped
+        b_version = client.write(blob_b, 0, shared).version  # shares them, 0 shipped
         assert repo.total_stored_bytes == shared.size
         # Obsolete both blobs' shared versions with fresh content.
         client.write(blob_a, 0, payload("a2"))
@@ -113,7 +114,7 @@ class TestRefcountedDedupCollection:
 
         collector = SnapshotGarbageCollector(repo, keep_latest=1)
         # Pass 1: drop only blob A's old version -- it owns the canonical
-        # chunks, but blob B's aliases still reference the content.
+        # chunks, but blob B's stripes still share them.
         before = repo.total_stored_bytes
         report = collector.collect(blob_ids=[blob_a])
         assert report.deleted_chunks == 0
@@ -139,7 +140,7 @@ class TestRefcountedDedupCollection:
         v1 = client.write(blob, 0, content).version
         client.write(blob, 0, payload("other", CHUNK))
         v3 = client.write(blob, 0, content).version  # dedups against v1
-        # Dropping v1 and v2 must keep the canonical chunk: v3 aliases it.
+        # Dropping v1 and v2 must keep the canonical chunk: v3 shares it.
         report = SnapshotGarbageCollector(repo, keep_latest=1).collect()
         assert v1 in {v for _b, v in report.dropped_versions}
         assert client.read(blob, 0, CHUNK, version=v3).read() == content.read()
@@ -168,11 +169,8 @@ def stored_keys(client, blob_id, version):
     keys = set()
     for run, first, last in client.metadata.extents_in_range(blob_id, version, 0, sys.maxsize):
         held = run.stored
-        if held is None:  # a stripe that names the chunk of another by key
-            keys.update(map(client.metadata.resolve_chunk, run.keys(first, last)))
-        else:
-            shift = held.first_chunk_id - run.first_stripe
-            keys.update(ChunkKey(held.blob_id, stripe + shift) for stripe in range(first, last + 1))
+        shift = held.first_chunk_id - run.first_stripe
+        keys.update(ChunkKey(held.blob_id, stripe + shift) for stripe in range(first, last + 1))
     return keys
 
 
@@ -240,7 +238,7 @@ def small_store(providers, replication, codec, capacity=10**18):
 def piece_source(seed, length, synthetic):
     if synthetic:
         return SyntheticBytes(("gc", seed), length)
-    # a handful of constant fills: whole stripes repeat, so the dedup layer aliases
+    # a handful of constant fills: whole stripes repeat, so the dedup layer shares them
     return LiteralBytes(bytes([seed % 4 + 1]) * length)
 
 
@@ -398,7 +396,7 @@ def test_a_batch_that_fails_on_its_last_run_leaves_the_store_as_it_was(replicati
 
     before = snapshot()
     room = sum(p.free_bytes for p in manager.providers) // (replication * SMALL)
-    # stripe 0 repeats stored content (an alias under dedup), a first run of fresh
+    # stripe 0 repeats stored content (a hit under dedup), a first run of fresh
     # stripes fits, and the run after the gap is a stripe more than is left
     batch = [
         (0, fills[2]),
@@ -461,3 +459,39 @@ def test_compressed_chunks_are_reclaimed_at_their_stored_size():
     assert report.deleted_chunks == 2 * 4
     assert report.reclaimed_bytes == 2 * old.bytes_written
     assert client.providers.total_used_bytes == before - report.reclaimed_bytes
+
+
+def test_stripes_described_by_hand_are_collected_by_key():
+    """A version registered straight with the metadata store names its chunks
+    by key only; the collector looks each doomed one up, wherever it is."""
+    client = small_store(3, 2, None)
+    blob = client.create_blob()
+    chunks = [
+        Chunk(ChunkKey(blob, 100 + i), LiteralBytes(bytes([i + 1]) * SMALL)) for i in range(3)
+    ]
+    described = {}
+    for stripe, chunk in enumerate(chunks):
+        placed = client.providers.store_replicated(chunk).providers
+        described[stripe] = ChunkDescriptor(stripe, SMALL, chunk.key, tuple(placed), (blob, 1))
+    client.metadata.derive_version(blob, 0, 1, described)
+    client.version_manager.publish(
+        blob, size=3 * SMALL, incremental_bytes=3 * SMALL, parent=(blob, 0)
+    )
+    assert client.read(blob).read() == b"".join(chunk.data.read() for chunk in chunks)
+    # stripe 0 is overwritten, the only live copy of stripe 1's chunk sits where
+    # it was not placed, stripe 2's is lost, and then everything is rewritten
+    client.write(blob, 0, SyntheticBytes("over", SMALL))
+    for provider in client.providers.providers:
+        provider.delete(chunks[1].key)
+        provider.delete(chunks[2].key)
+    elsewhere = next(
+        p for p in client.providers.providers if p.provider_id not in described[1].providers
+    )
+    elsewhere.store(chunks[1])
+    client.write(blob, 0, SyntheticBytes("all", 3 * SMALL))
+    before = client.providers.total_used_bytes
+    report = SnapshotGarbageCollector(SimpleNamespace(client=client), keep_latest=1).collect()
+    assert (report.deleted_chunks, report.reclaimed_bytes) == (2 + 1 + 2, 5 * SMALL)
+    assert client.providers.total_used_bytes == before - 5 * SMALL == 2 * 3 * SMALL
+    assert not any(client.providers.locations(chunk.key) for chunk in chunks)
+    assert client.read(blob).read() == SyntheticBytes("all", 3 * SMALL).read()

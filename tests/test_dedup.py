@@ -4,7 +4,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.blobseer import BlobClient, ChunkKey, DataProvider, ProviderManager
+from repro.blobseer import BlobClient, DataProvider, ProviderManager
+from repro.blobseer.provider import StoredRun
 from repro.core.gc import SnapshotGarbageCollector
 from repro.dedup import (
     HEADER_BYTES,
@@ -85,38 +86,48 @@ class TestCodecs:
             make_codec("zlib", ratio=0.5)
 
 
-class TestChunkIndex:
-    def test_add_lookup_refcount_lifecycle(self):
-        index = ChunkIndex()
-        key = ChunkKey(1, 1)
-        entry = index.add("digest", key, 100, 40, ("p0",))
-        assert index.lookup("digest") is entry
-        assert index.refcount(key) == 1
-        index.acquire("digest")
-        assert index.refcount(key) == 2
-        # First release keeps the chunk alive.
-        survivor = index.release(key)
-        assert survivor is entry and survivor.refcount == 1
-        assert index.lookup("digest") is entry
-        # Last release removes it from the index.
-        dead = index.release(key)
-        assert dead.refcount == 0
-        assert index.lookup("digest") is None
-        assert index.refcount(key) == 0
+def stored_run(chunk_id, logical_size, stored_size):
+    """A run of one chunk as the providers keep it, with nothing behind it."""
+    return StoredRun(1, chunk_id, (("p0",),), None, logical_size, logical_size, stored_size)
 
-    def test_release_unknown_key_returns_none(self):
-        assert ChunkIndex().release(ChunkKey(9, 9)) is None
+
+class TestChunkIndex:
+    def test_add_lookup_forget_lifecycle(self):
+        index = ChunkIndex()
+        run = stored_run(1, 100, 40)
+        index.add("digest", run)
+        assert index.lookup("digest") is run
+        assert len(index) == 1
+        # However many stripes share it, the index holds it once ...
+        assert index.lookup("digest") is run
+        # ... until it leaves the store.
+        index.forget(run)
+        assert index.lookup("digest") is None
+        assert len(index) == 0
+        # The digest is free for the run that stores the content afresh.
+        index.add("digest", stored_run(2, 100, 40))
+
+    def test_forgetting_an_unknown_run_changes_nothing(self):
+        index = ChunkIndex()
+        run = stored_run(1, 10, 10)
+        index.add("d", run)
+        index.forget(stored_run(9, 10, 10))
+        assert index.lookup("d") is run
 
     def test_duplicate_registration_rejected(self):
         index = ChunkIndex()
-        index.add("d", ChunkKey(1, 1), 10, 10, ())
+        run = stored_run(1, 10, 10)
+        index.add("d", run)
         with pytest.raises(StorageError):
-            index.add("d", ChunkKey(1, 2), 10, 10, ())
+            index.add("d", stored_run(2, 10, 10))
+        with pytest.raises(StorageError):
+            index.add("e", run)
+        assert len(index) == 1 and index.lookup("e") is None
 
     def test_byte_accounting(self):
         index = ChunkIndex()
-        index.add("d1", ChunkKey(1, 1), 100, 40, ())
-        index.add("d2", ChunkKey(1, 2), 100, 100, ())
+        index.add("d1", stored_run(1, 100, 40))
+        index.add("d2", stored_run(2, 100, 100))
         assert index.stored_bytes == 140
         assert index.logical_bytes == 200
 
@@ -157,21 +168,22 @@ class TestDedupWritePath:
         assert client.read(blob_b).read() == payload.read()
         assert blob_a != blob_b
 
-    def test_alias_resolves_through_fetch_any(self):
+    def test_a_hit_shares_the_stored_run(self):
         client = make_client(dedup=DedupEngine())
         blob = client.create_blob(1024)
-        payload = SyntheticBytes("alias", 1024)
-        client.write(blob, 0, payload)
+        payload = SyntheticBytes("shared", 1024)
+        first = client.write(blob, 0, payload)
         second = client.write(blob, 1024, payload)
-        # The aliased stripe's descriptor carries its own logical key ...
-        desc = client.metadata.lookup(blob, second.version, 1)
-        assert client.metadata.is_chunk_alias(desc.key)
-        canonical = client.metadata.resolve_chunk(desc.key)
-        assert canonical != desc.key
-        # ... and fetch_any serves it from the canonical chunk transparently.
-        chunk = client.providers.fetch_any(desc.key, preferred=desc.providers)
-        assert chunk.key == canonical
-        assert chunk.data.read() == payload.read()
+        # The repeated stripe's descriptor carries its own key ...
+        ((shipped, _first, _last),) = client.metadata.extents_in_range(blob, first.version, 0, 0)
+        ((hit, _first, _last),) = client.metadata.extents_in_range(blob, second.version, 1, 1)
+        assert hit.descriptor(1).key != shipped.descriptor(0).key
+        assert client.chunk_keys(blob) == {shipped.descriptor(0).key, hit.descriptor(1).key}
+        # ... shipped nothing, and is read from the very run the first one stored.
+        assert (hit.physical_length, second.runs) == (0, [])
+        assert hit.stored is shipped.stored and hit.providers is shipped.stored.placements
+        assert client.dedup.index.lookup(content_digest(payload)) is shipped.stored
+        assert client.read(blob, 1024, 1024).read() == payload.read()
 
     def test_read_roundtrip_with_interleaved_duplicates(self):
         client = make_client(dedup=DedupEngine())
@@ -228,11 +240,6 @@ class TestProviderFailureInvalidation:
         assert second.bytes_written == 1024
         assert client.dedup.invalidated_chunks == 1
         assert client.read(blob, 1024, 1024).read() == payload.read()
-
-    def test_liveness_probe_is_the_managers_own_method(self):
-        """Not a lambda over the client: that closed a client -> engine -> client cycle."""
-        client = make_client(dedup=DedupEngine())
-        assert client.dedup.availability == client.providers.holds
 
     def test_surviving_replica_keeps_dedup_hit_valid(self):
         client = make_client(num_providers=3, replication=2, dedup=DedupEngine())
@@ -304,12 +311,14 @@ class TestCompressionAccounting:
 
 class TestBatchRollback:
     def test_failed_batch_rolls_back_aliases_refcounts_and_chunks(self):
+        """Nothing is kept per stripe that shares a stored chunk, so what there
+        is to roll back is the chunks the batch shipped and their index entries."""
         manager = ProviderManager()
         manager.register(DataProvider("p0", capacity=2048))
         client = BlobClient(providers=manager, default_chunk_size=1024, dedup=DedupEngine())
         blob = client.create_blob(1024)
         shared = SyntheticBytes("rb-shared", 1024)
-        canonical_key = client.write(blob, 0, shared).chunks[0][0]
+        client.write(blob, 0, shared)
         # Batch: a dedup hit, one chunk that fits, one that cannot (disk full).
         with pytest.raises(StorageError):
             client.write_batch(blob, [

@@ -71,7 +71,9 @@ class Model:
         return self.codec.stored_size(len(data), is_zero=not any(data))
 
     def referenced(self):
-        return {content for _data, stripes in self.versions.values() for content in stripes.values()}
+        return {
+            content for _data, stripes in self.versions.values() for content in stripes.values()
+        }
 
     def versions_of(self, blob):
         return sorted(version for b, version in self.versions if b == blob)
@@ -242,7 +244,9 @@ OP = st.one_of(
     WRITE,
     st.tuples(st.just("clone"), PICK, PICK),
     st.tuples(
-        st.just("collect"), st.sampled_from([1, 1, 2, 3]), st.lists(st.tuples(PICK, PICK), max_size=2)
+        st.just("collect"),
+        st.sampled_from([1, 1, 2, 3]),
+        st.lists(st.tuples(PICK, PICK), max_size=2),
     ),
     st.tuples(st.just("fail"), PICK),
     st.tuples(st.just("failed_batch"), PICK, st.integers(0, 2)),

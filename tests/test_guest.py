@@ -206,6 +206,51 @@ class TestGuestFileSystem:
         assert crashed.listdir("/") == ["/kept"]
         assert crashed.read_file("/kept").read() == b"kept"
 
+    def test_table_bytes_survive_a_mount_and_sync_round_trip(self):
+        """A file has one extent: the table a remounted file system writes back
+        is, byte for byte, the one it read."""
+        fs, dev = make_fs()
+        for index in range(40):
+            size = (index * 1777) % (3 * FS_BLOCK)  # empty, short, exact and multi-block files
+            fs.write_file(f"/seeded/{index:02d}-\u00e9\"q", SyntheticBytes(("seeded", index), size))
+        fs.sync()
+        fs.write_file("/seeded/00-grown", b"x")
+        fs.sync()
+        fs.write_file("/seeded/00-grown", SyntheticBytes("grown", 2 * FS_BLOCK))  # moves
+        fs.delete("/seeded/07-\u00e9\"q")
+        fs.sync()
+
+        def table():
+            length = int.from_bytes(dev.read(0, 8).read(), "little")
+            return dev.read(0, 8 + length).read()
+
+        before = table()
+        remounted = GuestFileSystem.mount(dev)
+        assert remounted.sync() == len(before)  # nothing dirty: the table alone
+        assert table() == before
+        for path in remounted.listdir("/"):
+            ((offset, length),) = remounted.file_extents(path)
+            assert remounted.stat(path).on_disk_size == length and offset >= METADATA_REGION
+            assert json.loads(before[8:])["files"][path]["extents"] == [[offset, length]]
+        remounted.write_file("/unflushed", b"cache only")
+        assert remounted.file_extents("/unflushed") == []
+        assert remounted.stat("/unflushed").on_disk_size == 0
+
+    @pytest.mark.parametrize(
+        "extents", [[], [[METADATA_REGION, 4096], [METADATA_REGION + 4096, 4096]]]
+    )
+    def test_a_table_naming_other_than_one_extent_is_refused(self, extents):
+        fs, dev = make_fs()
+        fs.write_file("/f", b"data")
+        fs.sync()
+        length = int.from_bytes(dev.read(0, 8).read(), "little")
+        table = json.loads(dev.read(8, length).read())
+        table["files"]["/f"]["extents"] = extents
+        payload = json.dumps(table, sort_keys=True).encode()
+        dev.write(0, LiteralBytes(len(payload).to_bytes(8, "little") + payload))
+        with pytest.raises(FileSystemError, match="/f does not have exactly one extent"):
+            GuestFileSystem.mount(dev)
+
     def test_rewrite_in_place_does_not_leak_space(self):
         fs, _dev = make_fs()
         fs.write_file("/f", b"a" * 8192)

@@ -38,7 +38,7 @@ def main(argv=None) -> int:
     report = SnapshotGarbageCollector(SimpleNamespace(client=client), keep_latest=1).collect()
     seconds = time.perf_counter() - started
     print(f"pass {seconds:.3f} s: {len(report.dropped_versions)} versions dropped", end="")
-    for name in ("examined_blobs", "deleted_chunks", "reclaimed_bytes", "released_aliases"):
+    for name in ("examined_blobs", "deleted_chunks", "reclaimed_bytes"):
         print(f", {name} {getattr(report, name)}", end="")
     print()
     return int(args.fail_over is not None and seconds > args.fail_over)
