@@ -18,12 +18,13 @@ from repro.api import (
     register_backend,
 )
 from repro.baselines import Qcow2DiskDeployment, Qcow2FullDeployment
+from repro.blobseer import ChunkKey
 from repro.cli import main
 from repro.cluster import Cloud
 from repro.core import BlobCRDeployment
 from repro.core.backends import _BACKENDS, BackendCapabilities
 from repro.util.config import GRAPHENE, DedupSpec
-from repro.util.errors import ConfigurationError, RestartError
+from repro.util.errors import ChunkNotFoundError, ConfigurationError, RestartError
 
 SMALL = GRAPHENE.scaled(compute_nodes=6, service_nodes=3)
 
@@ -250,6 +251,48 @@ class TestSessionCollect:
         session.restart(checkpoints[2])
         for instance_id in session.instance_ids:
             assert session.guest_read(instance_id, "/ckpt/state.dat") == state(3)
+
+    @staticmethod
+    def state_holders(replication):
+        """A checkpoint of two instances and, per stripe of one's state file,
+        the key of the chunk that holds it and the nodes it was placed on."""
+        blobseer = replace(SMALL.blobseer, replication=replication)
+        session = Session.from_spec(replace(SMALL, blobseer=blobseer))
+        session.deploy("blobcr", n=2)
+        payload = b"state " * 50_000
+        session.guest_write("vm-000", "/ckpt/state.dat", payload)
+        checkpoint = session.checkpoint()
+        client = session.deployment.repository.client
+        blob, version = checkpoint.handle.records["vm-000"].snapshot_ref
+        chunk = client.version_manager.get(blob).chunk_size
+        instance = session.deployment.instance_by_id("vm-000")
+        stripes = []
+        for offset, length in instance.vm.filesystem.file_extents("/ckpt/state.dat"):
+            first, last = offset // chunk, (offset + length - 1) // chunk
+            for run, lo, hi in client.metadata.extents_in_range(blob, version, first, last):
+                for stripe in range(lo, hi + 1):
+                    index = stripe - run.first_stripe
+                    key = ChunkKey(run.stored.blob_id, run.stored.first_chunk_id + index)
+                    stripes.append((key, run.stored.placements[index]))
+        return session, checkpoint, payload, stripes
+
+    def test_restart_over_a_lost_chunk_names_it(self):
+        session, checkpoint, _payload, stripes = self.state_holders(replication=1)
+        for _key, placed in stripes:
+            for node in placed:
+                session.cloud.node(node).fail()
+        with pytest.raises(ChunkNotFoundError) as raised:
+            session.restart(checkpoint)
+        assert str(raised.value) == f"chunk {stripes[0][0]} is not stored on any live provider"
+
+    def test_restart_reads_every_byte_from_the_surviving_replica(self):
+        session, checkpoint, payload, stripes = self.state_holders(replication=2)
+        victims = {placed[0] for _key, placed in stripes}
+        assert all(len(placed) == 2 and placed[1] not in victims for _key, placed in stripes)
+        for node in victims:
+            session.cloud.node(node).fail()
+        session.restart(checkpoint)
+        assert session.guest_read("vm-000", "/ckpt/state.dat") == payload
 
     @pytest.mark.parametrize("backend", ["qcow2-disk", "qcow2-full"])
     def test_a_backend_without_a_repository_is_named(self, backend):

@@ -13,7 +13,6 @@ from repro.blobseer import (
     ProviderManager,
     VersionManager,
 )
-from repro.blobseer.metadata import ChunkDescriptor
 from repro.util import LiteralBytes, SyntheticBytes
 from repro.util.errors import (
     ChunkNotFoundError,
@@ -29,12 +28,18 @@ def make_client(num_providers=4, replication=1, chunk_size=1024):
     return BlobClient(providers=manager, default_chunk_size=chunk_size)
 
 
+def one_provider(capacity=10**18):
+    manager = ProviderManager()
+    provider = DataProvider("p0", capacity=capacity)
+    manager.register(provider)
+    return manager, provider
+
+
 class TestDataProvider:
     def test_store_and_fetch(self):
-        provider = DataProvider("p0")
-        chunk = Chunk(ChunkKey(1, 1), LiteralBytes(b"data"))
-        provider.store(chunk)
-        assert provider.fetch(ChunkKey(1, 1)).data.read() == b"data"
+        manager, provider = one_provider()
+        manager.store_replicated(Chunk(ChunkKey(1, 1), LiteralBytes(b"data")))
+        assert manager.fetch_any(ChunkKey(1, 1)).data.read() == b"data"
         assert provider.used_bytes == 4
 
     def test_store_is_idempotent(self):
@@ -46,29 +51,32 @@ class TestDataProvider:
         assert provider.chunk_count == 1
 
     def test_fetch_missing_raises(self):
+        manager, _provider = one_provider()
         with pytest.raises(ChunkNotFoundError):
-            DataProvider("p0").fetch(ChunkKey(1, 99))
+            manager.fetch_any(ChunkKey(1, 99))
 
     def test_capacity_enforced(self):
-        provider = DataProvider("p0", capacity=10)
-        provider.store(Chunk(ChunkKey(1, 1), LiteralBytes(b"12345678")))
+        manager, _provider = one_provider(capacity=10)
+        manager.store_replicated(Chunk(ChunkKey(1, 1), LiteralBytes(b"12345678")))
         with pytest.raises(StorageError):
-            provider.store(Chunk(ChunkKey(1, 2), LiteralBytes(b"too big")))
+            manager.store_replicated(Chunk(ChunkKey(1, 2), LiteralBytes(b"too big")))
 
     def test_delete_frees_space(self):
-        provider = DataProvider("p0")
-        provider.store(Chunk(ChunkKey(1, 1), LiteralBytes(b"abcd")))
-        assert provider.delete(ChunkKey(1, 1)) == 4  # the bytes it freed
+        manager, provider = one_provider()
+        client = BlobClient(providers=manager, default_chunk_size=2)
+        blob = client.create_blob()
+        (run,) = client.write(blob, 0, LiteralBytes(b"abcd")).runs
+        assert manager.release(run.stored, 0, 2) == (2, 4)  # replicas dropped, bytes freed
         assert provider.used_bytes == 0
-        assert provider.delete(ChunkKey(1, 1)) is None
+        assert manager.release(run.stored, 0, 2) == (0, 0)
 
     def test_fail_loses_data(self):
-        provider = DataProvider("p0")
-        provider.store(Chunk(ChunkKey(1, 1), LiteralBytes(b"abcd")))
+        manager, provider = one_provider()
+        manager.store_replicated(Chunk(ChunkKey(1, 1), LiteralBytes(b"abcd")))
         provider.fail()
-        assert not provider.alive
+        assert not provider.alive and provider.used_bytes == 0
         with pytest.raises(ChunkNotFoundError):
-            provider.fetch(ChunkKey(1, 1))
+            manager.fetch_any(ChunkKey(1, 1))
 
 
 class TestProviderManager:
@@ -136,54 +144,55 @@ class TestProviderManager:
 
 
 class TestMetadataStore:
-    def _descriptor(self, stripe, blob=1, version=1, length=4):
-        return ChunkDescriptor(
-            stripe_index=stripe,
-            length=length,
-            key=ChunkKey(blob, stripe + 1000 * version),
-            providers=("p0",),
-            created_by=(blob, version),
-        )
+    """The segment trees as the client's writes build them."""
+
+    @staticmethod
+    def write_stripes(client, blob, stripes, length=4):
+        """One version holding ``length`` bytes at each of ``stripes``."""
+        chunk = client.version_manager.get(blob).chunk_size
+        pieces = [(s * chunk, LiteralBytes(bytes([s % 256]) * length)) for s in stripes]
+        return client.write_batch(blob, pieces)
 
     def test_lookup_after_derive(self):
-        store = MetadataStore()
-        store.create_empty(1, 0)
-        store.derive_version(1, 0, 1, {0: self._descriptor(0), 2: self._descriptor(2)})
-        assert store.lookup(1, 1, 0).stripe_index == 0
-        assert store.lookup(1, 1, 1) is None
-        assert store.lookup(1, 1, 2).stripe_index == 2
+        client = make_client(chunk_size=4)
+        blob = client.create_blob()
+        self.write_stripes(client, blob, (0, 2))
+        store = client.metadata
+        assert store.lookup(blob, 1, 0).stripe_index == 0
+        assert store.lookup(blob, 1, 1) is None
+        assert store.lookup(blob, 1, 2).stripe_index == 2
 
     def test_shadowing_preserves_old_versions(self):
-        store = MetadataStore()
-        store.create_empty(1, 0)
-        store.derive_version(1, 0, 1, {0: self._descriptor(0, version=1)})
-        store.derive_version(1, 1, 2, {0: self._descriptor(0, version=2)})
-        assert store.lookup(1, 1, 0).created_by == (1, 1)
-        assert store.lookup(1, 2, 0).created_by == (1, 2)
+        client = make_client(chunk_size=4)
+        blob = client.create_blob()
+        self.write_stripes(client, blob, (0,))
+        self.write_stripes(client, blob, (0,))
+        assert client.metadata.lookup(blob, 1, 0).created_by == (blob, 1)
+        assert client.metadata.lookup(blob, 2, 0).created_by == (blob, 2)
 
     def test_unmodified_stripes_shared(self):
-        store = MetadataStore()
-        store.create_empty(1, 0, stripes_hint=8)
-        store.derive_version(1, 0, 1, {i: self._descriptor(i) for i in range(8)})
-        nodes_before = store.nodes_allocated
-        new_nodes = store.derive_version(1, 1, 2, {3: self._descriptor(3, version=2)})
+        client = make_client(chunk_size=4)
+        blob = client.create_blob()
+        self.write_stripes(client, blob, range(8))
+        nodes_before = client.metadata.nodes_allocated
+        new_nodes = self.write_stripes(client, blob, (3,)).metadata_nodes
         # A single-stripe update touches only one root-to-leaf path.
         assert new_nodes <= 5
-        assert store.nodes_allocated == nodes_before + new_nodes
+        assert client.metadata.nodes_allocated == nodes_before + new_nodes
 
     def test_tree_grows_for_large_stripe_index(self):
-        store = MetadataStore()
-        store.create_empty(1, 0, stripes_hint=1)
-        store.derive_version(1, 0, 1, {100: self._descriptor(100)})
-        assert store.lookup(1, 1, 100) is not None
-        assert store.lookup(1, 1, 99) is None
+        client = make_client(chunk_size=4)
+        blob = client.create_blob()
+        self.write_stripes(client, blob, (100,))
+        assert client.metadata.lookup(blob, 1, 100) is not None
+        assert client.metadata.lookup(blob, 1, 99) is None
 
     def test_clone_shares_tree(self):
-        store = MetadataStore()
-        store.create_empty(1, 0)
-        store.derive_version(1, 0, 1, {0: self._descriptor(0), 5: self._descriptor(5)})
-        store.clone_version(1, 1, 2)
-        assert store.lookup(2, 0, 5).key == store.lookup(1, 1, 5).key
+        client = make_client(chunk_size=4)
+        blob = client.create_blob()
+        self.write_stripes(client, blob, (0, 5))
+        clone = client.clone(blob)
+        assert client.metadata.lookup(clone, 0, 5).key == client.metadata.lookup(blob, 1, 5).key
 
     def test_unknown_version_raises(self):
         store = MetadataStore()
@@ -191,20 +200,21 @@ class TestMetadataStore:
             store.lookup(1, 0, 0)
 
     def test_descriptors_in_range(self):
-        store = MetadataStore()
-        store.create_empty(1, 0, stripes_hint=16)
-        store.derive_version(1, 0, 1, {i: self._descriptor(i) for i in (1, 3, 7, 12)})
-        found = store.descriptors_in_range(1, 1, 2, 8)
+        client = make_client(chunk_size=4)
+        blob = client.create_blob()
+        self.write_stripes(client, blob, (1, 3, 7, 12))
+        found = client.metadata.descriptors_in_range(blob, 1, 2, 8)
         assert sorted(d.stripe_index for d in found) == [3, 7]
 
     def test_footprints(self):
-        store = MetadataStore()
-        store.create_empty(1, 0)
-        store.derive_version(1, 0, 1, {0: self._descriptor(0, length=10)})
-        store.derive_version(1, 1, 2, {1: self._descriptor(1, version=2, length=20)})
-        assert store.version_footprint(1, 2) == 30
-        assert store.incremental_footprint(1, 2) == 20
-        assert store.incremental_footprint(1, 1) == 10
+        client = make_client(chunk_size=32)
+        blob = client.create_blob()
+        self.write_stripes(client, blob, (0,), length=10)
+        self.write_stripes(client, blob, (1,), length=20)
+        store = client.metadata
+        assert store.version_footprint(blob, 2) == 30
+        assert store.incremental_footprint(blob, 2) == 20
+        assert store.incremental_footprint(blob, 1) == 10
 
 
 class TestVersionManager:

@@ -1,22 +1,33 @@
-"""The provider layer of BlobSeer against a per-chunk oracle.
+"""The provider layer of BlobSeer against a model of the run plane.
 
 Arbitrary sequences of the operations that reach a data provider -- batched
-client writes (aligned, unaligned, overlapping, short last stripe), one-chunk
-stores through a provider or the manager, deletes, releases of a range of a
-stored run, fail-stop crashes and deregistrations -- are replayed on a
-test-local model that keeps one ``{key: bytes}`` dict per provider (the
-put/get round trip of the blob-store suites in ``SNIPPETS.md``, generalised).
-After every operation each chunk ever written must be exactly where, what and
-as large as the model says, through every one-chunk view, and every published
-version must read back as the ``bytearray`` it was built from -- or fail
-naming the first lost chunk.
+client writes (aligned, unaligned, overlapping, short last stripe), clones,
+releases of a range of a stored run, snapshot collection, fail-stop crashes,
+deregistrations and re-registrations under a used id, reads -- are replayed on
+a test-local model that knows, per stored run, which provider holds which of
+its chunks and how many bytes that takes, and per published version which
+chunk of which run holds each stripe (the put/get round trip of the blob-store
+suites in ``SNIPPETS.md``, generalised).  After every operation
+
+* every published version reads back as the ``bytearray`` it was built from,
+  or raises ``ChunkNotFoundError`` naming the first stripe whose chunk no
+  registered live provider of its placement holds any more;
+* every provider's ``used_bytes`` / ``chunk_count`` is what the model's
+  (run, chunk, provider) entries add up to;
+* every run table counts, per run, the placed chunks minus the released ones,
+  and a run no table names any more has given up its payload;
+
+and a release or a collection done twice frees nothing the second time.
 """
+
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blobseer import BlobClient, Chunk, ChunkKey, DataProvider, ProviderManager
+from repro.core.gc import SnapshotGarbageCollector
 from repro.util import LiteralBytes, SyntheticBytes
 from repro.util.errors import ChunkNotFoundError, StorageError
 
@@ -25,70 +36,61 @@ CHUNK = 8
 FOREIGN_BLOB = 99
 
 
-class OracleProvider:
-    """One provider as the per-chunk store keeps it: a dict of chunks."""
-
-    def __init__(self, provider_id, capacity):
-        self.provider_id = provider_id
-        self.capacity = capacity
-        self.alive = True
-        self.registered = True
-        self.chunks = {}  # key -> (bytes, footprint)
-
-    @property
-    def used(self):
-        return sum(footprint for _data, footprint in self.chunks.values())
-
-    def store(self, key, data, footprint):
-        if not self.alive:
-            raise StorageError("not alive")
-        if key in self.chunks:
-            return  # chunks are immutable: re-storing a held key changes nothing
-        if footprint > self.capacity - self.used:
-            raise StorageError("full")
-        self.chunks[key] = (data, footprint)
-
-    def delete(self, key):
-        return self.chunks.pop(key, None) is not None
-
-    def fail(self):
-        self.alive = False
-        self.chunks.clear()
-
-    def has(self, key):
-        return self.alive and key in self.chunks
-
-
 class Harness:
     """The store under test and its model, advanced in lock step."""
 
     def __init__(self, capacities, replication):
         self.manager = ProviderManager(replication=replication)
         self.providers = []  # every provider ever registered, registration order
-        self.oracle = []
+        self.capacities = []
+        self.registered = []
         for index, capacity in enumerate(capacities):
-            provider = DataProvider(f"node-{index}", capacity=capacity)
-            self.manager.register(provider)
-            self.providers.append(provider)
-            self.oracle.append(OracleProvider(provider.provider_id, capacity))
+            self._register(DataProvider(f"node-{index}", capacity=capacity))
         self.client = BlobClient(providers=self.manager, default_chunk_size=CHUNK)
         self.blobs = [self.client.create_blob()]
         #: (blob, version) -> content, for every published version
         self.versions = {(self.blobs[0], 0): b""}
-        #: key -> (bytes, stored_size) of every chunk ever written
-        self.content = {}
-        #: key -> provider ids it was placed on
-        self.placed = {}
-        self.foreign_ids = 0
-        #: every run a write stored, and the (oracle index, key) replicas that are
-        #: still where such a run put them -- what ``release`` lets go of (a copy
-        #: stored by hand afterwards is a run of its own)
+        #: (blob, version) -> {stripe: (run number, chunk index)}
+        self.maps = {(self.blobs[0], 0): {}}
+        #: every run a write stored (a run's number is its index here), and per
+        #: run the content of each of its chunks
         self.stored = []
-        self.original = set()
+        self.chunks = []
+        #: (run number, chunk index, provider index) -> stored bytes, for every
+        #: replica a provider holds; a chunk stored by hand is run ("foreign", key)
+        self.held = {}
+        self.foreign = {}  # key -> (bytes, stored size)
+
+    def _register(self, provider):
+        self.manager.register(provider)
+        self.providers.append(provider)
+        self.capacities.append(provider.capacity)
+        self.registered.append(True)
 
     def model_of(self, provider_id):
-        """The registered provider of that id (a deregistered one may share it)."""
-        return next(o for o in self.oracle if o.registered and o.provider_id == provider_id)
+        """Index of the registered provider of that id (a deregistered one may share it)."""
+        return next(
+            index
+            for index, provider in enumerate(self.providers)
+            if self.registered[index] and provider.provider_id == provider_id
+        )
+
+    def used(self, index):
+        return sum(nbytes for (_run, _i, p), nbytes in self.held.items() if p == index)
+
+    def holders(self, run, index):
+        """Indices of the registered providers a reader can get that chunk from."""
+        return [
+            p
+            for (r, i, p) in self.held
+            if (r, i) == (run, index) and self.registered[p] and self.providers[p].alive
+        ]
+
+    def key_of(self, run, index):
+        if run[0] == "foreign":
+            return run[1]
+        stored = self.stored[run[1]]
+        return ChunkKey(stored.blob_id, stored.first_chunk_id + index)
 
     # -- operations -----------------------------------------------------------------------
 
@@ -157,19 +159,23 @@ class Harness:
                 assert before_run.last_length < CHUNK
 
         shipped = {}
-        for desc in descriptors:
-            start = desc.stripe_index * CHUNK
-            data = bytes(model[start : start + desc.length])
-            assert desc.key not in self.content  # chunk ids are never reused
-            self.content[desc.key] = (data, None)
-            self.placed[desc.key] = desc.providers
-            assert len(set(desc.providers)) == len(desc.providers) >= 1
-            for provider_id in desc.providers:
-                self.model_of(provider_id).store(desc.key, data, desc.length)
-                self.original.add((self.oracle.index(self.model_of(provider_id)), desc.key))
-                shipped[provider_id] = shipped.get(provider_id, 0) + desc.length
+        stripes = dict(self.maps[(blob, base_version)])
+        for run in runs:
+            number = ("run", len(self.stored))
+            self.stored.append(run.stored)
+            contents = []
+            for index, placed in enumerate(run.stored.placements):
+                stripe = run.first_stripe + index
+                data = bytes(model[stripe * CHUNK : stripe * CHUNK + touched[stripe]])
+                contents.append(data)
+                stripes[stripe] = (number, index)
+                assert len(set(placed)) == len(placed) >= 1
+                for provider_id in placed:
+                    self.held[(number, index, self.model_of(provider_id))] = len(data)
+                    shipped[provider_id] = shipped.get(provider_id, 0) + len(data)
+            self.chunks.append(contents)
         assert result.provider_bytes == shipped
-        self.stored += [run.stored for run in result.runs]
+        self.maps[(blob, version)] = stripes
 
     def clone(self, blob_pick):
         blob = self.blobs[blob_pick % len(self.blobs)]
@@ -177,114 +183,136 @@ class Harness:
         clone = self.client.clone(blob)
         self.blobs.append(clone)
         self.versions[(clone, 0)] = self.versions[(blob, version)]
+        self.maps[(clone, 0)] = self.maps[(blob, version)]
 
-    def chunk_for(self, key_pick, fresh):
-        """A chunk to store by hand: a new foreign one, or one written before
-        (same key, same content -- chunks are immutable)."""
-        if fresh or not self.content:
-            self.foreign_ids += 1
-            key = ChunkKey(FOREIGN_BLOB, self.foreign_ids)
-            data = bytes((key_pick + i) % 256 for i in range(1 + key_pick % 11))
-            stored_size = None if key_pick % 3 else 1 + key_pick % 5
-            self.content[key] = (data, stored_size)
-        else:
-            key = sorted(self.content)[key_pick % len(self.content)]
-            data, stored_size = self.content[key]
+    def foreign_chunk(self, key_pick):
+        """A new chunk to store by hand, under a key no client allocates."""
+        key = ChunkKey(FOREIGN_BLOB, len(self.foreign) + 1)
+        data = bytes((key_pick + i) % 256 for i in range(1 + key_pick % 11))
+        stored_size = None if key_pick % 3 else 1 + key_pick % 5
+        self.foreign[key] = (data, stored_size)
         return Chunk(key, LiteralBytes(data), stored_size)
 
-    def store(self, provider_pick, key_pick, fresh):
+    def store(self, provider_pick, key_pick):
         index = provider_pick % len(self.providers)
-        chunk = self.chunk_for(key_pick, fresh)
-        data = chunk.data.read()
-        try:
-            self.oracle[index].store(chunk.key, data, chunk.footprint)
-        except StorageError:
+        chunk = self.foreign_chunk(key_pick)
+        provider = self.providers[index]
+        if not provider.alive or chunk.footprint > self.capacities[index] - self.used(index):
             with pytest.raises(StorageError):
-                self.providers[index].store(chunk)
+                provider.store(chunk)
         else:
-            self.providers[index].store(chunk)
+            provider.store(chunk)
+            self.held[(("foreign", chunk.key), 0, index)] = chunk.footprint
 
-    def replicate(self, key_pick, fresh):
-        chunk = self.chunk_for(key_pick, fresh)
+    def replicate(self, key_pick):
+        chunk = self.foreign_chunk(key_pick)
         try:
             decision = self.manager.store_replicated(chunk)
         except StorageError:
             return  # no live provider has room: nothing stored (checked against the model)
         assert decision.key == chunk.key
         assert len(set(decision.providers)) == len(decision.providers) >= 1
-        self.placed.setdefault(chunk.key, tuple(decision.providers))
         for provider_id in decision.providers:
-            self.model_of(provider_id).store(chunk.key, chunk.data.read(), chunk.footprint)
+            self.held[(("foreign", chunk.key), 0, self.model_of(provider_id))] = chunk.footprint
 
-    def delete(self, provider_pick, key_pick):
-        if not self.content:
+    def delete(self, provider_pick, chunk_pick):
+        """One replica of one chunk leaves one provider, by key."""
+        chunks = sorted({(run, i) for run, i, _p in self.held}, key=repr)
+        if not chunks:
             return
         index = provider_pick % len(self.providers)
-        key = sorted(self.content)[key_pick % len(self.content)]
-        _data, footprint = self.oracle[index].chunks.get(key, (None, None))
-        assert self.providers[index].delete(key) == footprint  # the bytes freed, or None
-        self.oracle[index].delete(key)
-        self.original.discard((index, key))
+        run, chunk = chunks[chunk_pick % len(chunks)]
+        assert self.providers[index].delete(self.key_of(run, chunk)) == self.held.pop(
+            (run, chunk, index), None
+        )
 
     def release(self, run_pick, first_pick, count_pick):
         """Chunks ``first .. stop - 1`` of a stored run leave every registered
-        provider that still holds them as part of that run; a second call finds
-        nothing."""
+        live provider that still holds them; a second call finds nothing."""
         if not self.stored:
             return
-        run = self.stored[run_pick % len(self.stored)]
+        number = run_pick % len(self.stored)
+        run = self.stored[number]
         first = first_pick % len(run.placements)
         stop = first + 1 + count_pick % (len(run.placements) - first)
-        chunks = nbytes = 0
-        for chunk_id in range(run.first_chunk_id + first, run.first_chunk_id + stop):
-            key = ChunkKey(run.blob_id, chunk_id)
-            for index, model in enumerate(self.oracle):
-                if model.registered and (index, key) in self.original:
-                    self.original.discard((index, key))
-                    chunks += 1
-                    nbytes += model.chunks[key][1]
-                    model.delete(key)
-        assert self.manager.release(run, first, stop) == (chunks, nbytes)
+        freed = self.forget(("run", number), range(first, stop))
+        assert self.manager.release(run, first, stop) == freed
         assert self.manager.release(run, first, stop) == (0, 0)
+
+    def forget(self, run, indices):
+        """Take what a release of ``indices`` of ``run`` drops out of the model:
+        (replicas, bytes)."""
+        chunks = nbytes = 0
+        for index in indices:
+            for p in self.holders(run, index):
+                chunks += 1
+                nbytes += self.held.pop((run, index, p))
+        return chunks, nbytes
+
+    def collect(self, keep_latest, pins):
+        """Snapshot collection: what only the dropped versions reference is
+        released, and a second pass finds nothing."""
+        pinned = {}
+        for blob_pick, version_pick in pins:
+            blob = self.blobs[blob_pick % len(self.blobs)]
+            published = sorted(v for b, v in self.versions if b == blob)
+            pinned.setdefault(blob, []).append(published[version_pick % len(published)])
+        kept, dropped = set(), []
+        for blob in self.blobs:
+            published = sorted(v for b, v in self.versions if b == blob)
+            keep = set(published[-keep_latest:]) | set(pinned.get(blob, ()))
+            kept |= {(blob, v) for v in keep}
+            dropped += [(blob, v) for v in published if v not in keep]
+        retained = {ref for key in kept for ref in self.maps[key].values()}
+        doomed = {ref for key in dropped for ref in self.maps[key].values()} - retained
+        chunks = nbytes = 0
+        for run, index in sorted(doomed, key=repr):
+            freed = self.forget(run, (index,))
+            chunks += freed[0]
+            nbytes += freed[1]
+        collector = SnapshotGarbageCollector(SimpleNamespace(client=self.client), keep_latest)
+        report = collector.collect(pinned=pinned)
+        assert sorted(report.dropped_versions) == sorted(dropped)
+        assert (report.deleted_chunks, report.reclaimed_bytes) == (chunks, nbytes)
+        for key in dropped:
+            del self.versions[key]
+            del self.maps[key]
+        again = collector.collect(pinned=pinned)
+        assert (again.dropped_versions, again.deleted_chunks, again.reclaimed_bytes) == ([], 0, 0)
 
     def fail(self, provider_pick):
         index = provider_pick % len(self.providers)
         self.providers[index].fail()
-        self.oracle[index].fail()
-        self.original = {pair for pair in self.original if pair[0] != index}
+        self.held = {entry: n for entry, n in self.held.items() if entry[2] != index}
 
     def deregister(self, provider_pick):
         index = provider_pick % len(self.providers)
-        if self.oracle[index].registered:
+        if self.registered[index]:
             self.manager.deregister(self.providers[index].provider_id)
-            self.oracle[index].registered = False
+            self.registered[index] = False
 
     def replace(self, provider_pick):
         """Register an empty provider under the id of a deregistered one: it
         holds nothing of what was placed on that id."""
         index = provider_pick % len(self.providers)
-        old = self.oracle[index]
-        if any(o.registered and o.provider_id == old.provider_id for o in self.oracle):
+        old = self.providers[index]
+        if any(
+            self.registered[i] and p.provider_id == old.provider_id
+            for i, p in enumerate(self.providers)
+        ):
             return
-        provider = DataProvider(old.provider_id, capacity=old.capacity)
-        self.manager.register(provider)
-        self.providers.append(provider)
-        self.oracle.append(OracleProvider(old.provider_id, old.capacity))
+        self._register(DataProvider(old.provider_id, capacity=old.capacity))
 
     # -- the model's predictions ---------------------------------------------------------------
-
-    def holders(self, key):
-        """Registered providers a reader can get ``key`` from, registration order."""
-        return [o.provider_id for o in self.oracle if o.registered and o.has(key)]
 
     def expected_read(self, blob, version, offset, size):
         """``(bytes, None)``, or ``(None, first lost key)`` for a window of a version."""
         if size == 0:
             return b"", None
-        last = (offset + size - 1) // CHUNK
-        for desc in self.client.metadata.descriptors_in_range(blob, version, offset // CHUNK, last):
-            if not self.holders(desc.key):
-                return None, desc.key
+        stripes = self.maps[(blob, version)]
+        for stripe in range(offset // CHUNK, (offset + size - 1) // CHUNK + 1):
+            if stripe in stripes and not self.holders(*stripes[stripe]):
+                return None, self.key_of(*stripes[stripe])
         return self.versions[(blob, version)][offset : offset + size], None
 
     def check_read(self, blob, version, offset, size):
@@ -298,7 +326,8 @@ class Harness:
 
     def read(self, blob_pick, version_pick, offset_pick, size_pick):
         blob = self.blobs[blob_pick % len(self.blobs)]
-        version = version_pick % (self.client.latest_version(blob) + 1)
+        published = sorted(v for b, v in self.versions if b == blob)
+        version = published[version_pick % len(published)]
         total = len(self.versions[(blob, version)])
         offset = offset_pick % (total + 1)
         self.check_read(blob, version, offset, size_pick % (total - offset + 1))
@@ -306,48 +335,58 @@ class Harness:
     # -- the whole state, after every operation ----------------------------------------------
 
     def check(self):
-        for provider, model in zip(self.providers, self.oracle):
-            assert provider.alive == model.alive
-            assert provider.chunk_count == len(model.chunks)
-            assert provider.used_bytes == model.used
-            assert provider.free_bytes == model.capacity - model.used
-        assert self.manager.total_used_bytes == sum(o.used for o in self.oracle if o.registered)
-        # a table names exactly the runs its provider still holds a chunk of, and a run
-        # keeps its payload exactly as long as some table names it
+        for index, provider in enumerate(self.providers):
+            entries = [n for (_run, _i, p), n in self.held.items() if p == index]
+            assert provider.chunk_count == len(entries)
+            assert provider.used_bytes == sum(entries)
+            assert provider.free_bytes == self.capacities[index] - sum(entries)
+        assert self.manager.total_used_bytes == sum(
+            self.used(index) for index in range(len(self.providers)) if self.registered[index]
+        )
+        # a table names exactly the runs its provider still holds a chunk of,
+        # counting the placed chunks minus the released ones; a run keeps its
+        # payload exactly as long as some table names it
         tables = [provider._runs for provider in self.providers]
-        for provider, table in zip(self.providers, tables):
-            held = {key: 0 for key in table}
-            for key in self.content:  # every chunk ever written, each a has() below
-                if provider._find(key) is not None:
-                    held[provider._find(key).table_key] += 1
-            assert all(held.values()) and sum(held.values()) == provider.chunk_count
-            assert held == {key: run.held[provider.provider_id] for key, run in table.items()}
-            assert provider._long == sum(count > 1 for _blob, _first, count in table)
+        for index, (provider, table) in enumerate(zip(self.providers, tables)):
+            me = provider.provider_id
             for key, run in table.items():
                 assert run.table_key == key and run.payload is not None
+                assert run.held[me] == sum(
+                    me in placed and (i, me) not in (run.dropped or ())
+                    for i, placed in enumerate(run.placements)
+                )
                 assert len(run.held) == sum(other.get(key) is run for other in tables)
-        for key, (data, stored_size) in self.content.items():
+            for number, run in enumerate(self.stored):
+                count = sum(1 for r, _i, p in self.held if r == ("run", number) and p == index)
+                assert (table.get(run.table_key) is run) == (count > 0)
+                if count:
+                    assert run.held[me] == count
+        for run in self.stored:
+            assert (run.payload is None) == (not run.held)
+        # safety-net only: the one-chunk views of the parent tree
+        for run, index in {(r, i) for r, i, _p in self.held} | {
+            (("run", n), i) for n, run in enumerate(self.stored) for i in range(len(run.placements))
+        }:
+            key = self.key_of(run, index)
+            if run[0] == "foreign":
+                data, stored_size = self.foreign[key]
+            else:
+                data, stored_size = self.chunks[run[1]][index], None
             footprint = len(data) if stored_size is None else stored_size
-            for provider, model in zip(self.providers, self.oracle):
-                assert provider.has(key) == model.has(key)
-                if model.has(key):
+            for p, provider in enumerate(self.providers):
+                holds = (run, index, p) in self.held
+                assert provider.has(key) == holds
+                if holds:
                     chunk = provider.fetch(key)
                     assert chunk.key == key and chunk.data.read() == data
                     assert (chunk.size, chunk.footprint) == (len(data), footprint)
-                else:
-                    with pytest.raises(ChunkNotFoundError):
-                        provider.fetch(key)
-            holders = self.holders(key)
+            holders = [self.providers[p].provider_id for p in sorted(self.holders(run, index))]
             assert self.manager.locations(key) == holders
-            for preferred in ((), self.placed.get(key, ())):
-                if holders:
-                    chunk = self.manager.fetch_any(key, preferred=preferred)
-                    assert chunk.key == key and chunk.data.read() == data
-                    assert chunk.footprint == footprint
-                else:
-                    with pytest.raises(ChunkNotFoundError) as raised:
-                        self.manager.fetch_any(key, preferred=preferred)
-                    assert str(raised.value) == f"chunk {key} is not stored on any live provider"
+            if holders:
+                assert self.manager.fetch_any(key).data.read() == data
+            else:
+                with pytest.raises(ChunkNotFoundError):
+                    self.manager.fetch_any(key)
         for (blob, version), data in self.versions.items():
             self.check_read(blob, version, 0, len(data))
 
@@ -368,10 +407,15 @@ OPERATION = st.one_of(
     st.tuples(st.just("write"), PICK, st.lists(PIECE, min_size=1, max_size=4)),
     st.tuples(st.just("write"), PICK, st.lists(PIECE, min_size=1, max_size=4)),
     st.tuples(st.just("clone"), PICK),
-    st.tuples(st.just("store"), PICK, PICK, st.booleans()),
-    st.tuples(st.just("replicate"), PICK, st.booleans()),
+    st.tuples(st.just("store"), PICK, PICK),
+    st.tuples(st.just("replicate"), PICK),
     st.tuples(st.just("delete"), PICK, PICK),
     st.tuples(st.just("release"), PICK, PICK, PICK),
+    st.tuples(
+        st.just("collect"),
+        st.sampled_from([1, 1, 2, 3]),
+        st.lists(st.tuples(PICK, PICK), max_size=2),
+    ),
     st.tuples(st.just("fail"), PICK),
     st.tuples(st.just("deregister"), PICK),
     st.tuples(st.just("replace"), PICK),
@@ -410,34 +454,46 @@ def test_full_provider_rolls_a_batch_back_to_nothing():
     assert sum(p.used_bytes for p in harness.providers) == 48
 
 
+def three_providers(replication=1):
+    manager = ProviderManager(replication=replication)
+    for index in range(3):
+        manager.register(DataProvider(f"node-{index}"))
+    return manager, BlobClient(providers=manager, default_chunk_size=CHUNK)
+
+
 def test_lost_chunk_is_served_by_any_live_holder():
     """A chunk that is gone from where it was placed is read from whoever has it."""
-    harness = Harness([10**9] * 3, replication=1)
-    harness.write(0, [(0, 6 * CHUNK, 5, False)])  # two stripes on each provider
-    key = ChunkKey(harness.blobs[0], 3)
-    (placed,) = harness.placed[key]
-    spare = next(i for i, p in enumerate(harness.providers) if p.provider_id != placed)
-    data, _stored = harness.content[key]
-    harness.providers[spare].store(Chunk(key, LiteralBytes(data)))
-    harness.oracle[spare].store(key, data, len(data))
-    harness.manager.get(placed).fail()
-    harness.model_of(placed).fail()
-    harness.check()
-    # the stripes that were only on the failed provider are named, first one first
-    expected, lost = harness.expected_read(harness.blobs[0], 1, 0, 6 * CHUNK)
-    assert expected is None and lost != key
-    assert harness.client.read(harness.blobs[0], 2 * CHUNK, CHUNK).read() == data
+    manager, client = three_providers()
+    blob = client.create_blob()
+    data = bytes(range(6 * CHUNK))
+    (run,) = client.write(blob, 0, LiteralBytes(data)).runs  # two stripes on each provider
+    key = ChunkKey(blob, run.first_chunk_id + 2)
+    (placed,) = run.providers[2]
+    spare = next(p for p in manager.providers if p.provider_id != placed)
+    spare.store(Chunk(key, LiteralBytes(data[2 * CHUNK : 3 * CHUNK])))
+    manager.get(placed).fail()
+    assert client.read(blob, 2 * CHUNK, CHUNK).read() == data[2 * CHUNK : 3 * CHUNK]
+    with pytest.raises(ChunkNotFoundError) as raised:
+        client.read(blob)
+    assert str(key) not in str(raised.value)
 
 
 def test_restoring_a_held_chunk_changes_nothing():
     """Through a provider or the manager, a chunk that is already there is kept."""
-    harness = Harness([10**9] * 2, replication=2)
-    harness.write(0, [(0, 3 * CHUNK, 1, False)])
-    for pick in range(3):
-        harness.replicate(pick, fresh=False)
-        harness.store(pick, pick, fresh=False)
-        harness.check()
-    assert harness.manager.total_used_bytes == 2 * 3 * CHUNK
+    manager = ProviderManager(replication=2)
+    for index in range(2):
+        manager.register(DataProvider(f"node-{index}"))
+    client = BlobClient(providers=manager, default_chunk_size=CHUNK)
+    blob = client.create_blob()
+    data = bytes(range(3 * CHUNK))
+    (run,) = client.write(blob, 0, LiteralBytes(data)).runs
+    for index in range(3):
+        key = ChunkKey(blob, run.first_chunk_id + index)
+        chunk = Chunk(key, LiteralBytes(data[index * CHUNK : (index + 1) * CHUNK]))
+        manager.store_replicated(chunk)
+        for provider_id in run.providers[index]:
+            manager.get(provider_id).store(chunk)
+    assert manager.total_used_bytes == 2 * 3 * CHUNK
 
 
 def test_release_passes_over_what_is_not_registered_alive_and_holding_the_run():
@@ -459,6 +515,18 @@ def test_release_passes_over_what_is_not_registered_alive_and_holding_the_run():
     assert harness.manager.total_used_bytes == 0
 
 
+def test_a_version_whose_every_placed_holder_is_gone_names_its_first_lost_chunk():
+    """Released on one stripe, failed under another: the read names the first."""
+    harness = Harness([10**9] * 3, replication=1)
+    harness.write(0, [(0, 6 * CHUNK, 5, False)])  # two stripes on each provider
+    (run,) = harness.stored
+    victim = run.placements[4][0]
+    harness.fail(harness.model_of(victim))
+    harness.release(0, 5, 0)  # stripe 5
+    harness.check()
+    lost = min(i for i, placed in enumerate(run.placements) if victim in placed or i == 5)
+    expected, key = harness.expected_read(harness.blobs[0], 1, 0, 6 * CHUNK)
+    assert expected is None and key == ChunkKey(run.blob_id, run.first_chunk_id + lost)
 # -- what the provider layer keeps: runs, not chunks -----------------------------------------
 
 
@@ -498,50 +566,37 @@ def test_commit_and_read_of_a_run_allocate_per_run_not_per_stripe():
     assert sum(p.used_bytes for p in manager.providers) == (120 + stripes) * chunk
 
 
+
 def test_deleting_one_chunk_leaves_the_rest_of_its_run_readable():
-    manager = ProviderManager()
-    for index in range(3):
-        manager.register(DataProvider(f"node-{index}"))
-    client = BlobClient(providers=manager, default_chunk_size=CHUNK)
+    manager, client = three_providers()
     blob = client.create_blob()
     data = bytes(range(12 * CHUNK))
     (run,) = client.write(blob, 0, LiteralBytes(data)).runs
     key = ChunkKey(blob, run.first_chunk_id + 5)
     (holder,) = run.providers[5]
-    assert manager.get(holder).delete(key) == CHUNK
+    assert manager.release(run.stored, 5, 6) == (1, CHUNK)
     assert run.stored.dropped == {(5, holder)}
-    assert manager.get(holder).chunk_count == 3 and manager.locations(key) == []
+    assert manager.get(holder).chunk_count == 3
     assert client.read(blob, 0, 5 * CHUNK).read() == data[: 5 * CHUNK]
     assert client.read(blob, 6 * CHUNK, 6 * CHUNK).read() == data[6 * CHUNK :]
     with pytest.raises(ChunkNotFoundError) as raised:
         client.read(blob)
     assert str(raised.value) == f"chunk {key} is not stored on any live provider"
-    # stored again, anywhere, it is served again
-    manager.get(run.providers[0][0]).store(Chunk(key, LiteralBytes(data[5 * CHUNK : 6 * CHUNK])))
-    assert client.read(blob).read() == data
 
 
 def test_a_run_leaves_a_table_with_the_last_chunk_held_there():
-    """Deleting frees: a provider forgets a run with its last chunk of it, and the
-    payload goes when the last provider has."""
-    manager = ProviderManager(replication=2)
-    for index in range(3):
-        manager.register(DataProvider(f"node-{index}"))
-    client = BlobClient(providers=manager, default_chunk_size=CHUNK)
+    """Releasing frees: a provider forgets a run with its last chunk of it, and
+    the payload goes when the last provider has."""
+    manager, client = three_providers(replication=2)
     blob = client.create_blob()
     (run,) = client.write(blob, 0, LiteralBytes(bytes(range(7 * CHUNK)))).runs
     stored = run.stored
     assert len(stored.held) == 3 and stored.dropped is None
-    replicas = [
-        (manager.get(provider_id), key)
-        for key, placed in zip(run.keys(run.first_stripe, run.last_stripe), run.providers)
-        for provider_id in placed
-    ]
-    for done, (provider, key) in enumerate(replicas, start=1):
-        assert provider.delete(key) == CHUNK
-        left = {p.provider_id for p, _key in replicas[done:]}
+    for index in range(7):
+        assert manager.release(stored, index, index + 1) == (2, 2 * CHUNK)
+        left = {provider_id for placed in run.providers[index + 1 :] for provider_id in placed}
         assert {p.provider_id for p in manager.providers if stored in p._runs.values()} == left
-        assert len(stored.held) == len(left) and (stored.payload is None) == (not left)
+        assert set(stored.held) == left and (stored.payload is None) == (not left)
     assert stored.dropped is None  # the exceptions went with the payload
     assert manager.total_used_bytes == 0 and all(not p._runs for p in manager.providers)
     with pytest.raises(ChunkNotFoundError):

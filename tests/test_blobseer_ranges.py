@@ -8,6 +8,7 @@ identity, stored-length bounds, empty input, ``chunk_size +- 1``) on
 """
 
 import random
+import sys
 
 import pytest
 
@@ -91,7 +92,7 @@ def _origin_after_clone_diverged(stripes, chunk_size):
 
 
 def _dedup_alias(stripes, chunk_size):
-    """A second BLOB with identical content: every stripe is an alias."""
+    """A second BLOB with identical content: every stripe shares a stored run."""
     client = make_client(chunk_size=chunk_size, dedup=DedupEngine())
     data = pattern(stripes * chunk_size)
     client.create_blob(initial_data=LiteralBytes(data))
@@ -180,10 +181,11 @@ def stored_chunks(client, blob, version=None):
     """(descriptor, stored payload bytes) of every stripe, in stripe order."""
     version = client.latest_version(blob) if version is None else version
     out = []
-    descriptors = client.metadata.iter_descriptors(blob, version)
-    for desc in sorted(descriptors, key=lambda d: d.stripe_index):
-        chunk = client.providers.fetch_any(desc.key, preferred=desc.providers)
-        out.append((desc, chunk.data.read()))
+    for run, first, last in client.metadata.extents_in_range(blob, version, 0, sys.maxsize):
+        for stripe in range(first, last + 1):
+            desc, chunk = run.descriptor(stripe), run.stored.chunk(stripe - run.first_stripe)
+            assert chunk.key == desc.key
+            out.append((desc, chunk.data.read()))
     return out
 
 

@@ -64,12 +64,27 @@ class PlacementModel:
 
 def sized_chunk(chunk_id, size):
     """A chunk whose footprint is ``size`` without ``size`` bytes of payload."""
-    return Chunk(ChunkKey(1, chunk_id), LiteralBytes(b""), stored_size=size)
+    return Chunk(ChunkKey(1, chunk_id), LiteralBytes(b"x"), stored_size=size)
+
+
+def run_to_store(spec):
+    """``(payload, stripe length, stored size, chunk sizes)`` of a run spec:
+    ``count`` chunks stored verbatim, the last ``last`` bytes long, or
+    ``count`` chunks of one byte stored at ``size`` bytes each."""
+    count, size, last, verbatim = spec
+    if verbatim:
+        last = min(last, size)
+        payload = LiteralBytes(bytes((count - 1) * size + last))
+        return payload, size, None, [size] * (count - 1) + [last]
+    return LiteralBytes(bytes(count)), 1, size, [size] * count
 
 
 CAPACITIES = st.sampled_from([40, 150, 10**9])
+RUN = st.tuples(st.integers(1, 30), st.integers(0, 60), st.integers(1, 60), st.booleans()).filter(
+    lambda spec: spec[1] or not spec[3]  # a verbatim chunk holds at least one byte
+)
 OPERATIONS = st.one_of(
-    st.tuples(st.just("store"), st.lists(st.integers(0, 60), min_size=1, max_size=30)),
+    st.tuples(st.just("store"), RUN),
     st.tuples(st.just("place"), st.integers(0, 60)),
     st.tuples(st.just("delete"), st.integers(0, 10**6)),
     st.tuples(st.just("fail"), st.integers(0, 10**6)),
@@ -89,29 +104,29 @@ def test_place_many_matches_the_ranking_oracle(capacities, replication, operatio
     for index, capacity in enumerate(capacities):
         manager.register(DataProvider(f"node-{index}", capacity=capacity))
         model.register(f"node-{index}", capacity)
-    stored = {}  # key -> (size, provider ids)
+    stored = {}  # (run, chunk index) -> size; every chunk not released yet
     next_id = 0
     for name, arg in operations:
         if name == "store":
-            chunks = [sized_chunk(next_id + i, size) for i, size in enumerate(arg)]
-            next_id += len(arg)
+            payload, stripe_length, stored_size, sizes = run_to_store(arg)
             before = [list(p) for p in model.providers]
             expected = []
-            for size in arg:
+            for size in sizes:
                 placed = model.store(size)
                 if placed is None:
                     break
                 expected.append(placed)
-            if len(expected) < len(arg):
-                # No room for one of them: nothing of the batch is stored, and the
+            if len(expected) < len(sizes):
+                # No room for one of them: nothing of the run is stored, and the
                 # tie stream stands where the last successful placement left it.
                 model.providers = before
                 with pytest.raises(StorageError):
-                    manager.store_many(chunks)
+                    manager.store_run(1, next_id, payload, stripe_length, stored_size)
             else:
-                assert manager.store_many(chunks) == expected
-                for chunk, providers in zip(chunks, expected):
-                    stored[chunk.key] = (chunk.footprint, providers)
+                run = manager.store_run(1, next_id, payload, stripe_length, stored_size)
+                assert list(run.placements) == expected
+                stored.update(((run, index), size) for index, size in enumerate(sizes))
+            next_id += len(sizes)
         elif name == "place":
             expected = model.place(arg)
             if expected is None:
@@ -121,11 +136,12 @@ def test_place_many_matches_the_ranking_oracle(capacities, replication, operatio
                 decision = manager.place(ChunkKey(1, 0), arg)
                 assert decision.providers == [p[0] for p in expected]
         elif name == "delete" and stored:
-            key = sorted(stored)[arg % len(stored)]
-            size, providers = stored.pop(key)
-            for provider_id in providers:
+            run, index = list(stored)[arg % len(stored)]
+            size = stored.pop((run, index))
+            manager.release(run, index, index + 1)
+            for provider_id in run.placements[index]:
                 record = next(p for p in model.providers if p[0] == provider_id)
-                if manager.get(provider_id).delete(key):
+                if record[3]:  # a failed provider lost it already
                     record[2] -= size
         elif name == "fail":
             record = model.providers[arg % len(model.providers)]
@@ -140,14 +156,17 @@ def test_place_many_matches_the_ranking_oracle(capacities, replication, operatio
 
 
 def test_one_chunk_wrappers_follow_the_same_sequence():
-    """``place``/``store_replicated`` are ``place_many``/``store_many`` of one chunk."""
+    """``place``/``store_replicated`` are ``place_many``/``store_run`` of one chunk."""
     bulk, single = ProviderManager(replication=2), ProviderManager(replication=2)
     for manager in (bulk, single):
         for index in range(7):
             manager.register(DataProvider(f"p{index}"))
     sizes = [10, 10, 3, 10, 0, 25, 10, 10, 10, 4]
     chunks = [sized_chunk(i, size) for i, size in enumerate(sizes)]
-    placements = bulk.store_many(chunks)
+    placements = [
+        bulk.store_run(1, i, chunk.data, 1, chunk.stored_size).placements[0]
+        for i, chunk in enumerate(chunks)
+    ]
     assert [tuple(single.store_replicated(c).providers) for c in chunks] == placements
     assert [p.used_bytes for p in single.providers] == [p.used_bytes for p in bulk.providers]
     # a decision alone reserves nothing: asking twice moves only the tie-break

@@ -155,9 +155,8 @@ class TestRefcountedDedupCollection:
 # by-key collector, kept here: it materialises, for every version, the keys of
 # the chunks that hold its stripes on the providers (with the dedup layer, a
 # stripe whose content was already stored is held by the chunk that content
-# was shipped as), asks every provider about every doomed key through the
-# one-chunk view (``has``) and deletes key by key.  Whatever can be observed
-# afterwards must be equal.
+# was shipped as), takes the doomed ones as a set difference and releases them
+# one chunk at a time.  Whatever can be observed afterwards must be equal.
 
 #: stripe length: long enough for the zlib codec's model to store a whole stripe
 #: in fewer bytes than it holds (16 of header + 1 / 2.6 of the content)
@@ -165,12 +164,13 @@ SMALL = 64
 
 
 def stored_keys(client, blob_id, version):
-    """Keys of the chunks that hold the stripes of one version."""
-    keys = set()
+    """Keys of the chunks that hold the stripes of one version, each with the
+    stored run and the index in it of that chunk."""
+    keys = {}
     for run, first, last in client.metadata.extents_in_range(blob_id, version, 0, sys.maxsize):
         held = run.stored
-        shift = held.first_chunk_id - run.first_stripe
-        keys.update(ChunkKey(held.blob_id, stripe + shift) for stripe in range(first, last + 1))
+        for index in range(first - run.first_stripe, last - run.first_stripe + 1):
+            keys[ChunkKey(held.blob_id, held.first_chunk_id + index)] = (held, index)
     return keys
 
 
@@ -193,18 +193,18 @@ def reference_collect(client, keep_latest, blob_ids=None, pinned=None):
         report.examined_blobs += 1
 
     def referenced(which):
-        keys = set()
+        keys = {}
         for blob_id, plan in plans.items():
             for version in plan[which]:
-                keys |= stored_keys(client, blob_id, version)
+                keys.update(stored_keys(client, blob_id, version))
         return keys
 
-    doomed = referenced(1) - referenced(0)
-    for provider in client.providers.providers:
-        for key in doomed:
-            if provider.has(key):
-                report.deleted_chunks += 1
-                report.reclaimed_bytes += provider.delete(key)
+    dropped = referenced(1)
+    for key in sorted(dropped.keys() - referenced(0).keys()):
+        run, index = dropped[key]
+        chunks, nbytes = client.release(run, index, index + 1)
+        report.deleted_chunks += chunks
+        report.reclaimed_bytes += nbytes
 
     for blob_id, (keep, drop) in plans.items():
         if not drop:
