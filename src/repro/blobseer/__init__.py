@@ -21,14 +21,20 @@ Public API
 ----------
 
 * :class:`~repro.blobseer.client.BlobClient` -- user-facing handle
-  (``create``, ``read``, ``write``, ``clone``, ``snapshot``)
+  (``create_blob``, ``read``, ``write`` / ``write_batch``, ``clone``,
+  ``release``)
 * :class:`~repro.blobseer.version_manager.VersionManager`
-* :class:`~repro.blobseer.provider.DataProvider`, :class:`ProviderManager`
+* :class:`~repro.blobseer.provider.ProviderManager` -- placement, and the
+  one store of content: stored runs (:class:`~repro.blobseer.provider.StoredRun`)
+  kept in the run tables of the data providers
+  (:class:`~repro.blobseer.provider.DataProvider`); ``store_run``,
+  ``live_prefix``, ``release``
 * :class:`~repro.blobseer.metadata.MetadataStore` -- segment-tree metadata
-  with shadowing, over :class:`~repro.blobseer.metadata.StripeRun` records
+  with shadowing, over :class:`~repro.blobseer.metadata.StripeRun` records,
+  each pointing at the stored run that holds it
 """
 
-from repro.blobseer.provider import Chunk, ChunkKey, DataProvider, ProviderManager
+from repro.blobseer.provider import Chunk, ChunkKey, DataProvider, ProviderManager, StoredRun
 from repro.blobseer.metadata import ChunkDescriptor, MetadataStore, SegmentNode, StripeRun
 from repro.blobseer.version_manager import BlobInfo, VersionManager, VersionRecord
 from repro.blobseer.client import BlobClient, WriteResult
@@ -38,6 +44,7 @@ __all__ = [
     "ChunkKey",
     "DataProvider",
     "ProviderManager",
+    "StoredRun",
     "ChunkDescriptor",
     "MetadataStore",
     "SegmentNode",

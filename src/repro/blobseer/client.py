@@ -37,7 +37,7 @@ from repro.blobseer.provider import ChunkKey, ProviderManager, StoredRun
 from repro.blobseer.version_manager import VersionManager, VersionRecord
 from repro.dedup.engine import DedupEngine
 from repro.util.bytesource import ByteSource, LiteralBytes, ZeroBytes, concat
-from repro.util.errors import StorageError
+from repro.util.errors import ChunkNotFoundError, StorageError
 from repro.util.runmap import RunMap
 
 
@@ -279,18 +279,18 @@ class BlobClient:
                 first_chunk_id = self._next_chunk_id
                 self._next_chunk_id += count
                 last_length = payload.size - (count - 1) * chunk_size
-                held = stored_size = None
+                holder = stored_size = None
                 if self.dedup is not None:
                     ingest = self.dedup.ingest(payload, self.providers)
                     cpu_seconds += ingest.cpu_seconds
-                    held, stored_size = ingest.run, ingest.stored_size
-                shipped = held is None
+                    holder, stored_size = ingest.run, ingest.stored_size
+                shipped = holder is None
                 if shipped:
-                    held = self.providers.store_run(
+                    holder = self.providers.store_run(
                         blob_id, first_chunk_id, payload, chunk_size, stored_size
                     )
                     if self.dedup is not None:
-                        self.dedup.register_canonical(ingest, held)
+                        self.dedup.register_canonical(ingest, holder)
                 else:
                     # Identical content is already stored: share its run.
                     dedup_hits += 1
@@ -299,12 +299,11 @@ class BlobClient:
                     first_stripe=first_stripe,
                     blob_id=blob_id,
                     first_chunk_id=first_chunk_id,
-                    providers=held.placements,
                     stripe_length=chunk_size,
                     last_length=last_length,
                     created_by=(blob_id, new_version),
+                    stored=holder,
                     physical_length=stored_size,
-                    stored=held,
                 )
                 updates.append(run)
                 if shipped:
@@ -480,48 +479,40 @@ class BlobClient:
     def _read_version(self, blob_id: int, version: int, offset: int, size: int) -> ByteSource:
         """The (already checked) window ``[offset, offset + size)`` of a version.
 
-        Walks the runs the window crosses.  The stripes of a run that are
-        still where they were placed come back as one slice of the stored
-        run's payload (their own, or the one they share with the stripe that
-        first shipped their content); a stripe that is not -- its providers
-        failed -- is looked for on every provider.  Whatever no chunk covers
-        -- holes, and the tail of a stripe whose chunk is short -- reads as
+        Walks the runs the window crosses; the stripes of each come back as
+        one slice of the stored run's payload (their own, or the one they
+        share with the stripe that first shipped their content).  A stripe no
+        live provider of its placement holds any more is lost: the read raises
+        ``ChunkNotFoundError`` naming its chunk.  Whatever no chunk covers --
+        holes, and the tail of a stripe whose chunk is short -- reads as
         zeros.
         """
         if size == 0:
             return LiteralBytes(b"")
         end = offset + size
         chunk_size = self.version_manager.get(blob_id).chunk_size
-        providers = self.providers
         pieces: List[ByteSource] = []
         cursor = offset  # everything below it is in ``pieces``
         for run, first, last in self.metadata.extents_in_range(
             blob_id, version, offset // chunk_size, (end - 1) // chunk_size
         ):
-            held = run.stored
-            index = first - run.first_stripe
+            source = run.stored
+            at = first - run.first_stripe
             stop = last - run.first_stripe + 1
-            while index < stop:
-                live = index if held is None else providers.live_prefix(held, index, stop)
-                if live > index:
-                    source, at, count = held, index, live - index
-                else:
-                    owner = held or run  # the ids the chunk was shipped under
-                    source, at = providers.locate(
-                        ChunkKey(owner.blob_id, owner.first_chunk_id + index), run.providers[index]
-                    )
-                    count = 1
-                stripe_start = (run.first_stripe + index) * chunk_size
-                lo = max(cursor, stripe_start)
-                hi = min(end, stripe_start + source.span_bytes(at, count))
-                if lo < hi:
-                    if cursor < lo:
-                        pieces.append(ZeroBytes(lo - cursor))
-                    pieces.append(
-                        source.payload.slice(at * source.stripe_length + lo - stripe_start, hi - lo)
-                    )
-                    cursor = hi
-                index += count
+            lost = self.providers.live_prefix(source, at, stop)
+            if lost < stop:
+                key = ChunkKey(source.blob_id, source.first_chunk_id + lost)
+                raise ChunkNotFoundError(f"chunk {key} is not stored on any live provider")
+            stripe_start = first * chunk_size
+            lo = max(cursor, stripe_start)
+            hi = min(end, stripe_start + source.span_bytes(at, stop - at))
+            if lo < hi:
+                if cursor < lo:
+                    pieces.append(ZeroBytes(lo - cursor))
+                pieces.append(
+                    source.payload.slice(at * source.stripe_length + lo - stripe_start, hi - lo)
+                )
+                cursor = hi
         if cursor < end:
             pieces.append(ZeroBytes(end - cursor))
         return concat(pieces)
@@ -587,15 +578,12 @@ class BlobClient:
         for run, first, last in self.metadata.extents_in_range(
             blob_id, record.version, 0, sys.maxsize
         ):
-            held = run.stored
-            for stripe in range(first, last + 1):
-                chunk = (held or run, stripe - run.first_stripe)
-                if chunk not in seen:
-                    seen.add(chunk)
-                    if held is None or held.stored_size is None:
-                        total += run.span_bytes(stripe, stripe, physical=True)
-                    else:
-                        total += held.stored_size
+            stored = run.stored
+            for index in range(first - run.first_stripe, last - run.first_stripe + 1):
+                if (stored, index) not in seen:
+                    seen.add((stored, index))
+                    size = stored.stored_size
+                    total += stored.span_bytes(index, 1) if size is None else size
         return total
 
     def incremental_footprint(self, blob_id: int, version: int, *, physical: bool = False) -> int:

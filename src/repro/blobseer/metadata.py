@@ -11,19 +11,22 @@ origin version.
 The implementation below is a persistent (immutable, structure-sharing)
 binary segment tree over stripe indices.  What it stores is the *run*: a
 maximal sequence of consecutive stripes written by one version
-(:class:`StripeRun`).  A subtree whose whole span lies inside one run is a
-single leaf pointing at it, so committing 800 consecutive stripes builds
-O(log n) nodes, not 1 599; per-stripe :class:`ChunkDescriptor` views are
-materialised on demand.  The store still *counts* one node per stripe-level
-tree node an update allocates, which the deployment layer uses to charge
-metadata-provider I/O, and exposes the range queries used by the read path.
+(:class:`StripeRun`), which points at the
+:class:`~repro.blobseer.provider.StoredRun` that holds its data -- the only
+way a version reaches stored content.  A subtree whose whole span lies inside
+one run is a single leaf pointing at it, so committing 800 consecutive stripes
+builds O(log n) nodes, not 1 599; per-stripe :class:`ChunkDescriptor` views
+are materialised on demand.  The store still *counts* one node per
+stripe-level tree node an update allocates, which the deployment layer uses to
+charge metadata-provider I/O, and exposes the range queries used by the read
+path.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.blobseer.provider import ChunkKey, StoredRun
 from repro.util.errors import StorageError, VersionNotFoundError
@@ -69,38 +72,26 @@ class StripeRun:
     first_stripe: int
     blob_id: int
     first_chunk_id: int
-    #: per stripe, the provider ids that were asked to store the replicas
-    providers: Sequence[Tuple[str, ...]]
     stripe_length: int
     last_length: int
     #: ``(blob_id, version)`` that wrote the run
     created_by: Tuple[int, int]
+    #: the stored run that holds these stripes: the one the providers were
+    #: handed for them or, for a stripe whose content was already stored (a
+    #: dedup hit: a run of one, ``physical_length`` 0), the one that content
+    #: was shipped as
+    stored: StoredRun
     #: see :attr:`ChunkDescriptor.physical_length`; holds for every stripe
     physical_length: Optional[int] = None
-    #: the stored run that holds these stripes, sharing its ``placements`` as
-    #: ``providers``: the one the providers were handed for them or, for a
-    #: stripe whose content was already stored (a dedup hit: a run of one,
-    #: ``physical_length`` 0), the one that content was shipped as.  ``None``
-    #: for a run described by hand, whose chunks are looked up by key
-    stored: Optional[StoredRun] = None
 
-    @classmethod
-    def of(cls, descriptor: ChunkDescriptor) -> "StripeRun":
-        """The run of one stripe that ``descriptor`` describes."""
-        return cls(
-            first_stripe=descriptor.stripe_index,
-            blob_id=descriptor.key.blob_id,
-            first_chunk_id=descriptor.key.chunk_id,
-            providers=(descriptor.providers,),
-            stripe_length=descriptor.length,
-            last_length=descriptor.length,
-            created_by=descriptor.created_by,
-            physical_length=descriptor.physical_length,
-        )
+    @property
+    def providers(self) -> Sequence[Tuple[str, ...]]:
+        """Per stripe, the provider ids that were asked to store the replicas."""
+        return self.stored.placements
 
     @property
     def last_stripe(self) -> int:
-        return self.first_stripe + len(self.providers) - 1
+        return self.first_stripe + len(self.stored.placements) - 1
 
     def keys(self, first: int, last: int) -> List[ChunkKey]:
         """Keys of the chunks holding stripes ``first..last``."""
@@ -114,7 +105,7 @@ class StripeRun:
             stripe_index=stripe,
             length=self.last_length if stripe == self.last_stripe else self.stripe_length,
             key=ChunkKey(self.blob_id, self.first_chunk_id + index),
-            providers=self.providers[index],
+            providers=self.stored.placements[index],
             created_by=self.created_by,
             physical_length=self.physical_length,
         )
@@ -241,21 +232,14 @@ class MetadataStore:
             ) from None
 
     def derive_version(
-        self,
-        blob_id: int,
-        base_version: int,
-        new_version: int,
-        updates: Union[Sequence[StripeRun], Mapping[int, ChunkDescriptor]],
+        self, blob_id: int, base_version: int, new_version: int, updates: Sequence[StripeRun]
     ) -> int:
         """Publish ``new_version`` of ``blob_id`` derived from ``base_version``.
 
-        ``updates`` holds the runs the version wrote (disjoint, any order); a
-        mapping of stripe indices to descriptors is read as one run per
-        stripe.  Returns the number of tree nodes the shadowed update
-        allocated, counted per stripe (see :class:`_TreeBuilder`).
+        ``updates`` holds the runs the version wrote (disjoint, any order).
+        Returns the number of tree nodes the shadowed update allocated,
+        counted per stripe (see :class:`_TreeBuilder`).
         """
-        if isinstance(updates, Mapping):
-            updates = [StripeRun.of(descriptor) for descriptor in updates.values()]
         runs = sorted(updates, key=lambda run: run.first_stripe)
         for before, after in zip(runs, runs[1:]):
             if after.first_stripe <= before.last_stripe:
@@ -328,7 +312,9 @@ class MetadataStore:
     def descriptors_in_range(
         self, blob_id: int, version: int, first_stripe: int, last_stripe: int
     ) -> List[ChunkDescriptor]:
-        """All descriptors with ``first_stripe <= stripe_index <= last_stripe``."""
+        """All descriptors with ``first_stripe <= stripe_index <= last_stripe``.
+        Named by the benchmark's boundary table (no workload calls it); when
+        that row leaves, this folds into :meth:`iter_descriptors`."""
         return [
             run.descriptor(stripe)
             for run, first, last in self.extents_in_range(

@@ -1,11 +1,11 @@
 """Data providers and chunk placement for BlobSeer.
 
 A *data provider* is the storage daemon that BlobSeer runs on every compute
-node's local disk: it stores opaque chunks keyed by ``(blob_id, chunk_id)``.
-The *provider manager* keeps track of all registered providers and hands out
-placement decisions (which providers should store the replicas of a new
-chunk) using a least-loaded policy with deterministic tie-breaking, which is
-what gives the checkpoint repository its even load distribution.
+node's local disk.  The *provider manager* keeps track of all registered
+providers and hands out placement decisions (which providers should store the
+replicas of a new chunk) using a least-loaded policy with deterministic
+tie-breaking, which is what gives the checkpoint repository its even load
+distribution.
 
 A COMMIT ships a whole run of consecutive stripes at once, and the run is
 what both layers store.  :meth:`ProviderManager.store_run` places it with one
@@ -14,11 +14,12 @@ wraps its payload in one :class:`StoredRun` and hands every chosen provider
 its share as two numbers, a chunk count and a byte count.  A provider keeps
 the runs it was handed, not their chunks, in one table: *it holds exactly the
 chunks the run's placement puts on it*, minus those that were released, which
-the run records in an exception set that does not exist until then.  A read
-asks whether the chunks it wants are still where they were placed
+the run records in an exception set that does not exist until then.  The
+stored run is the only address of stored content: a read asks whether the
+chunks it wants are still where they were placed
 (:meth:`ProviderManager.live_prefix`: per chunk a provider lookup, its
 ``alive`` flag and its run table, nothing allocated) and slices the payload
-once.
+once; a chunk no live provider of its placement holds is lost.
 
 Content leaves a live provider one way: :meth:`ProviderManager.release` drops
 a range of a run's chunks from every provider that still holds them (snapshot
@@ -27,17 +28,15 @@ provider still holds of it, so a run none of whose chunks is left on a
 provider leaves that table without a look at its placement, and the payload
 goes when the run has left the last one.
 
-:class:`Chunk`, :class:`ChunkKey` and the one-chunk operations (a provider's
-``store``/``fetch``/``has``/``delete``, the manager's ``place``/``store_many``/
-``store_replicated``/``fetch_many``/``fetch_any``/``locations``) are views: a
-chunk stored alone is a run of one, which the table finds with one probe
-(under dedup every chunk is one), and a chunk of a longer run is looked for
-run by run and cut out of the payload on demand.
-
 The dedup layer adds nothing here: a stripe whose content is already stored
 references the :class:`StoredRun` that holds it, so one run may be reached
 from many stripes of many versions, and it is released when none of those
 that are retained reaches it any more.
+
+A :class:`ChunkKey` names a chunk (in descriptors and error messages).
+:class:`Chunk` and the manager's ``place`` / ``store_replicated`` /
+``fetch_any`` are one-chunk views on the runs, kept only because the
+benchmark's boundary table names them; they leave with those rows.
 """
 
 from __future__ import annotations
@@ -153,10 +152,6 @@ class DataProvider:
         #: the run table, by :attr:`StoredRun.table_key`: every run this
         #: provider holds a chunk of (which chunks is what the run says)
         self._runs: Dict[Tuple[int, int, int], StoredRun] = {}
-        #: how many of them are longer than one chunk: only those need a look
-        #: beyond the probe, and under dedup, or through the one-chunk calls
-        #: alone, there are none
-        self._long = 0
         self._used = 0
         self._count = 0
         self.alive = True
@@ -188,7 +183,6 @@ class DataProvider:
                 f"provider {self.provider_id} is full ({nbytes} needed, {self.free_bytes} free)"
             )
         self._runs[run.table_key] = run
-        self._long += len(run.placements) > 1
         run.held[self.provider_id] = chunks
         self._used += nbytes
         self._count += chunks
@@ -197,7 +191,6 @@ class DataProvider:
         """Take a run this provider holds nothing of any more out of the
         table; what the run keeps goes with the last table."""
         del self._runs[run.table_key]
-        self._long -= len(run.placements) > 1
         del run.held[self.provider_id]
         if not run.held:
             run.payload = run.dropped = None
@@ -226,12 +219,9 @@ class DataProvider:
         return freed
 
     def _find(self, key: ChunkKey) -> Optional[StoredRun]:
-        """The run this provider holds chunk ``key`` in: one probe for a run
-        of one, else a look at every run of the table (tests, the one-chunk views)."""
+        """The run this provider holds chunk ``key`` in: a look at every run
+        of the table (only :meth:`ProviderManager.fetch_any` asks)."""
         blob_id, chunk_id = key
-        run = self._runs.get((blob_id, chunk_id, 1))
-        if run is not None or not self._long:
-            return run  # a run of one leaves the table with its chunk
         me = self.provider_id
         for (blob, first, count), run in self._runs.items():
             if blob == blob_id and first <= chunk_id < first + count:
@@ -239,40 +229,6 @@ class DataProvider:
                 if me in run.placements[index] and (index, me) not in (run.dropped or ()):
                     return run
         return None
-
-    def store(self, chunk: Chunk) -> None:
-        """Store one chunk, as a run of one.  Chunks are immutable: a key
-        that is already held keeps the chunk it has."""
-        try:
-            if self.has(chunk.key):
-                return
-            blob_id, chunk_id = chunk.key
-            placements = ((self.provider_id,),)
-            run = StoredRun(
-                blob_id, chunk_id, placements, chunk.data, chunk.size, chunk.size, chunk.stored_size
-            )
-            self._accept(run, 1, chunk.footprint)
-        finally:
-            self._usage_changed()  # the placement index may count a chunk that did not arrive
-
-    def has(self, key: ChunkKey) -> bool:
-        return self.alive and self._find(key) is not None
-
-    def fetch(self, key: ChunkKey) -> Chunk:
-        if not self.alive:
-            raise ChunkNotFoundError(f"provider {self.provider_id} is not alive")
-        run = self._find(key)
-        if run is None:
-            raise ChunkNotFoundError(f"chunk {key} not stored on provider {self.provider_id}")
-        return run.chunk(key.chunk_id - run.first_chunk_id)
-
-    def delete(self, key: ChunkKey) -> Optional[int]:
-        """Remove this provider's replica of one chunk: the bytes it freed,
-        ``None`` if it was not here."""
-        run = self._find(key)
-        if run is None:
-            return None
-        return self._release(run, (key.chunk_id - run.first_chunk_id,))
 
     def fail(self) -> None:
         """Simulate a fail-stop crash: all locally stored chunks are lost."""
@@ -494,7 +450,9 @@ class ProviderManager:
         return placements
 
     def place(self, key: ChunkKey, size: int) -> PlacementDecision:
-        """Choose ``replication`` distinct live providers for one new chunk."""
+        """Choose ``replication`` distinct live providers for one new chunk
+        (:meth:`place_many` of one, reserving nothing).  Named by the
+        benchmark's boundary table; leaves with that row."""
         (providers,) = self.place_many((size,))
         self._index_stale = True  # a decision alone stores nothing
         return PlacementDecision(key=key, providers=list(providers))
@@ -541,21 +499,6 @@ class ProviderManager:
         self._observe(sizes, placements)
         return run
 
-    def store_many(self, chunks: Sequence[Chunk]) -> List[Tuple[str, ...]]:
-        """Place and store ``chunks`` in order, each on its own; returns the
-        provider ids of each."""
-        sizes = [chunk.footprint for chunk in chunks]
-        placements = self.place_many(sizes)
-        try:
-            for chunk, providers in zip(chunks, placements):
-                for provider_id in providers:
-                    self._providers[provider_id].store(chunk)
-        except BaseException:
-            self._index_stale = True  # it counts chunks that never arrived
-            raise
-        self._observe(sizes, placements)
-        return placements
-
     @staticmethod
     def _observe(sizes: Sequence[int], placements: Sequence[Tuple[str, ...]]) -> None:
         if TRACER.enabled:
@@ -564,9 +507,12 @@ class ProviderManager:
                 TRACER.observe("chunk.replicas", len(providers))
 
     def store_replicated(self, chunk: Chunk) -> PlacementDecision:
-        """Place and store one chunk."""
-        (providers,) = self.store_many((chunk,))
-        return PlacementDecision(key=chunk.key, providers=list(providers))
+        """Place and store one chunk under a fresh key, as a run of one
+        (:meth:`store_run`).  Named by the benchmark's boundary table; leaves
+        with that row."""
+        blob_id, chunk_id = chunk.key
+        run = self.store_run(blob_id, chunk_id, chunk.data, chunk.size, chunk.stored_size)
+        return PlacementDecision(key=chunk.key, providers=list(run.placements[0]))
 
     def live_prefix(self, run: StoredRun, first: int, stop: int) -> int:
         """How far chunks ``first .. stop - 1`` of ``run`` can be read from
@@ -616,34 +562,15 @@ class ProviderManager:
                 nbytes += providers[provider_id]._release(run, indices)
         return chunks, nbytes
 
-    def locate(self, key: ChunkKey, preferred: Iterable[str] = ()) -> Tuple[StoredRun, int]:
-        """The stored run that holds chunk ``key``, on the first live provider
-        that has it -- its ``preferred`` providers (where it was placed), then
-        everyone -- and the chunk's index in it."""
+    def fetch_any(self, key: ChunkKey, preferred: Iterable[str] = ()) -> Chunk:
+        """Chunk ``key``, cut out of the run the first live provider that holds
+        it keeps -- its ``preferred`` providers (where it was placed), then
+        everyone.  Named by the benchmark's boundary table; leaves with that
+        row."""
         providers = self._providers
         for provider in chain(map(providers.get, preferred), providers.values()):
             if provider is not None and provider.alive:
                 run = provider._find(key)
                 if run is not None:
-                    return run, key.chunk_id - run.first_chunk_id
+                    return run.chunk(key.chunk_id - run.first_chunk_id)
         raise ChunkNotFoundError(f"chunk {key} is not stored on any live provider")
-
-    def fetch_many(
-        self, keys: Iterable[ChunkKey], preferred: Iterable[Sequence[str]]
-    ) -> List[Chunk]:
-        """Fetch each chunk (see :meth:`locate`) with its own ``preferred`` hint."""
-        keys, preferred = list(keys), list(preferred)
-        if len(keys) != len(preferred):
-            raise StorageError(
-                f"fetch_many needs one provider hint per key: {len(keys)} keys, "
-                f"{len(preferred)} hints"
-            )
-        return [run.chunk(index) for run, index in map(self.locate, keys, preferred)]
-
-    def fetch_any(self, key: ChunkKey, preferred: Iterable[str] = ()) -> Chunk:
-        """Fetch one chunk (see :meth:`locate`)."""
-        run, index = self.locate(key, preferred)
-        return run.chunk(index)
-
-    def locations(self, key: ChunkKey) -> List[str]:
-        return [p.provider_id for p in self._providers.values() if p.has(key)]

@@ -16,9 +16,9 @@ own unless its run is partially retained.
 
 The dedup layer changes nothing here: a stripe whose content was already
 stored references the stored run that holds it, so that run is marked by
-every retained stripe that shares it and swept once none does.  Only a stripe
-described by hand, without the run that was stored for it, is deleted by key,
-provider by provider.
+every retained stripe that shares it and swept once none does.  Every stripe
+reaches its content through a stored run, so nothing is looked up or deleted
+by key.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.blobseer.provider import ChunkKey, StoredRun
+from repro.blobseer.provider import StoredRun
 from repro.core.repository import CheckpointRepository
 
 #: half-open chunk-index ranges of one stored run
@@ -41,7 +41,7 @@ class GCReport:
 
     examined_blobs: int = 0
     dropped_versions: List[Tuple[int, int]] = field(default_factory=list)
-    #: per-replica chunk deletions performed on the providers
+    #: replica chunks released from the providers
     deleted_chunks: int = 0
     #: physical bytes freed on provider disks (replicas included)
     reclaimed_bytes: int = 0
@@ -110,26 +110,20 @@ class SnapshotGarbageCollector:
 
         # Phase 2, mark: per stored run, the index ranges that retained
         # versions of any blob (the base image and sibling clones included)
-        # reference, and those that dropped versions do.  By key where a
-        # stripe's stored run is not known.
+        # reference, and those that dropped versions do.
         metadata = client.metadata
         marks: Dict[StoredRun, Ranges] = {}
         sweep: Dict[StoredRun, Ranges] = {}
-        kept_keys: Set[ChunkKey] = set()
-        drop_keys: Set[ChunkKey] = set()
         for blob_id, (keep, drop) in plans.items():
-            for versions, by_run, by_key in ((keep, marks, kept_keys), (drop, sweep, drop_keys)):
+            for versions, ranges in ((keep, marks), (drop, sweep)):
                 extents = chain.from_iterable(
                     metadata.extents_in_range(blob_id, version, 0, sys.maxsize)  # every stripe
                     for version in versions
                 )
                 for run, first, last in extents:
-                    if run.stored is not None:
-                        by_run.setdefault(run.stored, []).append(
-                            (first - run.first_stripe, last - run.first_stripe + 1)
-                        )
-                    else:
-                        by_key.update(run.keys(first, last))
+                    ranges.setdefault(run.stored, []).append(
+                        (first - run.first_stripe, last - run.first_stripe + 1)
+                    )
 
         # Phase 3, sweep: what only dropped versions reference is released.
         for run, spans in sweep.items():
@@ -137,13 +131,6 @@ class SnapshotGarbageCollector:
                 chunks, nbytes = client.release(run, first, stop)
                 report.deleted_chunks += chunks
                 report.reclaimed_bytes += nbytes
-        for key in drop_keys - kept_keys:
-            # a chunk that was stored on its own is one run per replica
-            for provider in client.providers.providers:
-                nbytes = provider.delete(key)
-                if nbytes is not None:
-                    report.deleted_chunks += 1
-                    report.reclaimed_bytes += nbytes
 
         # Phase 4: forget the dropped versions' metadata and records.
         for blob_id, (keep, drop) in plans.items():

@@ -42,14 +42,6 @@ class TestDataProvider:
         assert manager.fetch_any(ChunkKey(1, 1)).data.read() == b"data"
         assert provider.used_bytes == 4
 
-    def test_store_is_idempotent(self):
-        provider = DataProvider("p0")
-        chunk = Chunk(ChunkKey(1, 1), LiteralBytes(b"data"))
-        provider.store(chunk)
-        provider.store(chunk)
-        assert provider.used_bytes == 4
-        assert provider.chunk_count == 1
-
     def test_fetch_missing_raises(self):
         manager, _provider = one_provider()
         with pytest.raises(ChunkNotFoundError):

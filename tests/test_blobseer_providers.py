@@ -32,8 +32,6 @@ from repro.util import LiteralBytes, SyntheticBytes
 from repro.util.errors import ChunkNotFoundError, StorageError
 
 CHUNK = 8
-#: blob id of hand-made chunks: no client ever allocates it
-FOREIGN_BLOB = 99
 
 
 class Harness:
@@ -52,14 +50,11 @@ class Harness:
         self.versions = {(self.blobs[0], 0): b""}
         #: (blob, version) -> {stripe: (run number, chunk index)}
         self.maps = {(self.blobs[0], 0): {}}
-        #: every run a write stored (a run's number is its index here), and per
-        #: run the content of each of its chunks
+        #: every run a write stored (a run's number is its index here)
         self.stored = []
-        self.chunks = []
         #: (run number, chunk index, provider index) -> stored bytes, for every
-        #: replica a provider holds; a chunk stored by hand is run ("foreign", key)
+        #: replica a provider holds
         self.held = {}
-        self.foreign = {}  # key -> (bytes, stored size)
 
     def _register(self, provider):
         self.manager.register(provider)
@@ -87,9 +82,7 @@ class Harness:
         ]
 
     def key_of(self, run, index):
-        if run[0] == "foreign":
-            return run[1]
-        stored = self.stored[run[1]]
+        stored = self.stored[run]
         return ChunkKey(stored.blob_id, stored.first_chunk_id + index)
 
     # -- operations -----------------------------------------------------------------------
@@ -161,19 +154,16 @@ class Harness:
         shipped = {}
         stripes = dict(self.maps[(blob, base_version)])
         for run in runs:
-            number = ("run", len(self.stored))
+            number = len(self.stored)
             self.stored.append(run.stored)
-            contents = []
             for index, placed in enumerate(run.stored.placements):
                 stripe = run.first_stripe + index
                 data = bytes(model[stripe * CHUNK : stripe * CHUNK + touched[stripe]])
-                contents.append(data)
                 stripes[stripe] = (number, index)
                 assert len(set(placed)) == len(placed) >= 1
                 for provider_id in placed:
                     self.held[(number, index, self.model_of(provider_id))] = len(data)
                     shipped[provider_id] = shipped.get(provider_id, 0) + len(data)
-            self.chunks.append(contents)
         assert result.provider_bytes == shipped
         self.maps[(blob, version)] = stripes
 
@@ -185,47 +175,6 @@ class Harness:
         self.versions[(clone, 0)] = self.versions[(blob, version)]
         self.maps[(clone, 0)] = self.maps[(blob, version)]
 
-    def foreign_chunk(self, key_pick):
-        """A new chunk to store by hand, under a key no client allocates."""
-        key = ChunkKey(FOREIGN_BLOB, len(self.foreign) + 1)
-        data = bytes((key_pick + i) % 256 for i in range(1 + key_pick % 11))
-        stored_size = None if key_pick % 3 else 1 + key_pick % 5
-        self.foreign[key] = (data, stored_size)
-        return Chunk(key, LiteralBytes(data), stored_size)
-
-    def store(self, provider_pick, key_pick):
-        index = provider_pick % len(self.providers)
-        chunk = self.foreign_chunk(key_pick)
-        provider = self.providers[index]
-        if not provider.alive or chunk.footprint > self.capacities[index] - self.used(index):
-            with pytest.raises(StorageError):
-                provider.store(chunk)
-        else:
-            provider.store(chunk)
-            self.held[(("foreign", chunk.key), 0, index)] = chunk.footprint
-
-    def replicate(self, key_pick):
-        chunk = self.foreign_chunk(key_pick)
-        try:
-            decision = self.manager.store_replicated(chunk)
-        except StorageError:
-            return  # no live provider has room: nothing stored (checked against the model)
-        assert decision.key == chunk.key
-        assert len(set(decision.providers)) == len(decision.providers) >= 1
-        for provider_id in decision.providers:
-            self.held[(("foreign", chunk.key), 0, self.model_of(provider_id))] = chunk.footprint
-
-    def delete(self, provider_pick, chunk_pick):
-        """One replica of one chunk leaves one provider, by key."""
-        chunks = sorted({(run, i) for run, i, _p in self.held}, key=repr)
-        if not chunks:
-            return
-        index = provider_pick % len(self.providers)
-        run, chunk = chunks[chunk_pick % len(chunks)]
-        assert self.providers[index].delete(self.key_of(run, chunk)) == self.held.pop(
-            (run, chunk, index), None
-        )
-
     def release(self, run_pick, first_pick, count_pick):
         """Chunks ``first .. stop - 1`` of a stored run leave every registered
         live provider that still holds them; a second call finds nothing."""
@@ -235,7 +184,7 @@ class Harness:
         run = self.stored[number]
         first = first_pick % len(run.placements)
         stop = first + 1 + count_pick % (len(run.placements) - first)
-        freed = self.forget(("run", number), range(first, stop))
+        freed = self.forget(number, range(first, stop))
         assert self.manager.release(run, first, stop) == freed
         assert self.manager.release(run, first, stop) == (0, 0)
 
@@ -357,36 +306,12 @@ class Harness:
                 )
                 assert len(run.held) == sum(other.get(key) is run for other in tables)
             for number, run in enumerate(self.stored):
-                count = sum(1 for r, _i, p in self.held if r == ("run", number) and p == index)
+                count = sum(1 for r, _i, p in self.held if r == number and p == index)
                 assert (table.get(run.table_key) is run) == (count > 0)
                 if count:
                     assert run.held[me] == count
         for run in self.stored:
             assert (run.payload is None) == (not run.held)
-        # safety-net only: the one-chunk views of the parent tree
-        for run, index in {(r, i) for r, i, _p in self.held} | {
-            (("run", n), i) for n, run in enumerate(self.stored) for i in range(len(run.placements))
-        }:
-            key = self.key_of(run, index)
-            if run[0] == "foreign":
-                data, stored_size = self.foreign[key]
-            else:
-                data, stored_size = self.chunks[run[1]][index], None
-            footprint = len(data) if stored_size is None else stored_size
-            for p, provider in enumerate(self.providers):
-                holds = (run, index, p) in self.held
-                assert provider.has(key) == holds
-                if holds:
-                    chunk = provider.fetch(key)
-                    assert chunk.key == key and chunk.data.read() == data
-                    assert (chunk.size, chunk.footprint) == (len(data), footprint)
-            holders = [self.providers[p].provider_id for p in sorted(self.holders(run, index))]
-            assert self.manager.locations(key) == holders
-            if holders:
-                assert self.manager.fetch_any(key).data.read() == data
-            else:
-                with pytest.raises(ChunkNotFoundError):
-                    self.manager.fetch_any(key)
         for (blob, version), data in self.versions.items():
             self.check_read(blob, version, 0, len(data))
 
@@ -407,9 +332,6 @@ OPERATION = st.one_of(
     st.tuples(st.just("write"), PICK, st.lists(PIECE, min_size=1, max_size=4)),
     st.tuples(st.just("write"), PICK, st.lists(PIECE, min_size=1, max_size=4)),
     st.tuples(st.just("clone"), PICK),
-    st.tuples(st.just("store"), PICK, PICK),
-    st.tuples(st.just("replicate"), PICK),
-    st.tuples(st.just("delete"), PICK, PICK),
     st.tuples(st.just("release"), PICK, PICK, PICK),
     st.tuples(
         st.just("collect"),
@@ -459,41 +381,6 @@ def three_providers(replication=1):
     for index in range(3):
         manager.register(DataProvider(f"node-{index}"))
     return manager, BlobClient(providers=manager, default_chunk_size=CHUNK)
-
-
-def test_lost_chunk_is_served_by_any_live_holder():
-    """A chunk that is gone from where it was placed is read from whoever has it."""
-    manager, client = three_providers()
-    blob = client.create_blob()
-    data = bytes(range(6 * CHUNK))
-    (run,) = client.write(blob, 0, LiteralBytes(data)).runs  # two stripes on each provider
-    key = ChunkKey(blob, run.first_chunk_id + 2)
-    (placed,) = run.providers[2]
-    spare = next(p for p in manager.providers if p.provider_id != placed)
-    spare.store(Chunk(key, LiteralBytes(data[2 * CHUNK : 3 * CHUNK])))
-    manager.get(placed).fail()
-    assert client.read(blob, 2 * CHUNK, CHUNK).read() == data[2 * CHUNK : 3 * CHUNK]
-    with pytest.raises(ChunkNotFoundError) as raised:
-        client.read(blob)
-    assert str(key) not in str(raised.value)
-
-
-def test_restoring_a_held_chunk_changes_nothing():
-    """Through a provider or the manager, a chunk that is already there is kept."""
-    manager = ProviderManager(replication=2)
-    for index in range(2):
-        manager.register(DataProvider(f"node-{index}"))
-    client = BlobClient(providers=manager, default_chunk_size=CHUNK)
-    blob = client.create_blob()
-    data = bytes(range(3 * CHUNK))
-    (run,) = client.write(blob, 0, LiteralBytes(data)).runs
-    for index in range(3):
-        key = ChunkKey(blob, run.first_chunk_id + index)
-        chunk = Chunk(key, LiteralBytes(data[index * CHUNK : (index + 1) * CHUNK]))
-        manager.store_replicated(chunk)
-        for provider_id in run.providers[index]:
-            manager.get(provider_id).store(chunk)
-    assert manager.total_used_bytes == 2 * 3 * CHUNK
 
 
 def test_release_passes_over_what_is_not_registered_alive_and_holding_the_run():
@@ -604,7 +491,9 @@ def test_a_run_leaves_a_table_with_the_last_chunk_held_there():
 
 
 def test_a_chunk_stored_alone_at_the_first_id_of_a_longer_run_is_its_own_run():
-    manager = ProviderManager()
+    """A table files a run under its length too: a run of one stored under the
+    first key of a longer run sits beside it, and each leaves on its own."""
+    manager = ProviderManager(replication=2)
     for index in range(2):
         manager.register(DataProvider(f"node-{index}"))
     client = BlobClient(providers=manager, default_chunk_size=CHUNK)
@@ -612,15 +501,14 @@ def test_a_chunk_stored_alone_at_the_first_id_of_a_longer_run_is_its_own_run():
     data = bytes(range(4 * CHUNK))
     (run,) = client.write(blob, 0, LiteralBytes(data)).runs
     first = ChunkKey(blob, run.first_chunk_id)
-    (placed,) = run.providers[0]
-    other = next(p for p in manager.providers if p.provider_id != placed)
-    assert not other.has(first) and run.stored in other._runs.values()
-    other.store(Chunk(first, LiteralBytes(data[:CHUNK])))
-    assert other.chunk_count == 3 and len(other._runs) == 2
-    manager.get(placed).fail()
-    assert client.read(blob, 0, CHUNK).read() == data[:CHUNK]
-    assert other.delete(first) == CHUNK and other.chunk_count == 2
-    assert run.stored in other._runs.values() and not other.has(first)
+    manager.store_replicated(Chunk(first, LiteralBytes(b"alone")))
+    for provider in manager.providers:
+        assert provider.chunk_count == 5 and len(provider._runs) == 2
+        assert run.stored in provider._runs.values()
+    assert client.read(blob).read() == data
+    assert manager.release(run.stored, 0, 4) == (8, 8 * CHUNK)
+    assert manager.fetch_any(first).data.read() == b"alone"
+    assert manager.total_used_bytes == 2 * len(b"alone")
 
 
 def test_rollback_and_gc_leave_nothing_for_the_collector():
@@ -666,20 +554,8 @@ def test_rollback_and_gc_leave_nothing_for_the_collector():
     assert client.read(blob).fingerprint() == SyntheticBytes("v2", 100 * CHUNK).fingerprint()
 
 
-def test_fetch_many_refuses_a_hint_list_of_another_length():
-    """It used to zip the two and silently return fewer chunks than keys."""
-    manager = ProviderManager()
-    manager.register(DataProvider("p0"))
-    keys = [ChunkKey(1, 1), ChunkKey(1, 2)]
-    for key in keys:
-        manager.store_replicated(Chunk(key, LiteralBytes(b"x")))
-    assert [c.key for c in manager.fetch_many(keys, [("p0",), ()])] == keys
-    with pytest.raises(StorageError, match="2 keys, 1 hints"):
-        manager.fetch_many(keys, [("p0",)])
-
-
 def test_holds_asks_the_placed_providers_first():
-    """``locate`` finds who holds a chunk: the providers it was placed on, then everyone."""
+    """``fetch_any`` asks the providers a chunk was placed on, then everyone."""
     manager = ProviderManager()
     for index in range(4):
         manager.register(DataProvider(f"p{index}"))
@@ -689,14 +565,13 @@ def test_holds_asks_the_placed_providers_first():
     asked = []
     for other in others:
         other._find = asked.append  # finds nothing (``None``), records the question
-    run, index = manager.locate(chunk.key, placed)
-    assert run.chunk(index).data.read() == b"canonical" and asked == []  # the hint sufficed
+    assert manager.fetch_any(chunk.key, placed).data.read() == b"canonical"
+    assert asked == []  # the hint sufficed
+    assert manager.fetch_any(chunk.key).data.read() == b"canonical"
+    holder = [p.provider_id for p in manager.providers].index(placed[0])
+    assert len(asked) == holder  # without one, everyone before the holder was asked
     for other in others:
         del other._find
-    assert manager.locate(chunk.key) == (run, 0)
     manager.get(placed[0]).fail()
     with pytest.raises(ChunkNotFoundError, match="not stored on any live provider"):
-        manager.locate(chunk.key, placed)
-    others[0].store(chunk)
-    found, _index = manager.locate(chunk.key, placed)  # found by asking everyone
-    assert found is not run and found.payload.read() == b"canonical"
+        manager.fetch_any(chunk.key, placed)

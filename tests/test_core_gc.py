@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blobseer import BlobClient, Chunk, ChunkKey, DataProvider, ProviderManager
-from repro.blobseer.metadata import ChunkDescriptor
+from repro.blobseer import BlobClient, ChunkKey, DataProvider, ProviderManager
 from repro.cluster import Cloud
 from repro.core import CheckpointRepository, SnapshotGarbageCollector
 from repro.core.gc import GCReport
@@ -459,39 +458,3 @@ def test_compressed_chunks_are_reclaimed_at_their_stored_size():
     assert report.deleted_chunks == 2 * 4
     assert report.reclaimed_bytes == 2 * old.bytes_written
     assert client.providers.total_used_bytes == before - report.reclaimed_bytes
-
-
-def test_stripes_described_by_hand_are_collected_by_key():
-    """A version registered straight with the metadata store names its chunks
-    by key only; the collector looks each doomed one up, wherever it is."""
-    client = small_store(3, 2, None)
-    blob = client.create_blob()
-    chunks = [
-        Chunk(ChunkKey(blob, 100 + i), LiteralBytes(bytes([i + 1]) * SMALL)) for i in range(3)
-    ]
-    described = {}
-    for stripe, chunk in enumerate(chunks):
-        placed = client.providers.store_replicated(chunk).providers
-        described[stripe] = ChunkDescriptor(stripe, SMALL, chunk.key, tuple(placed), (blob, 1))
-    client.metadata.derive_version(blob, 0, 1, described)
-    client.version_manager.publish(
-        blob, size=3 * SMALL, incremental_bytes=3 * SMALL, parent=(blob, 0)
-    )
-    assert client.read(blob).read() == b"".join(chunk.data.read() for chunk in chunks)
-    # stripe 0 is overwritten, the only live copy of stripe 1's chunk sits where
-    # it was not placed, stripe 2's is lost, and then everything is rewritten
-    client.write(blob, 0, SyntheticBytes("over", SMALL))
-    for provider in client.providers.providers:
-        provider.delete(chunks[1].key)
-        provider.delete(chunks[2].key)
-    elsewhere = next(
-        p for p in client.providers.providers if p.provider_id not in described[1].providers
-    )
-    elsewhere.store(chunks[1])
-    client.write(blob, 0, SyntheticBytes("all", 3 * SMALL))
-    before = client.providers.total_used_bytes
-    report = SnapshotGarbageCollector(SimpleNamespace(client=client), keep_latest=1).collect()
-    assert (report.deleted_chunks, report.reclaimed_bytes) == (2 + 1 + 2, 5 * SMALL)
-    assert client.providers.total_used_bytes == before - 5 * SMALL == 2 * 3 * SMALL
-    assert not any(client.providers.locations(chunk.key) for chunk in chunks)
-    assert client.read(blob).read() == SyntheticBytes("all", 3 * SMALL).read()
