@@ -19,6 +19,7 @@ recorded run is reproducible from its artifact alone.
 from __future__ import annotations
 
 import dataclasses
+import typing
 from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.util.config import GRAPHENE, ClusterSpec
@@ -126,16 +127,12 @@ def coerce_token(kind: type, token: str, context: str) -> Any:
         ) from None
 
 
-def _coerce_field(current: Any, token: str, path: str) -> Any:
-    """Coerce one override token to the type of the field it replaces."""
-    if current is None:
-        # Optional numeric knobs (e.g. dedup ratio overrides): parse the
-        # most specific numeric type that fits.
-        try:
-            return int(token)
-        except ValueError:
-            return coerce_token(float, token, f"cluster.{path}")
-    return coerce_token(type(current), token, f"cluster.{path}")
+def _coerce_field(kind: Any, token: str, path: str) -> Any:
+    """Coerce one override token to the declared type of the field it replaces
+    (a ``float`` field whose default happens to be an int still takes
+    ``27.5e6``); an optional field takes its type's values."""
+    kinds = [arg for arg in typing.get_args(kind) if arg is not type(None)]
+    return coerce_token(kinds[0] if kinds else kind, token, f"cluster.{path}")
 
 
 def apply_cluster_overrides(
@@ -155,7 +152,8 @@ def apply_cluster_overrides(
                 raise ConfigurationError(
                     f"cluster.{path} is a group, not a field (override one of its fields)"
                 )
-            return dataclasses.replace(obj, **{head: _coerce_field(current, token, path)})
+            kind = typing.get_type_hints(type(obj))[head]
+            return dataclasses.replace(obj, **{head: _coerce_field(kind, token, path)})
         return dataclasses.replace(obj, **{head: rewrite(current, parts[1:], token, path)})
 
     for path, token in overrides:

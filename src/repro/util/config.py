@@ -18,10 +18,36 @@ Everything is expressed in bytes and seconds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from typing import Iterable
 
 from repro.util.errors import ConfigurationError
 from repro.util.units import GiB, KiB, MB, MiB
+
+
+def _check(
+    spec: object, path: str, finite: Iterable[str] = (), positive: Iterable[str] = ()
+) -> None:
+    """Every field of ``spec`` named in ``finite`` (times, overheads, byte
+    counts) must be a finite number >= 0 and every one in ``positive``
+    (bandwidths, capacities, counts) a number > 0 -- an infinite bandwidth is
+    the unlimited channel.  NaN fails both.  The error names ``<path>.<field>``."""
+    for name in finite:
+        value = getattr(spec, name)
+        if not 0 <= value < math.inf:
+            raise ConfigurationError(f"{path}.{name} must be finite and >= 0, not {value!r}")
+    for name in positive:
+        value = getattr(spec, name)
+        if not value > 0:
+            raise ConfigurationError(f"{path}.{name} must be > 0, not {value!r}")
+
+
+def _check_fraction(spec: object, path: str, name: str) -> None:
+    """Field ``name`` of ``spec`` must lie in ``(0, 1]``."""
+    value = getattr(spec, name)
+    if not 0 < value <= 1:
+        raise ConfigurationError(f"{path}.{name} must be in (0, 1], not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -34,9 +60,8 @@ class DiskSpec:
     #: per-request positioning latency (seek + rotational), seconds
     latency: float = 8e-3
 
-    def validate(self) -> None:
-        if self.capacity <= 0 or self.bandwidth <= 0 or self.latency < 0:
-            raise ConfigurationError(f"invalid disk specification: {self}")
+    def validate(self, path: str = "cluster.disk") -> None:
+        _check(self, path, finite=("latency",), positive=("capacity", "bandwidth"))
 
 
 @dataclass(frozen=True)
@@ -55,11 +80,13 @@ class NetworkSpec:
     #: fixed per-message software overhead (TCP/IP stack, proxies), seconds
     message_overhead: float = 5e-5
 
-    def validate(self) -> None:
-        if self.nic_bandwidth <= 0 or self.switch_bandwidth <= 0:
-            raise ConfigurationError(f"invalid network specification: {self}")
-        if self.latency < 0 or self.message_overhead < 0:
-            raise ConfigurationError(f"invalid network specification: {self}")
+    def validate(self, path: str = "cluster.network") -> None:
+        _check(
+            self,
+            path,
+            finite=("latency", "message_overhead"),
+            positive=("nic_bandwidth", "switch_bandwidth"),
+        )
 
 
 @dataclass(frozen=True)
@@ -83,9 +110,19 @@ class VMSpec:
     #: addition to the disk; Figure 4 measures ~118 MB right after boot.
     savevm_state_bytes: int = 118 * MB
 
-    def validate(self) -> None:
-        if self.vcpus <= 0 or self.memory <= 0 or self.disk_size <= 0:
-            raise ConfigurationError(f"invalid VM specification: {self}")
+    def validate(self, path: str = "cluster.vm") -> None:
+        _check(
+            self,
+            path,
+            finite=(
+                "define_time",
+                "boot_time",
+                "suspend_time",
+                "resume_time",
+                "savevm_state_bytes",
+            ),
+            positive=("vcpus", "memory", "disk_size"),
+        )
 
 
 @dataclass(frozen=True)
@@ -108,20 +145,19 @@ class DedupSpec:
     #: ~1 GB/s matches a single Xeon X3440 core, 0 disables the charge
     fingerprint_bandwidth: float = 1000 * MB
 
-    def validate(self) -> None:
+    def validate(self, path: str = "cluster.blobseer.dedup") -> None:
         if self.codec not in ("identity", "zlib", "lz4"):
             raise ConfigurationError(f"unknown dedup codec {self.codec!r}")
-        if self.compression_ratio is not None and self.compression_ratio < 1.0:
+        if self.compression_ratio is not None and not self.compression_ratio >= 1.0:
             raise ConfigurationError(
-                f"compression ratio must be >= 1: {self.compression_ratio}"
+                f"{path}.compression_ratio must be >= 1, not {self.compression_ratio!r}"
             )
-        for bandwidth in (self.compress_bandwidth, self.decompress_bandwidth):
-            if bandwidth is not None and bandwidth <= 0:
-                raise ConfigurationError(f"codec bandwidth must be positive: {bandwidth}")
-        if self.fingerprint_bandwidth < 0:
+        if not self.fingerprint_bandwidth >= 0:  # 0 disables the charge
             raise ConfigurationError(
-                f"fingerprint bandwidth must be >= 0: {self.fingerprint_bandwidth}"
+                f"{path}.fingerprint_bandwidth must be >= 0, not {self.fingerprint_bandwidth!r}"
             )
+        overridden = ("compress_bandwidth", "decompress_bandwidth")
+        _check(self, path, positive=[n for n in overridden if getattr(self, n) is not None])
 
 
 @dataclass(frozen=True)
@@ -146,14 +182,15 @@ class BlobSeerSpec:
     #: content-addressed dedup + compression layer (disabled by default)
     dedup: DedupSpec = field(default_factory=DedupSpec)
 
-    def validate(self) -> None:
-        self.dedup.validate()
-        if self.chunk_size <= 0 or self.replication < 1:
-            raise ConfigurationError(f"invalid BlobSeer specification: {self}")
-        if self.metadata_providers < 1:
-            raise ConfigurationError(f"invalid BlobSeer specification: {self}")
-        if not (0.0 < self.io_efficiency <= 1.0):
-            raise ConfigurationError(f"invalid BlobSeer specification: {self}")
+    def validate(self, path: str = "cluster.blobseer") -> None:
+        self.dedup.validate(f"{path}.dedup")
+        _check(
+            self,
+            path,
+            finite=("rpc_overhead", "metadata_per_chunk"),
+            positive=("chunk_size", "replication", "metadata_providers"),
+        )
+        _check_fraction(self, path, "io_efficiency")
 
 
 @dataclass(frozen=True)
@@ -175,13 +212,15 @@ class PVFSSpec:
     #: the same factor for concurrent reads (PVFS reads degrade less)
     read_efficiency: float = 0.30
 
-    def validate(self) -> None:
-        if self.stripe_size <= 0 or self.io_servers < 1:
-            raise ConfigurationError(f"invalid PVFS specification: {self}")
-        if not (0.0 < self.concurrency_efficiency <= 1.0):
-            raise ConfigurationError(f"invalid PVFS specification: {self}")
-        if not (0.0 < self.read_efficiency <= 1.0):
-            raise ConfigurationError(f"invalid PVFS specification: {self}")
+    def validate(self, path: str = "cluster.pvfs") -> None:
+        _check(
+            self,
+            path,
+            finite=("metadata_op_time", "rpc_overhead"),
+            positive=("stripe_size", "io_servers"),
+        )
+        _check_fraction(self, path, "concurrency_efficiency")
+        _check_fraction(self, path, "read_efficiency")
 
 
 @dataclass(frozen=True)
@@ -227,9 +266,20 @@ class CheckpointSpec:
     os_noise_bytes: int = 6 * MiB
     os_noise_files: int = 48
 
-    def validate(self) -> None:
-        if self.cow_block_size <= 0 or self.qcow2_cluster_size <= 0:
-            raise ConfigurationError(f"invalid checkpoint specification: {self}")
+    def validate(self, path: str = "cluster.checkpoint") -> None:
+        _check(
+            self,
+            path,
+            finite=(
+                "sync_overhead",
+                "drain_per_process",
+                "blcr_overhead",
+                "proxy_roundtrip",
+                "os_noise_bytes",
+                "os_noise_files",
+            ),
+            positive=("cow_block_size", "qcow2_cluster_size"),
+        )
 
 
 @dataclass(frozen=True)
@@ -253,8 +303,9 @@ class ClusterSpec:
     seed: int = 20111112  # SC'11 started on Nov 12, 2011
 
     def validate(self) -> None:
-        if self.compute_nodes < 1:
+        if not self.compute_nodes >= 1:
             raise ConfigurationError("cluster needs at least one compute node")
+        _check(self, "cluster", finite=("service_nodes",))
         self.disk.validate()
         self.network.validate()
         self.vm.validate()
@@ -262,7 +313,7 @@ class ClusterSpec:
         self.pvfs.validate()
         self.checkpoint.validate()
         if not (0.0 <= self.jitter < 1.0):
-            raise ConfigurationError(f"invalid jitter: {self.jitter}")
+            raise ConfigurationError(f"cluster.jitter must be in [0, 1): {self.jitter!r}")
 
     def scaled(self, **overrides) -> "ClusterSpec":
         """Return a copy with the given fields replaced."""

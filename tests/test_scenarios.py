@@ -1,5 +1,9 @@
 """Tests for the declarative scenario engine (spec, overrides, new sweeps)."""
 
+import dataclasses
+import re
+import typing
+
 import pytest
 
 from repro.runner import RunConfig, load_all
@@ -19,10 +23,23 @@ from repro.scenarios.fault_tolerance import merge_ft
 from repro.scenarios.fig2_checkpoint import SCENARIO as FIG2
 from repro.scenarios.overrides import scenario_overrides_for
 from repro.scenarios.scale import SCENARIO as SCALE
-from repro.util.config import GRAPHENE
+from repro.util.config import GRAPHENE, ClusterSpec
 from repro.util.errors import ConfigurationError
 
 SMALL = GRAPHENE.scaled(compute_nodes=6, service_nodes=3)
+
+
+def _leaf_fields(cls, prefix=""):
+    """``(dotted path, declared type)`` of every field a cluster override can set."""
+    for name, kind in typing.get_type_hints(cls).items():
+        if dataclasses.is_dataclass(kind):
+            yield from _leaf_fields(kind, f"{prefix}{name}.")
+        else:
+            optional = [arg for arg in typing.get_args(kind) if arg is not type(None)]
+            yield f"{prefix}{name}", optional[0] if optional else kind
+
+
+CLUSTER_FIELDS = list(_leaf_fields(ClusterSpec))
 
 
 class TestAxis:
@@ -144,6 +161,33 @@ class TestOverrides:
             apply_cluster_overrides(GRAPHENE, [("blobseer", "1")])
         with pytest.raises(ConfigurationError, match="invalid cluster override"):
             apply_cluster_overrides(GRAPHENE, [("compute_nodes", "0")])
+
+    @pytest.mark.parametrize("path", [path for path, kind in CLUSTER_FIELDS if kind is float])
+    def test_float_fields_take_fractional_tokens(self, path):
+        """``disk.bandwidth`` defaults to an int and used to refuse ``27.5e6``."""
+        token = "2.5" if path.endswith("compression_ratio") else "0.375"
+        spec = apply_cluster_overrides(GRAPHENE, [(path, token)])
+        value = spec
+        for name in path.split("."):
+            value = getattr(value, name)
+        assert type(value) is float and value == float(token)
+
+    @pytest.mark.parametrize(
+        "path, token",
+        [(path, "nan") for path, kind in CLUSTER_FIELDS if kind in (int, float)]
+        + [(path, "-1") for path, kind in CLUSTER_FIELDS if kind is float],
+    )
+    def test_nan_and_negative_values_are_rejected_naming_the_field(self, path, token):
+        with pytest.raises(ConfigurationError, match=rf"cluster\.{re.escape(path)}\b"):
+            apply_cluster_overrides(GRAPHENE, [(path, token)])
+
+    def test_unlimited_bandwidth_and_no_fingerprint_charge_stay_valid(self):
+        spec = apply_cluster_overrides(
+            GRAPHENE,
+            [("disk.bandwidth", "inf"), ("blobseer.dedup.fingerprint_bandwidth", "0")],
+        )
+        assert spec.disk.bandwidth == float("inf")
+        assert spec.blobseer.dedup.fingerprint_bandwidth == 0.0
 
     def test_axis_overrides_reach_enumeration(self):
         config = RunConfig(overrides=("ft.mtbf=42", "ft.approach=BlobCR-app"))
