@@ -27,27 +27,26 @@ from repro.util.units import GiB, KiB, MB, MiB
 
 
 def _check(
-    spec: object, path: str, finite: Iterable[str] = (), positive: Iterable[str] = ()
+    spec: object,
+    path: str,
+    finite: Iterable[str] = (),
+    positive: Iterable[str] = (),
+    fractions: Iterable[str] = (),
 ) -> None:
     """Every field of ``spec`` named in ``finite`` (times, overheads, byte
-    counts) must be a finite number >= 0 and every one in ``positive``
+    counts) must be a finite number >= 0, every one in ``positive``
     (bandwidths, capacities, counts) a number > 0 -- an infinite bandwidth is
-    the unlimited channel.  NaN fails both.  The error names ``<path>.<field>``."""
-    for name in finite:
-        value = getattr(spec, name)
-        if not 0 <= value < math.inf:
-            raise ConfigurationError(f"{path}.{name} must be finite and >= 0, not {value!r}")
-    for name in positive:
-        value = getattr(spec, name)
-        if not value > 0:
-            raise ConfigurationError(f"{path}.{name} must be > 0, not {value!r}")
-
-
-def _check_fraction(spec: object, path: str, name: str) -> None:
-    """Field ``name`` of ``spec`` must lie in ``(0, 1]``."""
-    value = getattr(spec, name)
-    if not 0 < value <= 1:
-        raise ConfigurationError(f"{path}.{name} must be in (0, 1], not {value!r}")
+    the unlimited channel -- and every one in ``fractions`` lie in (0, 1].
+    NaN fails all three.  The error names ``<path>.<field>``."""
+    for names, holds, rule in (
+        (finite, lambda value: 0 <= value < math.inf, "finite and >= 0"),
+        (positive, lambda value: value > 0, "> 0"),
+        (fractions, lambda value: 0 < value <= 1, "in (0, 1]"),
+    ):
+        for name in names:
+            value = getattr(spec, name)
+            if not holds(value):
+                raise ConfigurationError(f"{path}.{name} must be {rule}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -60,8 +59,8 @@ class DiskSpec:
     #: per-request positioning latency (seek + rotational), seconds
     latency: float = 8e-3
 
-    def validate(self, path: str = "cluster.disk") -> None:
-        _check(self, path, finite=("latency",), positive=("capacity", "bandwidth"))
+    def validate(self) -> None:
+        _check(self, "cluster.disk", finite=("latency",), positive=("capacity", "bandwidth"))
 
 
 @dataclass(frozen=True)
@@ -80,10 +79,10 @@ class NetworkSpec:
     #: fixed per-message software overhead (TCP/IP stack, proxies), seconds
     message_overhead: float = 5e-5
 
-    def validate(self, path: str = "cluster.network") -> None:
+    def validate(self) -> None:
         _check(
             self,
-            path,
+            "cluster.network",
             finite=("latency", "message_overhead"),
             positive=("nic_bandwidth", "switch_bandwidth"),
         )
@@ -110,10 +109,10 @@ class VMSpec:
     #: addition to the disk; Figure 4 measures ~118 MB right after boot.
     savevm_state_bytes: int = 118 * MB
 
-    def validate(self, path: str = "cluster.vm") -> None:
+    def validate(self) -> None:
         _check(
             self,
-            path,
+            "cluster.vm",
             finite=(
                 "define_time",
                 "boot_time",
@@ -145,7 +144,8 @@ class DedupSpec:
     #: ~1 GB/s matches a single Xeon X3440 core, 0 disables the charge
     fingerprint_bandwidth: float = 1000 * MB
 
-    def validate(self, path: str = "cluster.blobseer.dedup") -> None:
+    def validate(self) -> None:
+        path = "cluster.blobseer.dedup"
         if self.codec not in ("identity", "zlib", "lz4"):
             raise ConfigurationError(f"unknown dedup codec {self.codec!r}")
         if self.compression_ratio is not None and not self.compression_ratio >= 1.0:
@@ -182,15 +182,15 @@ class BlobSeerSpec:
     #: content-addressed dedup + compression layer (disabled by default)
     dedup: DedupSpec = field(default_factory=DedupSpec)
 
-    def validate(self, path: str = "cluster.blobseer") -> None:
-        self.dedup.validate(f"{path}.dedup")
+    def validate(self) -> None:
+        self.dedup.validate()
         _check(
             self,
-            path,
+            "cluster.blobseer",
             finite=("rpc_overhead", "metadata_per_chunk"),
             positive=("chunk_size", "replication", "metadata_providers"),
+            fractions=("io_efficiency",),
         )
-        _check_fraction(self, path, "io_efficiency")
 
 
 @dataclass(frozen=True)
@@ -212,15 +212,14 @@ class PVFSSpec:
     #: the same factor for concurrent reads (PVFS reads degrade less)
     read_efficiency: float = 0.30
 
-    def validate(self, path: str = "cluster.pvfs") -> None:
+    def validate(self) -> None:
         _check(
             self,
-            path,
+            "cluster.pvfs",
             finite=("metadata_op_time", "rpc_overhead"),
             positive=("stripe_size", "io_servers"),
+            fractions=("concurrency_efficiency", "read_efficiency"),
         )
-        _check_fraction(self, path, "concurrency_efficiency")
-        _check_fraction(self, path, "read_efficiency")
 
 
 @dataclass(frozen=True)
@@ -266,10 +265,10 @@ class CheckpointSpec:
     os_noise_bytes: int = 6 * MiB
     os_noise_files: int = 48
 
-    def validate(self, path: str = "cluster.checkpoint") -> None:
+    def validate(self) -> None:
         _check(
             self,
-            path,
+            "cluster.checkpoint",
             finite=(
                 "sync_overhead",
                 "drain_per_process",
