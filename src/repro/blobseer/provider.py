@@ -75,11 +75,6 @@ class Chunk:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def footprint(self) -> int:
-        """Physical bytes this chunk occupies on a provider's disk."""
-        return self.data.size if self.stored_size is None else self.stored_size
-
 
 @dataclass(slots=True, eq=False)
 class StoredRun:

@@ -252,6 +252,17 @@ class TestSessionCollect:
         for instance_id in session.instance_ids:
             assert session.guest_read(instance_id, "/ckpt/state.dat") == state(3)
 
+    @pytest.mark.parametrize("backend", ["qcow2-disk", "qcow2-full"])
+    def test_a_backend_without_a_repository_is_named(self, backend):
+        session = Session.from_spec(SMALL)
+        session.deploy(backend, n=1)
+        with pytest.raises(ConfigurationError, match=f"{backend!r} keeps no BlobSeer repository"):
+            session.collect()
+
+
+class TestSessionProviderLoss:
+    """A restart reads its state back from the providers the stripes were placed on."""
+
     @staticmethod
     def state_holders(replication):
         """A checkpoint of two instances and, per stripe of one's state file,
@@ -293,13 +304,6 @@ class TestSessionCollect:
             session.cloud.node(node).fail()
         session.restart(checkpoint)
         assert session.guest_read("vm-000", "/ckpt/state.dat") == payload
-
-    @pytest.mark.parametrize("backend", ["qcow2-disk", "qcow2-full"])
-    def test_a_backend_without_a_repository_is_named(self, backend):
-        session = Session.from_spec(SMALL)
-        session.deploy(backend, n=1)
-        with pytest.raises(ConfigurationError, match=f"{backend!r} keeps no BlobSeer repository"):
-            session.collect()
 
 
 class TestSessionValidation:
