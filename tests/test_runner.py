@@ -1,11 +1,14 @@
 """Tests for the registry-driven parallel runner subsystem."""
 
 import copy
+import gc
+import weakref
 
 import pytest
 
 from repro.scenarios.workloads import run_synthetic_scenario
 from repro.api import Session
+from repro.cluster.cloud import Cloud
 from repro.runner import (
     ArtifactError,
     ParallelRunner,
@@ -17,7 +20,7 @@ from repro.runner import (
     validate_artifact,
     write_artifact,
 )
-from repro.runner.cells import run_cells_inline
+from repro.runner.cells import Cell, execute_cell, run_cells_inline
 from repro.runner.regression import check_determinism, check_speedup, speedup
 from repro.sim.instrumentation import COUNTERS, aggregate_counters, counters_snapshot
 from repro.runner.select import filter_cells
@@ -377,3 +380,40 @@ class TestCellScopedCounters:
         )
         assert 0 < seen[0]["bw_max_component_flows"] < 10**6
         assert COUNTERS.bw_max_component_flows == 10**6
+
+
+def _transfer_cell(refs):
+    """A test cell: one small cloud, a few transfers (one of zero bytes)."""
+    cloud = Cloud(SMALL)
+    refs.append(weakref.ref(cloud))
+    src, dst = cloud.compute_nodes[0].name, cloud.compute_nodes[1].name
+    for nbytes in (2 * MB, 0, 1 * MB):
+        cloud.run(cloud.remote_write(src, dst, nbytes))
+    return {"sim_time_s": cloud.now}
+
+
+def _raising_cell():
+    raise RuntimeError("cell failed")
+
+
+class TestCellScopedCollector:
+    """``execute_cell`` runs ``cell.func`` with the cyclic collector paused and
+    frees the cell's graph with one young-generation collection of its own,
+    leaving the caller's collector state as it found it."""
+
+    def test_the_callers_collector_state_is_restored(self):
+        cell = Cell("test", ("transfers",), _transfer_cell, {"refs": []})
+        assert gc.isenabled()
+        execute_cell(cell)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            execute_cell(cell)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_a_raising_cell_leaves_the_collector_enabled(self):
+        with pytest.raises(RuntimeError, match="cell failed"):
+            execute_cell(Cell("test", ("raises",), _raising_cell))
+        assert gc.isenabled()
