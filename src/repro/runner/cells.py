@@ -13,6 +13,7 @@ keeping single-worker runs byte-identical to the historical sequential path.
 
 from __future__ import annotations
 
+import gc
 import random
 import time
 from contextlib import nullcontext
@@ -85,15 +86,32 @@ def execute_cell(cell: Cell, trace: bool = False) -> CellResult:
     in every worker.  The work counters always come back on
     :attr:`CellResult.counters`; with ``trace`` the cell also runs under the
     sim-time tracer and its fragment comes back on :attr:`CellResult.trace`.
-    Both sinks are write-only, so neither changes the payload, and
-    ``wall_time_s`` times ``cell.func`` alone.
+    Both sinks are write-only, so neither changes the payload.
+
+    The cyclic collector is scoped here too.  A cell's clouds form one
+    cyclic graph that automatic collections would walk again and again while
+    freeing nothing, so the cell runs with the collector paused.
+    Everything the cell allocated is then still in the young generation, and
+    one generation-0 collection after it returns frees the whole graph,
+    examining only the cell's own objects.  ``wall_time_s`` times
+    ``cell.func`` plus that collection.  Nothing in the model holds a weak
+    reference or a finalizer, so when collection runs cannot change a
+    result.  The caller's collector state is restored, also when the cell
+    raises.
     """
-    random.seed(cell.seed)
-    np.random.seed(cell.seed & 0xFFFFFFFF)
-    with counting() as counters, tracing() if trace else nullcontext():
-        t0 = time.perf_counter()
-        payload = cell.func(**cell.params)
-        wall = time.perf_counter() - t0
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        random.seed(cell.seed)
+        np.random.seed(cell.seed & 0xFFFFFFFF)
+        with counting() as counters, tracing() if trace else nullcontext():
+            t0 = time.perf_counter()
+            payload = cell.func(**cell.params)
+            gc.collect(0)
+            wall = time.perf_counter() - t0
+    finally:
+        if collecting:
+            gc.enable()
     return CellResult(
         key=cell.key,
         experiment=cell.experiment,

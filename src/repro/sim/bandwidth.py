@@ -215,7 +215,9 @@ class Flow:
     ``pending`` marks a flow that started at the current instant and has not
     been planned yet; it is attached to its channels and component (so
     failure injection sees it) but carries rate 0 until the end-of-instant
-    flush.
+    flush.  ``done`` is the completion event until it succeeds; it is then
+    cleared, because the event's value is the flow and the pair would
+    otherwise be a reference cycle only the cyclic collector frees.
     """
 
     __slots__ = (
@@ -522,6 +524,7 @@ class BandwidthSystem:
         flow = Flow(nbytes, channel_list, completion, label)
         if nbytes <= _EPSILON_BYTES or not channel_list:
             completion.succeed(flow)
+            flow.done = None
             return done
         COUNTERS.bw_flows_started += 1
         # Park the flow until the end of the instant: attach it (so failure
@@ -756,6 +759,7 @@ class BandwidthSystem:
                 keep.append(False)
                 if not flow.done.triggered:
                     flow.done.succeed(flow)
+                flow.done = None
             else:
                 if flow.pending:
                     flow.pending = False

@@ -3,6 +3,7 @@
 import copy
 import gc
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.util.config import GRAPHENE
 from repro.util.errors import ConfigurationError
 from repro.util.units import MB
 
+BASELINE = Path(__file__).resolve().parents[1] / "benchmarks" / "baseline.json"
 SMALL = GRAPHENE.scaled(compute_nodes=6, service_nodes=3)
 #: fig2 narrowed to one scale point and one (tiny) buffer: five fast cells
 FIG2_TINY = FIG2.with_axis_values(instances=(4,), buffer_bytes=(2 * MB,))
@@ -383,9 +385,13 @@ class TestCellScopedCounters:
 
 
 def _transfer_cell(refs):
-    """A test cell: one small cloud, a few transfers (one of zero bytes)."""
+    """A test cell: one small cloud, a few transfers (one of zero bytes).
+
+    ``refs`` receives weak references to the cloud and to its environment,
+    which the bandwidth system's end-of-instant hook holds in a cycle.
+    """
     cloud = Cloud(SMALL)
-    refs.append(weakref.ref(cloud))
+    refs.extend((weakref.ref(cloud), weakref.ref(cloud.env)))
     src, dst = cloud.compute_nodes[0].name, cloud.compute_nodes[1].name
     for nbytes in (2 * MB, 0, 1 * MB):
         cloud.run(cloud.remote_write(src, dst, nbytes))
@@ -417,3 +423,62 @@ class TestCellScopedCollector:
         with pytest.raises(RuntimeError, match="cell failed"):
             execute_cell(Cell("test", ("raises",), _raising_cell))
         assert gc.isenabled()
+
+    def test_the_cells_graph_is_freed_before_execute_cell_returns(self):
+        refs = []
+        execute_cell(Cell("test", ("transfers",), _transfer_cell, {"refs": refs}))
+        assert len(refs) == 2
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_one_young_collection_per_cell(self):
+        cell = Cell("test", ("transfers",), _transfer_cell, {"refs": []})
+        started = []
+
+        def on_gc(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.collect(0)  # an empty young generation: no automatic pass can start before the cell
+        gc.callbacks.append(on_gc)
+        try:
+            for _ in range(3):
+                execute_cell(cell)
+        finally:
+            gc.callbacks.remove(on_gc)
+        assert started == [0, 0, 0]
+
+
+def _smallest_cells():
+    """The cell with the least recorded wall time of every registered scenario."""
+    walls = load_artifact(str(BASELINE))["host"]["cell_wall_time_s"]
+    cells = []
+    for name in load_all():
+        enumerated = get_scenario(name).enumerate_cells(RunConfig())
+        cells.append(min(enumerated, key=lambda cell: walls[cell.key]))
+    return cells
+
+
+class TestNoCyclicGarbage:
+    """A running cell makes no cyclic garbage: pausing the collector for a
+    whole cell cannot let memory pile up.  Checked with the collector running
+    often, on the smallest cell of every scenario."""
+
+    @pytest.mark.parametrize("cell", _smallest_cells(), ids=lambda cell: cell.key)
+    def test_a_running_cell_makes_no_cyclic_garbage(self, cell):
+        collected = []
+
+        def on_gc(phase, info):
+            if phase == "stop":
+                collected.append(info["collected"])
+
+        threshold = gc.get_threshold()
+        gc.collect()
+        gc.set_threshold(100)
+        gc.callbacks.append(on_gc)
+        try:
+            cell.func(**cell.params)
+        finally:
+            gc.callbacks.remove(on_gc)
+            gc.set_threshold(*threshold)
+        assert collected, "the collector never ran inside the cell"
+        assert sum(collected) == 0
