@@ -1,12 +1,16 @@
 #!/usr/bin/env python
-"""What Python's cyclic collector costs a cell, and what the cell gives it to walk.
+"""What Python's cyclic collector costs a cell, and whether the cell's graph outlives it.
 
 Runs the selected cell(s) in-process through :class:`repro.api.Session` and
 prints the wall time, the time spent inside garbage collections and their
 number per generation (``gc.callbacks``), and a census by type of the
-GC-tracked objects each cell leaves behind: a finished cell's ``Cloud`` is one
-cyclic graph, so everything it built is still there until the next full
-collection walks it (ROADMAP item 5).  Typical use::
+GC-tracked objects that survive each cell's own collection.  ``execute_cell``
+runs a cell with the collector paused and frees the cell's cyclic graph with
+one generation-0 collection before it returns, so a cell should show exactly
+one generation-0 collection and leave only module and runner bookkeeping
+alive.  Exits 1 when a cell leaves any ``Cloud``, ``Environment``, ``Flow`` or
+``Event`` alive: something outside the cell still holds its graph.  Typical
+use::
 
     python tools/gc_census.py fig3:BlobCR-app:120:200MB --paper-scale
 
@@ -25,10 +29,17 @@ import time
 from collections import Counter
 
 from repro.api import Session
+from repro.cluster.cloud import Cloud
+from repro.runner import load_all
+from repro.sim.bandwidth import Flow
+from repro.sim.core import Environment, Event
+
+#: a cell leaving one of these (or of a subclass) alive leaked its graph
+GATED = (Cloud, Environment, Flow, Event)
 
 
 def census() -> Counter:
-    return Counter(type(obj).__name__ for obj in gc.get_objects())
+    return Counter(type(obj) for obj in gc.get_objects())
 
 
 def main(argv=None) -> int:
@@ -56,13 +67,16 @@ def main(argv=None) -> int:
             collections[info["generation"]] += 1
 
     def after_cell(_done, _total, _result):  # not the cell's time, nor its collections
+        nonlocal before
         begin = time.perf_counter()
         gc.callbacks.remove(on_gc)
         left.update(census() - before)
         gc.collect()
+        before = census()
         gc.callbacks.append(on_gc)
         clock["census"] += time.perf_counter() - begin
 
+    load_all()  # scenario modules and their imports are not a cell's
     gc.collect()
     before = census()
     gc.callbacks.append(on_gc)
@@ -85,8 +99,15 @@ def main(argv=None) -> int:
     for generation, (count, seconds) in enumerate(zip(collections, pauses)):
         print(f"  gen {generation}      {count:5d} collections  {seconds:.2f} s")
     print(f"left alive   {sum(left.values())} GC-tracked objects")
-    for name, count in left.most_common(12):
-        print(f"  {count:9d}  {name}")
+    for kind, count in left.most_common(12):
+        print(f"  {count:9d}  {kind.__name__}")
+    leaked = sorted(
+        (kind.__name__, count) for kind, count in left.items() if issubclass(kind, GATED)
+    )
+    if leaked:
+        names = ", ".join(f"{count} {name}" for name, count in leaked)
+        print(f"FAIL         a cell's graph outlived the cell: {names}")
+        return 1
     return 0
 
 
