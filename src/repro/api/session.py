@@ -26,8 +26,7 @@ third-party example); this docstring and that page are kept in lockstep.
 
 from __future__ import annotations
 
-from fnmatch import fnmatchcase
-from typing import Any, Callable, Generator, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Generator, Iterable, List, Mapping, Optional, Union
 
 from repro.api.results import (
     CheckpointResult,
@@ -43,9 +42,8 @@ from repro.core.backends import BackendInfo, backend_names, create_backend, get_
 from repro.core.gc import GCReport, SnapshotGarbageCollector
 from repro.core.strategy import DeployedInstance, Deployment
 from repro.obs import merge_rollups
-from repro.runner import CellSelector, ParallelRunner, RunConfig, load_all, parse_selectors
+from repro.runner import ParallelRunner, load_all, resolve_run_inputs
 from repro.runner.artifact import build_artifact, validate_artifact
-from repro.scenarios.overrides import resolve_cluster_spec
 from repro.util.bytesource import ByteSource, LiteralBytes
 from repro.util.config import GRAPHENE, ClusterSpec
 from repro.util.errors import ConfigurationError, RestartError
@@ -441,35 +439,6 @@ class Session:
 
     # -- scenarios ---------------------------------------------------------------------
 
-    def _scenario_inputs(
-        self,
-        name: str,
-        overrides: Overrides,
-        cells: Iterable[str],
-        paper_scale: bool,
-        seed: Optional[int],
-    ) -> Tuple[List[CellSelector], RunConfig]:
-        """Validate one scenario call and fold it into selectors + RunConfig.
-
-        The same validation/folding pipeline the CLI runs (override
-        validation, cluster-spec folding, wildcard-aware selector matching)
-        -- sharing it is what keeps API rows byte-identical to CLI rows by
-        construction.
-        """
-        names = load_all()
-        if name not in names:
-            raise ConfigurationError(f"unknown scenario {name!r} (known: {', '.join(names)})")
-        raw = _normalise_overrides(overrides)
-        spec = resolve_cluster_spec(raw, names, [name], base_spec=self._spec, seed=seed)
-        selectors = parse_selectors(list(cells))
-        foreign = sorted({s.text for s in selectors if not fnmatchcase(name, s.experiment)})
-        if foreign:
-            raise ConfigurationError(
-                f"cell selector(s) outside scenario {name!r}: {', '.join(foreign)}"
-            )
-        config = RunConfig(paper_scale=paper_scale, spec=spec, overrides=tuple(raw), seed=seed)
-        return selectors, config
-
     def run_scenario(
         self,
         name: str,
@@ -495,7 +464,15 @@ class Session:
         cell.  Raises :class:`~repro.util.errors.ConfigurationError` for
         unknown scenarios, misdirected overrides or foreign selectors.
         """
-        selectors, config = self._scenario_inputs(name, overrides, cells, paper_scale, seed)
+        _, selectors, config = resolve_run_inputs(
+            load_all(),
+            [name],
+            cells,
+            _normalise_overrides(overrides),
+            paper_scale=paper_scale,
+            seed=seed,
+            base_spec=self._spec,
+        )
         runner = ParallelRunner(workers=workers, progress=progress)
         report = runner.run([name], config, selectors)
         merged = report.results[0]
@@ -531,7 +508,15 @@ class Session:
         calls with the same arguments at any ``workers``
         (``docs/observability.md`` spells out the determinism contract).
         """
-        selectors, config = self._scenario_inputs(name, overrides, cells, paper_scale, seed)
+        _, selectors, config = resolve_run_inputs(
+            load_all(),
+            [name],
+            cells,
+            _normalise_overrides(overrides),
+            paper_scale=paper_scale,
+            seed=seed,
+            base_spec=self._spec,
+        )
         report = ParallelRunner(workers=workers).run([name], config, selectors, trace=True)
         document = validate_artifact(build_artifact(report, host=False))
         return TraceReport(

@@ -36,7 +36,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fnmatch import fnmatchcase
 from typing import List, Optional, Tuple
 
 from repro.core.backends import backend_names, get_backend
@@ -47,11 +46,10 @@ from repro.runner import (
     RunConfig,
     build_artifact,
     load_all,
-    parse_selectors,
+    resolve_run_inputs,
     write_artifact,
 )
 from repro.runner.select import CellSelector
-from repro.scenarios.overrides import resolve_cluster_spec
 from repro.util.errors import ConfigurationError
 
 
@@ -155,88 +153,10 @@ def _build_parser(names: List[str]) -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_run_inputs(
-    names: List[str],
-    experiments: List[str],
-    cells: List[str],
-    overrides: List[str],
-    *,
-    paper_scale: bool = False,
-    seed: Optional[int] = None,
-    solver_verify: bool = False,
-) -> Tuple[List[str], List[CellSelector], RunConfig]:
-    """Validate experiments/selectors/overrides and fold them into a RunConfig.
-
-    The one selection pipeline behind ``blobcr-repro run``/``trace`` *and*
-    out-of-process harnesses: anything accepted here is accepted
-    identically everywhere, by construction.  Raises
-    :class:`~repro.util.errors.ConfigurationError` on unknown experiments,
-    foreign selectors or misdirected overrides; the CLI wrapper converts
-    that into ``parser.error``.
-    """
-    unknown = [e for e in experiments if e not in names]
-    if unknown:
-        raise ConfigurationError(f"unknown experiment(s): {', '.join(unknown)}")
-
-    selectors = parse_selectors(cells)
-    # Selector experiments may carry fnmatch wildcards (e.g. `mtc:*` or
-    # `fig*:BlobCR-app`); they resolve against the registered names here.
-    foreign = sorted(
-        {
-            s.experiment
-            for s in selectors
-            if not any(fnmatchcase(n, s.experiment) for n in names)
-        }
-    )
-    if foreign:
-        raise ConfigurationError(f"unknown experiment(s) in --cells: {', '.join(foreign)}")
-
-    experiments = list(experiments)
-    if not experiments:
-        if selectors:
-            experiments = [
-                n
-                for n in names
-                if any(fnmatchcase(n, s.experiment) for s in selectors)
-            ]
-        else:
-            experiments = list(names)
-    outside = [
-        s.text
-        for s in selectors
-        if not any(fnmatchcase(n, s.experiment) for n in experiments)
-    ]
-    if outside:
-        raise ConfigurationError(
-            f"--cells selector(s) outside the requested experiments: {', '.join(outside)}"
-        )
-
-    # The solver switch is folded into the override stream (rather than
-    # into the spec directly) so every artifact records exactly which solver
-    # configuration produced it -- on a copy: the caller's list is not ours.
-    overrides = list(overrides)
-    if solver_verify:
-        overrides.append("cluster.solver.verify=true")
-
-    # One shared pipeline with repro.api: validate every override (the
-    # misdirected ones would be silently inert yet recorded in the
-    # artifact) and fold the cluster-level ones plus --seed into the
-    # run's cluster spec.
-    cluster_spec = resolve_cluster_spec(overrides, names, experiments, seed=seed)
-
-    config = RunConfig(
-        paper_scale=paper_scale,
-        spec=cluster_spec,
-        overrides=tuple(overrides),
-        seed=seed,
-    )
-    return experiments, selectors, config
-
-
 def _resolve_run_inputs(
     parser: argparse.ArgumentParser, args: argparse.Namespace, names: List[str]
 ) -> Tuple[List[str], List[CellSelector], RunConfig]:
-    """:func:`resolve_run_inputs` over an argparse namespace.
+    """:func:`~repro.runner.select.resolve_run_inputs` over an argparse namespace.
 
     Shared between the run and trace entry points so both accept exactly
     the same selection surface (and error identically).

@@ -12,7 +12,8 @@ a subsystem:
   unit with deterministic per-cell seeding,
 * :mod:`repro.runner.parallel` -- the
   :class:`~repro.runner.parallel.ParallelRunner` process-pool executor,
-* :mod:`repro.runner.select` -- ``--cells`` selector parsing,
+* :mod:`repro.runner.select` -- ``--cells`` selector parsing and the one
+  selection pipeline (``resolve_run_inputs``),
 * :mod:`repro.runner.artifact` -- the one schema-versioned JSON run artifact,
 * :mod:`repro.runner.regression` -- the CI benchmark gate consuming them.
 """
@@ -26,10 +27,10 @@ from repro.runner.artifact import (
     validate_artifact,
     write_artifact,
 )
-from repro.runner.cells import Cell, CellResult, execute_cell, run_cells_inline
+from repro.runner.cells import Cell, CellResult, execute_cell
 from repro.runner.parallel import ParallelRunner, ProgressMeter, RunReport
 from repro.runner.registry import RunConfig, load_all
-from repro.runner.select import CellSelector, filter_cells, parse_selectors
+from repro.runner.select import CellSelector, filter_cells, parse_selectors, resolve_run_inputs
 
 __all__ = [
     "SCHEMA",
@@ -48,7 +49,7 @@ __all__ = [
     "load_all",
     "load_artifact",
     "parse_selectors",
-    "run_cells_inline",
+    "resolve_run_inputs",
     "validate_artifact",
     "write_artifact",
 ]

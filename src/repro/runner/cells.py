@@ -18,7 +18,7 @@ import random
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -122,13 +122,3 @@ def execute_cell(cell: Cell, trace: bool = False) -> CellResult:
         counters=counters,
         trace=TRACER.collect() if trace else None,
     )
-
-
-def run_cells_inline(cells: List[Cell]) -> List[CellResult]:
-    """Execute cells sequentially in this process, in the given order.
-
-    This is the ``--workers 1`` path, and how a caller holding cells from
-    :meth:`ScenarioSpec.build_cells <repro.scenarios.spec.ScenarioSpec.build_cells>`
-    executes them without a runner.
-    """
-    return [execute_cell(cell) for cell in cells]

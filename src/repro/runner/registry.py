@@ -6,7 +6,7 @@ Each scenario module registers its validated
 looks specs up by name to enumerate their independent cells for a given
 :class:`RunConfig` and to merge executed cells back into the canonical
 :class:`~repro.scenarios.results.ExperimentResult` rows, and the CLI and the
-override parser introspect the same objects for axes and parameters.
+override parser introspect the same objects for their axes.
 :func:`scenario_names` pins the canonical order of the CLI (fig2 ... mig).
 """
 

@@ -22,7 +22,7 @@ from typing import Any, Dict, Optional
 
 from repro.apps.synthetic import SyntheticBenchmark
 from repro.runner.registry import register_scenario
-from repro.scenarios.results import ExperimentResult
+from repro.scenarios.results import merge_rows
 from repro.scenarios.spec import Axis, ScenarioSpec
 from repro.scenarios.workloads import make_deployment, split_approach
 from repro.service.traffic import background_flow
@@ -99,22 +99,6 @@ def run_contention_cell(
     }
 
 
-def merge_contention(results) -> ExperimentResult:
-    """One row per flow count; checkpoint time column-per-approach."""
-    result = ExperimentResult(experiment="contention", description=_DESCRIPTION)
-    rows: Dict[int, Dict[str, Any]] = {}
-    for cell in results:
-        payload = cell.payload
-        flows = payload["flows"]
-        row = rows.get(flows)
-        if row is None:
-            row = {"flows": flows}
-            rows[flows] = row
-            result.rows.append(row)
-        row[payload["approach"]] = payload["checkpoint_time"]
-    return result
-
-
 SCENARIO = ScenarioSpec(
     name="contention",
     description=_DESCRIPTION,
@@ -126,14 +110,13 @@ SCENARIO = ScenarioSpec(
     ),
     key_axes=("approach", "flows"),
     cell_func=run_contention_cell,
-    cell_params=lambda point: {
-        "approach": point["approach"],
-        "flows": point["flows"],
-        "instances": point["instances"],
-        "buffer_bytes": point["buffer_bytes"],
-    },
-    merge=merge_contention,
-    cluster=oversubscribed_fabric,
+    # one row per flow count; checkpoint time column-per-approach
+    merge=merge_rows(
+        "contention",
+        _DESCRIPTION,
+        row_key=lambda p: {"flows": p["flows"]},
+        columns=lambda p: {p["approach"]: p["checkpoint_time"]},
+    ),
 )
 
 register_scenario(SCENARIO)

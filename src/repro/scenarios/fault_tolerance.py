@@ -287,15 +287,7 @@ SCENARIO = ScenarioSpec(
     ),
     key_axes=("approach", "mtbf"),
     cell_func=run_fault_tolerance_cell,
-    cell_params=lambda point: {
-        "approach": point["approach"],
-        "mtbf": point["mtbf"],
-        "instances": point["instances"],
-        "buffer_bytes": point["buffer_bytes"],
-        "periods": point["periods"],
-    },
     merge=merge_ft,
-    cluster=fault_tolerant_cluster,
 )
 
 register_scenario(SCENARIO)

@@ -11,6 +11,8 @@ cell (``fig2:<approach>:<processes>:<buffer>MB``), declared as a
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.scenarios.workloads import (
     APPROACHES,
     BENCH_SCALE_POINTS,
@@ -20,17 +22,18 @@ from repro.scenarios.workloads import (
     run_synthetic_cell,
 )
 from repro.runner.registry import register_scenario
-from repro.scenarios.spec import Axis, ScenarioSpec, approach_matrix
+from repro.scenarios.results import merge_rows
+from repro.scenarios.spec import Axis, ScenarioSpec
 
 _DESCRIPTION = "checkpoint completion time vs number of processes (s)"
 
 
 #: merge executed fig2 cells back into the paper's row layout
-merge_fig2 = approach_matrix(
+merge_fig2 = merge_rows(
     "fig2",
     _DESCRIPTION,
     row_key=lambda p: {"buffer_MB": p["buffer_bytes"] // 10**6, "processes": p["instances"]},
-    value=lambda p: p["checkpoint_time"],
+    columns=lambda p: {p["approach"]: p["checkpoint_time"]},
 )
 
 SCENARIO = ScenarioSpec(
@@ -42,13 +45,7 @@ SCENARIO = ScenarioSpec(
         Axis("approach", APPROACHES),
     ),
     key_axes=("approach", "instances", "buffer_bytes"),
-    cell_func=run_synthetic_cell,
-    cell_params=lambda point: {
-        "approach": point["approach"],
-        "instances": point["instances"],
-        "buffer_bytes": point["buffer_bytes"],
-        "include_restart": False,
-    },
+    cell_func=partial(run_synthetic_cell, include_restart=False),
     merge=merge_fig2,
 )
 

@@ -22,16 +22,17 @@ from repro.scenarios.workloads import (
     run_synthetic_cell,
 )
 from repro.runner.registry import register_scenario
-from repro.scenarios.spec import Axis, ScenarioSpec, approach_matrix
+from repro.scenarios.results import merge_rows
+from repro.scenarios.spec import Axis, ScenarioSpec
 
 _DESCRIPTION = "restart completion time vs number of hosts (s)"
 
 #: merge executed fig3 cells back into the paper's row layout
-merge_fig3 = approach_matrix(
+merge_fig3 = merge_rows(
     "fig3",
     _DESCRIPTION,
     row_key=lambda p: {"buffer_MB": p["buffer_bytes"] // 10**6, "hosts": p["instances"]},
-    value=lambda p: p["restart_time"],
+    columns=lambda p: {p["approach"]: p["restart_time"]},
 )
 
 SCENARIO = ScenarioSpec(
@@ -44,12 +45,6 @@ SCENARIO = ScenarioSpec(
     ),
     key_axes=("approach", "instances", "buffer_bytes"),
     cell_func=run_synthetic_cell,
-    cell_params=lambda point: {
-        "approach": point["approach"],
-        "instances": point["instances"],
-        "buffer_bytes": point["buffer_bytes"],
-        "include_restart": True,
-    },
     merge=merge_fig3,
 )
 

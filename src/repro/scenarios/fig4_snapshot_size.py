@@ -13,6 +13,8 @@ Each (approach, buffer-size) pair is one independent runner cell
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.scenarios.workloads import (
     APPROACHES,
     PAPER_BUFFER_SIZES,
@@ -20,16 +22,17 @@ from repro.scenarios.workloads import (
     run_synthetic_cell,
 )
 from repro.runner.registry import register_scenario
-from repro.scenarios.spec import Axis, ScenarioSpec, approach_matrix
+from repro.scenarios.results import merge_rows
+from repro.scenarios.spec import Axis, ScenarioSpec
 
 _DESCRIPTION = "checkpoint space utilisation per VM instance (MB)"
 
 #: merge executed fig4 cells back into the paper's row layout
-merge_fig4 = approach_matrix(
+merge_fig4 = merge_rows(
     "fig4",
     _DESCRIPTION,
     row_key=lambda p: {"buffer_MB": p["buffer_bytes"] // 10**6},
-    value=lambda p: round(p["snapshot_bytes_per_instance"] / 10**6, 1),
+    columns=lambda p: {p["approach"]: round(p["snapshot_bytes_per_instance"] / 10**6, 1)},
 )
 
 SCENARIO = ScenarioSpec(
@@ -43,13 +46,7 @@ SCENARIO = ScenarioSpec(
         Axis("instances", (2,)),
     ),
     key_axes=("approach", "buffer_bytes"),
-    cell_func=run_synthetic_cell,
-    cell_params=lambda point: {
-        "approach": point["approach"],
-        "instances": point["instances"],
-        "buffer_bytes": point["buffer_bytes"],
-        "include_restart": False,
-    },
+    cell_func=partial(run_synthetic_cell, include_restart=False),
     merge=merge_fig4,
 )
 

@@ -17,6 +17,7 @@ sequential, but the approaches are independent of each other.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 from repro.scenarios.results import ExperimentResult
@@ -57,14 +58,7 @@ SCENARIO = ScenarioSpec(
         Axis("buffer_bytes", (200 * MB,)),
     ),
     key_axes=("approach",),
-    cell_func=run_synthetic_cell,
-    cell_params=lambda point: {
-        "approach": point["approach"],
-        "instances": 1,
-        "buffer_bytes": point["buffer_bytes"],
-        "include_restart": False,
-        "checkpoints": point["checkpoints"],
-    },
+    cell_func=partial(run_synthetic_cell, include_restart=False, instances=1),
     merge=merge_fig5,
 )
 

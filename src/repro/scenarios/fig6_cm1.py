@@ -17,7 +17,8 @@ from typing import Any, Dict, Optional, Tuple
 from repro.apps.cm1 import CM1Application, CM1Config
 from repro.scenarios.workloads import CM1_APPROACHES, make_deployment, split_approach
 from repro.runner.registry import register_scenario
-from repro.scenarios.spec import Axis, ScenarioSpec, approach_matrix
+from repro.scenarios.results import merge_rows
+from repro.scenarios.spec import Axis, ScenarioSpec
 from repro.util.config import GRAPHENE, ClusterSpec
 
 #: process counts of the paper's Figure 6 (4 processes per VM)
@@ -95,11 +96,11 @@ def run_cm1_cell(
 
 
 #: merge executed fig6 cells back into the paper's row layout
-merge_fig6 = approach_matrix(
+merge_fig6 = merge_rows(
     "fig6",
     _DESCRIPTION,
     row_key=lambda p: {"processes": p["processes"]},
-    value=lambda p: p["duration"],
+    columns=lambda p: {p["approach"]: p["duration"]},
 )
 
 SCENARIO = ScenarioSpec(
@@ -111,11 +112,6 @@ SCENARIO = ScenarioSpec(
     ),
     key_axes=("approach", "processes"),
     cell_func=run_cm1_cell,
-    cell_params=lambda point: {
-        "approach": point["approach"],
-        "processes": point["processes"],
-        "config": None,
-    },
     merge=merge_fig6,
 )
 

@@ -189,12 +189,6 @@ SCENARIO = ScenarioSpec(
     ),
     key_axes=("mode",),
     cell_func=run_fig7_cell,
-    cell_params=lambda point: {
-        "mode": point["mode"],
-        "checkpoints": point["checkpoints"],
-        "state_bytes": point["state_bytes"],
-        "changed_fraction": point["changed_fraction"],
-    },
     merge=merge_fig7,
 )
 

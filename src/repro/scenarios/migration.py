@@ -39,7 +39,7 @@ from repro.cluster.failures import FailureInjector
 from repro.scenarios.contention import oversubscribed_fabric
 from repro.runner.registry import register_scenario
 from repro.scenarios.fault_tolerance import fault_tolerant_cluster
-from repro.scenarios.results import ExperimentResult
+from repro.scenarios.results import ExperimentResult, merge_rows
 from repro.scenarios.spec import Axis, ScenarioSpec
 from repro.scenarios.workloads import make_deployment, split_approach
 from repro.service.traffic import background_flow
@@ -253,14 +253,7 @@ EVAC_SCENARIO = ScenarioSpec(
     ),
     key_axes=("policy", "lead"),
     cell_func=run_evac_cell,
-    cell_params=lambda point: {
-        "policy": point["policy"],
-        "lead": point["lead"],
-        "instances": point["instances"],
-        "buffer_bytes": point["buffer_bytes"],
-    },
     merge=merge_evac,
-    cluster=fault_tolerant_cluster,
 )
 
 register_scenario(EVAC_SCENARIO)
@@ -330,24 +323,6 @@ def run_mig_cell(
     }
 
 
-def merge_mig(results) -> ExperimentResult:
-    """One row per flow count; downtime and total time column-per-mode."""
-    result = ExperimentResult(experiment="mig", description=_MIG_DESCRIPTION)
-    rows: Dict[int, Dict[str, Any]] = {}
-    for cell in results:
-        payload = cell.payload
-        flows = payload["flows"]
-        row = rows.get(flows)
-        if row is None:
-            row = {"flows": flows}
-            rows[flows] = row
-            result.rows.append(row)
-        mode = payload["mode"]
-        row[f"{mode} downtime_s"] = payload["downtime_s"]
-        row[f"{mode} total_s"] = payload["total_s"]
-    return result
-
-
 MIG_SCENARIO = ScenarioSpec(
     name="mig",
     description=_MIG_DESCRIPTION,
@@ -359,14 +334,16 @@ MIG_SCENARIO = ScenarioSpec(
     ),
     key_axes=("mode", "flows"),
     cell_func=run_mig_cell,
-    cell_params=lambda point: {
-        "mode": point["mode"],
-        "flows": point["flows"],
-        "instances": point["instances"],
-        "buffer_bytes": point["buffer_bytes"],
-    },
-    merge=merge_mig,
-    cluster=oversubscribed_fabric,
+    # one row per flow count; downtime and total time column-per-mode
+    merge=merge_rows(
+        "mig",
+        _MIG_DESCRIPTION,
+        row_key=lambda p: {"flows": p["flows"]},
+        columns=lambda p: {
+            f"{p['mode']} downtime_s": p["downtime_s"],
+            f"{p['mode']} total_s": p["total_s"],
+        },
+    ),
 )
 
 register_scenario(MIG_SCENARIO)

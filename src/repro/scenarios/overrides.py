@@ -10,7 +10,8 @@ Two override namespaces exist:
 * ``<scenario>.<axis>=<v1>|<v2>|...`` replaces one sweep axis of one
   registered scenario, e.g. ``ft.mtbf=900`` or ``scale.instances=64|128``.
   Values are coerced to the axis's value type; ``|`` separates sweep
-  points.
+  points.  A single-valued axis outside the cell key (``mtc.max_queue``)
+  takes one value only.
 
 Both kinds are recorded verbatim in the run artifact's ``run`` block so a
 recorded run is reproducible from its artifact alone.
@@ -39,7 +40,7 @@ def _split_assignment(raw: str) -> Tuple[str, str]:
     key = key.strip()
     if not key or "." not in key:
         raise ConfigurationError(
-            f"override key {key!r} must be 'cluster.<field>' or '<scenario>.<axis>'"
+            f"override {raw!r}: key {key!r} must be 'cluster.<field>' or '<scenario>.<axis>'"
         )
     return key, value.strip()
 
@@ -79,9 +80,10 @@ def resolve_cluster_spec(
 ) -> Optional[ClusterSpec]:
     """Validate overrides for one run and fold the cluster-level ones.
 
-    The single configuration pipeline shared by the CLI and the
-    :class:`repro.api.session.Session` facade (which is what keeps their
-    rows byte-identical): every override is validated against ``known``
+    The override half of :func:`repro.runner.select.resolve_run_inputs`,
+    the pipeline the CLI and the :class:`repro.api.session.Session` facade
+    share (which is what keeps their rows byte-identical): every override
+    is validated against ``known``
     scenario names, scenario overrides addressed to experiments outside
     ``selected`` are rejected (they would be silently inert), and the
     ``cluster.*`` overrides plus ``seed`` are folded onto ``base_spec``
@@ -90,13 +92,7 @@ def resolve_cluster_spec(
     experiment's default behaviour.
     """
     cluster_overrides, scenario_overrides = split_overrides(raw, known)
-    misdirected = sorted(
-        {
-            item.split(".", 1)[0]
-            for item in scenario_overrides
-            if item.split(".", 1)[0] not in selected
-        }
-    )
+    misdirected = [item for item in scenario_overrides if item.split(".", 1)[0] not in selected]
     if misdirected:
         raise ConfigurationError(
             "override(s) target experiment(s) not selected for this run: "
@@ -161,49 +157,31 @@ def apply_cluster_overrides(
     try:
         spec.validate()
     except ConfigurationError as exc:
-        raise ConfigurationError(f"invalid cluster override: {exc}") from None
+        applied = ", ".join(f"cluster.{path}={token}" for path, token in overrides)
+        raise ConfigurationError(f"invalid cluster override {applied}: {exc}") from None
     return spec
 
 
 def scenario_overrides_for(
     scenario: "ScenarioSpec", overrides: Sequence[str]
-) -> Tuple[Dict[str, Tuple[Any, ...]], Dict[str, Any]]:
-    """Extract this scenario's axis and parameter overrides from raw strings.
+) -> Dict[str, Tuple[Any, ...]]:
+    """Extract this scenario's axis overrides from raw strings.
 
-    Returns ``(axis values, parameter values)`` for overrides addressed to
-    ``scenario``: axes take ``|``-separated sweep values, scenario
-    *parameters* (:attr:`ScenarioSpec.params` -- duration caps, trace paths,
-    queue depths, ...) take exactly one value coerced to the default's type.
-    A name that is neither raises with the full list of valid targets.
+    Returns the ``|``-separated values of every override addressed to
+    ``scenario``, keyed by axis name and coerced by
+    :meth:`~repro.scenarios.spec.Axis.coerce`.  An unknown axis raises with
+    the list of valid ones; several values for a non-key axis fail when the
+    cells are built (they would share one cell key).
     """
-    axis_values: Dict[str, Tuple[Any, ...]] = {}
-    param_values: Dict[str, Any] = {}
-    axis_names = {axis.name for axis in scenario.axes}
+    values: Dict[str, Tuple[Any, ...]] = {}
     for raw in overrides:
         key, value = _split_assignment(raw)
         name, target = key.split(".", 1)
         if name != scenario.name:
             continue
-        if target in axis_names:
-            axis = scenario.axis(target)
-            tokens = [t for t in value.split("|") if t.strip()]
-            if not tokens:
-                raise ConfigurationError(f"override {raw!r} carries no values")
-            axis_values[target] = tuple(axis.coerce(t.strip()) for t in tokens)
-        elif target in scenario.params:
-            if "|" in value:
-                raise ConfigurationError(
-                    f"scenario parameter {scenario.name}.{target} takes a single "
-                    f"value, not a sweep: {value!r}"
-                )
-            default = scenario.params[target]
-            param_values[target] = coerce_token(
-                type(default), value, f"parameter {scenario.name}.{target}"
-            )
-        else:
-            valid = sorted(axis_names) + sorted(scenario.params)
-            raise ConfigurationError(
-                f"scenario {scenario.name!r} has no axis or parameter {target!r} "
-                f"(valid: {', '.join(valid)})"
-            )
-    return axis_values, param_values
+        axis = scenario.axis(target)
+        tokens = [t.strip() for t in value.split("|") if t.strip()]
+        if not tokens:
+            raise ConfigurationError(f"override {raw!r} carries no values")
+        values[target] = tuple(axis.coerce(token, scenario.name) for token in tokens)
+    return values

@@ -1,10 +1,10 @@
-"""Result rows and the shared merge shapes of the scenario layer.
+"""Result rows and the shared row merge of the scenario layer.
 
 :class:`ExperimentResult` is the canonical row container every scenario
-produces (and the CLI renders); :func:`merge_approach_cells` is the shared
-one-column-per-approach merge of Figures 2/3/4/6 and the beyond-paper
-sweeps.  This module sits below both the scenario modules and the runner so
-all layers can share it without import cycles.
+produces (and the CLI renders); :func:`merge_rows` builds the shared merge
+of Figures 2/3/4/6 and the ``scale``/``contention``/``mig`` sweeps.  This
+module sits below both the scenario modules and the runner so all layers
+can share it without import cycles.
 """
 
 from __future__ import annotations
@@ -67,31 +67,36 @@ class ExperimentResult:
         return "\n".join(lines)
 
 
-def merge_approach_cells(
-    experiment: str,
-    description: str,
-    results: Sequence["CellResult"],
-    row_key: Callable[[Dict[str, Any]], Dict[str, Any]],
-    value: Callable[[Dict[str, Any]], Any],
-) -> ExperimentResult:
-    """Group executed cells into rows, one column per approach.
+#: merge callable: executed cells (canonical order) -> result rows
+MergeFn = Callable[[Sequence["CellResult"]], ExperimentResult]
 
-    The shared merge shape of Figures 2/3/4/6: walking cells in canonical
-    enumeration order, every distinct ``row_key(payload)`` dict opens a new
-    row (its entries become the leading columns) and each cell contributes
-    ``value(payload)`` under its approach label.  Subsets selected via
-    ``--cells`` simply produce rows/columns for the cells that ran.
+
+def merge_rows(
+    name: str,
+    description: str,
+    row_key: Callable[[Dict[str, Any]], Dict[str, Any]],
+    columns: Callable[[Dict[str, Any]], Dict[str, Any]],
+) -> MergeFn:
+    """Merge factory: cells that share a row key fill one row.
+
+    Walking cells in canonical enumeration order, every distinct
+    ``row_key(payload)`` dict opens a new row (its entries become the
+    leading columns) and each cell adds ``columns(payload)`` to its row --
+    typically one column per approach.  Subsets selected via ``--cells``
+    simply produce rows/columns for the cells that ran.
     """
-    result = ExperimentResult(experiment=experiment, description=description)
-    rows: Dict[tuple, Dict[str, Any]] = {}
-    for cell in results:
-        payload = cell.payload
-        head = row_key(payload)
-        key = tuple(head.values())
-        row = rows.get(key)
-        if row is None:
-            row = dict(head)
-            rows[key] = row
-            result.rows.append(row)
-        row[payload["approach"]] = value(payload)
-    return result
+
+    def merge(results: Sequence["CellResult"]) -> ExperimentResult:
+        result = ExperimentResult(experiment=name, description=description)
+        rows: Dict[tuple, Dict[str, Any]] = {}
+        for cell in results:
+            head = row_key(cell.payload)
+            key = tuple(head.values())
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = dict(head)
+                result.rows.append(row)
+            row.update(columns(cell.payload))
+        return result
+
+    return merge

@@ -20,10 +20,8 @@ comparable.
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
 from repro.runner.registry import register_scenario
-from repro.scenarios.results import ExperimentResult
+from repro.scenarios.results import merge_rows
 from repro.scenarios.spec import Axis, ScenarioSpec
 from repro.scenarios.workloads import run_synthetic_cell
 from repro.util.units import MB
@@ -35,25 +33,6 @@ _DESCRIPTION = (
     "deploy / checkpoint / restart completion time (s) per approach vs "
     "instance count, up to 16384 instances at paper scale"
 )
-
-
-def merge_scale(results) -> ExperimentResult:
-    """One row per instance count; phase times column-per-approach."""
-    result = ExperimentResult(experiment="scale", description=_DESCRIPTION)
-    rows: Dict[int, Dict[str, Any]] = {}
-    for cell in results:
-        payload = cell.payload
-        instances = payload["instances"]
-        row = rows.get(instances)
-        if row is None:
-            row = {"instances": instances}
-            rows[instances] = row
-            result.rows.append(row)
-        approach = payload["approach"]
-        row[f"{approach} deploy_s"] = payload["deploy_time"]
-        row[f"{approach} ckpt_s"] = payload["checkpoint_time"]
-        row[f"{approach} restart_s"] = payload["restart_time"]
-    return result
 
 
 SCENARIO = ScenarioSpec(
@@ -70,13 +49,17 @@ SCENARIO = ScenarioSpec(
     ),
     key_axes=("approach", "instances"),
     cell_func=run_synthetic_cell,
-    cell_params=lambda point: {
-        "approach": point["approach"],
-        "instances": point["instances"],
-        "buffer_bytes": point["buffer_bytes"],
-        "include_restart": True,
-    },
-    merge=merge_scale,
+    # one row per instance count; phase times column-per-approach
+    merge=merge_rows(
+        "scale",
+        _DESCRIPTION,
+        row_key=lambda p: {"instances": p["instances"]},
+        columns=lambda p: {
+            f"{p['approach']} deploy_s": p["deploy_time"],
+            f"{p['approach']} ckpt_s": p["checkpoint_time"],
+            f"{p['approach']} restart_s": p["restart_time"],
+        },
+    ),
 )
 
 register_scenario(SCENARIO)

@@ -14,9 +14,9 @@ Axes: tenant count, arrival rate (tenants/s) and admission policy.  The
 trace is synthesized per cell from a fixed seed -- the same tenants and
 jobs hit both policies, so the fairness column isolates the scheduling
 decision.  Everything else (arrival mode, trace file, admission depths,
-failure MTBF, background flows, ...) is a scenario *parameter*: overridable
-run-wide via ``--override mtc.<param>=<value>``, validated like any other
-override.
+failure MTBF, background flows, ...) is a scenario *parameter*: a
+single-valued axis outside the cell key, overridable run-wide via
+``--override mtc.<name>=<value>`` and validated like any other override.
 """
 
 from __future__ import annotations
@@ -140,33 +140,27 @@ SCENARIO = ScenarioSpec(
         # and FIFO and fair degenerate to the same grant order.
         Axis("rate", (1.0,), paper_values=(2.0,), fmt=lambda value: f"{value:g}"),
         Axis("policy", ("fifo", "fair")),
+        # scenario parameters: single-valued, outside the cell key
+        Axis("mode", ("poisson",)),
+        Axis("trace_path", ("",)),
+        Axis("duration", (0.0,)),
+        Axis("checkpoints", (2,)),
+        Axis("interval", (15.0,)),
+        Axis("restarts", (1,)),
+        Axis("hold", (10.0,)),
+        Axis("approach", ("BlobCR-app",)),
+        Axis("instances", (1,)),
+        Axis("buffer_bytes", (4 * MB,)),
+        Axis("boot_slots", (4,)),
+        Axis("repo_slots", (8,)),
+        Axis("max_queue", (64,)),
+        Axis("timeout", (0.0,)),
+        Axis("flows", (0,)),
+        Axis("mtbf", (0.0,)),
     ),
     key_axes=("tenants", "rate", "policy"),
     cell_func=run_mtc_cell,
-    cell_params=lambda point: {
-        "tenants": point["tenants"],
-        "rate": point["rate"],
-        "policy": point["policy"],
-    },
     merge=merge_mtc,
-    params={
-        "mode": "poisson",
-        "trace_path": "",
-        "duration": 0.0,
-        "checkpoints": 2,
-        "interval": 15.0,
-        "restarts": 1,
-        "hold": 10.0,
-        "approach": "BlobCR-app",
-        "instances": 1,
-        "buffer_bytes": 4 * MB,
-        "boot_slots": 4,
-        "repo_slots": 8,
-        "max_queue": 64,
-        "timeout": 0.0,
-        "flows": 0,
-        "mtbf": 0.0,
-    },
 )
 
 register_scenario(SCENARIO)

@@ -1,11 +1,10 @@
 """The declarative scenario layer.
 
 A :class:`ScenarioSpec` is a complete, validated description of one
-experiment: the sweep axes (with separate reduced and paper-scale values),
-how axis points map onto runner cell keys and cell-function parameters, an
-optional cluster plan transforming the simulated :class:`ClusterSpec`, an
-optional :class:`FailurePlan`, and how executed cells merge back into result
-rows.  :func:`repro.runner.registry.register_scenario` stores a spec in the
+experiment: its sweep axes (with separate reduced and paper-scale values),
+the axes that form the runner cell key, the cell function every sweep point
+calls, and how executed cells merge back into result rows.
+:func:`repro.runner.registry.register_scenario` stores a spec in the
 registry the parallel runner executes from; the paper's figures and the
 beyond-paper scenarios are all instantiations of this one layer.
 
@@ -19,12 +18,13 @@ through ``--override``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.runner.cells import Cell, CellPayload, CellResult
-from repro.scenarios.results import ExperimentResult, merge_approach_cells
-from repro.util.config import GRAPHENE, ClusterSpec
+from repro.runner.cells import Cell, CellPayload
+from repro.scenarios.results import MergeFn
+from repro.util.config import ClusterSpec
 from repro.util.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -38,9 +38,8 @@ class Axis:
     ``values`` drive the default (reduced) scale; ``paper_values`` (when
     given) replace them under ``--paper-scale``.  ``fmt`` renders a value
     into the cell-key part used for ``--cells`` selectors and per-cell
-    seeding; axes that should not appear in the key (fixed parameters that
-    callers may still override) are simply left out of the spec's
-    ``key_axes``.
+    seeding; a single-valued axis left out of the spec's ``key_axes`` is a
+    scenario parameter, a fixed value callers may still override.
     """
 
     name: str
@@ -61,11 +60,20 @@ class Axis:
             return self.paper_values
         return self.values
 
-    def coerce(self, token: str) -> Any:
-        """Convert one override token to this axis's value type."""
+    def coerce(self, token: str, scenario: str) -> Any:
+        """Convert one override token of ``scenario`` to this axis's value type.
+
+        Every numeric axis is a count, a size, a time, a rate or a fraction,
+        so a negative or non-finite number is rejected here.
+        """
         from repro.scenarios.overrides import coerce_token
 
-        return coerce_token(type(self.values[0]), token, f"axis {self.name!r}")
+        target = f"{scenario}.{self.name}"
+        kind = type(self.values[0])
+        value = coerce_token(kind, token, target)
+        if kind in (int, float) and not 0 <= value < math.inf:
+            raise ConfigurationError(f"{target} must be a finite number >= 0, not {token!r}")
+        return value
 
 
 @dataclass(frozen=True)
@@ -109,13 +117,16 @@ class FailurePlan:
             raise ConfigurationError(f"failure offsets must be >= 0: {self.at_times}")
 
 
-#: merge callable: executed cells (canonical order) -> result rows
-MergeFn = Callable[[Sequence[CellResult]], ExperimentResult]
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Declarative description of one registered scenario."""
+    """Declarative description of one registered scenario.
+
+    Every sweep point is one cell: ``cell_func`` is called with each axis
+    value by name plus ``spec``, the run's cluster override (``None`` for
+    the default calibration).  A constant argument binds with
+    :func:`functools.partial` (which pickles), and a scenario that needs its
+    own cluster plan applies it inside the cell function.
+    """
 
     name: str
     description: str
@@ -125,20 +136,8 @@ class ScenarioSpec:
     key_axes: Tuple[str, ...]
     #: module-level (picklable) cell function executed per sweep point
     cell_func: Callable[..., CellPayload]
-    #: map one sweep point (axis name -> value) to the cell parameters
-    cell_params: Callable[[Mapping[str, Any]], Dict[str, Any]]
     #: merge executed cells back into canonical rows
     merge: MergeFn
-    #: optional cluster plan applied to the run's ClusterSpec (``None``
-    #: passes the runner's spec through untouched, preserving the paper
-    #: figures' historical behaviour)
-    cluster: Optional[Callable[[ClusterSpec], ClusterSpec]] = None
-    #: scenario *parameters*: named cell-function arguments that are not
-    #: sweep axes (duration caps, trace paths, queue depths, ...).  Their
-    #: defaults seed every cell's parameters; ``--override
-    #: <scenario>.<param>=<value>`` replaces one of them run-wide, validated
-    #: and type-coerced exactly like an axis override.
-    params: Mapping[str, Any] = field(default_factory=dict)
 
     # -- validation --------------------------------------------------------------------
 
@@ -157,11 +156,6 @@ class ScenarioSpec:
             )
         if not self.key_axes:
             raise ConfigurationError(f"scenario {self.name!r} needs at least one key axis")
-        clashes = sorted(set(self.params) & set(names))
-        if clashes:
-            raise ConfigurationError(
-                f"scenario {self.name!r} parameter(s) {clashes} collide with sweep axes"
-            )
 
     # -- composition -------------------------------------------------------------------
 
@@ -170,7 +164,7 @@ class ScenarioSpec:
             if axis.name == name:
                 return axis
         raise ConfigurationError(
-            f"scenario {self.name!r} has no axis {name!r} "
+            f"{self.name}.{name}: scenario {self.name!r} has no axis {name!r} "
             f"(axes: {', '.join(a.name for a in self.axes)})"
         )
 
@@ -178,7 +172,7 @@ class ScenarioSpec:
         """Derive a spec with the given axes pinned to explicit values.
 
         Overridden axes apply at both scales (their ``paper_values`` are
-        dropped); everything else -- keys, parameters, merge -- is shared,
+        dropped); everything else -- keys, cell function, merge -- is shared,
         so overridden sweeps stay cell-compatible with the original.
         """
         for name in values:
@@ -207,47 +201,40 @@ class ScenarioSpec:
         return points
 
     def build_cells(
-        self,
-        paper_scale: bool = False,
-        cluster_spec: Optional[ClusterSpec] = None,
-        params_override: Optional[Dict[str, Any]] = None,
+        self, paper_scale: bool = False, cluster_spec: Optional[ClusterSpec] = None
     ) -> List[Cell]:
         """Build the scenario's runner cells for one configuration.
 
         ``cluster_spec`` is the run-wide spec override (``--override
-        cluster.*`` / ``--seed``); the scenario's own cluster plan is applied
-        on top of it (or on the default calibration when no override is
-        given).  ``params_override`` force-replaces cell parameters after
-        ``cell_params`` -- how ``--override <scenario>.<param>=v`` reaches
-        the cells, and how a caller passes a non-axis object such as a
-        :class:`~repro.apps.cm1.CM1Config`.
+        cluster.*`` / ``--seed``), passed to every cell as ``spec``.
         """
         self.validate()
-        if self.cluster is None:
-            effective = cluster_spec
-        else:
-            effective = self.cluster(cluster_spec or GRAPHENE)
-        cells: List[Cell] = []
-        for point in self.sweep_points(paper_scale):
-            parts = tuple(self.axis(name).fmt(point[name]) for name in self.key_axes)
-            params = dict(self.params)
-            params.update(self.cell_params(point))
-            params.setdefault("spec", effective)
-            if params_override:
-                params.update(params_override)
-            cells.append(
-                Cell(experiment=self.name, parts=parts, func=self.cell_func, params=params)
+        cells = [
+            Cell(
+                experiment=self.name,
+                parts=tuple(self.axis(name).fmt(point[name]) for name in self.key_axes),
+                func=self.cell_func,
+                params=dict(point, spec=cluster_spec),
             )
+            for point in self.sweep_points(paper_scale)
+        ]
         keys = [cell.key for cell in cells]
         if len(set(keys)) != len(keys):
             duplicated = sorted({key for key in keys if keys.count(key) > 1})
+            # a non-key axis with several values, or a key axis whose values
+            # render to one key part
+            collapsed = []
+            for axis in self.axes:
+                values = axis.pick(paper_scale)
+                parts = {axis.fmt(v) if axis.name in self.key_axes else "" for v in values}
+                if len(parts) < len(values):
+                    collapsed.append(f"{self.name}.{axis.name}")
             raise ConfigurationError(
                 f"scenario {self.name!r} sweep produces duplicate cell keys "
-                f"({', '.join(duplicated[:3])}): a non-key axis was swept with "
-                "several values, which would collapse distinct configurations "
-                "onto one cell identity (same RNG seed, same merged row slot). "
-                "Sweep a key axis instead, or override the non-key axis with a "
-                "single value."
+                f"({', '.join(duplicated[:3])}): {', '.join(collapsed)} maps several "
+                "values onto one cell identity (same RNG seed, same merged row slot). "
+                "Sweep a key axis with distinct values instead, or give a non-key "
+                "axis a single value."
             )
         return cells
 
@@ -255,26 +242,6 @@ class ScenarioSpec:
         """Enumerate cells for one runner configuration (the registry hook)."""
         from repro.scenarios.overrides import scenario_overrides_for
 
-        scenario = self
-        axis_values, param_values = scenario_overrides_for(scenario, config.overrides)
-        if axis_values:
-            scenario = scenario.with_axis_values(**axis_values)
-        return scenario.build_cells(
-            paper_scale=config.paper_scale,
-            cluster_spec=config.spec,
-            params_override=param_values or None,
-        )
-
-
-def approach_matrix(
-    name: str,
-    description: str,
-    row_key: Callable[[Dict[str, Any]], Dict[str, Any]],
-    value: Callable[[Dict[str, Any]], Any],
-) -> MergeFn:
-    """Merge factory for the common one-column-per-approach row layout."""
-
-    def merge(results: Sequence[CellResult]) -> ExperimentResult:
-        return merge_approach_cells(name, description, results, row_key, value)
-
-    return merge
+        values = scenario_overrides_for(self, config.overrides)
+        scenario = self.with_axis_values(**values) if values else self
+        return scenario.build_cells(config.paper_scale, config.spec)

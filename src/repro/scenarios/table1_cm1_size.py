@@ -64,11 +64,6 @@ SCENARIO = ScenarioSpec(
     ),
     key_axes=("approach",),
     cell_func=run_cm1_cell,
-    cell_params=lambda point: {
-        "approach": point["approach"],
-        "processes": point["processes"],
-        "config": None,
-    },
     merge=merge_table1,
 )
 

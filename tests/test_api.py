@@ -373,7 +373,7 @@ class TestSessionValidation:
             session.checkpoint()
 
     def test_unknown_scenario_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown scenario"):
+        with pytest.raises(ConfigurationError, match="unknown experiment"):
             Session().run_scenario("fig99")
 
     def test_misdirected_override_rejected(self):
@@ -391,7 +391,7 @@ class TestSessionValidation:
             )
 
     def test_foreign_cell_selector_rejected(self):
-        with pytest.raises(ConfigurationError, match="outside scenario"):
+        with pytest.raises(ConfigurationError, match="outside the requested experiments"):
             Session().run_scenario("fig2", cells=["fig4:BlobCR-app:50MB"])
 
 
@@ -434,7 +434,7 @@ class TestScenarioParity:
         assert capsys.readouterr().out.split() == [key]
         assert Session().run_scenario("fig4", cells=[selector]).cell_keys == (key,)
         assert Session().trace("fig4", cells=[selector]).cell_keys == (key,)
-        with pytest.raises(ConfigurationError, match="outside scenario"):
+        with pytest.raises(ConfigurationError, match="outside the requested experiments"):
             Session().run_scenario("fig4", cells=["fig[23]:BlobCR-app"])
 
     def test_session_spec_flows_into_scenarios(self):

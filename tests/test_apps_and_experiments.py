@@ -1,5 +1,8 @@
 """Tests for the baselines, applications, MPI runtime and experiment harness."""
 
+import dataclasses
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -9,8 +12,9 @@ from repro.apps.synthetic import SyntheticBenchmark
 from repro.baselines import Qcow2DiskDeployment, Qcow2FullDeployment
 from repro.cluster import Cloud
 from repro.core import BlobCRDeployment
-from repro.runner.cells import run_cells_inline
+from repro.runner.cells import execute_cell
 from repro.scenarios.fig4_snapshot_size import SCENARIO as FIG4
+from repro.scenarios.fig6_cm1 import run_cm1_cell
 from repro.scenarios.table1_cm1_size import SCENARIO as TABLE1
 from repro.scenarios.workloads import (
     APPROACHES,
@@ -242,7 +246,7 @@ class TestExperimentHarness:
 
     def test_fig4_rows_have_all_approaches(self):
         cells = FIG4.with_axis_values(buffer_bytes=(2 * MB,)).build_cells(cluster_spec=SMALL)
-        result = FIG4.merge(run_cells_inline(cells))
+        result = FIG4.merge([execute_cell(cell) for cell in cells])
         assert len(result.rows) == 1
         for approach in APPROACHES:
             assert approach in result.rows[0]
@@ -250,10 +254,9 @@ class TestExperimentHarness:
         assert "fig4" in result.to_table()
 
     def test_table1_shape(self):
-        cells = TABLE1.with_axis_values(processes=(8,)).build_cells(
-            cluster_spec=SMALL,
-            params_override={"config": CM1Config(nx=10, ny=10, nz=6, fields=3)},
-        )
-        result = TABLE1.merge(run_cells_inline(cells))
+        config = CM1Config(nx=10, ny=10, nz=6, fields=3)
+        small = dataclasses.replace(TABLE1, cell_func=partial(run_cm1_cell, config=config))
+        cells = small.with_axis_values(processes=(8,)).build_cells(cluster_spec=SMALL)
+        result = TABLE1.merge([execute_cell(cell) for cell in cells])
         sizes = {row["approach"]: row["snapshot_MB"] for row in result.rows}
         assert sizes["BlobCR-blcr"] >= sizes["BlobCR-app"]

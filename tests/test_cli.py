@@ -1,16 +1,20 @@
 """Tests for the command-line interface on top of the parallel runner."""
 
 import json
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.api import Session
-from repro.cli import main, resolve_run_inputs
+from repro.cli import main
 from repro.scenarios.results import ExperimentResult
-from repro.runner import load_all, load_artifact
+from repro.runner import RunConfig, load_all, load_artifact, resolve_run_inputs
 from repro.sim.instrumentation import aggregate_counters
 from repro.runner.registry import _REGISTRY
-from repro.scenarios import Axis, ScenarioSpec, approach_matrix, register_scenario
+from repro.scenarios import Axis, ScenarioSpec, get_scenario, merge_rows, register_scenario
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestArgumentErrors:
@@ -261,12 +265,11 @@ class TestAdHocScenario:
                 axes=(Axis("n", (1, 2)),),
                 key_axes=("n",),
                 cell_func=_adhoc_cell,
-                cell_params=lambda point: {"n": point["n"]},
-                merge=approach_matrix(
+                merge=merge_rows(
                     self.NAME,
                     description,
                     row_key=lambda p: {"n": p["n"]},
-                    value=lambda p: p["value"],
+                    columns=lambda p: {p["approach"]: p["value"]},
                 ),
             )
         )
@@ -291,6 +294,45 @@ class TestAdHocScenario:
         report = Session().run_scenario(adhoc, cells=[f"{adhoc}:2"])
         assert report.cell_keys == (f"{adhoc}:2",)
         assert report.rows == [{"n": 2, "twice": 4}]
+
+
+class TestReadmeScenarioSnippet:
+    """The README "Authoring scenarios" snippet runs as documented."""
+
+    def _snippet(self):
+        section = README.read_text().split("## Authoring scenarios", 1)[1]
+        return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+    def test_registers_enumerates_and_merges(self):
+        load_all()
+        try:
+            exec(compile(self._snippet(), str(README), "exec"), {})
+            assert load_all()[-1] == "bigbuf"
+            spec = get_scenario("bigbuf")
+            cells = spec.enumerate_cells(RunConfig())
+            assert [cell.key for cell in cells] == [
+                "bigbuf:BlobCR-app:400MB",
+                "bigbuf:qcow2-disk-app:400MB",
+            ]
+            assert cells[0].params == {
+                "buffer_bytes": 400 * 10**6,
+                "approach": "BlobCR-app",
+                "instances": 8,
+                "spec": None,
+            }
+            paper = spec.enumerate_cells(RunConfig(paper_scale=True))
+            assert [cell.key for cell in paper][0] == "bigbuf:BlobCR-app:1000MB"
+            overridden = spec.enumerate_cells(RunConfig(overrides=("bigbuf.instances=16",)))
+            assert [cell.params["instances"] for cell in overridden] == [16, 16]
+            payloads = [
+                {"approach": "BlobCR-app", "buffer_bytes": 400 * 10**6, "checkpoint_time": 1.0},
+                {"approach": "qcow2-disk-app", "buffer_bytes": 400 * 10**6, "checkpoint_time": 2.0},
+            ]
+            rows = spec.merge([SimpleNamespace(payload=p) for p in payloads]).rows
+            assert rows == [{"buffer_MB": 400, "BlobCR-app": 1.0, "qcow2-disk-app": 2.0}]
+        finally:
+            _REGISTRY.pop("bigbuf", None)
+        assert "bigbuf" not in load_all()
 
 
 class TestZeroRowResilience:

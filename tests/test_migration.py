@@ -40,7 +40,6 @@ from repro.scenarios.migration import (
     EVAC_SCENARIO,
     MIG_SCENARIO,
     merge_evac,
-    merge_mig,
     run_evac_cell,
     run_mig_cell,
 )
@@ -805,7 +804,7 @@ class TestMigScenario:
             for mode in ("pre-copy", "post-copy")
             for flows in (0, 8)
         ]
-        rows = merge_mig([FakeCell(p) for p in payloads]).rows
+        rows = MIG_SCENARIO.merge([FakeCell(p) for p in payloads]).rows
         assert [row["flows"] for row in rows] == [0, 8]
         for row in rows:
             assert "pre-copy downtime_s" in row

@@ -21,7 +21,7 @@ from repro.runner import (
     validate_artifact,
     write_artifact,
 )
-from repro.runner.cells import Cell, execute_cell, run_cells_inline
+from repro.runner.cells import Cell, execute_cell
 from repro.runner.regression import check_determinism, check_speedup, speedup
 from repro.sim.instrumentation import COUNTERS, aggregate_counters, counters_snapshot
 from repro.runner.select import filter_cells
@@ -158,7 +158,7 @@ class TestDeterminism:
     def test_merged_subset_keeps_canonical_columns(self):
         cells = FIG2_TINY.build_cells(cluster_spec=SMALL)
         subset = filter_cells(cells, parse_selectors(["fig2:BlobCR-app"]))
-        result = get_scenario("fig2").merge(run_cells_inline(subset))
+        result = get_scenario("fig2").merge([execute_cell(cell) for cell in subset])
         assert result.rows == [
             {
                 "buffer_MB": 2,

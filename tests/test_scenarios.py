@@ -5,9 +5,11 @@ import re
 import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.runner import RunConfig, load_all
-from repro.runner.cells import run_cells_inline
+from repro.runner import ParallelRunner, RunConfig, load_all, resolve_run_inputs
+from repro.runner.cells import execute_cell
 from repro.scenarios import (
     Axis,
     FailurePlan,
@@ -41,6 +43,49 @@ def _leaf_fields(cls, prefix=""):
 
 CLUSTER_FIELDS = list(_leaf_fields(ClusterSpec))
 
+NAMES = load_all()
+#: every key an override can address: ``<scenario>.<axis>`` and ``cluster.<path>``
+OVERRIDE_KEYS = [f"{name}.{axis.name}" for name in NAMES for axis in get_scenario(name).axes]
+OVERRIDE_KEYS += [f"cluster.{path}" for path, _ in CLUSTER_FIELDS]
+
+_VALUE = st.one_of(
+    st.text(max_size=6),
+    st.from_regex(r"\A-?(\d{1,4}(\.\d{0,2})?(e-?\d)?|nan|inf|true|off|fifo|BlobCR-app)\Z"),
+)
+_OVERRIDE = st.one_of(
+    st.text(max_size=24),
+    st.from_regex(r"\A[\w .*|=-]{0,24}\Z"),
+    st.builds(
+        lambda key, values: f"{key}={'|'.join(values)}",
+        st.sampled_from(OVERRIDE_KEYS),
+        st.lists(_VALUE, max_size=3),
+    ),
+)
+_SEGMENT = st.one_of(
+    st.sampled_from(NAMES + ["*", "fig*", "BlobCR-app", "nofail", "24", "50MB", "f*", ""]),
+    st.from_regex(r"\A[\w*?\[\]!. -]{0,6}\Z"),
+)
+_SELECTOR = st.one_of(
+    st.text(max_size=24),
+    st.from_regex(r"\A[\w*?\[\]!:, -]{0,24}\Z"),
+    st.builds(":".join, st.lists(_SEGMENT, min_size=1, max_size=4)),
+)
+#: a run of everything (what an override addresses), or of one scenario
+_EXPERIMENTS = st.sampled_from([[], [], [], ["fig2"], ["mtc"]])
+
+
+def _names(message, token):
+    """Whether ``message`` names ``token`` (verbatim, or quoted as its repr)."""
+    if not token:
+        return repr(token) in message
+    return token in message or repr(token)[1:-1] in message
+
+
+def _enumerate(experiments, cells=(), overrides=()):
+    """The one selection pipeline, then cell enumeration (nothing runs)."""
+    chosen, selectors, config = resolve_run_inputs(NAMES, experiments, cells, overrides)
+    ParallelRunner().enumerate(chosen, config, selectors)
+
 
 class TestAxis:
     def test_pick_scales(self):
@@ -50,17 +95,32 @@ class TestAxis:
         assert Axis("n", (1, 2)).pick(True) == (1, 2)
 
     def test_coerce_follows_value_type(self):
-        assert Axis("n", (4, 8)).coerce("16") == 16
-        assert Axis("f", (0.5,)).coerce("2.5") == 2.5
-        assert Axis("s", ("a",)).coerce("b") == "b"
-        with pytest.raises(ConfigurationError, match="cannot parse"):
-            Axis("n", (4,)).coerce("many")
+        assert Axis("n", (4, 8)).coerce("16", "x") == 16
+        assert Axis("f", (0.5,)).coerce("2.5", "x") == 2.5
+        assert Axis("s", ("a",)).coerce("b", "x") == "b"
+        with pytest.raises(ConfigurationError, match="cannot parse 'many' .* x.n"):
+            Axis("n", (4,)).coerce("many", "x")
 
-    def test_validation(self):
-        with pytest.raises(ConfigurationError, match="no values"):
-            Axis("n", ()).validate()
-        with pytest.raises(ConfigurationError, match="non-empty"):
-            Axis("", (1,)).validate()
+    @pytest.mark.parametrize(
+        "override, token",
+        [
+            ("ft.mtbf=nan", "nan"),
+            ("ft.mtbf=inf", "inf"),
+            ("contention.flows=-2", "-2"),
+            ("fig7.changed_fraction=-1", "-1"),
+            ("mtc.duration=nan", "nan"),
+            ("mtc.max_queue=-1", "-1"),
+            ("evac.lead=-5", "-5"),
+            ("scale.instances=16|-16", "-16"),
+        ],
+    )
+    def test_negative_and_non_finite_tokens_are_rejected(self, override, token):
+        load_all()
+        key = override.split("=")[0]
+        scenario = get_scenario(key.split(".")[0])
+        with pytest.raises(ConfigurationError, match=re.escape(f"{key} must be")) as excinfo:
+            scenario.enumerate_cells(RunConfig(overrides=(override,)))
+        assert repr(token) in str(excinfo.value)
 
 
 class TestFailurePlan:
@@ -84,7 +144,6 @@ class TestScenarioSpec:
                 axes=(Axis("a", (1,)), Axis("a", (2,))),
                 key_axes=("a",),
                 cell_func=lambda: {},
-                cell_params=lambda p: {},
                 merge=lambda r: None,
             ).validate()
         with pytest.raises(ConfigurationError, match="not sweep axes"):
@@ -94,7 +153,6 @@ class TestScenarioSpec:
                 axes=(Axis("a", (1,)),),
                 key_axes=("a", "b"),
                 cell_func=lambda: {},
-                cell_params=lambda p: {},
                 merge=lambda r: None,
             ).validate()
         good.validate()  # the registered specs are valid
@@ -113,14 +171,11 @@ class TestScenarioSpec:
         assert any(c.params["instances"] == 512 for c in cells)
         assert any(c.params["instances"] == 16384 for c in cells)
 
-    def test_cluster_plan_applies_on_default_and_override(self):
-        cells = FT.enumerate_cells(RunConfig())
-        assert cells[0].params["spec"].blobseer.replication >= 2
-        cells = FT.enumerate_cells(RunConfig(spec=SMALL))
-        assert cells[0].params["spec"].compute_nodes == SMALL.compute_nodes
-        assert cells[0].params["spec"].blobseer.replication >= 2
-        # Paper figures pass the runner's spec through untouched.
-        assert FIG2.enumerate_cells(RunConfig())[0].params["spec"] is None
+    def test_cells_receive_the_runs_cluster_spec(self):
+        # A scenario's cluster plan is its cell function's business: every
+        # cell gets the run's spec (None for the default calibration) as is.
+        assert FT.enumerate_cells(RunConfig())[0].params["spec"] is None
+        assert FT.enumerate_cells(RunConfig(spec=SMALL))[0].params["spec"] is SMALL
 
 
 class TestOverrides:
@@ -211,7 +266,7 @@ class TestOverrides:
         assert all(c.params["instances"] == 4 for c in cells)
 
     def test_foreign_and_cluster_overrides_are_ignored(self):
-        assert scenario_overrides_for(FT, ("fig2.instances=4", "cluster.seed=1"))[0] == {}
+        assert scenario_overrides_for(FT, ("fig2.instances=4", "cluster.seed=1")) == {}
 
 
 class TestScenarioRegistry:
@@ -227,7 +282,7 @@ class TestScenarioRegistry:
 class TestBeyondPaperScenarios:
     def test_contention_slows_checkpoints(self):
         sweep = CONTENTION.with_axis_values(flows=(0, 32), approach=("BlobCR-app",))
-        result = CONTENTION.merge(run_cells_inline(sweep.build_cells()))
+        result = CONTENTION.merge([execute_cell(cell) for cell in sweep.build_cells()])
         by_flows = {row["flows"]: row["BlobCR-app"] for row in result.rows}
         assert by_flows[32] > by_flows[0] * 1.2
 
@@ -235,10 +290,35 @@ class TestBeyondPaperScenarios:
         cells = FT.with_axis_values(
             mtbf=(150.0,), approach=("qcow2-full",), instances=(4,), periods=(2,)
         ).build_cells(cluster_spec=SMALL)
-        result = merge_ft(run_cells_inline(cells))
+        result = merge_ft([execute_cell(cell) for cell in cells])
         assert len(result.rows) == 1
         row = result.rows[0]
         assert row["mtbf_s"] == 150.0
         assert row["recovered_ok"]
         assert row["qcow2-full rollbacks"] >= 1
         assert row["qcow2-full total_s"] > 0
+
+
+class TestBadSelectionInput:
+    """A ``--cells`` selector or an ``--override`` either enumerates or raises
+    a ConfigurationError that names the offending token; nothing else escapes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_SELECTOR, experiments=_EXPERIMENTS)
+    def test_cells_selectors(self, text, experiments):
+        try:
+            _enumerate(experiments, cells=[text])
+        except ConfigurationError as exc:
+            pieces = [piece.strip() for piece in text.split(",") if piece.strip()]
+            assert any(_names(str(exc), piece) for piece in pieces), (text, str(exc))
+
+    @settings(max_examples=400, deadline=None)
+    @given(raw=_OVERRIDE, experiments=_EXPERIMENTS)
+    def test_overrides(self, raw, experiments):
+        try:
+            _enumerate(experiments, overrides=[raw])
+        except ConfigurationError as exc:
+            key, _, value = raw.partition("=")
+            tokens = [raw, raw.strip(), key.strip(), value.strip()]
+            tokens += [token.strip() for token in value.split("|")]
+            assert any(_names(str(exc), token) for token in tokens), (raw, str(exc))

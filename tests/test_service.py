@@ -12,7 +12,6 @@ from repro.runner.select import CellSelector, parse_selectors
 from repro.scenarios.overrides import scenario_overrides_for
 from repro.scenarios.service import SCENARIO as MTC
 from repro.scenarios.service import run_mtc_cell
-from repro.scenarios.spec import Axis, ScenarioSpec
 from repro.service import (
     AdmissionConfig,
     AdmissionQueue,
@@ -339,21 +338,20 @@ class TestMtcScenario:
     def test_registered_in_canonical_order(self):
         names = load_all()
         assert "mtc" in names and names[-2:] == ["evac", "mig"]
-        assert MTC.params["boot_slots"] == 4
+        assert MTC.axis("boot_slots").values == (4,)
 
 
 class TestScenarioParams:
     def test_param_overrides_are_coerced_and_applied(self):
-        axes, params = scenario_overrides_for(
-            MTC, ["mtc.duration=30", "mtc.tenants=4|6"]
-        )
-        assert params == {"duration": 30.0}
-        assert axes == {"tenants": (4, 6)}
+        axes = scenario_overrides_for(MTC, ["mtc.duration=30", "mtc.tenants=4|6"])
+        assert axes == {"duration": (30.0,), "tenants": (4, 6)}
 
     def test_param_overrides_reject_sweeps_and_unknown_names(self):
-        with pytest.raises(ConfigurationError, match="single value"):
-            scenario_overrides_for(MTC, ["mtc.duration=30|60"])
-        with pytest.raises(ConfigurationError, match="no axis or parameter"):
+        # a parameter is a single-valued axis outside the cell key: a sweep
+        # of it would collapse distinct configurations onto one cell key
+        with pytest.raises(ConfigurationError, match="duplicate cell keys.*mtc.duration"):
+            MTC.enumerate_cells(RunConfig(overrides=("mtc.duration=30|60",)))
+        with pytest.raises(ConfigurationError, match="mtc.bogus: .* no axis"):
             scenario_overrides_for(MTC, ["mtc.bogus=1"])
         with pytest.raises(ConfigurationError, match="cannot parse"):
             scenario_overrides_for(MTC, ["mtc.boot_slots=many"])
@@ -364,20 +362,6 @@ class TestScenarioParams:
         config = RunConfig(overrides=("mtc.boot_slots=2",))
         overridden = MTC.enumerate_cells(config)
         assert all(cell.params["boot_slots"] == 2 for cell in overridden)
-
-    def test_param_axis_collision_is_rejected(self):
-        spec = ScenarioSpec(
-            name="x",
-            description="d",
-            axes=(Axis("n", (1,)),),
-            key_axes=("n",),
-            cell_func=lambda **kw: {},
-            cell_params=lambda point: {},
-            merge=lambda results: None,
-            params={"n": 3},
-        )
-        with pytest.raises(ConfigurationError, match="collide"):
-            spec.validate()
 
 
 class TestCliSurface:
