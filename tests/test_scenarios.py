@@ -101,6 +101,12 @@ class TestAxis:
         with pytest.raises(ConfigurationError, match="cannot parse 'many' .* x.n"):
             Axis("n", (4,)).coerce("many", "x")
 
+    def test_validation(self):
+        with pytest.raises(ConfigurationError, match="no values"):
+            Axis("n", ()).validate()
+        with pytest.raises(ConfigurationError, match="non-empty"):
+            Axis("", (1,)).validate()
+
     @pytest.mark.parametrize(
         "override, token",
         [
