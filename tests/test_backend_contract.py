@@ -47,6 +47,11 @@ def content(instance_id: str, path: str) -> bytes:
 
 def assert_hosting_ledger(session: Session) -> None:
     instances = session.deployment.instances
+    foreign = set(session.cloud.reserved_by_others(session.deployment))
+    for inst in instances:
+        if inst.vm.is_running:
+            assert inst.vm.host == inst.node_name, inst.instance_id
+            assert inst.vm.host not in foreign, inst.instance_id
     listed = []
     for node in session.cloud.compute_nodes:
         running_here = sorted(
