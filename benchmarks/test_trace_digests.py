@@ -4,8 +4,8 @@ A traced artifact holds simulated time only (no host section), so its bytes
 are a fingerprint of the model: span names, their order, every timestamp and
 counter.  ``benchmarks/trace_digests.json`` pins the sha256 of the file
 ``blobcr-repro trace <selector> --trace-artifact PATH`` writes, per selector;
-a digest that moves is a model change and is announced by updating that file
-(CI checks the traces it records against the same digests).
+a digest that moves is a model change and is announced by updating that file.
+This test is the only digest gate.
 """
 
 import hashlib

@@ -22,13 +22,13 @@ that matters for the checkpoint experiments:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, Optional
 
 import numpy as np
 
 from repro.core.protocol import CoordinatedCheckpoint
 from repro.core.strategy import DeployedInstance, Deployment
-from repro.mpi.runtime import MPICommunicator, MPIRank
+from repro.mpi.runtime import MPICommunicator
 from repro.util.errors import CheckpointError
 from repro.util.rng import make_rng
 
@@ -96,19 +96,8 @@ class CM1Application:
     # -- setup -----------------------------------------------------------------------------------
 
     def build_communicator(self) -> MPICommunicator:
-        placements: List[MPIRank] = []
-        rank = 0
-        for instance in self.deployment.instances:
-            for _ in range(self.processes_per_instance):
-                placements.append(
-                    MPIRank(
-                        rank=rank,
-                        instance_id=instance.instance_id,
-                        node_name=instance.vm.host or instance.node_name,
-                    )
-                )
-                rank += 1
-        self.comm = MPICommunicator(self.cloud, placements)
+        ranks = len(self.deployment.instances) * self.processes_per_instance
+        self.comm = MPICommunicator(self.cloud, ranks)
         return self.comm
 
     def init_domain(self, materialise_state: bool = False) -> None:

@@ -12,7 +12,7 @@ at all: the buffer stays in RAM and ``savevm`` captures it.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
+from typing import Generator, List, Optional
 
 from repro.core.protocol import CoordinatedCheckpoint
 from repro.core.strategy import DeployedInstance, Deployment, GlobalCheckpoint
@@ -118,11 +118,9 @@ class SyntheticBenchmark:
 
     # -- restart -----------------------------------------------------------------------------------
 
-    def restart(
-        self, checkpoint: GlobalCheckpoint, target_nodes: Optional[Dict[str, str]] = None
-    ) -> Generator:
+    def restart(self, checkpoint: GlobalCheckpoint) -> Generator:
         """Simulation process: kill everything, restart, read the state back."""
-        report = yield from self.deployment.restart_all(checkpoint, target_nodes=target_nodes)
+        report = yield from self.deployment.restart_all(checkpoint)
         return report
 
     def _saved_buffers(self, fs: GuestFileSystem, epoch: int) -> List[ByteSource]:

@@ -84,7 +84,7 @@ class QcowPVFSDeployment(Deployment):
         self, instance: DeployedInstance, overlay: QcowImage, file_name: str
     ) -> Generator:
         """Simulation process: ``cp`` the local qcow2 file into PVFS."""
-        node_name = instance.vm.host or instance.node_name
+        node_name = instance.node_name
         size = overlay.file_size
         yield self.cloud.node(node_name).disk.read(size, label=f"read-qcow:{file_name}")
         yield from self.pvfs.write_file(

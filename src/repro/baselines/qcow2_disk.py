@@ -36,7 +36,7 @@ class Qcow2DiskDeployment(QcowPVFSDeployment):
 
     def checkpoint_instance(self, instance: DeployedInstance, tag: str = "") -> Generator:
         overlay: QcowImage = instance.backend
-        hypervisor = self.hypervisors.get(instance.vm.host or instance.node_name)
+        hypervisor = self.hypervisors.get(instance.node_name)
         started = self.cloud.now
         yield self.cloud.env.timeout(self.cloud.spec.checkpoint.proxy_roundtrip)
         yield from hypervisor.suspend(instance.vm)

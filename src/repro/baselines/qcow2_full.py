@@ -38,7 +38,7 @@ class Qcow2FullDeployment(QcowPVFSDeployment):
 
     def checkpoint_instance(self, instance: DeployedInstance, tag: str = "") -> Generator:
         overlay: QcowImage = instance.backend
-        hypervisor = self.hypervisors.get(instance.vm.host or instance.node_name)
+        hypervisor = self.hypervisors.get(instance.node_name)
         started = self.cloud.now
         snapshot_name = f"ckpt-{self._checkpoint_index:04d}"
         # savevm: suspend, dump RAM + device state into the image, resume.
@@ -63,7 +63,7 @@ class Qcow2FullDeployment(QcowPVFSDeployment):
         overlay = yield from self._fetch_snapshot_image(target_node, file_name, lazy_bytes=None)
         snapshot = overlay.revert_to_internal_snapshot(snapshot_name)
         instance.backend = overlay
-        instance.node_name = target_node
+        instance.vm.host = target_node
         yield from self.hypervisors.get(target_node).resume_from_snapshot(instance.vm, overlay)
         # RAM and device state are restored in place; report the volume that
         # had to be transferred to bring the process state back.

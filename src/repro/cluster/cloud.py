@@ -41,15 +41,11 @@ class Cloud:
         self.env = Environment()
         self.network = Network(self.env, self.spec.network, solver=self.spec.solver)
         self.compute_nodes: List[ComputeNode] = [
-            ComputeNode(
-                self.env, self.network, self.spec.disk, f"node-{i:03d}", cores=self.spec.vm.vcpus
-            )
+            ComputeNode(self.env, self.network, self.spec.disk, f"node-{i:03d}")
             for i in range(self.spec.compute_nodes)
         ]
         self.service_nodes: List[ComputeNode] = [
-            ComputeNode(
-                self.env, self.network, self.spec.disk, f"service-{i:02d}", cores=self.spec.vm.vcpus
-            )
+            ComputeNode(self.env, self.network, self.spec.disk, f"service-{i:02d}")
             for i in range(self.spec.service_nodes)
         ]
         self._nodes: Dict[str, ComputeNode] = {
@@ -128,7 +124,6 @@ class Cloud:
         dst_node = self.node(dst)
         dst_node.check_alive()
         self.node(src).check_alive()
-        dst_node.disk.bytes_written += int(nbytes)
         return self.network.transfer(
             src, dst, nbytes, label=label or f"remote-write:{src}->{dst}",
             extra_channels=[dst_node.disk.channel],
@@ -139,14 +134,10 @@ class Cloud:
         src_node = self.node(src)
         src_node.check_alive()
         self.node(dst).check_alive()
-        src_node.disk.bytes_read += int(nbytes)
         return self.network.transfer(
             src, dst, nbytes, label=label or f"remote-read:{src}->{dst}",
             extra_channels=[src_node.disk.channel],
         )
-
-    def local_write(self, node: str, nbytes: float, label: str = "") -> Event:
-        return self.node(node).disk.write(nbytes, label=label)
 
     # -- jitter -----------------------------------------------------------------------------
 

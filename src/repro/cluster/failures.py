@@ -11,7 +11,7 @@ most recent globally consistent checkpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, List, Optional, Sequence
+from typing import Generator, List, Optional, Sequence
 
 from repro.cluster.cloud import Cloud
 from repro.obs.tracer import TRACER
@@ -34,10 +34,6 @@ class FailureInjector:
         self.cloud = cloud
         self._rng = make_rng("failure-injector", cloud.spec.seed, seed)
         self.history: List[FailureEvent] = []
-        self._listeners: List[Callable[[FailureEvent], None]] = []
-
-    def on_failure(self, callback: Callable[[FailureEvent], None]) -> None:
-        self._listeners.append(callback)
 
     # -- scheduling --------------------------------------------------------------------
 
@@ -88,13 +84,6 @@ class FailureInjector:
         if not node.alive:
             return
         node.fail()
-        event = FailureEvent(time=self.cloud.now, node=node_name)
-        self.history.append(event)
+        self.history.append(FailureEvent(time=self.cloud.now, node=node_name))
         if TRACER.enabled:
             TRACER.instant("failure", node_name, self.cloud.now, cat="failure")
-        for listener in self._listeners:
-            listener(event)
-
-    @property
-    def failed_nodes(self) -> List[str]:
-        return [e.node for e in self.history]

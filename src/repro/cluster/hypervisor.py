@@ -186,8 +186,6 @@ class Hypervisor:
         the caller has attached) and pays the define latency -- the step a
         boot, a resume from a full snapshot and an incoming migration share."""
         vm.host = self.node.name
-        if vm.instance_id not in self.node.hosted_instances:
-            self.node.hosted_instances.append(vm.instance_id)
         yield self.env.timeout(self._jitter(self.vm_spec.define_time, ("define", vm.instance_id)))
 
     def _check_hosted(self, vm: VMInstance) -> None:

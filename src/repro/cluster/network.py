@@ -16,6 +16,9 @@ from repro.sim.core import Environment, Event
 from repro.util.config import NetworkSpec, SolverConfig
 from repro.util.errors import FailureInjected, SimulationError
 
+#: bytes of a control message on the wire
+MESSAGE_BYTES = 1024
+
 
 class Network:
     """The switch fabric plus one NIC pair per attached node."""
@@ -31,9 +34,6 @@ class Network:
         self._nic_tx: Dict[str, FairShareChannel] = {}
         self._nic_rx: Dict[str, FairShareChannel] = {}
         self._down: set[str] = set()
-        #: traffic accounting
-        self.bytes_transferred = 0
-        self.messages_sent = 0
 
     # -- topology -----------------------------------------------------------------
 
@@ -99,20 +99,19 @@ class Network:
         latency = self.spec.message_overhead if src == dst else (
             self.spec.latency + self.spec.message_overhead
         )
-        self.bytes_transferred += int(nbytes)
         return self.bandwidth.transfer(
             nbytes, channels, latency=latency, label=label or f"{src}->{dst}"
         )
 
-    def message(self, src: str, dst: str, nbytes: float = 1024, label: str = "") -> Event:
-        """A small control message (RPC request, marker, notification)."""
+    def message(self, src: str, dst: str, label: str = "") -> Event:
+        """A small control message (RPC request, marker, notification) of
+        :data:`MESSAGE_BYTES`."""
         self._check_up(src, dst)
-        self.messages_sent += 1
         if src == dst:
             return self.env.timeout(self.spec.message_overhead)
         channels = self.path_channels(src, dst)
         return self.bandwidth.transfer(
-            nbytes, channels,
+            MESSAGE_BYTES, channels,
             latency=self.spec.latency + self.spec.message_overhead,
             label=label or f"msg:{src}->{dst}",
         )

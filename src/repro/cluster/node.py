@@ -8,7 +8,7 @@ from repro.sim.bandwidth import FairShareChannel
 from repro.sim.core import Environment, Event
 from repro.cluster.network import Network
 from repro.util.config import DiskSpec
-from repro.util.errors import FailureInjected, SimulationError, StorageError
+from repro.util.errors import FailureInjected, StorageError
 
 
 class LocalDisk:
@@ -31,8 +31,6 @@ class LocalDisk:
         self._network = network
         self._used = 0
         self.alive = True
-        self.bytes_read = 0
-        self.bytes_written = 0
 
     # -- capacity ---------------------------------------------------------------------
 
@@ -66,11 +64,9 @@ class LocalDisk:
         )
 
     def read(self, nbytes: float, label: str = "") -> Event:
-        self.bytes_read += int(nbytes)
         return self._io(nbytes, label or f"{self.name}.read")
 
     def write(self, nbytes: float, label: str = "") -> Event:
-        self.bytes_written += int(nbytes)
         return self._io(nbytes, label or f"{self.name}.write")
 
     def fail(self) -> None:
@@ -85,39 +81,21 @@ class ComputeNode:
     """A physical machine of the IaaS cloud.
 
     Hosts VM instances, a data provider of the checkpoint repository, a
-    mirroring module and a checkpointing proxy (all registered by the higher
+    mirroring module and a checkpointing proxy (all placed by the higher
     layers).  Failure follows the fail-stop model: when the node dies, every
     hosted VM and all locally stored data are lost, and every in-flight
     transfer touching the node aborts.
     """
 
-    def __init__(
-        self, env: Environment, network: Network, disk_spec: DiskSpec, name: str, cores: int = 4
-    ):
+    def __init__(self, env: Environment, network: Network, disk_spec: DiskSpec, name: str):
         self.env = env
         self.name = name
-        self.cores = cores
         self.network = network
         network.attach(name)
         self.disk = LocalDisk(env, network, disk_spec, name)
         self.alive = True
         #: callbacks invoked (once) when the node fails
         self._failure_listeners: List[Callable[["ComputeNode"], None]] = []
-        #: opaque services registered on the node (proxy, provider, ...)
-        self.services: dict[str, object] = {}
-        #: instance ids of VMs currently hosted here
-        self.hosted_instances: List[str] = []
-
-    # -- service registry ------------------------------------------------------------------
-
-    def register_service(self, kind: str, service: object) -> None:
-        self.services[kind] = service
-
-    def service(self, kind: str) -> object:
-        try:
-            return self.services[kind]
-        except KeyError:
-            raise SimulationError(f"node {self.name} runs no {kind!r} service") from None
 
     # -- failure -------------------------------------------------------------------------------
 
@@ -139,4 +117,4 @@ class ComputeNode:
             raise FailureInjected(f"node {self.name} is down", node=self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"<ComputeNode {self.name} alive={self.alive} vms={len(self.hosted_instances)}>"
+        return f"<ComputeNode {self.name} alive={self.alive}>"

@@ -35,8 +35,6 @@ class PVFSFile:
     #: the functional payload (a QcowImage, a ByteSource, ...); PVFS does not
     #: interpret it, it only persists it
     payload: Any = None
-    #: how many I/O servers the file is striped over
-    stripe_count: int = 1
 
 
 class PVFSDeployment:
@@ -67,17 +65,12 @@ class PVFSDeployment:
             max(1.0, servers * disk_bw * self.spec.read_efficiency), "pvfs.read"
         )
         self._files: Dict[str, PVFSFile] = {}
-        #: counters
-        self.metadata_ops = 0
-        self.bytes_written = 0
-        self.bytes_read = 0
 
     # -- metadata ---------------------------------------------------------------------
 
     def _metadata_op(self, client: str, count: int = 1) -> Generator:
         """One or more serialised metadata-server operations."""
         for _ in range(count):
-            self.metadata_ops += 1
             request = self._metadata_server.request()
             yield request
             try:
@@ -95,7 +88,6 @@ class PVFSDeployment:
             raise StorageError(f"negative file size: {size}")
         # create + layout + close on the metadata server
         yield from self._metadata_op(client, count=2)
-        stripes = max(1, min(len(self.server_nodes), size // max(1, self.spec.stripe_size)))
         if size > 0:
             # data flows through the client NIC and the switch into the
             # striped server pool (aggregate ingest channel)
@@ -107,8 +99,7 @@ class PVFSDeployment:
                 latency=self.cloud.spec.network.latency + self.spec.rpc_overhead,
                 label=f"pvfs-write:{name}",
             )
-        self._files[name] = PVFSFile(name=name, size=size, payload=payload, stripe_count=stripes)
-        self.bytes_written += size
+        self._files[name] = PVFSFile(name=name, size=size, payload=payload)
         return self._files[name]
 
     def read_file(self, client: str, name: str, size: Optional[int] = None) -> Generator:
@@ -128,14 +119,7 @@ class PVFSDeployment:
                 latency=self.cloud.spec.network.latency + self.spec.rpc_overhead,
                 label=f"pvfs-read:{name}",
             )
-        self.bytes_read += nbytes
         return entry
-
-    def delete_file(self, client: str, name: str) -> Generator:
-        if name not in self._files:
-            raise FileSystemError(f"no such PVFS file: {name}")
-        yield from self._metadata_op(client, count=1)
-        del self._files[name]
 
     # -- functional access (no timing) ------------------------------------------------------
 
@@ -147,9 +131,6 @@ class PVFSDeployment:
 
     def exists(self, name: str) -> bool:
         return name in self._files
-
-    def files(self) -> List[PVFSFile]:
-        return list(self._files.values())
 
     @property
     def total_stored_bytes(self) -> int:

@@ -68,7 +68,6 @@ class BlobCRDeployment(Deployment):
     def _proxy(self, node_name: str) -> CheckpointProxy:
         if node_name not in self._proxies:
             proxy = CheckpointProxy(self.hypervisors.get(node_name), self.cloud.spec.checkpoint)
-            self.cloud.node(node_name).register_service("checkpoint-proxy", proxy)
             self._proxies[node_name] = proxy
         return self._proxies[node_name]
 
@@ -139,7 +138,7 @@ class BlobCRDeployment(Deployment):
 
     def checkpoint_instance(self, instance: DeployedInstance, tag: str = "") -> Generator:
         mirroring: MirroringModule = instance.backend
-        proxy = self._proxy(instance.vm.host or instance.node_name)
+        proxy = self._proxy(instance.node_name)
         started = self.cloud.now
         reply = yield from proxy.handle_request(instance.vm, mirroring, tag=tag)
         if not reply.ok:

@@ -2,9 +2,7 @@
 
 This is the functional half of the paper's *lazy transfer* scheme: the
 hypervisor sees a complete raw device, but content is fetched from the
-checkpoint repository only when it is actually read.  The device records how
-many remote bytes were fetched so the timing layer (and the adaptive
-prefetcher) can charge / exploit them.
+checkpoint repository only when it is actually read.
 """
 
 from __future__ import annotations
@@ -37,8 +35,6 @@ class RemoteBlobDevice(BlockDevice):
         if self._size < blob_size:
             raise StorageError("device size smaller than the snapshot it exposes")
         self.name = name or f"blob-{blob_id}@{self.version}"
-        #: bytes fetched from the repository (lazy-transfer accounting)
-        self.remote_bytes_fetched = 0
 
     @property
     def size(self) -> int:
@@ -52,7 +48,6 @@ class RemoteBlobDevice(BlockDevice):
         pieces = []
         if inside > 0:
             pieces.append(self._client.read(self.blob_id, offset, inside, version=self.version))
-            self.remote_bytes_fetched += inside
         if inside < length:
             pieces.append(ZeroBytes(length - inside))
         return concat(pieces)

@@ -117,27 +117,6 @@ class MigrationResult:
             + self.prefetched_bytes
         )
 
-    def to_row(self) -> Dict[str, object]:
-        """The result as a flat, JSON-serialisable row."""
-        return {
-            "instance_id": self.instance_id,
-            "mode": self.mode,
-            "source_node": self.source_node,
-            "target_node": self.target_node,
-            "downtime_s": self.downtime_s,
-            "migration_s": self.total_migration_s,
-            "rounds": len(self.rounds),
-            "round_bytes": self.round_bytes,
-            "residue_bytes": self.residue_bytes,
-            "state_bytes": self.state_bytes,
-            "remote_faults": self.remote_faults,
-            "remote_fault_bytes": self.remote_fault_bytes,
-            "prefetched_blocks": self.prefetched_blocks,
-            "prefetched_bytes": self.prefetched_bytes,
-            "total_bytes_moved": self.total_bytes_moved,
-            "rolled_back": self.rolled_back,
-        }
-
 
 class PostCopyPump:
     """Drains the source-local residue of a post-copy migration.
@@ -359,8 +338,6 @@ class BlobCRMigrateDeployment(BlobCRDeployment):
                 "round became durable",
                 node=call.source_node,
             )
-        self._detach(instance, call.source_node)
-        self._detach(instance, call.target_node)
         instance.vm.terminate()
         record = CheckpointRecord(
             instance_id=instance.instance_id,
@@ -533,12 +510,7 @@ class BlobCRMigrateDeployment(BlobCRDeployment):
             prefetched_bytes=pump.prefetched_bytes,
         )
 
-    def migrate_all(
-        self,
-        target_nodes: Dict[str, str],
-        mode: str = "pre-copy",
-        demand_paths: Sequence[str] = (),
-    ) -> Generator:
+    def migrate_all(self, target_nodes: Dict[str, str], mode: str = "pre-copy") -> Generator:
         """Simulation process: migrate several instances concurrently.
 
         ``target_nodes`` maps instance ids to destination nodes.  A failure
@@ -551,9 +523,7 @@ class BlobCRMigrateDeployment(BlobCRDeployment):
             raise MigrationError("no instance selected for migration")
         procs = [
             self.cloud.process(
-                self.migrate_instance(
-                    inst, target_nodes[inst.instance_id], mode=mode, demand_paths=demand_paths
-                ),
+                self.migrate_instance(inst, target_nodes[inst.instance_id], mode=mode),
                 name=f"migrate:{inst.instance_id}",
             )
             for inst in targets

@@ -100,10 +100,6 @@ class MirroringModule(BlockDevice):
         """Upper bound of bytes the next COMMIT will ship."""
         return self.dirty.dirty_bytes
 
-    @property
-    def remote_bytes_fetched(self) -> int:
-        return self.remote.remote_bytes_fetched
-
     def residue_payloads(self) -> Dict[int, ByteSource]:
         """Payloads of the blocks dirtied since the last COMMIT (open epoch).
 

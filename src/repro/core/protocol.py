@@ -18,7 +18,7 @@ state onto the virtual disk -- to the guest.  Two variants are evaluated:
 from __future__ import annotations
 
 import math
-from typing import Generator, List, Optional
+from typing import Generator, Optional
 
 from repro.core.strategy import DeployedInstance, Deployment, GlobalCheckpoint
 from repro.guest.blcr import blcr_dump
@@ -92,11 +92,9 @@ class CoordinatedCheckpoint:
         record = yield from self.deployment.checkpoint_instance(instance, tag=tag)
         return record
 
-    def global_checkpoint(
-        self, instances: Optional[List[DeployedInstance]] = None, tag: str = "blcr"
-    ) -> Generator:
+    def global_checkpoint(self, tag: str = "blcr") -> Generator:
         """Simulation process: coordinated process-level checkpoint of the application."""
-        targets = instances if instances is not None else self.deployment.instances
+        targets = self.deployment.instances
         if not targets:
             raise CheckpointError("no deployed instance to checkpoint")
         total_processes = sum(len(i.vm.processes) for i in targets)
@@ -110,7 +108,5 @@ class CoordinatedCheckpoint:
         ]
         yield from self.deployment.await_all(dumps)
         # Stage 2: disk snapshots through the per-node proxies.
-        checkpoint: GlobalCheckpoint = yield from self.deployment.checkpoint_all(
-            tag=tag, instances=targets
-        )
+        checkpoint: GlobalCheckpoint = yield from self.deployment.checkpoint_all(tag=tag)
         return checkpoint

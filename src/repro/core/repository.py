@@ -36,7 +36,6 @@ class CheckpointRepository:
         for node in cloud.compute_nodes:
             provider = DataProvider(node.name, capacity=cloud.spec.disk.capacity)
             providers.register(provider)
-            node.register_service("data-provider", provider)
             node.on_failure(lambda failed, p=provider: p.fail())
         # Content-addressed dedup + compression layer (None when disabled).
         self.dedup = build_engine(self.spec.dedup)

@@ -18,8 +18,8 @@ methods of :class:`Deployment`): its base-image staging, the virtual disk of
 a fresh instance, its boot-image reader, its snapshot, and how a stored
 snapshot becomes a disk on another node.  The fixed part of every phase --
 place, build the VM, boot, OS noise, spawn the ranks; the restore-path
-listing and read-back; taking an instance off its host; the preconditions
-and the handover of a migration -- is written once, here.
+listing and read-back; the preconditions and the handover of a migration --
+is written once, here.
 
 Every method that advances simulated time is a generator meant to be wrapped
 in ``cloud.process(...)`` (or driven by ``yield from`` inside another
@@ -86,9 +86,14 @@ class DeployedInstance:
 
     instance_id: str
     vm: VMInstance
-    node_name: str
     #: the instance's virtual disk (mirroring module, local qcow2 image, ...)
     backend: Any = None
+
+    @property
+    def node_name(self) -> str:
+        """The compute node the instance is placed on: ``vm.host``, the one
+        record of placement (written by the placement code of every phase)."""
+        return self.vm.host
 
     @property
     def filesystem(self) -> GuestFileSystem:
@@ -184,12 +189,9 @@ class Deployment(abc.ABC):
         boots = []
         for i, node_name in enumerate(self._place_instances(count)):
             instance_id = self._instance_id(i)
-            instance = DeployedInstance(
-                instance_id=instance_id,
-                vm=VMInstance(instance_id, self.cloud.spec.vm),
-                node_name=node_name,
-                backend=self._new_disk(instance_id, node_name),
-            )
+            vm = VMInstance(instance_id, self.cloud.spec.vm)
+            vm.host = node_name
+            instance = DeployedInstance(instance_id, vm, self._new_disk(instance_id, node_name))
             self.instances.append(instance)
             boots.append(self.cloud.process(
                 self._first_boot(instance, processes_per_instance),
@@ -256,20 +258,13 @@ class Deployment(abc.ABC):
         self.checkpoints.append(checkpoint)
         return checkpoint
 
-    def _detach(self, instance: DeployedInstance, node_name: str) -> None:
-        """Take ``instance`` off ``node_name``'s hosting ledger, if it is on it."""
-        node = self.cloud.node(node_name)
-        if instance.instance_id in node.hosted_instances:
-            node.hosted_instances.remove(instance.instance_id)
-
     def kill_all(self) -> None:
         """Terminate every instance (simulating the loss of all VM state)."""
         for instance in self.instances:
-            self._detach(instance, instance.node_name)
             instance.vm.terminate()
         self.cloud.release_owned(self)
 
-    def restart_targets(self, offset: int = 1) -> Dict[str, str]:
+    def restart_targets(self) -> Dict[str, str]:
         """Choose a new (different) host for every instance.
 
         The paper re-deploys each instance on a different compute node than
@@ -283,12 +278,10 @@ class Deployment(abc.ABC):
         mapping: Dict[str, str] = {}
         for i, instance in enumerate(self.instances):
             candidates = [n for n in live if n != instance.node_name] or live
-            mapping[instance.instance_id] = candidates[(i + offset) % len(candidates)]
+            mapping[instance.instance_id] = candidates[(i + 1) % len(candidates)]
         return mapping
 
-    def restart_all(
-        self, checkpoint: GlobalCheckpoint, target_nodes: Optional[Dict[str, str]] = None
-    ) -> Generator:
+    def restart_all(self, checkpoint: GlobalCheckpoint) -> Generator:
         """Simulation process: kill everything and restart from ``checkpoint``,
         which must hold a snapshot of every instance (``RestartError``, with
         every instance left running, if it does not).
@@ -308,7 +301,7 @@ class Deployment(abc.ABC):
                     f"checkpoint {checkpoint.index} has no snapshot of {instance.instance_id}"
                 )
         self.kill_all()
-        mapping = target_nodes or self.restart_targets()
+        mapping = self.restart_targets()
         self.cloud.claim_nodes(sorted(set(mapping.values())), owner=self)
         started = self.cloud.now
         procs = []
@@ -345,7 +338,7 @@ class Deployment(abc.ABC):
         at what cost, is the strategy's to charge.
         """
         instance.backend = disk
-        instance.node_name = target_node
+        instance.vm.host = target_node
         yield from self._boot(instance)
         restored = 0
         for path in record.restore_paths:
@@ -368,7 +361,7 @@ class Deployment(abc.ABC):
             raise MigrationError(
                 f"cannot migrate {instance.instance_id}: the instance is not running"
             )
-        source_node = instance.vm.host or instance.node_name
+        source_node = instance.node_name
         if target_node == source_node:
             raise MigrationError(
                 f"cannot migrate {instance.instance_id} onto its own host {source_node}"
@@ -385,7 +378,7 @@ class Deployment(abc.ABC):
         """
         synced = instance.vm.filesystem.sync()
         if synced > 0:
-            yield self.cloud.node(instance.vm.host or instance.node_name).disk.write(
+            yield self.cloud.node(instance.node_name).disk.write(
                 synced, label=f"migrate-flush:{instance.instance_id}"
             )
 
@@ -394,9 +387,8 @@ class Deployment(abc.ABC):
     ) -> Generator:
         """Simulation process: move the suspended ``instance`` off its host and
         resume it on ``target_node`` over ``disk``, without a reboot."""
-        self._detach(instance, instance.vm.host or instance.node_name)
         instance.backend = disk
-        instance.node_name = target_node
+        instance.vm.host = target_node
         yield from self.hypervisors.get(target_node).migrate_in(instance.vm, disk)
 
     # -- common helpers ---------------------------------------------------------------------------
@@ -445,7 +437,7 @@ class Deployment(abc.ABC):
             self.cloud.jittered(spec.sync_overhead, ("sync", instance.instance_id))
         )
         if synced > 0:
-            yield self.cloud.node(instance.vm.host or instance.node_name).disk.write(
+            yield self.cloud.node(instance.node_name).disk.write(
                 synced, label=f"guest-sync:{instance.instance_id}"
             )
         return synced
@@ -471,7 +463,7 @@ class Deployment(abc.ABC):
         """
         fs = instance.filesystem
         data = fs.read_file(path)
-        yield self.cloud.node(instance.vm.host or instance.node_name).disk.read(
+        yield self.cloud.node(instance.node_name).disk.read(
             data.size, label=f"guest-read:{instance.instance_id}"
         )
         return data

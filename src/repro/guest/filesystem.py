@@ -87,7 +87,6 @@ class GuestFileSystem:
         self._next_free = METADATA_REGION
         self._mounted = False
         #: counters for tests and experiment accounting
-        self.bytes_flushed_total = 0
         self.sync_count = 0
 
     # -- lifecycle -------------------------------------------------------------
@@ -301,7 +300,6 @@ class GuestFileSystem:
         node.size = node.flushed_size = size
         node.dirty = False
         node.cached = None
-        self.bytes_flushed_total += size
         return size
 
     def _write_metadata(self, pieces: List[Tuple[int, ByteSource]]) -> int:

@@ -20,7 +20,7 @@ from repro.util.errors import ProcessError
 _pids = itertools.count(1000)
 
 
-def reset_pids(start: int = 1000) -> None:
+def reset_pids() -> None:
     """Restart the guest pid namespace.
 
     Pids leak into checkpoint content (the BLCR context-file header), so a
@@ -31,7 +31,7 @@ def reset_pids(start: int = 1000) -> None:
     order.
     """
     global _pids
-    _pids = itertools.count(start)
+    _pids = itertools.count(1000)
 
 
 class ProcessState(enum.Enum):

@@ -1,17 +1,15 @@
-"""A small message-passing runtime for the guest applications.
+"""The communication cost model of the guest applications.
 
-The applications the paper evaluates are MPI programs.  This package
-provides the subset of MPI semantics they need -- ranks, blocking
-send/receive, barriers, allreduce and neighbour (halo) exchange -- running as
-simulation processes so that communication pays realistic network time, plus
+The applications the paper evaluates are MPI programs.  This package charges
+the simulated time of the communication they do -- barriers and neighbour
+(halo) exchanges -- from the same network spec as the storage traffic, plus
 the hooks the coordinated checkpoint protocol uses to quiesce communication.
 
-It is intentionally not a drop-in mpi4py replacement: communicators map ranks
-to VM instances of a :class:`~repro.core.strategy.Deployment`, and message
-timing flows through the same :class:`~repro.cluster.network.Network` model
-as the storage traffic.
+It is intentionally not a drop-in mpi4py replacement: a communicator is a
+rank count over the instances of a :class:`~repro.core.strategy.Deployment`,
+and no message payload is modelled.
 """
 
-from repro.mpi.runtime import MPICommunicator, MPIRank
+from repro.mpi.runtime import MPICommunicator
 
-__all__ = ["MPICommunicator", "MPIRank"]
+__all__ = ["MPICommunicator"]

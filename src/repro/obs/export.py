@@ -21,7 +21,7 @@ live tracer.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 #: simulated seconds -> Chrome trace microseconds
 _US_PER_S = 1_000_000.0
@@ -113,8 +113,6 @@ def chrome_trace(cells: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
                 "tid": tids.tid(pid, inst["track"]),
                 "ts": _scale(inst["t_s"]),
             }
-            if inst.get("args"):
-                event["args"] = inst["args"]
             events.append(event)
         for series in trace.get("counters", ()):
             pid = pid_of[series.get("group", 0)]
@@ -177,15 +175,14 @@ def merge_rollups(
     )
 
 
-def format_rollups(rollups: Dict[str, Dict[str, Any]], limit: Optional[int] = None) -> str:
+def format_rollups(rollups: Dict[str, Dict[str, Any]]) -> str:
     """A fixed-width text table of span rollups for terminal output."""
     lines = [f"  {'span':<18} {'count':>7} {'total sim s':>12} {'max sim s':>10}"]
-    shown = list(rollups.items())[:limit]
-    for name, entry in shown:
+    for name, entry in rollups.items():
         lines.append(
             f"  {name:<18} {entry['count']:>7} "
             f"{entry['total_sim_s']:>12.3f} {entry['max_sim_s']:>10.3f}"
         )
-    if not shown:
+    if not rollups:
         lines.append("  (no closed spans recorded)")
     return "\n".join(lines)

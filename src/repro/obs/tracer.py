@@ -129,16 +129,9 @@ class Tracer:
             merged.update(args)
             span[_ARGS] = merged
 
-    def instant(
-        self,
-        name: str,
-        track: str,
-        t: float,
-        cat: str = "instant",
-        args: Optional[Dict[str, Any]] = None,
-    ) -> None:
+    def instant(self, name: str, track: str, t: float, cat: str = "instant") -> None:
         """Record a point event (e.g. a failure injection) at time ``t``."""
-        self._instants.append((name, cat, track, self._group, t, args))
+        self._instants.append((name, cat, track, self._group, t))
 
     def gauge(self, name: str, track: str, t: float, value: float) -> None:
         """Append one sample to the ``(track, name)`` time series."""
@@ -176,18 +169,10 @@ class Tracer:
             if record[_ARGS]:
                 span["args"] = record[_ARGS]
             spans.append(span)
-        instants = []
-        for name, cat, track, group, t, args in self._instants:
-            event: Dict[str, Any] = {
-                "name": name,
-                "cat": cat,
-                "track": track,
-                "group": group,
-                "t_s": t,
-            }
-            if args:
-                event["args"] = args
-            instants.append(event)
+        instants = [
+            {"name": name, "cat": cat, "track": track, "group": group, "t_s": t}
+            for name, cat, track, group, t in self._instants
+        ]
         counters = [
             {
                 "name": name,
@@ -215,15 +200,14 @@ TRACER = Tracer()
 
 
 @contextmanager
-def tracing(reset: bool = True) -> Iterator[Tracer]:
+def tracing() -> Iterator[Tracer]:
     """Enable :data:`TRACER` for the duration of a ``with`` block.
 
-    ``reset=True`` (the default) starts from an empty trace; the tracer is
-    disabled again on exit, but the recorded data stays available for
-    :meth:`Tracer.collect` until the next reset.
+    The block starts from an empty trace; the tracer is disabled again on
+    exit, but the recorded data stays available for :meth:`Tracer.collect`
+    until the next reset.
     """
-    if reset:
-        TRACER.reset()
+    TRACER.reset()
     TRACER.enable()
     try:
         yield TRACER

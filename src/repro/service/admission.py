@@ -116,7 +116,6 @@ class AdmissionQueue:
                 f"unknown admission policy {policy!r} (policies: {', '.join(POLICIES)})"
             )
         self.env = env
-        self.slots = slots
         self.policy = policy
         self.max_queue = max_queue
         self.timeout_s = timeout_s

@@ -16,7 +16,6 @@ Public API
 * :class:`Interrupt` -- exception thrown into a process by ``Process.interrupt``
 * :class:`AllOf` / :class:`AnyOf` -- event combinators
 * :class:`Resource` -- FIFO capacity-limited resource (servers, boot slots)
-* :class:`Store` -- FIFO item queue with blocking get (message mailboxes)
 * :class:`FairShareChannel`, :class:`BandwidthSystem` -- processor-sharing
   bandwidth channels with max-min fair allocation across multi-link flows
 """
@@ -30,7 +29,7 @@ from repro.sim.core import (
     Process,
     Timeout,
 )
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.bandwidth import BandwidthSystem, FairShareChannel
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Resource",
-    "Store",
     "BandwidthSystem",
     "FairShareChannel",
 ]

@@ -118,13 +118,12 @@ class Event:
 class Timeout(Event):
     """An event that fires automatically after ``delay`` simulated seconds."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None, name: str = ""):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         super().__init__(env, name or f"timeout({delay:g})")
-        self.delay = delay
         self._ok = True
         self._value = value
         env._schedule(self, NORMAL, delay)
@@ -206,56 +205,74 @@ class Process(Event):
 
     # -- generator driving ------------------------------------------------------
 
-    def _resume(self, event: Event) -> None:
-        self.env._active_process = self
+    def _throw(self, failure: BaseException) -> Any:
+        """Throw ``failure`` into the generator; returns what it yields next.
+
+        A failure the generator handles gets back the traceback it came
+        with: the frames that handled it would otherwise hold, through their
+        locals, the process or event whose value it is in a reference cycle.
+        """
+        came_with = failure.__traceback__
         try:
-            while True:
-                try:
-                    if self._interrupts:
-                        interrupt = self._interrupts.pop(0)
-                        next_event = self._generator.throw(interrupt)
-                    elif event is None or event._ok:
-                        value = None if event is None else event._value
-                        next_event = self._generator.send(value)
-                    else:
-                        # Re-raise the failure inside the generator so the
-                        # model can handle it (or die with it).
-                        next_event = self._generator.throw(event._value)
-                except StopIteration as stop:
-                    self.env._active_process = None
-                    if self._span is not None:
-                        TRACER.end(self._span, self.env.now)
-                    self.succeed(stop.value)
-                    return
-                except BaseException as exc:
-                    self.env._active_process = None
-                    if self._span is not None:
-                        TRACER.end(
-                            self._span, self.env.now, args={"error": type(exc).__name__}
-                        )
-                    self.fail(exc)
-                    return
+            next_event = self._generator.throw(failure)
+        except BaseException as raised:
+            if raised is not failure:
+                failure.__traceback__ = came_with
+            raise
+        failure.__traceback__ = came_with
+        return next_event
 
-                if not isinstance(next_event, Event):
-                    self.env._active_process = None
-                    error = SimulationError(
-                        f"process {self.name!r} yielded a non-event: {next_event!r}"
-                    )
-                    if self._span is not None:
-                        TRACER.end(self._span, self.env.now, args={"error": "SimulationError"})
-                    self.fail(error)
-                    return
+    def _resume(self, event: Event) -> None:
+        while True:
+            try:
+                if self._interrupts:
+                    next_event = self._throw(self._interrupts.pop(0))
+                elif event is None or event._ok:
+                    value = None if event is None else event._value
+                    next_event = self._generator.send(value)
+                else:
+                    # Re-raise the failure inside the generator so the
+                    # model can handle it (or die with it).
+                    next_event = self._throw(event._value)
+            except StopIteration as stop:
+                if self._span is not None:
+                    TRACER.end(self._span, self.env.now)
+                self.succeed(stop.value)
+                return
+            except BaseException as exc:
+                # Start the traceback at the model's frames: the kernel's
+                # (this one, ``_throw``'s) hold this process, whose value exc
+                # becomes, in a reference cycle.
+                tb = exc.__traceback__
+                while tb is not None and tb.tb_frame.f_code in _KERNEL_CODE:
+                    tb = tb.tb_next
+                exc.__traceback__ = tb
+                if self._span is not None:
+                    TRACER.end(self._span, self.env.now, args={"error": type(exc).__name__})
+                self.fail(exc)
+                return
 
-                if next_event.processed:
-                    # The event has already fired; loop and deliver it
-                    # immediately instead of scheduling a callback.
-                    event = next_event
-                    continue
-                self._target = next_event
-                next_event.callbacks.append(self._resume)
-                break
-        finally:
-            self.env._active_process = None
+            if not isinstance(next_event, Event):
+                error = SimulationError(
+                    f"process {self.name!r} yielded a non-event: {next_event!r}"
+                )
+                if self._span is not None:
+                    TRACER.end(self._span, self.env.now, args={"error": "SimulationError"})
+                self.fail(error)
+                return
+
+            if next_event.processed:
+                # The event has already fired; loop and deliver it
+                # immediately instead of scheduling a callback.
+                event = next_event
+                continue
+            self._target = next_event
+            next_event.callbacks.append(self._resume)
+            return
+
+
+#: the kernel frames a failure's traceback does not start with (see ``_resume``)
+_KERNEL_CODE = frozenset((Process._resume.__code__, Process._throw.__code__))
 
 
 class Condition(Event):
@@ -343,7 +360,6 @@ class Environment:
         self._now = 0.0
         self._queue: list[tuple[float, int, int, Event]] = []
         self._sequence = 0
-        self._active_process: Optional[Process] = None
         #: end-of-instant hooks (see add_flush_hook); empty unless a
         #: subsystem batches same-instant work, so the common case pays one
         #: truthiness check per step
@@ -354,10 +370,6 @@ class Environment:
     @property
     def now(self) -> float:
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
 
     # -- factories ---------------------------------------------------------------
 
@@ -385,7 +397,7 @@ class Environment:
         heapq.heappush(self._queue, (self._now + delay, priority, self._sequence, event))
         event._scheduled = True
 
-    def schedule_at(self, event: Event, when: float, priority: int = NORMAL) -> None:
+    def schedule_at(self, event: Event, when: float) -> None:
         """Schedule an already-triggered event at an *absolute* simulated time.
 
         ``_schedule`` computes the firing time as ``now + delay``, which
@@ -398,7 +410,7 @@ class Environment:
         if when < self._now - 1e-12:
             raise SimulationError(f"cannot schedule an event in the past ({when} < {self._now})")
         self._sequence += 1
-        heapq.heappush(self._queue, (max(when, self._now), priority, self._sequence, event))
+        heapq.heappush(self._queue, (max(when, self._now), NORMAL, self._sequence, event))
         event._scheduled = True
 
     def add_flush_hook(self, hook: Callable[[], None]) -> None:

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, Iterator, List
 
 
-def max_field(doc: str = "") -> int:
+def max_field() -> int:
     """A counter field aggregated with ``max`` instead of ``+`` across cells.
 
     Declaring the aggregation mode on the field itself (dataclass metadata)
@@ -86,10 +86,6 @@ class SimCounters:
     resource_requests: int = 0
     #: slot requests that had to queue behind a full resource
     resource_waits: int = 0
-    #: items deposited into stores
-    store_puts: int = 0
-    #: blocking gets issued against stores
-    store_gets: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return asdict(self)

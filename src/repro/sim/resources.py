@@ -1,24 +1,14 @@
-"""Capacity-limited resources and item stores for the DES kernel."""
+"""Capacity-limited resources for the DES kernel."""
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Deque
 
 from repro.obs.tracer import TRACER
 from repro.sim.core import Environment, Event
 from repro.sim.instrumentation import COUNTERS
 from repro.util.errors import SimulationError
-
-
-class Request(Event):
-    """A pending claim on a :class:`Resource` slot."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, env: Environment, resource: "Resource"):
-        super().__init__(env, f"{resource.name}.request")
-        self.resource = resource
 
 
 class Resource:
@@ -40,8 +30,8 @@ class Resource:
         self.env = env
         self.capacity = capacity
         self.name = name or "resource"
-        self._users: set[Request] = set()
-        self._waiting: Deque[Request] = deque()
+        self._users: set[Event] = set()
+        self._waiting: Deque[Event] = deque()
 
     @property
     def count(self) -> int:
@@ -53,9 +43,10 @@ class Resource:
         """Number of requests waiting for a slot."""
         return len(self._waiting)
 
-    def request(self) -> Request:
+    def request(self) -> Event:
+        """A claim on one slot: an event that fires once the slot is held."""
         COUNTERS.resource_requests += 1
-        req = Request(self.env, self)
+        req = Event(self.env, f"{self.name}.request")
         if len(self._users) < self.capacity:
             self._users.add(req)
             req.succeed(self)
@@ -66,7 +57,7 @@ class Resource:
                 TRACER.gauge("queue", self.name, self.env.now, len(self._waiting))
         return req
 
-    def release(self, request: Request) -> None:
+    def release(self, request: Event) -> None:
         if request in self._users:
             self._users.remove(request)
         elif request in self._waiting:
@@ -85,49 +76,3 @@ class Resource:
             drained = True
         if drained and TRACER.enabled:
             TRACER.gauge("queue", self.name, self.env.now, len(self._waiting))
-
-
-class Store:
-    """An unbounded FIFO queue of items with blocking ``get``.
-
-    Used as a message mailbox by the simulated MPI runtime and by the
-    checkpointing proxy's request queue.
-    """
-
-    def __init__(self, env: Environment, name: str = ""):
-        self.env = env
-        self.name = name or "store"
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> tuple:
-        return tuple(self._items)
-
-    def put(self, item: Any) -> None:
-        """Deposit an item, waking one waiting getter if any."""
-        COUNTERS.store_puts += 1
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event that fires with the next available item."""
-        COUNTERS.store_gets += 1
-        event = Event(self.env, f"{self.name}.get")
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get; returns ``None`` when the store is empty."""
-        if self._items:
-            return self._items.popleft()
-        return None

@@ -164,9 +164,6 @@ class QcowImage(BlockDevice):
         self._map = snapshot.cluster_table.copy()  # frozen with every run flagged shared
         return snapshot
 
-    def delete_internal_snapshot(self, name: str) -> None:
-        self._snapshots.pop(name, None)
-
     @property
     def internal_snapshots(self) -> List[InternalSnapshot]:
         return sorted(self._snapshots.values(), key=lambda s: s.sequence)

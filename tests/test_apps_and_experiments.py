@@ -23,7 +23,7 @@ from repro.scenarios.workloads import (
     run_synthetic_scenario,
     split_approach,
 )
-from repro.mpi import MPICommunicator, MPIRank
+from repro.mpi import MPICommunicator
 from repro.util.config import GRAPHENE
 from repro.util.errors import ConfigurationError, MPIError
 from repro.util.units import MB
@@ -142,53 +142,32 @@ class TestRestoredStateVerification:
 class TestMPIRuntime:
     def _comm(self, ranks=4):
         cloud = Cloud(SMALL)
-        placements = [
-            MPIRank(rank=r, instance_id=f"vm-{r // 2}", node_name=f"node-00{r // 2}")
-            for r in range(ranks)
-        ]
-        return cloud, MPICommunicator(cloud, placements)
-
-    def test_send_recv(self):
-        cloud, comm = self._comm()
-        out = {}
-
-        def sender():
-            yield from comm.send(0, 3, 1_000_000, payload="hello")
-
-        def receiver():
-            message = yield from comm.recv(3)
-            out["msg"] = message
-
-        cloud.process(sender())
-        cloud.process(receiver())
-        cloud.run()
-        assert out["msg"][0] == 0 and out["msg"][3] == "hello"
-        assert comm.bytes_sent == 1_000_000
+        return cloud, MPICommunicator(cloud, ranks)
 
     def test_quiesce_blocks_sends(self):
         cloud, comm = self._comm()
-
-        def scenario():
-            yield from comm.quiesce()
-
-        cloud.run(cloud.process(scenario()))
-        assert comm.is_quiesced
+        cloud.run(cloud.process(comm.quiesce()))
         with pytest.raises(MPIError):
-            cloud.run(cloud.process(comm.send(0, 1, 10)))
+            cloud.run(cloud.process(comm.halo_exchange(10)))
         comm.resume_comm()
-        cloud.run(cloud.process(comm.send(0, 1, 10)))
+        cloud.run(cloud.process(comm.halo_exchange(10)))
+
+    def test_quiesce_costs_one_barrier(self):
+        cloud, comm = self._comm(ranks=16)
+        cloud.run(cloud.process(comm.barrier()))
+        barrier_s = cloud.now
+        cloud.run(cloud.process(comm.quiesce()))
+        assert barrier_s > 0 and cloud.now == 2 * barrier_s
 
     def test_bad_rank_layout_rejected(self):
-        cloud = Cloud(SMALL)
         with pytest.raises(MPIError):
-            MPICommunicator(cloud, [MPIRank(rank=1, instance_id="a", node_name="node-000")])
+            MPICommunicator(Cloud(SMALL), 0)
 
     def test_collectives_advance_time(self):
         cloud, comm = self._comm()
 
         def scenario():
             yield from comm.barrier()
-            yield from comm.allreduce(8)
             yield from comm.halo_exchange(1000)
             return cloud.now
 

@@ -6,12 +6,11 @@ is held to the same contract as the built-in ones, through the public
 
 * **round trip** -- bytes written into a guest survive checkpoint -> kill ->
   restart and read back unchanged;
-* **hosting ledger** -- after every step each compute node's
-  ``hosted_instances`` is exactly the running instances whose ``vm.host`` it
-  is, and no instance is listed on two nodes;
+* **placement** -- after every step each running instance's ``node_name`` is
+  its ``vm.host``, and that host is not reserved by another deployment;
 * **live migration** (backends advertising it) -- every migration mode is
   either carried out, keeping the guest's bytes (those written after the last
-  checkpoint included) and the ledger, or rejected before anything moved;
+  checkpoint included) and the placement, or rejected before anything moved;
 * **rollback** -- when the source dies mid-migration the migration completes
   (the source was no longer needed), or the instance comes back on the target
   from what was durable (``rolled_back``), or the failure propagates and a
@@ -45,34 +44,23 @@ def content(instance_id: str, path: str) -> bytes:
     return SyntheticBytes(("contract", instance_id, path), 300_000).read()
 
 
-def assert_hosting_ledger(session: Session) -> None:
-    instances = session.deployment.instances
+def assert_placement(session: Session) -> None:
     foreign = set(session.cloud.reserved_by_others(session.deployment))
-    for inst in instances:
+    for inst in session.deployment.instances:
         if inst.vm.is_running:
             assert inst.vm.host == inst.node_name, inst.instance_id
             assert inst.vm.host not in foreign, inst.instance_id
-    listed = []
-    for node in session.cloud.compute_nodes:
-        running_here = sorted(
-            inst.instance_id
-            for inst in instances
-            if inst.vm.is_running and inst.vm.host == node.name
-        )
-        assert sorted(node.hosted_instances) == running_here, node.name
-        listed.extend(node.hosted_instances)
-    assert len(listed) == len(set(listed)), "an instance is listed on two nodes"
 
 
 def deployed_and_checkpointed(backend: str) -> Session:
     """Two instances, ``SAVED`` written and checkpointed, ``LATER`` written after."""
     session = Session.from_spec(SPEC)
     session.deploy(backend, n=2)
-    assert_hosting_ledger(session)
+    assert_placement(session)
     for instance_id in session.instance_ids:
         session.guest_write(instance_id, SAVED, content(instance_id, SAVED))
     session.checkpoint()
-    assert_hosting_ledger(session)
+    assert_placement(session)
     for instance_id in session.instance_ids:
         session.guest_write(instance_id, LATER, content(instance_id, LATER))
     return session
@@ -89,12 +77,12 @@ def assert_reads_back(session: Session, paths) -> None:
 
 def assert_survives_a_restart(session: Session, paths) -> None:
     session.checkpoint()
-    assert_hosting_ledger(session)
+    assert_placement(session)
     session.kill()
-    assert_hosting_ledger(session)
+    assert_placement(session)
     assert not any(inst.vm.is_running for inst in session.deployment.instances)
     session.restart()
-    assert_hosting_ledger(session)
+    assert_placement(session)
     assert all(inst.vm.is_running for inst in session.deployment.instances)
     assert_reads_back(session, paths)
 
@@ -103,10 +91,10 @@ def assert_survives_a_restart(session: Session, paths) -> None:
 def test_written_bytes_survive_checkpoint_kill_restart(backend):
     session = Session.from_spec(SPEC)
     session.deploy(backend, n=2)
-    assert_hosting_ledger(session)
+    assert_placement(session)
     for instance_id in session.instance_ids:
         session.guest_write(instance_id, SAVED, content(instance_id, SAVED))
-        assert_hosting_ledger(session)
+        assert_placement(session)
     assert_survives_a_restart(session, [SAVED])
 
 
@@ -127,7 +115,7 @@ def test_every_migration_mode_moves_the_guest_or_is_rejected_cleanly(backend):
             assert not result.rolled_back
             assert result.source_node == source
             assert migrant.vm.is_running and migrant.vm.host == result.target_node != source
-        assert_hosting_ledger(session)
+        assert_placement(session)
         assert_reads_back(session, [SAVED, LATER])
         assert_survives_a_restart(session, [SAVED, LATER])
     assert supported, f"{backend} advertises live migration but supports no mode"
@@ -175,7 +163,7 @@ def test_source_failure_mid_migration_rolls_back_to_durable_state(backend):
                         migrant.instance_id, LATER
                     )
             assert all(inst.vm.is_running for inst in session.deployment.instances)
-            assert_hosting_ledger(session)
+            assert_placement(session)
             assert_reads_back(session, [SAVED])
     assert exercised
 
@@ -192,12 +180,12 @@ def test_a_checkpoint_after_rolling_back_snapshots_the_rolled_back_disk(backend)
             session.guest_write(instance_id, SAVED, bytes([fill]) * 300_000)
         checkpoints.append(session.checkpoint())
     session.restart(checkpoints[0])
-    assert_hosting_ledger(session)
+    assert_placement(session)
     for instance_id in session.instance_ids:
         assert session.guest_read(instance_id, SAVED) == bytes([1]) * 300_000
         session.guest_write(instance_id, LATER, content(instance_id, LATER))
     session.restart(session.checkpoint())
-    assert_hosting_ledger(session)
+    assert_placement(session)
     for instance_id in session.instance_ids:
         assert session.guest_read(instance_id, SAVED) == bytes([1]) * 300_000
         assert session.guest_read(instance_id, LATER) == content(instance_id, LATER)
@@ -215,7 +203,18 @@ def test_a_checkpoint_that_misses_an_instance_is_refused_with_everything_running
     with pytest.raises(RestartError, match=f"no snapshot of {deployment.instances[1].instance_id}"):
         session.drive(deployment.restart_all(partial), name="refused-restart")
     assert all(inst.vm.is_running for inst in deployment.instances)
-    assert_hosting_ledger(session)
+    assert_placement(session)
     assert_reads_back(session, [SAVED, LATER])
     # and the deployment is none the worse for it
     assert_survives_a_restart(session, [SAVED, LATER])
+
+
+def test_node_name_is_a_read_only_view_of_vm_host():
+    """Placement is one fact: there is no second record to fall out of step."""
+    session = Session.from_spec(SPEC)
+    session.deploy(BACKENDS[0], n=1)
+    instance = session.deployment.instances[0]
+    instance.vm.host = "node-005"
+    assert instance.node_name == "node-005"
+    with pytest.raises(AttributeError):
+        instance.node_name = "node-004"

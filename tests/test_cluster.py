@@ -39,7 +39,7 @@ class TestCloud:
         done = {}
 
         def mover():
-            yield cloud.local_write("node-000", 5_500_000)
+            yield cloud.node("node-000").disk.write(5_500_000)
             done["t"] = cloud.now
 
         cloud.process(mover())
@@ -103,18 +103,6 @@ class TestPVFS:
 
         with pytest.raises(FileSystemError):
             cloud.run(cloud.process(scenario()))
-
-    def test_delete(self):
-        cloud = Cloud(SMALL)
-        pvfs = PVFSDeployment(cloud)
-
-        def scenario():
-            yield from pvfs.write_file("node-000", "f", 1000)
-            yield from pvfs.delete_file("node-000", "f")
-
-        cloud.run(cloud.process(scenario()))
-        assert not pvfs.exists("f")
-        assert pvfs.total_stored_bytes == 0
 
     def test_concurrent_writes_slower_than_single(self):
         def run(n_clients):
@@ -190,7 +178,7 @@ class TestFailureInjector:
         injector.fail_at(5.0, "node-002")
         cloud.run()
         assert not cloud.node("node-002").alive
-        assert injector.failed_nodes == ["node-002"]
+        assert [e.node for e in injector.history] == ["node-002"]
         assert injector.history[0].time == pytest.approx(5.0)
 
     def test_failure_in_the_past_rejected(self):
@@ -204,12 +192,3 @@ class TestFailureInjector:
         times_b = FailureInjector(Cloud(SMALL)).poisson_failures(mtbf=100.0, horizon=500.0)
         assert times_a == times_b
         assert all(t < 500.0 for t in times_a)
-
-    def test_listener_invoked(self):
-        cloud = Cloud(SMALL)
-        injector = FailureInjector(cloud)
-        seen = []
-        injector.on_failure(lambda e: seen.append(e.node))
-        injector.fail_at(1.0, "node-001")
-        cloud.run()
-        assert seen == ["node-001"]

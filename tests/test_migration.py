@@ -610,7 +610,7 @@ class TestSessionMigrate:
         assert result.downtime_s > 0
         assert result.total_bytes_moved > 0
         assert not result.rolled_back
-        assert result.handle.to_row()["mode"] == "pre-copy"
+        assert result.handle.mode == "pre-copy"
 
     def test_migrate_post_copy_explicit(self):
         session = self._session()

@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import gc
+import traceback
+
 import pytest
 
 from repro.sim import (
@@ -8,7 +11,6 @@ from repro.sim import (
     Environment,
     Interrupt,
     Resource,
-    Store,
 )
 from repro.util.errors import SimulationError
 
@@ -169,6 +171,77 @@ class TestInterrupt:
         proc.interrupt("late")  # must not raise
 
 
+def _frame_names(exc):
+    return [frame.name for frame in traceback.extract_tb(exc.__traceback__)]
+
+
+class TestFailureTracebacks:
+    """A failure stored as a process's value carries the model's frames only:
+    through the kernel's frames, or a waiter's that handled it (its ``procs``),
+    its traceback would hold that process in a reference cycle, and a cell
+    runs with the cyclic collector paused."""
+
+    def test_handled_failures_and_interrupts_make_no_cyclic_garbage(self):
+        env = Environment()
+
+        def child(delay):
+            yield env.timeout(delay)
+            raise ValueError("lost")
+
+        def parent():
+            procs = [env.process(child(1)), env.process(child(5))]
+            try:
+                yield env.all_of(procs)
+            except ValueError:
+                for proc in procs:
+                    proc.interrupt("aborted")
+            yield env.timeout(1)
+
+        gc.collect()
+        gc.disable()
+        try:
+            env.process(parent())
+            env.run()
+            del env
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_a_failure_traceback_runs_through_the_model_frames_only(self):
+        env = Environment()
+
+        def child():
+            yield env.timeout(1)
+            raise ValueError("lost")
+
+        def parent():
+            yield env.process(child())
+
+        with pytest.raises(ValueError) as info:
+            env.run(env.process(parent()))
+        names = _frame_names(info.value)
+        assert names[-2:] == ["parent", "child"]
+        assert "_resume" not in names and "_throw" not in names
+
+    def test_a_handled_failure_keeps_the_traceback_it_was_delivered_with(self):
+        env = Environment()
+        caught = []
+
+        def child():
+            yield env.timeout(1)
+            raise ValueError("lost")
+
+        def parent():
+            try:
+                yield env.process(child())
+            except ValueError as exc:
+                caught.append(exc)
+            yield env.timeout(1)
+
+        env.run(env.process(parent()))
+        assert _frame_names(caught[0]) == ["child"]
+
+
 class TestConditions:
     def test_all_of_collects_values(self):
         env = Environment()
@@ -252,54 +325,3 @@ class TestResource:
         req = other.request()
         with pytest.raises(SimulationError):
             res.release(req)
-
-
-class TestStore:
-    def test_put_then_get(self):
-        env = Environment()
-        store = Store(env)
-        store.put("a")
-        got = store.get()
-        env.run()
-        assert got.value == "a"
-
-    def test_get_blocks_until_put(self):
-        env = Environment()
-        store = Store(env)
-        received = []
-
-        def consumer():
-            item = yield store.get()
-            received.append((env.now, item))
-
-        def producer():
-            yield env.timeout(2)
-            store.put("msg")
-
-        env.process(consumer())
-        env.process(producer())
-        env.run()
-        assert received == [(2.0, "msg")]
-
-    def test_fifo_order(self):
-        env = Environment()
-        store = Store(env)
-        for i in range(3):
-            store.put(i)
-        out = []
-
-        def consumer():
-            for _ in range(3):
-                item = yield store.get()
-                out.append(item)
-
-        env.process(consumer())
-        env.run()
-        assert out == [0, 1, 2]
-
-    def test_try_get(self):
-        env = Environment()
-        store = Store(env)
-        assert store.try_get() is None
-        store.put(7)
-        assert store.try_get() == 7
