@@ -39,9 +39,7 @@ from repro.api.results import (
 )
 from repro.api.session import Overrides, Session
 from repro.core.backends import (
-    BackendCapabilities,
     BackendInfo,
-    DeploymentBackend,
     backend_names,
     create_backend,
     get_backend,
@@ -51,12 +49,10 @@ from repro.core.backends import (
 from repro.util.config import GRAPHENE, ClusterSpec
 
 __all__ = [
-    "BackendCapabilities",
     "BackendInfo",
     "CheckpointResult",
     "ClusterSpec",
     "DeployResult",
-    "DeploymentBackend",
     "GRAPHENE",
     "MigrateResult",
     "Overrides",

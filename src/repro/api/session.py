@@ -131,7 +131,7 @@ class Session:
 
     @staticmethod
     def backends() -> List[BackendInfo]:
-        """The registered deployment backends (capabilities + option schema).
+        """The registered deployment backends (option schema, live migration).
 
         Sorted by name; includes any third-party backend registered with
         :func:`repro.core.backends.register_backend` before the call (see
@@ -314,11 +314,14 @@ class Session:
     ) -> MigrateResult:
         """Live-migrate one instance to another compute node.
 
-        Requires a deployed backend whose registry entry advertises
-        ``live_migration`` (``blobcr-migrate`` offers ``pre-copy`` and
-        ``post-copy``; ``qcow2-full`` only the monolithic
-        ``stop-and-copy``).  ``instance_id`` defaults to the first deployed
-        instance and ``target_node`` to the next free compute node.
+        Requires a deployed backend whose class implements
+        ``migrate_instance`` (read off the class:
+        :attr:`~repro.core.backends.BackendInfo.live_migration`).  ``blobcr``
+        offers ``pre-copy`` and ``post-copy``, ``qcow2-full`` only the
+        monolithic ``stop-and-copy``; any other backend raises
+        :class:`~repro.util.errors.ConfigurationError`.  ``instance_id``
+        defaults to the first deployed instance and ``target_node`` to the
+        next free compute node.
         ``demand_paths`` (post-copy only) names guest files the workload
         touches right after the switchover, served as demand faults ahead
         of the background prefetch sweep.  Returns a
@@ -328,10 +331,10 @@ class Session:
         """
         deployment = self.deployment
         info = get_backend(self.backend)
-        if not info.capabilities.live_migration:
+        if not info.live_migration:
             raise ConfigurationError(
                 f"backend {info.name!r} does not support live migration "
-                "(its registry capabilities do not advertise it)"
+                "(its deployment class implements no migrate_instance)"
             )
         if instance_id is None:
             instance_id = deployment.instances[0].instance_id

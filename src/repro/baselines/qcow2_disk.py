@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.baselines.common import QcowPVFSDeployment
-from repro.core.backends import BackendCapabilities, register_backend
+from repro.core.backends import register_backend
 from repro.core.strategy import CheckpointRecord, DeployedInstance
 from repro.util.errors import RestartError
 from repro.vdisk.qcow2 import QcowImage
@@ -22,7 +22,6 @@ from repro.vdisk.qcow2 import QcowImage
 
 @register_backend(
     "qcow2-disk",
-    capabilities=BackendCapabilities(),
     description="full qcow2 disk-image copies to PVFS on every checkpoint",
 )
 class Qcow2DiskDeployment(QcowPVFSDeployment):

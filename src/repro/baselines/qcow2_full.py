@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Generator, Sequence
 
 from repro.baselines.common import QcowPVFSDeployment
-from repro.core.backends import BackendCapabilities, register_backend
+from repro.core.backends import register_backend
 from repro.core.migration import MigrationResult
 from repro.core.strategy import CheckpointRecord, DeployedInstance
 from repro.vdisk.qcow2 import QcowImage
@@ -22,7 +22,6 @@ from repro.vdisk.qcow2 import QcowImage
 
 @register_backend(
     "qcow2-full",
-    capabilities=BackendCapabilities(live_migration=True),
     description="savevm full VM snapshots (disk + RAM + devices) copied to PVFS",
 )
 class Qcow2FullDeployment(QcowPVFSDeployment):
@@ -83,7 +82,7 @@ class Qcow2FullDeployment(QcowPVFSDeployment):
         the guest stays frozen while the full image (disk content plus the
         saved RAM and device state) is pushed through PVFS and read back on
         the destination.  The whole window is downtime -- the number the
-        live pre-copy algorithm of ``blobcr-migrate`` is built to beat.
+        live pre-copy algorithm of ``blobcr`` is built to beat.
         Failures mid-copy propagate: with a single monolithic transfer there
         is no durable intermediate round to roll back to.
         """

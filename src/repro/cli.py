@@ -19,8 +19,9 @@ registry-driven parallel runner and prints the resulting tables.
   simulated time and the deterministic simulator work counters; merged rows;
   plus a ``host`` section with everything that varies between runs) the CI
   benchmark gate consumes.  ``docs/performance.md`` explains how to read it.
-* ``--list-backends`` shows the deployment-backend registry (capabilities and
-  option schemas); programmatic use goes through :mod:`repro.api`.
+* ``--list-backends`` shows the deployment-backend registry (whether a
+  backend live-migrates, and its option schema); programmatic use goes
+  through :mod:`repro.api`.
 
 ``blobcr-repro trace [cells...]`` runs the selected cells through the
 sim-time tracer (over ``--workers N`` processes like any run) and writes
@@ -136,7 +137,7 @@ def _build_parser(names: List[str]) -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-backends",
         action="store_true",
-        help="list the registered deployment backends (capabilities, options) and exit",
+        help="list the registered deployment backends (live migration, options) and exit",
     )
     parser.add_argument(
         "--json",
@@ -213,8 +214,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         for name in backend_names():
             info = get_backend(name)
             options = ", ".join(info.options) or "-"
+            capabilities = "live-migration" if info.live_migration else "-"
             print(f"{info.name}: {info.description}")
-            print(f"    capabilities: {info.capabilities.summary()}")
+            print(f"    capabilities: {capabilities}")
             print(f"    options: {options}")
         return 0
 

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import itertools
+from typing import Dict, Iterator, List, Optional
 
 from repro.cluster.network import Network
 from repro.cluster.node import ComputeNode
-from repro.guest.process import reset_pids
 from repro.obs.tracer import TRACER
 from repro.sim.core import Environment, Event
 from repro.util.config import ClusterSpec, GRAPHENE
@@ -27,10 +27,6 @@ class Cloud:
     def __init__(self, spec: Optional[ClusterSpec] = None):
         self.spec = spec or GRAPHENE
         self.spec.validate()
-        # One simulated cloud = one guest pid namespace.  Pids leak into
-        # checkpoint content, so a host-global counter would make results
-        # depend on what else ran in the same interpreter (see reset_pids).
-        reset_pids()
         if TRACER.enabled:
             # One trace group ("process" in the Chrome export) per simulated
             # cloud: a cell typically builds one cloud per approach under
@@ -55,6 +51,10 @@ class Cloud:
         #: (the service layer) without double-booking compute nodes
         self._reservations: Dict[str, object] = {}
         self._rng = make_rng("cloud", self.spec.seed)
+        #: the guest pid namespace: pids leak into checkpoint content (the BLCR
+        #: context-file header), so each cloud numbers its own processes and
+        #: a cell's results never depend on another cloud alive beside it
+        self.pids: Iterator[int] = itertools.count(1000)
 
     # -- lookup -----------------------------------------------------------------------
 

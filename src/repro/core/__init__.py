@@ -24,15 +24,14 @@ checkpoint-restart framework of the paper:
   snapshots (the paper's future-work extension),
 * :mod:`~repro.core.backends` -- the deployment-backend registry: strategies
   publish themselves under a name (``blobcr``, ``qcow2-disk``, ``qcow2-full``)
-  with capabilities and an option schema, and every entry point resolves them
-  through :func:`~repro.core.backends.create_backend` instead of hard-coding
-  classes.
+  with an option schema, and every entry point resolves them through
+  :func:`~repro.core.backends.create_backend` instead of hard-coding classes,
+* :mod:`~repro.core.migration` -- the pieces of live migration, which
+  ``BlobCRDeployment`` runs pre-copy or post-copy over the snapshot store.
 """
 
 from repro.core.backends import (
-    BackendCapabilities,
     BackendInfo,
-    DeploymentBackend,
     backend_names,
     create_backend,
     get_backend,
@@ -45,21 +44,14 @@ from repro.core.mirroring import MirroringModule
 from repro.core.proxy import CheckpointProxy
 from repro.core.strategy import CheckpointRecord, Deployment, DeployedInstance, GlobalCheckpoint
 from repro.core.blobcr import BlobCRDeployment
-from repro.core.migration import (
-    BlobCRMigrateDeployment,
-    MigrationResult,
-    MigrationRound,
-    PostCopyPump,
-)
+from repro.core.migration import MigrationResult, MigrationRound, PostCopyPump
 from repro.core.protocol import CoordinatedCheckpoint
 from repro.core.gc import SnapshotGarbageCollector
 from repro.core.baseimage import build_base_image
 
 __all__ = [
-    "BackendCapabilities",
     "BackendInfo",
     "CoordinatedCheckpoint",
-    "DeploymentBackend",
     "backend_names",
     "build_base_image",
     "create_backend",
@@ -75,7 +67,6 @@ __all__ = [
     "CheckpointRecord",
     "GlobalCheckpoint",
     "BlobCRDeployment",
-    "BlobCRMigrateDeployment",
     "MigrationResult",
     "MigrationRound",
     "PostCopyPump",

@@ -4,13 +4,15 @@ The paper's premise is that checkpoint-restart is a *service* an IaaS cloud
 offers: applications pick a persistence strategy by name, not by wiring
 concrete classes.  This module is that indirection layer:
 
-* a **backend** is anything satisfying the :class:`DeploymentBackend`
-  protocol -- a callable producing a :class:`~repro.core.strategy.Deployment`
-  for a given :class:`~repro.cluster.cloud.Cloud`;
+* a **backend** is a callable producing a :class:`~repro.core.strategy.Deployment`
+  for a given :class:`~repro.cluster.cloud.Cloud` -- usually the
+  ``Deployment`` subclass itself;
 * :func:`register_backend` (used as a class decorator) publishes a backend
-  under a canonical lowercase name together with its
-  :class:`BackendCapabilities` and an option schema derived from the
-  factory's signature;
+  under a canonical lowercase name together with an option schema derived
+  from the factory's signature;
+* what a backend can do is what its class implements, never a declared
+  flag: :attr:`BackendInfo.live_migration` is true exactly when the factory
+  has a ``migrate_instance`` method;
 * :func:`create_backend` resolves a name (case-insensitively), validates the
   caller's options against the schema and instantiates the strategy.
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping
 
 from repro.util.errors import ConfigurationError
 
@@ -38,45 +40,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.core.strategy import Deployment
 
 
-@runtime_checkable
-class DeploymentBackend(Protocol):
-    """Anything that builds a deployment strategy for a simulated cloud.
-
-    The concrete strategy classes themselves satisfy this protocol (calling
-    a class *is* the factory), but a plain function works just as well --
-    e.g. a backend pre-configured with a tuned repository.
-    """
-
-    def __call__(self, cloud: "Cloud", **options: Any) -> "Deployment": ...
-
-
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """What a registered backend can do, for capability-based selection.
-
-    ``incremental``: successive snapshots ship only the delta since the
-    previous one.  ``dedup_capable``: the persistence layer can fold
-    duplicate content (see :mod:`repro.dedup`).  ``live_migration``: the
-    snapshot carries full RAM/device state, so an instance can resume
-    elsewhere without a guest reboot.
-    """
-
-    incremental: bool = False
-    dedup_capable: bool = False
-    live_migration: bool = False
-
-    def summary(self) -> str:
-        enabled = [f.replace("_", "-") for f, on in vars(self).items() if on]
-        return ",".join(enabled) or "-"
-
-
 @dataclass(frozen=True)
 class BackendOption:
     """One constructor option of a backend's spec schema."""
 
     name: str
     default: Any
-    annotation: str
 
 
 @dataclass(frozen=True)
@@ -85,11 +54,15 @@ class BackendInfo:
 
     name: str
     factory: Callable[..., "Deployment"]
-    capabilities: BackendCapabilities
     description: str
     #: option schema (name -> BackendOption), derived from the factory
     #: signature; ``create_backend`` validates caller options against it
     options: Mapping[str, BackendOption] = field(default_factory=dict)
+
+    @property
+    def live_migration(self) -> bool:
+        """The factory implements ``migrate_instance`` (``Session.migrate`` needs it)."""
+        return callable(getattr(self.factory, "migrate_instance", None))
 
 
 _BACKENDS: Dict[str, BackendInfo] = {}
@@ -104,20 +77,13 @@ def _derive_options(factory: Callable[..., "Deployment"]) -> Dict[str, BackendOp
             inspect.Parameter.VAR_KEYWORD,
         ):
             continue
-        annotation = (
-            "" if parameter.annotation is inspect.Parameter.empty else str(parameter.annotation)
-        )
         default = None if parameter.default is inspect.Parameter.empty else parameter.default
-        schema[parameter.name] = BackendOption(
-            name=parameter.name, default=default, annotation=annotation
-        )
+        schema[parameter.name] = BackendOption(name=parameter.name, default=default)
     return schema
 
 
 def register_backend(
-    name: str,
-    capabilities: BackendCapabilities | None = None,
-    description: str = "",
+    name: str, description: str = ""
 ) -> Callable[[Callable[..., "Deployment"]], Callable[..., "Deployment"]]:
     """Class/function decorator publishing a deployment backend under ``name``.
 
@@ -138,7 +104,6 @@ def register_backend(
         _BACKENDS[key] = BackendInfo(
             name=key,
             factory=factory,
-            capabilities=capabilities or BackendCapabilities(),
             description=description or (inspect.getdoc(factory) or "").split("\n")[0],
             options=_derive_options(factory),
         )
@@ -151,7 +116,6 @@ def load_builtin_backends() -> None:
     """Import the modules registering the built-in backends (idempotent)."""
     import repro.baselines  # noqa: F401  (registers qcow2-disk, qcow2-full)
     import repro.core.blobcr  # noqa: F401  (registers blobcr)
-    import repro.core.migration  # noqa: F401  (registers blobcr-migrate)
 
 
 def backend_names() -> List[str]:

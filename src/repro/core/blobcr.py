@@ -14,30 +14,36 @@ the checkpointing proxies and the hypervisors into the workflow of Figure 1:
 * **restart**: instances are re-deployed on different nodes using their
   checkpoint-image snapshot as the underlying virtual disk; booting fetches
   only the hot content (lazy transfer), exploiting peer accesses via adaptive
-  prefetching, and process state is restored by reading the checkpoint files.
+  prefetching, and process state is restored by reading the checkpoint files;
+* **migrate**: the same CLONE/COMMIT snapshots and lazy reads move a running
+  instance to another node, pre-copy (COMMIT rounds while the guest runs)
+  or post-copy (switch over at once, fault the open epoch in from the
+  source); the pieces of the engine live in :mod:`repro.core.migration`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional, Set
+from typing import Dict, Generator, List, Optional, Sequence, Set
 
 from repro.cluster.cloud import Cloud
 from repro.cluster.hypervisor import DEFAULT_BOOT_READ_BYTES
-from repro.core.backends import BackendCapabilities, register_backend
+from repro.core.backends import register_backend
 from repro.core.baseimage import build_base_image
+from repro.core.migration import MigrationRound, PostCopyPump, _Migration
 from repro.core.mirroring import MirroringModule
 from repro.core.proxy import CheckpointProxy
 from repro.core.repository import CheckpointRepository
 from repro.core.strategy import CheckpointRecord, DeployedInstance, Deployment
+from repro.guest.filesystem import METADATA_REGION
 from repro.obs.tracer import TRACER
-from repro.util.errors import CheckpointError, RestartError
+from repro.util.errors import CheckpointError, FailureInjected, MigrationError, RestartError
 from repro.vdisk.raw import RawImage
 
 
 @register_backend(
     "blobcr",
-    capabilities=BackendCapabilities(incremental=True, dedup_capable=True),
-    description="BlobSeer-backed incremental disk-image snapshots (the paper's proposal)",
+    description="BlobSeer-backed incremental disk-image snapshots with pre-copy / post-copy "
+    "live migration (the paper's proposal)",
 )
 class BlobCRDeployment(Deployment):
     """Deployment strategy backed by BlobSeer disk-image snapshots."""
@@ -62,6 +68,11 @@ class BlobCRDeployment(Deployment):
         #: chunk keys already pulled close to the compute nodes; later boots
         #: of the same content hit this cache (adaptive prefetching, [25])
         self._prefetched_keys: Set = set()
+        #: per-instance post-copy pumps still draining (the demand channel)
+        self._postcopy: Dict[str, PostCopyPump] = {}
+        #: the most recently drained pump, kept for inspection (the serve log
+        #: is how the exactly-once contract is audited)
+        self.last_pump: Optional[PostCopyPump] = None
 
     # -- infrastructure helpers ---------------------------------------------------------------
 
@@ -196,4 +207,246 @@ class BlobCRDeployment(Deployment):
         data = yield from self.repository.read_range(
             client_node, blob_id, 0, size, version=version, label="download"
         )
+        return data
+
+    # -- live migration ------------------------------------------------------------------------
+
+    def _destination_module(
+        self, instance: DeployedInstance, target_node: str
+    ) -> MirroringModule:
+        """A mirroring module on the target, based at the latest durable version.
+
+        Everything the source committed is reachable through the repository;
+        an instance that never committed anything mounts the original base
+        image, exactly like its own boot did.
+        """
+        mirroring: MirroringModule = instance.backend
+        if mirroring.committed_versions:
+            blob_id = mirroring.checkpoint_blob_id
+            version = mirroring.committed_versions[-1]
+        else:
+            blob_id = mirroring.base_blob_id
+            version = mirroring.remote.version
+        return self._mirror(
+            instance.instance_id, target_node, blob_id, version,
+            checkpoint_blob_id=mirroring.checkpoint_blob_id,
+        )
+
+    def _rollback(self, call: _Migration, restore_paths: List[str]) -> Generator:
+        """Simulation process: reboot the instance from the last durable snapshot.
+
+        The live handover failed (the source died mid-migration); what
+        survives is whatever the migration already made durable.  With no
+        durable version there is nothing to roll back to and the failure
+        propagates to the caller like any other fail-stop crash.
+        """
+        instance, mirroring = call.instance, call.mirroring
+        if not mirroring.committed_versions:
+            raise FailureInjected(
+                f"source of {instance.instance_id} died before any migration "
+                "round became durable",
+                node=call.source_node,
+            )
+        instance.vm.terminate()
+        record = CheckpointRecord(
+            instance_id=instance.instance_id,
+            snapshot_ref=(mirroring.checkpoint_blob_id, mirroring.committed_versions[-1]),
+            snapshot_bytes=0,
+            duration=0.0,
+            restore_paths=restore_paths,
+        )
+        yield from self.restart_instance(instance, record, call.target_node)
+
+    def migrate_instance(
+        self,
+        instance: DeployedInstance,
+        target_node: str,
+        mode: str = "pre-copy",
+        demand_paths: Sequence[str] = (),
+    ) -> Generator:
+        """Simulation process: live-migrate one instance to ``target_node``.
+
+        ``demand_paths`` (post-copy only) are guest files the workload
+        touches right after the switchover; their blocks are served as
+        demand faults from the source ahead of the background prefetch
+        sweep.  Returns a :class:`~repro.core.migration.MigrationResult`.
+        """
+        source_node = self._begin_migration(
+            instance, target_node, mode, ("pre-copy", "post-copy")
+        )
+        restore_paths = self._restore_paths(instance)
+        call = _Migration(
+            instance, instance.backend, mode, source_node, target_node, self.cloud.now
+        )
+        try:
+            if mode == "pre-copy":
+                result = yield from self._migrate_precopy(call)
+            else:
+                result = yield from self._migrate_postcopy(call, demand_paths)
+        except FailureInjected:
+            down_since = self.cloud.now if call.suspended_at is None else call.suspended_at
+            yield from self._rollback(call, restore_paths)
+            result = call.result(self.cloud.now, self.cloud.now - down_since, rolled_back=True)
+        finally:
+            self._postcopy.pop(instance.instance_id, None)
+        self.migrations.append(result)
+        return result
+
+    def _run_round(self, call: _Migration, index: int, name: str) -> Generator:
+        """Simulation process: one COMMIT round; returns a MigrationRound."""
+        instance, mirroring = call.instance, call.mirroring
+        t0 = self.cloud.now
+        dirty = mirroring.dirty_bytes // mirroring.block_size
+        span = None
+        if TRACER.enabled:
+            span = TRACER.begin(
+                "migrate-round", instance.instance_id, t0,
+                args={"round": index, "dirty_blocks": dirty},
+            )
+        if dirty:
+            commit = yield from mirroring.commit(tag=f"migrate:{instance.instance_id}:{name}")
+            moved = commit.bytes_written
+        else:
+            # An empty COMMIT would publish a pointless empty version; close
+            # the epoch bookkeeping without touching the repository.
+            mirroring.dirty.close_epoch()
+            moved = 0
+        if span is not None:
+            TRACER.end(span, self.cloud.now, args={"bytes": moved})
+        return MigrationRound(
+            index=index, dirty_blocks=dirty, bytes_moved=moved,
+            duration_s=self.cloud.now - t0,
+        )
+
+    def _handover(self, call: _Migration) -> Generator:
+        """Simulation process: the one suspension of a live migration.
+
+        Suspend, flush the page cache, move what the destination must not
+        find stale, ship the runtime state, resume on the target.  What must
+        not be stale is where the modes differ: pre-copy COMMITs the residue,
+        so the destination mounts a version that holds everything; post-copy
+        ships only the file-system metadata blocks -- the destination mounts
+        the guest file system before the guest resumes, so a stale inode table
+        is not an option -- and leaves the rest of the open epoch on the
+        source, behind the returned pump.  Returns ``(downtime, runtime-state
+        bytes, residue bytes, pump)``.
+        """
+        instance, mirroring = call.instance, call.mirroring
+        call.suspended_at = self.cloud.now
+        span = None
+        if TRACER.enabled:
+            span = TRACER.begin(
+                "migrate-switchover", instance.instance_id, self.cloud.now,
+                args={"mode": call.mode},
+            )
+        yield from self.hypervisors.get(call.source_node).suspend(instance.vm)
+        yield from self._flush_suspended_guest(instance)
+        residue_bytes, pump = 0, None
+        if call.mode == "pre-copy":
+            residue = yield from self._run_round(call, len(call.rounds) + 1, "residue")
+            residue_bytes = residue.bytes_moved
+            destination = self._destination_module(instance, call.target_node)
+        else:
+            destination = self._destination_module(instance, call.target_node)
+            pump = PostCopyPump(
+                self.cloud, call.source_node, call.target_node, destination,
+                mirroring.residue_payloads(), instance.instance_id,
+            )
+            yield from pump.fault_range(0, METADATA_REGION, channel="state")
+        state_bytes = instance.vm.runtime_state_bytes
+        yield self.cloud.network.transfer(
+            call.source_node, call.target_node, state_bytes,
+            label=f"migrate-state:{instance.instance_id}",
+        )
+        yield from self._hand_over(instance, destination, call.target_node)
+        downtime = self.cloud.now - call.suspended_at
+        if span is not None:
+            TRACER.end(span, self.cloud.now, args={"downtime_s": downtime})
+        return downtime, state_bytes, residue_bytes, pump
+
+    def _migrate_precopy(self, call: _Migration) -> Generator:
+        yield from call.mirroring.clone()
+        index = 0
+        while True:
+            index += 1
+            round_ = yield from self._run_round(call, index, f"round-{index}")
+            call.rounds.append(round_)
+            if call.precopy_converged:
+                break
+        # Stop-and-copy: one short suspension covers the residue COMMIT, the
+        # runtime-state transfer and the resume on the destination.
+        downtime, state_bytes, residue_bytes, _pump = yield from self._handover(call)
+        return call.result(
+            self.cloud.now, downtime, residue_bytes=residue_bytes, state_bytes=state_bytes
+        )
+
+    def _migrate_postcopy(self, call: _Migration, demand_paths: Sequence[str]) -> Generator:
+        # No copy phase before the handover: the destination mounts the last
+        # *durable* version straight from the repository and every block the
+        # guest wrote since (the open epoch) stays on the source, to be
+        # served over the demand/prefetch channels after the switchover.
+        instance = call.instance
+        downtime, state_bytes, _residue, pump = yield from self._handover(call)
+        self._postcopy[instance.instance_id] = pump
+        # Demand phase: blocks of the files the workload touches right away
+        # are served as remote faults, ahead of the background sweep.
+        for path in demand_paths:
+            yield from pump.fault_file(instance.vm.filesystem, path)
+        sweep_span = None
+        if TRACER.enabled:
+            sweep_span = TRACER.begin(
+                "postcopy-sweep", instance.instance_id, self.cloud.now,
+                args={"pending_blocks": len(pump.pending)},
+            )
+        yield from pump.prefetch_sweep()
+        if sweep_span is not None:
+            TRACER.end(sweep_span, self.cloud.now)
+        self.last_pump = pump
+        # Metadata blocks count as switchover state, not as demand faults:
+        # the guest never waited on them after resuming.
+        return call.result(
+            self.cloud.now,
+            downtime,
+            state_bytes=state_bytes + pump.state_bytes,
+            remote_faults=pump.remote_faults,
+            remote_fault_bytes=pump.remote_fault_bytes,
+            prefetched_blocks=pump.prefetched_blocks,
+            prefetched_bytes=pump.prefetched_bytes,
+        )
+
+    def migrate_all(self, target_nodes: Dict[str, str], mode: str = "pre-copy") -> Generator:
+        """Simulation process: migrate several instances concurrently.
+
+        ``target_nodes`` maps instance ids to destination nodes.  A failure
+        that cannot be rolled back (no durable round yet) interrupts the
+        sibling migrations before propagating, exactly like the checkpoint
+        and restart phases do.
+        """
+        targets = [self.instance_by_id(instance_id) for instance_id in target_nodes]
+        if not targets:
+            raise MigrationError("no instance selected for migration")
+        procs = [
+            self.cloud.process(
+                self.migrate_instance(inst, target_nodes[inst.instance_id], mode=mode),
+                name=f"migrate:{inst.instance_id}",
+            )
+            for inst in targets
+        ]
+        results = yield from self.await_all(procs)
+        return [results[proc] for proc in procs]
+
+    # -- the post-copy demand channel --------------------------------------------------------
+
+    def guest_read(self, instance: DeployedInstance, path: str) -> Generator:
+        """Simulation process: read a guest file, faulting in post-copy blocks.
+
+        While a post-copy migration is draining, reads go through the
+        demand channel first: blocks of the file still pending on the
+        source are shipped (and accounted as remote faults) before the
+        local read proceeds.
+        """
+        pump = self._postcopy.get(instance.instance_id)
+        if pump is not None and not pump.drained:
+            yield from pump.fault_file(instance.vm.filesystem, path)
+        data = yield from super().guest_read(instance, path)
         return data

@@ -79,19 +79,6 @@ class CoordinatedCheckpoint:
         yield from self.deployment.guest_sync(instance)
         return total
 
-    def checkpoint_instance(
-        self, instance: DeployedInstance, total_processes: int, tag: str = ""
-    ) -> Generator:
-        """Simulation process: full process-level checkpoint of one instance.
-
-        Drain (coordinated across the whole application), BLCR dumps, sync,
-        then the snapshot request to the proxy (extension 2).
-        """
-        yield from self.drain_channels(total_processes)
-        yield from self.dump_instance_processes(instance)
-        record = yield from self.deployment.checkpoint_instance(instance, tag=tag)
-        return record
-
     def global_checkpoint(self, tag: str = "blcr") -> Generator:
         """Simulation process: coordinated process-level checkpoint of the application."""
         targets = self.deployment.instances

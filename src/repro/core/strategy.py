@@ -136,7 +136,7 @@ class Deployment(abc.ABC):
         self.instances: List[DeployedInstance] = []
         self.checkpoints: List[GlobalCheckpoint] = []
         #: completed live migrations, in completion order (populated by the
-        #: backends whose ``migrate_instance`` advertises live migration)
+        #: backends that implement ``migrate_instance``)
         self.migrations: List[Any] = []
         #: per-node hypervisors, shared by every phase of the strategy
         self.hypervisors = HypervisorCache(cloud)
@@ -209,7 +209,7 @@ class Deployment(abc.ABC):
             noise, label=f"boot-noise:{instance.instance_id}"
         )
         for p in range(processes_per_instance):
-            instance.vm.spawn_process(f"rank-{instance.instance_id}-{p}")
+            instance.vm.spawn_process(f"rank-{instance.instance_id}-{p}", next(self.cloud.pids))
         return instance
 
     def _boot(self, instance: DeployedInstance) -> Generator:

@@ -11,28 +11,10 @@ the two techniques (Table 1).
 from __future__ import annotations
 
 import enum
-import itertools
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.util.bytesource import ByteSource, LiteralBytes
 from repro.util.errors import ProcessError
-
-_pids = itertools.count(1000)
-
-
-def reset_pids() -> None:
-    """Restart the guest pid namespace.
-
-    Pids leak into checkpoint content (the BLCR context-file header), so a
-    host-process-global counter would make simulated results depend on how
-    many scenarios ran earlier in the same interpreter.  A fresh simulated
-    cloud therefore resets the namespace, keeping every experiment cell
-    deterministic no matter which worker process executes it or in which
-    order.
-    """
-    global _pids
-    _pids = itertools.count(1000)
-
 
 class ProcessState(enum.Enum):
     RUNNING = "running"
@@ -41,11 +23,16 @@ class ProcessState(enum.Enum):
 
 
 class GuestProcess:
-    """A process running inside a VM instance."""
+    """A process running inside a VM instance.
 
-    def __init__(self, name: str, pid: Optional[int] = None):
+    ``pid`` comes from the pid namespace of the cloud the instance runs in
+    (:attr:`repro.cluster.cloud.Cloud.pids`), or from a BLCR context file
+    when a dump is restored.
+    """
+
+    def __init__(self, name: str, pid: int):
         self.name = name
-        self.pid = pid if pid is not None else next(_pids)
+        self.pid = pid
         self.state = ProcessState.RUNNING
         #: named memory segments (data buffers, heaps, ...)
         self._segments: Dict[str, ByteSource] = {}

@@ -121,9 +121,9 @@ class VMInstance:
             raise GuestError(f"instance {self.instance_id} has no mounted file system")
         return self.fs
 
-    def spawn_process(self, name: str) -> GuestProcess:
+    def spawn_process(self, name: str, pid: int) -> GuestProcess:
         self._require_running()
-        process = GuestProcess(name)
+        process = GuestProcess(name, pid)
         self._processes[process.pid] = process
         return process
 

@@ -8,7 +8,7 @@ response is a planned evacuation: move the instance off the doomed host
 against each other under an ``ft``-style fault trace:
 
 * ``pre-copy`` -- iterative live migration over the snapshot store
-  (``blobcr-migrate``): dirty rounds while the guest runs, then a short
+  (``blobcr``): dirty rounds while the guest runs, then a short
   stop-and-copy of the residue;
 * ``post-copy`` -- immediate switchover, blocks faulted in from the source
   on demand plus a background prefetch sweep;
@@ -53,8 +53,8 @@ EVAC_POLICIES = ("pre-copy", "post-copy", "stop-and-copy", "ckpt-restart")
 
 #: approach label (backend + checkpoint level) implementing each policy
 _POLICY_APPROACH = {
-    "pre-copy": "blobcr-migrate-app",
-    "post-copy": "blobcr-migrate-app",
+    "pre-copy": "blobcr-app",
+    "post-copy": "blobcr-app",
     "stop-and-copy": "qcow2-full",
     "ckpt-restart": "blobcr-app",
 }
@@ -281,7 +281,7 @@ def run_mig_cell(
     needed = instances + 1 + 2 * flows
     if needed > spec.compute_nodes:
         spec = spec.scaled(compute_nodes=needed)
-    deployment = make_deployment("blobcr-migrate-app", spec)
+    deployment = make_deployment("blobcr-app", spec)
     cloud = deployment.cloud
     bench = SyntheticBenchmark(deployment, buffer_bytes)
 

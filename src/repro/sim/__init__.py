@@ -14,7 +14,7 @@ Public API
 * :class:`Environment` -- event loop, simulated clock, ``process`` / ``timeout``
 * :class:`Event`, :class:`Timeout`, :class:`Process` -- waitable primitives
 * :class:`Interrupt` -- exception thrown into a process by ``Process.interrupt``
-* :class:`AllOf` / :class:`AnyOf` -- event combinators
+* :class:`AllOf` -- the event combinator: fires once every constituent has
 * :class:`Resource` -- FIFO capacity-limited resource (servers, boot slots)
 * :class:`FairShareChannel`, :class:`BandwidthSystem` -- processor-sharing
   bandwidth channels with max-min fair allocation across multi-link flows
@@ -22,7 +22,6 @@ Public API
 
 from repro.sim.core import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -39,7 +38,6 @@ __all__ = [
     "Process",
     "Interrupt",
     "AllOf",
-    "AnyOf",
     "Resource",
     "BandwidthSystem",
     "FairShareChannel",

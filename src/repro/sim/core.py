@@ -275,49 +275,26 @@ class Process(Event):
 _KERNEL_CODE = frozenset((Process._resume.__code__, Process._throw.__code__))
 
 
-class Condition(Event):
-    """Base class for the :class:`AllOf` / :class:`AnyOf` combinators."""
-
-    __slots__ = ("_events", "_pending")
-
-    def __init__(self, env: "Environment", events: Iterable[Event], name: str):
-        super().__init__(env, name)
-        self._events = list(events)
-        self._pending = 0
-        if not self._events:
-            self.succeed({})
-            return
-        for event in self._events:
-            if event.processed:
-                self._observe(event)
-            else:
-                self._pending += 1
-                event.callbacks.append(self._observe)
-        self._check_initial()
-
-    def _check_initial(self) -> None:
-        raise NotImplementedError
-
-    def _observe(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _collect(self) -> dict[Event, Any]:
-        return {e: e._value for e in self._events if e.triggered and e._ok}
-
-
-class AllOf(Condition):
+class AllOf(Event):
     """Fires when every constituent event has fired successfully.
 
     Its value is a dict mapping each event to its value.  If any constituent
-    fails, the condition fails with that exception.
+    fails, the condition fails with that exception.  Constituents that have
+    already fired count as done; the condition waits for the others.
     """
 
-    __slots__ = ()
+    __slots__ = ("_events", "_pending")
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, events, "all_of")
-
-    def _check_initial(self) -> None:
+        super().__init__(env, "all_of")
+        self._events = list(events)
+        self._pending = 0
+        for event in self._events:
+            if not event.processed:
+                self._pending += 1
+                event.callbacks.append(self._observe)
+            elif event._ok is False and not self.triggered:
+                self.fail(event._value)
         if not self.triggered and self._pending == 0:
             self.succeed(self._collect())
 
@@ -328,29 +305,11 @@ class AllOf(Condition):
             self.fail(event._value)
             return
         self._pending -= 1
-        if self._pending <= 0:
+        if self._pending == 0:
             self.succeed(self._collect())
 
-
-class AnyOf(Condition):
-    """Fires as soon as any constituent event fires (success or failure)."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, events, "any_of")
-
-    def _check_initial(self) -> None:
-        if not self.triggered:
-            for event in self._events:
-                if event.processed:
-                    self.trigger(event)
-                    return
-
-    def _observe(self, event: Event) -> None:
-        if self.triggered:
-            return
-        self.trigger(event)
+    def _collect(self) -> dict[Event, Any]:
+        return {e: e._value for e in self._events if e.triggered and e._ok}
 
 
 class Environment:
@@ -384,9 +343,6 @@ class Environment:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling ----------------------------------------------------------------
 

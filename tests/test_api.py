@@ -21,14 +21,14 @@ from repro.baselines import Qcow2DiskDeployment, Qcow2FullDeployment
 from repro.blobseer import ChunkKey
 from repro.cli import main
 from repro.cluster import Cloud
-from repro.core import BlobCRDeployment
-from repro.core.backends import _BACKENDS, BackendCapabilities
+from repro.core import BlobCRDeployment, CoordinatedCheckpoint
+from repro.core.backends import _BACKENDS
 from repro.util.config import GRAPHENE, DedupSpec
 from repro.util.errors import ChunkNotFoundError, ConfigurationError, RestartError
 
 SMALL = GRAPHENE.scaled(compute_nodes=6, service_nodes=3)
 
-BUILTIN_BACKENDS = ["blobcr", "blobcr-migrate", "qcow2-disk", "qcow2-full"]
+BUILTIN_BACKENDS = ["blobcr", "qcow2-disk", "qcow2-full"]
 
 
 class TestBackendRegistry:
@@ -55,17 +55,14 @@ class TestBackendRegistry:
             register_backend("blobcr")(BlobCRDeployment)
 
     def test_third_party_backend_registers_and_unregisters(self):
-        @register_backend(
-            "null-backend",
-            capabilities=BackendCapabilities(incremental=True),
-            description="a backend that deploys nothing",
-        )
+        @register_backend("null-backend", description="a backend that deploys nothing")
         def factory(cloud, knob: int = 1):
             raise NotImplementedError
 
         try:
             info = get_backend("null-backend")
-            assert info.capabilities.incremental
+            assert info.description == "a backend that deploys nothing"
+            assert not info.live_migration  # a plain function implements no migration
             assert list(info.options) == ["knob"]
             assert "null-backend" in backend_names()
         finally:
@@ -109,10 +106,49 @@ class TestBackendRegistry:
             with pytest.raises(ConfigurationError, match="expected"):
                 split_approach(label)
 
-    def test_capability_summaries(self):
-        assert get_backend("blobcr").capabilities.summary() == "incremental,dedup-capable"
-        assert get_backend("qcow2-disk").capabilities.summary() == "-"
-        assert get_backend("qcow2-full").capabilities.summary() == "live-migration"
+    def test_capability_summaries(self, capsys):
+        assert main(["--list-backends"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        listed = {
+            line.split(":")[0]: lines[index + 1].split("capabilities: ")[1]
+            for index, line in enumerate(lines)
+            if not line.startswith(" ")
+        }
+        assert listed == {
+            "blobcr": "live-migration",
+            "qcow2-disk": "-",
+            "qcow2-full": "live-migration",
+        }
+
+    def test_live_migration_is_read_off_the_class(self):
+        """What a backend can do is what its class implements: a class with
+        ``migrate_instance`` is advertised and migrates through the session,
+        one without is refused -- with nothing declared at registration."""
+
+        class Migrating(BlobCRDeployment):
+            pass
+
+        class Pinned(Qcow2DiskDeployment):
+            pass
+
+        register_backend("test-migrating")(Migrating)
+        register_backend("test-pinned")(Pinned)
+        try:
+            assert get_backend("test-migrating").live_migration
+            assert not get_backend("test-pinned").live_migration
+            session = Session.from_spec(SMALL)
+            session.deploy("test-migrating", n=1)
+            session.guest_write("vm-000", "/ckpt/state.dat", b"moved" * 1000)
+            result = session.migrate(mode="post-copy")
+            assert result.target_node == session.deployment.instances[0].node_name
+            assert session.guest_read("vm-000", "/ckpt/state.dat") == b"moved" * 1000
+            pinned = Session.from_spec(SMALL)
+            pinned.deploy("test-pinned", n=1)
+            with pytest.raises(ConfigurationError, match="'test-pinned' does not support live"):
+                pinned.migrate()
+        finally:
+            _BACKENDS.pop("test-migrating", None)
+            _BACKENDS.pop("test-pinned", None)
 
 
 class TestSessionLifecycle:
@@ -152,6 +188,30 @@ class TestSessionLifecycle:
         assert restart.bytes_restored > 0
         assert session.checkpoints[-1] is latest
 
+    def test_interleaved_sessions_each_get_a_lone_sessions_pids(self):
+        """Every cloud is its own guest pid namespace; building another cloud
+        must not renumber (or reset) the processes of one alive beside it.
+        Pids reach checkpoint content: they name the BLCR context files."""
+
+        def blcr_files(session):
+            session.drive(CoordinatedCheckpoint(session.deployment).global_checkpoint())
+            return [
+                session.deployment.instance_by_id(i).filesystem.listdir("/ckpt")
+                for i in session.instance_ids
+            ]
+
+        lone = Session.from_spec(SMALL)
+        lone.deploy("blobcr", n=2)
+        first = Session.from_spec(SMALL)
+        first.cloud  # built before the second session deploys
+        second = Session.from_spec(SMALL)
+        second.deploy("blobcr", n=2)
+        first.deploy("blobcr", n=2)
+        for session in (lone, first, second):
+            pids = [pid for i in session.deployment.instances for pid in i.vm.processes]
+            assert sorted(pids) == [1000, 1001]
+        assert blcr_files(first) == blcr_files(second) == blcr_files(lone)
+
     def test_deploy_options_forwarded(self):
         session = Session.from_spec(SMALL)
         session.deploy("blobcr", n=1, adaptive_prefetch=False)
@@ -168,9 +228,9 @@ class TestSessionCollect:
     """``Session.collect``: the public route to the snapshot collector."""
 
     @staticmethod
-    def three_checkpoints(backend="blobcr"):
+    def three_checkpoints():
         session = Session.from_spec(SMALL)
-        session.deploy(backend, n=2)
+        session.deploy("blobcr", n=2)
         checkpoints = []
         for fill in (1, 2, 3):
             for instance_id in session.instance_ids:
@@ -178,9 +238,8 @@ class TestSessionCollect:
             checkpoints.append(session.checkpoint())
         return session, checkpoints
 
-    @pytest.mark.parametrize("backend", ["blobcr", "blobcr-migrate"])
-    def test_collect_under_an_instance_rolled_back_to_an_older_checkpoint(self, backend):
-        session, checkpoints = self.three_checkpoints(backend)
+    def test_collect_under_an_instance_rolled_back_to_an_older_checkpoint(self):
+        session, checkpoints = self.three_checkpoints()
         session.restart(checkpoints[0])
         before = session.deployment.storage_used_bytes()
         report = session.collect(keep_latest=1)

@@ -8,7 +8,7 @@ is held to the same contract as the built-in ones, through the public
   restart and read back unchanged;
 * **placement** -- after every step each running instance's ``node_name`` is
   its ``vm.host``, and that host is not reserved by another deployment;
-* **live migration** (backends advertising it) -- every migration mode is
+* **live migration** (backends implementing it) -- every migration mode is
   either carried out, keeping the guest's bytes (those written after the last
   checkpoint included) and the placement, or rejected before anything moved;
 * **rollback** -- when the source dies mid-migration the migration completes
@@ -32,7 +32,7 @@ from repro.util.errors import FailureInjected, MigrationError, RestartError
 SPEC = fault_tolerant_cluster(GRAPHENE.scaled(compute_nodes=6, service_nodes=3))
 
 BACKENDS = [info.name for info in Session.backends()]
-MIGRATING = [info.name for info in Session.backends() if info.capabilities.live_migration]
+MIGRATING = [info.name for info in Session.backends() if info.live_migration]
 
 #: a checkpoint file (read back by the restart path itself) and a plain data
 #: file; both straddle a 256 KiB copy-on-write block
@@ -118,7 +118,7 @@ def test_every_migration_mode_moves_the_guest_or_is_rejected_cleanly(backend):
         assert_placement(session)
         assert_reads_back(session, [SAVED, LATER])
         assert_survives_a_restart(session, [SAVED, LATER])
-    assert supported, f"{backend} advertises live migration but supports no mode"
+    assert supported, f"{backend} implements migrate_instance but supports no mode"
 
 
 def _about_to_lose_its_source(backend: str, after_s):

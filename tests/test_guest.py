@@ -518,14 +518,14 @@ def test_sync_matches_a_model_of_the_file_system_and_the_block_oracle(kind, ops)
 
 class TestGuestProcess:
     def test_allocate_and_account(self):
-        proc = GuestProcess("bench")
+        proc = GuestProcess("bench", 1000)
         proc.allocate("buffer", SyntheticBytes("buf", 1000))
         proc.allocate("scratch", b"123")
         assert proc.allocated_bytes == 1003
         assert proc.segment("scratch").read() == b"123"
 
     def test_free(self):
-        proc = GuestProcess("bench")
+        proc = GuestProcess("bench", 1000)
         proc.allocate("x", b"1234")
         proc.free("x")
         assert proc.allocated_bytes == 0
@@ -533,7 +533,7 @@ class TestGuestProcess:
             proc.free("x")
 
     def test_lifecycle(self):
-        proc = GuestProcess("bench")
+        proc = GuestProcess("bench", 1000)
         proc.stop()
         assert proc.state is ProcessState.STOPPED
         proc.resume()
@@ -546,7 +546,7 @@ class TestGuestProcess:
 
 class TestBLCR:
     def test_dump_restore_roundtrip(self):
-        proc = GuestProcess("mpi-rank-3")
+        proc = GuestProcess("mpi-rank-3", 1003)
         proc.allocate("domain", SyntheticBytes("domain", 50_000))
         proc.allocate("halo", b"halo-data")
         proc.registers["pc"] = 1234
@@ -561,7 +561,7 @@ class TestBLCR:
         assert restored.segment("halo").read() == b"halo-data"
 
     def test_dump_size_covers_all_memory(self):
-        proc = GuestProcess("fat")
+        proc = GuestProcess("fat", 1000)
         proc.allocate("a", SyntheticBytes("a", 200_000))
         proc.allocate("b", SyntheticBytes("b", 300_000))
         dump = blcr_dump(proc)
@@ -569,7 +569,7 @@ class TestBLCR:
         assert dump.size <= 500_000 + 128 * 1024
 
     def test_dump_dead_process_rejected(self):
-        proc = GuestProcess("dead")
+        proc = GuestProcess("dead", 1000)
         proc.kill()
         with pytest.raises(ProcessError):
             blcr_dump(proc)
@@ -600,7 +600,7 @@ class TestVMInstance:
 
     def test_suspend_resume_stops_processes(self):
         vm = self._booted_vm()
-        proc = vm.spawn_process("app")
+        proc = vm.spawn_process("app", 1000)
         vm.suspend()
         assert vm.state is VMState.SUSPENDED
         assert proc.state is ProcessState.STOPPED
@@ -609,7 +609,7 @@ class TestVMInstance:
 
     def test_terminate_clears_state(self):
         vm = self._booted_vm()
-        vm.spawn_process("app")
+        vm.spawn_process("app", 1000)
         vm.terminate()
         assert vm.state is VMState.TERMINATED
         assert vm.processes == {}
@@ -618,11 +618,11 @@ class TestVMInstance:
     def test_spawn_requires_running(self):
         vm = VMInstance("vm-2", VMSpec())
         with pytest.raises(GuestError):
-            vm.spawn_process("app")
+            vm.spawn_process("app", 1000)
 
     def test_runtime_state_bytes(self):
         vm = self._booted_vm()
-        proc = vm.spawn_process("app")
+        proc = vm.spawn_process("app", 1000)
         proc.allocate("buffer", SyntheticBytes("buf", 1_000_000))
         assert vm.runtime_state_bytes == VMSpec().savevm_state_bytes + 1_000_000
 

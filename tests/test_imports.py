@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
 import repro.scenarios
 
@@ -51,3 +53,23 @@ def test_every_subpackage_imports_first_in_a_fresh_interpreter():
         if process.returncode != 0:
             failures[name] = stderr.strip().splitlines()[-1]
     assert failures == {}
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [("repro.core.migration", "repro.core.blobcr"), ("repro.core.blobcr", "repro.core.migration")],
+)
+def test_the_retired_migrate_class_name_resolves_whichever_module_imports_first(first, second):
+    """``repro.core.migration.BlobCRMigrateDeployment`` names ``BlobCRDeployment``
+    (a perfbench boundary row addresses ``migrate_instance`` through it)."""
+    code = (
+        f"import sys, {first}\n"
+        "alias = sys.modules['repro.core.migration'].BlobCRMigrateDeployment\n"
+        f"import {second}\n"
+        "from repro.core.blobcr import BlobCRDeployment\n"
+        "assert alias is BlobCRDeployment\n"
+        "assert 'migrate_instance' in alias.__dict__\n"
+    )
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -13,9 +13,13 @@ already depends on, so its tests are mostly *invariant* tests:
 * determinism -- identical cells give byte-identical rows in-process,
   across worker counts, with tracing on or off, and independently of
   unrelated traffic on a disjoint fabric;
-* the registry's ``live_migration`` capability flag matches what each
-  backend actually implements.
+* the registry reads live-migration support off each backend's class.
+
+The pre-copy threshold and round cap are module constants of
+:mod:`repro.core.migration`; the tests that vary them patch the constants.
 """
+
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -25,12 +29,8 @@ from repro.apps.synthetic import SyntheticBenchmark
 from repro.api import Session
 from repro.cluster import Cloud
 from repro.core.backends import backend_names, create_backend, get_backend
-from repro.core.migration import (
-    MIGRATION_MODES,
-    BlobCRMigrateDeployment,
-    PostCopyPump,
-    migration_capable,
-)
+from repro.core import migration
+from repro.core.migration import MIGRATION_MODES, PostCopyPump
 from repro.guest.filesystem import METADATA_REGION
 from repro.obs.tracer import TRACER
 from repro.runner import ParallelRunner, RunConfig, load_all, parse_selectors
@@ -65,9 +65,18 @@ def drive(cloud, gen, name="test-driver"):
     return box["value"]
 
 
-def make_deployment(**options):
+def make_deployment():
     cloud = Cloud(SMALL)
-    return cloud, create_backend("blobcr-migrate", cloud, **options)
+    return cloud, create_backend("blobcr", cloud)
+
+
+@contextmanager
+def precopy_constants(threshold_bytes, max_rounds=migration.PRECOPY_MAX_ROUNDS):
+    """Run a block under other pre-copy convergence constants."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(migration, "PRECOPY_THRESHOLD_BYTES", threshold_bytes)
+        patch.setattr(migration, "PRECOPY_MAX_ROUNDS", max_rounds)
+        yield
 
 
 def settled(deployment, bench, n=2):
@@ -268,9 +277,7 @@ class TestPreCopyInvariants:
     )
     def test_dirty_rounds_monotone_under_decreasing_write_rate(self, start_bytes, decay):
         """With a geometrically decaying writer, round dirty sets shrink."""
-        cloud, deployment = make_deployment(
-            precopy_threshold_bytes=0, precopy_max_rounds=6
-        )
+        cloud, deployment = make_deployment()
         bench = SyntheticBenchmark(deployment, 4 * MB)
 
         def writer(instance, stop):
@@ -298,7 +305,8 @@ class TestPreCopyInvariants:
             stop["done"] = True
             return result
 
-        result = drive(cloud, scenario())
+        with precopy_constants(0, max_rounds=6):
+            result = drive(cloud, scenario())
         dirty = [r.dirty_blocks for r in result.rounds]
         assert dirty[0] > 0
         # Monotone from the second round on: each round ships what the
@@ -306,9 +314,7 @@ class TestPreCopyInvariants:
         assert all(a >= b for a, b in zip(dirty[1:], dirty[2:]))
 
     def test_round_cap_bounds_the_iterations(self):
-        cloud, deployment = make_deployment(
-            precopy_threshold_bytes=0, precopy_max_rounds=2
-        )
+        cloud, deployment = make_deployment()
         bench = SyntheticBenchmark(deployment, 4 * MB)
 
         def writer(instance, stop):
@@ -334,12 +340,13 @@ class TestPreCopyInvariants:
             stop["done"] = True
             return result
 
-        result = drive(cloud, scenario())
+        with precopy_constants(0, max_rounds=2):
+            result = drive(cloud, scenario())
         assert len(result.rounds) <= 2
         assert not result.rolled_back
 
     def test_converged_dirty_set_stops_after_one_round(self):
-        cloud, deployment = make_deployment(precopy_threshold_bytes=10**12)
+        cloud, deployment = make_deployment()
         bench = SyntheticBenchmark(deployment, 4 * MB)
 
         def scenario():
@@ -349,7 +356,8 @@ class TestPreCopyInvariants:
             result = yield from deployment.migrate_instance(instance, target)
             return result
 
-        result = drive(cloud, scenario())
+        with precopy_constants(10**12):
+            result = drive(cloud, scenario())
         assert len(result.rounds) == 1
         assert result.downtime_s > 0
         assert result.downtime_s <= result.total_migration_s
@@ -411,7 +419,7 @@ class TestPostCopyEngine:
         assert result.downtime_s < result.total_migration_s
 
 
-# -- stop-and-copy (qcow2-full) and the latent capability gap --------------------------
+# -- stop-and-copy (qcow2-full) ----------------------------------------------------------
 
 
 class TestStopAndCopy:
@@ -481,7 +489,7 @@ class TestStopAndCopy:
 
             return drive(cloud, scenario()).downtime_s
 
-        assert downtime("blobcr-migrate", "pre-copy") < downtime(
+        assert downtime("blobcr", "pre-copy") < downtime(
             "qcow2-full", "stop-and-copy"
         )
 
@@ -549,46 +557,27 @@ class TestEngineErrors:
         with pytest.raises(FailureInjected):
             drive(cloud, scenario())
 
-    def test_invalid_tuning_rejected(self):
-        cloud = Cloud(SMALL)
-        with pytest.raises(MigrationError, match="threshold"):
-            BlobCRMigrateDeployment(cloud, precopy_threshold_bytes=-1)
-        with pytest.raises(MigrationError, match="round cap"):
-            BlobCRMigrateDeployment(Cloud(SMALL), precopy_max_rounds=0)
-
     def test_unknown_option_rejected_by_registry(self):
         with pytest.raises(ConfigurationError, match="does not accept"):
-            create_backend("blobcr-migrate", Cloud(SMALL), warp_factor=9)
+            create_backend("blobcr", Cloud(SMALL), warp_factor=9)
 
 
-# -- registry capabilities (the latent-flag satellite) ---------------------------------
+# -- the registry ----------------------------------------------------------------------
 
 
 class TestCapabilityFlags:
-    def test_flag_matches_implementation_for_every_backend(self):
-        for name in backend_names():
-            info = get_backend(name)
-            assert info.capabilities.live_migration == migration_capable(
-                info.factory
-            ), f"{name}: live_migration flag disagrees with the implementation"
-
-    def test_blobcr_migrate_is_registered(self):
-        assert "blobcr-migrate" in backend_names()
-        info = get_backend("blobcr-migrate")
-        assert info.capabilities.live_migration
-        assert info.capabilities.incremental
+    def test_blobcr_is_the_one_live_migrating_blobcr_backend(self):
+        assert backend_names() == ["blobcr", "qcow2-disk", "qcow2-full"]
+        info = get_backend("blobcr")
+        assert info.live_migration
         assert "pre-copy" in info.description
+        assert [name for name in backend_names() if get_backend(name).live_migration] == [
+            "blobcr",
+            "qcow2-full",
+        ]
 
     def test_modes_constant_covers_all_modes(self):
         assert MIGRATION_MODES == ("pre-copy", "post-copy", "stop-and-copy")
-
-    def test_tuning_options_are_honoured(self):
-        deployment = create_backend(
-            "blobcr-migrate", Cloud(SMALL), precopy_max_rounds=3,
-            precopy_threshold_bytes=0,
-        )
-        assert deployment.precopy_max_rounds == 3
-        assert deployment.precopy_threshold_bytes == 0
 
 
 # -- the Session facade ----------------------------------------------------------------
@@ -597,7 +586,7 @@ class TestCapabilityFlags:
 class TestSessionMigrate:
     def _session(self):
         session = Session(SMALL)
-        session.deploy("blobcr-migrate", n=2)
+        session.deploy("blobcr", n=2)
         session.checkpoint()
         return session
 
@@ -622,7 +611,7 @@ class TestSessionMigrate:
 
     def test_backend_without_capability_refused(self):
         session = Session(SMALL)
-        session.deploy("blobcr", n=1)
+        session.deploy("qcow2-disk", n=1)
         with pytest.raises(ConfigurationError, match="live migration"):
             session.migrate()
 

@@ -15,7 +15,6 @@ from repro.apps.synthetic import STATE_PATH_TEMPLATE, SyntheticBenchmark
 from repro.baselines import Qcow2DiskDeployment, Qcow2FullDeployment
 from repro.cluster import Cloud, FailureInjector
 from repro.core import BlobCRDeployment
-from repro.core.migration import BlobCRMigrateDeployment
 from repro.scenarios.fault_tolerance import (
     FaultToleranceDriver,
     fault_tolerant_cluster,
@@ -160,7 +159,7 @@ class TestRollbackTarget:
 class TestMigrationFailurePaths:
     """Source death mid-migration: roll back to durable state or propagate.
 
-    The contract of ``blobcr-migrate``: whatever the migration already made
+    The contract of ``blobcr`` live migration: whatever the migration already made
     durable (the anchor checkpoint plus every *completed* pre-copy round)
     survives the source's death -- the instance restarts on the destination
     from exactly that state, and with no durable version at all the failure
@@ -171,7 +170,7 @@ class TestMigrationFailurePaths:
         """One deploy/checkpoint/dirty/migrate run, optionally killing the
         source at the given absolute simulated time."""
         cloud = Cloud(SMALL)
-        deployment = BlobCRMigrateDeployment(cloud)
+        deployment = BlobCRDeployment(cloud)
         bench = SyntheticBenchmark(deployment, 4 * MB)
         injector = FailureInjector(cloud, seed="migration-window")
         out = {}
@@ -197,7 +196,7 @@ class TestMigrationFailurePaths:
 
     def test_source_death_mid_precopy_round_rolls_back(self):
         cloud = Cloud(SMALL)
-        deployment = BlobCRMigrateDeployment(cloud)
+        deployment = BlobCRDeployment(cloud)
         bench = SyntheticBenchmark(deployment, 4 * MB)
         injector = FailureInjector(cloud, seed="migration-midround")
         out = {}
@@ -277,7 +276,7 @@ class TestMigrationFailurePaths:
 
     def test_source_death_with_no_durable_version_propagates(self):
         cloud = Cloud(SMALL)
-        deployment = BlobCRMigrateDeployment(cloud)
+        deployment = BlobCRDeployment(cloud)
         bench = SyntheticBenchmark(deployment, 4 * MB)
         injector = FailureInjector(cloud, seed="migration-nodurable")
 
@@ -297,7 +296,7 @@ class TestMigrationFailurePaths:
 
     def test_unrecoverable_failure_interrupts_sibling_migrations(self):
         cloud = Cloud(SMALL)
-        deployment = BlobCRMigrateDeployment(cloud)
+        deployment = BlobCRDeployment(cloud)
         bench = SyntheticBenchmark(deployment, 4 * MB)
         injector = FailureInjector(cloud, seed="migration-siblings")
 

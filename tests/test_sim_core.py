@@ -7,7 +7,6 @@ import pytest
 
 from repro.sim import (
     AllOf,
-    AnyOf,
     Environment,
     Interrupt,
     Resource,
@@ -251,11 +250,37 @@ class TestConditions:
         assert sorted(values.values()) == [1, 2, 3]
         assert env.now == pytest.approx(3)
 
-    def test_any_of_fires_on_first(self):
+    def test_all_of_waits_for_the_pending_beside_an_already_fired_event(self):
+        """An event that fired before the condition was built counts as done;
+        it must not make the condition fire before the pending ones do."""
         env = Environment()
-        cond = AnyOf(env, [env.timeout(5, "slow"), env.timeout(1, "fast")])
-        assert env.run(cond) == "fast"
-        assert env.now == pytest.approx(1)
+
+        def body(delay, value):
+            yield env.timeout(delay)
+            return value
+
+        first = env.process(body(1, "first"))
+        env.run(first)
+        late = env.process(body(4, "late"))
+        conds = [AllOf(env, [first, late]), AllOf(env, [late, first])]
+        assert not any(cond.triggered for cond in conds)
+        for cond in conds:
+            assert env.run(cond) == {first: "first", late: "late"}
+        assert env.now == pytest.approx(5)
+
+    def test_all_of_fails_with_an_already_failed_event(self):
+        env = Environment()
+
+        def crash():
+            yield env.timeout(1)
+            raise ValueError("crashed")
+
+        crashed = env.process(crash(), name="crash")
+        with pytest.raises(ValueError):
+            env.run(crashed)
+        cond = AllOf(env, [env.timeout(3), crashed])
+        with pytest.raises(ValueError, match="crashed"):
+            env.run(cond)
 
     def test_all_of_empty_fires_immediately(self):
         env = Environment()
