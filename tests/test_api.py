@@ -212,6 +212,18 @@ class TestSessionLifecycle:
             assert sorted(pids) == [1000, 1001]
         assert blcr_files(first) == blcr_files(second) == blcr_files(lone)
 
+    def test_building_a_cloud_does_not_reuse_a_live_clouds_pids(self):
+        """A cloud's pid namespace keeps counting across its deployments, even
+        when another cloud is built between them."""
+        session = Session.from_spec(SMALL)
+        session.deploy("blobcr", n=1)
+        Session.from_spec(SMALL).cloud
+        other = create_backend("blobcr", session.cloud)
+        session.drive(other.deploy(1, processes_per_instance=1))
+        deployments = (session.deployment, other)
+        pids = [pid for d in deployments for i in d.instances for pid in i.vm.processes]
+        assert pids == [1000, 1001]
+
     def test_deploy_options_forwarded(self):
         session = Session.from_spec(SMALL)
         session.deploy("blobcr", n=1, adaptive_prefetch=False)

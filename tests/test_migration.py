@@ -576,8 +576,80 @@ class TestCapabilityFlags:
             "qcow2-full",
         ]
 
+    def test_flag_matches_implementation_for_every_backend(self):
+        """What the registry advertises is what ``Session.migrate`` does: a
+        backend listed as live-migrating moves an instance in some mode, any
+        other is refused before anything moved."""
+        for name in backend_names():
+            info = get_backend(name)
+            moved = []
+            for mode in MIGRATION_MODES:
+                session = Session(SMALL)
+                session.deploy(name, n=1)
+                session.checkpoint()
+                migrant = session.deployment.instances[0]
+                source = migrant.vm.host
+                try:
+                    session.migrate(mode=mode)
+                except ConfigurationError:
+                    assert not info.live_migration, f"{name} refused {mode}"
+                    assert migrant.vm.is_running and migrant.vm.host == source
+                except MigrationError:
+                    assert info.live_migration, f"{name} is not advertised but tried {mode}"
+                    assert migrant.vm.is_running and migrant.vm.host == source
+                else:
+                    assert migrant.vm.host != source
+                    moved.append(mode)
+            assert bool(moved) == info.live_migration, f"{name} moved in {moved}"
+
     def test_modes_constant_covers_all_modes(self):
         assert MIGRATION_MODES == ("pre-copy", "post-copy", "stop-and-copy")
+
+    def test_tuning_options_are_honoured(self):
+        """Pre-copy reads its threshold and round cap when it migrates: each
+        one, patched, changes how many rounds the same migration runs."""
+        assert (migration.PRECOPY_THRESHOLD_BYTES, migration.PRECOPY_MAX_ROUNDS) == (4 * MB, 8)
+
+        def rounds(rewrite_bytes):
+            """Pre-copy rounds of a 16 MB-dirty instance whose guest rewrites
+            ``rewrite_bytes`` every 20 ms while it migrates."""
+            cloud, deployment = make_deployment()
+            bench = SyntheticBenchmark(deployment, 4 * MB)
+
+            def writer(instance, stop):
+                tick = 0
+                while not stop["done"]:
+                    yield cloud.env.timeout(0.02)
+                    if stop["done"] or not instance.vm.is_running:
+                        return
+                    data = SyntheticBytes(("steady", tick), rewrite_bytes)
+                    yield from deployment.guest_write_and_sync(instance, "/data/hot.dat", data)
+                    tick += 1
+
+            def scenario():
+                yield from settled(deployment, bench, n=1)
+                instance = deployment.instances[0]
+                data = SyntheticBytes("steady-initial", 16 * MB)
+                yield from deployment.guest_write_and_sync(instance, "/data/hot.dat", data)
+                stop = {"done": False}
+                cloud.process(writer(instance, stop), name="steady-writer")
+                target = cloud.reserve_nodes(1, owner=deployment)[0]
+                result = yield from deployment.migrate_instance(instance, target)
+                stop["done"] = True
+                return result
+
+            result = drive(cloud, scenario())
+            assert not result.rolled_back
+            return len(result.rounds)
+
+        # A 1 MB rewrite leaves less than the shipped 4 MB threshold dirty ...
+        assert rounds(1 * MB) == 1
+        with precopy_constants(0):
+            # ... which a zero threshold ships in a round of its own.
+            assert rounds(1 * MB) == 2
+            assert rounds(4 * MB) == 3
+        with precopy_constants(0, max_rounds=2):
+            assert rounds(4 * MB) == 2
 
 
 # -- the Session facade ----------------------------------------------------------------
