@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.obs.tracer import TRACER
+from repro.obs.tracer import Tracer
 from repro.util.bytesource import ByteSource
 from repro.util.errors import ChunkNotFoundError, StorageError
 
@@ -262,10 +262,12 @@ class ProviderManager:
     common case when committing a disk snapshot) evenly across providers.
     """
 
-    def __init__(self, replication: int = 1):
+    def __init__(self, replication: int = 1, tracer: Optional[Tracer] = None):
         if replication < 1:
             raise StorageError(f"replication factor must be >= 1: {replication}")
         self.replication = replication
+        #: the owning cloud's tracer (its repository hands it over), or None
+        self._tracer = tracer
         self._providers: Dict[str, DataProvider] = {}
         #: placements made so far: the round-robin position of the tie-break
         self._rr = 0
@@ -491,15 +493,12 @@ class ProviderManager:
         except BaseException:
             self._index_stale = True  # it counts chunks that never arrived
             raise
-        self._observe(sizes, placements)
-        return run
-
-    @staticmethod
-    def _observe(sizes: Sequence[int], placements: Sequence[Tuple[str, ...]]) -> None:
-        if TRACER.enabled:
+        tracer = self._tracer
+        if tracer is not None:
             for size, providers in zip(sizes, placements):
-                TRACER.observe("chunk.stored_bytes", size)
-                TRACER.observe("chunk.replicas", len(providers))
+                tracer.observe("chunk.stored_bytes", size)
+                tracer.observe("chunk.replicas", len(providers))
+        return run
 
     def store_replicated(self, chunk: Chunk) -> PlacementDecision:
         """Place and store one chunk under a fresh key, as a run of one

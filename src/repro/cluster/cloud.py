@@ -1,17 +1,41 @@
-"""Top-level assembly of the simulated IaaS cloud."""
+"""Top-level assembly of the simulated IaaS cloud, and the per-cell registry of clouds."""
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cluster.network import Network
 from repro.cluster.node import ComputeNode
-from repro.obs.tracer import TRACER
+from repro.obs.tracer import Tracer
 from repro.sim.core import Environment, Event
 from repro.util.config import ClusterSpec, GRAPHENE
 from repro.util.errors import SimulationError
 from repro.util.rng import make_rng
+
+#: the innermost active :func:`clouds` scope: (its registry, whether it traces)
+_scope: Optional[Tuple[List["Cloud"], bool]] = None
+
+
+@contextmanager
+def clouds(trace: bool = False) -> Iterator[List["Cloud"]]:
+    """Register every :class:`Cloud` built inside the ``with`` block.
+
+    Yields the registry, a list the clouds append themselves to in creation
+    order.  With ``trace`` each of them gets its own
+    :class:`~repro.obs.tracer.Tracer` on ``env.tracer``; a cloud built
+    outside any scope is registered nowhere and untraced.  Scopes nest: the
+    outer one is active again on exit, and holds none of the inner one's
+    clouds.  Nothing outlives the scope but the list it yielded.
+    """
+    global _scope
+    outer, registry = _scope, []
+    _scope = (registry, trace)
+    try:
+        yield registry
+    finally:
+        _scope = outer
 
 
 class Cloud:
@@ -27,14 +51,14 @@ class Cloud:
     def __init__(self, spec: Optional[ClusterSpec] = None):
         self.spec = spec or GRAPHENE
         self.spec.validate()
-        if TRACER.enabled:
+        registry, trace = _scope or (None, False)
+        tracer = None
+        if trace:
             # One trace group ("process" in the Chrome export) per simulated
             # cloud: a cell typically builds one cloud per approach under
             # test, and their sim clocks all start at zero.
-            TRACER.begin_group(
-                f"cloud[{self.spec.compute_nodes}+{self.spec.service_nodes} nodes]"
-            )
-        self.env = Environment()
+            tracer = Tracer(f"cloud[{self.spec.compute_nodes}+{self.spec.service_nodes} nodes]")
+        self.env = Environment(tracer)
         self.network = Network(self.env, self.spec.network, solver=self.spec.solver)
         self.compute_nodes: List[ComputeNode] = [
             ComputeNode(self.env, self.network, self.spec.disk, f"node-{i:03d}")
@@ -55,6 +79,8 @@ class Cloud:
         #: context-file header), so each cloud numbers its own processes and
         #: a cell's results never depend on another cloud alive beside it
         self.pids: Iterator[int] = itertools.count(1000)
+        if registry is not None:
+            registry.append(self)
 
     # -- lookup -----------------------------------------------------------------------
 

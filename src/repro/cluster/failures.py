@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Generator, List, Optional, Sequence
 
 from repro.cluster.cloud import Cloud
-from repro.obs.tracer import TRACER
 from repro.util.errors import SimulationError
 from repro.util.rng import make_rng
 
@@ -85,5 +84,6 @@ class FailureInjector:
             return
         node.fail()
         self.history.append(FailureEvent(time=self.cloud.now, node=node_name))
-        if TRACER.enabled:
-            TRACER.instant("failure", node_name, self.cloud.now, cat="failure")
+        tracer = self.cloud.env.tracer
+        if tracer is not None:
+            tracer.instant("failure", node_name, self.cloud.now, cat="failure")

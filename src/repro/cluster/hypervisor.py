@@ -20,7 +20,6 @@ from typing import Callable, Generator, Optional
 from repro.cluster.node import ComputeNode
 from repro.guest.filesystem import GuestFileSystem
 from repro.guest.vm import VMInstance
-from repro.obs.tracer import TRACER
 from repro.sim.core import Environment, Event
 from repro.util.config import VMSpec
 from repro.util.errors import GuestError
@@ -168,15 +167,16 @@ class Hypervisor:
         vm.suspend()
         yield self.env.timeout(self._jitter(self.vm_spec.suspend_time, ("savevm", vm.instance_id)))
         state_bytes = vm.runtime_state_bytes
+        tracer = self.env.tracer
         span = None
-        if TRACER.enabled:
-            span = TRACER.begin(
+        if tracer is not None:
+            span = tracer.begin(
                 "vm-dump", vm.instance_id, self.env.now, args={"bytes": state_bytes}
             )
         snapshot = image.create_internal_snapshot(snapshot_name, vm_state_size=state_bytes)
         yield self.node.disk.write(state_bytes, label=f"savevm:{vm.instance_id}")
         if span is not None:
-            TRACER.end(span, self.env.now)
+            tracer.end(span, self.env.now)
         yield self.env.timeout(self._jitter(self.vm_spec.resume_time, ("resume", vm.instance_id)))
         vm.resume()
         return snapshot

@@ -35,7 +35,6 @@ from repro.core.proxy import CheckpointProxy
 from repro.core.repository import CheckpointRepository
 from repro.core.strategy import CheckpointRecord, DeployedInstance, Deployment
 from repro.guest.filesystem import METADATA_REGION
-from repro.obs.tracer import TRACER
 from repro.util.errors import CheckpointError, FailureInjected, MigrationError, RestartError
 from repro.vdisk.raw import RawImage
 
@@ -175,9 +174,10 @@ class BlobCRDeployment(Deployment):
         # fetch of exactly the snapshot content that is actually needed.
         restored = yield from self._reboot_and_read_back(instance, mirroring, target_node, record)
         if restored:
+            tracer = self.cloud.env.tracer
             span = None
-            if TRACER.enabled:
-                span = TRACER.begin(
+            if tracer is not None:
+                span = tracer.begin(
                     "fault-in", instance.instance_id, self.cloud.now,
                     args={"bytes": restored, "node": target_node},
                 )
@@ -188,7 +188,7 @@ class BlobCRDeployment(Deployment):
                 restored, label=f"restore-cache:{instance.instance_id}"
             )
             if span is not None:
-                TRACER.end(span, self.cloud.now)
+                tracer.end(span, self.cloud.now)
         return restored
 
     def storage_used_bytes(self) -> int:
@@ -297,9 +297,10 @@ class BlobCRDeployment(Deployment):
         instance, mirroring = call.instance, call.mirroring
         t0 = self.cloud.now
         dirty = mirroring.dirty_bytes // mirroring.block_size
+        tracer = self.cloud.env.tracer
         span = None
-        if TRACER.enabled:
-            span = TRACER.begin(
+        if tracer is not None:
+            span = tracer.begin(
                 "migrate-round", instance.instance_id, t0,
                 args={"round": index, "dirty_blocks": dirty},
             )
@@ -312,7 +313,7 @@ class BlobCRDeployment(Deployment):
             mirroring.dirty.close_epoch()
             moved = 0
         if span is not None:
-            TRACER.end(span, self.cloud.now, args={"bytes": moved})
+            tracer.end(span, self.cloud.now, args={"bytes": moved})
         return MigrationRound(
             index=index, dirty_blocks=dirty, bytes_moved=moved,
             duration_s=self.cloud.now - t0,
@@ -333,9 +334,10 @@ class BlobCRDeployment(Deployment):
         """
         instance, mirroring = call.instance, call.mirroring
         call.suspended_at = self.cloud.now
+        tracer = self.cloud.env.tracer
         span = None
-        if TRACER.enabled:
-            span = TRACER.begin(
+        if tracer is not None:
+            span = tracer.begin(
                 "migrate-switchover", instance.instance_id, self.cloud.now,
                 args={"mode": call.mode},
             )
@@ -361,7 +363,7 @@ class BlobCRDeployment(Deployment):
         yield from self._hand_over(instance, destination, call.target_node)
         downtime = self.cloud.now - call.suspended_at
         if span is not None:
-            TRACER.end(span, self.cloud.now, args={"downtime_s": downtime})
+            tracer.end(span, self.cloud.now, args={"downtime_s": downtime})
         return downtime, state_bytes, residue_bytes, pump
 
     def _migrate_precopy(self, call: _Migration) -> Generator:
@@ -392,15 +394,16 @@ class BlobCRDeployment(Deployment):
         # are served as remote faults, ahead of the background sweep.
         for path in demand_paths:
             yield from pump.fault_file(instance.vm.filesystem, path)
+        tracer = self.cloud.env.tracer
         sweep_span = None
-        if TRACER.enabled:
-            sweep_span = TRACER.begin(
+        if tracer is not None:
+            sweep_span = tracer.begin(
                 "postcopy-sweep", instance.instance_id, self.cloud.now,
                 args={"pending_blocks": len(pump.pending)},
             )
         yield from pump.prefetch_sweep()
         if sweep_span is not None:
-            TRACER.end(sweep_span, self.cloud.now)
+            tracer.end(sweep_span, self.cloud.now)
         self.last_pump = pump
         # Metadata blocks count as switchover state, not as demand faults:
         # the guest never waited on them after resuming.

@@ -36,7 +36,6 @@ from repro.cluster.cloud import Cloud
 from repro.core.mirroring import MirroringModule
 from repro.core.strategy import DeployedInstance
 from repro.guest.filesystem import GuestFileSystem
-from repro.obs.tracer import TRACER
 from repro.util.bytesource import ByteSource
 from repro.util.units import MB
 
@@ -165,9 +164,10 @@ class PostCopyPump:
             return 0
         payloads = [self.pending.pop(i) for i in batch]
         nbytes = sum(p.size for p in payloads)
+        tracer = self.cloud.env.tracer
         span = None
-        if TRACER.enabled:
-            span = TRACER.begin(
+        if tracer is not None:
+            span = tracer.begin(
                 f"postcopy-{channel}", self.instance_id, self.cloud.now,
                 args={"blocks": len(batch), "bytes": nbytes},
             )
@@ -197,7 +197,7 @@ class PostCopyPump:
             self.prefetched_blocks += len(batch)
             self.prefetched_bytes += nbytes
         if span is not None:
-            TRACER.end(span, self.cloud.now)
+            tracer.end(span, self.cloud.now)
         return nbytes
 
     def fault_range(self, offset: int, length: int, channel: str = "fault") -> Generator:

@@ -16,7 +16,6 @@ from typing import Generator, Optional
 from repro.cluster.hypervisor import Hypervisor
 from repro.core.mirroring import MirroringModule
 from repro.guest.vm import VMInstance
-from repro.obs.tracer import TRACER
 from repro.util.config import CheckpointSpec
 from repro.util.errors import CheckpointError
 
@@ -62,13 +61,14 @@ class CheckpointProxy:
         env = self.hypervisor.env
         # REST round trip from the guest to the proxy (same node).
         yield env.timeout(self.spec.proxy_roundtrip)
+        tracer = env.tracer
         span = None
-        if TRACER.enabled:
-            span = TRACER.begin("vm-suspend", vm.instance_id, env.now)
+        if tracer is not None:
+            span = tracer.begin("vm-suspend", vm.instance_id, env.now)
         yield from self.hypervisor.suspend(vm)
         if span is not None:
-            TRACER.end(span, env.now)
-            span = TRACER.begin("vdisk-snapshot", vm.instance_id, env.now)
+            tracer.end(span, env.now)
+            span = tracer.begin("vdisk-snapshot", vm.instance_id, env.now)
         reply = SnapshotReply(ok=False, instance_id=vm.instance_id)
         try:
             blob_id = yield from mirroring.clone()
@@ -83,11 +83,11 @@ class CheckpointProxy:
         except Exception as exc:  # resume the VM no matter what
             reply = SnapshotReply(ok=False, instance_id=vm.instance_id, error=str(exc))
         if span is not None:
-            TRACER.end(span, env.now, args={"bytes": reply.snapshot_bytes, "ok": reply.ok})
-            span = TRACER.begin("vm-resume", vm.instance_id, env.now)
+            tracer.end(span, env.now, args={"bytes": reply.snapshot_bytes, "ok": reply.ok})
+            span = tracer.begin("vm-resume", vm.instance_id, env.now)
         yield from self.hypervisor.resume(vm)
         if span is not None:
-            TRACER.end(span, env.now)
+            tracer.end(span, env.now)
         if not reply.ok and reply.error:
             raise CheckpointError(
                 f"checkpoint of {vm.instance_id} failed: {reply.error}"

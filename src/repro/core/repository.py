@@ -19,7 +19,6 @@ from repro.blobseer import BlobClient, DataProvider, ProviderManager
 from repro.cluster.cloud import Cloud
 from repro.dedup.codec import HEADER_BYTES
 from repro.dedup.engine import build_engine
-from repro.obs.tracer import TRACER
 from repro.util.bytesource import ByteSource
 from repro.util.config import BlobSeerSpec
 from repro.vdisk.raw import RawImage
@@ -32,7 +31,7 @@ class CheckpointRepository:
         self.cloud = cloud
         self.spec = spec or cloud.spec.blobseer
         self.spec.validate()
-        providers = ProviderManager(replication=self.spec.replication)
+        providers = ProviderManager(replication=self.spec.replication, tracer=cloud.env.tracer)
         for node in cloud.compute_nodes:
             provider = DataProvider(node.name, capacity=cloud.spec.disk.capacity)
             providers.register(provider)
@@ -110,9 +109,10 @@ class CheckpointRepository:
         result = self.client.write_batch(blob_id, pieces, tag=tag) if pieces else None
         nbytes = result.bytes_written if result else 0
         env = self.cloud.env
+        tracer = env.tracer
         span = None
-        if TRACER.enabled:
-            span = TRACER.begin(
+        if tracer is not None:
+            span = tracer.begin(
                 "upload-base", client_node, env.now,
                 args={"blob_id": blob_id, "bytes": nbytes},
             )
@@ -123,26 +123,26 @@ class CheckpointRepository:
             yield env.timeout(result.compression_cpu_seconds)
         if nbytes:
             inner = None
-            if TRACER.enabled:
-                inner = TRACER.begin("blob-write", client_node, env.now, args={"bytes": nbytes})
+            if tracer is not None:
+                inner = tracer.begin("blob-write", client_node, env.now, args={"bytes": nbytes})
             yield self._data_write(client_node, nbytes, label=f"upload:{tag}")
             if inner is not None:
-                TRACER.end(inner, env.now)
+                tracer.end(inner, env.now)
         if result:
             # Dedup-hit stripes still publish a descriptor, so they count
             # toward the metadata RPCs even though no data shipped.
             inner = None
-            if TRACER.enabled:
-                inner = TRACER.begin("metadata-commit", client_node, env.now)
+            if tracer is not None:
+                inner = tracer.begin("metadata-commit", client_node, env.now)
             yield env.timeout(
                 self._metadata_time(result.chunk_count + result.dedup_hits, result.metadata_nodes)
             )
             if inner is not None:
-                TRACER.end(inner, env.now)
+                tracer.end(inner, env.now)
             self.logical_bytes_committed += result.logical_bytes
         self.bytes_committed += nbytes
         if span is not None:
-            TRACER.end(span, env.now)
+            tracer.end(span, env.now)
         return blob_id
 
     def clone_image(
@@ -176,9 +176,10 @@ class CheckpointRepository:
             blob_id, pieces, base_version=base_version, tag=tag or "commit"
         )
         env = self.cloud.env
+        tracer = env.tracer
         span = None
-        if TRACER.enabled:
-            span = TRACER.begin(
+        if tracer is not None:
+            span = tracer.begin(
                 "commit", client_node, env.now,
                 args={"blob_id": blob_id, "version": result.version},
             )
@@ -188,28 +189,28 @@ class CheckpointRepository:
             yield env.timeout(result.compression_cpu_seconds)
         if result.bytes_written:
             inner = None
-            if TRACER.enabled:
-                inner = TRACER.begin(
+            if tracer is not None:
+                inner = tracer.begin(
                     "blob-write", client_node, env.now, args={"bytes": result.bytes_written}
                 )
             yield self._data_write(
                 client_node, result.bytes_written, label=f"commit:{blob_id}@{result.version}"
             )
             if inner is not None:
-                TRACER.end(inner, env.now)
+                tracer.end(inner, env.now)
         inner = None
-        if TRACER.enabled:
-            inner = TRACER.begin(
+        if tracer is not None:
+            inner = tracer.begin(
                 "metadata-commit", client_node, env.now, args={"chunks": result.chunk_count}
             )
         yield env.timeout(self._metadata_time(
             result.chunk_count + result.dedup_hits, result.metadata_nodes))
         if inner is not None:
-            TRACER.end(inner, env.now)
+            tracer.end(inner, env.now)
         self.bytes_committed += result.bytes_written
         self.logical_bytes_committed += result.logical_bytes
         if span is not None:
-            TRACER.end(span, env.now, args={"bytes": result.bytes_written})
+            tracer.end(span, env.now, args={"bytes": result.bytes_written})
         return result
 
     def read_range(
@@ -223,9 +224,10 @@ class CheckpointRepository:
     ) -> Generator:
         """Simulation process: read a byte range of a snapshot on ``client_node``."""
         data = self.client.read(blob_id, offset, size, version=version)
+        tracer = self.cloud.env.tracer
         span = None
-        if TRACER.enabled:
-            span = TRACER.begin(
+        if tracer is not None:
+            span = tracer.begin(
                 "blob-read", client_node, self.cloud.env.now,
                 args={"blob_id": blob_id, "bytes": size},
             )
@@ -244,7 +246,7 @@ class CheckpointRepository:
                 if cpu > 0:
                     yield self.cloud.env.timeout(cpu)
         if span is not None:
-            TRACER.end(span, self.cloud.env.now)
+            tracer.end(span, self.cloud.env.now)
         return data
 
     def _read_window_cost(
@@ -283,14 +285,15 @@ class CheckpointRepository:
         are served functionally by a :class:`RemoteBlobDevice`.
         """
         if nbytes > 0:
+            tracer = self.cloud.env.tracer
             span = None
-            if TRACER.enabled:
-                span = TRACER.begin(
+            if tracer is not None:
+                span = tracer.begin(
                     "hot-fetch", client_node, self.cloud.env.now, args={"bytes": int(nbytes)}
                 )
             yield self._data_read(client_node, nbytes, label=label or "lazy-fetch")
             if span is not None:
-                TRACER.end(span, self.cloud.env.now)
+                tracer.end(span, self.cloud.env.now)
         else:  # pragma: no cover - degenerate
             yield self.cloud.env.timeout(0)
 

@@ -1,20 +1,22 @@
 """Deterministic sim-time tracing and metrics (``repro.obs``).
 
-A process-global :data:`~repro.obs.tracer.TRACER` records spans, instant
-events, gauges and histograms on the *simulated* clock; exports render the
-recording as Chrome trace-event JSON (Perfetto-loadable) or fold it into
-the span rollups ``blobcr-repro trace`` prints.  Disabled by default with zero
-overhead; see ``docs/observability.md`` for the design and the determinism
+Each simulated cloud built inside a traced
+:func:`~repro.cluster.cloud.clouds` scope records spans, instant events,
+gauges and histograms on the *simulated* clock into its own
+:class:`~repro.obs.tracer.Tracer`; :func:`~repro.obs.tracer.merge_traces`
+joins a cell's clouds into one fragment, and the exports render it as Chrome
+trace-event JSON (Perfetto-loadable) or fold it into the span rollups
+``blobcr-repro trace`` prints.  An untraced cloud has no tracer and pays
+nothing; see ``docs/observability.md`` for the design and the determinism
 contract.
 """
 
 from repro.obs.export import chrome_trace, format_rollups, merge_rollups, span_rollups
-from repro.obs.tracer import HISTOGRAM_QUANTILES, TRACER, Tracer, exact_quantile, tracing
+from repro.obs.tracer import HISTOGRAM_QUANTILES, Tracer, exact_quantile, merge_traces
 
 __all__ = [
-    "TRACER",
     "Tracer",
-    "tracing",
+    "merge_traces",
     "exact_quantile",
     "HISTOGRAM_QUANTILES",
     "chrome_trace",

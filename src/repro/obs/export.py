@@ -14,7 +14,7 @@ The Chrome trace-event mapping (loadable in Perfetto or ``chrome://tracing``):
 * gauges become counter events (``ph: "C"``).
 
 Everything here consumes the plain-dict trace fragment produced by
-:meth:`repro.obs.tracer.Tracer.collect` (or the ``trace`` section of a cell
+:func:`repro.obs.tracer.merge_traces` (or the ``trace`` section of a cell
 inside a traced run artifact), so exports work on loaded artifacts without a
 live tracer.
 """
@@ -62,7 +62,7 @@ def chrome_trace(cells: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     """Chrome trace-event JSON for the traced cells of an artifact.
 
     ``cells`` is an iterable of dicts with at least ``key`` and ``trace``
-    (a :meth:`~repro.obs.tracer.Tracer.collect` fragment) -- exactly the
+    (a :func:`~repro.obs.tracer.merge_traces` fragment) -- exactly the
     shape of a traced run artifact's ``cells`` list.
     """
     events: List[Dict[str, Any]] = []

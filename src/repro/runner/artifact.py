@@ -40,7 +40,7 @@ from repro.util.errors import ConfigurationError
 SCHEMA = "blobcr-repro/artifact"
 SCHEMA_VERSION = 2
 
-#: what a ``Tracer.collect()`` fragment must carry
+#: what a ``merge_traces`` fragment must carry
 _TRACE_SECTIONS = (
     ("groups", list),
     ("spans", list),
@@ -126,25 +126,30 @@ def build_artifact(
     return document
 
 
-def _validate_cell(cell: Any) -> None:
+def _validate_cell(index: int, cell: Any) -> None:
     if not isinstance(cell, dict):
-        raise ArtifactError(f"artifact cell must be an object, got {type(cell).__name__}")
+        raise ArtifactError(
+            f"artifact cells[{index}]: a cell must be an object, got {type(cell).__name__}"
+        )
     for key in ("key", "experiment", "sim_time_s", "payload", "counters"):
         if key not in cell:
-            raise ArtifactError(f"artifact cell is missing {key!r}: {cell.get('key')}")
+            raise ArtifactError(f"artifact cells[{index}] is missing {key!r}: {cell.get('key')}")
     name = cell["key"]
+    if not isinstance(name, str):
+        raise ArtifactError(f"artifact cells[{index}].key must be a string, got {name!r}")
     if not isinstance(cell["counters"], dict):
         raise ArtifactError(f"artifact cell {name!r} counters must be an object")
     for counter, value in cell["counters"].items():
         if not isinstance(value, int):
             raise ArtifactError(
-                f"artifact cell {name!r} counter {counter!r} must be an integer, got {value!r}"
+                f"artifact cell {name!r} counter {counter!r} must be an integer, "
+                f"got {value!r} in its counters"
             )
     if "trace" not in cell and "rollups" not in cell:
         return
     for key in ("trace", "rollups"):
         if key not in cell:
-            raise ArtifactError(f"artifact cell is missing {key!r}: {name}")
+            raise ArtifactError(f"artifact cell {name!r} is missing {key!r}")
     trace = cell["trace"]
     if not isinstance(trace, dict):
         raise ArtifactError(f"artifact cell {name!r} trace must be an object")
@@ -153,7 +158,9 @@ def _validate_cell(cell: Any) -> None:
             raise ArtifactError(f"artifact cell {name!r} trace.{key} must be a {kind.__name__}")
     for span in trace["spans"]:
         if not isinstance(span, dict) or "name" not in span or "t0_s" not in span:
-            raise ArtifactError(f"artifact cell {name!r} has a malformed span: {span!r}")
+            raise ArtifactError(
+                f"artifact cell {name!r} has a malformed span in trace.spans: {span!r}"
+            )
 
 
 def _validate_host(document: Dict[str, Any]) -> None:
@@ -162,16 +169,18 @@ def _validate_host(document: Dict[str, Any]) -> None:
         raise ArtifactError("artifact 'host' must be a dict")
     if not isinstance(host.get("wall_time_s"), (int, float)):
         raise ArtifactError("artifact host.wall_time_s must be a number")
-    for section, names in (
-        ("cell_wall_time_s", [cell["key"] for cell in document["cells"]]),
-        ("experiment_wall_time_s", list(document["experiments"])),
+    for section, what, names in (
+        ("cell_wall_time_s", "cell key", [cell["key"] for cell in document["cells"]]),
+        ("experiment_wall_time_s", "experiment", list(document["experiments"])),
     ):
         walls = host.get(section)
         if not isinstance(walls, dict):
             raise ArtifactError(f"artifact host.{section} must be an object")
         for name in names:
             if not isinstance(walls.get(name), (int, float)):
-                raise ArtifactError(f"artifact host.{section}[{name!r}] must be a number")
+                raise ArtifactError(
+                    f"artifact host.{section}[{name!r}] must be the wall time of {what} {name!r}"
+                )
 
 
 def validate_artifact(document: Any) -> Dict[str, Any]:
@@ -195,8 +204,8 @@ def validate_artifact(document: Any) -> Dict[str, Any]:
             raise ArtifactError(f"artifact is missing the {section!r} section")
         if not isinstance(document[section], kind):
             raise ArtifactError(f"artifact {section!r} must be a {kind.__name__}")
-    for cell in document["cells"]:
-        _validate_cell(cell)
+    for index, cell in enumerate(document["cells"]):
+        _validate_cell(index, cell)
     if not isinstance(document["counters"].get("aggregate"), dict):
         raise ArtifactError("artifact counters.aggregate must be an object")
     for name, experiment in document["experiments"].items():

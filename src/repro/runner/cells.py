@@ -16,14 +16,14 @@ from __future__ import annotations
 import gc
 import random
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.obs import TRACER, tracing
-from repro.sim.instrumentation import counting
+from repro.cluster.cloud import clouds
+from repro.obs import Tracer, merge_traces
+from repro.sim.instrumentation import aggregate_counters, record_finished_cell
 from repro.util.rng import stable_seed
 
 #: payloads are plain dicts of JSON-serialisable values
@@ -69,7 +69,7 @@ class CellResult:
     sim_time_s: float
     #: the cell's own simulator work counters (exact, machine-independent)
     counters: Dict[str, int] = field(default_factory=dict)
-    #: the cell's ``Tracer.collect()`` fragment, when the run asked for a trace
+    #: the cell's ``merge_traces`` fragment, when the run asked for a trace
     trace: Optional[Dict[str, Any]] = None
 
 
@@ -81,37 +81,43 @@ def execute_cell(cell: Cell, trace: bool = False) -> CellResult:
     this pins down any incidental global-RNG use so a cell's behaviour can
     never depend on which worker ran it or on what ran before it.
 
-    This is the one place instrumentation is scoped: a process runs one cell
-    at a time, so scoping the process-global sinks here makes them per-cell
-    in every worker.  The work counters always come back on
-    :attr:`CellResult.counters`; with ``trace`` the cell also runs under the
-    sim-time tracer and its fragment comes back on :attr:`CellResult.trace`.
-    Both sinks are write-only, so neither changes the payload.
+    The cell runs inside a :func:`~repro.cluster.cloud.clouds` scope, which
+    registers every cloud it builds; each cloud counts (and, with ``trace``,
+    traces) into its own environment's sinks.  The cell's counters are those
+    of its clouds folded by :func:`aggregate_counters` (and folded once more
+    into the process total :func:`counters_snapshot` reads); its trace
+    fragment keeps group 0 ``"run"`` and gives cloud *i*, in creation order,
+    group *i* + 1.  Both sinks are write-only, so neither changes the
+    payload.
 
     The cyclic collector is scoped here too.  A cell's clouds form one
     cyclic graph that automatic collections would walk again and again while
     freeing nothing, so the cell runs with the collector paused.
     Everything the cell allocated is then still in the young generation, and
     one generation-0 collection after it returns frees the whole graph,
-    examining only the cell's own objects.  ``wall_time_s`` times
-    ``cell.func`` plus that collection.  Nothing in the model holds a weak
-    reference or a finalizer, so when collection runs cannot change a
-    result.  The caller's collector state is restored, also when the cell
-    raises.
+    examining only the cell's own objects; the registry is dropped before
+    it, so nothing holds the graph.  ``wall_time_s`` times ``cell.func``
+    plus that collection.  Nothing in the model holds a weak reference or a
+    finalizer, so when collection runs cannot change a result.  The
+    caller's collector state is restored, also when the cell raises.
     """
     collecting = gc.isenabled()
     gc.disable()
     try:
         random.seed(cell.seed)
         np.random.seed(cell.seed & 0xFFFFFFFF)
-        with counting() as counters, tracing() if trace else nullcontext():
-            t0 = time.perf_counter()
+        t0 = time.perf_counter()
+        with clouds(trace=trace) as registered:
             payload = cell.func(**cell.params)
-            gc.collect(0)
-            wall = time.perf_counter() - t0
+        sinks = [(cloud.env.counters, cloud.env.tracer) for cloud in registered]
+        del registered
+        gc.collect(0)
+        wall = time.perf_counter() - t0
     finally:
         if collecting:
             gc.enable()
+    counters = aggregate_counters([block.as_dict() for block, _ in sinks])
+    record_finished_cell(counters)
     return CellResult(
         key=cell.key,
         experiment=cell.experiment,
@@ -120,5 +126,5 @@ def execute_cell(cell: Cell, trace: bool = False) -> CellResult:
         wall_time_s=wall,
         sim_time_s=float(payload.get("sim_time_s", 0.0)),
         counters=counters,
-        trace=TRACER.collect() if trace else None,
+        trace=merge_traces([Tracer()] + [tracer for _, tracer in sinks]) if trace else None,
     )

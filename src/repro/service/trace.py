@@ -232,7 +232,7 @@ def dump_trace(path: str, trace: ServiceTrace) -> None:
         handle.write(dumps_trace(trace))
 
 
-def _parse_line(raw: str, number: int) -> Dict[str, Any]:
+def _parse_line(number: int, raw: str) -> Dict[str, Any]:
     try:
         parsed = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -243,11 +243,14 @@ def _parse_line(raw: str, number: int) -> Dict[str, Any]:
 
 
 def loads_trace(text: str) -> ServiceTrace:
-    """Parse schema-versioned JSONL into a validated :class:`ServiceTrace`."""
-    lines = [line for line in (raw.strip() for raw in text.splitlines()) if line]
+    """Parse schema-versioned JSONL into a validated :class:`ServiceTrace`.
+
+    Blank lines are skipped; an error names the physical line it is about.
+    """
+    lines = [(n, line) for n, line in enumerate(map(str.strip, text.splitlines()), 1) if line]
     if not lines:
         raise ConfigurationError("trace file is empty")
-    header = _parse_line(lines[0], 1)
+    header = _parse_line(*lines[0])
     if header.get("schema") != TRACE_SCHEMA:
         raise ConfigurationError(
             f"trace header schema is {header.get('schema')!r}, expected {TRACE_SCHEMA!r}"
@@ -258,8 +261,8 @@ def loads_trace(text: str) -> ServiceTrace:
             f"(this reader understands version {TRACE_VERSION})"
         )
     jobs: List[Job] = []
-    for number, raw in enumerate(lines[1:], start=2):
-        record = _parse_line(raw, number)
+    for number, raw in lines[1:]:
+        record = _parse_line(number, raw)
         missing = [key for key in ("tenant", "seq", "kind", "at") if key not in record]
         if missing:
             raise ConfigurationError(
@@ -277,7 +280,7 @@ def loads_trace(text: str) -> ServiceTrace:
                 kind=str(record["kind"]),
                 at=float(record["at"]),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"trace line {number} is malformed: {exc}") from None
         jobs.append(job)
     declared = header.get("jobs")

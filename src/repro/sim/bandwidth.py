@@ -104,9 +104,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.obs.tracer import TRACER
 from repro.sim.core import Environment, Event
-from repro.sim.instrumentation import COUNTERS
 from repro.util.config import SolverConfig
 from repro.util.errors import SimulationError
 
@@ -128,7 +126,7 @@ _DEAD_KEY = np.iinfo(np.int64).max
 
 #: process-global wall-clock seconds spent inside the solver's entry points
 #: (planning a started flow, end-of-instant flushes, horizon timers, failure
-#: aborts).  Unlike the deterministic COUNTERS this is real time -- it lets a
+#: aborts).  Unlike the deterministic work counters this is real time -- it lets a
 #: benchmark report the solver's share of a run without the surrounding
 #: application model diluting it.  Cumulative over the process: nothing
 #: resets it, a reader takes the difference of two readings.
@@ -450,6 +448,9 @@ class BandwidthSystem:
         self.env = env
         self.config = config
         self.verify = config.verify
+        #: the environment's sinks, cached for the hot paths
+        self._counters = env.counters
+        self._tracer = env.tracer
         #: globally unique epoch source for component array generations
         self._comp_epoch = 0
         self._comp_ident = 0
@@ -526,7 +527,7 @@ class BandwidthSystem:
             completion.succeed(flow)
             flow.done = None
             return done
-        COUNTERS.bw_flows_started += 1
+        self._counters.bw_flows_started += 1
         # Park the flow until the end of the instant: attach it (so failure
         # injection sees it) but keep it at rate 0 -- the flush hook settles
         # and re-plans each touched component exactly once per instant.
@@ -600,12 +601,12 @@ class BandwidthSystem:
             return
         t0 = perf_counter()
         self._pending = []
-        COUNTERS.bw_batches += 1
-        COUNTERS.bw_batch_flows += len(pending)
-        if len(pending) > COUNTERS.bw_max_batch_flows:
-            COUNTERS.bw_max_batch_flows = len(pending)
-        if TRACER.enabled:
-            TRACER.observe("bw.batch_flows", len(pending))
+        self._counters.bw_batches += 1
+        self._counters.bw_batch_flows += len(pending)
+        if len(pending) > self._counters.bw_max_batch_flows:
+            self._counters.bw_max_batch_flows = len(pending)
+        if self._tracer is not None:
+            self._tracer.observe("bw.batch_flows", len(pending))
         for flow in pending:
             if not flow.pending or flow not in self._flows:
                 continue
@@ -688,8 +689,8 @@ class BandwidthSystem:
     def _settle(self, flows: List[Flow]) -> None:
         """Advance the given flows to the current time at their last rates."""
         now = self.env.now
-        COUNTERS.bw_settles += 1
-        COUNTERS.bw_flows_settled += len(flows)
+        self._counters.bw_settles += 1
+        self._counters.bw_flows_settled += len(flows)
         for flow in flows:
             elapsed = now - flow.settled_at
             flow.settled_at = now
@@ -752,10 +753,11 @@ class BandwidthSystem:
                 detached = True
                 self.completed_flows += 1
                 self.bytes_delivered += flow.size
-                COUNTERS.bw_flows_completed += 1
-                if TRACER.enabled:
-                    TRACER.observe("flow.bytes", flow.size)
-                    TRACER.observe("flow.latency_s", self.env.now - flow.started_at)
+                self._counters.bw_flows_completed += 1
+                tracer = self._tracer
+                if tracer is not None:
+                    tracer.observe("flow.bytes", flow.size)
+                    tracer.observe("flow.latency_s", self.env.now - flow.started_at)
                 keep.append(False)
                 if not flow.done.triggered:
                     flow.done.succeed(flow)
@@ -800,14 +802,14 @@ class BandwidthSystem:
         (see :meth:`_allocate_vector`).
         """
         flows = comp.flows
-        COUNTERS.bw_allocations += 1
-        COUNTERS.bw_flows_allocated += len(flows)
+        self._counters.bw_allocations += 1
+        self._counters.bw_flows_allocated += len(flows)
         if len(flows) < _VECTOR_MIN_FLOWS:
             for flow, rate in reference_allocation(flows).items():
                 flow.rate = rate
         else:
             self._allocate_vector(comp)
-        if TRACER.enabled:
+        if self._tracer is not None:
             # Channels collected and summed in creation-index order: a set
             # iteration here would make float summation order (and thus the
             # trace bytes) depend on object hashes.
@@ -816,7 +818,7 @@ class BandwidthSystem:
             for index in sorted(touched):
                 chan = touched[index]
                 used = sum(f.rate for f in sorted(chan.flows, key=lambda f: f.index))
-                TRACER.gauge("utilization", chan.name, now, used / chan.capacity)
+                self._tracer.gauge("utilization", chan.name, now, used / chan.capacity)
 
     # -- component and array maintenance -------------------------------------------
 
@@ -828,17 +830,17 @@ class BandwidthSystem:
     def _count_component(self, comp: _Component) -> None:
         """The component work counters, for the component about to replan."""
         n = len(comp.flows)
-        COUNTERS.bw_components += 1
-        COUNTERS.bw_component_flows += n
+        self._counters.bw_components += 1
+        self._counters.bw_component_flows += n
         if comp.dirty:
             channels: Set[FairShareChannel] = set()
             for flow in comp.flows:
                 channels.update(flow.channels)
-            COUNTERS.bw_component_channels += len(channels)
+            self._counters.bw_component_channels += len(channels)
         else:
-            COUNTERS.bw_component_channels += comp.n_slots - comp.dead_slots
-        if n > COUNTERS.bw_max_component_flows:
-            COUNTERS.bw_max_component_flows = n
+            self._counters.bw_component_channels += comp.n_slots - comp.dead_slots
+        if n > self._counters.bw_max_component_flows:
+            self._counters.bw_max_component_flows = n
 
     def _p_attach(self, flow: Flow) -> None:
         """Union the flow's channels into one component and append the flow.
@@ -899,7 +901,7 @@ class BandwidthSystem:
         # Two runs already sorted by flow index: timsort merges in O(n).
         target.flows = sorted(target.flows + other.flows, key=lambda f: f.index)
         target.dirty = True
-        COUNTERS.bw_cc_unions += 1
+        self._counters.bw_cc_unions += 1
 
     def _p_split(self, comp: _Component, groups: List[List[Flow]]) -> None:
         """Re-home the surviving groups after a real disconnection.
@@ -925,7 +927,7 @@ class BandwidthSystem:
                             comp.keys[chan._slot] = _DEAD_KEY
                             comp.dead_slots += 1
                         chan.comp = new
-            COUNTERS.bw_cc_rebuilds += 1
+            self._counters.bw_cc_rebuilds += 1
         if not comp.dirty:
             in_big = set(big)
             self._p_remove_rows(comp, [f in in_big for f in comp.flows])
@@ -972,7 +974,7 @@ class BandwidthSystem:
             comp.counts = counts = grown
         counts[row] = k
         comp.n_rows = row + 1
-        COUNTERS.bw_array_delta_updates += 1
+        self._counters.bw_array_delta_updates += 1
 
     def _p_remove_rows(self, comp: _Component, keep: List[bool]) -> None:
         """Delta update: drop the rows of detached flows by one boolean mask."""
@@ -985,7 +987,7 @@ class BandwidthSystem:
         comp.n_edges = int(kept_edges.size)
         comp.counts[: kept_counts.size] = kept_counts
         comp.n_rows = int(kept_counts.size)
-        COUNTERS.bw_array_delta_updates += 1
+        self._counters.bw_array_delta_updates += 1
 
     def _p_rebuild(self, comp: _Component) -> None:
         """Full array rebuild from the (exact) flow list, under a new epoch.
@@ -1024,7 +1026,7 @@ class BandwidthSystem:
         comp.n_slots = n_slots
         comp.dead_slots = 0
         comp.dirty = False
-        COUNTERS.bw_array_full_rebuilds += 1
+        self._counters.bw_array_full_rebuilds += 1
 
     def _allocate_vector(self, comp: _Component) -> None:
         """Progressive filling over the persistent component arrays.
@@ -1229,9 +1231,9 @@ class BandwidthSystem:
             if flow in self._flows and flow.deadline == when:
                 break
             heapq.heappop(heap)
-            COUNTERS.bw_stale_deadlines += 1
-        if TRACER.enabled:
-            TRACER.gauge("horizon-heap", "bandwidth", self.env.now, len(heap))
+            self._counters.bw_stale_deadlines += 1
+        if self._tracer is not None:
+            self._tracer.gauge("horizon-heap", "bandwidth", self.env.now, len(heap))
         if not self._flows:
             return
         if not heap:
@@ -1261,7 +1263,7 @@ class BandwidthSystem:
         while heap and heap[0][0] <= now:
             when, _seq, flow = heapq.heappop(heap)
             if flow not in self._flows or flow.deadline != when:
-                COUNTERS.bw_stale_deadlines += 1
+                self._counters.bw_stale_deadlines += 1
                 continue
             if flow not in seen:
                 seen.add(flow)

@@ -21,8 +21,8 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro.obs.tracer import TRACER
-from repro.sim.instrumentation import COUNTERS
+from repro.obs.tracer import Tracer
+from repro.sim.instrumentation import SimCounters
 from repro.util.errors import SimulationError
 
 # Event priorities: URGENT is used for process resumption bookkeeping so that
@@ -160,11 +160,11 @@ class Process(Event):
         self._target: Optional[Event] = None
         self._interrupts: list[Interrupt] = []
         self._span: Optional[int] = None
-        if TRACER.enabled:
+        if env.tracer is not None:
             # "ckpt:vm-003" traces as span "ckpt" on track "vm-003"; a name
             # without a colon is a whole-simulation activity on track "sim".
             phase, sep, track = self.name.partition(":")
-            self._span = TRACER.begin(
+            self._span = env.tracer.begin(
                 phase, track if sep else "sim", env.now, cat="process"
             )
         Initialize(env, self)
@@ -236,7 +236,7 @@ class Process(Event):
                     next_event = self._throw(event._value)
             except StopIteration as stop:
                 if self._span is not None:
-                    TRACER.end(self._span, self.env.now)
+                    self.env.tracer.end(self._span, self.env.now)
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
@@ -248,7 +248,9 @@ class Process(Event):
                     tb = tb.tb_next
                 exc.__traceback__ = tb
                 if self._span is not None:
-                    TRACER.end(self._span, self.env.now, args={"error": type(exc).__name__})
+                    self.env.tracer.end(
+                        self._span, self.env.now, args={"error": type(exc).__name__}
+                    )
                 self.fail(exc)
                 return
 
@@ -257,7 +259,9 @@ class Process(Event):
                     f"process {self.name!r} yielded a non-event: {next_event!r}"
                 )
                 if self._span is not None:
-                    TRACER.end(self._span, self.env.now, args={"error": "SimulationError"})
+                    self.env.tracer.end(
+                        self._span, self.env.now, args={"error": "SimulationError"}
+                    )
                 self.fail(error)
                 return
 
@@ -313,9 +317,16 @@ class AllOf(Event):
 
 
 class Environment:
-    """Simulated clock plus event loop."""
+    """Simulated clock plus event loop, and the sinks its model writes into.
 
-    def __init__(self) -> None:
+    ``counters`` is this environment's own work-counter block; ``tracer`` is
+    its own :class:`~repro.obs.tracer.Tracer` when it is traced and ``None``
+    otherwise.  Both are write-only: nothing in the model reads them.
+    """
+
+    def __init__(self, tracer: Optional[Tracer] = None) -> None:
+        self.counters = SimCounters()
+        self.tracer = tracer
         self._now = 0.0
         self._queue: list[tuple[float, int, int, Event]] = []
         self._sequence = 0
@@ -403,7 +414,7 @@ class Environment:
         when, _prio, _seq, event = heapq.heappop(self._queue)
         if when < self._now - 1e-12:
             raise SimulationError("event scheduled in the past")
-        COUNTERS.events_popped += 1
+        self.counters.events_popped += 1
         self._now = max(self._now, when)
         callbacks, event.callbacks = event.callbacks, None
         if callbacks is None:

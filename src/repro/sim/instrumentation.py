@@ -1,4 +1,4 @@
-"""Process-global simulation work counters (``cells[].counters`` of an artifact).
+"""Simulation work counters (``cells[].counters`` of an artifact).
 
 The simulator is deterministic, so every counter here is a *property of the
 model*, not of the host: two runs of the same cell produce identical counts
@@ -8,22 +8,21 @@ lets a regression in algorithmic work (e.g. the bandwidth solver
 recomputing more components than it should) show up as an exact integer
 diff instead of a noisy timing.
 
-The counters are process-global on purpose: one experiment cell builds its
-own :class:`~repro.sim.core.Environment` (often several, one per approach),
-and the artifact wants the total work of the cell, not of one environment.
-A process runs one cell at a time, so the block is per-cell as long as the
-one function that runs a cell scopes it: :func:`repro.runner.cells.execute_cell`
-wraps every cell in :func:`counting`, and nothing else in ``src/`` resets the
-block.  Outside a cell the block is cumulative over the process (what
-:func:`counters_snapshot` reads).  Nothing in the simulation ever *reads*
-the counters, so they cannot affect results.
+Every :class:`~repro.sim.core.Environment` owns one :class:`SimCounters`
+block (``env.counters``), so a simulated cloud counts only its own work,
+whatever else is alive beside it.  A cell may build several clouds (one per
+approach under test); :func:`repro.runner.cells.execute_cell` reads the
+clouds its :func:`~repro.cluster.cloud.clouds` scope registered and folds
+their blocks with :func:`aggregate_counters` into the cell's counters, then
+folds those into the process total that :func:`counters_snapshot` reads.
+Nothing in the simulation ever *reads* the counters, so they cannot affect
+results.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Dict, Iterator, List
+from typing import Dict, List
 
 
 def max_field() -> int:
@@ -90,13 +89,6 @@ class SimCounters:
     def as_dict(self) -> Dict[str, int]:
         return asdict(self)
 
-    def snapshot(self) -> "SimCounters":
-        return replace(self)
-
-    def reset(self) -> None:
-        for spec in fields(self):
-            setattr(self, spec.name, 0)
-
 
 #: counter fields aggregated with ``max`` instead of ``+`` across cells,
 #: derived from the field metadata (see :func:`max_field`)
@@ -104,18 +96,19 @@ MAX_FIELDS = frozenset(
     spec.name for spec in fields(SimCounters) if spec.metadata.get("aggregate") == "max"
 )
 
-#: the process-global counter block (see module docstring)
-COUNTERS = SimCounters()
+#: the counters of every cell this process has finished, folded together
+_FINISHED_CELLS = SimCounters()
 
 
 def counters_snapshot() -> SimCounters:
-    """An immutable-by-convention copy of the current counters."""
-    return COUNTERS.snapshot()
+    """A copy of the counters of every cell this process has finished."""
+    return replace(_FINISHED_CELLS)
 
 
-def counters_reset() -> None:
-    """Zero the process-global counters."""
-    COUNTERS.reset()
+def record_finished_cell(counters: Dict[str, int]) -> None:
+    """Fold one finished cell's counters into :func:`counters_snapshot`'s total."""
+    for name, value in aggregate_counters([_FINISHED_CELLS.as_dict(), counters]).items():
+        setattr(_FINISHED_CELLS, name, value)
 
 
 def aggregate_counters(per_cell: List[Dict[str, int]]) -> Dict[str, int]:
@@ -135,25 +128,3 @@ def aggregate_counters(per_cell: List[Dict[str, int]]) -> Dict[str, int]:
             else:
                 total[key] = total[key] + value
     return total
-
-
-@contextmanager
-def counting() -> Iterator[Dict[str, int]]:
-    """Scope :data:`COUNTERS` to a ``with`` block (the twin of ``obs.tracing``).
-
-    The yielded dict is filled on exit with the work done inside the block
-    alone.  The process block is zeroed on entry and, on exit, restored to
-    what it would hold without the scoping (the block saved on entry folded
-    with the block's own work through :func:`aggregate_counters`, so a
-    larger watermark from before the block survives it): the cumulative
-    :func:`counters_snapshot` keeps its meaning.
-    """
-    saved = COUNTERS.as_dict()
-    COUNTERS.reset()
-    own: Dict[str, int] = {}
-    try:
-        yield own
-    finally:
-        own.update(COUNTERS.as_dict())
-        for name, value in aggregate_counters([saved, own]).items():
-            setattr(COUNTERS, name, value)

@@ -5,9 +5,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque
 
-from repro.obs.tracer import TRACER
 from repro.sim.core import Environment, Event
-from repro.sim.instrumentation import COUNTERS
 from repro.util.errors import SimulationError
 
 
@@ -45,16 +43,16 @@ class Resource:
 
     def request(self) -> Event:
         """A claim on one slot: an event that fires once the slot is held."""
-        COUNTERS.resource_requests += 1
-        req = Event(self.env, f"{self.name}.request")
+        env = self.env
+        env.counters.resource_requests += 1
+        req = Event(env, f"{self.name}.request")
         if len(self._users) < self.capacity:
             self._users.add(req)
             req.succeed(self)
         else:
-            COUNTERS.resource_waits += 1
+            env.counters.resource_waits += 1
             self._waiting.append(req)
-            if TRACER.enabled:
-                TRACER.gauge("queue", self.name, self.env.now, len(self._waiting))
+            self._gauge_queue()
         return req
 
     def release(self, request: Event) -> None:
@@ -63,8 +61,7 @@ class Resource:
         elif request in self._waiting:
             # Releasing a request that never got a slot cancels it.
             self._waiting.remove(request)
-            if TRACER.enabled:
-                TRACER.gauge("queue", self.name, self.env.now, len(self._waiting))
+            self._gauge_queue()
             return
         else:
             raise SimulationError(f"release of unknown request on {self.name}")
@@ -74,5 +71,10 @@ class Resource:
             self._users.add(nxt)
             nxt.succeed(self)
             drained = True
-        if drained and TRACER.enabled:
-            TRACER.gauge("queue", self.name, self.env.now, len(self._waiting))
+        if drained:
+            self._gauge_queue()
+
+    def _gauge_queue(self) -> None:
+        tracer = self.env.tracer
+        if tracer is not None:
+            tracer.gauge("queue", self.name, self.env.now, len(self._waiting))

@@ -32,7 +32,8 @@ from repro.core.backends import backend_names, create_backend, get_backend
 from repro.core import migration
 from repro.core.migration import MIGRATION_MODES, PostCopyPump
 from repro.guest.filesystem import METADATA_REGION
-from repro.obs.tracer import TRACER
+from repro.cluster.cloud import clouds
+from repro.obs import merge_traces
 from repro.runner import ParallelRunner, RunConfig, load_all, parse_selectors
 from repro.scenarios.fault_tolerance import fault_tolerant_cluster
 from repro.scenarios.migration import (
@@ -792,14 +793,9 @@ class TestEvacScenario:
 
     def test_rows_independent_of_tracing(self):
         baseline = run_evac_cell("pre-copy", 30.0, **FAST_EVAC)
-        TRACER.enable()
-        TRACER.reset()
-        try:
+        with clouds(trace=True) as registered:
             traced = run_evac_cell("pre-copy", 30.0, **FAST_EVAC)
-            assert TRACER.span_count > 0  # migration spans were recorded
-        finally:
-            TRACER.disable()
-            TRACER.reset()
+        assert merge_traces([cloud.env.tracer for cloud in registered])["spans"]
         assert traced == baseline
 
     def test_merge_preserves_cell_order(self):

@@ -15,29 +15,31 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.cluster.cloud import Cloud, clouds
 from repro.obs import (
     HISTOGRAM_QUANTILES,
-    TRACER,
     Tracer,
     chrome_trace,
     exact_quantile,
     format_rollups,
     merge_rollups,
+    merge_traces,
     span_rollups,
-    tracing,
 )
-from repro.runner import ArtifactError, ProgressMeter, load_artifact, validate_artifact
+from repro.runner import (
+    ArtifactError,
+    ProgressMeter,
+    RunConfig,
+    load_all,
+    load_artifact,
+    validate_artifact,
+)
+from repro.runner.cells import execute_cell
+from repro.scenarios import get_scenario
 from repro.sim.instrumentation import MAX_FIELDS, SimCounters, aggregate_counters
+from repro.util.config import GRAPHENE
 
-
-@pytest.fixture(autouse=True)
-def _pristine_tracer():
-    """Every test starts and ends with the global tracer off and empty."""
-    TRACER.disable()
-    TRACER.reset()
-    yield
-    TRACER.disable()
-    TRACER.reset()
+SMALL = GRAPHENE.scaled(compute_nodes=4, service_nodes=2)
 
 
 class TestExactQuantile:
@@ -63,16 +65,21 @@ class TestExactQuantile:
 
 
 class TestTracer:
-    def test_disabled_by_default_and_write_only(self):
+    def test_a_fresh_tracer_is_the_empty_run_group(self):
         tracer = Tracer()
-        assert not tracer.enabled
-        assert tracer.span_count == 0
+        assert merge_traces([tracer]) == {
+            "groups": ["run"],
+            "spans": [],
+            "instants": [],
+            "counters": [],
+            "histograms": {},
+        }
 
     def test_begin_end_records_span(self):
         tracer = Tracer()
         handle = tracer.begin("ckpt", "vm-000", 1.0, cat="phase", args={"n": 1})
         tracer.end(handle, 3.5, args={"bytes": 42})
-        (span,) = tracer.collect()["spans"]
+        (span,) = merge_traces([tracer])["spans"]
         assert span["name"] == "ckpt"
         assert span["track"] == "vm-000"
         assert span["t0_s"] == 1.0
@@ -82,7 +89,7 @@ class TestTracer:
     def test_open_span_collects_with_null_end(self):
         tracer = Tracer()
         tracer.begin("deploy", "vm-001", 0.5)
-        (span,) = tracer.collect()["spans"]
+        (span,) = merge_traces([tracer])["spans"]
         assert span["t1_s"] is None
 
     def test_instants_and_gauges(self):
@@ -90,7 +97,7 @@ class TestTracer:
         tracer.instant("failure", "node-003", 12.0, cat="failure")
         tracer.gauge("queue", "disk", 1.0, 2)
         tracer.gauge("queue", "disk", 2.0, 0)
-        trace = tracer.collect()
+        trace = merge_traces([tracer])
         (inst,) = trace["instants"]
         assert (inst["name"], inst["track"], inst["t_s"]) == ("failure", "node-003", 12.0)
         (series,) = trace["counters"]
@@ -101,7 +108,7 @@ class TestTracer:
         tracer = Tracer()
         for value in (3.0, 1.0, 2.0, 4.0):
             tracer.observe("flow.bytes", value)
-        summary = tracer.collect()["histograms"]["flow.bytes"]
+        summary = merge_traces([tracer])["histograms"]["flow.bytes"]
         assert summary["count"] == 4
         assert summary["sum"] == 10.0
         assert summary["min"] == 1.0
@@ -109,32 +116,36 @@ class TestTracer:
         assert summary["p50"] == 2.0
         assert summary["p999"] == 4.0
 
-    def test_groups_partition_the_trace(self):
-        tracer = Tracer()
-        tracer.begin("a", "t", 0.0)
-        group = tracer.begin_group("cloud[4+2 nodes]")
-        tracer.begin("b", "t", 1.0)
-        trace = tracer.collect()
+    def test_merged_tracers_partition_the_trace(self):
+        first, second = Tracer(), Tracer("cloud[4+2 nodes]")
+        second.begin("b", "t", 1.0)
+        first.begin("a", "t", 0.0)
+        second.observe("flow.bytes", 2.0)
+        first.observe("flow.bytes", 1.0)
+        trace = merge_traces([first, second])
         assert trace["groups"] == ["run", "cloud[4+2 nodes]"]
-        assert [span["group"] for span in trace["spans"]] == [0, group]
+        assert [(span["name"], span["group"]) for span in trace["spans"]] == [("a", 0), ("b", 1)]
+        assert trace["histograms"]["flow.bytes"]["count"] == 2
 
-    def test_reset_keeps_enabled_flag(self):
-        tracer = Tracer()
-        tracer.enable()
-        tracer.begin("x", "t", 0.0)
-        tracer.reset()
-        assert tracer.enabled
-        assert tracer.span_count == 0
+    def test_only_a_cloud_in_a_traced_scope_has_a_tracer(self):
+        assert Cloud(SMALL).env.tracer is None
+        with clouds() as untraced:
+            Cloud(SMALL)
+        assert untraced[0].env.tracer is None
+        with clouds(trace=True) as traced:
+            first, second = Cloud(SMALL), Cloud(SMALL)
+        assert first.env.tracer.label == "cloud[4+2 nodes]"
+        assert first.env.tracer is not second.env.tracer
+        assert traced == [first, second]
 
-    def test_tracing_context_manager(self):
-        assert not TRACER.enabled
-        with tracing() as tracer:
-            assert tracer is TRACER
-            assert TRACER.enabled
-            TRACER.begin("x", "t", 0.0)
-        assert not TRACER.enabled
-        # data survives exit for collection, until the next reset
-        assert TRACER.span_count == 1
+    def test_scopes_nest_and_register_nothing_outside(self):
+        with clouds(trace=True) as outer:
+            with clouds() as inner:
+                built_inner = Cloud(SMALL)
+            built_outer = Cloud(SMALL)
+        Cloud(SMALL)
+        assert inner == [built_inner] and built_inner.env.tracer is None
+        assert outer == [built_outer] and built_outer.env.tracer is not None
 
 
 class TestChromeExport:
@@ -146,7 +157,7 @@ class TestChromeExport:
         tracer = Tracer()
         handle = tracer.begin("ckpt", "vm-000", 1.5)
         tracer.end(handle, 2.0)
-        doc = chrome_trace([self._cell(tracer.collect())])
+        doc = chrome_trace([self._cell(merge_traces([tracer]))])
         events = {event["ph"]: event for event in doc["traceEvents"]}
         assert doc["displayTimeUnit"] == "ms"
         span = events["X"]
@@ -157,14 +168,14 @@ class TestChromeExport:
     def test_open_span_becomes_begin_event(self):
         tracer = Tracer()
         tracer.begin("deploy", "vm-000", 0.0)
-        phs = [e["ph"] for e in chrome_trace([self._cell(tracer.collect())])["traceEvents"]]
+        phs = [e["ph"] for e in chrome_trace([self._cell(merge_traces([tracer]))])["traceEvents"]]
         assert "B" in phs and "X" not in phs
 
     def test_instants_and_counters(self):
         tracer = Tracer()
         tracer.instant("failure", "node-000", 3.0, cat="failure")
         tracer.gauge("utilization", "channel-0", 1.0, 0.5)
-        events = chrome_trace([self._cell(tracer.collect())])["traceEvents"]
+        events = chrome_trace([self._cell(merge_traces([tracer]))])["traceEvents"]
         (inst,) = [e for e in events if e["ph"] == "i"]
         assert inst["s"] == "t"
         assert inst["ts"] == 3_000_000
@@ -173,11 +184,10 @@ class TestChromeExport:
         assert counter["args"] == {"utilization": 0.5}
 
     def test_groups_get_distinct_pids_with_names(self):
-        tracer = Tracer()
-        tracer.begin("a", "t", 0.0)
-        tracer.begin_group("cloud-b")
-        tracer.begin("b", "t", 0.0)
-        events = chrome_trace([self._cell(tracer.collect())])["traceEvents"]
+        first, second = Tracer(), Tracer("cloud-b")
+        first.begin("a", "t", 0.0)
+        second.begin("b", "t", 0.0)
+        events = chrome_trace([self._cell(merge_traces([first, second]))])["traceEvents"]
         names = [e for e in events if e["name"] == "process_name"]
         assert [e["args"]["name"] for e in names] == [
             "fig2:BlobCR-app:4 · run",
@@ -191,7 +201,7 @@ class TestChromeExport:
         tracer.end(tracer.begin("a", "vm-000", 0.0), 1.0)
         tracer.end(tracer.begin("b", "vm-001", 0.0), 1.0)
         tracer.end(tracer.begin("c", "vm-000", 2.0), 3.0)
-        events = chrome_trace([self._cell(tracer.collect())])["traceEvents"]
+        events = chrome_trace([self._cell(merge_traces([tracer]))])["traceEvents"]
         spans = [e for e in events if e["ph"] == "X"]
         assert spans[0]["tid"] == spans[2]["tid"]  # same track, same tid
         assert spans[0]["tid"] != spans[1]["tid"]
@@ -204,7 +214,7 @@ class TestRollups:
         tracer.end(tracer.begin("long", "t", 0.0), 5.0)
         tracer.end(tracer.begin("long", "t", 5.0), 7.0)
         tracer.begin("open", "t", 0.0)
-        rollups = span_rollups(tracer.collect())
+        rollups = span_rollups(merge_traces([tracer]))
         assert list(rollups) == ["long", "short"]
         assert rollups["long"] == {"count": 2, "total_sim_s": 7.0, "max_sim_s": 5.0}
 
@@ -458,22 +468,24 @@ class TestTraceDeterminism:
         argv = ["--cells", CELL, "--json", "-", "--no-progress"]
         assert main(argv) == 0
         untraced = capsys.readouterr().out
-        with tracing():
-            pass  # enable/disable cycle must leave the default path untouched
+        with clouds(trace=True):
+            pass  # a traced scope must leave the default path untouched
         assert main(argv) == 0
         assert capsys.readouterr().out == untraced
 
-    def test_rows_identical_with_tracing_on(self, capsys):
+    def test_rows_identical_with_tracing_on(self):
         # write-only contract: tracing enabled cannot change any result
-        argv = ["--cells", CELL, "--json", "-", "--no-progress"]
-        assert main(argv) == 0
-        baseline = capsys.readouterr().out
-        TRACER.enable()
-        try:
-            assert main(argv) == 0
-        finally:
-            TRACER.disable()
-        assert capsys.readouterr().out == baseline
+        load_all()
+        (cell,) = [
+            cell
+            for cell in get_scenario("fig2").enumerate_cells(RunConfig())
+            if cell.key == CELL
+        ]
+        untraced = execute_cell(cell)
+        traced = execute_cell(cell, trace=True)
+        assert untraced.trace is None and traced.trace["spans"]
+        assert traced.payload == untraced.payload
+        assert traced.counters == untraced.counters
 
 
 class TestSessionTrace:

@@ -6,10 +6,13 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.scenarios.workloads import run_synthetic_scenario
 from repro.api import Session
 from repro.cluster.cloud import Cloud
+from repro.obs import Tracer
 from repro.runner import (
     ArtifactError,
     ParallelRunner,
@@ -23,7 +26,8 @@ from repro.runner import (
 )
 from repro.runner.cells import Cell, execute_cell
 from repro.runner.regression import check_determinism, check_speedup, speedup
-from repro.sim.instrumentation import COUNTERS, aggregate_counters, counters_snapshot
+from repro.sim import instrumentation
+from repro.sim.instrumentation import aggregate_counters, counters_snapshot
 from repro.runner.select import filter_cells
 from repro.scenarios import get_scenario, scenario_names
 from repro.scenarios.fig2_checkpoint import SCENARIO as FIG2
@@ -270,11 +274,100 @@ class TestArtifact:
             (("host", "cell_wall_time_s"), _DELETE, "host.cell_wall_time_s"),
             (("host", "cell_wall_time_s", "fig7:zlib"), _DELETE, r"\['fig7:zlib'\]"),
             (("host", "experiment_wall_time_s", "fig7"), None, r"\['fig7'\]"),
+            (("cells", 0, "key"), ["fig7", "off"], r"cells\[0\]\.key must be a string"),
         ],
     )
     def test_one_validator_names_the_offending_part(self, fig7_artifact, path, value, message):
         with pytest.raises(ArtifactError, match=message):
             validate_artifact(_break(fig7_artifact, path, value))
+
+
+#: a small valid document: one traced and one untraced cell, and a host
+_SMALL_ARTIFACT = {
+    "schema": "blobcr-repro/artifact",
+    "schema_version": 2,
+    "run": {"experiments": ["fig7"], "cells": 2},
+    "cells": [
+        {
+            "key": "fig7:off",
+            "experiment": "fig7",
+            "sim_time_s": 1.0,
+            "payload": {"sim_time_s": 1.0},
+            "counters": {"events_popped": 3, "bw_settles": 1},
+            "trace": {
+                "groups": ["run", "cloud[4+2 nodes]"],
+                "spans": [{"name": "ckpt", "track": "vm-000", "group": 1, "t0_s": 0.0}],
+                "instants": [],
+                "counters": [],
+                "histograms": {},
+            },
+            "rollups": {},
+        },
+        {
+            "key": "fig7:zlib",
+            "experiment": "fig7",
+            "sim_time_s": 2.0,
+            "payload": {"sim_time_s": 2.0},
+            "counters": {"events_popped": 4},
+        },
+    ],
+    "counters": {"aggregate": {"events_popped": 7, "bw_settles": 1}},
+    "experiments": {"fig7": {"description": "", "rows": [{"dedup": "off"}]}},
+    "host": {
+        "wall_time_s": 1.5,
+        "cell_wall_time_s": {"fig7:off": 0.5, "fig7:zlib": 1.0},
+        "experiment_wall_time_s": {"fig7": 1.5},
+    },
+}
+
+
+def _paths(node, prefix=()):
+    """Every path into ``node`` below its root, depth first."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for step, child in children:
+        yield prefix + (step,)
+        yield from _paths(child, prefix + (step,))
+
+
+def _keys(value):
+    """Every object key inside a JSON value."""
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield key
+            yield from _keys(child)
+    elif isinstance(value, list):
+        for child in value:
+            yield from _keys(child)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner),
+    max_leaves=6,
+)
+
+
+class TestArtifactProperty:
+    def test_the_small_document_is_valid(self):
+        assert validate_artifact(copy.deepcopy(_SMALL_ARTIFACT)) == _SMALL_ARTIFACT
+
+    @settings(max_examples=200, deadline=None)
+    @given(path=st.sampled_from(list(_paths(_SMALL_ARTIFACT))), data=st.data())
+    def test_a_mutation_loads_or_an_artifact_error_names_its_key(self, path, data):
+        deletable = isinstance(path[-1], str)
+        value = data.draw(st.just(_DELETE) | _JSON_VALUES if deletable else _JSON_VALUES)
+        try:
+            validate_artifact(_break(_SMALL_ARTIFACT, path, value))
+        except ArtifactError as exc:
+            # the offending key is on the path, or one the mutation brought in
+            named = [step for step in path if isinstance(step, str)]
+            named += [repr(key) for key in _keys(value)]
+            assert any(key in str(exc) for key in named), (path, value, str(exc))
 
 
 class TestRegressionGate:
@@ -353,9 +446,9 @@ class TestRegressionGate:
 
 
 class TestCellScopedCounters:
-    """``execute_cell`` scopes the process-global counter block per cell yet
-    leaves the cumulative block exactly what it was without the scoping --
-    which is what ``perfbench/worker.py`` reads after ``run_scenario``."""
+    """``execute_cell`` reads each cell's counters off the clouds it built and
+    folds them into the process total -- which is what
+    ``perfbench/worker.py`` reads after ``run_scenario``."""
 
     def test_cumulative_block_is_the_fold_of_the_per_cell_blocks(self):
         per_cell = []
@@ -373,7 +466,7 @@ class TestCellScopedCounters:
             assert after[name] - before[name] == fold[name]
 
     def test_a_larger_watermark_from_before_the_cell_survives_it(self, monkeypatch):
-        monkeypatch.setattr(COUNTERS, "bw_max_component_flows", 10**6)
+        monkeypatch.setattr(instrumentation._FINISHED_CELLS, "bw_max_component_flows", 10**6)
         seen = []
         Session().run_scenario(
             "fig7",
@@ -381,7 +474,12 @@ class TestCellScopedCounters:
             progress=lambda done, total, result: seen.append(result.counters),
         )
         assert 0 < seen[0]["bw_max_component_flows"] < 10**6
-        assert COUNTERS.bw_max_component_flows == 10**6
+        assert counters_snapshot().bw_max_component_flows == 10**6
+
+    def test_work_outside_a_cell_is_not_a_cells(self):
+        before = counters_snapshot()
+        _transfer_cell([])
+        assert counters_snapshot() == before
 
 
 def _transfer_cell(refs):
@@ -429,6 +527,15 @@ class TestCellScopedCollector:
         execute_cell(Cell("test", ("transfers",), _transfer_cell, {"refs": refs}))
         assert len(refs) == 2
         assert [ref() for ref in refs] == [None, None]
+
+    def test_a_traced_cells_tracers_do_not_outlive_it(self):
+        def tracers():
+            return sum(isinstance(obj, Tracer) for obj in gc.get_objects())
+
+        before = tracers()
+        result = execute_cell(Cell("test", ("transfers",), _transfer_cell, {"refs": []}), True)
+        assert result.trace["groups"] == ["run", "cloud[6+3 nodes]"]
+        assert tracers() == before
 
     def test_one_young_collection_per_cell(self):
         cell = Cell("test", ("transfers",), _transfer_cell, {"refs": []})

@@ -1,8 +1,11 @@
 """Tests for the multi-tenant service layer (trace, admission, driver, mtc)."""
 
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Session
 from repro.cli import main
@@ -29,6 +32,33 @@ from repro.sim.core import Environment
 from repro.util.config import GRAPHENE
 from repro.util.errors import ConfigurationError, SimulationError
 from repro.util.stats import jain_fairness
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner),
+    max_leaves=6,
+)
+
+
+#: the character categories ``str.splitlines`` may break a line at
+_BREAKS = ("Cc", "Zl", "Zp")
+
+
+def _loads_or_names(text):
+    """Load ``text``; an error that names a trace line must name a non-blank
+    physical line of it.  Returns that line number (or ``None``)."""
+    try:
+        loads_trace(text)
+    except ConfigurationError as exc:
+        match = re.match(r"trace line (\d+)", str(exc))
+        if match is None:
+            return None
+        number = int(match.group(1))
+        physical = text.splitlines()
+        assert 1 <= number <= len(physical) and physical[number - 1].strip(), str(exc)
+        return number
+    return None
 
 
 class TestTraceModel:
@@ -87,6 +117,45 @@ class TestTraceModel:
             )
         with pytest.raises(ConfigurationError, match="declares"):
             loads_trace("\n".join([lines[0]] + lines[1:-1]))
+
+    def test_an_error_names_the_physical_line(self):
+        lines = dumps_trace(synthesize_trace(2, 1.0)).splitlines()
+        text = "\n".join([lines[0], "", "  ", "{nope"] + lines[1:])
+        with pytest.raises(ConfigurationError, match="trace line 4 is not valid JSON"):
+            loads_trace(text)
+
+    def test_an_out_of_range_number_is_malformed_not_an_overflow(self):
+        header = dumps_trace(synthesize_trace(1, 1.0)).splitlines()[0]
+        for seq, at in (("Infinity", "0"), ("0", "1" + "0" * 400)):
+            job = f'{{"tenant":"t0000","seq":{seq},"kind":"deploy","at":{at}}}'
+            with pytest.raises(ConfigurationError, match="trace line 2 is malformed"):
+                loads_trace(f"{header}\n{job}")
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=st.text())
+    def test_any_text_loads_or_names_a_line_it_has(self, text):
+        _loads_or_names(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_a_mutated_trace_loads_or_names_the_mutated_line(self, data):
+        lines = dumps_trace(synthesize_trace(2, 1.0, checkpoints=1, restarts=0)).splitlines()
+        target = data.draw(st.integers(0, len(lines) - 1))
+        record = json.loads(lines[target])
+        key = data.draw(st.sampled_from(sorted(record)))
+        mutation = data.draw(st.sampled_from(("replace", "delete", "raw")))
+        if mutation == "replace":
+            record[key] = data.draw(_JSON_VALUES)
+        elif mutation == "delete":
+            del record[key]
+        lines[target] = json.dumps(record)
+        if mutation == "raw":
+            lines[target] = data.draw(st.text(st.characters(blacklist_categories=_BREAKS)))
+        for _ in range(data.draw(st.integers(0, 3))):
+            at = data.draw(st.integers(0, len(lines)))
+            lines.insert(at, data.draw(st.sampled_from(("", " \t"))))
+            target += at <= target
+        assert _loads_or_names("\n".join(lines)) in (None, target + 1)
 
     def test_structural_validation(self):
         with pytest.raises(ConfigurationError, match="at least one job"):

@@ -433,9 +433,9 @@ def burst_topologies(draw):
     return capacities, flows
 
 
-def run_schedule(capacities, flow_specs, verify=False):
+def run_schedule(capacities, flow_specs, verify=False, env=None):
     """Drive a schedule to completion; returns {flow index: completion time}."""
-    env = Environment()
+    env = env or Environment()
     bw = BandwidthSystem(env, config=SolverConfig(verify=verify))
     channels = [bw.channel(cap, f"ch{i}") for i, cap in enumerate(capacities)]
     done = {}
@@ -462,9 +462,6 @@ class TestSameInstantBursts:
         assert len(done) == len(flow_specs)
 
     def test_burst_coalesces_into_one_batch(self):
-        from repro.sim.instrumentation import counters_reset, counters_snapshot
-
-        counters_reset()
         env = Environment()
         bw = BandwidthSystem(env, config=SolverConfig())
         link = bw.channel(100.0, "link")
@@ -472,23 +469,20 @@ class TestSameInstantBursts:
             # All eight transfers are issued at t=0: one flush, one batch.
             bw.transfer(1000.0 + i, [link], label=f"b{i}")
         env.run()
-        after = counters_snapshot()
+        after = env.counters
         assert after.bw_flows_completed == 8
         assert after.bw_max_batch_flows == 8
 
     def test_disjoint_burst_flushes_per_component(self):
         """A same-instant burst across disjoint fabrics is replanned once
         per connected component, never globally."""
-        from repro.sim.instrumentation import counters_reset, counters_snapshot
-
-        counters_reset()
         env = Environment()
         bw = BandwidthSystem(env, config=SolverConfig(verify=True))
         disks = [bw.channel(50.0, f"disk{i}") for i in range(4)]
         for i, disk in enumerate(disks):
             bw.transfer(500.0 + 10.0 * i, [disk], label=f"io{i}")
         env.run()
-        after = counters_snapshot()
+        after = env.counters
         assert after.bw_flows_completed == 4
         # One flush covers the whole instant (all four starts)...
         assert after.bw_batches == 1
@@ -601,9 +595,6 @@ class TestPersistentStateOracle:
     def test_union_and_split_counters(self):
         """A flow bridging two live components records one union; its
         completion splits the component back apart and records rebuilds."""
-        from repro.sim.instrumentation import counters_reset, counters_snapshot
-
-        counters_reset()
         env = Environment()
         bw = BandwidthSystem(env, config=SolverConfig(verify=True))
         a = bw.channel(50.0, "a")
@@ -614,7 +605,7 @@ class TestPersistentStateOracle:
         # and the bridge merges them: exactly one union.
         bw.transfer(10.0, [a, b], label="bridge")
         env.run()
-        after = counters_snapshot()
+        after = env.counters
         assert after.bw_flows_completed == 3
         assert after.bw_cc_unions == 1
         # The bridge finishes first, splitting {fa} from {fb} again.
@@ -624,9 +615,6 @@ class TestPersistentStateOracle:
         """A component big enough for the vectorised path materialises its
         arrays once (full rebuild) and then compacts them in place as flows
         complete (delta updates) instead of rebuilding."""
-        from repro.sim.instrumentation import counters_reset, counters_snapshot
-
-        counters_reset()
         env = Environment()
         bw = BandwidthSystem(env, config=SolverConfig(verify=True))
         link = bw.channel(100.0, "link")
@@ -635,7 +623,7 @@ class TestPersistentStateOracle:
             # each one a detach against the persistent arrays.
             bw.transfer(1000.0 + 10.0 * i, [link], label=f"f{i}")
         env.run()
-        after = counters_snapshot()
+        after = env.counters
         assert after.bw_flows_completed == 24
         assert after.bw_array_full_rebuilds >= 1
         assert after.bw_array_delta_updates >= 1
@@ -758,9 +746,6 @@ class TestComponentPartitioning:
 
 class TestSolverCounters:
     def test_component_counters_reflect_partitioning(self):
-        from repro.sim.instrumentation import counters_reset, counters_snapshot
-
-        counters_reset()
         env, bw = build_system(verify=False)
         disks = [bw.channel(50.0, f"disk{i}") for i in range(4)]
         for i, disk in enumerate(disks):
@@ -768,7 +753,7 @@ class TestSolverCounters:
             # deadlines are legitimately recomputed as one merged batch).
             bw.transfer(500.0 + 10.0 * i, [disk], label=f"io{i}")
         env.run()
-        after = counters_snapshot()
+        after = env.counters
         assert after.bw_flows_started == 4
         assert after.bw_flows_completed == 4
         # Single-channel fabrics: no recomputation ever spans more than one
@@ -789,12 +774,10 @@ class TestSolverCounters:
         """Nothing in the model depends on how it is observed: the oracle
         checks of verify mode must leave every work counter where a plain
         run puts it."""
-        from repro.sim.instrumentation import counters_reset, counters_snapshot
-
         capacities, flow_specs = topology
         snapshots = []
         for verify in (False, True):
-            counters_reset()
-            run_schedule(capacities, flow_specs, verify=verify)
-            snapshots.append(counters_snapshot())
+            env = Environment()
+            run_schedule(capacities, flow_specs, verify=verify, env=env)
+            snapshots.append(env.counters)
         assert snapshots[0] == snapshots[1]

@@ -8,8 +8,9 @@ GC-tracked objects that survive each cell's own collection.  ``execute_cell``
 runs a cell with the collector paused and frees the cell's cyclic graph with
 one generation-0 collection before it returns, so a cell should show exactly
 one generation-0 collection and leave only module and runner bookkeeping
-alive.  Exits 1 when a cell leaves any ``Cloud``, ``Environment``, ``Flow`` or
-``Event`` alive: something outside the cell still holds its graph.  Typical
+alive.  Exits 1 when a cell leaves any ``Cloud``, ``Environment``, ``Flow``,
+``Event`` or ``Tracer`` alive: something outside the cell still holds its
+graph or its sinks.  Typical
 use::
 
     python tools/gc_census.py fig3:BlobCR-app:120:200MB --paper-scale
@@ -30,12 +31,13 @@ from collections import Counter
 
 from repro.api import Session
 from repro.cluster.cloud import Cloud
+from repro.obs import Tracer
 from repro.runner import load_all
 from repro.sim.bandwidth import Flow
 from repro.sim.core import Environment, Event
 
 #: a cell leaving one of these (or of a subclass) alive leaked its graph
-GATED = (Cloud, Environment, Flow, Event)
+GATED = (Cloud, Environment, Flow, Event, Tracer)
 
 
 def census() -> Counter:
