@@ -6,20 +6,11 @@ land in that cloud's own trace group, and the cell's counters must be the
 fold of what each cloud counts on its own, however their events interleave.
 """
 
-from pathlib import Path
-
-import pytest
-
-from repro.cluster.cloud import Cloud, clouds
-from repro.core.repository import CheckpointRepository
-from repro.runner import RunConfig, load_all, load_artifact
+from repro.cluster.cloud import Cloud
 from repro.runner.cells import Cell, execute_cell
-from repro.scenarios import get_scenario
 from repro.sim.instrumentation import aggregate_counters
 from repro.util.config import GRAPHENE
 from repro.util.units import MB
-
-BASELINE = Path(__file__).resolve().parents[1] / "benchmarks" / "baseline.json"
 
 SPECS = {
     "a": GRAPHENE.scaled(compute_nodes=6, service_nodes=3),
@@ -48,10 +39,10 @@ def _one_cloud(name):
 
 def _interleaved_clouds():
     """Build both clouds first, then start and step them in turn."""
-    clouds = {name: Cloud(spec) for name, spec in SPECS.items()}
-    for name, cloud in clouds.items():
+    built = {name: Cloud(spec) for name, spec in SPECS.items()}
+    for name, cloud in built.items():
         _start_work(cloud, name)
-    envs = [cloud.env for cloud in clouds.values()]
+    envs = [cloud.env for cloud in built.values()]
     while any(env._queue for env in envs):
         for env in envs:
             if env._queue:
@@ -77,67 +68,3 @@ class TestInterleavedClouds:
         assert trace["groups"] == ["run", "cloud[6+3 nodes]", "cloud[4+2 nodes]"]
         work = {span["track"]: span["group"] for span in trace["spans"] if span["name"] == "work"}
         assert work == {"a": 1, "b": 2}
-
-
-def _smallest_cells():
-    """The cell with the least recorded wall time of every registered scenario."""
-    walls = load_artifact(str(BASELINE))["host"]["cell_wall_time_s"]
-    return [
-        min(get_scenario(name).enumerate_cells(RunConfig()), key=lambda c: walls[c.key])
-        for name in load_all()
-    ]
-
-
-def _stored_bytes(provider):
-    """What the runs in a provider's table say it holds, in stored bytes."""
-    total = 0
-    me = provider.provider_id
-    for run in provider._runs.values():
-        for index, placement in enumerate(run.placements):
-            if me in placement and (index, me) not in (run.dropped or ()):
-                total += run.span_bytes(index, 1) if run.stored_size is None else run.stored_size
-    return total
-
-
-#: per scenario, the one invariant its cells may legitimately break: the
-#: label prefix of the flows a cell leaves in flight, and why it may
-IN_FLIGHT = {
-    "contention": (
-        "tenant:",
-        "the cell ends with its checkpoint, while each background tenant's "
-        "last chunk is still crossing the fabric",
-    ),
-}
-
-
-class TestCellsEndQuiescent:
-    """Every cloud a cell builds, checked from outside once the cell is done:
-    nothing still moves on its network, and every live provider's usage is
-    what its run table holds."""
-
-    @pytest.mark.parametrize("cell", _smallest_cells(), ids=lambda cell: cell.key)
-    def test_the_smallest_cell_of_every_scenario(self, cell, monkeypatch):
-        repositories = []
-        build = CheckpointRepository.__init__
-
-        def spy(self, *args, **kwargs):
-            build(self, *args, **kwargs)
-            repositories.append(self)
-
-        monkeypatch.setattr(CheckpointRepository, "__init__", spy)
-        with clouds() as registered:
-            cell.func(**cell.params)
-        assert registered
-        prefix, _why = IN_FLIGHT.get(cell.experiment, (None, ""))
-        for cloud in registered:
-            bandwidth = cloud.network.bandwidth
-            if prefix is None:
-                assert bandwidth.active_flows == 0
-                assert bandwidth._heap == []
-            else:
-                assert all(flow.label.startswith(prefix) for flow in bandwidth._flows)
-        for repository in repositories:
-            assert repository.cloud in registered
-            for provider in repository.client.providers._providers.values():
-                if provider.alive:
-                    assert provider.used_bytes == _stored_bytes(provider), provider

@@ -65,9 +65,9 @@ class TestExactQuantile:
 
 
 class TestTracer:
-    def test_a_fresh_tracer_is_the_empty_run_group(self):
-        tracer = Tracer()
-        assert merge_traces([tracer]) == {
+    def test_disabled_by_default_and_write_only(self):
+        assert Cloud(SMALL).env.tracer is None
+        assert merge_traces([Tracer()]) == {
             "groups": ["run"],
             "spans": [],
             "instants": [],
@@ -116,7 +116,7 @@ class TestTracer:
         assert summary["p50"] == 2.0
         assert summary["p999"] == 4.0
 
-    def test_merged_tracers_partition_the_trace(self):
+    def test_groups_partition_the_trace(self):
         first, second = Tracer(), Tracer("cloud[4+2 nodes]")
         second.begin("b", "t", 1.0)
         first.begin("a", "t", 0.0)
@@ -127,8 +127,7 @@ class TestTracer:
         assert [(span["name"], span["group"]) for span in trace["spans"]] == [("a", 0), ("b", 1)]
         assert trace["histograms"]["flow.bytes"]["count"] == 2
 
-    def test_only_a_cloud_in_a_traced_scope_has_a_tracer(self):
-        assert Cloud(SMALL).env.tracer is None
+    def test_a_traced_clouds_scope_gives_each_cloud_its_own_tracer(self):
         with clouds() as untraced:
             Cloud(SMALL)
         assert untraced[0].env.tracer is None

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from repro.scenarios.workloads import run_synthetic_scenario
 from repro.api import Session
-from repro.cluster.cloud import Cloud
+from repro.cluster.cloud import Cloud, clouds
+from repro.core.repository import CheckpointRepository
 from repro.obs import Tracer
 from repro.runner import (
     ArtifactError,
@@ -589,3 +590,58 @@ class TestNoCyclicGarbage:
             gc.set_threshold(*threshold)
         assert collected, "the collector never ran inside the cell"
         assert sum(collected) == 0
+
+
+def _stored_bytes(provider):
+    """What the runs in a provider's table say it holds, in stored bytes."""
+    total = 0
+    me = provider.provider_id
+    for run in provider._runs.values():
+        for index, placement in enumerate(run.placements):
+            if me in placement and (index, me) not in (run.dropped or ()):
+                total += run.span_bytes(index, 1) if run.stored_size is None else run.stored_size
+    return total
+
+
+#: per scenario, the one invariant its cells may legitimately break: the
+#: label prefix of the flows a cell leaves in flight, and why it may
+IN_FLIGHT = {
+    "contention": (
+        "tenant:",
+        "the cell ends with its checkpoint, while each background tenant's "
+        "last chunk is still crossing the fabric",
+    ),
+}
+
+
+class TestCellsEndQuiescent:
+    """Every cloud a cell builds, checked from outside once the cell is done:
+    nothing still moves on its network, and every live provider's usage is
+    what its run table holds."""
+
+    @pytest.mark.parametrize("cell", _smallest_cells(), ids=lambda cell: cell.key)
+    def test_the_smallest_cell_of_every_scenario(self, cell, monkeypatch):
+        repositories = []
+        build = CheckpointRepository.__init__
+
+        def spy(self, *args, **kwargs):
+            build(self, *args, **kwargs)
+            repositories.append(self)
+
+        monkeypatch.setattr(CheckpointRepository, "__init__", spy)
+        with clouds() as registered:
+            cell.func(**cell.params)
+        assert registered
+        prefix, _why = IN_FLIGHT.get(cell.experiment, (None, ""))
+        for cloud in registered:
+            bandwidth = cloud.network.bandwidth
+            if prefix is None:
+                assert bandwidth.active_flows == 0
+                assert bandwidth._heap == []
+            else:
+                assert all(flow.label.startswith(prefix) for flow in bandwidth._flows)
+        for repository in repositories:
+            assert repository.cloud in registered
+            for provider in repository.client.providers._providers.values():
+                if provider.alive:
+                    assert provider.used_bytes == _stored_bytes(provider), provider
