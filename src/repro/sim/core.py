@@ -259,9 +259,7 @@ class Process(Event):
                     f"process {self.name!r} yielded a non-event: {next_event!r}"
                 )
                 if self._span is not None:
-                    self.env.tracer.end(
-                        self._span, self.env.now, args={"error": "SimulationError"}
-                    )
+                    self.env.tracer.end(self._span, self.env.now, args={"error": "SimulationError"})
                 self.fail(error)
                 return
 
