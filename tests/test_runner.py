@@ -1,7 +1,9 @@
 """Tests for the registry-driven parallel runner subsystem."""
 
 import copy
+import functools
 import gc
+import json
 import weakref
 from pathlib import Path
 
@@ -25,7 +27,7 @@ from repro.runner import (
     validate_artifact,
     write_artifact,
 )
-from repro.runner.cells import Cell, execute_cell
+from repro.runner.cells import Cell, CellResult, execute_cell
 from repro.runner.regression import check_determinism, check_speedup, speedup
 from repro.sim import instrumentation
 from repro.sim.instrumentation import aggregate_counters, counters_snapshot
@@ -556,14 +558,53 @@ class TestCellScopedCollector:
         assert started == [0, 0, 0]
 
 
+@functools.lru_cache(maxsize=None)
+def _baseline():
+    return load_artifact(str(BASELINE))
+
+
 def _smallest_cells():
     """The cell with the least recorded wall time of every registered scenario."""
-    walls = load_artifact(str(BASELINE))["host"]["cell_wall_time_s"]
+    walls = _baseline()["host"]["cell_wall_time_s"]
     cells = []
     for name in load_all():
         enumerated = get_scenario(name).enumerate_cells(RunConfig())
         cells.append(min(enumerated, key=lambda cell: walls[cell.key]))
     return cells
+
+
+def _baseline_cells(experiment):
+    """The baseline's executed cells of one experiment, in canonical order."""
+    return [
+        CellResult(
+            key=record["key"],
+            experiment=record["experiment"],
+            parts=tuple(record["key"].split(":")[1:]),
+            payload=record["payload"],
+            wall_time_s=0.0,
+            sim_time_s=record["sim_time_s"],
+            counters=record["counters"],
+        )
+        for record in _baseline()["cells"]
+        if record["experiment"] == experiment
+    ]
+
+
+class TestBaselineBytes:
+    """The baseline gate compares parsed JSON, which ignores key order; artifact
+    bytes and the column order of a table do not.  Held here byte for byte."""
+
+    @pytest.mark.parametrize("name", CANONICAL)
+    def test_merging_the_baseline_payloads_gives_its_rows(self, name):
+        load_all()
+        rows = get_scenario(name).merge(_baseline_cells(name)).rows
+        expected = _baseline()["experiments"][name]["rows"]
+        assert json.dumps(rows) == json.dumps(expected)
+
+    @pytest.mark.parametrize("cell", _smallest_cells(), ids=lambda cell: cell.key)
+    def test_the_smallest_cell_serializes_as_in_the_baseline(self, cell):
+        (recorded,) = [c for c in _baseline_cells(cell.experiment) if c.key == cell.key]
+        assert json.dumps(execute_cell(cell).payload) == json.dumps(recorded.payload)
 
 
 class TestNoCyclicGarbage:
