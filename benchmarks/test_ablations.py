@@ -10,7 +10,7 @@ import dataclasses
 from conftest import attach_rows
 
 from repro.scenarios.results import ExperimentResult
-from repro.scenarios.workloads import run_synthetic_scenario
+from repro.scenarios.workloads import run_synthetic_cell
 from repro.util.config import GRAPHENE
 from repro.util.units import KiB, MB
 
@@ -28,13 +28,13 @@ def test_ablation_stripe_size(benchmark):
                 blobseer=dataclasses.replace(GRAPHENE.blobseer, chunk_size=chunk),
                 checkpoint=dataclasses.replace(GRAPHENE.checkpoint, cow_block_size=chunk),
             )
-            outcome = run_synthetic_scenario(
+            outcome = run_synthetic_cell(
                 "BlobCR-app", 4, 50 * MB, spec=spec, include_restart=False
             )
             result.rows.append({
                 "chunk_KiB": chunk // KiB,
-                "snapshot_MB": round(outcome.snapshot_bytes_per_instance / 1e6, 1),
-                "checkpoint_s": outcome.checkpoint_time,
+                "snapshot_MB": round(outcome["snapshot_bytes_per_instance"] / 1e6, 1),
+                "checkpoint_s": outcome["checkpoint_time"],
             })
         return result
 
@@ -59,13 +59,13 @@ def test_ablation_replication(benchmark):
             spec = GRAPHENE.scaled(
                 blobseer=dataclasses.replace(GRAPHENE.blobseer, replication=replication),
             )
-            outcome = run_synthetic_scenario(
+            outcome = run_synthetic_cell(
                 "BlobCR-app", 4, 50 * MB, spec=spec, include_restart=False
             )
             result.rows.append({
                 "replication": replication,
-                "storage_MB": round(outcome.storage_after_checkpoint / 1e6, 1),
-                "checkpoint_s": outcome.checkpoint_time,
+                "storage_MB": round(outcome["storage_after_checkpoint"] / 1e6, 1),
+                "checkpoint_s": outcome["checkpoint_time"],
             })
         return result
 

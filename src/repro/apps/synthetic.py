@@ -55,21 +55,22 @@ class SyntheticBenchmark:
         self.seed = seed
         #: the level :meth:`checkpoint` takes and :meth:`verify_restored_state` checks
         self.level = level
-        self._fill_epoch = 0
+        #: content epoch of the buffers, advanced by :meth:`fill_buffers`
+        self.epoch = 0
 
     # -- workload ------------------------------------------------------------------------------
 
     def _buffer_for(self, instance_id: str, epoch: Optional[int] = None) -> ByteSource:
-        epoch = self._fill_epoch if epoch is None else epoch
+        epoch = self.epoch if epoch is None else epoch
         return SyntheticBytes((self.seed, instance_id, epoch), self.buffer_bytes)
 
     def fill_buffers(self) -> None:
         """Fill (or refill) every process's data buffer with random data."""
-        self._fill_epoch += 1
+        self.epoch += 1
         for instance in self.deployment.instances:
             for process in instance.vm.processes.values():
                 process.allocate("data_buffer", self._buffer_for(instance.instance_id))
-                process.iteration = self._fill_epoch
+                process.iteration = self.epoch
 
     # -- checkpointing ---------------------------------------------------------------------------
 
@@ -85,8 +86,8 @@ class SyntheticBenchmark:
 
     def _dump_instance(self, instance: DeployedInstance) -> Generator:
         data = self._buffer_for(instance.instance_id)
-        path = STATE_PATH_TEMPLATE.format(epoch=self._fill_epoch)
-        previous = STATE_PATH_TEMPLATE.format(epoch=self._fill_epoch - 1)
+        path = STATE_PATH_TEMPLATE.format(epoch=self.epoch)
+        previous = STATE_PATH_TEMPLATE.format(epoch=self.epoch - 1)
         fs = instance.vm.filesystem
         if fs.exists(previous):
             fs.delete(previous)
@@ -150,7 +151,7 @@ class SyntheticBenchmark:
         """
         if self.level == "full":
             return True
-        epoch = self._fill_epoch if epoch is None else epoch
+        epoch = self.epoch if epoch is None else epoch
         for instance in self.deployment.instances:
             if instance.vm.fs is None:
                 continue

@@ -140,7 +140,7 @@ class FaultToleranceDriver:
         durable = yield from self.bench.checkpoint()
         out["steady_state_at"] = cloud.now
         self._schedule_failures()
-        durable_epoch = self.bench._fill_epoch
+        durable_epoch = self.bench.epoch
         durable_completed = 0
         anchor = cloud.now  # last moment whose progress is durably saved
         completed = 0
@@ -173,7 +173,7 @@ class FaultToleranceDriver:
                 self._check_hosts_alive()
                 completed += 1
                 durable = checkpoint
-                durable_epoch = self.bench._fill_epoch
+                durable_epoch = self.bench.epoch
                 durable_completed = completed
                 anchor = cloud.now
             except FailureInjected:

@@ -12,7 +12,7 @@ Each (approach, process-count) pair is one independent runner cell
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.apps.cm1 import CM1Application, CM1Config
 from repro.scenarios.workloads import CM1_APPROACHES, make_deployment, split_approach
@@ -20,6 +20,7 @@ from repro.runner.registry import register_scenario
 from repro.scenarios.results import merge_rows
 from repro.scenarios.spec import Axis, ScenarioSpec
 from repro.util.config import GRAPHENE, ClusterSpec
+from repro.util.errors import ConfigurationError
 
 #: process counts of the paper's Figure 6 (4 processes per VM)
 PAPER_CM1_PROCESSES = (64, 160, 256, 400)
@@ -29,21 +30,23 @@ BENCH_CM1_PROCESSES = (16, 48)
 _DESCRIPTION = "CM1 global checkpoint completion time vs number of processes (s)"
 
 
-def run_cm1_scenario(
+def run_cm1_cell(
     approach: str,
     processes: int,
     spec: Optional[ClusterSpec] = None,
     config: Optional[CM1Config] = None,
     warmup_iterations: int = 10,
-) -> Tuple[float, Dict[str, int]]:
-    """Run one CM1 deploy/warmup/checkpoint cycle.
+) -> Dict[str, Any]:
+    """Run one CM1 deploy/warmup/checkpoint cycle; return its payload.
 
-    Returns the global checkpoint completion time and the per-instance
-    snapshot sizes (used by Table 1).
+    The payload holds the global checkpoint completion time and the
+    per-instance snapshot sizes (used by Table 1).
     """
+    processes_per_instance = 4  # one quad-core VM instance
+    if processes < 1 or processes % processes_per_instance:
+        raise ConfigurationError(f"processes must be a positive multiple of 4, got {processes}")
     config = config or CM1Config()
-    processes_per_instance = 4
-    instances = max(1, processes // processes_per_instance)
+    instances = processes // processes_per_instance
     spec = spec or GRAPHENE
     if instances > spec.compute_nodes:
         spec = spec.scaled(compute_nodes=instances)
@@ -51,7 +54,6 @@ def run_cm1_scenario(
     cloud = deployment.cloud
     _backend, level = split_approach(approach)
     app = CM1Application(deployment, config, processes_per_instance=processes_per_instance)
-    out: Dict[str, object] = {}
 
     def scenario():
         yield from deployment.deploy(instances, processes_per_instance=processes_per_instance)
@@ -61,38 +63,15 @@ def run_cm1_scenario(
             checkpoint, duration = yield from app.checkpoint_app_level()
         else:
             checkpoint, duration = yield from app.checkpoint_process_level()
-        out["duration"] = duration
-        out["sizes"] = {
-            rec.instance_id: rec.snapshot_bytes for rec in checkpoint.records.values()
+        return {
+            "approach": approach,
+            "processes": processes,
+            "duration": duration,
+            "sizes": {rec.instance_id: rec.snapshot_bytes for rec in checkpoint.records.values()},
+            "sim_time_s": duration,
         }
-        return out
 
-    cloud.run(cloud.process(scenario(), name=f"cm1:{approach}"))
-    return float(out["duration"]), dict(out["sizes"])  # type: ignore[arg-type]
-
-
-def run_cm1_cell(
-    approach: str,
-    processes: int,
-    spec: Optional[ClusterSpec] = None,
-    config: Optional[CM1Config] = None,
-    warmup_iterations: int = 10,
-) -> Dict[str, Any]:
-    """Run one CM1 cell and return a JSON-serialisable payload."""
-    duration, sizes = run_cm1_scenario(
-        approach,
-        processes,
-        spec=spec,
-        config=config,
-        warmup_iterations=warmup_iterations,
-    )
-    return {
-        "approach": approach,
-        "processes": processes,
-        "duration": duration,
-        "sizes": sizes,
-        "sim_time_s": duration,
-    }
+    return cloud.run(cloud.process(scenario(), name=f"cm1:{approach}"))
 
 
 #: merge executed fig6 cells back into the paper's row layout

@@ -50,43 +50,34 @@ FIG7_MODES: Dict[str, DedupSpec] = {
 }
 
 
-def _spec_for_mode(spec: ClusterSpec, dedup: DedupSpec) -> ClusterSpec:
-    return spec.scaled(blobseer=replace(spec.blobseer, dedup=dedup))
-
-
 def _block_payload(block: int, epoch: int, block_size: int) -> ByteSource:
     """Deterministic content of one state-file block at one content epoch."""
     return SyntheticBytes(("fig7", block, epoch), block_size)
 
 
-class _ModeOutcome:
-    """Per-configuration trajectories of the successive-checkpoint run."""
-
-    def __init__(self) -> None:
-        self.commit_times: List[float] = []
-        self.stored_bytes: List[int] = []
-        #: cumulative physical bytes per checkpoint, one replica (dedup ratio
-        #: must not be skewed by the replication factor)
-        self.physical_bytes: List[int] = []
-        self.logical_bytes: List[int] = []
-        self.snapshots: List[Tuple[int, Dict[int, int]]] = []  # (version, contents)
-        self.restored_ok = True
-
-
-def _run_mode(
-    dedup: DedupSpec,
-    checkpoints: int,
-    state_bytes: int,
-    changed_fraction: float,
-    spec: ClusterSpec,
-) -> _ModeOutcome:
-    cloud = Cloud(_spec_for_mode(spec, dedup))
+def run_fig7_cell(
+    mode: str,
+    checkpoints: int = 5,
+    state_bytes: int = 16 * MB,
+    changed_fraction: float = 0.25,
+    spec: Optional[ClusterSpec] = None,
+) -> Dict[str, Any]:
+    """Run one fig7 repository configuration and return its trajectories."""
+    dedup = FIG7_MODES[mode]
+    spec = (spec or GRAPHENE).scaled(compute_nodes=8, service_nodes=4)
+    cloud = Cloud(spec.scaled(blobseer=replace(spec.blobseer, dedup=dedup)))
     repository = CheckpointRepository(cloud)
     client_node = cloud.compute_nodes[0].name
     block_size = repository.spec.chunk_size
     nblocks = max(1, state_bytes // block_size)
     changed_per_epoch = max(1, int(round(nblocks * changed_fraction)))
-    outcome = _ModeOutcome()
+    commit_times: List[float] = []
+    stored_bytes: List[int] = []
+    #: cumulative physical bytes per checkpoint, one replica (dedup ratio
+    #: must not be skewed by the replication factor)
+    physical_bytes: List[int] = []
+    logical_bytes: List[int] = []
+    snapshots: List[Tuple[int, Dict[int, int]]] = []  # (version, contents)
 
     def scenario():
         blob_id = repository.client.create_blob(block_size, tag="fig7-state")
@@ -105,52 +96,42 @@ def _run_mode(
             result = yield from repository.commit_blocks(
                 client_node, blob_id, blocks, block_size, tag=f"fig7-ckpt-{epoch}"
             )
-            outcome.commit_times.append(cloud.now - t0)
-            outcome.stored_bytes.append(repository.total_stored_bytes)
-            outcome.physical_bytes.append(
+            commit_times.append(cloud.now - t0)
+            stored_bytes.append(repository.total_stored_bytes)
+            physical_bytes.append(
                 repository.dedup.physical_bytes_stored
-                if repository.dedup is not None else repository.bytes_committed
+                if repository.dedup is not None
+                else repository.bytes_committed
             )
-            outcome.logical_bytes.append(repository.logical_bytes_committed)
-            outcome.snapshots.append((result.version, dict(contents)))
-        return None
+            logical_bytes.append(repository.logical_bytes_committed)
+            snapshots.append((result.version, dict(contents)))
+        return blob_id
 
-    cloud.run(cloud.process(scenario(), name=f"fig7:{dedup.codec}"))
+    blob_id = cloud.run(cloud.process(scenario(), name=f"fig7:{dedup.codec}"))
 
     # Verify every snapshot restores byte-identical content, shared chunks included.
-    blob_id = repository.client.version_manager.blobs()[0].blob_id
-    for version, contents in outcome.snapshots:
+    restored_ok = True
+    for version, contents in snapshots:
         data = repository.client.read(blob_id, 0, nblocks * block_size, version=version)
-        for block, epoch in contents.items():
-            expected = _block_payload(block, epoch, block_size)
-            if not content_equal(data.slice(block * block_size, block_size), expected):
-                outcome.restored_ok = False
-                break
-        if not outcome.restored_ok:
+        restored_ok = all(
+            content_equal(
+                data.slice(block * block_size, block_size),
+                _block_payload(block, epoch, block_size),
+            )
+            for block, epoch in contents.items()
+        )
+        if not restored_ok:
             break
 
-    return outcome
-
-
-def run_fig7_cell(
-    mode: str,
-    checkpoints: int = 5,
-    state_bytes: int = 16 * MB,
-    changed_fraction: float = 0.25,
-    spec: Optional[ClusterSpec] = None,
-) -> Dict[str, Any]:
-    """Run one fig7 repository configuration and return its trajectories."""
-    base_spec = (spec or GRAPHENE).scaled(compute_nodes=8, service_nodes=4)
-    outcome = _run_mode(FIG7_MODES[mode], checkpoints, state_bytes, changed_fraction, base_spec)
     return {
         "mode": mode,
-        "enabled": FIG7_MODES[mode].enabled,
-        "commit_times": list(outcome.commit_times),
-        "stored_bytes": list(outcome.stored_bytes),
-        "physical_bytes": list(outcome.physical_bytes),
-        "logical_bytes": list(outcome.logical_bytes),
-        "restored_ok": outcome.restored_ok,
-        "sim_time_s": sum(outcome.commit_times),
+        "enabled": dedup.enabled,
+        "commit_times": commit_times,
+        "stored_bytes": stored_bytes,
+        "physical_bytes": physical_bytes,
+        "logical_bytes": logical_bytes,
+        "restored_ok": restored_ok,
+        "sim_time_s": sum(commit_times),
     }
 
 

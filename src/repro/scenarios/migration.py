@@ -39,9 +39,9 @@ from repro.cluster.failures import FailureInjector
 from repro.scenarios.contention import oversubscribed_fabric
 from repro.runner.registry import register_scenario
 from repro.scenarios.fault_tolerance import fault_tolerant_cluster
-from repro.scenarios.results import ExperimentResult, merge_rows
+from repro.scenarios.results import merge_rows
 from repro.scenarios.spec import Axis, ScenarioSpec
-from repro.scenarios.workloads import make_deployment, split_approach
+from repro.scenarios.workloads import make_deployment, require_positive, split_approach
 from repro.service.traffic import background_flow
 from repro.util.bytesource import SyntheticBytes
 from repro.util.config import GRAPHENE, ClusterSpec
@@ -119,6 +119,7 @@ def run_evac_cell(
     ``ckpt-restart`` checkpoints on warning, waits for the crash and rolls
     the whole deployment back.
     """
+    require_positive(instances=instances, buffer_bytes=buffer_bytes)
     approach = _POLICY_APPROACH[policy]
     spec = fault_tolerant_cluster(spec or GRAPHENE)
     # instance hosts + migration target + headroom for the repository layer
@@ -139,7 +140,7 @@ def run_evac_cell(
         yield from deployment.deploy(instances, processes_per_instance=1)
         bench.fill_buffers()
         durable = yield from bench.checkpoint()
-        durable_epoch = bench._fill_epoch
+        durable_epoch = bench.epoch
         stop = {"done": False}
         for inst in deployment.instances:
             cloud.process(
@@ -163,7 +164,7 @@ def run_evac_cell(
             # React to the warning with a fresh checkpoint, then take the
             # crash and roll back -- the paper's machinery, used proactively.
             durable = yield from bench.checkpoint()
-            durable_epoch = bench._fill_epoch
+            durable_epoch = bench.epoch
             remaining = fails_at - cloud.now
             if remaining > 0:
                 yield cloud.env.timeout(remaining)
@@ -220,28 +221,6 @@ def run_evac_cell(
     return out
 
 
-def merge_evac(results) -> ExperimentResult:
-    """One row per (policy, lead) cell, in canonical order."""
-    result = ExperimentResult(experiment="evac", description=_EVAC_DESCRIPTION)
-    for cell in results:
-        payload = cell.payload
-        result.rows.append(
-            {
-                "policy": payload["policy"],
-                "lead_s": payload["lead"],
-                "downtime_s": payload["downtime_s"],
-                "total_s": payload["total_s"],
-                "bytes_moved": payload["bytes_moved"],
-                "rounds": payload["rounds"],
-                "remote_faults": payload["remote_faults"],
-                "completed_before_failure": payload["completed_before_failure"],
-                "rolled_back": payload["rolled_back"],
-                "verified": payload["verified"] and payload["survivors_ok"],
-            }
-        )
-    return result
-
-
 EVAC_SCENARIO = ScenarioSpec(
     name="evac",
     description=_EVAC_DESCRIPTION,
@@ -253,7 +232,22 @@ EVAC_SCENARIO = ScenarioSpec(
     ),
     key_axes=("policy", "lead"),
     cell_func=run_evac_cell,
-    merge=merge_evac,
+    # one row per (policy, lead) cell
+    merge=merge_rows(
+        "evac",
+        _EVAC_DESCRIPTION,
+        row_key=lambda p: {"policy": p["policy"], "lead_s": p["lead"]},
+        columns=lambda p: {
+            "downtime_s": p["downtime_s"],
+            "total_s": p["total_s"],
+            "bytes_moved": p["bytes_moved"],
+            "rounds": p["rounds"],
+            "remote_faults": p["remote_faults"],
+            "completed_before_failure": p["completed_before_failure"],
+            "rolled_back": p["rolled_back"],
+            "verified": p["verified"] and p["survivors_ok"],
+        },
+    ),
 )
 
 register_scenario(EVAC_SCENARIO)
@@ -277,6 +271,7 @@ def run_mig_cell(
     the migration target, so the only shared resource is the switch
     backplane -- exactly the contention the fluid fair-share model arbitrates.
     """
+    require_positive(instances=instances, buffer_bytes=buffer_bytes)
     spec = oversubscribed_fabric(spec or GRAPHENE)
     needed = instances + 1 + 2 * flows
     if needed > spec.compute_nodes:

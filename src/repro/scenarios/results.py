@@ -1,8 +1,8 @@
 """Result rows and the shared row merge of the scenario layer.
 
 :class:`ExperimentResult` is the canonical row container every scenario
-produces (and the CLI renders); :func:`merge_rows` builds the shared merge
-of Figures 2/3/4/6 and the ``scale``/``contention``/``mig`` sweeps.  This
+produces (and the CLI renders); :func:`merge_rows` builds the merge of
+every scenario but ``fig5``/``fig7`` (which transpose) and ``ft``.  This
 module sits below both the scenario modules and the runner so all layers
 can share it without import cycles.
 """

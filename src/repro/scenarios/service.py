@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.runner.registry import register_scenario
-from repro.scenarios.results import ExperimentResult
+from repro.scenarios.results import merge_rows
 from repro.scenarios.spec import Axis, ScenarioSpec
 from repro.service.admission import AdmissionConfig
 from repro.service.driver import ServiceConfig, run_service
@@ -120,16 +120,6 @@ def run_mtc_cell(
     return row
 
 
-def merge_mtc(results) -> ExperimentResult:
-    """One SLO row per cell, in canonical sweep order."""
-    result = ExperimentResult(experiment="mtc", description=_DESCRIPTION)
-    for cell in results:
-        row = dict(cell.payload)
-        row.pop("tenant_rows", None)
-        result.rows.append(row)
-    return result
-
-
 SCENARIO = ScenarioSpec(
     name="mtc",
     description=_DESCRIPTION,
@@ -160,7 +150,13 @@ SCENARIO = ScenarioSpec(
     ),
     key_axes=("tenants", "rate", "policy"),
     cell_func=run_mtc_cell,
-    merge=merge_mtc,
+    # one SLO row per cell; the per-tenant rows stay in the payload
+    merge=merge_rows(
+        "mtc",
+        _DESCRIPTION,
+        row_key=lambda p: {"tenants": p["tenants"], "rate": p["rate"], "policy": p["policy"]},
+        columns=lambda p: {k: v for k, v in p.items() if k != "tenant_rows"},
+    ),
 )
 
 register_scenario(SCENARIO)

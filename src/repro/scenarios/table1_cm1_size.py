@@ -23,36 +23,17 @@ declared as a :class:`~repro.scenarios.spec.ScenarioSpec` sweep.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.scenarios.fig6_cm1 import (
     BENCH_CM1_PROCESSES,
     PAPER_CM1_PROCESSES,
     run_cm1_cell,
 )
-from repro.scenarios.results import ExperimentResult
+from repro.scenarios.results import merge_rows
 from repro.scenarios.workloads import CM1_APPROACHES
-from repro.runner.cells import CellResult
 from repro.runner.registry import register_scenario
 from repro.scenarios.spec import Axis, ScenarioSpec
 
 _DESCRIPTION = "CM1 per disk-snapshot size (MB per VM instance)"
-
-
-def merge_table1(results: Sequence[CellResult]) -> ExperimentResult:
-    """Merge executed table1 cells back into the paper's row layout."""
-    result = ExperimentResult(experiment="table1", description=_DESCRIPTION)
-    for cell in results:
-        payload = cell.payload
-        sizes = payload["sizes"]
-        per_instance = max(sizes.values()) if sizes else 0
-        result.rows.append(
-            {
-                "approach": payload["approach"],
-                "snapshot_MB": round(per_instance / 10**6, 1),
-            }
-        )
-    return result
 
 
 SCENARIO = ScenarioSpec(
@@ -64,7 +45,13 @@ SCENARIO = ScenarioSpec(
     ),
     key_axes=("approach",),
     cell_func=run_cm1_cell,
-    merge=merge_table1,
+    # one row per approach: the largest per-instance snapshot
+    merge=merge_rows(
+        "table1",
+        _DESCRIPTION,
+        row_key=lambda p: {"approach": p["approach"]},
+        columns=lambda p: {"snapshot_MB": round(max(p["sizes"].values()) / 10**6, 1)},
+    ),
 )
 
 register_scenario(SCENARIO)

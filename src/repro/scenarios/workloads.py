@@ -12,16 +12,14 @@ label                     stage 1 (process state) stage 2 (persistence)
 ``qcow2-full``            none (RAM captured)     savevm + copy to PVFS
 ========================  ======================  =====================
 
-:func:`run_synthetic_scenario` runs one complete deploy -> fill -> checkpoint ->
-restart cycle for one approach and returns every quantity Figures 2-4 need, so
-scenario specs only select and format columns.  This module sits in the
-scenario layer (below the per-figure modules) so both the paper's figures and
-the beyond-paper sweeps share it without layering cycles.
+:func:`run_synthetic_cell` is the cell function of Figures 2-5 and of the
+``scale`` sweep: one deploy -> fill -> checkpoint -> restart cycle of one
+approach on its own cloud.  The other scenario modules resolve approach
+labels through :func:`make_deployment` and :func:`split_approach`.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.apps.synthetic import SyntheticBenchmark
@@ -52,27 +50,6 @@ def format_mb(nbytes: int) -> str:
     return f"{nbytes // 10**6}MB"
 
 
-@dataclass
-class ScenarioOutcome:
-    """Everything measured in one deploy/checkpoint/restart cycle."""
-
-    approach: str
-    instances: int
-    buffer_bytes: int
-    deploy_time: float
-    #: completion time of the last checkpoint
-    checkpoint_time: float
-    restart_time: float
-    #: per-instance size of the persisted snapshot (max across instances)
-    snapshot_bytes_per_instance: int
-    #: total persistent storage used after the last checkpoint
-    storage_after_checkpoint: int
-    restored_ok: bool
-    #: per successive checkpoint (Figure 5): completion time, storage used after it
-    checkpoint_times: List[float]
-    storage_trajectory: List[int]
-
-
 def split_approach(approach: str) -> tuple[str, str]:
     """Split an approach label into (storage backend, checkpoint level).
 
@@ -95,6 +72,13 @@ def split_approach(approach: str) -> tuple[str, str]:
     return backend, level
 
 
+def require_positive(**counts: int) -> None:
+    """Reject a count below one before any cloud is built, naming it."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {value}")
+
+
 def make_deployment(approach: str, spec: Optional[ClusterSpec] = None) -> Deployment:
     """Create a fresh cloud + deployment strategy for one approach.
 
@@ -109,19 +93,22 @@ def make_deployment(approach: str, spec: Optional[ClusterSpec] = None) -> Deploy
     return create_backend(backend, cloud)
 
 
-def run_synthetic_scenario(
+def run_synthetic_cell(
     approach: str,
     instances: int,
     buffer_bytes: int,
     spec: Optional[ClusterSpec] = None,
     include_restart: bool = True,
     checkpoints: int = 1,
-) -> ScenarioOutcome:
-    """Run one full synthetic-benchmark cycle for one approach.
+) -> Dict[str, Any]:
+    """Run one deploy -> fill -> checkpoint -> restart cycle; return its payload.
 
     ``checkpoints`` > 1 reproduces the successive-checkpoint experiment
-    (Figure 5): the buffer is refilled before every checkpoint.
+    (Figure 5): the buffer is refilled before every checkpoint.  The payload
+    holds the phase times, the largest per-instance snapshot, the storage
+    used after each checkpoint and whether the restored buffers verified.
     """
+    require_positive(instances=instances, buffer_bytes=buffer_bytes, checkpoints=checkpoints)
     spec = spec or GRAPHENE
     if instances > spec.compute_nodes:
         spec = spec.scaled(compute_nodes=instances)
@@ -134,7 +121,6 @@ def run_synthetic_scenario(
         start = cloud.now
         yield from deployment.deploy(instances, processes_per_instance=1)
         deploy_time = cloud.now - start
-        checkpoint = None
         checkpoint_times: List[float] = []
         storage_trajectory: List[int] = []
         for _ in range(checkpoints):
@@ -149,46 +135,19 @@ def run_synthetic_scenario(
             yield from bench.restart(checkpoint)
             restart_time = cloud.now - t0
             restored_ok = bench.verify_restored_state()
-        return ScenarioOutcome(
-            approach=approach,
-            instances=instances,
-            buffer_bytes=buffer_bytes,
-            deploy_time=deploy_time,
-            checkpoint_time=checkpoint_times[-1],
-            restart_time=restart_time,
-            snapshot_bytes_per_instance=checkpoint.max_snapshot_bytes,
-            storage_after_checkpoint=storage_trajectory[-1],
-            restored_ok=restored_ok,
-            checkpoint_times=checkpoint_times,
-            storage_trajectory=storage_trajectory,
-        )
+        return {
+            "approach": approach,
+            "instances": instances,
+            "buffer_bytes": buffer_bytes,
+            "deploy_time": deploy_time,
+            "checkpoint_time": checkpoint_times[-1],
+            "restart_time": restart_time,
+            "snapshot_bytes_per_instance": checkpoint.max_snapshot_bytes,
+            "storage_after_checkpoint": storage_trajectory[-1],
+            "restored_ok": restored_ok,
+            "checkpoint_times": checkpoint_times,
+            "storage_trajectory": storage_trajectory,
+            "sim_time_s": deploy_time + sum(checkpoint_times) + restart_time,
+        }
 
     return cloud.run(cloud.process(scenario(), name=f"scenario:{approach}"))
-
-
-def run_synthetic_cell(
-    approach: str,
-    instances: int,
-    buffer_bytes: int,
-    spec: Optional[ClusterSpec] = None,
-    include_restart: bool = True,
-    checkpoints: int = 1,
-) -> Dict[str, Any]:
-    """Run one synthetic cell and return a JSON-serialisable payload.
-
-    This is the module-level (hence picklable) cell function the runner
-    dispatches to worker processes for Figures 2-5; the per-figure merge
-    functions pick the columns they need out of the payload.
-    """
-    outcome = run_synthetic_scenario(
-        approach,
-        instances,
-        buffer_bytes,
-        spec=spec,
-        include_restart=include_restart,
-        checkpoints=checkpoints,
-    )
-    return {
-        **asdict(outcome),
-        "sim_time_s": outcome.deploy_time + sum(outcome.checkpoint_times) + outcome.restart_time,
-    }

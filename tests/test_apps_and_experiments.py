@@ -20,7 +20,6 @@ from repro.scenarios.workloads import (
     APPROACHES,
     make_deployment,
     run_synthetic_cell,
-    run_synthetic_scenario,
     split_approach,
 )
 from repro.mpi import MPICommunicator
@@ -215,13 +214,13 @@ class TestExperimentHarness:
 
     @pytest.mark.parametrize("approach", APPROACHES)
     def test_scenario_runs_for_every_approach(self, approach):
-        outcome = run_synthetic_scenario(
+        payload = run_synthetic_cell(
             approach, instances=2, buffer_bytes=2 * MB, spec=SMALL, include_restart=True
         )
-        assert outcome.checkpoint_time > 0
-        assert outcome.restart_time > 0
-        assert outcome.snapshot_bytes_per_instance > 0
-        assert outcome.restored_ok
+        assert payload["checkpoint_time"] > 0
+        assert payload["restart_time"] > 0
+        assert payload["snapshot_bytes_per_instance"] > 0
+        assert payload["restored_ok"]
 
     def test_fig4_rows_have_all_approaches(self):
         cells = FIG4.with_axis_values(buffer_bytes=(2 * MB,)).build_cells(cluster_spec=SMALL)

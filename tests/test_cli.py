@@ -132,6 +132,24 @@ class TestOverridesAndSeed:
         assert excinfo.value.code == 2
         assert "not selected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, parameter",
+        [
+            ("fig5 --override fig5.checkpoints=0 --cells fig5:BlobCR-app", "checkpoints"),
+            ("fig2 --override fig2.instances=0 --cells fig2:BlobCR-app", "instances"),
+            ("evac --override evac.instances=0", "instances"),
+            ("fig2 --override fig2.buffer_bytes=0 --cells fig2:BlobCR-app:4", "buffer_bytes"),
+            ("fig6 --override fig6.processes=0 --cells fig6:BlobCR-app", "processes"),
+        ],
+    )
+    def test_zero_count_is_a_clean_error(self, command, parameter, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command.split() + ["--workers", "1", "--no-progress"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"blobcr-repro: error: {parameter} must be" in err
+        assert "Traceback" not in err
+
     def test_multi_value_override_of_non_key_axis_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["ft", "--override", "ft.instances=4|8", "--list-cells"])

@@ -40,7 +40,6 @@ from repro.scenarios.migration import (
     EVAC_POLICIES,
     EVAC_SCENARIO,
     MIG_SCENARIO,
-    merge_evac,
     run_evac_cell,
     run_mig_cell,
 )
@@ -807,7 +806,7 @@ class TestEvacScenario:
             run_evac_cell("pre-copy", 30.0, **FAST_EVAC),
             run_evac_cell("ckpt-restart", 30.0, **FAST_EVAC),
         ]
-        rows = merge_evac([FakeCell(p) for p in payloads]).rows
+        rows = EVAC_SCENARIO.merge([FakeCell(p) for p in payloads]).rows
         assert [row["policy"] for row in rows] == ["pre-copy", "ckpt-restart"]
         assert all(row["verified"] for row in rows)
 

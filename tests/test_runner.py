@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scenarios.workloads import run_synthetic_scenario
+from repro.scenarios.workloads import run_synthetic_cell
 from repro.api import Session
 from repro.cluster.cloud import Cloud, clouds
 from repro.core.repository import CheckpointRepository
@@ -133,14 +133,14 @@ class TestDeterminism:
         counter made the second identical scenario in one interpreter differ
         from the first by a few bytes (and hence a few milliseconds).
         """
-        first = run_synthetic_scenario(
+        first = run_synthetic_cell(
             "qcow2-disk-blcr", 2, 2 * MB, spec=SMALL, include_restart=False
         )
-        second = run_synthetic_scenario(
+        second = run_synthetic_cell(
             "qcow2-disk-blcr", 2, 2 * MB, spec=SMALL, include_restart=False
         )
-        assert first.checkpoint_time == second.checkpoint_time
-        assert first.snapshot_bytes_per_instance == second.snapshot_bytes_per_instance
+        assert first["checkpoint_time"] == second["checkpoint_time"]
+        assert first["snapshot_bytes_per_instance"] == second["snapshot_bytes_per_instance"]
 
     def test_workers_do_not_change_rows(self):
         load_all()
