@@ -28,9 +28,7 @@ def test_ablation_stripe_size(benchmark):
                 blobseer=dataclasses.replace(GRAPHENE.blobseer, chunk_size=chunk),
                 checkpoint=dataclasses.replace(GRAPHENE.checkpoint, cow_block_size=chunk),
             )
-            outcome = run_synthetic_cell(
-                "BlobCR-app", 4, 50 * MB, spec=spec, include_restart=False
-            )
+            outcome = run_synthetic_cell("BlobCR-app", 4, 50 * MB, spec=spec, include_restart=False)
             result.rows.append({
                 "chunk_KiB": chunk // KiB,
                 "snapshot_MB": round(outcome["snapshot_bytes_per_instance"] / 1e6, 1),
@@ -59,9 +57,7 @@ def test_ablation_replication(benchmark):
             spec = GRAPHENE.scaled(
                 blobseer=dataclasses.replace(GRAPHENE.blobseer, replication=replication),
             )
-            outcome = run_synthetic_cell(
-                "BlobCR-app", 4, 50 * MB, spec=spec, include_restart=False
-            )
+            outcome = run_synthetic_cell("BlobCR-app", 4, 50 * MB, spec=spec, include_restart=False)
             result.rows.append({
                 "replication": replication,
                 "storage_MB": round(outcome["storage_after_checkpoint"] / 1e6, 1),
