@@ -269,6 +269,27 @@ def hub_spec(n_hub, hub_cap, off_hub=0, failure=None):
 # ... and the hub, then a leaf, fails mid-run.
 @example(spec=hub_spec(24, 48.0, off_hub=2, failure=(3.0, 0)), min_flows=1)
 @example(spec=hub_spec(24, 128.0, off_hub=2, failure=(3.0, 1)), min_flows=1)
+# A tie that only the true encounter order breaks right, once flows have left:
+# slot numbering and a departed flow's stale key both pick the wrong channel.
+@example(
+    spec=(
+        [128.0, 64.0, 64.0, 64.0, 64.0, 64.0, 64.0],
+        [
+            ([0, 2], 512.0, 0.0),
+            ([2, 0], 1024.0, 0.0),
+            ([0, 2], 512.0, 1.0),
+            ([0, 1], 512.0, 1.0),
+            ([0, 1], 512.0, 0.0),
+            ([0], 1024.0, 0.0),
+            ([0, 1], 512.0, 0.0),
+            ([0, 1], 1024.0, 0.0),
+            ([0, 2], 512.0, 1.0),
+            ([0, 1], 512.0, 0.0),
+        ],
+        None,
+    ),
+    min_flows=1,
+)
 def test_hub_fabrics_match_reference_exactly(spec, min_flows):
     """Hub fabrics with tied shares agree with the reference, bit for bit.
 
