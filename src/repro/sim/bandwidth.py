@@ -58,38 +58,36 @@ transfers of 4 095 other instances.  The engine is built from five parts:
 
 * **Persistent arrays.**  Components of at least ``_VECTOR_MIN_FLOWS`` flows
   run progressive filling over flat numpy arrays (per-edge channel slots,
-  per-flow channel counts, per-slot capacities and encounter keys) that
-  survive between recomputations and are updated by deltas: row/slot
-  appends on attach, one boolean-mask compaction per detaching replan;
-  merges and splits mark them stale (epoch-tagged, so a stale slot
-  assignment can never be read) and the next allocation rebuilds them.  The
-  arrays replay the reference solver's exact operation order.  Its dict
-  insertion order -- the *encounter order* that decides bottleneck ties --
-  is reproduced by giving each channel a lazy min-heap of ``(flow index,
-  tuple position)`` keys of its attached flows, so the component always
-  knows every channel's first-encounter key even as earlier flows leave;
-  ``argmin`` over shares laid out in that key order picks the same
-  first-occurrence bottleneck as the reference's first-strict-minimum scan,
-  and capacity decrements are applied in the same sequence -- so every
-  allocation decision is bit-identical to the reference.  An allocation
-  stops where its outcome is decided, in two places that follow from the
-  reference procedure itself.  When one slot holds the unique minimum of
-  ``caps / users`` and has as many edges as the component has flows (the
-  switch, at scale), the reference's first round freezes every flow at that
-  quotient and ends, whatever the encounter order: the rate is set from the
-  slot arrays and nothing is assembled.  And the round that freezes the last
-  flow writes no residual capacity, user count or share, since no later
-  round reads them.  Smaller components (the size is observed per
-  allocation, never configured) are solved by :func:`reference_allocation`
-  itself: numpy's fixed per-call overhead loses to a handful of dict
-  operations.
+  per-flow channel counts, per-slot capacities) that survive between
+  recomputations and are updated by deltas: row/slot appends on attach, one
+  boolean-mask compaction per detaching replan; merges and splits mark them
+  stale (epoch-tagged, so a stale slot assignment can never be read) and the
+  next allocation rebuilds them.  The arrays replay the reference solver's
+  exact operation order.  Its dict insertion order -- the *encounter order*
+  that decides bottleneck ties -- is the order in which slots first occur
+  along the edge array, whose rows are the live flows in index order, each
+  in channel-tuple order; ``argmin`` over shares laid out in that order
+  picks the same first-occurrence bottleneck as the reference's
+  first-strict-minimum scan, and capacity decrements are applied in the
+  same sequence -- so every allocation decision is bit-identical to the
+  reference.  An allocation stops where its outcome is decided, in two
+  places that follow from the reference procedure itself.  When one slot
+  holds the unique minimum of ``caps / users`` and has as many edges as the
+  component has flows (the switch, at scale), the reference's first round
+  freezes every flow at that quotient and ends, whatever the encounter
+  order: the rate is set from the slot arrays and nothing is assembled.  And
+  the round that freezes the last flow writes no residual capacity, user
+  count or share, since no later round reads them.  Smaller components (the
+  size is observed per allocation, never configured) are solved by
+  :func:`reference_allocation` itself: numpy's fixed per-call overhead loses
+  to a handful of dict operations.
 
 * **Oracle.**  :func:`reference_allocation` is the global water-filling
   solver, retained as the executable specification.
   :class:`~repro.util.config.SolverConfig` ``verify=True`` re-derives every
   flow's rate through it after each replan (rates must match *exactly*, not
-  approximately) and re-checks the maintained connectivity, encounter keys
-  and arrays against a from-scratch BFS (:meth:`BandwidthSystem._component`,
+  approximately) and re-checks the maintained connectivity and arrays
+  against a from-scratch BFS (:meth:`BandwidthSystem._component`,
   which the engine itself never calls); the equivalence test suite drives
   randomised topologies through both, with the vector threshold forced down
   to 1 so the array path is checked on every component shape.
@@ -115,14 +113,6 @@ _EPSILON_TIME = 1e-12
 #: (both solvers are bit-identical, so the threshold only decides speed; the
 #: equivalence suite forces it to 1 to check the array path on every shape)
 _VECTOR_MIN_FLOWS = 16
-#: encounter keys encode (flow index, channel-tuple position) as
-#: ``index << _ENC_SHIFT | position`` -- a single int64 whose natural order
-#: is the lexicographic order of the pair
-_ENC_SHIFT = 20
-#: slot-key sentinel for a channel that left its component (its edges are
-#: compacted away with its last flow, so a dead slot has no user and no
-#: share -- the sentinel only keeps it out of the encounter order)
-_DEAD_KEY = np.iinfo(np.int64).max
 
 #: process-global wall-clock seconds spent inside the solver's entry points
 #: (planning a started flow, end-of-instant flushes, horizon timers, failure
@@ -151,8 +141,6 @@ class FairShareChannel:
         "comp",
         "_slot",
         "_slot_epoch",
-        "_enc_entry",
-        "_key_heap",
     )
 
     def __init__(self, system: "BandwidthSystem", capacity: float, name: str = ""):
@@ -169,14 +157,11 @@ class FairShareChannel:
         #: exact bytes delivered by flows that already left this channel
         self._carried_completed: float = 0.0
         #: solver state (see the module docstring): owning component while
-        #: busy, slot in its arrays (valid only while ``_slot_epoch`` matches
-        #: the component's epoch), current first-encounter key entry and the
-        #: lazy min-heap backing it
+        #: busy and slot in its arrays (valid only while ``_slot_epoch``
+        #: matches the component's epoch)
         self.comp: Optional["_Component"] = None
         self._slot = -1
         self._slot_epoch = -1
-        self._enc_entry: Optional[Tuple[int, "Flow"]] = None
-        self._key_heap: List[Tuple[int, "Flow"]] = []
 
     @property
     def active_flows(self) -> int:
@@ -327,8 +312,9 @@ class _Component:
     * ``counts[i]`` -- number of channels of ``flows[i]``;
     * ``e_slot`` -- per-edge channel slot, rows concatenated in flow order
       (the CSR flow->channel membership, ``counts`` being the row lengths);
-    * ``caps[s]`` / ``keys[s]`` -- capacity and current first-encounter key
-      of the channel occupying slot ``s`` (``_DEAD_KEY`` once it left).
+    * ``caps[s]`` -- capacity of the channel occupying slot ``s``; a slot
+      whose channel left its component has no edge and counts in
+      ``dead_slots``.
     """
 
     __slots__ = (
@@ -339,7 +325,6 @@ class _Component:
         "counts",
         "e_slot",
         "caps",
-        "keys",
         "n_rows",
         "n_edges",
         "n_slots",
@@ -354,7 +339,6 @@ class _Component:
         self.counts: Optional[np.ndarray] = None
         self.e_slot: Optional[np.ndarray] = None
         self.caps: Optional[np.ndarray] = None
-        self.keys: Optional[np.ndarray] = None
         self.n_rows = 0
         self.n_edges = 0
         self.n_slots = 0
@@ -444,10 +428,8 @@ class BandwidthSystem:
     """
 
     def __init__(self, env: Environment, config: Optional[SolverConfig] = None):
-        config = config or SolverConfig()
         self.env = env
-        self.config = config
-        self.verify = config.verify
+        self.verify = (config or SolverConfig()).verify
         #: the environment's sinks, cached for the hot paths
         self._counters = env.counters
         self._tracer = env.tracer
@@ -515,10 +497,15 @@ class BandwidthSystem:
             completion = transit
 
             def _after_latency(event: Event, _done=done, _lat=latency) -> None:
-                if event.ok:
-                    Delayed(self.env, _lat, _done, event.value)
-                else:  # pragma: no cover - defensive
+                if not event.ok:  # a failed channel aborted the transmission
                     _done.fail(event.value)
+                    return
+
+                def _deliver(timer: Event) -> None:
+                    if not _done.triggered:
+                        _done.succeed(timer.value)
+
+                self.env.timeout(_lat, event.value).callbacks.append(_deliver)
 
             transit.callbacks.append(_after_latency)
 
@@ -709,29 +696,13 @@ class BandwidthSystem:
             flows = chan.flows
             if flow in flows:
                 flows.discard(flow)
-                comp = chan.comp
                 if not flows:
                     # Last flow gone: the channel leaves its component
                     # (an empty channel is an isolated vertex).
+                    comp = chan.comp
                     if not comp.dirty and chan._slot_epoch == comp.epoch:
-                        comp.keys[chan._slot] = _DEAD_KEY
                         comp.dead_slots += 1
                     chan.comp = None
-                    chan._enc_entry = None
-                    chan._key_heap.clear()
-                elif chan._enc_entry[1] is flow:
-                    # The first-encounterer left: pop lazily until the
-                    # heap top belongs to a still-attached flow.  Stale
-                    # entries below the top always carry larger keys, so
-                    # the top *is* the channel's current encounter key.
-                    heap = chan._key_heap
-                    heapq.heappop(heap)
-                    while heap[0][1] not in flows:
-                        heapq.heappop(heap)
-                    entry = heap[0]
-                    chan._enc_entry = entry
-                    if not comp.dirty and chan._slot_epoch == comp.epoch:
-                        comp.keys[chan._slot] = entry[0]
             chan._carried_completed += delivered
 
     def _replan(self, comp: _Component, may_split: bool = False) -> None:
@@ -847,16 +818,8 @@ class BandwidthSystem:
 
         The incremental half of the union-find: idle channels join directly,
         distinct live components merge into the largest one (the smaller
-        sides are relabelled and the arrays marked stale).  Each channel
-        also receives the flow's encounter-key entry -- a new flow always
-        carries the highest index, so existing first-encounter keys never
-        change on attach.
+        sides are relabelled and the arrays marked stale).
         """
-        if len(flow.channels) >> _ENC_SHIFT:
-            raise SimulationError(
-                f"flow crosses {len(flow.channels)} channels; encounter keys "
-                f"encode at most {1 << _ENC_SHIFT} per flow"
-            )
         comps: List[_Component] = []
         for chan in flow.channels:
             comp = chan.comp
@@ -873,15 +836,11 @@ class BandwidthSystem:
                 if comp is not target:
                     self._p_merge(target, comp)
         dirty = target.dirty
-        index_base = flow.index << _ENC_SHIFT
-        for pos, chan in enumerate(flow.channels):
-            entry = (index_base | pos, flow)
-            heapq.heappush(chan._key_heap, entry)
+        for chan in flow.channels:
             if chan.comp is None:
                 chan.comp = target
-                chan._enc_entry = entry
                 if not dirty:
-                    self._p_add_slot(target, chan, entry[0])
+                    self._p_add_slot(target, chan)
         target.flows.append(flow)  # highest index: the sort order is preserved
         if not dirty:
             self._p_append_row(target, flow)
@@ -924,7 +883,6 @@ class BandwidthSystem:
                 for chan in flow.channels:
                     if chan.comp is not new:
                         if not comp.dirty and chan._slot_epoch == comp.epoch:
-                            comp.keys[chan._slot] = _DEAD_KEY
                             comp.dead_slots += 1
                         chan.comp = new
             self._counters.bw_cc_rebuilds += 1
@@ -933,20 +891,15 @@ class BandwidthSystem:
             self._p_remove_rows(comp, [f in in_big for f in comp.flows])
         comp.flows = big
 
-    def _p_add_slot(self, comp: _Component, chan: FairShareChannel, key: int) -> None:
+    def _p_add_slot(self, comp: _Component, chan: FairShareChannel) -> None:
         slot = comp.n_slots
-        keys = comp.keys
-        if keys is None or slot == keys.size:
-            grown = max(32, slot * 2)
-            new_keys = np.empty(grown, dtype=np.int64)
-            new_caps = np.empty(grown, dtype=np.float64)
+        caps = comp.caps
+        if caps is None or slot == caps.size:
+            grown = np.empty(max(32, slot * 2), dtype=np.float64)
             if slot:
-                new_keys[:slot] = keys[:slot]
-                new_caps[:slot] = comp.caps[:slot]
-            comp.keys = new_keys
-            comp.caps = new_caps
-        comp.keys[slot] = key
-        comp.caps[slot] = chan.capacity
+                grown[:slot] = caps[:slot]
+            comp.caps = caps = grown
+        caps[slot] = chan.capacity
         chan._slot = slot
         chan._slot_epoch = comp.epoch
         comp.n_slots = slot + 1
@@ -1003,7 +956,6 @@ class BandwidthSystem:
         counts = np.fromiter((len(f.channels) for f in flows), np.int64, n)
         total = int(counts.sum()) if n else 0
         e_slot = np.empty(total, dtype=np.int64)
-        keys: List[int] = []
         caps: List[float] = []
         n_slots = 0
         pos = 0
@@ -1012,14 +964,12 @@ class BandwidthSystem:
                 if chan._slot_epoch != epoch:
                     chan._slot_epoch = epoch
                     chan._slot = n_slots
-                    keys.append(chan._enc_entry[0])
                     caps.append(chan.capacity)
                     n_slots += 1
                 e_slot[pos] = chan._slot
                 pos += 1
         comp.counts = counts
         comp.e_slot = e_slot
-        comp.keys = np.array(keys, dtype=np.int64)
         comp.caps = np.array(caps, dtype=np.float64)
         comp.n_rows = n
         comp.n_edges = total
@@ -1037,9 +987,9 @@ class BandwidthSystem:
         * channels are ranked in *encounter order* (first occurrence over
           flows in index order, channel-tuple order) -- the reference
           solver's dict insertion order, which decides bottleneck ties.  The
-          per-slot encounter keys are unique ``(flow index, position)``
-          pairs, so sorting them yields that order totally and independently
-          of slot numbering;
+          edge array's rows are exactly those flows in that order, so the
+          order is each live slot's first occurrence along it, whatever the
+          slot numbering (a dead slot has no edge and never enters);
         * ``shares.argmin()`` returns the first occurrence of the minimum,
           exactly like the reference's first-strict-minimum scan over that
           order, and every stored share is the same single IEEE division
@@ -1051,8 +1001,8 @@ class BandwidthSystem:
           (:func:`_fill_rounds`).
 
         The assembly itself needs no BFS and no per-flow Python iteration:
-        one key sort over k slots plus C-speed gathers over arrays
-        maintained by deltas.
+        one first-occurrence scan over the edges plus C-speed gathers over
+        arrays maintained by deltas.
 
         Before any of it, one shared bottleneck is resolved in slot space.
         The reference's first round divides each channel's full capacity by
@@ -1079,16 +1029,15 @@ class BandwidthSystem:
                 flow.rate = rate
             return
         counts = comp.counts[:n]
-        keys = comp.keys[: comp.n_slots]
-        if comp.dead_slots:
-            live_slots = np.nonzero(keys != _DEAD_KEY)[0]
-            order = live_slots[np.argsort(keys[live_slots], kind="stable")]
-        else:
-            order = np.argsort(keys, kind="stable")
+        edges = comp.e_slot[: comp.n_edges]
+        positions = np.arange(edges.size, dtype=np.int64)
+        first = np.full(comp.n_slots, edges.size, dtype=np.int64)
+        np.minimum.at(first, edges, positions)
+        order = edges[first[edges] == positions]
         k = int(order.size)
         rank = np.empty(comp.n_slots, dtype=np.int64)
         rank[order] = np.arange(k, dtype=np.int64)
-        lid = rank[comp.e_slot[: comp.n_edges]]
+        lid = rank[edges]
         users_arr = slot_users[order]
         enc_caps = comp.caps[order]
         shares = slot_shares[order]
@@ -1117,9 +1066,9 @@ class BandwidthSystem:
 
         Re-derives, from scratch, what the engine maintains incrementally:
         every flow's component must equal the BFS component of its channels,
-        every channel's encounter key must be its true first-encounter key,
         and a clean component's arrays must mirror its flow list edge for
-        edge.  O(global edges) -- dwarfed by the reference re-allocation that
+        edge, with ``dead_slots`` counting exactly the slots no edge uses.
+        O(global edges) -- dwarfed by the reference re-allocation that
         verify mode already runs.
         """
         seen: Set[int] = set()
@@ -1136,24 +1085,14 @@ class BandwidthSystem:
                     f"persistent component #{comp.ident} diverged from BFS "
                     f"({len(comp.flows)} flow(s) maintained, {len(expected)} discovered)"
                 )
-            first: Dict[FairShareChannel, int] = {}
             for member in comp.flows:
-                base = member.index << _ENC_SHIFT
-                for pos, chan in enumerate(member.channels):
-                    if chan not in first:
-                        first[chan] = base | pos
-            for chan, key in first.items():
-                if chan.comp is not comp:
-                    raise SimulationError(
-                        f"channel {chan.name!r} points at component "
-                        f"#{chan.comp.ident if chan.comp else None}, "
-                        f"expected #{comp.ident}"
-                    )
-                if chan._enc_entry is None or chan._enc_entry[0] != key:
-                    raise SimulationError(
-                        f"maintained encounter key of {chan.name!r} diverged "
-                        f"(maintained {chan._enc_entry!r}, expected {key})"
-                    )
+                for chan in member.channels:
+                    if chan.comp is not comp:
+                        raise SimulationError(
+                            f"channel {chan.name!r} points at component "
+                            f"#{chan.comp.ident if chan.comp else None}, "
+                            f"expected #{comp.ident}"
+                        )
             if comp.dirty:
                 continue
             if comp.n_rows != len(comp.flows):
@@ -1167,7 +1106,6 @@ class BandwidthSystem:
                     if (
                         chan._slot_epoch != comp.epoch
                         or comp.e_slot[pos] != chan._slot
-                        or comp.keys[chan._slot] != chan._enc_entry[0]
                         or comp.caps[chan._slot] != chan.capacity
                     ):
                         raise SimulationError(
@@ -1179,6 +1117,12 @@ class BandwidthSystem:
                 raise SimulationError(
                     f"persistent arrays of component #{comp.ident} hold "
                     f"{comp.n_edges} edge(s), expected {pos}"
+                )
+            live_slots = np.unique(comp.e_slot[: comp.n_edges]).size
+            if comp.n_slots - comp.dead_slots != live_slots:
+                raise SimulationError(
+                    f"persistent arrays of component #{comp.ident} count "
+                    f"{comp.n_slots - comp.dead_slots} live slot(s), its edges use {live_slots}"
                 )
 
     def _push_deadlines(self, flows: List[Flow]) -> None:
@@ -1303,20 +1247,3 @@ class BandwidthSystem:
                     f"incremental allocation diverged from the reference solver for "
                     f"{flow!r}: incremental {flow.rate!r}, reference {rate!r}"
                 )
-
-
-class Delayed(Event):
-    """An event that succeeds with a fixed value after ``delay`` seconds,
-    forwarding the result into ``target``."""
-
-    __slots__ = ()
-
-    def __init__(self, env: Environment, delay: float, target: Event, value) -> None:
-        super().__init__(env, "delayed")
-        timer = env.timeout(delay, value)
-
-        def _fire(event: Event) -> None:
-            if not target.triggered:
-                target.succeed(event.value)
-
-        timer.callbacks.append(_fire)

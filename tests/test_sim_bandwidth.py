@@ -171,6 +171,34 @@ class TestFailure:
         env.run()
         assert outcome["result"] == ("failed", 5.0)
 
+    def test_fail_channel_fails_a_transfer_with_latency_at_once(self):
+        """Disk and network transfers all carry latency: a failure during
+        transmission fails the caller's event with the injected exception
+        at the failure instant, not a latency later and not as a success."""
+        env = Environment()
+        bw = BandwidthSystem(env)
+        link = bw.channel(10.0, "link")
+        injected = FailureInjected("node died", node="n0")
+        outcome = {}
+
+        def mover():
+            try:
+                yield bw.transfer(1000.0, [link], latency=0.5)
+                outcome["result"] = "done"
+            except FailureInjected as exc:
+                outcome["result"] = (exc, env.now)
+
+        def killer():
+            yield env.timeout(5)
+            bw.fail_channel(link, injected)
+
+        env.process(mover())
+        env.process(killer())
+        env.run()
+        exc, when = outcome["result"]
+        assert exc is injected
+        assert when == 5.0
+
     def test_fail_channel_without_flows_returns_zero(self):
         env = Environment()
         bw = BandwidthSystem(env)

@@ -613,6 +613,22 @@ class TestPersistentStateOracle:
             done = run_schedule(capacities, flow_specs, verify=True)
         assert len(done) == len(flow_specs)
 
+    def test_verify_catches_a_miscounted_dead_slot(self):
+        """``dead_slots`` is the only record of the slots whose channel left
+        (it sizes ``bw_component_channels`` and triggers rebuilds): verify
+        mode checks it against the slots a clean component's edges use."""
+        env, bw = build_system(verify=True)
+        hub = bw.channel(100.0, "hub")
+        for i in range(3):
+            bw.transfer(1000.0 + 10.0 * i, [hub, bw.channel(100.0, f"nic{i}")], label=f"f{i}")
+        with vector_threshold(1):
+            env.run(until=1.0)
+            comp = hub.comp
+            assert not comp.dirty and comp.dead_slots == 0
+            comp.dead_slots += 1
+            with pytest.raises(SimulationError, match="live slot"):
+                env.run()
+
     def test_union_and_split_counters(self):
         """A flow bridging two live components records one union; its
         completion splits the component back apart and records rebuilds."""
