@@ -8,16 +8,16 @@ from repro.sim.bandwidth import FairShareChannel
 from repro.sim.core import Environment, Event
 from repro.cluster.network import Network
 from repro.util.config import DiskSpec
-from repro.util.errors import FailureInjected, StorageError
+from repro.util.errors import FailureInjected
 
 
 class LocalDisk:
-    """Timing and capacity model of a node-local disk.
+    """Timing model of a node-local disk.
 
     Reads and writes are fluid flows through a single shared channel (the
-    disk head), preceded by a positioning latency.  Capacity accounting is
-    byte-granular: the storage services that keep data on the disk call
-    :meth:`reserve` / :meth:`release`.
+    disk head), preceded by a positioning latency.  What the disk holds is
+    accounted by the storage service on it: the node's data provider is
+    sized from ``DiskSpec.capacity``.
     """
 
     def __init__(self, env: Environment, network: Network, spec: DiskSpec, name: str):
@@ -29,30 +29,7 @@ class LocalDisk:
             spec.bandwidth, f"{name}.disk"
         )
         self._network = network
-        self._used = 0
         self.alive = True
-
-    # -- capacity ---------------------------------------------------------------------
-
-    @property
-    def used_bytes(self) -> int:
-        return self._used
-
-    @property
-    def free_bytes(self) -> int:
-        return self.spec.capacity - self._used
-
-    def reserve(self, nbytes: int) -> None:
-        if nbytes < 0:
-            raise StorageError(f"cannot reserve a negative amount: {nbytes}")
-        if nbytes > self.free_bytes:
-            raise StorageError(
-                f"disk {self.name} full: need {nbytes}, free {self.free_bytes}"
-            )
-        self._used += nbytes
-
-    def release(self, nbytes: int) -> None:
-        self._used = max(0, self._used - nbytes)
 
     # -- I/O ----------------------------------------------------------------------------
 
@@ -74,7 +51,6 @@ class LocalDisk:
         self._network.bandwidth.fail_channel(
             self.channel, FailureInjected(f"disk {self.name} failed", node=self.name)
         )
-        self._used = 0
 
 
 class ComputeNode:

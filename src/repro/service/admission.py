@@ -130,10 +130,6 @@ class AdmissionQueue:
         self.rejected = 0
         self.timed_out = 0
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiting)
-
     def submit(self, tenant: str, kind: str) -> Ticket:
         """Claim a slot; the outcome arrives through ``ticket.ready``."""
         ticket = Ticket(self.env, tenant, kind, self._orders)

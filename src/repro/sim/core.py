@@ -98,13 +98,6 @@ class Event:
         self.env._schedule(self, NORMAL, 0.0)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Copy the outcome of another event (used by combinators)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
-
     def __repr__(self) -> str:
         state = "pending"
         if self._ok is True:

@@ -25,17 +25,14 @@ READERS = ("src", "examples", "tools", "benchmarks", "perfbench")
 
 #: ``Class.method`` or ``function`` -> why only tests reach it
 ALLOWED = {
-    "AdmissionQueue.queue_length": "referenced nowhere, tests included: a deletion candidate",
     "BandwidthSystem.active_flows": "observable asserted by test_sim_solver_equivalence.py",
     "BlobCRDeployment.download_checkpoint_image": "paper operation, run by test_core_blobcr.py",
     "BlobCRDeployment.migrate_all": "batch evacuation, run by test_migration.py",
     "CheckpointRepository.snapshot_incremental_size": "observable asserted by test_core_blobcr.py",
     "Cloud.remote_write": "node-to-node transfer, driven by test_cluster.py",
-    "Event.trigger": "referenced nowhere, tests included: a deletion candidate",
     "FairShareChannel.active_flows": "observable asserted by test_sim_bandwidth.py",
     "FairShareChannel.bytes_carried": "observable asserted by test_sim_bandwidth.py",
     "GuestFileSystem.fsync": "per-file sync, held to a model by test_guest.py",
-    "LocalDisk.reserve": "referenced nowhere, tests included: a deletion candidate",
     "MirroringModule.locally_modified_bytes": "observable asserted by test_guest.py",
     "ProviderManager.deregister": "provider removal, held to a model by test_blobseer_providers.py",
     "QcowImage.allocated_clusters": "observable asserted by test_vdisk_runs.py",

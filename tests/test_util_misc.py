@@ -79,6 +79,7 @@ class TestConfig:
         [
             DiskSpec(bandwidth=0),
             DiskSpec(capacity=-1),
+            DiskSpec(latency=-1),
             NetworkSpec(nic_bandwidth=0),
             NetworkSpec(latency=-1),
             VMSpec(vcpus=0),
