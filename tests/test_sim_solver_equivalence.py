@@ -269,8 +269,8 @@ def hub_spec(n_hub, hub_cap, off_hub=0, failure=None):
 # ... and the hub, then a leaf, fails mid-run.
 @example(spec=hub_spec(24, 48.0, off_hub=2, failure=(3.0, 0)), min_flows=1)
 @example(spec=hub_spec(24, 128.0, off_hub=2, failure=(3.0, 1)), min_flows=1)
-# A tie that only the true encounter order breaks right, once flows have left:
-# slot numbering and a departed flow's stale key both pick the wrong channel.
+# A tie that only the true encounter order breaks right once flows have left
+# (ranking the channels by slot number instead picks the wrong one).
 @example(
     spec=(
         [128.0, 64.0, 64.0, 64.0, 64.0, 64.0, 64.0],
