@@ -2,11 +2,13 @@
 
 Every function and method defined under ``src/repro`` must be referenced by
 name outside ``tests/``: in ``src``, ``examples``, ``tools``, ``benchmarks``
-or ``perfbench``.  A reference is a name or attribute read, an imported
-name, or a string constant equal to the name (``getattr`` and perfbench's
-boundary rows name methods as strings).  A definition does not reference
-itself.  Dunders are exempt, and so is the public surface: the names
-``repro.api`` exports and the methods of the classes it exports.
+or ``perfbench``.  A method is referenced by an attribute read or a
+string constant equal to its name (``getattr`` and perfbench's boundary
+rows name methods as strings); a module-level function also by a bare name
+read or an imported name.  So a local variable named like a method does not
+keep it alive.  A definition does not reference itself.  Dunders are
+exempt, and so is the public surface: the names ``repro.api`` exports and
+the methods of the classes it exports.
 
 :data:`ALLOWED` lists the functions that only tests reach today, each with
 its reason.  It may only shrink: an entry whose function gained an outside
@@ -29,10 +31,15 @@ ALLOWED = {
     "BlobCRDeployment.download_checkpoint_image": "paper operation, run by test_core_blobcr.py",
     "BlobCRDeployment.migrate_all": "batch evacuation, run by test_migration.py",
     "CheckpointRepository.snapshot_incremental_size": "observable asserted by test_core_blobcr.py",
+    "Cloud.nodes": "no caller left; a local variable named like it hid it",
     "Cloud.remote_write": "node-to-node transfer, driven by test_cluster.py",
     "FairShareChannel.active_flows": "observable asserted by test_sim_bandwidth.py",
     "FairShareChannel.bytes_carried": "observable asserted by test_sim_bandwidth.py",
+    "Flow.finished": "no caller left; a local variable named like it hid it",
     "GuestFileSystem.fsync": "per-file sync, held to a model by test_guest.py",
+    "GuestFileSystem.stat": "observable held to a model by test_guest.py",
+    "GuestProcess.free": "unit-tested by test_guest.py only",
+    "GuestProcess.segment": "unit-tested by test_guest.py only",
     "MirroringModule.locally_modified_bytes": "observable asserted by test_guest.py",
     "ProviderManager.deregister": "provider removal, held to a model by test_blobseer_providers.py",
     "QcowImage.allocated_clusters": "observable asserted by test_vdisk_runs.py",
@@ -50,7 +57,11 @@ def _python_files(top):
 
 
 def defined_functions():
-    """``Class.method`` / ``function`` -> (bare name, ``file:line``) in ``src/repro``."""
+    """``Class.method`` / ``function`` -> (bare name, is a method, ``file:line``).
+
+    Only ``src/repro`` is parsed.  A function nested in another function
+    counts as a module-level one: it is called by its bare name.
+    """
     found = {}
 
     def visit(node, owner, path):
@@ -60,7 +71,7 @@ def defined_functions():
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qualified = f"{owner}.{child.name}" if owner else child.name
                 where = f"{path.relative_to(ROOT)}:{child.lineno}"
-                found.setdefault(qualified, (child.name, where))
+                found.setdefault(qualified, (child.name, owner is not None, where))
                 visit(child, None, path)
             else:
                 visit(child, owner, path)
@@ -71,18 +82,23 @@ def defined_functions():
 
 
 def referenced_names(tree):
-    """Names a module reads, imports, or spells as a string constant."""
-    names = set()
+    """(bare names, attribute names) a module references.
+
+    A bare name is a ``Name`` read or an imported name: it can only reach a
+    module-level function.  An attribute name is an attribute read or a
+    string constant equal to it: it can reach a method too.
+    """
+    bare, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            names.add(node.attr)
+            bare.add(node.id)
         elif isinstance(node, ast.alias):
-            names.add(node.name.rpartition(".")[2])
+            bare.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attributes.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
-    return names
+            attributes.add(node.value)
+    return bare, attributes
 
 
 def public_surface():
@@ -95,20 +111,27 @@ def public_surface():
     return public
 
 
+def is_referenced(name, is_method, bare, attributes):
+    """A method is reached through an attribute or a string, a function by name too."""
+    return name in attributes or (not is_method and name in bare)
+
+
 @functools.lru_cache(maxsize=None)
 def functions_only_tests_reach():
     """``Class.method`` / ``function`` -> ``file:line`` of what only tests reach."""
-    referenced = set()
+    bare, attributes = set(), set()
     for top in READERS:
         for _path, tree in _python_files(top):
-            referenced |= referenced_names(tree)
+            names, attrs = referenced_names(tree)
+            bare |= names
+            attributes |= attrs
     public = public_surface()
     return {
         qualified: where
-        for qualified, (name, where) in defined_functions().items()
+        for qualified, (name, is_method, where) in defined_functions().items()
         if not (name.startswith("__") and name.endswith("__"))
         and name not in public
-        and name not in referenced
+        and not is_referenced(name, is_method, bare, attributes)
     }
 
 
@@ -133,6 +156,14 @@ def test_the_rules():
         "    obj.called()\n"
         "    return getattr(obj, 'named'), read\n"
     )
-    names = referenced_names(tree)
-    assert {"mod", "imported", "called", "named", "read"} <= names
-    assert "f" not in names
+    bare, attributes = referenced_names(tree)
+    assert {"mod", "imported", "read"} <= bare
+    assert {"called", "named"} <= attributes
+    assert "f" not in bare | attributes
+    # A local variable named like a method does not reference the method,
+    # only a module-level function of that name.
+    source = "def wait(done):\n    finished = done\n    return finished\n"
+    local = referenced_names(ast.parse(source))
+    assert not is_referenced("finished", True, *local)
+    assert is_referenced("finished", False, *local)
+
