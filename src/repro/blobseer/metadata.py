@@ -148,12 +148,8 @@ class SegmentNode:
         self.right = right
         self.run = run
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.run is not None
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"<SegmentNode [{self.lo},{self.hi}) leaf={self.is_leaf}>"
+        return f"<SegmentNode [{self.lo},{self.hi}) leaf={self.run is not None}>"
 
 
 def _next_power_of_two(n: int) -> int:

@@ -48,12 +48,6 @@ class BlobInfo:
     cloned_from: Optional[Tuple[int, int]] = None
     versions: List[VersionRecord] = field(default_factory=list)
 
-    @property
-    def latest_version(self) -> int:
-        if not self.versions:
-            raise VersionNotFoundError(f"blob {self.blob_id} has no published version")
-        return self.versions[-1].version
-
     def record(self, version: int) -> VersionRecord:
         # ``versions`` is ascending, also after garbage collection pruned it
         index = bisect_left(self.versions, version, key=_version_of)

@@ -94,10 +94,6 @@ class Cloud:
         except KeyError:
             raise SimulationError(f"unknown node {name}") from None
 
-    @property
-    def nodes(self) -> List[ComputeNode]:
-        return list(self._nodes.values())
-
     def live_compute_nodes(self) -> List[ComputeNode]:
         return [n for n in self.compute_nodes if n.alive]
 

@@ -123,12 +123,6 @@ class PVFSDeployment:
 
     # -- functional access (no timing) ------------------------------------------------------
 
-    def lookup(self, name: str) -> PVFSFile:
-        try:
-            return self._files[name]
-        except KeyError:
-            raise FileSystemError(f"no such PVFS file: {name}") from None
-
     def exists(self, name: str) -> bool:
         return name in self._files
 

@@ -7,7 +7,7 @@ checkpoint repository only when it is actually read.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 from repro.blobseer import BlobClient
 from repro.util.bytesource import ByteSource, ZeroBytes, concat
@@ -53,6 +53,9 @@ class RemoteBlobDevice(BlockDevice):
         return concat(pieces)
 
     def write(self, offset: int, data: ByteSource) -> None:
+        self.writev([(offset, data)])
+
+    def writev(self, pieces: Sequence[Tuple[int, ByteSource]]) -> None:
         raise StorageError(
             f"{self.name} is a read-only snapshot device; "
             "writes must go through the mirroring module's local overlay"

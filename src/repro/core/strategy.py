@@ -68,10 +68,6 @@ class GlobalCheckpoint:
     records: Dict[str, CheckpointRecord] = field(default_factory=dict)
 
     @property
-    def duration(self) -> float:
-        return self.finished_at - self.started_at
-
-    @property
     def total_snapshot_bytes(self) -> int:
         return sum(r.snapshot_bytes for r in self.records.values())
 
@@ -108,10 +104,6 @@ class RestartReport:
     finished_at: float
     instances: List[str] = field(default_factory=list)
     bytes_restored: int = 0
-
-    @property
-    def duration(self) -> float:
-        return self.finished_at - self.started_at
 
 
 class Deployment(abc.ABC):

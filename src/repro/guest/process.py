@@ -50,18 +50,6 @@ class GuestProcess:
             data = LiteralBytes(bytes(data))
         self._segments[segment] = data
 
-    def free(self, segment: str) -> None:
-        self._require_alive()
-        if segment not in self._segments:
-            raise ProcessError(f"process {self.pid} has no segment {segment!r}")
-        del self._segments[segment]
-
-    def segment(self, name: str) -> ByteSource:
-        try:
-            return self._segments[name]
-        except KeyError:
-            raise ProcessError(f"process {self.pid} has no segment {name!r}") from None
-
     @property
     def segments(self) -> Dict[str, ByteSource]:
         return dict(self._segments)

@@ -48,7 +48,6 @@ from repro.service.trace import (
     ServiceTrace,
     load_trace,
     loads_trace,
-    dump_trace,
     dumps_trace,
     synthesize_trace,
     tenant_name,
@@ -68,7 +67,6 @@ __all__ = [
     "Ticket",
     "TRACE_SCHEMA",
     "TRACE_VERSION",
-    "dump_trace",
     "dumps_trace",
     "load_trace",
     "loads_trace",

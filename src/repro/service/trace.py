@@ -226,12 +226,6 @@ def dumps_trace(trace: ServiceTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dump_trace(path: str, trace: ServiceTrace) -> None:
-    """Write a trace to ``path`` as schema-versioned JSONL."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_trace(trace))
-
-
 def _parse_line(number: int, raw: str) -> Dict[str, Any]:
     try:
         parsed = json.loads(raw)

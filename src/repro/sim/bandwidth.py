@@ -164,10 +164,6 @@ class FairShareChannel:
         self._slot_epoch = -1
 
     @property
-    def active_flows(self) -> int:
-        return len(self.flows)
-
-    @property
     def bytes_carried(self) -> float:
         """Total bytes ever carried, for utilisation accounting.
 
@@ -229,10 +225,6 @@ class Flow:
         self.index = 0
         self.label = label
         self.pending = False
-
-    @property
-    def finished(self) -> bool:
-        return self.remaining <= _EPSILON_BYTES
 
     def __repr__(self) -> str:
         via = "+".join(chan.name for chan in self.channels) or "no channels"
@@ -719,7 +711,7 @@ class BandwidthSystem:
         detached = may_split
         keep: List[bool] = []
         for flow in component:
-            if flow.remaining <= _EPSILON_BYTES:  # .finished, inlined (hot)
+            if flow.remaining <= _EPSILON_BYTES:  # delivered, up to the byte epsilon
                 self._detach(flow, flow.size)
                 detached = True
                 self.completed_flows += 1

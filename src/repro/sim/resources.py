@@ -32,11 +32,6 @@ class Resource:
         self._waiting: Deque[Event] = deque()
 
     @property
-    def count(self) -> int:
-        """Number of slots currently held."""
-        return len(self._users)
-
-    @property
     def queue_length(self) -> int:
         """Number of requests waiting for a slot."""
         return len(self._waiting)

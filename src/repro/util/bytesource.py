@@ -249,10 +249,6 @@ class SyntheticBytes(ByteSource):
     def size(self) -> int:
         return self._size
 
-    @property
-    def seed(self) -> int:
-        return self._seed
-
     def read(self, offset: int = 0, length: int | None = None) -> bytes:
         return self._read_filled(offset, length)
 

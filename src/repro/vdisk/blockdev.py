@@ -35,6 +35,7 @@ class BlockDevice(ABC):
     def write(self, offset: int, data: ByteSource) -> None:
         """Write ``data`` starting at ``offset``: the one-piece :meth:`writev`."""
 
+    @abstractmethod
     def writev(self, pieces: Sequence[Tuple[int, ByteSource]]) -> None:
         """Write the ``(offset, data)`` pieces in order, as one request.
 
@@ -42,8 +43,6 @@ class BlockDevice(ABC):
         applied, and leave content and accounting as the same writes issued
         one by one would.
         """
-        for offset, data in pieces:
-            self.write(offset, data)
 
     # -- helpers shared by implementations ---------------------------------------
 
@@ -52,10 +51,6 @@ class BlockDevice(ABC):
             raise StorageError(
                 f"I/O window [{offset}, {offset + length}) outside device of size {self.size}"
             )
-
-    def read_bytes(self, offset: int, length: int) -> bytes:
-        """Convenience wrapper materialising a small read."""
-        return self.read(offset, length).to_bytes()
 
 
 def read_through(base: Optional[BlockDevice], offset: int, length: int) -> ByteSource:
@@ -96,10 +91,6 @@ class SparseDevice(BlockDevice):
     @property
     def size(self) -> int:
         return self._size
-
-    @property
-    def block_size(self) -> int:
-        return self._map.block_size
 
     def _background(self, offset: int, length: int) -> ByteSource:
         return read_through(self._base, offset, length)

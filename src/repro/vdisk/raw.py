@@ -9,7 +9,7 @@ as a qcow2 backing file) start from the same :class:`RawImage`.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from repro.util.bytesource import ByteSource
 from repro.vdisk.blockdev import BlockDevice, SparseDevice
@@ -25,10 +25,6 @@ class RawImage(BlockDevice):
     @property
     def size(self) -> int:
         return self._device.size
-
-    @property
-    def block_size(self) -> int:
-        return self._device.block_size
 
     def read(self, offset: int, length: int) -> ByteSource:
         return self._device.read(offset, length)
@@ -55,9 +51,6 @@ class RawImage(BlockDevice):
     def stored_runs(self) -> Iterator[Tuple[int, ByteSource]]:
         """``(offset, content)`` of every stored run, ascending: what an upload ships."""
         return self._device.stored_runs()
-
-    def block_payload(self, index: int) -> Optional[ByteSource]:
-        return self._device.block_payload(index)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<RawImage {self.name} size={self.size} allocated={self.allocated_bytes}>"

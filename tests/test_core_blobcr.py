@@ -1,5 +1,7 @@
 """Integration tests of the BlobCR core (repository, mirroring, proxy, GC)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import Cloud
@@ -11,8 +13,8 @@ from repro.core import (
     build_base_image,
 )
 from repro.util import LiteralBytes, SyntheticBytes
-from repro.util.config import GRAPHENE
-from repro.util.errors import SnapshotError
+from repro.util.config import GRAPHENE, DedupSpec
+from repro.util.errors import SnapshotError, StorageError
 from repro.util.units import MB
 
 SMALL = GRAPHENE.scaled(compute_nodes=6, service_nodes=3)
@@ -62,6 +64,28 @@ class TestCheckpointRepository:
         assert repo.snapshot_incremental_size(out["ckpt"], out["v1"]) == chunk
         assert repo.snapshot_incremental_size(out["ckpt"], out["v2"]) == chunk
 
+    def test_a_compressed_read_ships_fewer_bytes(self):
+        """With zlib on, a read moves the chunks' stored footprint, then inflates."""
+
+        def timed_read(spec):
+            cloud = Cloud(spec)
+            repo = CheckpointRepository(cloud)
+            out = {}
+
+            def scenario():
+                blob = yield from repo.upload_base_image("node-000", image)
+                started = cloud.now
+                out["data"] = yield from repo.read_range("node-001", blob, 0, 4 * MB)
+                out["took"] = cloud.now - started
+
+            cloud.run(cloud.process(scenario()))
+            assert out["data"].read() == image.read(0, 4 * MB).read()
+            return out["took"]
+
+        image = build_base_image(SMALL, os_bytes=5_000_000, os_files=4)
+        zlib = replace(SMALL.blobseer, dedup=DedupSpec(enabled=True, codec="zlib"))
+        assert timed_read(replace(SMALL, blobseer=zlib)) < timed_read(SMALL)
+
     def test_provider_fails_with_node(self):
         cloud, repo = make_repo()
         cloud.node("node-003").fail()
@@ -102,6 +126,18 @@ class TestMirroringModule:
         monkeypatch.setattr(client, "size", None)  # any call would raise
         assert device.read(4096, 1024).read() == expected
         assert device.read(SMALL.vm.disk_size - 8, 8).read() == bytes(8)
+
+    def test_snapshot_device_is_read_only(self):
+        from repro.core.device import RemoteBlobDevice
+
+        cloud, repo, module = self._module()
+        device = RemoteBlobDevice(repo.client, module.base_blob_id)
+        before = device.read(0, 1024).read()
+        with pytest.raises(StorageError, match="read-only"):
+            device.write(0, LiteralBytes(b"x"))
+        with pytest.raises(StorageError, match="read-only"):
+            device.writev([(0, LiteralBytes(b"x")), (4096, LiteralBytes(b"y"))])
+        assert device.read(0, 1024).read() == before
 
     def test_writes_stay_local_and_dirty(self):
         cloud, repo, module = self._module()

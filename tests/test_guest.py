@@ -522,15 +522,7 @@ class TestGuestProcess:
         proc.allocate("buffer", SyntheticBytes("buf", 1000))
         proc.allocate("scratch", b"123")
         assert proc.allocated_bytes == 1003
-        assert proc.segment("scratch").read() == b"123"
-
-    def test_free(self):
-        proc = GuestProcess("bench", 1000)
-        proc.allocate("x", b"1234")
-        proc.free("x")
-        assert proc.allocated_bytes == 0
-        with pytest.raises(ProcessError):
-            proc.free("x")
+        assert proc.segments["scratch"].read() == b"123"
 
     def test_lifecycle(self):
         proc = GuestProcess("bench", 1000)
@@ -557,8 +549,8 @@ class TestBLCR:
         assert restored.pid == proc.pid
         assert restored.iteration == 17
         assert restored.registers["pc"] == 1234
-        assert restored.segment("domain") == proc.segment("domain")
-        assert restored.segment("halo").read() == b"halo-data"
+        assert restored.segments["domain"] == proc.segments["domain"]
+        assert restored.segments["halo"].read() == b"halo-data"
 
     def test_dump_size_covers_all_memory(self):
         proc = GuestProcess("fat", 1000)

@@ -10,13 +10,16 @@ keep it alive.  A definition does not reference itself.  Dunders are
 exempt, and so is the public surface: the names ``repro.api`` exports and
 the methods of the classes it exports.
 
-:data:`ALLOWED` lists the functions that only tests reach today, each with
-its reason.  It may only shrink: an entry whose function gained an outside
-reader, or is gone, fails :func:`test_the_allowlist_only_shrinks`.
+:data:`ALLOWED` holds the functions that only tests reach today: the
+``test observable`` lines of ``tools/unreached.txt`` (the reach census,
+``tools/reach.py``), each with its reason.  It may only shrink: a line whose
+function gained an outside reader, or is gone, fails
+:func:`test_the_allowlist_only_shrinks`.
 """
 
 import ast
 import functools
+import importlib.util
 from pathlib import Path
 
 import repro.api
@@ -25,29 +28,16 @@ ROOT = Path(__file__).resolve().parents[1]
 #: where a reference may live
 READERS = ("src", "examples", "tools", "benchmarks", "perfbench")
 
-#: ``Class.method`` or ``function`` -> why only tests reach it
+_spec = importlib.util.spec_from_file_location("reach", ROOT / "tools" / "reach.py")
+reach = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reach)
+
+#: ``Class.method`` or ``function`` only tests reach: the census's
+#: ``test observable`` lines, which carry the reasons
 ALLOWED = {
-    "BandwidthSystem.active_flows": "observable asserted by test_sim_solver_equivalence.py",
-    "BlobCRDeployment.download_checkpoint_image": "paper operation, run by test_core_blobcr.py",
-    "BlobCRDeployment.migrate_all": "batch evacuation, run by test_migration.py",
-    "CheckpointRepository.snapshot_incremental_size": "observable asserted by test_core_blobcr.py",
-    "Cloud.nodes": "no caller left; a local variable named like it hid it",
-    "Cloud.remote_write": "node-to-node transfer, driven by test_cluster.py",
-    "FairShareChannel.active_flows": "observable asserted by test_sim_bandwidth.py",
-    "FairShareChannel.bytes_carried": "observable asserted by test_sim_bandwidth.py",
-    "Flow.finished": "no caller left; a local variable named like it hid it",
-    "GuestFileSystem.fsync": "per-file sync, held to a model by test_guest.py",
-    "GuestFileSystem.stat": "observable held to a model by test_guest.py",
-    "GuestProcess.free": "unit-tested by test_guest.py only",
-    "GuestProcess.segment": "unit-tested by test_guest.py only",
-    "MirroringModule.locally_modified_bytes": "observable asserted by test_guest.py",
-    "ProviderManager.deregister": "provider removal, held to a model by test_blobseer_providers.py",
-    "QcowImage.allocated_clusters": "observable asserted by test_vdisk_runs.py",
-    "QcowImage.guest_visible_bytes": "observable asserted by test_vdisk_runs.py",
-    "QcowImage.rebase": "image operation, run by test_vdisk_runs.py",
-    "Resource.queue_length": "observable asserted by test_sim_core.py",
-    "VersionManager.lineage": "observable asserted by test_blobseer.py",
-    "WriteResult.provider_bytes": "observable asserted by test_blobseer_providers.py",
+    name.partition("::")[2]
+    for name, category in reach.parse_list(reach.UNREACHED.read_text()).items()
+    if category == "test observable"
 }
 
 

@@ -26,6 +26,7 @@ from repro.service import (
     synthesize_trace,
     tenant_name,
 )
+from repro.service.driver import ServiceDriver
 from repro.service.slo import TenantStats, slo_columns
 from repro.service.trace import Job
 from repro.sim.core import Environment
@@ -323,6 +324,45 @@ class TestServiceDriver:
         aggregate = report.aggregate_row()
         assert aggregate["failures"] > 0
         assert aggregate["rollbacks"] > 0
+
+    @staticmethod
+    def _serve_one_tenant(kinds, crash_at):
+        """Serve one tenant's ``(kind, at)`` jobs; its first host crashes at ``crash_at``.
+
+        The cluster keeps one replica of a chunk, so the crashed node's
+        provider takes every chunk it stored with it.
+        """
+        trace = ServiceTrace(jobs=tuple(Job("t0", seq, *job) for seq, job in enumerate(kinds)))
+        driver = ServiceDriver(Cloud(GRAPHENE.scaled(compute_nodes=8)), trace, ServiceConfig())
+        driver.injector.fail_at(crash_at, "node-000")  # the tenant's first reserved host
+        return driver.run().tenants["t0"]
+
+    def test_a_failure_before_the_first_checkpoint_kills_the_tenant(self):
+        stats = self._serve_one_tenant(
+            [("deploy", 0.0), ("checkpoint", 100.0), ("restart", 150.0), ("kill", 200.0)],
+            crash_at=50.0,
+        )
+        # no checkpoint to roll back to: killed, the restart and kill are skipped
+        assert (stats.failures, stats.rollbacks) == (1, 0)
+        assert (stats.completed, stats.skipped) == (1, 2)
+        assert stats.checkpoint_latencies == [] and stats.restart_latencies == []
+
+    def test_a_failed_recovery_restart_kills_the_tenant(self):
+        stats = self._serve_one_tenant(
+            [
+                ("deploy", 0.0),
+                ("checkpoint", 40.0),
+                ("checkpoint", 100.0),
+                ("restart", 150.0),
+                ("kill", 200.0),
+            ],
+            crash_at=80.0,
+        )
+        # the second checkpoint fails, and so does the recovery from the
+        # first one: the crashed node held its only replica
+        assert (stats.failures, stats.rollbacks) == (2, 1)
+        assert (stats.completed, stats.skipped) == (2, 2)
+        assert len(stats.checkpoint_latencies) == 1 and stats.restart_latencies == []
 
     def test_background_flows_slow_the_service_down(self):
         trace = synthesize_trace(3, 1.0, seed=4)

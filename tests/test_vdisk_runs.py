@@ -51,6 +51,9 @@ class Recording(BlockDevice):
     def write(self, offset, data):
         raise StorageError("read-only")
 
+    def writev(self, pieces):
+        raise StorageError("read-only")
+
 
 def make_base(seed, size, log):
     """A raw image (other granularity, one hole) and its content."""
