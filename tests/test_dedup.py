@@ -1,5 +1,6 @@
 """Tests of the content-addressed dedup & compression subsystem."""
 
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -18,8 +19,9 @@ from repro.dedup import (
     make_codec,
 )
 from repro.util import LiteralBytes, SyntheticBytes, ZeroBytes
-from repro.util.bytesource import concat
-from repro.util.config import DedupSpec
+from repro.scenarios import fig7_dedup
+from repro.util.bytesource import ByteSource, concat, content_equal
+from repro.util.config import GRAPHENE, DedupSpec
 from repro.util.errors import ConfigurationError, StorageError
 
 
@@ -369,3 +371,84 @@ class TestDedupDisabled:
         assert first.bytes_written == second.bytes_written == 2048
         assert second.dedup_hits == 0
         assert client.storage_footprint() == 4096
+
+
+class _TaggedRead(ByteSource):
+    """A version read back by fig7 that remembers which block a slice of it is."""
+
+    __slots__ = ("inner", "tag")
+
+    def __init__(self, inner, tag):
+        self.inner = inner
+        self.tag = tag
+
+    @property
+    def size(self):
+        return self.inner.size
+
+    def read(self, offset=0, length=None):
+        return self.inner.read(offset, length)
+
+    def _fill(self, offset, view):
+        self.inner._fill(offset, view)
+
+    def slice(self, offset, length):
+        block = offset // GRAPHENE.blobseer.chunk_size
+        return _TaggedRead(self.inner.slice(offset, length), (self.tag, block))
+
+    def fingerprint(self):
+        return self.inner.fingerprint()
+
+
+class TestFig7Verification:
+    """``run_fig7_cell`` compares every block of every version it committed.
+
+    The reduced cell commits 5 versions of a 61-block state file, so a
+    verification that skips the earlier versions, or the blocks a version did
+    not change, compares fewer than 5 x 61 pairs and misses the fault below.
+    """
+
+    VERSIONS, BLOCKS = 5, 61
+
+    def _spy_reads(self, monkeypatch, corrupt=None):
+        """Tag every version read back; ``corrupt`` = (version, block) to damage."""
+        real_read = BlobClient.read
+        versions = []
+
+        def read(client, blob_id, offset=0, size=None, version=None):
+            data = real_read(client, blob_id, offset, size, version)
+            versions.append(version)
+            if corrupt is not None and version == corrupt[0]:
+                block_size = GRAPHENE.blobseer.chunk_size
+                start = corrupt[1] * block_size
+                data = concat([
+                    data.slice(0, start),
+                    SyntheticBytes("not-fig7", block_size),
+                    data.slice(start + block_size, data.size - start - block_size),
+                ])
+            return _TaggedRead(data, version)
+
+        monkeypatch.setattr(BlobClient, "read", read)
+        return versions
+
+    def test_every_version_block_pair_is_compared_once(self, monkeypatch):
+        versions = self._spy_reads(monkeypatch)
+        pairs = Counter()
+
+        def spy(stored, expected):
+            pairs[stored.tag] += 1
+            return content_equal(stored, expected)
+
+        monkeypatch.setattr(fig7_dedup, "content_equal", spy)
+        assert fig7_dedup.run_fig7_cell("dedup")["restored_ok"] is True
+        assert versions == [1, 2, 3, 4, 5]
+        assert sum(pairs.values()) == self.VERSIONS * self.BLOCKS == 305
+        assert pairs == Counter(
+            {(v, b): 1 for v in versions for b in range(self.BLOCKS)}
+        )
+
+    def test_a_wrong_unchanged_block_of_a_middle_version_fails(self, monkeypatch):
+        # Block 0 gets new content at epochs 1 and 5 only, so version 3 holds
+        # the same (block 0, epoch 1) as version 2: it is unchanged there.
+        self._spy_reads(monkeypatch, corrupt=(3, 0))
+        assert fig7_dedup.run_fig7_cell("dedup")["restored_ok"] is False
