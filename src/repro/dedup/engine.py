@@ -8,6 +8,7 @@ on the write path for every stripe payload:
   new stripe then references instead of shipping a copy.  On a *miss* it
   returns the physical size the codec will store and the CPU cost; the client
   stores the chunk and completes the handshake with :meth:`register_canonical`.
+  A generated (:class:`SyntheticBytes`) window is hashed once per engine.
 * A run that leaves the store (snapshot collection, the rollback of a failed
   write) is taken out of :attr:`DedupEngine.index` by the client; one that was
   lost with its providers is found out by the next ``ingest`` that meets it.
@@ -20,12 +21,12 @@ to the simulation environment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.dedup.codec import StorageCodec, make_codec
 from repro.dedup.fingerprint import content_digest, is_zero_content
 from repro.dedup.index import ChunkIndex
-from repro.util.bytesource import ByteSource
+from repro.util.bytesource import ByteSource, SyntheticBytes
 
 if TYPE_CHECKING:  # blobseer.client imports this module: a runtime import would be a cycle
     from repro.blobseer.provider import ProviderManager, StoredRun
@@ -57,6 +58,8 @@ class DedupEngine:
         #: bytes/s of BLAKE2b hashing charged as CPU time (0 disables charging)
         self.fingerprint_bandwidth = fingerprint_bandwidth
         self.index = ChunkIndex()
+        #: content digest of every generated window seen, by its generator key
+        self._synthetic_digests: Dict[Tuple[int, int, int], str] = {}
         #: indexed runs found lost with their providers and stored afresh
         self.invalidated_chunks = 0
         #: bytes the chunks registered as canonical occupy after compression
@@ -69,6 +72,21 @@ class DedupEngine:
             return 0.0
         return nbytes / self.fingerprint_bandwidth
 
+    def _digest(self, payload: ByteSource) -> str:
+        """``content_digest(payload)``, hashing each generated window once.
+
+        A :class:`SyntheticBytes` window's bytes are a pure function of its
+        generator key, so its digest is remembered for the engine's lifetime
+        and never goes stale; every other source is hashed each time.
+        """
+        if type(payload) is not SyntheticBytes:
+            return content_digest(payload)
+        key = payload.generator_key
+        digest = self._synthetic_digests.get(key)
+        if digest is None:
+            digest = self._synthetic_digests[key] = content_digest(payload)
+        return digest
+
     def ingest(self, payload: ByteSource, providers: ProviderManager) -> IngestDecision:
         """Fingerprint ``payload`` and decide between sharing and storing.
 
@@ -76,7 +94,7 @@ class DedupEngine:
         the run; after a fail-stop loss the stale entry is dropped so the
         content is stored afresh instead of shared with a ghost.
         """
-        digest = content_digest(payload)
+        digest = self._digest(payload)
         cpu = self._fingerprint_cost(payload.size)
         run = self.index.lookup(digest)
         if run is not None:

@@ -249,6 +249,13 @@ class SyntheticBytes(ByteSource):
     def size(self) -> int:
         return self._size
 
+    @property
+    def generator_key(self) -> tuple[int, int, int]:
+        """``(seed, origin, size)``: the window's bytes are a pure function of
+        it, so equal keys mean equal content (equal content across different
+        keys is possible but never assumed)."""
+        return (self._seed, self._origin, self._size)
+
     def read(self, offset: int = 0, length: int | None = None) -> bytes:
         return self._read_filled(offset, length)
 

@@ -140,6 +140,11 @@ class TestOverridesAndSeed:
             ("evac --override evac.instances=0", "instances"),
             ("fig2 --override fig2.buffer_bytes=0 --cells fig2:BlobCR-app:4", "buffer_bytes"),
             ("fig6 --override fig6.processes=0 --cells fig6:BlobCR-app", "processes"),
+            ("fig7 --override fig7.checkpoints=0 --cells fig7:off", "checkpoints"),
+            ("fig7 --override fig7.state_bytes=0 --cells fig7:off", "state_bytes"),
+            ("fig7 --override fig7.state_bytes=1000 --cells fig7:off", "state_bytes"),
+            ("fig7 --override fig7.changed_fraction=0 --cells fig7:off", "changed_fraction"),
+            ("fig7 --override fig7.changed_fraction=3 --cells fig7:off", "changed_fraction"),
         ],
     )
     def test_zero_count_is_a_clean_error(self, command, parameter, capsys):

@@ -2,12 +2,16 @@
 
 from collections import Counter
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blobseer import BlobClient, DataProvider, ProviderManager
 from repro.blobseer.provider import StoredRun
 from repro.core.gc import SnapshotGarbageCollector
+from repro.dedup import engine as engine_module
 from repro.dedup import (
     HEADER_BYTES,
     ChunkIndex,
@@ -18,9 +22,9 @@ from repro.dedup import (
     is_zero_content,
     make_codec,
 )
-from repro.util import LiteralBytes, SyntheticBytes, ZeroBytes
 from repro.scenarios import fig7_dedup
-from repro.util.bytesource import ByteSource, concat, content_equal
+from repro.util import LiteralBytes, SyntheticBytes, ZeroBytes, bytesource
+from repro.util.bytesource import _BLOCK, ByteSource, concat, content_equal
 from repro.util.config import GRAPHENE, DedupSpec
 from repro.util.errors import ConfigurationError, StorageError
 
@@ -226,6 +230,73 @@ class TestDedupWritePath:
         assert client.read(blob, 1024, 1024).read() == payload.read()
 
 
+def _spy_digests(monkeypatch):
+    """Record the size of every payload the dedup engine hashes."""
+    hashed = []
+
+    def spy(payload):
+        hashed.append(payload.size)
+        return content_digest(payload)
+
+    monkeypatch.setattr(engine_module, "content_digest", spy)
+    return hashed
+
+
+@st.composite
+def _window_cuts(draw):
+    """A window of a generated source, and where to cut a second parent."""
+    size = draw(st.integers(1, 3 * _BLOCK + 100))
+    start = draw(st.integers(0, size - 1))
+    length = draw(st.integers(1, size - start))
+    cut = draw(st.integers(0, start))
+    return draw(st.integers(0, 3)), size, start, length, cut
+
+
+class TestSyntheticDigestMemo:
+    """The engine hashes each generated window once and reuses the digest."""
+
+    # tier-1 budget: 60 examples of windows up to ~200 KiB, under 2 s
+    @settings(max_examples=60, deadline=None)
+    @given(_window_cuts())
+    def test_memo_digest_is_the_content_digest(self, cuts):
+        seed, size, start, length, cut = cuts
+        parent = SyntheticBytes(("memo", seed), size)
+        window = parent.slice(start, length)
+        # The same window cut from a different parent: a slice of the first.
+        same = parent.slice(cut, size - cut).slice(start - cut, length)
+        other_seed = SyntheticBytes(("memo", seed + 1), size).slice(start, length)
+        engine = DedupEngine()
+        providers = ProviderManager()
+        with mock.patch.object(engine_module, "content_digest", wraps=content_digest) as hashed:
+            for payload, calls in [(window, 1), (same, 1), (window, 1), (other_seed, 2)]:
+                expected = content_digest(LiteralBytes(payload.read()))
+                assert engine.ingest(payload, providers).digest == expected
+                assert hashed.call_count == calls
+            if start + length < size:
+                shifted = parent.slice(start + 1, length)
+                expected = content_digest(LiteralBytes(shifted.read()))
+                assert engine.ingest(shifted, providers).digest == expected
+                assert hashed.call_count == 3
+
+    def test_reduced_fig7_cell_hashes_each_distinct_window_once(self, monkeypatch):
+        hashed = _spy_digests(monkeypatch)
+        fig7_dedup.run_fig7_cell("dedup")
+        # 61 blocks at the first commit, then the 15 each later commit
+        # changes: 121 windows, not one per (version, block) = 305.
+        assert len(hashed) == 61 + 4 * 15 == 121
+        # A fresh cloud brings a fresh engine: the memo does not outlive it.
+        fig7_dedup.run_fig7_cell("dedup")
+        assert len(hashed) == 2 * 121
+
+    def test_other_sources_are_hashed_every_time(self, monkeypatch):
+        hashed = _spy_digests(monkeypatch)
+        engine = DedupEngine()
+        literal = LiteralBytes(SyntheticBytes("lit", 512).read())
+        for payload in (literal, literal, concat([literal, literal]), concat([literal, literal])):
+            engine.ingest(payload, ProviderManager())
+        assert hashed == [512, 512, 1024, 1024]
+
+
 class TestProviderFailureInvalidation:
     def test_lost_canonical_chunk_is_restored_not_aliased(self):
         client = make_client(num_providers=2, dedup=DedupEngine())
@@ -238,6 +309,22 @@ class TestProviderFailureInvalidation:
         second = client.write(blob, 1024, payload)
         # The stale index entry is invalidated: the content is stored afresh
         # instead of being aliased to the lost chunk.
+        assert second.dedup_hits == 0
+        assert second.bytes_written == 1024
+        assert client.dedup.invalidated_chunks == 1
+        assert client.read(blob, 1024, 1024).read() == payload.read()
+
+    def test_memo_hit_on_a_lost_run_is_stored_afresh(self, monkeypatch):
+        hashed = _spy_digests(monkeypatch)
+        client = make_client(num_providers=2, dedup=DedupEngine())
+        blob = client.create_blob(1024)
+        first = client.write(blob, 0, SyntheticBytes("memo-lost", 1024))
+        client.providers.get(first.chunks[0][2][0]).fail()
+        # A new source with the same generator key: the digest comes from the
+        # memo, but the lost run it names is still found out and replaced.
+        payload = SyntheticBytes("memo-lost", 1024)
+        second = client.write(blob, 1024, payload)
+        assert hashed == [1024]
         assert second.dedup_hits == 0
         assert second.bytes_written == 1024
         assert client.dedup.invalidated_chunks == 1
@@ -421,11 +508,13 @@ class TestFig7Verification:
             if corrupt is not None and version == corrupt[0]:
                 block_size = GRAPHENE.blobseer.chunk_size
                 start = corrupt[1] * block_size
-                data = concat([
-                    data.slice(0, start),
-                    SyntheticBytes("not-fig7", block_size),
-                    data.slice(start + block_size, data.size - start - block_size),
-                ])
+                data = concat(
+                    [
+                        data.slice(0, start),
+                        SyntheticBytes("not-fig7", block_size),
+                        data.slice(start + block_size, data.size - start - block_size),
+                    ]
+                )
             return _TaggedRead(data, version)
 
         monkeypatch.setattr(BlobClient, "read", read)
@@ -443,9 +532,18 @@ class TestFig7Verification:
         assert fig7_dedup.run_fig7_cell("dedup")["restored_ok"] is True
         assert versions == [1, 2, 3, 4, 5]
         assert sum(pairs.values()) == self.VERSIONS * self.BLOCKS == 305
-        assert pairs == Counter(
-            {(v, b): 1 for v in versions for b in range(self.BLOCKS)}
-        )
+        assert pairs == Counter({(v, b): 1 for v in versions for b in range(self.BLOCKS)})
+
+    def test_each_content_epoch_of_a_block_is_generated_once(self):
+        # 61 + 4 x 15 = 121 distinct (block, epoch) windows.  Block-major
+        # order serves a version that repeats its predecessor's window from
+        # the block cache, and the stored side of each comparison reads what
+        # the expected side just generated.  Without dedup nothing else
+        # generates content.
+        bytesource._block.cache_clear()
+        assert fig7_dedup.run_fig7_cell("off")["restored_ok"] is True
+        blocks_per_window = GRAPHENE.blobseer.chunk_size // _BLOCK
+        assert bytesource._block.cache_info().misses == 121 * blocks_per_window
 
     def test_a_wrong_unchanged_block_of_a_middle_version_fails(self, monkeypatch):
         # Block 0 gets new content at epochs 1 and 5 only, so version 3 holds
