@@ -8,8 +8,8 @@ Pair *i* runs ``python -m perfbench --workload W --seconds S --trace 0 --seed
 SEED`` once in each tree (the seeds are taken in turn, and which tree goes
 first alternates from pair to pair, so neither side always runs on a warmer
 host).  Every end-to-end metric of ``BENCHMARK.json`` is then summarised:
-the parent median and its IQR/median, the change median, the change/parent
-ratio and how many pairs the change won.  A metric whose IQR/median exceeds
+the median and IQR/median of each side, the change/parent ratio and how
+many pairs the change won.  A metric whose IQR/median exceeds
 its bound on either side is ``unresolved``: the runs spread too widely to
 tell.  Otherwise it is ``better`` when the change won at least nine pairs in
 ten and its median gain exceeds the parent's IQR, ``worse`` when the ratio
@@ -87,6 +87,7 @@ def _row(metric: dict, parent: list, change: list) -> dict:
         "parent_median": old_median,
         "parent_iqr_rel": old_rel,
         "change_median": new_median,
+        "change_iqr_rel": new_rel,
         "ratio": ratio,
         "wins": wins,
         "pairs": len(old),
@@ -96,13 +97,13 @@ def _row(metric: dict, parent: list, change: list) -> dict:
 
 def format_rows(rows: list) -> str:
     lines = [
-        f"{'metric':<12} {'parent':>10} {'IQR/med':>8} {'change':>10} {'ratio':>7} "
-        f"{'wins':>6}  verdict"
+        f"{'metric':<12} {'parent':>10} {'IQR/med':>8} {'change':>10} {'IQR/med':>8} "
+        f"{'ratio':>7} {'wins':>6}  verdict"
     ]
     for row in rows:
         lines.append(
             f"{row['metric']:<12} {row['parent_median']:>10.4g} {row['parent_iqr_rel']:>8.3f} "
-            f"{row['change_median']:>10.4g} {row['ratio']:>7.3f} "
+            f"{row['change_median']:>10.4g} {row['change_iqr_rel']:>8.3f} {row['ratio']:>7.3f} "
             f"{row['wins']:>3}/{row['pairs']:<2}  {row['verdict']}"
         )
     return "\n".join(lines)
