@@ -41,6 +41,19 @@ def test_spread_past_the_bound_is_unresolved():
     assert only_row([1.0] * 5, [1.0, 3.0, 1.0, 3.0, 2.0])["verdict"] == "unresolved"
 
 
+def test_every_change_run_beating_every_parent_run_resolves_a_wide_spread():
+    wide = [2.0, 3.0, 2.0, 3.0, 2.5]
+    row = only_row(wide, [1.0] * 5)
+    assert row["parent_iqr_rel"] > 0.25
+    assert row["verdict"] == "better"
+    # One change run no better than the best parent run: still unresolved.
+    assert only_row(wide, [1.0] * 4 + [2.0])["verdict"] == "unresolved"
+    # The exception is for a gain only; a clear loss stays unresolved.
+    assert only_row(wide, [4.0] * 5)["verdict"] == "unresolved"
+    higher = {"name": "wall_s", "better": "higher", "bound": 0.25}
+    assert only_row([1.0, 2.0, 1.0, 2.0, 1.5], [3.0] * 5, higher)["verdict"] == "better"
+
+
 def test_a_slowdown_past_the_bound_is_worse():
     assert only_row([1.0] * 4, [1.3] * 4)["verdict"] == "worse"
     assert only_row([1.0] * 4, [1.2] * 4)["verdict"] == "same"

@@ -5,15 +5,16 @@
         --pairs 10 --seeds 1 2
 
 Pair *i* runs ``python -m perfbench --workload W --seconds S --trace 0 --seed
-SEED`` once in each tree (the seeds are taken in turn, and which tree goes
-first alternates from pair to pair, so neither side always runs on a warmer
-host).  Every end-to-end metric of ``BENCHMARK.json`` is then summarised:
-the median and IQR/median of each side, the change/parent ratio and how
-many pairs the change won.  A metric whose IQR/median exceeds
-its bound on either side is ``unresolved``: the runs spread too widely to
-tell.  Otherwise it is ``better`` when the change won at least nine pairs in
-ten and its median gain exceeds the parent's IQR, ``worse`` when the ratio
-is past the bound, and ``same`` in between.
+SEED`` once in each tree, ``S`` being the ``run_seconds`` of ``BENCHMARK.json``
+(the seeds are taken in turn, and which tree goes first alternates from pair
+to pair, so neither side always runs on a warmer host).  Every end-to-end
+metric of ``BENCHMARK.json`` is then summarised: the median and IQR/median of
+each side, the change/parent ratio and how many pairs the change won.  A
+metric whose IQR/median exceeds its bound on either side is ``unresolved``:
+the runs spread too widely to tell, unless every change run reads better than
+every parent run.  Otherwise it is ``better`` when the change won at least
+nine pairs in ten and its median gain exceeds the parent's IQR, ``worse`` when
+the ratio is past the bound, and ``same`` in between.
 
 Stdlib only.  The trees are two checkouts (``git clone`` the parent
 commit); each run imports the ``src`` and ``perfbench`` of its own tree.
@@ -74,7 +75,8 @@ def _row(metric: dict, parent: list, change: list) -> dict:
     new_rel = new_iqr / new_median if new_median else 0.0
     ratio = new_median / old_median if old_median else 1.0
     wins = sum(sign * (b - a) < 0 for a, b in zip(old, new))
-    if max(old_rel, new_rel) > bound:
+    disjoint_gain = max(sign * b for b in new) < min(sign * a for a in old)
+    if max(old_rel, new_rel) > bound and not disjoint_gain:
         verdict = "unresolved"
     elif 10 * wins >= 9 * len(old) and sign * (old_median - new_median) > old_iqr:
         verdict = "better"
@@ -116,16 +118,15 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
-    parser.add_argument("--seconds", type=float, default=10)
-    parser.add_argument("--benchmark", default=str(ROOT / "BENCHMARK.json"))
     args = parser.parse_args(argv)
-    metrics = json.loads(Path(args.benchmark).read_text())["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     parent, change = [], []
     for i in range(args.pairs):
         seed = args.seeds[i % len(args.seeds)]
         order = [(args.parent, parent), (args.change, change)]
         for tree, runs in order if i % 2 == 0 else order[::-1]:
-            runs.append(run_once(tree, args.workload, args.seconds, seed))
+            runs.append(run_once(tree, args.workload, seconds, seed))
         print(
             f"pair {i + 1}/{args.pairs} seed {seed}: wall_s "
             f"{parent[-1]['wall_s']:.3f} -> {change[-1]['wall_s']:.3f}",
