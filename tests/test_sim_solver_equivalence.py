@@ -419,6 +419,122 @@ class TestDecidedAllocations:
         assert list(reference_allocation(bw._flows).values()) == rates
 
 
+# -- star components: ties between private and shared channels ------------------------
+
+
+def nudge(value, ulps):
+    """``value`` moved ``ulps`` representable doubles up (or down, if negative)."""
+    toward = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        value = float(np.nextafter(value, toward))
+    return value
+
+
+@st.composite
+def star_components(draw):
+    """2-40 flows, each over its own channel and one to three shared channels.
+
+    Most private channels have the tie capacity, so their shares tie as a
+    rule (the NIC-bound shape); the others have twice it, so a shared
+    channel also carries flows outside the tie.  Each shared channel's
+    capacity is the tie times its user count, moved 0-3 ulps either way: its
+    first share lands on the tie or a few ulps beside it, and its
+    sequentially decremented share may reach the tie mid-run.  The private
+    channel's place in each flow's channel tuple varies, and so does the
+    encounter order.
+    """
+    tie = draw(st.sampled_from((1.0 / 3.0, 0.1, 1.1, 2.0 / 7.0, 117.5e6)))
+    n_flows = draw(st.integers(2, 40))
+    n_shared = draw(st.integers(1, 3))
+    users = [0] * n_shared
+    private_caps = []
+    flows = []
+    for i in range(n_flows):
+        shared = draw(
+            st.lists(st.integers(0, n_shared - 1), min_size=1, max_size=n_shared, unique=True)
+        )
+        for c in shared:
+            users[c] += 1
+        crossed = draw(st.permutations([n_shared + i] + shared))
+        private_caps.append(tie * draw(st.sampled_from((1.0, 1.0, 1.0, 2.0))))
+        size = tie * draw(st.floats(1.0, 100.0))
+        start = draw(st.sampled_from((0.0, 0.0, 5.0)))
+        flows.append((crossed, size, start))
+    shared_caps = [nudge(tie * max(u, 1), draw(st.integers(-3, 3))) for u in users]
+    return shared_caps + private_caps, flows
+
+
+#: a shared channel whose share starts 2 ulps above the private tie and,
+#: decremented once per frozen flow, reaches the tie exactly after six of its
+#: 30 users: 10.000000000000004 / 30 > 1/3, (10.000000000000004 - 6/3) / 24 == 1/3.
+#: 28 of them are held at the tie by their own channels, the last two are not:
+#: a fill that froze the 28 at once would give those two the residual of 28
+#: decrements over 2, which is not the reference's 1/3
+MID_RUN_TIE = (
+    [nudge(10.0, 2)] + [1.0 / 3.0] * 28 + [2.0 / 3.0] * 2,
+    [([1 + i, 0], 20.0 + i, 0.0) for i in range(30)],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=star_components())
+@example(spec=MID_RUN_TIE)
+def test_star_components_match_reference_exactly(spec):
+    """Every rate of every replan equals ``reference_allocation`` bit for bit
+    (verify=True), with every component solved over the arrays."""
+    capacities, flow_specs = spec
+    with vector_threshold(1):
+        done = run_schedule(capacities, flow_specs, verify=True)
+    assert len(done) == len(flow_specs)
+
+
+def test_mid_run_tie_is_reached():
+    """The pinned example does what its comment says, in the reference's own
+    arithmetic: the shared share sits above the tie, then lands on it, and
+    skipping that would move the two flows outside the tie."""
+    (shared_cap, tie, *_), flow_specs = MID_RUN_TIE
+    users = len(flow_specs)
+    assert shared_cap / users > tie
+    left = shared_cap
+    for frozen in range(1, 29):
+        left = max(0.0, left - tie)
+        assert left / (users - frozen) > tie or frozen == 6
+        if frozen == 6:
+            assert left / (users - frozen) == tie
+    assert left / 2 != tie
+
+
+def test_readers_see_the_last_settle_mid_flight():
+    """Stopped mid-flight in a 20-flow component, ``bytes_carried``,
+    ``repr(flow)`` and the bytes ``fail_channel`` credits as delivered read
+    the state of the last settle, not an older one.
+
+    f0 (1000 B) and 19 long flows share a 200 B/s link at 10 B/s each; f0
+    completes at t=100, which settles the rest at ``size - 1000``.  Then
+    ``run(until=101)`` stops between events, and a failure at t=101 settles
+    once more before it credits the delivered bytes.
+    """
+    env, bw = build_system(verify=True)
+    link = bw.channel(200.0, "link")
+    sizes = [1000.0] + [5000.0 + 10.0 * i for i in range(19)]
+    done = [bw.transfer(size, [link], label=f"f{i}") for i, size in enumerate(sizes)]
+    env.run(until=101.0)
+    assert done[0].processed and not any(event.triggered for event in done[1:])
+    flows = list(bw._flows)
+    rate = 200.0 / 19
+    assert [repr(flow) for flow in flows] == [
+        f"<Flow 'f{i}' {size - 1000.0:.0f}/{size:.0f} B @ {rate:.6g} B/s via link>"
+        for i, size in enumerate(sizes[1:], start=1)
+    ]
+    assert link.bytes_carried == 1000.0 + 19 * 1000.0
+    expected = 1000.0
+    for size in sizes[1:]:
+        expected += size - max(0.0, (size - 1000.0) - rate * 1.0)
+    assert bw.fail_channel(link, RuntimeError("link died")) == 19
+    assert link.bytes_carried == expected
+    assert bw.active_flows == 0
+
+
 # -- same-instant bursts vs the reference ----------------------------------------------
 
 
