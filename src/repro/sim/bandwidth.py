@@ -21,76 +21,66 @@ One engine
 
 Max-min fairness decomposes exactly over the *connected components* of the
 flow/channel sharing graph: two flows that share no channel (directly or
-transitively) cannot influence each other's rate, so progressive filling
-over one component yields the same rates as a global recomputation would.
-Every flow start, finish and abort therefore settles and re-allocates only
-the component it touches -- flows in other components keep both their rate
-*and* their settle point, so an event on one node's disk never touches the
-transfers of 4 095 other instances.  The engine is built from five parts:
+transitively) cannot influence each other's rate.  Every flow start, finish
+and abort therefore settles and re-allocates only the component it touches:
 
-* **Components** live in an incremental union-find over channels: every
-  busy channel points at its :class:`_Component`, whose ``flows`` list is
-  always exact and sorted by flow index.  A flow attach unions the
-  components of its channels (the smaller sides are relabelled), so finding
-  the component of a flow is one pointer read.  Union-find cannot split: a
-  replan that detached flows re-discovers the surviving groups
-  (:meth:`BandwidthSystem._live_groups`) and, on a real disconnection,
-  re-homes the split-off groups into fresh, lazily rebuilt components.
+* **Components** live in an incremental union-find over channels: every busy
+  channel points at its :class:`_Component`, whose ``flows`` list is exact
+  and sorted by flow index.  An attach unions the components of the flow's
+  channels; a replan that detached flows re-discovers the surviving groups
+  (:meth:`BandwidthSystem._live_groups`) and re-homes split-off groups.
+* **Flow state as arrays.**  A :class:`Flow` is a handle: its remaining
+  bytes as of its last settle, its rate, its settle time and its deadline
+  live in four float64 arrays of its :class:`BandwidthSystem`, at the flow's
+  slot (taken at start, recycled at detach).  A component with clean arrays
+  keeps its flows' slots beside them, so settling it, finding its finished
+  flows and pushing its deadline are a few numpy calls; only a finished
+  flow is visited in Python.  Other components (stale arrays, or fewer than
+  ``_VECTOR_MIN_FLOWS`` flows) loop over their flows through memoryviews of
+  the same arrays.  Both do the same IEEE operation on the same operands.
+* **Horizon heap.**  Each allocation pushes the earliest absolute deadline
+  of its group; an entry is valid while its flow holds a slot whose deadline
+  still equals it.  One timer fires at the earliest valid deadline (the
+  absolute float, so no extra rounding) and re-plans that component.
+* **Same-instant flush.**  ``transfer()`` parks a new flow at rate 0; an
+  end-of-instant flush hook re-plans each touched component once.  Rates
+  depend only on membership and capacities, and parked flows carry zero
+  elapsed time, so this equals a replan per start.
+* **Slot-space fill.**  Components of at least ``_VECTOR_MIN_FLOWS`` flows
+  are filled by :func:`_fill` over persistent arrays: per-edge channel slots
+  (rows are the flows in index order, each in channel-tuple order), per-slot
+  capacities, per-row flow slots.  Attaches append, a detaching replan
+  compacts once, merges and splits mark them stale for a rebuild.  Smaller
+  components are solved by :func:`reference_allocation` itself.
+* **Oracle.**  :func:`reference_allocation` is the executable specification.
+  ``SolverConfig(verify=True)`` re-derives every rate through it after each
+  replan (bit-equal) and re-checks components and arrays against a
+  from-scratch BFS (:meth:`BandwidthSystem._component`).
 
-* **Horizon heap.**  Instead of scanning every flow for the next
-  completion, each allocation pushes the *earliest* absolute completion
-  deadline of its connected group into a heap; superseded entries are
-  invalidated lazily when popped.  One timer is armed at the earliest valid
-  deadline (scheduled at the *absolute* deadline, so firing times carry no
-  extra rounding).  One entry per group suffices: when the timer fires the
-  whole component is settled and re-planned, which detects *every* finished
-  flow by its byte count and pushes a fresh earliest deadline.
+Why the fill is exact
+---------------------
 
-* **Same-instant flush.**  ``transfer()`` only attaches the new flow to its
-  channels and component and parks it at rate 0; an end-of-instant flush
-  hook (see :meth:`~repro.sim.core.Environment.add_flush_hook`) then settles
-  and re-plans each touched component exactly once, however many flows
-  started at that instant.  This is exact, not approximate: max-min rates
-  depend only on component membership and capacities -- never on remaining
-  byte counts -- and flows parked within one instant carry zero elapsed
-  time, so the end-of-instant state is identical to re-planning after every
-  start.
+Each step of :func:`_fill` takes the minimum ``m`` of the slots' shares
+``cap_left / users`` (the reference's single division, same operands) and
+freezes one of two things:
 
-* **Persistent arrays.**  Components of at least ``_VECTOR_MIN_FLOWS`` flows
-  run progressive filling over flat numpy arrays (per-edge channel slots,
-  per-flow channel counts, per-slot capacities) that survive between
-  recomputations and are updated by deltas: row/slot appends on attach, one
-  boolean-mask compaction per detaching replan; merges and splits mark them
-  stale (epoch-tagged, so a stale slot assignment can never be read) and the
-  next allocation rebuilds them.  The arrays replay the reference solver's
-  exact operation order.  Its dict insertion order -- the *encounter order*
-  that decides bottleneck ties -- is the order in which slots first occur
-  along the edge array, whose rows are the live flows in index order, each
-  in channel-tuple order; ``argmin`` over shares laid out in that order
-  picks the same first-occurrence bottleneck as the reference's
-  first-strict-minimum scan, and capacity decrements are applied in the
-  same sequence -- so every allocation decision is bit-identical to the
-  reference.  An allocation stops where its outcome is decided, in two
-  places that follow from the reference procedure itself.  When one slot
-  holds the unique minimum of ``caps / users`` and has as many edges as the
-  component has flows (the switch, at scale), the reference's first round
-  freezes every flow at that quotient and ends, whatever the encounter
-  order: the rate is set from the slot arrays and nothing is assembled.  And
-  the round that freezes the last flow writes no residual capacity, user
-  count or share, since no later round reads them.  Smaller components (the
-  size is observed per allocation, never configured) are solved by
-  :func:`reference_allocation` itself: numpy's fixed per-call overhead loses
-  to a handful of dict operations.
+* *One round*: the unfrozen flows of the first-encountered slot at ``m``.
+  The reference's bottleneck is the first channel of its dict insertion
+  order at the strict minimum, and that order is each slot's first
+  occurrence along the edge array.  A round subtracts the same ``m`` for
+  every frozen flow, so per slot ``np.subtract.at`` gives the reference's
+  values in any flow order; and ``max(0, .)`` is monotone and keeps a clamped
+  0 at 0, so one clamp after the round equals a clamp per decrement.  If the
+  slot is crossed by every unfrozen flow (the switch, at scale), this round
+  is the last and, as the first step, assembles nothing.
+* *A tie run*: when only single-user slots hold ``m``, the reference
+  freezes their flows at ``m``, one round each, while no other slot reaches
+  ``m``.  ``np.subtract.accumulate`` replays each other slot those flows
+  cross, decrement by decrement; if its share stays strictly above ``m``
+  throughout, the whole run is one step (equal subtrahends commute), else
+  the step is one round.
 
-* **Oracle.**  :func:`reference_allocation` is the global water-filling
-  solver, retained as the executable specification.
-  :class:`~repro.util.config.SolverConfig` ``verify=True`` re-derives every
-  flow's rate through it after each replan (rates must match *exactly*, not
-  approximately) and re-checks the maintained connectivity and arrays
-  against a from-scratch BFS (:meth:`BandwidthSystem._component`,
-  which the engine itself never calls); the equivalence test suite drives
-  randomised topologies through both, with the vector threshold forced down
-  to 1 so the array path is checked on every component shape.
+The round that freezes the last flow writes no residual: none is read.
 """
 
 from __future__ import annotations
@@ -108,10 +98,11 @@ from repro.util.errors import SimulationError
 
 _EPSILON_BYTES = 1e-6
 _EPSILON_TIME = 1e-12
-#: components below this size are solved by ``reference_allocation`` itself --
-#: numpy's fixed per-call overhead loses to a handful of dict operations
-#: (both solvers are bit-identical, so the threshold only decides speed; the
-#: equivalence suite forces it to 1 to check the array path on every shape)
+#: components below this size are solved by ``reference_allocation`` and
+#: settled by a Python loop -- numpy's fixed per-call overhead loses to a
+#: handful of scalar operations (every path is bit-identical, so the
+#: threshold only decides speed; the equivalence suite forces it to 1 to
+#: check the array path on every shape)
 _VECTOR_MIN_FLOWS = 16
 
 #: process-global wall-clock seconds spent inside the solver's entry points
@@ -184,47 +175,51 @@ class FairShareChannel:
 
 
 class Flow:
-    """A bulk transfer in flight.
+    """A bulk transfer in flight: a handle on its system's state arrays.
 
-    ``remaining`` is the byte count as of ``settled_at`` -- flows are only
-    advanced when their component is touched, so between events the true
-    remaining count is ``remaining - rate * (now - settled_at)``.
-    ``deadline`` is the absolute completion time backing the horizon heap;
-    a heap entry is valid only while it still equals the flow's deadline.
-    ``pending`` marks a flow that started at the current instant and has not
-    been planned yet; it is attached to its channels and component (so
-    failure injection sees it) but carries rate 0 until the end-of-instant
-    flush.  ``done`` is the completion event until it succeeds; it is then
-    cleared, because the event's value is the flow and the pair would
-    otherwise be a reference cycle only the cyclic collector frees.
+    ``remaining`` (bytes as of the last settle of its component) and
+    ``rate`` read the arrays at ``slot`` while the flow is attached; a
+    detached flow keeps its last ``remaining`` and reads rate 0.  ``pending``
+    marks a flow started at this instant and not planned yet (attached, so
+    failure injection sees it, at rate 0 until the end-of-instant flush).
+    ``done`` is the completion event until it succeeds; it is then cleared,
+    since the event's value is the flow and the pair would be a cycle.
     """
 
     __slots__ = (
         "size",
-        "remaining",
         "channels",
         "done",
-        "rate",
         "started_at",
-        "settled_at",
-        "deadline",
         "index",
         "label",
         "pending",
+        "slot",
+        "_left",
     )
 
     def __init__(self, size: float, channels: Sequence[FairShareChannel], done: Event, label: str):
         self.size = float(size)
-        self.remaining = float(size)
         self.channels = tuple(channels)
         self.done = done
-        self.rate = 0.0
         self.started_at = done.env.now
-        self.settled_at = done.env.now
-        self.deadline = math.inf
         self.index = 0
         self.label = label
         self.pending = False
+        self.slot = -1  # -1 while detached
+        self._left = self.size
+
+    @property
+    def remaining(self) -> float:
+        if self.slot < 0:
+            return self._left
+        return self.channels[0].system._rem_v[self.slot]
+
+    @property
+    def rate(self) -> float:
+        if self.slot < 0:
+            return 0.0
+        return self.channels[0].system._rate_v[self.slot]
 
     def __repr__(self) -> str:
         via = "+".join(chan.name for chan in self.channels) or "no channels"
@@ -290,31 +285,27 @@ def reference_allocation(flows: Iterable["Flow"]) -> Dict["Flow", float]:
 class _Component:
     """One live connected component of the flow/channel sharing graph.
 
-    The union-find cell that every busy channel points at, plus the flat
-    solver arrays that survive between recomputations.  ``flows`` is always
-    exact and sorted by flow index; the arrays mirror it only while ``dirty``
-    is false (merges and splits mark them stale, and the next vector
-    allocation rebuilds them -- ``epoch`` is a globally unique tag so a
-    channel's ``_slot`` can never be read against arrays it was not assigned
-    for).
-
-    Array layout (lengths ``n_rows`` / ``n_edges`` / ``n_slots``; the
-    buffers over-allocate and double on growth):
-
-    * ``counts[i]`` -- number of channels of ``flows[i]``;
-    * ``e_slot`` -- per-edge channel slot, rows concatenated in flow order
-      (the CSR flow->channel membership, ``counts`` being the row lengths);
-    * ``caps[s]`` -- capacity of the channel occupying slot ``s``; a slot
-      whose channel left its component has no edge and counts in
-      ``dead_slots``.
+    The union-find cell every busy channel points at, plus flat arrays that
+    survive between recomputations.  ``flows`` is exact and sorted by flow
+    index; the arrays mirror it only while ``dirty`` is false (the next
+    vector allocation rebuilds them under a globally unique ``epoch``, so a
+    channel's ``_slot`` is never read against arrays it was not assigned
+    for).  ``pending`` holds the flows attached since the last replan.
+    Layout (lengths ``n_rows`` / ``n_edges`` / ``n_slots``, buffers doubling
+    on growth): ``counts[i]`` channels and ``fslot[i]`` state slot of
+    ``flows[i]``; ``e_slot``, the per-edge channel slots of the rows in
+    order (CSR); ``caps[s]``, the capacity of slot ``s`` -- inf for a dead
+    slot, whose channel left (counted in ``dead_slots``).
     """
 
     __slots__ = (
         "ident",
         "epoch",
         "flows",
+        "pending",
         "dirty",
         "counts",
+        "fslot",
         "e_slot",
         "caps",
         "n_rows",
@@ -327,8 +318,10 @@ class _Component:
         self.ident = ident
         self.epoch = epoch
         self.flows: List[Flow] = []
+        self.pending: List[Flow] = []
         self.dirty = True  # arrays are built lazily, on first vector allocation
         self.counts: Optional[np.ndarray] = None
+        self.fslot: Optional[np.ndarray] = None
         self.e_slot: Optional[np.ndarray] = None
         self.caps: Optional[np.ndarray] = None
         self.n_rows = 0
@@ -341,71 +334,105 @@ class _Component:
         return f"<_Component #{self.ident} {len(self.flows)} flow(s), {state}>"
 
 
-def _fill_rounds(
-    shares: np.ndarray,
-    cap_left: List[float],
-    users: List[int],
-    lid_list: List[int],
-    fstart: List[int],
-    by_chan: List[int],
-    cstart: List[int],
-    n: int,
-) -> List[float]:
-    """The water-filling round loop over the assembled component arrays.
+def _fill(edges: np.ndarray, counts: np.ndarray, caps: np.ndarray, n: int):
+    """Progressive filling over one component's slot arrays.
 
-    ``shares`` is the per-channel fair share in encounter order (a numpy
-    array, mutated in place); the Python-side mirrors carry residual
-    capacity, user counts, the per-edge channel ids (rows delimited by
-    ``fstart``) and the edges grouped by channel (``by_chan`` delimited by
-    ``cstart``, flows in index order within each group).  The loop replays
-    the reference solver's operation sequence exactly -- first-occurrence
-    ``argmin`` bottleneck, per-flow decrements with an immediate clamp.
-
-    The loop is hybrid on purpose: numpy picks the bottleneck over all k
-    channels in one ``argmin``, then plain-Python scalar updates touch only
-    the few flows/channels the freeze changed (the all-array variant spent
-    more time on per-round numpy dispatch than on the data).
-
-    A round first collects its batch -- the bottleneck's still-unfrozen
-    flows, in index order -- and assigns their rate; the round that freezes
-    the last flow stops there.  Its per-channel decrements would only feed
-    the next round's ``argmin``, and there is none, so the returned rates
-    are the very values the full loop returns (``cap_left``, ``users`` and
-    ``shares`` are scratch: the caller reads none of them back).  Every
-    earlier round decrements over its batch in the order the reference does.
-    A flow lists a channel once (``transfer()`` rejects a repeat), so no
-    flow is in a batch twice.
+    ``edges`` holds each row's channel slots (``counts`` long each, rows in
+    flow index order) and ``caps`` each slot's capacity.  Returns the rows'
+    rates, or one float when the first step freezes every row.  The module
+    docstring says why every step reproduces :func:`reference_allocation`.
     """
-    rates = [math.inf] * n
-    unfrozen = [True] * n
-    remaining = n
-    inf = math.inf
-    while remaining:
-        bottleneck = int(shares.argmin())
-        share = float(shares[bottleneck])
-        if share == inf:
-            # Remaining flows cross no constrained channel (the reference
-            # solver's bottleneck-is-None branch); rates pre-filled inf.
-            break
-        batch = [f for f in by_chan[cstart[bottleneck] : cstart[bottleneck + 1]] if unfrozen[f]]
-        for f in batch:
-            rates[f] = share
-        remaining -= len(batch)
-        if not remaining:
-            # The last round: no later round reads a residual, a user count
-            # or a share, so the decrements below would be dead stores.
-            break
-        for f in batch:
-            unfrozen[f] = False
-            for c in lid_list[fstart[f] : fstart[f + 1]]:
-                v = cap_left[c] - share
-                if v < 0.0:
-                    v = 0.0
-                cap_left[c] = v
-                u = users[c] - 1
-                users[c] = u
-                shares[c] = v / u if u else inf
-    return rates
+    users = np.bincount(edges, minlength=caps.size)
+    shares = caps / users  # a slot without users has capacity inf: inf / 0 == inf
+    rates = unfrozen = erow = cap_left = None
+    left = n
+    while True:
+        slot = int(shares.argmin())
+        share = float(shares[slot])
+        if share == math.inf:
+            # The rest cross no constrained channel (the reference's
+            # bottleneck-is-None branch); their rates stay inf.
+            return share if rates is None else rates
+        tied = shares == share
+        several = np.count_nonzero(tied) > 1
+        if several:
+            slot = int(edges[tied[edges].argmax()])  # the first encountered
+        if users[slot] == left:  # every unfrozen flow crosses it: the last round
+            if rates is None:
+                return share
+            rates[unfrozen] = share
+            return rates
+        if erow is None:
+            erow = np.repeat(np.arange(n), counts)
+            unfrozen = np.empty(n, dtype=bool)
+            unfrozen.fill(True)
+            rates = np.empty(n)
+            rates.fill(math.inf)
+            cap_left = caps.copy()
+        batch = None
+        if several and (users[tied] == 1).all():
+            batch = _tie_run(edges, erow, unfrozen, tied, cap_left, users, share)
+        if batch is None:
+            batch = _round(edges, erow, unfrozen, slot)
+        member, batch_edges = batch
+        rates[member] = share
+        unfrozen[member] = False
+        left -= int(np.count_nonzero(member))
+        if not left:
+            return rates
+        np.subtract.at(cap_left, batch_edges, share)
+        np.maximum(cap_left, 0.0, out=cap_left)
+        np.subtract.at(users, batch_edges, 1)
+        cap_left[users == 0] = math.inf
+        np.divide(cap_left, users, out=shares)
+
+
+def _round(
+    edges: np.ndarray, erow: np.ndarray, unfrozen: np.ndarray, slot: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One round: the unfrozen rows crossing ``slot`` (a row mask) and their edges."""
+    member = np.zeros(unfrozen.size, dtype=bool)
+    member[erow[edges == slot]] = True
+    member &= unfrozen
+    return member, edges[member[erow]]
+
+
+def _tie_run(
+    edges: np.ndarray,
+    erow: np.ndarray,
+    unfrozen: np.ndarray,
+    tied: np.ndarray,
+    cap_left: np.ndarray,
+    users: np.ndarray,
+    share: float,
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The flows of a tie among single-user slots, if one step may freeze them.
+
+    Each other slot those flows cross takes one decrement per flow.  Its
+    share after each of them is replayed with ``np.subtract.accumulate``
+    (sequential, like the reference's rounds), slots grouped by decrement
+    count; any share at or below ``share`` returns None (one round instead).
+    """
+    member = np.zeros(unfrozen.size, dtype=bool)
+    member[erow[tied[edges]]] = True
+    member &= unfrozen
+    batch_edges = edges[member[erow]]
+    hits = np.bincount(batch_edges, minlength=users.size)
+    hits[tied] = 0
+    touched = hits.nonzero()[0]
+    counts = hits[touched]
+    for k in set(counts.tolist()):
+        slots = touched[counts == k]
+        steps = np.full((slots.size, k + 1), share)
+        steps[:, 0] = cap_left[slots]
+        residual = np.maximum(np.subtract.accumulate(steps, axis=1)[:, 1:], 0.0)
+        remaining_users = users[slots][:, None] - np.arange(1, k + 1)
+        after = np.empty(residual.shape)
+        after.fill(math.inf)
+        np.divide(residual, remaining_users, out=after, where=remaining_users > 0)
+        if not (after > share).all():
+            return None
+    return member, batch_edges
 
 
 class BandwidthSystem:
@@ -422,8 +449,7 @@ class BandwidthSystem:
     def __init__(self, env: Environment, config: Optional[SolverConfig] = None):
         self.env = env
         self.verify = (config or SolverConfig()).verify
-        #: the environment's sinks, cached for the hot paths
-        self._counters = env.counters
+        self._counters = env.counters  # the environment's sinks, for the hot paths
         self._tracer = env.tracer
         #: globally unique epoch source for component array generations
         self._comp_epoch = 0
@@ -433,6 +459,10 @@ class BandwidthSystem:
         self._flows: Dict[Flow, None] = {}
         self._flow_index = 0
         self._channel_index = 0
+        #: flow-state arrays by slot (module docstring), with memoryviews
+        self._slots_used = 0
+        self._free_slots: List[int] = []
+        self._grow_state()
         #: flows started at the current instant, awaiting the flush hook
         self._pending: List[Flow] = []
         #: number of live flows still carrying pending=True; reference
@@ -472,14 +502,18 @@ class BandwidthSystem:
             raise SimulationError(
                 f"flow {label!r}: byte count must be finite and non-negative, got {nbytes}"
             )
+        if not 0 <= latency < math.inf:
+            raise SimulationError(
+                f"flow {label!r}: latency must be finite and non-negative, got {latency}"
+            )
         channel_list = [c for c in channels if c is not None]
         for chan in channel_list:
             if chan.system is not self:
                 raise SimulationError("flow crosses a channel from another BandwidthSystem")
         if len(set(channel_list)) != len(channel_list):
             # The solver would count two users where ``chan.flows`` holds one
-            # flow, and the single-round exit of _allocate_vector reads "as
-            # many edges as flows" as "every flow crosses this channel".
+            # flow, and _fill reads "as many users as unfrozen flows" as
+            # "every flow crosses this channel".
             names = "+".join(chan.name for chan in channel_list)
             raise SimulationError(f"flow {label!r} lists a channel twice: {names}")
         done = self.env.event(f"flow:{label}")
@@ -508,11 +542,15 @@ class BandwidthSystem:
             return done
         self._counters.bw_flows_started += 1
         # Park the flow until the end of the instant: attach it (so failure
-        # injection sees it) but keep it at rate 0 -- the flush hook settles
-        # and re-plans each touched component exactly once per instant.
-        # Indices are assigned in call order.
+        # injection sees it) at rate 0 -- the flush hook settles and re-plans
+        # each touched component once.  Indices are assigned in call order.
         self._flow_index += 1
         flow.index = self._flow_index
+        slot = flow.slot = self._take_slot()
+        self._rem_v[slot] = flow.size
+        self._rate_v[slot] = 0.0
+        self._settled_v[slot] = self.env.now
+        self._deadline_v[slot] = math.inf
         self._flows[flow] = None
         for chan in channel_list:
             chan.flows.add(flow)
@@ -537,7 +575,7 @@ class BandwidthSystem:
         comp = channel.comp
         component = comp.flows
         self._count_component(comp)
-        self._settle(component)
+        self._settle(comp)
         victims = sorted(channel.flows, key=lambda f: f.index)
         keep = [channel not in f.channels for f in component]
         for flow in victims:
@@ -548,9 +586,10 @@ class BandwidthSystem:
         if not comp.dirty:
             self._p_remove_rows(comp, keep)
         comp.flows = [f for f, kept in zip(component, keep) if kept]
+        finished = [i for i, f in enumerate(comp.flows) if f.remaining <= _EPSILON_BYTES]
         # Removing the failed channel's flows can leave the survivors in
         # several disconnected groups even though nobody *finished*.
-        self._replan(comp, may_split=True)
+        self._replan(comp, finished, may_split=True)
         _SOLVER_WALL["seconds"] += perf_counter() - t0
         return len(victims)
 
@@ -564,16 +603,37 @@ class BandwidthSystem:
         self._channel_index += 1
         return self._channel_index
 
+    def _take_slot(self) -> int:
+        if self._free_slots:
+            return self._free_slots.pop()
+        slot = self._slots_used
+        self._slots_used = slot + 1
+        if slot == self._rem.size:
+            self._grow_state()
+        return slot
+
+    def _grow_state(self) -> None:
+        """Allocate the flow-state arrays at twice the slots in use (at least 64)."""
+        used = self._slots_used
+        grown = [np.zeros(max(64, 2 * used)) for _ in range(4)]
+        if used:
+            for array, old in zip(grown, (self._rem, self._rate, self._settled, self._deadline)):
+                array[: old.size] = old
+        self._rem, self._rate, self._settled, self._deadline = grown
+        self._rem_v, self._rate_v, self._settled_v, self._deadline_v = map(memoryview, grown)
+
+    @staticmethod
+    def _scalar(comp: _Component) -> bool:
+        """Whether ``comp`` is settled, scanned and pushed flow by flow."""
+        return comp.dirty or len(comp.flows) < _VECTOR_MIN_FLOWS
+
     def _flush_pending(self) -> None:
         """End-of-instant hook: plan every flow that started at this instant.
 
-        Each still-unplanned pending flow seeds the replan of its component
-        (an O(1) lookup: the attach already unioned the flow's channels into
-        one component); flows whose component was already re-planned
-        mid-instant (a timer or a channel failure landed on the same
-        timestamp) or that were aborted are skipped.  Components are
-        processed separately, never as one merged union, so the work
-        counters keep reflecting the true partitioning.
+        Each still-unplanned pending flow seeds the replan of its component;
+        flows already planned mid-instant (a timer or a failure at the same
+        timestamp) or aborted are skipped.  Components replan separately, so
+        the work counters reflect the true partitioning.
         """
         pending = self._pending
         if not pending:
@@ -587,12 +647,11 @@ class BandwidthSystem:
         if self._tracer is not None:
             self._tracer.observe("bw.batch_flows", len(pending))
         for flow in pending:
-            if not flow.pending or flow not in self._flows:
+            if not flow.pending:
                 continue
             comp = flow.channels[0].comp
             self._count_component(comp)
-            self._settle(comp.flows)
-            self._replan(comp)
+            self._replan(comp, self._settle(comp))
         _SOLVER_WALL["seconds"] += perf_counter() - t0
 
     def _component(self, channels: Iterable[FairShareChannel]) -> List[Flow]:
@@ -622,12 +681,10 @@ class BandwidthSystem:
     def _live_groups(self, flows: List[Flow]) -> List[List[Flow]]:
         """Partition surviving flows into their connected groups.
 
-        Called after a replan detached at least one flow: every member of
-        ``flows`` is still attached and every flow reachable from their
-        channels is itself in ``flows`` (detached flows have been removed
-        from the channel sets), so a BFS seeded in index order recovers the
-        post-split components exactly.  Each group is returned sorted by
-        flow index so the heap entries derived from it are deterministic.
+        Called after a replan detached flows: every flow reachable from the
+        survivors' channels is a survivor, so a BFS seeded in index order
+        recovers the post-split components exactly.  Groups come sorted by
+        flow index, so the heap entries derived from them are deterministic.
         """
         if len(flows) <= 1:
             return [flows]
@@ -665,25 +722,54 @@ class BandwidthSystem:
             groups.append(group)
         return groups
 
-    def _settle(self, flows: List[Flow]) -> None:
-        """Advance the given flows to the current time at their last rates."""
+    def _settle(self, comp: _Component) -> List[int]:
+        """Advance the component's flows to the current time at their last
+        rates; returns the positions of the flows now delivered (up to the
+        byte epsilon), in index order."""
         now = self.env.now
+        flows = comp.flows
         self._counters.bw_settles += 1
         self._counters.bw_flows_settled += len(flows)
-        for flow in flows:
-            elapsed = now - flow.settled_at
-            flow.settled_at = now
-            if elapsed <= _EPSILON_TIME:
-                continue
-            moved = flow.rate * elapsed
-            if moved > 0.0:
-                flow.remaining = max(0.0, flow.remaining - moved)
+        if self._scalar(comp):
+            settled, rate, remaining = self._settled_v, self._rate_v, self._rem_v
+            finished = []
+            for i, flow in enumerate(flows):
+                slot = flow.slot
+                elapsed = now - settled[slot]
+                settled[slot] = now
+                if elapsed > _EPSILON_TIME:
+                    moved = rate[slot] * elapsed
+                    if moved > 0.0:
+                        remaining[slot] = max(0.0, remaining[slot] - moved)
+                if remaining[slot] <= _EPSILON_BYTES:
+                    finished.append(i)
+            return finished
+        slots = comp.fslot[: comp.n_rows]
+        elapsed = now - self._settled[slots]
+        self._settled[slots] = now
+        if elapsed.min() > _EPSILON_TIME:
+            moved = self._rate[slots] * elapsed
+        elif elapsed.max() <= _EPSILON_TIME:
+            # Nothing moves, so nothing finishes: a replan leaves no
+            # delivered flow attached, and a new flow carries its size.
+            return []
+        else:  # a flow that does not move subtracts 0 (and the clamp is a no-op)
+            moved = np.zeros(slots.size)
+            np.multiply(self._rate[slots], elapsed, out=moved, where=elapsed > _EPSILON_TIME)
+        left = np.maximum(self._rem[slots] - moved, 0.0)
+        self._rem[slots] = left
+        if left.min() > _EPSILON_BYTES:
+            return []
+        return (left <= _EPSILON_BYTES).nonzero()[0].tolist()
 
     def _detach(self, flow: Flow, delivered: float) -> None:
         self._flows.pop(flow, None)
         if flow.pending:  # aborted before its instant was flushed
             flow.pending = False
             self._unplanned -= 1
+        flow._left = self._rem_v[flow.slot]
+        self._free_slots.append(flow.slot)
+        flow.slot = -1
         for chan in flow.channels:
             flows = chan.flows
             if flow in flows:
@@ -691,87 +777,80 @@ class BandwidthSystem:
                 if not flows:
                     # Last flow gone: the channel leaves its component
                     # (an empty channel is an isolated vertex).
-                    comp = chan.comp
-                    if not comp.dirty and chan._slot_epoch == comp.epoch:
-                        comp.dead_slots += 1
+                    self._kill_slot(chan.comp, chan)
                     chan.comp = None
             chan._carried_completed += delivered
 
-    def _replan(self, comp: _Component, may_split: bool = False) -> None:
+    def _replan(self, comp: _Component, finished: List[int], may_split: bool = False) -> None:
         """Complete finished flows, re-allocate the rest, re-arm the timer.
 
-        ``comp.flows`` must already be settled.  ``may_split`` marks callers
-        (channel failure) whose component may already span several connected
-        groups even without a completion.  Completions are applied to the
-        component's arrays as one mask compaction, and an actual
-        disconnection re-homes the surviving groups into fresh components.
+        ``finished`` holds the positions of the settled component's delivered
+        flows (what :meth:`_settle` returns).  ``may_split`` marks a caller
+        (channel failure) whose component may span several groups without a
+        completion.  A real disconnection re-homes the split-off groups.
         """
-        component = comp.flows
-        live: List[Flow] = []
-        detached = may_split
-        keep: List[bool] = []
-        for flow in component:
-            if flow.remaining <= _EPSILON_BYTES:  # delivered, up to the byte epsilon
-                self._detach(flow, flow.size)
-                detached = True
-                self.completed_flows += 1
-                self.bytes_delivered += flow.size
-                self._counters.bw_flows_completed += 1
-                tracer = self._tracer
-                if tracer is not None:
-                    tracer.observe("flow.bytes", flow.size)
-                    tracer.observe("flow.latency_s", self.env.now - flow.started_at)
-                keep.append(False)
-                if not flow.done.triggered:
-                    flow.done.succeed(flow)
-                flow.done = None
-            else:
-                if flow.pending:
-                    flow.pending = False
-                    self._unplanned -= 1
-                keep.append(True)
-                live.append(flow)
-        if len(live) != len(component) and not comp.dirty:
-            self._p_remove_rows(comp, keep)
-        comp.flows = live
-        if live:
+        for flow in comp.pending:
+            if flow.pending:
+                flow.pending = False
+                self._unplanned -= 1
+        comp.pending = []
+        flows = comp.flows
+        tracer = self._tracer
+        for i in finished:  # delivered, up to the byte epsilon
+            flow = flows[i]
+            self._detach(flow, flow.size)
+            self.completed_flows += 1
+            self.bytes_delivered += flow.size
+            self._counters.bw_flows_completed += 1
+            if tracer is not None:
+                tracer.observe("flow.bytes", flow.size)
+                tracer.observe("flow.latency_s", self.env.now - flow.started_at)
+            if not flow.done.triggered:
+                flow.done.succeed(flow)
+            flow.done = None
+        if finished:
+            if not comp.dirty:
+                keep = np.ones(comp.n_rows, dtype=bool)
+                keep[finished] = False
+                self._p_remove_rows(comp, keep)
+            for i in reversed(finished):
+                del flows[i]
+        if flows:
             self._allocate(comp)
-            if detached:
-                # A detached flow may have been the bridge holding the
-                # component together: each surviving connected group needs
-                # its own min-entry in the horizon heap, or a split-off
-                # group would never be woken again.
-                groups = self._live_groups(live)
+            if may_split or finished:
+                # A detached flow may have bridged the component: each
+                # surviving group needs its own entry in the horizon heap.
+                groups = self._live_groups(flows)
                 if len(groups) > 1:
                     self._p_split(comp, groups)
                 for group in groups:
-                    self._push_deadlines(group)
+                    self._push_deadlines(group[0].channels[0].comp)
             else:
-                self._push_deadlines(live)
+                self._push_deadlines(comp)
         if self.verify and self._unplanned == 0:
-            # Parked flows elsewhere hold rate 0 by construction; the global
-            # cross-check is only meaningful once the whole instant is
-            # planned (the flush hook re-plans every pending component
-            # before the clock advances).
+            # Parked flows elsewhere hold rate 0 by construction: check the
+            # whole system once the instant is planned.
             self._verify_against_reference()
             self._verify_persistent_components()
         self._arm_timer()
 
     def _allocate(self, comp: _Component) -> None:
-        """Progressive filling restricted to one (settled) component.
-
-        Small components run the reference procedure directly; larger ones
-        run its bit-identical mirror over the persistent component arrays
-        (see :meth:`_allocate_vector`).
-        """
+        """Progressive filling restricted to one (settled) component: by the
+        reference procedure itself, or by :func:`_fill` over its arrays."""
         flows = comp.flows
         self._counters.bw_allocations += 1
         self._counters.bw_flows_allocated += len(flows)
         if len(flows) < _VECTOR_MIN_FLOWS:
-            for flow, rate in reference_allocation(flows).items():
-                flow.rate = rate
+            rate = self._rate_v
+            for flow, value in reference_allocation(flows).items():
+                rate[flow.slot] = value
         else:
-            self._allocate_vector(comp)
+            if comp.dirty or comp.dead_slots * 2 > comp.n_slots:
+                self._p_rebuild(comp)
+            n = comp.n_rows  # == len(flows): the arrays mirror the flow list
+            self._rate[comp.fslot[:n]] = _fill(
+                comp.e_slot[: comp.n_edges], comp.counts[:n], comp.caps[: comp.n_slots], n
+            )
         if self._tracer is not None:
             # Channels collected and summed in creation-index order: a set
             # iteration here would make float summation order (and thus the
@@ -834,34 +913,30 @@ class BandwidthSystem:
                 if not dirty:
                     self._p_add_slot(target, chan)
         target.flows.append(flow)  # highest index: the sort order is preserved
+        target.pending.append(flow)
         if not dirty:
             self._p_append_row(target, flow)
 
     def _p_merge(self, target: _Component, other: _Component) -> None:
         """Absorb ``other`` into ``target`` (relabel pointers, merge flows).
 
-        Every member channel is crossed by at least one member flow, so the
-        flow list reaches all pointers to relabel.  The merged arrays are
-        *not* stitched together -- ``target`` is marked stale and rebuilt
-        lazily on its next vector allocation (merges are rare: a flow
-        bridging two live fabrics).
+        Every member channel is crossed by a member flow, so the flow list
+        reaches every pointer.  ``target``'s arrays go stale; the next vector
+        allocation rebuilds them (merges are rare).
         """
         for flow in other.flows:
             for chan in flow.channels:
                 chan.comp = target
         # Two runs already sorted by flow index: timsort merges in O(n).
         target.flows = sorted(target.flows + other.flows, key=lambda f: f.index)
+        target.pending += other.pending
         target.dirty = True
         self._counters.bw_cc_unions += 1
 
     def _p_split(self, comp: _Component, groups: List[List[Flow]]) -> None:
-        """Re-home the surviving groups after a real disconnection.
-
-        Union-find cannot split, but ``_live_groups`` just recovered the
-        true partition: the largest group keeps the original component (its
-        rows survive as one mask compaction), every other group moves to a
-        fresh, lazily rebuilt component.
-        """
+        """Re-home the surviving groups after a real disconnection: the
+        largest keeps the component (its rows as one mask compaction), every
+        other group moves to a fresh, lazily rebuilt component."""
         big = groups[0]
         for group in groups[1:]:
             if len(group) > len(big):
@@ -874,14 +949,21 @@ class BandwidthSystem:
             for flow in group:
                 for chan in flow.channels:
                     if chan.comp is not new:
-                        if not comp.dirty and chan._slot_epoch == comp.epoch:
-                            comp.dead_slots += 1
+                        self._kill_slot(comp, chan)
                         chan.comp = new
             self._counters.bw_cc_rebuilds += 1
         if not comp.dirty:
             in_big = set(big)
             self._p_remove_rows(comp, [f in in_big for f in comp.flows])
         comp.flows = big
+
+    @staticmethod
+    def _kill_slot(comp: _Component, chan: FairShareChannel) -> None:
+        """``chan`` left ``comp``: its slot, if any, goes dead at capacity inf
+        (``caps / users`` then reads inf / 0 == inf there, with no warning)."""
+        if not comp.dirty and chan._slot_epoch == comp.epoch:
+            comp.dead_slots += 1
+            comp.caps[chan._slot] = math.inf
 
     def _p_add_slot(self, comp: _Component, chan: FairShareChannel) -> None:
         slot = comp.n_slots
@@ -911,36 +993,34 @@ class BandwidthSystem:
             n_edges += 1
         comp.n_edges = n_edges
         row = comp.n_rows
-        counts = comp.counts
-        if counts is None or row == counts.size:
-            grown = np.empty(max(32, row * 2), dtype=np.int64)
-            if row:
-                grown[:row] = counts[:row]
-            comp.counts = counts = grown
-        counts[row] = k
+        if row == comp.counts.size:
+            counts, fslot = np.empty((2, max(32, row * 2)), dtype=np.int64)
+            counts[:row] = comp.counts[:row]
+            fslot[:row] = comp.fslot[:row]
+            comp.counts, comp.fslot = counts, fslot
+        comp.counts[row] = k
+        comp.fslot[row] = flow.slot
         comp.n_rows = row + 1
         self._counters.bw_array_delta_updates += 1
 
-    def _p_remove_rows(self, comp: _Component, keep: List[bool]) -> None:
+    def _p_remove_rows(self, comp: _Component, keep: Sequence[bool]) -> None:
         """Delta update: drop the rows of detached flows by one boolean mask."""
-        counts = comp.counts[: comp.n_rows]
-        keep_arr = np.array(keep, dtype=bool)
-        kept_counts = counts[keep_arr]
-        edge_keep = np.repeat(keep_arr, counts)
+        n = comp.n_rows
+        keep_arr = np.asarray(keep, dtype=bool)
+        edge_keep = np.repeat(keep_arr, comp.counts[:n])
         kept_edges = comp.e_slot[: comp.n_edges][edge_keep]
         comp.e_slot[: kept_edges.size] = kept_edges
         comp.n_edges = int(kept_edges.size)
-        comp.counts[: kept_counts.size] = kept_counts
-        comp.n_rows = int(kept_counts.size)
+        kept = int(np.count_nonzero(keep_arr))
+        comp.counts[:kept] = comp.counts[:n][keep_arr]
+        comp.fslot[:kept] = comp.fslot[:n][keep_arr]
+        comp.n_rows = kept
         self._counters.bw_array_delta_updates += 1
 
     def _p_rebuild(self, comp: _Component) -> None:
-        """Full array rebuild from the (exact) flow list, under a new epoch.
-
-        Runs lazily: after a merge or a split-off, on the component's next
-        vector allocation (small components may stay dirty forever -- the
-        reference solver never reads the arrays), or when dead slots pile up.
-        """
+        """Full array rebuild from the (exact) flow list, under a new epoch:
+        on the first vector allocation after a merge or split-off, or when
+        dead slots pile up."""
         flows = comp.flows
         n = len(flows)
         self._comp_epoch += 1
@@ -961,6 +1041,7 @@ class BandwidthSystem:
                 e_slot[pos] = chan._slot
                 pos += 1
         comp.counts = counts
+        comp.fslot = np.fromiter((f.slot for f in flows), np.int64, n)
         comp.e_slot = e_slot
         comp.caps = np.array(caps, dtype=np.float64)
         comp.n_rows = n
@@ -970,98 +1051,13 @@ class BandwidthSystem:
         comp.dirty = False
         self._counters.bw_array_full_rebuilds += 1
 
-    def _allocate_vector(self, comp: _Component) -> None:
-        """Progressive filling over the persistent component arrays.
-
-        The assembly replays the reference solver's exact operation sequence,
-        so the output bits are identical to :func:`reference_allocation`:
-
-        * channels are ranked in *encounter order* (first occurrence over
-          flows in index order, channel-tuple order) -- the reference
-          solver's dict insertion order, which decides bottleneck ties.  The
-          edge array's rows are exactly those flows in that order, so the
-          order is each live slot's first occurrence along it, whatever the
-          slot numbering (a dead slot has no edge and never enters);
-        * ``shares.argmin()`` returns the first occurrence of the minimum,
-          exactly like the reference's first-strict-minimum scan over that
-          order, and every stored share is the same single IEEE division
-          over the same operands (a share is recomputed only when its
-          channel's residual or user count changed, so unchanged entries
-          hold the very bits a full recomputation would produce);
-        * capacity decrements run per flow in index order with an immediate
-          ``max(0, .)`` clamp -- literally the reference's inner loop
-          (:func:`_fill_rounds`).
-
-        The assembly itself needs no BFS and no per-flow Python iteration:
-        one first-occurrence scan over the edges plus C-speed gathers over
-        arrays maintained by deltas.
-
-        Before any of it, one shared bottleneck is resolved in slot space.
-        The reference's first round divides each channel's full capacity by
-        its user count -- ``caps / users`` per slot, the same operands in
-        any order.  If exactly one slot attains the minimum, encounter order
-        (which only breaks ties) cannot change the pick; if that slot has as
-        many edges as the component has flows, every flow crosses it (a flow
-        lists a channel once), so the first round freezes every flow at that
-        quotient and the loop ends.  A tie of any kind, a flow off that
-        channel or a second round takes the assembled path.
-        """
-        if comp.dirty or comp.dead_slots * 2 > comp.n_slots:
-            self._p_rebuild(comp)
-        flows = comp.flows
-        n = comp.n_rows  # == len(flows): the arrays mirror the flow list
-        slot_users = np.bincount(comp.e_slot[: comp.n_edges], minlength=comp.n_slots)
-        # A dead slot has no edge left (they went with its last flow).
-        slot_shares = np.full(comp.n_slots, math.inf)
-        np.divide(comp.caps[: comp.n_slots], slot_users, out=slot_shares, where=slot_users > 0)
-        hub = int(slot_shares.argmin())
-        if slot_users[hub] == n and np.count_nonzero(slot_shares == slot_shares[hub]) == 1:
-            rate = float(slot_shares[hub])
-            for flow in flows:
-                flow.rate = rate
-            return
-        counts = comp.counts[:n]
-        edges = comp.e_slot[: comp.n_edges]
-        positions = np.arange(edges.size, dtype=np.int64)
-        first = np.full(comp.n_slots, edges.size, dtype=np.int64)
-        np.minimum.at(first, edges, positions)
-        order = edges[first[edges] == positions]
-        k = int(order.size)
-        rank = np.empty(comp.n_slots, dtype=np.int64)
-        rank[order] = np.arange(k, dtype=np.int64)
-        lid = rank[edges]
-        users_arr = slot_users[order]
-        enc_caps = comp.caps[order]
-        shares = slot_shares[order]
-        cap_left = enc_caps.tolist()
-        users = users_arr.tolist()
-        lid_list = lid.tolist()
-        fl_ptr = np.repeat(np.arange(n, dtype=np.int64), counts)
-        fstart = np.empty(n + 1, dtype=np.int64)
-        fstart[0] = 0
-        np.cumsum(counts, out=fstart[1:])
-        fstart = fstart.tolist()
-        # Edges grouped by channel; the stable sort keeps flows in index
-        # order within each channel (fl_ptr is non-decreasing), which is the
-        # order the reference solver freezes them in.
-        by_chan = fl_ptr[np.argsort(lid, kind="stable")].tolist()
-        cstart = np.empty(k + 1, dtype=np.int64)
-        cstart[0] = 0
-        np.cumsum(users_arr, out=cstart[1:])
-        cstart = cstart.tolist()
-        rates = _fill_rounds(shares, cap_left, users, lid_list, fstart, by_chan, cstart, n)
-        for flow, rate in zip(flows, rates):
-            flow.rate = rate
-
     def _verify_persistent_components(self) -> None:
         """Verify-mode cross-check of the maintained structure itself.
 
-        Re-derives, from scratch, what the engine maintains incrementally:
-        every flow's component must equal the BFS component of its channels,
+        Every flow's component must equal the BFS component of its channels,
         and a clean component's arrays must mirror its flow list edge for
-        edge, with ``dead_slots`` counting exactly the slots no edge uses.
-        O(global edges) -- dwarfed by the reference re-allocation that
-        verify mode already runs.
+        edge and row for row, ``dead_slots`` counting exactly the slots no
+        edge uses (each at capacity inf).
         """
         seen: Set[int] = set()
         for flow in self._flows:
@@ -1087,10 +1083,12 @@ class BandwidthSystem:
                         )
             if comp.dirty:
                 continue
-            if comp.n_rows != len(comp.flows):
+            if comp.n_rows != len(comp.flows) or comp.fslot[: comp.n_rows].tolist() != [
+                member.slot for member in comp.flows
+            ]:
                 raise SimulationError(
                     f"persistent arrays of component #{comp.ident} hold "
-                    f"{comp.n_rows} row(s) for {len(comp.flows)} flow(s)"
+                    f"{comp.n_rows} row(s) that do not mirror its {len(comp.flows)} flow(s)"
                 )
             pos = 0
             for member in comp.flows:
@@ -1110,61 +1108,72 @@ class BandwidthSystem:
                     f"persistent arrays of component #{comp.ident} hold "
                     f"{comp.n_edges} edge(s), expected {pos}"
                 )
-            live_slots = np.unique(comp.e_slot[: comp.n_edges]).size
-            if comp.n_slots - comp.dead_slots != live_slots:
+            used = np.zeros(comp.n_slots, dtype=bool)
+            used[comp.e_slot[: comp.n_edges]] = True
+            live_slots = int(np.count_nonzero(used))
+            dead_caps = comp.caps[: comp.n_slots][~used]
+            if comp.n_slots - comp.dead_slots != live_slots or (dead_caps != math.inf).any():
                 raise SimulationError(
                     f"persistent arrays of component #{comp.ident} count "
                     f"{comp.n_slots - comp.dead_slots} live slot(s), its edges use {live_slots}"
                 )
 
-    def _push_deadlines(self, flows: List[Flow]) -> None:
-        """Recompute the absolute completion deadline of each flow.
+    def _push_deadlines(self, comp: _Component) -> None:
+        """Recompute the absolute completion deadline of each of its flows.
 
-        Only the *earliest* deadline of the group enters the horizon heap:
-        rates are frozen until the next event touching this group, and that
-        next event is at most this minimum away -- when its timer fires the
-        whole component is settled and re-planned, every finished flow is
-        detected by its byte count (never by heap membership), and a fresh
-        minimum is pushed.  One entry per connected
-        group instead of one per flow keeps the heap's size (and the
-        lazy-invalidation churn) proportional to the number of
-        recomputations, not to flows x recomputations.
+        Only the group's *earliest* deadline enters the horizon heap: when
+        its timer fires, the whole component replans and every finished flow
+        is found by its bytes, so one entry per group suffices.  A starved
+        flow (rate 0) has no horizon (``_arm_timer`` raises if no flow has
+        one).  A horizon at or below the settle threshold (float residue, or
+        rate inf) is nudged past it, or the timer would refire forever.
         """
         now = self.env.now
-        best_deadline = math.inf
-        best_flow = None
-        for flow in flows:
-            rate = flow.rate
-            if rate <= 0.0:
-                # Starved flow: no finite horizon of its own.  _arm_timer
-                # raises if the whole system ends up in this state.
-                flow.deadline = math.inf
-                continue
-            horizon = flow.remaining / rate  # 0.0 for rate == inf
-            if horizon <= _EPSILON_TIME:
-                # Float residue left a completion horizon below the settle
-                # threshold: a timer there would fire, _settle() would skip
-                # the sub-epsilon elapsed time and the same instant would be
-                # rescheduled forever.  Nudge the horizon just past the
-                # threshold so the residue is actually drained (rate changes
-                # mid-flight -- e.g. failure injection detaching flows --
-                # can produce this).
-                horizon = _EPSILON_TIME * 10
-            deadline = now + horizon
-            flow.deadline = deadline
-            if deadline < best_deadline:
-                best_deadline = deadline
-                best_flow = flow
-        if best_flow is not None:
+        flows = comp.flows
+        if self._scalar(comp):
+            rate_v, remaining, deadline_v = self._rate_v, self._rem_v, self._deadline_v
+            best_deadline = math.inf
+            best_flow = None
+            for flow in flows:
+                slot = flow.slot
+                rate = rate_v[slot]
+                if rate <= 0.0:
+                    deadline_v[slot] = math.inf
+                    continue
+                horizon = remaining[slot] / rate  # 0.0 for rate == inf
+                if horizon <= _EPSILON_TIME:
+                    horizon = _EPSILON_TIME * 10
+                deadline = now + horizon
+                deadline_v[slot] = deadline
+                if deadline < best_deadline:
+                    best_deadline = deadline
+                    best_flow = flow
+        else:
+            slots = comp.fslot[: comp.n_rows]
+            rate = self._rate[slots]
+            if rate.min() > 0.0:
+                horizon = self._rem[slots] / rate
+            else:
+                horizon = np.empty(slots.size)
+                horizon.fill(math.inf)
+                np.divide(self._rem[slots], rate, out=horizon, where=rate > 0.0)
+            horizon[horizon <= _EPSILON_TIME] = _EPSILON_TIME * 10
+            deadlines = now + horizon
+            self._deadline[slots] = deadlines
+            first = int(deadlines.argmin())  # the first minimum, as the loop keeps
+            best_deadline = float(deadlines[first])
+            best_flow = flows[first]
+        if best_deadline < math.inf:
             self._heap_seq += 1
             heapq.heappush(self._heap, (best_deadline, self._heap_seq, best_flow))
 
     def _arm_timer(self) -> None:
         """Schedule the horizon timer at the earliest valid deadline."""
         heap = self._heap
+        deadline = self._deadline_v
         while heap:
             when, _seq, flow = heap[0]
-            if flow in self._flows and flow.deadline == when:
+            if flow.slot >= 0 and deadline[flow.slot] == when:
                 break
             heapq.heappop(heap)
             self._counters.bw_stale_deadlines += 1
@@ -1193,42 +1202,31 @@ class BandwidthSystem:
             return  # superseded by a newer plan
         t0 = perf_counter()
         now = self.env.now
-        seeds: List[Flow] = []
-        seen: Set[Flow] = set()
+        seeds: Dict[Flow, None] = {}
         heap = self._heap
+        deadline = self._deadline_v
         while heap and heap[0][0] <= now:
             when, _seq, flow = heapq.heappop(heap)
-            if flow not in self._flows or flow.deadline != when:
+            if flow.slot < 0 or deadline[flow.slot] != when:
                 self._counters.bw_stale_deadlines += 1
                 continue
-            if flow not in seen:
-                seen.add(flow)
-                seeds.append(flow)
+            seeds[flow] = None
         if not seeds:
             self._arm_timer()
             _SOLVER_WALL["seconds"] += perf_counter() - t0
             return
-        # Deadlines can coincide across components; each seed's component
-        # is settled and re-planned separately.  A replan can complete or
-        # re-home later seeds -- ``handled`` carries every flow already
-        # covered by an earlier component.  Each replan ends by re-arming
-        # the timer, which must still see the horizons of seeds in
-        # components not replanned *yet* (their entries were popped above)
-        # -- push them back; an entry goes stale the moment its component
-        # replans (new deadline) or the flow completes (dropped from the
-        # active set).
+        # Deadlines can coincide across components.  Each replan re-arms the
+        # timer, which must still see the seeds of components not replanned
+        # *yet*: push them back (an entry goes stale when its component
+        # replans or its flow completes).
         for flow in seeds:
             self._heap_seq += 1
-            heapq.heappush(heap, (flow.deadline, self._heap_seq, flow))
-        handled: Set[Flow] = set()
-        for flow in seeds:
-            if flow in handled or flow not in self._flows:
-                continue
-            comp = flow.channels[0].comp
-            handled.update(comp.flows)
+            heapq.heappush(heap, (deadline[flow.slot], self._heap_seq, flow))
+        # A replan changes no other component, so each seed's component is
+        # taken before any of them replans (and each one replans once).
+        for comp in dict.fromkeys(flow.channels[0].comp for flow in seeds):
             self._count_component(comp)
-            self._settle(comp.flows)
-            self._replan(comp)
+            self._replan(comp, self._settle(comp))
         _SOLVER_WALL["seconds"] += perf_counter() - t0
 
     def _verify_against_reference(self) -> None:

@@ -107,6 +107,16 @@ class TestInputChecks:
             bw.transfer(nbytes, [link], label="upload")
         assert bw.active_flows == 0
 
+    @pytest.mark.parametrize("latency", [-5.0, float("nan"), math.inf])
+    def test_bad_latency_rejected(self, latency):
+        """-5 and NaN used to run as no latency, and inf parked the
+        completion at t = inf while the transmission counted as done."""
+        bw = BandwidthSystem(Environment())
+        link = bw.channel(10.0)
+        with pytest.raises(SimulationError, match=rf"'upload'.*latency.*{latency}"):
+            bw.transfer(100.0, [link], latency=latency, label="upload")
+        assert bw.active_flows == 0 and not link.flows
+
     def test_repeated_channel_rejected(self):
         """``[a, a]`` would count two users of ``a`` for one attached flow
         (half the rate) and book the delivered bytes on ``a`` twice."""

@@ -308,42 +308,49 @@ def test_hub_fabrics_match_reference_exactly(spec, min_flows):
 class TestDecidedAllocations:
     """An allocation stops where its outcome is decided.
 
-    One shared bottleneck is resolved before any array is assembled; the
-    round that freezes the last flow leaves the residuals alone.  Every run
-    here is under verify=True, so the rates are also the reference's.
+    Each step of the slot-space fill is spied on: a step that freezes every
+    unfrozen flow calls neither ``_round`` nor ``_tie_run``, a tie run calls
+    ``_tie_run`` (which returns None when it must fall back to one round).
+    Every run here is under verify=True, so the rates are also the
+    reference's.
     """
 
     @staticmethod
-    def spy_on_array_path(monkeypatch):
-        """Count calls of ``_fill_rounds`` and ``np.argsort`` and record, per
-        ``_allocate_vector`` call, the component's ``(dirty, dead_slots)``."""
-        seen = {"fill_rounds": 0, "argsort": 0, "entries": []}
-        allocate_vector = BandwidthSystem._allocate_vector
+    def spy_on_steps(monkeypatch):
+        """Count ``_round`` calls and ``_tie_run`` calls by outcome, and
+        record, per array allocation, the component's ``(dirty, dead_slots)``."""
+        seen = {"rounds": 0, "tie_runs": 0, "tie_fallbacks": 0, "entries": []}
+        allocate, tie_run, one_round = (
+            BandwidthSystem._allocate,
+            bandwidth._tie_run,
+            bandwidth._round,
+        )
 
-        def counting(name, function):
-            def wrapper(*args, **kwargs):
-                seen[name] += 1
-                return function(*args, **kwargs)
+        def counting_round(*args):
+            seen["rounds"] += 1
+            return one_round(*args)
 
-            return wrapper
+        def counting_tie_run(*args):
+            batch = tie_run(*args)
+            seen["tie_runs" if batch is not None else "tie_fallbacks"] += 1
+            return batch
 
         def recording(self, comp):
-            seen["entries"].append((comp.dirty, comp.dead_slots))
-            return allocate_vector(self, comp)
+            if len(comp.flows) >= bandwidth._VECTOR_MIN_FLOWS:
+                seen["entries"].append((comp.dirty, comp.dead_slots))
+            return allocate(self, comp)
 
-        monkeypatch.setattr(
-            bandwidth, "_fill_rounds", counting("fill_rounds", bandwidth._fill_rounds)
-        )
-        monkeypatch.setattr(np, "argsort", counting("argsort", np.argsort))
-        monkeypatch.setattr(BandwidthSystem, "_allocate_vector", recording)
+        monkeypatch.setattr(bandwidth, "_round", counting_round)
+        monkeypatch.setattr(bandwidth, "_tie_run", counting_tie_run)
+        monkeypatch.setattr(BandwidthSystem, "_allocate", recording)
         return seen
 
     @staticmethod
-    def run_hub(n_hub, off_hub=0):
-        """``n_hub`` flows over own 100 B/s NIC + 640 B/s hub, completing one
-        by one; ``off_hub`` more on the last NIC alone."""
+    def run_hub(n_hub, off_hub=0, hub_cap=640.0):
+        """``n_hub`` flows over own 100 B/s NIC + the hub, completing one by
+        one; ``off_hub`` more on the last NIC alone."""
         env, bw = build_system(verify=True)
-        hub = bw.channel(640.0, "hub")
+        hub = bw.channel(hub_cap, "hub")
         nics = [bw.channel(100.0, f"nic{i}") for i in range(n_hub)]
         done = [
             bw.transfer(1000.0 + 10.0 * i, [nic, hub], label=f"f{i}")
@@ -353,70 +360,84 @@ class TestDecidedAllocations:
         env.run()
         assert all(event.processed for event in done)
 
-    def test_tight_hub_is_resolved_without_assembly(self, monkeypatch):
-        seen = self.spy_on_array_path(monkeypatch)
+    def test_tight_hub_is_decided_by_the_first_step(self, monkeypatch):
+        seen = self.spy_on_steps(monkeypatch)
         # 640 / n < 100 down to n = 16, where the reference solver takes over.
         self.run_hub(64)
         assert len(seen["entries"]) >= 64 - bandwidth._VECTOR_MIN_FLOWS
-        assert seen["fill_rounds"] == 0
-        assert seen["argsort"] == 0
+        assert seen["rounds"] == seen["tie_runs"] == seen["tie_fallbacks"] == 0
 
-    def test_one_flow_off_the_hub_takes_the_assembled_path(self, monkeypatch):
-        seen = self.spy_on_array_path(monkeypatch)
+    def test_one_flow_off_the_hub_takes_one_round(self, monkeypatch):
+        """The hub freezes its 64 flows in one round; the flow off the hub
+        is then alone on its NIC, which the next step decides."""
+        seen = self.spy_on_steps(monkeypatch)
         self.run_hub(64, off_hub=1)
-        assert seen["fill_rounds"] > 0
-        assert seen["argsort"] > 0
+        assert 0 < seen["rounds"] <= len(seen["entries"])
 
-    def test_tied_hub_takes_the_assembled_path(self, monkeypatch):
-        """Two channels crossed by every flow at the same share: which one
-        the reference picks is a matter of encounter order, so no exit."""
-        seen = self.spy_on_array_path(monkeypatch)
+    def test_tied_hub_is_decided_by_the_first_encountered_slot(self, monkeypatch):
+        """Two channels crossed by every flow at the same share: the
+        reference picks the first encountered, which freezes every flow."""
+        seen = self.spy_on_steps(monkeypatch)
         env, bw = build_system(verify=True)
         hubs = [bw.channel(640.0, "hub-a"), bw.channel(640.0, "hub-b")]
         for i in range(20):
             bw.transfer(1000.0 + 10.0 * i, hubs, label=f"f{i}")
         env.run()
-        assert seen["fill_rounds"] > 0
+        assert seen["entries"]
+        assert seen["rounds"] == seen["tie_runs"] == seen["tie_fallbacks"] == 0
+
+    def test_nic_bound_tie_is_one_tie_run(self, monkeypatch):
+        """Every flow is held by its own NIC (100 B/s) under a hub that
+        never comes near: the reference's one round per NIC is one step."""
+        seen = self.spy_on_steps(monkeypatch)
+        self.run_hub(24, hub_cap=1e6)
+        assert seen["tie_runs"] >= 24 - bandwidth._VECTOR_MIN_FLOWS
+        assert seen["rounds"] == seen["tie_fallbacks"] == 0
+
+    def test_mid_run_tie_falls_back_to_rounds(self, monkeypatch):
+        """The shared channel of ``MID_RUN_TIE`` reaches the tie after six
+        decrements: the tie run must not be taken at once."""
+        seen = self.spy_on_steps(monkeypatch)
+        capacities, flow_specs = MID_RUN_TIE
+        done = run_schedule(capacities, flow_specs, verify=True)
+        assert len(done) == len(flow_specs)
+        assert seen["tie_fallbacks"] > 0
+        assert seen["rounds"] > 0
 
     def test_dead_slots_divide_nothing_by_zero(self, monkeypatch):
         """A completed flow's NIC leaves a dead slot (no users) in the clean
         arrays; the slot-space shares must skip it, not divide by it."""
-        seen = self.spy_on_array_path(monkeypatch)
+        seen = self.spy_on_steps(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             self.run_hub(20)
         assert any(not dirty and dead > 0 for dirty, dead in seen["entries"])
-        assert seen["fill_rounds"] == 0
+        assert seen["rounds"] == seen["tie_runs"] == 0
 
-    def test_last_round_leaves_the_residuals_alone(self):
+    def test_last_round_leaves_the_residuals_alone(self, monkeypatch):
         """f0 over A, f1 over A+B, f2 over B; A = 10 B/s, B = 100 B/s.
 
         Round 1 freezes f0 and f1 at A's 10 / 2 and pays the decrements
-        (A: 10 - 5 - 5, B: 100 - 5); round 2 freezes f2 at B's 95 / 1 and,
-        being the last, writes nothing back.
+        (A: 10 - 5 - 5, B: 100 - 5); then f2 is the only unfrozen flow and
+        B's 95 / 1 decides it without a round, so nothing is written back.
         """
-        shares = np.array([5.0, 50.0])
-        cap_left, users = [10.0, 100.0], [2, 2]
-        rates = bandwidth._fill_rounds(
-            shares,
-            cap_left,
-            users,
-            [0, 0, 1, 1],  # per-edge channel ids, rows f0 | f1 | f2
-            [0, 1, 3, 4],
-            [0, 1, 1, 2],  # flows grouped by channel, A | B
-            [0, 2, 4],
+        seen = self.spy_on_steps(monkeypatch)
+        caps = np.array([10.0, 100.0])
+        rates = bandwidth._fill(
+            np.array([0, 0, 1, 1]),  # per-edge channel slots, rows f0 | f1 | f2
+            np.array([1, 2, 1]),
+            caps,
             3,
         )
-        assert rates == [5.0, 5.0, 95.0]
-        assert cap_left == [0.0, 95.0]  # the full loop would leave B at 0.0
-        assert users == [0, 1]
-        assert shares.tolist() == [math.inf, 95.0]
+        assert rates.tolist() == [5.0, 5.0, 95.0]
+        assert seen["rounds"] == 1
+        assert caps.tolist() == [10.0, 100.0]  # the fill decrements a copy
 
         env, bw = build_system(verify=False)
         a, b = bw.channel(10.0, "A"), bw.channel(100.0, "B")
         for crossed in ([a], [a, b], [b]):
             bw.transfer(1000.0, crossed)
-        assert list(reference_allocation(bw._flows).values()) == rates
+        assert list(reference_allocation(bw._flows).values()) == rates.tolist()
 
 
 # -- star components: ties between private and shared channels ------------------------
@@ -887,8 +908,8 @@ class TestComponentPartitioning:
         # Force an impossible state: zero out the rate behind the engine's
         # back and ask it to replan.
         (flow,) = bw._flows
-        flow.rate = 0.0
-        flow.deadline = math.inf
+        bw._rate[flow.slot] = 0.0
+        bw._deadline[flow.slot] = math.inf
         bw._heap.clear()
         with pytest.raises(SimulationError):
             bw._arm_timer()
