@@ -420,9 +420,9 @@ def _tie_run(
     hits = np.bincount(batch_edges, minlength=users.size)
     hits[tied] = 0
     touched = hits.nonzero()[0]
-    counts = hits[touched]
-    for k in set(counts.tolist()):
-        slots = touched[counts == k]
+    decrements = hits[touched]
+    for k in set(decrements.tolist()):
+        slots = touched[decrements == k]
         steps = np.full((slots.size, k + 1), share)
         steps[:, 0] = cap_left[slots]
         residual = np.maximum(np.subtract.accumulate(steps, axis=1)[:, 1:], 0.0)
@@ -725,7 +725,9 @@ class BandwidthSystem:
     def _settle(self, comp: _Component) -> List[int]:
         """Advance the component's flows to the current time at their last
         rates; returns the positions of the flows now delivered (up to the
-        byte epsilon), in index order."""
+        byte epsilon), in index order.  Only a flow that moves can finish: a
+        replan leaves no delivered flow attached, and a new flow carries its
+        size."""
         now = self.env.now
         flows = comp.flows
         self._counters.bw_settles += 1
@@ -740,9 +742,9 @@ class BandwidthSystem:
                 if elapsed > _EPSILON_TIME:
                     moved = rate[slot] * elapsed
                     if moved > 0.0:
-                        remaining[slot] = max(0.0, remaining[slot] - moved)
-                if remaining[slot] <= _EPSILON_BYTES:
-                    finished.append(i)
+                        left = remaining[slot] = max(0.0, remaining[slot] - moved)
+                        if left <= _EPSILON_BYTES:
+                            finished.append(i)
             return finished
         slots = comp.fslot[: comp.n_rows]
         elapsed = now - self._settled[slots]
@@ -750,9 +752,7 @@ class BandwidthSystem:
         if elapsed.min() > _EPSILON_TIME:
             moved = self._rate[slots] * elapsed
         elif elapsed.max() <= _EPSILON_TIME:
-            # Nothing moves, so nothing finishes: a replan leaves no
-            # delivered flow attached, and a new flow carries its size.
-            return []
+            return []  # nothing moves
         else:  # a flow that does not move subtracts 0 (and the clamp is a no-op)
             moved = np.zeros(slots.size)
             np.multiply(self._rate[slots], elapsed, out=moved, where=elapsed > _EPSILON_TIME)
