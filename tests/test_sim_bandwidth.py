@@ -109,8 +109,8 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("latency", [-5.0, float("nan"), math.inf])
     def test_bad_latency_rejected(self, latency):
-        """-5 and NaN used to run as no latency, and inf parked the
-        completion at t = inf while the transmission counted as done."""
+        """Unchecked, -5 and NaN would run as no latency, and inf would park
+        the completion at t = inf while the transmission counts as done."""
         bw = BandwidthSystem(Environment())
         link = bw.channel(10.0)
         with pytest.raises(SimulationError, match=rf"'upload'.*latency.*{latency}"):
