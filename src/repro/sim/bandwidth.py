@@ -1083,9 +1083,8 @@ class BandwidthSystem:
                         )
             if comp.dirty:
                 continue
-            if comp.n_rows != len(comp.flows) or comp.fslot[: comp.n_rows].tolist() != [
-                member.slot for member in comp.flows
-            ]:
+            slots = [member.slot for member in comp.flows]
+            if comp.n_rows != len(comp.flows) or comp.fslot[: comp.n_rows].tolist() != slots:
                 raise SimulationError(
                     f"persistent arrays of component #{comp.ident} hold "
                     f"{comp.n_rows} row(s) that do not mirror its {len(comp.flows)} flow(s)"
