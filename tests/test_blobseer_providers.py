@@ -23,7 +23,7 @@ and a release or a collection done twice frees nothing the second time.
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.blobseer import BlobClient, Chunk, ChunkKey, DataProvider, ProviderManager
@@ -346,6 +346,17 @@ OPERATION = st.one_of(
 
 
 @settings(max_examples=250, deadline=None)
+# the only provider leaves the manager holding every chunk of two runs none of
+# which was released: nothing of either version can be read any more
+@example(
+    capacities=[24],
+    replication=1,
+    operations=[
+        ("write", 0, [(0, 1, 0, False)]),
+        ("write", 0, [(CHUNK, 2 * CHUNK, 1, False)]),
+        ("deregister", 0),
+    ],
+)
 @given(
     capacities=st.lists(st.sampled_from([24, 64, 400, 10**9]), min_size=1, max_size=8),
     replication=st.integers(1, 3),

@@ -10,7 +10,7 @@ import bisect
 import zlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.blobseer import (
@@ -92,6 +92,8 @@ OPERATIONS = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
+# zero-size chunks move nobody up a level: the tie-break, not usage, spreads them
+@example(capacities=[40, 40], replication=1, operations=[("store", (2, 0, 1, False))])
 @given(
     capacities=st.lists(CAPACITIES, min_size=1, max_size=40),
     replication=st.integers(1, 3),
@@ -152,6 +154,129 @@ def test_place_many_matches_the_ranking_oracle(capacities, replication, operatio
             model.register(provider_id, arg)
         assert [p.used_bytes for p in manager.providers] == model.used()
         assert manager._rr == model.tie
+
+
+def index_matches_the_providers(manager):
+    """A placement index that is not stale files every live provider at its
+    usage, in ``(crc % live, slot)`` rank order within a level."""
+    if manager._index_stale:
+        return
+    slots = manager.providers
+    live = [p for p in slots if p.alive]
+    levels = {}
+    for slot, provider in enumerate(slots):
+        if provider.alive:
+            assert manager._usage[slot] == provider.used_bytes
+            rank = (zlib.crc32(provider.provider_id.encode()) % len(live)) * len(slots) + slot
+            levels.setdefault(provider.used_bytes, []).append(rank)
+    assert manager._levels == {used: sorted(ranks) for used, ranks in levels.items()}
+    assert manager._level_keys == sorted(levels)
+
+
+#: ``(name, pick, pick)``; most are stores, of a run 1 .. 5 x providers chunks
+#: long, most of them of the example's own size
+UNIFORM_OPERATIONS = st.tuples(
+    st.sampled_from(["store"] * 5 + ["place", "release", "fail", "register"]),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+# four providers with room for two chunks each start a cycle; two steps into
+# it, the one that took a chunk has room for one, so the cycle ends chunk by chunk
+@example(
+    providers=4,
+    capacities=[60] * 8,
+    replication=1,
+    size=5,
+    operations=[("store", 19, 0), ("store", 19, 0), ("store", 0, 0), ("store", 1, 0), ("store", 3, 0)],
+)
+# a zero-size chunk between two chunks of a cycle advances the tie, not the cycle
+@example(
+    providers=3,
+    capacities=[10**9] * 8,
+    replication=1,
+    size=5,
+    operations=[("store", 0, 0), ("store", 0, 4), ("store", 0, 0)],
+)
+@given(
+    providers=st.integers(1, 8),
+    capacities=st.lists(st.sampled_from([60, 400, 10**9, 10**9]), min_size=8, max_size=8),
+    replication=st.sampled_from([1, 1, 1, 2]),
+    size=st.sampled_from([5, 1, 8]),
+    operations=st.lists(UNIFORM_OPERATIONS, min_size=4, max_size=30),
+)
+def test_uniform_runs_place_like_the_ranking_oracle(
+    providers, capacities, replication, size, operations
+):
+    """Runs of equal chunks, several times the provider count long, one after
+    another and between releases, failures, registrations and one-chunk
+    decisions: every chunk lands where the ranking puts it, and the usage,
+    the tie stream and the index agree with the model after every step."""
+    manager = ProviderManager(replication=replication)
+    model = PlacementModel(replication)
+    for index, capacity in enumerate(capacities[:providers]):
+        manager.register(DataProvider(f"node-{index}", capacity=capacity))
+        model.register(f"node-{index}", capacity)
+    runs = []  # (stored run, chunk size)
+    held = set()  # (run number, chunk index) of every chunk not released yet
+    next_id = 0
+    for name, arg, extra in operations:
+        if name == "store":
+            count = 1 + arg % (5 * len(model.providers))
+            chunk = [size, size, size, size, 0, 1, 8][extra % 7]
+            payload = LiteralBytes(bytes(count))
+            before = [list(p) for p in model.providers]
+            expected = []
+            for _ in range(count):
+                placed = model.store(chunk)
+                if placed is None:
+                    break
+                expected.append(placed)
+            if len(expected) < count:
+                model.providers = before
+                with pytest.raises(StorageError):
+                    manager.store_run(1, next_id, payload, 1, chunk)
+            else:
+                run = manager.store_run(1, next_id, payload, 1, chunk)
+                assert list(run.placements) == expected
+                held.update((len(runs), index) for index in range(count))
+                runs.append((run, chunk))
+            next_id += count
+        elif name == "place":
+            chunk = [0, 5, 9][arg % 3]
+            expected = model.place(chunk)
+            if expected is None:
+                with pytest.raises(StorageError):
+                    manager.place(ChunkKey(1, 0), chunk)
+            else:
+                decision = manager.place(ChunkKey(1, 0), chunk)
+                assert decision.providers == [p[0] for p in expected]
+        elif name == "release" and runs:
+            number = arg % len(runs)
+            run, chunk = runs[number]
+            first = extra % len(run.placements)
+            stop = first + 1 + arg % (len(run.placements) - first)
+            manager.release(run, first, stop)
+            for index in range(first, stop):
+                if (number, index) in held:
+                    held.remove((number, index))
+                    for provider_id in run.placements[index]:
+                        record = next(p for p in model.providers if p[0] == provider_id)
+                        if record[3]:
+                            record[2] -= chunk
+        elif name == "fail":
+            record = model.providers[arg % len(model.providers)]
+            manager.get(record[0]).fail()
+            record[2], record[3] = 0, False
+        elif name == "register":
+            provider_id, capacity = f"node-{len(model.providers)}", [60, 400, 10**9][arg % 3]
+            manager.register(DataProvider(provider_id, capacity=capacity))
+            model.register(provider_id, capacity)
+        assert [p.used_bytes for p in manager.providers] == model.used()
+        assert manager._rr == model.tie
+        index_matches_the_providers(manager)
 
 
 def test_one_chunk_wrappers_follow_the_same_sequence():
