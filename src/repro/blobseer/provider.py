@@ -11,15 +11,21 @@ A COMMIT ships a whole run of consecutive stripes at once, and the run is
 what both layers store.  :meth:`ProviderManager.store_run` places it with one
 :meth:`~ProviderManager.place_many` over an incrementally maintained index,
 wraps its payload in one :class:`StoredRun` and hands every chosen provider
-its share as two numbers, a chunk count and a byte count.  A provider keeps
+its share as two numbers, a chunk count and a byte count.  Chunks of one size
+are placed in *cycle steps*: from one usage level, the tie-break walk visits
+every live provider once, in an order fixed by where the tie stream starts,
+and ends with all of them one level up and the tie where it began.  A stretch
+of the run is then a slice of that cached order, and each provider's new
+usage follows from how many chunks of it it got.  A provider keeps
 the runs it was handed, not their chunks, in one table: *it holds exactly the
 chunks the run's placement puts on it*, minus those that were released, which
 the run records in an exception set that does not exist until then.  The
 stored run is the only address of stored content: a read asks whether the
 chunks it wants are still where they were placed
-(:meth:`ProviderManager.live_prefix`: per chunk a provider lookup, its
-``alive`` flag and its run table, nothing allocated) and slices the payload
-once; a chunk no live provider of its placement holds is lost.
+(:meth:`ProviderManager.live_prefix`: at once for a run every provider it was
+stored on still holds whole, else per chunk a provider lookup, its ``alive``
+flag and its run table, nothing allocated) and slices the payload once; a
+chunk no live provider of its placement holds is lost.
 
 Content leaves a live provider one way: :meth:`ProviderManager.release` drops
 a range of a run's chunks from every provider that still holds them (snapshot
@@ -45,7 +51,7 @@ import zlib
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, groupby
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.obs.tracer import Tracer
@@ -104,6 +110,10 @@ class StoredRun:
     #: per provider that has the run in its table, how many of its chunks
     #: that provider still holds
     held: Dict[str, int] = field(default_factory=dict)
+    #: how many providers the run was stored on; ``None`` once one of them
+    #: has left the manager.  While ``held`` has that many entries and
+    #: nothing was dropped, every chunk is where it was placed.
+    holders: Optional[int] = None
     #: what those tables file it under: ``(blob id, first chunk id, chunks)``,
     #: one tuple for all of them.  The count is part of it so that a chunk
     #: stored alone never collides with a longer run that starts at its id.
@@ -246,6 +256,16 @@ class DataProvider:
         )
 
 
+class _Cycle(NamedTuple):
+    """One tie-break cycle (:meth:`ProviderManager._cycle`), in visiting order."""
+
+    ranks: List[int]
+    slots: List[int]
+    #: ``(provider id,)`` per placement: the placements themselves, shared
+    placements: Tuple[Tuple[str], ...]
+    capacities: List[int]
+
+
 @dataclass
 class PlacementDecision:
     """Where the replicas of one new chunk should be stored."""
@@ -288,6 +308,15 @@ class ProviderManager:
         #: a lower bound on the free bytes of every live provider, so the
         #: room filter is skipped for chunks that everyone can take
         self._min_free = 0
+        #: the ranks of all live providers, sorted: the one level a cycle
+        #: starts from
+        self._ring: List[int] = []
+        #: per tie residue ``(-tie) % live``, the cycle the walk makes from
+        #: there (see :meth:`_cycle`); emptied when the index is rebuilt
+        self._cycles: Dict[int, _Cycle] = {}
+        #: ``(k, size)``: the index stands ``k`` placements of ``size`` into a
+        #: cycle (``0 < k < live``), made by cycle steps and by nothing since
+        self._cursor: Optional[Tuple[int, int]] = None
 
     # -- registry -------------------------------------------------------------
 
@@ -303,6 +332,8 @@ class ProviderManager:
         if provider is not None:
             provider._manager = None
             self._index_stale = True
+            for run in provider._runs.values():
+                run.holders = None  # a holder readers cannot reach any more
 
     def get(self, provider_id: str) -> DataProvider:
         try:
@@ -322,21 +353,23 @@ class ProviderManager:
 
     def _rebuild_index(self) -> None:
         self._slots = slots = list(self._providers.values())
+        nslots = len(slots)
         live = [p for p in slots if p.alive]
         self._live = modulus = len(live)
-        self._usage = [p._used for p in slots]
-        self._ranks = [0] * len(slots)
-        self._levels = levels = {}
+        self._usage = usage = [p._used for p in slots]
+        self._ranks = ranks = [0] * nslots
         for slot, provider in enumerate(slots):
             provider._slot = slot
             if provider.alive:
-                rank = (provider.placement_crc % modulus) * len(slots) + slot
-                self._ranks[slot] = rank
-                levels.setdefault(provider._used, []).append(rank)
-        for ring in levels.values():
-            ring.sort()
+                ranks[slot] = (provider.placement_crc % modulus) * nslots + slot
+        self._ring = ring = sorted(ranks[p._slot] for p in live)
+        self._levels = levels = {}
+        for rank in ring:
+            levels.setdefault(usage[rank % nslots], []).append(rank)
         self._level_keys = sorted(levels)
         self._min_free = min((p.capacity - p._used for p in live), default=0)
+        self._cycles = {}
+        self._cursor = None
         self._index_stale = False
 
     def _reindex(self, provider: DataProvider) -> None:
@@ -349,6 +382,7 @@ class ProviderManager:
         old = self._usage[slot]
         if old == used:
             return
+        self._cursor = None
         self._usage[slot] = used
         rank = self._ranks[slot]
         levels = self._levels
@@ -367,6 +401,104 @@ class ProviderManager:
         free = self._slots[slot].capacity - used
         if free < self._min_free:
             self._min_free = free
+
+    def _exact_min_free(self) -> int:
+        """The free bytes of the fullest live provider, by the index."""
+        return min((p.capacity - self._usage[p._slot] for p in self._slots if p.alive), default=0)
+
+    def _cycle(self, residue: int) -> _Cycle:
+        """The walk over every live provider at one level, the tie stream
+        starting at ``residue``: a bisect into what is left of the ring, one
+        residue further back per placement.  It depends on nothing else, and
+        ``live`` placements later the tie stands at ``residue`` again."""
+        nslots = len(self._slots)
+        live = self._live
+        ring = self._ring.copy()
+        ranks = []
+        for step in range(live):
+            start = bisect_left(ring, (residue - step) % live * nslots)
+            ranks.append(ring.pop(start if start < len(ring) else 0))
+        order = [rank % nslots for rank in ranks]
+        providers = [self._slots[slot] for slot in order]
+        return _Cycle(
+            ranks,
+            order,
+            tuple((p.provider_id,) for p in providers),
+            [p.capacity for p in providers],
+        )
+
+    def _cycle_step(self, size: int, wanted: int, placements: List[Tuple[str, ...]]) -> int:
+        """Place up to ``wanted`` chunks of ``size`` as the next stretch of the
+        current cycle, and say how many; 0 when the index is not in a cycle
+        of that size or some live provider could run out of room."""
+        live = self._live
+        levels = self._levels
+        level_keys = self._level_keys
+        cursor = self._cursor
+        if cursor is not None:
+            at, step = cursor
+            if step != size:
+                return 0
+        elif len(level_keys) == 1:
+            at = 0
+        else:
+            return 0
+        # every placement must find room on every live provider, and one that
+        # takes ``n`` chunks of the stretch must still have room after ``n``
+        if 2 * size > self._min_free:
+            self._min_free = self._exact_min_free()
+        per_provider = self._min_free // size - 1
+        if per_provider < 1:
+            return 0
+        count = min(wanted, per_provider * live)
+        residue = (at - self._rr) % live
+        cycle = self._cycles.get(residue)
+        if cycle is None:
+            cycle = self._cycles[residue] = self._cycle(residue)
+        ranks, order, ids, capacities = cycle
+        laps, end = divmod(at + count, live)
+        low = level_keys[0]
+        usage = self._usage
+        if not laps:
+            # inside the cycle: ranks ``at .. end - 1`` go up one level
+            placements += ids[at:end]
+            moved = ranks[at:end]
+            ring = levels[low]
+            for rank in moved:
+                del ring[bisect_left(ring, rank)]
+            up = low + size
+            if at:
+                upper = levels[up]
+                upper += moved
+                upper.sort()
+            else:
+                levels[up] = sorted(moved)
+                level_keys.append(up)
+            for slot in order[at:end]:
+                usage[slot] = up
+            self._min_free = min(self._min_free, min(capacities[at:end]) - up)
+        else:
+            # the cycle ends (or laps): ranks ``:end`` one level above the rest
+            placements += ids[at:]
+            placements += ids * (laps - 1)
+            placements += ids[:end]
+            low += laps * size
+            up = low + size
+            levels.clear()
+            levels[low] = sorted(ranks[end:])
+            level_keys[:] = [low]
+            for slot in order[end:]:
+                usage[slot] = low
+            self._min_free = min(capacities[end:]) - low
+            if end:
+                levels[up] = sorted(ranks[:end])
+                level_keys.append(up)
+                for slot in order[:end]:
+                    usage[slot] = up
+                self._min_free = min(self._min_free, min(capacities[:end]) - up)
+        self._cursor = (end, size) if end else None
+        self._rr += count
+        return count
 
     def place_many(self, sizes: Iterable[int]) -> List[Tuple[str, ...]]:
         """Choose providers for a sequence of new chunks, as if each were
@@ -388,6 +520,18 @@ class ProviderManager:
         O(n).  Only a chunk that some live provider has no room for changes
         the modulus, and is ranked directly.
 
+        A run of equal positive sizes at replication 1 is placed in *cycle
+        steps*.  From one level, the walk visits every live provider once, in
+        an order fixed by ``(-tie) % live`` (:meth:`_cycle`, cached), and
+        leaves them all one level up with that residue again; so ``m`` chunks
+        from ``k`` placements into the cycle go to ``(cycle * laps +
+        cycle[:r])[k:]`` with ``laps, r = divmod(k + m, live)``.  The cursor
+        ``(k, size)`` says where in the cycle the index stands; any other
+        usage change clears it.  A step inside the cycle moves the providers
+        it reached; one that ends the cycle re-files every level in one pass.
+        A step is taken only while every placement it makes finds room on
+        every live provider, so it is the walk, chunk for chunk.
+
         The index is left as if every chunk had been stored where it was
         placed; the stores that follow bring the providers in line with it.
         """
@@ -403,43 +547,54 @@ class ProviderManager:
         count = min(self.replication, live)
         placements: List[Tuple[str, ...]] = []
         try:
-            for size in sizes:
-                if size > self._min_free:
-                    self._min_free = min(
-                        (p.capacity - usage[p._slot] for p in slots if p.alive), default=0
-                    )
-                if size <= self._min_free and live:
-                    pointer = (-self._rr % live) * nslots
-                    chosen: List[int] = []
-                    for level in level_keys:
-                        ring = levels[level]
-                        start = bisect_left(ring, pointer)
-                        chosen += ring[start : start + count - len(chosen)]
-                        if len(chosen) < count:
-                            chosen += ring[: min(start, count - len(chosen))]
-                        if len(chosen) == count:
-                            break
-                else:
-                    room = [
-                        (slot, p)
-                        for slot, p in enumerate(slots)
-                        if p.alive and p.capacity - usage[slot] >= size
-                    ]
-                    if not room:
-                        raise StorageError("no live data provider has room for the chunk")
-                    modulus = len(room)
-                    tie = self._rr
-                    order = sorted(
-                        (usage[slot], (p.placement_crc + tie) % modulus, slot) for slot, p in room
-                    )
-                    chosen = [ranks[slot] for _used, _rotated, slot in order[: self.replication]]
-                self._rr += 1
-                providers = []
-                for rank in chosen:
-                    slot = rank % nslots  # rank = (crc % live) * nslots + slot
-                    self._move(slot, usage[slot] + size)
-                    providers.append(slots[slot].provider_id)
-                placements.append(tuple(providers))
+            for size, run in groupby(sizes):
+                if size < 0:
+                    raise StorageError(f"chunk size must be >= 0: {size}")
+                left = len(list(run))
+                if count == 1 and size:
+                    left -= self._cycle_step(size, left, placements)
+                while left:
+                    if size > self._min_free:
+                        self._min_free = self._exact_min_free()
+                    if size <= self._min_free and live:
+                        pointer = (-self._rr % live) * nslots
+                        chosen: List[int] = []
+                        for level in level_keys:
+                            ring = levels[level]
+                            start = bisect_left(ring, pointer)
+                            chosen += ring[start : start + count - len(chosen)]
+                            if len(chosen) < count:
+                                chosen += ring[: min(start, count - len(chosen))]
+                            if len(chosen) == count:
+                                break
+                    else:
+                        room = [
+                            (slot, p)
+                            for slot, p in enumerate(slots)
+                            if p.alive and p.capacity - usage[slot] >= size
+                        ]
+                        if not room:
+                            raise StorageError("no live data provider has room for the chunk")
+                        modulus = len(room)
+                        tie = self._rr
+                        order = sorted(
+                            (usage[slot], (p.placement_crc + tie) % modulus, slot)
+                            for slot, p in room
+                        )
+                        chosen = [
+                            ranks[slot] for _used, _rotated, slot in order[: self.replication]
+                        ]
+                    self._rr += 1
+                    self._cursor = None
+                    providers = []
+                    for rank in chosen:
+                        slot = rank % nslots  # rank = (crc % live) * nslots + slot
+                        self._move(slot, usage[slot] + size)
+                        providers.append(slots[slot].provider_id)
+                    placements.append(tuple(providers))
+                    left -= 1
+                    if count == 1 and size and left and len(level_keys) == 1:
+                        left -= self._cycle_step(size, left, placements)
         except BaseException:
             # Nothing of this batch will be stored: forget what it reserved.
             self._index_stale = True
@@ -475,6 +630,10 @@ class ProviderManager:
         """
         if payload.size == 0:
             raise StorageError("a stored run holds at least one byte")
+        if stripe_length < 1:
+            raise StorageError(f"stripe length must be >= 1: {stripe_length}")
+        if stored_size is not None and stored_size < 0:
+            raise StorageError(f"stored size must be >= 0: {stored_size}")
         count = -(-payload.size // stripe_length)
         last_length = payload.size - (count - 1) * stripe_length
         if stored_size is None:
@@ -493,6 +652,7 @@ class ProviderManager:
         except BaseException:
             self._index_stale = True  # it counts chunks that never arrived
             raise
+        run.holders = len(run.held)
         tracer = self._tracer
         if tracer is not None:
             for size, providers in zip(sizes, placements):
@@ -511,7 +671,11 @@ class ProviderManager:
     def live_prefix(self, run: StoredRun, first: int, stop: int) -> int:
         """How far chunks ``first .. stop - 1`` of ``run`` can be read from
         where they were placed: the index of the first one that no live
-        provider of its placement holds any more (``stop`` if none)."""
+        provider of its placement holds any more (``stop`` if none).  A run
+        that every provider it was stored on still holds whole is read
+        without a look at its chunks."""
+        if run.dropped is None and len(run.held) == run.holders:
+            return stop
         providers = self._providers
         placements = run.placements
         dropped = run.dropped

@@ -190,7 +190,13 @@ UNIFORM_OPERATIONS = st.tuples(
     capacities=[60] * 8,
     replication=1,
     size=5,
-    operations=[("store", 19, 0), ("store", 19, 0), ("store", 0, 0), ("store", 1, 0), ("store", 3, 0)],
+    operations=[
+        ("store", 19, 0),
+        ("store", 19, 0),
+        ("store", 0, 0),
+        ("store", 1, 0),
+        ("store", 3, 0),
+    ],
 )
 # a zero-size chunk between two chunks of a cycle advances the tie, not the cycle
 @example(
@@ -322,6 +328,49 @@ def test_no_room_mid_batch_rolls_back_everything():
     # the index forgot the reservations: the same bytes fit afterwards
     client.write(blob, 8 * 16, LiteralBytes(b"d" * 144))
     assert sum(p.used_bytes for p in manager.providers) == 192
+
+
+def test_a_uniform_run_is_placed_in_whole_cycles(monkeypatch):
+    """400 equal chunks over 120 providers at one level are three cycles and
+    a third: no provider is moved one chunk at a time and one cycle is
+    computed.  A second run picks that cycle up where the first left it."""
+    manager, model = ProviderManager(), PlacementModel(1)
+    for index in range(120):
+        manager.register(DataProvider(f"node-{index}"))
+        model.register(f"node-{index}", 10**18)
+    moves, cycles = [], []
+    move, cycle = manager._move, manager._cycle
+    monkeypatch.setattr(manager, "_move", lambda *args: moves.append(args) or move(*args))
+    monkeypatch.setattr(manager, "_cycle", lambda residue: cycles.append(residue) or cycle(residue))
+    first = manager.store_run(1, 0, LiteralBytes(bytes(400)), 1, 64)
+    assert moves == [] and len(cycles) == 1
+    assert list(first.placements) == [model.store(64) for _ in range(400)]
+    second = manager.store_run(1, 400, LiteralBytes(bytes(50)), 1, 64)
+    assert moves == [] and len(cycles) == 1
+    assert list(second.placements) == [model.store(64) for _ in range(50)]
+    assert [p.used_bytes for p in manager.providers] == model.used()
+    assert manager._rr == model.tie == 450
+
+
+@pytest.mark.parametrize(
+    "method, args, message",
+    [
+        ("store_run", (1, 0, LiteralBytes(b"abc"), 0), "stripe length must be >= 1: 0"),
+        ("store_run", (1, 0, LiteralBytes(b"abc"), -1), "stripe length must be >= 1: -1"),
+        ("store_run", (1, 0, LiteralBytes(b"abc"), 1, -16), "stored size must be >= 0: -16"),
+        ("place", (ChunkKey(1, 0), -16), "chunk size must be >= 0: -16"),
+    ],
+)
+def test_an_impossible_size_is_refused_by_value(method, args, message):
+    """A stripe length below 1 or a negative footprint is not a run: it is
+    refused before anything is placed, and the providers stay empty."""
+    manager = ProviderManager()
+    manager.register(DataProvider("node-0", capacity=64))
+    with pytest.raises(StorageError, match=f"^{message}$"):
+        getattr(manager, method)(*args)
+    assert manager.providers[0].used_bytes == 0 and manager._rr == 0
+    manager.store_run(1, 0, LiteralBytes(b"abc"), 1)
+    assert manager.providers[0].used_bytes == 3
 
 
 # -- metadata: run leaves against one leaf per stripe -----------------------------------------
