@@ -308,9 +308,6 @@ class ProviderManager:
         #: a lower bound on the free bytes of every live provider, so the
         #: room filter is skipped for chunks that everyone can take
         self._min_free = 0
-        #: the ranks of all live providers, sorted: the one level a cycle
-        #: starts from
-        self._ring: List[int] = []
         #: per tie residue ``(-tie) % live``, the cycle the walk makes from
         #: there (see :meth:`_cycle`); emptied when the index is rebuilt
         self._cycles: Dict[int, _Cycle] = {}
@@ -353,19 +350,19 @@ class ProviderManager:
 
     def _rebuild_index(self) -> None:
         self._slots = slots = list(self._providers.values())
-        nslots = len(slots)
         live = [p for p in slots if p.alive]
         self._live = modulus = len(live)
-        self._usage = usage = [p._used for p in slots]
-        self._ranks = ranks = [0] * nslots
+        self._usage = [p._used for p in slots]
+        self._ranks = [0] * len(slots)
+        self._levels = levels = {}
         for slot, provider in enumerate(slots):
             provider._slot = slot
             if provider.alive:
-                ranks[slot] = (provider.placement_crc % modulus) * nslots + slot
-        self._ring = ring = sorted(ranks[p._slot] for p in live)
-        self._levels = levels = {}
-        for rank in ring:
-            levels.setdefault(usage[rank % nslots], []).append(rank)
+                rank = (provider.placement_crc % modulus) * len(slots) + slot
+                self._ranks[slot] = rank
+                levels.setdefault(provider._used, []).append(rank)
+        for ring in levels.values():
+            ring.sort()
         self._level_keys = sorted(levels)
         self._min_free = min((p.capacity - p._used for p in live), default=0)
         self._cycles = {}
@@ -413,7 +410,7 @@ class ProviderManager:
         ``live`` placements later the tie stands at ``residue`` again."""
         nslots = len(self._slots)
         live = self._live
-        ring = self._ring.copy()
+        ring = sorted(self._ranks[p._slot] for p in self._slots if p.alive)
         ranks = []
         for step in range(live):
             start = bisect_left(ring, (residue - step) % live * nslots)
@@ -551,9 +548,13 @@ class ProviderManager:
                 if size < 0:
                     raise StorageError(f"chunk size must be >= 0: {size}")
                 left = len(list(run))
-                if count == 1 and size:
-                    left -= self._cycle_step(size, left, placements)
+                cycles = count == 1 and size > 0
                 while left:
+                    if cycles:
+                        placed = self._cycle_step(size, left, placements)
+                        if placed:
+                            left -= placed
+                            continue
                     if size > self._min_free:
                         self._min_free = self._exact_min_free()
                     if size <= self._min_free and live:
@@ -593,8 +594,6 @@ class ProviderManager:
                         providers.append(slots[slot].provider_id)
                     placements.append(tuple(providers))
                     left -= 1
-                    if count == 1 and size and left and len(level_keys) == 1:
-                        left -= self._cycle_step(size, left, placements)
         except BaseException:
             # Nothing of this batch will be stored: forget what it reserved.
             self._index_stale = True
