@@ -399,10 +399,6 @@ class ProviderManager:
         if free < self._min_free:
             self._min_free = free
 
-    def _exact_min_free(self) -> int:
-        """The free bytes of the fullest live provider, by the index."""
-        return min((p.capacity - self._usage[p._slot] for p in self._slots if p.alive), default=0)
-
     def _cycle(self, residue: int) -> _Cycle:
         """The walk over every live provider at one level, the tie stream
         starting at ``residue``: a bisect into what is left of the ring, one
@@ -442,8 +438,7 @@ class ProviderManager:
             return 0
         # every placement must find room on every live provider, and one that
         # takes ``n`` chunks of the stretch must still have room after ``n``
-        if 2 * size > self._min_free:
-            self._min_free = self._exact_min_free()
+        # (a bound below the truth costs one-chunk steps, never a placement)
         per_provider = self._min_free // size - 1
         if per_provider < 1:
             return 0
@@ -556,7 +551,9 @@ class ProviderManager:
                             left -= placed
                             continue
                     if size > self._min_free:
-                        self._min_free = self._exact_min_free()
+                        self._min_free = min(
+                            (p.capacity - usage[p._slot] for p in slots if p.alive), default=0
+                        )
                     if size <= self._min_free and live:
                         pointer = (-self._rr % live) * nslots
                         chosen: List[int] = []
