@@ -11,13 +11,13 @@ A COMMIT ships a whole run of consecutive stripes at once, and the run is
 what both layers store.  :meth:`ProviderManager.store_run` places it with one
 :meth:`~ProviderManager.place_many` over an incrementally maintained index,
 wraps its payload in one :class:`StoredRun` and hands every chosen provider
-its share as two numbers, a chunk count and a byte count.  Chunks of one size
-are placed in *cycle steps*: from one usage level, the tie-break walk visits
-every live provider once, in an order fixed by where the tie stream starts,
-and ends with all of them one level up and the tie where it began.  A stretch
-of the run is then a slice of that cached order, and each provider's new
-usage follows from how many chunks of it it got.  A provider keeps
-the runs it was handed, not their chunks, in one table: *it holds exactly the
+its share as two numbers, a chunk count and a byte count.  At replication 1,
+chunks of one size are placed in *cycle steps*: from one usage level, the walk
+visits every live provider once, in an order fixed by where the tie stream
+starts, and ends with all of them one level up and the tie where it began.  A
+stretch of the run is then a slice of that cached order, and each provider's
+new usage follows from how many chunks of it it got.  A provider keeps the
+runs it was handed, not their chunks, in one table: *it holds exactly the
 chunks the run's placement puts on it*, minus those that were released, which
 the run records in an exception set that does not exist until then.  The
 stored run is the only address of stored content: a read asks whether the
