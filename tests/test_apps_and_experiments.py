@@ -23,11 +23,34 @@ from repro.scenarios.workloads import (
     split_approach,
 )
 from repro.mpi import MPICommunicator
+from repro.util.bytesource import LiteralBytes, concat
 from repro.util.config import GRAPHENE
 from repro.util.errors import ConfigurationError, MPIError
-from repro.util.units import MB
+from repro.util.units import MB, KiB
 
 SMALL = GRAPHENE.scaled(compute_nodes=6, service_nodes=3)
+
+
+def _flip_a_middle_byte(data):
+    """``data`` with its middle byte flipped through a literal patch."""
+    at = data.size // 2
+    flipped = LiteralBytes(bytes([data.read(at, 1)[0] ^ 1]))
+    return concat([data.slice(0, at), flipped, data.slice(at + 1, data.size - at - 1)])
+
+
+def _swap_two_middle_windows(data):
+    """``data`` with two adjacent 64 KiB windows of its middle swapped: every
+    byte comes from the right generator stream, at the wrong position."""
+    at, window = data.size // 2, 64 * KiB
+    rest = data.size - at - 2 * window
+    return concat(
+        [
+            data.slice(0, at),
+            data.slice(at + window, window),
+            data.slice(at, window),
+            data.slice(at + 2 * window, rest),
+        ]
+    )
 
 
 class TestBaselines:
@@ -114,6 +137,25 @@ class TestRestoredStateVerification:
     def test_restart_from_an_empty_snapshot_does_not_verify(self, cls, level):
         deployment, bench = self._restart(cls, level, from_empty_snapshot=True)
         assert all(inst.vm.is_running for inst in deployment.instances)
+        assert not bench.verify_restored_state()
+
+    @pytest.mark.xfail(
+        strict=True, reason="_VERIFY_WINDOW: only a buffer's first and last 64 KiB are compared"
+    )
+    @pytest.mark.parametrize("corrupt", [_flip_a_middle_byte, _swap_two_middle_windows])
+    @pytest.mark.parametrize("cls", [BlobCRDeployment, Qcow2DiskDeployment])
+    @pytest.mark.parametrize("level", ["app", "blcr"])
+    def test_a_buffer_wrong_only_in_its_middle_does_not_verify(
+        self, monkeypatch, cls, level, corrupt
+    ):
+        _deployment, bench = self._restart(cls, level)
+        assert bench.verify_restored_state()
+        saved_buffers = SyntheticBenchmark._saved_buffers
+
+        def corrupted(bench, fs, epoch):
+            return [corrupt(data) for data in saved_buffers(bench, fs, epoch)]
+
+        monkeypatch.setattr(SyntheticBenchmark, "_saved_buffers", corrupted)
         assert not bench.verify_restored_state()
 
     def test_a_wrong_epoch_does_not_verify(self):

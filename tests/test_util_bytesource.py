@@ -391,6 +391,84 @@ class TestContentEquality:
         assert not content_equal(ZeroBytes(3), ZeroBytes(4))
 
 
+#: the generator streams the content-equality property draws its windows from
+_EQ_STREAM = 3 * bytesource._BLOCK
+
+
+@st.composite
+def _stream_windows(draw):
+    """A concatenation and the descriptors of its parts: ``(kind, seed,
+    origin, length)`` windows of three generator streams, each part a
+    ``SyntheticBytes`` window, its literal copy, or a zero run."""
+    windows = []
+    for _ in range(draw(st.integers(1, 4))):
+        origin = draw(st.integers(0, _EQ_STREAM - 1))
+        length = draw(st.integers(1, min(_EQ_STREAM - origin, bytesource._BLOCK + 3)))
+        kind = draw(st.sampled_from(["synthetic", "synthetic", "literal", "zero"]))
+        windows.append((kind, draw(st.integers(0, 2)), origin, length))
+    return windows
+
+
+def _build(windows):
+    parts = []
+    for kind, seed, origin, length in windows:
+        stream = SyntheticBytes(("eq", seed), _EQ_STREAM + bytesource._BLOCK)
+        window = stream.slice(origin, length)
+        if kind == "literal":
+            window = LiteralBytes(window.read())
+        elif kind == "zero":
+            window = ZeroBytes(length)
+        parts.append(window)
+    return concat(parts)
+
+
+def _resplit(source, cuts, literal):
+    """The bytes of ``source`` cut at other part boundaries, as slices or as literals."""
+    bounds = sorted({0, source.size, *(cut % (source.size + 1) for cut in cuts)})
+    return concat(
+        LiteralBytes(source.read(a, b - a)) if literal else source.slice(a, b - a)
+        for a, b in zip(bounds, bounds[1:])
+    )
+
+
+@st.composite
+def _equality_pair(draw):
+    """Two sources that are equal, or differ in the ways representation-based
+    equality could get wrong: the same stream at a position shifted by one byte
+    or by one generator block, another seed at the same origin, one flipped byte."""
+    windows = draw(_stream_windows())
+    left = _build(windows)
+    how = draw(st.sampled_from(["same", "resplit", "literal", "shift", "reseed", "flip", "other"]))
+    if how in ("resplit", "literal"):
+        cuts = draw(st.lists(st.integers(0, 1 << 20), max_size=5))
+        return left, _resplit(left, cuts, literal=how == "literal")
+    if how == "flip":
+        at = draw(st.integers(0, left.size - 1))
+        flipped = LiteralBytes(bytes([left.read(at, 1)[0] ^ 1]))
+        return left, concat([left.slice(0, at), flipped, left.slice(at + 1, left.size - at - 1)])
+    if how == "other":
+        return left, _build(draw(_stream_windows()))
+    i = draw(st.integers(0, len(windows) - 1))
+    kind, seed, origin, length = windows[i]
+    if how == "shift":
+        delta = draw(st.sampled_from([-1, 1, -bytesource._BLOCK, bytesource._BLOCK]))
+        origin = min(max(origin + delta, 0), _EQ_STREAM)
+    elif how == "reseed":
+        seed += 1
+    changed = [*windows[:i], (kind, seed, origin, length), *windows[i + 1 :]]
+    return left, _build(changed)
+
+
+# tier-1 budget: 150 examples of up to four windows of at most 64 KiB + 3, under 2 s
+@settings(max_examples=150, deadline=None)
+@given(_equality_pair())
+def test_property_content_equal_is_byte_equality(pair):
+    left, right = pair
+    expected = left.read() == right.read()
+    assert content_equal(left, right) is expected
+    assert content_equal(right, left) is expected
+
+
 class TestMaterialisationGuard:
     """Every class refuses an oversized window, naming its size, before allocating."""
 
