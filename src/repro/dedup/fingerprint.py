@@ -3,11 +3,12 @@
 The dedup layer must recognise identical chunk *content* regardless of how the
 payload is represented: a :class:`LiteralBytes`, a :class:`SyntheticBytes`
 window or a :class:`ZeroBytes` run with the same bytes must all map to the same
-digest.  ``ByteSource.fingerprint()`` is deliberately representation-sensitive
-(it exists for cheap equality hints), so the dedup engine uses its own digest
-computed by streaming the content through BLAKE2b: each window is written by
-``readinto`` into one reusable buffer and hashed in place -- no payload is
-ever materialised in one piece.
+digest.  ``ByteSource.fingerprint()`` is representation-sensitive, and
+:func:`~repro.util.bytesource.content_equal` compares two payloads rather than
+naming one, so the dedup engine uses its own digest computed by streaming the
+content through BLAKE2b: each window is written by ``readinto`` into one
+reusable buffer and hashed in place -- no payload is ever materialised in one
+piece.
 
 Digests embed the payload size so that a (vanishingly unlikely) hash collision
 between payloads of different lengths can never confuse them.

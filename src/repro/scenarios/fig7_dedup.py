@@ -119,9 +119,9 @@ def run_fig7_cell(
     blob_id = cloud.run(cloud.process(scenario(), name=f"fig7:{dedup.codec}"))
 
     # Verify every snapshot restores byte-identical content, shared chunks
-    # included.  The reads only describe the versions; the comparison walks
-    # block-major, so a block that a version did not change is served by the
-    # block cache instead of generated again.
+    # included: every block of every version.  The reads only describe the
+    # versions; a restored block that is the expected generator window at the
+    # same position compares equal without generating it.
     restored = [
         (repository.client.read(blob_id, 0, nblocks * block_size, version=version), contents)
         for version, contents in snapshots
@@ -131,8 +131,8 @@ def run_fig7_cell(
             data.slice(block * block_size, block_size),
             _block_payload(block, contents[block], block_size),
         )
-        for block in range(nblocks)
         for data, contents in restored
+        for block in range(nblocks)
     )
 
     return {

@@ -6,28 +6,29 @@ experiments, however, involve payloads of 50--200 MB per VM across up to 120
 VMs plus 2 GB base images -- materialising those as ``bytes`` objects would be
 wasteful and slow for a timing-oriented simulation.
 
-:class:`ByteSource` solves this: it is an immutable, sized, sliceable,
-checksummable description of a byte string.  Small payloads use
-:class:`LiteralBytes` (real data, exact round-trips); large payloads use
-:class:`SyntheticBytes` (deterministic pseudo-random content generated on
-demand from a seed) or :class:`ZeroBytes`.  All variants materialise a
-window through one primitive, ``readinto(offset, buffer)``, which writes the
-bytes straight into a caller-owned buffer; ``read(offset, length)`` is the
-same window returned as ``bytes``.  Consumers that only *look* at content
-(hashing, verification) stream through ``readinto`` with one reusable window
-buffer, so any code path can be exercised with real bytes at test scale
-without ever holding a payload twice.
+:class:`ByteSource` solves this: it is an immutable, sized, sliceable
+description of a byte string.  Small payloads use :class:`LiteralBytes` (real
+data, exact round-trips); large payloads use :class:`SyntheticBytes`
+(deterministic pseudo-random content generated on demand from a seed) or
+:class:`ZeroBytes`.  All variants materialise a window through one primitive,
+``readinto(offset, buffer)``, which writes the bytes straight into a
+caller-owned buffer; ``read(offset, length)`` is the same window returned as
+``bytes``.  Consumers that only *look* at content (hashing) stream through
+``readinto`` with one reusable window buffer, so any code path can be
+exercised with real bytes at test scale without ever holding a payload twice.
 
-Equality compares content identity cheaply via ``fingerprint()`` (size plus a
-content hash computed without materialising synthetic payloads).
+Sources compare and hash by identity.  The one content equality is
+:func:`content_equal`: exact over whole sources, it settles a window of the
+same generator stream at the same position from the representation and
+streams every other window.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 from abc import ABC, abstractmethod
 from bisect import bisect_right
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,11 +40,19 @@ _MATERIALISE_LIMIT = 64 * 1024 * 1024  # refuse accidental >64 MiB materialisati
 #: synthetic content is defined block by block so that any window can be
 #: produced without generating everything before it
 _BLOCK = 65536
-#: generated blocks kept for an immediate re-read of the same window (1 MiB)
-_CACHED_BLOCKS = 16
-#: comparison window: one block short of the cache, so a window that straddles
-#: block boundaries still fits and the second side's read of it is all hits
-_COMPARE_WINDOW = (_CACHED_BLOCKS - 1) * _BLOCK
+#: streaming window of :func:`content_equal` (each side has one buffer of it)
+_COMPARE_WINDOW = 1 << 20
+
+
+def _checked_size(size: int) -> int:
+    """``size`` as a non-negative ``int``; a fractional or negative size is refused."""
+    try:
+        size = operator.index(size)
+    except TypeError:
+        raise ValueError(f"size must be an integer, got {size!r}") from None
+    if size < 0:
+        raise ValueError(f"size must be non-negative, got {size}")
+    return size
 
 
 class ByteSource(ABC):
@@ -128,27 +137,6 @@ class ByteSource(ABC):
     def __len__(self) -> int:  # pragma: no cover - trivial
         return self.size
 
-    def __eq__(self, other: object) -> bool:
-        """Content equality.
-
-        Equal fingerprints settle it without touching content.  Fingerprints
-        are representation-sensitive (a concatenation of two literals hashes
-        differently from one literal with the same bytes), so sources of up to
-        ``_MATERIALISE_LIMIT`` bytes fall back to :func:`content_equal`.
-        Above that the comparison is fingerprint-only: two larger sources
-        with equal content but different representations compare unequal.
-        """
-        if not isinstance(other, ByteSource):
-            return NotImplemented
-        if self.size != other.size:
-            return False
-        if self.fingerprint() == other.fingerprint():
-            return True
-        return self.size <= _MATERIALISE_LIMIT and content_equal(self, other)
-
-    def __hash__(self) -> int:
-        return hash(self.size)
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"{type(self).__name__}(size={self.size})"
 
@@ -188,9 +176,7 @@ class ZeroBytes(ByteSource):
     __slots__ = ("_size",)
 
     def __init__(self, size: int):
-        if size < 0:
-            raise ValueError("size must be non-negative")
-        self._size = int(size)
+        self._size = _checked_size(size)
 
     @property
     def size(self) -> int:
@@ -213,15 +199,12 @@ class ZeroBytes(ByteSource):
         return f"zero:{self._size}"
 
 
-@lru_cache(maxsize=_CACHED_BLOCKS)
 def _block(seed: int, index: int) -> bytes:
     """Block ``index`` of the synthetic stream of ``seed``.
 
     Raw PCG64 words are covered by numpy's strict bit-generator stream
     guarantee, and the explicit ``"<u8"`` keeps the bytes the same on
-    big-endian hosts.  The small LRU turns the immediate re-read of a window
-    (verification reads the stored and the expected side back to back) into
-    a copy; entries are immutable, so sharing them is safe.
+    big-endian hosts.
     """
     words = np.random.PCG64(np.random.SeedSequence((seed, index))).random_raw(_BLOCK // 8)
     return words.astype("<u8", copy=False).tobytes()
@@ -239,10 +222,8 @@ class SyntheticBytes(ByteSource):
     __slots__ = ("_seed", "_size", "_origin")
 
     def __init__(self, seed: object, size: int, _origin: int = 0):
-        if size < 0:
-            raise ValueError("size must be non-negative")
+        self._size = _checked_size(size)
         self._seed = stable_hash("synthetic-bytes", seed)
-        self._size = int(size)
         self._origin = int(_origin)
 
     @property
@@ -367,18 +348,40 @@ def concat(parts: Iterable[ByteSource]) -> ByteSource:
 def content_equal(a: ByteSource, b: ByteSource) -> bool:
     """Compare two sources byte for byte, whatever their representations.
 
-    Streams both sides through two reusable window buffers and stops at the
-    first window that differs, so neither side is ever held in one piece.
+    Walks the parts of both sides in step.  Where both are windows of the
+    same generator stream at the same position (same seed, same
+    ``_origin + offset``; see :attr:`SyntheticBytes.generator_key`), the bytes
+    are equal by construction and nothing is read.  Every other pair of
+    windows is streamed through two reusable buffers, stopping at the first
+    one that differs, so neither side is ever held in one piece.
     """
     if a.size != b.size:
         return False
+    a_parts = a._parts if type(a) is _ConcatBytes else (a,)
+    b_parts = b._parts if type(b) is _ConcatBytes else (b,)
     left = right = bytearray()
-    for offset in range(0, a.size, _COMPARE_WINDOW):
-        take = min(_COMPARE_WINDOW, a.size - offset)
-        if take != len(left):  # the first window, and a shorter last one
-            left, right = bytearray(take), bytearray(take)
-        a.readinto(offset, left)
-        b.readinto(offset, right)
-        if left != right:  # bytearray comparison is one memcmp; memoryview's is per element
-            return False
+    i = j = a_local = b_local = 0
+    while i < len(a_parts):  # both sides end their last part in the same step
+        x, y = a_parts[i], b_parts[j]
+        take = min(x.size - a_local, y.size - b_local)
+        if not (
+            type(x) is SyntheticBytes
+            and type(y) is SyntheticBytes
+            and x._seed == y._seed
+            and x._origin + a_local == y._origin + b_local
+        ):
+            for offset in range(0, take, _COMPARE_WINDOW):
+                n = min(_COMPARE_WINDOW, take - offset)
+                if n != len(left):  # the first window, and a shorter one
+                    left, right = bytearray(n), bytearray(n)
+                x.readinto(a_local + offset, left)
+                y.readinto(b_local + offset, right)
+                if left != right:  # bytearray comparison is one memcmp; memoryview's is per element
+                    return False
+        a_local += take
+        b_local += take
+        if a_local == x.size:
+            i, a_local = i + 1, 0
+        if b_local == y.size:
+            j, b_local = j + 1, 0
     return True

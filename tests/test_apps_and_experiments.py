@@ -23,9 +23,10 @@ from repro.scenarios.workloads import (
     split_approach,
 )
 from repro.mpi import MPICommunicator
-from repro.util.bytesource import LiteralBytes, concat
+from repro.util import bytesource
+from repro.util.bytesource import LiteralBytes, SyntheticBytes, ZeroBytes, concat
 from repro.util.config import GRAPHENE
-from repro.util.errors import ConfigurationError, MPIError
+from repro.util.errors import CheckpointError, ConfigurationError, MPIError
 from repro.util.units import MB, KiB
 
 SMALL = GRAPHENE.scaled(compute_nodes=6, service_nodes=3)
@@ -139,9 +140,6 @@ class TestRestoredStateVerification:
         assert all(inst.vm.is_running for inst in deployment.instances)
         assert not bench.verify_restored_state()
 
-    @pytest.mark.xfail(
-        strict=True, reason="_VERIFY_WINDOW: only a buffer's first and last 64 KiB are compared"
-    )
     @pytest.mark.parametrize("corrupt", [_flip_a_middle_byte, _swap_two_middle_windows])
     @pytest.mark.parametrize("cls", [BlobCRDeployment, Qcow2DiskDeployment])
     @pytest.mark.parametrize("level", ["app", "blcr"])
@@ -157,6 +155,26 @@ class TestRestoredStateVerification:
 
         monkeypatch.setattr(SyntheticBenchmark, "_saved_buffers", corrupted)
         assert not bench.verify_restored_state()
+
+    def test_verifying_a_fig3_restart_generates_no_content(self, monkeypatch):
+        generated, verified = [], []
+        block, verify = bytesource._block, SyntheticBenchmark.verify_restored_state
+
+        def spy_block(seed, index):
+            generated.append(index)
+            return block(seed, index)
+
+        def spy_verify(bench, epoch=None):
+            before = len(generated)
+            ok = verify(bench, epoch)
+            verified.append((ok, len(generated) - before))
+            return ok
+
+        monkeypatch.setattr(bytesource, "_block", spy_block)
+        monkeypatch.setattr(SyntheticBenchmark, "verify_restored_state", spy_verify)
+        payload = run_synthetic_cell("BlobCR-app", 4, 50 * MB)  # fig3:BlobCR-app:4:50MB
+        assert payload["restored_ok"] is True
+        assert verified == [(True, 0)]  # one verification, and it generated no block
 
     def test_a_wrong_epoch_does_not_verify(self):
         _deployment, bench = self._restart(BlobCRDeployment, "blcr")
@@ -178,6 +196,24 @@ class TestRestoredStateVerification:
         payload = run_synthetic_cell("BlobCR-blcr", 4, 50 * MB)  # fig3:BlobCR-blcr:4:50MB
         assert payload["restored_ok"] is True
         assert len(compared) == payload["instances"] == 4
+
+
+def _benchmark(buffer_bytes):
+    return SyntheticBenchmark(BlobCRDeployment(Cloud(SMALL)), buffer_bytes)
+
+
+@pytest.mark.parametrize(
+    "build, size, error",
+    [
+        (partial(SyntheticBytes, "fractional"), 2.7, ValueError),
+        (ZeroBytes, 3.9, ValueError),
+        (_benchmark, 1.5, CheckpointError),
+    ],
+    ids=["SyntheticBytes", "ZeroBytes", "SyntheticBenchmark"],
+)
+def test_a_fractional_size_is_refused_by_name(build, size, error):
+    with pytest.raises(error, match=f"must be an integer, got {size}"):
+        build(size)
 
 
 class TestMPIRuntime:

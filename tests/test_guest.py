@@ -76,7 +76,8 @@ class TestGuestFileSystem:
         fs.write_file("/ckpt/rank0.dat", SyntheticBytes("state", 100_000))
         fs.sync()
         remounted = GuestFileSystem.mount(dev)
-        assert remounted.read_file("/ckpt/rank0.dat") == SyntheticBytes("state", 100_000)
+        restored = remounted.read_file("/ckpt/rank0.dat")
+        assert restored.read() == SyntheticBytes("state", 100_000).read()
 
     def test_mount_reads_only_the_header_and_the_table(self):
         """On a lazily fetched device every byte read at mount is a remote fetch."""
@@ -178,7 +179,7 @@ class TestGuestFileSystem:
         assert fs.file_extents("/three") == [(METADATA_REGION + 2 * FS_BLOCK, 2 * FS_BLOCK)]
         assert fs.read_file("/one").read() == b"I" * 10  # clean: read back from the device
         assert fs.read_file("/three").read() == b"3" * 2 * FS_BLOCK
-        assert fs.read_file("/huge") == SyntheticBytes("huge", 3 * FS_BLOCK)
+        assert fs.read_file("/huge").read() == SyntheticBytes("huge", 3 * FS_BLOCK).read()
         # the data is on the device, the table that names it is not
         crashed = GuestFileSystem.mount(device)
         assert crashed.listdir("/") == ["/one", "/two"]
@@ -549,7 +550,7 @@ class TestBLCR:
         assert restored.pid == proc.pid
         assert restored.iteration == 17
         assert restored.registers["pc"] == 1234
-        assert restored.segments["domain"] == proc.segments["domain"]
+        assert restored.segments["domain"].read() == SyntheticBytes("domain", 50_000).read()
         assert restored.segments["halo"].read() == b"halo-data"
 
     def test_dump_size_covers_all_memory(self):

@@ -32,9 +32,10 @@ class TestLiteralBytes:
             src.read(-1, 1)
 
     def test_equality_by_content(self):
-        assert LiteralBytes(b"abc") == LiteralBytes(b"abc")
-        assert LiteralBytes(b"abc") != LiteralBytes(b"abd")
-        assert LiteralBytes(b"abc") != LiteralBytes(b"abcd")
+        assert content_equal(LiteralBytes(b"abc"), LiteralBytes(b"abc"))
+        assert not content_equal(LiteralBytes(b"abc"), LiteralBytes(b"abd"))
+        assert not content_equal(LiteralBytes(b"abc"), LiteralBytes(b"abcd"))
+        assert LiteralBytes(b"abc") != LiteralBytes(b"abc")  # sources compare by identity
 
     def test_to_bytes(self):
         assert LiteralBytes(b"xyz").to_bytes() == b"xyz"
@@ -54,7 +55,7 @@ class TestZeroBytes:
             ZeroBytes(-1)
 
     def test_equals_literal_zeros(self):
-        assert ZeroBytes(8) == LiteralBytes(b"\x00" * 8)
+        assert content_equal(ZeroBytes(8), LiteralBytes(b"\x00" * 8))
 
 
 class TestSyntheticBytes:
@@ -62,7 +63,7 @@ class TestSyntheticBytes:
         a = SyntheticBytes("seed", 4096)
         b = SyntheticBytes("seed", 4096)
         assert a.read() == b.read()
-        assert a == b
+        assert content_equal(a, b)
 
     def test_different_seed_different_content(self):
         a = SyntheticBytes("seed-a", 1024)
@@ -116,7 +117,7 @@ class TestConcat:
 
     def test_equals_equivalent_literal(self):
         joined = concat([LiteralBytes(b"ab"), LiteralBytes(b"cd")])
-        assert joined == LiteralBytes(b"abcd")
+        assert content_equal(joined, LiteralBytes(b"abcd"))
 
 
 @settings(max_examples=50, deadline=None)
@@ -309,41 +310,22 @@ def test_property_out_of_range_window_raises_and_writes_nothing(src, beyond, dat
         max_size=6,
     )
 )
-def test_property_content_is_independent_of_block_cache_state(windows):
-    """Cold cache, warm cache and seeds interleaved until blocks are evicted
-    (40 blocks per seed against a 16-block cache) all give the same bytes."""
+def test_property_content_is_independent_of_read_order(windows):
+    """Windows of four seeds read in order, read again, and read one by one in
+    fresh sources all give the same bytes."""
     sources = [SyntheticBytes(("cache", seed), 40 * 65536) for seed in range(4)]
     windows = [(seed, off, min(length, 40 * 65536 - off)) for seed, off, length in windows]
 
     def read_all():
         return [sources[seed].read(off, length) for seed, off, length in windows]
 
-    bytesource._block.cache_clear()
-    cold = read_all()
-    warm = read_all()
-    isolated = []
-    for seed, off, length in windows:
-        bytesource._block.cache_clear()
-        isolated.append(sources[seed].read(off, length))
-    assert cold == warm == isolated
-
-
-def test_block_cache_is_bounded_to_one_mebibyte():
-    bytesource._block.cache_clear()
-    SyntheticBytes("bound", 4 << 20).read()
-    info = bytesource._block.cache_info()
-    assert info.currsize == info.maxsize
-    assert info.maxsize * bytesource._BLOCK <= 1 << 20
-
-
-def test_reread_of_a_window_is_served_from_the_block_cache():
-    """The verification pattern: stored side, then expected side, same window."""
-    stored = SyntheticBytes("reread", 8 << 20)
-    expected = SyntheticBytes("reread", 8 << 20)
-    bytesource._block.cache_clear()
-    assert content_equal(stored.slice(12_345, 3 << 20), expected.slice(12_345, 3 << 20))
-    touched = (12_345 + (3 << 20) - 1) // 65536 - 12_345 // 65536 + 1
-    assert bytesource._block.cache_info().misses == touched  # no block generated twice
+    first = read_all()
+    again = read_all()
+    isolated = [
+        SyntheticBytes(("cache", seed), 40 * 65536).read(off, length)
+        for seed, off, length in windows
+    ]
+    assert first == again == isolated
 
 
 def test_readinto_accepts_any_contiguous_writable_buffer():
@@ -362,29 +344,41 @@ def test_readinto_accepts_any_contiguous_writable_buffer():
 
 class TestContentEquality:
     def test_eq_compares_content_above_one_mebibyte(self):
-        """The fallback used to be capped at 1 MiB and answered False above it."""
+        """An equality capped at 1 MiB once answered False above it."""
         s = SyntheticBytes("eq", 2 << 20)
         halves = concat([s.slice(0, 1 << 20), s.slice(1 << 20, 1 << 20)])
         assert halves.fingerprint() != s.fingerprint()
         assert halves.read() == s.read()
-        assert halves == s
-        assert s == halves
+        assert content_equal(halves, s)
+        assert content_equal(s, halves)
+        assert content_equal(LiteralBytes(s.read()), halves)
 
     def test_eq_sees_a_difference_in_the_last_window(self):
         size = (2 << 20) + 17
         data = SyntheticBytes("eq-tail", size).read()
         flipped = data[:-1] + bytes([data[-1] ^ 1])
-        assert LiteralBytes(data) != concat(
-            [LiteralBytes(flipped[:1000]), LiteralBytes(flipped[1000:])]
-        )
+        split = concat([LiteralBytes(flipped[:1000]), LiteralBytes(flipped[1000:])])
+        assert not content_equal(LiteralBytes(data), split)
+        assert not content_equal(SyntheticBytes("eq-tail", size), split)
         assert not content_equal(LiteralBytes(data), LiteralBytes(flipped))
         assert content_equal(SyntheticBytes("eq-tail", size), LiteralBytes(data))
 
-    def test_eq_is_fingerprint_only_above_the_materialise_limit(self):
+    def test_content_equal_is_exact_above_the_materialise_limit(self):
         big = bytesource._MATERIALISE_LIMIT + 65536
-        assert ZeroBytes(big) == ZeroBytes(big)
-        # same bytes, other representation: documented as unequal at this size
-        assert concat([ZeroBytes(65536), ZeroBytes(big - 65536)]) != ZeroBytes(big)
+        assert content_equal(concat([ZeroBytes(65536), ZeroBytes(big - 65536)]), ZeroBytes(big))
+        s = SyntheticBytes("eq-big", big)
+        other_split = concat([s.slice(0, 12_345), s.slice(12_345, big - 12_345)])
+        assert content_equal(s, other_split)
+        shifted = SyntheticBytes("eq-big", big + 1).slice(1, big)
+        assert not content_equal(s, shifted)
+
+    def test_fingerprint_is_representation_sensitive(self):
+        """``fingerprint`` tells apart representations that ``content_equal``
+        finds equal."""
+        zeros, literal = ZeroBytes(8), LiteralBytes(bytes(8))
+        split = concat([LiteralBytes(bytes(4)), LiteralBytes(bytes(4))])
+        assert content_equal(zeros, literal) and content_equal(literal, split)
+        assert len({zeros.fingerprint(), literal.fingerprint(), split.fingerprint()}) == 3
 
     def test_content_equal_sizes_and_empty(self):
         assert content_equal(LiteralBytes(b""), ZeroBytes(0))

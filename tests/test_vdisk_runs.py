@@ -398,7 +398,7 @@ def test_one_aligned_write_is_one_run_and_reads_back_as_one_slice():
     assert list(device.stored_runs()) == [(3 * BS, data)]
     window = device.read(5 * BS + 1, 700 * BS)
     assert isinstance(window, SyntheticBytes)  # a slice of the run, not a concatenation
-    assert window == data.slice(2 * BS + 1, 700 * BS)
+    assert window.read() == data.read(2 * BS + 1, 700 * BS)
     patch = SyntheticBytes("patch", 10 * BS)
     device.write(400 * BS, patch)
     assert [(offset, run.size) for offset, run in device.stored_runs()] == [
@@ -407,10 +407,10 @@ def test_one_aligned_write_is_one_run_and_reads_back_as_one_slice():
         (410 * BS, 393 * BS),
     ]
     assert device.allocated_bytes == 800 * BS
-    assert device.block_payload(410) == data.slice(407 * BS, BS)
-    assert list(device.stored_runs(399 * BS + 1, 2 * BS)) == [
-        (399 * BS + 1, data.slice(396 * BS + 1, BS - 1)),
-        (400 * BS, patch.slice(0, BS + 1)),
+    assert device.block_payload(410).read() == data.read(407 * BS, BS)
+    assert [(offset, run.read()) for offset, run in device.stored_runs(399 * BS + 1, 2 * BS)] == [
+        (399 * BS + 1, data.read(396 * BS + 1, BS - 1)),
+        (400 * BS, patch.read(0, BS + 1)),
     ]
 
 
