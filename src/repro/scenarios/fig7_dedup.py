@@ -131,8 +131,8 @@ def run_fig7_cell(
             data.slice(block * block_size, block_size),
             _block_payload(block, contents[block], block_size),
         )
-        for data, contents in restored
         for block in range(nblocks)
+        for data, contents in restored
     )
 
     return {

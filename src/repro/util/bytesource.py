@@ -82,7 +82,8 @@ class ByteSource(ABC):
 
     @abstractmethod
     def fingerprint(self) -> str:
-        """A content hash that is equal iff the contents are equal.
+        """A hash of the representation: equal fingerprints mean equal
+        content, but equal content can have different fingerprints.
 
         For synthetic sources the fingerprint is derived from the generating
         parameters, so no materialisation happens.

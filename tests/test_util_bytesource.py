@@ -391,9 +391,8 @@ _EQ_STREAM = 3 * bytesource._BLOCK
 
 @st.composite
 def _stream_windows(draw):
-    """A concatenation and the descriptors of its parts: ``(kind, seed,
-    origin, length)`` windows of three generator streams, each part a
-    ``SyntheticBytes`` window, its literal copy, or a zero run."""
+    """``(kind, seed, origin, length)`` windows of three generator streams:
+    each a ``SyntheticBytes`` window, its literal copy, or a zero run."""
     windows = []
     for _ in range(draw(st.integers(1, 4))):
         origin = draw(st.integers(0, _EQ_STREAM - 1))
@@ -403,7 +402,7 @@ def _stream_windows(draw):
     return windows
 
 
-def _build(windows):
+def _parts(windows):
     parts = []
     for kind, seed, origin, length in windows:
         stream = SyntheticBytes(("eq", seed), _EQ_STREAM + bytesource._BLOCK)
@@ -413,7 +412,7 @@ def _build(windows):
         elif kind == "zero":
             window = ZeroBytes(length)
         parts.append(window)
-    return concat(parts)
+    return parts
 
 
 def _resplit(source, cuts, literal):
@@ -428,11 +427,16 @@ def _resplit(source, cuts, literal):
 @st.composite
 def _equality_pair(draw):
     """Two sources that are equal, or differ in the ways representation-based
-    equality could get wrong: the same stream at a position shifted by one byte
-    or by one generator block, another seed at the same origin, one flipped byte."""
+    equality could get wrong: one window of the same stream shifted by one
+    byte or by one generator block (its origin moved, or its bytes slid inside
+    their slot behind an equal literal), another seed at the same origin, one
+    flipped byte."""
     windows = draw(_stream_windows())
-    left = _build(windows)
-    how = draw(st.sampled_from(["same", "resplit", "literal", "shift", "reseed", "flip", "other"]))
+    parts = _parts(windows)
+    left = concat(parts)
+    how = draw(
+        st.sampled_from(["same", "resplit", "literal", "shift", "slide", "reseed", "flip", "other"])
+    )
     if how in ("resplit", "literal"):
         cuts = draw(st.lists(st.integers(0, 1 << 20), max_size=5))
         return left, _resplit(left, cuts, literal=how == "literal")
@@ -441,20 +445,27 @@ def _equality_pair(draw):
         flipped = LiteralBytes(bytes([left.read(at, 1)[0] ^ 1]))
         return left, concat([left.slice(0, at), flipped, left.slice(at + 1, left.size - at - 1)])
     if how == "other":
-        return left, _build(draw(_stream_windows()))
+        return left, concat(_parts(draw(_stream_windows())))
     i = draw(st.integers(0, len(windows) - 1))
     kind, seed, origin, length = windows[i]
-    if how == "shift":
+    part = parts[i]
+    if how == "slide":
+        by = min(draw(st.sampled_from([1, bytesource._BLOCK])), length)
+        if draw(st.booleans()):  # part[:by] + part[:-by]
+            part = concat([LiteralBytes(part.read(0, by)), part.slice(0, length - by)])
+        else:  # part[by:] + part[-by:]
+            part = concat([part.slice(by, length - by), LiteralBytes(part.read(length - by, by))])
+    elif how == "shift":
         delta = draw(st.sampled_from([-1, 1, -bytesource._BLOCK, bytesource._BLOCK]))
         origin = min(max(origin + delta, 0), _EQ_STREAM)
+        (part,) = _parts([(kind, seed, origin, length)])
     elif how == "reseed":
-        seed += 1
-    changed = [*windows[:i], (kind, seed, origin, length), *windows[i + 1 :]]
-    return left, _build(changed)
+        (part,) = _parts([(kind, seed + 1, origin, length)])
+    return left, concat([*parts[:i], part, *parts[i + 1 :]])
 
 
-# tier-1 budget: 150 examples of up to four windows of at most 64 KiB + 3, under 2 s
-@settings(max_examples=150, deadline=None)
+# tier-1 budget: 200 examples of up to four windows of at most 64 KiB + 3, under 2 s
+@settings(max_examples=200, deadline=None)
 @given(_equality_pair())
 def test_property_content_equal_is_byte_equality(pair):
     left, right = pair
