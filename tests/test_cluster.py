@@ -1,12 +1,15 @@
 """Unit tests for the cluster simulation layer."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cloud, FailureInjector, Hypervisor, PVFSDeployment
 from repro.guest.filesystem import GuestFileSystem
 from repro.guest.vm import VMInstance, VMState
 from repro.util.config import GRAPHENE
 from repro.util.errors import FailureInjected, FileSystemError, SimulationError, StorageError
+from repro.util.rng import make_rng
 from repro.vdisk import SparseDevice
 
 SMALL = GRAPHENE.scaled(compute_nodes=6, service_nodes=2)
@@ -53,6 +56,14 @@ class TestCloud:
         assert a == b
         assert 10.0 * (1 - SMALL.jitter) <= a <= 10.0 * (1 + SMALL.jitter)
 
+    def test_keyless_jitter_draws_from_the_cloud_stream(self):
+        cloud = Cloud(SMALL)
+        stream = make_rng("cloud", SMALL.seed)
+        drawn = [cloud.jittered(10.0) for _ in range(4)]
+        low, high = -SMALL.jitter, SMALL.jitter
+        assert drawn == [10.0 * (1.0 + float(stream.uniform(low, high))) for _ in range(4)]
+        assert len(set(drawn)) == 4
+
     def test_node_failure_aborts_transfers(self):
         cloud = Cloud(SMALL)
         outcome = {}
@@ -73,6 +84,36 @@ class TestCloud:
         cloud.run()
         assert outcome["r"] == "failed"
         assert not cloud.node("node-001").alive
+
+
+#: keys as the callers build them, plus keys that are equal in Python but not in ``repr``
+_JITTER_KEYS = st.one_of(
+    st.tuples(st.sampled_from(["boot", "sync", "blcr", "drain"]), st.integers(0, 3)),
+    st.text(max_size=4),
+    st.sampled_from([1, 1.0, True, (1,), (1.0,), (True,)]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    draws=st.lists(
+        st.tuples(_JITTER_KEYS, st.sampled_from([0.0, 0.01, 0.03, 0.5]), st.floats(-1.0, 100.0)),
+        min_size=1,
+        max_size=12,
+    ),
+)
+@example(seed=7, draws=[(1, 0.03, 10.0), (1.0, 0.03, 10.0), (True, 0.03, 10.0), (1, 0.03, 10.0)])
+def test_keyed_jitter_is_a_fresh_draw_of_its_key(seed, draws):
+    clouds = {}
+    for key, jitter, nominal in draws:
+        if jitter not in clouds:
+            clouds[jitter] = Cloud(SMALL.scaled(seed=seed, jitter=jitter))
+        expected = max(0.0, nominal)
+        if nominal > 0 and jitter > 0:
+            factor = 1.0 + float(make_rng("jitter", seed, key).uniform(-jitter, jitter))
+            expected = max(0.0, nominal * factor)
+        assert clouds[jitter].jittered(nominal, key) == expected
 
 
 class TestPVFS:

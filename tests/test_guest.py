@@ -21,8 +21,10 @@ from repro.guest import (
 )
 from repro.guest.filesystem import FS_BLOCK, METADATA_REGION, _json_key
 from repro.util import LiteralBytes, SyntheticBytes
+from repro.util.bytesource import content_equal
 from repro.util.config import CheckpointSpec, VMSpec
 from repro.util.errors import FileSystemError, GuestError, ProcessError, StorageError
+from repro.util.runmap import RunMap
 from repro.vdisk import QcowImage, RawImage, SparseDevice
 
 DEVICE_SIZE = 64 * 1024 * 1024
@@ -630,10 +632,28 @@ class TestOsNoise:
         assert fs.dirty_files == []  # boot noise is synced
 
     def test_boot_noise_deterministic(self):
-        fs1, _ = make_fs()
-        fs2, _ = make_fs()
+        (fs1, dev1), (fs2, dev2), (other, dev3) = make_fs(), make_fs(), make_fs()
         spec = CheckpointSpec()
         assert write_boot_noise(fs1, spec, "vm-7") == write_boot_noise(fs2, spec, "vm-7")
+        write_boot_noise(other, spec, "vm-8")
+        assert fs1.listdir("/") == fs2.listdir("/") == other.listdir("/")
+        assert content_equal(dev1.read(0, DEVICE_SIZE), dev2.read(0, DEVICE_SIZE))
+        assert not content_equal(dev1.read(0, DEVICE_SIZE), dev3.read(0, DEVICE_SIZE))
+
+    @pytest.mark.xfail(strict=True, reason="each block is still its own put")
+    @pytest.mark.parametrize("from_image", [False, True])
+    def test_boot_noise_sync_stores_at_most_two_runs(self, monkeypatch, from_image):
+        if from_image:  # a guest booted from an image already holds its OS files
+            image, _content = _net_base([])
+            device = SparseDevice(DEVICE_SIZE, block_size=256 * 1024, base=image)
+            fs = GuestFileSystem.mount(device)
+        else:
+            fs, device = make_fs()
+        puts = []
+        put = RunMap.put
+        monkeypatch.setattr(RunMap, "put", lambda self, *run: puts.append(run[0]) or put(self, *run))
+        write_boot_noise(fs, CheckpointSpec(), "vm-7")
+        assert fs.dirty_files == [] and 1 <= len(puts) <= 2
 
     def test_runtime_noise_appends(self):
         fs, _dev = make_fs()

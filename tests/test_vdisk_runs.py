@@ -464,6 +464,58 @@ def test_windows_that_follow_each_other_into_a_block_are_overlaid_once(monkeypat
     assert all(not isinstance(part, _ConcatBytes) for part in device.block_payload(1)._parts)
 
 
+@pytest.mark.xfail(strict=True, reason="each block is still its own put")
+def test_a_stretch_of_windows_is_stored_with_one_put(monkeypatch):
+    log = []
+    base, content = make_base(5, SIZE, log)
+    device = SparseDevice(SIZE, block_size=BS, base=base)
+    puts = []
+    put = RunMap.put
+    monkeypatch.setattr(
+        RunMap, "put", lambda self, first, *run: puts.append((first, run[0])) or put(self, first, *run)
+    )
+    device.writev(
+        [
+            (BS + 1, LiteralBytes(b"ab")),
+            (BS + 3, ZeroBytes(0)),
+            (BS + 5, LiteralBytes(b"c")),
+            (BS + 6, SyntheticBytes("straddle", 2 * BS)),  # head, one whole block, tail
+            (3 * BS + 9, LiteralBytes(b"d")),  # follows the tail into block 3
+            (3 * BS + 2, LiteralBytes(b"e")),  # steps back: a second stretch, block 3 stored
+            (5 * BS, LiteralBytes(b"f" * BS)),  # block 4 untouched between: a third stretch
+        ]
+    )
+    assert log == [(BS, BS), (3 * BS, BS)]  # blocks 1 and 3 once each; block 5 is covered
+    assert puts == [(1, 3), (3, 1), (5, 1)]
+    expected = bytearray(content)
+    expected[BS + 1 : BS + 3], expected[BS + 5 : BS + 6] = b"ab", b"c"
+    expected[BS + 6 : 3 * BS + 6] = SyntheticBytes("straddle", 2 * BS).read()
+    expected[3 * BS + 9 : 3 * BS + 10], expected[3 * BS + 2 : 3 * BS + 3] = b"d", b"e"
+    expected[5 * BS : 6 * BS] = b"f" * BS
+    assert device.read(0, SIZE).read() == bytes(expected)
+    # however many windows went into it, a block is one flat list of pieces
+    assert all(not isinstance(part, _ConcatBytes) for part in device.block_payload(1)._parts)
+
+
+@pytest.mark.xfail(strict=True, reason="a covered block is still read")
+def test_a_block_the_windows_cover_together_is_not_read():
+    log = []
+    base, _content = make_base(6, SIZE, log)
+    run_map = RunMap(BS)
+    fresh = run_map.writev(
+        [
+            (BS - 3, LiteralBytes(b"abc")),
+            (BS, LiteralBytes(b"x" * 5)),
+            (BS + 5, LiteralBytes(b"y" * (BS - 5))),  # blocks 1 covered by two windows
+            (2 * BS, LiteralBytes(b"z")),
+        ],
+        base.read,
+    )
+    assert log == [(0, BS), (2 * BS, BS)]
+    assert (fresh, run_map.starts) == (3, [0])
+    assert run_map.block(1).read() == b"x" * 5 + b"y" * (BS - 5)
+
+
 def test_an_empty_window_touches_nothing():
     run_map = RunMap(BS)
     asked = []
