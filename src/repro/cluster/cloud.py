@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.cluster.network import Network
 from repro.cluster.node import ComputeNode
@@ -12,7 +15,7 @@ from repro.obs.tracer import Tracer
 from repro.sim.core import Environment, Event
 from repro.util.config import ClusterSpec, GRAPHENE
 from repro.util.errors import SimulationError
-from repro.util.rng import make_rng
+from repro.util.rng import make_rng, stable_hash
 
 #: the innermost active :func:`clouds` scope: (its registry, whether it traces)
 _scope: Optional[Tuple[List["Cloud"], bool]] = None
@@ -36,6 +39,14 @@ def clouds(trace: bool = False) -> Iterator[List["Cloud"]]:
         yield registry
     finally:
         _scope = outer
+
+
+@lru_cache(maxsize=8192)
+def _keyed_factor(seed: int, jitter: float) -> float:
+    """The jitter factor of ``make_rng(*parts)`` where ``seed`` is
+    ``stable_hash(*parts)``: keyed on the hash, the memo tells apart keys that
+    are equal in Python but seed differently (``1``, ``1.0`` and ``True``)."""
+    return 1.0 + float(np.random.default_rng(seed).uniform(-jitter, jitter))
 
 
 class Cloud:
@@ -170,10 +181,13 @@ class Cloud:
         prefetching explicitly exploits these small delays.  The jitter is
         deterministic given ``key``.
         """
-        if nominal <= 0 or self.spec.jitter <= 0:
+        jitter = self.spec.jitter
+        if nominal <= 0 or jitter <= 0:
             return max(0.0, nominal)
-        rng = self._rng if key is None else make_rng("jitter", self.spec.seed, key)
-        factor = 1.0 + float(rng.uniform(-self.spec.jitter, self.spec.jitter))
+        if key is None:
+            factor = 1.0 + float(self._rng.uniform(-jitter, jitter))
+        else:
+            factor = _keyed_factor(stable_hash("jitter", self.spec.seed, key), jitter)
         return max(0.0, nominal * factor)
 
     # -- running ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ clusters vs ~13 MB at BlobCR's 256 KiB blocks).
 
 from __future__ import annotations
 
-from typing import List
+from functools import lru_cache
+from typing import Tuple
 
 from repro.guest.filesystem import GuestFileSystem
 from repro.util.bytesource import SyntheticBytes
@@ -35,6 +36,23 @@ _BOOT_PATHS = [
 ]
 
 
+@lru_cache(maxsize=1024)
+def _boot_plan(instance_id: str, files: int, total: int) -> Tuple[Tuple[str, SyntheticBytes], ...]:
+    """``(path, content)`` of every boot-noise file: a pure function of its
+    arguments, so the plan is drawn once per key and shared by every boot."""
+    rng = make_rng("os-noise", instance_id)
+    # Sizes follow a skewed distribution: a few large logs, many small files.
+    weights = rng.pareto(1.5, size=files) + 0.2
+    weights = weights / weights.sum()
+    return tuple(
+        (
+            _BOOT_PATHS[i] if i < len(_BOOT_PATHS) else f"/var/cache/boot/fragment-{i:03d}",
+            SyntheticBytes(("os-noise", instance_id, i), max(256, int(total * weights[i]))),
+        )
+        for i in range(files)
+    )
+
+
 def write_boot_noise(fs: GuestFileSystem, spec: CheckpointSpec, instance_id: str) -> int:
     """Write the boot-time OS noise for one instance; returns bytes written.
 
@@ -42,23 +60,10 @@ def write_boot_noise(fs: GuestFileSystem, spec: CheckpointSpec, instance_id: str
     ``spec.os_noise_files`` files at scattered locations so that it dirties
     many distinct disk blocks (granularity matters for snapshot size).
     """
-    rng = make_rng("os-noise", instance_id)
-    files = max(1, spec.os_noise_files)
-    total = spec.os_noise_bytes
-    # Sizes follow a skewed distribution: a few large logs, many small files.
-    weights = rng.pareto(1.5, size=files) + 0.2
-    weights = weights / weights.sum()
     written = 0
-    paths: List[str] = []
-    for i in range(files):
-        if i < len(_BOOT_PATHS):
-            path = _BOOT_PATHS[i]
-        else:
-            path = f"/var/cache/boot/fragment-{i:03d}"
-        paths.append(path)
-        size = max(256, int(total * weights[i]))
-        fs.write_file(path, SyntheticBytes(("os-noise", instance_id, i), size))
-        written += size
+    for path, content in _boot_plan(instance_id, max(1, spec.os_noise_files), spec.os_noise_bytes):
+        fs.write_file(path, content)
+        written += content.size
     fs.sync()
     return written
 

@@ -124,6 +124,17 @@ class RunMap:
         restoring a mostly-remote image from paying a full plan/fetch
         round-trip per 256 KB block.
         """
+        block_size = self.block_size
+        starts, runs = self.starts, self.runs
+        i = bisect_right(starts, offset // block_size)
+        end = offset + length
+        if i == len(starts) or end <= starts[i] * block_size:  # no run starts inside the window
+            run_start = starts[i - 1] * block_size if i else 0
+            payload = runs[i - 1][1] if i else None
+            if payload is None or run_start + payload.size <= offset:
+                return background(offset, length)  # one hole
+            if end <= run_start + payload.size:
+                return payload.slice(offset - run_start, length)  # one run
         pieces: List[ByteSource] = []
         cursor = offset
         for start, piece in self.stored(offset, length):
@@ -137,65 +148,58 @@ class RunMap:
 
     def writev(self, pieces: Sequence[Tuple[int, ByteSource]], background: Background) -> int:
         """Write ``(offset, data)`` windows in order; returns the sum of
-        :meth:`put`'s counts over the touched blocks.
+        :meth:`put`'s counts.
 
-        The whole blocks of a window become one run backed by one slice of its
-        ``data``.  A partially covered first or last block is read-modify-
-        written against the block's current content (or ``background`` where
-        nothing was written yet), and partial windows that follow each other
-        into one block at ascending, disjoint positions are overlaid together.
-        The open block is stored before anything else is touched, so the
-        blocks, the counts and the ``background`` calls are those of writing
-        the windows one by one.  Empty windows touch nothing.
+        The windows are cut into *stretches*: runs of ascending, disjoint
+        windows with no wholly untouched block between them.  A stretch is
+        stored with one :meth:`put` over the blocks it touches, backed by one
+        flat concatenation of its data and, in the gaps, slices of each
+        partially covered block's current content: :meth:`block` if stored,
+        else one ``background`` call per block, in ascending order.  A block
+        the stretch's windows cover entirely is never read, and only blocks
+        that hold a window edge are looked at, so the work is linear in the
+        windows however many blocks they span.  Stretches are stored in
+        order, so content and counts are those of writing the windows one by
+        one.  Empty windows touch nothing.
         """
         block_size = self.block_size
         fresh = 0
-        index, end = -1, 0  # the open block and where its last window ends
-        windows: List[Tuple[int, ByteSource]] = []
+        parts: List[ByteSource] = []  # the open stretch, from the start of its first block
+        first = end = 0  # its first block, and where its last window ends
+        held, content = -1, None  # the partial block last read, and its content
+
+        def gap(lo: int, hi: int) -> None:
+            nonlocal held, content
+            while lo < hi:
+                index = lo // block_size
+                if index != held:
+                    content = self.block(index)
+                    if content is None:
+                        content = background(index * block_size, block_size)
+                    held = index
+                start = index * block_size
+                stop = min(hi, start + block_size)
+                parts.append(content.slice(lo - start, stop - lo))
+                lo = stop
+
+        def close() -> int:
+            stop = -(-end // block_size)
+            gap(end, stop * block_size)
+            return self.put(first, stop - first, concat(parts))
+
         for offset, data in pieces:
             size = data.size
             if size == 0:
                 continue
-            first, head = divmod(offset, block_size)
-            last, tail = divmod(offset + size, block_size)
-            cursor = 0
-            if head or first == last:
-                cursor = min(block_size - head, size)
-                if first != index or head < end:
-                    fresh += self._overlay(index, windows, background)
-                    index, windows = first, []
-                windows.append((head, data if cursor == size else data.slice(0, cursor)))
-                end = head + cursor
-                first += 1
-            if cursor < size:
-                fresh += self._overlay(index, windows, background)
-                index, windows = -1, []
-                if first < last:
-                    span = (last - first) * block_size
-                    fresh += self.put(first, last - first, data.slice(cursor, span))
-                    cursor += span
-                if tail:
-                    index, end, windows = last, tail, [(0, data.slice(cursor, tail))]
-        return fresh + self._overlay(index, windows, background)
-
-    def _overlay(
-        self, index: int, windows: List[Tuple[int, ByteSource]], background: Background
-    ) -> int:
-        """Store block ``index`` as its content under the ascending, disjoint
-        ``(start, piece)`` windows: one read of the block, one :meth:`put`."""
-        if not windows:
-            return 0
-        block_size = self.block_size
-        base = self.block(index)
-        if base is None:
-            base = background(index * block_size, block_size)
-        parts: List[ByteSource] = []
-        cursor = 0
-        for start, piece in windows:
-            if start > cursor:
-                parts.append(base.slice(cursor, start - cursor))
-            parts.append(piece)
-            cursor = start + piece.size
-        if cursor < block_size:
-            parts.append(base.slice(cursor, block_size - cursor))
-        return self.put(index, 1, concat(parts))
+            if parts:
+                if end <= offset and offset // block_size <= (end - 1) // block_size + 1:
+                    gap(end, offset)
+                else:
+                    fresh += close()
+                    parts, held = [], -1
+            if not parts:
+                first = offset // block_size
+                gap(first * block_size, offset)
+            parts.append(data)
+            end = offset + size
+        return fresh + close() if parts else fresh

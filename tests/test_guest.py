@@ -20,6 +20,7 @@ from repro.guest import (
     write_runtime_noise,
 )
 from repro.guest.filesystem import FS_BLOCK, METADATA_REGION, _json_key
+from repro.guest.osnoise import _boot_plan
 from repro.util import LiteralBytes, SyntheticBytes
 from repro.util.bytesource import content_equal
 from repro.util.config import CheckpointSpec, VMSpec
@@ -446,8 +447,7 @@ def test_sync_matches_a_model_of_the_file_system_and_the_block_oracle(kind, ops)
         for offset, length in reads:
             oracle.read(offset, length)
         del reads[:]
-        for offset, length in model.flush(paths):
-            oracle.write(offset, length)
+        oracle.writev(model.flush(paths))  # one flush is one vectored write
         assert log == requests  # what the base was asked for, window by window, in order
         # the table on the device, rebuilt from what the file system reports
         table = {"next_free": METADATA_REGION + fs.used_bytes, "files": {}}
@@ -639,8 +639,12 @@ class TestOsNoise:
         assert fs1.listdir("/") == fs2.listdir("/") == other.listdir("/")
         assert content_equal(dev1.read(0, DEVICE_SIZE), dev2.read(0, DEVICE_SIZE))
         assert not content_equal(dev1.read(0, DEVICE_SIZE), dev3.read(0, DEVICE_SIZE))
+        # the plan both boots shared is the plan a fresh draw makes
+        key = ("vm-7", spec.os_noise_files, spec.os_noise_bytes)
+        memoised, fresh = _boot_plan(*key), _boot_plan.__wrapped__(*key)
+        assert [path for path, _ in memoised] == [path for path, _ in fresh]
+        assert all(content_equal(a, b) for (_, a), (_, b) in zip(memoised, fresh, strict=True))
 
-    @pytest.mark.xfail(strict=True, reason="each block is still its own put")
     @pytest.mark.parametrize("from_image", [False, True])
     def test_boot_noise_sync_stores_at_most_two_runs(self, monkeypatch, from_image):
         if from_image:  # a guest booted from an image already holds its OS files
@@ -651,7 +655,12 @@ class TestOsNoise:
             fs, device = make_fs()
         puts = []
         put = RunMap.put
-        monkeypatch.setattr(RunMap, "put", lambda self, *run: puts.append(run[0]) or put(self, *run))
+
+        def spy(self, first, count, data):
+            puts.append(first)
+            return put(self, first, count, data)
+
+        monkeypatch.setattr(RunMap, "put", spy)
         write_boot_noise(fs, CheckpointSpec(), "vm-7")
         assert fs.dirty_files == [] and 1 <= len(puts) <= 2
 

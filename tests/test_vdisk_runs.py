@@ -105,10 +105,43 @@ class BlockOracle:
             self._background(*hole)
 
     def write(self, offset, length):
-        for index, lo, hi in self._window(offset, length):
-            if hi - lo < self.block_size and index not in self.blocks:
+        self.writev([(offset, length)])
+
+    def writev(self, windows):
+        """One vectored write of ``(offset, length)`` windows, stretch by stretch.
+
+        A stretch is a run of ascending, disjoint windows with no wholly
+        untouched block between them.  Before a stretch stores anything, each
+        block it covers only in part and does not hold is read from the base
+        once, in ascending order; a block its windows cover together is not.
+        """
+        stretch, end = [], 0
+        for offset, length in windows:
+            if not length:  # an empty window touches nothing
+                continue
+            size = self.block_size
+            if stretch and not (end <= offset and offset // size <= (end - 1) // size + 1):
+                self._stretch(stretch)
+                stretch = []
+            stretch.append((offset, length))
+            end = offset + length
+        if stretch:
+            self._stretch(stretch)
+
+    def _stretch(self, windows):
+        covered = {}
+        for offset, length in windows:
+            for index, lo, hi in self._window(offset, length):
+                covered[index] = covered.get(index, 0) + hi - lo
+        for index in sorted(covered):
+            if covered[index] < self.block_size and index not in self.blocks:
                 # read-modify-write
                 self._background(index * self.block_size, (index + 1) * self.block_size)
+        for offset, length in windows:
+            self._store(offset, length)
+
+    def _store(self, offset, length):
+        for index, _lo, _hi in self._window(offset, length):
             if index not in self.blocks or index in self.shared:
                 self.allocated += 1
             self.blocks.add(index)
@@ -172,7 +205,7 @@ BATCHES = st.tuples(
 
 
 def writev(device, model, oracle, block, windows):
-    """One ``writev``; the references are fed its pieces one by one."""
+    """One ``writev``; the model is fed its pieces one by one, the oracle the vector."""
     block %= NBLOCKS
     room = min(BS, SIZE - block * BS)
     pieces = []
@@ -185,9 +218,8 @@ def writev(device, model, oracle, block, windows):
         pieces.append((offset, payload(kind, seed, length) if length else ZeroBytes(0)))
     device.writev(pieces)
     for offset, data in pieces:
-        if data.size:  # an empty window touches nothing
-            model[offset : offset + data.size] = data.read()
-            oracle.write(offset, data.size)
+        model[offset : offset + data.size] = data.read()
+    oracle.writev([(offset, data.size) for offset, data in pieces])
 
 
 def stored_blocks(device):
@@ -434,46 +466,18 @@ def test_overwriting_snapshotted_clusters_allocates_and_leaves_the_remnants_shar
     assert image.guest_visible_bytes == 800 * BS
 
 
-def test_windows_that_follow_each_other_into_a_block_are_overlaid_once(monkeypatch):
-    log = []
-    base, content = make_base(5, SIZE, log)
-    device = SparseDevice(SIZE, block_size=BS, base=base)
-    puts = []
-    put = RunMap.put
-    monkeypatch.setattr(
-        RunMap, "put", lambda self, first, *run: puts.append(first) or put(self, first, *run)
-    )
-    device.writev(
-        [
-            (BS + 1, LiteralBytes(b"ab")),
-            (BS + 3, ZeroBytes(0)),
-            (BS + 5, LiteralBytes(b"c")),
-            (BS + 6, SyntheticBytes("straddle", 2 * BS)),  # head, one whole block, tail
-            (3 * BS + 9, LiteralBytes(b"d")),  # follows the tail into block 3
-            (3 * BS + 2, LiteralBytes(b"e")),  # steps back: block 3 is stored first
-        ]
-    )
-    assert log == [(BS, BS), (3 * BS, BS)]
-    assert puts == [1, 2, 3, 3]
-    expected = bytearray(content)
-    expected[BS + 1 : BS + 3], expected[BS + 5 : BS + 6] = b"ab", b"c"
-    expected[BS + 6 : 3 * BS + 6] = SyntheticBytes("straddle", 2 * BS).read()
-    expected[3 * BS + 9 : 3 * BS + 10], expected[3 * BS + 2 : 3 * BS + 3] = b"d", b"e"
-    assert device.read(0, SIZE).read() == bytes(expected)
-    # however many windows went into it, a block is one flat list of pieces
-    assert all(not isinstance(part, _ConcatBytes) for part in device.block_payload(1)._parts)
-
-
-@pytest.mark.xfail(strict=True, reason="each block is still its own put")
 def test_a_stretch_of_windows_is_stored_with_one_put(monkeypatch):
     log = []
     base, content = make_base(5, SIZE, log)
     device = SparseDevice(SIZE, block_size=BS, base=base)
     puts = []
     put = RunMap.put
-    monkeypatch.setattr(
-        RunMap, "put", lambda self, first, *run: puts.append((first, run[0])) or put(self, first, *run)
-    )
+
+    def spy(self, first, count, data):
+        puts.append((first, count))
+        return put(self, first, count, data)
+
+    monkeypatch.setattr(RunMap, "put", spy)
     device.writev(
         [
             (BS + 1, LiteralBytes(b"ab")),
@@ -497,7 +501,6 @@ def test_a_stretch_of_windows_is_stored_with_one_put(monkeypatch):
     assert all(not isinstance(part, _ConcatBytes) for part in device.block_payload(1)._parts)
 
 
-@pytest.mark.xfail(strict=True, reason="a covered block is still read")
 def test_a_block_the_windows_cover_together_is_not_read():
     log = []
     base, _content = make_base(6, SIZE, log)
