@@ -36,19 +36,22 @@ _BOOT_PATHS = [
 ]
 
 
+def _noise_path(index: int) -> str:
+    if index < len(_BOOT_PATHS):
+        return _BOOT_PATHS[index]
+    return f"/var/cache/boot/fragment-{index:03d}"
+
+
 @lru_cache(maxsize=1024)
-def _boot_plan(instance_id: str, files: int, total: int) -> Tuple[Tuple[str, SyntheticBytes], ...]:
-    """``(path, content)`` of every boot-noise file: a pure function of its
-    arguments, so the plan is drawn once per key and shared by every boot."""
+def _boot_plan(instance_id: str, files: int, total: int) -> Tuple[SyntheticBytes, ...]:
+    """The content of each boot-noise file, in file order: a pure function of
+    its arguments, so it is drawn once per key and shared by every boot."""
     rng = make_rng("os-noise", instance_id)
     # Sizes follow a skewed distribution: a few large logs, many small files.
     weights = rng.pareto(1.5, size=files) + 0.2
     weights = weights / weights.sum()
     return tuple(
-        (
-            _BOOT_PATHS[i] if i < len(_BOOT_PATHS) else f"/var/cache/boot/fragment-{i:03d}",
-            SyntheticBytes(("os-noise", instance_id, i), max(256, int(total * weights[i]))),
-        )
+        SyntheticBytes(("os-noise", instance_id, i), max(256, int(total * weights[i])))
         for i in range(files)
     )
 
@@ -60,12 +63,11 @@ def write_boot_noise(fs: GuestFileSystem, spec: CheckpointSpec, instance_id: str
     ``spec.os_noise_files`` files at scattered locations so that it dirties
     many distinct disk blocks (granularity matters for snapshot size).
     """
-    written = 0
-    for path, content in _boot_plan(instance_id, max(1, spec.os_noise_files), spec.os_noise_bytes):
-        fs.write_file(path, content)
-        written += content.size
+    plan = _boot_plan(instance_id, max(1, spec.os_noise_files), spec.os_noise_bytes)
+    for index, content in enumerate(plan):
+        fs.write_file(_noise_path(index), content)
     fs.sync()
-    return written
+    return sum(content.size for content in plan)
 
 
 def write_runtime_noise(

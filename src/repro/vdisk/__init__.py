@@ -16,10 +16,12 @@ qcow2-over-PVFS baselines operate on:
 
 Granularity (COW block, qcow2 cluster) decides what is allocated, copied up,
 dirtied and shipped; it is not the stored unit.  Both sparse devices keep
-their content in one :class:`~repro.util.runmap.RunMap`: the whole blocks
-a write covers are stored as one *run* backed by one slice of the written
-payload, only a partially covered first or last block is read-modify-written,
-and reads, COMMIT and the base-image upload move one piece per run.
+their content in one :class:`~repro.util.runmap.RunMap`.  A vectored write
+stores each *stretch* of touching windows (ascending, disjoint, no wholly
+untouched block between them) as one *run* over one flat concatenation of
+the written payloads; only the blocks a stretch covers in part are read, once
+each, to fill its gaps.  Reads, COMMIT and the base-image upload move one
+piece per run.
 """
 
 from repro.vdisk.blockdev import BlockDevice, SparseDevice

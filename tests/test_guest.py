@@ -642,8 +642,7 @@ class TestOsNoise:
         # the plan both boots shared is the plan a fresh draw makes
         key = ("vm-7", spec.os_noise_files, spec.os_noise_bytes)
         memoised, fresh = _boot_plan(*key), _boot_plan.__wrapped__(*key)
-        assert [path for path, _ in memoised] == [path for path, _ in fresh]
-        assert all(content_equal(a, b) for (_, a), (_, b) in zip(memoised, fresh, strict=True))
+        assert all(content_equal(a, b) for a, b in zip(memoised, fresh, strict=True))
 
     @pytest.mark.parametrize("from_image", [False, True])
     def test_boot_noise_sync_stores_at_most_two_runs(self, monkeypatch, from_image):
