@@ -43,9 +43,9 @@ def clouds(trace: bool = False) -> Iterator[List["Cloud"]]:
 
 @lru_cache(maxsize=8192)
 def _keyed_factor(seed: int, jitter: float) -> float:
-    """The jitter factor of ``make_rng(*parts)`` where ``seed`` is
-    ``stable_hash(*parts)``: keyed on the hash, the memo tells apart keys that
-    are equal in Python but seed differently (``1``, ``1.0`` and ``True``)."""
+    """One keyed jitter draw, memoised on the key's stable hash (what
+    ``make_rng`` seeds from) rather than on the key: keys equal in Python but
+    not in ``repr`` (``1``, ``1.0``, ``True``) keep their own draws."""
     return 1.0 + float(np.random.default_rng(seed).uniform(-jitter, jitter))
 
 

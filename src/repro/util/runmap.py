@@ -129,10 +129,10 @@ class RunMap:
         i = bisect_right(starts, offset // block_size)
         end = offset + length
         if i == len(starts) or end <= starts[i] * block_size:  # no run starts inside the window
-            run_start = starts[i - 1] * block_size if i else 0
-            payload = runs[i - 1][1] if i else None
-            if payload is None or run_start + payload.size <= offset:
+            if not i or (starts[i - 1] + runs[i - 1][0]) * block_size <= offset:
                 return background(offset, length)  # one hole
+            run_start = starts[i - 1] * block_size
+            payload = runs[i - 1][1]
             if end <= run_start + payload.size:
                 return payload.slice(offset - run_start, length)  # one run
         pieces: List[ByteSource] = []
