@@ -115,11 +115,10 @@ class BlockOracle:
         block it covers only in part and does not hold is read from the base
         once, in ascending order; a block its windows cover together is not.
         """
-        stretch, end = [], 0
+        size, stretch, end = self.block_size, [], 0
         for offset, length in windows:
             if not length:  # an empty window touches nothing
                 continue
-            size = self.block_size
             if stretch and not (end <= offset and offset // size <= (end - 1) // size + 1):
                 self._stretch(stretch)
                 stretch = []
@@ -509,7 +508,7 @@ def test_a_block_the_windows_cover_together_is_not_read():
         [
             (BS - 3, LiteralBytes(b"abc")),
             (BS, LiteralBytes(b"x" * 5)),
-            (BS + 5, LiteralBytes(b"y" * (BS - 5))),  # blocks 1 covered by two windows
+            (BS + 5, LiteralBytes(b"y" * (BS - 5))),  # block 1 is covered by two windows
             (2 * BS, LiteralBytes(b"z")),
         ],
         base.read,
