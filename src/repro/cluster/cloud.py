@@ -4,10 +4,7 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
-
-import numpy as np
 
 from repro.cluster.network import Network
 from repro.cluster.node import ComputeNode
@@ -15,7 +12,7 @@ from repro.obs.tracer import Tracer
 from repro.sim.core import Environment, Event
 from repro.util.config import ClusterSpec, GRAPHENE
 from repro.util.errors import SimulationError
-from repro.util.rng import make_rng, stable_hash
+from repro.util.rng import keyed_uniform, make_rng
 
 #: the innermost active :func:`clouds` scope: (its registry, whether it traces)
 _scope: Optional[Tuple[List["Cloud"], bool]] = None
@@ -39,14 +36,6 @@ def clouds(trace: bool = False) -> Iterator[List["Cloud"]]:
         yield registry
     finally:
         _scope = outer
-
-
-@lru_cache(maxsize=8192)
-def _keyed_factor(seed: int, jitter: float) -> float:
-    """One keyed jitter draw, memoised on the key's stable hash (what
-    ``make_rng`` seeds from) rather than on the key: keys equal in Python but
-    not in ``repr`` (``1``, ``1.0``, ``True``) keep their own draws."""
-    return 1.0 + float(np.random.default_rng(seed).uniform(-jitter, jitter))
 
 
 class Cloud:
@@ -187,7 +176,7 @@ class Cloud:
         if key is None:
             factor = 1.0 + float(self._rng.uniform(-jitter, jitter))
         else:
-            factor = _keyed_factor(stable_hash("jitter", self.spec.seed, key), jitter)
+            factor = 1.0 + keyed_uniform(-jitter, jitter, "jitter", self.spec.seed, key)
         return max(0.0, nominal * factor)
 
     # -- running ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ bit-identical results, which the test-suite relies on.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,3 +36,18 @@ def stable_seed(*parts: object) -> int:
 def make_rng(*parts: object) -> np.random.Generator:
     """Create a :class:`numpy.random.Generator` seeded from ``parts``."""
     return np.random.default_rng(stable_hash(*parts))
+
+
+@lru_cache(maxsize=8192)
+def _first_uniform(seed: int, low: float, high: float) -> float:
+    return float(np.random.default_rng(seed).uniform(low, high))
+
+
+def keyed_uniform(low: float, high: float, *parts: object) -> float:
+    """The first ``make_rng(*parts).uniform(low, high)`` draw, as a float.
+
+    Memoised on ``stable_hash(*parts)``, the seed :func:`make_rng` uses, not
+    on ``parts``: keys that are equal in Python but seed differently (``1``,
+    ``1.0`` and ``True``) keep their own draws.
+    """
+    return _first_uniform(stable_hash(*parts), low, high)

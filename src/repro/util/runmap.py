@@ -124,17 +124,6 @@ class RunMap:
         restoring a mostly-remote image from paying a full plan/fetch
         round-trip per 256 KB block.
         """
-        block_size = self.block_size
-        starts, runs = self.starts, self.runs
-        i = bisect_right(starts, offset // block_size)
-        end = offset + length
-        if i == len(starts) or end <= starts[i] * block_size:  # no run starts inside the window
-            if not i or (starts[i - 1] + runs[i - 1][0]) * block_size <= offset:
-                return background(offset, length)  # one hole
-            run_start = starts[i - 1] * block_size
-            payload = runs[i - 1][1]
-            if end <= run_start + payload.size:
-                return payload.slice(offset - run_start, length)  # one run
         pieces: List[ByteSource] = []
         cursor = offset
         for start, piece in self.stored(offset, length):

@@ -17,6 +17,7 @@ from repro.util import (
 )
 from repro.util.config import BlobSeerSpec, CheckpointSpec, PVFSSpec, VMSpec
 from repro.util.errors import ConfigurationError
+from repro.util.rng import keyed_uniform
 
 
 class TestUnits:
@@ -55,6 +56,13 @@ class TestRng:
         a = make_rng("node", 1).integers(0, 10**9)
         b = make_rng("node", 2).integers(0, 10**9)
         assert a != b
+
+    def test_keyed_uniform_is_the_first_draw_of_its_key(self):
+        for parts in [("jitter", 7, 1), ("jitter", 7, 1.0), ("jitter", 7, True), ("x",)]:
+            expected = float(make_rng(*parts).uniform(-0.5, 0.5))
+            assert keyed_uniform(-0.5, 0.5, *parts) == expected
+            assert keyed_uniform(-0.5, 0.5, *parts) == expected  # memoised
+        assert keyed_uniform(-0.5, 0.5, "jitter", 7, 1) != keyed_uniform(-0.5, 0.5, "jitter", 7, 1.0)
 
 
 class TestConfig:
