@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.blobseer import BlobClient
 from repro.runner import ParallelRunner, RunConfig, load_all, resolve_run_inputs
 from repro.runner.cells import execute_cell
 from repro.scenarios import (
@@ -303,6 +304,41 @@ class TestBeyondPaperScenarios:
         assert row["recovered_ok"]
         assert row["qcow2-full rollbacks"] >= 1
         assert row["qcow2-full total_s"] > 0
+
+
+class TestUnalignedCommits:
+    """At the default geometry a COMMIT writes whole stripes.  A COW block
+    smaller than a BlobSeer stripe -- a ``chunk_size`` of twice the block, or
+    a ``cow_block_size`` of half or a quarter of the stripe -- commits parts
+    of stripes, which ``write_batch`` merges over the base version's content
+    (one window spliced, several overlaid in a buffer)."""
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            f"cluster.blobseer.chunk_size={2 * GRAPHENE.checkpoint.cow_block_size}",
+            f"cluster.checkpoint.cow_block_size={GRAPHENE.blobseer.chunk_size // 2}",
+            f"cluster.checkpoint.cow_block_size={GRAPHENE.blobseer.chunk_size // 4}",
+        ],
+    )
+    def test_a_block_smaller_than_a_stripe_round_trips(self, override, monkeypatch):
+        chosen, selectors, config = resolve_run_inputs(
+            NAMES, ["fig2"], ["fig2:BlobCR-app:4:50MB"], [override]
+        )
+        (cell,) = ParallelRunner().enumerate(chosen, config, selectors)
+        merged = []
+        merge = BlobClient._merge_windows
+
+        def spy(self, *args):
+            merged.append(args)
+            return merge(self, *args)
+
+        monkeypatch.setattr(BlobClient, "_merge_windows", spy)
+        # fig2 stops after the checkpoint, where ``restored_ok`` is True
+        # unchecked; with the restart on it compares every restored byte
+        restarted = dataclasses.replace(cell, params={**cell.params, "include_restart": True})
+        assert execute_cell(restarted).payload["restored_ok"] is True
+        assert merged
 
 
 class TestBadSelectionInput:
