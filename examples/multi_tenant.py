@@ -23,9 +23,7 @@ def serve(policy: str):
     # Two boot slots for 12 tenants keeps the boot queue busy, and the
     # slow arrival rate makes late deploys contend with early tenants'
     # restarts -- the window where FIFO and fair actually diverge.
-    config = ServiceConfig(
-        admission=AdmissionConfig(policy=policy, boot_slots=2), seed="mtc"
-    )
+    config = ServiceConfig(admission=AdmissionConfig(policy=policy, boot_slots=2))
     return Session().serve(tenants=12, rate=0.25, policy=policy, config=config)
 
 

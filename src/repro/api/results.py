@@ -176,8 +176,6 @@ class ServeReport:
     aggregate: Dict[str, Any]
     #: one SLO row per tenant, tenant-name order
     tenant_rows: List[Dict[str, Any]]
-    #: background flows that ran alongside the tenants
-    background_flows: int
     #: failures injected mid-trace
     injected_failures: int
     #: the service layer's full report (per-tenant sample lists)

@@ -409,8 +409,8 @@ class Session:
         default report is byte-identical to the matching ``mtc`` cell.
         ``policy`` picks the admission policy (``fifo``/``fair``) when no
         explicit :class:`~repro.service.driver.ServiceConfig` is given;
-        ``config`` takes full control of approach, slots, background flows
-        and failure injection.  The run builds its own appropriately sized
+        ``config`` takes full control of approach, slots and failure
+        injection.  The run builds its own appropriately sized
         cloud from this session's spec (the session's own deployment, if
         any, is untouched).
         """
@@ -428,14 +428,13 @@ class Session:
                 f"trace must be a ServiceTrace, a JSONL path or None, got {type(trace).__name__}"
             )
         if config is None:
-            config = ServiceConfig(admission=AdmissionConfig(policy=policy), seed=TRACE_SEED)
+            config = ServiceConfig(admission=AdmissionConfig(policy=policy))
         report = run_service(trace, config, spec=self._spec)
         return ServeReport(
             tenants=len(report.tenants),
             duration_s=report.duration_s,
             aggregate=report.aggregate_row(),
             tenant_rows=report.tenant_rows(),
-            background_flows=report.background_flows,
             injected_failures=report.injected_failures,
             handle=report,
         )

@@ -5,8 +5,8 @@ manager, the metadata store and the data providers:
 
 ``create_blob``
     register a new, empty BLOB (version 0).
-``write``
-    store new data at an arbitrary offset and publish it as a new version
+``write_batch``
+    store new data at arbitrary offsets and publish it as one new version
     (shadowing: unchanged stripes keep pointing at their old chunks).
 ``read``
     fetch any byte range of any published version.
@@ -27,7 +27,6 @@ network and disk time without re-implementing the storage logic.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
@@ -43,7 +42,7 @@ from repro.util.runmap import RunMap
 
 @dataclass
 class WriteResult:
-    """Outcome of a ``write`` / ``create_blob`` / ``clone`` operation."""
+    """Outcome of a ``write_batch`` operation."""
 
     blob_id: int
     record: VersionRecord
@@ -68,24 +67,6 @@ class WriteResult:
     @property
     def version(self) -> int:
         return self.record.version
-
-    @property
-    def chunks(self) -> List[Tuple[ChunkKey, int, Tuple[str, ...]]]:
-        """Every stored chunk as (key, stored size, provider ids)."""
-        return [
-            (desc.key, desc.stored_bytes, desc.providers)
-            for run in self.runs
-            for desc in map(run.descriptor, range(run.first_stripe, run.last_stripe + 1))
-        ]
-
-    @property
-    def provider_bytes(self) -> Dict[str, int]:
-        """Bytes shipped to each provider (replicas included)."""
-        per: Dict[str, int] = {}
-        for _key, size, providers in self.chunks:
-            for provider_id in providers:
-                per[provider_id] = per.get(provider_id, 0) + size
-        return per
 
 
 class ReadSegment(NamedTuple):
@@ -138,7 +119,7 @@ class BlobClient:
             blob_id, size=0, incremental_bytes=0, parent=None, tag=tag or "create"
         )
         if initial_data is not None and initial_data.size > 0:
-            self.write(blob_id, 0, initial_data, tag="initial-data")
+            self.write_batch(blob_id, [(0, initial_data)], tag="initial-data")
         return blob_id
 
     def size(self, blob_id: int, version: Optional[int] = None) -> int:
@@ -148,19 +129,6 @@ class BlobClient:
         return self.version_manager.latest(blob_id).version
 
     # -- write path ---------------------------------------------------------------------
-
-    def write(
-        self,
-        blob_id: int,
-        offset: int,
-        data: ByteSource,
-        base_version: Optional[int] = None,
-        tag: str = "",
-    ) -> WriteResult:
-        """Write ``data`` at ``offset`` and publish the result as a new version."""
-        return self.write_batch(
-            blob_id, [(offset, data)], base_version=base_version, tag=tag or f"write@{offset}"
-        )
 
     def write_batch(
         self,
@@ -195,11 +163,13 @@ class BlobClient:
         new_version = info.versions[-1].version + 1
 
         # Cut the pieces at stripe boundaries.  The whole stripes a piece
-        # covers stay together as one span over one slice of it (the shape of
-        # every COMMIT: aligned whole blocks), which supersedes what came
-        # before; a window that covers less than its stripe is overlaid at
-        # once where a span already holds the stripe, and is otherwise kept,
-        # in write order, to be overlaid on the base version's contents.
+        # covers stay together as one span over one slice of it (a COMMIT at
+        # the default geometry writes aligned whole blocks), which supersedes
+        # what came before; a window that covers less than its stripe (a
+        # COMMIT whose ``cluster.checkpoint.cow_block_size`` is smaller than
+        # ``cluster.blobseer.chunk_size``) is overlaid at once where a span
+        # already holds the stripe, and is otherwise kept, in write order, to
+        # be overlaid on the base version's contents.
         spans = RunMap(chunk_size)
         partial: Dict[int, List[Tuple[int, ByteSource]]] = {}
         base_size = base_record.size
@@ -556,40 +526,3 @@ class BlobClient:
     def storage_footprint(self) -> int:
         """Total bytes physically stored across all providers (replicas included)."""
         return self.providers.total_used_bytes
-
-    def version_footprint(
-        self, blob_id: int, version: Optional[int] = None, *, physical: bool = False
-    ) -> int:
-        """Bytes of unique chunk data referenced by one version.
-
-        ``physical=True`` reports the bytes the version's content actually
-        occupies in the store: a chunk several stripes share counts once and
-        compressed chunks count their compressed size.
-        """
-        record = (
-            self.version_manager.latest(blob_id)
-            if version is None
-            else self.version_manager.record(blob_id, version)
-        )
-        if not physical:
-            return self.metadata.version_footprint(blob_id, record.version)
-        seen: set = set()
-        total = 0
-        for run, first, last in self.metadata.extents_in_range(
-            blob_id, record.version, 0, sys.maxsize
-        ):
-            stored = run.stored
-            for index in range(first - run.first_stripe, last - run.first_stripe + 1):
-                if (stored, index) not in seen:
-                    seen.add((stored, index))
-                    size = stored.stored_size
-                    total += stored.span_bytes(index, 1) if size is None else size
-        return total
-
-    def incremental_footprint(self, blob_id: int, version: int, *, physical: bool = False) -> int:
-        """Bytes of chunk data first introduced by ``version``.
-
-        ``physical=True`` reports what the version actually added to provider
-        disks: deduplicated stripes count 0, compressed ones their stored size.
-        """
-        return self.metadata.incremental_footprint(blob_id, version, physical=physical)

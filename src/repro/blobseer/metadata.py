@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.blobseer.provider import ChunkKey, StoredRun
 from repro.util.errors import StorageError, VersionNotFoundError
@@ -52,11 +52,6 @@ class ChunkDescriptor:
     #: the chunk was compressed, and 0 means the content was deduplicated
     #: against an already-stored canonical chunk (nothing was shipped)
     physical_length: Optional[int] = None
-
-    @property
-    def stored_bytes(self) -> int:
-        """Physical bytes introduced by this descriptor (dedup/compression aware)."""
-        return self.length if self.physical_length is None else self.physical_length
 
 
 @dataclass(slots=True, eq=False)
@@ -282,19 +277,6 @@ class MetadataStore:
 
     # -- queries ---------------------------------------------------------------------
 
-    def lookup(self, blob_id: int, version: int, stripe_index: int) -> Optional[ChunkDescriptor]:
-        root, capacity = self._root(blob_id, version)
-        if stripe_index < 0:
-            raise StorageError(f"negative stripe index {stripe_index}")
-        if stripe_index >= capacity:
-            return None
-        node = root
-        while node is not None:
-            if node.run is not None:
-                return node.run.descriptor(stripe_index)
-            node = node.left if stripe_index < (node.lo + node.hi) // 2 else node.right
-        return None
-
     def extents_in_range(
         self, blob_id: int, version: int, first_stripe: int, last_stripe: int
     ) -> List[Extent]:
@@ -309,8 +291,7 @@ class MetadataStore:
         self, blob_id: int, version: int, first_stripe: int, last_stripe: int
     ) -> List[ChunkDescriptor]:
         """All descriptors with ``first_stripe <= stripe_index <= last_stripe``.
-        Named by the benchmark's boundary table (no workload calls it); when
-        that row leaves, this folds into :meth:`iter_descriptors`."""
+        Named by the benchmark's boundary table (no workload calls it)."""
         return [
             run.descriptor(stripe)
             for run, first, last in self.extents_in_range(
@@ -318,10 +299,6 @@ class MetadataStore:
             )
             for stripe in range(first, last + 1)
         ]
-
-    def iter_descriptors(self, blob_id: int, version: int) -> Iterator[ChunkDescriptor]:
-        _root, capacity = self._root(blob_id, version)
-        return iter(self.descriptors_in_range(blob_id, version, 0, capacity - 1))
 
     def _collect(
         self, node: Optional[SegmentNode], first: int, last: int, out: List[Extent]
@@ -338,29 +315,3 @@ class MetadataStore:
         if out and out[-1][0] is run and out[-1][2] == lo - 1:
             lo = out.pop()[1]  # the next leaf of the run the previous one was cut from
         out.append((run, lo, hi))
-
-    # -- statistics ------------------------------------------------------------------
-
-    def version_footprint(self, blob_id: int, version: int) -> int:
-        """Total bytes of data referenced by a version (shared chunks counted once)."""
-        seen: set[ChunkKey] = set()
-        total = 0
-        for desc in self.iter_descriptors(blob_id, version):
-            if desc.key not in seen:
-                seen.add(desc.key)
-                total += desc.length
-        return total
-
-    def incremental_footprint(self, blob_id: int, version: int, *, physical: bool = False) -> int:
-        """Bytes introduced by ``version`` itself (descriptors it created).
-
-        ``physical=True`` reports what the version actually added to the
-        providers' disks: 0 for deduplicated stripes, the compressed size for
-        compressed ones.
-        """
-        _root, capacity = self._root(blob_id, version)
-        return sum(
-            run.span_bytes(first, last, physical=physical)
-            for run, first, last in self.extents_in_range(blob_id, version, 0, capacity - 1)
-            if run.created_by == (blob_id, version)
-        )

@@ -158,7 +158,6 @@ class DataProvider:
         #: provider holds a chunk of (which chunks is what the run says)
         self._runs: Dict[Tuple[int, int, int], StoredRun] = {}
         self._used = 0
-        self._count = 0
         self.alive = True
 
     # -- capacity -----------------------------------------------------------
@@ -166,14 +165,6 @@ class DataProvider:
     @property
     def used_bytes(self) -> int:
         return self._used
-
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity - self._used
-
-    @property
-    def chunk_count(self) -> int:
-        return self._count
 
     # -- chunk operations -----------------------------------------------------
 
@@ -185,12 +176,12 @@ class DataProvider:
             raise StorageError(f"provider {self.provider_id} is not alive")
         if nbytes > self.capacity - self._used:
             raise StorageError(
-                f"provider {self.provider_id} is full ({nbytes} needed, {self.free_bytes} free)"
+                f"provider {self.provider_id} is full "
+                f"({nbytes} needed, {self.capacity - self._used} free)"
             )
         self._runs[run.table_key] = run
         run.held[self.provider_id] = chunks
         self._used += nbytes
-        self._count += chunks
 
     def _forget(self, run: StoredRun) -> None:
         """Take a run this provider holds nothing of any more out of the
@@ -219,7 +210,6 @@ class DataProvider:
             if indices[-1] == len(run.placements) - 1:
                 freed += run.last_length - run.stripe_length
         self._used -= freed
-        self._count -= len(indices)
         self._usage_changed()
         return freed
 
@@ -241,7 +231,6 @@ class DataProvider:
         for run in list(self._runs.values()):
             self._forget(run)
         self._used = 0
-        self._count = 0
         if self._manager is not None:
             self._manager._index_stale = True
 
@@ -251,7 +240,7 @@ class DataProvider:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
-            f"<DataProvider {self.provider_id} chunks={self._count} "
+            f"<DataProvider {self.provider_id} runs={len(self._runs)} "
             f"used={self._used}B alive={self.alive}>"
         )
 
@@ -331,16 +320,6 @@ class ProviderManager:
             self._index_stale = True
             for run in provider._runs.values():
                 run.holders = None  # a holder readers cannot reach any more
-
-    def get(self, provider_id: str) -> DataProvider:
-        try:
-            return self._providers[provider_id]
-        except KeyError:
-            raise StorageError(f"unknown provider {provider_id}") from None
-
-    @property
-    def providers(self) -> List[DataProvider]:
-        return list(self._providers.values())
 
     @property
     def total_used_bytes(self) -> int:

@@ -299,17 +299,6 @@ class CheckpointRepository:
 
     # -- accounting -------------------------------------------------------------------------
 
-    def snapshot_incremental_size(
-        self, blob_id: int, version: int, *, physical: bool = False
-    ) -> int:
-        """Bytes of new data introduced by one snapshot (Figure 4 / Table 1).
-
-        The default reports the *logical* size (what the paper measures);
-        ``physical=True`` reports what the snapshot actually added to the
-        providers' disks after dedup and compression.
-        """
-        return self.client.incremental_footprint(blob_id, version, physical=physical)
-
     @property
     def total_stored_bytes(self) -> int:
         """Physical bytes across all providers (Figure 5b accounting)."""

@@ -27,15 +27,6 @@ class ChunkIndex:
     def __len__(self) -> int:
         return len(self._by_digest)
 
-    @property
-    def stored_bytes(self) -> int:
-        """Physical bytes of all indexed runs (one replica each)."""
-        return sum(run.stored_size for run in self._digests)
-
-    @property
-    def logical_bytes(self) -> int:
-        return sum(run.last_length for run in self._digests)
-
     def lookup(self, digest: str) -> Optional[StoredRun]:
         return self._by_digest.get(digest)
 

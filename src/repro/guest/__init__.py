@@ -23,7 +23,7 @@ from repro.guest.filesystem import FileStat, GuestFileSystem
 from repro.guest.process import GuestProcess, ProcessState
 from repro.guest.blcr import blcr_dump, blcr_restore
 from repro.guest.vm import VMInstance, VMState
-from repro.guest.osnoise import write_boot_noise, write_runtime_noise
+from repro.guest.osnoise import write_boot_noise
 
 __all__ = [
     "GuestFileSystem",
@@ -35,5 +35,4 @@ __all__ = [
     "VMInstance",
     "VMState",
     "write_boot_noise",
-    "write_runtime_noise",
 ]

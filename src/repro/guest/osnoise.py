@@ -2,11 +2,12 @@
 
 Figure 4 of the paper observes that even an application that saves only its
 own checkpoint file produces disk snapshots that are a few MB larger than
-that file: the guest OS writes configuration files at boot time and daemons
-keep appending to log files.  These helpers generate that background noise
-deterministically so that snapshot-size accounting reproduces the fixed
+that file: the guest OS writes configuration files and logs as it boots.
+The model writes that boot-time noise only, once per deployed guest and
+deterministically, so that snapshot-size accounting reproduces the fixed
 overhead (and its dependence on snapshot granularity: ~7 MB at qcow2's 64 KiB
-clusters vs ~13 MB at BlobCR's 256 KiB blocks).
+clusters vs ~13 MB at BlobCR's 256 KiB blocks).  Log appends between
+checkpoints are not modelled.
 """
 
 from __future__ import annotations
@@ -69,17 +70,3 @@ def write_boot_noise(fs: GuestFileSystem, spec: CheckpointSpec, instance_id: str
     fs.sync()
     return sum(content.size for content in plan)
 
-
-def write_runtime_noise(
-    fs: GuestFileSystem, spec: CheckpointSpec, instance_id: str, epoch: int
-) -> int:
-    """Append daemon/log activity that accumulates between checkpoints."""
-    rng = make_rng("runtime-noise", instance_id, epoch)
-    written = 0
-    for i, path in enumerate(("/var/log/syslog", "/var/log/daemon.log")):
-        size = int(rng.integers(8 * 1024, 64 * 1024))
-        fs.write_file(
-            path, SyntheticBytes(("runtime-noise", instance_id, epoch, i), size), append=True
-        )
-        written += size
-    return written

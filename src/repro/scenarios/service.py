@@ -14,7 +14,7 @@ Axes: tenant count, arrival rate (tenants/s) and admission policy.  The
 trace is synthesized per cell from a fixed seed -- the same tenants and
 jobs hit both policies, so the fairness column isolates the scheduling
 decision.  Everything else (arrival mode, trace file, admission depths,
-failure MTBF, background flows, ...) is a scenario *parameter*: a
+failure MTBF, ...) is a scenario *parameter*: a
 single-valued axis outside the cell key, overridable run-wide via
 ``--override mtc.<name>=<value>`` and validated like any other override.
 """
@@ -28,9 +28,8 @@ from repro.scenarios.results import merge_rows
 from repro.scenarios.spec import Axis, ScenarioSpec
 from repro.service.admission import AdmissionConfig
 from repro.service.driver import ServiceConfig, run_service
-from repro.service.trace import ServiceTrace, load_trace, synthesize_trace
+from repro.service.trace import load_trace, synthesize_trace
 from repro.util.config import ClusterSpec
-from repro.util.errors import ConfigurationError
 from repro.util.units import MB
 
 _DESCRIPTION = (
@@ -44,26 +43,12 @@ _DESCRIPTION = (
 TRACE_SEED = "mtc"
 
 
-def _truncated(trace: ServiceTrace, duration: float) -> ServiceTrace:
-    """Drop jobs submitted after ``duration`` (the run-length cap)."""
-    jobs = tuple(job for job in trace.jobs if job.at <= duration)
-    if not jobs:
-        raise ConfigurationError(
-            f"duration cap {duration}s truncates away every job of the trace "
-            f"(first submission at {trace.jobs[0].at:.3f}s)"
-        )
-    capped = ServiceTrace(jobs=jobs).canonical()
-    capped.validate()
-    return capped
-
-
 def run_mtc_cell(
     tenants: int,
     rate: float,
     policy: str,
     mode: str = "poisson",
     trace_path: str = "",
-    duration: float = 0.0,
     checkpoints: int = 2,
     interval: float = 15.0,
     restarts: int = 1,
@@ -75,7 +60,6 @@ def run_mtc_cell(
     repo_slots: int = 8,
     max_queue: int = 64,
     timeout: float = 0.0,
-    flows: int = 0,
     mtbf: float = 0.0,
     spec: Optional[ClusterSpec] = None,
 ) -> Dict[str, Any]:
@@ -93,8 +77,6 @@ def run_mtc_cell(
             hold_s=hold,
             seed=TRACE_SEED,
         )
-    if duration > 0:
-        trace = _truncated(trace, duration)
     config = ServiceConfig(
         approach=approach,
         instances_per_tenant=instances,
@@ -106,9 +88,7 @@ def run_mtc_cell(
             max_queue=max_queue,
             timeout_s=timeout,
         ),
-        background_flows=flows,
         mtbf_s=mtbf,
-        seed=TRACE_SEED,
     )
     report = run_service(trace, config, spec=spec)
     row: Dict[str, Any] = {"tenants": tenants, "rate": rate, "policy": policy}
@@ -133,7 +113,6 @@ SCENARIO = ScenarioSpec(
         # scenario parameters: single-valued, outside the cell key
         Axis("mode", ("poisson",)),
         Axis("trace_path", ("",)),
-        Axis("duration", (0.0,)),
         Axis("checkpoints", (2,)),
         Axis("interval", (15.0,)),
         Axis("restarts", (1,)),
@@ -145,7 +124,6 @@ SCENARIO = ScenarioSpec(
         Axis("repo_slots", (8,)),
         Axis("max_queue", (64,)),
         Axis("timeout", (0.0,)),
-        Axis("flows", (0,)),
         Axis("mtbf", (0.0,)),
     ),
     key_axes=("tenants", "rate", "policy"),

@@ -19,17 +19,16 @@ to finish).  This package models that regime:
 ``driver``
     :class:`~repro.service.driver.ServiceDriver` runs a job trace against
     one shared :class:`~repro.cluster.cloud.Cloud`: per-tenant deployments
-    share the checkpoint repository (and hence its bandwidth), failures can
-    be injected mid-trace, and per-tenant background traffic generalises
-    the ``contention`` scenario's machinery.
+    share the checkpoint repository (and hence its bandwidth), and failures
+    can be injected mid-trace.
 ``slo``
     SLO accounting: per-tenant and aggregate p50/p99/p999 checkpoint and
     restart latency, queue wait, rejection rate and Jain's fairness index,
     computed with the exact nearest-rank quantiles of
     :mod:`repro.util.stats`.
 ``traffic``
-    The background bulk-flow generator shared with the ``contention``
-    scenario.
+    The background bulk-flow generator of the ``contention`` and ``mig``
+    scenarios.
 
 The ``mtc`` scenario (:mod:`repro.scenarios.service`) and
 ``Session.serve`` (:mod:`repro.api.session`) are the two public surfaces

@@ -16,13 +16,10 @@ open-loop job stream against it:
 * mid-trace failures come from the existing
   :class:`~repro.cluster.failures.FailureInjector`; a tenant whose job dies
   recovers by restarting from its latest checkpoint (one recovery attempt,
-  then the tenant is killed);
-* optional per-tenant background traffic reuses the ``contention``
-  machinery (:mod:`repro.service.traffic`) on node pairs reserved away from
-  the tenants.
+  then the tenant is killed).
 
-Everything stochastic flows through ``make_rng`` keyed by the service seed
-and tenant names, and tenants are enumerated in sorted-name order, so a run
+Everything stochastic flows through ``make_rng`` keyed by the MTBF and
+tenant names, and tenants are enumerated in sorted-name order, so a run
 is a pure function of ``(trace, config, cluster spec)`` -- byte-identical
 across processes, worker counts and repetitions.
 """
@@ -30,7 +27,7 @@ across processes, worker counts and repetitions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.apps.synthetic import SyntheticBenchmark
 from repro.cluster.cloud import Cloud
@@ -44,7 +41,6 @@ from repro.scenarios.workloads import split_approach
 from repro.service.admission import GRANTED, AdmissionConfig, AdmissionQueue
 from repro.service.slo import ServiceReport, TenantStats
 from repro.service.trace import Job, ServiceTrace
-from repro.service.traffic import start_tenant_flows
 from repro.util.config import GRAPHENE, ClusterSpec
 from repro.util.errors import (
     CheckpointError,
@@ -72,13 +68,8 @@ class ServiceConfig:
     #: synthetic per-process buffer each checkpoint persists
     buffer_bytes: int = 4 * MB
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
-    #: per-tenant background bulk flows on reserved node pairs
-    background_flows: int = 0
-    flow_chunk_bytes: int = 16 * MB
     #: mean time between injected node failures (0 disables injection)
     mtbf_s: float = 0.0
-    #: seed of everything service-specific (traffic sizes, failure schedule)
-    seed: object = "service"
 
     def validate(self) -> None:
         split_approach(self.approach)  # raises on unknown approaches
@@ -86,8 +77,6 @@ class ServiceConfig:
             raise ConfigurationError("instances and processes per tenant must be >= 1")
         if self.buffer_bytes <= 0:
             raise ConfigurationError(f"buffer size must be positive, got {self.buffer_bytes}")
-        if self.background_flows < 0:
-            raise ConfigurationError(f"flow count must be >= 0, got {self.background_flows}")
         if self.mtbf_s < 0:
             raise ConfigurationError(f"MTBF must be >= 0, got {self.mtbf_s}")
         self.admission.validate()
@@ -147,17 +136,6 @@ class ServiceDriver:
 
     def run(self) -> ServiceReport:
         """Serve the whole trace; returns the SLO report."""
-        flows = self.config.background_flows
-        stop = {"done": False}
-        if flows > 0:
-            # Flow endpoints are reserved before any tenant deploys, so
-            # background traffic never contends for tenant hosts.
-            names = self.cloud.reserve_nodes(2 * flows, owner=self)
-            pairs: List[Tuple[str, str]] = [
-                (names[2 * i], names[2 * i + 1]) for i in range(flows)
-            ]
-        else:
-            pairs = []
         if self.config.mtbf_s > 0:
             self.injector.poisson_failures(
                 self.config.mtbf_s, horizon=self.trace.end_time + 30.0
@@ -165,26 +143,16 @@ class ServiceDriver:
 
         def main():
             yield from self._stage_base_image()
-            if pairs:
-                start_tenant_flows(
-                    self.cloud,
-                    pairs,
-                    self.config.flow_chunk_bytes,
-                    stop,
-                    seed=self.config.seed,
-                )
             procs = [
                 self.cloud.process(self._serve_tenant(tenant), name=f"tenant:{name}")
                 for name, tenant in self._tenants.items()
             ]
             yield self.cloud.env.all_of(procs)
-            stop["done"] = True
 
         self.cloud.run(self.cloud.process(main(), name="service-driver"))
         return ServiceReport(
             tenants={name: tenant.stats for name, tenant in self._tenants.items()},
             duration_s=self.cloud.now,
-            background_flows=flows,
             injected_failures=len(self.injector.history),
         )
 
@@ -377,20 +345,19 @@ def sized_spec(
     spec: Optional[ClusterSpec],
     tenants: int,
     instances_per_tenant: int,
-    background_flows: int,
     mtbf_s: float = 0.0,
 ) -> ClusterSpec:
-    """Grow ``spec`` so the trace fits: tenant hosts + restart headroom + flows.
+    """Grow ``spec`` so the trace fits: tenant hosts + restart headroom.
 
     Restarts need spare nodes (the paper restarts every instance on a
     *different* node), so the pool carries ~25% headroom over the tenant
-    hosts, and every background flow needs its own reserved node pair.
+    hosts.
     With failure injection on, the cluster is the fault-tolerance scenario's
     (a single crashed provider does not take the only copy of a chunk with it).
     """
     spec = spec or GRAPHENE
     hosts = tenants * instances_per_tenant
-    needed = hosts + max(4, hosts // 4) + 2 * background_flows
+    needed = hosts + max(4, hosts // 4)
     if needed > spec.compute_nodes:
         spec = spec.scaled(compute_nodes=needed)
     return fault_tolerant_cluster(spec) if mtbf_s > 0 else spec
@@ -412,7 +379,6 @@ def run_service(
         spec,
         tenants=len(trace.tenants),
         instances_per_tenant=config.instances_per_tenant,
-        background_flows=config.background_flows,
         mtbf_s=config.mtbf_s,
     )
     cloud = Cloud(spec)

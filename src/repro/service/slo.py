@@ -103,8 +103,6 @@ class ServiceReport:
     tenants: Dict[str, TenantStats]
     #: simulated time the whole trace took
     duration_s: float
-    #: background flows that ran alongside the tenants
-    background_flows: int = 0
     #: failures injected mid-trace
     injected_failures: int = 0
 

@@ -43,11 +43,6 @@ class RawImage(BlockDevice):
         but sparse files / uploads only pay for written content)."""
         return self._device.allocated_bytes
 
-    @property
-    def file_size(self) -> int:
-        """Size of the raw image as a file: always the full virtual size."""
-        return self.size
-
     def stored_runs(self) -> Iterator[Tuple[int, ByteSource]]:
         """``(offset, content)`` of every stored run, ascending: what an upload ships."""
         return self._device.stored_runs()

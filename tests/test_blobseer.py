@@ -21,11 +21,17 @@ from repro.util.errors import (
 )
 
 
-def make_client(num_providers=4, replication=1, chunk_size=1024):
+def make_cluster(num_providers=4, replication=1, chunk_size=1024):
+    """A client over ``num_providers`` fresh providers, and those providers by id."""
     manager = ProviderManager(replication=replication)
-    for i in range(num_providers):
-        manager.register(DataProvider(f"p{i}"))
-    return BlobClient(providers=manager, default_chunk_size=chunk_size)
+    providers = {f"p{i}": DataProvider(f"p{i}") for i in range(num_providers)}
+    for provider in providers.values():
+        manager.register(provider)
+    return BlobClient(providers=manager, default_chunk_size=chunk_size), providers
+
+
+def make_client(num_providers=4, replication=1, chunk_size=1024):
+    return make_cluster(num_providers, replication, chunk_size)[0]
 
 
 def one_provider(capacity=10**18):
@@ -57,7 +63,7 @@ class TestDataProvider:
         manager, provider = one_provider()
         client = BlobClient(providers=manager, default_chunk_size=2)
         blob = client.create_blob()
-        (run,) = client.write(blob, 0, LiteralBytes(b"abcd")).runs
+        (run,) = client.write_batch(blob, [(0, LiteralBytes(b"abcd"))]).runs
         assert manager.release(run.stored, 0, 2) == (2, 4)  # replicas dropped, bytes freed
         assert provider.used_bytes == 0
         assert manager.release(run.stored, 0, 2) == (0, 0)
@@ -82,12 +88,13 @@ class TestProviderManager:
 
     def test_placement_balances_load(self):
         manager = ProviderManager(replication=1)
-        for i in range(4):
-            manager.register(DataProvider(f"p{i}"))
+        providers = [DataProvider(f"p{i}") for i in range(4)]
+        for provider in providers:
+            manager.register(provider)
         for c in range(40):
             chunk = Chunk(ChunkKey(1, c), LiteralBytes(b"x" * 100))
             manager.store_replicated(chunk)
-        counts = [p.chunk_count for p in manager.providers]
+        counts = [p.used_bytes // 100 for p in providers]  # every chunk is 100 bytes
         assert max(counts) - min(counts) <= 1
 
     def test_placement_tie_break_is_hash_seed_independent(self):
@@ -106,11 +113,12 @@ class TestProviderManager:
 
     def test_fetch_any_falls_back_to_replica(self):
         manager = ProviderManager(replication=2)
-        for i in range(3):
-            manager.register(DataProvider(f"p{i}"))
+        providers = {f"p{i}": DataProvider(f"p{i}") for i in range(3)}
+        for provider in providers.values():
+            manager.register(provider)
         chunk = Chunk(ChunkKey(1, 1), LiteralBytes(b"payload"))
         decision = manager.store_replicated(chunk)
-        manager.get(decision.providers[0]).fail()
+        providers[decision.providers[0]].fail()
         fetched = manager.fetch_any(ChunkKey(1, 1), preferred=decision.providers)
         assert fetched.data.read() == b"payload"
 
@@ -145,22 +153,28 @@ class TestMetadataStore:
         pieces = [(s * chunk, LiteralBytes(bytes([s % 256]) * length)) for s in stripes]
         return client.write_batch(blob, pieces)
 
+    @staticmethod
+    def descriptor(store, blob, version, stripe):
+        """The descriptor of one stripe, or None for a hole."""
+        found = store.descriptors_in_range(blob, version, stripe, stripe)
+        return found[0] if found else None
+
     def test_lookup_after_derive(self):
         client = make_client(chunk_size=4)
         blob = client.create_blob()
         self.write_stripes(client, blob, (0, 2))
         store = client.metadata
-        assert store.lookup(blob, 1, 0).stripe_index == 0
-        assert store.lookup(blob, 1, 1) is None
-        assert store.lookup(blob, 1, 2).stripe_index == 2
+        assert self.descriptor(store, blob, 1, 0).stripe_index == 0
+        assert self.descriptor(store, blob, 1, 1) is None
+        assert self.descriptor(store, blob, 1, 2).stripe_index == 2
 
     def test_shadowing_preserves_old_versions(self):
         client = make_client(chunk_size=4)
         blob = client.create_blob()
         self.write_stripes(client, blob, (0,))
         self.write_stripes(client, blob, (0,))
-        assert client.metadata.lookup(blob, 1, 0).created_by == (blob, 1)
-        assert client.metadata.lookup(blob, 2, 0).created_by == (blob, 2)
+        assert self.descriptor(client.metadata, blob, 1, 0).created_by == (blob, 1)
+        assert self.descriptor(client.metadata, blob, 2, 0).created_by == (blob, 2)
 
     def test_unmodified_stripes_shared(self):
         client = make_client(chunk_size=4)
@@ -176,20 +190,21 @@ class TestMetadataStore:
         client = make_client(chunk_size=4)
         blob = client.create_blob()
         self.write_stripes(client, blob, (100,))
-        assert client.metadata.lookup(blob, 1, 100) is not None
-        assert client.metadata.lookup(blob, 1, 99) is None
+        assert self.descriptor(client.metadata, blob, 1, 100) is not None
+        assert self.descriptor(client.metadata, blob, 1, 99) is None
 
     def test_clone_shares_tree(self):
         client = make_client(chunk_size=4)
         blob = client.create_blob()
         self.write_stripes(client, blob, (0, 5))
         clone = client.clone(blob)
-        assert client.metadata.lookup(clone, 0, 5).key == client.metadata.lookup(blob, 1, 5).key
+        shared = self.descriptor(client.metadata, clone, 0, 5)
+        assert shared.key == self.descriptor(client.metadata, blob, 1, 5).key
 
     def test_unknown_version_raises(self):
         store = MetadataStore()
         with pytest.raises(VersionNotFoundError):
-            store.lookup(1, 0, 0)
+            store.extents_in_range(1, 0, 0, 0)
 
     def test_descriptors_in_range(self):
         client = make_client(chunk_size=4)
@@ -201,12 +216,11 @@ class TestMetadataStore:
     def test_footprints(self):
         client = make_client(chunk_size=32)
         blob = client.create_blob()
-        self.write_stripes(client, blob, (0,), length=10)
-        self.write_stripes(client, blob, (1,), length=20)
-        store = client.metadata
-        assert store.version_footprint(blob, 2) == 30
-        assert store.incremental_footprint(blob, 2) == 20
-        assert store.incremental_footprint(blob, 1) == 10
+        first = self.write_stripes(client, blob, (0,), length=10)
+        second = self.write_stripes(client, blob, (1,), length=20)
+        assert (first.bytes_written, second.bytes_written) == (10, 20)
+        assert client.storage_footprint() == 30  # version 2 shares stripe 0 with version 1
+        assert client.read(blob, version=2).read() == bytes(32) + b"\x01" * 20
 
 
 class TestVersionManager:
@@ -260,21 +274,21 @@ class TestBlobClient:
         client = make_client()
         blob = client.create_blob()
         payload = SyntheticBytes("roundtrip", 5000)
-        client.write(blob, 0, payload)
+        client.write_batch(blob, [(0, payload)])
         assert client.read(blob).read() == payload.read()
 
     def test_write_creates_new_version_and_keeps_old(self):
         client = make_client(chunk_size=64)
         blob = client.create_blob()
-        client.write(blob, 0, LiteralBytes(b"A" * 128))
-        client.write(blob, 0, LiteralBytes(b"B" * 64))
+        client.write_batch(blob, [(0, LiteralBytes(b"A" * 128))])
+        client.write_batch(blob, [(0, LiteralBytes(b"B" * 64))])
         assert client.read(blob, version=1).read() == b"A" * 128
         assert client.read(blob, version=2).read() == b"B" * 64 + b"A" * 64
 
     def test_sparse_blob_reads_zeros(self):
         client = make_client(chunk_size=64)
         blob = client.create_blob()
-        client.write(blob, 128, LiteralBytes(b"tail"))
+        client.write_batch(blob, [(128, LiteralBytes(b"tail"))])
         data = client.read(blob).read()
         assert data[:128] == b"\x00" * 128
         assert data[128:] == b"tail"
@@ -282,8 +296,8 @@ class TestBlobClient:
     def test_partial_stripe_write_preserves_neighbours(self):
         client = make_client(chunk_size=64)
         blob = client.create_blob()
-        client.write(blob, 0, LiteralBytes(bytes(range(128))))
-        client.write(blob, 10, LiteralBytes(b"\xff" * 4))
+        client.write_batch(blob, [(0, LiteralBytes(bytes(range(128))))])
+        client.write_batch(blob, [(10, LiteralBytes(b"\xff" * 4))])
         data = client.read(blob).read()
         assert data[10:14] == b"\xff" * 4
         assert data[:10] == bytes(range(10))
@@ -292,60 +306,63 @@ class TestBlobClient:
     def test_unaligned_write_only_stores_touched_stripes(self):
         client = make_client(chunk_size=64)
         blob = client.create_blob()
-        client.write(blob, 0, LiteralBytes(b"x" * 256))
-        result = client.write(blob, 70, LiteralBytes(b"y" * 10))
-        assert len(result.chunks) == 1  # only stripe 1 rewritten
+        client.write_batch(blob, [(0, LiteralBytes(b"x" * 256))])
+        result = client.write_batch(blob, [(70, LiteralBytes(b"y" * 10))])
+        assert result.chunk_count == 1  # only stripe 1 rewritten
         assert result.bytes_written == 64
 
     def test_incremental_footprint_tracks_only_new_data(self):
         client = make_client(chunk_size=64)
         blob = client.create_blob()
-        client.write(blob, 0, LiteralBytes(b"a" * 256))
-        second = client.write(blob, 0, LiteralBytes(b"b" * 64))
-        assert client.incremental_footprint(blob, second.version) == 64
-        assert client.version_footprint(blob, second.version) == 256
+        client.write_batch(blob, [(0, LiteralBytes(b"a" * 256))])
+        second = client.write_batch(blob, [(0, LiteralBytes(b"b" * 64))])
+        assert second.bytes_written == 64
+        assert client.storage_footprint() == 256 + 64  # the other stripes are shared
+        assert client.read(blob, version=second.version).read() == b"b" * 64 + b"a" * 192
 
     def test_clone_shares_then_diverges(self):
         client = make_client(chunk_size=64)
         origin = client.create_blob()
-        client.write(origin, 0, LiteralBytes(b"base" * 32))
+        client.write_batch(origin, [(0, LiteralBytes(b"base" * 32))])
         footprint_before = client.storage_footprint()
         clone = client.clone(origin)
         # Cloning stores no new chunk data.
         assert client.storage_footprint() == footprint_before
         assert client.read(clone).read() == client.read(origin).read()
-        client.write(clone, 0, LiteralBytes(b"diverged" + b"!" * 56))
+        client.write_batch(clone, [(0, LiteralBytes(b"diverged" + b"!" * 56))])
         assert client.read(clone).read()[:8] == b"diverged"
         assert client.read(origin).read()[:4] == b"base"
 
     def test_replication_survives_provider_failure(self):
-        client = make_client(num_providers=4, replication=2, chunk_size=64)
+        client, providers = make_cluster(num_providers=4, replication=2, chunk_size=64)
         blob = client.create_blob()
-        result = client.write(blob, 0, LiteralBytes(b"k" * 256))
+        result = client.write_batch(blob, [(0, LiteralBytes(b"k" * 256))])
         # Fail one provider that holds data.
-        victim = result.chunks[0][2][0]
-        client.providers.get(victim).fail()
+        victim = result.runs[0].providers[0][0]
+        providers[victim].fail()
         assert client.read(blob).read() == b"k" * 256
 
     def test_read_outside_blob_raises(self):
         client = make_client()
         blob = client.create_blob()
-        client.write(blob, 0, LiteralBytes(b"abc"))
+        client.write_batch(blob, [(0, LiteralBytes(b"abc"))])
         with pytest.raises(StorageError):
             client.read(blob, 0, 10)
 
     def test_provider_bytes_accounting(self):
-        client = make_client(num_providers=3, replication=2, chunk_size=64)
+        client, providers = make_cluster(num_providers=3, replication=2, chunk_size=64)
         blob = client.create_blob()
-        result = client.write(blob, 0, LiteralBytes(b"z" * 128))
-        per_provider = result.provider_bytes
-        assert sum(per_provider.values()) == 2 * 128  # replicated twice
+        result = client.write_batch(blob, [(0, LiteralBytes(b"z" * 128))])
+        assert result.bytes_written == 128  # one replica
+        per_provider = [p.used_bytes for p in providers.values()]
+        assert sum(per_provider) == 2 * 128  # replicated twice
+        assert max(per_provider) <= 128  # the two replicas of a chunk are on two providers
 
     def test_write_negative_offset_rejected(self):
         client = make_client()
         blob = client.create_blob()
         with pytest.raises(StorageError):
-            client.write(blob, -1, LiteralBytes(b"x"))
+            client.write_batch(blob, [(-1, LiteralBytes(b"x"))])
 
     def test_create_blob_with_initial_data(self):
         client = make_client(chunk_size=64)
@@ -367,7 +384,7 @@ def test_property_blob_matches_reference_buffer(writes):
     blob = client.create_blob()
     reference = bytearray()
     for offset, data in writes:
-        client.write(blob, offset, LiteralBytes(data))
+        client.write_batch(blob, [(offset, LiteralBytes(data))])
         if len(reference) < offset + len(data):
             reference.extend(b"\x00" * (offset + len(data) - len(reference)))
         reference[offset : offset + len(data)] = data
@@ -388,7 +405,7 @@ def test_property_old_versions_immutable(writes):
     blob = client.create_blob()
     snapshots = []
     for offset, data in writes:
-        result = client.write(blob, offset, LiteralBytes(data))
+        result = client.write_batch(blob, [(offset, LiteralBytes(data))])
         snapshots.append((result.version, client.read(blob, version=result.version).read()))
     for version, expected in snapshots:
         assert client.read(blob, version=version).read() == expected

@@ -12,8 +12,8 @@ suites in ``SNIPPETS.md``, generalised).  After every operation
 * every published version reads back as the ``bytearray`` it was built from,
   or raises ``ChunkNotFoundError`` naming the first stripe whose chunk no
   registered live provider of its placement holds any more;
-* every provider's ``used_bytes`` / ``chunk_count`` is what the model's
-  (run, chunk, provider) entries add up to;
+* every provider's ``used_bytes`` is what the model's (run, chunk, provider)
+  entries add up to;
 * every run table counts, per run, the placed chunks minus the released ones,
   and a run no table names any more has given up its payload;
 
@@ -40,7 +40,6 @@ class Harness:
     def __init__(self, capacities, replication):
         self.manager = ProviderManager(replication=replication)
         self.providers = []  # every provider ever registered, registration order
-        self.capacities = []
         self.registered = []
         for index, capacity in enumerate(capacities):
             self._register(DataProvider(f"node-{index}", capacity=capacity))
@@ -59,7 +58,6 @@ class Harness:
     def _register(self, provider):
         self.manager.register(provider)
         self.providers.append(provider)
-        self.capacities.append(provider.capacity)
         self.registered.append(True)
 
     def model_of(self, provider_id):
@@ -103,6 +101,7 @@ class Harness:
                 if offset + length > len(model):
                     model.extend(bytes(offset + length - len(model)))
                 model[offset : offset + length] = source.read()
+        used = [provider.used_bytes for provider in self.providers]
         try:
             result = self.client.write_batch(blob, batch)
         except ChunkNotFoundError:
@@ -137,7 +136,7 @@ class Harness:
             for stripe in range(run.first_stripe, run.last_stripe + 1)
         ]
         assert {d.stripe_index: d.length for d in descriptors} == touched
-        assert result.chunk_count == len(descriptors) == len(result.chunks)
+        assert result.chunk_count == len(descriptors)
         assert result.logical_bytes == result.bytes_written == sum(touched.values())
         # runs are maximal: consecutive stripes, all full but the last, and two
         # runs that touch could not have been one
@@ -164,7 +163,12 @@ class Harness:
                 for provider_id in placed:
                     self.held[(number, index, self.model_of(provider_id))] = len(data)
                     shipped[provider_id] = shipped.get(provider_id, 0) + len(data)
-        assert result.provider_bytes == shipped
+        gained = {
+            provider.provider_id: provider.used_bytes - before
+            for provider, before in zip(self.providers, used)
+            if provider.used_bytes != before
+        }
+        assert gained == shipped
         self.maps[(blob, version)] = stripes
 
     def clone(self, blob_pick):
@@ -286,9 +290,7 @@ class Harness:
     def check(self):
         for index, provider in enumerate(self.providers):
             entries = [n for (_run, _i, p), n in self.held.items() if p == index]
-            assert provider.chunk_count == len(entries)
             assert provider.used_bytes == sum(entries)
-            assert provider.free_bytes == self.capacities[index] - sum(entries)
         assert self.manager.total_used_bytes == sum(
             self.used(index) for index in range(len(self.providers)) if self.registered[index]
         )
@@ -389,9 +391,10 @@ def test_full_provider_rolls_a_batch_back_to_nothing():
 
 def three_providers(replication=1):
     manager = ProviderManager(replication=replication)
-    for index in range(3):
-        manager.register(DataProvider(f"node-{index}"))
-    return manager, BlobClient(providers=manager, default_chunk_size=CHUNK)
+    providers = [DataProvider(f"node-{index}") for index in range(3)]
+    for provider in providers:
+        manager.register(provider)
+    return manager, BlobClient(providers=manager, default_chunk_size=CHUNK), providers
 
 
 def test_release_passes_over_what_is_not_registered_alive_and_holding_the_run():
@@ -436,8 +439,9 @@ def test_commit_and_read_of_a_run_allocate_per_run_not_per_stripe():
 
     stripes, chunk = 800, 64
     manager = ProviderManager()
-    for index in range(120):
-        manager.register(DataProvider(f"node-{index}"))
+    providers = [DataProvider(f"node-{index}") for index in range(120)]
+    for provider in providers:
+        manager.register(provider)
     client = BlobClient(providers=manager, default_chunk_size=chunk)
     # what is paid once (every provider's run table turning GC-tracked with its
     # first entry) is paid by a first commit
@@ -456,25 +460,25 @@ def test_commit_and_read_of_a_run_allocate_per_run_not_per_stripe():
     assert isinstance(window, SyntheticBytes)
     assert window.fingerprint() == payload.slice(10 * chunk + 3, 100 * chunk).fingerprint()
     (run,) = result.runs
-    tables = [list(provider._runs.values()) for provider in manager.providers]
+    tables = [list(provider._runs.values()) for provider in providers]
     assert all(table[1:] == [run.stored] for table in tables)  # after the warm-up's run
     assert run.stored.placements is run.providers and run.stored.dropped is None
     assert len(run.stored.held) == 120
-    assert sum(p.chunk_count for p in manager.providers) == 120 + stripes
-    assert sum(p.used_bytes for p in manager.providers) == (120 + stripes) * chunk
+    assert sum(run.stored.held.values()) == stripes
+    assert sum(p.used_bytes for p in providers) == (120 + stripes) * chunk
 
 
 
 def test_deleting_one_chunk_leaves_the_rest_of_its_run_readable():
-    manager, client = three_providers()
+    manager, client, _providers = three_providers()
     blob = client.create_blob()
     data = bytes(range(12 * CHUNK))
-    (run,) = client.write(blob, 0, LiteralBytes(data)).runs
+    (run,) = client.write_batch(blob, [(0, LiteralBytes(data))]).runs
     key = ChunkKey(blob, run.first_chunk_id + 5)
     (holder,) = run.providers[5]
     assert manager.release(run.stored, 5, 6) == (1, CHUNK)
     assert run.stored.dropped == {(5, holder)}
-    assert manager.get(holder).chunk_count == 3
+    assert run.stored.held[holder] == 3  # of the four chunks the run put there
     assert client.read(blob, 0, 5 * CHUNK).read() == data[: 5 * CHUNK]
     assert client.read(blob, 6 * CHUNK, 6 * CHUNK).read() == data[6 * CHUNK :]
     with pytest.raises(ChunkNotFoundError) as raised:
@@ -485,18 +489,18 @@ def test_deleting_one_chunk_leaves_the_rest_of_its_run_readable():
 def test_a_run_leaves_a_table_with_the_last_chunk_held_there():
     """Releasing frees: a provider forgets a run with its last chunk of it, and
     the payload goes when the last provider has."""
-    manager, client = three_providers(replication=2)
+    manager, client, providers = three_providers(replication=2)
     blob = client.create_blob()
-    (run,) = client.write(blob, 0, LiteralBytes(bytes(range(7 * CHUNK)))).runs
+    (run,) = client.write_batch(blob, [(0, LiteralBytes(bytes(range(7 * CHUNK))))]).runs
     stored = run.stored
     assert len(stored.held) == 3 and stored.dropped is None
     for index in range(7):
         assert manager.release(stored, index, index + 1) == (2, 2 * CHUNK)
         left = {provider_id for placed in run.providers[index + 1 :] for provider_id in placed}
-        assert {p.provider_id for p in manager.providers if stored in p._runs.values()} == left
+        assert {p.provider_id for p in providers if stored in p._runs.values()} == left
         assert set(stored.held) == left and (stored.payload is None) == (not left)
     assert stored.dropped is None  # the exceptions went with the payload
-    assert manager.total_used_bytes == 0 and all(not p._runs for p in manager.providers)
+    assert manager.total_used_bytes == 0 and all(not p._runs for p in providers)
     with pytest.raises(ChunkNotFoundError):
         client.read(blob)
 
@@ -505,16 +509,17 @@ def test_a_chunk_stored_alone_at_the_first_id_of_a_longer_run_is_its_own_run():
     """A table files a run under its length too: a run of one stored under the
     first key of a longer run sits beside it, and each leaves on its own."""
     manager = ProviderManager(replication=2)
-    for index in range(2):
-        manager.register(DataProvider(f"node-{index}"))
+    providers = [DataProvider(f"node-{index}") for index in range(2)]
+    for provider in providers:
+        manager.register(provider)
     client = BlobClient(providers=manager, default_chunk_size=CHUNK)
     blob = client.create_blob()
     data = bytes(range(4 * CHUNK))
-    (run,) = client.write(blob, 0, LiteralBytes(data)).runs
+    (run,) = client.write_batch(blob, [(0, LiteralBytes(data))]).runs
     first = ChunkKey(blob, run.first_chunk_id)
     manager.store_replicated(Chunk(first, LiteralBytes(b"alone")))
-    for provider in manager.providers:
-        assert provider.chunk_count == 5 and len(provider._runs) == 2
+    for provider in providers:
+        assert provider.used_bytes == 4 * CHUNK + len(b"alone") and len(provider._runs) == 2
         assert run.stored in provider._runs.values()
     assert client.read(blob).read() == data
     assert manager.release(run.stored, 0, 4) == (8, 8 * CHUNK)
@@ -531,8 +536,9 @@ def test_rollback_and_gc_leave_nothing_for_the_collector():
     from repro.core.gc import SnapshotGarbageCollector
 
     manager = ProviderManager(replication=2)
-    for index in range(4):
-        manager.register(DataProvider(f"node-{index}", capacity=200 * CHUNK))
+    providers = [DataProvider(f"node-{index}", capacity=200 * CHUNK) for index in range(4)]
+    for provider in providers:
+        manager.register(provider)
     client = BlobClient(providers=manager, default_chunk_size=CHUNK)
     blob = client.create_blob(initial_data=SyntheticBytes("v1", 100 * CHUNK))
     stored_v1 = [run.stored for run, _f, _l in client.metadata.extents_in_range(blob, 1, 0, 99)]
@@ -547,10 +553,10 @@ def test_rollback_and_gc_leave_nothing_for_the_collector():
             client.write_batch(blob, [(0, fits), (200 * CHUNK, overflows)])
 
     overflow()  # once unmeasured: what a first failure caches (pytest's compiled pattern)
-    tables = [dict(provider._runs) for provider in manager.providers]
+    tables = [dict(provider._runs) for provider in providers]
     before = tracked()
     overflow()
-    assert [provider._runs for provider in manager.providers] == tables
+    assert [provider._runs for provider in providers] == tables
     assert tracked() <= before
     assert manager.total_used_bytes == 2 * 100 * CHUNK
 
@@ -561,28 +567,29 @@ def test_rollback_and_gc_leave_nothing_for_the_collector():
     assert tracked() < before
     for stored in stored_v1:
         assert len(stored.held) == 0 and stored.payload is None
-        assert all(stored not in provider._runs.values() for provider in manager.providers)
+        assert all(stored not in provider._runs.values() for provider in providers)
     assert client.read(blob).fingerprint() == SyntheticBytes("v2", 100 * CHUNK).fingerprint()
 
 
 def test_holds_asks_the_placed_providers_first():
     """``fetch_any`` asks the providers a chunk was placed on, then everyone."""
     manager = ProviderManager()
-    for index in range(4):
-        manager.register(DataProvider(f"p{index}"))
+    providers = [DataProvider(f"p{index}") for index in range(4)]
+    for provider in providers:
+        manager.register(provider)
     chunk = Chunk(ChunkKey(1, 1), LiteralBytes(b"canonical"))
     placed = manager.store_replicated(chunk).providers
-    others = [p for p in manager.providers if p.provider_id not in placed]
+    others = [p for p in providers if p.provider_id not in placed]
     asked = []
     for other in others:
         other._find = asked.append  # finds nothing (``None``), records the question
     assert manager.fetch_any(chunk.key, placed).data.read() == b"canonical"
     assert asked == []  # the hint sufficed
     assert manager.fetch_any(chunk.key).data.read() == b"canonical"
-    holder = [p.provider_id for p in manager.providers].index(placed[0])
+    holder = [p.provider_id for p in providers].index(placed[0])
     assert len(asked) == holder  # without one, everyone before the holder was asked
     for other in others:
         del other._find
-    manager.get(placed[0]).fail()
+    providers[holder].fail()
     with pytest.raises(ChunkNotFoundError, match="not stored on any live provider"):
         manager.fetch_any(chunk.key, placed)

@@ -25,11 +25,17 @@ LAYOUTS = [
 ]
 
 
-def make_client(num_providers=4, replication=1, chunk_size=1024, dedup=None):
+def make_cluster(num_providers=4, replication=1, chunk_size=1024, dedup=None):
+    """A client over ``num_providers`` fresh providers, and those providers by id."""
     manager = ProviderManager(replication=replication)
-    for i in range(num_providers):
-        manager.register(DataProvider(f"p{i}"))
-    return BlobClient(providers=manager, default_chunk_size=chunk_size, dedup=dedup)
+    providers = {f"p{i}": DataProvider(f"p{i}") for i in range(num_providers)}
+    for provider in providers.values():
+        manager.register(provider)
+    return BlobClient(providers=manager, default_chunk_size=chunk_size, dedup=dedup), providers
+
+
+def make_client(num_providers=4, replication=1, chunk_size=1024, dedup=None):
+    return make_cluster(num_providers, replication, chunk_size, dedup)[0]
 
 
 def pattern(size, shift=0):
@@ -45,7 +51,7 @@ def _latest(stripes, chunk_size):
     client = make_client(chunk_size=chunk_size)
     data = pattern(stripes * chunk_size)
     blob = client.create_blob()
-    version = client.write(blob, 0, LiteralBytes(data)).version
+    version = client.write_batch(blob, [(0, LiteralBytes(data))]).version
     return client, blob, version, data
 
 
@@ -56,7 +62,7 @@ def _overwrite(stripes, chunk_size):
     patch = b"#" * max(1, size // 3)
     model = bytearray(data)
     model[size // 3 : size // 3 + len(patch)] = patch
-    new_version = client.write(blob, size // 3, LiteralBytes(patch)).version
+    new_version = client.write_batch(blob, [(size // 3, LiteralBytes(patch))]).version
     return client, blob, old_version, new_version, data, bytes(model)
 
 
@@ -80,14 +86,14 @@ def _clone_diverged(stripes, chunk_size):
     client, clone, _version, data = _clone_shared(stripes, chunk_size)
     model = bytearray(data)
     model[-2:] = b"!!"
-    version = client.write(clone, len(data) - 2, LiteralBytes(b"!!")).version
+    version = client.write_batch(clone, [(len(data) - 2, LiteralBytes(b"!!"))]).version
     return client, clone, version, bytes(model)
 
 
 def _origin_after_clone_diverged(stripes, chunk_size):
     client, blob, version, data = _latest(stripes, chunk_size)
     clone = client.clone(blob)
-    client.write(clone, 0, LiteralBytes(b"?" * len(data)))
+    client.write_batch(clone, [(0, LiteralBytes(b"?" * len(data)))])
     return client, blob, version, data
 
 
@@ -97,7 +103,7 @@ def _dedup_alias(stripes, chunk_size):
     data = pattern(stripes * chunk_size)
     client.create_blob(initial_data=LiteralBytes(data))
     blob = client.create_blob()
-    result = client.write(blob, 0, LiteralBytes(data))
+    result = client.write_batch(blob, [(0, LiteralBytes(data))])
     assert result.dedup_hits == stripes and result.bytes_written == 0
     return client, blob, result.version, data
 
@@ -108,18 +114,17 @@ def _sparse_hole(stripes, chunk_size):
     size = stripes * chunk_size
     data = pattern(size)
     blob = client.create_blob()
-    version = client.write(blob, size, LiteralBytes(data)).version
+    version = client.write_batch(blob, [(size, LiteralBytes(data))]).version
     return client, blob, version, bytes(size) + data
 
 
 def _surviving_replica(stripes, chunk_size):
     """The first chunk's preferred provider is gone; the second replica serves."""
-    client = make_client(num_providers=4, replication=2, chunk_size=chunk_size)
+    client, providers = make_cluster(num_providers=4, replication=2, chunk_size=chunk_size)
     data = pattern(stripes * chunk_size)
     blob = client.create_blob()
-    result = client.write(blob, 0, LiteralBytes(data))
-    _key, _size, providers = result.chunks[0]
-    client.providers.get(providers[0]).fail()
+    result = client.write_batch(blob, [(0, LiteralBytes(data))])
+    providers[result.runs[0].providers[0][0]].fail()
     return client, blob, result.version, data
 
 
@@ -194,13 +199,13 @@ def test_empty_write_stores_no_chunk_and_no_stripe(chunk_size):
     client = make_client(chunk_size=chunk_size)
     blob = client.create_blob()
     for result in (
-        client.write(blob, 0, LiteralBytes(b"")),
+        client.write_batch(blob, [(0, LiteralBytes(b""))]),
         client.write_batch(blob, []),
         client.write_batch(blob, [(0, LiteralBytes(b"")), (0, LiteralBytes(b""))]),
     ):
-        assert result.chunks == []
+        assert result.runs == [] and result.chunk_count == 0
         assert result.bytes_written == 0 and result.logical_bytes == 0
-        assert list(client.metadata.iter_descriptors(blob, result.version)) == []
+        assert client.metadata.extents_in_range(blob, result.version, 0, sys.maxsize) == []
     assert client.storage_footprint() == 0
     assert client.size(blob) == 0
     assert client.read(blob).read() == b""
@@ -218,8 +223,8 @@ def test_single_byte_and_boundary_sizes(chunk_size):
         client = make_client(chunk_size=chunk_size)
         blob = client.create_blob()
         data = pattern(size, shift=size)
-        result = client.write(blob, 0, LiteralBytes(data))
-        assert len(result.chunks) == chunk_count
+        result = client.write_batch(blob, [(0, LiteralBytes(data))])
+        assert result.chunk_count == chunk_count
         chunks = stored_chunks(client, blob)
         assert len(chunks) == chunk_count
         for desc, payload in chunks:
@@ -238,16 +243,16 @@ def test_large_blob_chunking_invariants(chunk_size):
     data = rnd.randbytes(length)
     client = make_client(chunk_size=chunk_size)
     blob = client.create_blob()
-    result = client.write(blob, 0, LiteralBytes(data))
+    result = client.write_batch(blob, [(0, LiteralBytes(data))])
     chunks = stored_chunks(client, blob)
-    assert len(chunks) == len(result.chunks) == -(-length // chunk_size)
+    assert len(chunks) == result.chunk_count == -(-length // chunk_size)
     for index, (desc, payload) in enumerate(chunks):
         assert desc.stripe_index == index
         assert 0 < len(payload) <= chunk_size, f"chunk {index} has {len(payload)} bytes"
     # every chunk but the last is full
     assert all(len(payload) == chunk_size for _d, payload in chunks[:-1])
     assert b"".join(payload for _d, payload in chunks) == data
-    assert sum(size for _key, size, _providers in result.chunks) == length
+    assert result.bytes_written == length
     assert result.metadata_nodes >= len(chunks)
 
 
@@ -268,7 +273,8 @@ def test_batch_of_aligned_pieces_reassembles(chunk_size):
     assert client.read(blob).read() == bytes(model)
     chunks = stored_chunks(client, blob)
     assert [d.stripe_index for d, _p in chunks] == stripes + [11]
-    assert [key for key, _size, _prov in result.chunks] == [d.key for d, _p in chunks]
+    written = [key for run in result.runs for key in run.keys(run.first_stripe, run.last_stripe)]
+    assert written == [d.key for d, _p in chunks]
     for desc, payload in chunks:
         assert 0 < len(payload) <= chunk_size
         assert desc.created_by == (blob, result.version)

@@ -102,9 +102,10 @@ OPERATIONS = st.one_of(
 def test_place_many_matches_the_ranking_oracle(capacities, replication, operations):
     manager = ProviderManager(replication=replication)
     model = PlacementModel(replication)
-    for index, capacity in enumerate(capacities):
-        manager.register(DataProvider(f"node-{index}", capacity=capacity))
-        model.register(f"node-{index}", capacity)
+    providers = [DataProvider(f"node-{index}", capacity=c) for index, c in enumerate(capacities)]
+    for provider, capacity in zip(providers, capacities):
+        manager.register(provider)
+        model.register(provider.provider_id, capacity)
     stored = {}  # (run, chunk index) -> size; every chunk not released yet
     next_id = 0
     for name, arg in operations:
@@ -145,14 +146,15 @@ def test_place_many_matches_the_ranking_oracle(capacities, replication, operatio
                 if record[3]:  # a failed provider lost it already
                     record[2] -= size
         elif name == "fail":
-            record = model.providers[arg % len(model.providers)]
-            manager.get(record[0]).fail()
+            slot = arg % len(model.providers)
+            providers[slot].fail()
+            record = model.providers[slot]
             record[2], record[3] = 0, False
         elif name == "register":
-            provider_id = f"node-{len(model.providers)}"
-            manager.register(DataProvider(provider_id, capacity=arg))
-            model.register(provider_id, arg)
-        assert [p.used_bytes for p in manager.providers] == model.used()
+            providers.append(DataProvider(f"node-{len(model.providers)}", capacity=arg))
+            manager.register(providers[-1])
+            model.register(providers[-1].provider_id, arg)
+        assert [p.used_bytes for p in providers] == model.used()
         assert manager._rr == model.tie
 
 
@@ -161,7 +163,7 @@ def index_matches_the_providers(manager):
     usage, in ``(crc % live, slot)`` rank order within a level."""
     if manager._index_stale:
         return
-    slots = manager.providers
+    slots = manager._slots
     live = [p for p in slots if p.alive]
     levels = {}
     for slot, provider in enumerate(slots):
@@ -222,9 +224,11 @@ def test_uniform_runs_place_like_the_ranking_oracle(
     the tie stream and the index agree with the model after every step."""
     manager = ProviderManager(replication=replication)
     model = PlacementModel(replication)
-    for index, capacity in enumerate(capacities[:providers]):
-        manager.register(DataProvider(f"node-{index}", capacity=capacity))
-        model.register(f"node-{index}", capacity)
+    capacities = capacities[:providers]
+    providers = [DataProvider(f"node-{i}", capacity=c) for i, c in enumerate(capacities)]
+    for provider, capacity in zip(providers, capacities):
+        manager.register(provider)
+        model.register(provider.provider_id, capacity)
     runs = []  # (stored run, chunk size)
     held = set()  # (run number, chunk index) of every chunk not released yet
     next_id = 0
@@ -273,14 +277,16 @@ def test_uniform_runs_place_like_the_ranking_oracle(
                         if record[3]:
                             record[2] -= chunk
         elif name == "fail":
-            record = model.providers[arg % len(model.providers)]
-            manager.get(record[0]).fail()
+            slot = arg % len(model.providers)
+            providers[slot].fail()
+            record = model.providers[slot]
             record[2], record[3] = 0, False
         elif name == "register":
             provider_id, capacity = f"node-{len(model.providers)}", [60, 400, 10**9][arg % 3]
-            manager.register(DataProvider(provider_id, capacity=capacity))
+            providers.append(DataProvider(provider_id, capacity=capacity))
+            manager.register(providers[-1])
             model.register(provider_id, capacity)
-        assert [p.used_bytes for p in manager.providers] == model.used()
+        assert [p.used_bytes for p in providers] == model.used()
         assert manager._rr == model.tie
         index_matches_the_providers(manager)
 
@@ -288,9 +294,11 @@ def test_uniform_runs_place_like_the_ranking_oracle(
 def test_one_chunk_wrappers_follow_the_same_sequence():
     """``place``/``store_replicated`` are ``place_many``/``store_run`` of one chunk."""
     bulk, single = ProviderManager(replication=2), ProviderManager(replication=2)
+    held = {}
     for manager in (bulk, single):
-        for index in range(7):
-            manager.register(DataProvider(f"p{index}"))
+        held[manager] = [DataProvider(f"p{index}") for index in range(7)]
+        for provider in held[manager]:
+            manager.register(provider)
     sizes = [10, 10, 3, 10, 0, 25, 10, 10, 10, 4]
     chunks = [sized_chunk(i, size) for i, size in enumerate(sizes)]
     placements = [
@@ -298,36 +306,37 @@ def test_one_chunk_wrappers_follow_the_same_sequence():
         for i, chunk in enumerate(chunks)
     ]
     assert [tuple(single.store_replicated(c).providers) for c in chunks] == placements
-    assert [p.used_bytes for p in single.providers] == [p.used_bytes for p in bulk.providers]
+    assert [p.used_bytes for p in held[single]] == [p.used_bytes for p in held[bulk]]
     # a decision alone reserves nothing: asking twice moves only the tie-break
     first = single.place(ChunkKey(9, 1), 10).providers
     assert bulk.place_many([10]) == [tuple(first)]
-    assert [p.used_bytes for p in single.providers] == [p.used_bytes for p in bulk.providers]
+    assert [p.used_bytes for p in held[single]] == [p.used_bytes for p in held[bulk]]
 
 
 def test_no_room_mid_batch_rolls_back_everything():
     """A COMMIT that overflows the providers stores nothing and burns no tie."""
     manager = ProviderManager(replication=1)
-    for index in range(3):
-        manager.register(DataProvider(f"p{index}", capacity=64))
+    providers = [DataProvider(f"p{index}", capacity=64) for index in range(3)]
+    for provider in providers:
+        manager.register(provider)
     client = BlobClient(providers=manager, default_chunk_size=16)
     blob = client.create_blob()
-    client.write(blob, 0, LiteralBytes(b"a" * 48))  # 3 chunks, one per provider
-    used = [p.used_bytes for p in manager.providers]
-    chunks = [p.chunk_count for p in manager.providers]
+    client.write_batch(blob, [(0, LiteralBytes(b"a" * 48))])  # 3 chunks, one per provider
+    used = [p.used_bytes for p in providers]
+    tables = [dict(p._runs) for p in providers]
     tie = manager._rr
     # two runs: stripes 8..10 fit (3 x 16), stripes 20..30 need 11 x 16 = 176 > 96 left
     pieces = [(8 * 16, LiteralBytes(b"b" * 48)), (20 * 16, LiteralBytes(b"c" * 176))]
     with pytest.raises(StorageError):
         client.write_batch(blob, pieces)
-    assert [p.used_bytes for p in manager.providers] == used
-    assert [p.chunk_count for p in manager.providers] == chunks
+    assert [p.used_bytes for p in providers] == used
+    assert [p._runs for p in providers] == tables
     # 3 placements of the first run + the 6 of the second that still found room
     assert manager._rr == tie + 3 + 6
     assert client.latest_version(blob) == 1
     # the index forgot the reservations: the same bytes fit afterwards
-    client.write(blob, 8 * 16, LiteralBytes(b"d" * 144))
-    assert sum(p.used_bytes for p in manager.providers) == 192
+    client.write_batch(blob, [(8 * 16, LiteralBytes(b"d" * 144))])
+    assert sum(p.used_bytes for p in providers) == 192
 
 
 def test_a_uniform_run_is_placed_in_whole_cycles(monkeypatch):
@@ -335,9 +344,10 @@ def test_a_uniform_run_is_placed_in_whole_cycles(monkeypatch):
     a third: no provider is moved one chunk at a time and one cycle is
     computed.  A second run picks that cycle up where the first left it."""
     manager, model = ProviderManager(), PlacementModel(1)
-    for index in range(120):
-        manager.register(DataProvider(f"node-{index}"))
-        model.register(f"node-{index}", 10**18)
+    providers = [DataProvider(f"node-{index}") for index in range(120)]
+    for provider in providers:
+        manager.register(provider)
+        model.register(provider.provider_id, 10**18)
     moves, cycles = [], []
     move, cycle = manager._move, manager._cycle
     monkeypatch.setattr(manager, "_move", lambda *args: moves.append(args) or move(*args))
@@ -348,7 +358,7 @@ def test_a_uniform_run_is_placed_in_whole_cycles(monkeypatch):
     second = manager.store_run(1, 400, LiteralBytes(bytes(50)), 1, 64)
     assert moves == [] and len(cycles) == 1
     assert list(second.placements) == [model.store(64) for _ in range(50)]
-    assert [p.used_bytes for p in manager.providers] == model.used()
+    assert [p.used_bytes for p in providers] == model.used()
     assert manager._rr == model.tie == 450
 
 
@@ -364,13 +374,13 @@ def test_a_uniform_run_is_placed_in_whole_cycles(monkeypatch):
 def test_an_impossible_size_is_refused_by_value(method, args, message):
     """A stripe length below 1 or a negative footprint is not a run: it is
     refused before anything is placed, and the providers stay empty."""
-    manager = ProviderManager()
-    manager.register(DataProvider("node-0", capacity=64))
+    manager, provider = ProviderManager(), DataProvider("node-0", capacity=64)
+    manager.register(provider)
     with pytest.raises(StorageError, match=f"^{message}$"):
         getattr(manager, method)(*args)
-    assert manager.providers[0].used_bytes == 0 and manager._rr == 0
+    assert provider.used_bytes == 0 and manager._rr == 0
     manager.store_run(1, 0, LiteralBytes(b"abc"), 1)
-    assert manager.providers[0].used_bytes == 3
+    assert provider.used_bytes == 3
 
 
 # -- metadata: run leaves against one leaf per stripe -----------------------------------------
@@ -451,24 +461,6 @@ class OracleStore:
         collect(self.roots[(blob_id, version)])
         return out
 
-    def iter_descriptors(self, blob_id, version):
-        return self.descriptors_in_range(blob_id, version, 0, self.capacity[(blob_id, version)] - 1)
-
-    def lookup(self, blob_id, version, stripe):
-        found = self.descriptors_in_range(blob_id, version, stripe, stripe)
-        return found[0] if found else None
-
-    def version_footprint(self, blob_id, version):
-        by_key = {d.key: d.length for d in self.iter_descriptors(blob_id, version)}
-        return sum(by_key.values())
-
-    def incremental_footprint(self, blob_id, version, physical):
-        return sum(
-            d.stored_bytes if physical else d.length
-            for d in self.iter_descriptors(blob_id, version)
-            if d.created_by == (blob_id, version)
-        )
-
 
 STRIPE_LENGTH = 8
 
@@ -543,19 +535,12 @@ def test_run_leaves_match_the_per_stripe_tree(steps):
     for blob, newest in latest.items():
         for version in range(newest + 1):
             capacity = oracle.capacity[(blob, version)]
-            expected = oracle.iter_descriptors(blob, version)
-            assert list(store.iter_descriptors(blob, version)) == expected
-            for stripe in range(capacity + 2):
-                assert store.lookup(blob, version, stripe) == oracle.lookup(blob, version, stripe)
-            for first, last in ((0, capacity), (3, 11), (17, 17), (capacity // 2, capacity - 1)):
+            windows = [(stripe, stripe) for stripe in range(capacity + 2)]
+            windows += [(0, capacity), (3, 11), (17, 17), (capacity // 2, capacity - 1)]
+            for first, last in windows:
                 assert store.descriptors_in_range(
                     blob, version, first, last
                 ) == oracle.descriptors_in_range(blob, version, first, last)
-            assert store.version_footprint(blob, version) == oracle.version_footprint(blob, version)
-            for physical in (False, True):
-                assert store.incremental_footprint(
-                    blob, version, physical=physical
-                ) == oracle.incremental_footprint(blob, version, physical)
 
 
 def test_overlapping_runs_of_one_version_are_rejected():
@@ -620,8 +605,8 @@ def make_client(chunk_size=8):
 def test_empty_piece_past_eof_does_not_grow_the_blob():
     client = make_client()
     blob = client.create_blob()
-    client.write(blob, 0, LiteralBytes(b"abc"))
-    result = client.write(blob, 1000, LiteralBytes(b""))
+    client.write_batch(blob, [(0, LiteralBytes(b"abc"))])
+    result = client.write_batch(blob, [(1000, LiteralBytes(b""))])
     assert client.size(blob) == 3
     assert result.record.size == 3 and result.chunk_count == 0
     result = client.write_batch(blob, [(1000, LiteralBytes(b"")), (1, LiteralBytes(b"Z"))])

@@ -56,13 +56,15 @@ class TestCheckpointRepository:
                 "node-001", ckpt, {10: SyntheticBytes("a", chunk)}, chunk)
             second = yield from repo.commit_blocks(
                 "node-001", ckpt, {11: SyntheticBytes("b", chunk)}, chunk)
-            out["ckpt"] = ckpt
-            out["v1"], out["v2"] = first.version, second.version
+            out["first"], out["second"] = first, second
 
         cloud.run(cloud.process(scenario()))
         chunk = SMALL.blobseer.chunk_size
-        assert repo.snapshot_incremental_size(out["ckpt"], out["v1"]) == chunk
-        assert repo.snapshot_incremental_size(out["ckpt"], out["v2"]) == chunk
+        first, second = out["first"], out["second"]
+        assert second.version == first.version + 1
+        # each snapshot ships only the block it committed
+        assert first.logical_bytes == first.bytes_written == chunk
+        assert second.logical_bytes == second.bytes_written == chunk
 
     def test_a_compressed_read_ships_fewer_bytes(self):
         """With zlib on, a read moves the chunks' stored footprint, then inflates."""
@@ -88,9 +90,11 @@ class TestCheckpointRepository:
 
     def test_provider_fails_with_node(self):
         cloud, repo = make_repo()
+        place_many = repo.client.providers.place_many
+        assert any("node-003" in placed for placed in place_many([1] * 12))
         cloud.node("node-003").fail()
-        provider = repo.client.providers.get("node-003")
-        assert not provider.alive
+        # no chunk is placed on the failed node's provider any more
+        assert all("node-003" not in placed for placed in place_many([1] * 12))
 
 
 class TestMirroringModule:
@@ -122,7 +126,7 @@ class TestMirroringModule:
         client = repo.client
         device = RemoteBlobDevice(client, module.base_blob_id, size=SMALL.vm.disk_size)
         expected = client.read(module.base_blob_id, 4096, 1024).read()
-        client.write(module.base_blob_id, 0, LiteralBytes(b"a later version"))
+        client.write_batch(module.base_blob_id, [(0, LiteralBytes(b"a later version"))])
         monkeypatch.setattr(client, "size", None)  # any call would raise
         assert device.read(4096, 1024).read() == expected
         assert device.read(SMALL.vm.disk_size - 8, 8).read() == bytes(8)

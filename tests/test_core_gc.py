@@ -47,7 +47,9 @@ class TestRetention:
         repo = make_repo()
         client = repo.client
         blob = client.create_blob(CHUNK)
-        versions = [client.write(blob, 0, payload(("epoch", e))).version for e in range(4)]
+        versions = [
+            client.write_batch(blob, [(0, payload(("epoch", e)))]).version for e in range(4)
+        ]
         pin = versions[0]
         collector = SnapshotGarbageCollector(repo, keep_latest=1)
         report = collector.collect(pinned={blob: [pin]})
@@ -68,9 +70,9 @@ class TestRetention:
         repo = make_repo()
         client = repo.client
         blob = client.create_blob(CHUNK)
-        base = client.write(blob, 0, payload("base"))
+        base = client.write_batch(blob, [(0, payload("base"))])
         # Only the first chunk changes; the other three stay shared.
-        client.write(blob, 0, payload("delta", CHUNK))
+        client.write_batch(blob, [(0, payload("delta", CHUNK))])
         before = repo.total_stored_bytes
         report = SnapshotGarbageCollector(repo, keep_latest=1).collect()
         # Only the overwritten first chunk of the base version is reclaimable.
@@ -87,8 +89,8 @@ class TestReplicationAccounting:
         repo = make_repo(replication=2)
         client = repo.client
         blob = client.create_blob(CHUNK)
-        client.write(blob, 0, payload("old"))
-        client.write(blob, 0, payload("new"))
+        client.write_batch(blob, [(0, payload("old"))])
+        client.write_batch(blob, [(0, payload("new"))])
         before = repo.total_stored_bytes
         report = SnapshotGarbageCollector(repo, keep_latest=1).collect()
         # 4 chunks of the old version, 2 replicas each.
@@ -104,12 +106,12 @@ class TestRefcountedDedupCollection:
         shared = payload("shared")
         blob_a = client.create_blob(CHUNK)
         blob_b = client.create_blob(CHUNK)
-        client.write(blob_a, 0, shared)           # canonical chunks
-        b_version = client.write(blob_b, 0, shared).version  # shares them, 0 shipped
+        client.write_batch(blob_a, [(0, shared)])           # canonical chunks
+        b_version = client.write_batch(blob_b, [(0, shared)]).version  # shares them, 0 shipped
         assert repo.total_stored_bytes == shared.size
         # Obsolete both blobs' shared versions with fresh content.
-        client.write(blob_a, 0, payload("a2"))
-        client.write(blob_b, 0, payload("b2"))
+        client.write_batch(blob_a, [(0, payload("a2"))])
+        client.write_batch(blob_b, [(0, payload("b2"))])
 
         collector = SnapshotGarbageCollector(repo, keep_latest=1)
         # Pass 1: drop only blob A's old version -- it owns the canonical
@@ -136,9 +138,9 @@ class TestRefcountedDedupCollection:
         client = repo.client
         blob = client.create_blob(CHUNK)
         content = payload("cycle", CHUNK)
-        v1 = client.write(blob, 0, content).version
-        client.write(blob, 0, payload("other", CHUNK))
-        v3 = client.write(blob, 0, content).version  # dedups against v1
+        v1 = client.write_batch(blob, [(0, content)]).version
+        client.write_batch(blob, [(0, payload("other", CHUNK))])
+        v3 = client.write_batch(blob, [(0, content)]).version  # dedups against v1
         # Dropping v1 and v2 must keep the canonical chunk: v3 shares it.
         report = SnapshotGarbageCollector(repo, keep_latest=1).collect()
         assert v1 in {v for _b, v in report.dropped_versions}
@@ -227,11 +229,13 @@ def outcome(report):
 
 
 def small_store(providers, replication, codec, capacity=10**18):
+    """A client over ``providers`` fresh providers, and those providers."""
     manager = ProviderManager(replication=replication)
-    for index in range(providers):
-        manager.register(DataProvider(f"node-{index}", capacity=capacity))
+    registered = [DataProvider(f"node-{index}", capacity=capacity) for index in range(providers)]
+    for provider in registered:
+        manager.register(provider)
     dedup = None if codec is None else DedupEngine(make_codec(codec))
-    return BlobClient(providers=manager, default_chunk_size=SMALL, dedup=dedup)
+    return BlobClient(providers=manager, default_chunk_size=SMALL, dedup=dedup), registered
 
 
 def piece_source(seed, length, synthetic):
@@ -276,12 +280,12 @@ def read_outcome(client, blob, version):
         return type(error), str(error)
 
 
-def observable_state(client, versions):
-    manager = client.providers
+def observable_state(client, providers, versions):
     return {
-        "used": [p.used_bytes for p in manager.providers],
-        "chunks": [p.chunk_count for p in manager.providers],
-        "total": manager.total_used_bytes,
+        "used": [p.used_bytes for p in providers],
+        # per provider, the chunks it holds of each run, by table key
+        "runs": [{key: run.held[p.provider_id] for key, run in p._runs.items()} for p in providers],
+        "total": client.providers.total_used_bytes,
         "published": [
             (info.blob_id, [rec.version for rec in info.versions])
             for info in client.version_manager.blobs()
@@ -333,7 +337,8 @@ def test_collection_matches_the_by_key_collector(
     providers, replication, codec, blobs, ops, keep_latest, pins, subset, failed
 ):
     model = {}
-    twins = [small_store(providers, replication, codec) for _ in range(2)]
+    stores = [small_store(providers, replication, codec) for _ in range(2)]
+    twins = [client for client, _registered in stores]
     (ids, _same) = [apply_history(client, blobs, ops, model) for client in twins]
     for client in twins:
         for (blob, version), data in model.items():
@@ -345,16 +350,20 @@ def test_collection_matches_the_by_key_collector(
         pinned.setdefault(blob, []).append(version_pick % (latest[blob] + 1))
     blob_ids = None if subset is None else [ids[pick % len(ids)] for pick in subset]
     if failed is not None:
-        for client in twins:
-            client.providers.providers[failed % providers].fail()
-    assert observable_state(twins[0], model) == observable_state(twins[1], model)
+        for _client, registered in stores:
+            registered[failed % providers].fail()
+
+    def state_of(twin):
+        return observable_state(*stores[twin], model)
+
+    assert state_of(0) == state_of(1)
 
     collector = SnapshotGarbageCollector(SimpleNamespace(client=twins[0]), keep_latest)
     report = collector.collect(blob_ids=blob_ids, pinned=pinned)
     expected = reference_collect(twins[1], keep_latest, blob_ids=blob_ids, pinned=pinned)
     assert outcome(report) == outcome(expected)
-    state = observable_state(twins[0], model)
-    assert state == observable_state(twins[1], model)
+    state = state_of(0)
+    assert state == state_of(1)
 
     dropped = set(report.dropped_versions)
     for key, data in model.items():
@@ -370,31 +379,30 @@ def test_collection_matches_the_by_key_collector(
 
     again = collector.collect(blob_ids=blob_ids, pinned=pinned)
     assert (again.dropped_versions, again.deleted_chunks, again.reclaimed_bytes) == ([], 0, 0)
-    assert observable_state(twins[0], model) == state
+    assert state_of(0) == state
 
 
 @pytest.mark.parametrize("codec", [None, "identity"])
 @pytest.mark.parametrize("replication", [1, 2])
 def test_a_batch_that_fails_on_its_last_run_leaves_the_store_as_it_was(replication, codec):
-    client = small_store(3, replication, codec, capacity=12 * SMALL)
-    manager = client.providers
+    client, providers = small_store(3, replication, codec, capacity=12 * SMALL)
     blob = client.create_blob()
     fills = [LiteralBytes(bytes([fill]) * SMALL) for fill in (1, 2, 3, 4)]
     client.write_batch(blob, [(index * SMALL, fill) for index, fill in enumerate(fills)])
 
     def snapshot():
-        tables = [dict(provider._runs) for provider in manager.providers]
+        tables = [dict(provider._runs) for provider in providers]
         return {
             "tables": tables,
             "exceptions": [(run, run.dropped) for table in tables for run in table.values()],
-            "used": [(p.used_bytes, p.chunk_count) for p in manager.providers],
+            "used": [p.used_bytes for p in providers],
             "indexed": client.dedup and len(client.dedup.index),
             "latest": client.latest_version(blob),
             "content": client.read(blob).read(),
         }
 
     before = snapshot()
-    room = sum(p.free_bytes for p in manager.providers) // (replication * SMALL)
+    room = sum(p.capacity - p.used_bytes for p in providers) // (replication * SMALL)
     # stripe 0 repeats stored content (a hit under dedup), a first run of fresh
     # stripes fits, and the run after the gap is a stripe more than is left
     batch = [
@@ -414,12 +422,12 @@ def test_a_batch_that_fails_on_its_last_run_leaves_the_store_as_it_was(replicati
 def test_collecting_whole_runs_never_looks_a_chunk_up(monkeypatch):
     """Whole-image overwrites without dedup: every obsoleted run leaves whole,
     by identity -- no by-key question is asked of any provider."""
-    client = small_store(24, 1, None)
+    client, providers = small_store(24, 1, None)
     blobs = [client.create_blob() for _ in range(24)]
     obsoleted = []
     for version in range(3):
         for blob in blobs:
-            result = client.write(blob, 0, SyntheticBytes((blob, version), 800 * SMALL))
+            result = client.write_batch(blob, [(0, SyntheticBytes((blob, version), 800 * SMALL))])
             if version < 2:
                 obsoleted += [run.stored for run in result.runs]
     assert len(obsoleted) == 24 * 2 and all(len(run.held) == 24 for run in obsoleted)
@@ -440,7 +448,7 @@ def test_collecting_whole_runs_never_looks_a_chunk_up(monkeypatch):
     assert len(report.dropped_versions) == 24 * 3
     for run in obsoleted:
         assert len(run.held) == 0 and run.payload is None and run.dropped is None
-        assert all(run not in provider._runs.values() for provider in client.providers.providers)
+        assert all(run not in provider._runs.values() for provider in providers)
     assert client.providers.total_used_bytes == 24 * 800 * SMALL
     for blob in blobs:
         latest = SyntheticBytes((blob, 2), 800 * SMALL)
@@ -448,10 +456,10 @@ def test_collecting_whole_runs_never_looks_a_chunk_up(monkeypatch):
 
 
 def test_compressed_chunks_are_reclaimed_at_their_stored_size():
-    client = small_store(3, 2, "zlib")
+    client, _providers = small_store(3, 2, "zlib")
     blob = client.create_blob()
-    old = client.write(blob, 0, SyntheticBytes("old", 4 * SMALL))
-    client.write(blob, 0, SyntheticBytes("new", 4 * SMALL))
+    old = client.write_batch(blob, [(0, SyntheticBytes("old", 4 * SMALL))])
+    client.write_batch(blob, [(0, SyntheticBytes("new", 4 * SMALL))])
     assert 0 < old.bytes_written < 4 * SMALL  # what one replica of the four chunks occupies
     before = client.providers.total_used_bytes
     report = SnapshotGarbageCollector(SimpleNamespace(client=client), keep_latest=1).collect()

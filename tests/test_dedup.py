@@ -29,11 +29,17 @@ from repro.util.config import GRAPHENE, DedupSpec
 from repro.util.errors import ConfigurationError, StorageError
 
 
-def make_client(num_providers=4, replication=1, chunk_size=1024, dedup=None):
+def make_cluster(num_providers=4, replication=1, chunk_size=1024, dedup=None):
+    """A client over ``num_providers`` fresh providers, and those providers by id."""
     manager = ProviderManager(replication=replication)
-    for i in range(num_providers):
-        manager.register(DataProvider(f"p{i}"))
-    return BlobClient(providers=manager, default_chunk_size=chunk_size, dedup=dedup)
+    providers = {f"p{i}": DataProvider(f"p{i}") for i in range(num_providers)}
+    for provider in providers.values():
+        manager.register(provider)
+    return BlobClient(providers=manager, default_chunk_size=chunk_size, dedup=dedup), providers
+
+
+def make_client(num_providers=4, replication=1, chunk_size=1024, dedup=None):
+    return make_cluster(num_providers, replication, chunk_size, dedup)[0]
 
 
 class TestContentDigest:
@@ -130,13 +136,6 @@ class TestChunkIndex:
             index.add("e", run)
         assert len(index) == 1 and index.lookup("e") is None
 
-    def test_byte_accounting(self):
-        index = ChunkIndex()
-        index.add("d1", stored_run(1, 100, 40))
-        index.add("d2", stored_run(2, 100, 100))
-        assert index.stored_bytes == 140
-        assert index.logical_bytes == 200
-
 
 class TestBuildEngine:
     def test_disabled_spec_builds_nothing(self):
@@ -155,8 +154,8 @@ class TestDedupWritePath:
         client = make_client(dedup=DedupEngine())
         blob = client.create_blob(1024)
         payload = SyntheticBytes("dup", 4096)
-        first = client.write(blob, 0, payload)
-        second = client.write(blob, 4096, payload)
+        first = client.write_batch(blob, [(0, payload)])
+        second = client.write_batch(blob, [(4096, payload)])
         assert first.bytes_written == 4096
         assert second.bytes_written == 0
         assert second.dedup_hits == 4
@@ -178,8 +177,8 @@ class TestDedupWritePath:
         client = make_client(dedup=DedupEngine())
         blob = client.create_blob(1024)
         payload = SyntheticBytes("shared", 1024)
-        first = client.write(blob, 0, payload)
-        second = client.write(blob, 1024, payload)
+        first = client.write_batch(blob, [(0, payload)])
+        second = client.write_batch(blob, [(1024, payload)])
         # The repeated stripe's descriptor carries its own key ...
         ((shipped, _first, _last),) = client.metadata.extents_in_range(blob, first.version, 0, 0)
         ((hit, _first, _last),) = client.metadata.extents_in_range(blob, second.version, 1, 1)
@@ -207,26 +206,26 @@ class TestDedupWritePath:
         blob = client.create_blob(1024)
         x = SyntheticBytes("x", 1024)
         y = SyntheticBytes("y", 1024)
-        v1 = client.write(blob, 0, x).version
-        v2 = client.write(blob, 0, y).version
-        v3 = client.write(blob, 0, x).version  # deduped against v1's chunk
+        v1 = client.write_batch(blob, [(0, x)]).version
+        v2 = client.write_batch(blob, [(0, y)]).version
+        v3 = client.write_batch(blob, [(0, x)]).version  # deduped against v1's chunk
         assert client.read(blob, 0, 1024, version=v1).read() == x.read()
         assert client.read(blob, 0, 1024, version=v2).read() == y.read()
         assert client.read(blob, 0, 1024, version=v3).read() == x.read()
         assert client.storage_footprint() == 2048
 
     def test_replicated_canonical_serves_aliases(self):
-        client = make_client(num_providers=3, replication=2, dedup=DedupEngine())
+        client, by_id = make_cluster(num_providers=3, replication=2, dedup=DedupEngine())
         blob = client.create_blob(1024)
         payload = SyntheticBytes("rep", 1024)
-        first = client.write(blob, 0, payload)
-        second = client.write(blob, 1024, payload)
+        first = client.write_batch(blob, [(0, payload)])
+        second = client.write_batch(blob, [(1024, payload)])
         assert client.storage_footprint() == 2048  # two replicas, one content
-        (_key, _size, providers) = first.chunks[0]
-        desc = client.metadata.lookup(blob, second.version, 1)
+        providers = first.runs[0].providers[0]
+        (desc,) = client.metadata.descriptors_in_range(blob, second.version, 1, 1)
         assert desc.providers == providers
         # Losing one replica keeps the aliased stripe readable.
-        client.providers.get(providers[0]).fail()
+        by_id[providers[0]].fail()
         assert client.read(blob, 1024, 1024).read() == payload.read()
 
 
@@ -299,14 +298,14 @@ class TestSyntheticDigestMemo:
 
 class TestProviderFailureInvalidation:
     def test_lost_canonical_chunk_is_restored_not_aliased(self):
-        client = make_client(num_providers=2, dedup=DedupEngine())
+        client, by_id = make_cluster(num_providers=2, dedup=DedupEngine())
         blob = client.create_blob(1024)
         payload = SyntheticBytes("lost", 1024)
-        first = client.write(blob, 0, payload)
-        (_key, _size, providers) = first.chunks[0]
+        first = client.write_batch(blob, [(0, payload)])
+        providers = first.runs[0].providers[0]
         # Fail-stop loss of the only replica of the canonical chunk.
-        client.providers.get(providers[0]).fail()
-        second = client.write(blob, 1024, payload)
+        by_id[providers[0]].fail()
+        second = client.write_batch(blob, [(1024, payload)])
         # The stale index entry is invalidated: the content is stored afresh
         # instead of being aliased to the lost chunk.
         assert second.dedup_hits == 0
@@ -316,14 +315,14 @@ class TestProviderFailureInvalidation:
 
     def test_memo_hit_on_a_lost_run_is_stored_afresh(self, monkeypatch):
         hashed = _spy_digests(monkeypatch)
-        client = make_client(num_providers=2, dedup=DedupEngine())
+        client, by_id = make_cluster(num_providers=2, dedup=DedupEngine())
         blob = client.create_blob(1024)
-        first = client.write(blob, 0, SyntheticBytes("memo-lost", 1024))
-        client.providers.get(first.chunks[0][2][0]).fail()
+        first = client.write_batch(blob, [(0, SyntheticBytes("memo-lost", 1024))])
+        by_id[first.runs[0].providers[0][0]].fail()
         # A new source with the same generator key: the digest comes from the
         # memo, but the lost run it names is still found out and replaced.
         payload = SyntheticBytes("memo-lost", 1024)
-        second = client.write(blob, 1024, payload)
+        second = client.write_batch(blob, [(1024, payload)])
         assert hashed == [1024]
         assert second.dedup_hits == 0
         assert second.bytes_written == 1024
@@ -331,13 +330,12 @@ class TestProviderFailureInvalidation:
         assert client.read(blob, 1024, 1024).read() == payload.read()
 
     def test_surviving_replica_keeps_dedup_hit_valid(self):
-        client = make_client(num_providers=3, replication=2, dedup=DedupEngine())
+        client, by_id = make_cluster(num_providers=3, replication=2, dedup=DedupEngine())
         blob = client.create_blob(1024)
         payload = SyntheticBytes("rep-live", 1024)
-        first = client.write(blob, 0, payload)
-        (_key, _size, providers) = first.chunks[0]
-        client.providers.get(providers[0]).fail()
-        second = client.write(blob, 1024, payload)
+        first = client.write_batch(blob, [(0, payload)])
+        by_id[first.runs[0].providers[0][0]].fail()
+        second = client.write_batch(blob, [(1024, payload)])
         # One replica survives, so the dedup hit is still valid.
         assert second.dedup_hits == 1
         assert second.bytes_written == 0
@@ -349,7 +347,7 @@ class TestCompressionAccounting:
         engine = DedupEngine(make_codec("zlib", ratio=2.0))
         client = make_client(dedup=engine)
         blob = client.create_blob(1024)
-        result = client.write(blob, 0, SyntheticBytes("c", 2048))
+        result = client.write_batch(blob, [(0, SyntheticBytes("c", 2048))])
         expected = 2 * (HEADER_BYTES + 512)
         assert result.bytes_written == expected
         assert client.storage_footprint() == expected
@@ -363,7 +361,7 @@ class TestCompressionAccounting:
         )
         client = make_client(dedup=engine)
         blob = client.create_blob(1024)
-        result = client.write(blob, 0, SyntheticBytes("cpu", 1024))
+        result = client.write_batch(blob, [(0, SyntheticBytes("cpu", 1024))])
         # 1024 B at 2 KiB/s fingerprinting + 1024 B at 1 KiB/s compression.
         assert result.compression_cpu_seconds == pytest.approx(0.5 + 1.0)
 
@@ -371,28 +369,26 @@ class TestCompressionAccounting:
         client = make_client(dedup=DedupEngine(make_codec("zlib", ratio=2.0)))
         blob = client.create_blob(1024)
         payload = SyntheticBytes("inc", 1024)
-        v1 = client.write(blob, 0, payload).version
-        v2 = client.write(blob, 1024, payload).version
-        assert client.incremental_footprint(blob, v1) == 1024
-        assert client.incremental_footprint(blob, v1, physical=True) == HEADER_BYTES + 512
-        assert client.incremental_footprint(blob, v2) == 1024
-        assert client.incremental_footprint(blob, v2, physical=True) == 0
+        v1 = client.write_batch(blob, [(0, payload)])
+        v2 = client.write_batch(blob, [(1024, payload)])
+        assert v1.logical_bytes == 1024
+        assert v1.bytes_written == HEADER_BYTES + 512
+        assert v2.logical_bytes == 1024
+        assert v2.bytes_written == 0
 
     def test_physical_version_footprint_counts_canonical_once(self):
         client = make_client(dedup=DedupEngine(make_codec("zlib", ratio=2.0)))
         blob = client.create_blob(1024)
         payload = SyntheticBytes("full", 1024)
-        client.write(blob, 0, payload)
-        result = client.write(blob, 1024, payload)
-        logical = client.version_footprint(blob, result.version)
-        physical = client.version_footprint(blob, result.version, physical=True)
-        assert logical == 2048
-        assert physical == HEADER_BYTES + 512
+        client.write_batch(blob, [(0, payload)])
+        result = client.write_batch(blob, [(1024, payload)])
+        assert client.size(blob, result.version) == 2048
+        assert client.storage_footprint() == HEADER_BYTES + 512
 
     def test_zero_stripes_dedup_and_compress(self):
         client = make_client(dedup=DedupEngine(make_codec("lz4")))
         blob = client.create_blob(1024)
-        result = client.write(blob, 0, LiteralBytes(b"\x00" * 4096))
+        result = client.write_batch(blob, [(0, LiteralBytes(b"\x00" * 4096))])
         # First zero stripe stores a header; the rest dedup against it.
         assert result.bytes_written == HEADER_BYTES
         assert result.dedup_hits == 3
@@ -407,7 +403,7 @@ class TestBatchRollback:
         client = BlobClient(providers=manager, default_chunk_size=1024, dedup=DedupEngine())
         blob = client.create_blob(1024)
         shared = SyntheticBytes("rb-shared", 1024)
-        client.write(blob, 0, shared)
+        client.write_batch(blob, [(0, shared)])
         # Batch: a dedup hit, one chunk that fits, one that cannot (disk full).
         with pytest.raises(StorageError):
             client.write_batch(blob, [
@@ -420,13 +416,13 @@ class TestBatchRollback:
         assert client.storage_footprint() == 1024
         assert len(client.dedup.index) == 1
         # ... the blob is unscathed: the same write works once there is room ...
-        retry = client.write(blob, 1024, shared)
+        retry = client.write_batch(blob, [(1024, shared)])
         assert retry.dedup_hits == 1
         assert client.read(blob, 1024, 1024).read() == shared.read()
         # ... and the failed batch holds on to nothing: when the last version
         # that references the shared content is collected, it goes.
         other = SyntheticBytes("rb-other", 1024)
-        client.write(blob, 0, concat([other, other]))
+        client.write_batch(blob, [(0, concat([other, other]))])
         SnapshotGarbageCollector(SimpleNamespace(client=client), keep_latest=1).collect()
         assert client.storage_footprint() == 1024
         assert len(client.dedup.index) == 1
@@ -443,7 +439,7 @@ class TestBatchRollback:
         )
         blob = client.create_blob(1024)
         payload = SyntheticBytes("fit", 1024)
-        result = client.write(blob, 0, payload)
+        result = client.write_batch(blob, [(0, payload)])
         assert result.bytes_written == HEADER_BYTES + 512
         assert client.read(blob, 0, 1024).read() == payload.read()
 
@@ -453,8 +449,8 @@ class TestDedupDisabled:
         client = make_client()
         blob = client.create_blob(1024)
         payload = SyntheticBytes("off", 2048)
-        first = client.write(blob, 0, payload)
-        second = client.write(blob, 2048, payload)
+        first = client.write_batch(blob, [(0, payload)])
+        second = client.write_batch(blob, [(2048, payload)])
         assert first.bytes_written == second.bytes_written == 2048
         assert second.dedup_hits == 0
         assert client.storage_footprint() == 4096

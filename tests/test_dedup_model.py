@@ -11,14 +11,16 @@ operation of a random history
   ``ChunkNotFoundError`` exactly when every replica of a content it needs sat
   on failed providers;
 * ``providers.total_used_bytes`` is the stored size of every content still
-  referenced, once per live holder, and ``len(dedup.index)`` is the size of
-  the model's map;
+  referenced, once per live holder, ``len(dedup.index)`` is the size of the
+  model's map, and two stripes of a version share a stored run exactly when
+  the model has them share a content;
 * a write reports the hits, the shipped bytes and the placements the model
   expects; a batch that runs out of room part-way leaves everything as it was;
 * a collection reclaims exactly the contents no retained version references,
   and a second one reclaims nothing.
 """
 
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -52,8 +54,13 @@ class Content:
 class Model:
     def __init__(self, providers, replication, codec):
         manager = ProviderManager(replication=replication)
+        #: provider id -> provider, registration order
+        self.providers = {}
         for index in range(providers):
-            manager.register(DataProvider(f"node-{index}", capacity=CAPACITY))
+            provider = self.providers[f"node-{index}"] = DataProvider(
+                f"node-{index}", capacity=CAPACITY
+            )
+            manager.register(provider)
         self.codec = make_codec(codec)
         self.client = BlobClient(
             providers=manager, default_chunk_size=STRIPE, dedup=DedupEngine(self.codec)
@@ -124,14 +131,18 @@ class Model:
         ]
         if any(not content.holders for content in needs):
             with pytest.raises(ChunkNotFoundError):
-                client.write(blob, offset, source)
+                client.write_batch(blob, [(offset, source)])
             return
-        result = client.write(blob, offset, source)
+        result = client.write_batch(blob, [(offset, source)])
         payloads = [bytes(data[s * STRIPE : (s + 1) * STRIPE]) for s in touched]
-        outcome = self.ingest(payloads, (providers for _key, _size, providers in result.chunks))
+        outcome = self.ingest(payloads, (run.providers[0] for run in result.runs))
         misses = [content for content, hit in outcome if not hit]
         hits = [content for content, hit in outcome if hit]
-        assert [size for _key, size, _providers in result.chunks] == [c.size for c in misses]
+        # with the dedup layer on every stored stripe is a run of its own
+        shipped = [
+            run.span_bytes(run.first_stripe, run.last_stripe, physical=True) for run in result.runs
+        ]
+        assert shipped == [c.size for c in misses]
         expected_replicas = min(client.providers.replication, self.live_providers())
         assert all(len(c.holders) == expected_replicas for c in misses)
         assert result.dedup_hits == len(hits)
@@ -141,21 +152,18 @@ class Model:
         stripes = dict(base_stripes)
         stripes.update(zip(touched, (content for content, _hit in outcome)))
         self.versions[(blob, result.version)] = (bytes(data), stripes)
-        assert client.incremental_footprint(blob, result.version, physical=True) == sum(
-            c.size for c in misses
-        )
 
     def clone(self, blob, version):
         self.blobs.append(self.client.clone(blob, version=version))
         self.versions[(self.blobs[-1], 0)] = self.versions[(blob, version)]
 
     def fail(self, provider_id):
-        self.client.providers.get(provider_id).fail()
+        self.providers[provider_id].fail()
         for content in self.referenced():
             content.holders.discard(provider_id)
 
     def live_providers(self):
-        return sum(provider.alive for provider in self.client.providers.providers)
+        return sum(provider.alive for provider in self.providers.values())
 
     def collect(self, keep_latest, pinned):
         before = self.referenced()
@@ -185,7 +193,7 @@ class Model:
         stripes than there is room for: the batch fails in its last piece."""
         client = self.client
         repeat = bytes([fill]) * STRIPE
-        free = sum(p.free_bytes for p in client.providers.providers if p.alive)
+        free = sum(p.capacity - p.used_bytes for p in self.providers.values() if p.alive)
         overflow = free // self.stored_size(b"\x01" * STRIPE) + 1
         batch = [
             (0, LiteralBytes(repeat)),
@@ -210,11 +218,18 @@ class Model:
         assert client.providers.total_used_bytes == sum(c.size * len(c.holders) for c in live)
         assert len(client.dedup.index) == len(self.index)
         for (blob, version), (data, stripes) in self.versions.items():
+            runs = {
+                stripe: run.stored
+                for run, first, last in client.metadata.extents_in_range(
+                    blob, version, 0, sys.maxsize
+                )
+                for stripe in range(first, last + 1)
+            }
+            assert runs.keys() == stripes.keys()
+            shared = {(runs[stripe], content) for stripe, content in stripes.items()}
+            assert len(shared) == len(set(runs.values())) == len(set(stripes.values()))
             if all(content.holders for content in stripes.values()):
                 assert client.read(blob, version=version).read() == data
-                assert client.version_footprint(blob, version, physical=True) == sum(
-                    content.size for content in set(stripes.values())
-                )
             else:
                 with pytest.raises(ChunkNotFoundError):
                     client.read(blob, version=version)
@@ -279,7 +294,7 @@ def run_history(providers, replication, codec, ops):
                 pinned.setdefault(pin, []).append(published[version_pick % len(published)])
             model.collect(op[1], pinned)
         elif kind == "fail":
-            alive = [p.provider_id for p in model.client.providers.providers if p.alive]
+            alive = [p.provider_id for p in model.providers.values() if p.alive]
             if len(alive) > 1:  # somebody has to take the next write
                 model.fail(alive[op[1] % len(alive)])
         else:

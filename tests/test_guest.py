@@ -17,7 +17,6 @@ from repro.guest import (
     blcr_dump,
     blcr_restore,
     write_boot_noise,
-    write_runtime_noise,
 )
 from repro.guest.filesystem import FS_BLOCK, METADATA_REGION, _json_key
 from repro.guest.osnoise import _boot_plan
@@ -662,11 +661,3 @@ class TestOsNoise:
         monkeypatch.setattr(RunMap, "put", spy)
         write_boot_noise(fs, CheckpointSpec(), "vm-7")
         assert fs.dirty_files == [] and 1 <= len(puts) <= 2
-
-    def test_runtime_noise_appends(self):
-        fs, _dev = make_fs()
-        spec = CheckpointSpec()
-        write_boot_noise(fs, spec, "vm-7")
-        size_before = fs.stat("/var/log/syslog").size
-        write_runtime_noise(fs, spec, "vm-7", epoch=1)
-        assert fs.stat("/var/log/syslog").size > size_before

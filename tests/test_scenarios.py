@@ -115,7 +115,7 @@ class TestAxis:
             ("ft.mtbf=inf", "inf"),
             ("contention.flows=-2", "-2"),
             ("fig7.changed_fraction=-1", "-1"),
-            ("mtc.duration=nan", "nan"),
+            ("mtc.hold=nan", "nan"),
             ("mtc.max_queue=-1", "-1"),
             ("evac.lead=-5", "-5"),
             ("scale.instances=16|-16", "-16"),

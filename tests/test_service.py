@@ -364,16 +364,6 @@ class TestServiceDriver:
         assert (stats.completed, stats.skipped) == (2, 2)
         assert len(stats.checkpoint_latencies) == 1 and stats.restart_latencies == []
 
-    def test_background_flows_slow_the_service_down(self):
-        trace = synthesize_trace(3, 1.0, seed=4)
-        quiet = run_service(trace, ServiceConfig())
-        noisy = run_service(trace, ServiceConfig(background_flows=4))
-        assert noisy.background_flows == 4
-        assert (
-            noisy.aggregate_row()["checkpoint_p50"]
-            >= quiet.aggregate_row()["checkpoint_p50"]
-        )
-
     def test_non_blobcr_backends_serve_too(self):
         trace = synthesize_trace(3, 1.0, seed=4)
         report = run_service(trace, ServiceConfig(approach="qcow2-disk-app"))
@@ -437,13 +427,6 @@ class TestMtcScenario:
         with pytest.raises(ConfigurationError, match="ServiceTrace"):
             Session().serve(42)
 
-    def test_duration_cap_truncates_the_trace(self):
-        full = run_mtc_cell(4, 1.0, "fifo")
-        capped = run_mtc_cell(4, 1.0, "fifo", duration=5.0)
-        assert capped["submitted"] < full["submitted"]
-        with pytest.raises(ConfigurationError, match="truncates away every job"):
-            run_mtc_cell(4, 1.0, "fifo", duration=1e-9)
-
     def test_registered_in_canonical_order(self):
         names = load_all()
         assert "mtc" in names and names[-2:] == ["evac", "mig"]
@@ -452,18 +435,30 @@ class TestMtcScenario:
 
 class TestScenarioParams:
     def test_param_overrides_are_coerced_and_applied(self):
-        axes = scenario_overrides_for(MTC, ["mtc.duration=30", "mtc.tenants=4|6"])
-        assert axes == {"duration": (30.0,), "tenants": (4, 6)}
+        axes = scenario_overrides_for(MTC, ["mtc.hold=30", "mtc.tenants=4|6"])
+        assert axes == {"hold": (30.0,), "tenants": (4, 6)}
 
     def test_param_overrides_reject_sweeps_and_unknown_names(self):
         # a parameter is a single-valued axis outside the cell key: a sweep
         # of it would collapse distinct configurations onto one cell key
-        with pytest.raises(ConfigurationError, match="duplicate cell keys.*mtc.duration"):
-            MTC.enumerate_cells(RunConfig(overrides=("mtc.duration=30|60",)))
+        with pytest.raises(ConfigurationError, match="duplicate cell keys.*mtc.hold"):
+            MTC.enumerate_cells(RunConfig(overrides=("mtc.hold=30|60",)))
         with pytest.raises(ConfigurationError, match="mtc.bogus: .* no axis"):
             scenario_overrides_for(MTC, ["mtc.bogus=1"])
         with pytest.raises(ConfigurationError, match="cannot parse"):
             scenario_overrides_for(MTC, ["mtc.boot_slots=many"])
+
+    @pytest.mark.parametrize("override", ["mtc.duration=30", "mtc.flows=2"])
+    def test_removed_knobs_are_unknown_axes(self, override, capsys):
+        # mtc has neither a run-length cap nor background flows: an override
+        # of either fails like any other axis it does not have
+        message = f"scenario 'mtc' has no axis '{override.split('=')[0][len('mtc.'):]}'"
+        with pytest.raises(ConfigurationError, match=message):
+            MTC.enumerate_cells(RunConfig(overrides=(override,)))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["mtc", "--override", override, "--list-cells"])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_params_flow_into_cell_parameters(self):
         cells = MTC.build_cells()

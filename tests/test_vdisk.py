@@ -77,12 +77,6 @@ def test_property_sparse_device_matches_reference(writes):
 
 
 class TestRawImage:
-    def test_file_size_is_virtual_size(self):
-        img = RawImage(1_000_000)
-        assert img.file_size == 1_000_000
-        img.write(0, LiteralBytes(b"data"))
-        assert img.file_size == 1_000_000
-
     def test_allocated_tracks_content(self):
         img = RawImage(1_000_000, block_size=1024)
         img.write(0, SyntheticBytes("os", 10_000))

@@ -33,7 +33,7 @@ def main(argv=None) -> int:
     client = BlobClient(providers=manager, default_chunk_size=STRIPE)
     for blob in [client.create_blob() for _ in range(args.blobs)]:
         for version in range(args.versions):
-            client.write(blob, 0, SyntheticBytes((blob, version), args.stripes * STRIPE))
+            client.write_batch(blob, [(0, SyntheticBytes((blob, version), args.stripes * STRIPE))])
     started = time.perf_counter()
     report = SnapshotGarbageCollector(SimpleNamespace(client=client), keep_latest=1).collect()
     seconds = time.perf_counter() - started
