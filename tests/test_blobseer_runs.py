@@ -225,8 +225,8 @@ def test_uniform_runs_place_like_the_ranking_oracle(
     manager = ProviderManager(replication=replication)
     model = PlacementModel(replication)
     capacities = capacities[:providers]
-    providers = [DataProvider(f"node-{i}", capacity=c) for i, c in enumerate(capacities)]
-    for provider, capacity in zip(providers, capacities):
+    registered = [DataProvider(f"node-{i}", capacity=c) for i, c in enumerate(capacities)]
+    for provider, capacity in zip(registered, capacities):
         manager.register(provider)
         model.register(provider.provider_id, capacity)
     runs = []  # (stored run, chunk size)
@@ -278,15 +278,15 @@ def test_uniform_runs_place_like_the_ranking_oracle(
                             record[2] -= chunk
         elif name == "fail":
             slot = arg % len(model.providers)
-            providers[slot].fail()
+            registered[slot].fail()
             record = model.providers[slot]
             record[2], record[3] = 0, False
         elif name == "register":
             provider_id, capacity = f"node-{len(model.providers)}", [60, 400, 10**9][arg % 3]
-            providers.append(DataProvider(provider_id, capacity=capacity))
-            manager.register(providers[-1])
+            registered.append(DataProvider(provider_id, capacity=capacity))
+            manager.register(registered[-1])
             model.register(provider_id, capacity)
-        assert [p.used_bytes for p in providers] == model.used()
+        assert [p.used_bytes for p in registered] == model.used()
         assert manager._rr == model.tie
         index_matches_the_providers(manager)
 
