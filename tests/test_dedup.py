@@ -1,6 +1,11 @@
 """Tests of the content-addressed dedup & compression subsystem."""
 
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -27,6 +32,8 @@ from repro.util import LiteralBytes, SyntheticBytes, ZeroBytes, bytesource
 from repro.util.bytesource import _BLOCK, ByteSource, concat, content_equal
 from repro.util.config import GRAPHENE, DedupSpec
 from repro.util.errors import ConfigurationError, StorageError
+
+_SRC = str(Path(fig7_dedup.__file__).resolve().parents[2])
 
 
 def make_cluster(num_providers=4, replication=1, chunk_size=1024, dedup=None):
@@ -294,6 +301,40 @@ class TestSyntheticDigestMemo:
         for payload in (literal, literal, concat([literal, literal]), concat([literal, literal])):
             engine.ingest(payload, ProviderManager())
         assert hashed == [512, 512, 1024, 1024]
+
+
+class TestDigestsAcrossEngines:
+    """A digest is a pure function of the content: no engine, cell or earlier
+    ingest in the same process moves it."""
+
+    # tier-1 budget: 40 examples of windows up to ~200 KiB, under 2 s
+    @settings(max_examples=40, deadline=None)
+    @given(_window_cuts())
+    def test_fresh_engines_return_the_digest_of_the_bytes(self, cuts):
+        seed, size, start, length, cut = cuts
+        parent = SyntheticBytes(("fresh", seed), size)
+        window = parent.slice(start, length)
+        same = parent.slice(cut, size - cut).slice(start - cut, length)
+        expected = content_digest(LiteralBytes(window.read()))
+        for payload in (window, same):
+            assert DedupEngine().ingest(payload, ProviderManager()).digest == expected
+
+    def test_a_zlib_cell_after_a_dedup_cell_has_its_payload_alone(self):
+        # tier-1 budget: one fresh interpreter and two reduced cells, under 2 s
+        script = (
+            "import json; from repro.scenarios import fig7_dedup; "
+            "print(json.dumps(fig7_dedup.run_fig7_cell('zlib')))"
+        )
+        alone = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": _SRC},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        ).stdout.strip()
+        fig7_dedup.run_fig7_cell("dedup")
+        assert json.dumps(fig7_dedup.run_fig7_cell("zlib")) == alone
 
 
 class TestProviderFailureInvalidation:
