@@ -10,6 +10,11 @@ content through BLAKE2b: each window is written by ``readinto`` into one
 reusable buffer and hashed in place -- no payload is ever materialised in one
 piece.
 
+A zero run's bytes are a pure function of its size, and a generated window's
+of its ``generator_key``, so their digests are memoised per process by that
+content key (:func:`_keyed_digest`): each is hashed once, whichever engine or
+cell meets it.  Every other source is hashed on every call.
+
 Digests embed the payload size so that a (vanishingly unlikely) hash collision
 between payloads of different lengths can never confuse them.
 """
@@ -17,42 +22,49 @@ between payloads of different lengths can never confuse them.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+from functools import lru_cache
 
-from repro.util.bytesource import ByteSource, ZeroBytes
+from repro.util.bytesource import ByteSource, SyntheticBytes, ZeroBytes
 
 #: streaming window; keeps peak memory bounded for arbitrarily large chunks
 _WINDOW = 1 << 20
 
-#: digests of all-zero payloads, keyed by size (zero runs are extremely common
-#: in sparse disk images, so this cache avoids re-hashing them)
-_ZERO_DIGESTS: Dict[int, str] = {}
+#: the tags of the two kinds of content key, so that their keys never collide
+_ZERO, _SYNTHETIC = "zero", "synthetic"
 
 
 def content_digest(data: ByteSource) -> str:
     """Stable digest of the payload's content: equal iff the bytes are equal."""
-    if isinstance(data, ZeroBytes):
-        cached = _ZERO_DIGESTS.get(data.size)
-        if cached is not None:
-            return cached
-    digest = _hash_stream(data)
-    if isinstance(data, ZeroBytes):
-        _ZERO_DIGESTS[data.size] = digest
-    return digest
+    kind = type(data)
+    if kind is SyntheticBytes:
+        return _keyed_digest((_SYNTHETIC, data.generator_key))
+    if kind is ZeroBytes:
+        return _keyed_digest((_ZERO, data.size))
+    return _hash_stream(data)
 
 
 def zero_digest(size: int) -> str:
     """Digest of ``size`` zero bytes (used to spot perfectly compressible chunks)."""
-    cached = _ZERO_DIGESTS.get(size)
-    if cached is None:
-        cached = _hash_stream(ZeroBytes(size))
-        _ZERO_DIGESTS[size] = cached
-    return cached
+    return _keyed_digest((_ZERO, size))
 
 
 def is_zero_content(digest: str, size: int) -> bool:
     """True if ``digest`` is the digest of ``size`` zero bytes."""
     return digest == zero_digest(size)
+
+
+@lru_cache(maxsize=4096)
+def _keyed_digest(key: tuple) -> str:
+    """Digest of the source a content key names, rebuilt from the key alone.
+
+    ``(_ZERO, size)`` names a zero run, ``(_SYNTHETIC, generator_key)`` a
+    generated window.  An entry never goes stale, so the bound only limits
+    memory: an evicted key is hashed again to the same digest.
+    """
+    tag, value = key
+    if tag == _ZERO:
+        return _hash_stream(ZeroBytes(value))
+    return _hash_stream(SyntheticBytes.from_generator_key(value))
 
 
 def _hash_stream(data: ByteSource) -> str:

@@ -238,6 +238,14 @@ class SyntheticBytes(ByteSource):
         keys is possible but never assumed)."""
         return (self._seed, self._origin, self._size)
 
+    @classmethod
+    def from_generator_key(cls, key: tuple[int, int, int]) -> SyntheticBytes:
+        """The window whose :attr:`generator_key` is ``key``, built as
+        :meth:`slice` builds one."""
+        window = cls.__new__(cls)
+        window._seed, window._origin, window._size = key
+        return window
+
     def read(self, offset: int = 0, length: int | None = None) -> bytes:
         return self._read_filled(offset, length)
 

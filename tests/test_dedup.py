@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.blobseer import BlobClient, DataProvider, ProviderManager
 from repro.blobseer.provider import StoredRun
 from repro.core.gc import SnapshotGarbageCollector
-from repro.dedup import engine as engine_module
+from repro.dedup import fingerprint
 from repro.dedup import (
     HEADER_BYTES,
     ChunkIndex,
@@ -26,6 +26,7 @@ from repro.dedup import (
     content_digest,
     is_zero_content,
     make_codec,
+    zero_digest,
 )
 from repro.scenarios import fig7_dedup
 from repro.util import LiteralBytes, SyntheticBytes, ZeroBytes, bytesource
@@ -174,8 +175,9 @@ class TestDedupWritePath:
     def test_dedup_across_blobs(self):
         client = make_client(dedup=DedupEngine())
         payload = SyntheticBytes("shared", 2048)
-        blob_a = client.create_blob(1024, initial_data=payload)
-        blob_b = client.create_blob(1024, initial_data=payload)
+        blob_a, blob_b = client.create_blob(1024), client.create_blob(1024)
+        client.write_batch(blob_a, [(0, payload)])
+        client.write_batch(blob_b, [(0, payload)])
         assert client.storage_footprint() == 2048
         assert client.read(blob_b).read() == payload.read()
         assert blob_a != blob_b
@@ -236,16 +238,23 @@ class TestDedupWritePath:
         assert client.read(blob, 1024, 1024).read() == payload.read()
 
 
-def _spy_digests(monkeypatch):
-    """Record the size of every payload the dedup engine hashes."""
+def _spy_hashes(monkeypatch):
+    """Empty the digest memo, then record ``(kind, size)`` of every source hashed."""
+    fingerprint._keyed_digest.cache_clear()
     hashed = []
+    hash_stream = fingerprint._hash_stream
 
     def spy(payload):
-        hashed.append(payload.size)
-        return content_digest(payload)
+        hashed.append((type(payload), payload.size))
+        return hash_stream(payload)
 
-    monkeypatch.setattr(engine_module, "content_digest", spy)
+    monkeypatch.setattr(fingerprint, "_hash_stream", spy)
     return hashed
+
+
+def _sizes(hashed, kind):
+    """The sizes of the sources of ``kind`` among ``hashed``, in hashing order."""
+    return [size for hashed_kind, size in hashed if hashed_kind is kind]
 
 
 @st.composite
@@ -259,7 +268,7 @@ def _window_cuts(draw):
 
 
 class TestSyntheticDigestMemo:
-    """The engine hashes each generated window once and reuses the digest."""
+    """Each generated window is hashed once per process and its digest reused."""
 
     # tier-1 budget: 60 examples of windows up to ~200 KiB, under 2 s
     @settings(max_examples=60, deadline=None)
@@ -271,36 +280,58 @@ class TestSyntheticDigestMemo:
         # The same window cut from a different parent: a slice of the first.
         same = parent.slice(cut, size - cut).slice(start - cut, length)
         other_seed = SyntheticBytes(("memo", seed + 1), size).slice(start, length)
+        # (payload, hashes counted once it is ingested)
+        steps = [(window, 1), (same, 1), (window, 1), (other_seed, 2)]
+        if start + length < size:
+            steps.append((parent.slice(start + 1, length), 3))
+        expected = [content_digest(LiteralBytes(payload.read())) for payload, _ in steps]
+        fingerprint._keyed_digest.cache_clear()
+        zero_digest(length)  # what is_zero_content compares with, hashed before counting
         engine = DedupEngine()
         providers = ProviderManager()
-        with mock.patch.object(engine_module, "content_digest", wraps=content_digest) as hashed:
-            for payload, calls in [(window, 1), (same, 1), (window, 1), (other_seed, 2)]:
-                expected = content_digest(LiteralBytes(payload.read()))
-                assert engine.ingest(payload, providers).digest == expected
+        hash_stream = fingerprint._hash_stream
+        with mock.patch.object(fingerprint, "_hash_stream", wraps=hash_stream) as hashed:
+            for (payload, calls), digest in zip(steps, expected):
+                assert engine.ingest(payload, providers).digest == digest
                 assert hashed.call_count == calls
-            if start + length < size:
-                shifted = parent.slice(start + 1, length)
-                expected = content_digest(LiteralBytes(shifted.read()))
-                assert engine.ingest(shifted, providers).digest == expected
-                assert hashed.call_count == 3
 
     def test_reduced_fig7_cell_hashes_each_distinct_window_once(self, monkeypatch):
-        hashed = _spy_digests(monkeypatch)
+        hashed = _spy_hashes(monkeypatch)
         fig7_dedup.run_fig7_cell("dedup")
         # 61 blocks at the first commit, then the 15 each later commit
-        # changes: 121 windows, not one per (version, block) = 305.
-        assert len(hashed) == 61 + 4 * 15 == 121
-        # A fresh cloud brings a fresh engine: the memo does not outlive it.
+        # changes: 121 windows, not one per (version, block) = 305; and the
+        # zero digest of one chunk size.
+        assert len(_sizes(hashed, SyntheticBytes)) == 61 + 4 * 15 == 121
+        assert len(_sizes(hashed, ZeroBytes)) == 1
+        # The memo outlives the engine: a second dedup cell, and a zlib cell
+        # after it, hash no window.
         fig7_dedup.run_fig7_cell("dedup")
-        assert len(hashed) == 2 * 121
+        fig7_dedup.run_fig7_cell("zlib")
+        assert len(hashed) == 122
 
     def test_other_sources_are_hashed_every_time(self, monkeypatch):
-        hashed = _spy_digests(monkeypatch)
+        hashed = _spy_hashes(monkeypatch)
         engine = DedupEngine()
         literal = LiteralBytes(SyntheticBytes("lit", 512).read())
-        for payload in (literal, literal, concat([literal, literal]), concat([literal, literal])):
+        pair = concat([literal, literal])
+        for payload in (literal, literal, pair, concat([literal, literal])):
             engine.ingest(payload, ProviderManager())
-        assert hashed == [512, 512, 1024, 1024]
+        assert _sizes(hashed, LiteralBytes) == [512, 512]
+        assert _sizes(hashed, type(pair)) == [1024, 1024]
+        # the zero digests is_zero_content compares with: once per size
+        assert _sizes(hashed, ZeroBytes) == [512, 1024]
+
+    def test_an_evicted_window_rehashes_to_the_same_digest(self, monkeypatch):
+        hashed = _spy_hashes(monkeypatch)
+        window = SyntheticBytes("evicted", 64)
+        digest = content_digest(window)
+        bound = fingerprint._keyed_digest.cache_info().maxsize
+        # Fill the memo past its bound with newer keys: the window's goes first.
+        for size in range(1, bound + 1):
+            zero_digest(size)
+        assert fingerprint._keyed_digest.cache_info().currsize == bound
+        assert content_digest(window) == digest
+        assert _sizes(hashed, SyntheticBytes) == [64, 64]
 
 
 class TestDigestsAcrossEngines:
@@ -355,7 +386,7 @@ class TestProviderFailureInvalidation:
         assert client.read(blob, 1024, 1024).read() == payload.read()
 
     def test_memo_hit_on_a_lost_run_is_stored_afresh(self, monkeypatch):
-        hashed = _spy_digests(monkeypatch)
+        hashed = _spy_hashes(monkeypatch)
         client, by_id = make_cluster(num_providers=2, dedup=DedupEngine())
         blob = client.create_blob(1024)
         first = client.write_batch(blob, [(0, SyntheticBytes("memo-lost", 1024))])
@@ -364,7 +395,7 @@ class TestProviderFailureInvalidation:
         # memo, but the lost run it names is still found out and replaced.
         payload = SyntheticBytes("memo-lost", 1024)
         second = client.write_batch(blob, [(1024, payload)])
-        assert hashed == [1024]
+        assert _sizes(hashed, SyntheticBytes) == [1024]
         assert second.dedup_hits == 0
         assert second.bytes_written == 1024
         assert client.dedup.invalidated_chunks == 1
