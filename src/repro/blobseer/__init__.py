@@ -21,8 +21,7 @@ Public API
 ----------
 
 * :class:`~repro.blobseer.client.BlobClient` -- user-facing handle
-  (``create_blob``, ``read``, ``write`` / ``write_batch``, ``clone``,
-  ``release``)
+  (``create_blob``, ``read``, ``write_batch``, ``clone``, ``release``)
 * :class:`~repro.blobseer.version_manager.VersionManager`
 * :class:`~repro.blobseer.provider.ProviderManager` -- placement, and the
   one store of content: stored runs (:class:`~repro.blobseer.provider.StoredRun`)

@@ -105,21 +105,14 @@ class BlobClient:
 
     # -- BLOB lifecycle ----------------------------------------------------------------
 
-    def create_blob(
-        self,
-        chunk_size: Optional[int] = None,
-        initial_data: Optional[ByteSource] = None,
-        tag: str = "",
-    ) -> int:
-        """Create a BLOB; optionally populate version 1 with ``initial_data``."""
+    def create_blob(self, chunk_size: Optional[int] = None, tag: str = "") -> int:
+        """Create an empty BLOB (version 0); its first write publishes version 1."""
         size = chunk_size or self.default_chunk_size
         blob_id = self.version_manager.create_blob(size)
         self.metadata.create_empty(blob_id, version=0, stripes_hint=1)
         self.version_manager.publish(
             blob_id, size=0, incremental_bytes=0, parent=None, tag=tag or "create"
         )
-        if initial_data is not None and initial_data.size > 0:
-            self.write_batch(blob_id, [(0, initial_data)], tag="initial-data")
         return blob_id
 
     def size(self, blob_id: int, version: Optional[int] = None) -> int:

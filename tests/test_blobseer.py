@@ -364,9 +364,10 @@ class TestBlobClient:
         with pytest.raises(StorageError):
             client.write_batch(blob, [(-1, LiteralBytes(b"x"))])
 
-    def test_create_blob_with_initial_data(self):
+    def test_first_write_of_a_new_blob_is_version_1(self):
         client = make_client(chunk_size=64)
-        blob = client.create_blob(initial_data=LiteralBytes(b"init" * 40))
+        blob = client.create_blob()
+        assert client.write_batch(blob, [(0, LiteralBytes(b"init" * 40))]).version == 1
         assert client.read(blob).read() == b"init" * 40
 
 

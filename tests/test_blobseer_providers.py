@@ -445,7 +445,9 @@ def test_commit_and_read_of_a_run_allocate_per_run_not_per_stripe():
     client = BlobClient(providers=manager, default_chunk_size=chunk)
     # what is paid once (every provider's run table turning GC-tracked with its
     # first entry) is paid by a first commit
-    client.read(client.create_blob(initial_data=SyntheticBytes("warm-up", 120 * chunk)))
+    warm_up = client.create_blob()
+    client.write_batch(warm_up, [(0, SyntheticBytes("warm-up", 120 * chunk))])
+    client.read(warm_up)
     blob = client.create_blob()
     payload = SyntheticBytes("commit", stripes * chunk)
     gc.collect()
@@ -540,7 +542,8 @@ def test_rollback_and_gc_leave_nothing_for_the_collector():
     for provider in providers:
         manager.register(provider)
     client = BlobClient(providers=manager, default_chunk_size=CHUNK)
-    blob = client.create_blob(initial_data=SyntheticBytes("v1", 100 * CHUNK))
+    blob = client.create_blob()
+    client.write_batch(blob, [(0, SyntheticBytes("v1", 100 * CHUNK))])
     stored_v1 = [run.stored for run, _f, _l in client.metadata.extents_in_range(blob, 1, 0, 99)]
 
     def tracked():

@@ -101,7 +101,7 @@ def _dedup_alias(stripes, chunk_size):
     """A second BLOB with identical content: every stripe shares a stored run."""
     client = make_client(chunk_size=chunk_size, dedup=DedupEngine())
     data = pattern(stripes * chunk_size)
-    client.create_blob(initial_data=LiteralBytes(data))
+    client.write_batch(client.create_blob(), [(0, LiteralBytes(data))])
     blob = client.create_blob()
     result = client.write_batch(blob, [(0, LiteralBytes(data))])
     assert result.dedup_hits == stripes and result.bytes_written == 0
