@@ -280,7 +280,7 @@ class TestSyntheticDigestMemo:
         # The same window cut from a different parent: a slice of the first.
         same = parent.slice(cut, size - cut).slice(start - cut, length)
         other_seed = SyntheticBytes(("memo", seed + 1), size).slice(start, length)
-        # (payload, hashes counted once it is ingested)
+        # (payload, `_hash_stream` calls counted once it is ingested)
         steps = [(window, 1), (same, 1), (window, 1), (other_seed, 2)]
         if start + length < size:
             steps.append((parent.slice(start + 1, length), 3))
