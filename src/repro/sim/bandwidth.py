@@ -27,8 +27,11 @@ and abort therefore settles and re-allocates only the component it touches:
 * **Components** live in an incremental union-find over channels: every busy
   channel points at its :class:`_Component`, whose ``flows`` list is exact
   and sorted by flow index.  An attach unions the components of the flow's
-  channels; a replan that detached flows re-discovers the surviving groups
-  (:meth:`BandwidthSystem._live_groups`) and re-homes split-off groups.
+  channels (``Cloud.remote_write`` bridges a disk's local I/O into the
+  network's).  A component is never split, only drained: filling gives
+  each disjoint group in it its own rates bit for bit, and only settle
+  times are shared, so fabrics that no flow bridges while both are busy
+  do not move each other's completion times by an ulp.
 * **Flow state as arrays.**  A :class:`Flow` is a handle: its remaining
   bytes as of its last settle, its rate, its settle time and its deadline
   live in four float64 arrays of its :class:`BandwidthSystem`, at the flow's
@@ -50,7 +53,7 @@ and abort therefore settles and re-allocates only the component it touches:
   are filled by :func:`_fill` over persistent arrays: per-edge channel slots
   (rows are the flows in index order, each in channel-tuple order), per-slot
   capacities, per-row flow slots.  Attaches append, a detaching replan
-  compacts once, merges and splits mark them stale for a rebuild.  Smaller
+  compacts once, a merge marks them stale for a rebuild.  Smaller
   components are solved by :func:`reference_allocation` itself.
 * **Oracle.**  :func:`reference_allocation` is the executable specification.
   ``SolverConfig(verify=True)`` re-derives every rate through it after each
@@ -236,8 +239,8 @@ def reference_allocation(flows: Iterable["Flow"]) -> Dict["Flow", float]:
     with: fill every channel's capacity in rounds, always freezing the flows
     of the currently most constrained channel at its fair share.  The
     incremental engine runs the very same procedure restricted to one
-    connected component; because a freeze only mutates state inside its own
-    component, the restriction is *exactly* equivalent -- which
+    component (one or more connected groups); because a freeze only mutates
+    state inside its own group, the restriction is *exactly* equivalent -- which
     ``SolverConfig(verify=True)`` and the equivalence test suite assert
     bit-for-bit on every recomputation.
 
@@ -283,7 +286,7 @@ def reference_allocation(flows: Iterable["Flow"]) -> Dict["Flow", float]:
 
 
 class _Component:
-    """One live connected component of the flow/channel sharing graph.
+    """One live component of the flow/channel sharing graph.
 
     The union-find cell every busy channel points at, plus flat arrays that
     survive between recomputations.  ``flows`` is exact and sorted by flow
@@ -587,9 +590,7 @@ class BandwidthSystem:
             self._p_remove_rows(comp, keep)
         comp.flows = [f for f, kept in zip(component, keep) if kept]
         finished = [i for i, f in enumerate(comp.flows) if f.remaining <= _EPSILON_BYTES]
-        # Removing the failed channel's flows can leave the survivors in
-        # several disconnected groups even though nobody *finished*.
-        self._replan(comp, finished, may_split=True)
+        self._replan(comp, finished)
         _SOLVER_WALL["seconds"] += perf_counter() - t0
         return len(victims)
 
@@ -659,8 +660,8 @@ class BandwidthSystem:
 
         The connectivity oracle: a from-scratch BFS over the bipartite
         flow/channel graph, sorted by flow creation order.  The engine never
-        calls it -- verify mode and the equivalence suite compare the
-        maintained union-find components against it, so it moves no work
+        calls it -- verify mode and the equivalence suite check that the
+        maintained union-find components contain it, so it moves no work
         counter and takes no shortcut.
         """
         seen_channels: Set[FairShareChannel] = set(channels)
@@ -677,50 +678,6 @@ class BandwidthSystem:
                         seen_channels.add(other)
                         stack.append(other)
         return sorted(seen_flows, key=lambda f: f.index)
-
-    def _live_groups(self, flows: List[Flow]) -> List[List[Flow]]:
-        """Partition surviving flows into their connected groups.
-
-        Called after a replan detached flows: every flow reachable from the
-        survivors' channels is a survivor, so a BFS seeded in index order
-        recovers the post-split components exactly.  Groups come sorted by
-        flow index, so the heap entries derived from them are deterministic.
-        """
-        if len(flows) <= 1:
-            return [flows]
-        for chan in flows[0].channels:
-            if len(chan.flows) == len(flows):
-                # Some channel is crossed by every survivor (the shared
-                # switch, at scale): still one connected group, no BFS.
-                return [flows]
-        seen_flows: Set[Flow] = set()
-        groups: List[List[Flow]] = []
-        for seed in flows:  # ``flows`` is sorted: seeds visit in index order
-            if seed in seen_flows:
-                continue
-            seen_flows.add(seed)
-            group = [seed]
-            seen_channels: Set[FairShareChannel] = set(seed.channels)
-            stack: List[FairShareChannel] = list(seen_channels)
-            while stack:
-                chan = stack.pop()
-                for flow in chan.flows:
-                    if flow in seen_flows:
-                        continue
-                    seen_flows.add(flow)
-                    group.append(flow)
-                    for other in flow.channels:
-                        if other not in seen_channels:
-                            seen_channels.add(other)
-                            stack.append(other)
-            if not groups and len(seen_flows) == len(flows):
-                # Everyone reachable from the first seed: no split happened
-                # (the common case -- e.g. the shared switch keeps every
-                # network flow in one fabric).
-                return [flows]
-            group.sort(key=lambda f: f.index)
-            groups.append(group)
-        return groups
 
     def _settle(self, comp: _Component) -> List[int]:
         """Advance the component's flows to the current time at their last
@@ -781,13 +738,12 @@ class BandwidthSystem:
                     chan.comp = None
             chan._carried_completed += delivered
 
-    def _replan(self, comp: _Component, finished: List[int], may_split: bool = False) -> None:
+    def _replan(self, comp: _Component, finished: List[int]) -> None:
         """Complete finished flows, re-allocate the rest, re-arm the timer.
 
         ``finished`` holds the positions of the settled component's delivered
-        flows (what :meth:`_settle` returns).  ``may_split`` marks a caller
-        (channel failure) whose component may span several groups without a
-        completion.  A real disconnection re-homes the split-off groups.
+        flows (what :meth:`_settle` returns).  The survivors stay one
+        component, even if the flows that connected them are gone.
         """
         for flow in comp.pending:
             if flow.pending:
@@ -817,16 +773,7 @@ class BandwidthSystem:
                 del flows[i]
         if flows:
             self._allocate(comp)
-            if may_split or finished:
-                # A detached flow may have bridged the component: each
-                # surviving group needs its own entry in the horizon heap.
-                groups = self._live_groups(flows)
-                if len(groups) > 1:
-                    self._p_split(comp, groups)
-                for group in groups:
-                    self._push_deadlines(group[0].channels[0].comp)
-            else:
-                self._push_deadlines(comp)
+            self._push_deadlines(comp)
         if self.verify and self._unplanned == 0:
             # Parked flows elsewhere hold rate 0 by construction: check the
             # whole system once the instant is planned.
@@ -933,30 +880,6 @@ class BandwidthSystem:
         target.dirty = True
         self._counters.bw_cc_unions += 1
 
-    def _p_split(self, comp: _Component, groups: List[List[Flow]]) -> None:
-        """Re-home the surviving groups after a real disconnection: the
-        largest keeps the component (its rows as one mask compaction), every
-        other group moves to a fresh, lazily rebuilt component."""
-        big = groups[0]
-        for group in groups[1:]:
-            if len(group) > len(big):
-                big = group
-        for group in groups:
-            if group is big:
-                continue
-            new = self._new_component()
-            new.flows = group
-            for flow in group:
-                for chan in flow.channels:
-                    if chan.comp is not new:
-                        self._kill_slot(comp, chan)
-                        chan.comp = new
-            self._counters.bw_cc_rebuilds += 1
-        if not comp.dirty:
-            in_big = set(big)
-            self._p_remove_rows(comp, [f in in_big for f in comp.flows])
-        comp.flows = big
-
     @staticmethod
     def _kill_slot(comp: _Component, chan: FairShareChannel) -> None:
         """``chan`` left ``comp``: its slot, if any, goes dead at capacity inf
@@ -1019,8 +942,8 @@ class BandwidthSystem:
 
     def _p_rebuild(self, comp: _Component) -> None:
         """Full array rebuild from the (exact) flow list, under a new epoch:
-        on the first vector allocation after a merge or split-off, or when
-        dead slots pile up."""
+        on the first vector allocation after a merge, or when dead slots
+        pile up."""
         flows = comp.flows
         n = len(flows)
         self._comp_epoch += 1
@@ -1054,33 +977,32 @@ class BandwidthSystem:
     def _verify_persistent_components(self) -> None:
         """Verify-mode cross-check of the maintained structure itself.
 
-        Every flow's component must equal the BFS component of its channels,
-        and a clean component's arrays must mirror its flow list edge for
-        edge and row for row, ``dead_slots`` counting exactly the slots no
-        edge uses (each at capacity inf).
+        Every attached flow's channels must point at one component whose
+        ``flows`` are exactly the attached flows pointing at it, in index
+        order, and are what a BFS (:meth:`_component`) from their channels
+        reaches.  A clean component's arrays must mirror its flow list edge
+        for edge and row for row, ``dead_slots`` counting exactly the slots
+        no edge uses (each at capacity inf).
         """
-        seen: Set[int] = set()
-        for flow in self._flows:
+        members: Dict[_Component, List[Flow]] = {}
+        for flow in self._flows:  # index order
             comp = flow.channels[0].comp
-            if comp is None or flow not in comp.flows:
+            if comp is None:
                 raise SimulationError(f"persistent component lost track of {flow!r}")
-            if comp.ident in seen:
-                continue
-            seen.add(comp.ident)
-            expected = self._component(flow.channels)
-            if comp.flows != expected:
+            for chan in flow.channels:
+                if chan.comp is not comp:
+                    raise SimulationError(
+                        f"channel {chan.name!r} points at component "
+                        f"#{chan.comp.ident if chan.comp else None}, expected #{comp.ident}"
+                    )
+            members.setdefault(comp, []).append(flow)
+        for comp, attached in members.items():
+            reached = self._component(chan for flow in attached for chan in flow.channels)
+            if not comp.flows == attached == reached:
                 raise SimulationError(
-                    f"persistent component #{comp.ident} diverged from BFS "
-                    f"({len(comp.flows)} flow(s) maintained, {len(expected)} discovered)"
+                    f"persistent component #{comp.ident} lists {len(comp.flows)} flow(s); "
+                    f"{len(attached)} point at it, BFS from their channels reaches {len(reached)}"
                 )
-            for member in comp.flows:
-                for chan in member.channels:
-                    if chan.comp is not comp:
-                        raise SimulationError(
-                            f"channel {chan.name!r} points at component "
-                            f"#{chan.comp.ident if chan.comp else None}, "
-                            f"expected #{comp.ident}"
-                        )
             if comp.dirty:
                 continue
             slots = [member.slot for member in comp.flows]

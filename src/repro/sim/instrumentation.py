@@ -72,14 +72,15 @@ class SimCounters:
     #: persistent-component unions performed at flow attach (a new flow
     #: bridging N live components triggers N-1 unions)
     bw_cc_unions: int = 0
-    #: persistent components (re)created by a post-detach split (each
-    #: split-off group becomes a lazily rebuilt component)
+    #: always 0: a component is never split, only drained (kept because
+    #: perfbench's ``sim.bandwidth.cc_rebuilds`` row and every artifact's
+    #: counter block read it)
     bw_cc_rebuilds: int = 0
     #: delta updates applied to persistent solver arrays in place of a full
     #: reconstruction (row/slot appends on attach, mask compactions on detach)
     bw_array_delta_updates: int = 0
     #: lazy full rebuilds of a persistent component's solver arrays
-    #: (first vector allocation after a merge/split marked them stale)
+    #: (first vector allocation after a merge marked them stale)
     bw_array_full_rebuilds: int = 0
     #: slot requests on FIFO resources
     resource_requests: int = 0

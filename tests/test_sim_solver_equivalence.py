@@ -16,6 +16,9 @@ the two agree *exactly* (float equality, not approximately):
 * component discovery must never cross disjoint fabrics, and a fabric's
   completion times must be bit-identical whether or not unrelated fabrics
   are busy (the strongest observable form of component independence).
+  That holds for fabrics that no flow bridges while both are busy: a
+  component is never split, so two fabrics a finished flow once bridged
+  share their settle times (not their rates) until one side drains.
 """
 
 import math
@@ -653,18 +656,23 @@ class TestSameInstantBursts:
 # -- persistent component / array state vs the BFS oracle ------------------------------
 
 
-def assert_persistent_components_match_bfs(bw):
-    """Every attached flow's persistent component must equal a fresh BFS
-    discovery over its channels -- same members, consistent back-pointers."""
+def assert_persistent_components_contain_bfs(bw):
+    """The invariant the rates rely on, as verify mode checks it: every
+    attached flow's channels point at one component; a component's ``flows``
+    are exactly the attached flows pointing at it, in index order; and a
+    fresh BFS discovery from any flow stays inside the flow's component (a
+    component may be coarser: it is never split, only drained)."""
+    members = {}
     for flow in bw._flows:
-        if not flow.channels:
-            continue
         comp = flow.channels[0].comp
         assert comp is not None
-        assert flow in comp.flows
-        assert set(comp.flows) == set(bw._component(flow.channels))
         for channel in flow.channels:
             assert channel.comp is comp
+        members.setdefault(comp, []).append(flow)
+        assert set(bw._component(flow.channels)) <= set(comp.flows)
+    for comp, attached in members.items():
+        assert comp.flows == attached
+        assert [f.index for f in comp.flows] == sorted(f.index for f in comp.flows)
 
 
 def drive_stepwise_checking_components(
@@ -700,9 +708,9 @@ def drive_stepwise_checking_components(
         while True:
             while env._queue:
                 env.step()
-                assert_persistent_components_match_bfs(bw)
+                assert_persistent_components_contain_bfs(bw)
             env._flush_instant()
-            assert_persistent_components_match_bfs(bw)
+            assert_persistent_components_contain_bfs(bw)
             if not env._queue:
                 break
     assert len(outcomes) == len(flow_specs)
@@ -712,15 +720,16 @@ def drive_stepwise_checking_components(
 class TestPersistentStateOracle:
     """The tentpole contracts of persistent solver state.
 
-    The union-find connectivity and the delta-maintained flat arrays are
-    pure caches of what a BFS discovery plus a from-scratch array build
-    would produce; these tests pin that equivalence step-by-step (structure)
-    and float-by-float (rates), including under mid-flight channel failures.
+    The union-find components hold every flow a BFS discovery reaches (and
+    may hold more: a component is never split, only drained), and the
+    delta-maintained flat arrays are pure caches of a from-scratch array
+    build; these tests pin that step-by-step (structure) and float-by-float
+    (rates), including under mid-flight channel failures.
     """
 
     @settings(max_examples=80, deadline=None)
     @given(topology=topologies(), min_flows=vector_thresholds)
-    def test_union_find_component_equals_bfs_at_every_step(self, topology, min_flows):
+    def test_union_find_component_contains_bfs_at_every_step(self, topology, min_flows):
         capacities, flow_specs = topology
         drive_stepwise_checking_components(capacities, flow_specs, min_flows)
 
@@ -731,7 +740,7 @@ class TestPersistentStateOracle:
         fail_at=st.floats(0.5, 20.0),
         victim=st.integers(0, 5),
     )
-    def test_union_find_component_equals_bfs_under_failures(
+    def test_union_find_component_contains_bfs_under_failures(
         self, topology, min_flows, fail_at, victim
     ):
         capacities, flow_specs = topology
@@ -768,22 +777,44 @@ class TestPersistentStateOracle:
 
     def test_union_and_split_counters(self):
         """A flow bridging two live components records one union; its
-        completion splits the component back apart and records rebuilds."""
-        env = Environment()
-        bw = BandwidthSystem(env, config=SolverConfig(verify=True))
+        completion splits nothing: {fa} and {fb} stay one component until fa
+        drains and leaves fb alone in it."""
+        env, bw = build_system(verify=True)
         a = bw.channel(50.0, "a")
         b = bw.channel(50.0, "b")
-        bw.transfer(1000.0, [a], label="fa")
+        fa_done = bw.transfer(1000.0, [a], label="fa")
         bw.transfer(2000.0, [b], label="fb")
+        (fb,) = b.flows
         # Attached third, so both single-channel components already exist
         # and the bridge merges them: exactly one union.
-        bw.transfer(10.0, [a, b], label="bridge")
+        bridge_done = bw.transfer(10.0, [a, b], label="bridge")
+        env.run(until=bridge_done)
+        assert a.comp is b.comp
+        assert [f.label for f in b.comp.flows] == ["fa", "fb"]
+        env.run(until=fa_done)
+        assert a.comp is None
+        assert b.comp.flows == [fb]
         env.run()
         after = env.counters
         assert after.bw_flows_completed == 3
         assert after.bw_cc_unions == 1
-        # The bridge finishes first, splitting {fa} from {fb} again.
-        assert after.bw_cc_rebuilds >= 1
+        assert after.bw_cc_rebuilds == 0
+
+    def test_verify_catches_a_channel_pointing_at_the_wrong_component(self):
+        """The rates rely on every channel of a flow pointing at the flow's
+        component: verify mode raises on one that points elsewhere."""
+        env, bw = build_system(verify=True)
+        hub = bw.channel(100.0, "hub")
+        nic = bw.channel(100.0, "nic")
+        disk = bw.channel(100.0, "disk")
+        bw.transfer(1000.0, [hub, nic], label="net")
+        bw.transfer(500.0, [disk], label="io")
+        env.run(until=1.0)
+        assert hub.comp is nic.comp and hub.comp is not disk.comp
+        nic.comp = disk.comp
+        # The next replan is io's, at t=5, while net is still attached.
+        with pytest.raises(SimulationError, match="'nic' points at component"):
+            env.run()
 
     def test_array_delta_counters_on_large_component(self):
         """A component big enough for the vectorised path materialises its
@@ -937,7 +968,8 @@ class TestSolverCounters:
 
     @settings(max_examples=25, deadline=None)
     @given(topology=burst_topologies())
-    # Two live components bridged by a third flow: merge, then split.
+    # Two live components bridged by a third flow: one merge, and no split
+    # when the bridge completes.
     @example(
         topology=(
             [50.0, 50.0],
