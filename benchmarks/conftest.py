@@ -78,9 +78,8 @@ def attach_rows(benchmark, result) -> None:
         message = f"{result.experiment}: regenerated rows differ from benchmarks/baseline.json"
         assert regenerated == BASELINE_ROWS[result.experiment], message
         for key in result.cell_keys:
-            counters = json.loads(json.dumps(_CELL_COUNTERS[key]))
             message = f"{key}: cell counters differ from benchmarks/baseline.json"
-            assert counters == BASELINE_COUNTERS[key], message
+            assert _CELL_COUNTERS[key] == BASELINE_COUNTERS[key], message
     benchmark.extra_info["experiment"] = result.experiment
     benchmark.extra_info["rows"] = result.rows
     benchmark.extra_info["artifact_schema"] = f"{SCHEMA}/v{SCHEMA_VERSION}"
