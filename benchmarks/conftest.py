@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.runner import parallel
+from repro.runner import Cell
 from repro.runner.artifact import SCHEMA, SCHEMA_VERSION, environment_info, load_artifact
 
 PAPER_SCALE = os.environ.get("REPRO_PAPER_SCALE", "0") not in ("0", "", "false")
@@ -42,20 +42,22 @@ _CELL_COUNTERS = {}
 
 @pytest.fixture(scope="session", autouse=True)
 def _record_cell_counters():
-    """Keep each executed cell's counters for :func:`attach_rows`.
+    """Keep each reported cell's counters for :func:`attach_rows`.
 
-    At one worker ``ParallelRunner`` calls ``execute_cell`` in this process,
-    so wrapping the name it calls sees every cell a benchmark regenerates.
+    At one worker every record ``ParallelRunner`` reports passes through
+    ``Cell.report`` in this process, also a fig2 record of a cycle executed
+    under its fig3 twin's key, so wrapping it sees every cell a benchmark
+    regenerates.
     """
-    execute_cell = parallel.execute_cell
+    report = Cell.report
 
-    def recording(cell, trace=False):
-        result = execute_cell(cell, trace)
+    def recording(cell, executed):
+        result = report(cell, executed)
         _CELL_COUNTERS[result.key] = result.counters
         return result
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(parallel, "execute_cell", recording)
+        patch.setattr(Cell, "report", recording)
         yield
 
 

@@ -42,7 +42,7 @@ from repro.core.backends import BackendInfo, backend_names, create_backend, get_
 from repro.core.gc import GCReport, SnapshotGarbageCollector
 from repro.core.strategy import DeployedInstance, Deployment
 from repro.obs import merge_rollups
-from repro.runner import ParallelRunner, load_all, resolve_run_inputs
+from repro.runner import CycleStore, ParallelRunner, load_all, resolve_run_inputs
 from repro.runner.artifact import build_artifact, validate_artifact
 from repro.util.bytesource import ByteSource, LiteralBytes
 from repro.util.config import GRAPHENE, ClusterSpec
@@ -80,6 +80,8 @@ class Session:
         self._deployment: Optional[Deployment] = None
         self._backend_name: Optional[str] = None
         self._checkpoints: List[CheckpointResult] = []
+        #: scenario cycles executed here that a view or source has yet to report
+        self._cycles = CycleStore()
 
     @classmethod
     def from_spec(cls, spec: ClusterSpec) -> "Session":
@@ -465,6 +467,11 @@ class Session:
         ``progress`` receives ``(done, total, CellResult)`` per finished
         cell.  Raises :class:`~repro.util.errors.ConfigurationError` for
         unknown scenarios, misdirected overrides or foreign selectors.
+
+        A view scenario and its source (``fig2`` and ``fig3``) report two
+        phases of one cycle: on the same session, whichever runs second
+        reuses the cycles the first executed, once.  A repeated call runs
+        its cells again.
         """
         _, selectors, config = resolve_run_inputs(
             load_all(),
@@ -476,7 +483,7 @@ class Session:
             base_spec=self._spec,
         )
         runner = ParallelRunner(workers=workers, progress=progress)
-        report = runner.run([name], config, selectors)
+        report = runner.run([name], config, selectors, store=self._cycles)
         merged = report.results[0]
         return RunReport(
             experiment=merged.experiment,
@@ -509,6 +516,8 @@ class Session:
         untraced run, and the artifact is byte-identical across repeated
         calls with the same arguments at any ``workers``
         (``docs/observability.md`` spells out the determinism contract).
+        Like :meth:`run_scenario`, a view reuses its source's traced cycles
+        on the same session (a trace never reuses an untraced cycle).
         """
         _, selectors, config = resolve_run_inputs(
             load_all(),
@@ -519,7 +528,9 @@ class Session:
             seed=seed,
             base_spec=self._spec,
         )
-        report = ParallelRunner(workers=workers).run([name], config, selectors, trace=True)
+        report = ParallelRunner(workers=workers).run(
+            [name], config, selectors, trace=True, store=self._cycles
+        )
         document = validate_artifact(build_artifact(report, host=False))
         return TraceReport(
             artifact=document,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import gc
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -38,12 +38,17 @@ class Cell:
     they form the cell's :attr:`key` (``fig2:BlobCR-app:24:50MB``), which is
     what ``--cells`` selectors match against.  ``func`` must be a module-level
     (hence picklable) callable returning a :data:`CellPayload`.
+
+    A view scenario's cell runs its ``source`` twin's cycle and reports
+    ``view`` of that payload.
     """
 
     experiment: str
     parts: Tuple[str, ...]
     func: Callable[..., CellPayload]
     params: Dict[str, Any] = field(default_factory=dict)
+    source: Optional[str] = None
+    view: Optional[Callable[[CellPayload], CellPayload]] = None
 
     @property
     def key(self) -> str:
@@ -51,8 +56,26 @@ class Cell:
 
     @property
     def seed(self) -> int:
-        """Deterministic per-cell RNG seed, derived from the cell identity."""
-        return stable_seed("cell", self.experiment, *self.parts)
+        """Deterministic per-cell RNG seed, derived from its cycle's identity."""
+        return stable_seed("cell", self.source or self.experiment, *self.parts)
+
+    def cycle(self) -> "Cell":
+        """The cell whose execution this one reports: its source twin, or itself."""
+        if self.source is None:
+            return self
+        return replace(self, experiment=self.source, source=None, view=None)
+
+    def report(self, executed: "CellResult") -> "CellResult":
+        """This cell's record of ``executed``, an execution of :meth:`cycle`."""
+        payload = executed.payload if self.view is None else self.view(executed.payload)
+        return replace(
+            executed,
+            key=self.key,
+            experiment=self.experiment,
+            parts=self.parts,
+            payload=payload,
+            sim_time_s=float(payload.get("sim_time_s", 0.0)),
+        )
 
 
 @dataclass
@@ -88,7 +111,7 @@ def execute_cell(cell: Cell, trace: bool = False) -> CellResult:
     into the process total :func:`counters_snapshot` reads); its trace
     fragment keeps group 0 ``"run"`` and gives cloud *i*, in creation order,
     group *i* + 1.  Both sinks are write-only, so neither changes the
-    payload.
+    payload.  The result goes through :meth:`Cell.report` (a view applies).
 
     The cyclic collector is scoped here too.  A cell's clouds form one
     cyclic graph that automatic collections would walk again and again while
@@ -118,7 +141,7 @@ def execute_cell(cell: Cell, trace: bool = False) -> CellResult:
             gc.enable()
     counters = aggregate_counters([block.as_dict() for block, _ in sinks])
     record_finished_cell(counters)
-    return CellResult(
+    result = CellResult(
         key=cell.key,
         experiment=cell.experiment,
         parts=cell.parts,
@@ -128,3 +151,4 @@ def execute_cell(cell: Cell, trace: bool = False) -> CellResult:
         counters=counters,
         trace=merge_traces([Tracer()] + [tracer for _, tracer in sinks]) if trace else None,
     )
+    return cell.report(result)

@@ -10,6 +10,10 @@ results back into canonical row order.  Determinism contract:
   rows identical to ``--workers 1``, which in turn is byte-identical to the
   historical strictly-sequential runner.
 
+Cells that share an execution identity (a view scenario's cell and its
+source twin) share one execution, kept in a :class:`CycleStore` until every
+scenario reporting it took it: the sharing spans one ``Session``'s calls.
+
 Only wall-clock timings differ between runs -- they are measurements of the
 host, not of the simulation.
 """
@@ -19,11 +23,11 @@ from __future__ import annotations
 import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, TextIO
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, TextIO
 
 from repro.runner.cells import Cell, CellResult, execute_cell
-from repro.runner.registry import RunConfig, get_scenario
+from repro.runner.registry import RunConfig, get_scenario, reporters
 from repro.runner.select import CellSelector, filter_cells
 from repro.scenarios.results import ExperimentResult
 from repro.util.errors import ConfigurationError
@@ -94,6 +98,25 @@ class RunReport:
         return sum(r.sim_time_s for r in self.cell_results)
 
 
+class CycleStore(dict):
+    """Executed cycles: execution identity -> (result, scenarios yet to take it).
+
+    An entry leaves once every scenario reporting the cycle
+    (:func:`~repro.runner.registry.reporters`) has taken it.  It holds plain
+    data only: payload, counters and trace fragment.
+    """
+
+    def take(self, key: Hashable, cell: Cell) -> CellResult:
+        """``cell``'s record of the cycle; only the first record carries its wall."""
+        executed, waiting = self[key]
+        waiting.discard(cell.experiment)
+        if waiting:
+            self[key] = (replace(executed, wall_time_s=0.0), waiting)
+        else:
+            del self[key]
+        return cell.report(executed)
+
+
 class ParallelRunner:
     """Execute experiment cells, optionally over a worker-process pool."""
 
@@ -122,18 +145,21 @@ class ParallelRunner:
         config: Optional[RunConfig] = None,
         selectors: Sequence[CellSelector] = (),
         trace: bool = False,
+        store: Optional[CycleStore] = None,
     ) -> RunReport:
         """Run the requested experiments and merge their results.
 
         With ``trace`` every cell runs under the sim-time tracer in whatever
         worker it lands (see :func:`~repro.runner.cells.execute_cell`); the
         fragments come back in canonical cell order like everything else.
+        ``store`` carries executed cycles on to later runs (a ``Session``
+        passes its own); without it a run shares only within itself.
         """
         config = config or RunConfig()
         specs = [get_scenario(name) for name in experiments]
         cells = self.enumerate(experiments, config, selectors)
         t0 = time.perf_counter()
-        cell_results = self._execute(cells, trace)
+        cell_results = self._execute(cells, trace, CycleStore() if store is None else store)
         wall = time.perf_counter() - t0
         report = RunReport(
             cell_results=cell_results,
@@ -148,29 +174,39 @@ class ParallelRunner:
             report.results.append(spec.merge(mine))
         return report
 
-    def _execute(self, cells: List[Cell], trace: bool) -> List[CellResult]:
-        if self.workers == 1 or len(cells) <= 1:
-            results = []
-            for index, cell in enumerate(cells):
-                result = execute_cell(cell, trace)
-                results.append(result)
-                if self.progress is not None:
-                    self.progress(index + 1, len(cells), result)
-            return results
-        return self._execute_pool(cells, trace)
+    def _execute(self, cells: List[Cell], trace: bool, store: CycleStore) -> List[CellResult]:
+        """Report every cell, executing each cycle the store does not hold once."""
+        waiting: Dict[Hashable, List[int]] = {}
+        runs: Dict[Hashable, Cell] = {}
+        for index, cell in enumerate(cells):
+            cycle = cell.cycle()
+            key = (cycle.key, cycle.func, tuple(sorted(cycle.params.items())), trace)
+            waiting.setdefault(key, []).append(index)
+            if key not in runs and cell.experiment not in store.get(key, (None, ()))[1]:
+                runs[key] = cycle
+        results: Dict[int, CellResult] = {}
 
-    def _execute_pool(self, cells: List[Cell], trace: bool) -> List[CellResult]:
-        results: List[Optional[CellResult]] = [None] * len(cells)
-        done = 0
-        with ProcessPoolExecutor(max_workers=min(self.workers, len(cells))) as pool:
-            pending = {pool.submit(execute_cell, cell, trace): i for i, cell in enumerate(cells)}
+        def report(key: Hashable) -> None:
+            for index in waiting[key]:
+                results[index] = store.take(key, cells[index])
+                if self.progress is not None:
+                    self.progress(len(results), len(cells), results[index])
+
+        for key in [key for key in waiting if key not in runs]:
+            report(key)
+        for key, executed in self._run_cycles(runs, trace):
+            store[key] = (executed, reporters(executed.experiment))
+            report(key)
+        return [results[index] for index in range(len(cells))]
+
+    def _run_cycles(self, runs: Dict[Hashable, Cell], trace: bool) -> Iterator[tuple]:
+        if self.workers == 1 or len(runs) <= 1:
+            for key, cell in runs.items():
+                yield key, execute_cell(cell, trace)
+            return
+        with ProcessPoolExecutor(max_workers=min(self.workers, len(runs))) as pool:
+            pending = {pool.submit(execute_cell, cell, trace): key for key, cell in runs.items()}
             while pending:
                 finished, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for future in finished:
-                    index = pending.pop(future)
-                    result = future.result()  # re-raises worker failures
-                    results[index] = result
-                    done += 1
-                    if self.progress is not None:
-                        self.progress(done, len(cells), result)
-        return [r for r in results if r is not None]
+                    yield pending.pop(future), future.result()  # re-raises worker failures

@@ -13,7 +13,7 @@ override parser introspect the same objects for their axes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.util.errors import ConfigurationError
 
@@ -74,6 +74,11 @@ def get_scenario(name: str) -> "ScenarioSpec":
         raise ConfigurationError(
             f"unknown scenario {name!r} (known: {', '.join(scenario_names()) or 'none'})"
         ) from None
+
+
+def reporters(source: str) -> Set[str]:
+    """``source`` and the registered scenarios that report views of its cells."""
+    return {source} | {spec.name for spec in _REGISTRY.values() if spec.view_of == source}
 
 
 def scenario_names() -> List[str]:

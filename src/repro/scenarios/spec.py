@@ -9,7 +9,8 @@ registry the parallel runner executes from; the paper's figures and the
 beyond-paper scenarios are all instantiations of this one layer.
 
 Determinism contract: a cell's identity is ``(scenario name, key parts)``
-and nothing else -- the per-cell RNG seed derives from it (see
+-- the source scenario's name for a view -- and nothing else; the per-cell
+RNG seed derives from it (see
 :class:`repro.runner.cells.Cell`), so two specs that enumerate the same keys
 with the same parameters produce bit-identical results regardless of how the
 spec was composed (directly, via :meth:`ScenarioSpec.with_axis_values`, or
@@ -138,6 +139,9 @@ class ScenarioSpec:
     cell_func: Callable[..., CellPayload]
     #: merge executed cells back into canonical rows
     merge: MergeFn
+    #: the scenario whose cycles this one reports, and the payload view
+    view_of: Optional[str] = None
+    view: Optional[Callable[[CellPayload], CellPayload]] = None
 
     # -- validation --------------------------------------------------------------------
 
@@ -156,6 +160,8 @@ class ScenarioSpec:
             )
         if not self.key_axes:
             raise ConfigurationError(f"scenario {self.name!r} needs at least one key axis")
+        if (self.view_of is None) != (self.view is None):
+            raise ConfigurationError(f"scenario {self.name!r} needs both view_of and view")
 
     # -- composition -------------------------------------------------------------------
 
@@ -215,6 +221,8 @@ class ScenarioSpec:
                 parts=tuple(self.axis(name).fmt(point[name]) for name in self.key_axes),
                 func=self.cell_func,
                 params=dict(point, spec=cluster_spec),
+                source=self.view_of,
+                view=self.view,
             )
             for point in self.sweep_points(paper_scale)
         ]

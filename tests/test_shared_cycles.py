@@ -1,20 +1,28 @@
 """fig2 and fig3 report two phases of one deploy -> checkpoint -> restart cycle.
 
-The safety net of running that cycle once: a fig2 record does not depend
-on whether its fig3 twin runs beside it, and a byte corrupted in the
+fig2 is a view of fig3: one runner call, or one ``Session``, executes each
+cycle once and reports it through both.  A fig2 record does not depend on
+whether its fig3 twin runs beside it, and a byte corrupted in the
 checkpointed content after the checkpoint turns the cycle's
 ``restored_ok`` -- seen through either scenario -- ``False``.
 """
 
+import dataclasses
+import gc
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.api import Session
 from repro.apps.synthetic import SyntheticBenchmark
 from repro.baselines.common import BASE_IMAGE_FILE
-from repro.runner import ParallelRunner, RunConfig, load_all, parse_selectors
+from repro.runner import CellResult, ParallelRunner, RunConfig, load_all
+from repro.runner import parallel, parse_selectors
+from repro.scenarios import get_scenario
 from repro.scenarios.workloads import APPROACHES
 from repro.util.bytesource import LiteralBytes, concat
+from repro.util.errors import ConfigurationError
 
 
 def _smallest(experiment, approach):
@@ -96,16 +104,90 @@ def test_a_corrupted_checkpoint_does_not_restore(approach, corrupted):
     assert _run(["fig3"], [key])[key].payload["restored_ok"] is False
 
 
-_FIG2_XFAIL = pytest.mark.xfail(strict=True, reason="fig2 stops before the restart")
-
-
-@pytest.mark.parametrize(
-    "approach",
-    [
-        pytest.param(a, marks=_FULL_XFAIL if a == "qcow2-full" else _FIG2_XFAIL)
-        for a in APPROACHES
-    ],
-)
+@pytest.mark.parametrize("approach", _APPROACHES)
 def test_a_corrupted_checkpoint_does_not_restore_through_fig2(approach, corrupted):
     key = _smallest("fig2", approach)
     assert _run(["fig2"], [key])[key].payload["restored_ok"] is False
+
+
+@pytest.fixture
+def executed(monkeypatch):
+    """The keys of the cells the runner executes, in this process or in a pool
+    (which cannot pickle an in-process spy, so its submissions are counted)."""
+    keys = []
+    execute_cell = parallel.execute_cell
+
+    def spy(cell, trace=False):
+        keys.append(cell.key)
+        return execute_cell(cell, trace)
+
+    class Pool(ProcessPoolExecutor):
+        def submit(self, fn, cell, *args):
+            keys.append(cell.key)
+            return super().submit(execute_cell, cell, *args)
+
+    monkeypatch.setattr(parallel, "execute_cell", spy)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", Pool)
+    return keys
+
+
+def _rows(experiment, keys):
+    load_all()
+    report = ParallelRunner().run([experiment], RunConfig(), parse_selectors(keys))
+    return json.dumps(report.results[0].rows)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_call_executes_a_cell_and_its_twin_once(workers, executed):
+    fig2 = [_smallest("fig2", approach) for approach in ("BlobCR-app", "qcow2-full")]
+    fig3 = [key.replace("fig2", "fig3") for key in fig2]
+    load_all()
+    selectors = parse_selectors(fig2 + fig3)
+    together = ParallelRunner(workers).run(["fig2", "fig3"], RunConfig(), selectors)
+    assert sorted(executed) == fig3
+    assert [result.key for result in together.cell_results] == fig2 + fig3
+    for merged, cells in zip(together.results, (fig2, fig3)):
+        assert json.dumps(merged.rows) == _rows(merged.experiment, cells)
+
+
+def test_a_session_runs_each_cycle_once_for_both_scenarios(executed):
+    session, records = Session(), []
+    fig3 = [_smallest("fig3", approach) for approach in APPROACHES]
+    calls = [("fig2", [key.replace("fig3", "fig2") for key in fig3]), ("fig3", fig3)]
+
+    def record(_done, _total, result):
+        records.append(result.key)
+
+    reports = [session.run_scenario(name, cells=cells, progress=record) for name, cells in calls]
+    assert executed == fig3  # five executions ...
+    assert records == calls[0][1] + fig3  # ... for ten records
+    session.run_scenario("fig3", cells=fig3)
+    assert executed == fig3 + fig3  # a second call runs its cells again
+    for report, (name, cells) in zip(reports, calls):
+        assert json.dumps(report.rows) == _rows(name, cells)
+
+
+def _reachable(root):
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen and not isinstance(obj, type):
+            seen.add(id(obj))
+            yield obj
+            stack.extend(gc.get_referents(obj))
+
+
+def test_the_store_keeps_plain_data_only():
+    session = Session()
+    session.trace("fig2", cells=[_smallest("fig2", "BlobCR-app")])
+    session.run_scenario("fig2", cells=[_smallest("fig2", "qcow2-disk-app")])
+    assert len(session._cycles) == 2
+    plain = {CellResult, dict, list, tuple, set, str, int, float, bool, type(None)}
+    held = list(session._cycles.values())
+    assert {type(obj) for obj in _reachable(held)} <= plain
+
+
+def test_a_view_names_both_its_source_and_its_view():
+    fig2 = get_scenario("fig2")
+    with pytest.raises(ConfigurationError, match="view_of and view"):
+        dataclasses.replace(fig2, view=None).validate()
