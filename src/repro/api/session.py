@@ -42,8 +42,9 @@ from repro.core.backends import BackendInfo, backend_names, create_backend, get_
 from repro.core.gc import GCReport, SnapshotGarbageCollector
 from repro.core.strategy import DeployedInstance, Deployment
 from repro.obs import merge_rollups
-from repro.runner import CycleStore, ParallelRunner, load_all, resolve_run_inputs
+from repro.runner import ParallelRunner, load_all, resolve_run_inputs
 from repro.runner.artifact import build_artifact, validate_artifact
+from repro.runner.parallel import CycleStore
 from repro.util.bytesource import ByteSource, LiteralBytes
 from repro.util.config import GRAPHENE, ClusterSpec
 from repro.util.errors import ConfigurationError, RestartError

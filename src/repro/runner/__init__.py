@@ -28,7 +28,7 @@ from repro.runner.artifact import (
     write_artifact,
 )
 from repro.runner.cells import Cell, CellResult, execute_cell
-from repro.runner.parallel import CycleStore, ParallelRunner, ProgressMeter, RunReport
+from repro.runner.parallel import ParallelRunner, ProgressMeter, RunReport
 from repro.runner.registry import RunConfig, load_all
 from repro.runner.select import CellSelector, filter_cells, parse_selectors, resolve_run_inputs
 
@@ -39,7 +39,6 @@ __all__ = [
     "Cell",
     "CellResult",
     "CellSelector",
-    "CycleStore",
     "ParallelRunner",
     "ProgressMeter",
     "RunConfig",

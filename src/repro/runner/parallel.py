@@ -99,12 +99,8 @@ class RunReport:
 
 
 class CycleStore(dict):
-    """Executed cycles: execution identity -> (result, scenarios yet to take it).
-
-    An entry leaves once every scenario reporting the cycle
-    (:func:`~repro.runner.registry.reporters`) has taken it.  It holds plain
-    data only: payload, counters and trace fragment.
-    """
+    """Execution identity -> (executed result, the :func:`reporters` yet to take
+    it); an entry leaves once they all have.  Plain data only, never a cloud."""
 
     def take(self, key: Hashable, cell: Cell) -> CellResult:
         """``cell``'s record of the cycle; only the first record carries its wall."""

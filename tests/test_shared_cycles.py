@@ -31,8 +31,11 @@ def _smallest(experiment, approach):
 
 def _run(experiments, keys):
     load_all()
-    report = ParallelRunner().run(experiments, RunConfig(), parse_selectors(keys))
-    return {result.key: result for result in report.cell_results}
+    return ParallelRunner().run(experiments, RunConfig(), parse_selectors(keys))
+
+
+def _payload(experiments, keys, key):
+    return {result.key: result for result in _run(experiments, keys).cell_results}[key].payload
 
 
 def _flip_a_middle_byte(data):
@@ -93,21 +96,21 @@ _APPROACHES = [pytest.param(a, marks=_FULL_XFAIL) if a == "qcow2-full" else a fo
 @pytest.mark.parametrize("approach", APPROACHES)
 def test_a_fig2_record_is_the_same_alone_or_beside_its_twin(approach):
     key = _smallest("fig2", approach)
-    alone = _run(["fig2"], [key])[key]
-    beside = _run(["fig2", "fig3"], [key, _smallest("fig3", approach)])[key]
-    assert json.dumps(alone.payload) == json.dumps(beside.payload)
+    alone = _payload(["fig2"], [key], key)
+    beside = _payload(["fig2", "fig3"], [key, _smallest("fig3", approach)], key)
+    assert json.dumps(alone) == json.dumps(beside)
 
 
 @pytest.mark.parametrize("approach", _APPROACHES)
 def test_a_corrupted_checkpoint_does_not_restore(approach, corrupted):
     key = _smallest("fig3", approach)
-    assert _run(["fig3"], [key])[key].payload["restored_ok"] is False
+    assert _payload(["fig3"], [key], key)["restored_ok"] is False
 
 
 @pytest.mark.parametrize("approach", _APPROACHES)
 def test_a_corrupted_checkpoint_does_not_restore_through_fig2(approach, corrupted):
     key = _smallest("fig2", approach)
-    assert _run(["fig2"], [key])[key].payload["restored_ok"] is False
+    assert _payload(["fig2"], [key], key)["restored_ok"] is False
 
 
 @pytest.fixture
@@ -132,9 +135,7 @@ def executed(monkeypatch):
 
 
 def _rows(experiment, keys):
-    load_all()
-    report = ParallelRunner().run([experiment], RunConfig(), parse_selectors(keys))
-    return json.dumps(report.results[0].rows)
+    return json.dumps(_run([experiment], keys).results[0].rows)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
