@@ -172,23 +172,23 @@ class ParallelRunner:
 
     def _execute(self, cells: List[Cell], trace: bool, store: CycleStore) -> List[CellResult]:
         """Report every cell, executing each cycle the store does not hold once."""
-        waiting: Dict[Hashable, List[int]] = {}
+        reporting: Dict[Hashable, List[int]] = {}
         runs: Dict[Hashable, Cell] = {}
         for index, cell in enumerate(cells):
             cycle = cell.cycle()
             key = (cycle.key, cycle.func, tuple(sorted(cycle.params.items())), trace)
-            waiting.setdefault(key, []).append(index)
+            reporting.setdefault(key, []).append(index)
             if key not in runs and cell.experiment not in store.get(key, (None, ()))[1]:
                 runs[key] = cycle
         results: Dict[int, CellResult] = {}
 
         def report(key: Hashable) -> None:
-            for index in waiting[key]:
+            for index in reporting[key]:
                 results[index] = store.take(key, cells[index])
                 if self.progress is not None:
                     self.progress(len(results), len(cells), results[index])
 
-        for key in [key for key in waiting if key not in runs]:
+        for key in [key for key in reporting if key not in runs]:
             report(key)
         for key, executed in self._run_cycles(runs, trace):
             store[key] = (executed, reporters(executed.experiment))
