@@ -284,6 +284,87 @@ def test_property_fs_survives_remount(files):
         assert remounted.read_file(path).read() == data
 
 
+# -- a table the file system wrote against the same bytes as a literal copy ---------------------
+
+_TABLE_PATH = st.one_of(
+    st.sampled_from(['/q"uo"te', "/back\\slash\\", "/ünï/çødé"]),
+    st.sampled_from(['/}, "x": {', "/a"]),
+    st.text('a"\\é中}{, :x', min_size=1, max_size=6).map(lambda name: "/" + name),
+)
+_TABLE_SIZE = st.sampled_from([0, 1, FS_BLOCK - 1, FS_BLOCK, FS_BLOCK + 1])
+
+
+def _table_bytes(device):
+    length = int.from_bytes(device.read(0, 8).read(), "little")
+    return device.read(0, 8 + length).read()
+
+
+def _outcome(call, *args):
+    """What ``call`` returns, or the type and text of what it raises."""
+    try:
+        return call(*args)
+    except Exception as exc:  # noqa: BLE001 - both file systems must fail alike
+        return type(exc), str(exc)
+
+
+def _view(fs):
+    """Everything a mounted file system shows of its files."""
+    return {
+        path: (
+            fs.stat(path),
+            fs.file_extents(path),
+            _outcome(lambda p: fs.read_file(p).read(), path),
+        )
+        for path in fs.listdir("/")
+    }
+
+
+def _mount_both(device, blob):
+    """Mount ``device`` and a fresh overlay of it holding ``blob`` as a literal table."""
+    twin = SparseDevice(device.size, block_size=64 * 1024, base=device)
+    twin.write(0, LiteralBytes(blob))
+    return twin, _outcome(GuestFileSystem.mount, device), _outcome(GuestFileSystem.mount, twin)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    files=st.dictionaries(_TABLE_PATH, _TABLE_SIZE, max_size=6),
+    rewrites=st.dictionaries(_TABLE_PATH, _TABLE_SIZE, max_size=3),
+    deletes=st.sets(_TABLE_PATH, max_size=2),
+    flip=st.tuples(st.integers(0, 10**6), st.integers(1, 255)),
+)
+@example(files={"/a": FS_BLOCK}, rewrites={}, deletes=set(), flip=(3, 1))  # a header byte
+def test_property_a_rendered_table_mounts_as_its_literal_copy(files, rewrites, deletes, flip):
+    """A file system mounted from the table its device holds and one mounted from
+    a byte copy of that table agree on every file, and write the same table back."""
+    fs, device = make_fs()
+    for round_files in (files, rewrites):
+        for index, (path, size) in enumerate(sorted(round_files.items())):
+            fs.write_file(path, SyntheticBytes(("table", path, index), size))
+        fs.sync()
+        for path in deletes & set(fs.listdir("/")):
+            fs.delete(path)
+    fs.sync()
+    blob = _table_bytes(device)
+    twin, mounted, copied = _mount_both(device, blob)
+    assert isinstance(mounted, GuestFileSystem) and isinstance(copied, GuestFileSystem)
+    assert mounted.listdir("/") == copied.listdir("/") == sorted(fs.listdir("/"))
+    assert _view(mounted) == _view(copied) == _view(fs)
+    assert mounted.sync() == copied.sync() == len(blob)  # nothing dirty: the table alone
+    assert _table_bytes(device) == _table_bytes(twin) == blob
+    # one flipped byte: the device and a copy of its bytes fail alike, or mount alike
+    position, mask = flip[0] % len(blob), flip[1]
+    blob = bytearray(blob)
+    blob[position] ^= mask
+    device.write(position, LiteralBytes(blob[position : position + 1]))
+    _twin, mounted, copied = _mount_both(device, bytes(blob))
+    if isinstance(mounted, GuestFileSystem) and isinstance(copied, GuestFileSystem):
+        assert mounted.listdir("/") == copied.listdir("/")
+        assert _view(mounted) == _view(copied)
+    else:
+        assert mounted == copied
+
+
 # -- what a sync puts on the device, and what it asks of the base: a model of the whole path ----
 
 NET_SIZE = METADATA_REGION + 2_000_003  # ends inside a block of every device below
