@@ -55,6 +55,48 @@ def _table_line(path: str, size: int, offset: int, length: int) -> str:
     return f'{_json_key(path)}: {{"extents": [[{offset}, {length}]], "size": {size}}}'
 
 
+#: one file of the inode table: path, flushed size, extent offset and length, and its line
+_Entry = Tuple[str, int, int, int, str]
+
+
+class _InodeTable(ByteSource):
+    """The inode table as its entries, sorted by path, and the allocator's mark.
+
+    Its bytes are ``json.dumps(table, sort_keys=True)`` and exist only while
+    something reads them: a snapshot keeps the entries, which successive
+    tables of one guest, and every guest of one base image, share.
+    """
+
+    __slots__ = ("entries", "next_free", "_size")
+
+    def __init__(self, entries: Tuple[_Entry, ...], next_free: int):
+        self.entries = entries
+        self.next_free = next_free
+        # the lines are ASCII (``json.dumps`` escapes the rest): characters are bytes
+        lines = sum(len(entry[4]) + 2 for entry in entries) - 2 * bool(entries)
+        self._size = len(f'{{"files": {{}}, "next_free": {next_free}}}') + lines
+
+    @property
+    def size(self) -> int:
+        return self._size
+
+    def read(self, offset: int = 0, length: int | None = None) -> bytes:
+        return self._read_filled(offset, length)
+
+    def _fill(self, offset: int, view: memoryview) -> None:
+        lines = ", ".join([entry[4] for entry in self.entries])
+        text = f'{{"files": {{{lines}}}, "next_free": {self.next_free}}}'.encode("utf-8")
+        view[:] = memoryview(text)[offset : offset + len(view)]
+
+    def slice(self, offset: int, length: int) -> ByteSource:
+        if offset == 0 and length == self._size:
+            return self
+        return LiteralBytes(self.read(offset, length))
+
+    def fingerprint(self) -> str:
+        return LiteralBytes(self.read()).fingerprint()
+
+
 @dataclass(slots=True)
 class _FileNode:
     """In-memory state of one file."""
@@ -70,8 +112,9 @@ class _FileNode:
     #: cached content (always present for dirty files)
     cached: Optional[ByteSource] = None
     dirty: bool = False
-    #: :func:`_table_line` of ``flushed_size`` and the extent, set where they change
-    line: str = ""
+    #: the file's :data:`_Entry` in the inode table, set where ``flushed_size``
+    #: or the extent change
+    entry: Optional[_Entry] = None
 
 
 class GuestFileSystem:
@@ -106,24 +149,31 @@ class GuestFileSystem:
         length = int.from_bytes(device.read(0, 8).read(), "little")
         if length <= 0 or length > METADATA_REGION - 8:
             raise FileSystemError("no valid file system found on the device")
-        payload = device.read(8, length).to_bytes()
-        try:
-            table = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FileSystemError(f"corrupted file-system metadata: {exc}") from exc
-        fs._next_free = int(table["next_free"])
-        for path, entry in table["files"].items():
-            size = int(entry["size"])
+        table = device.read(8, length)
+        if type(table) is _InodeTable:  # rendered by a file system: no text to parse
+            entries, fs._next_free = table.entries, table.next_free
+        else:  # a byte copy, a hand-written or a corrupted table
             try:
-                ((offset, length),) = entry["extents"]
-            except ValueError:
-                raise FileSystemError(
-                    f"corrupted file-system metadata: {path} does not have exactly one extent"
-                ) from None
-            offset, length = int(offset), int(length)
-            line = _table_line(path, size, offset, length)
+                parsed = json.loads(table.to_bytes().decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise FileSystemError(f"corrupted file-system metadata: {exc}") from exc
+            fs._next_free = int(parsed["next_free"])
+            entries = []
+            for path, entry in parsed["files"].items():
+                size = int(entry["size"])
+                try:
+                    ((offset, extent),) = entry["extents"]
+                except ValueError:
+                    raise FileSystemError(
+                        f"corrupted file-system metadata: {path} does not have exactly one extent"
+                    ) from None
+                offset, extent = int(offset), int(extent)
+                line = _table_line(path, size, offset, extent)
+                entries.append((path, size, offset, extent, line))
+        for entry in entries:
+            path, size, offset, extent, _line = entry
             # by position: keywords cost a mount half a microsecond per inode
-            fs._files[path] = _FileNode(path, size, size, offset, length, None, False, line)
+            fs._files[path] = _FileNode(path, size, size, offset, extent, None, False, entry)
         fs._mounted = True
         return fs
 
@@ -134,6 +184,7 @@ class GuestFileSystem:
     # -- path helpers --------------------------------------------------------------
 
     @staticmethod
+    @lru_cache(maxsize=4096)  # the guests of a cloud share their paths
     def _normalise(path: str) -> str:
         if not path or not path.startswith("/"):
             raise FileSystemError(f"paths must be absolute, got {path!r}")
@@ -290,28 +341,32 @@ class GuestFileSystem:
         content = node.cached if node.cached is not None else self._content_of(node)
         size = content.size
         fresh = size > node.on_disk_size or not node.on_disk_size
+        window = content
         if fresh:
             # Allocate a fresh contiguous extent for the whole file (the old
-            # one is abandoned, log-structured style).
+            # one is abandoned, log-structured style) and write it whole: the
+            # zeros after the content need nothing read from the device.
             node.offset, node.on_disk_size = self._allocate(max(size, 1))
-        pieces.append((node.offset, content))
+            if size:
+                window = concat([content, ZeroBytes(node.on_disk_size - size)])
+        pieces.append((node.offset, window))
         if fresh or size != node.flushed_size:
-            node.line = _table_line(node.path, size, node.offset, node.on_disk_size)
+            line = _table_line(node.path, size, node.offset, node.on_disk_size)
+            node.entry = (node.path, size, node.offset, node.on_disk_size, line)
         node.size = node.flushed_size = size
         node.dirty = False
         node.cached = None
         return size
 
     def _write_metadata(self, pieces: List[Tuple[int, ByteSource]]) -> int:
-        lines = ", ".join(
-            [node.line for _path, node in sorted(self._files.items()) if node.on_disk_size]
+        table = _InodeTable(
+            tuple([node.entry for _path, node in sorted(self._files.items()) if node.on_disk_size]),
+            self._next_free,
         )
-        payload = f'{{"files": {{{lines}}}, "next_free": {self._next_free}}}'.encode("utf-8")
-        if len(payload) + 8 > METADATA_REGION:
+        if table.size + 8 > METADATA_REGION:
             raise FileSystemError("inode table exceeds the metadata region")
-        blob = len(payload).to_bytes(8, "little") + payload
-        pieces.append((0, LiteralBytes(blob)))
-        return len(blob)
+        pieces.append((0, concat([LiteralBytes(table.size.to_bytes(8, "little")), table])))
+        return table.size + 8
 
     # -- accounting ---------------------------------------------------------------------
 

@@ -1,6 +1,8 @@
 """Unit and property tests for the guest environment."""
 
 import json
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +20,7 @@ from repro.guest import (
     blcr_restore,
     write_boot_noise,
 )
-from repro.guest.filesystem import FS_BLOCK, METADATA_REGION, _json_key
+from repro.guest.filesystem import FS_BLOCK, METADATA_REGION, _InodeTable, _json_key
 from repro.guest.osnoise import _boot_plan
 from repro.util import LiteralBytes, SyntheticBytes
 from repro.util.bytesource import content_equal
@@ -346,7 +348,15 @@ def test_property_a_rendered_table_mounts_as_its_literal_copy(files, rewrites, d
             fs.delete(path)
     fs.sync()
     blob = _table_bytes(device)
-    twin, mounted, copied = _mount_both(device, blob)
+    with (
+        mock.patch.object(json, "loads", wraps=json.loads) as parse,
+        mock.patch.object(_InodeTable, "_fill") as render,
+    ):
+        twin, mounted, copied = _mount_both(device, blob)
+    assert parse.call_count == 1 and not render.called  # the device's table is its entries
+    table = device.read(8, len(blob) - 8)
+    assert type(table) is _InodeTable
+    assert table.fingerprint() == LiteralBytes(blob[8:]).fingerprint()
     assert isinstance(mounted, GuestFileSystem) and isinstance(copied, GuestFileSystem)
     assert mounted.listdir("/") == copied.listdir("/") == sorted(fs.listdir("/"))
     assert _view(mounted) == _view(copied) == _view(fs)
@@ -422,16 +432,21 @@ class _FsModel:
         return len(payload).to_bytes(8, "little") + payload
 
     def flush(self, paths):
-        """Flush ``paths`` then the table; returns the written windows in order."""
+        """Flush ``paths`` then the table; returns the written windows in order.
+
+        A fresh extent of a non-empty file is written whole: its content,
+        then zeros to the extent's end."""
         windows = []
         for path in paths:
             node = self.nodes[path]
-            content = self.content(path)
+            content = window = self.content(path)
             if node[0] is None or len(content) > node[0][1]:
                 length = -(-max(len(content), 1) // FS_BLOCK) * FS_BLOCK
                 node[0] = (self.next_free, length)
                 self.next_free += length
-            windows.append((node[0][0], content))
+                if content:
+                    window = content.ljust(length, b"\0")
+            windows.append((node[0][0], window))
             node[1], node[2] = len(content), None
         windows.append((0, self.table_blob()))
         for offset, content in windows:
@@ -742,3 +757,16 @@ class TestOsNoise:
         monkeypatch.setattr(RunMap, "put", spy)
         write_boot_noise(fs, CheckpointSpec(), "vm-7")
         assert fs.dirty_files == [] and 1 <= len(puts) <= 2
+
+    def test_boot_noise_over_a_mirror_asks_its_base_for_nothing_under_the_noise(self):
+        """Fresh extents are written whole, so the blocks under the noise files are
+        never fetched: only those holding the table or the file system's older data."""
+        log = []
+        device, _content, _size = _net_device("mirror", log)
+        fs = GuestFileSystem.mount(device)
+        noise_start = METADATA_REGION + fs.used_bytes
+        del log[:]
+        spec = replace(CheckpointSpec(), os_noise_bytes=1_000_000, os_noise_files=24)
+        write_boot_noise(fs, spec, "vm-7")
+        assert fs.dirty_files == [] and len(fs.listdir("/")) == 3 + 24
+        assert log and all(offset < noise_start for offset, _length in log)
