@@ -50,13 +50,15 @@ class FileStat:
 _json_key = lru_cache(maxsize=4096)(json.dumps)
 
 
-def _table_line(path: str, size: int, offset: int, length: int) -> str:
-    """One file's line of the inode table, as ``json.dumps`` writes it with ``sort_keys``."""
-    return f'{_json_key(path)}: {{"extents": [[{offset}, {length}]], "size": {size}}}'
-
-
 #: one file of the inode table: path, flushed size, extent offset and length, and its line
 _Entry = Tuple[str, int, int, int, str]
+
+
+def _entry(path: str, size: int, offset: int, length: int) -> _Entry:
+    """One file's entry of the inode table; its line is what ``json.dumps``
+    writes for the file with ``sort_keys``."""
+    line = f'{_json_key(path)}: {{"extents": [[{offset}, {length}]], "size": {size}}}'
+    return (path, size, offset, length, line)
 
 
 class _InodeTable(ByteSource):
@@ -112,8 +114,7 @@ class _FileNode:
     #: cached content (always present for dirty files)
     cached: Optional[ByteSource] = None
     dirty: bool = False
-    #: the file's :data:`_Entry` in the inode table, set where ``flushed_size``
-    #: or the extent change
+    #: :func:`_entry` of ``flushed_size`` and the extent, set where they change
     entry: Optional[_Entry] = None
 
 
@@ -162,18 +163,16 @@ class GuestFileSystem:
             for path, entry in parsed["files"].items():
                 size = int(entry["size"])
                 try:
-                    ((offset, extent),) = entry["extents"]
+                    ((offset, length),) = entry["extents"]
                 except ValueError:
                     raise FileSystemError(
                         f"corrupted file-system metadata: {path} does not have exactly one extent"
                     ) from None
-                offset, extent = int(offset), int(extent)
-                line = _table_line(path, size, offset, extent)
-                entries.append((path, size, offset, extent, line))
+                entries.append(_entry(path, size, int(offset), int(length)))
         for entry in entries:
-            path, size, offset, extent, _line = entry
+            path, size, offset, length, _line = entry
             # by position: keywords cost a mount half a microsecond per inode
-            fs._files[path] = _FileNode(path, size, size, offset, extent, None, False, entry)
+            fs._files[path] = _FileNode(path, size, size, offset, length, None, False, entry)
         fs._mounted = True
         return fs
 
@@ -351,8 +350,7 @@ class GuestFileSystem:
                 window = concat([content, ZeroBytes(node.on_disk_size - size)])
         pieces.append((node.offset, window))
         if fresh or size != node.flushed_size:
-            line = _table_line(node.path, size, node.offset, node.on_disk_size)
-            node.entry = (node.path, size, node.offset, node.on_disk_size, line)
+            node.entry = _entry(node.path, size, node.offset, node.on_disk_size)
         node.size = node.flushed_size = size
         node.dirty = False
         node.cached = None
