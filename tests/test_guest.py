@@ -305,7 +305,7 @@ def _outcome(call, *args):
     """What ``call`` returns, or the type and text of what it raises."""
     try:
         return call(*args)
-    except Exception as exc:  # noqa: BLE001 - both file systems must fail alike
+    except Exception as exc:  # both file systems must fail alike, whatever the error
         return type(exc), str(exc)
 
 
