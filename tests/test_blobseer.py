@@ -237,7 +237,7 @@ class TestVersionManager:
         with pytest.raises(StorageError):
             vm.get(99)
 
-    def test_lineage_crosses_clone(self):
+    def test_a_clone_records_its_origin(self):
         vm = VersionManager()
         origin = vm.create_blob(1024)
         vm.publish(origin, size=0, incremental_bytes=0, parent=None)
@@ -245,9 +245,9 @@ class TestVersionManager:
         clone = vm.create_blob(1024, cloned_from=(origin, 1))
         vm.publish(clone, size=5, incremental_bytes=0, parent=None)
         vm.publish(clone, size=9, incremental_bytes=4, parent=(clone, 0))
-        chain = vm.lineage(clone, 1)
-        assert (origin, 1) in chain
-        assert chain[0] == (clone, 1)
+        assert vm.record(clone, 1).parent == (clone, 0)
+        assert vm.record(clone, 0).parent is None
+        assert vm.get(clone).cloned_from == (origin, 1)
 
     def test_invalid_chunk_size(self):
         with pytest.raises(StorageError):

@@ -6,6 +6,8 @@ land in that cloud's own trace group, and the cell's counters must be the
 fold of what each cloud counts on its own, however their events interleave.
 """
 
+from test_cluster import to_disk
+
 from repro.cluster.cloud import Cloud
 from repro.runner.cells import Cell, execute_cell
 from repro.sim.instrumentation import aggregate_counters
@@ -25,7 +27,7 @@ def _start_work(cloud, name):
 
     def body():
         for nbytes in BYTES[name]:
-            yield cloud.remote_write(src, dst, nbytes)
+            yield to_disk(cloud, src, dst, nbytes)
 
     return cloud.process(body(), name=f"work:{name}")
 

@@ -15,6 +15,11 @@ from repro.vdisk import SparseDevice
 SMALL = GRAPHENE.scaled(compute_nodes=6, service_nodes=2)
 
 
+def to_disk(cloud, src, dst, nbytes):
+    """Ship ``nbytes`` from node ``src`` onto ``dst``'s disk: the network path and that disk."""
+    return cloud.network.transfer(src, dst, nbytes, extra_channels=[cloud.node(dst).disk.channel])
+
+
 class TestCloud:
     def test_topology(self):
         cloud = Cloud(SMALL)
@@ -29,7 +34,7 @@ class TestCloud:
         done = {}
 
         def mover():
-            yield cloud.remote_write("node-000", "node-001", 55_000_000)
+            yield to_disk(cloud, "node-000", "node-001", 55_000_000)
             done["t"] = cloud.now
 
         cloud.process(mover())
@@ -70,7 +75,7 @@ class TestCloud:
 
         def mover():
             try:
-                yield cloud.remote_write("node-000", "node-001", 500_000_000)
+                yield to_disk(cloud, "node-000", "node-001", 500_000_000)
                 outcome["r"] = "done"
             except FailureInjected:
                 outcome["r"] = "failed"

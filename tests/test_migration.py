@@ -710,6 +710,22 @@ class TestSessionMigrate:
 # -- concurrent migrations -------------------------------------------------------------
 
 
+def migrate_concurrently(deployment, mapping, mode="pre-copy"):
+    """Simulation process: migrate each instance ``mapping`` names to its node,
+    all at once, and wait through ``await_all``: a failure interrupts the
+    sibling migrations before it propagates.  The results come in ``mapping``
+    order."""
+    procs = [
+        deployment.cloud.process(
+            deployment.migrate_instance(deployment.instance_by_id(instance_id), node, mode=mode),
+            name=f"migrate:{instance_id}",
+        )
+        for instance_id, node in mapping.items()
+    ]
+    results = yield from deployment.await_all(procs)
+    return [results[proc] for proc in procs]
+
+
 class TestMigrateAll:
     def test_two_instances_migrate_concurrently(self):
         cloud, deployment = make_deployment()
@@ -722,7 +738,7 @@ class TestMigrateAll:
                 inst.instance_id: target
                 for inst, target in zip(deployment.instances, targets)
             }
-            results = yield from deployment.migrate_all(mapping)
+            results = yield from migrate_concurrently(deployment, mapping)
             return mapping, results
 
         mapping, results = drive(cloud, scenario())
@@ -747,7 +763,7 @@ class TestMigrateAll:
                     inst.instance_id: target
                     for inst, target in zip(deployment.instances, targets)
                 }
-                results = yield from deployment.migrate_all(mapping, mode="post-copy")
+                results = yield from migrate_concurrently(deployment, mapping, mode="post-copy")
                 return results
 
             return [

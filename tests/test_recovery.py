@@ -10,6 +10,7 @@ direct rollback scenario that pins down which epoch survives.
 """
 
 import pytest
+from test_migration import migrate_concurrently
 
 from repro.apps.synthetic import STATE_PATH_TEMPLATE, SyntheticBenchmark
 from repro.baselines import Qcow2DiskDeployment, Qcow2FullDeployment
@@ -316,7 +317,7 @@ class TestMigrationFailurePaths:
             injector.fail_at(
                 cloud.now + 0.05, deployment.instances[0].node_name
             )
-            yield from deployment.migrate_all(mapping)
+            yield from migrate_concurrently(deployment, mapping)
 
         # No checkpoint ever ran: the first instance's failure cannot be
         # rolled back, and it takes the concurrent sibling migration down

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cluster import to_disk
 
 from repro.scenarios.workloads import run_synthetic_cell
 from repro.api import Session
@@ -491,7 +492,7 @@ def _transfer_cell(refs):
     refs.extend((weakref.ref(cloud), weakref.ref(cloud.env)))
     src, dst = cloud.compute_nodes[0].name, cloud.compute_nodes[1].name
     for nbytes in (2 * MB, 0, 1 * MB):
-        cloud.run(cloud.remote_write(src, dst, nbytes))
+        cloud.run(to_disk(cloud, src, dst, nbytes))
     return {"sim_time_s": cloud.now}
 
 

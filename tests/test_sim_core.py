@@ -336,7 +336,8 @@ class TestResource:
         queued = res.request()
         assert not queued.triggered
         res.release(queued)  # cancels the queued request
-        assert res.queue_length == 0
+        with pytest.raises(SimulationError, match="unknown request"):
+            res.release(queued)  # it left the queue
 
     def test_invalid_capacity(self):
         env = Environment()
