@@ -110,9 +110,9 @@ class StoredRun:
     #: per provider that has the run in its table, how many of its chunks
     #: that provider still holds
     held: Dict[str, int] = field(default_factory=dict)
-    #: how many providers the run was stored on; ``None`` once one of them
-    #: has left the manager.  While ``held`` has that many entries and
-    #: nothing was dropped, every chunk is where it was placed.
+    #: how many providers the run was stored on (``None`` until it is).
+    #: While ``held`` has that many entries and nothing was dropped, every
+    #: chunk is where it was placed.
     holders: Optional[int] = None
     #: what those tables file it under: ``(blob id, first chunk id, chunks)``,
     #: one tuple for all of them.  The count is part of it so that a chunk
@@ -312,14 +312,6 @@ class ProviderManager:
         self._providers[provider.provider_id] = provider
         provider._manager = self
         self._index_stale = True
-
-    def deregister(self, provider_id: str) -> None:
-        provider = self._providers.pop(provider_id, None)
-        if provider is not None:
-            provider._manager = None
-            self._index_stale = True
-            for run in provider._runs.values():
-                run.holders = None  # a holder readers cannot reach any more
 
     @property
     def total_used_bytes(self) -> int:

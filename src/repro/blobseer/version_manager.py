@@ -121,22 +121,3 @@ class VersionManager:
         if version is None:
             return self.latest(blob_id).size
         return self.record(blob_id, version).size
-
-    def lineage(self, blob_id: int, version: int) -> List[Tuple[int, int]]:
-        """Chain of ``(blob, version)`` ancestors from the given version to the root."""
-        chain: List[Tuple[int, int]] = []
-        cursor: Optional[Tuple[int, int]] = (blob_id, version)
-        while cursor is not None:
-            chain.append(cursor)
-            blob, ver = cursor
-            info = self._blobs.get(blob)
-            if info is None:
-                break
-            try:
-                rec = info.record(ver)
-            except VersionNotFoundError:
-                break
-            cursor = rec.parent
-            if cursor is None and info.cloned_from is not None and ver == 0:
-                cursor = info.cloned_from
-        return chain

@@ -141,16 +141,6 @@ class Cloud:
 
     # -- composite I/O helpers -----------------------------------------------------------
 
-    def remote_write(self, src: str, dst: str, nbytes: float, label: str = "") -> Event:
-        """Ship ``nbytes`` from node ``src`` and persist them on ``dst``'s disk."""
-        dst_node = self.node(dst)
-        dst_node.check_alive()
-        self.node(src).check_alive()
-        return self.network.transfer(
-            src, dst, nbytes, label=label or f"remote-write:{src}->{dst}",
-            extra_channels=[dst_node.disk.channel],
-        )
-
     def remote_read(self, src: str, dst: str, nbytes: float, label: str = "") -> Event:
         """Read ``nbytes`` stored on ``src``'s disk into node ``dst``."""
         src_node = self.node(src)

@@ -35,7 +35,7 @@ from repro.core.proxy import CheckpointProxy
 from repro.core.repository import CheckpointRepository
 from repro.core.strategy import CheckpointRecord, DeployedInstance, Deployment
 from repro.guest.filesystem import METADATA_REGION
-from repro.util.errors import CheckpointError, FailureInjected, MigrationError, RestartError
+from repro.util.errors import CheckpointError, FailureInjected, RestartError
 from repro.vdisk.raw import RawImage
 
 
@@ -416,27 +416,6 @@ class BlobCRDeployment(Deployment):
             prefetched_blocks=pump.prefetched_blocks,
             prefetched_bytes=pump.prefetched_bytes,
         )
-
-    def migrate_all(self, target_nodes: Dict[str, str], mode: str = "pre-copy") -> Generator:
-        """Simulation process: migrate several instances concurrently.
-
-        ``target_nodes`` maps instance ids to destination nodes.  A failure
-        that cannot be rolled back (no durable round yet) interrupts the
-        sibling migrations before propagating, exactly like the checkpoint
-        and restart phases do.
-        """
-        targets = [self.instance_by_id(instance_id) for instance_id in target_nodes]
-        if not targets:
-            raise MigrationError("no instance selected for migration")
-        procs = [
-            self.cloud.process(
-                self.migrate_instance(inst, target_nodes[inst.instance_id], mode=mode),
-                name=f"migrate:{inst.instance_id}",
-            )
-            for inst in targets
-        ]
-        results = yield from self.await_all(procs)
-        return [results[proc] for proc in procs]
 
     # -- the post-copy demand channel --------------------------------------------------------
 

@@ -91,11 +91,6 @@ class MirroringModule(BlockDevice):
     # -- introspection ----------------------------------------------------------------------
 
     @property
-    def locally_modified_bytes(self) -> int:
-        """Bytes of local copy-on-write content accumulated since deployment."""
-        return self._local.allocated_bytes
-
-    @property
     def dirty_bytes(self) -> int:
         """Upper bound of bytes the next COMMIT will ship."""
         return self.dirty.dirty_bytes

@@ -19,7 +19,7 @@ system, both of which end up on the virtual disk.  This package provides:
   overhead in Figure 4.
 """
 
-from repro.guest.filesystem import FileStat, GuestFileSystem
+from repro.guest.filesystem import GuestFileSystem
 from repro.guest.process import GuestProcess, ProcessState
 from repro.guest.blcr import blcr_dump, blcr_restore
 from repro.guest.vm import VMInstance, VMState
@@ -27,7 +27,6 @@ from repro.guest.osnoise import write_boot_noise
 
 __all__ = [
     "GuestFileSystem",
-    "FileStat",
     "GuestProcess",
     "ProcessState",
     "blcr_dump",

@@ -12,11 +12,11 @@ the paper depends on:
    checkpoint (Section 2.2 of the paper).
 
 2. **A page cache with an explicit ``sync``.**  Writes are buffered in memory
-   and only reach the device on :meth:`GuestFileSystem.sync` (or when a file
-   is explicitly flushed), as one vectored write of the dirty files and the
-   inode table.  BlobCR's extended checkpoint protocol calls
-   ``sync`` right before requesting a disk snapshot; skipping it produces a
-   snapshot that misses recent writes, which the tests exercise.
+   and only reach the device on :meth:`GuestFileSystem.sync`, as one
+   vectored write of the dirty files and the inode table.  BlobCR's extended
+   checkpoint protocol calls ``sync`` right before requesting a disk
+   snapshot; skipping it produces a snapshot that misses recent writes,
+   which the tests exercise.
 """
 
 from __future__ import annotations
@@ -34,16 +34,6 @@ from repro.vdisk.blockdev import BlockDevice
 METADATA_REGION = 4 * 1024 * 1024
 #: allocation granularity for file extents
 FS_BLOCK = 4096
-
-
-@dataclass(frozen=True)
-class FileStat:
-    """Result of :meth:`GuestFileSystem.stat`."""
-
-    path: str
-    size: int
-    on_disk_size: int
-    dirty: bool
 
 
 #: the JSON text of an inode-table key; the guests of a cloud share their paths
@@ -198,7 +188,7 @@ class GuestFileSystem:
         """Create or overwrite (or append to) a file in the page cache.
 
         Returns the new file size.  Data reaches the device only on
-        :meth:`sync` / :meth:`fsync`.
+        :meth:`sync`.
         """
         self._require_mounted()
         path = self._normalise(path)
@@ -276,44 +266,22 @@ class GuestFileSystem:
             raise FileSystemError(f"no such file: {path}")
         return [(node.offset, node.on_disk_size)] if node.on_disk_size else []
 
-    def stat(self, path: str) -> FileStat:
-        self._require_mounted()
-        path = self._normalise(path)
-        node = self._files.get(path)
-        if node is None:
-            raise FileSystemError(f"no such file: {path}")
-        return FileStat(path=path, size=node.size, on_disk_size=node.on_disk_size, dirty=node.dirty)
-
     # -- persistence -----------------------------------------------------------------
 
     @property
     def dirty_files(self) -> List[str]:
         return sorted(p for p, n in self._files.items() if n.dirty)
 
-    @property
-    def dirty_bytes(self) -> int:
-        """Bytes of cached data waiting to be flushed."""
-        return sum(n.size for n in self._files.values() if n.dirty)
-
-    def fsync(self, path: str) -> int:
-        """Flush one file to the device; returns the bytes written."""
-        self._require_mounted()
-        path = self._normalise(path)
-        node = self._files.get(path)
-        if node is None:
-            raise FileSystemError(f"no such file: {path}")
-        return self._flush([node])[0]
-
     def sync(self) -> int:
         """Flush every dirty file and the inode table; returns bytes written."""
         self._require_mounted()
-        written = sum(self._flush([node for node in self._files.values() if node.dirty]))
+        written = self._flush([node for node in self._files.values() if node.dirty])
         self.sync_count += 1
         return written
 
-    def _flush(self, nodes: Sequence[_FileNode]) -> Tuple[int, int]:
+    def _flush(self, nodes: Sequence[_FileNode]) -> int:
         """Put ``nodes`` and the inode table on the device as one vectored
-        write; returns the bytes of file content and of table written.
+        write; returns the bytes of file content and table written.
 
         What was gathered when an allocation or the table fails still reaches
         the device, as it did when every file was its own write.
@@ -321,7 +289,7 @@ class GuestFileSystem:
         pieces: List[Tuple[int, ByteSource]] = []
         try:
             written = sum(self._flush_node(node, pieces) for node in nodes)
-            return written, self._write_metadata(pieces)
+            return written + self._write_metadata(pieces)
         finally:
             self.device.writev(pieces)
 

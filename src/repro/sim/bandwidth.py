@@ -27,11 +27,11 @@ and abort therefore settles and re-allocates only the component it touches:
 * **Components** live in an incremental union-find over channels: every busy
   channel points at its :class:`_Component`, whose ``flows`` list is exact
   and sorted by flow index.  An attach unions the components of the flow's
-  channels (``Cloud.remote_write`` bridges a disk's local I/O into the
-  network's).  A component is never split, only drained: filling gives
-  each disjoint group in it its own rates bit for bit, and only settle
-  times are shared, so fabrics that no flow bridges while both are busy
-  do not move each other's completion times by an ulp.
+  channels (``Cloud.remote_read``, the post-copy pump's fetch, bridges a
+  disk's local I/O into the network's).  A component is never split, only
+  drained: filling gives each disjoint group in it its own rates bit for
+  bit, and only settle times are shared, so fabrics that no flow bridges
+  while both are busy do not move each other's completion times by an ulp.
 * **Flow state as arrays.**  A :class:`Flow` is a handle: its remaining
   bytes as of its last settle, its rate, its settle time and its deadline
   live in four float64 arrays of its :class:`BandwidthSystem`, at the flow's

@@ -31,11 +31,6 @@ class Resource:
         self._users: set[Event] = set()
         self._waiting: Deque[Event] = deque()
 
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._waiting)
-
     def request(self) -> Event:
         """A claim on one slot: an event that fires once the slot is held."""
         env = self.env

@@ -112,10 +112,6 @@ class QcowImage(BlockDevice):
     # -- file size accounting -----------------------------------------------------
 
     @property
-    def allocated_clusters(self) -> int:
-        return self._allocated_clusters
-
-    @property
     def metadata_size(self) -> int:
         """Header + L1/L2 tables + refcount blocks, rounded up to clusters."""
         l2_entries = self._allocated_clusters
@@ -131,11 +127,6 @@ class QcowImage(BlockDevice):
         data = self._allocated_clusters * self.cluster_size
         vm_state = sum(s.vm_state_size for s in self._snapshots.values())
         return self.metadata_size + data + vm_state
-
-    @property
-    def guest_visible_bytes(self) -> int:
-        """Bytes of guest data currently mapped by the active table."""
-        return self._map.block_count() * self.cluster_size
 
     # -- internal snapshots (savevm) ---------------------------------------------------
 
@@ -194,12 +185,6 @@ class QcowImage(BlockDevice):
         latest = max((s.sequence for s in self._snapshots.values()), default=0)
         copy._sequence = itertools.count(latest + 1)
         return copy
-
-    def rebase(self, backing: Optional[BlockDevice]) -> None:
-        """Point the image at a different backing device (``qemu-img rebase -u``)."""
-        if backing is not None and backing.size > self._size:
-            raise StorageError("backing image larger than the overlay image")
-        self.backing = backing
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

@@ -3,7 +3,7 @@
 Arbitrary sequences of the operations that reach a data provider -- batched
 client writes (aligned, unaligned, overlapping, short last stripe), clones,
 releases of a range of a stored run, snapshot collection, fail-stop crashes,
-deregistrations and re-registrations under a used id, reads -- are replayed on
+reads -- are replayed on
 a test-local model that knows, per stored run, which provider holds which of
 its chunks and how many bytes that takes, and per published version which
 chunk of which run holds each stripe (the put/get round trip of the blob-store
@@ -11,7 +11,7 @@ suites in ``SNIPPETS.md``, generalised).  After every operation
 
 * every published version reads back as the ``bytearray`` it was built from,
   or raises ``ChunkNotFoundError`` naming the first stripe whose chunk no
-  registered live provider of its placement holds any more;
+  live provider of its placement holds any more;
 * every provider's ``used_bytes`` is what the model's (run, chunk, provider)
   entries add up to;
 * every run table counts, per run, the placed chunks minus the released ones,
@@ -23,7 +23,7 @@ and a release or a collection done twice frees nothing the second time.
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blobseer import BlobClient, Chunk, ChunkKey, DataProvider, ProviderManager
@@ -39,10 +39,12 @@ class Harness:
 
     def __init__(self, capacities, replication):
         self.manager = ProviderManager(replication=replication)
-        self.providers = []  # every provider ever registered, registration order
-        self.registered = []
-        for index, capacity in enumerate(capacities):
-            self._register(DataProvider(f"node-{index}", capacity=capacity))
+        self.providers = [
+            DataProvider(f"node-{index}", capacity=capacity)
+            for index, capacity in enumerate(capacities)
+        ]
+        for provider in self.providers:
+            self.manager.register(provider)
         self.client = BlobClient(providers=self.manager, default_chunk_size=CHUNK)
         self.blobs = [self.client.create_blob()]
         #: (blob, version) -> content, for every published version
@@ -55,29 +57,20 @@ class Harness:
         #: replica a provider holds
         self.held = {}
 
-    def _register(self, provider):
-        self.manager.register(provider)
-        self.providers.append(provider)
-        self.registered.append(True)
-
     def model_of(self, provider_id):
-        """Index of the registered provider of that id (a deregistered one may share it)."""
+        """Index of the provider of that id."""
         return next(
             index
             for index, provider in enumerate(self.providers)
-            if self.registered[index] and provider.provider_id == provider_id
+            if provider.provider_id == provider_id
         )
 
     def used(self, index):
         return sum(nbytes for (_run, _i, p), nbytes in self.held.items() if p == index)
 
     def holders(self, run, index):
-        """Indices of the registered providers a reader can get that chunk from."""
-        return [
-            p
-            for (r, i, p) in self.held
-            if (r, i) == (run, index) and self.registered[p] and self.providers[p].alive
-        ]
+        """Indices of the providers a reader can get that chunk from."""
+        return [p for (r, i, p) in self.held if (r, i) == (run, index) and self.providers[p].alive]
 
     def key_of(self, run, index):
         stored = self.stored[run]
@@ -180,8 +173,8 @@ class Harness:
         self.maps[(clone, 0)] = self.maps[(blob, version)]
 
     def release(self, run_pick, first_pick, count_pick):
-        """Chunks ``first .. stop - 1`` of a stored run leave every registered
-        live provider that still holds them; a second call finds nothing."""
+        """Chunks ``first .. stop - 1`` of a stored run leave every live
+        provider that still holds them; a second call finds nothing."""
         if not self.stored:
             return
         number = run_pick % len(self.stored)
@@ -238,24 +231,6 @@ class Harness:
         self.providers[index].fail()
         self.held = {entry: n for entry, n in self.held.items() if entry[2] != index}
 
-    def deregister(self, provider_pick):
-        index = provider_pick % len(self.providers)
-        if self.registered[index]:
-            self.manager.deregister(self.providers[index].provider_id)
-            self.registered[index] = False
-
-    def replace(self, provider_pick):
-        """Register an empty provider under the id of a deregistered one: it
-        holds nothing of what was placed on that id."""
-        index = provider_pick % len(self.providers)
-        old = self.providers[index]
-        if any(
-            self.registered[i] and p.provider_id == old.provider_id
-            for i, p in enumerate(self.providers)
-        ):
-            return
-        self._register(DataProvider(old.provider_id, capacity=old.capacity))
-
     # -- the model's predictions ---------------------------------------------------------------
 
     def expected_read(self, blob, version, offset, size):
@@ -292,7 +267,7 @@ class Harness:
             entries = [n for (_run, _i, p), n in self.held.items() if p == index]
             assert provider.used_bytes == sum(entries)
         assert self.manager.total_used_bytes == sum(
-            self.used(index) for index in range(len(self.providers)) if self.registered[index]
+            self.used(index) for index in range(len(self.providers))
         )
         # a table names exactly the runs its provider still holds a chunk of,
         # counting the placed chunks minus the released ones; a run keeps its
@@ -341,24 +316,11 @@ OPERATION = st.one_of(
         st.lists(st.tuples(PICK, PICK), max_size=2),
     ),
     st.tuples(st.just("fail"), PICK),
-    st.tuples(st.just("deregister"), PICK),
-    st.tuples(st.just("replace"), PICK),
     st.tuples(st.just("read"), PICK, PICK, PICK, PICK),
 )
 
 
 @settings(max_examples=250, deadline=None)
-# the only provider leaves the manager holding every chunk of two runs none of
-# which was released: nothing of either version can be read any more
-@example(
-    capacities=[24],
-    replication=1,
-    operations=[
-        ("write", 0, [(0, 1, 0, False)]),
-        ("write", 0, [(CHUNK, 2 * CHUNK, 1, False)]),
-        ("deregister", 0),
-    ],
-)
 @given(
     capacities=st.lists(st.sampled_from([24, 64, 400, 10**9]), min_size=1, max_size=8),
     replication=st.integers(1, 3),
@@ -397,22 +359,19 @@ def three_providers(replication=1):
     return manager, BlobClient(providers=manager, default_chunk_size=CHUNK), providers
 
 
-def test_release_passes_over_what_is_not_registered_alive_and_holding_the_run():
-    """The oracle run's rarest sequence, pinned: a run on four providers of which
-    one is deregistered and replaced by an empty one under its id and one has
-    failed; a release drops what the other two hold, twice over nothing more."""
+def test_release_passes_over_a_failed_provider():
+    """A run on four providers of which one has failed: a release drops what the
+    other three hold, twice over nothing more, and then the run is gone."""
     harness = Harness([10**9] * 4, replication=1)
     harness.write(0, [(0, 8 * CHUNK, 1, False)])  # two stripes on each provider
     (run,) = harness.stored
-    harness.deregister(0)
-    harness.replace(0)
     harness.fail(1)
     harness.check()
     harness.release(0, 0, 2)  # stripes 0..2
     harness.check()
-    harness.release(0, 0, 7)  # the whole run: what is left of it on two providers
+    harness.release(0, 0, 7)  # the whole run: what is left of it on three providers
     harness.check()
-    assert len(run.held) == 1 and run.payload is not None  # the deregistered one keeps its two
+    assert not run.held and run.payload is None
     assert harness.manager.total_used_bytes == 0
 
 
