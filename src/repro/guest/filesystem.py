@@ -146,19 +146,23 @@ class GuestFileSystem:
         else:  # a byte copy, a hand-written or a corrupted table
             try:
                 parsed = json.loads(table.to_bytes().decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                fs._next_free = next_free = int(parsed["next_free"])
+                if not METADATA_REGION <= next_free <= device.size:
+                    raise ValueError(f"next_free {next_free} is outside the data region")
+                entries = []
+                for path, entry in parsed["files"].items():
+                    if len(entry["extents"]) != 1:
+                        raise ValueError(f"{path} does not have exactly one extent")
+                    size, ((offset, length),) = int(entry["size"]), entry["extents"]
+                    offset, length = int(offset), int(length)
+                    if offset < METADATA_REGION or offset + length > next_free:
+                        raise ValueError(f"the extent of {path} is outside the allocated region")
+                    if not 0 <= size <= length:
+                        raise ValueError(f"{path} does not fit its extent")
+                    entries.append(_entry(path, size, offset, length))
+            except (ValueError, LookupError, TypeError, AttributeError) as exc:
+                # a JSON or UTF-8 error is a ValueError; the rest is a table of the wrong shape
                 raise FileSystemError(f"corrupted file-system metadata: {exc}") from exc
-            fs._next_free = int(parsed["next_free"])
-            entries = []
-            for path, entry in parsed["files"].items():
-                size = int(entry["size"])
-                try:
-                    ((offset, length),) = entry["extents"]
-                except ValueError:
-                    raise FileSystemError(
-                        f"corrupted file-system metadata: {path} does not have exactly one extent"
-                    ) from None
-                entries.append(_entry(path, size, int(offset), int(length)))
         for entry in entries:
             path, size, offset, length, _line = entry
             # by position: keywords cost a mount half a microsecond per inode

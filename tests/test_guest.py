@@ -37,6 +37,32 @@ def make_fs():
     return GuestFileSystem.format(device), device
 
 
+def _table(next_free=METADATA_REGION + FS_BLOCK, **fields):
+    """A table of one file, ``/f``: one byte in the first block of the data
+    region, but for ``fields`` (a field of ``None`` is left out)."""
+    entry = {"extents": [[METADATA_REGION, FS_BLOCK]], "size": 1, **fields}
+    entry = {key: value for key, value in entry.items() if value is not None}
+    return {"files": {"/f": entry}, "next_free": next_free}
+
+
+#: inode tables of the wrong shape, or that put the allocator's mark or a
+#: file where the file system did not allocate
+MALFORMED_TABLES = {
+    "a list": [1, 2],
+    "no next_free": {"files": {}},
+    "files as a list": {"files": [], "next_free": METADATA_REGION},
+    "a file without a size": _table(size=None),
+    "a size that is no number": _table(size="x"),
+    "an extent that is no pair": _table(extents=[5]),
+    "next_free in the metadata region": {"files": {}, "next_free": 1},
+    "next_free past the device": {"files": {}, "next_free": DEVICE_SIZE + 1},
+    "an extent in the metadata region": _table(extents=[[0, FS_BLOCK]]),
+    "an extent past next_free": _table(extents=[[METADATA_REGION, 2 * FS_BLOCK]]),
+    "a size past its extent": _table(size=FS_BLOCK + 1),
+    "a negative size": _table(size=-1),
+}
+
+
 class TestGuestFileSystem:
     def test_write_read_roundtrip(self):
         fs, _dev = make_fs()
@@ -245,6 +271,14 @@ class TestGuestFileSystem:
         dev.write(0, LiteralBytes(len(payload).to_bytes(8, "little") + payload))
         with pytest.raises(FileSystemError, match="/f does not have exactly one extent"):
             GuestFileSystem.mount(dev)
+
+    @pytest.mark.parametrize("table", MALFORMED_TABLES.values(), ids=list(MALFORMED_TABLES))
+    def test_a_malformed_table_is_refused(self, table):
+        device = SparseDevice(DEVICE_SIZE, block_size=256 * 1024)
+        payload = json.dumps(table).encode()
+        device.write(0, LiteralBytes(len(payload).to_bytes(8, "little") + payload))
+        with pytest.raises(FileSystemError, match="corrupted file-system metadata"):
+            GuestFileSystem.mount(device)
 
     def test_rewrite_in_place_does_not_leak_space(self):
         fs, _dev = make_fs()
