@@ -151,16 +151,23 @@ class GuestFileSystem:
                     raise ValueError(f"next_free {next_free} is outside the data region")
                 entries = []
                 for path, entry in parsed["files"].items():
-                    if len(entry["extents"]) != 1:
+                    if cls._normalise(path) != path:
+                        raise ValueError(f"{path!r} is not a normalised path")
+                    extents = entry["extents"]
+                    if len(extents) != 1:
                         raise ValueError(f"{path} does not have exactly one extent")
-                    size, ((offset, length),) = int(entry["size"]), entry["extents"]
-                    offset, length = int(offset), int(length)
+                    ((offset, length),) = extents
+                    size, offset, length = int(entry["size"]), int(offset), int(length)
                     if offset < METADATA_REGION or offset + length > next_free:
                         raise ValueError(f"the extent of {path} is outside the allocated region")
                     if not 0 <= size <= length:
                         raise ValueError(f"{path} does not fit its extent")
                     entries.append(_entry(path, size, offset, length))
-            except (ValueError, LookupError, TypeError, AttributeError) as exc:
+                spans = sorted((entry[2], entry[2] + entry[3]) for entry in entries)
+                for (_start, end), (start, _end) in zip(spans, spans[1:]):
+                    if start < end:
+                        raise ValueError(f"two extents overlap at {start}")
+            except (ValueError, LookupError, TypeError, AttributeError, FileSystemError) as exc:
                 # a JSON or UTF-8 error is a ValueError; the rest is a table of the wrong shape
                 raise FileSystemError(f"corrupted file-system metadata: {exc}") from exc
         for entry in entries:

@@ -37,12 +37,12 @@ def make_fs():
     return GuestFileSystem.format(device), device
 
 
-def _table(next_free=METADATA_REGION + FS_BLOCK, **fields):
-    """A table of one file, ``/f``: one byte in the first block of the data
-    region, but for ``fields`` (a field of ``None`` is left out)."""
+def _table(path="/f", next_free=METADATA_REGION + FS_BLOCK, **fields):
+    """A table of one file: one byte in the first block of the data region,
+    but for ``fields`` (a field of ``None`` is left out)."""
     entry = {"extents": [[METADATA_REGION, FS_BLOCK]], "size": 1, **fields}
     entry = {key: value for key, value in entry.items() if value is not None}
-    return {"files": {"/f": entry}, "next_free": next_free}
+    return {"files": {path: entry}, "next_free": next_free}
 
 
 #: inode tables of the wrong shape, or that put the allocator's mark or a
@@ -60,6 +60,13 @@ MALFORMED_TABLES = {
     "an extent past next_free": _table(extents=[[METADATA_REGION, 2 * FS_BLOCK]]),
     "a size past its extent": _table(size=FS_BLOCK + 1),
     "a negative size": _table(size=-1),
+    "a relative path": _table(path="f"),
+    "a path that is not normalised": _table(path="/d//f"),
+    "the root as a file": _table(path="/"),
+    "two files on one extent": {
+        "files": {path: _table()["files"]["/f"] for path in ("/f", "/g")},
+        "next_free": METADATA_REGION + FS_BLOCK,
+    },
 }
 
 
