@@ -649,10 +649,9 @@ class ProviderManager:
         table_key = run.table_key
         for index in range(first, stop):
             for provider_id in placements[index]:
-                provider = providers.get(provider_id)
+                provider = providers[provider_id]
                 if (
-                    provider is not None
-                    and provider.alive
+                    provider.alive
                     and provider._runs.get(table_key) is run
                     and (dropped is None or (index, provider_id) not in dropped)
                 ):
@@ -669,8 +668,8 @@ class ProviderManager:
         providers = self._providers
         shares: Dict[str, List[int]] = {}  # per holder, the chunks of the range it holds
         for provider_id in run.held:
-            provider = providers.get(provider_id)
-            if provider is not None and provider.alive and provider._runs.get(run.table_key) is run:
+            provider = providers[provider_id]
+            if provider.alive and provider._runs.get(run.table_key) is run:
                 shares[provider_id] = []
         dropped = run.dropped
         placements = run.placements
