@@ -1,4 +1,4 @@
-"""``tests/TESTS_REMOVED.json`` lists every test removed on purpose, with its reason.
+"""``tests/retired_tests.json`` lists every test removed on purpose, with its reason.
 
 Each entry is ``{"id", "reason", "renamed_to"}``: the test's id as pytest
 prints it, one line on why it went, and the id it lives on under (or
@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-REMOVED = json.loads((ROOT / "tests" / "TESTS_REMOVED.json").read_text())
+REMOVED = json.loads((ROOT / "tests" / "retired_tests.json").read_text())
 
 
 def is_defined(test_id):
@@ -42,7 +42,7 @@ def test_every_removed_test_has_a_reason_and_is_gone():
 
 
 def test_an_id_resolves_to_a_test_function():
-    this = "tests/test_tests_removed.py"
+    this = "tests/test_retired_tests.py"
     assert is_defined(f"{this}::test_an_id_resolves_to_a_test_function")
     assert not is_defined(f"{this}::REMOVED")
     assert not is_defined(f"{this}::Nothing::test_an_id_resolves_to_a_test_function")
