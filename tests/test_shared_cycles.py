@@ -4,7 +4,9 @@ fig2 is a view of fig3: one runner call, or one ``Session``, executes each
 cycle once and reports it through both.  A fig2 record does not depend on
 whether its fig3 twin runs beside it, and a byte corrupted in the
 checkpointed content after the checkpoint turns the cycle's
-``restored_ok`` -- seen through either scenario -- ``False``.
+``restored_ok`` -- seen through either scenario -- ``False``.  Every
+``restored_ok`` a synthetic or ``ft`` cell reports comes from a
+verification of the restored state.
 """
 
 import dataclasses
@@ -111,6 +113,32 @@ def test_a_corrupted_checkpoint_does_not_restore(approach, corrupted):
 def test_a_corrupted_checkpoint_does_not_restore_through_fig2(approach, corrupted):
     key = _smallest("fig2", approach)
     assert _payload(["fig2"], [key], key)["restored_ok"] is False
+
+
+@pytest.fixture
+def unverified(monkeypatch):
+    """Every restored state fails its check, so a flag that reads ``True``
+    was never computed."""
+    monkeypatch.setattr(SyntheticBenchmark, "verify_restored_state", lambda *_, **__: False)
+
+
+_UNCHECKED = pytest.mark.xfail(strict=True, reason="the cell reports restored_ok unchecked")
+_FLAGGED = [_smallest("fig2", "BlobCR-app"), _smallest("fig3", "BlobCR-app")] + [
+    pytest.param(key, marks=_UNCHECKED)
+    for approach in ("BlobCR-app", "qcow2-full")
+    for key in (f"fig4:{approach}:50MB", f"fig5:{approach}")
+]
+_FLAGGED += [
+    key if mtbf == "150" else pytest.param(key, marks=_UNCHECKED)
+    for approach in ("BlobCR-app", "qcow2-disk-app", "qcow2-full")
+    for mtbf in ("nofail", "150", "600")
+    for key in [f"ft:{approach}:{mtbf}"]
+]
+
+
+@pytest.mark.parametrize("key", _FLAGGED)
+def test_every_restored_ok_comes_from_a_verification(key, unverified):
+    assert _payload([key.split(":")[0]], [key], key)["restored_ok"] is False
 
 
 @pytest.fixture
