@@ -39,15 +39,15 @@ class Cell:
     what ``--cells`` selectors match against.  ``func`` must be a module-level
     (hence picklable) callable returning a :data:`CellPayload`.
 
-    A view scenario's cell runs its ``source`` twin's cycle and reports
-    ``view`` of that payload.
+    A view scenario's cell runs the cycle of the cell whose identity is
+    ``source``, ``(experiment, *parts)``, and reports ``view`` of its payload.
     """
 
     experiment: str
     parts: Tuple[str, ...]
     func: Callable[..., CellPayload]
     params: Dict[str, Any] = field(default_factory=dict)
-    source: Optional[str] = None
+    source: Optional[Tuple[str, ...]] = None
     view: Optional[Callable[[CellPayload], CellPayload]] = None
 
     @property
@@ -57,13 +57,14 @@ class Cell:
     @property
     def seed(self) -> int:
         """Deterministic per-cell RNG seed, derived from its cycle's identity."""
-        return stable_seed("cell", self.source or self.experiment, *self.parts)
+        return stable_seed("cell", *(self.source or (self.experiment, *self.parts)))
 
     def cycle(self) -> "Cell":
-        """The cell whose execution this one reports: its source twin, or itself."""
+        """The cell whose execution this one reports: its source cell, or itself."""
         if self.source is None:
             return self
-        return replace(self, experiment=self.source, source=None, view=None)
+        experiment, *parts = self.source
+        return replace(self, experiment=experiment, parts=tuple(parts), source=None, view=None)
 
     def report(self, executed: "CellResult") -> "CellResult":
         """This cell's record of ``executed``, an execution of :meth:`cycle`."""

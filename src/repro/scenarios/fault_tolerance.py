@@ -189,6 +189,9 @@ class FaultToleranceDriver:
                 out["unrecoverable"] = True
                 out["restored_ok"] = False
                 break
+        # later fills overwrite what a restart restored: check the last durable epoch too
+        verified = out["restored_ok"] and self.bench.verify_restored_state(epoch=durable_epoch)
+        out["restored_ok"] = verified
         out["total_time"] = cloud.now - t_start
         out["failures"] = len(self.injector.history)
         out["completed_periods"] = completed

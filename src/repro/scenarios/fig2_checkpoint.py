@@ -12,12 +12,12 @@ a run (or a ``Session``) that selects both executes that cycle once.
 
 from __future__ import annotations
 
-from repro.runner.cells import CellPayload
 from repro.scenarios.workloads import (
     APPROACHES,
     BENCH_SCALE_POINTS,
     PAPER_BUFFER_SIZES,
     PAPER_SCALE_POINTS,
+    checkpoint_view,
     format_mb,
     run_synthetic_cell,
 )
@@ -35,12 +35,6 @@ merge_fig2 = merge_rows(
     row_key=lambda p: {"buffer_MB": p["buffer_bytes"] // 10**6, "processes": p["instances"]},
     columns=lambda p: {p["approach"]: p["checkpoint_time"]},
 )
-
-
-def checkpoint_view(payload: CellPayload) -> CellPayload:
-    """A fig3 cycle's record up to its checkpoint; ``restored_ok`` stays verified."""
-    checkpoint_s = payload["deploy_time"] + sum(payload["checkpoint_times"])
-    return dict(payload, restart_time=0.0, sim_time_s=checkpoint_s)
 
 
 SCENARIO = ScenarioSpec(

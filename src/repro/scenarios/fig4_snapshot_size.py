@@ -6,18 +6,18 @@ logs); the process-level snapshot adds BLCR's small context overhead; the
 full VM snapshot additionally carries the whole RAM / device state.  Sizes
 are measured from the storage layer, not assumed.
 
-Each (approach, buffer-size) pair is one independent runner cell
-(``fig4:<approach>:<buffer>MB``), declared as a
-:class:`~repro.scenarios.spec.ScenarioSpec` sweep.
+Each (approach, buffer-size) pair is one runner cell
+(``fig4:<approach>:<buffer>MB``), declared as a view of Figure 3's sweep: it
+reports the checkpoint phase of its 4-instance ``fig3`` cycle, which a run
+(or a ``Session``) that also selects that cycle executes once.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.scenarios.workloads import (
     APPROACHES,
     PAPER_BUFFER_SIZES,
+    checkpoint_view,
     format_mb,
     run_synthetic_cell,
 )
@@ -43,11 +43,13 @@ SCENARIO = ScenarioSpec(
         Axis("approach", APPROACHES),
         # Fixed parameter modelled as a single-value axis so callers and a
         # single-value ``--override fig4.instances=N`` can still change it.
-        Axis("instances", (2,)),
+        Axis("instances", (4,)),
     ),
     key_axes=("approach", "buffer_bytes"),
-    cell_func=partial(run_synthetic_cell, include_restart=False),
+    cell_func=run_synthetic_cell,
     merge=merge_fig4,
+    view_of="fig3",
+    view=checkpoint_view,
 )
 
 register_scenario(SCENARIO)

@@ -9,7 +9,7 @@ registry the parallel runner executes from; the paper's figures and the
 beyond-paper scenarios are all instantiations of this one layer.
 
 Determinism contract: a cell's identity is ``(scenario name, key parts)``
--- the source scenario's name for a view -- and nothing else; the per-cell
+-- for a view, its source cell's identity -- and nothing else; the per-cell
 RNG seed derives from it (see
 :class:`repro.runner.cells.Cell`), so two specs that enumerate the same keys
 with the same parameters produce bit-identical results regardless of how the
@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runner.cells import Cell, CellPayload
+from repro.runner.registry import get_scenario
 from repro.scenarios.results import MergeFn
 from repro.util.config import ClusterSpec
 from repro.util.errors import ConfigurationError
@@ -206,6 +207,9 @@ class ScenarioSpec:
             ]
         return points
 
+    def _parts(self, point: Dict[str, Any]) -> Tuple[str, ...]:
+        return tuple(self.axis(name).fmt(point[name]) for name in self.key_axes)
+
     def build_cells(
         self, paper_scale: bool = False, cluster_spec: Optional[ClusterSpec] = None
     ) -> List[Cell]:
@@ -215,13 +219,14 @@ class ScenarioSpec:
         cluster.*`` / ``--seed``), passed to every cell as ``spec``.
         """
         self.validate()
+        source = None if self.view_of is None else get_scenario(self.view_of)
         cells = [
             Cell(
                 experiment=self.name,
-                parts=tuple(self.axis(name).fmt(point[name]) for name in self.key_axes),
+                parts=self._parts(point),
                 func=self.cell_func,
                 params=dict(point, spec=cluster_spec),
-                source=self.view_of,
+                source=None if source is None else (source.name, *source._parts(point)),
                 view=self.view,
             )
             for point in self.sweep_points(paper_scale)

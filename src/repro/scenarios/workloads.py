@@ -13,9 +13,10 @@ label                     stage 1 (process state) stage 2 (persistence)
 ========================  ======================  =====================
 
 :func:`run_synthetic_cell` is the cell function of Figures 2-5 and of the
-``scale`` sweep: one deploy -> fill -> checkpoint -> restart cycle of one
-approach on its own cloud.  The other scenario modules resolve approach
-labels through :func:`make_deployment` and :func:`split_approach`.
+``scale`` sweep: one deploy -> fill -> checkpoint -> restart -> verify cycle
+of one approach on its own cloud (the fig2 and fig4 views report it through
+:func:`checkpoint_view`).  The other scenario modules resolve approach labels
+through :func:`make_deployment` and :func:`split_approach`.
 """
 
 from __future__ import annotations
@@ -98,7 +99,6 @@ def run_synthetic_cell(
     instances: int,
     buffer_bytes: int,
     spec: Optional[ClusterSpec] = None,
-    include_restart: bool = True,
     checkpoints: int = 1,
 ) -> Dict[str, Any]:
     """Run one deploy -> fill -> checkpoint -> restart cycle; return its payload.
@@ -129,12 +129,9 @@ def run_synthetic_cell(
             checkpoint = yield from bench.checkpoint()
             checkpoint_times.append(cloud.now - t0)
             storage_trajectory.append(deployment.storage_used_bytes())
-        restart_time, restored_ok = 0.0, True
-        if include_restart:
-            t0 = cloud.now
-            yield from bench.restart(checkpoint)
-            restart_time = cloud.now - t0
-            restored_ok = bench.verify_restored_state()
+        t0 = cloud.now
+        yield from bench.restart(checkpoint)
+        restart_time = cloud.now - t0
         return {
             "approach": approach,
             "instances": instances,
@@ -144,10 +141,16 @@ def run_synthetic_cell(
             "restart_time": restart_time,
             "snapshot_bytes_per_instance": checkpoint.max_snapshot_bytes,
             "storage_after_checkpoint": storage_trajectory[-1],
-            "restored_ok": restored_ok,
+            "restored_ok": bench.verify_restored_state(),
             "checkpoint_times": checkpoint_times,
             "storage_trajectory": storage_trajectory,
             "sim_time_s": deploy_time + sum(checkpoint_times) + restart_time,
         }
 
     return cloud.run(cloud.process(scenario(), name=f"scenario:{approach}"))
+
+
+def checkpoint_view(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """A cycle's record up to its checkpoint; ``restored_ok`` stays verified."""
+    checkpoint_s = payload["deploy_time"] + sum(payload["checkpoint_times"])
+    return dict(payload, restart_time=0.0, sim_time_s=checkpoint_s)

@@ -292,9 +292,7 @@ class TestExperimentHarness:
 
     @pytest.mark.parametrize("approach", APPROACHES)
     def test_scenario_runs_for_every_approach(self, approach):
-        payload = run_synthetic_cell(
-            approach, instances=2, buffer_bytes=2 * MB, spec=SMALL, include_restart=True
-        )
+        payload = run_synthetic_cell(approach, instances=2, buffer_bytes=2 * MB, spec=SMALL)
         assert payload["checkpoint_time"] > 0
         assert payload["restart_time"] > 0
         assert payload["snapshot_bytes_per_instance"] > 0

@@ -134,8 +134,8 @@ class TestDeterminism:
         counter made the second identical scenario in one interpreter differ
         from the first by a few bytes (and hence a few milliseconds).
         """
-        first = run_synthetic_cell("qcow2-disk-blcr", 2, 2 * MB, spec=SMALL, include_restart=False)
-        second = run_synthetic_cell("qcow2-disk-blcr", 2, 2 * MB, spec=SMALL, include_restart=False)
+        first = run_synthetic_cell("qcow2-disk-blcr", 2, 2 * MB, spec=SMALL)
+        second = run_synthetic_cell("qcow2-disk-blcr", 2, 2 * MB, spec=SMALL)
         assert first["checkpoint_time"] == second["checkpoint_time"]
         assert first["snapshot_bytes_per_instance"] == second["snapshot_bytes_per_instance"]
 

@@ -2,7 +2,8 @@
 
 ``tests/scenario_cells.json`` pins, for all 13 scenarios at the reduced and
 at the paper scale, every cell's key (in enumeration order), the function
-the cell calls and the arguments it calls it with.  The arguments are bound
+the cell calls and the arguments it calls it with, and for a view's cell the
+key of the cycle it reports.  The arguments are bound
 through ``inspect.signature(...).bind(...)`` with defaults applied, so a
 constant bound with ``functools.partial`` counts exactly like one passed
 explicitly.  ``spec`` is left out: it is the run's cluster override
@@ -32,14 +33,16 @@ def _function_name(func):
 
 
 def _snapshot(name, scale):
-    """``[key, function, call arguments]`` of every cell, in order."""
+    """``[key, function, call arguments]`` of every cell, in order, followed by
+    the reported cycle's key for a view's cell."""
     cells = get_scenario(name).enumerate_cells(RunConfig(paper_scale=scale == "paper"))
     snapshot = []
     for cell in cells:
         bound = inspect.signature(cell.func).bind(**cell.params)
         bound.apply_defaults()
         arguments = {key: value for key, value in bound.arguments.items() if key != "spec"}
-        snapshot.append([cell.key, _function_name(cell.func), arguments])
+        entry = [cell.key, _function_name(cell.func), arguments]
+        snapshot.append(entry if cell.source is None else entry + [cell.cycle().key])
     return snapshot
 
 
