@@ -26,6 +26,7 @@ third-party example); this docstring and that page are kept in lockstep.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Generator, Iterable, List, Mapping, Optional, Union
 
 from repro.api.results import (
@@ -160,8 +161,8 @@ class Session:
 
     def advance(self, seconds: float) -> float:
         """Let the simulation idle for ``seconds``; returns the new time."""
-        if seconds <= 0:
-            raise ValueError(f"cannot advance by a non-positive duration ({seconds})")
+        if not 0 < seconds < math.inf:
+            raise ValueError(f"cannot advance by a non-positive or non-finite duration ({seconds})")
 
         def _idle():
             yield self.cloud.env.timeout(seconds)
@@ -242,8 +243,9 @@ class Session:
         """Kill everything and restart from ``checkpoint`` on different nodes.
 
         Defaults to the most recent checkpoint taken through this session
-        (``ValueError`` if none was taken).  A checkpoint whose snapshots
-        :meth:`collect` reclaimed raises
+        (``ValueError`` if none was taken; ``TypeError`` for anything that
+        is not a :class:`~repro.api.results.CheckpointResult`).  A checkpoint
+        whose snapshots :meth:`collect` reclaimed raises
         :class:`~repro.util.errors.RestartError` before anything is killed.
         The restarted instances fault their disk state in on demand (lazy
         restore); the returned :class:`~repro.api.results.RestartResult`
@@ -251,6 +253,10 @@ class Session:
         actually restored.
         """
         deployment = self.deployment
+        if checkpoint is not None and not isinstance(checkpoint, CheckpointResult):
+            raise TypeError(
+                f"checkpoint must be a CheckpointResult, not {type(checkpoint).__name__}"
+            )
         if checkpoint is None:
             if not self._checkpoints:
                 raise ValueError("no checkpoint to restart from; call checkpoint() first")

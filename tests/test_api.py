@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -407,18 +408,25 @@ class TestSessionValidation:
         with pytest.raises(ValueError, match="no checkpoint"):
             session.restart()
 
+    def test_restart_from_a_non_checkpoint_rejected(self):
+        session = Session.from_spec(SMALL)
+        session.deploy("blobcr", n=1)
+        session.checkpoint()
+        with pytest.raises(TypeError, match="checkpoint must be a CheckpointResult, not str"):
+            session.restart("bogus")
+
     def test_second_deploy_rejected(self):
         session = Session.from_spec(SMALL)
         session.deploy("blobcr", n=1)
         with pytest.raises(ConfigurationError, match="already runs"):
             session.deploy("qcow2-disk", n=1)
 
-    @pytest.mark.parametrize("seconds", [0, 0.0, -1.5])
+    @pytest.mark.parametrize("seconds", [0, 0.0, -1.5, math.nan, math.inf, -math.inf])
     def test_advance_rejects_non_positive_durations(self, seconds):
         session = Session.from_spec(SMALL)
         session.deploy("blobcr", n=1)
         before = session.now
-        with pytest.raises(ValueError, match="non-positive duration"):
+        with pytest.raises(ValueError, match="non-positive or non-finite duration"):
             session.advance(seconds)
         assert session.now == before  # the clock did not move
 
