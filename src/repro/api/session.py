@@ -254,9 +254,7 @@ class Session:
         """
         deployment = self.deployment
         if checkpoint is not None and not isinstance(checkpoint, CheckpointResult):
-            raise TypeError(
-                f"checkpoint must be a CheckpointResult, not {type(checkpoint).__name__}"
-            )
+            raise TypeError(f"checkpoint is a {type(checkpoint).__name__}, not a CheckpointResult")
         if checkpoint is None:
             if not self._checkpoints:
                 raise ValueError("no checkpoint to restart from; call checkpoint() first")

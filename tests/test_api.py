@@ -412,7 +412,7 @@ class TestSessionValidation:
         session = Session.from_spec(SMALL)
         session.deploy("blobcr", n=1)
         session.checkpoint()
-        with pytest.raises(TypeError, match="checkpoint must be a CheckpointResult, not str"):
+        with pytest.raises(TypeError, match="checkpoint is a str, not a CheckpointResult"):
             session.restart("bogus")
 
     def test_second_deploy_rejected(self):
