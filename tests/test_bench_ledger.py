@@ -102,8 +102,11 @@ def test_the_committed_ledger_reads_as_a_trajectory(capsys):
     newest = entries[-1]
     assert not newest.get("backfilled") and len(newest["git_sha"]) == 40
     assert set(newest["workloads"]) == set(entries[0]["workloads"])
-    for name, row in newest["workloads"].items():
-        # the model has not moved since the first entry
-        assert row["sim_total_s"] == entries[0]["workloads"][name]["sim_total_s"], name
+    for before, after in zip(entries, entries[1:]):
+        for name, row in after["workloads"].items():
+            # the model moves only where a PR announced it: at PR 51, fig5's cells
+            # restart and fig4 reports fig3's 4-instance cycles
+            if (after["pr"], name) != (51, "reduced_suite"):
+                assert row["sim_total_s"] == before["workloads"][name]["sim_total_s"], name
     assert ledger.show() == 0
     assert capsys.readouterr().out.splitlines()[0].split()[:2] == ["PR", "11"]
