@@ -3,12 +3,12 @@
 ``tests/scenario_cells.json`` pins, for all 13 scenarios at the reduced and
 at the paper scale, every cell's key (in enumeration order), the function
 the cell calls and the arguments it calls it with, and for a view's cell the
-key of the cycle it reports.  The arguments are bound
-through ``inspect.signature(...).bind(...)`` with defaults applied, so a
-constant bound with ``functools.partial`` counts exactly like one passed
-explicitly.  ``spec`` is left out: it is the run's cluster override
-(``None`` here), and a scenario's cluster plan is the cell function's
-business.  Regenerate after an announced change with
+key of the cycle it reports.  The arguments are bound through
+``inspect.signature(...).bind(...)`` with defaults applied, so a constant
+bound with ``functools.partial`` counts exactly like one passed explicitly.
+``spec`` is left out: it is the run's cluster override (``None`` here), and
+a scenario's cluster plan is the cell function's business.  Regenerate
+after an announced change with
 ``PYTHONPATH=src python tests/test_scenario_cells.py > tests/scenario_cells.json``.
 """
 
