@@ -167,16 +167,9 @@ class Hypervisor:
         vm.suspend()
         yield self.env.timeout(self._jitter(self.vm_spec.suspend_time, ("savevm", vm.instance_id)))
         state_bytes = vm.runtime_state_bytes
-        tracer = self.env.tracer
-        span = None
-        if tracer is not None:
-            span = tracer.begin(
-                "vm-dump", vm.instance_id, self.env.now, args={"bytes": state_bytes}
-            )
-        snapshot = image.create_internal_snapshot(snapshot_name, vm_state_size=state_bytes)
-        yield self.node.disk.write(state_bytes, label=f"savevm:{vm.instance_id}")
-        if span is not None:
-            tracer.end(span, self.env.now)
+        with self.env.phase("vm-dump", vm.instance_id, bytes=state_bytes):
+            snapshot = image.create_internal_snapshot(snapshot_name, vm_state_size=state_bytes)
+            yield self.node.disk.write(state_bytes, label=f"savevm:{vm.instance_id}")
         yield self.env.timeout(self._jitter(self.vm_spec.resume_time, ("resume", vm.instance_id)))
         vm.resume()
         return snapshot

@@ -174,21 +174,15 @@ class BlobCRDeployment(Deployment):
         # fetch of exactly the snapshot content that is actually needed.
         restored = yield from self._reboot_and_read_back(instance, mirroring, target_node, record)
         if restored:
-            tracer = self.cloud.env.tracer
-            span = None
-            if tracer is not None:
-                span = tracer.begin(
-                    "fault-in", instance.instance_id, self.cloud.now,
-                    args={"bytes": restored, "node": target_node},
+            with self.cloud.env.phase(
+                "fault-in", instance.instance_id, bytes=restored, node=target_node
+            ):
+                yield from self.repository.fetch_hot_content(
+                    target_node, restored, label=f"restore:{instance.instance_id}"
                 )
-            yield from self.repository.fetch_hot_content(
-                target_node, restored, label=f"restore:{instance.instance_id}"
-            )
-            yield self.cloud.node(target_node).disk.write(
-                restored, label=f"restore-cache:{instance.instance_id}"
-            )
-            if span is not None:
-                tracer.end(span, self.cloud.now)
+                yield self.cloud.node(target_node).disk.write(
+                    restored, label=f"restore-cache:{instance.instance_id}"
+                )
         return restored
 
     def storage_used_bytes(self) -> int:
@@ -297,23 +291,18 @@ class BlobCRDeployment(Deployment):
         instance, mirroring = call.instance, call.mirroring
         t0 = self.cloud.now
         dirty = mirroring.dirty_bytes // mirroring.block_size
-        tracer = self.cloud.env.tracer
-        span = None
-        if tracer is not None:
-            span = tracer.begin(
-                "migrate-round", instance.instance_id, t0,
-                args={"round": index, "dirty_blocks": dirty},
-            )
-        if dirty:
-            commit = yield from mirroring.commit(tag=f"migrate:{instance.instance_id}:{name}")
-            moved = commit.bytes_written
-        else:
-            # An empty COMMIT would publish a pointless empty version; close
-            # the epoch bookkeeping without touching the repository.
-            mirroring.dirty.close_epoch()
-            moved = 0
-        if span is not None:
-            tracer.end(span, self.cloud.now, args={"bytes": moved})
+        with self.cloud.env.phase(
+            "migrate-round", instance.instance_id, round=index, dirty_blocks=dirty
+        ) as phase:
+            if dirty:
+                commit = yield from mirroring.commit(tag=f"migrate:{instance.instance_id}:{name}")
+                moved = commit.bytes_written
+            else:
+                # An empty COMMIT would publish a pointless empty version; close
+                # the epoch bookkeeping without touching the repository.
+                mirroring.dirty.close_epoch()
+                moved = 0
+            phase.note(bytes=moved)
         return MigrationRound(
             index=index, dirty_blocks=dirty, bytes_moved=moved,
             duration_s=self.cloud.now - t0,
@@ -334,36 +323,31 @@ class BlobCRDeployment(Deployment):
         """
         instance, mirroring = call.instance, call.mirroring
         call.suspended_at = self.cloud.now
-        tracer = self.cloud.env.tracer
-        span = None
-        if tracer is not None:
-            span = tracer.begin(
-                "migrate-switchover", instance.instance_id, self.cloud.now,
-                args={"mode": call.mode},
+        with self.cloud.env.phase(
+            "migrate-switchover", instance.instance_id, mode=call.mode
+        ) as phase:
+            yield from self.hypervisors.get(call.source_node).suspend(instance.vm)
+            yield from self._flush_suspended_guest(instance)
+            residue_bytes, pump = 0, None
+            if call.mode == "pre-copy":
+                residue = yield from self._run_round(call, len(call.rounds) + 1, "residue")
+                residue_bytes = residue.bytes_moved
+                destination = self._destination_module(instance, call.target_node)
+            else:
+                destination = self._destination_module(instance, call.target_node)
+                pump = PostCopyPump(
+                    self.cloud, call.source_node, call.target_node, destination,
+                    mirroring.residue_payloads(), instance.instance_id,
+                )
+                yield from pump.fault_range(0, METADATA_REGION, channel="state")
+            state_bytes = instance.vm.runtime_state_bytes
+            yield self.cloud.network.transfer(
+                call.source_node, call.target_node, state_bytes,
+                label=f"migrate-state:{instance.instance_id}",
             )
-        yield from self.hypervisors.get(call.source_node).suspend(instance.vm)
-        yield from self._flush_suspended_guest(instance)
-        residue_bytes, pump = 0, None
-        if call.mode == "pre-copy":
-            residue = yield from self._run_round(call, len(call.rounds) + 1, "residue")
-            residue_bytes = residue.bytes_moved
-            destination = self._destination_module(instance, call.target_node)
-        else:
-            destination = self._destination_module(instance, call.target_node)
-            pump = PostCopyPump(
-                self.cloud, call.source_node, call.target_node, destination,
-                mirroring.residue_payloads(), instance.instance_id,
-            )
-            yield from pump.fault_range(0, METADATA_REGION, channel="state")
-        state_bytes = instance.vm.runtime_state_bytes
-        yield self.cloud.network.transfer(
-            call.source_node, call.target_node, state_bytes,
-            label=f"migrate-state:{instance.instance_id}",
-        )
-        yield from self._hand_over(instance, destination, call.target_node)
-        downtime = self.cloud.now - call.suspended_at
-        if span is not None:
-            tracer.end(span, self.cloud.now, args={"downtime_s": downtime})
+            yield from self._hand_over(instance, destination, call.target_node)
+            downtime = self.cloud.now - call.suspended_at
+            phase.note(downtime_s=downtime)
         return downtime, state_bytes, residue_bytes, pump
 
     def _migrate_precopy(self, call: _Migration) -> Generator:
@@ -394,16 +378,10 @@ class BlobCRDeployment(Deployment):
         # are served as remote faults, ahead of the background sweep.
         for path in demand_paths:
             yield from pump.fault_file(instance.vm.filesystem, path)
-        tracer = self.cloud.env.tracer
-        sweep_span = None
-        if tracer is not None:
-            sweep_span = tracer.begin(
-                "postcopy-sweep", instance.instance_id, self.cloud.now,
-                args={"pending_blocks": len(pump.pending)},
-            )
-        yield from pump.prefetch_sweep()
-        if sweep_span is not None:
-            tracer.end(sweep_span, self.cloud.now)
+        with self.cloud.env.phase(
+            "postcopy-sweep", instance.instance_id, pending_blocks=len(pump.pending)
+        ):
+            yield from pump.prefetch_sweep()
         self.last_pump = pump
         # Metadata blocks count as switchover state, not as demand faults:
         # the guest never waited on them after resuming.

@@ -164,25 +164,21 @@ class PostCopyPump:
             return 0
         payloads = [self.pending.pop(i) for i in batch]
         nbytes = sum(p.size for p in payloads)
-        tracer = self.cloud.env.tracer
-        span = None
-        if tracer is not None:
-            span = tracer.begin(
-                f"postcopy-{channel}", self.instance_id, self.cloud.now,
-                args={"blocks": len(batch), "bytes": nbytes},
-            )
-        try:
-            yield self.cloud.remote_read(
-                self.source_node, self.target_node, nbytes,
-                label=f"postcopy-{channel}:{self.instance_id}",
-            )
-        except BaseException:
-            # The transfer never completed (e.g. the source died): the
-            # blocks were not served -- put them back so the rollback
-            # accounting stays exact.
-            for index, payload in zip(batch, payloads):
-                self.pending[index] = payload
-            raise
+        with self.cloud.env.phase(
+            f"postcopy-{channel}", self.instance_id, blocks=len(batch), bytes=nbytes
+        ):
+            try:
+                yield self.cloud.remote_read(
+                    self.source_node, self.target_node, nbytes,
+                    label=f"postcopy-{channel}:{self.instance_id}",
+                )
+            except BaseException:
+                # The transfer never completed (e.g. the source died): the
+                # blocks were not served -- put them back so the rollback
+                # accounting stays exact.
+                for index, payload in zip(batch, payloads):
+                    self.pending[index] = payload
+                raise
         block_size = self.destination.block_size
         for index, payload in zip(batch, payloads):
             self.destination.write(index * block_size, payload)
@@ -196,8 +192,6 @@ class PostCopyPump:
         else:
             self.prefetched_blocks += len(batch)
             self.prefetched_bytes += nbytes
-        if span is not None:
-            tracer.end(span, self.cloud.now)
         return nbytes
 
     def fault_range(self, offset: int, length: int, channel: str = "fault") -> Generator:

@@ -61,33 +61,24 @@ class CheckpointProxy:
         env = self.hypervisor.env
         # REST round trip from the guest to the proxy (same node).
         yield env.timeout(self.spec.proxy_roundtrip)
-        tracer = env.tracer
-        span = None
-        if tracer is not None:
-            span = tracer.begin("vm-suspend", vm.instance_id, env.now)
-        yield from self.hypervisor.suspend(vm)
-        if span is not None:
-            tracer.end(span, env.now)
-            span = tracer.begin("vdisk-snapshot", vm.instance_id, env.now)
-        reply = SnapshotReply(ok=False, instance_id=vm.instance_id)
-        try:
-            blob_id = yield from mirroring.clone()
-            result = yield from mirroring.commit(tag=tag)
-            reply = SnapshotReply(
-                ok=True,
-                instance_id=vm.instance_id,
-                checkpoint_blob_id=blob_id,
-                snapshot_version=result.version,
-                snapshot_bytes=result.bytes_written,
-            )
-        except Exception as exc:  # resume the VM no matter what
-            reply = SnapshotReply(ok=False, instance_id=vm.instance_id, error=str(exc))
-        if span is not None:
-            tracer.end(span, env.now, args={"bytes": reply.snapshot_bytes, "ok": reply.ok})
-            span = tracer.begin("vm-resume", vm.instance_id, env.now)
-        yield from self.hypervisor.resume(vm)
-        if span is not None:
-            tracer.end(span, env.now)
+        with env.phase("vm-suspend", vm.instance_id):
+            yield from self.hypervisor.suspend(vm)
+        with env.phase("vdisk-snapshot", vm.instance_id) as phase:
+            try:
+                blob_id = yield from mirroring.clone()
+                result = yield from mirroring.commit(tag=tag)
+                reply = SnapshotReply(
+                    ok=True,
+                    instance_id=vm.instance_id,
+                    checkpoint_blob_id=blob_id,
+                    snapshot_version=result.version,
+                    snapshot_bytes=result.bytes_written,
+                )
+            except Exception as exc:  # resume the VM no matter what
+                reply = SnapshotReply(ok=False, instance_id=vm.instance_id, error=str(exc))
+            phase.note(bytes=reply.snapshot_bytes, ok=reply.ok)
+        with env.phase("vm-resume", vm.instance_id):
+            yield from self.hypervisor.resume(vm)
         if not reply.ok and reply.error:
             raise CheckpointError(
                 f"checkpoint of {vm.instance_id} failed: {reply.error}"

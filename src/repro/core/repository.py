@@ -109,40 +109,23 @@ class CheckpointRepository:
         result = self.client.write_batch(blob_id, pieces, tag=tag) if pieces else None
         nbytes = result.bytes_written if result else 0
         env = self.cloud.env
-        tracer = env.tracer
-        span = None
-        if tracer is not None:
-            span = tracer.begin(
-                "upload-base", client_node, env.now,
-                args={"blob_id": blob_id, "bytes": nbytes},
+        with env.phase("upload-base", client_node, blob_id=blob_id, bytes=nbytes):
+            yield self.cloud.network.message(
+                client_node, self.version_manager_node, label="create-blob"
             )
-        yield self.cloud.network.message(
-            client_node, self.version_manager_node, label="create-blob"
-        )
-        if result and result.compression_cpu_seconds:
-            yield env.timeout(result.compression_cpu_seconds)
-        if nbytes:
-            inner = None
-            if tracer is not None:
-                inner = tracer.begin("blob-write", client_node, env.now, args={"bytes": nbytes})
-            yield self._data_write(client_node, nbytes, label=f"upload:{tag}")
-            if inner is not None:
-                tracer.end(inner, env.now)
-        if result:
-            # Dedup-hit stripes still publish a descriptor, so they count
-            # toward the metadata RPCs even though no data shipped.
-            inner = None
-            if tracer is not None:
-                inner = tracer.begin("metadata-commit", client_node, env.now)
-            yield env.timeout(
-                self._metadata_time(result.chunk_count + result.dedup_hits, result.metadata_nodes)
-            )
-            if inner is not None:
-                tracer.end(inner, env.now)
-            self.logical_bytes_committed += result.logical_bytes
-        self.bytes_committed += nbytes
-        if span is not None:
-            tracer.end(span, env.now)
+            if result and result.compression_cpu_seconds:
+                yield env.timeout(result.compression_cpu_seconds)
+            if nbytes:
+                with env.phase("blob-write", client_node, bytes=nbytes):
+                    yield self._data_write(client_node, nbytes, label=f"upload:{tag}")
+            if result:
+                # Dedup-hit stripes still publish a descriptor, so they count
+                # toward the metadata RPCs even though no data shipped.
+                with env.phase("metadata-commit", client_node):
+                    yield env.timeout(self._metadata_time(
+                        result.chunk_count + result.dedup_hits, result.metadata_nodes))
+                self.logical_bytes_committed += result.logical_bytes
+            self.bytes_committed += nbytes
         return blob_id
 
     def clone_image(
@@ -176,41 +159,25 @@ class CheckpointRepository:
             blob_id, pieces, base_version=base_version, tag=tag or "commit"
         )
         env = self.cloud.env
-        tracer = env.tracer
-        span = None
-        if tracer is not None:
-            span = tracer.begin(
-                "commit", client_node, env.now,
-                args={"blob_id": blob_id, "version": result.version},
+        with env.phase("commit", client_node, blob_id=blob_id, version=result.version) as phase:
+            yield self.cloud.network.message(
+                client_node, self.version_manager_node, label="commit"
             )
-        yield self.cloud.network.message(client_node, self.version_manager_node, label="commit")
-        if result.compression_cpu_seconds:
-            # Fingerprinting + compression runs on the committing node's CPU.
-            yield env.timeout(result.compression_cpu_seconds)
-        if result.bytes_written:
-            inner = None
-            if tracer is not None:
-                inner = tracer.begin(
-                    "blob-write", client_node, env.now, args={"bytes": result.bytes_written}
-                )
-            yield self._data_write(
-                client_node, result.bytes_written, label=f"commit:{blob_id}@{result.version}"
-            )
-            if inner is not None:
-                tracer.end(inner, env.now)
-        inner = None
-        if tracer is not None:
-            inner = tracer.begin(
-                "metadata-commit", client_node, env.now, args={"chunks": result.chunk_count}
-            )
-        yield env.timeout(self._metadata_time(
-            result.chunk_count + result.dedup_hits, result.metadata_nodes))
-        if inner is not None:
-            tracer.end(inner, env.now)
-        self.bytes_committed += result.bytes_written
-        self.logical_bytes_committed += result.logical_bytes
-        if span is not None:
-            tracer.end(span, env.now, args={"bytes": result.bytes_written})
+            if result.compression_cpu_seconds:
+                # Fingerprinting + compression runs on the committing node's CPU.
+                yield env.timeout(result.compression_cpu_seconds)
+            if result.bytes_written:
+                with env.phase("blob-write", client_node, bytes=result.bytes_written):
+                    yield self._data_write(
+                        client_node, result.bytes_written,
+                        label=f"commit:{blob_id}@{result.version}",
+                    )
+            with env.phase("metadata-commit", client_node, chunks=result.chunk_count):
+                yield env.timeout(self._metadata_time(
+                    result.chunk_count + result.dedup_hits, result.metadata_nodes))
+            self.bytes_committed += result.bytes_written
+            self.logical_bytes_committed += result.logical_bytes
+            phase.note(bytes=result.bytes_written)
         return result
 
     def read_range(
@@ -224,29 +191,23 @@ class CheckpointRepository:
     ) -> Generator:
         """Simulation process: read a byte range of a snapshot on ``client_node``."""
         data = self.client.read(blob_id, offset, size, version=version)
-        tracer = self.cloud.env.tracer
-        span = None
-        if tracer is not None:
-            span = tracer.begin(
-                "blob-read", client_node, self.cloud.env.now,
-                args={"blob_id": blob_id, "bytes": size},
-            )
-        yield self.cloud.network.message(client_node, self.version_manager_node, label="read")
-        if size > 0:
-            if self.dedup is None:
-                yield self._data_read(client_node, size, label=label or f"read:{blob_id}")
-            else:
-                # Chunks travel compressed and are inflated on the reading
-                # node; holes and header-only zero chunks cost (almost)
-                # nothing on either axis.
-                physical, inflatable = self._read_window_cost(blob_id, offset, size, version)
-                if physical > 0:
-                    yield self._data_read(client_node, physical, label=label or f"read:{blob_id}")
-                cpu = self.dedup.codec.decompress_seconds(inflatable)
-                if cpu > 0:
-                    yield self.cloud.env.timeout(cpu)
-        if span is not None:
-            tracer.end(span, self.cloud.env.now)
+        env = self.cloud.env
+        with env.phase("blob-read", client_node, blob_id=blob_id, bytes=size):
+            yield self.cloud.network.message(client_node, self.version_manager_node, label="read")
+            if size > 0:
+                label = label or f"read:{blob_id}"
+                if self.dedup is None:
+                    yield self._data_read(client_node, size, label=label)
+                else:
+                    # Chunks travel compressed and are inflated on the reading
+                    # node; holes and header-only zero chunks cost (almost)
+                    # nothing on either axis.
+                    physical, inflatable = self._read_window_cost(blob_id, offset, size, version)
+                    if physical > 0:
+                        yield self._data_read(client_node, physical, label=label)
+                    cpu = self.dedup.codec.decompress_seconds(inflatable)
+                    if cpu > 0:
+                        yield env.timeout(cpu)
         return data
 
     def _read_window_cost(
@@ -285,15 +246,8 @@ class CheckpointRepository:
         are served functionally by a :class:`RemoteBlobDevice`.
         """
         if nbytes > 0:
-            tracer = self.cloud.env.tracer
-            span = None
-            if tracer is not None:
-                span = tracer.begin(
-                    "hot-fetch", client_node, self.cloud.env.now, args={"bytes": int(nbytes)}
-                )
-            yield self._data_read(client_node, nbytes, label=label or "lazy-fetch")
-            if span is not None:
-                tracer.end(span, self.cloud.env.now)
+            with self.cloud.env.phase("hot-fetch", client_node, bytes=int(nbytes)):
+                yield self._data_read(client_node, nbytes, label=label or "lazy-fetch")
         else:  # pragma: no cover - degenerate
             yield self.cloud.env.timeout(0)
 

@@ -20,10 +20,10 @@ Design rules:
 
 * **One tracer per cloud, and only when tracing.**  A cloud built inside a
   traced :func:`repro.cluster.cloud.clouds` scope gets its own
-  :class:`Tracer` on ``env.tracer``; otherwise ``env.tracer`` is ``None``.
-  Every instrumentation point guards itself with one ``tracer is not None``
-  test, so nothing is allocated, formatted or stored on the hot path of an
-  untraced run, and no cloud can record into another's trace.
+  :class:`Tracer` on ``env.tracer``; otherwise ``env.tracer`` is ``None``,
+  and no cloud can record into another's trace.  A phase is one call,
+  ``with env.phase(...)``, which returns a shared inert object when
+  untraced; gauges and histograms guard with ``tracer is not None``.
 * **Write-only.**  Nothing in the simulation ever reads the tracer, so
   enabling it cannot change any result -- experiment rows are byte-identical
   with tracing on and off.
@@ -59,9 +59,9 @@ class Tracer:
     """Recorder of one simulated cloud's spans, instants, gauges and histograms.
 
     ``label`` names the cloud's group in a merged trace (:func:`merge_traces`).
-    ``begin``/``end`` return/consume integer span handles so open spans
-    survive generator suspension (a ``with`` block is unnecessary and
-    explicit handles keep the hot path allocation-free).
+    ``begin``/``end`` return/consume integer span handles, so a span stays
+    open across its phase's generator suspensions; only the kernel calls
+    them (processes and :meth:`repro.sim.core.Environment.phase`).
     """
 
     __slots__ = ("label", "_spans", "_instants", "_series", "_hists")

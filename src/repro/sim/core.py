@@ -307,12 +307,59 @@ class AllOf(Event):
         return {e: e._value for e in self._events if e.triggered and e._ok}
 
 
+class Phase:
+    """One traced phase of the model, as a ``with`` block (:meth:`Environment.phase`).
+
+    The span opens when the block is entered.  A normal exit closes it, adding
+    what the body passed to :meth:`note` after the arguments it opened with; a
+    body that raises (an :class:`Interrupt` thrown into its process, a
+    failure) leaves it open, as the phase never finished.
+    """
+
+    __slots__ = ("_env", "_handle", "_noted")
+
+    def __init__(self, env: "Environment", handle: int) -> None:
+        self._env = env
+        self._handle = handle
+        self._noted: dict = {}
+
+    def note(self, **args: Any) -> None:
+        """Record ``args`` on the span when it closes."""
+        self._noted.update(args)
+
+    def __enter__(self) -> "Phase":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self._env.tracer.end(self._handle, self._env.now, args=self._noted)
+
+
+class _UntracedPhase:
+    """What :meth:`Environment.phase` returns when nothing traces: no-ops."""
+
+    __slots__ = ()
+
+    def note(self, **args: Any) -> None:
+        pass
+
+    def __enter__(self) -> "_UntracedPhase":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        pass
+
+
+_UNTRACED_PHASE = _UntracedPhase()
+
+
 class Environment:
     """Simulated clock plus event loop, and the sinks its model writes into.
 
     ``counters`` is this environment's own work-counter block; ``tracer`` is
     its own :class:`~repro.obs.tracer.Tracer` when it is traced and ``None``
-    otherwise.  Both are write-only: nothing in the model reads them.
+    otherwise.  Both are write-only: nothing in the model reads them.  The
+    model records its phases through :meth:`phase`.
     """
 
     def __init__(self, tracer: Optional[Tracer] = None) -> None:
@@ -345,6 +392,17 @@ class Environment:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
+
+    def phase(self, name: str, track: str, /, **args: Any) -> "Phase | _UntracedPhase":
+        """``with env.phase(...) as phase:`` traces the block as span ``name`` on ``track``.
+
+        ``args`` open the span and ``phase.note(...)`` adds more (see
+        :class:`Phase`).  Untraced, this returns one shared object whose
+        methods do nothing.
+        """
+        if self.tracer is None:
+            return _UNTRACED_PHASE
+        return Phase(self, self.tracer.begin(name, track, self._now, args=args))
 
     # -- scheduling ----------------------------------------------------------------
 

@@ -9,13 +9,16 @@ additive), the progress meter, and the two determinism contracts:
 * tracing disabled leaves experiment rows byte-identical to an untraced run.
 """
 
+import ast
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.cluster.cloud import Cloud, clouds
+from repro.core import BlobCRDeployment
 from repro.obs import (
     HISTOGRAM_QUANTILES,
     Tracer,
@@ -36,8 +39,13 @@ from repro.runner import (
 )
 from repro.runner.cells import execute_cell
 from repro.scenarios import get_scenario
+from repro.sim import Environment, Interrupt
 from repro.sim.instrumentation import MAX_FIELDS, SimCounters, aggregate_counters
+from repro.util import SyntheticBytes
 from repro.util.config import GRAPHENE
+from repro.util.units import MB
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 SMALL = GRAPHENE.scaled(compute_nodes=4, service_nodes=2)
 
@@ -145,6 +153,155 @@ class TestTracer:
         Cloud(SMALL)
         assert inner == [built_inner] and built_inner.env.tracer is None
         assert outer == [built_outer] and built_outer.env.tracer is not None
+
+
+def _phases(tracer):
+    """The ``env.phase`` spans of a trace (process spans left out)."""
+    return [span for span in merge_traces([tracer])["spans"] if span["cat"] == "phase"]
+
+
+class TestPhase:
+    """``Environment.phase``: the one way the model traces a phase."""
+
+    def test_a_traced_phase_records_one_span_with_its_noted_arguments_last(self):
+        env = Environment(Tracer())
+
+        def body():
+            yield env.timeout(1.0)
+            with env.phase("commit", "node-001", blob_id=3, version=2) as phase:
+                yield env.timeout(2.5)
+                phase.note(bytes=42)
+                phase.note(ok=True)
+
+        env.run(env.process(body()))
+        (span,) = _phases(env.tracer)
+        assert (span["name"], span["track"]) == ("commit", "node-001")
+        assert (span["t0_s"], span["t1_s"]) == (1.0, 3.5)
+        assert list(span["args"].items()) == [
+            ("blob_id", 3), ("version", 2), ("bytes", 42), ("ok", True)
+        ]
+
+    def test_a_phase_without_arguments_records_none(self):
+        env = Environment(Tracer())
+        with env.phase("vm-suspend", "vm-000"):
+            pass
+        (span,) = _phases(env.tracer)
+        assert "args" not in span and span["t1_s"] == 0.0
+
+    def test_a_body_that_raises_leaves_the_span_open(self):
+        env = Environment(Tracer())
+
+        def body():
+            with env.phase("blob-write", "node-000", bytes=1) as phase:
+                yield env.timeout(1.0)
+                phase.note(never=True)
+                raise RuntimeError("lost the provider")
+
+        process = env.process(body())
+        with pytest.raises(RuntimeError):
+            env.run(process)
+        (span,) = _phases(env.tracer)
+        assert span["t1_s"] is None
+        assert span["args"] == {"bytes": 1}
+
+    def test_an_interrupt_thrown_into_the_process_leaves_the_span_open(self):
+        env = Environment(Tracer())
+
+        def victim():
+            try:
+                with env.phase("fault-in", "vm-000"):
+                    yield env.timeout(10.0)
+            except Interrupt:
+                with env.phase("rollback", "vm-000"):
+                    yield env.timeout(1.0)
+
+        def injector(target):
+            yield env.timeout(2.0)
+            target.interrupt("node failure")
+
+        process = env.process(victim())
+        env.process(injector(process))
+        env.run()
+        fault_in, rollback = _phases(env.tracer)
+        assert (fault_in["name"], fault_in["t0_s"], fault_in["t1_s"]) == ("fault-in", 0.0, None)
+        assert (rollback["t0_s"], rollback["t1_s"]) == (2.0, 3.0)
+
+    def test_nested_phases_close_inner_first(self):
+        env = Environment(Tracer())
+        seen = {}
+
+        def body():
+            with env.phase("commit", "node-000"):
+                yield env.timeout(1.0)
+                with env.phase("blob-write", "node-000"):
+                    yield env.timeout(2.0)
+                seen["after_inner"] = [span["t1_s"] for span in _phases(env.tracer)]
+                yield env.timeout(0.5)
+
+        env.run(env.process(body()))
+        assert seen["after_inner"] == [None, 3.0]
+        outer, inner = _phases(env.tracer)
+        assert (outer["name"], outer["t0_s"], outer["t1_s"]) == ("commit", 0.0, 3.5)
+        assert (inner["name"], inner["t0_s"], inner["t1_s"]) == ("blob-write", 1.0, 3.0)
+
+    def test_an_untraced_environment_returns_one_shared_inert_object(self):
+        env = Environment()
+        first = env.phase("commit", "node-000", blob_id=1)
+        assert first is env.phase("vm-resume", "vm-001") is Environment().phase("x", "y")
+        with first as phase:
+            assert phase is first
+            phase.note(bytes=42)
+        assert env.tracer is None
+        assert not hasattr(first, "__dict__") and type(first).__slots__ == ()
+
+    def test_a_checkpoint_image_download_traces_its_blob_read(self):
+        with clouds(trace=True):
+            cloud = Cloud(GRAPHENE.scaled(compute_nodes=6, service_nodes=3))
+        deployment = BlobCRDeployment(cloud)
+        out = {}
+
+        def scenario():
+            yield from deployment.deploy(1, processes_per_instance=1)
+            instance = deployment.instances[0]
+            yield from deployment.guest_write_and_sync(
+                instance, "/ckpt/x.dat", SyntheticBytes("x", MB)
+            )
+            checkpoint = yield from deployment.checkpoint_all()
+            record = checkpoint.records[instance.instance_id]
+            out["ref"] = record.snapshot_ref
+            out["t0"] = cloud.now
+            image = yield from deployment.download_checkpoint_image("node-005", record)
+            out["t1"], out["size"] = cloud.now, image.size
+
+        cloud.run(cloud.process(scenario()))
+        (span,) = [s for s in _phases(cloud.env.tracer) if s["name"] == "blob-read"]
+        blob_id, _version = out["ref"]
+        assert span["track"] == "node-005"
+        assert out["t0"] < out["t1"]
+        assert (span["t0_s"], span["t1_s"]) == (out["t0"], out["t1"])
+        assert span["args"] == {"blob_id": blob_id, "bytes": out["size"]}
+
+    def test_only_the_kernel_opens_and_closes_spans(self):
+        """Every module but ``sim/core.py`` traces a phase through ``env.phase``.
+
+        A ``.begin(...)`` or ``.end(...)`` call anywhere else is a tracer
+        span handled by hand: the guard, the handle and the close on the
+        normal path all have to be copied, and a copy that closes a span on
+        the error path changes the trace.
+        """
+        calls = []
+        for path in sorted(SRC.rglob("*.py")):
+            module = path.relative_to(SRC).as_posix()
+            if module == "sim/core.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("begin", "end")
+                ):
+                    calls.append(f"{module}:{node.lineno} .{node.func.attr}(")
+        assert calls == []
 
 
 class TestChromeExport:
