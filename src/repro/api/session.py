@@ -27,6 +27,7 @@ third-party example); this docstring and that page are kept in lockstep.
 from __future__ import annotations
 
 import math
+from numbers import Real
 from typing import Any, Callable, Generator, Iterable, List, Mapping, Optional, Union
 
 from repro.api.results import (
@@ -57,6 +58,15 @@ if False:  # pragma: no cover - typing-only imports (service layer is lazy)
 #: override input accepted by :meth:`Session.run_scenario`: either raw
 #: ``"key=value"`` strings (the CLI form) or a mapping ``{key: value}``
 Overrides = Union[Mapping[str, Any], Iterable[str]]
+
+
+def _require_type(name: str, value: Any, types: Any, expected: str) -> None:
+    """Raise ``TypeError`` naming ``name`` unless ``value`` is one of ``types``.
+
+    A bool is refused too: ``True`` is an ``int`` to Python, never a count.
+    """
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise TypeError(f"{name} must be {expected}, got {type(value).__name__}")
 
 
 def _normalise_overrides(overrides: Overrides) -> List[str]:
@@ -161,6 +171,7 @@ class Session:
 
     def advance(self, seconds: float) -> float:
         """Let the simulation idle for ``seconds``; returns the new time."""
+        _require_type("seconds", seconds, Real, "a number")
         if not 0 < seconds < math.inf:
             raise ValueError(f"cannot advance by a non-positive or non-finite duration ({seconds})")
 
@@ -187,10 +198,12 @@ class Session:
         against the backend's registered option schema (e.g.
         ``adaptive_prefetch=False`` for ``blobcr``); unknown options raise
         :class:`~repro.util.errors.ConfigurationError` listing the accepted
-        names.  ``n`` is validated by the strategy base class (``n <= 0``
-        raises ValueError).  One deployment per session: a second call
-        raises -- build a fresh :class:`Session` instead.
+        names.  ``n`` must be an ``int`` (else ``TypeError``); the strategy
+        base class rejects ``n <= 0`` with ValueError.  One deployment per
+        session: a second call raises -- build a fresh :class:`Session`
+        instead.
         """
+        _require_type("n", n, int, "an int")
         if self._deployment is not None:
             raise ConfigurationError(
                 f"this session already runs a {self._backend_name!r} deployment; "
@@ -286,6 +299,7 @@ class Session:
         raise :class:`~repro.util.errors.ConfigurationError`.  Returns the
         :class:`~repro.core.gc.GCReport` of the pass.
         """
+        _require_type("keep_latest", keep_latest, int, "an int")
         deployment = self.deployment
         repository = getattr(deployment, "repository", None)
         if repository is None:
@@ -377,10 +391,20 @@ class Session:
         self,
         instance_id: str,
         path: str,
-        data: Union[bytes, ByteSource],
+        data: Union[bytes, bytearray, memoryview, ByteSource],
         append: bool = False,
     ) -> int:
-        """Write a guest file and ``sync`` it (stage 1 of a checkpoint)."""
+        """Write a guest file and ``sync`` it (stage 1 of a checkpoint).
+
+        ``data`` is ``bytes``, ``bytearray``, ``memoryview`` or a
+        :class:`~repro.util.bytesource.ByteSource`; anything else, or a
+        ``path`` that is not a ``str``, raises ``TypeError``.
+        """
+        _require_type("path", path, str, "a str")
+        _require_type(
+            "data", data, (bytes, bytearray, memoryview, ByteSource),
+            "bytes, bytearray, memoryview or a ByteSource",
+        )
         source = data if isinstance(data, ByteSource) else LiteralBytes(bytes(data))
         return self.drive(
             self.deployment.guest_write_and_sync(
@@ -391,6 +415,7 @@ class Session:
 
     def guest_read(self, instance_id: str, path: str) -> bytes:
         """Read a guest file back (charging the local disk time)."""
+        _require_type("path", path, str, "a str")
         data = self.drive(
             self.deployment.guest_read(self._instance(instance_id), path),
             name=f"api-read:{instance_id}",

@@ -24,7 +24,7 @@ from repro.apps.synthetic import SyntheticBenchmark
 from repro.runner.registry import register_scenario
 from repro.scenarios.results import merge_rows
 from repro.scenarios.spec import Axis, ScenarioSpec
-from repro.scenarios.workloads import make_deployment, split_approach
+from repro.scenarios.workloads import make_deployment, require_positive, split_approach
 from repro.service.traffic import background_flow
 from repro.util.config import GRAPHENE, ClusterSpec
 from repro.util.units import MB
@@ -59,6 +59,7 @@ def run_contention_cell(
     spec: Optional[ClusterSpec] = None,
 ) -> Dict[str, Any]:
     """Run one (approach, background-flow-count) contention cell."""
+    require_positive(instances=instances, buffer_bytes=buffer_bytes)
     spec = oversubscribed_fabric(spec or GRAPHENE)
     # Tenants run on node pairs disjoint from the instances' hosts.
     needed = instances + 2 * flows

@@ -39,7 +39,7 @@ from repro.core.strategy import Deployment
 from repro.runner.registry import register_scenario
 from repro.scenarios.results import ExperimentResult
 from repro.scenarios.spec import Axis, FailurePlan, ScenarioSpec
-from repro.scenarios.workloads import make_deployment, split_approach
+from repro.scenarios.workloads import make_deployment, require_positive, split_approach
 from repro.util.config import GRAPHENE, ClusterSpec
 from repro.util.errors import FailureInjected, SimulationError, StorageError
 from repro.util.units import MB
@@ -220,6 +220,7 @@ def run_fault_tolerance_cell(
     injection horizon covers the fault-free makespan a few times over so
     failures can also hit the recovery phases themselves.
     """
+    require_positive(instances=instances, buffer_bytes=buffer_bytes, periods=periods)
     spec = fault_tolerant_cluster(spec or GRAPHENE)
     if instances + 2 > spec.compute_nodes:
         spec = spec.scaled(compute_nodes=instances + 2)

@@ -430,6 +430,55 @@ class TestSessionValidation:
             session.advance(seconds)
         assert session.now == before  # the clock did not move
 
+    @pytest.mark.parametrize(
+        "data, kind", [(5, "int"), ([1, 2, 3], "list"), ("text", "str"), (None, "NoneType")]
+    )
+    def test_guest_write_rejects_data_that_is_not_bytes(self, data, kind):
+        session = Session.from_spec(SMALL)
+        session.deploy("blobcr", n=1)
+        before = session.now
+        with pytest.raises(TypeError, match=f"data must be bytes, .* got {kind}$"):
+            session.guest_write("vm-000", "/a", data)
+        assert session.now == before  # nothing was written
+
+    @pytest.mark.parametrize("data", [bytearray(b"abc"), memoryview(b"abc")])
+    def test_guest_write_takes_any_bytes_like(self, data):
+        session = Session.from_spec(SMALL)
+        session.deploy("blobcr", n=1)
+        session.guest_write("vm-000", "/a", data)
+        assert session.guest_read("vm-000", "/a") == b"abc"
+
+    @pytest.mark.parametrize("method", ["guest_write", "guest_read"])
+    def test_guest_io_rejects_a_path_that_is_not_a_str(self, method):
+        session = Session.from_spec(SMALL)
+        session.deploy("blobcr", n=1)
+        args = (b"abc",) if method == "guest_write" else ()
+        with pytest.raises(TypeError, match="path must be a str, got int"):
+            getattr(session, method)("vm-000", 7, *args)
+
+    @pytest.mark.parametrize("n", ["2", 2.0, True])
+    def test_deploy_rejects_a_count_that_is_not_an_int(self, n):
+        session = Session.from_spec(SMALL)
+        with pytest.raises(TypeError, match=f"n must be an int, got {type(n).__name__}"):
+            session.deploy("blobcr", n=n)
+        assert session.now == 0.0
+
+    def test_collect_rejects_a_keep_latest_that_is_not_an_int(self):
+        session = Session.from_spec(SMALL)
+        session.deploy("blobcr", n=1)
+        session.checkpoint()
+        with pytest.raises(TypeError, match="keep_latest must be an int, got str"):
+            session.collect(keep_latest="a")
+        assert len(session.checkpoints) == 1
+
+    @pytest.mark.parametrize("seconds", ["1", None, True])
+    def test_advance_rejects_a_duration_that_is_not_a_number(self, seconds):
+        session = Session.from_spec(SMALL)
+        session.deploy("blobcr", n=1)
+        kind = type(seconds).__name__
+        with pytest.raises(TypeError, match=f"seconds must be a number, got {kind}"):
+            session.advance(seconds)
+
     def test_drive_on_dead_cloud_rejected(self):
         session = Session.from_spec(SMALL)
         session.deploy("blobcr", n=1)

@@ -145,6 +145,11 @@ class TestOverridesAndSeed:
             ("fig7 --override fig7.state_bytes=1000 --cells fig7:off", "state_bytes"),
             ("fig7 --override fig7.changed_fraction=0 --cells fig7:off", "changed_fraction"),
             ("fig7 --override fig7.changed_fraction=3 --cells fig7:off", "changed_fraction"),
+            ("ft --override ft.instances=0", "instances"),
+            ("ft --override ft.buffer_bytes=0", "buffer_bytes"),
+            ("ft --override ft.periods=0", "periods"),
+            ("contention --override contention.instances=0", "instances"),
+            ("contention --override contention.buffer_bytes=0", "buffer_bytes"),
         ],
     )
     def test_zero_count_is_a_clean_error(self, command, parameter, capsys):

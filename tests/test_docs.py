@@ -1,11 +1,18 @@
 """The documentation link checker (tools/check_docs.py) and the real docs.
 
 The checker is stdlib-only and lives outside the package (CI runs it
-without installing anything), so it is loaded here by file path.
+without installing anything), so it is loaded here by file path.  The
+commands the docs show are resolved by the CLI itself.
 """
 
 import importlib.util
 import pathlib
+import re
+import shlex
+
+import pytest
+
+from repro.cli import main
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -94,3 +101,83 @@ class TestCheckerDetection:
         assert slug("What the incremental solver changed (this PR)") == (
             "what-the-incremental-solver-changed-this-pr"
         )
+
+
+#: a line that starts a command: ``VAR=value`` assignments, then the program
+_COMMAND_START = re.compile(r"^\s*(?:\w+=\S*\s+)*(?:blobcr-repro|python3?)(?:\s|$)")
+
+#: the trace subcommand's options that take a value
+_TRACE_VALUED = {"--cells", "--override", "--seed", "--workers", "-j", "--trace-artifact", "--chrome"}
+
+
+def documented_commands():
+    """``(page:line, argv)`` of every CLI command in a fenced block of the docs.
+
+    A command is a line (with its ``\\`` continuations) that starts, after
+    any ``VAR=value`` assignments, with ``blobcr-repro`` or with a
+    ``python`` that runs ``-m repro``; ``argv`` is what follows that.
+    """
+    found = []
+    for page in [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]:
+        lines = page.read_text().splitlines()
+        fenced = False
+        for number, line in enumerate(lines, 1):
+            if line.lstrip().startswith("```"):
+                fenced = not fenced
+                continue
+            if not fenced or not _COMMAND_START.match(line):
+                continue
+            command, rest = line, iter(lines[number:])
+            while command.rstrip().endswith("\\"):
+                command = command.rstrip()[:-1] + " " + next(rest)
+            tokens = shlex.split(command, comments=True)
+            while tokens and "=" in tokens[0] and not tokens[0].startswith("-"):
+                tokens = tokens[1:]
+            if tokens[:1] == ["blobcr-repro"]:
+                argv = tokens[1:]
+            elif tokens[:1] in (["python"], ["python3"]) and "repro" in tokens:
+                at = tokens.index("repro")
+                if tokens[at - 1] != "-m":
+                    continue
+                argv = tokens[at + 1:]
+            else:
+                continue
+            found.append((f"{page.relative_to(REPO_ROOT)}:{number}", argv))
+    return found
+
+
+def as_listing(argv):
+    """The run argv that lists the cells ``argv`` selects (and runs none).
+
+    A trace's cell selectors become ``--cells`` and its output paths go.
+    """
+    if argv[:1] != ["trace"]:
+        return argv + ["--list-cells"]
+    listing, tokens = [], iter(argv[1:])
+    for token in tokens:
+        if token in ("--trace-artifact", "--chrome"):
+            next(tokens)
+        elif token in _TRACE_VALUED:
+            listing += [token, next(tokens)]
+        elif ":" in token:
+            listing += ["--cells", token]
+        else:
+            listing.append(token)
+    return listing + ["--list-cells"]
+
+
+_COMMANDS = documented_commands()
+
+
+class TestDocumentedCommands:
+    def test_the_docs_show_commands_of_every_form(self):
+        argvs = [argv for _where, argv in _COMMANDS]
+        assert len(argvs) >= 15
+        assert any(argv[:1] == ["trace"] for argv in argvs)
+        assert any(argv[:1] == ["run"] for argv in argvs)
+
+    @pytest.mark.parametrize("argv", [argv for _where, argv in _COMMANDS],
+                             ids=[where for where, _argv in _COMMANDS])
+    def test_a_documented_command_resolves_its_cells(self, argv, capsys):
+        assert main(as_listing(argv)) == 0
+        assert capsys.readouterr().out.strip()
