@@ -198,12 +198,13 @@ class Session:
         against the backend's registered option schema (e.g.
         ``adaptive_prefetch=False`` for ``blobcr``); unknown options raise
         :class:`~repro.util.errors.ConfigurationError` listing the accepted
-        names.  ``n`` must be an ``int`` (else ``TypeError``); the strategy
-        base class rejects ``n <= 0`` with ValueError.  One deployment per
-        session: a second call raises -- build a fresh :class:`Session`
-        instead.
+        names.  ``n`` and ``processes_per_instance`` must be integers (else
+        ``TypeError``); the strategy base class rejects ``n <= 0`` with
+        ValueError.  One deployment per session: a second call raises --
+        build a fresh :class:`Session` instead.
         """
         _require_type("n", n, int, "an int")
+        _require_type("processes_per_instance", processes_per_instance, int, "an int")
         if self._deployment is not None:
             raise ConfigurationError(
                 f"this session already runs a {self._backend_name!r} deployment; "

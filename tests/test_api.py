@@ -456,11 +456,13 @@ class TestSessionValidation:
         with pytest.raises(TypeError, match="path must be a str, got int"):
             getattr(session, method)("vm-000", 7, *args)
 
-    @pytest.mark.parametrize("n", ["2", 2.0, True])
-    def test_deploy_rejects_a_count_that_is_not_an_int(self, n):
+    @pytest.mark.parametrize("count", ["n", "processes_per_instance"])
+    @pytest.mark.parametrize("value", ["2", 2.0, True])
+    def test_deploy_rejects_a_count_that_is_not_an_int(self, count, value):
         session = Session.from_spec(SMALL)
-        with pytest.raises(TypeError, match=f"n must be an int, got {type(n).__name__}"):
-            session.deploy("blobcr", n=n)
+        kind = type(value).__name__
+        with pytest.raises(TypeError, match=f"^{count} must be an int, got {kind}$"):
+            session.deploy("blobcr", **{count: value})
         assert session.now == 0.0
 
     def test_collect_rejects_a_keep_latest_that_is_not_an_int(self):

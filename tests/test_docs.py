@@ -106,8 +106,8 @@ class TestCheckerDetection:
 #: a line that starts a command: ``VAR=value`` assignments, then the program
 _COMMAND_START = re.compile(r"^\s*(?:\w+=\S*\s+)*(?:blobcr-repro|python3?)(?:\s|$)")
 
-#: the trace subcommand's options that take a value
-_TRACE_VALUED = {"--cells", "--override", "--seed", "--workers", "-j", "--trace-artifact", "--chrome"}
+#: the selection options that take a value
+_VALUED = {"--cells", "--override", "--seed", "--workers", "-j"}
 
 
 def documented_commands():
@@ -157,7 +157,7 @@ def as_listing(argv):
     for token in tokens:
         if token in ("--trace-artifact", "--chrome"):
             next(tokens)
-        elif token in _TRACE_VALUED:
+        elif token in _VALUED:
             listing += [token, next(tokens)]
         elif ":" in token:
             listing += ["--cells", token]
@@ -176,8 +176,9 @@ class TestDocumentedCommands:
         assert any(argv[:1] == ["trace"] for argv in argvs)
         assert any(argv[:1] == ["run"] for argv in argvs)
 
-    @pytest.mark.parametrize("argv", [argv for _where, argv in _COMMANDS],
-                             ids=[where for where, _argv in _COMMANDS])
+    @pytest.mark.parametrize(
+        "argv", [argv for _where, argv in _COMMANDS], ids=[where for where, _argv in _COMMANDS]
+    )
     def test_a_documented_command_resolves_its_cells(self, argv, capsys):
         assert main(as_listing(argv)) == 0
         assert capsys.readouterr().out.strip()
