@@ -78,3 +78,25 @@ def test_format_lists_each_metric_with_its_verdict():
     text = ab_pairs.format_rows(rows)
     assert "wall_s" in text.splitlines()[1]
     assert text.splitlines()[1].endswith("better")
+
+
+def test_each_seed_runs_both_trees_first():
+    pairs = ab_pairs.schedule(10, [1, 2])
+    assert pairs[:4] == [(1, True), (1, False), (2, True), (2, False)]
+    assert pairs[8:] == [(1, True), (1, False)]
+    for seed in (1, 2):  # as often parent first as change first, at every seed
+        firsts = [parent_first for s, parent_first in pairs if s == seed]
+        assert firsts.count(True) == firsts.count(False) > 0
+    assert ab_pairs.schedule(3, [7]) == [(7, True), (7, False), (7, True)]
+
+
+def test_work_lists_totals_then_each_layer_of_both_trees():
+    parent = {"opcodes": 1000, "calls": 100, "layers": {"guest": 60, "util": 40}}
+    change = {"opcodes": 900, "calls": 90, "layers": {"guest": 50, "util": 40}}
+    lines = ab_pairs.format_work(parent, change).splitlines()
+    assert [line.split()[0] for line in lines] == ["count", "opcodes", "calls", "guest", "util"]
+    assert lines[1].split()[1:] == ["1,000", "900", "0.9000"]
+    assert lines[3].split()[1:] == ["60", "50", "0.8333"]
+    # a count without opcodes lists the calls only
+    del parent["opcodes"]
+    assert "opcodes" not in ab_pairs.format_work(parent, change)

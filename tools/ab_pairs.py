@@ -5,9 +5,10 @@
         --pairs 10 --seeds 1 2
 
 Pair *i* runs ``python -m perfbench --workload W --seconds S --trace 0 --seed
-SEED`` once in each tree, ``S`` being the ``run_seconds`` of ``BENCHMARK.json``
-(the seeds are taken in turn, and which tree goes first alternates from pair
-to pair, so neither side always runs on a warmer host).  Every end-to-end
+SEED`` once in each tree, ``S`` being the ``run_seconds`` of ``BENCHMARK.json``.
+Which tree goes first alternates from pair to pair, so neither side always
+runs on a warmer host, and each seed holds for two pairs in turn, so every
+seed runs both trees first (see :func:`schedule`).  Every end-to-end
 metric of ``BENCHMARK.json`` is then summarised: the median and IQR/median of
 each side, the change/parent ratio and how many pairs the change won.  A
 metric whose IQR/median exceeds its bound on either side is ``unresolved``:
@@ -15,6 +16,11 @@ the runs spread too widely to tell, unless every change run reads better than
 every parent run.  Otherwise it is ``better`` when the change won at least
 nine pairs in ten and its median gain exceeds the parent's IQR, ``worse`` when
 the ratio is past the bound, and ``same`` in between.
+
+``--work`` times nothing: it counts the work of one run of each tree per seed
+with ``tools/work_count.py --opcodes`` and prints both trees' Python calls
+and bytecodes, in total and by layer.  The counts are exact, so pairs add
+nothing.
 
 Stdlib only.  The trees are two checkouts (``git clone`` the parent
 commit); each run imports the ``src`` and ``perfbench`` of its own tree.
@@ -97,6 +103,30 @@ def _row(metric: dict, parent: list, change: list) -> dict:
     }
 
 
+def schedule(pairs: int, seeds: list) -> list:
+    """``(seed, parent runs first)`` of each pair.
+
+    The first tree alternates every pair and the seed every two pairs, so
+    each seed runs both trees first and an order effect is not a seed effect.
+    """
+    return [(seeds[(i // 2) % len(seeds)], i % 2 == 0) for i in range(pairs)]
+
+
+def format_work(parent: dict, change: dict) -> str:
+    """Two ``tools/work_count.py`` results side by side: totals, then each layer."""
+    rows = [("opcodes", parent.get("opcodes"), change.get("opcodes"))]
+    rows.append(("calls", parent["calls"], change["calls"]))
+    for layer in sorted(parent["layers"].keys() | change["layers"].keys()):
+        rows.append((f"  {layer}", parent["layers"].get(layer, 0), change["layers"].get(layer, 0)))
+    lines = [f"{'count':<14} {'parent':>13} {'change':>13} {'ratio':>7}"]
+    for name, old, new in rows:
+        if old is None or new is None:
+            continue
+        ratio = f"{new / old:>7.4f}" if old else f"{'-':>7}"
+        lines.append(f"{name:<14} {old:>13,} {new:>13,} {ratio}")
+    return "\n".join(lines)
+
+
 def format_rows(rows: list) -> str:
     lines = [
         f"{'metric':<12} {'parent':>10} {'IQR/med':>8} {'change':>10} {'IQR/med':>8} "
@@ -118,14 +148,24 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
+    parser.add_argument("--work", action="store_true", help="count work instead of timing pairs")
     args = parser.parse_args(argv)
+    if args.work:
+        from work_count import run_fresh
+
+        for seed in args.seeds:
+            old, new = (
+                run_fresh(tree, workload=args.workload, seed=seed, opcodes=True)
+                for tree in (args.parent, args.change)
+            )
+            print(f"seed {seed}\n{format_work(old, new)}")
+        return 0
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     parent, change = [], []
-    for i in range(args.pairs):
-        seed = args.seeds[i % len(args.seeds)]
+    for i, (seed, parent_first) in enumerate(schedule(args.pairs, args.seeds)):
         order = [(args.parent, parent), (args.change, change)]
-        for tree, runs in order if i % 2 == 0 else order[::-1]:
+        for tree, runs in order if parent_first else order[::-1]:
             runs.append(run_once(tree, args.workload, seconds, seed))
         print(
             f"pair {i + 1}/{args.pairs} seed {seed}: wall_s "
