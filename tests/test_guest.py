@@ -296,6 +296,77 @@ class TestGuestFileSystem:
         fs.sync()
         assert fs.used_bytes == used
 
+    def test_a_sync_allocates_the_files_on_disk_first_then_the_new_ones_as_first_written(self):
+        """Extent offsets, and so every row, depend on the order a sync flushes in:
+        the files already on disk in table order, then the new files in the order
+        they were first written; a file deleted and written again is new."""
+        fs, dev = make_fs()
+        fs.write_file("/a", b"a")
+        fs.write_file("/c", b"c")
+        fs.sync()
+        fs = GuestFileSystem.mount(dev)
+        fs.write_file("/b", b"b")
+        fs.write_file("/c", b"c" * 5000)
+        fs.write_file("/a", b"a" * 5000)
+        fs.delete("/b")
+        fs.write_file("/b", b"b")
+        fs.sync()
+        extents = {path: fs.file_extents(path) for path in ("/a", "/b", "/c")}
+        assert extents == {
+            "/a": [(4_202_496, 2 * FS_BLOCK)],
+            "/c": [(4_210_688, 2 * FS_BLOCK)],
+            "/b": [(4_218_880, FS_BLOCK)],
+        }
+        assert GuestFileSystem.mount(dev).file_extents("/b") == [(4_218_880, FS_BLOCK)]
+
+    def test_a_dirty_file_keeps_its_flushed_extent_until_the_next_sync(self):
+        fs, dev = make_fs()
+        fs.write_file("/f", b"old")
+        fs.sync()
+        flushed = fs.file_extents("/f")
+        fs.write_file("/f", b"n" * (3 * FS_BLOCK))  # grows past its extent: moves at the sync
+        assert fs.dirty_files == ["/f"] and fs.file_extents("/f") == flushed
+        assert fs.read_file("/f").read() == b"n" * (3 * FS_BLOCK)
+        assert GuestFileSystem.mount(dev).read_file("/f").read() == b"old"
+        fs.sync()
+        assert fs.file_extents("/f") != flushed
+
+    def test_append_to_an_empty_or_a_missing_file(self):
+        fs, dev = make_fs()
+        assert fs.write_file("/new", b"x", append=True) == 1  # appending creates the file
+        fs.write_file("/empty", b"")
+        assert fs.write_file("/empty", b"y", append=True) == 1
+        assert fs.read_file("/empty").read() == b"y"
+        fs.write_file("/flushed-empty", b"")
+        fs.sync()
+        remounted = GuestFileSystem.mount(dev)
+        assert remounted.read_file("/flushed-empty").read() == b""
+        remounted.write_file("/flushed-empty", b"z", append=True)
+        remounted.write_file("/new", b"y", append=True)
+        assert remounted.read_file("/flushed-empty").read() == b"z"
+        assert remounted.read_file("/new").read() == b"xy"
+        remounted.sync()
+        assert GuestFileSystem.mount(dev).read_file("/new").read() == b"xy"
+
+    def test_a_full_device_leaves_the_flushed_prefix_clean_and_the_rest_dirty(self):
+        device = SparseDevice(METADATA_REGION + 4 * FS_BLOCK, block_size=64 * 1024)
+        fs = GuestFileSystem.format(device)
+        for path, size in (("/1", 10), ("/2", FS_BLOCK + 1), ("/3", 2 * FS_BLOCK), ("/4", 1)):
+            fs.write_file(path, SyntheticBytes(path, size))
+        with pytest.raises(FileSystemError, match="device full"):
+            fs.sync()
+        assert fs.dirty_files == ["/3", "/4"]
+        assert fs.file_extents("/1") == [(METADATA_REGION, FS_BLOCK)]
+        assert fs.file_extents("/2") == [(METADATA_REGION + FS_BLOCK, 2 * FS_BLOCK)]
+        assert fs.file_extents("/3") == fs.file_extents("/4") == []
+        for path, size in (("/1", 10), ("/2", FS_BLOCK + 1), ("/3", 2 * FS_BLOCK), ("/4", 1)):
+            assert fs.read_file(path).read() == SyntheticBytes(path, size).read()
+        fs.delete("/3")
+        fs.sync()  # the rest fits now
+        assert fs.dirty_files == []
+        assert fs.file_extents("/4") == [(METADATA_REGION + 3 * FS_BLOCK, FS_BLOCK)]
+        assert GuestFileSystem.mount(device).listdir("/") == ["/1", "/2", "/4"]
+
 
 @settings(max_examples=20, deadline=None)
 @given(
@@ -315,6 +386,53 @@ def test_property_fs_survives_remount(files):
     remounted = GuestFileSystem.mount(dev)
     for path, data in files.items():
         assert remounted.read_file(path).read() == data
+
+
+_FS_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["write", "append"]),
+            st.sampled_from(["/a", "/b/c", "/d", "/e"]),
+            st.binary(max_size=FS_BLOCK + 10),
+        ),
+        st.tuples(st.just("delete"), st.sampled_from(["/a", "/b/c", "/d", "/e"])),
+        st.tuples(st.sampled_from(["sync", "mount"])),
+    ),
+    max_size=14,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(ops=_FS_OPS)
+def test_property_the_file_system_is_a_dict_of_paths_to_bytes(ops):
+    """Writes, appends and deletes act on a page cache; a sync makes it what a
+    mount finds, and a mount forgets what was not synced."""
+    fs, device = make_fs()
+    synced, current, dirty = {}, {}, set()
+    for op in ops:
+        if op[0] in ("write", "append"):
+            _code, path, data = op
+            fs.write_file(path, data, append=op[0] == "append")
+            current[path] = current.get(path, b"") + data if op[0] == "append" else data
+            dirty.add(path)
+        elif op[0] == "delete":
+            if op[1] in current:
+                fs.delete(op[1])
+                del current[op[1]]
+                dirty.discard(op[1])
+            else:
+                with pytest.raises(FileSystemError):
+                    fs.delete(op[1])
+        elif op[0] == "sync":
+            fs.sync()
+            synced, dirty = dict(current), set()
+        else:
+            fs = GuestFileSystem.mount(device)
+            current, dirty = dict(synced), set()
+        assert fs.listdir("/") == sorted(current)
+        assert fs.dirty_files == sorted(dirty)
+        for path, data in current.items():
+            assert fs.read_file(path).read() == data
 
 
 # -- a table the file system wrote against the same bytes as a literal copy ---------------------
