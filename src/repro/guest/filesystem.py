@@ -22,9 +22,8 @@ the paper depends on:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.util.bytesource import ByteSource, LiteralBytes, ZeroBytes, concat
 from repro.util.errors import FileSystemError
@@ -39,16 +38,23 @@ FS_BLOCK = 4096
 #: the JSON text of an inode-table key; the guests of a cloud share their paths
 _json_key = lru_cache(maxsize=4096)(json.dumps)
 
+#: the zeros after a fresh extent's content, one object per length
+_padding = lru_cache(maxsize=FS_BLOCK)(ZeroBytes)
 
-#: one file of the inode table: path, flushed size, extent offset and length, and its line
-_Entry = Tuple[str, int, int, int, str]
+
+#: one file of the inode table: path, flushed size, extent offset and length, and
+#: the length of its line
+_Entry = Tuple[str, int, int, int, int]
+
+
+def _line(path: str, size: int, offset: int, length: int) -> str:
+    """A file's line of the inode table: what ``json.dumps`` writes for it with
+    ``sort_keys``."""
+    return f'{_json_key(path)}: {{"extents": [[{offset}, {length}]], "size": {size}}}'
 
 
 def _entry(path: str, size: int, offset: int, length: int) -> _Entry:
-    """One file's entry of the inode table; its line is what ``json.dumps``
-    writes for the file with ``sort_keys``."""
-    line = f'{_json_key(path)}: {{"extents": [[{offset}, {length}]], "size": {size}}}'
-    return (path, size, offset, length, line)
+    return (path, size, offset, length, len(_line(path, size, offset, length)))
 
 
 class _InodeTable(ByteSource):
@@ -56,7 +62,8 @@ class _InodeTable(ByteSource):
 
     Its bytes are ``json.dumps(table, sort_keys=True)`` and exist only while
     something reads them: a snapshot keeps the entries, which successive
-    tables of one guest, and every guest of one base image, share.
+    tables of one guest, every guest of one base image, and the file systems
+    mounted from them share.
     """
 
     __slots__ = ("entries", "next_free", "_size")
@@ -65,7 +72,7 @@ class _InodeTable(ByteSource):
         self.entries = entries
         self.next_free = next_free
         # the lines are ASCII (``json.dumps`` escapes the rest): characters are bytes
-        lines = sum(len(entry[4]) + 2 for entry in entries) - 2 * bool(entries)
+        lines = sum(entry[4] + 2 for entry in entries) - 2 * bool(entries)
         self._size = len(f'{{"files": {{}}, "next_free": {next_free}}}') + lines
 
     @property
@@ -76,7 +83,7 @@ class _InodeTable(ByteSource):
         return self._read_filled(offset, length)
 
     def _fill(self, offset: int, view: memoryview) -> None:
-        lines = ", ".join([entry[4] for entry in self.entries])
+        lines = ", ".join([_line(*entry[:4]) for entry in self.entries])
         text = f'{{"files": {{{lines}}}, "next_free": {self.next_free}}}'.encode("utf-8")
         view[:] = memoryview(text)[offset : offset + len(view)]
 
@@ -89,27 +96,14 @@ class _InodeTable(ByteSource):
         return LiteralBytes(self.read()).fingerprint()
 
 
-@dataclass(slots=True)
-class _FileNode:
-    """In-memory state of one file."""
-
-    path: str
-    size: int = 0
-    #: size of the data actually flushed to the device (what a crash keeps)
-    flushed_size: int = 0
-    #: the file's one on-disk extent: device offset and allocated length
-    #: (0 until the first flush allocates it)
-    offset: int = 0
-    on_disk_size: int = 0
-    #: cached content (always present for dirty files)
-    cached: Optional[ByteSource] = None
-    dirty: bool = False
-    #: :func:`_entry` of ``flushed_size`` and the extent, set where they change
-    entry: Optional[_Entry] = None
-
-
 class GuestFileSystem:
-    """A small file system stored entirely on a :class:`BlockDevice`."""
+    """A small file system stored entirely on a :class:`BlockDevice`.
+
+    Its state is the inode table as the device holds it (``_entries``, path
+    to entry, in table order and then in the order files were first
+    flushed) and the page cache (``_cache``, the content of each dirty file,
+    in the order it was first written).  A clean file is its entry alone.
+    """
 
     def __init__(self, device: BlockDevice):
         if device.size <= METADATA_REGION + FS_BLOCK:
@@ -117,7 +111,8 @@ class GuestFileSystem:
                 f"device of {device.size} bytes is too small for the file system"
             )
         self.device = device
-        self._files: Dict[str, _FileNode] = {}
+        self._entries: Dict[str, _Entry] = {}
+        self._cache: Dict[str, ByteSource] = {}
         self._next_free = METADATA_REGION
         self._mounted = False
         #: counters for tests and experiment accounting
@@ -170,10 +165,7 @@ class GuestFileSystem:
             except (ValueError, LookupError, TypeError, AttributeError, FileSystemError) as exc:
                 # a JSON or UTF-8 error is a ValueError; the rest is a table of the wrong shape
                 raise FileSystemError(f"corrupted file-system metadata: {exc}") from exc
-        for entry in entries:
-            path, size, offset, length, _line = entry
-            # by position: keywords cost a mount half a microsecond per inode
-            fs._files[path] = _FileNode(path, size, size, offset, length, None, False, entry)
+        fs._entries = {entry[0]: entry for entry in entries}
         fs._mounted = True
         return fs
 
@@ -205,53 +197,44 @@ class GuestFileSystem:
         path = self._normalise(path)
         if isinstance(data, (bytes, bytearray)):
             data = LiteralBytes(bytes(data))
-        node = self._files.get(path)
-        if node is None:
-            node = _FileNode(path=path)
-            self._files[path] = node
-        if append and node.size > 0:
-            current = self._content_of(node)
-            node.cached = concat([current, data])
-        else:
-            node.cached = data
-        node.size = node.cached.size
-        node.dirty = True
-        return node.size
+        if append and (path in self._cache or path in self._entries):
+            current = self._content(path)
+            if current.size:
+                data = concat([current, data])
+        self._cache[path] = data
+        return data.size
 
     def read_file(self, path: str) -> ByteSource:
         """Read a whole file (from the cache if dirty, from disk otherwise)."""
         self._require_mounted()
         path = self._normalise(path)
-        node = self._files.get(path)
-        if node is None:
+        if path not in self._cache and path not in self._entries:
             raise FileSystemError(f"no such file: {path}")
-        return self._content_of(node)
+        return self._content(path)
 
-    def _content_of(self, node: _FileNode) -> ByteSource:
-        if node.cached is not None:
-            return node.cached
-        pieces: List[ByteSource] = []
-        take = min(node.on_disk_size, node.flushed_size)
-        if take > 0:
-            pieces.append(self.device.read(node.offset, take))
-        if node.flushed_size > take:
-            pieces.append(ZeroBytes(node.flushed_size - take))
-        return concat(pieces) if pieces else LiteralBytes(b"")
+    def _content(self, path: str) -> ByteSource:
+        cached = self._cache.get(path)
+        if cached is not None:
+            return cached
+        _path, size, offset, _length, _line_length = self._entries[path]
+        return self.device.read(offset, size) if size else LiteralBytes(b"")
 
     def delete(self, path: str) -> None:
         self._require_mounted()
         path = self._normalise(path)
-        if path not in self._files:
+        if path not in self._cache and path not in self._entries:
             raise FileSystemError(f"no such file: {path}")
         # Space is not reclaimed (log-structured allocation); the inode goes away.
-        del self._files[path]
+        self._cache.pop(path, None)
+        self._entries.pop(path, None)
 
     def exists(self, path: str) -> bool:
         self._require_mounted()
         try:
-            return self._normalise(path) in self._files
+            path = self._normalise(path)
         except FileSystemError:
             return False
+        return path in self._cache or path in self._entries
 
     def listdir(self, prefix: str = "/") -> List[str]:
         """All file paths under ``prefix``."""
@@ -260,7 +243,7 @@ class GuestFileSystem:
             prefix = prefix + "/"
         if prefix == "//":
             prefix = "/"
-        return sorted(p for p in self._files if p.startswith(prefix))
+        return sorted(p for p in self._entries.keys() | self._cache.keys() if p.startswith(prefix))
 
     def file_extents(self, path: str) -> List[Tuple[int, int]]:
         """On-disk extents of a file as ``(device offset, length)`` pairs.
@@ -268,38 +251,49 @@ class GuestFileSystem:
         This is the block mapping a post-copy migration needs to translate
         "the guest touched this file" into the virtual-disk blocks that must
         be faulted in from the source.  Dirty (unflushed) cache content has
-        no extents yet and is not included.
+        no extents yet and is not included: a dirty file that was flushed
+        before reports the extent it was flushed to.
         """
         self._require_mounted()
         path = self._normalise(path)
-        node = self._files.get(path)
-        if node is None:
+        entry = self._entries.get(path)
+        if entry is not None:
+            return [(entry[2], entry[3])]
+        if path not in self._cache:
             raise FileSystemError(f"no such file: {path}")
-        return [(node.offset, node.on_disk_size)] if node.on_disk_size else []
+        return []
 
     # -- persistence -----------------------------------------------------------------
 
     @property
     def dirty_files(self) -> List[str]:
-        return sorted(p for p, n in self._files.items() if n.dirty)
+        return sorted(self._cache)
 
     def sync(self) -> int:
-        """Flush every dirty file and the inode table; returns bytes written."""
+        """Flush every dirty file and the inode table; returns bytes written.
+
+        Files already on the device go first, in table order, then the new
+        ones in the order they were first written: the allocator hands out
+        extents in that order.
+        """
         self._require_mounted()
-        written = self._flush([node for node in self._files.values() if node.dirty])
+        cache = self._cache
+        dirty = [path for path in self._entries if path in cache]
+        dirty += [path for path in cache if path not in self._entries]
+        written = self._flush(dirty)
         self.sync_count += 1
         return written
 
-    def _flush(self, nodes: Sequence[_FileNode]) -> int:
-        """Put ``nodes`` and the inode table on the device as one vectored
-        write; returns the bytes of file content and table written.
+    def _flush(self, paths: Sequence[str]) -> int:
+        """Put the dirty ``paths`` and the inode table on the device as one
+        vectored write; returns the bytes of file content and table written.
 
         What was gathered when an allocation or the table fails still reaches
         the device, as it did when every file was its own write.
         """
         pieces: List[Tuple[int, ByteSource]] = []
         try:
-            written = sum(self._flush_node(node, pieces) for node in nodes)
+            written = sum(self._flush_file(path, pieces) for path in paths)
             return written + self._write_metadata(pieces)
         finally:
             self.device.writev(pieces)
@@ -315,31 +309,26 @@ class GuestFileSystem:
         self._next_free += length
         return extent
 
-    def _flush_node(self, node: _FileNode, pieces: List[Tuple[int, ByteSource]]) -> int:
-        content = node.cached if node.cached is not None else self._content_of(node)
+    def _flush_file(self, path: str, pieces: List[Tuple[int, ByteSource]]) -> int:
+        content = self._cache[path]
         size = content.size
-        fresh = size > node.on_disk_size or not node.on_disk_size
-        window = content
-        if fresh:
+        entry = self._entries.get(path)
+        if entry is None or size > entry[3]:
             # Allocate a fresh contiguous extent for the whole file (the old
             # one is abandoned, log-structured style) and write it whole: the
             # zeros after the content need nothing read from the device.
-            node.offset, node.on_disk_size = self._allocate(max(size, 1))
-            if size:
-                window = concat([content, ZeroBytes(node.on_disk_size - size)])
-        pieces.append((node.offset, window))
-        if fresh or size != node.flushed_size:
-            node.entry = _entry(node.path, size, node.offset, node.on_disk_size)
-        node.size = node.flushed_size = size
-        node.dirty = False
-        node.cached = None
+            offset, length = self._allocate(max(size, 1))
+            pieces.append((offset, concat([content, _padding(length - size)]) if size else content))
+            self._entries[path] = _entry(path, size, offset, length)
+        else:
+            pieces.append((entry[2], content))
+            if size != entry[1]:
+                self._entries[path] = _entry(path, size, entry[2], entry[3])
+        del self._cache[path]
         return size
 
     def _write_metadata(self, pieces: List[Tuple[int, ByteSource]]) -> int:
-        table = _InodeTable(
-            tuple([node.entry for _path, node in sorted(self._files.items()) if node.on_disk_size]),
-            self._next_free,
-        )
+        table = _InodeTable(tuple(sorted(self._entries.values())), self._next_free)
         if table.size + 8 > METADATA_REGION:
             raise FileSystemError("inode table exceeds the metadata region")
         pieces.append((0, concat([LiteralBytes(table.size.to_bytes(8, "little")), table])))
@@ -354,6 +343,6 @@ class GuestFileSystem:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
-            f"<GuestFileSystem files={len(self._files)} used={self.used_bytes} "
-            f"dirty={len(self.dirty_files)}>"
+            f"<GuestFileSystem files={len(self._entries.keys() | self._cache.keys())} "
+            f"used={self.used_bytes} dirty={len(self.dirty_files)}>"
         )

@@ -20,7 +20,13 @@ from repro.guest import (
     blcr_restore,
     write_boot_noise,
 )
-from repro.guest.filesystem import FS_BLOCK, METADATA_REGION, _InodeTable, _json_key
+from repro.guest.filesystem import (
+    FS_BLOCK,
+    METADATA_REGION,
+    _InodeTable,
+    _json_key,
+    _padding,
+)
 from repro.guest.osnoise import _boot_plan
 from repro.util import LiteralBytes, SyntheticBytes
 from repro.util.bytesource import content_equal
@@ -126,6 +132,23 @@ class TestGuestFileSystem:
         dev.read = lambda offset, length: reads.append((offset, length)) or read(offset, length)
         GuestFileSystem.mount(dev)
         assert reads == [(0, 8), (8, table_bytes)]
+
+    def test_a_mount_shares_the_entries_of_the_table_it_reads(self):
+        """A clean file is its entry of the inode table on the device: a mount
+        makes no object per file, and a fresh extent's zeros are one object per
+        length."""
+        fs, dev = make_fs()
+        for index in range(5):
+            fs.write_file(f"/f{index}", b"x" * (index + 1))
+        fs.sync()
+        table = dev.read(8, int.from_bytes(dev.read(0, 8).read(), "little"))
+        assert type(table) is _InodeTable
+        remounted = GuestFileSystem.mount(dev)
+        assert len(table.entries) == len(remounted.listdir("/")) == 5
+        assert all(remounted._entries[entry[0]] is entry for entry in table.entries)
+        assert remounted.dirty_files == []
+        assert _padding(FS_BLOCK - 1) is _padding(FS_BLOCK - 1)
+        assert _padding(7).size == 7 and _padding(7).read() == bytes(7)
 
     def test_mount_and_sync_encode_a_path_once(self):
         """The inode table is joined from per-file lines; the JSON text of a path
