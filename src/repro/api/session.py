@@ -346,11 +346,19 @@ class Session:
         next free compute node.
         ``demand_paths`` (post-copy only) names guest files the workload
         touches right after the switchover, served as demand faults ahead
-        of the background prefetch sweep.  Returns a
+        of the background prefetch sweep; anything but an iterable of
+        ``str`` (a lone ``str`` too) raises ``TypeError``.  Returns a
         :class:`~repro.api.results.MigrateResult`; the engine-level
         :class:`~repro.core.migration.MigrationResult` rides along as
         ``handle``.
         """
+        if isinstance(demand_paths, str) or not isinstance(demand_paths, Iterable):
+            kind = type(demand_paths).__name__
+            raise TypeError(f"demand_paths must be an iterable of str, got {kind}")
+        demand_paths = tuple(demand_paths)
+        for path in demand_paths:
+            if not isinstance(path, str):
+                raise TypeError(f"demand_paths must hold only str, got {type(path).__name__}")
         deployment = self.deployment
         info = get_backend(self.backend)
         if not info.live_migration:
@@ -365,7 +373,7 @@ class Session:
             target_node = self.cloud.reserve_nodes(1, owner=deployment)[0]
         result = self.drive(
             deployment.migrate_instance(
-                instance, target_node, mode=mode, demand_paths=tuple(demand_paths)
+                instance, target_node, mode=mode, demand_paths=demand_paths
             ),
             name=f"api-migrate:{instance_id}",
         )

@@ -116,6 +116,11 @@ def _add_selection_arguments(parser: argparse.ArgumentParser, names: List[str], 
         action="store_true",
         help="suppress the per-cell progress lines on stderr",
     )
+    parser.add_argument(
+        "--list-cells",
+        action="store_true",
+        help=f"list the cell keys the selection would {verb} and exit",
+    )
 
 
 def _build_parser(names: List[str]) -> argparse.ArgumentParser:
@@ -129,11 +134,6 @@ def _build_parser(names: List[str]) -> argparse.ArgumentParser:
         "(docs/performance.md).",
     )
     _add_selection_arguments(parser, names, verb="run")
-    parser.add_argument(
-        "--list-cells",
-        action="store_true",
-        help="list the addressable cell keys of the selected experiments and exit",
-    )
     parser.add_argument(
         "--list-backends",
         action="store_true",
@@ -198,6 +198,23 @@ def _write_text(parser: argparse.ArgumentParser, path: str, payload: str, what: 
         parser.error(f"cannot write {what} to {path}: {exc}")
 
 
+def _list_cells(
+    parser: argparse.ArgumentParser,
+    runner: ParallelRunner,
+    experiments: List[str],
+    config: RunConfig,
+    selectors: List[CellSelector],
+) -> int:
+    """Print the key of every cell the selection resolves to (``--list-cells``)."""
+    try:
+        cells = runner.enumerate(experiments, config, selectors)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
+    for cell in cells:
+        print(cell.key)
+    return 0
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     raw_argv = list(sys.argv[1:]) if argv is None else list(argv)
     if raw_argv and raw_argv[0] == "trace":
@@ -224,13 +241,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     experiments, selectors, config = _resolve_run_inputs(parser, args, names)
 
     if args.list_cells:
-        try:
-            cells = runner.enumerate(experiments, config, selectors)
-        except ConfigurationError as exc:
-            parser.error(str(exc))
-        for cell in cells:
-            print(cell.key)
-        return 0
+        return _list_cells(parser, runner, experiments, config, selectors)
 
     try:
         report = runner.run(experiments, config, selectors)
@@ -309,6 +320,8 @@ def trace_main(argv: List[str]) -> int:
     args.experiments = [e for e in args.experiments if ":" not in e]
     runner = _runner(parser, args)
     experiments, selectors, config = _resolve_run_inputs(parser, args, names)
+    if args.list_cells:
+        return _list_cells(parser, runner, experiments, config, selectors)
     try:
         report = runner.run(experiments, config, selectors, trace=True)
     except ConfigurationError as exc:

@@ -481,6 +481,23 @@ class TestSessionValidation:
         with pytest.raises(TypeError, match=f"seconds must be a number, got {kind}"):
             session.advance(seconds)
 
+    @pytest.mark.parametrize(
+        "paths, message",
+        [
+            (5, "demand_paths must be an iterable of str, got int"),
+            ("/data/hot.dat", "demand_paths must be an iterable of str, got str"),
+            (["/data/hot.dat", 7], "demand_paths must hold only str, got int"),
+        ],
+    )
+    def test_migrate_rejects_demand_paths_that_are_not_str(self, paths, message):
+        session = Session.from_spec(SMALL)
+        session.deploy("blobcr", n=1)
+        host = session.deployment.instances[0].node_name
+        before = session.now
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            session.migrate(mode="post-copy", demand_paths=paths)
+        assert session.now == before and session.deployment.instances[0].node_name == host
+
     def test_drive_on_dead_cloud_rejected(self):
         session = Session.from_spec(SMALL)
         session.deploy("blobcr", n=1)

@@ -57,6 +57,16 @@ class TestListCells:
         assert main(["--cells", "fig7:zlib", "--list-cells"]) == 0
         assert capsys.readouterr().out.splitlines() == ["fig7:zlib"]
 
+    def test_a_trace_lists_the_cells_it_would_trace_and_writes_nothing(self, tmp_path, capsys):
+        artifact = tmp_path / "trace.json"
+        argv = ["fig2:BlobCR-app:24", "--trace-artifact", str(artifact), "--list-cells"]
+        assert main(["trace", *argv]) == 0
+        listed = capsys.readouterr().out.splitlines()
+        assert listed == ["fig2:BlobCR-app:24:50MB", "fig2:BlobCR-app:24:200MB"]
+        assert not artifact.exists()
+        assert main(["--cells", "fig2:BlobCR-app:24", "--list-cells"]) == 0
+        assert capsys.readouterr().out.splitlines() == listed
+
 
 class TestRuns:
     def test_single_cell_run_with_json(self, capsys):

@@ -106,10 +106,6 @@ class TestCheckerDetection:
 #: a line that starts a command: ``VAR=value`` assignments, then the program
 _COMMAND_START = re.compile(r"^\s*(?:\w+=\S*\s+)*(?:blobcr-repro|python3?)(?:\s|$)")
 
-#: the selection options that take a value
-_VALUED = {"--cells", "--override", "--seed", "--workers", "-j"}
-
-
 def documented_commands():
     """``(page:line, argv)`` of every CLI command in a fenced block of the docs.
 
@@ -147,23 +143,9 @@ def documented_commands():
 
 
 def as_listing(argv):
-    """The run argv that lists the cells ``argv`` selects (and runs none).
-
-    A trace's cell selectors become ``--cells`` and its output paths go.
-    """
-    if argv[:1] != ["trace"]:
-        return argv + ["--list-cells"]
-    listing, tokens = [], iter(argv[1:])
-    for token in tokens:
-        if token in ("--trace-artifact", "--chrome"):
-            next(tokens)
-        elif token in _VALUED:
-            listing += [token, next(tokens)]
-        elif ":" in token:
-            listing += ["--cells", token]
-        else:
-            listing.append(token)
-    return listing + ["--list-cells"]
+    """The argv that lists the cells ``argv`` selects (and runs none): a run and
+    a trace both take ``--list-cells``."""
+    return argv + ["--list-cells"]
 
 
 _COMMANDS = documented_commands()
