@@ -45,6 +45,7 @@ from repro.runner import (
     ParallelRunner,
     ProgressMeter,
     RunConfig,
+    RunReport,
     build_artifact,
     load_all,
     resolve_run_inputs,
@@ -198,21 +199,24 @@ def _write_text(parser: argparse.ArgumentParser, path: str, payload: str, what: 
         parser.error(f"cannot write {what} to {path}: {exc}")
 
 
-def _list_cells(
+def _execute(
     parser: argparse.ArgumentParser,
     runner: ParallelRunner,
-    experiments: List[str],
-    config: RunConfig,
-    selectors: List[CellSelector],
-) -> int:
-    """Print the key of every cell the selection resolves to (``--list-cells``)."""
+    args: argparse.Namespace,
+    selection: Tuple[List[str], List[CellSelector], RunConfig],
+    trace: bool = False,
+) -> Optional[RunReport]:
+    """Run the selected cells, or with ``--list-cells`` print their keys and
+    return ``None``; both entry points go through here."""
+    experiments, selectors, config = selection
     try:
-        cells = runner.enumerate(experiments, config, selectors)
+        if args.list_cells:
+            for cell in runner.enumerate(experiments, config, selectors):
+                print(cell.key)
+            return None
+        return runner.run(experiments, config, selectors, trace=trace)
     except ConfigurationError as exc:
         parser.error(str(exc))
-    for cell in cells:
-        print(cell.key)
-    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -238,15 +242,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     runner = _runner(parser, args)
-    experiments, selectors, config = _resolve_run_inputs(parser, args, names)
-
-    if args.list_cells:
-        return _list_cells(parser, runner, experiments, config, selectors)
-
-    try:
-        report = runner.run(experiments, config, selectors)
-    except ConfigurationError as exc:
-        parser.error(str(exc))
+    report = _execute(parser, runner, args, _resolve_run_inputs(parser, args, names))
+    if report is None:
+        return 0
 
     collected = {}
     for result in report.results:
@@ -319,13 +317,9 @@ def trace_main(argv: List[str]) -> int:
     args.cells.extend(e for e in args.experiments if ":" in e)
     args.experiments = [e for e in args.experiments if ":" not in e]
     runner = _runner(parser, args)
-    experiments, selectors, config = _resolve_run_inputs(parser, args, names)
-    if args.list_cells:
-        return _list_cells(parser, runner, experiments, config, selectors)
-    try:
-        report = runner.run(experiments, config, selectors, trace=True)
-    except ConfigurationError as exc:
-        parser.error(str(exc))
+    report = _execute(parser, runner, args, _resolve_run_inputs(parser, args, names), trace=True)
+    if report is None:
+        return 0
 
     document = build_artifact(report, host=False)
     cell_records = document["cells"]
