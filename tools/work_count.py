@@ -37,20 +37,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 #: the statement a fresh interpreter runs: import this file, count, print JSON
 _CHILD = (
     "import json, sys; sys.path.insert(0, sys.argv[1]); import work_count; "
     "print(json.dumps(work_count.count(**json.loads(sys.argv[2]))))"
 )
-
-
-def workload_calls(workload: str, seed: Optional[int]) -> List[Tuple[str, dict]]:
-    """``(scenario, run_scenario keyword arguments)`` of a perfbench workload."""
-    from perfbench.workloads import get_workload
-
-    return [(call.scenario, call.kwargs(seed)) for call in get_workload(workload).calls]
 
 
 def _layer(module: str) -> str:
@@ -70,7 +63,9 @@ def count(
     from repro.api import Session
 
     if workload is not None:
-        calls = workload_calls(workload, seed)
+        from perfbench.workloads import get_workload
+
+        calls = [(call.scenario, call.kwargs(seed)) for call in get_workload(workload).calls]
     root = os.path.dirname(repro.__file__) + os.sep
     session = Session()
     executed = 0
