@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.cluster.cloud import Cloud
-from repro.cluster.hypervisor import DEFAULT_BOOT_READ_BYTES
 from repro.cluster.pvfs import PVFSDeployment
 from repro.core.baseimage import build_base_image
 from repro.core.strategy import DeployedInstance, Deployment
@@ -27,17 +26,10 @@ class QcowPVFSDeployment(Deployment):
 
     name = "qcow2-common"
 
-    def __init__(
-        self,
-        cloud: Cloud,
-        pvfs: Optional[PVFSDeployment] = None,
-        base_image: Optional[RawImage] = None,
-        boot_read_bytes: float = DEFAULT_BOOT_READ_BYTES,
-        instance_prefix: str = "vm",
-    ):
-        super().__init__(cloud, instance_prefix=instance_prefix, boot_read_bytes=boot_read_bytes)
-        self.pvfs = pvfs or PVFSDeployment(cloud)
-        self._base_image = base_image
+    def __init__(self, cloud: Cloud, instance_prefix: str = "vm"):
+        super().__init__(cloud, instance_prefix=instance_prefix)
+        self.pvfs = PVFSDeployment(cloud)
+        self._base_image: Optional[RawImage] = None
         self._base_uploaded = False
 
     # -- infrastructure helpers -----------------------------------------------------------

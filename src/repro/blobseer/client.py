@@ -89,16 +89,14 @@ class BlobClient:
 
     def __init__(
         self,
-        version_manager: Optional[VersionManager] = None,
-        metadata: Optional[MetadataStore] = None,
-        providers: Optional[ProviderManager] = None,
+        providers: ProviderManager,
         *,
         default_chunk_size: int = 256 * 1024,
         dedup: Optional[DedupEngine] = None,
     ) -> None:
-        self.version_manager = version_manager or VersionManager()
-        self.metadata = metadata or MetadataStore()
-        self.providers = providers or ProviderManager()
+        self.version_manager = VersionManager()
+        self.metadata = MetadataStore()
+        self.providers = providers
         self.default_chunk_size = default_chunk_size
         self.dedup = dedup
         self._next_chunk_id = 1

@@ -12,7 +12,7 @@ from repro.obs.tracer import Tracer
 from repro.sim.core import Environment, Event
 from repro.util.config import ClusterSpec, GRAPHENE
 from repro.util.errors import SimulationError
-from repro.util.rng import keyed_uniform, make_rng
+from repro.util.rng import keyed_uniform
 
 #: the innermost active :func:`clouds` scope: (its registry, whether it traces)
 _scope: Optional[Tuple[List["Cloud"], bool]] = None
@@ -74,7 +74,6 @@ class Cloud:
         #: node name -> owner token; lets several deployments share one cloud
         #: (the service layer) without double-booking compute nodes
         self._reservations: Dict[str, object] = {}
-        self._rng = make_rng("cloud", self.spec.seed)
         #: the guest pid namespace: pids leak into checkpoint content (the BLCR
         #: context-file header), so each cloud numbers its own processes and
         #: a cell's results never depend on another cloud alive beside it
@@ -153,20 +152,18 @@ class Cloud:
 
     # -- jitter -----------------------------------------------------------------------------
 
-    def jittered(self, nominal: float, key: object = None) -> float:
+    def jittered(self, nominal: float, key: object) -> float:
         """Apply the cluster's execution-time jitter to a nominal duration.
 
         Identical VMs never run in perfect lockstep; the paper's adaptive
-        prefetching explicitly exploits these small delays.  The jitter is
-        deterministic given ``key``.
+        prefetching explicitly exploits these small delays.  The factor is
+        drawn from the cluster seed and ``key`` alone, so a key always draws
+        the same one.
         """
         jitter = self.spec.jitter
         if nominal <= 0 or jitter <= 0:
             return max(0.0, nominal)
-        if key is None:
-            factor = 1.0 + float(self._rng.uniform(-jitter, jitter))
-        else:
-            factor = 1.0 + keyed_uniform(-jitter, jitter, "jitter", self.spec.seed, key)
+        factor = 1.0 + keyed_uniform(-jitter, jitter, "jitter", self.spec.seed, key)
         return max(0.0, nominal * factor)
 
     # -- running ---------------------------------------------------------------------------

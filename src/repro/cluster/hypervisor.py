@@ -15,13 +15,12 @@ come from the functional layer (actual guest state), never from constants.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator
 
-from repro.cluster.node import ComputeNode
+from repro.cluster.cloud import Cloud
 from repro.guest.filesystem import GuestFileSystem
 from repro.guest.vm import VMInstance
-from repro.sim.core import Environment, Event
-from repro.util.config import VMSpec
+from repro.sim.core import Event
 from repro.util.errors import GuestError
 from repro.vdisk.blockdev import BlockDevice
 from repro.vdisk.qcow2 import QcowImage
@@ -30,11 +29,11 @@ from repro.vdisk.qcow2 import QcowImage
 #: (kernel, initrd, init scripts, shared libraries).  The paper's lazy
 #: transfer argument is precisely that this is a small fraction of the 2 GB
 #: image; ~60 MB matches a minimal headless Debian Sid boot footprint.
-DEFAULT_BOOT_READ_BYTES = 60 * 10**6
+BOOT_READ_BYTES = 60 * 10**6
 
 #: a reader callback charges the time to read ``nbytes`` of image content and
 #: returns an event; the strategy decides where those bytes come from
-#: (BlobSeer with local caching, PVFS, local disk, ...)
+#: (BlobSeer with local caching, PVFS)
 ImageReader = Callable[[float, str], Event]
 
 
@@ -49,7 +48,7 @@ class HypervisorCache:
     and the :mod:`repro.api` session facade exposes it.
     """
 
-    def __init__(self, cloud):
+    def __init__(self, cloud: Cloud):
         self._cloud = cloud
         self._hypervisors: dict[str, Hypervisor] = {}
 
@@ -57,10 +56,7 @@ class HypervisorCache:
         """The node's hypervisor, created on first use."""
         hypervisor = self._hypervisors.get(node_name)
         if hypervisor is None:
-            cloud = self._cloud
-            hypervisor = Hypervisor(
-                cloud.env, cloud.node(node_name), cloud.spec.vm, jitter=cloud.jittered
-            )
+            hypervisor = Hypervisor(self._cloud, node_name)
             self._hypervisors[node_name] = hypervisor
         return hypervisor
 
@@ -72,45 +68,32 @@ class HypervisorCache:
 
 
 class Hypervisor:
-    """Boot/suspend/resume/savevm for the VMs of one compute node."""
+    """Boot/suspend/resume/savevm for the VMs of one compute node.
 
-    def __init__(
-        self,
-        env: Environment,
-        node: ComputeNode,
-        vm_spec: VMSpec,
-        jitter: Callable[[float, object], float] = lambda t, _k: t,
-    ):
-        self.env = env
-        self.node = node
-        self.vm_spec = vm_spec
-        self._jitter = jitter
+    Its timings are its cloud's ``spec.vm``, jittered by the cloud.
+    """
+
+    def __init__(self, cloud: Cloud, node_name: str):
+        self.cloud = cloud
+        self.env = cloud.env
+        self.node = cloud.node(node_name)
+        self.vm_spec = cloud.spec.vm
 
     # -- lifecycle ---------------------------------------------------------------------------
 
-    def boot(
-        self,
-        vm: VMInstance,
-        disk: BlockDevice,
-        image_reader: Optional[ImageReader] = None,
-        boot_read_bytes: float = DEFAULT_BOOT_READ_BYTES,
-    ) -> Generator:
+    def boot(self, vm: VMInstance, disk: BlockDevice, image_reader: ImageReader) -> Generator:
         """Simulation process: define and boot ``vm`` on this node.
 
         ``image_reader`` charges the time to fetch the boot-time working set
-        of the image; when omitted, the bytes are read from the node's local
-        disk.  The guest file system found on the disk is mounted.
+        of the image, :data:`BOOT_READ_BYTES`.  The guest file system found
+        on the disk is mounted.
         """
         self.node.check_alive()
         vm.attach_disk(disk)
         vm.mark_booting()
         yield from self._adopt(vm)
-        if boot_read_bytes > 0:
-            if image_reader is not None:
-                yield image_reader(boot_read_bytes, f"boot:{vm.instance_id}")
-            else:
-                yield self.node.disk.read(boot_read_bytes, label=f"boot:{vm.instance_id}")
-        yield self.env.timeout(self._jitter(self.vm_spec.boot_time, ("boot", vm.instance_id)))
+        yield image_reader(BOOT_READ_BYTES, f"boot:{vm.instance_id}")
+        yield self._pause(self.vm_spec.boot_time, "boot", vm)
         self.node.check_alive()
         vm.mark_running(GuestFileSystem.mount(disk))
         return vm
@@ -119,11 +102,11 @@ class Hypervisor:
         """Simulation process: freeze the VM (around a disk snapshot)."""
         self._check_hosted(vm)
         vm.suspend()
-        yield self.env.timeout(self._jitter(self.vm_spec.suspend_time, ("suspend", vm.instance_id)))
+        yield self._pause(self.vm_spec.suspend_time, "suspend", vm)
 
     def resume(self, vm: VMInstance) -> Generator:
         self._check_hosted(vm)
-        yield self.env.timeout(self._jitter(self.vm_spec.resume_time, ("resume", vm.instance_id)))
+        yield self._pause(self.vm_spec.resume_time, "resume", vm)
         vm.resume()
 
     def resume_from_snapshot(self, vm: VMInstance, disk: BlockDevice) -> Generator:
@@ -136,7 +119,7 @@ class Hypervisor:
         vm.attach_disk(disk)
         vm.mark_booting()
         yield from self._adopt(vm)
-        yield self.env.timeout(self._jitter(self.vm_spec.resume_time, ("loadvm", vm.instance_id)))
+        yield self._pause(self.vm_spec.resume_time, "loadvm", vm)
         vm.mark_running(GuestFileSystem.mount(disk))
         return vm
 
@@ -151,7 +134,7 @@ class Hypervisor:
         self.node.check_alive()
         vm.relocate(disk, GuestFileSystem.mount(disk))
         yield from self._adopt(vm)
-        yield self.env.timeout(self._jitter(self.vm_spec.resume_time, ("loadvm", vm.instance_id)))
+        yield self._pause(self.vm_spec.resume_time, "loadvm", vm)
         self.node.check_alive()
         vm.resume()
         return vm
@@ -165,12 +148,12 @@ class Hypervisor:
         """
         self._check_hosted(vm)
         vm.suspend()
-        yield self.env.timeout(self._jitter(self.vm_spec.suspend_time, ("savevm", vm.instance_id)))
+        yield self._pause(self.vm_spec.suspend_time, "savevm", vm)
         state_bytes = vm.runtime_state_bytes
         with self.env.phase("vm-dump", vm.instance_id, bytes=state_bytes):
             snapshot = image.create_internal_snapshot(snapshot_name, vm_state_size=state_bytes)
             yield self.node.disk.write(state_bytes, label=f"savevm:{vm.instance_id}")
-        yield self.env.timeout(self._jitter(self.vm_spec.resume_time, ("resume", vm.instance_id)))
+        yield self._pause(self.vm_spec.resume_time, "resume", vm)
         vm.resume()
         return snapshot
 
@@ -179,7 +162,11 @@ class Hypervisor:
         the caller has attached) and pays the define latency -- the step a
         boot, a resume from a full snapshot and an incoming migration share."""
         vm.host = self.node.name
-        yield self.env.timeout(self._jitter(self.vm_spec.define_time, ("define", vm.instance_id)))
+        yield self._pause(self.vm_spec.define_time, "define", vm)
+
+    def _pause(self, nominal: float, step: str, vm: VMInstance) -> Event:
+        """A timeout of ``nominal`` seconds, jittered by the cloud per ``(step, instance)``."""
+        return self.env.timeout(self.cloud.jittered(nominal, (step, vm.instance_id)))
 
     def _check_hosted(self, vm: VMInstance) -> None:
         self.node.check_alive()

@@ -22,7 +22,6 @@ from typing import Any, Dict, Generator, List, Optional
 
 from repro.cluster.cloud import Cloud
 from repro.sim.resources import Resource
-from repro.util.config import PVFSSpec
 from repro.util.errors import FileSystemError, StorageError
 
 
@@ -40,17 +39,14 @@ class PVFSFile:
 class PVFSDeployment:
     """PVFS deployed over the cloud's compute nodes."""
 
-    def __init__(
-        self, cloud: Cloud, spec: Optional[PVFSSpec] = None, metadata_node: Optional[str] = None
-    ):
+    def __init__(self, cloud: Cloud):
         self.cloud = cloud
-        self.spec = spec or cloud.spec.pvfs
-        self.spec.validate()
+        self.spec = cloud.spec.pvfs
         servers = min(self.spec.io_servers, len(cloud.compute_nodes))
         if servers < 1:
             raise StorageError("PVFS needs at least one I/O server")
         self.server_nodes: List[str] = [n.name for n in cloud.compute_nodes[:servers]]
-        self.metadata_node = metadata_node or (
+        self.metadata_node = (
             cloud.service_nodes[0].name if cloud.service_nodes else self.server_nodes[0]
         )
         self._metadata_server = Resource(cloud.env, capacity=1, name="pvfs-mds")

@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional, Sequence, Set
 
 from repro.cluster.cloud import Cloud
-from repro.cluster.hypervisor import DEFAULT_BOOT_READ_BYTES
 from repro.core.backends import register_backend
 from repro.core.baseimage import build_base_image
 from repro.core.migration import MigrationRound, PostCopyPump, _Migration
@@ -55,10 +54,9 @@ class BlobCRDeployment(Deployment):
         repository: Optional[CheckpointRepository] = None,
         base_image: Optional[RawImage] = None,
         adaptive_prefetch: bool = True,
-        boot_read_bytes: float = DEFAULT_BOOT_READ_BYTES,
         instance_prefix: str = "vm",
     ):
-        super().__init__(cloud, instance_prefix=instance_prefix, boot_read_bytes=boot_read_bytes)
+        super().__init__(cloud, instance_prefix=instance_prefix)
         self.repository = repository or CheckpointRepository(cloud)
         self._base_image = base_image
         self.base_blob_id: Optional[int] = None
@@ -77,7 +75,7 @@ class BlobCRDeployment(Deployment):
 
     def _proxy(self, node_name: str) -> CheckpointProxy:
         if node_name not in self._proxies:
-            proxy = CheckpointProxy(self.hypervisors.get(node_name), self.cloud.spec.checkpoint)
+            proxy = CheckpointProxy(self.hypervisors.get(node_name))
             self._proxies[node_name] = proxy
         return self._proxies[node_name]
 
@@ -104,8 +102,7 @@ class BlobCRDeployment(Deployment):
         ``checkpoint_blob_id`` is the checkpoint image its COMMITs continue."""
         return MirroringModule(
             self.repository, node_name, instance_id, blob_id,
-            base_version=version, disk_size=self.cloud.spec.vm.disk_size,
-            spec=self.cloud.spec.checkpoint, checkpoint_blob_id=checkpoint_blob_id,
+            base_version=version, checkpoint_blob_id=checkpoint_blob_id,
         )
 
     def _new_disk(self, instance_id: str, node_name: str) -> MirroringModule:

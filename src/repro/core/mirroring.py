@@ -26,14 +26,17 @@ from repro.blobseer.client import WriteResult
 from repro.core.device import RemoteBlobDevice
 from repro.core.repository import CheckpointRepository
 from repro.util.bytesource import ByteSource
-from repro.util.config import CheckpointSpec
 from repro.util.errors import SnapshotError
 from repro.vdisk.blockdev import BlockDevice, SparseDevice
 from repro.vdisk.dirty import DirtyTracker, block_ranges
 
 
 class MirroringModule(BlockDevice):
-    """Raw-device facade with local COW and CLONE/COMMIT ioctls."""
+    """Raw-device facade with local COW and CLONE/COMMIT ioctls.
+
+    Its size and block size are its repository's cloud's ``spec.vm.disk_size``
+    and ``spec.checkpoint.cow_block_size``.
+    """
 
     def __init__(
         self,
@@ -42,16 +45,14 @@ class MirroringModule(BlockDevice):
         instance_id: str,
         base_blob_id: int,
         base_version: Optional[int] = None,
-        disk_size: Optional[int] = None,
-        spec: Optional[CheckpointSpec] = None,
         checkpoint_blob_id: Optional[int] = None,
     ):
         self.repository = repository
         self.node_name = node_name
         self.instance_id = instance_id
-        self.spec = spec or repository.cloud.spec.checkpoint
+        self.spec = repository.cloud.spec.checkpoint
         self.base_blob_id = base_blob_id
-        size = disk_size if disk_size is not None else repository.cloud.spec.vm.disk_size
+        size = repository.cloud.spec.vm.disk_size
         self.remote = RemoteBlobDevice(
             repository.client, base_blob_id, version=base_version, size=size,
             name=f"{instance_id}.base",

@@ -18,20 +18,19 @@ state onto the virtual disk -- to the guest.  Two variants are evaluated:
 from __future__ import annotations
 
 import math
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.core.strategy import DeployedInstance, Deployment, GlobalCheckpoint
 from repro.guest.blcr import blcr_dump
-from repro.util.config import CheckpointSpec
 from repro.util.errors import CheckpointError
 
 
 class CoordinatedCheckpoint:
     """Process-level coordinated checkpointing (mpich2 + BLCR + BlobCR extensions)."""
 
-    def __init__(self, deployment: Deployment, spec: Optional[CheckpointSpec] = None):
+    def __init__(self, deployment: Deployment):
         self.deployment = deployment
-        self.spec = spec or deployment.cloud.spec.checkpoint
+        self.spec = deployment.cloud.spec.checkpoint
         self.cloud = deployment.cloud
 
     # -- protocol steps ---------------------------------------------------------------------

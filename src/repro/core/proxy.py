@@ -16,7 +16,6 @@ from typing import Generator, Optional
 from repro.cluster.hypervisor import Hypervisor
 from repro.core.mirroring import MirroringModule
 from repro.guest.vm import VMInstance
-from repro.util.config import CheckpointSpec
 from repro.util.errors import CheckpointError
 
 
@@ -33,12 +32,15 @@ class SnapshotReply:
 
 
 class CheckpointProxy:
-    """Per-node service handling guest checkpoint requests."""
+    """Per-node service handling guest checkpoint requests.
 
-    def __init__(self, hypervisor: Hypervisor, spec: Optional[CheckpointSpec] = None):
+    Its timings are its hypervisor's cloud's ``spec.checkpoint``.
+    """
+
+    def __init__(self, hypervisor: Hypervisor):
         self.hypervisor = hypervisor
         self.node = hypervisor.node
-        self.spec = spec or CheckpointSpec()
+        self.spec = hypervisor.cloud.spec.checkpoint
 
     def authenticate(self, vm: VMInstance) -> None:
         """Only instances hosted on this node may use this proxy."""

@@ -20,17 +20,15 @@ from repro.cluster.cloud import Cloud
 from repro.dedup.codec import HEADER_BYTES
 from repro.dedup.engine import build_engine
 from repro.util.bytesource import ByteSource
-from repro.util.config import BlobSeerSpec
 from repro.vdisk.raw import RawImage
 
 
 class CheckpointRepository:
     """BlobSeer-backed checkpoint repository spanning the compute nodes."""
 
-    def __init__(self, cloud: Cloud, spec: Optional[BlobSeerSpec] = None):
+    def __init__(self, cloud: Cloud):
         self.cloud = cloud
-        self.spec = spec or cloud.spec.blobseer
-        self.spec.validate()
+        self.spec = cloud.spec.blobseer
         providers = ProviderManager(replication=self.spec.replication, tracer=cloud.env.tracer)
         for node in cloud.compute_nodes:
             provider = DataProvider(node.name, capacity=cloud.spec.disk.capacity)

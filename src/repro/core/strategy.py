@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from repro.cluster.cloud import Cloud
-from repro.cluster.hypervisor import DEFAULT_BOOT_READ_BYTES, HypervisorCache, ImageReader
+from repro.cluster.hypervisor import HypervisorCache, ImageReader
 from repro.guest.filesystem import GuestFileSystem
 from repro.guest.osnoise import write_boot_noise
 from repro.guest.vm import VMInstance
@@ -112,19 +112,12 @@ class Deployment(abc.ABC):
     #: label used by the scenario layer ("BlobCR", "qcow2-disk", "qcow2-full")
     name: str = "abstract"
 
-    def __init__(
-        self,
-        cloud: Cloud,
-        instance_prefix: str = "vm",
-        boot_read_bytes: float = DEFAULT_BOOT_READ_BYTES,
-    ):
+    def __init__(self, cloud: Cloud, instance_prefix: str = "vm"):
         self.cloud = cloud
         #: instance-id prefix (``vm`` -> ``vm-000``); the service layer gives
         #: every tenant deployment its own prefix so ids stay unique on a
         #: shared cloud
         self.instance_prefix = instance_prefix
-        #: bytes of the image a booting guest touches (see the hypervisor)
-        self.boot_read_bytes = boot_read_bytes
         self.instances: List[DeployedInstance] = []
         self.checkpoints: List[GlobalCheckpoint] = []
         #: completed live migrations, in completion order (populated by the
@@ -207,9 +200,7 @@ class Deployment(abc.ABC):
     def _boot(self, instance: DeployedInstance) -> Generator:
         """Simulation process: boot ``instance`` from its disk on its node."""
         yield from self.hypervisors.get(instance.node_name).boot(
-            instance.vm, instance.backend,
-            image_reader=self._image_reader(instance),
-            boot_read_bytes=self.boot_read_bytes,
+            instance.vm, instance.backend, self._image_reader(instance)
         )
 
     # -- generic orchestration -----------------------------------------------------------------

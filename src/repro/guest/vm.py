@@ -31,11 +31,11 @@ class VMState(enum.Enum):
 class VMInstance:
     """One virtual machine instance."""
 
-    def __init__(self, instance_id: str, spec: VMSpec, disk: Optional[BlockDevice] = None):
+    def __init__(self, instance_id: str, spec: VMSpec):
         self.instance_id = instance_id
         self.spec = spec
         self.state = VMState.DEFINED
-        self.disk = disk
+        self.disk: Optional[BlockDevice] = None
         self.fs: Optional[GuestFileSystem] = None
         self._processes: Dict[int, GuestProcess] = {}
         #: the compute node currently hosting the instance (set by middleware)

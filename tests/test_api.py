@@ -74,6 +74,21 @@ class TestBackendRegistry:
         assert "adaptive_prefetch" in info.options
         assert info.options["adaptive_prefetch"].default is True
 
+    @pytest.mark.parametrize(
+        "name, options, dropped",
+        [
+            ("blobcr", ["repository", "base_image", "adaptive_prefetch", "instance_prefix"],
+             "boot_read_bytes"),
+            ("qcow2-disk", ["instance_prefix"], "pvfs"),
+            ("qcow2-full", ["instance_prefix"], "base_image"),
+        ],
+    )
+    def test_builtin_option_names_are_pinned(self, name, options, dropped):
+        """Calibration comes from the cloud, never from a backend option."""
+        assert list(get_backend(name).options) == options
+        with pytest.raises(ConfigurationError, match=f"does not accept option.*{dropped}"):
+            create_backend(name, Cloud(SMALL), **{dropped: None})
+
     def test_unknown_option_rejected_listing_schema(self):
         with pytest.raises(ConfigurationError) as excinfo:
             create_backend("blobcr", Cloud(SMALL), compression="lz4")

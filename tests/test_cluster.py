@@ -61,14 +61,6 @@ class TestCloud:
         assert a == b
         assert 10.0 * (1 - SMALL.jitter) <= a <= 10.0 * (1 + SMALL.jitter)
 
-    def test_keyless_jitter_draws_from_the_cloud_stream(self):
-        cloud = Cloud(SMALL)
-        stream = make_rng("cloud", SMALL.seed)
-        drawn = [cloud.jittered(10.0) for _ in range(4)]
-        low, high = -SMALL.jitter, SMALL.jitter
-        assert drawn == [10.0 * (1.0 + float(stream.uniform(low, high))) for _ in range(4)]
-        assert len(set(drawn)) == 4
-
     def test_node_failure_aborts_transfers(self):
         cloud = Cloud(SMALL)
         outcome = {}
@@ -174,11 +166,15 @@ class TestPVFS:
             cloud.run(cloud.process(pvfs.write_file("node-000", "f", -1)))
 
 
+def _local_disk_reader(node):
+    """An image reader that reads the boot working set from ``node``'s own disk."""
+    return lambda nbytes, label: node.disk.read(nbytes, label=label)
+
+
 class TestHypervisor:
     def _env(self):
         cloud = Cloud(SMALL)
-        node = cloud.compute_nodes[0]
-        return cloud, Hypervisor(cloud.env, node, cloud.spec.vm)
+        return cloud, Hypervisor(cloud, "node-000")
 
     def test_boot_mounts_filesystem(self):
         cloud, hyp = self._env()
@@ -188,7 +184,7 @@ class TestHypervisor:
         out = {}
 
         def scenario():
-            yield from hyp.boot(vm, device, boot_read_bytes=1_000_000)
+            yield from hyp.boot(vm, device, _local_disk_reader(hyp.node))
             out["t"] = cloud.now
 
         cloud.run(cloud.process(scenario()))
@@ -203,7 +199,7 @@ class TestHypervisor:
         vm = VMInstance("vm-y", cloud.spec.vm)
 
         def scenario():
-            yield from hyp.boot(vm, device, boot_read_bytes=0)
+            yield from hyp.boot(vm, device, _local_disk_reader(hyp.node))
             t0 = cloud.now
             yield from hyp.suspend(vm)
             assert vm.state is VMState.SUSPENDED

@@ -108,9 +108,7 @@ class TestMirroringModule:
             out["blob"] = blob
 
         cloud.run(cloud.process(setup()))
-        module = MirroringModule(
-            repo, "node-001", "vm-test", out["blob"], disk_size=SMALL.vm.disk_size
-        )
+        module = MirroringModule(repo, "node-001", "vm-test", out["blob"])
         return cloud, repo, module
 
     def test_reads_fall_through_to_base(self):
