@@ -163,7 +163,7 @@ class Session:
         the facade owns the clock, the caller keeps its workflow.
         """
         if not self.cloud.live_compute_nodes():
-            raise ValueError(
+            raise ConfigurationError(
                 "cannot drive a simulation with no live compute nodes; "
                 "repair or recreate the session first"
             )
@@ -173,7 +173,9 @@ class Session:
         """Let the simulation idle for ``seconds``; returns the new time."""
         _require_type("seconds", seconds, Real, "a number")
         if not 0 < seconds < math.inf:
-            raise ValueError(f"cannot advance by a non-positive or non-finite duration ({seconds})")
+            raise ConfigurationError(
+                f"cannot advance by a non-positive or non-finite duration ({seconds})"
+            )
 
         def _idle():
             yield self.cloud.env.timeout(seconds)
@@ -271,7 +273,7 @@ class Session:
             raise TypeError(f"checkpoint is a {type(checkpoint).__name__}, not a CheckpointResult")
         if checkpoint is None:
             if not self._checkpoints:
-                raise ValueError("no checkpoint to restart from; call checkpoint() first")
+                raise ConfigurationError("no checkpoint to restart from; call checkpoint() first")
             checkpoint = self._checkpoints[-1]
         elif checkpoint not in self._checkpoints:
             raise RestartError(

@@ -30,6 +30,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.blobseer.provider import StoredRun
 from repro.core.repository import CheckpointRepository
+from repro.util.errors import ConfigurationError
 
 #: half-open chunk-index ranges of one stored run
 Ranges = List[Tuple[int, int]]
@@ -74,7 +75,7 @@ class SnapshotGarbageCollector:
 
     def __init__(self, repository: CheckpointRepository, keep_latest: int = 1):
         if keep_latest < 1:
-            raise ValueError("keep_latest must be >= 1")
+            raise ConfigurationError("keep_latest must be >= 1")
         self.repository = repository
         self.keep_latest = keep_latest
 

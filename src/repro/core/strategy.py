@@ -38,7 +38,7 @@ from repro.guest.filesystem import GuestFileSystem
 from repro.guest.osnoise import write_boot_noise
 from repro.guest.vm import VMInstance
 from repro.util.bytesource import ByteSource
-from repro.util.errors import CheckpointError, MigrationError, RestartError
+from repro.util.errors import CheckpointError, ConfigurationError, MigrationError, RestartError
 from repro.vdisk.blockdev import BlockDevice
 
 
@@ -164,7 +164,7 @@ class Deployment(abc.ABC):
         effect.
         """
         if count <= 0:
-            raise ValueError(
+            raise ConfigurationError(
                 f"cannot deploy {count} instances: the instance count must be positive"
             )
         return self._deploy(count, processes_per_instance)
@@ -274,7 +274,7 @@ class Deployment(abc.ABC):
         the quantity reported by Figure 3.
         """
         if not checkpoint.records:
-            raise ValueError(
+            raise ConfigurationError(
                 f"cannot restart from checkpoint {checkpoint.index}: it records no "
                 "instance snapshots (was it taken before any instance was deployed?)"
             )

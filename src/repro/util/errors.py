@@ -12,8 +12,11 @@ class ReproError(Exception):
     """Base class for all library errors."""
 
 
-class ConfigurationError(ReproError):
-    """An invalid or inconsistent configuration value was supplied."""
+class ConfigurationError(ReproError, ValueError):
+    """An invalid or inconsistent configuration value was supplied.
+
+    Also a ``ValueError``: it is the one error type for a bad argument value.
+    """
 
 
 class SimulationError(ReproError):

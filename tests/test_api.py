@@ -393,6 +393,33 @@ class TestSessionProviderLoss:
         assert session.guest_read("vm-000", "/ckpt/state.dat") == payload
 
 
+def _deployed():
+    session = Session.from_spec(SMALL)
+    session.deploy("blobcr", n=1)
+    return session
+
+
+def _drive_on_a_dead_cloud():
+    session = _deployed()
+    for node in session.cloud.compute_nodes:
+        node.fail()
+    session.drive(iter(()))
+
+
+def _restart_from_nothing():
+    from repro.core.strategy import GlobalCheckpoint
+
+    session = _deployed()
+    empty = GlobalCheckpoint(index=1, started_at=0.0, finished_at=0.0)
+    session.drive(session.deployment.restart_all(empty))
+
+
+def _keep_nothing():
+    from repro.core import CheckpointRepository, SnapshotGarbageCollector
+
+    SnapshotGarbageCollector(CheckpointRepository(Cloud(SMALL)), keep_latest=0)
+
+
 class TestSessionValidation:
     @pytest.mark.parametrize("count", [0, -3])
     def test_deploy_rejects_non_positive_counts(self, count):
@@ -422,6 +449,21 @@ class TestSessionValidation:
         session.deploy("blobcr", n=1)
         with pytest.raises(ValueError, match="no checkpoint"):
             session.restart()
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (_drive_on_a_dead_cloud, "no live compute nodes"),
+            (lambda: _deployed().advance(0), "non-finite duration"),
+            (lambda: _deployed().restart(), "no checkpoint"),
+            (lambda: BlobCRDeployment(Cloud(SMALL)).deploy(0), "must be positive"),
+            (_restart_from_nothing, "records no"),
+            (_keep_nothing, "keep_latest must be >= 1"),
+        ],
+    )
+    def test_a_bad_argument_value_is_a_configuration_error(self, call, message):
+        with pytest.raises(ConfigurationError, match=message):
+            call()
 
     def test_restart_from_a_non_checkpoint_rejected(self):
         session = Session.from_spec(SMALL)
