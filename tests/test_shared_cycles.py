@@ -55,15 +55,23 @@ def _flip_a_middle_byte(data):
     return concat([data.slice(0, at), flipped, data.slice(at + 1, data.size - at - 1)])
 
 
-def _flip_a_checkpointed_byte(deployment):
-    """Flip the middle byte of the largest run a checkpoint stored: a BlobSeer
-    stored run of an instance's snapshot, or a run of a checkpoint image in PVFS.
+def _flip_a_checkpointed_byte(deployment, flipped):
+    """Flip the middle byte of the largest run a checkpoint stored that no earlier
+    call flipped: a BlobSeer stored run of an instance's snapshot, or a run of a
+    checkpoint image in PVFS.  ``flipped`` holds the payloads this hook made.
 
-    The flip is sound for one checkpoint stored once, as in a fig3 cycle.  The
-    hook runs after every checkpoint, so over several checkpoints (fig5, ft) it
-    can hit the same run twice, which restores the byte, or an older epoch's
-    run, which no restart reads; and under a replication factor of 2 (ft) a
-    restart can read the replica that kept its byte."""
+    The hook runs after every checkpoint, so over several checkpoints (fig5)
+    it flips one run per checkpoint and never flips a byte back.  It can still
+    hit an older epoch's run, which no restart reads, and under a replication
+    factor of 2 (ft) a restart can read the replica that kept its byte."""
+
+    def fresh(payload):
+        return not any(payload is made for made in flipped)
+
+    def flip(payload):
+        flipped.append(_flip_a_middle_byte(payload))
+        return flipped[-1]
+
     repository = getattr(deployment, "repository", None)
     if repository is not None:
         providers = repository.client.providers._providers.values()
@@ -71,10 +79,10 @@ def _flip_a_checkpointed_byte(deployment):
             id(run): run
             for provider in providers
             for run in provider._runs.values()
-            if run.blob_id != deployment.base_blob_id
+            if run.blob_id != deployment.base_blob_id and fresh(run.payload)
         }
         run = max(runs.values(), key=lambda run: run.payload.size)
-        run.payload = _flip_a_middle_byte(run.payload)
+        run.payload = flip(run.payload)
         return
     images = [
         entry.payload
@@ -84,21 +92,22 @@ def _flip_a_checkpointed_byte(deployment):
     tables = [image._map for image in images]
     tables += [snapshot.cluster_table for image in images for snapshot in image._snapshots.values()]
     table, i = max(
-        ((table, i) for table in tables for i in range(len(table.runs))),
+        ((table, i) for table in tables for i in range(len(table.runs)) if fresh(table.runs[i][1])),
         key=lambda pair: pair[0].runs[pair[1]][1].size,
     )
     count, payload, shared = table.runs[i]
-    table.runs[i] = (count, _flip_a_middle_byte(payload), shared)
+    table.runs[i] = (count, flip(payload), shared)
 
 
 @pytest.fixture
 def corrupted(monkeypatch):
     """Every synthetic checkpoint of the test is corrupted once it is taken."""
     checkpoint = SyntheticBenchmark.checkpoint
+    flipped = []
 
     def corrupting(bench):
         taken = yield from checkpoint(bench)
-        _flip_a_checkpointed_byte(bench.deployment)
+        _flip_a_checkpointed_byte(bench.deployment, flipped)
         return taken
 
     monkeypatch.setattr(SyntheticBenchmark, "checkpoint", corrupting)
@@ -130,6 +139,14 @@ def test_a_corrupted_checkpoint_does_not_restore(approach, corrupted):
 def test_a_corrupted_checkpoint_does_not_restore_through_a_view(approach, view, corrupted):
     key, _twin = _view_and_twin(view, approach)
     assert _payload([view], [key], key)["restored_ok"] is False
+
+
+@pytest.mark.parametrize("approach", ["BlobCR-app", "BlobCR-blcr"])
+def test_a_corrupted_checkpoint_does_not_restore_after_successive_checkpoints(
+    approach, corrupted
+):
+    key = f"fig5:{approach}"
+    assert _payload(["fig5"], [key], key)["restored_ok"] is False
 
 
 @pytest.fixture
