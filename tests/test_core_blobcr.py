@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.cluster import Cloud
+from repro.cluster.hypervisor import BOOT_READ_BYTES
 from repro.core import (
     BlobCRDeployment,
     CheckpointRepository,
@@ -301,3 +302,110 @@ class TestGarbageCollector:
         cloud, repo = make_repo()
         with pytest.raises(ValueError):
             SnapshotGarbageCollector(repo, keep_latest=0)
+
+
+def _window_keys(mirroring, nbytes):
+    """The chunk keys behind a lazy boot's window of ``mirroring``: per extent
+    of the window, ``run.keys(first, last)`` (the set the prefetch cache was
+    first defined by)."""
+    client = mirroring.repository.client
+    blob_id, version = mirroring.base_blob_id, mirroring.remote.version
+    size = int(min(nbytes, mirroring.size))
+    if size == 0:
+        return set()
+    last = (size - 1) // client.version_manager.get(blob_id).chunk_size
+    return {
+        key
+        for run, first, stop in client.metadata.extents_in_range(blob_id, version, 0, last)
+        for key in run.keys(first, stop)
+    }
+
+
+class TestLazyBootPrefetchSplit:
+    """Each lazy boot charges ``nbytes * |window keys not yet pulled| / |window
+    keys|`` to the repository and the rest to its node's disk; a boot's keys
+    count as pulled once its fetch has finished."""
+
+    def _cycle(self, monkeypatch, spec=SMALL, adaptive_prefetch=True):
+        cloud = Cloud(spec)
+        deployment = BlobCRDeployment(
+            cloud,
+            base_image=build_base_image(spec, os_bytes=64 * MB, os_files=8),
+            adaptive_prefetch=adaptive_prefetch,
+        )
+        pulled = set()
+        boots = {}  # label -> lazy boots started so far
+        expected, charged, crossing = {}, {}, []
+
+        def watched(fetch, label, mirroring):
+            window = _window_keys(mirroring, BOOT_READ_BYTES)
+            if adaptive_prefetch and window:
+                miss = BOOT_READ_BYTES * (len(window - pulled) / len(window))
+            else:
+                miss = BOOT_READ_BYTES * 1.0
+            boots[label] = boots.get(label, 0) + 1
+            expected[label, boots[label]] = (miss, BOOT_READ_BYTES - miss)
+            crossing.append(len({key.blob_id for key in window}) > 1)
+            result = yield from fetch
+            pulled.update(window)
+            return result
+
+        real_process = cloud.process
+
+        def process(generator, name=""):
+            if name.startswith("lazy-boot:"):
+                instance_id = name.split(":", 1)[1]
+                mirroring = deployment.instance_by_id(instance_id).backend
+                generator = watched(generator, f"boot:{instance_id}", mirroring)
+            return real_process(generator, name=name)
+
+        def charge(label, side, nbytes):
+            boot, _, where = label.rpartition(":")
+            if where == side and boot.startswith("boot:"):
+                key = (boot, boots[boot])
+                pair = charged.setdefault(key, [0.0, 0.0])
+                pair[side == "prefetched"] += nbytes
+
+        real_fetch = deployment.repository.fetch_hot_content
+
+        def fetch_hot_content(node_name, nbytes, label=""):
+            charge(label, "remote", nbytes)
+            return real_fetch(node_name, nbytes, label=label)
+
+        disk_type = type(cloud.node("node-000").disk)
+        real_read = disk_type.read
+
+        def read(disk, nbytes, label=""):
+            charge(label, "prefetched", nbytes)
+            return real_read(disk, nbytes, label=label)
+
+        monkeypatch.setattr(cloud, "process", process)
+        monkeypatch.setattr(deployment.repository, "fetch_hot_content", fetch_hot_content)
+        monkeypatch.setattr(disk_type, "read", read)
+
+        def scenario():
+            yield from deployment.deploy(4)
+            for instance in deployment.instances:
+                yield from deployment.guest_write_and_sync(
+                    instance, "/ckpt/state.dat", SyntheticBytes(instance.instance_id, MB))
+            checkpoint = yield from deployment.checkpoint_all()
+            yield from deployment.restart_all(checkpoint)
+
+        cloud.run(real_process(scenario()))
+        assert len(expected) == 8  # four deploy boots, four restart boots
+        assert {key: tuple(pair) for key, pair in charged.items()} == expected
+        assert any(crossing[4:])  # a restart window crosses runs of two images
+        return expected
+
+    def test_a_boot_reads_what_its_peers_pulled_from_its_local_disk(self, monkeypatch):
+        split = self._cycle(monkeypatch)
+        assert any(0 < miss < BOOT_READ_BYTES for miss, _ in split.values())
+
+    def test_the_split_holds_with_dedup(self, monkeypatch):
+        spec = replace(SMALL, blobseer=replace(SMALL.blobseer, dedup=DedupSpec(enabled=True)))
+        split = self._cycle(monkeypatch, spec)
+        assert any(0 < miss < BOOT_READ_BYTES for miss, _ in split.values())
+
+    def test_without_adaptive_prefetch_every_boot_is_remote(self, monkeypatch):
+        split = self._cycle(monkeypatch, adaptive_prefetch=False)
+        assert set(split.values()) == {(BOOT_READ_BYTES * 1.0, 0.0)}
