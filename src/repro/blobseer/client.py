@@ -27,9 +27,10 @@ network and disk time without re-implementing the storage logic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.blobseer.metadata import ChunkDescriptor, MetadataStore, StripeRun
 from repro.blobseer.provider import ChunkKey, ProviderManager, StoredRun
@@ -82,6 +83,38 @@ class ReadSegment(NamedTuple):
     descriptor: Optional[ChunkDescriptor]  # None => hole (zero bytes)
     #: offset of the window inside the stored chunk
     chunk_offset: int = 0
+
+
+#: per blob id, sorted disjoint half-open ``(first, stop)`` chunk-id ranges
+ChunkRanges = Dict[int, List[Tuple[int, int]]]
+
+
+def add_range(ranges: List[Tuple[int, int]], first: int, stop: int) -> None:
+    """Merge ``[first, stop)`` into sorted, disjoint, non-touching ``ranges``."""
+    if first >= stop:
+        return
+    i = bisect_left(ranges, (first,))
+    if i and ranges[i - 1][1] >= first:
+        i -= 1
+        first = ranges[i][0]
+    j = i
+    while j < len(ranges) and ranges[j][0] <= stop:
+        stop = max(stop, ranges[j][1])
+        j += 1
+    ranges[i:j] = [(first, stop)]
+
+
+def overlap(ranges: Sequence[Tuple[int, int]], other: Sequence[Tuple[int, int]]) -> int:
+    """How many ids two sorted, disjoint range lists share."""
+    count = i = j = 0
+    while i < len(ranges) and j < len(other):
+        (first, stop), (other_first, other_stop) = ranges[i], other[j]
+        count += max(0, min(stop, other_stop) - max(first, other_first))
+        if stop < other_stop:
+            i += 1
+        else:
+            j += 1
+    return count
 
 
 class BlobClient:
@@ -418,24 +451,19 @@ class BlobClient:
             )
         return segments
 
-    def chunk_keys(
-        self,
-        blob_id: int,
-        offset: int = 0,
-        size: Optional[int] = None,
-        version: Optional[int] = None,
-    ) -> Set[ChunkKey]:
-        """Keys of the chunks mapped to the stripes the requested window touches."""
+    def chunk_ranges(self, blob_id: int, offset: int, size: int, version: int) -> ChunkRanges:
+        """The chunks mapped to the stripes the requested window touches."""
         version, size = self._window(blob_id, offset, size, version)
+        ranges: ChunkRanges = {}
         if size == 0:
-            return set()
+            return ranges
         chunk_size = self.version_manager.get(blob_id).chunk_size
-        keys: Set[ChunkKey] = set()
         for run, first, last in self.metadata.extents_in_range(
             blob_id, version, offset // chunk_size, (offset + size - 1) // chunk_size
         ):
-            keys.update(run.keys(first, last))
-        return keys
+            shift = run.first_chunk_id - run.first_stripe
+            add_range(ranges.setdefault(run.blob_id, []), first + shift, last + shift + 1)
+        return ranges
 
     def _read_version(self, blob_id: int, version: int, offset: int, size: int) -> ByteSource:
         """The (already checked) window ``[offset, offset + size)`` of a version.

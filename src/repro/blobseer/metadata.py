@@ -88,12 +88,6 @@ class StripeRun:
     def last_stripe(self) -> int:
         return self.first_stripe + len(self.stored.placements) - 1
 
-    def keys(self, first: int, last: int) -> List[ChunkKey]:
-        """Keys of the chunks holding stripes ``first..last``."""
-        blob_id = self.blob_id
-        shift = self.first_chunk_id - self.first_stripe
-        return [ChunkKey(blob_id, stripe + shift) for stripe in range(first, last + 1)]
-
     def descriptor(self, stripe: int) -> ChunkDescriptor:
         index = stripe - self.first_stripe
         return ChunkDescriptor(

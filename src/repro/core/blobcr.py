@@ -23,8 +23,9 @@ the checkpointing proxies and the hypervisors into the workflow of Figure 1:
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Sequence, Set
+from typing import Dict, Generator, List, Optional, Sequence
 
+from repro.blobseer.client import ChunkRanges, add_range, overlap
 from repro.cluster.cloud import Cloud
 from repro.core.backends import register_backend
 from repro.core.baseimage import build_base_image
@@ -62,9 +63,9 @@ class BlobCRDeployment(Deployment):
         self.base_blob_id: Optional[int] = None
         self.adaptive_prefetch = adaptive_prefetch
         self._proxies: Dict[str, CheckpointProxy] = {}
-        #: chunk keys already pulled close to the compute nodes; later boots
+        #: chunk ranges already pulled close to the compute nodes; later boots
         #: of the same content hit this cache (adaptive prefetching, [25])
-        self._prefetched_keys: Set = set()
+        self._prefetched: ChunkRanges = {}
         #: per-instance post-copy pumps still draining (the demand channel)
         self._postcopy: Dict[str, PostCopyPump] = {}
         #: the most recently drained pump, kept for inspection (the serve log
@@ -115,12 +116,13 @@ class BlobCRDeployment(Deployment):
 
         def reader(nbytes: float, label: str):
             def _fetch():
-                keys = mirroring.hot_chunk_keys(0, int(min(nbytes, mirroring.size)))
-                if self.adaptive_prefetch and keys:
-                    missing = keys - self._prefetched_keys
-                    miss_fraction = len(missing) / len(keys)
+                window = mirroring.hot_chunk_ranges(0, int(min(nbytes, mirroring.size)))
+                total = sum(stop - first for ranges in window.values() for first, stop in ranges)
+                if self.adaptive_prefetch and total:
+                    pulled = self._prefetched
+                    hits = sum(overlap(r, pulled.get(blob, ())) for blob, r in window.items())
+                    miss_fraction = (total - hits) / total
                 else:
-                    missing = keys
                     miss_fraction = 1.0
                 miss_bytes = nbytes * miss_fraction
                 hit_bytes = nbytes - miss_bytes
@@ -134,7 +136,9 @@ class BlobCRDeployment(Deployment):
                     yield self.cloud.node(mirroring.node_name).disk.read(
                         hit_bytes, label=f"{label}:prefetched"
                     )
-                self._prefetched_keys |= keys
+                for blob_id, ranges in window.items():
+                    for first, stop in ranges:
+                        add_range(self._prefetched.setdefault(blob_id, []), first, stop)
                 return nbytes
 
             return self.cloud.process(_fetch(), name=f"lazy-boot:{instance_id}")

@@ -20,9 +20,9 @@ the checkpoint repository and
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
-from repro.blobseer.client import WriteResult
+from repro.blobseer.client import ChunkRanges, WriteResult
 from repro.core.device import RemoteBlobDevice
 from repro.core.repository import CheckpointRepository
 from repro.util.bytesource import ByteSource
@@ -120,9 +120,9 @@ class MirroringModule(BlockDevice):
             snapshots.append((self.checkpoint_blob_id, self.committed_versions[-1]))
         return snapshots
 
-    def hot_chunk_keys(self, offset: int, length: int) -> Set:
-        """Chunk keys backing a byte range of the base snapshot (prefetch planning)."""
-        return self.repository.client.chunk_keys(
+    def hot_chunk_ranges(self, offset: int, length: int) -> ChunkRanges:
+        """Chunk ranges backing a byte range of the base snapshot (prefetch planning)."""
+        return self.repository.client.chunk_ranges(
             self.base_blob_id, offset, length, version=self.remote.version
         )
 

@@ -4,15 +4,19 @@ Two ports from the blob-store suites in ``SNIPPETS.md``: a parametrised
 range-read matrix (layouts x windows x sources) on :meth:`BlobClient.read`
 against a plain ``bytearray`` model, and the chunking invariants (reassembly
 identity, stored-length bounds, empty input, ``chunk_size +- 1``) on
-:meth:`BlobClient.write_batch`.
+:meth:`BlobClient.write_batch`.  The chunk-id range helpers the prefetch
+cache keeps its state in are held to a set-of-ints model.
 """
 
 import random
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.blobseer import BlobClient, DataProvider, ProviderManager
+from repro.blobseer.client import add_range, overlap
 from repro.dedup import DedupEngine
 from repro.util import LiteralBytes
 
@@ -273,7 +277,11 @@ def test_batch_of_aligned_pieces_reassembles(chunk_size):
     assert client.read(blob).read() == bytes(model)
     chunks = stored_chunks(client, blob)
     assert [d.stripe_index for d, _p in chunks] == stripes + [11]
-    written = [key for run in result.runs for key in run.keys(run.first_stripe, run.last_stripe)]
+    written = [
+        run.descriptor(stripe).key
+        for run in result.runs
+        for stripe in range(run.first_stripe, run.last_stripe + 1)
+    ]
     assert written == [d.key for d, _p in chunks]
     for desc, payload in chunks:
         assert 0 < len(payload) <= chunk_size
@@ -289,3 +297,43 @@ def test_batch_of_aligned_pieces_reassembles(chunk_size):
     owners = {d.stripe_index: d.created_by for d, _p in stored_chunks(client, blob)}
     assert owners[0] == (blob, result.version) and owners[5] == (blob, result.version)
     assert all(owners[s] == (blob, second.version) for s in (1, 2, 3))
+
+
+# -- chunk-id range helpers against a set of ints ------------------------------------------------
+
+#: ``(first, stop)`` pairs over a narrow id space, so that ranges overlap,
+#: nest, touch and sit one id apart often; a zero length is an empty range
+RANGE_LISTS = st.lists(
+    st.tuples(st.integers(0, 30), st.integers(0, 8)).map(lambda p: (p[0], p[0] + p[1])),
+    max_size=12,
+)
+
+
+def _merged(pairs):
+    ranges = []
+    for first, stop in pairs:
+        add_range(ranges, first, stop)
+    return ranges
+
+
+def _ids(pairs):
+    return {i for first, stop in pairs for i in range(first, stop)}
+
+
+@settings(max_examples=200)
+@given(RANGE_LISTS, RANGE_LISTS)
+@example([(0, 3), (3, 5)], [(5, 6)])  # touching
+@example([(2, 4), (0, 10)], [(3, 4)])  # nested, the inner one first
+@example([(0, 3), (4, 6), (2, 3)], [(3, 4)])  # one id apart, then re-covered
+@example([(5, 5), (7, 7)], [(5, 6), (6, 6)])  # empty
+def test_property_chunk_ranges_are_their_set_of_ids(pairs, other_pairs):
+    ranges, other = _merged(pairs), _merged(other_pairs)
+    ids, other_ids = _ids(pairs), _ids(other_pairs)
+    for merged in (ranges, other):
+        assert all(first < stop for first, stop in merged)
+        assert all(a[1] < b[0] for a, b in zip(merged, merged[1:]))  # sorted, none touch
+    assert _ids(ranges) == ids and _ids(other) == other_ids
+    assert sum(stop - first for first, stop in ranges) == len(ids)
+    assert overlap(ranges, other) == overlap(other, ranges) == len(ids & other_ids)
+    assert _merged(ranges + other) == _merged(other + ranges)
+    assert _ids(_merged(ranges + other)) == ids | other_ids

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.blobseer import ChunkKey
 from repro.cluster import Cloud
 from repro.cluster.hypervisor import BOOT_READ_BYTES
 from repro.core import (
@@ -305,9 +306,8 @@ class TestGarbageCollector:
 
 
 def _window_keys(mirroring, nbytes):
-    """The chunk keys behind a lazy boot's window of ``mirroring``: per extent
-    of the window, ``run.keys(first, last)`` (the set the prefetch cache was
-    first defined by)."""
+    """The chunk keys behind a lazy boot's window of ``mirroring``: the keys of
+    every extent's stripes (the set the prefetch cache was first defined by)."""
     client = mirroring.repository.client
     blob_id, version = mirroring.base_blob_id, mirroring.remote.version
     size = int(min(nbytes, mirroring.size))
@@ -315,9 +315,9 @@ def _window_keys(mirroring, nbytes):
         return set()
     last = (size - 1) // client.version_manager.get(blob_id).chunk_size
     return {
-        key
+        ChunkKey(run.blob_id, stripe + run.first_chunk_id - run.first_stripe)
         for run, first, stop in client.metadata.extents_in_range(blob_id, version, 0, last)
-        for key in run.keys(first, stop)
+        for stripe in range(first, stop + 1)
     }
 
 
@@ -409,3 +409,29 @@ class TestLazyBootPrefetchSplit:
     def test_without_adaptive_prefetch_every_boot_is_remote(self, monkeypatch):
         split = self._cycle(monkeypatch, adaptive_prefetch=False)
         assert set(split.values()) == {(BOOT_READ_BYTES * 1.0, 0.0)}
+
+
+def test_lazy_boots_build_no_chunk_key(monkeypatch):
+    """The boot path's prefetch state is chunk-id ranges: a deploy and a
+    restart of eight instances construct no ``ChunkKey`` (one per hot chunk
+    of every boot when it was a key set)."""
+    spec = GRAPHENE.scaled(compute_nodes=9, service_nodes=3)
+    cloud = Cloud(spec)
+    deployment = BlobCRDeployment(cloud)
+    built = []
+    real_new = ChunkKey.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    def scenario():
+        yield from deployment.deploy(8)
+        checkpoint = yield from deployment.checkpoint_all()
+        yield from deployment.restart_all(checkpoint)
+
+    monkeypatch.setattr(ChunkKey, "__new__", counting_new)
+    cloud.run(cloud.process(scenario()))
+    assert all(instance.vm.is_running for instance in deployment.instances)
+    assert len(deployment.instances) == 8
+    assert built == []

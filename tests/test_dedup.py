@@ -192,7 +192,11 @@ class TestDedupWritePath:
         ((shipped, _first, _last),) = client.metadata.extents_in_range(blob, first.version, 0, 0)
         ((hit, _first, _last),) = client.metadata.extents_in_range(blob, second.version, 1, 1)
         assert hit.descriptor(1).key != shipped.descriptor(0).key
-        assert client.chunk_keys(blob) == {shipped.descriptor(0).key, hit.descriptor(1).key}
+        # (the blob's next chunk id, so the window's two chunks are one range)
+        first_id = shipped.descriptor(0).key.chunk_id
+        assert hit.descriptor(1).key == (blob, first_id + 1)
+        ranges = client.chunk_ranges(blob, 0, 2048, second.version)
+        assert ranges == {blob: [(first_id, first_id + 2)]}
         # ... shipped nothing, and is read from the very run the first one stored.
         assert (hit.physical_length, second.runs) == (0, [])
         assert hit.stored is shipped.stored and hit.providers is shipped.stored.placements
