@@ -120,6 +120,7 @@ class Hypervisor:
         vm.mark_booting()
         yield from self._adopt(vm)
         yield self._pause(self.vm_spec.resume_time, "loadvm", vm)
+        self.node.check_alive()
         vm.mark_running(GuestFileSystem.mount(disk))
         return vm
 

@@ -179,7 +179,10 @@ class TestHypervisor:
     def test_boot_mounts_filesystem(self):
         cloud, hyp = self._env()
         device = SparseDevice(cloud.spec.vm.disk_size, block_size=256 * 1024)
-        GuestFileSystem.format(device).write_file("/etc/motd", b"hi")
+        image_fs = GuestFileSystem.format(device)
+        image_fs.write_file("/etc/motd", b"hi")
+        image_fs.sync()
+        image_fs.write_file("/etc/unsynced", b"cached only")
         vm = VMInstance("vm-x", cloud.spec.vm)
         out = {}
 
@@ -190,7 +193,9 @@ class TestHypervisor:
         cloud.run(cloud.process(scenario()))
         assert vm.state is VMState.RUNNING
         assert out["t"] >= cloud.spec.vm.boot_time * 0.9
-        assert vm.filesystem.exists("/etc/motd") is False or True  # mounted
+        # the guest mounts what was synced to the disk, and only that
+        assert vm.filesystem.read_file("/etc/motd").read() == b"hi"
+        assert not vm.filesystem.exists("/etc/unsynced")
 
     def test_suspend_resume_cost(self):
         cloud, hyp = self._env()
@@ -211,6 +216,24 @@ class TestHypervisor:
         assert duration == pytest.approx(
             cloud.spec.vm.suspend_time + cloud.spec.vm.resume_time, rel=0.2
         )
+
+
+    def test_a_node_failing_during_the_loadvm_pause_fails_the_resume(self):
+        cloud, hyp = self._env()
+        device = SparseDevice(cloud.spec.vm.disk_size, block_size=256 * 1024)
+        GuestFileSystem.format(device)
+        vm = VMInstance("vm-z", cloud.spec.vm)
+        define = cloud.jittered(cloud.spec.vm.define_time, ("define", vm.instance_id))
+        loadvm = cloud.jittered(cloud.spec.vm.resume_time, ("loadvm", vm.instance_id))
+
+        def killer():
+            yield cloud.env.timeout(define + loadvm / 2)
+            hyp.node.fail()
+
+        cloud.process(killer())
+        with pytest.raises(FailureInjected):
+            cloud.run(cloud.process(hyp.resume_from_snapshot(vm, device)))
+        assert vm.state is not VMState.RUNNING
 
 
 class TestFailureInjector:
