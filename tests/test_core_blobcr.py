@@ -387,7 +387,8 @@ class TestLazyBootPrefetchSplit:
             yield from deployment.deploy(4)
             for instance in deployment.instances:
                 yield from deployment.guest_write_and_sync(
-                    instance, "/ckpt/state.dat", SyntheticBytes(instance.instance_id, MB))
+                    instance, "/ckpt/state.dat", SyntheticBytes(instance.instance_id, MB)
+                )
             checkpoint = yield from deployment.checkpoint_all()
             yield from deployment.restart_all(checkpoint)
 
