@@ -20,6 +20,7 @@ from repro.guest import (
     blcr_restore,
     write_boot_noise,
 )
+from repro.guest.blcr import BLCR_HEADER_OVERHEAD
 from repro.guest.filesystem import (
     FS_BLOCK,
     METADATA_REGION,
@@ -805,6 +806,40 @@ class TestBLCR:
         assert restored.registers["pc"] == 1234
         assert restored.segments["domain"].read() == SyntheticBytes("domain", 50_000).read()
         assert restored.segments["halo"].read() == b"halo-data"
+
+    def test_dump_is_the_literal_layout_and_restores(self):
+        """``len8 + header + zeros to BLCR_HEADER_OVERHEAD + segments by name``."""
+        proc = GuestProcess("rank-0", 77)
+        proc.allocate("stack", b"stack!")
+        proc.allocate("heap", SyntheticBytes("heap", 70_000))
+        proc.registers.update(pc=9, sp=4096)
+        proc.iteration = 3
+        header = json.dumps(
+            {
+                "name": "rank-0",
+                "pid": 77,
+                "registers": {"pc": 9, "sp": 4096},
+                "iteration": 3,
+                "segments": [["heap", 70_000], ["stack", 6]],
+            },
+            sort_keys=True,
+        ).encode("utf-8")
+        padding = BLCR_HEADER_OVERHEAD - 8 - len(header)
+        memory = SyntheticBytes("heap", 70_000).read() + b"stack!"
+        literal = len(header).to_bytes(8, "little") + header + bytes(padding) + memory
+        dump = blcr_dump(proc)
+        assert dump.size == len(literal) and dump.read() == literal
+        # every window, and a window inside the pad, reads as the layout does
+        for offset, length in [(0, 8), (8 + len(header) - 3, 40), (1000, 20_000), (65_530, 9)]:
+            assert dump.slice(offset, length).read() == literal[offset : offset + length]
+        restored = blcr_restore(dump)
+        assert (restored.name, restored.pid, restored.iteration) == ("rank-0", 77, 3)
+        assert restored.registers == {"pc": 9, "sp": 4096}
+        assert {name: s.read() for name, s in restored.segments.items()} == {
+            "heap": memory[:70_000],
+            "stack": b"stack!",
+        }
+        assert blcr_dump(restored).read() == literal
 
     def test_dump_size_covers_all_memory(self):
         proc = GuestProcess("fat", 1000)

@@ -697,3 +697,64 @@ def test_upload_and_commit_ship_nothing_beyond_a_disk_that_ends_inside_a_block()
         repo, "node-002", "vm-restored", module.checkpoint_blob_id, base_version=result.version
     )
     assert fresh.read(disk - 10, 10).read() == b"base-ttail"
+
+
+#: a disk that ends inside its last block, so the last block ships short
+EPOCH_DISK = 40 * CHUNK + 300
+#: per epoch, guest write windows ``(offset, length)`` anywhere on the disk;
+#: short ones straddle, touch and repeat blocks, long ones span many
+EPOCH_WINDOWS = st.lists(
+    st.lists(
+        st.integers(0, EPOCH_DISK - 1).flatmap(
+            lambda offset: st.tuples(
+                st.just(offset),
+                st.one_of(st.integers(0, 3 * CHUNK), st.integers(0, 20 * CHUNK)).map(
+                    lambda length, offset=offset: min(length, EPOCH_DISK - offset)
+                ),
+            )
+        ),
+        max_size=6,
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=40, deadline=None)  # tier-1 budget: 2 s
+@given(EPOCH_WINDOWS)
+def test_property_a_commit_ships_exactly_the_blocks_dirtied_since_the_last(epochs):
+    """COMMIT after COMMIT: what the module ships, and ``dirty_bytes`` before
+    it, are those of the set of blocks the epoch's windows touched."""
+    repo, run = _small_cloud(CHUNK, EPOCH_DISK)
+    base = RawImage(EPOCH_DISK, block_size=CHUNK)
+    base.write(0, SyntheticBytes("os", 10 * CHUNK + 7))
+    blob = run(repo.upload_base_image("node-000", base))
+    module = MirroringModule(repo, "node-001", "vm", blob)
+    run(module.clone())
+    shipped = []
+    commit_blocks = repo.commit_blocks
+
+    def spy(node, blob_id, blocks, *args, **kwargs):
+        shipped.append(blocks)
+        return (yield from commit_blocks(node, blob_id, blocks, *args, **kwargs))
+
+    repo.commit_blocks = spy
+    for number, windows in enumerate(epochs):
+        dirty = set()
+        for index, (offset, length) in enumerate(windows):
+            module.write(offset, SyntheticBytes(("epoch", number, index), length))
+            if length:
+                dirty.update(range(offset // CHUNK, (offset + length - 1) // CHUNK + 1))
+        assert module.dirty_bytes == len(dirty) * CHUNK
+        assert sorted(module.residue_payloads()) == sorted(dirty)
+        result = run(module.commit())
+        blocks = shipped[-1]
+        covered = [
+            first + i for first, payload in blocks.items() for i in range(-(-payload.size // CHUNK))
+        ]
+        assert sorted(covered) == sorted(dirty)
+        shipped_bytes = sum(min(CHUNK, EPOCH_DISK - b * CHUNK) for b in dirty)
+        assert sum(payload.size for payload in blocks.values()) == shipped_bytes
+        assert result.bytes_written == shipped_bytes
+        assert result.chunk_count == len(dirty)
+        assert module.dirty_bytes == 0 and module.residue_payloads() == {}
