@@ -27,10 +27,9 @@ network and disk time without re-implementing the storage logic.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.blobseer.metadata import ChunkDescriptor, MetadataStore, StripeRun
 from repro.blobseer.provider import ChunkKey, ProviderManager, StoredRun
@@ -38,6 +37,7 @@ from repro.blobseer.version_manager import VersionManager, VersionRecord
 from repro.dedup.engine import DedupEngine
 from repro.util.bytesource import ByteSource, LiteralBytes, ZeroBytes, concat
 from repro.util.errors import ChunkNotFoundError, StorageError
+from repro.util.ranges import add_range
 from repro.util.runmap import RunMap
 
 
@@ -87,34 +87,6 @@ class ReadSegment(NamedTuple):
 
 #: per blob id, sorted disjoint half-open ``(first, stop)`` chunk-id ranges
 ChunkRanges = Dict[int, List[Tuple[int, int]]]
-
-
-def add_range(ranges: List[Tuple[int, int]], first: int, stop: int) -> None:
-    """Merge ``[first, stop)`` into sorted, disjoint, non-touching ``ranges``."""
-    if first >= stop:
-        return
-    i = bisect_left(ranges, (first,))
-    if i and ranges[i - 1][1] >= first:
-        i -= 1
-        first = ranges[i][0]
-    j = i
-    while j < len(ranges) and ranges[j][0] <= stop:
-        stop = max(stop, ranges[j][1])
-        j += 1
-    ranges[i:j] = [(first, stop)]
-
-
-def overlap(ranges: Sequence[Tuple[int, int]], other: Sequence[Tuple[int, int]]) -> int:
-    """How many ids two sorted, disjoint range lists share."""
-    count = i = j = 0
-    while i < len(ranges) and j < len(other):
-        (first, stop), (other_first, other_stop) = ranges[i], other[j]
-        count += max(0, min(stop, other_stop) - max(first, other_first))
-        if stop < other_stop:
-            i += 1
-        else:
-            j += 1
-    return count
 
 
 class BlobClient:

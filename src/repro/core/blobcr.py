@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Sequence
 
-from repro.blobseer.client import ChunkRanges, add_range, overlap
+from repro.blobseer.client import ChunkRanges
 from repro.cluster.cloud import Cloud
 from repro.core.backends import register_backend
 from repro.core.baseimage import build_base_image
@@ -36,6 +36,7 @@ from repro.core.repository import CheckpointRepository
 from repro.core.strategy import CheckpointRecord, DeployedInstance, Deployment
 from repro.guest.filesystem import METADATA_REGION
 from repro.util.errors import CheckpointError, FailureInjected, RestartError
+from repro.util.ranges import add_range, overlap
 from repro.vdisk.raw import RawImage
 
 

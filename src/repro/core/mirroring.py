@@ -28,7 +28,7 @@ from repro.core.repository import CheckpointRepository
 from repro.util.bytesource import ByteSource
 from repro.util.errors import SnapshotError
 from repro.vdisk.blockdev import BlockDevice, SparseDevice
-from repro.vdisk.dirty import DirtyTracker, block_ranges
+from repro.vdisk.dirty import DirtyTracker
 
 
 class MirroringModule(BlockDevice):
@@ -105,10 +105,11 @@ class MirroringModule(BlockDevice):
         fall-through reads) carry nothing local and are skipped.
         """
         payloads: Dict[int, ByteSource] = {}
-        for index in sorted(self.dirty.dirty_blocks):
-            payload = self._local.block_payload(index)
-            if payload is not None and payload.size > 0:
-                payloads[index] = payload
+        for first, stop in self.dirty.ranges:
+            for index in range(first, stop):
+                payload = self._local.block_payload(index)
+                if payload is not None and payload.size > 0:
+                    payloads[index] = payload
         return payloads
 
     def standing_on(self) -> List[Tuple[int, int]]:
@@ -151,8 +152,9 @@ class MirroringModule(BlockDevice):
         # blocks: a file flushed in one piece is committed in one piece.
         block_size = self.spec.cow_block_size
         blocks: Dict[int, ByteSource] = {}
-        for first, count in block_ranges(self.dirty.close_epoch()):
-            for offset, payload in self._local.stored_runs(first * block_size, count * block_size):
+        for first, stop in self.dirty.close_epoch():
+            start, length = first * block_size, (stop - first) * block_size
+            for offset, payload in self._local.stored_runs(start, length):
                 blocks[offset // block_size] = payload
         # The snapshot derives from the version this disk stands on, which a
         # rollback makes older than the checkpoint image's latest; a disk

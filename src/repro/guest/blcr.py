@@ -19,7 +19,7 @@ import json
 from typing import Tuple
 
 from repro.guest.process import GuestProcess, ProcessState
-from repro.util.bytesource import ByteSource, LiteralBytes, concat
+from repro.util.bytesource import ByteSource, LiteralBytes, ZeroBytes, concat
 from repro.util.errors import ProcessError
 
 #: fixed metadata BLCR adds to every context file (signal state, file table,
@@ -47,9 +47,9 @@ def blcr_dump(process: GuestProcess) -> ByteSource:
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     padding = max(0, BLCR_HEADER_OVERHEAD - len(header_bytes) - 8)
-    pieces = [
-        LiteralBytes(len(header_bytes).to_bytes(8, "little") + header_bytes + b"\x00" * padding)
-    ]
+    # the pad is an extent of zeros, not bytes: a slice of it stays a ZeroBytes
+    length = len(header_bytes).to_bytes(8, "little")
+    pieces = [LiteralBytes(length + header_bytes), ZeroBytes(padding)]
     for name in sorted(segments):
         pieces.append(segments[name])
     return concat(pieces)

@@ -28,7 +28,9 @@ from __future__ import annotations
 import hashlib
 import operator
 from abc import ABC, abstractmethod
+from array import array
 from bisect import bisect_right
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -281,12 +283,10 @@ class _ConcatBytes(ByteSource):
 
     def __init__(self, parts: Sequence[ByteSource]):
         self._parts = tuple(parts)
-        self._offsets: list[int] = []
-        total = 0
-        for part in self._parts:
-            self._offsets.append(total)
-            total += part.size
-        self._size = total
+        # each part's start as a C array: no int object per part
+        offsets = array("q", accumulate([part.size for part in self._parts], initial=0))
+        self._size = offsets.pop()
+        self._offsets = offsets
 
     @property
     def size(self) -> int:

@@ -16,9 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.blobseer import BlobClient, DataProvider, ProviderManager
-from repro.blobseer.client import add_range, overlap
 from repro.dedup import DedupEngine
 from repro.util import LiteralBytes
+from repro.util.ranges import add_range, overlap
 
 #: (name, stripes, chunk_size)
 LAYOUTS = [

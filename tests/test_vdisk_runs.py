@@ -25,6 +25,7 @@ from repro.util.bytesource import _ConcatBytes, concat
 from repro.util.config import GRAPHENE
 from repro.util.errors import StorageError
 from repro.util.runmap import RunMap
+from repro.util.units import MB, MiB
 from repro.vdisk import QcowImage, RawImage, SparseDevice
 from repro.vdisk.blockdev import BlockDevice
 
@@ -758,3 +759,19 @@ def test_property_a_commit_ships_exactly_the_blocks_dirtied_since_the_last(epoch
         assert result.bytes_written == shipped_bytes
         assert result.chunk_count == len(dirty)
         assert module.dirty_bytes == 0 and module.residue_payloads() == {}
+
+
+def test_a_sequential_write_leaves_one_dirty_range():
+    """200 MB written front to back, 1 MiB at a time, is one ``(first, stop)``
+    range of dirty blocks, not one entry per block."""
+    block = 256 * 1024
+    repo, run = _small_cloud(block, 256 * MiB, chunk=block)
+    base = RawImage(256 * MiB, block_size=block)
+    base.write(0, SyntheticBytes("os", 3 * block))
+    module = MirroringModule(repo, "node-001", "vm", run(repo.upload_base_image("node-000", base)))
+    total = 200 * MB
+    for offset in range(0, total, MiB):
+        module.write(offset, SyntheticBytes(("seq", offset), min(MiB, total - offset)))
+        assert len(module.dirty.ranges) == 1
+    assert module.dirty.ranges == [(0, -(-total // block))]
+    assert module.dirty_bytes == -(-total // block) * block
