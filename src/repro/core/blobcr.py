@@ -117,7 +117,9 @@ class BlobCRDeployment(Deployment):
 
         def reader(nbytes: float, label: str):
             def _fetch():
-                window = mirroring.hot_chunk_ranges(0, int(min(nbytes, mirroring.size)))
+                # the base snapshot ends at its image's last written byte,
+                # which can come before the boot window does
+                window = mirroring.hot_chunk_ranges(0, int(min(nbytes, mirroring.remote.blob_size)))
                 total = sum(stop - first for ranges in window.values() for first, stop in ranges)
                 if self.adaptive_prefetch and total:
                     pulled = self._prefetched

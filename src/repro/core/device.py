@@ -29,8 +29,8 @@ class RemoteBlobDevice(BlockDevice):
         self._client = client
         self.blob_id = blob_id
         self.version = client.latest_version(blob_id) if version is None else version
-        #: a published version is immutable: its size is read once
-        self._blob_size = blob_size = client.size(blob_id, self.version)
+        #: the size of the snapshot (a published version is immutable: read once)
+        self.blob_size = blob_size = client.size(blob_id, self.version)
         self._size = size if size is not None else blob_size
         if self._size < blob_size:
             raise StorageError("device size smaller than the snapshot it exposes")
@@ -44,7 +44,7 @@ class RemoteBlobDevice(BlockDevice):
         self._check_window(offset, length)
         if length == 0:
             return ZeroBytes(0)
-        inside = min(length, max(0, self._blob_size - offset))
+        inside = min(length, max(0, self.blob_size - offset))
         pieces = []
         if inside > 0:
             pieces.append(self._client.read(self.blob_id, offset, inside, version=self.version))

@@ -310,7 +310,7 @@ def _window_keys(mirroring, nbytes):
     every extent's stripes (the set the prefetch cache was first defined by)."""
     client = mirroring.repository.client
     blob_id, version = mirroring.base_blob_id, mirroring.remote.version
-    size = int(min(nbytes, mirroring.size))
+    size = int(min(nbytes, mirroring.remote.blob_size))
     if size == 0:
         return set()
     last = (size - 1) // client.version_manager.get(blob_id).chunk_size
@@ -436,3 +436,22 @@ def test_lazy_boots_build_no_chunk_key(monkeypatch):
     assert all(instance.vm.is_running for instance in deployment.instances)
     assert len(deployment.instances) == 8
     assert built == []
+
+
+def test_lazy_boots_over_an_image_smaller_than_the_boot_window():
+    """A base image shorter than the boot window (its blob ends at the image's
+    written extent) boots: the window is clamped to the base snapshot, whose
+    every stored chunk the boots then count as pulled."""
+    cloud = Cloud(SMALL)
+    deployment = BlobCRDeployment(cloud, base_image=build_base_image(SMALL, os_bytes=40 * MB))
+
+    def scenario():
+        yield from deployment.deploy(2)
+
+    cloud.run(cloud.process(scenario()))
+    assert [instance.vm.is_running for instance in deployment.instances] == [True, True]
+    client, blob_id = deployment.repository.client, deployment.base_blob_id
+    blob_size = client.size(blob_id)
+    assert blob_size < min(BOOT_READ_BYTES, SMALL.vm.disk_size)
+    version = client.latest_version(blob_id)
+    assert deployment._prefetched == client.chunk_ranges(blob_id, 0, blob_size, version=version)
