@@ -17,6 +17,10 @@ Contents
     as sorted runs of consecutive whole blocks: what the virtual-disk devices
     keep their content in and what a BlobSeer ``write_batch`` settles
     overlapping pieces in.
+``ranges``
+    Sorted, disjoint ``(first, stop)`` ranges of integer ids (``add_range``,
+    ``overlap``): the prefetched chunk ids of lazy boots and the dirty
+    blocks of a mirroring module.
 ``rng``
     Deterministic random-number helpers built on ``numpy.random.Generator``.
 ``stats``

@@ -30,7 +30,6 @@ import operator
 from abc import ABC, abstractmethod
 from array import array
 from bisect import bisect_right
-from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -283,10 +282,14 @@ class _ConcatBytes(ByteSource):
 
     def __init__(self, parts: Sequence[ByteSource]):
         self._parts = tuple(parts)
-        # each part's start as a C array: no int object per part
-        offsets = array("q", accumulate([part.size for part in self._parts], initial=0))
-        self._size = offsets.pop()
-        self._offsets = offsets
+        offsets = []
+        total = 0
+        for part in self._parts:
+            offsets.append(total)
+            total += part.size
+        # each part's start in a C array: the source keeps no int object per part
+        self._offsets = array("q", offsets)
+        self._size = total
 
     @property
     def size(self) -> int:
