@@ -1,15 +1,14 @@
 #!/usr/bin/env python
 """Which source lines hold the memory at a workload's traced peak.
 
-    python tools/mem_peak.py --workload blobcr_120 [--top 15] [--seed N]
+    python tools/mem_peak.py --workload blobcr_120 [--top 15]
     python tools/mem_peak.py --cell fig3:BlobCR-blcr:120:200MB --paper-scale [--top 15]
 
-Runs a perfbench workload's ``Session.run_scenario`` calls (or one cell, with
-``--paper-scale`` and ``--override KEY=VALUE`` as ``tools/gc_census.py`` takes
-them) in this interpreter under ``tracemalloc``.  Every ``--every`` kernel
-steps (``Environment.step``, default 500) it reads the traced size; at each
-new maximum it takes a snapshot, so the snapshot it keeps is the one at the
-traced peak, to within ``--every`` steps.  It prints that peak, the step it
+Runs a perfbench workload's ``Session.run_scenario`` calls (or one cell,
+optionally at paper scale) in this interpreter under ``tracemalloc``.  Every
+``EVERY_STEPS`` (500) kernel steps (``Environment.step``) it reads the traced
+size; at each new maximum it takes a snapshot, so the snapshot it keeps is the
+one at the traced peak, to within 500 steps.  It prints that peak, the step it
 was seen at, and the ``--top`` allocation sites of the snapshot by line (size,
 count of live blocks, ``file:line`` under ``src/repro``).
 
@@ -22,7 +21,7 @@ Limits:
 * Tracing costs about 2-3x the wall of the run, and each snapshot costs
   time in proportion to the live blocks; neither is in the sizes printed.
 * Memory allocated between two checks and freed before the next one is
-  not seen; a smaller ``--every`` narrows that.
+  not seen.
 
 Stdlib only.
 """
@@ -39,6 +38,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 #: the checkout this file is in, whose ``perfbench`` defines the workloads
 ROOT = Path(__file__).resolve().parent.parent
 
+#: kernel steps between two reads of the traced size
+EVERY_STEPS = 500
+
 #: allocations that are the tracer's own or the import system's
 _IGNORED = (
     tracemalloc.Filter(False, tracemalloc.__file__),
@@ -47,9 +49,7 @@ _IGNORED = (
 )
 
 
-def peak_sites(
-    calls: Sequence[Tuple[str, dict]], every: int = 500, top: int = 15
-) -> Dict[str, object]:
+def peak_sites(calls: Sequence[Tuple[str, dict]], top: int = 15) -> Dict[str, object]:
     """Run ``calls`` under tracemalloc; the top sites of the snapshot at the traced peak."""
     import repro
     from repro.api import Session
@@ -64,7 +64,7 @@ def peak_sites(
     def counted(env: Environment) -> None:
         step(env)
         seen["steps"] += 1
-        if seen["steps"] % every == 0:
+        if seen["steps"] % EVERY_STEPS == 0:
             current = tracemalloc.get_traced_memory()[0]
             if current > seen["peak"]:
                 seen.update(peak=current, at=seen["steps"], snapshot=tracemalloc.take_snapshot())
@@ -102,11 +102,8 @@ def _calls(args: argparse.Namespace) -> List[Tuple[str, dict]]:
         from perfbench.workloads import get_workload
 
         workload = get_workload(args.workload)
-        return [(call.scenario, call.kwargs(args.seed)) for call in workload.calls]
-    kwargs = {"cells": [args.cell], "overrides": args.override, "paper_scale": args.paper_scale}
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    return [(args.cell.split(":")[0], kwargs)]
+        return [(call.scenario, call.kwargs(None)) for call in workload.calls]
+    return [(args.cell.split(":")[0], {"cells": [args.cell], "paper_scale": args.paper_scale})]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -115,16 +112,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     what.add_argument("--workload", help="a perfbench workload, e.g. blobcr_120")
     what.add_argument("--cell", help="one cell selector, e.g. fig3:BlobCR-blcr:120:200MB")
     parser.add_argument("--paper-scale", action="store_true", help="with --cell")
-    parser.add_argument(
-        "--override", action="append", default=[], metavar="KEY=VALUE", help="with --cell"
-    )
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--top", type=int, default=15, help="sites to print (default 15)")
-    parser.add_argument("--every", type=int, default=500, help="kernel steps between checks")
     args = parser.parse_args(argv)
-    if args.top < 1 or args.every < 1:
-        parser.error("--top and --every must be at least 1")
-    result = peak_sites(_calls(args), every=args.every, top=args.top)
+    if args.top < 1:
+        parser.error("--top must be at least 1")
+    result = peak_sites(_calls(args), top=args.top)
     mib = 1024 * 1024
     print(f"kernel steps     {result['steps']}")
     print(
