@@ -1,7 +1,7 @@
 """Unit and property tests for block devices, raw images and qcow2."""
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_vdisk_runs import qcow_file_size
 
@@ -216,28 +216,3 @@ class TestDirtyTracker:
         tracker = DirtyTracker(block_size=10)
         tracker.mark_window(5, 0)
         assert tracker.ranges == []
-
-    @settings(max_examples=200)
-    @given(
-        st.lists(
-            st.lists(st.tuples(st.integers(0, 400), st.integers(0, 60)), max_size=8),
-            min_size=1,
-            max_size=4,
-        )
-    )
-    @example([[(0, 20), (20, 20)], [(15, 1), (5, 1)]])  # touching, then apart
-    @example([[(25, 50), (0, 200), (3, 0)]])  # nested, the inner one first; empty
-    def test_property_epochs_are_their_set_of_blocks(self, epochs):
-        """``mark_window`` and ``close_epoch`` against a set of block indices."""
-        tracker = DirtyTracker(block_size=10)
-        for windows in epochs:
-            model = set()
-            for offset, length in windows:
-                tracker.mark_window(offset, length)
-                model.update(range(offset // 10, (offset + length + 9) // 10) if length else ())
-            assert tracker.dirty_bytes == len(model) * 10
-            closed = tracker.close_epoch()
-            assert all(first < stop for first, stop in closed)
-            assert all(a[1] < b[0] for a, b in zip(closed, closed[1:]))  # sorted, none touch
-            assert {i for first, stop in closed for i in range(first, stop)} == model
-            assert tracker.ranges == [] and tracker.dirty_bytes == 0

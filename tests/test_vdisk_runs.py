@@ -13,7 +13,7 @@ read back by a fresh module, with the ``WriteResult`` numbers pinned.
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cloud
@@ -723,9 +723,13 @@ EPOCH_WINDOWS = st.lists(
 
 @settings(max_examples=40, deadline=None)  # tier-1 budget: 2 s
 @given(EPOCH_WINDOWS)
+@example([[(0, 2 * CHUNK), (2 * CHUNK, 2 * CHUNK)], [(15 * CHUNK + 9, 1), (5 * CHUNK, 1)]])
+@example([[(2 * CHUNK + 5, 5 * CHUNK), (0, 20 * CHUNK), (3 * CHUNK, 0)]])
 def test_property_a_commit_ships_exactly_the_blocks_dirtied_since_the_last(epochs):
     """COMMIT after COMMIT: what the module ships, and ``dirty_bytes`` before
-    it, are those of the set of blocks the epoch's windows touched."""
+    it, are those of the set of blocks the epoch's windows touched.  The
+    pinned examples write touching windows then apart ones, and a nested
+    window before the one holding it, then an empty one."""
     repo, run = _small_cloud(CHUNK, EPOCH_DISK)
     base = RawImage(EPOCH_DISK, block_size=CHUNK)
     base.write(0, SyntheticBytes("os", 10 * CHUNK + 7))
@@ -747,6 +751,10 @@ def test_property_a_commit_ships_exactly_the_blocks_dirtied_since_the_last(epoch
             if length:
                 dirty.update(range(offset // CHUNK, (offset + length - 1) // CHUNK + 1))
         assert module.dirty_bytes == len(dirty) * CHUNK
+        ranges = module.dirty.ranges
+        assert all(first < stop for first, stop in ranges)
+        assert all(a[1] < b[0] for a, b in zip(ranges, ranges[1:]))  # sorted, none touch
+        assert {i for first, stop in ranges for i in range(first, stop)} == dirty
         assert sorted(module.residue_payloads()) == sorted(dirty)
         result = run(module.commit())
         blocks = shipped[-1]
