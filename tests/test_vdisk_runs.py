@@ -769,6 +769,53 @@ def test_property_a_commit_ships_exactly_the_blocks_dirtied_since_the_last(epoch
         assert module.dirty_bytes == 0 and module.residue_payloads() == {}
 
 
+def test_a_write_during_a_commit_goes_to_the_next_commit():
+    """A write that lands while a COMMIT's transfer is in flight is not part of
+    that COMMIT: ``dirty_bytes`` counts it afterwards and the next COMMIT ships
+    it.  It cuts the middle out of a run the first COMMIT ships, and what is
+    left of that run is not shipped again."""
+    repo, run = _small_cloud(CHUNK, DISK)
+    base = RawImage(DISK, block_size=CHUNK)
+    base.write(0, SyntheticBytes("os", 10 * CHUNK))
+    blob = run(repo.upload_base_image("node-000", base))
+    module = MirroringModule(repo, "node-001", "vm", blob)
+    run(module.clone())
+    model = bytearray(module.read(0, DISK).read())
+
+    def write(offset, data):
+        module.write(offset, data)
+        model[offset : offset + data.size] = data.read()
+
+    write(4 * CHUNK, SyntheticBytes("first", 8 * CHUNK))  # blocks 4-11
+    shipped, during = [], []
+    commit_blocks, data_write = repo.commit_blocks, repo._data_write
+
+    def spy(node, blob_id, blocks, *args, **kwargs):
+        shipped.append(sorted((index, -(-p.size // CHUNK)) for index, p in blocks.items()))
+        return (yield from commit_blocks(node, blob_id, blocks, *args, **kwargs))
+
+    def transfer(*args, **kwargs):
+        flow = data_write(*args, **kwargs)
+        if len(shipped) == 1:
+            during.append(bytes(model))  # what the first COMMIT holds
+            write(6 * CHUNK + 10, SyntheticBytes("during", 2 * CHUNK))  # blocks 6-8
+        return flow
+
+    repo.commit_blocks, repo._data_write = spy, transfer
+    first = run(module.commit())
+    assert shipped == [[(4, 8)]]
+    assert module.dirty_bytes == 3 * CHUNK
+    assert sorted(module.residue_payloads()) == [6, 7, 8]
+    second = run(module.commit())
+    assert shipped[1] == [(6, 3)]
+    assert module.dirty_bytes == 0 and module.residue_payloads() == {}
+    for version, content in ((first.version, during[0]), (second.version, bytes(model))):
+        fresh = MirroringModule(
+            repo, "node-002", "vm-restored", module.checkpoint_blob_id, base_version=version
+        )
+        assert fresh.read(0, DISK).read() == content
+
+
 def test_a_sequential_write_leaves_one_dirty_range():
     """200 MB written front to back, 1 MiB at a time, is one ``(first, stop)``
     range of dirty blocks, not one entry per block."""
