@@ -15,6 +15,8 @@ from repro.runner.registry import _REGISTRY
 from repro.scenarios import Axis, ScenarioSpec, get_scenario, merge_rows, register_scenario
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+#: the cheapest cell that writes outputs
+SMALLEST_FIG3 = "fig3:BlobCR-app:4:50MB"
 
 
 class TestArgumentErrors:
@@ -45,6 +47,34 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["--workers", "0"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("--seed x", "argument --seed: invalid int value: 'x'"),
+            ("--override cluster.solver=1", "cluster.solver is a group, not a field"),
+            ("--override scale.instances=", "override 'scale.instances=' carries no values"),
+            ("--cells nope:zz", "unknown experiment(s) in --cells: nope:zz"),
+            (f"--cells {SMALLEST_FIG3} --json {{missing}}", "cannot write JSON output to"),
+            (f"--cells {SMALLEST_FIG3} --artifact {{missing}}", "cannot write artifact to"),
+            (
+                f"trace {SMALLEST_FIG3} --chrome {{missing}} --trace-artifact {{ok}}",
+                "cannot write Chrome trace to",
+            ),
+            (f"trace {SMALLEST_FIG3} --trace-artifact {{missing}}", "cannot write trace artifact"),
+        ],
+        ids=["seed", "group", "no-values", "cells", "json", "artifact", "chrome", "trace-artifact"],
+    )
+    def test_a_bad_flag_exits_2_with_one_error_line(self, argv, message, tmp_path, capsys):
+        paths = {"missing": tmp_path / "no-such-dir" / "out.json", "ok": tmp_path / "ok.json"}
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv.format(**paths).split() + ["--no-progress"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and message in errors[0], err
+        assert err.splitlines()[-1] == errors[0]
 
 
 class TestListCells:
