@@ -298,14 +298,10 @@ class BlobCRDeployment(Deployment):
         with self.cloud.env.phase(
             "migrate-round", instance.instance_id, round=index, dirty_blocks=dirty
         ) as phase:
-            if dirty:
+            moved = 0
+            if dirty:  # an empty COMMIT would publish a pointless empty version
                 commit = yield from mirroring.commit(tag=f"migrate:{instance.instance_id}:{name}")
                 moved = commit.bytes_written
-            else:
-                # An empty COMMIT would publish a pointless empty version; close
-                # the epoch bookkeeping without touching the repository.
-                mirroring.dirty.close_epoch()
-                moved = 0
             phase.note(bytes=moved)
         return MigrationRound(
             index=index, dirty_blocks=dirty, bytes_moved=moved,

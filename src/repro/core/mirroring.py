@@ -28,14 +28,15 @@ from repro.core.repository import CheckpointRepository
 from repro.util.bytesource import ByteSource
 from repro.util.errors import SnapshotError
 from repro.vdisk.blockdev import BlockDevice, SparseDevice
-from repro.vdisk.dirty import DirtyTracker
 
 
 class MirroringModule(BlockDevice):
     """Raw-device facade with local COW and CLONE/COMMIT ioctls.
 
     Its size and block size are its repository's cloud's ``spec.vm.disk_size``
-    and ``spec.checkpoint.cow_block_size``.
+    and ``spec.checkpoint.cow_block_size``.  The local device's snapshot flag
+    records what COMMIT has taken: its unflagged runs are the blocks written
+    since the last COMMIT.
     """
 
     def __init__(
@@ -60,7 +61,6 @@ class MirroringModule(BlockDevice):
         self._local = SparseDevice(
             size, block_size=self.spec.cow_block_size, base=self.remote, name=f"{instance_id}.cow"
         )
-        self.dirty = DirtyTracker(self.spec.cow_block_size)
         #: the checkpoint image (created by the first CLONE, or inherited when
         #: the instance was re-deployed from an earlier checkpoint image)
         self.checkpoint_blob_id = checkpoint_blob_id
@@ -86,31 +86,26 @@ class MirroringModule(BlockDevice):
 
     def writev(self, pieces: Sequence[Tuple[int, ByteSource]]) -> None:
         self._local.writev(pieces)
-        for offset, data in pieces:
-            self.dirty.mark_window(offset, data.size)
 
     # -- introspection ----------------------------------------------------------------------
 
     @property
     def dirty_bytes(self) -> int:
         """Upper bound of bytes the next COMMIT will ship."""
-        return self.dirty.dirty_bytes
+        return sum(count for _first, count in self._local.fresh_blocks()) * self.block_size
 
     def residue_payloads(self) -> Dict[int, ByteSource]:
-        """Payloads of the blocks dirtied since the last COMMIT (open epoch).
+        """Payloads of the blocks written since the last COMMIT.
 
         This is what a post-copy migration leaves behind on the source: the
         local COW content not yet published to the repository, keyed by block
-        index.  Blocks whose content lives only in the remote base (clean
-        fall-through reads) carry nothing local and are skipped.
+        index.
         """
-        payloads: Dict[int, ByteSource] = {}
-        for first, stop in self.dirty.ranges:
-            for index in range(first, stop):
-                payload = self._local.block_payload(index)
-                if payload is not None and payload.size > 0:
-                    payloads[index] = payload
-        return payloads
+        return {
+            index: self._local.block_payload(index)
+            for first, count in self._local.fresh_blocks()
+            for index in range(first, first + count)
+        }
 
     def standing_on(self) -> List[Tuple[int, int]]:
         """The ``(blob id, version)`` snapshots this disk depends on: the one
@@ -148,14 +143,17 @@ class MirroringModule(BlockDevice):
             raise SnapshotError(
                 f"COMMIT before CLONE on instance {self.instance_id}"
             )
-        # One entry per stored run inside each range of consecutive dirty
-        # blocks: a file flushed in one piece is committed in one piece.
+        # One entry per run written since the last COMMIT: a file flushed in
+        # one piece is committed in one piece.  Flagging the runs here, before
+        # the repository call, leaves writes that land during the transfer to
+        # the next COMMIT.
         block_size = self.spec.cow_block_size
+        fresh = self._local.fresh_blocks()
         blocks: Dict[int, ByteSource] = {}
-        for first, stop in self.dirty.close_epoch():
-            start, length = first * block_size, (stop - first) * block_size
-            for offset, payload in self._local.stored_runs(start, length):
+        for first, count in fresh:
+            for offset, payload in self._local.stored_runs(first * block_size, count * block_size):
                 blocks[offset // block_size] = payload
+        self._local.share(fresh)
         # The snapshot derives from the version this disk stands on, which a
         # rollback makes older than the checkpoint image's latest; a disk
         # still on the base image commits into a fresh clone's one version.

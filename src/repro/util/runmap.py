@@ -25,10 +25,12 @@ class RunMap:
     one :class:`ByteSource` of ``count * block_size`` bytes.  ``starts`` holds
     the first block of every run in ascending order (``bisect`` finds a block)
     and ``runs`` the matching ``(count, payload, shared)``.  Runs never
-    overlap and are never merged.  ``shared`` marks content that an internal
-    snapshot references too (qcow2): overwriting it allocates a new cluster
-    instead of rewriting one in place, and both remnants of a split run keep
-    the flag.
+    overlap and are never merged.  ``shared`` marks content that a snapshot
+    references too: a qcow2 internal snapshot, where overwriting it allocates
+    a new cluster instead of rewriting one in place, or a mirroring module's
+    COMMIT.  :meth:`put` stores a new run unflagged and both remnants of a
+    split run keep the flag, so the unflagged runs hold exactly the blocks
+    written since the flag was last set.
     """
 
     __slots__ = ("block_size", "starts", "runs")
@@ -47,9 +49,13 @@ class RunMap:
         twin.runs = list(self.runs)
         return twin
 
-    def share_all(self) -> None:
-        """Flag every stored block as referenced by a snapshot."""
-        self.runs = [(count, payload, True) for count, payload, _shared in self.runs]
+    def share(self, first: int = 0, stop: Optional[int] = None, shared: bool = True) -> None:
+        """Set (or clear) the snapshot flag of the runs that start in blocks
+        ``[first, stop)``; by default, of every run."""
+        starts, runs = self.starts, self.runs
+        lo = bisect_left(starts, first)
+        hi = len(starts) if stop is None else bisect_left(starts, stop, lo)
+        runs[lo:hi] = [(count, payload, shared) for count, payload, _ in runs[lo:hi]]
 
     def block_count(self) -> int:
         return sum(run[0] for run in self.runs)

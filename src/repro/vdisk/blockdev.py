@@ -12,7 +12,7 @@ file written in one piece is one entry rather than 800.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.util.bytesource import ByteSource, LiteralBytes, ZeroBytes, concat
 from repro.util.errors import StorageError
@@ -127,3 +127,15 @@ class SparseDevice(BlockDevice):
 
     def block_payload(self, index: int) -> Optional[ByteSource]:
         return self._map.block(index)
+
+    def fresh_blocks(self) -> List[Tuple[int, int]]:
+        """``(first, count)`` of each stored run no snapshot flag holds: the
+        blocks written since the flag was last set, ascending."""
+        runs = zip(self._map.starts, self._map.runs)
+        return [(first, count) for first, (count, _payload, shared) in runs if not shared]
+
+    def share(self, blocks: Iterable[Tuple[int, int]], shared: bool = True) -> None:
+        """Set (or clear) the snapshot flag of the runs that start inside the
+        ``(first, count)`` block ranges."""
+        for first, count in blocks:
+            self._map.share(first, first + count, shared)

@@ -136,7 +136,7 @@ class QcowImage(BlockDevice):
             raise SnapshotError(f"internal snapshot {name!r} already exists in {self.name}")
         # Every active cluster is now referenced by the snapshot: subsequent
         # writes must allocate fresh clusters instead of overwriting in place.
-        self._map.share_all()
+        self._map.share()
         snapshot = InternalSnapshot(
             name=name,
             cluster_table=self._map.copy(),

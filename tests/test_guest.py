@@ -736,7 +736,8 @@ def test_sync_matches_a_model_of_the_file_system_and_the_block_oracle(kind, ops)
             assert device.clusters_written == oracle.written
             assert device._map.block_count() == len(oracle.blocks)
         else:  # no COMMIT runs: the local copy holds exactly the dirty blocks
-            dirty = {i for first, stop in device.dirty.ranges for i in range(first, stop)}
+            fresh = device._local.fresh_blocks()
+            dirty = {i for first, count in fresh for i in range(first, first + count)}
             assert dirty == oracle.blocks
 
     for op in ops + [("sync",), ("mount",), ("sync",)]:

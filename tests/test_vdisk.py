@@ -7,7 +7,7 @@ from test_vdisk_runs import qcow_file_size
 
 from repro.util import LiteralBytes, SyntheticBytes
 from repro.util.errors import SnapshotError, StorageError
-from repro.vdisk import DirtyTracker, QcowImage, RawImage, SparseDevice
+from repro.vdisk import QcowImage, RawImage, SparseDevice
 
 
 class TestSparseDevice:
@@ -193,26 +193,3 @@ def test_property_qcow_overlay_matches_reference(writes):
         reference[offset : offset + len(data)] = data
     assert overlay.read(0, 4096).read() == bytes(reference)
     assert base.read(0, 4096).read() == base_content
-
-
-class TestDirtyTracker:
-    def test_mark_window(self):
-        tracker = DirtyTracker(block_size=100)
-        tracker.mark_window(250, 300)
-        assert tracker.ranges == [(2, 6)]
-        assert tracker.dirty_bytes == 400
-
-    def test_epochs(self):
-        tracker = DirtyTracker(block_size=10)
-        tracker.mark_window(10, 10)
-        first = tracker.close_epoch()
-        tracker.mark_window(20, 10)
-        assert first == [(1, 2)]
-        assert tracker.ranges == [(2, 3)]
-        assert tracker.close_epoch() == [(2, 3)]
-        assert tracker.ranges == [] and tracker.dirty_bytes == 0
-
-    def test_zero_length_window(self):
-        tracker = DirtyTracker(block_size=10)
-        tracker.mark_window(5, 0)
-        assert tracker.ranges == []

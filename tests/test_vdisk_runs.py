@@ -751,10 +751,10 @@ def test_property_a_commit_ships_exactly_the_blocks_dirtied_since_the_last(epoch
             if length:
                 dirty.update(range(offset // CHUNK, (offset + length - 1) // CHUNK + 1))
         assert module.dirty_bytes == len(dirty) * CHUNK
-        ranges = module.dirty.ranges
-        assert all(first < stop for first, stop in ranges)
-        assert all(a[1] < b[0] for a, b in zip(ranges, ranges[1:]))  # sorted, none touch
-        assert {i for first, stop in ranges for i in range(first, stop)} == dirty
+        fresh = module._local.fresh_blocks()
+        assert all(count > 0 for _first, count in fresh)
+        assert all(a[0] + a[1] <= b[0] for a, b in zip(fresh, fresh[1:]))  # sorted, disjoint
+        assert {i for first, count in fresh for i in range(first, first + count)} == dirty
         assert sorted(module.residue_payloads()) == sorted(dirty)
         result = run(module.commit())
         blocks = shipped[-1]
@@ -816,17 +816,19 @@ def test_a_write_during_a_commit_goes_to_the_next_commit():
         assert fresh.read(0, DISK).read() == content
 
 
-def test_a_sequential_write_leaves_one_dirty_range():
-    """200 MB written front to back, 1 MiB at a time, is one ``(first, stop)``
-    range of dirty blocks, not one entry per block."""
+def test_a_sequential_write_is_one_fresh_run_per_write():
+    """200 MB written front to back, 1 MiB at a time, leaves one unflagged run
+    per write for the next COMMIT, not one entry per block."""
     block = 256 * 1024
     repo, run = _small_cloud(block, 256 * MiB, chunk=block)
     base = RawImage(256 * MiB, block_size=block)
     base.write(0, SyntheticBytes("os", 3 * block))
     module = MirroringModule(repo, "node-001", "vm", run(repo.upload_base_image("node-000", base)))
     total = 200 * MB
-    for offset in range(0, total, MiB):
-        module.write(offset, SyntheticBytes(("seq", offset), min(MiB, total - offset)))
-        assert len(module.dirty.ranges) == 1
-    assert module.dirty.ranges == [(0, -(-total // block))]
+    writes = [(offset, min(MiB, total - offset)) for offset in range(0, total, MiB)]
+    for offset, length in writes:
+        module.write(offset, SyntheticBytes(("seq", offset), length))
+    assert module._local.fresh_blocks() == [
+        (offset // block, -(-length // block)) for offset, length in writes
+    ]
     assert module.dirty_bytes == -(-total // block) * block
