@@ -159,11 +159,16 @@ class MirroringModule(BlockDevice):
         # still on the base image commits into a fresh clone's one version.
         blob_id, version = self.standing_on()[-1]
         base_version = version if blob_id == self.checkpoint_blob_id else None
-        result: WriteResult = yield from self.repository.commit_blocks(
-            self.node_name, self.checkpoint_blob_id, blocks,
-            block_size=block_size, base_version=base_version,
-            tag=tag or f"commit:{self.instance_id}",
-        )
+        try:
+            result: WriteResult = yield from self.repository.commit_blocks(
+                self.node_name, self.checkpoint_blob_id, blocks,
+                block_size=block_size, base_version=base_version,
+                tag=tag or f"commit:{self.instance_id}",
+            )
+        except BaseException:
+            # No snapshot holds these runs: the next COMMIT ships them.
+            self._local.share(fresh, shared=False)
+            raise
         self.committed_versions.append(result.version)
         self.commit_bytes_total += result.bytes_written
         return result

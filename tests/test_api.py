@@ -25,7 +25,13 @@ from repro.cluster import Cloud
 from repro.core import BlobCRDeployment, CoordinatedCheckpoint
 from repro.core.backends import _BACKENDS
 from repro.util.config import GRAPHENE, DedupSpec
-from repro.util.errors import ChunkNotFoundError, ConfigurationError, RestartError
+from repro.util.errors import (
+    CheckpointError,
+    ChunkNotFoundError,
+    ConfigurationError,
+    RestartError,
+    StorageError,
+)
 
 SMALL = GRAPHENE.scaled(compute_nodes=6, service_nodes=3)
 
@@ -391,6 +397,28 @@ class TestSessionProviderLoss:
             session.cloud.node(node).fail()
         session.restart(checkpoint)
         assert session.guest_read("vm-000", "/ckpt/state.dat") == payload
+
+
+class TestSessionFailedCheckpoint:
+    def test_a_failed_checkpoint_leaves_its_writes_to_the_next(self):
+        """A checkpoint whose COMMIT fails loses nothing: the next one holds
+        what the failed one would have, and a restart reads it back."""
+        session = Session.from_spec(SMALL)
+        session.deploy("blobcr", n=1)
+        session.guest_write("vm-000", "/data/a", b"A" * 300_000)
+        client = session.deployment.repository.client
+
+        def refuse(*args, **kwargs):
+            del client.write_batch
+            raise StorageError("write_batch refused")
+
+        client.write_batch = refuse
+        with pytest.raises(CheckpointError, match="write_batch refused"):
+            session.checkpoint()
+        session.guest_write("vm-000", "/data/b", b"B" * 1_000)
+        session.restart(session.checkpoint())
+        assert session.guest_read("vm-000", "/data/a") == b"A" * 300_000
+        assert session.guest_read("vm-000", "/data/b") == b"B" * 1_000
 
 
 def _deployed():

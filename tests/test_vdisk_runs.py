@@ -700,6 +700,60 @@ def test_upload_and_commit_ship_nothing_beyond_a_disk_that_ends_inside_a_block()
     assert fresh.read(disk - 10, 10).read() == b"base-ttail"
 
 
+#: where :func:`_fail_once` makes a COMMIT fail
+FAILURES = ("write_batch", "transfer")
+
+
+def _fail_once(repo, where):
+    """Make the next COMMIT's repository call raise: in ``write_batch``, before
+    anything is sent, or in the transfer of the chunks it placed."""
+    if where == "write_batch":
+
+        def refuse(*args, **kwargs):
+            del repo.client.write_batch
+            raise StorageError("write_batch refused")
+
+        repo.client.write_batch = refuse
+    else:
+
+        def drop(*args, **kwargs):
+            del repo._data_write
+            return repo.cloud.env.event().fail(StorageError("transfer dropped"))
+
+        repo._data_write = drop
+
+
+@pytest.mark.parametrize("where", FAILURES)
+def test_a_failed_commit_leaves_its_blocks_to_the_next(where):
+    """A COMMIT whose repository call raises takes nothing: ``dirty_bytes``
+    still counts its blocks, and the next COMMIT ships them with the blocks
+    written since."""
+    repo, run = _small_cloud(CHUNK, DISK)
+    base = RawImage(DISK, block_size=CHUNK)
+    base.write(0, SyntheticBytes("os", 10 * CHUNK))
+    blob = run(repo.upload_base_image("node-000", base))
+    module = MirroringModule(repo, "node-001", "vm", blob)
+    run(module.clone())
+    model = bytearray(module.read(0, DISK).read())
+
+    def write(offset, data):
+        module.write(offset, data)
+        model[offset : offset + data.size] = data.read()
+
+    write(3 * CHUNK + 5, SyntheticBytes("kept", 4 * CHUNK))  # blocks 3-7
+    _fail_once(repo, where)
+    with pytest.raises(StorageError):
+        run(module.commit())
+    assert module.dirty_bytes == 5 * CHUNK and module.committed_versions == []
+    write(20 * CHUNK, SyntheticBytes("later", CHUNK))
+    result = run(module.commit())
+    assert result.chunk_count == 6 and module.dirty_bytes == 0
+    fresh = MirroringModule(
+        repo, "node-002", "vm-restored", module.checkpoint_blob_id, base_version=result.version
+    )
+    assert fresh.read(0, DISK).read() == bytes(model)
+
+
 #: a disk that ends inside its last block, so the last block ships short
 EPOCH_DISK = 40 * CHUNK + 300
 #: per epoch, guest write windows ``(offset, length)`` anywhere on the disk;
@@ -722,14 +776,20 @@ EPOCH_WINDOWS = st.lists(
 
 
 @settings(max_examples=40, deadline=None)  # tier-1 budget: 2 s
-@given(EPOCH_WINDOWS)
-@example([[(0, 2 * CHUNK), (2 * CHUNK, 2 * CHUNK)], [(15 * CHUNK + 9, 1), (5 * CHUNK, 1)]])
-@example([[(2 * CHUNK + 5, 5 * CHUNK), (0, 20 * CHUNK), (3 * CHUNK, 0)]])
-def test_property_a_commit_ships_exactly_the_blocks_dirtied_since_the_last(epochs):
+@given(EPOCH_WINDOWS, st.dictionaries(st.integers(0, 2), st.sampled_from(FAILURES)))
+@example(
+    [[(0, 2 * CHUNK), (2 * CHUNK, 2 * CHUNK)], [(15 * CHUNK + 9, 1), (5 * CHUNK, 1)]],
+    {0: "transfer"},
+)
+@example([[(2 * CHUNK + 5, 5 * CHUNK), (0, 20 * CHUNK), (3 * CHUNK, 0)]], {})
+def test_property_a_commit_ships_exactly_the_blocks_dirtied_since_the_last(epochs, failures):
     """COMMIT after COMMIT: what the module ships, and ``dirty_bytes`` before
-    it, are those of the set of blocks the epoch's windows touched.  The
-    pinned examples write touching windows then apart ones, and a nested
-    window before the one holding it, then an empty one."""
+    it, are those of the set of blocks the windows touched since the last
+    COMMIT that succeeded.  ``failures`` maps an epoch to where its COMMIT
+    fails (:func:`_fail_once`); the last epoch's never does.  The pinned
+    examples write touching windows then apart ones, the first COMMIT failing
+    in its transfer, and a nested window before the one holding it, then an
+    empty one."""
     repo, run = _small_cloud(CHUNK, EPOCH_DISK)
     base = RawImage(EPOCH_DISK, block_size=CHUNK)
     base.write(0, SyntheticBytes("os", 10 * CHUNK + 7))
@@ -744,8 +804,8 @@ def test_property_a_commit_ships_exactly_the_blocks_dirtied_since_the_last(epoch
         return (yield from commit_blocks(node, blob_id, blocks, *args, **kwargs))
 
     repo.commit_blocks = spy
+    dirty = set()
     for number, windows in enumerate(epochs):
-        dirty = set()
         for index, (offset, length) in enumerate(windows):
             module.write(offset, SyntheticBytes(("epoch", number, index), length))
             if length:
@@ -756,6 +816,11 @@ def test_property_a_commit_ships_exactly_the_blocks_dirtied_since_the_last(epoch
         assert all(a[0] + a[1] <= b[0] for a, b in zip(fresh, fresh[1:]))  # sorted, disjoint
         assert {i for first, count in fresh for i in range(first, first + count)} == dirty
         assert sorted(module.residue_payloads()) == sorted(dirty)
+        if number in failures and number + 1 < len(epochs):
+            _fail_once(repo, failures[number])
+            with pytest.raises(StorageError):
+                run(module.commit())
+            continue  # the next COMMIT ships these blocks too
         result = run(module.commit())
         blocks = shipped[-1]
         covered = [
@@ -767,6 +832,7 @@ def test_property_a_commit_ships_exactly_the_blocks_dirtied_since_the_last(epoch
         assert result.bytes_written == shipped_bytes
         assert result.chunk_count == len(dirty)
         assert module.dirty_bytes == 0 and module.residue_payloads() == {}
+        dirty = set()
 
 
 def test_a_write_during_a_commit_goes_to_the_next_commit():
