@@ -782,14 +782,20 @@ EPOCH_WINDOWS = st.lists(
     {0: "transfer"},
 )
 @example([[(2 * CHUNK + 5, 5 * CHUNK), (0, 20 * CHUNK), (3 * CHUNK, 0)]], {})
+@example(
+    [[(2 * CHUNK, 2 * CHUNK), (5 * CHUNK, CHUNK)], [(0, 2 * CHUNK), (6 * CHUNK, 2 * CHUNK)], []],
+    {1: "write_batch"},
+)
 def test_property_a_commit_ships_exactly_the_blocks_dirtied_since_the_last(epochs, failures):
     """COMMIT after COMMIT: what the module ships, and ``dirty_bytes`` before
     it, are those of the set of blocks the windows touched since the last
     COMMIT that succeeded.  ``failures`` maps an epoch to where its COMMIT
-    fails (:func:`_fail_once`); the last epoch's never does.  The pinned
+    fails (:func:`_fail_once`) if it has blocks to ship; the last epoch's
+    never does.  The pinned
     examples write touching windows then apart ones, the first COMMIT failing
-    in its transfer, and a nested window before the one holding it, then an
-    empty one."""
+    in its transfer; a nested window before the one holding it, then an
+    empty one; and, after a COMMIT, runs that touch the committed ones, whose
+    COMMIT fails."""
     repo, run = _small_cloud(CHUNK, EPOCH_DISK)
     base = RawImage(EPOCH_DISK, block_size=CHUNK)
     base.write(0, SyntheticBytes("os", 10 * CHUNK + 7))
@@ -816,7 +822,7 @@ def test_property_a_commit_ships_exactly_the_blocks_dirtied_since_the_last(epoch
         assert all(a[0] + a[1] <= b[0] for a, b in zip(fresh, fresh[1:]))  # sorted, disjoint
         assert {i for first, count in fresh for i in range(first, first + count)} == dirty
         assert sorted(module.residue_payloads()) == sorted(dirty)
-        if number in failures and number + 1 < len(epochs):
+        if dirty and number in failures and number + 1 < len(epochs):
             _fail_once(repo, failures[number])
             with pytest.raises(StorageError):
                 run(module.commit())
